@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench fuzz docs smoke-cluster smoke-cache smoke-replica smoke-store metrics-smoke ci
+.PHONY: all build vet test race bench bench-smoke bench-verify fuzz docs smoke-cluster smoke-cache smoke-replica smoke-store metrics-smoke ci
 
 all: ci
 
@@ -35,6 +35,15 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) run ./cmd/vcbench -exp crypto -short -out BENCH_crypto.json
+
+# bench-verify is the allocation gate on the verification kernel: the
+# HashOp, GBaseB and VerifyAggregated benchmarks at a fixed 200
+# iterations, failing when allocs/op exceeds the kernel's ceilings
+# (1 / 2 / 1500). Allocation counts repeat exactly, so this is the perf
+# regression gate a shared CI box can hold (also run by CI's "Bench
+# smoke" step).
+bench-verify:
+	sh scripts/bench_verify.sh
 
 # fuzz smoke-tests the wire decoders — the gob chunk frames, the
 # hand-rolled binary cache frames, the node sub-stream frames the

@@ -3,8 +3,10 @@ package cache_test
 import (
 	"bytes"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,5 +396,90 @@ func TestOversizedFillDropped(t *testing.T) {
 	}
 	if got := e.srv.Store().Stats(); got.Entries != 0 {
 		t.Fatalf("oversized entry reached the peer: %+v", got)
+	}
+}
+
+// parkFirst is a transport that completes the first request it sees and
+// then holds the response until release: a lookup parked between its
+// peer GET and its flights check.
+type parkFirst struct {
+	base    http.RoundTripper
+	seen    atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkFirst) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := p.base.RoundTrip(req)
+	if p.seen.CompareAndSwap(false, true) {
+		close(p.parked)
+		<-p.release
+	}
+	return resp, err
+}
+
+// TestStaleMissFindsSettledFlight closes the singleflight window: a
+// lookup whose peer GET missed before another lookup's fill committed,
+// but which checks the flights table after that commit (and after the
+// PUT landed), must be handed the committed bytes — never a second fill,
+// which is a second trip to origin. Deterministic: the stale lookup is
+// parked inside its GET while the whole fill happens.
+func TestStaleMissFindsSettledFlight(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		minAccesses uint32
+		wantPut     bool
+	}{
+		{"admitted fill pushed to the peer", 1, true},
+		{"fill below the admission threshold", 100, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := &parkFirst{base: http.DefaultTransport, parked: make(chan struct{}), release: make(chan struct{})}
+			e := newEnv(t, cache.Config{MinAccesses: tc.minAccesses, HTTP: &http.Client{Transport: gate}})
+			k := subKey(3)
+			raw := subStreamBytes(t, k.Shard)
+
+			type res struct {
+				hit  *cache.Hit
+				fill *cache.Fill
+			}
+			stale := make(chan res, 1)
+			go func() {
+				h, f := e.cl.Lookup(k)
+				stale <- res{h, f}
+			}()
+			<-gate.parked // the stale lookup's GET has missed; it has not looked at flights yet
+
+			_, fill := e.cl.Lookup(k)
+			if fill == nil {
+				t.Fatal("leader got no fill")
+			}
+			fill.Write(raw)
+			fill.Commit()
+			if tc.wantPut {
+				waitFor(t, "fill to land on the peer", func() bool { return e.srv.Store().Stats().Entries == 1 })
+				waitFor(t, "PUT to be acknowledged", func() bool { h, _ := e.cl.Probe(k); return h != nil })
+			}
+
+			close(gate.release)
+			r := <-stale
+			if r.fill != nil {
+				t.Fatal("a lookup whose GET missed before the commit became a second leader")
+			}
+			if r.hit == nil || len(r.hit.Chunks) != 1 {
+				t.Fatalf("stale lookup got %+v, want the committed bytes", r.hit)
+			}
+			// Nothing is kept past the lookups it was kept for: with the
+			// flight retired, an unadmitted key misses to a fresh leader.
+			if !tc.wantPut {
+				waitFor(t, "settled flight to retire", func() bool {
+					_, f := e.cl.Lookup(k)
+					if f != nil {
+						f.Abort()
+					}
+					return f != nil
+				})
+			}
+		})
 	}
 }

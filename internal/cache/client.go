@@ -171,6 +171,10 @@ type Client struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
+	// probing counts, per key, the lookups between sending their peer GET
+	// and checking flights for its result: a fill that settles meanwhile
+	// stays in flights until they have looked (see Fill.Commit).
+	probing map[string]int
 
 	hits, misses, collapsed         atomic.Uint64
 	fills, fillDrops                atomic.Uint64
@@ -196,6 +200,7 @@ func NewClient(cfg Config) *Client {
 		maxEntry:    cfg.MaxEntryBytes,
 		wait:        cfg.WaitTimeout,
 		flights:     make(map[string]*flight),
+		probing:     make(map[string]int),
 		hGet:        cfg.Obs.Hist(obs.StageCacheGet),
 		hFill:       cfg.Obs.Hist(obs.StageCacheFill),
 	}
@@ -251,13 +256,17 @@ func (c *Client) peerFor(ks string) *wire.Client {
 	return c.peers[c.ring[i].peer]
 }
 
-// flight is one in-progress fill: the leader streams from origin while
-// every collapsed waiter blocks on done. A nil bytes at done means the
-// fill aborted.
+// flight is one fill: the leader streams from origin while every
+// collapsed waiter blocks on done. A nil bytes at done means the fill
+// aborted. A committed flight stays in Client.flights, answering lookups
+// from its bytes, until the entry is resolvable on the peer instead.
 type flight struct {
 	done  chan struct{}
 	bytes []byte
 	sum   hashx.Digest
+	// putting (guarded by Client.mu) is set while the peer PUT of a
+	// committed flight has not been acknowledged or failed.
+	putting bool
 	// waiters counts collapsed lookups; a fill with waiters is pushed
 	// to the peer even below the admission threshold — concurrency is
 	// itself evidence of heat.
@@ -315,23 +324,30 @@ func (f *Fill) Commit() {
 	f.mu.Unlock()
 
 	c := f.c
-	c.mu.Lock()
-	delete(c.flights, f.ks)
-	c.mu.Unlock()
 	if over || len(b) == 0 {
+		c.mu.Lock()
+		delete(c.flights, f.ks)
+		c.mu.Unlock()
 		c.fillDrops.Add(1)
 		close(f.fl.done)
 		return
 	}
 	sum := c.h.Hash(b)
-	f.fl.bytes, f.fl.sum = b, sum
-	close(f.fl.done)
-	if !f.admit && f.fl.waiters.Load() == 0 {
-		c.admissionsDenied.Add(1)
-		return
-	}
 	peer := c.peerFor(f.ks)
-	if peer == nil {
+	// The flight leaves the table only once a lookup that finds no flight
+	// can rely on its own peer GET: a lookup whose GET missed before this
+	// commit may check flights after it, and must find these bytes rather
+	// than become a second leader. So the flight stays while the PUT is
+	// unacknowledged and while any lookup of this key is mid-probe (new
+	// lookups wait on the flight without probing, so that count drains).
+	c.mu.Lock()
+	push := f.admit || f.fl.waiters.Load() > 0
+	f.fl.bytes, f.fl.sum, f.fl.putting = b, sum, push
+	c.retire(f.ks, f.fl)
+	c.mu.Unlock()
+	close(f.fl.done)
+	if !push {
+		c.admissionsDenied.Add(1)
 		return
 	}
 	c.fills.Add(1)
@@ -349,7 +365,20 @@ func (f *Fill) Commit() {
 		if err != nil {
 			c.peerErrs.Add(1)
 		}
+		c.mu.Lock()
+		f.fl.putting = false
+		c.retire(f.ks, f.fl)
+		c.mu.Unlock()
 	}()
+}
+
+// retire removes a committed flight from the table once nothing needs it
+// there: its PUT has finished and no lookup of the key is mid-probe.
+// Callers hold c.mu.
+func (c *Client) retire(ks string, fl *flight) {
+	if fl.bytes != nil && !fl.putting && c.probing[ks] == 0 && c.flights[ks] == fl {
+		delete(c.flights, ks)
+	}
 }
 
 // Abort releases waiters empty-handed and drops the buffer.
@@ -390,44 +419,77 @@ func (c *Client) lookup(k Key, validate func([]byte) (any, error)) (any, *Fill) 
 	if peer == nil {
 		return nil, nil
 	}
+	c.mu.Lock()
+	fl, ok := c.flights[ks]
+	if ok {
+		fl.waiters.Add(1)
+	} else {
+		c.probing[ks]++
+	}
+	c.mu.Unlock()
+	if ok {
+		c.misses.Add(1)
+		return c.await(fl, validate), nil
+	}
 	t0 := time.Now()
 	rp, err := peer.CacheOp(&wire.CacheFrame{Get: &wire.CacheGet{Key: ks}})
 	c.hGet.ObserveSince(t0)
+	var v any
 	if err != nil {
 		c.peerErrs.Add(1)
-		return nil, nil
+	} else if rp.Hit {
+		v, _ = c.check(ks, rp.Bytes, rp.Sum, validate)
 	}
-	if rp.Hit {
-		v, verr := c.check(ks, rp.Bytes, rp.Sum, validate)
-		if verr == nil {
-			c.hits.Add(1)
-			return v, nil
-		}
-	}
-	c.misses.Add(1)
 
 	c.mu.Lock()
-	if fl, ok := c.flights[ks]; ok {
-		fl.waiters.Add(1)
-		c.mu.Unlock()
-		c.collapsed.Add(1)
-		select {
-		case <-fl.done:
-		case <-time.After(c.wait):
-			return nil, nil
-		}
-		if fl.bytes == nil {
-			return nil, nil
-		}
-		if v, verr := validate(fl.bytes); verr == nil {
-			return v, nil
-		}
-		return nil, nil
+	if c.probing[ks]--; c.probing[ks] == 0 {
+		delete(c.probing, ks)
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.flights[ks] = fl
+	miss := err == nil && v == nil
+	fl, ok = c.flights[ks]
+	if ok {
+		if miss {
+			fl.waiters.Add(1)
+		}
+		c.retire(ks, fl) // this lookup may be the last one it was kept for
+	} else if miss {
+		fl = &flight{done: make(chan struct{})}
+		c.flights[ks] = fl
+	}
 	c.mu.Unlock()
+	switch {
+	case err != nil:
+		return nil, nil
+	case v != nil:
+		c.hits.Add(1)
+		return v, nil
+	}
+	c.misses.Add(1)
+	if ok {
+		return c.await(fl, validate), nil
+	}
 	return nil, &Fill{c: c, key: k, ks: ks, admit: admit, fl: fl}
+}
+
+// await collapses a lookup, already counted among the flight's waiters,
+// onto a flight: it returns the flight's bytes as the caller's value, or
+// nil (serve from origin) when the fill aborted, timed out or does not
+// validate.
+func (c *Client) await(fl *flight, validate func([]byte) (any, error)) any {
+	c.collapsed.Add(1)
+	select {
+	case <-fl.done:
+	case <-time.After(c.wait):
+		return nil
+	}
+	if fl.bytes == nil {
+		return nil
+	}
+	v, err := validate(fl.bytes)
+	if err != nil {
+		return nil
+	}
+	return v
 }
 
 // check runs the untrusted-peer defenses on returned bytes: digest
@@ -592,11 +654,16 @@ type ClientStats struct {
 	PeerErrors       uint64 // cache-protocol I/O failures
 	Invalidations    uint64 // epoch-scoped group invalidations pushed
 	AdmissionsDenied uint64 // fills skipped by the cost-model gate
+	Flights          int    // gauge: fills in progress, or committed and still answering lookups
 }
 
 // Stats snapshots the client's counters.
 func (c *Client) Stats() ClientStats {
+	c.mu.Lock()
+	flights := len(c.flights)
+	c.mu.Unlock()
 	return ClientStats{
+		Flights:          flights,
 		Hits:             c.hits.Load(),
 		Misses:           c.misses.Load(),
 		Collapsed:        c.collapsed.Load(),

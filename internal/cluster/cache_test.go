@@ -37,12 +37,14 @@ func newCachedCluster(t *testing.T, n, k, nNodes int) *cacheFix {
 	return &cacheFix{fix: f, cc: cc, srv: srv}
 }
 
-// waitEntries polls the peer store until it holds at least n entries —
+// waitEntries polls the peer store until it holds at least n entries and
+// the coordinator's fills have settled (until a PUT is acknowledged the
+// coordinator answers that key from the committed fill itself) —
 // fills are pushed asynchronously after the origin stream settles.
 func (cf *cacheFix) waitEntries(n int) {
 	cf.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for cf.srv.Store().Stats().Entries < n {
+	for cf.srv.Store().Stats().Entries < n || cf.coord.Stats().Cache.Flights > 0 {
 		if time.Now().After(deadline) {
 			cf.t.Fatalf("cache peer has %d entries, want >= %d", cf.srv.Store().Stats().Entries, n)
 		}

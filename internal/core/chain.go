@@ -19,46 +19,53 @@ type digitChains struct {
 	p      Params
 	key    uint64
 	dir    Direction
-	chains [][]hashx.Digest
+	size   int    // digest width
+	counts int    // chain values kept per digit: counts 0..2B-1
+	chains []byte // h^c(r|j) at ((j*counts)+c)*size, one block for all digits
 }
 
 // newDigitChains computes the chains for a key in one direction.
 func newDigitChains(h *hashx.Hasher, p Params, key uint64, dir Direction) *digitChains {
-	maxCount := int(2*p.BP.B) - 1
-	dc := &digitChains{p: p, key: key, dir: dir, chains: make([][]hashx.Digest, p.BP.Digits)}
+	b := h.Batch()
+	defer b.Done()
+	dc := &digitChains{p: p, key: key, dir: dir, size: h.Size(), counts: int(2 * p.BP.B)}
+	dc.chains = make([]byte, 0, p.BP.Digits*dc.counts*dc.size)
 	for j := 0; j < p.BP.Digits; j++ {
-		chain := make([]hashx.Digest, maxCount+1)
-		chain[0] = h.First(preimage(key, j, dir))
-		for c := 1; c <= maxCount; c++ {
-			chain[c] = h.Next(chain[c-1])
+		dc.chains = b.Iterate(dc.chains, preimage(key, j, dir), 0)
+		for c := 1; c < dc.counts; c++ {
+			dc.chains = b.IterateFrom(dc.chains, dc.chains[len(dc.chains)-dc.size:], 1)
 		}
-		dc.chains[j] = chain
 	}
 	return dc
 }
 
-// tip returns h^count(r|j).
+// tip returns h^count(r|j). It aliases the chain block: read-only.
 func (dc *digitChains) tip(j int, count uint64) hashx.Digest {
-	if int(count) >= len(dc.chains[j]) {
-		panic(fmt.Sprintf("core: digit %d chain count %d exceeds precomputed %d", j, count, len(dc.chains[j])-1))
+	if count >= uint64(dc.counts) {
+		panic(fmt.Sprintf("core: digit %d chain count %d exceeds precomputed %d", j, count, dc.counts-1))
 	}
-	return dc.chains[j][count]
+	at := (j*dc.counts + int(count)) * dc.size
+	return dc.chains[at : at+dc.size : at+dc.size]
 }
 
-// repDigest computes the digest of one representation: the hash over the
-// concatenated per-digit chain tips, h(h^{d_0}(r|0) | .. | h^{d_m}(r|m)).
+// maxTips bounds one direction's chain tips laid end to end, so every
+// representation digest is hashed from one stack block.
+const maxTips = basep.MaxDigits * hashx.MaxSize
+
+// repDigest appends the digest of one representation to dst: the hash over
+// the concatenated per-digit chain tips, h(h^{d_0}(r|0) | .. | h^{d_m}(r|m)).
 // Digit positions marked basep.InvalidDigit (the undefined component of an
 // invalid preferred representation) are dropped from the concatenation, as
 // prescribed in Section 5.1.
-func (dc *digitChains) repDigest(h *hashx.Hasher, rep basep.Rep) hashx.Digest {
-	parts := make([][]byte, 0, len(rep.Digits))
+func (dc *digitChains) repDigest(b *hashx.Batch, dst []byte, rep basep.Rep) []byte {
+	var tips [maxTips]byte
+	t := tips[:0]
 	for j, d := range rep.Digits {
-		if d == basep.InvalidDigit {
-			continue
+		if d != basep.InvalidDigit {
+			t = append(t, dc.tip(j, d)...)
 		}
-		parts = append(parts, dc.tip(j, d))
 	}
-	return h.Hash(parts...)
+	return b.Hash(dst, t)
 }
 
 // chainSide is everything the owner derives for one (record, direction):
@@ -83,27 +90,29 @@ func buildChainSide(h *hashx.Hasher, p Params, key uint64, dir Direction) (*chai
 		return nil, err
 	}
 	dc := newDigitChains(h, p, key, dir)
-	canonDig := dc.repDigest(h, canon)
+	b := h.Batch()
+	defer b.Done()
+	canonDig := hashx.Digest(dc.repDigest(&b, nil, canon))
 	m := p.BP.M()
 	leaves := make([]hashx.Digest, m)
 	for i := 0; i < m; i++ {
 		rep, _ := basep.Preferred(canon, i)
-		leaves[i] = dc.repDigest(h, rep)
+		leaves[i] = dc.repDigest(&b, nil, rep)
 	}
 	tree := mht.BuildFromDigests(h, leaves)
 	return &chainSide{
 		canon:    canon,
 		canonDig: canonDig,
 		repTree:  tree,
-		Combined: combineChain(h, canonDig, tree.Root()),
+		Combined: combineChain(&b, nil, canonDig, tree.Root()),
 	}, nil
 }
 
 // combineChain folds the canonical-representation digest and the
-// representation-tree root into the per-direction component of g(r):
-// Figure 7's h(h(delta_t) | MHT root).
-func combineChain(h *hashx.Hasher, canonDig, repRoot hashx.Digest) hashx.Digest {
-	return h.Hash(canonDig, repRoot)
+// representation-tree root into the per-direction component of g(r),
+// appended to dst: Figure 7's h(h(delta_t) | MHT root).
+func combineChain(b *hashx.Batch, dst []byte, canonDig, repRoot hashx.Digest) hashx.Digest {
+	return b.Hash(dst, canonDig, repRoot)
 }
 
 // RepRoot returns the root of the non-canonical-representation tree; this
@@ -112,24 +121,31 @@ func combineChain(h *hashx.Hasher, canonDig, repRoot hashx.Digest) hashx.Digest 
 func (cs *chainSide) RepRoot() hashx.Digest { return cs.repTree.Root() }
 
 // entryCombined recomputes the per-direction combined digest for a record
-// whose key the user KNOWS (a result entry, Figure 8(b)): derive the
-// canonical representation digits of delta_t, walk each digit chain (at
-// most B-1 iterations per digit), hash the concatenation, and fold in the
-// representation-tree root received from the publisher.
-func entryCombined(h *hashx.Hasher, p Params, key uint64, dir Direction, repRoot hashx.Digest) (hashx.Digest, error) {
+// whose key the user KNOWS (a result entry, Figure 8(b)) and appends it to
+// dst: walk each digit chain by the canonical digit of delta_t (at most
+// B-1 iterations per digit), hash the tips laid end to end, and fold in
+// the representation-tree root received from the publisher. This is most
+// of what a verified row costs, so it runs in one stack frame: no
+// representation, no per-digit digest, no part list.
+func entryCombined(b *hashx.Batch, dst []byte, p Params, key uint64, dir Direction, repRoot hashx.Digest) (hashx.Digest, error) {
 	dt, err := p.deltaT(key, dir)
 	if err != nil {
 		return nil, err
 	}
-	canon, err := basep.Canonical(p.BP, dt)
-	if err != nil {
+	if err := p.BP.Validate(); err != nil {
 		return nil, err
 	}
-	parts := make([][]byte, len(canon.Digits))
-	for j, d := range canon.Digits {
-		parts[j] = h.Iterate(preimage(key, j, dir), d)
+	var tips [maxTips]byte
+	t := tips[:0]
+	for j := 0; j < p.BP.Digits; j++ {
+		t = b.Iterate(t, preimage(key, j, dir), dt%p.BP.B)
+		dt /= p.BP.B
 	}
-	return combineChain(h, h.Hash(parts...), repRoot), nil
+	if dt != 0 {
+		return nil, basep.ErrOverflow
+	}
+	var canon [hashx.MaxSize]byte
+	return combineChain(b, dst, b.Hash(canon[:0], t), repRoot), nil
 }
 
 // ChainProof is the publisher's proof that a *hidden* boundary key lies
@@ -177,7 +193,7 @@ func (dc *digitChains) proveChain(h *hashx.Hasher, cs *chainSide, bound uint64) 
 	}
 	inter := make([]hashx.Digest, p.BP.Digits)
 	for j, e := range sel.DeltaE {
-		inter[j] = dc.tip(j, e)
+		inter[j] = dc.tip(j, e).Clone()
 	}
 	if sel.Canonical {
 		return ChainProof{
@@ -215,27 +231,36 @@ func verifyChain(h *hashx.Hasher, p Params, proof ChainProof, dir Direction, bou
 	if err != nil {
 		return nil, err
 	}
-	exps, err := basep.UserExponents(p.BP, dcBound)
-	if err != nil {
+	if err := p.BP.Validate(); err != nil {
 		return nil, err
 	}
 	if len(proof.Intermediates) != p.BP.Digits {
 		return nil, fmt.Errorf("%w: %d intermediates, want %d", ErrProofShape, len(proof.Intermediates), p.BP.Digits)
 	}
-	parts := make([][]byte, p.BP.Digits)
+	b := h.Batch()
+	defer b.Done()
+	// The user extends intermediate j by the j-th canonical digit of
+	// delta_c — the only representation arithmetic the user performs.
+	var tips [maxTips]byte
+	t := tips[:0]
 	for j, d := range proof.Intermediates {
 		if len(d) != h.Size() {
 			return nil, fmt.Errorf("%w: intermediate %d has width %d", ErrProofShape, j, len(d))
 		}
-		parts[j] = h.IterateFrom(d, exps[j])
+		t = b.IterateFrom(t, d, dcBound%p.BP.B)
+		dcBound /= p.BP.B
 	}
-	repDig := h.Hash(parts...)
+	if dcBound != 0 {
+		return nil, basep.ErrOverflow
+	}
+	var rep [hashx.MaxSize]byte
+	repDig := hashx.Digest(b.Hash(rep[:0], t))
 	m := p.BP.M()
 	if proof.Canonical {
 		if len(proof.RepRoot) != h.Size() {
 			return nil, fmt.Errorf("%w: bad rep root width", ErrProofShape)
 		}
-		return combineChain(h, repDig, proof.RepRoot), nil
+		return combineChain(&b, nil, repDig, proof.RepRoot), nil
 	}
 	if proof.Index < 0 || proof.Index >= m {
 		return nil, fmt.Errorf("%w: representation index %d out of [0,%d)", ErrProofShape, proof.Index, m)
@@ -257,7 +282,7 @@ func verifyChain(h *hashx.Hasher, p Params, proof ChainProof, dir Direction, bou
 		idx /= 2
 	}
 	root := mht.RootFromPath(h, repDig, proof.RepPath)
-	return combineChain(h, proof.CanonDigest, root), nil
+	return combineChain(&b, nil, proof.CanonDigest, root), nil
 }
 
 // Size returns the number of digests carried by the proof; the traffic

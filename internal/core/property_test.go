@@ -88,16 +88,16 @@ func TestAttrRootDisclosureEquivalence(t *testing.T) {
 	nLeaves := len(tuple.Attrs) + 1
 	// All 2^4 disclosure subsets of the 4 columns (row-id always hidden).
 	for mask := 0; mask < 16; mask++ {
-		disclosed := map[int][]byte{}
-		hidden := map[int]hashx.Digest{0: leaves[0]}
+		disclosed := make([][]byte, nLeaves)
+		hidden := []hashx.Digest{leaves[0]}
 		for c := 0; c < 4; c++ {
 			if mask&(1<<c) != 0 {
 				disclosed[c+1] = tuple.Attrs[c].Encode()
 			} else {
-				hidden[c+1] = leaves[c+1]
+				hidden = append(hidden, leaves[c+1])
 			}
 		}
-		got, err := AttrRootFromDisclosure(h, nLeaves, disclosed, hidden)
+		got, err := AttrRootFromDisclosure(h, disclosed, hidden)
 		if err != nil {
 			t.Fatalf("mask %04b: %v", mask, err)
 		}
@@ -111,21 +111,21 @@ func TestAttrRootDisclosureRejectsInconsistency(t *testing.T) {
 	h := hashx.New()
 	tuple := relation.Tuple{Key: 1, Attrs: []relation.Value{relation.IntVal(7)}}
 	leaves := AttrLeaves(h, tuple)
-	// Wrong count.
-	if _, err := AttrRootFromDisclosure(h, 2, map[int][]byte{}, map[int]hashx.Digest{0: leaves[0]}); err == nil {
+	// Too few digests for the hidden leaves.
+	if _, err := AttrRootFromDisclosure(h, make([][]byte, 2), []hashx.Digest{leaves[0]}); err == nil {
 		t.Error("short disclosure accepted")
 	}
-	// Overlapping leaf.
-	if _, err := AttrRootFromDisclosure(h, 2,
-		map[int][]byte{1: tuple.Attrs[0].Encode()},
-		map[int]hashx.Digest{0: leaves[0], 1: leaves[1]}); err == nil {
-		t.Error("overlapping disclosure accepted")
-	}
 	// Malformed digest width.
-	if _, err := AttrRootFromDisclosure(h, 2,
-		map[int][]byte{1: tuple.Attrs[0].Encode()},
-		map[int]hashx.Digest{0: leaves[0][:4]}); err == nil {
+	if _, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode()},
+		[]hashx.Digest{leaves[0][:4]}); err == nil {
 		t.Error("short digest accepted")
+	}
+	// A digest beyond the last hidden leaf binds nothing: same root.
+	want := AttrRoot(h, tuple)
+	got, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode()},
+		[]hashx.Digest{leaves[0], leaves[1]})
+	if err != nil || !got.Equal(want) {
+		t.Errorf("surplus digest changed the outcome: %v", err)
 	}
 }
 

@@ -54,10 +54,14 @@ func virtualEndDigest(h *hashx.Hasher, bound uint64) hashx.Digest {
 // MHT(r.A): leaf 0 is the row identifier (the replica number that
 // disambiguates duplicates), leaves 1..R are the encoded attribute values.
 func AttrLeaves(h *hashx.Hasher, t relation.Tuple) []hashx.Digest {
+	b := h.Batch()
+	defer b.Done()
 	leaves := make([]hashx.Digest, len(t.Attrs)+1)
-	leaves[0] = h.Leaf(hashx.U64(t.RowID))
+	leaves[0] = b.Leaf(nil, hashx.U64(t.RowID))
+	var enc []byte
 	for i, a := range t.Attrs {
-		leaves[i+1] = h.Leaf(a.Encode())
+		enc = a.AppendEncode(enc[:0])
+		leaves[i+1] = b.Leaf(nil, enc)
 	}
 	return leaves
 }
@@ -140,30 +144,29 @@ func GFromComponents(h *hashx.Hasher, kind Kind, upCombined, downCombined, attrR
 var errDisclosure = fmt.Errorf("core: inconsistent attribute disclosure")
 
 // AttrRootFromDisclosure rebuilds the root of MHT(r.A) from a partial
-// disclosure: disclosed maps leaf index -> encoded leaf pre-image (leaf 0
-// is the row id, leaf i+1 is attribute i), hidden supplies digests for
-// every other leaf. This implements the projection mechanism of Section
+// disclosure. disclosed has one slot per leaf (leaf 0 is the row id, leaf
+// i+1 is attribute i) holding the encoded leaf pre-image, or nil for a
+// leaf that travels as a digest; hidden supplies those digests in
+// ascending leaf order (digests beyond the last hidden leaf bind nothing
+// and are ignored). This implements the projection mechanism of Section
 // 4.2: projected-out attributes travel as digests, never as values.
-func AttrRootFromDisclosure(h *hashx.Hasher, nLeaves int, disclosed map[int][]byte, hidden map[int]hashx.Digest) (hashx.Digest, error) {
-	if len(disclosed)+len(hidden) != nLeaves {
-		return nil, fmt.Errorf("%w: %d disclosed + %d hidden != %d leaves", errDisclosure, len(disclosed), len(hidden), nLeaves)
-	}
-	leaves := make([]hashx.Digest, nLeaves)
-	for i := 0; i < nLeaves; i++ {
-		if enc, ok := disclosed[i]; ok {
-			if _, dup := hidden[i]; dup {
-				return nil, fmt.Errorf("%w: leaf %d both disclosed and hidden", errDisclosure, i)
-			}
-			leaves[i] = h.Leaf(enc)
+func AttrRootFromDisclosure(h *hashx.Hasher, disclosed [][]byte, hidden []hashx.Digest) (hashx.Digest, error) {
+	b := h.Batch()
+	defer b.Done()
+	var stack [8 * hashx.MaxSize]byte // wider records spill to the heap
+	leaves := stack[:0]
+	for i, enc := range disclosed {
+		if enc != nil {
+			leaves = b.Leaf(leaves, enc)
 			continue
 		}
-		d, ok := hidden[i]
-		if !ok || len(d) != h.Size() {
+		if len(hidden) == 0 || len(hidden[0]) != h.Size() {
 			return nil, fmt.Errorf("%w: leaf %d missing or malformed", errDisclosure, i)
 		}
-		leaves[i] = d
+		leaves = append(leaves, hidden[0]...)
+		hidden = hidden[1:]
 	}
-	return mht.BuildFromDigests(h, leaves).Root(), nil
+	return mht.Root(&b, leaves).Clone(), nil
 }
 
 // EntryG recomputes g(r) for a record whose key and kind the user knows,
@@ -171,22 +174,19 @@ func AttrRootFromDisclosure(h *hashx.Hasher, nLeaves int, disclosed map[int][]by
 // reconstructed from the (possibly partially disclosed) attributes.
 // This is the Figure 8(b) procedure.
 func EntryG(h *hashx.Hasher, p Params, key uint64, kind Kind, info EntryChainInfo, attrRoot hashx.Digest) (hashx.Digest, error) {
-	var up, down hashx.Digest
+	b := h.Batch()
+	defer b.Done()
+	var ub, db [hashx.MaxSize]byte
+	up, down := hashx.Digest(ub[:0]), hashx.Digest(db[:0])
 	var err error
-	switch kind {
-	case KindDelimLeft:
-		up, err = entryCombined(h, p, key, Up, info.UpRoot)
-		down = markerNoChain(h)
-	case KindDelimRight:
+	if kind == KindDelimRight {
 		up = markerNoChain(h)
-		down, err = entryCombined(h, p, key, Down, info.DownRoot)
-	default:
-		up, err = entryCombined(h, p, key, Up, info.UpRoot)
-		if err == nil {
-			down, err = entryCombined(h, p, key, Down, info.DownRoot)
-		}
+	} else if up, err = entryCombined(&b, up, p, key, Up, info.UpRoot); err != nil {
+		return nil, err
 	}
-	if err != nil {
+	if kind == KindDelimLeft {
+		down = markerNoChain(h)
+	} else if down, err = entryCombined(&b, down, p, key, Down, info.DownRoot); err != nil {
 		return nil, err
 	}
 	return recordG(h, kind, up, down, attrRoot), nil

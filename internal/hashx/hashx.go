@@ -18,6 +18,7 @@
 package hashx
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"sync/atomic"
@@ -47,24 +48,10 @@ const (
 type Digest []byte
 
 // Clone returns an independent copy of d.
-func (d Digest) Clone() Digest {
-	out := make(Digest, len(d))
-	copy(out, d)
-	return out
-}
+func (d Digest) Clone() Digest { return append(Digest(nil), d...) }
 
 // Equal reports whether two digests are byte-wise identical.
-func (d Digest) Equal(o Digest) bool {
-	if len(d) != len(o) {
-		return false
-	}
-	for i := range d {
-		if d[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
+func (d Digest) Equal(o Digest) bool { return bytes.Equal(d, o) }
 
 // Hasher computes tagged, truncated SHA-256 digests and counts how many
 // primitive hash operations it has performed. All methods are safe for
@@ -102,16 +89,24 @@ func (h *Hasher) Ops() uint64 { return h.ops.Load() }
 // ResetOps zeroes the operation counter.
 func (h *Hasher) ResetOps() { h.ops.Store(0) }
 
-// hash is the single primitive: SHA-256 over tag||parts, truncated.
-func (h *Hasher) hash(tag byte, parts ...[]byte) Digest {
-	h.ops.Add(1)
+// sum is the single primitive: SHA-256 over tag||parts. The hash state
+// stays on the stack (the compiler sees through sha256.New), so a caller
+// that keeps the result on its stack hashes without garbage.
+func sum(tag byte, parts ...[]byte) (out [sha256.Size]byte) {
 	st := sha256.New()
 	st.Write([]byte{tag})
 	for _, p := range parts {
 		st.Write(p)
 	}
-	sum := st.Sum(nil)
-	return Digest(sum[:h.size])
+	st.Sum(out[:0])
+	return out
+}
+
+// hash counts one operation and returns the digest in fresh storage.
+func (h *Hasher) hash(tag byte, parts ...[]byte) Digest {
+	h.ops.Add(1)
+	s := sum(tag, parts...)
+	return append(Digest(nil), s[:h.size]...)
 }
 
 // Hash computes a general-purpose digest over the concatenation of parts.
@@ -146,18 +141,88 @@ func (h *Hasher) Next(d Digest) Digest { return h.hash(tagIter, d) }
 // i must be >= 0; the scheme's security rests on h^i being undefined for
 // negative i, so a negative argument panics rather than silently wrapping.
 func (h *Hasher) Iterate(m []byte, i uint64) Digest {
-	d := h.First(m)
-	return h.IterateFrom(d, i)
+	b := h.Batch()
+	defer b.Done()
+	return b.Iterate(nil, m, i)
 }
 
 // IterateFrom applies Next i times to an existing chain digest. This is the
 // user-side operation of the scheme: hash the publisher's intermediate
 // digest (U - alpha) more times.
 func (h *Hasher) IterateFrom(d Digest, i uint64) Digest {
+	b := h.Batch()
+	defer b.Done()
+	return b.IterateFrom(nil, d, i)
+}
+
+// Batch is one goroutine's burst of hashing on behalf of a Hasher — the
+// kernel the per-row verification and signing paths run on. It computes
+// the same digests, appends them to caller storage (a stack array hashes
+// garbage-free) and counts operations locally; Done adds the count to the
+// Hasher in one atomic step, because one atomic add per hash on a Hasher
+// shared by every client goroutine is a contended cache line that costs
+// as much as the hash. A Batch must not be shared between goroutines.
+type Batch struct {
+	h *Hasher
+	n uint64
+}
+
+// Batch starts a burst; pair it with Done.
+func (h *Hasher) Batch() Batch { return Batch{h: h} }
+
+// Done adds the burst's operation count to the Hasher's counter.
+func (b *Batch) Done() {
+	b.h.ops.Add(b.n)
+	b.n = 0
+}
+
+// Size returns the digest width in bytes.
+func (b *Batch) Size() int { return b.h.size }
+
+// Const returns the Batch-width form of a constant digest precomputed at
+// MaxSize width (truncation makes it the prefix), counted as the one hash
+// application it stands for so Ops keeps its meaning. The result is
+// shared: callers must not write to it.
+func (b *Batch) Const(wide Digest) Digest {
+	b.n++
+	return wide[:b.h.size:b.h.size]
+}
+
+func (b *Batch) hash(dst []byte, tag byte, parts ...[]byte) []byte {
+	b.n++
+	s := sum(tag, parts...)
+	return append(dst, s[:b.h.size]...)
+}
+
+// Hash appends Hasher.Hash(parts...) to dst.
+func (b *Batch) Hash(dst []byte, parts ...[]byte) []byte { return b.hash(dst, tagMisc, parts...) }
+
+// Leaf appends Hasher.Leaf(data) to dst.
+func (b *Batch) Leaf(dst, data []byte) []byte { return b.hash(dst, tagLeaf, data) }
+
+// Node appends Hasher.Node(left, right) to dst. dst may overlap the
+// children: they are consumed before the digest is written.
+func (b *Batch) Node(dst []byte, left, right Digest) []byte {
+	return b.hash(dst, tagNode, left, right)
+}
+
+// Iterate appends h^i(m) to dst: First(m) followed by i applications of
+// Next, the chain held in one stack block throughout.
+func (b *Batch) Iterate(dst, m []byte, i uint64) []byte {
+	b.n++
+	s := sum(tagFirst, m)
+	return b.IterateFrom(dst, s[:b.h.size], i)
+}
+
+// IterateFrom appends the digest i applications of Next beyond d to dst.
+func (b *Batch) IterateFrom(dst []byte, d Digest, i uint64) []byte {
+	b.n += i
+	var s [sha256.Size]byte
 	for ; i > 0; i-- {
-		d = h.Next(d)
+		s = sum(tagIter, d)
+		d = s[:b.h.size]
 	}
-	return d
+	return append(dst, d...)
 }
 
 // U64 encodes v as 8 big-endian bytes; the canonical pre-image encoding for

@@ -2,6 +2,9 @@ package hashx
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +200,132 @@ func BenchmarkHashOp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.First(m)
+	}
+}
+
+// TestSumEqualsOneShotSHA256: the streamed primitive is SHA-256 over
+// tag|msg whatever way the input is split into parts, across the edges
+// that matter — 55/56 bytes (the one-block padding limit) and the 64-byte
+// block size.
+func TestSumEqualsOneShotSHA256(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	lengths := []int{0, 1, 53, 54, 55, 56, 57, 62, 63, 64, 65, 118, 119, 120, 127, 128, 529}
+	for trial := 0; trial < 2000; trial++ {
+		total := lengths[trial%len(lengths)]
+		if trial >= 1000 {
+			total = rng.Intn(260)
+		}
+		msg := make([]byte, total)
+		rng.Read(msg)
+		var parts [][]byte
+		for rest := msg; ; {
+			cut := rng.Intn(len(rest) + 1)
+			parts = append(parts, rest[:cut])
+			if rest = rest[cut:]; len(rest) == 0 {
+				break
+			}
+		}
+		tag := byte(rng.Intn(8))
+		if sum(tag, parts...) != sha256.Sum256(append([]byte{tag}, msg...)) {
+			t.Fatalf("%d bytes in %d parts: digest differs from SHA-256(tag|msg)", total, len(parts))
+		}
+	}
+}
+
+// TestBatchMatchesHasher: the in-place kernel produces the Hasher's
+// digests at every width, and appends rather than overwrites.
+func TestBatchMatchesHasher(t *testing.T) {
+	for _, size := range []int{8, 16, 32} {
+		h := NewSize(size)
+		b := h.Batch()
+		m := U64Pair(99, 3)
+		l, r := h.Hash([]byte("l")), h.Hash([]byte("r"))
+		long := bytes.Repeat([]byte("x"), 600)
+		prefix := []byte("keep")
+		for name, pair := range map[string][2][]byte{
+			"hash":         {b.Hash(prefix, l, long, r), h.Hash(l, long, r)},
+			"leaf":         {b.Leaf(prefix, long), h.Leaf(long)},
+			"node":         {b.Node(prefix, l, r), h.Node(l, r)},
+			"first":        {b.Iterate(prefix, m, 0), h.First(m)},
+			"iterate":      {b.Iterate(prefix, m, 5), h.Iterate(m, 5)},
+			"next":         {b.IterateFrom(prefix, l, 1), h.Next(l)},
+			"iterate-from": {b.IterateFrom(prefix, l, 4), h.IterateFrom(l, 4)},
+			"iterate-zero": {b.IterateFrom(prefix, l, 0), l},
+		} {
+			if !bytes.Equal(pair[0], append([]byte("keep"), pair[1]...)) {
+				t.Errorf("size %d: Batch %s differs from Hasher", size, name)
+			}
+		}
+		// Node may write over its own children (the in-place tree fold).
+		buf := append(append([]byte(nil), l...), r...)
+		if got := b.Node(buf[:0], buf[:size], buf[size:]); !bytes.Equal(got, h.Node(l, r)) {
+			t.Errorf("size %d: Node over its own children differs", size)
+		}
+	}
+}
+
+// TestBatchAllocatesNothing: First, Next and the rest of the kernel into
+// a caller buffer leave no garbage. Allocation counts repeat exactly, so
+// this is the regression gate timings cannot be on a shared box.
+func TestBatchAllocatesNothing(t *testing.T) {
+	h := New()
+	m := U64Pair(12345, 7)
+	long := make([]byte, 529)
+	var buf [4 * MaxSize]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		b := h.Batch()
+		out := b.Iterate(buf[:0], m, 0)        // First
+		out = b.IterateFrom(out, out[:16], 1)  // Next
+		out = b.Iterate(out, U64Pair(1, 2), 3) // a digit chain
+		out = b.Node(out[:0], out[:16], out[16:32])
+		out = b.Leaf(out, long)
+		b.Hash(out, long, m)
+		b.Done()
+	})
+	if allocs != 0 {
+		t.Fatalf("kernel into a caller buffer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestOpsExactUnderBatching: batching the counter keeps totals exact —
+// Iterate adds i+1, a Batch adds its count once at Done, and concurrent
+// use loses nothing.
+func TestOpsExactUnderBatching(t *testing.T) {
+	h := New()
+	b := h.Batch()
+	var buf [MaxSize]byte
+	b.Iterate(buf[:0], []byte("m"), 9) // 10
+	b.IterateFrom(buf[:0], buf[:16], 4)
+	b.Hash(buf[:0], []byte("x"))
+	b.Const(NewSize(MaxSize).Hash([]byte("c")))
+	b.Const(NewSize(MaxSize).Hash([]byte("c")))
+	if h.Ops() != 0 {
+		t.Fatalf("Ops() = %d before Done, want 0", h.Ops())
+	}
+	b.Done()
+	b.Done() // idempotent: the count was handed over
+	if got := h.Ops(); got != 17 {
+		t.Fatalf("Ops() = %d, want 17", got)
+	}
+	h.ResetOps()
+	const goroutines, per = 8, 300
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				h.Iterate([]byte("m"), 2) // 3
+				h.Hash([]byte("p"))       // 1
+				b := h.Batch()
+				var buf [MaxSize]byte
+				b.Iterate(buf[:0], []byte("m"), 5) // 6
+				b.Done()
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := h.Ops(), uint64(goroutines*per*10); got != want {
+		t.Fatalf("Ops() = %d after concurrent use, want exactly %d", got, want)
 	}
 }

@@ -28,11 +28,10 @@ type Tree struct {
 	levels [][]hashx.Digest // levels[0] = padded leaf digests, last = root
 }
 
-// padDigest is the digest stored in padding positions. It is a constant,
-// publicly-computable value, so padding adds no trust assumptions.
-func padDigest(h *hashx.Hasher) hashx.Digest {
-	return h.Leaf([]byte("mht/pad"))
-}
+// padWide is the digest stored in padding positions, at full width (a
+// Hasher's own is its prefix). It is a constant, publicly-computable
+// value, so padding adds no trust assumptions.
+var padWide = hashx.NewSize(hashx.MaxSize).Leaf([]byte("mht/pad"))
 
 // nextPow2 returns the smallest power of two >= n (and >= 1).
 func nextPow2(n int) int {
@@ -57,10 +56,12 @@ func Build(h *hashx.Hasher, leaves [][]byte) *Tree {
 // digest slice is not retained; an empty tree (zero leaves) is legal and
 // has the padding digest as its root.
 func BuildFromDigests(h *hashx.Hasher, leaves []hashx.Digest) *Tree {
+	b := h.Batch()
+	defer b.Done()
 	n := len(leaves)
 	width := nextPow2(n)
 	level0 := make([]hashx.Digest, width)
-	pad := padDigest(h)
+	pad := b.Const(padWide)
 	for i := 0; i < width; i++ {
 		if i < n {
 			level0[i] = leaves[i].Clone()
@@ -74,11 +75,31 @@ func BuildFromDigests(h *hashx.Hasher, leaves []hashx.Digest) *Tree {
 		prev := t.levels[len(t.levels)-1]
 		next := make([]hashx.Digest, w/2)
 		for i := range next {
-			next[i] = h.Node(prev[2*i], prev[2*i+1])
+			next[i] = b.Node(nil, prev[2*i], prev[2*i+1])
 		}
 		t.levels = append(t.levels, next)
 	}
 	return t
+}
+
+// Root folds leaf digests laid end to end in leaves into the root that
+// BuildFromDigests(...).Root() reports for them, pairing in place: no
+// tree, no garbage when leaves has room for the padded width (it grows
+// like any append otherwise). The result aliases leaves.
+func Root(b *hashx.Batch, leaves []byte) hashx.Digest {
+	size := b.Size()
+	pad := b.Const(padWide)
+	width := nextPow2(len(leaves) / size)
+	for i := len(leaves) / size; i < width; i++ {
+		leaves = append(leaves, pad...)
+	}
+	for w := width / 2; w >= 1; w /= 2 {
+		for i := 0; i < w; i++ {
+			at := 2 * i * size
+			b.Node(leaves[i*size:i*size], leaves[at:at+size], leaves[at+size:at+2*size])
+		}
+	}
+	return leaves[:size:size]
 }
 
 // Len returns the number of real (unpadded) leaves.

@@ -72,36 +72,31 @@ func BoolVal(v bool) Value     { return Value{Type: TypeBool, Bool: v} }
 // Encode returns the canonical binary encoding of v: a type tag followed
 // by a fixed or length-prefixed payload. Distinct values always encode
 // distinctly, so hashing encodings is injective.
-func (v Value) Encode() []byte {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(v.Type))
+func (v Value) Encode() []byte { return v.AppendEncode(nil) }
+
+// AppendEncode appends the canonical encoding of v to dst, for callers
+// that hash encodings out of a reused buffer.
+func (v Value) AppendEncode(dst []byte) []byte {
+	dst = append(dst, byte(v.Type))
 	switch v.Type {
 	case TypeInt:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.Int))
-		buf.Write(b[:])
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int))
 	case TypeFloat:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.Float))
-		buf.Write(b[:])
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float))
 	case TypeString:
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(v.Str)))
-		buf.Write(n[:])
-		buf.WriteString(v.Str)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.Str)))
+		dst = append(dst, v.Str...)
 	case TypeBytes:
-		var n [4]byte
-		binary.BigEndian.PutUint32(n[:], uint32(len(v.Bytes)))
-		buf.Write(n[:])
-		buf.Write(v.Bytes)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.Bytes)))
+		dst = append(dst, v.Bytes...)
 	case TypeBool:
 		if v.Bool {
-			buf.WriteByte(1)
+			dst = append(dst, 1)
 		} else {
-			buf.WriteByte(0)
+			dst = append(dst, 0)
 		}
 	}
-	return buf.Bytes()
+	return dst
 }
 
 // Equal reports deep value equality.

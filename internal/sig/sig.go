@@ -168,18 +168,26 @@ func (p *PublicKey) FDH(digest hashx.Digest) *big.Int { return fdh(p.N, digest) 
 // Deterministic, so signer and verifier agree; the reduction bias is
 // negligible because the expansion is 64 bits wider than N.
 func fdh(n *big.Int, digest hashx.Digest) *big.Int {
-	byteLen := (n.BitLen()+7)/8 + 8
-	out := make([]byte, 0, byteLen)
-	var counter uint32
-	for len(out) < byteLen {
-		var ctr [4]byte
-		binary.BigEndian.PutUint32(ctr[:], counter)
-		sum := sha256.Sum256(append(append([]byte("vcqr/fdh"), digest...), ctr[:]...))
-		out = append(out, sum[:]...)
-		counter++
-	}
-	x := new(big.Int).SetBytes(out[:byteLen])
+	var buf [fdhStack]byte
+	x := new(big.Int).SetBytes(fdhExpand(buf[:0], n, digest))
 	return x.Mod(x, n)
+}
+
+// fdhStack holds the expansion for moduli up to 4096 bits on the caller's
+// stack; wider keys spill to the heap.
+const fdhStack = 4096/8 + 8 + sha256.Size
+
+// fdhExpand appends the unreduced expansion of digest — 64 bits wider
+// than n — to buf, which must be empty.
+func fdhExpand(buf []byte, n *big.Int, digest hashx.Digest) []byte {
+	byteLen := (n.BitLen()+7)/8 + 8
+	var msg [8 + hashx.MaxSize + 4]byte
+	m := append(append(msg[:0], "vcqr/fdh"...), digest...)
+	for counter := uint32(0); len(buf) < byteLen; counter++ {
+		sum := sha256.Sum256(binary.BigEndian.AppendUint32(m, counter))
+		buf = append(buf, sum[:]...)
+	}
+	return buf[:byteLen]
 }
 
 // Sign produces the RSA-FDH signature of digest. The private operation
@@ -297,6 +305,7 @@ func (a *Aggregator) Sum() (Signature, error) {
 type AggVerifier struct {
 	p    *PublicKey
 	want *big.Int
+	x, t big.Int // scratch reused by every Add: FDH value (then quotient), product
 	n    int
 }
 
@@ -305,10 +314,15 @@ func (p *PublicKey) NewAggVerifier() *AggVerifier {
 	return &AggVerifier{p: p, want: big.NewInt(1)}
 }
 
-// Add folds one expected message digest into the accumulator.
+// Add folds one expected message digest into the accumulator. The FDH
+// value enters the product unreduced — the one reduction of the product
+// yields the same residue — and every temporary is the verifier's own, so
+// a streamed result costs no garbage per row.
 func (a *AggVerifier) Add(d hashx.Digest) {
-	a.want.Mul(a.want, fdh(a.p.N, d))
-	a.want.Mod(a.want, a.p.N)
+	var buf [fdhStack]byte
+	a.x.SetBytes(fdhExpand(buf[:0], a.p.N, d))
+	a.t.Mul(a.want, &a.x)
+	a.x.QuoRem(&a.t, a.p.N, a.want)
 	a.n++
 }
 

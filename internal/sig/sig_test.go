@@ -305,3 +305,15 @@ func BenchmarkVerifyAggregate100(b *testing.B) {
 		}
 	}
 }
+
+// TestAggVerifierAddAllocs: folding a digest into the expected product
+// reuses the verifier's own scratch — at most one allocation per row
+// (allocation counts repeat exactly; timings on a shared box do not).
+func TestAggVerifierAddAllocs(t *testing.T) {
+	av := key(t).Public().NewAggVerifier()
+	d := hashx.New().Hash([]byte("row"))
+	av.Add(d) // size the scratch
+	if allocs := testing.AllocsPerRun(100, func() { av.Add(d) }); allocs > 1 {
+		t.Fatalf("AggVerifier.Add: %v allocs/op, want <= 1", allocs)
+	}
+}

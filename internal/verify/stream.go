@@ -40,6 +40,12 @@ type StreamVerifier struct {
 	done    bool // footer consumed
 	seq     uint64
 	eff     engine.Query
+	plan    plan
+
+	// Per-entry scratch, overwritten by each entry: the by-leaf disclosed
+	// pre-images and the buffer they are encoded into.
+	open [][]byte
+	enc  []byte
 
 	entryIdx    int          // global entry index, for error messages
 	gPrev       hashx.Digest // g of the entry before pending (gLeft initially)
@@ -66,10 +72,11 @@ type StreamVerifier struct {
 // g(i-1) | g(i) | g(i+1), so it can only be completed once its successor
 // (or the right boundary) is known.
 type pendingEntry struct {
-	g   hashx.Digest
-	row *engine.Row
-	sig sig.Signature // individual mode: the entry's own signature
-	idx int
+	g      hashx.Digest
+	row    engine.Row
+	hasRow bool
+	sig    sig.Signature // individual mode: the entry's own signature
+	idx    int
 }
 
 // Stream-shape failures. All of them mean "reject the stream".
@@ -164,6 +171,8 @@ func (sv *StreamVerifier) consumeHeader(c *engine.Chunk) error {
 	}
 	sv.started = true
 	sv.eff = c.Effective
+	sv.plan = sv.v.newPlan(sv.eff, sv.role)
+	sv.open = make([][]byte, len(sv.v.Schema.Cols)+1)
 	sv.gPrev = gLeft
 	return nil
 }
@@ -198,25 +207,26 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 		return fmt.Errorf("%w: per-entry signatures missing mid-stream", ErrSignature)
 	}
 	lastKey, haveKey := sv.lastKey, sv.haveKey
-	for i, e := range c.Entries {
-		g, row, key, hasKey, err := sv.v.entryG(sv.eff, sv.role, e)
+	for i := range c.Entries {
+		e := &c.Entries[i]
+		g, err := sv.entryG(e)
 		if err != nil {
 			return fmt.Errorf("entry %d: %w", sv.entryIdx, err)
 		}
-		if hasKey {
-			if key < sv.eff.KeyLo || key > sv.eff.KeyHi {
-				return fmt.Errorf("%w: entry %d key %d", ErrKeyOutOfRange, sv.entryIdx, key)
+		if e.Mode == engine.EntryResult || e.Mode == engine.EntryFilteredVisible {
+			if e.Key < sv.eff.KeyLo || e.Key > sv.eff.KeyHi {
+				return fmt.Errorf("%w: entry %d key %d", ErrKeyOutOfRange, sv.entryIdx, e.Key)
 			}
-			if haveKey && key < lastKey {
+			if haveKey && e.Key < lastKey {
 				return fmt.Errorf("%w: entry %d", ErrKeyOrder, sv.entryIdx)
 			}
-			lastKey, haveKey = key, true
+			lastKey, haveKey = e.Key, true
 		}
 		var esig sig.Signature
 		if sv.individual {
 			esig = c.Sigs[i]
 		}
-		if err := sv.advance(g, row, esig); err != nil {
+		if err := sv.advance(g, e, esig); err != nil {
 			return err
 		}
 		sv.entryIdx++
@@ -228,14 +238,17 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 // advance shifts the one-entry lookahead window: the newly reconstructed
 // g completes the pending entry's signed digest, then becomes pending
 // itself.
-func (sv *StreamVerifier) advance(g hashx.Digest, row *engine.Row, esig sig.Signature) error {
+func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, esig sig.Signature) error {
 	if sv.havePending {
 		if err := sv.completePending(g); err != nil {
 			return err
 		}
 		sv.gPrev = sv.pending.g
 	}
-	sv.pending = pendingEntry{g: g, row: row, sig: esig, idx: sv.entryIdx}
+	sv.pending = pendingEntry{g: g, sig: esig, idx: sv.entryIdx, hasRow: e.Mode == engine.EntryResult}
+	if sv.pending.hasRow {
+		sv.pending.row = engine.Row{Key: e.Key, Values: e.Disclosed}
+	}
 	sv.havePending = true
 	return nil
 }
@@ -252,8 +265,8 @@ func (sv *StreamVerifier) completePending(gNext hashx.Digest) error {
 	} else {
 		sv.agg.Add(digest)
 	}
-	if p.row != nil {
-		sv.rows = append(sv.rows, *p.row)
+	if p.hasRow {
+		sv.rows = append(sv.rows, p.row)
 	}
 	return nil
 }

@@ -126,141 +126,141 @@ func sameCols(a, b []string) bool {
 	return true
 }
 
+// plan is the per-stream disclosure layout, resolved against the schema
+// once at the header so the per-entry checks index fixed slices.
+type plan struct {
+	projected []bool // by column: part of the effective projection
+	nProj     int    // distinct projected columns
+	projErr   error  // a projected column the schema lacks; every result entry reports it
+	filterCol []int  // schema column of eff.Filters[i]; -1 when the schema lacks it
+	visCol    int    // the role's visibility column; -1 when there is none
+}
+
+func (v *Verifier) newPlan(eff engine.Query, role accessctl.Role) plan {
+	pl := plan{projected: make([]bool, len(v.Schema.Cols)), visCol: -1}
+	for i := range pl.projected {
+		pl.projected[i] = eff.Project == nil
+	}
+	for _, name := range eff.Project {
+		i := v.Schema.ColIndex(name)
+		if i < 0 {
+			pl.projErr = fmt.Errorf("%w: unknown projected column %q", ErrEntry, name)
+			break
+		}
+		pl.projected[i] = true
+	}
+	for _, in := range pl.projected {
+		if in {
+			pl.nProj++
+		}
+	}
+	for _, f := range eff.Filters {
+		pl.filterCol = append(pl.filterCol, v.Schema.ColIndex(f.Col))
+	}
+	if role.VisibilityCol != "" {
+		pl.visCol = v.Schema.ColIndex(role.VisibilityCol)
+	}
+	return pl
+}
+
 // entryG reconstructs g for one VO entry and performs the per-entry
-// semantic checks. It returns the row for EntryResult entries and the key
-// when the entry discloses one.
-func (v *Verifier) entryG(eff engine.Query, role accessctl.Role, e engine.VOEntry) (hashx.Digest, *engine.Row, uint64, bool, error) {
-	nLeaves := len(v.Schema.Cols) + 1
+// semantic checks.
+func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
+	v := sv.v
 	switch e.Mode {
 	case engine.EntryResult, engine.EntryFilteredVisible:
-		tuple, disclosed, err := v.openDisclosure(e)
-		if err != nil {
-			return nil, nil, 0, false, err
+		if err := sv.openDisclosure(e); err != nil {
+			return nil, err
 		}
 		if e.Mode == engine.EntryResult {
-			if err := v.checkResultDisclosure(eff, e); err != nil {
-				return nil, nil, 0, false, err
+			if err := sv.checkResultDisclosure(e); err != nil {
+				return nil, err
 			}
-			if !passesDisclosed(v.Schema, eff, disclosed) {
-				return nil, nil, 0, false, ErrFilterViolation
+			if !sv.passesDisclosed(e) {
+				return nil, ErrFilterViolation
 			}
-		} else {
-			if err := v.checkFilteredDisclosure(eff, e, disclosed); err != nil {
-				return nil, nil, 0, false, err
-			}
+		} else if err := sv.checkFilteredDisclosure(e); err != nil {
+			return nil, err
 		}
-		attrRoot, err := core.AttrRootFromDisclosure(v.H, nLeaves, tuple, hiddenMap(e, tuple, nLeaves))
+		attrRoot, err := core.AttrRootFromDisclosure(v.H, sv.open, e.HiddenLeaves)
 		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %v", ErrEntry, err)
+			return nil, fmt.Errorf("%w: %v", ErrEntry, err)
 		}
 		g, err := core.EntryG(v.H, v.Params, e.Key, core.KindRecord, e.Chain, attrRoot)
 		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %v", ErrEntry, err)
+			return nil, fmt.Errorf("%w: %v", ErrEntry, err)
 		}
-		var row *engine.Row
-		if e.Mode == engine.EntryResult {
-			row = &engine.Row{Key: e.Key, Values: e.Disclosed}
-		}
-		return g, row, e.Key, true, nil
+		return g, nil
 
 	case engine.EntryFilteredHidden:
-		if role.VisibilityCol == "" {
-			return nil, nil, 0, false, ErrHiddenNotAllowed
+		if sv.plan.visCol < 0 {
+			return nil, ErrHiddenNotAllowed
 		}
-		visCol := v.Schema.ColIndex(role.VisibilityCol)
-		if visCol < 0 {
-			return nil, nil, 0, false, ErrHiddenNotAllowed
-		}
-		if len(e.Disclosed) != 1 || e.Disclosed[0].Col != visCol ||
+		if len(e.Disclosed) != 1 || e.Disclosed[0].Col != sv.plan.visCol ||
 			!e.Disclosed[0].Val.Equal(relation.BoolVal(false)) {
-			return nil, nil, 0, false, ErrVisibility
+			return nil, ErrVisibility
 		}
-		tuple, _, err := v.openDisclosure(e)
-		if err != nil {
-			return nil, nil, 0, false, err
+		if err := sv.openDisclosure(e); err != nil {
+			return nil, err
 		}
-		attrRoot, err := core.AttrRootFromDisclosure(v.H, nLeaves, tuple, hiddenMap(e, tuple, nLeaves))
+		attrRoot, err := core.AttrRootFromDisclosure(v.H, sv.open, e.HiddenLeaves)
 		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %v", ErrEntry, err)
+			return nil, fmt.Errorf("%w: %v", ErrEntry, err)
 		}
 		if len(e.UpCombined) != v.H.Size() || len(e.DownCombined) != v.H.Size() {
-			return nil, nil, 0, false, fmt.Errorf("%w: hidden entry chain digests", ErrEntry)
+			return nil, fmt.Errorf("%w: hidden entry chain digests", ErrEntry)
 		}
-		g := core.GFromComponents(v.H, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot)
-		return g, nil, 0, false, nil
+		return core.GFromComponents(v.H, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot), nil
 
 	case engine.EntryElidedDup:
-		if !eff.Distinct {
-			return nil, nil, 0, false, ErrDistinct
+		if !sv.eff.Distinct {
+			return nil, ErrDistinct
 		}
 		if len(e.G) != v.H.Size() {
-			return nil, nil, 0, false, fmt.Errorf("%w: elided dup digest", ErrEntry)
+			return nil, fmt.Errorf("%w: elided dup digest", ErrEntry)
 		}
-		return e.G, nil, 0, false, nil
+		return e.G, nil
 
 	default:
-		return nil, nil, 0, false, fmt.Errorf("%w: unknown mode %d", ErrEntry, e.Mode)
+		return nil, fmt.Errorf("%w: unknown mode %d", ErrEntry, e.Mode)
 	}
 }
 
-// openDisclosure converts an entry's disclosed attributes into the leaf
-// pre-image map used for attribute-root reconstruction, rejecting
-// duplicate or out-of-range columns.
-func (v *Verifier) openDisclosure(e engine.VOEntry) (map[int][]byte, map[int]relation.Value, error) {
-	pre := make(map[int][]byte, len(e.Disclosed))
-	vals := make(map[int]relation.Value, len(e.Disclosed))
-	for _, d := range e.Disclosed {
-		if d.Col < 0 || d.Col >= len(v.Schema.Cols) {
-			return nil, nil, fmt.Errorf("%w: disclosed column %d out of schema", ErrEntry, d.Col)
+// openDisclosure encodes an entry's disclosed attributes into the
+// by-leaf pre-image slots used for attribute-root reconstruction (leaf 0
+// is the row id, never opened), rejecting duplicate or out-of-range
+// columns. The slots and the encoding buffer are the stream's own and are
+// overwritten by the next entry.
+func (sv *StreamVerifier) openDisclosure(e *engine.VOEntry) error {
+	clear(sv.open)
+	sv.enc = sv.enc[:0]
+	for i := range e.Disclosed {
+		d := &e.Disclosed[i]
+		if d.Col < 0 || d.Col >= len(sv.v.Schema.Cols) {
+			return fmt.Errorf("%w: disclosed column %d out of schema", ErrEntry, d.Col)
 		}
-		leaf := d.Col + 1
-		if _, dup := pre[leaf]; dup {
-			return nil, nil, fmt.Errorf("%w: column %d disclosed twice", ErrEntry, d.Col)
+		if sv.open[d.Col+1] != nil {
+			return fmt.Errorf("%w: column %d disclosed twice", ErrEntry, d.Col)
 		}
-		pre[leaf] = d.Val.Encode()
-		vals[d.Col] = d.Val
+		at := len(sv.enc)
+		sv.enc = d.Val.AppendEncode(sv.enc)
+		sv.open[d.Col+1] = sv.enc[at:len(sv.enc):len(sv.enc)]
 	}
-	return pre, vals, nil
-}
-
-// hiddenMap assigns the entry's hidden leaf digests to the leaf indexes
-// not covered by the disclosure, in ascending order.
-func hiddenMap(e engine.VOEntry, disclosed map[int][]byte, nLeaves int) map[int]hashx.Digest {
-	hidden := make(map[int]hashx.Digest, len(e.HiddenLeaves))
-	j := 0
-	for i := 0; i < nLeaves && j < len(e.HiddenLeaves); i++ {
-		if _, ok := disclosed[i]; ok {
-			continue
-		}
-		hidden[i] = e.HiddenLeaves[j]
-		j++
-	}
-	return hidden
+	return nil
 }
 
 // checkResultDisclosure enforces precision: a result entry must disclose
 // exactly the projected columns — no more (information leak) and no less
 // (unusable result).
-func (v *Verifier) checkResultDisclosure(eff engine.Query, e engine.VOEntry) error {
-	want := map[int]bool{}
-	if eff.Project == nil {
-		for i := range v.Schema.Cols {
-			want[i] = true
-		}
-	} else {
-		for _, name := range eff.Project {
-			i := v.Schema.ColIndex(name)
-			if i < 0 {
-				return fmt.Errorf("%w: unknown projected column %q", ErrEntry, name)
-			}
-			want[i] = true
-		}
+func (sv *StreamVerifier) checkResultDisclosure(e *engine.VOEntry) error {
+	if sv.plan.projErr != nil {
+		return sv.plan.projErr
 	}
-	if len(e.Disclosed) != len(want) {
-		return fmt.Errorf("%w: %d disclosed, %d projected", ErrPrecision, len(e.Disclosed), len(want))
+	if len(e.Disclosed) != sv.plan.nProj {
+		return fmt.Errorf("%w: %d disclosed, %d projected", ErrPrecision, len(e.Disclosed), sv.plan.nProj)
 	}
 	for _, d := range e.Disclosed {
-		if !want[d.Col] {
+		if !sv.plan.projected[d.Col] {
 			return fmt.Errorf("%w: column %d not projected", ErrPrecision, d.Col)
 		}
 	}
@@ -270,17 +270,16 @@ func (v *Verifier) checkResultDisclosure(eff engine.Query, e engine.VOEntry) err
 // checkFilteredDisclosure validates a Case 1 entry: every filter column
 // must be disclosed, and the disclosed values must fail at least one
 // filter — otherwise the publisher is withholding a qualifying tuple.
-func (v *Verifier) checkFilteredDisclosure(eff engine.Query, e engine.VOEntry, vals map[int]relation.Value) error {
-	if len(eff.Filters) == 0 {
+func (sv *StreamVerifier) checkFilteredDisclosure(e *engine.VOEntry) error {
+	if len(sv.eff.Filters) == 0 {
 		return fmt.Errorf("%w: filtered entry in an unfiltered query", ErrFilteredMatches)
 	}
-	for _, f := range eff.Filters {
-		col := v.Schema.ColIndex(f.Col)
-		if _, ok := vals[col]; !ok {
+	for i, f := range sv.eff.Filters {
+		if _, ok := disclosedVal(e, sv.plan.filterCol[i]); !ok {
 			return fmt.Errorf("%w: filter column %q not disclosed", ErrEntry, f.Col)
 		}
 	}
-	if passesDisclosed(v.Schema, eff, vals) {
+	if sv.passesDisclosed(e) {
 		return ErrFilteredMatches
 	}
 	return nil
@@ -290,12 +289,22 @@ func (v *Verifier) checkFilteredDisclosure(eff engine.Query, e engine.VOEntry, v
 // missing columns count as failing (conservative: the result entry must
 // disclose every filter column via the projection check or the values
 // would be unusable anyway).
-func passesDisclosed(schema relation.Schema, eff engine.Query, vals map[int]relation.Value) bool {
-	for _, f := range eff.Filters {
-		val, ok := vals[schema.ColIndex(f.Col)]
+func (sv *StreamVerifier) passesDisclosed(e *engine.VOEntry) bool {
+	for i, f := range sv.eff.Filters {
+		val, ok := disclosedVal(e, sv.plan.filterCol[i])
 		if !ok || !f.Eval(val) {
 			return false
 		}
 	}
 	return true
+}
+
+// disclosedVal returns the value an entry discloses for a column.
+func disclosedVal(e *engine.VOEntry, col int) (relation.Value, bool) {
+	for i := range e.Disclosed {
+		if e.Disclosed[i].Col == col {
+			return e.Disclosed[i].Val, true
+		}
+	}
+	return relation.Value{}, false
 }

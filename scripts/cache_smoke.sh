@@ -5,7 +5,7 @@
 # before filling), then the script asserts the coordinator actually
 # served from cache (Cache.Hits >= 1) and that the peer holds entries.
 # This is the verbatim-tested form of the README's "Edge caching"
-# quickstart and is run by CI's docs-hygiene and cluster-smoke jobs.
+# quickstart and is run by CI's cluster-smoke job.
 set -eu
 
 workdir="$(mktemp -d)"

@@ -3,7 +3,7 @@
 # OS processes, a cross-node verified stream query, and one online
 # rebalance. This script is the verbatim-tested form of the README's
 # "Distributed serving" quickstart (the commands are the same, modulo
-# $workdir paths) and is run by CI's docs-hygiene and cluster-smoke jobs.
+# $workdir paths) and is run by CI's cluster-smoke job.
 set -eu
 
 workdir="$(mktemp -d)"

@@ -4,7 +4,7 @@
 # query traffic; every verified stream must still answer, and the
 # routing table must demote the dead node once its lease lapses. This
 # script is the verbatim-tested form of the README's "R-way replication"
-# quickstart and is run by CI's docs-hygiene and cluster-smoke jobs.
+# quickstart and is run by CI's cluster-smoke job.
 set -eu
 
 workdir="$(mktemp -d)"

@@ -7,7 +7,7 @@
 # public key, and serve verified streams again — while every query
 # issued across the outage verifies (R=2 keeps a live copy of each
 # shard). This is the verbatim-tested form of the README's durability
-# quickstart and is run by CI's docs-hygiene and cluster-smoke jobs.
+# quickstart and is run by CI's cluster-smoke job.
 set -eu
 
 workdir="$(mktemp -d)"
