@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-verify fuzz docs smoke-cluster smoke-cache smoke-replica smoke-store metrics-smoke ci
+.PHONY: all build vet test race bench bench-smoke bench-verify fuzz docs loc smoke-cluster smoke-cache smoke-replica smoke-store metrics-smoke ci
 
 all: ci
 
@@ -100,5 +100,11 @@ docs:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./examples/...
+
+# loc prints the non-test Go code lines (blank and comment-only lines
+# and bench/ excluded) per internal/* package and in total — the number a
+# simplicity PR reports before and after (also printed by CI's docs job).
+loc:
+	@sh scripts/loc.sh
 
 ci: vet build race docs

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -274,6 +275,15 @@ func TestClusterDelta(t *testing.T) {
 	coordTS := httptest.NewServer(f.coord.Handler())
 	defer coordTS.Close()
 	q := engine.Query{Relation: "Uniform"}
+
+	// A batch without ops routes to no shard: refused by the same name
+	// the in-process partitioned server uses, and never counted applied.
+	if _, err := f.coord.ApplyDelta(delta.Delta{Relation: "Uniform"}); !errors.Is(err, delta.ErrEmpty) {
+		t.Fatalf("empty delta: got %v, want delta.ErrEmpty", err)
+	}
+	if n := f.coord.Stats().DeltasApplied; n != 0 {
+		t.Fatalf("refused empty delta counted as applied (%d)", n)
+	}
 
 	// Interior to shard 1 (hosted alone on node 1).
 	sl1 := f.set.Slices[1]

@@ -452,22 +452,15 @@ func (c *Coordinator) installSlice(url string, shard int, sl *core.SignedRelatio
 // plan resolves the role, validates and rewrites the query, and
 // decomposes it over the spec.
 func (c *Coordinator) plan(roleName string, q engine.Query) (accessctl.Role, engine.Query, []partition.SubRange, error) {
-	role, err := c.policy.Role(roleName)
-	if err != nil {
-		return role, engine.Query{}, nil, err
-	}
 	if q.Relation != c.spec.Relation {
-		return role, engine.Query{}, nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
+		return accessctl.Role{}, engine.Query{}, nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
 	}
-	if err := q.Validate(c.schema); err != nil {
-		return role, engine.Query{}, nil, err
-	}
-	if q.Distinct {
-		return role, engine.Query{}, nil, ErrDistinct
-	}
-	eff, err := engine.EffectiveQuery(c.params, c.schema, role, q)
+	role, eff, err := engine.PlanQuery(c.policy, c.params, c.schema, roleName, q)
 	if err != nil {
 		return role, engine.Query{}, nil, err
+	}
+	if eff.Distinct {
+		return role, engine.Query{}, nil, ErrDistinct
 	}
 	sub := c.spec.Decompose(eff.KeyLo, eff.KeyHi)
 	if len(sub) > 1 {

@@ -70,27 +70,9 @@ func (c *Coordinator) ApplyDelta(d delta.Delta) (uint64, error) {
 
 func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 	k := c.spec.K()
-
-	// Route every op to its owning shard, preserving op order per shard.
-	shardOps := map[int][]delta.Op{}
-	for _, op := range d.Ops {
-		var shard int
-		switch {
-		case op.Kind == delta.OpUpsert && op.Rec.Kind == core.KindDelimLeft:
-			shard = 0
-		case op.Kind == delta.OpUpsert && op.Rec.Kind == core.KindDelimRight:
-			shard = k - 1
-		default:
-			var err error
-			shard, err = c.spec.ShardFor(op.Key)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: delta rejected: %w", err)
-			}
-		}
-		shardOps[shard] = append(shardOps[shard], op)
-	}
-	if len(shardOps) == 0 {
-		return 0, fmt.Errorf("cluster: empty delta")
+	shardOps, err := delta.Route(c.spec, d)
+	if err != nil {
+		return 0, fmt.Errorf("cluster: delta rejected: %w", err)
 	}
 
 	// Fan each shard's sub-batch to every writable replica. opsShards

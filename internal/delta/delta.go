@@ -7,6 +7,7 @@ import (
 
 	"vcqr/internal/core"
 	"vcqr/internal/hashx"
+	"vcqr/internal/partition"
 	"vcqr/internal/sig"
 )
 
@@ -40,7 +41,41 @@ var (
 	ErrRelationName = errors.New("delta: relation name mismatch")
 	ErrBadOp        = errors.New("delta: malformed operation")
 	ErrValidation   = errors.New("delta: post-apply validation failed")
+	// ErrEmpty refuses a batch without operations on a partitioned
+	// relation: there is no shard to route it to, so it can neither be
+	// applied nor counted as applied.
+	ErrEmpty = errors.New("delta: empty delta")
 )
+
+// Route splits a partitioned relation's batch into per-shard
+// sub-batches, preserving op order within each shard: delimiter re-signs
+// go to the edge shards that hold the delimiters, every other op to the
+// shard owning its key. It is the one routing rule every tier that
+// stages partitioned deltas shares (the in-process server, a shard node,
+// the cluster coordinator), so an op lands on the same shard — and an
+// empty batch or an out-of-domain key is refused — wherever it enters.
+func Route(spec partition.Spec, d Delta) (map[int][]Op, error) {
+	if len(d.Ops) == 0 {
+		return nil, ErrEmpty
+	}
+	groups := map[int][]Op{}
+	for _, op := range d.Ops {
+		var shard int
+		switch {
+		case op.Kind == OpUpsert && op.Rec.Kind == core.KindDelimLeft:
+			shard = 0
+		case op.Kind == OpUpsert && op.Rec.Kind == core.KindDelimRight:
+			shard = spec.K() - 1
+		default:
+			var err error
+			if shard, err = spec.ShardFor(op.Key); err != nil {
+				return nil, err
+			}
+		}
+		groups[shard] = append(groups[shard], op)
+	}
+	return groups, nil
+}
 
 // Diff computes the Ops that transform old into new: upserts for added
 // records and for records whose signature or digest material changed,

@@ -53,11 +53,7 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, q.Relation)
 	}
-	role, err := a.p.policy.Role(roleName)
-	if err != nil {
-		return nil, err
-	}
-	eff, err := rewrite(sr, role, q)
+	role, eff, err := a.p.plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}

@@ -1,37 +1,21 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
-	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
-	"vcqr/internal/obs"
-	"vcqr/internal/sig"
+	"vcqr/internal/hashx"
 )
 
-// This file is the fan-out half of the streaming pipeline: one query
-// whose effective range spans several partition shards is answered as a
-// single chunk stream that concatenates per-shard entry runs. Because
-// the shards of internal/partition are contiguous slices of one global
-// signature chain, the merged stream is indistinguishable — to the
-// chain-verification rules — from the stream an unpartitioned publisher
-// would emit for the same range: one header with the left boundary proof
-// (from the first covering shard), the covered entries in global key
-// order, and one footer with the right boundary proof (from the last
-// covering shard) and the condensed signature over every entry. The only
-// additions are the per-chunk Shard tags and the footer's ShardFeet
-// accounting, which give verifiers shard-attributed fail-fast errors.
-//
-// Production parallelizes across shards: each covering shard gets a
-// worker that assembles its entry chunks and its partial condensed
-// signature (condensed-RSA aggregates multiply, so per-shard partials
-// combine into the footer signature in any order), while the merger
-// emits chunks in hand-off order. Memory stays O(workers · chunk): each
-// worker is throttled by a small bounded channel.
+// This file is the in-process entry to the fan-out engine (merge.go): it
+// turns slices held in this process into local ShardPartial feeds and
+// hands them to the one merger, so a single-process partitioned server
+// and a coordinator over remote nodes run the same code on the same
+// bytes.
 
 // ShardSlice couples one pinned shard slice with the sub-range of the
 // effective query it covers. Slices must be passed in shard (key) order
@@ -58,16 +42,21 @@ type ShardSlice struct {
 type PrevPin func() (*core.SignedRelation, bool)
 
 // FanoutStream answers an already-rewritten query as one verifiable
-// chunk stream drawn from the covering shard slices. The caller has
-// resolved the role, computed the effective query, and pinned hand-off-
-// consistent epoch slices (internal/server does all three). DISTINCT
-// queries run sequentially — duplicate elision is a cross-shard
-// dependency — everything else fans out across min(shards, GOMAXPROCS)
-// workers, overridable via StreamOpts.FanoutWorkers.
+// chunk stream drawn from the covering shard slices: MergeShards over
+// one local ShardPartial per slice. The caller has resolved the role,
+// computed the effective query, and pinned hand-off-consistent epoch
+// slices (internal/server does all three).
+//
+// A cover of several shards is produced in parallel — each partial runs
+// ahead of the merger behind a small bounded buffer — whenever that can
+// help and is sound: more than one CPU, and no DISTINCT (duplicate
+// elision is one sequential pass over the merged run with a shared seen
+// set). Parallel production ignores StreamOpts.ReuseChunks; chunks that
+// cross a channel cannot be recycled.
 //
 // The returned stream implements io.Closer; callers that may abandon a
 // stream mid-drain (transport failures) should defer Close to release
-// the workers. A fully drained stream needs no Close.
+// the producers. A fully drained stream needs no Close.
 func (p *Publisher) FanoutStream(role accessctl.Role, eff Query, slices []ShardSlice, prev PrevPin, opts StreamOpts) (ResultStream, error) {
 	if len(slices) == 0 {
 		return nil, fmt.Errorf("engine: fan-out over zero shards")
@@ -76,395 +65,125 @@ func (p *Publisher) FanoutStream(role accessctl.Role, eff Query, slices []ShardS
 		return nil, fmt.Errorf("engine: shard sub-ranges [%d,%d] do not tile effective range [%d,%d]",
 			slices[0].Lo, slices[len(slices)-1].Hi, eff.KeyLo, eff.KeyHi)
 	}
-	st := &fanoutStream{
-		p: p, role: role, eff: eff, slices: slices, prev: prev,
-		chunkRows: opts.chunkRows(),
-		ab:        make([][2]int, len(slices)),
-		feet:      make([]ShardFoot, len(slices)),
-		idxs:      make([]*core.AggIndex, len(slices)),
-		hMerge:    p.Obs.Hist(obs.StageFanoutMerge),
-		hAgg:      p.Obs.Hist(obs.StageAggIndex),
-	}
-	for i, sl := range slices {
-		if i > 0 && sl.Lo != slices[i-1].Hi+1 {
-			return nil, fmt.Errorf("engine: shard sub-ranges not contiguous at shard %d", sl.Shard)
-		}
-		a, b := sl.SR.RangeIndices(sl.Lo, sl.Hi)
-		st.ab[i] = [2]int{a, b}
-		st.total += b - a
-		st.feet[i] = ShardFoot{Shard: sl.Shard}
-		// Per-shard crypto index: this slice's partial condensed
-		// signature becomes one O(log n) tree lookup, so a K-way fan-out
-		// combines K lookups with K-1 multiplications.
-		if ix := sl.SR.AggIndex(); p.Aggregate && ix != nil && ix.Len() == len(sl.SR.Recs) {
-			st.idxs[i] = ix
+	for i := 1; i < len(slices); i++ {
+		if slices[i].Lo != slices[i-1].Hi+1 {
+			return nil, fmt.Errorf("engine: shard sub-ranges not contiguous at shard %d", slices[i].Shard)
 		}
 	}
+	var seen map[string]bool
 	if eff.Distinct {
-		st.seen = map[string]bool{}
+		seen = map[string]bool{}
 	}
-	if p.Aggregate {
-		st.agg = p.pub.NewAggregator()
+	parallel := len(slices) > 1 && !eff.Distinct && runtime.GOMAXPROCS(0) > 1
+	if parallel {
+		opts.ReuseChunks = false
 	}
-	workers := opts.FanoutWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	feeds := make([]ShardFeed, len(slices))
+	for i, sl := range slices {
+		sp := p.newShardPartial(role, eff, seen, sl, i == 0, i == len(slices)-1, opts)
+		if parallel {
+			feeds[i] = prefetch(sp)
+		} else {
+			feeds[i] = sp
+		}
 	}
-	if workers > len(slices) {
-		workers = len(slices)
+	var prevG PrevG
+	if prev != nil {
+		prevG = func() (hashx.Digest, error) {
+			sl, ok := prev()
+			if !ok || len(sl.Recs) < 3 {
+				return nil, fmt.Errorf("engine: fan-out needs the preceding shard for an empty range")
+			}
+			return sl.Recs[len(sl.Recs)-3].G.Clone(), nil
+		}
 	}
-	if workers > 1 && !eff.Distinct {
-		st.startWorkers()
-	} else {
-		// Chunk recycling is only sound when the producer and consumer
-		// alternate strictly — true of sequential production, never of
-		// worker channels.
-		st.reuse = opts.ReuseChunks
-	}
-	return st, nil
+	return MergeShards(p.pub, p.Aggregate, eff, feeds, prevG)
 }
 
-// fanoutStream produces the merged chunk sequence. In sequential mode it
-// walks the shard intervals in place; in parallel mode per-shard workers
-// fill bounded channels and the merger drains them in hand-off order.
-type fanoutStream struct {
-	p      *Publisher
-	role   accessctl.Role
-	eff    Query
-	slices []ShardSlice
-	prev   PrevPin
+// prefetchBuffer throttles each producer: enough to keep it busy while
+// the merger ships the previous chunk, small enough that a stalled
+// consumer bounds memory at O(shards · chunk).
+const prefetchBuffer = 2
 
-	chunkRows int
-	ab        [][2]int // per-slice covered interval [a, b)
-	total     int
-	feet      []ShardFoot
-	idxs      []*core.AggIndex // per-slice crypto index (nil = naive fold)
+var errFeedClosed = errors.New("engine: shard feed closed")
 
-	cur  int // current slice
-	pos  int // next record within current slice (sequential mode)
-	seq  uint64
-	seen map[string]bool
-	agg  *sig.Aggregator
+// prefetchFeed runs a feed's Next/Foot on a producer goroutine ahead of
+// its consumer — the cross-shard parallelism of a local fan-out: every
+// covering shard assembles its run while the merger is still draining an
+// earlier one. The producer stops at the feed's end, at its first error,
+// or when Close cancels it.
+type prefetchFeed struct {
+	head    ShardHead
+	headErr error
 
-	// Sequential-mode chunk recycling (StreamOpts.ReuseChunks).
-	reuse    bool
-	chunkBuf Chunk
-	entryBuf []VOEntry
+	ch     chan *Chunk
+	done   chan struct{}
+	closed bool // consumer side only, like every ShardFeed method
 
-	// Parallel mode.
-	workers []*shardWorker
-	done    chan struct{}
-	closer  sync.Once
-
-	// Stage recorders (nil when the publisher has no registry): hMerge
-	// takes the merger's per-chunk wait on the worker channels, hAgg the
-	// per-shard product-tree lookups.
-	hMerge *obs.Histogram
-	hAgg   *obs.Histogram
-
-	stage streamStage
-	err   error
+	// foot and err are written by the producer before it closes ch and
+	// read by the consumer only after it has seen ch closed.
+	foot ShardFeedFoot
+	err  error
 }
 
-// shardWorker is one per-shard producer: chunks stream through ch, and
-// after ch closes the summary (partial aggregate, entry count, error)
-// arrives on res.
-type shardWorker struct {
-	ch  chan *Chunk
-	res chan shardResult
+// prefetch takes src's head on the calling goroutine (the merger asks
+// for it first anyway) and starts the producer. src must not be used by
+// the caller afterwards.
+func prefetch(src ShardFeed) *prefetchFeed {
+	f := &prefetchFeed{ch: make(chan *Chunk, prefetchBuffer), done: make(chan struct{})}
+	f.head, f.headErr = src.Head()
+	go f.run(src)
+	return f
 }
 
-type shardResult struct {
-	partial sig.Signature // condensed partial; nil when the shard was empty or in individual mode
-	err     error
-}
-
-// workerBuffer throttles each shard producer: enough to keep a worker
-// busy while the merger ships the previous chunk, small enough that a
-// stalled consumer bounds memory at O(workers · chunk).
-const workerBuffer = 2
-
-func (st *fanoutStream) startWorkers() {
-	st.done = make(chan struct{})
-	st.workers = make([]*shardWorker, len(st.slices))
-	for m := range st.slices {
-		w := &shardWorker{ch: make(chan *Chunk, workerBuffer), res: make(chan shardResult, 1)}
-		st.workers[m] = w
-		go st.runWorker(m, w)
-	}
-}
-
-func (st *fanoutStream) runWorker(m int, w *shardWorker) {
-	defer close(w.ch)
-	var agg *sig.Aggregator
-	if st.agg != nil && st.idxs[m] == nil {
-		agg = st.p.pub.NewAggregator()
-	}
-	pos := st.ab[m][0]
+func (f *prefetchFeed) run(src ShardFeed) {
+	defer close(f.ch)
 	for {
-		c, next, err := st.buildShardChunk(m, pos, agg, nil)
-		if err != nil {
-			w.res <- shardResult{err: err}
+		c, err := src.Next()
+		if err == io.EOF {
+			f.foot, f.err = src.Foot()
 			return
 		}
-		if c == nil {
-			break
+		if err != nil {
+			f.err = err
+			return
 		}
 		select {
-		case w.ch <- c:
-		case <-st.done:
-			w.res <- shardResult{}
+		case f.ch <- c:
+		case <-f.done:
 			return
 		}
-		pos = next
 	}
-	var out shardResult
-	switch a, b := st.ab[m][0], st.ab[m][1]; {
-	case st.agg != nil && st.idxs[m] != nil && b > a:
-		// The shard's whole partial in O(log n) multiplications.
-		t0 := time.Now()
-		sum, err := st.idxs[m].RangeAggregate(a, b)
-		st.hAgg.ObserveSince(t0)
-		if err != nil {
-			out.err = err
-		}
-		out.partial = sum
-	case agg != nil && agg.Count() > 0:
-		sum, err := agg.Sum()
-		if err != nil {
-			out.err = err
-		}
-		out.partial = sum
-	}
-	w.res <- out
 }
 
-// Close releases the per-shard workers of an abandoned stream. Safe to
-// call at any time, any number of times; a no-op in sequential mode.
-func (st *fanoutStream) Close() error {
-	if st.done != nil {
-		st.closer.Do(func() { close(st.done) })
+func (f *prefetchFeed) Head() (ShardHead, error) { return f.head, f.headErr }
+
+func (f *prefetchFeed) Next() (*Chunk, error) {
+	if f.closed {
+		return nil, errFeedClosed
+	}
+	if c, ok := <-f.ch; ok {
+		return c, nil
+	}
+	if f.err != nil {
+		return nil, f.err
+	}
+	return nil, io.EOF
+}
+
+// Foot must not be called before Next has returned io.EOF (the
+// ShardFeed contract; the merger keeps it).
+func (f *prefetchFeed) Foot() (ShardFeedFoot, error) { return f.foot, f.err }
+
+// Close cancels the producer, discards what it had buffered and returns
+// once it has exited. Safe to call at any point of the drain, any number
+// of times.
+func (f *prefetchFeed) Close() error {
+	if !f.closed {
+		f.closed = true
+		close(f.done)
+	}
+	for range f.ch {
 	}
 	return nil
-}
-
-// buildShardChunk assembles the next entries chunk of slice m starting
-// at record position pos, folding signatures into agg (condensed mode)
-// or attaching them per entry. It returns (nil, pos, nil) when the
-// slice's covered interval is exhausted.
-func (st *fanoutStream) buildShardChunk(m, pos int, agg *sig.Aggregator, seen map[string]bool) (*Chunk, int, error) {
-	b := st.ab[m][1]
-	if pos >= b {
-		return nil, pos, nil
-	}
-	n := b - pos
-	if n > st.chunkRows {
-		n = st.chunkRows
-	}
-	sl := st.slices[m]
-	var c *Chunk
-	if st.reuse {
-		st.chunkBuf = Chunk{Type: ChunkEntries, Shard: sl.Shard, Entries: st.entryBuf[:0]}
-		c = &st.chunkBuf
-	} else {
-		c = &Chunk{Type: ChunkEntries, Shard: sl.Shard, Entries: make([]VOEntry, 0, n)}
-	}
-	for i := pos; i < pos+n; i++ {
-		rec := sl.SR.Recs[i]
-		entry, err := st.p.buildEntry(sl.SR, st.role, st.eff, rec, i, seen)
-		if err != nil {
-			return nil, pos, err
-		}
-		c.Entries = append(c.Entries, entry)
-		switch {
-		case !st.p.Aggregate:
-			// Aliasing rec.Sig is safe: epoch slices are immutable.
-			c.Sigs = append(c.Sigs, sig.Signature(rec.Sig))
-		case st.idxs[m] != nil:
-			// Indexed shard: its partial is one tree lookup at the end.
-		case agg != nil:
-			if err := agg.Add(sig.Signature(rec.Sig)); err != nil {
-				return nil, pos, fmt.Errorf("engine: aggregation: %w", err)
-			}
-		}
-	}
-	if st.reuse {
-		st.entryBuf = c.Entries
-	}
-	return c, pos + n, nil
-}
-
-// Next returns the next merged chunk, io.EOF after the footer, or the
-// first assembly error (sticky).
-func (st *fanoutStream) Next() (*Chunk, error) {
-	if st.err != nil {
-		return nil, st.err
-	}
-	c, err := st.next()
-	if err != nil {
-		st.err = err
-		st.Close()
-		return nil, err
-	}
-	c.Seq = st.seq
-	st.seq++
-	return c, nil
-}
-
-func (st *fanoutStream) next() (*Chunk, error) {
-	switch st.stage {
-	case stageHeader:
-		first := st.slices[0]
-		left, err := first.SR.ProveBoundary(st.p.h, st.ab[0][0]-1, core.Up, st.eff.KeyLo)
-		if err != nil {
-			return nil, fmt.Errorf("engine: left boundary: %w", err)
-		}
-		st.stage = stageEntries
-		st.pos = st.ab[0][0]
-		if st.total == 0 {
-			st.stage = stageFooter
-		}
-		return &Chunk{
-			Type:      ChunkHeader,
-			Shard:     first.Shard,
-			Relation:  st.eff.Relation,
-			Effective: st.eff,
-			KeyLo:     st.eff.KeyLo,
-			KeyHi:     st.eff.KeyHi,
-			Left:      left,
-		}, nil
-
-	case stageEntries:
-		if st.workers != nil {
-			return st.nextParallel()
-		}
-		// Advance past exhausted slices.
-		for st.pos >= st.ab[st.cur][1] {
-			if st.cur+1 >= len(st.slices) {
-				st.stage = stageFooter
-				return st.next()
-			}
-			st.cur++
-			st.pos = st.ab[st.cur][0]
-		}
-		c, next, err := st.buildShardChunk(st.cur, st.pos, st.agg, st.seen)
-		if err != nil {
-			return nil, err
-		}
-		st.feet[st.cur].Entries += uint64(len(c.Entries))
-		st.pos = next
-		if st.pos >= st.ab[st.cur][1] && st.cur+1 >= len(st.slices) {
-			st.stage = stageFooter
-		}
-		return c, nil
-
-	case stageFooter:
-		return st.footer()
-
-	default:
-		return nil, io.EOF
-	}
-}
-
-// nextParallel drains the per-shard worker channels in hand-off order.
-func (st *fanoutStream) nextParallel() (*Chunk, error) {
-	for st.cur < len(st.workers) {
-		w := st.workers[st.cur]
-		t0 := time.Now()
-		c, ok := <-w.ch
-		st.hMerge.ObserveSince(t0)
-		if ok {
-			st.feet[st.cur].Entries += uint64(len(c.Entries))
-			return c, nil
-		}
-		res := <-w.res
-		if res.err != nil {
-			return nil, res.err
-		}
-		if res.partial != nil {
-			if err := st.agg.Add(res.partial); err != nil {
-				return nil, fmt.Errorf("engine: combining shard aggregate: %w", err)
-			}
-		}
-		st.cur++
-	}
-	st.stage = stageFooter
-	return st.footer()
-}
-
-// footer assembles the merged footer: the right boundary proof from the
-// last covering shard, the empty-range predecessor material when nothing
-// was covered, the combined condensed signature, and the per-shard
-// continuity accounting.
-func (st *fanoutStream) footer() (*Chunk, error) {
-	last := st.slices[len(st.slices)-1]
-	right, err := last.SR.ProveBoundary(st.p.h, st.ab[len(st.slices)-1][1], core.Down, st.eff.KeyHi)
-	if err != nil {
-		return nil, fmt.Errorf("engine: right boundary: %w", err)
-	}
-	c := &Chunk{Type: ChunkFooter, Shard: last.Shard, Right: right}
-	if st.total == 0 {
-		// Globally empty range: ship sig(pred) and g(pred-1) so the user
-		// can check pred and succ are adjacent. When pred is the first
-		// slice's left context, g(pred-1) lives one shard to the left —
-		// the one place the lazy prev pin is consulted.
-		sl0 := st.slices[0].SR
-		predIdx := st.ab[0][0] - 1
-		predSig := sig.Signature(sl0.Recs[predIdx].Sig)
-		if st.agg != nil {
-			if err := st.agg.Add(predSig); err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-		} else {
-			c.Sigs = []sig.Signature{predSig}
-		}
-		switch {
-		case predIdx > 0:
-			c.PredPrevG = sl0.Recs[predIdx-1].G.Clone()
-		case sl0.Recs[0].Kind == core.KindDelimLeft:
-			// pred is the global left delimiter: the verifier substitutes
-			// the virtual end digest, no PredPrevG needed.
-		default:
-			if st.prev == nil {
-				return nil, fmt.Errorf("engine: fan-out needs the preceding shard for an empty range")
-			}
-			prevSl, ok := st.prev()
-			if !ok || len(prevSl.Recs) < 3 {
-				return nil, fmt.Errorf("engine: fan-out needs the preceding shard for an empty range")
-			}
-			c.PredPrevG = prevSl.Recs[len(prevSl.Recs)-3].G.Clone()
-		}
-	}
-	if st.workers == nil && st.agg != nil {
-		// Sequential mode: fold each indexed shard's partial — one
-		// O(log n) tree lookup per shard. (Parallel mode folded partials
-		// as the workers retired; non-indexed sequential shards were
-		// folded entry by entry.)
-		for m := range st.slices {
-			ix := st.idxs[m]
-			a, b := st.ab[m][0], st.ab[m][1]
-			if ix == nil || b <= a {
-				continue
-			}
-			t0 := time.Now()
-			rs, err := ix.RangeAggregate(a, b)
-			st.hAgg.ObserveSince(t0)
-			if err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-			if err := st.agg.Add(rs); err != nil {
-				return nil, fmt.Errorf("engine: combining shard aggregate: %w", err)
-			}
-		}
-	}
-	if st.agg != nil {
-		agg, err := st.agg.Sum()
-		if err != nil {
-			return nil, fmt.Errorf("engine: aggregation: %w", err)
-		}
-		c.AggSig = agg
-	}
-	c.ShardFeet = append([]ShardFoot(nil), st.feet...)
-	st.stage = stageDone
-	return c, nil
 }

@@ -3,13 +3,16 @@ package engine_test
 import (
 	"io"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/partition"
+	"vcqr/internal/relation"
 	"vcqr/internal/verify"
 	"vcqr/internal/workload"
 )
@@ -27,14 +30,20 @@ type fanoutEnv struct {
 
 func newFanoutEnv(t *testing.T, n, k int) *fanoutEnv {
 	t.Helper()
-	key := streamSignKey(t)
-	h := hashx.New()
 	rel, err := workload.Uniform(workload.UniformConfig{
 		N: n, L: 0, U: 1 << 20, PayloadSize: 8, Seed: int64(n + k),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newFanoutEnvOver(t, rel, k)
+}
+
+// newFanoutEnvOver signs rel (domain (0, 1<<20)) and splits it k ways.
+func newFanoutEnvOver(t *testing.T, rel *relation.Relation, k int) *fanoutEnv {
+	t.Helper()
+	key := streamSignKey(t)
+	h := hashx.New()
 	p, err := core.NewParams(0, 1<<20, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +132,12 @@ func TestFanoutMatchesUnpartitioned(t *testing.T) {
 	}
 }
 
-// TestFanoutParallelDeterminism: the parallel producer must emit the
-// same chunk sequence (up to Seq/Shard stamps it also emits) and the
-// same combined signature as the sequential one.
+// TestFanoutParallelDeterminism: FanoutStream's prefetching producers
+// must emit the same chunk sequence (up to Seq/Shard stamps it also
+// emits) and the same combined signature as MergeShards draining bare,
+// strictly sequential ShardPartial feeds.
 func TestFanoutParallelDeterminism(t *testing.T) {
+	needParallel(t)
 	e := newFanoutEnv(t, 160, 8)
 	q := engine.Query{Relation: e.sr.Schema.Name}
 
@@ -143,8 +154,9 @@ func TestFanoutParallelDeterminism(t *testing.T) {
 			out = append(out, c)
 		}
 	}
-	seqChunks := drain(e.fanout(t, q, engine.StreamOpts{FanoutWorkers: 1, ChunkRows: 16}))
-	parChunks := drain(e.fanout(t, q, engine.StreamOpts{FanoutWorkers: 8, ChunkRows: 16}))
+	opts := engine.StreamOpts{ChunkRows: 16}
+	seqChunks := drain(e.mergeSequential(t, q, opts))
+	parChunks := drain(e.fanout(t, q, opts))
 	if len(seqChunks) != len(parChunks) {
 		t.Fatalf("sequential emitted %d chunks, parallel %d", len(seqChunks), len(parChunks))
 	}
@@ -152,6 +164,15 @@ func TestFanoutParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(seqChunks[i], parChunks[i]) {
 			t.Fatalf("chunk %d differs between sequential and parallel", i)
 		}
+	}
+}
+
+// needParallel skips a test about prefetching production where
+// FanoutStream would not select it.
+func needParallel(t *testing.T) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("FanoutStream only prefetches with GOMAXPROCS > 1")
 	}
 }
 
@@ -270,14 +291,22 @@ func TestFanoutShardFeet(t *testing.T) {
 	}
 }
 
-// TestFanoutClose: an abandoned parallel stream must release its workers
-// without deadlock.
+// TestFanoutClose: abandoning a prefetching stream after its first
+// entries chunk must stop every producer — Close returns once they have
+// exited — and later Next calls fail instead of hanging.
 func TestFanoutClose(t *testing.T) {
+	needParallel(t)
 	e := newFanoutEnv(t, 160, 8)
 	q := engine.Query{Relation: e.sr.Schema.Name}
-	st := e.fanout(t, q, engine.StreamOpts{FanoutWorkers: 8, ChunkRows: 4})
-	if _, err := st.Next(); err != nil {
-		t.Fatal(err)
+	before := runtime.NumGoroutine()
+	st := e.fanout(t, q, engine.StreamOpts{ChunkRows: 4})
+	if runtime.NumGoroutine() <= before {
+		t.Fatal("an 8-shard cover started no producers")
+	}
+	for i := 0; i < 2; i++ { // header, first entries chunk
+		if _, err := st.Next(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if c, ok := st.(io.Closer); ok {
 		if err := c.Close(); err != nil {
@@ -286,12 +315,104 @@ func TestFanoutClose(t *testing.T) {
 	} else {
 		t.Fatal("fan-out stream does not implement io.Closer")
 	}
-	// Draining after Close is allowed to fail, but must not hang.
-	for i := 0; i < 1000; i++ {
-		if _, err := st.Next(); err != nil {
-			break
+	waitGoroutines(t, before)
+	if _, err := st.Next(); err == nil {
+		t.Fatal("Next succeeded on a closed stream")
+	}
+}
+
+// waitGoroutines fails unless the goroutine count returns to want: a
+// producer closes its channel before its goroutine is fully retired, so
+// the count is polled briefly rather than read once.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, want %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFanoutDistinctAcrossSeams: DISTINCT is one sequential pass over
+// the merged run with one seen set shared by every shard's partial. In
+// the relation here every key is a run of three records that project
+// identically, so each seam has a duplicate run ending flush against it
+// on the left and another starting flush against it on the right
+// (partition.Split keeps equal keys on one side), and the chunk sizes
+// split the runs. The merged stream must collect into exactly what the
+// unpartitioned stream collects into — a Result carries neither Shard
+// tags nor ShardFeet — and pass the shard-aware stream verifier.
+func TestFanoutDistinctAcrossSeams(t *testing.T) {
+	const keys = 24
+	rel, err := workload.Uniform(workload.UniformConfig{N: keys, L: 0, U: 1 << 20, PayloadSize: 8, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range append([]relation.Tuple(nil), rel.Tuples...) {
+		for i := 0; i < 2; i++ {
+			if _, err := rel.Insert(relation.Tuple{Key: tup.Key, Attrs: tup.Attrs}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	for _, k := range []int{2, 4} {
+		e := newFanoutEnvOver(t, rel, k)
+		if err := e.pub.AddRelation(e.sr, false); err != nil {
+			t.Fatal(err)
+		}
+		q := engine.Query{Relation: e.sr.Schema.Name, Distinct: true}
+		for _, chunkRows := range []int{1, 2, 4, 5} {
+			opts := engine.StreamOpts{ChunkRows: chunkRows}
+			plain, err := e.pub.ExecuteStream("all", q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engine.Collect(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv, err := e.v.NewShardStreamVerifier(e.set.Spec, q, e.role)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			got, err := engine.Collect(tapStream{e.fanout(t, q, opts), func(c *engine.Chunk) {
+				released, err := sv.Consume(c)
+				if err != nil {
+					t.Fatalf("k=%d chunkRows=%d: %v", k, chunkRows, err)
+				}
+				rows += len(released)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sv.Finish(); err != nil {
+				t.Fatalf("k=%d chunkRows=%d: %v", k, chunkRows, err)
+			}
+			if rows != keys {
+				t.Fatalf("k=%d chunkRows=%d: verified %d distinct rows, want %d", k, chunkRows, rows, keys)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("k=%d chunkRows=%d: merged DISTINCT result differs from the unpartitioned one", k, chunkRows)
+			}
+		}
+	}
+}
+
+// tapStream shows every chunk to fn on its way to the consumer.
+type tapStream struct {
+	st engine.ResultStream
+	fn func(*engine.Chunk)
+}
+
+func (s tapStream) Next() (*engine.Chunk, error) {
+	c, err := s.st.Next()
+	if err == nil {
+		s.fn(c)
+	}
+	return c, err
 }
 
 // TestFanoutTiling: sub-ranges that do not tile the effective range are

@@ -12,26 +12,32 @@ import (
 	"vcqr/internal/sig"
 )
 
-// This file is the remote-source seam of the fan-out pipeline. A
-// single-process fan-out (fanout.go) merges per-shard entry runs whose
-// slices it holds in memory; a distributed one (internal/cluster) must
-// merge runs produced by shard nodes in other processes. The seam splits
-// the fan-out into the two halves that cross the wire:
+// This file is the one fan-out engine: a query whose effective range
+// spans several partition shards is answered as a single chunk stream
+// that concatenates per-shard entry runs. Because the shards of
+// internal/partition are contiguous slices of one global signature
+// chain, the merged stream is indistinguishable — to the chain-
+// verification rules — from the stream an unpartitioned publisher would
+// emit for the same range; the only additions are the per-chunk Shard
+// tags and the footer's ShardFeet accounting, which give verifiers
+// shard-attributed fail-fast errors. The engine has two halves, split
+// where a distributed deployment crosses the wire:
 //
-//   - ShardPartial is the node half: one shard's contribution to a
-//     fan-out — its entry chunks, its partial condensed signature, and
-//     whichever boundary proofs its position in the cover obliges it to
-//     supply. It is built from the same buildEntry/ProveBoundary
-//     primitives as fanout.go, so the pieces are byte-identical to what
-//     an in-process worker would produce.
+//   - ShardPartial is the run producer: one shard's contribution to a
+//     fan-out — its entry chunks, its partial condensed signature
+//     (condensed-RSA aggregates multiply, so per-shard partials combine
+//     in any order), and whichever boundary proofs its position in the
+//     cover obliges it to supply. Shard nodes run it behind
+//     /shard/stream; Publisher.FanoutStream (fanout.go) runs it over
+//     slices held in this process.
 //
-//   - MergeShards is the coordinator half: it concatenates per-shard
-//     feeds (in hand-off order) into the canonical chunk sequence — one
-//     header, the entry runs, one footer with the combined condensed
-//     signature and per-shard continuity accounting. The output is
-//     byte-identical to FanoutStream over the same pinned slices, which
-//     is the whole point: the unmodified stream verifiers accept a
-//     cluster-served stream exactly as they accept a local one.
+//   - MergeShards is the merger: it concatenates per-shard feeds (in
+//     hand-off order) into the canonical chunk sequence — one header,
+//     the entry runs, one footer with the combined condensed signature
+//     and per-shard continuity accounting. Whether a feed is a local
+//     ShardPartial, a node sub-stream or replayed cache bytes is
+//     invisible to it, which is what keeps every serving path
+//     byte-identical and acceptable to the unmodified stream verifiers.
 //
 // Nothing in the seam is trusted: a node that lies in its chunks,
 // partial, or boundary proof produces a merged stream the user's
@@ -89,30 +95,23 @@ type PrevG func() (hashx.Digest, error)
 
 // ShardPartial produces one shard's partial fan-out: the entries chunks
 // covering [lo, hi] on this slice, then a summary foot. It implements
-// ShardFeed, so a node-local merge (tests) and a remote one (the wire
-// adapter in internal/cluster) consume it identically.
+// ShardFeed, so a local merge and a remote one (the wire adapter in
+// internal/cluster) consume it identically.
 //
 // The caller supplies the already-pinned slice and the sub-range the
-// shard covers; role resolution and the effective rewrite are recomputed
-// here exactly as the in-process fan-out's planner does, and the
-// sub-range must tile into the effective range ([lo, hi] inside it,
-// anchored at its ends when first/last are set).
+// shard covers; the query is planned here exactly as every other serving
+// path plans it, and the sub-range must tile into the effective range
+// ([lo, hi] inside it, anchored at its ends when first/last are set).
 func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Query, shard int, lo, hi uint64, first, last bool, opts StreamOpts) (*ShardPartial, error) {
-	role, err := p.policy.Role(roleName)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.Validate(sr.Schema); err != nil {
-		return nil, err
-	}
-	eff, err := rewrite(sr, role, q)
+	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}
 	if eff.Distinct {
 		// Duplicate elision is a cross-shard dependency: it needs one
-		// sequential pass over the merged run, which a per-shard partial
-		// cannot provide.
+		// sequential pass over the merged run with one shared seen set,
+		// which only a merger holding every covering slice can arrange
+		// (FanoutStream does).
 		return nil, fmt.Errorf("engine: DISTINCT cannot be served as a shard partial")
 	}
 	if lo > hi || lo < eff.KeyLo || hi > eff.KeyHi {
@@ -124,31 +123,42 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 	if last && hi != eff.KeyHi {
 		return nil, fmt.Errorf("engine: last shard partial must end at %d, got %d", eff.KeyHi, hi)
 	}
-	a, b := sr.RangeIndices(lo, hi)
+	return p.newShardPartial(role, eff, nil, ShardSlice{Shard: shard, SR: sr, Lo: lo, Hi: hi}, first, last, opts), nil
+}
+
+// newShardPartial builds the run producer for one slice of an already
+// planned and tiled cover. seen is the DISTINCT suppression set shared
+// by every partial of one sequentially merged stream (nil otherwise).
+func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, seen map[string]bool, sl ShardSlice, first, last bool, opts StreamOpts) *ShardPartial {
+	a, b := sl.SR.RangeIndices(sl.Lo, sl.Hi)
 	sp := &ShardPartial{
-		p: p, sr: sr, role: role, eff: eff,
-		shard: shard, lo: lo, hi: hi, first: first, last: last,
+		p: p, sr: sl.SR, role: role, eff: eff, seen: seen,
+		shard: sl.Shard, lo: sl.Lo, hi: sl.Hi, first: first, last: last,
 		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
 		reuse: opts.ReuseChunks,
 		hAgg:  p.Obs.Hist(obs.StageAggIndex),
 	}
 	if p.Aggregate {
-		if ix := sr.AggIndex(); ix != nil && ix.Len() == len(sr.Recs) {
+		// Per-shard crypto index: the slice's partial condensed signature
+		// becomes one O(log n) tree lookup, so a K-way fan-out combines K
+		// lookups with K-1 multiplications.
+		if ix := sl.SR.AggIndex(); ix != nil && ix.Len() == len(sl.SR.Recs) {
 			sp.idx = ix
 		} else {
 			sp.agg = p.pub.NewAggregator()
 		}
 	}
-	return sp, nil
+	return sp
 }
 
-// ShardPartial is the node half of a distributed fan-out; see
+// ShardPartial is the run producer of a fan-out; see
 // Publisher.ShardPartial.
 type ShardPartial struct {
 	p    *Publisher
 	sr   *core.SignedRelation
 	role accessctl.Role
 	eff  Query
+	seen map[string]bool // DISTINCT suppression, shared across the cover
 
 	shard       int
 	lo, hi      uint64
@@ -205,7 +215,7 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	}
 	for i := sp.pos; i < sp.pos+n; i++ {
 		rec := sp.sr.Recs[i]
-		entry, err := sp.p.buildEntry(sp.sr, sp.role, sp.eff, rec, i, nil)
+		entry, err := sp.p.buildEntry(sp.sr, sp.role, sp.eff, rec, i, sp.seen)
 		if err != nil {
 			sp.err = err
 			return nil, err
@@ -293,8 +303,7 @@ func (sp *ShardPartial) Close() error { return nil }
 // per covering shard, in hand-off order. The first feed must supply the
 // left boundary proof, the last the right one; prevG may be nil when the
 // caller can prove the empty-range corner cannot need it (a cover
-// starting at shard 0). The merged stream is byte-identical to
-// FanoutStream over the same slices and is accepted by the unmodified
+// starting at shard 0). The merged stream is accepted by the unmodified
 // stream verifiers.
 //
 // The returned stream implements io.Closer; abandoning callers should
@@ -428,7 +437,9 @@ func (st *mergeStream) next() (*Chunk, error) {
 }
 
 // footer assembles the merged footer from the first and last feeds'
-// summaries — structurally identical to fanoutStream.footer.
+// summaries: the right boundary proof, the empty-range predecessor
+// material when nothing was covered, the combined condensed signature,
+// and the per-shard continuity accounting.
 func (st *mergeStream) footer() (*Chunk, error) {
 	if st.lastFoot.Right == nil {
 		return nil, fmt.Errorf("engine: merge: last feed supplied no right boundary proof")

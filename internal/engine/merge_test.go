@@ -38,6 +38,19 @@ func (e *fanoutEnv) partials(t *testing.T, q engine.Query, opts engine.StreamOpt
 	return eff, feeds, prevG
 }
 
+// mergeSequential is MergeShards over bare ShardPartial feeds: the
+// strictly sequential production FanoutStream's prefetching is compared
+// against.
+func (e *fanoutEnv) mergeSequential(t *testing.T, q engine.Query, opts engine.StreamOpts) engine.ResultStream {
+	t.Helper()
+	eff, feeds, prevG := e.partials(t, q, opts)
+	st, err := engine.MergeShards(streamSignKey(t).Public(), true, eff, feeds, prevG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // gobChunks encodes a drained stream chunk by chunk — the same encoding
 // the wire framing uses, so equality here is frame-level byte identity.
 func gobChunks(t *testing.T, st engine.ResultStream) [][]byte {
@@ -59,11 +72,11 @@ func gobChunks(t *testing.T, st engine.ResultStream) [][]byte {
 	}
 }
 
-// TestMergeShardsByteIdentical pins the distributed fan-out invariant at
-// the engine seam: MergeShards over per-shard partials must emit a chunk
-// sequence byte-identical (gob frame bytes) to FanoutStream over the
-// same pinned slices, for full-range, sub-range, single-shard, and
-// empty-range covers.
+// TestMergeShardsByteIdentical pins the fan-out invariant at the engine
+// seam: FanoutStream (prefetching producers behind the merger) must emit
+// a chunk sequence byte-identical (gob frame bytes) to MergeShards over
+// bare sequential ShardPartial feeds — what a coordinator assembles from
+// its nodes — for full-range, sub-range and single-shard covers.
 func TestMergeShardsByteIdentical(t *testing.T) {
 	e := newFanoutEnv(t, 120, 4)
 	queries := []engine.Query{
@@ -72,14 +85,9 @@ func TestMergeShardsByteIdentical(t *testing.T) {
 		{Relation: e.sr.Schema.Name, KeyLo: e.sr.Recs[40].Key(), KeyHi: e.sr.Recs[40].Key()},
 	}
 	for i, q := range queries {
-		opts := engine.StreamOpts{ChunkRows: 8, FanoutWorkers: 1}
+		opts := engine.StreamOpts{ChunkRows: 8}
 		want := gobChunks(t, e.fanout(t, q, opts))
-		eff, feeds, prevG := e.partials(t, q, opts)
-		st, err := engine.MergeShards(streamSignKey(t).Public(), true, eff, feeds, prevG)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := gobChunks(t, st)
+		got := gobChunks(t, e.mergeSequential(t, q, opts))
 		if len(want) != len(got) {
 			t.Fatalf("query %d: fan-out emitted %d chunks, merge %d", i, len(want), len(got))
 		}
@@ -107,14 +115,9 @@ func TestMergeShardsEmptyRange(t *testing.T) {
 	}
 	q := engine.Query{Relation: e.sr.Schema.Name, KeyLo: spanLo, KeyHi: firstOwned - 1}
 
-	opts := engine.StreamOpts{ChunkRows: 8, FanoutWorkers: 1}
+	opts := engine.StreamOpts{ChunkRows: 8}
 	want := gobChunks(t, e.fanout(t, q, opts))
-	eff, feeds, prevG := e.partials(t, q, opts)
-	st, err := engine.MergeShards(streamSignKey(t).Public(), true, eff, feeds, prevG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := gobChunks(t, st)
+	got := gobChunks(t, e.mergeSequential(t, q, opts))
 	if len(want) != len(got) {
 		t.Fatalf("fan-out emitted %d chunks, merge %d", len(want), len(got))
 	}
@@ -125,12 +128,7 @@ func TestMergeShardsEmptyRange(t *testing.T) {
 	}
 
 	// The merged empty result must verify end to end.
-	eff2, feeds2, prevG2 := e.partials(t, q, opts)
-	st2, err := engine.MergeShards(streamSignKey(t).Public(), true, eff2, feeds2, prevG2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := engine.Collect(st2)
+	res, err := engine.Collect(e.mergeSequential(t, q, opts))
 	if err != nil {
 		t.Fatal(err)
 	}

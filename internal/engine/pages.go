@@ -35,14 +35,7 @@ func (p *Publisher) ExecutePaged(roleName string, q Query, pageSize int) (*Paged
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, q.Relation)
 	}
-	role, err := p.policy.Role(roleName)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.Validate(sr.Schema); err != nil {
-		return nil, err
-	}
-	eff, err := rewrite(sr, role, q)
+	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}

@@ -107,23 +107,35 @@ func (p *Publisher) Execute(roleName string, q Query) (*Result, error) {
 // updates swap in new epochs concurrently (see internal/server). The
 // snapshot must not be mutated while the call runs.
 func (p *Publisher) ExecuteOn(sr *core.SignedRelation, roleName string, q Query) (*Result, error) {
-	role, err := p.policy.Role(roleName)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.Validate(sr.Schema); err != nil {
-		return nil, err
-	}
-	eff, err := rewrite(sr, role, q)
+	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}
 	return p.executeRewritten(sr, role, eff)
 }
 
-// rewrite normalizes and clamps the query to the role's rights.
-func rewrite(sr *core.SignedRelation, role accessctl.Role, q Query) (Query, error) {
-	return EffectiveQuery(sr.Params, sr.Schema, role, q)
+// plan is PlanQuery under this publisher's policy against one relation
+// snapshot's parameters and schema.
+func (p *Publisher) plan(sr *core.SignedRelation, roleName string, q Query) (accessctl.Role, Query, error) {
+	return PlanQuery(p.policy, sr.Params, sr.Schema, roleName, q)
+}
+
+// PlanQuery is the step every serving path takes before touching a
+// record: resolve the role under the owner's policy, check the query's
+// columns against the schema, and compute the effective rewrite. The
+// publisher runs it per execution; the partitioned server and the
+// cluster coordinator run it up front to decompose the effective range
+// across shards before pinning any slice.
+func PlanQuery(policy accessctl.Policy, params core.Params, schema relation.Schema, roleName string, q Query) (accessctl.Role, Query, error) {
+	role, err := policy.Role(roleName)
+	if err != nil {
+		return role, Query{}, err
+	}
+	if err := q.Validate(schema); err != nil {
+		return role, Query{}, err
+	}
+	eff, err := EffectiveQuery(params, schema, role, q)
+	return role, eff, err
 }
 
 // EffectiveQuery computes the rewrite the owner's policy mandates for a

@@ -148,8 +148,8 @@ type ShardFoot struct {
 // returns io.EOF after the footer. Single-relation streams need no
 // Close — they hold no resources beyond the relation snapshot, which
 // the garbage collector keeps alive exactly as long as the stream is
-// reachable. Fan-out streams (FanoutStream) additionally implement
-// io.Closer to release their per-shard workers; callers that may
+// reachable. Merged streams (MergeShards, FanoutStream) additionally
+// implement io.Closer to release their per-shard feeds; callers that may
 // abandon a stream mid-drain should type-assert and defer Close
 // (wire.WriteStream does).
 type ResultStream interface {
@@ -169,10 +169,6 @@ type StreamOpts struct {
 	// ChunkRows bounds the entries per chunk; 0 means DefaultChunkRows,
 	// values above MaxChunkRows are clamped.
 	ChunkRows int
-	// FanoutWorkers bounds the per-shard producer goroutines of a
-	// fan-out stream (FanoutStream): 0 picks min(shards, GOMAXPROCS),
-	// 1 forces sequential production. Ignored by single-relation streams.
-	FanoutWorkers int
 	// ReuseChunks lets the stream recycle its chunk struct and entry
 	// slice across Next calls: a chunk (and its Entries/Sigs backing
 	// arrays) is valid only until the next Next. The per-entry payloads
@@ -181,8 +177,8 @@ type StreamOpts struct {
 	// is why Collect and the incremental verifiers are reuse-safe. Set
 	// by drain-style consumers (the server's /stream handler serializes
 	// each chunk before pulling the next); leave off when chunks are
-	// retained. Parallel fan-out production ignores it — chunks crossing
-	// worker channels cannot be recycled safely.
+	// retained. Parallel fan-out production (FanoutStream) ignores it —
+	// chunks crossing a channel cannot be recycled safely.
 	ReuseChunks bool
 }
 
@@ -213,14 +209,7 @@ func (p *Publisher) ExecuteStream(roleName string, q Query, opts StreamOpts) (Re
 // concurrently. The snapshot must not be mutated while the stream is
 // being drained.
 func (p *Publisher) ExecuteStreamOn(sr *core.SignedRelation, roleName string, q Query, opts StreamOpts) (ResultStream, error) {
-	role, err := p.policy.Role(roleName)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.Validate(sr.Schema); err != nil {
-		return nil, err
-	}
-	eff, err := rewrite(sr, role, q)
+	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}

@@ -229,6 +229,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// Assembly is timed inside the stream (per-Next); the remainder of
 		// the drain is gob encode + flush — the wire_encode share.
 		s.hWire.Observe(encode)
+		if s.partFor(req.Query.Relation) != nil {
+			// A partitioned relation's stream is a merged one; observed
+			// as the coordinator observes its own.
+			s.obs.Observe(obs.StageFanoutMerge, total)
+		}
 		sp.Add(obs.StageStreamTotal, total)
 		sp.Add(obs.StageVOAssemble, assemble)
 		sp.Add(obs.StageWireEncode, encode)

@@ -551,11 +551,9 @@ func writeNodeErr(w io.Writer, flush func(), err error) {
 // --- two-phase distributed delta -------------------------------------
 
 // PrepareNodeDelta stages an update batch against this node's hosted
-// shards: apply each shard's sub-batch on a clone, stitch mirrors among
-// co-hosted slices, and validate every touched neighbourhood that can be
-// checked without a cross-node mirror. Nothing publishes; the staged
-// slices wait for mirror fixes and a commit. A previous staged
-// transaction (crashed coordinator) is discarded.
+// shards (stageDelta). Nothing publishes; the staged slices wait for
+// mirror fixes and a commit. A previous staged transaction (crashed
+// coordinator) is discarded.
 func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error) {
 	nt := s.nodeFor(d.Relation)
 	if nt == nil {
@@ -565,42 +563,52 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 	defer nt.mu.Unlock()
 	nt.staged = nil // discard any crashed coordinator's leftovers
 
-	k := nt.spec.K()
-	groups := map[int][]delta.Op{}
-	for _, op := range d.Ops {
-		var shard int
-		switch {
-		case op.Kind == delta.OpUpsert && op.Rec.Kind == core.KindDelimLeft:
-			shard = 0
-		case op.Kind == delta.OpUpsert && op.Rec.Kind == core.KindDelimRight:
-			shard = k - 1
-		default:
-			var err error
-			shard, err = nt.spec.ShardFor(op.Key)
-			if err != nil {
-				return wire.NodeDeltaResponse{}, fmt.Errorf("server: delta rejected: %w", err)
-			}
-		}
-		if nt.hosted[shard] == nil {
-			return wire.NodeDeltaResponse{}, fmt.Errorf("%w %d of %q (delta misrouted)", ErrNodeNotHosting, shard, d.Relation)
-		}
-		groups[shard] = append(groups[shard], op)
+	news, _, err := s.stageDelta(nt.spec, d, func(i int) bool { return nt.hosted[i] != nil })
+	if err != nil {
+		return wire.NodeDeltaResponse{}, err
 	}
-	affected := make([]int, 0, len(groups))
-	for i := range groups {
-		affected = append(affected, i)
+	tx := &stagedTx{token: s.stagedTokens.Add(1), slices: news}
+	nt.staged = tx
+	resp := wire.NodeDeltaResponse{Token: tx.token}
+	for _, i := range sortedShards(news) {
+		resp.Modified = append(resp.Modified, wire.ModifiedShard{Shard: i, Edges: partition.EdgesOf(news[i])})
 	}
-	sort.Ints(affected)
+	return resp, nil
+}
 
-	// Phase 1: apply each sub-batch on a clone, validation deferred.
+// stageDelta is the one partitioned-delta stager. It routes the batch to
+// the owning shards (delta.Route), applies each sub-batch on a clone of
+// that shard alone, stitches the hand-off mirrors between slices hosted
+// in this process, and validates every touched neighbourhood that can be
+// checked here — publishing nothing. hosted reports whether shard i's
+// slice lives in this process: the in-process partitioned server hosts
+// all K, so every stitch is local and every validation runs against
+// fresh mirrors; a shard node hosts what its coordinator installed, and
+// a signature adjacent to an off-node mirror is deferred to the
+// coordinator's mirror fixes and seam checks. The caller holds the
+// relation's delta lock. Returned are the staged slices by shard (ops
+// shards plus stitched neighbours) and the shards that carried ops.
+func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int) bool) (map[int]*core.SignedRelation, []int, error) {
+	groups, err := delta.Route(spec, d)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: delta rejected: %w", err)
+	}
+	affected := sortedShards(groups)
+	for _, i := range affected {
+		if !hosted(i) {
+			return nil, nil, fmt.Errorf("%w %d of %q (delta misrouted)", ErrNodeNotHosting, i, d.Relation)
+		}
+	}
+	k := spec.K()
+
+	// Phase 1: apply each shard's sub-batch on a clone with validation
+	// deferred — near-edge neighbourhoods cannot be checked until the
+	// hand-off mirrors are restitched below.
 	news := map[int]*core.SignedRelation{}
 	touched := map[int][]int{}
 	current := func(i int) (*core.SignedRelation, error) {
 		if sl := news[i]; sl != nil {
 			return sl, nil
-		}
-		if nt.hosted[i] == nil {
-			return nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, i, d.Relation)
 		}
 		sl, _, ok := s.store.View(shardName(d.Relation, i))
 		if !ok {
@@ -611,92 +619,100 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 	for _, i := range affected {
 		cur, err := current(i)
 		if err != nil {
-			return wire.NodeDeltaResponse{}, err
+			return nil, nil, err
 		}
 		next := cur.Clone()
 		idxs, err := delta.ApplyOps(next, delta.Delta{Relation: d.Relation, Ops: groups[i]})
 		if err != nil {
-			return wire.NodeDeltaResponse{}, fmt.Errorf("server: delta rejected: %w", err)
+			return nil, nil, fmt.Errorf("server: delta rejected: %w", err)
 		}
 		if next.Len() < 1 {
-			return wire.NodeDeltaResponse{}, fmt.Errorf("%w: shard %d", ErrShardUnderflow, i)
+			return nil, nil, fmt.Errorf("%w: shard %d", ErrShardUnderflow, i)
 		}
 		news[i] = next
 		touched[i] = idxs
 	}
 
-	// Phase 2: stitch mirrors among co-hosted slices; cross-node mirrors
-	// arrive later as MirrorRequests from the coordinator.
-	mutable := func(i int) (*core.SignedRelation, error) {
-		if sl := news[i]; sl != nil {
-			return sl, nil
-		}
-		cur, err := current(i)
+	// Phase 2: stitch mirrors. An affected shard's edge records are
+	// mirrored by its neighbours; refresh any hosted here that drifted
+	// (cross-node mirrors arrive later as MirrorRequests from the
+	// coordinator). Clones are made lazily so an interior delta touches
+	// exactly one shard.
+	stitch := func(i int, rightContext bool, want core.SignedRecord) error {
+		sl, err := current(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		news[i] = cur.Clone()
-		return news[i], nil
+		pos := 0
+		if rightContext {
+			pos = len(sl.Recs) - 1
+		}
+		if partition.SameRecord(sl.Recs[pos], want) {
+			return nil
+		}
+		if news[i] == nil {
+			news[i] = sl.Clone()
+		}
+		news[i].Recs[pos] = want.Clone()
+		touched[i] = append(touched[i], pos)
+		return nil
 	}
 	for _, i := range affected {
 		sl := news[i]
-		if i > 0 && nt.hosted[i-1] != nil {
-			want := sl.Recs[1]
-			left, err := current(i - 1)
-			if err != nil {
-				return wire.NodeDeltaResponse{}, err
-			}
-			if !partition.SameRecord(left.Recs[len(left.Recs)-1], want) {
-				left, err = mutable(i - 1)
-				if err != nil {
-					return wire.NodeDeltaResponse{}, err
-				}
-				left.Recs[len(left.Recs)-1] = want.Clone()
-				touched[i-1] = append(touched[i-1], len(left.Recs)-1)
+		if i > 0 && hosted(i-1) {
+			// The left neighbour's right context mirrors shard i's first
+			// owned record.
+			if err := stitch(i-1, true, sl.Recs[1]); err != nil {
+				return nil, nil, err
 			}
 		}
-		if i < k-1 && nt.hosted[i+1] != nil {
-			want := sl.Recs[len(sl.Recs)-2]
-			right, err := current(i + 1)
-			if err != nil {
-				return wire.NodeDeltaResponse{}, err
-			}
-			if !partition.SameRecord(right.Recs[0], want) {
-				right, err = mutable(i + 1)
-				if err != nil {
-					return wire.NodeDeltaResponse{}, err
-				}
-				right.Recs[0] = want.Clone()
-				touched[i+1] = append(touched[i+1], 0)
+		if i < k-1 && hosted(i+1) {
+			// The right neighbour's left context mirrors shard i's last
+			// owned record.
+			if err := stitch(i+1, false, sl.Recs[len(sl.Recs)-2]); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
 
-	// Phase 3: refresh index leaves the stitch edited directly, then
-	// validate every touched neighbourhood that is locally checkable. A
-	// position adjacent to an off-node mirror is deferred: the
-	// coordinator's seam checks cover it before commit.
+	// Phase 3: refresh each modified shard's crypto-index leaves — the
+	// stitch edited edge records directly, bypassing the bookkeeping
+	// delta.ApplyOps does — then validate every touched neighbourhood
+	// that is checkable here. Refresh precedes validation so the
+	// per-record FDH cache the validator consults is current.
 	for i, sl := range news {
 		sl.RefreshAggIndex(touched[i])
-		leftFresh := i == 0 || nt.hosted[i-1] != nil
-		rightFresh := i == k-1 || nt.hosted[i+1] != nil
+		leftFresh := i == 0 || hosted(i-1)
+		rightFresh := i == k-1 || hosted(i+1)
 		if err := validateStagedSlice(s, sl, touched[i], leftFresh, rightFresh); err != nil {
-			return wire.NodeDeltaResponse{}, fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
+			return nil, nil, fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
 		}
 	}
+	return news, affected, nil
+}
 
-	tx := &stagedTx{token: s.stagedTokens.Add(1), slices: news}
-	nt.staged = tx
-	resp := wire.NodeDeltaResponse{Token: tx.token}
-	modified := make([]int, 0, len(news))
-	for i := range news {
-		modified = append(modified, i)
+// publishSlices swaps staged slices into the store — one epoch per
+// shard, in shard order — and returns the highest epoch. The swaps are
+// not mutually atomic; readers pinning across a seam mid-publish observe
+// a hand-off mismatch and re-pin.
+func (s *Server) publishSlices(rel string, slices map[int]*core.SignedRelation) uint64 {
+	var epoch uint64
+	for _, i := range sortedShards(slices) {
+		if e := s.store.AddNamed(shardName(rel, i), slices[i]); e > epoch {
+			epoch = e
+		}
 	}
-	sort.Ints(modified)
-	for _, i := range modified {
-		resp.Modified = append(resp.Modified, wire.ModifiedShard{Shard: i, Edges: partition.EdgesOf(news[i])})
+	return epoch
+}
+
+// sortedShards returns a per-shard map's keys in shard order.
+func sortedShards[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
+	for i := range m {
+		out = append(out, i)
 	}
-	return resp, nil
+	sort.Ints(out)
+	return out
 }
 
 // validateStagedSlice is delta.ValidateTouched with the cross-node
@@ -778,9 +794,9 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 }
 
 // FinishNodeDelta commits or aborts the staged transaction. Commit
-// publishes every staged slice — one epoch swap per shard, the same
-// non-atomicity as the in-process partitioned publish, absorbed by
-// reader re-pinning — and bumps the per-shard delta counters.
+// publishes every staged slice (publishSlices, the in-process
+// partitioned server's publish too) and bumps the per-shard delta
+// counters.
 func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 	nt := s.nodeFor(req.Relation)
 	if nt == nil {
@@ -796,11 +812,7 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 	if !req.Commit {
 		return 0, nil
 	}
-	shards := make([]int, 0, len(tx.slices))
-	for i := range tx.slices {
-		shards = append(shards, i)
-	}
-	sort.Ints(shards)
+	shards := sortedShards(tx.slices)
 	// Append-before-acknowledge: the committed delta lands in the
 	// durable WAL before any slice publishes. A failed append refuses
 	// the commit with the staged transaction already discarded — the
@@ -824,12 +836,8 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 			return 0, fmt.Errorf("server: delta commit not durable: %w", err)
 		}
 	}
-	var epoch uint64
+	epoch := s.publishSlices(req.Relation, tx.slices)
 	for _, i := range shards {
-		e := s.store.AddNamed(shardName(req.Relation, i), tx.slices[i])
-		if e > epoch {
-			epoch = e
-		}
 		if hs := nt.hosted[i]; hs != nil {
 			hs.deltas.Add(1)
 			hs.digest = digests[i]

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -206,14 +205,7 @@ func (pc pinnedCover) prevPin(used *bool) engine.PrevPin {
 // decomposes it over the shards — everything a partitioned execution
 // needs before any slice is pinned or scanned.
 func (s *Server) planPartitioned(pt *partTable, roleName string, q engine.Query) (accessctl.Role, engine.Query, []partition.SubRange, error) {
-	role, err := s.policy.Role(roleName)
-	if err != nil {
-		return role, engine.Query{}, nil, err
-	}
-	if err := q.Validate(pt.schema); err != nil {
-		return role, engine.Query{}, nil, err
-	}
-	eff, err := engine.EffectiveQuery(pt.params, pt.schema, role, q)
+	role, eff, err := engine.PlanQuery(s.policy, pt.params, pt.schema, roleName, q)
 	if err != nil {
 		return role, engine.Query{}, nil, err
 	}
@@ -294,193 +286,66 @@ func (s *Server) queryPartitioned(pt *partTable, roleName string, q engine.Query
 	return res, nil
 }
 
-// applyPartitionedDelta routes a delta batch to the owning shards,
-// applies and validates each sub-batch on a clone of that shard alone,
-// stitches the hand-off mirrors of affected neighbours, re-validates the
-// touched seams against the owner's key, and only then publishes — one
-// epoch swap per touched shard. A failure anywhere leaves every
-// published epoch untouched.
+// applyPartitionedDelta runs the node tier's delta protocol with all K
+// shards co-hosted: prepare (stageDelta — every mirror stitch is local
+// and every touched neighbourhood validates against fresh mirrors), then
+// the coordinator's seam check over the staged edge material, then the
+// node tier's publish — one epoch swap per modified shard. A failure
+// anywhere leaves every published epoch untouched.
 func (s *Server) applyPartitionedDelta(pt *partTable, d delta.Delta) (uint64, error) {
 	pt.deltaMu.Lock()
 	defer pt.deltaMu.Unlock()
 
 	name := pt.spec.Relation
-	k := pt.spec.K()
-
-	// Route every op to its owning shard; delimiter re-signs go to the
-	// edge shards that hold them.
-	groups := map[int][]delta.Op{}
-	for _, op := range d.Ops {
-		var shard int
-		switch {
-		case op.Kind == delta.OpUpsert && op.Rec.Kind == core.KindDelimLeft:
-			shard = 0
-		case op.Kind == delta.OpUpsert && op.Rec.Kind == core.KindDelimRight:
-			shard = k - 1
-		default:
-			var err error
-			shard, err = pt.spec.ShardFor(op.Key)
-			if err != nil {
-				return 0, fmt.Errorf("server: delta rejected: %w", err)
-			}
-		}
-		groups[shard] = append(groups[shard], op)
+	news, affected, err := s.stageDelta(pt.spec, d, func(int) bool { return true })
+	if err != nil {
+		return 0, err
 	}
-	affected := make([]int, 0, len(groups))
-	for i := range groups {
-		affected = append(affected, i)
-	}
-	sort.Ints(affected)
 
-	// Phase 1: apply each shard's sub-batch on a clone with validation
-	// deferred — near-edge neighbourhoods cannot be checked until the
-	// hand-off mirrors are restitched below. Nothing publishes yet.
-	news := map[int]*core.SignedRelation{}
-	touched := map[int][]int{}
-	current := func(i int) (*core.SignedRelation, error) {
+	// Seam re-validation. Per-shard validation skipped the signatures of
+	// context records (each slice sees only its side of a hand-off).
+	// Re-prove both hand-off signatures of every seam adjacent to a
+	// modified shard — a delta that re-signed one side of a boundary
+	// without the matching neighbour op dies here, before anything
+	// publishes.
+	edges := func(i int) (partition.Edges, error) {
 		if sl := news[i]; sl != nil {
-			return sl, nil
+			return partition.EdgesOf(sl), nil
 		}
 		sl, _, ok := s.store.View(shardName(name, i))
 		if !ok {
-			return nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, name)
+			return partition.Edges{}, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, name)
 		}
-		return sl, nil
+		return partition.EdgesOf(sl), nil
 	}
-	for _, i := range affected {
-		cur, err := current(i)
-		if err != nil {
-			return 0, err
-		}
-		next := cur.Clone()
-		idxs, err := delta.ApplyOps(next, delta.Delta{Relation: d.Relation, Ops: groups[i]})
-		if err != nil {
-			return 0, fmt.Errorf("server: delta rejected: %w", err)
-		}
-		if next.Len() < 1 {
-			return 0, fmt.Errorf("%w: shard %d", ErrShardUnderflow, i)
-		}
-		news[i] = next
-		touched[i] = idxs
-	}
-
-	// Phase 2: stitch mirrors. An affected shard's edge records are
-	// mirrored by its neighbours; refresh any that drifted. Clones are
-	// made lazily so an interior delta touches exactly one shard.
-	mutable := func(i int) (*core.SignedRelation, error) {
-		if sl := news[i]; sl != nil {
-			return sl, nil
-		}
-		cur, err := current(i)
-		if err != nil {
-			return nil, err
-		}
-		news[i] = cur.Clone()
-		return news[i], nil
-	}
-	for _, i := range affected {
-		sl := news[i]
-		if i > 0 {
-			want := sl.Recs[1] // shard i's first owned record
-			left, err := current(i - 1)
-			if err != nil {
-				return 0, err
-			}
-			if !partition.SameRecord(left.Recs[len(left.Recs)-1], want) {
-				left, err = mutable(i - 1)
-				if err != nil {
-					return 0, err
-				}
-				left.Recs[len(left.Recs)-1] = want.Clone()
-				touched[i-1] = append(touched[i-1], len(left.Recs)-1)
-			}
-		}
-		if i < k-1 {
-			want := sl.Recs[len(sl.Recs)-2] // shard i's last owned record
-			right, err := current(i + 1)
-			if err != nil {
-				return 0, err
-			}
-			if !partition.SameRecord(right.Recs[0], want) {
-				right, err = mutable(i + 1)
-				if err != nil {
-					return 0, err
-				}
-				right.Recs[0] = want.Clone()
-				touched[i+1] = append(touched[i+1], 0)
-			}
-		}
-	}
-
-	// Phase 3: refresh each modified shard's crypto-index leaves — the
-	// mirror stitch above edited edge records directly, bypassing the
-	// bookkeeping delta.ApplyOps does — then validate every touched
-	// neighbourhood against fresh mirrors: the all-or-nothing contract
-	// of delta.Apply, held across shards. Refresh precedes validation so
-	// the per-record FDH cache the validator consults is current.
-	for i, sl := range news {
-		sl.RefreshAggIndex(touched[i])
-		if err := delta.ValidateTouched(s.h, s.pub, sl, touched[i], true); err != nil {
-			return 0, fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
-		}
-	}
-
-	// Phase 4: seam re-validation. Per-shard validation skipped the
-	// signatures that bind records across a hand-off (each slice sees
-	// only its side). Check both hand-off signatures of every seam
-	// adjacent to a modified shard — a delta that re-signed one side of a
-	// boundary without the matching neighbour op dies here, before
-	// anything publishes.
-	modified := make([]int, 0, len(news))
-	for i := range news {
-		modified = append(modified, i)
-	}
-	sort.Ints(modified)
 	seams := map[int]bool{} // seam x is between shards x and x+1
-	for _, i := range modified {
+	for i := range news {
 		if i > 0 {
 			seams[i-1] = true
 		}
-		if i < k-1 {
+		if i < pt.spec.K()-1 {
 			seams[i] = true
 		}
 	}
-	for x := range seams {
-		left, err := current(x)
+	for _, x := range sortedShards(seams) {
+		left, err := edges(x)
 		if err != nil {
 			return 0, err
 		}
-		right, err := current(x + 1)
+		right, err := edges(x + 1)
 		if err != nil {
 			return 0, err
 		}
-		if err := s.checkSeam(pt, left, right); err != nil {
+		if err := partition.CheckSeam(s.h, s.pub, pt.params, left, right); err != nil {
 			return 0, fmt.Errorf("server: delta rejected: seam %d-%d: %w", x, x+1, err)
 		}
 	}
 
-	// Phase 5: publish every modified shard. Swaps are per-shard and not
-	// mutually atomic; readers pinning across a seam mid-publish observe
-	// a hand-off mismatch and re-pin (pinCover).
-	var epoch uint64
-	for _, i := range modified {
-		e := s.store.AddNamed(shardName(name, i), news[i])
-		if e > epoch {
-			epoch = e
-		}
-	}
+	epoch := s.publishSlices(name, news)
 	for _, i := range affected {
 		pt.shardDeltas[i].Add(1)
 	}
 	return epoch, nil
-}
-
-// checkSeam verifies the two hand-off signatures across one seam: the
-// left shard's last owned record and the right shard's first owned
-// record, each against its in-slice neighbours. The node tier runs the
-// same check over shipped edge material (partition.CheckSeam).
-func (s *Server) checkSeam(pt *partTable, left, right *core.SignedRelation) error {
-	return partition.CheckSeam(s.h, s.pub, pt.params, partition.EdgesOf(left), partition.EdgesOf(right))
 }
 
 // PartitionStats is the per-partition slice of a Stats snapshot.

@@ -1,20 +1,29 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/obs"
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 	"vcqr/internal/server"
 	"vcqr/internal/verify"
 	"vcqr/internal/wire"
+	"vcqr/internal/workload"
 )
 
 // partFix is a running partitioned server plus the owner-side master
@@ -31,6 +40,11 @@ type partFix struct {
 func newPartServer(t testing.TB, n, k int) *partFix {
 	t.Helper()
 	h, sr := build(t, n)
+	return newPartServerOver(t, h, sr, k)
+}
+
+func newPartServerOver(t testing.TB, h *hashx.Hasher, sr *core.SignedRelation, k int) *partFix {
+	t.Helper()
 	set, err := partition.Split(sr, k)
 	if err != nil {
 		t.Fatal(err)
@@ -115,6 +129,11 @@ func TestPartitionedStreamEndToEnd(t *testing.T) {
 	}
 	if st.Relations["Uniform"] != 96 {
 		t.Fatalf("stats report %d records, want 96", st.Relations["Uniform"])
+	}
+	// The one /stream request above is a merged stream and is observed as
+	// the coordinator observes its own (docs/OPERATIONS.md stage table).
+	if n := f.s.Obs().Snapshot()[obs.StageFanoutMerge].Count(); n != 1 {
+		t.Fatalf("fanout_merge observed %d times for one partitioned /stream, want 1", n)
 	}
 }
 
@@ -398,5 +417,276 @@ func TestPartitionedBatch(t *testing.T) {
 	}
 	if total != 64 {
 		t.Fatalf("batch verified %d rows total, want 64", total)
+	}
+}
+
+// TestDeltaPathsAgree: the in-process partitioned /delta and the node
+// tier's prepare → commit are one stager (stageDelta) entered two ways.
+// The same delta sequence applied to (a) an AddPartition server and (b)
+// one node-mode server hosting all K shards must leave identical slice
+// digests on every shard after every step, and refuse the same inputs by
+// the same name without moving any digest.
+func TestDeltaPathsAgree(t *testing.T) {
+	const k = 4
+	f := newPartServer(t, 64, k)
+	node := server.New(server.Config{
+		Hasher: f.h, Pub: signKey(t).Public(), Policy: accessctl.NewPolicy(f.role),
+	})
+	t.Cleanup(node.Close)
+	for i, sl := range f.set.Slices {
+		man := wire.ShardManifest{
+			Spec: f.set.Spec, Shard: i, Params: sl.Params, Schema: sl.Schema, Records: len(sl.Recs),
+		}
+		if err := node.InstallShard(man, sl.Clone()); err != nil {
+			t.Fatalf("install shard %d: %v", i, err)
+		}
+	}
+	viaNode := func(d delta.Delta) error {
+		resp, err := node.PrepareNodeDelta(d)
+		if err != nil {
+			return err
+		}
+		_, err = node.FinishNodeDelta(wire.TxRequest{Relation: d.Relation, Token: resp.Token, Commit: true})
+		return err
+	}
+	digests := func(s *server.Server) []hashx.Digest {
+		out := make([]hashx.Digest, k)
+		for i := range out {
+			sl, ok := s.ShardSlice("Uniform", i)
+			if !ok {
+				t.Fatalf("shard %d not hosted", i)
+			}
+			out[i] = partition.SliceDigest(f.h, sl)
+		}
+		return out
+	}
+	update := func(rec core.SignedRecord, payload string) delta.Delta {
+		return f.mintDelta(t, f.globalIndexOf(t, rec.Key(), rec.Tuple.RowID), []byte(payload))
+	}
+	ownerDiff := func(mutate func() error) delta.Delta {
+		before := f.owner.Clone()
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		return delta.Diff(before, f.owner)
+	}
+	sl1, sl2 := f.set.Slices[1], f.set.Slices[2]
+	insLo, insHi := f.set.Spec.Span(2)
+
+	steps := []struct {
+		name string
+		d    func() delta.Delta
+		want error
+	}{
+		{"interior update", func() delta.Delta { return update(sl1.Recs[len(sl1.Recs)/2], "interior") }, nil},
+		{"boundary-crossing re-sign", func() delta.Delta { return update(sl1.Recs[1], "boundary") }, nil},
+		{"insert", func() delta.Delta {
+			return ownerDiff(func() error {
+				_, err := f.owner.Insert(f.h, signKey(t), relation.Tuple{
+					Key: (insLo + insHi) / 2, Attrs: []relation.Value{relation.BytesVal([]byte("inserted"))},
+				})
+				return err
+			})
+		}, nil},
+		{"delete", func() delta.Delta {
+			victim := f.set.Slices[0].Recs[3]
+			return ownerDiff(func() error {
+				_, err := f.owner.Delete(f.h, signKey(t), victim.Key(), victim.Tuple.RowID)
+				return err
+			})
+		}, nil},
+		// Updating the first data record re-signs the left delimiter.
+		{"delimiter re-sign", func() delta.Delta { return update(f.owner.Recs[1], "first") }, nil},
+		// A legitimate update that loses a signature bit in transit; the
+		// owner's master is rolled back since no publisher ever applies it.
+		{"tampered op", func() delta.Delta {
+			keep := f.owner.Clone()
+			d := update(sl2.Recs[len(sl2.Recs)/2], "tampered")
+			f.owner = keep
+			d.Ops[0].Rec.Sig = append([]byte(nil), d.Ops[0].Rec.Sig...)
+			d.Ops[0].Rec.Sig[0] ^= 1
+			return d
+		}, delta.ErrValidation},
+		{"empty batch", func() delta.Delta { return delta.Delta{Relation: "Uniform"} }, delta.ErrEmpty},
+	}
+	for _, step := range steps {
+		d := step.d()
+		before := digests(f.s)
+		applied := f.s.Stats().DeltasApplied
+		_, errA := f.s.ApplyDelta(d)
+		errB := viaNode(d)
+		if !errors.Is(errA, step.want) || !errors.Is(errB, step.want) {
+			t.Fatalf("%s: in-process %v, node %v, want %v on both", step.name, errA, errB, step.want)
+		}
+		a, b := digests(f.s), digests(node)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: slice digests differ between the two delta paths", step.name)
+		}
+		if step.want != nil {
+			if !reflect.DeepEqual(a, before) {
+				t.Fatalf("%s: a refused delta moved a slice", step.name)
+			}
+			if f.s.Stats().DeltasApplied != applied {
+				t.Fatalf("%s: a refused delta was counted as applied", step.name)
+			}
+		} else if reflect.DeepEqual(a, before) {
+			t.Fatalf("%s: an applied delta moved no slice", step.name)
+		}
+	}
+	// What both paths arrived at is a publication the verifier accepts.
+	q := engine.Query{Relation: "Uniform"}
+	res, err := f.s.Query("all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := f.v.VerifyResult(q, f.role, res); err != nil || len(rows) != 64 {
+		t.Fatalf("post-sequence query: %d rows, err %v", len(rows), err)
+	}
+}
+
+// TestPartitionedDistinctAcrossSeams: DISTINCT through Server.QueryStream
+// on an AddPartition relation. Every key of the relation is a run of
+// three records with identical payloads, so every seam has a duplicate
+// run flush against each side of it, and the chunk sizes split the runs.
+// The stream must collect into the result a server hosting the same
+// relation unpartitioned collects into (a Result carries neither Shard
+// tags nor ShardFeet) and pass the shard-aware stream verifier.
+func TestPartitionedDistinctAcrossSeams(t *testing.T) {
+	const keys = 24
+	h := hashx.New()
+	rel, err := workload.Uniform(workload.UniformConfig{N: keys, L: 0, U: 1 << 20, PayloadSize: 16, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range append([]relation.Tuple(nil), rel.Tuples...) {
+		for i := 0; i < 2; i++ {
+			if _, err := rel.Insert(relation.Tuple{Key: tup.Key, Attrs: tup.Attrs}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p, err := core.NewParams(0, 1<<20, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := core.Build(h, signKey(t), p, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := newServerWith(t, h, sr.Clone(), 0)
+	q := engine.Query{Relation: "Uniform", Distinct: true}
+	for _, k := range []int{2, 4} {
+		f := newPartServerOver(t, h, sr, k)
+		for _, chunkRows := range []int{1, 2, 4, 5} {
+			ref, err := plain.QueryStream("all", q, chunkRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engine.Collect(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := f.s.QueryStream("all", q, chunkRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sv, err := f.v.NewShardStreamVerifier(f.set.Spec, q, f.role)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var chunks []*engine.Chunk
+			rows := 0
+			for {
+				c, err := st.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				released, err := sv.Consume(c)
+				if err != nil {
+					t.Fatalf("k=%d chunkRows=%d: %v", k, chunkRows, err)
+				}
+				rows += len(released)
+				chunks = append(chunks, c)
+			}
+			if err := sv.Finish(); err != nil {
+				t.Fatalf("k=%d chunkRows=%d: %v", k, chunkRows, err)
+			}
+			if rows != keys {
+				t.Fatalf("k=%d chunkRows=%d: verified %d distinct rows, want %d", k, chunkRows, rows, keys)
+			}
+			got, err := engine.Collect(&sliceStream{chunks: chunks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("k=%d chunkRows=%d: partitioned DISTINCT result differs from the unpartitioned one", k, chunkRows)
+			}
+		}
+	}
+}
+
+// sliceStream replays drained chunks.
+type sliceStream struct {
+	chunks []*engine.Chunk
+	next   int
+}
+
+func (s *sliceStream) Next() (*engine.Chunk, error) {
+	if s.next == len(s.chunks) {
+		return nil, io.EOF
+	}
+	s.next++
+	return s.chunks[s.next-1], nil
+}
+
+// dropAfter is the server's view of a client that disconnects: the
+// first frames are delivered, then every write fails.
+type dropAfter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *dropAfter) Write(p []byte) (int, error) {
+	if w.writes == 0 {
+		return 0, io.ErrClosedPipe
+	}
+	w.writes--
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestPartitionedStreamAbandoned: a /stream client that disconnects
+// after the first frames of a prefetching fan-out must leave no producer
+// goroutine behind — the failed write ends the drain, and the drain's
+// Close stops every shard's producer before the handler returns.
+func TestPartitionedStreamAbandoned(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("fan-out only prefetches with GOMAXPROCS > 1")
+	}
+	f := newPartServer(t, 96, 4)
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(wire.StreamRequest{
+		Role: "all", Query: engine.Query{Relation: "Uniform"}, ChunkRows: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	handler := f.s.Handler()
+	before := runtime.NumGoroutine()
+	errsBefore := f.s.Stats().Errors
+	// Each frame is a length-prefix write and a body write: header and
+	// the first entries chunk get through, the third frame does not.
+	w := &dropAfter{ResponseRecorder: httptest.NewRecorder(), writes: 4}
+	handler.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/stream", &body))
+	if f.s.Stats().Errors != errsBefore+1 {
+		t.Fatal("the broken stream was not counted as an error")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the client left, %d before the request", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -306,7 +306,7 @@ func (s *Server) QueryStreamOpts(role string, q engine.Query, opts engine.Stream
 // timed wraps a result stream so per-chunk assembly and whole-stream
 // drain latency land in the registry. The wrapper changes no chunk
 // bytes; it forwards Close so abandoning consumers still release
-// fan-out workers.
+// fan-out producers.
 func (s *Server) timed(st engine.ResultStream) *timedStream {
 	return &timedStream{st: st, hChunk: s.hChunk, hTotal: s.hStream, start: time.Now()}
 }
@@ -335,7 +335,7 @@ func (t *timedStream) Next() (*engine.Chunk, error) {
 	return c, err
 }
 
-// Close forwards to the underlying stream (fan-out worker release).
+// Close forwards to the underlying stream (fan-out producer release).
 func (t *timedStream) Close() error {
 	if c, ok := t.st.(io.Closer); ok {
 		return c.Close()

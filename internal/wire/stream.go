@@ -137,7 +137,7 @@ type StreamRequest struct {
 // Publisher-side errors after the first frame are sent in-band as a
 // ChunkError frame — the HTTP status is long gone by then.
 func WriteStream(w io.Writer, st engine.ResultStream) error {
-	// Fan-out streams hold per-shard workers; release them if the drain
+	// Merged streams hold per-shard feeds; release them if the drain
 	// aborts early (a fully drained stream's Close is a no-op).
 	if c, ok := st.(io.Closer); ok {
 		defer c.Close()
