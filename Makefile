@@ -16,32 +16,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the full paper-evaluation + serving benchmark suite and
-# refreshes the committed perf trajectories: the crypto fast path
-# (BENCH_crypto.json), the observability overhead bound (BENCH_obs.json),
-# the edge-cache speedup record (BENCH_cache.json) and the distributed
-# tier with the R-way replication sweep and kill drill
-# (BENCH_cluster.json) — the files CI uploads and future PRs diff
-# against.
+# bench runs the repo's one benchmark exactly as BENCHMARK.json declares
+# it: every workload over real loopback HTTP through the unmodified
+# verifiers (see bench/README.md for flags, metrics and comparing runs).
 bench:
-	$(GO) test -run xxx -bench . -benchmem .
-	$(GO) run ./cmd/vcbench -exp crypto -out BENCH_crypto.json
-	$(GO) run ./cmd/vcbench -exp obs -out BENCH_obs.json
-	$(GO) run ./cmd/vcbench -exp cache -out BENCH_cache.json
-	$(GO) run ./cmd/vcbench -exp cluster -out BENCH_cluster.json
+	$(GO) run ./bench
 
-# bench-smoke is the CI-sized slice of bench: one iteration of the Go
-# benchmarks and the crypto sweep at reduced scale.
-bench-smoke:
+# bench-smoke is the CI-sized check that the Go benchmarks still run: one
+# iteration of each, then the allocation gate.
+bench-smoke: bench-verify
 	$(GO) test -run xxx -bench . -benchtime 1x .
-	$(GO) run ./cmd/vcbench -exp crypto -short -out BENCH_crypto.json
 
 # bench-verify is the allocation gate on the verification kernel: the
 # HashOp, GBaseB and VerifyAggregated benchmarks at a fixed 200
 # iterations, failing when allocs/op exceeds the kernel's ceilings
 # (1 / 2 / 1500). Allocation counts repeat exactly, so this is the perf
-# regression gate a shared CI box can hold (also run by CI's "Bench
-# smoke" step).
+# regression gate a shared CI box can hold (CI's "Bench smoke" step runs
+# bench-smoke).
 bench-verify:
 	sh scripts/bench_verify.sh
 
@@ -102,8 +93,10 @@ docs:
 	$(GO) build ./examples/...
 
 # loc prints the non-test Go code lines (blank and comment-only lines
-# and bench/ excluded) per internal/* package and in total — the number a
-# simplicity PR reports before and after (also printed by CI's docs job).
+# and bench/ excluded) per package and as three totals — serving, paper
+# (internal/paper/... + cmd/vcbench, which serve no request) and total —
+# the numbers a simplicity PR reports before and after (also printed by
+# CI's docs job).
 loc:
 	@sh scripts/loc.sh
 

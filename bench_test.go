@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (one per table/figure;
-// see DESIGN.md experiment index E1-E7 and EXPERIMENTS.md for recorded
-// results). Custom metrics report the quantities the paper plots:
-// VO bytes, overhead percentages, hash counts.
+// see DESIGN.md experiment index E1-E7). Custom metrics report the
+// quantities the paper plots: VO bytes, overhead percentages, hash
+// counts.
 package vcqr
 
 import (
@@ -11,12 +11,12 @@ import (
 	"time"
 
 	"vcqr/internal/accessctl"
-	"vcqr/internal/baseline/devanbu"
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
 	"vcqr/internal/engine"
-	"vcqr/internal/experiments"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/baseline/devanbu"
+	"vcqr/internal/paper/experiments"
 	"vcqr/internal/relation"
 	"vcqr/internal/server"
 	"vcqr/internal/sig"
@@ -634,12 +634,11 @@ func BenchmarkStreamQuery(b *testing.B) {
 	})
 }
 
-// --- E-crypto: aggregation fast path ------------------------------------
+// --- aggregation fast path -----------------------------------------------
 
 // BenchmarkCryptoAggregate compares the two condensed-signature paths on
 // the shared 512-record fixture: the naive O(|Q|) per-record fold against
-// the epoch product tree's O(log n) range lookup. The full sweep (|Q| up
-// to 2^16, shard fan-out, delta cutover) lives in `vcbench -exp crypto`.
+// the epoch product tree's O(log n) range lookup.
 func BenchmarkCryptoAggregate(b *testing.B) {
 	f := sharedFixture(b)
 	pub := env(b).Key.Public()

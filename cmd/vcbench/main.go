@@ -1,6 +1,8 @@
 // Command vcbench regenerates the evaluation of Pang et al. (SIGMOD 2005):
 // every figure, the cost-parameter table, and the comparative claims, as
-// indexed in DESIGN.md (experiments E1-E9).
+// indexed in DESIGN.md (experiments E1-E9). It is the front end of the
+// paper tree (internal/paper/...), which serves no request; how fast the
+// system serves verified queries is measured by `go run ./bench`.
 //
 // Usage:
 //
@@ -9,49 +11,21 @@
 //	vcbench -exp fig10 -short   # reduced dataset sizes
 //
 // Experiments: fig9, fig10, table1, cuser, vosize, update, ablation,
-// attacks, precision, delta, multiorder, all — plus the serving-path
-// experiments "server" (HTTP /query + /batch through internal/server),
-// "stream" (streaming vs materialized, end to end), "shard" (the
-// K-way partitioned-publisher sweep: query and delta throughput at
-// K ∈ {1,2,4,8} on the same data, with verified cross-shard streams),
-// "crypto" (the aggregation fast path: product-tree vs naive
-// condensed-signature assembly across |Q| and shard counts, plus the
-// delta-cutover index maintenance comparison; pass -out to also write
-// the machine-readable perf trajectory, e.g. -out BENCH_crypto.json as
-// `make bench` and CI do), "cluster" (the distributed tier over real
-// TCP: cross-node verified stream throughput vs the single-process
-// baseline, an online shard migration under live deltas reporting
-// copy/cutover latency and the zero-rejected-queries invariant, and
-// the replication story — verified-stream QPS at R ∈ {1,2,3} plus a
-// SIGKILL-equivalent node death at R=2 under live load with the
-// zero-failed-queries invariant; -exp cluster -out BENCH_cluster.json
-// writes the committed machine-readable record),
-// "cache" (the shared edge-cache tier: hot-range Zipf and uniform
-// verified-stream throughput against cached and bare coordinators over
-// the same shard nodes, plus a singleflight storm counting origin
-// sub-streams; -exp cache -out BENCH_cache.json writes the committed
-// machine-readable record) and
-// "obs" (what the observability layer costs: the BenchmarkStreamQuery
-// workload against obs-enabled and obs.Disabled() servers, reporting the
-// median overhead percentage — the PR bound is <=2% — and the stage
-// histograms the instrumented run populated; -exp obs -out
-// BENCH_obs.json writes the committed machine-readable record).
+// attacks, precision, delta, multiorder, all.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"vcqr/internal/experiments"
+	"vcqr/internal/paper/experiments"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig9|fig10|table1|cuser|vosize|update|ablation|attacks|precision|delta|multiorder|server|stream|shard|crypto|cluster|cache|obs|all")
+	exp := flag.String("exp", "all", "experiment to run: fig9|fig10|table1|cuser|vosize|update|ablation|attacks|precision|delta|multiorder|all")
 	short := flag.Bool("short", false, "reduced dataset sizes for a quick pass")
-	out := flag.String("out", "", "machine-readable output path for the crypto and obs experiments when selected by name (default: no file written; make bench and CI pass BENCH_crypto.json / BENCH_obs.json)")
 	flag.Parse()
 
 	env, err := experiments.NewEnv(*short)
@@ -148,108 +122,6 @@ func main() {
 			fatal(err)
 		}
 		experiments.PrintMultiOrder(w, rows)
-	}
-	if run("server") {
-		ran = true
-		rows, err := env.Serving()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintServing(w, rows)
-	}
-	if run("stream") {
-		ran = true
-		rows, err := env.StreamCompare()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintStreamCompare(w, rows)
-	}
-	if run("shard") {
-		ran = true
-		rows, err := env.Sharding()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintSharding(w, rows)
-	}
-	if run("crypto") {
-		ran = true
-		r, err := env.Crypto()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintCrypto(w, r)
-		if *out != "" {
-			blob, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(w, "wrote %s\n", *out)
-		}
-	}
-	if run("cluster") {
-		ran = true
-		r, err := env.Cluster()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintCluster(w, r)
-		// -out is shared with crypto and obs; write only when cluster was
-		// asked for by name.
-		if *out != "" && strings.EqualFold(*exp, "cluster") {
-			blob, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(w, "wrote %s\n", *out)
-		}
-	}
-	if run("cache") {
-		ran = true
-		r, err := env.Cache()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintCache(w, r)
-		// -out is shared with crypto and obs; write only when cache was
-		// asked for by name.
-		if *out != "" && strings.EqualFold(*exp, "cache") {
-			blob, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(w, "wrote %s\n", *out)
-		}
-	}
-	if run("obs") {
-		ran = true
-		r, err := env.Obs()
-		if err != nil {
-			fatal(err)
-		}
-		experiments.PrintObs(w, r)
-		// -out is shared with crypto, so only write when obs was asked
-		// for by name ("-exp all -out X" keeps meaning the crypto record).
-		if *out != "" && strings.EqualFold(*exp, "obs") {
-			blob, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(w, "wrote %s\n", *out)
-		}
 	}
 	if !ran {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))

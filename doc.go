@@ -6,6 +6,9 @@
 // authentic without disclosing anything beyond their access rights.
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); examples/ holds runnable end-to-end scenarios and
-// bench_test.go regenerates the paper's evaluation.
+// inventory): the serving tree, and internal/paper/ for the code that
+// reproduces the paper's evaluation and serves no request. examples/
+// holds runnable end-to-end scenarios, bench_test.go regenerates the
+// paper's evaluation as Go benchmarks, and bench/ is the one benchmark
+// of the serving system.
 package vcqr

@@ -14,8 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"vcqr/internal/graphauth"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/graphauth"
 	"vcqr/internal/sig"
 )
 

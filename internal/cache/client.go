@@ -13,12 +13,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vcqr/internal/costmodel"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/obs"
 	"vcqr/internal/wire"
-	"vcqr/internal/workload"
 )
 
 // Named failures a reader can assert on. Both are recoverable by
@@ -137,16 +135,11 @@ type Config struct {
 	Obs *obs.Registry
 	// MinAccesses overrides the admission threshold — how many times a
 	// key must be seen before a fill is pushed to a peer. 0 picks the
-	// cost-model default; 1 admits everything.
+	// default (2: admit on the second sighting); 1 admits everything.
 	MinAccesses uint32
 	// MaxEntryBytes caps a single entry; larger fills are discarded. 0
-	// picks costmodel.CacheEntryCap(DefaultBudget).
+	// picks DefaultBudget/16.
 	MaxEntryBytes int
-	// WaitTimeout bounds how long a collapsed miss waits for the
-	// in-flight fill before giving up and going to origin (default 10s).
-	WaitTimeout time.Duration
-	// TrackedKeys bounds the admission frequency tracker (default 4096).
-	TrackedKeys int
 }
 
 type ringSlot struct {
@@ -156,7 +149,7 @@ type ringSlot struct {
 
 // Client is the coordinator-side cache tier: consistent-hash placement
 // over the configured peers, digest-checked reads, a singleflight table
-// collapsing concurrent misses per key, and cost-model-gated admission.
+// collapsing concurrent misses per key, and frequency-gated admission.
 // All methods are safe for concurrent use.
 type Client struct {
 	peers []*wire.Client
@@ -165,8 +158,7 @@ type Client struct {
 
 	minAccesses uint32
 	maxEntry    int
-	wait        time.Duration
-	freq        *workload.AccessStats
+	freq        *accessStats
 	hGet, hFill *obs.Histogram
 
 	mu      sync.Mutex
@@ -198,29 +190,18 @@ func NewClient(cfg Config) *Client {
 		h:           hashx.New(),
 		minAccesses: cfg.MinAccesses,
 		maxEntry:    cfg.MaxEntryBytes,
-		wait:        cfg.WaitTimeout,
+		freq:        newAccessStats(trackedKeys),
 		flights:     make(map[string]*flight),
 		probing:     make(map[string]int),
 		hGet:        cfg.Obs.Hist(obs.StageCacheGet),
 		hFill:       cfg.Obs.Hist(obs.StageCacheFill),
 	}
 	if c.minAccesses == 0 {
-		// Default admission: assume a fill costs about one extra origin
-		// drain and a hit saves about the same, i.e. cache on the
-		// second sighting.
-		c.minAccesses = costmodel.CacheMinAccesses(time.Millisecond, time.Millisecond)
+		c.minAccesses = defaultMinAccesses
 	}
 	if c.maxEntry <= 0 {
-		c.maxEntry = costmodel.CacheEntryCap(DefaultBudget)
+		c.maxEntry = defaultMaxEntry
 	}
-	if c.wait <= 0 {
-		c.wait = 10 * time.Second
-	}
-	tracked := cfg.TrackedKeys
-	if tracked <= 0 {
-		tracked = 4096
-	}
-	c.freq = workload.NewAccessStats(tracked)
 	hc := cfg.HTTP
 	if hc == nil {
 		to := cfg.PeerTimeout
@@ -414,7 +395,7 @@ type Hit struct {
 // aborted).
 func (c *Client) lookup(k Key, validate func([]byte) (any, error)) (any, *Fill) {
 	ks := k.String()
-	admit := c.freq.Touch(ks) >= c.minAccesses
+	admit := c.freq.touch(ks) >= c.minAccesses
 	peer := c.peerFor(ks)
 	if peer == nil {
 		return nil, nil
@@ -479,7 +460,7 @@ func (c *Client) await(fl *flight, validate func([]byte) (any, error)) any {
 	c.collapsed.Add(1)
 	select {
 	case <-fl.done:
-	case <-time.After(c.wait):
+	case <-time.After(waitTimeout):
 		return nil
 	}
 	if fl.bytes == nil {
@@ -653,7 +634,7 @@ type ClientStats struct {
 	Fallthroughs     uint64 // entries rejected by digest or structure checks
 	PeerErrors       uint64 // cache-protocol I/O failures
 	Invalidations    uint64 // epoch-scoped group invalidations pushed
-	AdmissionsDenied uint64 // fills skipped by the cost-model gate
+	AdmissionsDenied uint64 // fills skipped by the admission gate
 	Flights          int    // gauge: fills in progress, or committed and still answering lookups
 }
 

@@ -2,7 +2,7 @@
 // untrusted, memcached-shaped peers (Server/Store) holding encoded
 // chunk-frame byte ranges, and the coordinator-side Client that places
 // keys over peers by consistent hashing, collapses concurrent misses
-// with a singleflight table, and gates fills through the cost model's
+// with a singleflight table, and gates fills through a frequency-based
 // admission rule.
 //
 // The tier works because of the paper's core property

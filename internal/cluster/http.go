@@ -36,9 +36,9 @@ import (
 //	POST /admin/rebalance  ?shard=N&to=URL        -> JSON RebalanceReport
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", wire.QueryHandler(c.Query))
-	mux.HandleFunc("/stream", c.handleStream)
-	mux.HandleFunc("/delta", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/query", wire.CapBody(wire.MaxQueryBody, wire.QueryHandler(c.Query)))
+	mux.Handle("/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(c.handleStream)))
+	mux.Handle("/delta", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -54,7 +54,7 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		gob.NewEncoder(w).Encode(resp)
-	})
+	})))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -321,7 +321,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			{"vcqr_cache_fallthroughs_total", "Cache entries rejected by digest or structural checks.", cs.Fallthroughs},
 			{"vcqr_cache_invalidations_total", "Epoch-scoped group invalidations pushed.", cs.Invalidations},
 			{"vcqr_cache_peer_errors_total", "Cache-protocol I/O failures.", cs.PeerErrors},
-			{"vcqr_cache_admission_denied_total", "Fills skipped by the cost-model admission gate.", cs.AdmissionsDenied},
+			{"vcqr_cache_admission_denied_total", "Fills skipped by the admission gate.", cs.AdmissionsDenied},
 		} {
 			obs.WriteCounterFamily(w, cv.name, cv.help,
 				[]obs.CounterSeries{{Labels: [][2]string{{"role", "coordinator"}}, Value: float64(cv.v)}})

@@ -284,7 +284,7 @@ func NewRegistry() *Registry {
 
 // Disabled returns a registry whose histograms are nil no-op recorders
 // and whose slow log never records — the baseline for measuring
-// instrumentation overhead (vcbench -exp obs).
+// instrumentation overhead.
 func Disabled() *Registry {
 	return &Registry{
 		disabled: true,

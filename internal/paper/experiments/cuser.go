@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"vcqr/internal/costmodel"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/costmodel"
 	"vcqr/internal/verify"
 )
 

@@ -309,73 +309,3 @@ func TestPrecisionScenario(t *testing.T) {
 	var buf bytes.Buffer
 	PrintPrecision(&buf, r)
 }
-
-// TestObsOverheadShape: the instrumentation-overhead experiment must run
-// both sides, populate the streaming-path stage histograms on the
-// enabled server, and produce sane latencies. The overhead percentage
-// itself is hardware noise and deliberately unasserted here — the
-// committed BENCH_obs.json records the bound.
-func TestObsOverheadShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment harness is slow")
-	}
-	r, err := env(t).Obs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.EnabledNS <= 0 || r.DisabledNS <= 0 {
-		t.Fatalf("non-positive latencies: %+v", r)
-	}
-	want := map[string]bool{"stream_total": false, "stream_chunk": false}
-	for _, s := range r.Stages {
-		if _, ok := want[s.Stage]; ok {
-			want[s.Stage] = true
-		}
-		if s.Count == 0 {
-			t.Errorf("stage %s reported with zero observations", s.Stage)
-		}
-	}
-	for stage, seen := range want {
-		if !seen {
-			t.Errorf("enabled run did not populate %s: %+v", stage, r.Stages)
-		}
-	}
-	var buf bytes.Buffer
-	PrintObs(&buf, r)
-	if buf.Len() == 0 {
-		t.Fatal("printer produced nothing")
-	}
-}
-
-// TestShardingSweep: the partitioned-publisher sweep must verify its
-// cross-shard streams at every K and show query and delta throughput
-// rising with K on the same data. Exact ratios are hardware-dependent;
-// the shape (monotone improvement, K=4 clearly above 1x) is not.
-func TestShardingSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharding sweep is slow")
-	}
-	rows, err := env(t).Sharding()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || rows[0].K != 1 {
-		t.Fatalf("unexpected sweep shape: %+v", rows)
-	}
-	for i, r := range rows {
-		if r.StreamRows == 0 || r.StreamShards != r.K {
-			t.Fatalf("K=%d stream: %+v", r.K, r)
-		}
-		if i > 0 && r.QueryPerSec <= rows[i-1].QueryPerSec*0.9 {
-			t.Fatalf("query throughput not rising: K=%d %.0f q/s after K=%d %.0f q/s",
-				r.K, r.QueryPerSec, rows[i-1].K, rows[i-1].QueryPerSec)
-		}
-	}
-	k4 := rows[2]
-	if k4.QuerySpeed < 1.5 {
-		t.Fatalf("K=4 query speedup %.2fx — partition isolation not paying off", k4.QuerySpeed)
-	}
-	if k4.DeltaSpeed < 1.5 {
-		t.Fatalf("K=4 delta speedup %.2fx — per-shard clones not paying off", k4.DeltaSpeed)
-	}
-}

@@ -6,7 +6,7 @@ import (
 
 	"vcqr/internal/delta"
 	"vcqr/internal/hashx"
-	"vcqr/internal/multiorder"
+	"vcqr/internal/paper/multiorder"
 	"vcqr/internal/relation"
 	"vcqr/internal/workload"
 )

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"vcqr/internal/costmodel"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/costmodel"
 )
 
 // Fig9Row is one point of Figure 9: user traffic overhead (%) against

@@ -5,10 +5,10 @@ import (
 	"io"
 
 	"vcqr/internal/accessctl"
-	"vcqr/internal/baseline/devanbu"
 	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/baseline/devanbu"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
 )

@@ -5,8 +5,8 @@ import (
 	"io"
 	"time"
 
-	"vcqr/internal/costmodel"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/costmodel"
 	"vcqr/internal/sig"
 )
 

@@ -5,9 +5,9 @@ import (
 	"io"
 	"math/rand"
 
-	"vcqr/internal/baseline/devanbu"
-	"vcqr/internal/btree"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/baseline/devanbu"
+	"vcqr/internal/paper/btree"
 	"vcqr/internal/relation"
 )
 

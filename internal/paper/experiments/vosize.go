@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"vcqr/internal/baseline/devanbu"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/baseline/devanbu"
 )
 
 // VOSizeRow compares authentication traffic between this scheme and the

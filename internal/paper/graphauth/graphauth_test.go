@@ -6,8 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"vcqr/internal/graphauth"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/graphauth"
 	"vcqr/internal/sig"
 )
 

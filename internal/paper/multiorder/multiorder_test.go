@@ -8,7 +8,7 @@ import (
 	"vcqr/internal/accessctl"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
-	"vcqr/internal/multiorder"
+	"vcqr/internal/paper/multiorder"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 	"vcqr/internal/verify"

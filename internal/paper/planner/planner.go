@@ -23,7 +23,7 @@ import (
 
 	"vcqr/internal/core"
 	"vcqr/internal/engine"
-	"vcqr/internal/multiorder"
+	"vcqr/internal/paper/multiorder"
 	"vcqr/internal/relation"
 )
 

@@ -2,17 +2,14 @@ package planner_test
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
 	"vcqr/internal/accessctl"
-	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
-	"vcqr/internal/multiorder"
-	"vcqr/internal/partition"
-	"vcqr/internal/planner"
+	"vcqr/internal/paper/multiorder"
+	"vcqr/internal/paper/planner"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 	"vcqr/internal/verify"
@@ -201,51 +198,5 @@ func TestPlannerValidation(t *testing.T) {
 	}
 	if plan.Ordering != "Salary" {
 		t.Fatalf("Ne filter should stay on primary, got %s", plan.Ordering)
-	}
-}
-
-func TestPlanShards(t *testing.T) {
-	h := hashx.New()
-	rel, err := workload.Uniform(workload.UniformConfig{N: 40, L: 0, U: 1 << 20, PayloadSize: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.NewParams(0, 1<<20, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := core.Build(h, signKey(t), p, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := partition.Split(sr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Full range: fan-out over all 4 shards covering every record.
-	plan, err := planner.PlanShardQuery(set.Spec, set.Slices, engine.Query{Relation: sr.Schema.Name})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Legs) != 4 || plan.Cover != 40 {
-		t.Fatalf("full-range plan: %+v", plan)
-	}
-	if !strings.Contains(plan.Explain, "fan-out over 4") {
-		t.Fatalf("explain: %q", plan.Explain)
-	}
-
-	// A range inside shard 2: single-shard route with an exact cover.
-	sl := set.Slices[2]
-	lo, hi := sl.Recs[1].Key(), sl.Recs[len(sl.Recs)-2].Key()
-	plan, err = planner.PlanShardQuery(set.Spec, set.Slices, engine.Query{Relation: sr.Schema.Name, KeyLo: lo, KeyHi: hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Legs) != 1 || plan.Legs[0].Sub.Shard != 2 || plan.Cover != sl.Len() {
-		t.Fatalf("single-shard plan: %+v", plan)
-	}
-	if !strings.Contains(plan.Explain, "single-shard route") {
-		t.Fatalf("explain: %q", plan.Explain)
 	}
 }

@@ -34,8 +34,8 @@ import (
 // clients, so the transport needs no hardening beyond basic hygiene.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", capBody(maxQueryBody, wire.QueryHandler(s.Query)))
-	mux.Handle("/batch", capBody(maxBatchBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/query", wire.CapBody(wire.MaxQueryBody, wire.QueryHandler(s.Query)))
+	mux.Handle("/batch", wire.CapBody(wire.MaxBatchBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -56,8 +56,8 @@ func (s *Server) Handler() http.Handler {
 		}
 		writeGob(w, resp)
 	})))
-	mux.Handle("/stream", capBody(maxQueryBody, http.HandlerFunc(s.handleStream)))
-	mux.Handle("/delta", capBody(maxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(s.handleStream)))
+	mux.Handle("/delta", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -282,24 +282,6 @@ func writeGob(w http.ResponseWriter, v any) {
 	if err := gob.NewEncoder(w).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// Request body caps. Queries and batches are small by construction; a
-// delta batch legitimately carries signed records but still bounded —
-// anything larger than this should ship as a snapshot, not a delta.
-const (
-	maxQueryBody = 1 << 20
-	maxBatchBody = 8 << 20
-	maxDeltaBody = 256 << 20
-)
-
-// capBody bounds an untrusted request body so one client cannot buffer
-// the publisher into OOM.
-func capBody(limit int64, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-		next.ServeHTTP(w, r)
-	})
 }
 
 // HTTPServer is a running listener over a Server, with graceful

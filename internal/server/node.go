@@ -852,7 +852,7 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 // nodeHandlers registers the coordinator-facing endpoints.
 func (s *Server) nodeHandlers(mux *http.ServeMux) {
 	gobEndpoint := func(path string, handle func(dec *gob.Decoder) (any, error)) {
-		mux.Handle(path, capBody(maxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mux.Handle(path, wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.Method != http.MethodPost {
 				http.Error(w, "POST only", http.StatusMethodNotAllowed)
 				return
@@ -937,7 +937,7 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 	// The lease endpoint rides the length-prefixed frame codec end to
 	// end (not the gob control envelope), so both decode surfaces are
 	// the fuzzed ones (FuzzReadLeaseFrame).
-	mux.Handle("/node/lease", capBody(maxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/node/lease", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -953,7 +953,7 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 		wire.WriteLeaseResponse(w, &resp)
 	})))
 
-	mux.Handle("/shard/install", capBody(maxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/shard/install", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -969,7 +969,7 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 		}
 		writeGob(w, wire.OKResponse{})
 	})))
-	mux.Handle("/shard/fetch", capBody(maxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/shard/fetch", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
@@ -987,7 +987,7 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 			http.Error(w, err.Error(), http.StatusNotFound)
 		}
 	})))
-	mux.Handle("/shard/stream", capBody(maxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("/shard/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return

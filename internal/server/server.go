@@ -58,7 +58,7 @@ type Config struct {
 	Individual bool
 	// Obs is the stage-latency registry (internal/obs). Nil creates a
 	// fresh enabled registry; pass obs.Disabled() to serve with
-	// instrumentation off (the baseline of vcbench -exp obs).
+	// instrumentation off.
 	Obs *obs.Registry
 	// SlowThreshold sets the slow-query log's retention threshold: 0
 	// keeps the obs default (100ms), negative disables the log.

@@ -367,15 +367,11 @@ func ReadCacheReply(r io.Reader) (*CacheReply, error) {
 // CacheOp posts one cache request frame to a peer's /cache endpoint and
 // reads the reply frame.
 func (c *Client) CacheOp(f *CacheFrame) (*CacheReply, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	var body bytes.Buffer
 	if err := WriteCacheFrame(&body, f); err != nil {
 		return nil, err
 	}
-	resp, err := httpc.Post(c.BaseURL+"/cache", "application/octet-stream", &body)
+	resp, err := c.httpClient().Post(c.BaseURL+"/cache", "application/octet-stream", &body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: post cache op: %w", err)
 	}

@@ -214,15 +214,11 @@ func (c *Client) ShardStream(req ShardStreamRequest) (*NodeStream, error) {
 // fully drained tee holds the byte-exact frame sequence a later replay
 // decodes back into the merge. A nil tee is ShardStream.
 func (c *Client) ShardStreamTee(req ShardStreamRequest, tee io.Writer) (*NodeStream, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(req); err != nil {
 		return nil, fmt.Errorf("wire: encode shard stream request: %w", err)
 	}
-	resp, err := httpc.Post(c.BaseURL+"/shard/stream", "application/octet-stream", &body)
+	resp, err := c.httpClient().Post(c.BaseURL+"/shard/stream", "application/octet-stream", &body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: post shard stream: %w", err)
 	}
@@ -593,41 +589,12 @@ type TxRequest struct {
 
 // --- client methods ---------------------------------------------------
 
-// postGob posts a gob request and decodes a gob response.
-func (c *Client) postGob(path string, req, resp any) error {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return fmt.Errorf("wire: encode request: %w", err)
-	}
-	hresp, err := httpc.Post(c.BaseURL+path, "application/octet-stream", &body)
-	if err != nil {
-		return fmt.Errorf("wire: post %s: %w", path, err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
-		return fmt.Errorf("wire: node returned %s on %s: %s", hresp.Status, path, strings.TrimSpace(string(msg)))
-	}
-	if err := gob.NewDecoder(hresp.Body).Decode(resp); err != nil {
-		return fmt.Errorf("wire: decode %s response: %w", path, err)
-	}
-	return nil
-}
-
 // ObsExport scrapes a peer's /metrics.json histogram snapshot — the
 // coordinator uses it to fold node-level latency into its cluster-wide
 // /metrics aggregate. The data is advisory monitoring state; a node that
 // lies here can only corrupt dashboards, never results.
 func (c *Client) ObsExport() (obs.Export, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Get(c.BaseURL + "/metrics.json")
+	resp, err := c.httpClient().Get(c.BaseURL + "/metrics.json")
 	if err != nil {
 		return obs.Export{}, fmt.Errorf("wire: get metrics: %w", err)
 	}
@@ -690,15 +657,11 @@ func (c *Client) Hosted() (HostedResponse, error) {
 // ShardFetch opens a transfer stream for a hosted slice. The caller owns
 // the returned body (positioned at the manifest frame) and must close it.
 func (c *Client) ShardFetch(ref ShardRef) (io.ReadCloser, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(ref); err != nil {
 		return nil, fmt.Errorf("wire: encode fetch request: %w", err)
 	}
-	resp, err := httpc.Post(c.BaseURL+"/shard/fetch", "application/octet-stream", &body)
+	resp, err := c.httpClient().Post(c.BaseURL+"/shard/fetch", "application/octet-stream", &body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: post fetch: %w", err)
 	}
@@ -714,11 +677,7 @@ func (c *Client) ShardFetch(ref ShardRef) (io.ReadCloser, error) {
 // endpoint. The reader is typically a ShardFetch body (migration) or a
 // local WriteShardTransfer pipe (initial placement).
 func (c *Client) ShardInstall(r io.Reader) (OKResponse, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	resp, err := httpc.Post(c.BaseURL+"/shard/install", "application/octet-stream", r)
+	resp, err := c.httpClient().Post(c.BaseURL+"/shard/install", "application/octet-stream", r)
 	if err != nil {
 		return OKResponse{}, fmt.Errorf("wire: post install: %w", err)
 	}
@@ -765,15 +724,11 @@ func (c *Client) NodeMirror(req MirrorRequest) (MirrorResponse, error) {
 // gob control calls this rides the length-prefixed frame codec end to
 // end, so the decode surface on both sides is the fuzzed one.
 func (c *Client) NodeLease(req LeaseRequest) (LeaseResponse, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	var body bytes.Buffer
 	if err := WriteLeaseRequest(&body, &req); err != nil {
 		return LeaseResponse{}, err
 	}
-	hresp, err := httpc.Post(c.BaseURL+"/node/lease", "application/octet-stream", &body)
+	hresp, err := c.httpClient().Post(c.BaseURL+"/node/lease", "application/octet-stream", &body)
 	if err != nil {
 		return LeaseResponse{}, fmt.Errorf("wire: post lease: %w", err)
 	}

@@ -221,17 +221,13 @@ func (c *Client) QueryStream(v *verify.Verifier, role accessctl.Role, roleName s
 // by this one stream.
 func (c *Client) QueryStreamWith(sv verify.ChunkVerifier, roleName string, q engine.Query, chunkRows int, fn func(engine.Row) error) (StreamStats, error) {
 	var stats StreamStats
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	var body bytes.Buffer
 	req := StreamRequest{Role: roleName, Query: q, ChunkRows: chunkRows,
 		Trace: c.Trace, Timing: c.Timing}
 	if err := gob.NewEncoder(&body).Encode(req); err != nil {
 		return stats, fmt.Errorf("wire: encode stream request: %w", err)
 	}
-	resp, err := httpc.Post(c.BaseURL+"/stream", "application/octet-stream", &body)
+	resp, err := c.httpClient().Post(c.BaseURL+"/stream", "application/octet-stream", &body)
 	if err != nil {
 		return stats, fmt.Errorf("wire: post stream: %w", err)
 	}

@@ -10,9 +10,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math/big"
 	"net/http"
 	"os"
+	"strings"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
@@ -162,15 +164,6 @@ type DeltaResponse struct {
 	Err   string
 }
 
-// EncodeDelta serializes an owner update batch for the ingest endpoint.
-func EncodeDelta(d delta.Delta) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		return nil, fmt.Errorf("wire: encode delta: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // DecodeDelta deserializes an update batch. Publishers must still apply
 // it through delta.Apply, which validates against the owner's key.
 func DecodeDelta(data []byte) (delta.Delta, error) {
@@ -230,17 +223,23 @@ func QueryHandler(exec func(role string, q engine.Query) (*engine.Result, error)
 	}
 }
 
-// Handler returns an http.Handler exposing a bare publisher at POST
-// /query. internal/server composes QueryHandler with caching, epochs and
-// more endpoints; this minimal form remains for embedding a publisher
-// without the serving layer.
-func Handler(pub *engine.Publisher) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/query", QueryHandler(pub.Execute))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
+// Request body caps, one definition for the server, node and
+// coordinator handlers. Queries and batches are small by construction; a
+// delta batch legitimately carries signed records but still bounded —
+// anything larger than this should ship as a snapshot, not a delta.
+const (
+	MaxQueryBody = 1 << 20
+	MaxBatchBody = 8 << 20
+	MaxDeltaBody = 256 << 20
+)
+
+// CapBody bounds an untrusted request body so one client cannot buffer
+// the publisher into OOM (gob's own limit is 1 GiB per message).
+func CapBody(limit int64, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		next.ServeHTTP(w, r)
 	})
-	return mux
 }
 
 // Client queries a remote publisher.
@@ -257,28 +256,41 @@ type Client struct {
 	Timing bool
 }
 
+// httpClient is the transport every request of this client runs on.
+func (c *Client) httpClient() *http.Client {
+	if c.HTTP != nil {
+		return c.HTTP
+	}
+	return http.DefaultClient
+}
+
+// postGob posts a gob request and decodes a gob response.
+func (c *Client) postGob(path string, req, resp any) error {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(req); err != nil {
+		return fmt.Errorf("wire: encode request: %w", err)
+	}
+	hresp, err := c.httpClient().Post(c.BaseURL+path, "application/octet-stream", &body)
+	if err != nil {
+		return fmt.Errorf("wire: post %s: %w", path, err)
+	}
+	defer hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
+		return fmt.Errorf("wire: POST %s returned %s: %s", path, hresp.Status, strings.TrimSpace(string(msg)))
+	}
+	if err := gob.NewDecoder(hresp.Body).Decode(resp); err != nil {
+		return fmt.Errorf("wire: decode %s response: %w", path, err)
+	}
+	return nil
+}
+
 // Query sends a request and decodes the response. The result is NOT
 // verified; callers pass it to verify.Verifier.
 func (c *Client) Query(role string, q engine.Query) (*engine.Result, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(Request{Role: role, Query: q}); err != nil {
-		return nil, fmt.Errorf("wire: encode request: %w", err)
-	}
-	resp, err := httpc.Post(c.BaseURL+"/query", "application/octet-stream", &body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: post: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("wire: publisher returned %s", resp.Status)
-	}
 	var out Response
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("wire: decode response: %w", err)
+	if err := c.postGob("/query", Request{Role: role, Query: q}, &out); err != nil {
+		return nil, err
 	}
 	if out.Err != "" {
 		return nil, fmt.Errorf("wire: publisher error: %s", out.Err)
@@ -290,25 +302,9 @@ func (c *Client) Query(role string, q engine.Query) (*engine.Result, error) {
 // result or error per query; the returned error covers transport-level
 // failures only.
 func (c *Client) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, []error, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(BatchRequest{Role: role, Queries: qs}); err != nil {
-		return nil, nil, fmt.Errorf("wire: encode batch: %w", err)
-	}
-	resp, err := httpc.Post(c.BaseURL+"/batch", "application/octet-stream", &body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wire: post batch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, fmt.Errorf("wire: publisher returned %s", resp.Status)
-	}
 	var out BatchResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, nil, fmt.Errorf("wire: decode batch response: %w", err)
+	if err := c.postGob("/batch", BatchRequest{Role: role, Queries: qs}, &out); err != nil {
+		return nil, nil, err
 	}
 	if len(out.Items) != len(qs) {
 		return nil, nil, fmt.Errorf("wire: %d batch items for %d queries", len(out.Items), len(qs))
@@ -328,25 +324,9 @@ func (c *Client) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, [
 // SendDelta pushes an owner update batch to the publisher's ingest
 // endpoint and returns the publisher's new epoch.
 func (c *Client) SendDelta(d delta.Delta) (uint64, error) {
-	httpc := c.HTTP
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	blob, err := EncodeDelta(d)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := httpc.Post(c.BaseURL+"/delta", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		return 0, fmt.Errorf("wire: post delta: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("wire: publisher returned %s", resp.Status)
-	}
 	var out DeltaResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, fmt.Errorf("wire: decode delta response: %w", err)
+	if err := c.postGob("/delta", d, &out); err != nil {
+		return 0, err
 	}
 	if out.Err != "" {
 		return 0, fmt.Errorf("wire: publisher rejected delta: %s", out.Err)

@@ -90,7 +90,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err := pub.AddRelation(remote, true); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(wire.Handler(pub))
+	srv := httptest.NewServer(wire.QueryHandler(pub.Execute))
 	defer srv.Close()
 
 	client := &wire.Client{BaseURL: srv.URL}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"vcqr/internal/relation"
 )
@@ -186,78 +185,4 @@ func ZipfKeys(n int, l, u uint64, s float64, seed int64) []uint64 {
 		out[i] = l + 1 + z.Uint64()
 	}
 	return out
-}
-
-// --- live access statistics --------------------------------------------
-
-// AccessStats is the live counterpart of this package's synthetic query
-// mixes: a concurrent, decaying access-frequency tracker over opaque
-// workload keys (the edge-cache tier keys it by cache entry). The cost
-// model turns an observed count into a cache-admission decision
-// (costmodel.CacheAdmission) — the point is to keep one-off cold ranges
-// from polluting a byte-budgeted cache.
-//
-// Decay is generational: when the tracked key set outgrows its bound,
-// every count is halved and zeroes are pruned, so sustained heat
-// survives and ancient one-offs age out. The zero value is unusable;
-// construct with NewAccessStats.
-type AccessStats struct {
-	mu      sync.Mutex
-	max     int
-	counts  map[string]uint32
-	touches uint64
-	decays  uint64
-}
-
-// NewAccessStats tracks at most max distinct keys (minimum 64) before a
-// decay generation runs.
-func NewAccessStats(max int) *AccessStats {
-	if max < 64 {
-		max = 64
-	}
-	return &AccessStats{max: max, counts: make(map[string]uint32, max/4)}
-}
-
-// Touch records one access and returns the key's decayed count,
-// including this touch.
-func (a *AccessStats) Touch(key string) uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.touches++
-	c := a.counts[key] + 1
-	a.counts[key] = c
-	if len(a.counts) > a.max {
-		a.decays++
-		for k, v := range a.counts {
-			v /= 2
-			if v == 0 {
-				delete(a.counts, k)
-			} else {
-				a.counts[k] = v
-			}
-		}
-	}
-	return c
-}
-
-// Count returns a key's current decayed count without touching it.
-func (a *AccessStats) Count(key string) uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.counts[key]
-}
-
-// Touches returns the total accesses recorded; Decays the generations
-// the tracker has aged through.
-func (a *AccessStats) Touches() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.touches
-}
-
-// Decays returns how many decay generations have run.
-func (a *AccessStats) Decays() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.decays
 }

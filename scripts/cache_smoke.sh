@@ -1,7 +1,7 @@
 #!/bin/sh
 # Edge-cache smoke: 1 coordinator + 2 shard nodes + 1 untrusted cache
 # peer as separate OS processes. A repeated verified stream query warms
-# the tier (the cost-model admission gate needs to see a key twice
+# the tier (the admission gate needs to see a key twice
 # before filling), then the script asserts the coordinator actually
 # served from cache (Cache.Hits >= 1) and that the peer holds entries.
 # This is the verbatim-tested form of the README's "Edge caching"

@@ -1,11 +1,13 @@
 #!/bin/sh
 # Code-line count for simplicity PRs: non-test Go lines that are neither
-# blank nor comment-only, per internal/* package and in total (every .go
-# file outside bench/, whose sources BENCHMARK.json freezes; cmd/,
-# examples/ and the root package are the "other" row). The rule is
-# mechanical on purpose — a PR's "lines removed" is this script's total
-# at the parent commit minus its total at the change. Run by `make loc`
-# and CI's docs job.
+# blank nor comment-only, per package (every .go file outside bench/,
+# whose sources BENCHMARK.json freezes; cmd/ other than vcbench,
+# examples/ and the root package are the "other" row), then three
+# totals: paper (internal/paper/... and its front end cmd/vcbench —
+# code that serves no request), serving (everything else) and total.
+# The rule is mechanical on purpose — a PR's "lines removed" is this
+# script's total at the parent commit minus its total at the change. Run
+# by `make loc` and CI's docs job.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,9 +15,20 @@ find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' |
     xargs awk '
     !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// {
         key = "other"
-        if (split(FILENAME, part, "/") >= 4 && part[2] == "internal") key = "internal/" part[3]
+        np = split(FILENAME, part, "/")
+        if (np >= 5 && part[2] == "internal" && part[3] == "paper") key = "internal/paper/" part[4]
+        else if (np >= 4 && part[2] == "internal") key = "internal/" part[3]
+        else if (part[2] == "cmd" && part[3] == "vcbench") key = "cmd/vcbench"
         n[key]++
     }
     END { for (k in n) print k, n[k] }' |
     sort |
-    awk '{ printf "%-22s %6d\n", $1, $2; t += $2 } END { printf "%-22s %6d\n", "total", t }'
+    awk '{
+        printf "%-28s %6d\n", $1, $2
+        if ($1 ~ /^internal\/paper\// || $1 == "cmd/vcbench") paper += $2; else serving += $2
+    }
+    END {
+        printf "%-28s %6d\n", "serving", serving
+        printf "%-28s %6d\n", "paper", paper
+        printf "%-28s %6d\n", "total", serving + paper
+    }'
