@@ -2,6 +2,7 @@ package cache
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	"vcqr/internal/obs"
@@ -33,7 +34,7 @@ func (s *Server) Store() *Store { return s.store }
 //	GET  /metrics  counter snapshot as Prometheus text
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cache", s.handleCache)
+	wire.CacheRPC.Mount(mux, s.serveCache, nil)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
@@ -45,21 +46,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	f, err := wire.ReadCacheFrame(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	var rp wire.CacheReply
+// serveCache answers one cache-protocol operation from the store.
+func (s *Server) serveCache(f wire.CacheFrame) (rp wire.CacheReply, err error) {
 	switch {
 	case f.Get != nil:
-		b, sum, ok := s.store.Get(f.Get.Key)
-		rp.Hit, rp.Bytes, rp.Sum = ok, b, sum
+		rp.Bytes, rp.Sum, rp.Hit = s.store.Get(f.Get.Key)
 	case f.Put != nil:
 		s.store.Put(f.Put.Key, f.Put.Relation, f.Put.Shard, f.Put.Epoch, f.Put.Sum, f.Put.Bytes)
 	case f.Invalidate != nil:
@@ -68,10 +59,9 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		st := s.store.Stats()
 		rp.Stats = &st
 	default:
-		rp.Err = "cache: frame carries no operation"
+		err = errors.New("cache: frame carries no operation")
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	wire.WriteCacheReply(w, &rp)
+	return rp, err
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

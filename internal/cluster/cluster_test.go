@@ -606,41 +606,3 @@ func (b *garbageBody) Read(p []byte) (int, error) {
 	b.read += int64(n)
 	return n, nil
 }
-
-// TestCoordinatorBodyCaps: the coordinator is the cluster's front door,
-// so its client-facing endpoints bound their request bodies exactly as
-// the single-process server does. Each endpoint refuses a garbage body,
-// and the body its decoder was handed (wire.CapBody swaps it on the
-// request) gives out at the shared cap: draining it shows the cap
-// without pushing 256 MiB through a gob decoder.
-func TestCoordinatorBodyCaps(t *testing.T) {
-	f := newCluster(t, 16, 2, 1, nil)
-	for _, tc := range []struct {
-		path string
-		cap  int64
-	}{
-		{"/query", wire.MaxQueryBody},
-		{"/stream", wire.MaxQueryBody},
-		{"/delta", wire.MaxDeltaBody},
-	} {
-		body := &garbageBody{size: tc.cap + 2}
-		req := httptest.NewRequest(http.MethodPost, tc.path, body)
-		rec := httptest.NewRecorder()
-		f.coord.Handler().ServeHTTP(rec, req)
-		if tc.path == "/delta" {
-			var resp wire.DeltaResponse
-			if err := gob.NewDecoder(rec.Body).Decode(&resp); err != nil || resp.Err == "" {
-				t.Errorf("/delta garbage body: response %+v, decode error %v", resp, err)
-			}
-		} else if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s garbage body: status %d, want 400", tc.path, rec.Code)
-		}
-		var tooLarge *http.MaxBytesError
-		if _, err := io.Copy(io.Discard, req.Body); !errors.As(err, &tooLarge) || tooLarge.Limit != tc.cap {
-			t.Errorf("%s: draining the handler's body = %v, want a %d-byte cap", tc.path, err, tc.cap)
-		}
-		if body.read > tc.cap+1 {
-			t.Errorf("%s read %d bytes of an oversize body, cap is %d", tc.path, body.read, tc.cap)
-		}
-	}
-}

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,9 +66,6 @@ type Config struct {
 	Nodes []string
 	// HTTP overrides the transport (nil = http.DefaultClient).
 	HTTP *http.Client
-	// Individual switches to one-signature-per-entry VOs; must match the
-	// nodes' serving mode.
-	Individual bool
 	// ChunkRows bounds entries per chunk on node sub-streams when the
 	// client request does not choose; 0 = engine.DefaultChunkRows.
 	ChunkRows int
@@ -79,7 +74,7 @@ type Config struct {
 	// into it. Nil disables the tier entirely.
 	Cache *cache.Client
 	// Obs receives the coordinator's stage histograms and slow-query log;
-	// nil builds a fresh enabled registry (obs.Disabled() opts out).
+	// nil builds a fresh registry.
 	Obs *obs.Registry
 	// SlowThreshold overrides the slow-query retention threshold when
 	// non-zero (negative disables retention).
@@ -122,7 +117,6 @@ type Coordinator struct {
 	schema    relation.Schema
 	policy    accessctl.Policy
 	spec      partition.Spec
-	aggregate bool
 	chunkRows int
 
 	nodes   []string
@@ -205,7 +199,6 @@ func New(cfg Config) (*Coordinator, error) {
 		schema:    cfg.Schema,
 		policy:    cfg.Policy,
 		spec:      cfg.Spec,
-		aggregate: !cfg.Individual,
 		chunkRows: cfg.ChunkRows,
 		nodes:     append([]string(nil), cfg.Nodes...),
 		clients:   make(map[string]*wire.Client, len(cfg.Nodes)),
@@ -235,7 +228,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.obs = reg
 	c.hPin = reg.Hist(obs.StagePinFeeds)
-	registerCoordinator(c)
+	processVar.Add(c)
 	return c, nil
 }
 
@@ -243,7 +236,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Obs() *obs.Registry { return c.obs }
 
 // Close unregisters the coordinator from the process expvar aggregate.
-func (c *Coordinator) Close() { unregisterCoordinator(c) }
+func (c *Coordinator) Close() { processVar.Remove(c) }
 
 // Spec returns the authenticated partition layout.
 func (c *Coordinator) Spec() partition.Spec { return c.spec }
@@ -501,7 +494,7 @@ func (c *Coordinator) queryStreamTraced(roleName string, q engine.Query, chunkRo
 		c.errors.Add(1)
 		return nil, err
 	}
-	st, err := engine.MergeShards(c.pub, c.aggregate, eff, feeds, prevG)
+	st, err := engine.MergeShards(c.pub, true, eff, feeds, prevG)
 	if err != nil {
 		c.errors.Add(1)
 		closeFeeds(feeds)
@@ -924,62 +917,13 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// sortedNodeURLs returns the deterministic node processing order used by
-// control-plane operations.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// processVar is the vcqr_coordinator expvar: the counters of every live
+// Coordinator of the process, summed.
+var processVar = obs.Aggregate[*Coordinator]{Name: "vcqr_coordinator", Fold: func(live []*Coordinator) any {
+	var agg Stats
+	for _, co := range live {
+		st := co.Stats()
+		obs.SumCounters(counters, &agg, &st)
 	}
-	sort.Strings(out)
-	return out
-}
-
-// --- process-wide expvar aggregation ---------------------------------
-//
-// The same publish-once/registry pattern internal/server uses for
-// vcqr_server: coordinator mode was the one serving flavor with no
-// process expvar, which left /debug/vars empty of serving counters on a
-// coordinator — fixed by aggregating every live Coordinator here.
-
-var (
-	coordRegistryMu sync.Mutex
-	coordRegistry   = map[*Coordinator]struct{}{}
-	coordPublishVar sync.Once
-)
-
-func registerCoordinator(c *Coordinator) {
-	coordPublishVar.Do(func() {
-		expvar.Publish("vcqr_coordinator", expvar.Func(func() any {
-			coordRegistryMu.Lock()
-			defer coordRegistryMu.Unlock()
-			var agg Stats
-			for co := range coordRegistry {
-				st := co.Stats()
-				agg.Queries += st.Queries
-				agg.Streams += st.Streams
-				agg.Fanouts += st.Fanouts
-				agg.Errors += st.Errors
-				agg.HandoffRetries += st.HandoffRetries
-				agg.RoutingRetries += st.RoutingRetries
-				agg.DeltasApplied += st.DeltasApplied
-				agg.Migrations += st.Migrations
-				agg.Failovers += st.Failovers
-				agg.Demotions += st.Demotions
-				agg.Promotions += st.Promotions
-				agg.Quarantines += st.Quarantines
-				agg.LeaseRenewals += st.LeaseRenewals
-			}
-			return agg
-		}))
-	})
-	coordRegistryMu.Lock()
-	coordRegistry[c] = struct{}{}
-	coordRegistryMu.Unlock()
-}
-
-func unregisterCoordinator(c *Coordinator) {
-	coordRegistryMu.Lock()
-	delete(coordRegistry, c)
-	coordRegistryMu.Unlock()
-}
+	return agg
+}}

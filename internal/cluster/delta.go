@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -81,7 +83,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 	// agreement is checkable already at prepare.
 	opsShards := map[int]bool{}
 	nodeOps := map[string][]delta.Op{}
-	for _, shard := range sortedInts(shardOps) {
+	for _, shard := range slices.Sorted(maps.Keys(shardOps)) {
 		opsShards[shard] = true
 		urls, err := c.writeReplicas(shard)
 		if err != nil {
@@ -114,7 +116,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 		if len(m) == 0 {
 			return partition.Edges{}, false
 		}
-		urls := sortedKeys(m)
+		urls := slices.Sorted(maps.Keys(m))
 		return m[urls[0]], true
 	}
 	abort := func() {
@@ -124,7 +126,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 			}
 		}
 	}
-	for _, url := range sortedKeys(nodeOps) {
+	for _, url := range slices.Sorted(maps.Keys(nodeOps)) {
 		cl, err := c.client(url)
 		if err != nil {
 			abort()
@@ -244,9 +246,9 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 	// With the mirror fixes in, every staged shard's replicas must hold
 	// identical edge material — the write-all agreement that keeps R
 	// copies one logical slice.
-	for _, shard := range sortedInts(stagedOn) {
+	for _, shard := range slices.Sorted(maps.Keys(stagedOn)) {
 		m := stagedOn[shard]
-		urls := sortedKeys(m)
+		urls := slices.Sorted(maps.Keys(m))
 		for _, url := range urls[1:] {
 			if !edgesEqual(m[urls[0]], m[url]) {
 				abort()
@@ -281,7 +283,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 			seams[i] = true
 		}
 	}
-	for _, x := range sortedInts(seams) {
+	for _, x := range slices.Sorted(maps.Keys(seams)) {
 		left, err := currentEdges(x)
 		if err != nil {
 			abort()
@@ -324,7 +326,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 	var epoch uint64
 	committed := make([]string, 0, len(tokens))
 	bumped := map[int]bool{}
-	for _, url := range sortedKeys(tokens) {
+	for _, url := range slices.Sorted(maps.Keys(tokens)) {
 		cl, err := c.client(url)
 		if err == nil {
 			var resp wire.OKResponse
@@ -354,14 +356,4 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 		}
 	}
 	return epoch, nil
-}
-
-// sortedInts returns a map's int keys in ascending order.
-func sortedInts[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

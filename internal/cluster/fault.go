@@ -71,7 +71,7 @@ const (
 type Fault struct {
 	// Node matches targets whose URL starts with it (a node base URL).
 	Node string
-	// Path matches the request path exactly ("/shard/stream", ...).
+	// Path matches the request path exactly (wire.ShardStreamEP.Path, ...).
 	Path  string
 	Stage FaultStage
 	Mode  FaultMode

@@ -1,11 +1,12 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -36,25 +37,15 @@ import (
 //	POST /admin/rebalance  ?shard=N&to=URL        -> JSON RebalanceReport
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", wire.CapBody(wire.MaxQueryBody, wire.QueryHandler(c.Query)))
-	mux.Handle("/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(c.handleStream)))
-	mux.Handle("/delta", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var resp wire.DeltaResponse
-		var d delta.Delta
-		if err := gob.NewDecoder(r.Body).Decode(&d); err != nil {
-			resp.Err = err.Error()
-		} else if epoch, err := c.ApplyDelta(d); err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Epoch = epoch
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		gob.NewEncoder(w).Encode(resp)
-	})))
+	wire.QueryRPC.Mount(mux, func(req wire.Request) (wire.Response, error) {
+		res, err := c.Query(req.Role, req.Query)
+		return wire.Response{Result: res}, err
+	}, nil)
+	wire.StreamEP.Mount(mux, c.handleStream)
+	wire.DeltaRPC.Mount(mux, func(d delta.Delta) (wire.DeltaResponse, error) {
+		epoch, err := c.ApplyDelta(d)
+		return wire.DeltaResponse{Epoch: epoch}, err
+	}, nil)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -75,11 +66,7 @@ func (c *Coordinator) Handler() http.Handler {
 			Nodes        []NodeStat
 		}{c.RoutingEpoch(), c.Routing(), c.replicas, c.ReplicaSets(), c.NodeStats()})
 	})
-	mux.HandleFunc("/admin/replica", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	mux.HandleFunc("/admin/replica", wire.PostOnly(func(w http.ResponseWriter, r *http.Request) {
 		shard, err := strconv.Atoi(r.FormValue("shard"))
 		if err != nil {
 			http.Error(w, "shard must be an integer", http.StatusBadRequest)
@@ -104,12 +91,8 @@ func (c *Coordinator) Handler() http.Handler {
 			Shard       int
 			ReplicaSets [][]string
 		}{shard, c.ReplicaSets()})
-	})
-	mux.HandleFunc("/admin/reinstate", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	}))
+	mux.HandleFunc("/admin/reinstate", wire.PostOnly(func(w http.ResponseWriter, r *http.Request) {
 		node := r.FormValue("node")
 		if node == "" {
 			http.Error(w, "node must name a node URL", http.StatusBadRequest)
@@ -120,12 +103,8 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/admin/rebalance", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
+	}))
+	mux.HandleFunc("/admin/rebalance", wire.PostOnly(func(w http.ResponseWriter, r *http.Request) {
 		shard, err := strconv.Atoi(r.FormValue("shard"))
 		if err != nil {
 			http.Error(w, "shard must be an integer", http.StatusBadRequest)
@@ -143,23 +122,14 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(rep)
-	})
+	}))
 	return mux
 }
 
 // handleStream serves one merged cross-node stream, flushing per frame —
 // the same contract as the single-process /stream endpoint, over the
 // same verifiers.
-func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req wire.StreamRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (c *Coordinator) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 	// The span's trace ID (client-supplied or minted here) rides every
 	// shard sub-request, so one ID stitches coordinator and nodes.
 	sp := obs.StartSpan(req.Trace)
@@ -191,7 +161,6 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	fw := flushWriter{w}
 	var sink io.Writer = fw
 	if fill != nil {
@@ -235,7 +204,6 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) serveCachedStream(w http.ResponseWriter, raw []byte, timing bool, sp *obs.Span, detail string) {
 	c.queries.Add(1)
 	c.streams.Add(1)
-	w.Header().Set("Content-Type", "application/octet-stream")
 	fw := flushWriter{w}
 	if _, err := fw.Write(raw); err != nil {
 		c.errors.Add(1)
@@ -270,6 +238,39 @@ func (t teeFlushWriter) Write(p []byte) (int, error) {
 
 func (t teeFlushWriter) Flush() { t.fw.Flush() }
 
+// counters is the coordinator's serving-counter table: every rendering
+// of a counter outside the Stats struct itself — /metrics, /metrics.json,
+// the vcqr_coordinator expvar — ranges over it.
+var counters = []obs.Counter[Stats]{
+	{Key: "queries", Help: "Queries served.", Field: func(st *Stats) *uint64 { return &st.Queries }},
+	{Key: "streams", Help: "Streamed queries served.", Field: func(st *Stats) *uint64 { return &st.Streams }},
+	{Key: "fanouts", Help: "Queries decomposed over more than one shard.", Field: func(st *Stats) *uint64 { return &st.Fanouts }},
+	{Key: "errors", Help: "Serving errors.", Field: func(st *Stats) *uint64 { return &st.Errors }},
+	{Key: "handoff_retries", Help: "Cross-node epoch-set re-pins.", Field: func(st *Stats) *uint64 { return &st.HandoffRetries }},
+	{Key: "routing_retries", Help: "Pins retried after stale-routing refusals.", Field: func(st *Stats) *uint64 { return &st.RoutingRetries }},
+	{Key: "deltas_applied", Help: "Distributed deltas committed.", Field: func(st *Stats) *uint64 { return &st.DeltasApplied }},
+	{Key: "migrations", Help: "Shard migrations completed.", Field: func(st *Stats) *uint64 { return &st.Migrations }},
+	{Key: "failovers", Help: "Sub-streams re-pinned to a sibling replica.", Field: func(st *Stats) *uint64 { return &st.Failovers }},
+	{Key: "demotions", Help: "Nodes demoted on lease expiry.", Field: func(st *Stats) *uint64 { return &st.Demotions }},
+	{Key: "promotions", Help: "Demoted nodes promoted back on lease renewal.", Field: func(st *Stats) *uint64 { return &st.Promotions }},
+	{Key: "quarantines", Help: "Nodes quarantined on Byzantine evidence.", Field: func(st *Stats) *uint64 { return &st.Quarantines }},
+	{Key: "lease_renewals", Help: "Acknowledged lease heartbeats.", Field: func(st *Stats) *uint64 { return &st.LeaseRenewals }},
+}
+
+// cacheCounters are the edge-cache client's counters, rendered when a
+// cache tier is configured.
+var cacheCounters = []obs.Counter[cache.ClientStats]{
+	{Key: "cache_hits", Help: "Validated edge-cache hits.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Hits }},
+	{Key: "cache_misses", Help: "Edge-cache misses (fall-throughs included).", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Misses }},
+	{Key: "cache_collapsed", Help: "Misses collapsed onto another lookup's in-flight fill.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Collapsed }},
+	{Key: "cache_fills", Help: "Entries pushed to cache peers.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fills }},
+	{Key: "cache_fill_drops", Help: "Fills discarded (aborted, oversized, empty).", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.FillDrops }},
+	{Key: "cache_fallthroughs", Help: "Cache entries rejected by digest or structural checks.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fallthroughs }},
+	{Key: "cache_invalidations", Help: "Epoch-scoped group invalidations pushed.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Invalidations }},
+	{Key: "cache_peer_errors", Help: "Cache-protocol I/O failures.", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.PeerErrors }},
+	{Key: "cache_admission_denied", Help: "Fills skipped by the admission gate.", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.AdmissionsDenied }},
+}
+
 // handleMetrics serves the cluster-wide Prometheus exposition. Three
 // histogram families share the bucket geometry that makes node snapshots
 // mergeable (internal/obs):
@@ -284,53 +285,17 @@ func (t teeFlushWriter) Flush() { t.fw.Flush() }
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := c.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, cv := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"vcqr_queries_total", "Queries served.", st.Queries},
-		{"vcqr_streams_total", "Streamed queries served.", st.Streams},
-		{"vcqr_fanouts_total", "Queries decomposed over more than one shard.", st.Fanouts},
-		{"vcqr_errors_total", "Serving errors.", st.Errors},
-		{"vcqr_handoff_retries_total", "Cross-node epoch-set re-pins.", st.HandoffRetries},
-		{"vcqr_routing_retries_total", "Pins retried after stale-routing refusals.", st.RoutingRetries},
-		{"vcqr_deltas_applied_total", "Distributed deltas committed.", st.DeltasApplied},
-		{"vcqr_migrations_total", "Shard migrations completed.", st.Migrations},
-		{"vcqr_failovers_total", "Sub-streams re-pinned to a sibling replica.", st.Failovers},
-		{"vcqr_demotions_total", "Nodes demoted on lease expiry.", st.Demotions},
-		{"vcqr_promotions_total", "Demoted nodes promoted back on lease renewal.", st.Promotions},
-		{"vcqr_quarantines_total", "Nodes quarantined on Byzantine evidence.", st.Quarantines},
-		{"vcqr_lease_renewals_total", "Acknowledged lease heartbeats.", st.LeaseRenewals},
-	} {
-		obs.WriteCounterFamily(w, cv.name, cv.help,
-			[]obs.CounterSeries{{Labels: [][2]string{{"role", "coordinator"}}, Value: float64(cv.v)}})
-	}
+	role := [][2]string{{"role", "coordinator"}}
+	obs.WriteCounters(w, counters, &st, role)
 	obs.WriteGaugeFamily(w, "vcqr_routing_epoch", "Routing table version.",
-		[]obs.CounterSeries{{Labels: [][2]string{{"role", "coordinator"}}, Value: float64(st.RoutingEpoch)}})
+		[]obs.CounterSeries{{Labels: role, Value: float64(st.RoutingEpoch)}})
 	if st.Cache != nil {
-		cs := st.Cache
-		for _, cv := range []struct {
-			name, help string
-			v          uint64
-		}{
-			{"vcqr_cache_hits_total", "Validated edge-cache hits.", cs.Hits},
-			{"vcqr_cache_misses_total", "Edge-cache misses (fall-throughs included).", cs.Misses},
-			{"vcqr_cache_collapsed_total", "Misses collapsed onto another lookup's in-flight fill.", cs.Collapsed},
-			{"vcqr_cache_fills_total", "Entries pushed to cache peers.", cs.Fills},
-			{"vcqr_cache_fill_drops_total", "Fills discarded (aborted, oversized, empty).", cs.FillDrops},
-			{"vcqr_cache_fallthroughs_total", "Cache entries rejected by digest or structural checks.", cs.Fallthroughs},
-			{"vcqr_cache_invalidations_total", "Epoch-scoped group invalidations pushed.", cs.Invalidations},
-			{"vcqr_cache_peer_errors_total", "Cache-protocol I/O failures.", cs.PeerErrors},
-			{"vcqr_cache_admission_denied_total", "Fills skipped by the admission gate.", cs.AdmissionsDenied},
-		} {
-			obs.WriteCounterFamily(w, cv.name, cv.help,
-				[]obs.CounterSeries{{Labels: [][2]string{{"role", "coordinator"}}, Value: float64(cv.v)}})
-		}
+		obs.WriteCounters(w, cacheCounters, st.Cache, role)
 		// Per-peer resident state, scraped live; a down peer is skipped
 		// (its keys fall through to origin, which is the design).
 		peerStats := c.cache.PeerStats()
 		var ev, by, en []obs.CounterSeries
-		for _, url := range sortedKeys(peerStats) {
+		for _, url := range slices.Sorted(maps.Keys(peerStats)) {
 			ps := peerStats[url]
 			if ps == nil {
 				continue
@@ -381,35 +346,17 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // obs.Export (nodes serve their own; merging is the scraper's job).
 func (c *Coordinator) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	st := c.Stats()
-	counters := map[string]uint64{
-		"queries":         st.Queries,
-		"streams":         st.Streams,
-		"fanouts":         st.Fanouts,
-		"errors":          st.Errors,
-		"handoff_retries": st.HandoffRetries,
-		"routing_retries": st.RoutingRetries,
-		"deltas_applied":  st.DeltasApplied,
-		"migrations":      st.Migrations,
-		"failovers":       st.Failovers,
-		"demotions":       st.Demotions,
-		"promotions":      st.Promotions,
-		"quarantines":     st.Quarantines,
-		"lease_renewals":  st.LeaseRenewals,
-	}
-	if st.Cache != nil {
-		counters["cache_hits"] = st.Cache.Hits
-		counters["cache_misses"] = st.Cache.Misses
-		counters["cache_collapsed"] = st.Cache.Collapsed
-		counters["cache_fills"] = st.Cache.Fills
-		counters["cache_fallthroughs"] = st.Cache.Fallthroughs
-		counters["cache_invalidations"] = st.Cache.Invalidations
-	}
-	obs.WriteExport(w, obs.Export{
+	e := obs.Export{
 		Role:     "coordinator",
 		BoundsNS: obs.BucketBounds(),
 		Hists:    c.obs.Snapshot(),
-		Counters: counters,
-	})
+		Counters: map[string]uint64{},
+	}
+	obs.ExportCounters(e.Counters, counters, &st)
+	if st.Cache != nil {
+		obs.ExportCounters(e.Counters, cacheCounters, st.Cache)
+	}
+	obs.WriteExport(w, e)
 }
 
 // flushWriter adapts the response writer so wire.WriteStream flushes

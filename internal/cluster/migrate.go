@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -74,57 +75,17 @@ type RebalanceReport struct {
 // On any failure before the swing the routing table is untouched, the
 // target copy is removed, and live traffic never noticed.
 func (c *Coordinator) Rebalance(shard int, to string) (*RebalanceReport, error) {
-	rel := c.spec.Relation
-	ref := wire.ShardRef{Relation: rel, Shard: shard}
-	toCl, err := c.client(to)
+	cp, err := c.newSliceCopy("migration", shard, to, ErrMigrateSameNode)
 	if err != nil {
 		return nil, err
 	}
-	from, err := c.routeFor(shard)
-	if err != nil {
-		return nil, err
-	}
-	for _, url := range c.replicaSet(shard) {
-		if url == to {
-			return nil, fmt.Errorf("%w: shard %d at %s", ErrMigrateSameNode, shard, to)
-		}
-	}
-	fromCl, err := c.client(from)
-	if err != nil {
-		return nil, err
-	}
+	rel, from := c.spec.Relation, cp.from
 	rep := &RebalanceReport{Relation: rel, Shard: shard, From: from, To: to}
-	abort := func(err error) (*RebalanceReport, error) {
-		// Forget the partial copy — unless the routing table points at
-		// the target meanwhile (a concurrent duplicate rebalance already
-		// swung there); removing the live-routed copy would take the
-		// shard offline.
-		if cur, rerr := c.routeFor(shard); rerr != nil || cur != to {
-			toCl.ShardRemove(ref)
-		}
-		return nil, err
-	}
 
 	// copy + catch-up, outside the lock: deltas and queries flow.
 	copyStart := time.Now()
-	var settled wire.DigestResponse
-	ok := false
-	for round := 0; round < copyRounds && !ok; round++ {
-		before, err := fromCl.ShardDigest(ref)
-		if err != nil {
-			return abort(fmt.Errorf("cluster: migration source digest: %w", err))
-		}
-		if err := c.transfer(fromCl, toCl, ref); err != nil {
-			return abort(fmt.Errorf("cluster: migration transfer: %w", err))
-		}
-		rep.CopyRounds++
-		after, err := fromCl.ShardDigest(ref)
-		if err != nil {
-			return abort(fmt.Errorf("cluster: migration source digest: %w", err))
-		}
-		if after.Digest.Equal(before.Digest) {
-			settled, ok = after, true
-		}
+	if err := cp.settle(); err != nil {
+		return nil, cp.abort(err)
 	}
 	rep.CopyDuration = time.Since(copyStart)
 	c.obs.Hist(obs.StageRebalCopy).Observe(rep.CopyDuration)
@@ -134,47 +95,18 @@ func (c *Coordinator) Rebalance(shard int, to string) (*RebalanceReport, error) 
 	c.ctl.Lock()
 	// Re-validate the premise under the lock: a concurrent rebalance of
 	// the same shard may have swung the table while we were copying.
+	var target wire.DigestResponse
 	if cur, rerr := c.routeFor(shard); rerr != nil || cur != from {
-		c.ctl.Unlock()
-		return abort(fmt.Errorf("cluster: routing for shard %d changed to %q during the copy (concurrent rebalance?); migration aborted", shard, cur))
+		err = fmt.Errorf("cluster: routing for shard %d changed to %q during the copy (concurrent rebalance?); migration aborted", shard, cur)
+	} else {
+		target, err = cp.prove()
 	}
-	current, err := fromCl.ShardDigest(ref)
 	if err != nil {
+		cp.forget()
 		c.ctl.Unlock()
-		return abort(fmt.Errorf("cluster: migration source digest: %w", err))
+		return nil, err
 	}
-	if !ok || !current.Digest.Equal(settled.Digest) {
-		// One final copy with the delta path quiesced; if the source
-		// still will not settle, something other than deltas is mutating
-		// it and the migration must not guess.
-		if err := c.transfer(fromCl, toCl, ref); err != nil {
-			c.ctl.Unlock()
-			return abort(fmt.Errorf("cluster: migration catch-up transfer: %w", err))
-		}
-		rep.CopyRounds++
-		again, err := fromCl.ShardDigest(ref)
-		if err != nil {
-			c.ctl.Unlock()
-			return abort(fmt.Errorf("cluster: migration source digest: %w", err))
-		}
-		if !again.Digest.Equal(current.Digest) {
-			c.ctl.Unlock()
-			return abort(fmt.Errorf("%w: shard %d", ErrMigrateUnsettled, shard))
-		}
-		current = again
-	}
-	// The decisive digest compare: target must hold exactly the bytes
-	// the source holds, or the swing does not happen.
-	target, err := toCl.ShardDigest(ref)
-	if err != nil {
-		c.ctl.Unlock()
-		return abort(fmt.Errorf("cluster: migration target digest: %w", err))
-	}
-	if !target.Digest.Equal(current.Digest) {
-		c.ctl.Unlock()
-		return abort(fmt.Errorf("%w: shard %d: source %x target %x",
-			ErrMigrateDiverged, shard, current.Digest, target.Digest))
-	}
+	rep.CopyRounds = cp.rounds
 	rep.Records = target.Records
 	c.mu.Lock()
 	// Swing the primary; sibling replicas (R > 1) keep their place in
@@ -209,24 +141,151 @@ func (c *Coordinator) Rebalance(shard int, to string) (*RebalanceReport, error) 
 
 	// drain: double-serving ends. In-flight streams hold their pinned
 	// epochs; only new pins move to the target.
-	if err := fromCl.ShardRemove(ref); err != nil {
+	if err := cp.fromCl.ShardRemove(cp.ref); err != nil {
 		rep.DrainErr = err.Error()
 	}
 	c.migrations.Add(1)
 	return rep, nil
 }
 
-// transfer pipes one shard slice from a source node to a target node.
-// The target validates structure, every locally-checkable signature and
-// the slice digest before hosting (and rebuilds the crypto index on
-// publish), so a tampered or truncated transfer never installs.
-func (c *Coordinator) transfer(from, to *wire.Client, ref wire.ShardRef) error {
-	body, err := from.ShardFetch(ref)
+// sliceCopy carries one shard's slice from its primary to another node:
+// the copy → bounded catch-up → digest proof sequence a migration and a
+// replica join share. noun names the operation in error texts.
+type sliceCopy struct {
+	c            *Coordinator
+	noun         string
+	shard        int
+	ref          wire.ShardRef
+	from, to     string
+	fromCl, toCl *wire.Client
+	// rounds counts transfers taken; settled is the source digest of the
+	// last round that saw the source hold still (nil: none did).
+	rounds  int
+	settled *wire.DigestResponse
+}
+
+// newSliceCopy resolves the shard's primary and the target, refusing
+// with exists when the routing table already lists the target.
+func (c *Coordinator) newSliceCopy(noun string, shard int, to string, exists error) (*sliceCopy, error) {
+	toCl, err := c.client(to)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer body.Close()
-	_, err = to.ShardInstall(body)
+	from, err := c.routeFor(shard)
+	if err != nil {
+		return nil, err
+	}
+	if slices.Contains(c.replicaSet(shard), to) {
+		return nil, fmt.Errorf("%w: shard %d at %s", exists, shard, to)
+	}
+	fromCl, err := c.client(from)
+	if err != nil {
+		return nil, err
+	}
+	return &sliceCopy{c: c, noun: noun, shard: shard, from: from, to: to, fromCl: fromCl, toCl: toCl,
+		ref: wire.ShardRef{Relation: c.spec.Relation, Shard: shard}}, nil
+}
+
+func (sc *sliceCopy) sourceDigest() (wire.DigestResponse, error) {
+	d, err := sc.fromCl.ShardDigest(sc.ref)
+	if err != nil {
+		err = fmt.Errorf("cluster: %s source digest: %w", sc.noun, err)
+	}
+	return d, err
+}
+
+// transfer pipes the slice from the source node to the target node. The
+// target validates structure, every locally-checkable signature and the
+// slice digest before hosting (and rebuilds the crypto index on
+// publish), so a tampered or truncated transfer never installs.
+func (sc *sliceCopy) transfer(phase string) error {
+	body, err := sc.fromCl.ShardFetch(sc.ref)
+	if err == nil {
+		_, err = sc.toCl.ShardInstall(body)
+		body.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: %s %stransfer: %w", sc.noun, phase, err)
+	}
+	sc.rounds++
+	return nil
+}
+
+// settle copies outside the control lock, re-taking the copy (bounded)
+// while live deltas keep moving the source mid-transfer. Nothing waits
+// on it: deltas and queries flow.
+func (sc *sliceCopy) settle() error {
+	for round := 0; round < copyRounds && sc.settled == nil; round++ {
+		before, err := sc.sourceDigest()
+		if err != nil {
+			return err
+		}
+		if err := sc.transfer(""); err != nil {
+			return err
+		}
+		after, err := sc.sourceDigest()
+		if err != nil {
+			return err
+		}
+		if after.Digest.Equal(before.Digest) {
+			sc.settled = &after
+		}
+	}
+	return nil
+}
+
+// prove runs under the control lock, where deltas wait: one final copy
+// if the source moved since it settled, then the decisive digest compare
+// — the target must hold exactly the bytes the source holds. It returns
+// the target's digest summary.
+func (sc *sliceCopy) prove() (wire.DigestResponse, error) {
+	current, err := sc.sourceDigest()
+	if err != nil {
+		return current, err
+	}
+	if sc.settled == nil || !current.Digest.Equal(sc.settled.Digest) {
+		// With the delta path quiesced the source must hold still; if it
+		// does not, something other than deltas is mutating it and the
+		// copy must not guess.
+		if err := sc.transfer("catch-up "); err != nil {
+			return current, err
+		}
+		again, err := sc.sourceDigest()
+		if err != nil {
+			return again, err
+		}
+		if !again.Digest.Equal(current.Digest) {
+			return again, fmt.Errorf("%w: shard %d", ErrMigrateUnsettled, sc.shard)
+		}
+	}
+	target, err := sc.toCl.ShardDigest(sc.ref)
+	if err != nil {
+		return target, fmt.Errorf("cluster: %s target digest: %w", sc.noun, err)
+	}
+	if !target.Digest.Equal(current.Digest) {
+		return target, fmt.Errorf("%w: shard %d: source %x target %x",
+			ErrMigrateDiverged, sc.shard, current.Digest, target.Digest)
+	}
+	return target, nil
+}
+
+// forget removes the target's partial copy after a failure — unless the
+// routing table lists the target meanwhile (a concurrent duplicate of
+// this operation already swung or joined there): removing a routed copy
+// would take it out from under live traffic. The caller holds c.ctl,
+// which is what makes the check and the removal one step against that
+// concurrent swing.
+func (sc *sliceCopy) forget() {
+	if !slices.Contains(sc.c.replicaSet(sc.shard), sc.to) {
+		sc.toCl.ShardRemove(sc.ref)
+	}
+}
+
+// abort is forget for failures outside the control lock.
+func (sc *sliceCopy) abort(err error) error {
+	sc.c.ctl.Lock()
+	defer sc.c.ctl.Unlock()
+	sc.forget()
 	return err
 }
 
@@ -450,90 +509,27 @@ func (c *Coordinator) Recover() (*RecoveryReport, error) {
 // byte-identical at join time; no routing swing happens — the primary
 // stays, the set grows.
 func (c *Coordinator) AddReplica(shard int, to string) error {
-	toCl, err := c.client(to)
+	cp, err := c.newSliceCopy("replica", shard, to, ErrReplicaExists)
 	if err != nil {
 		return err
 	}
-	from, err := c.routeFor(shard)
-	if err != nil {
-		return err
-	}
-	for _, url := range c.replicaSet(shard) {
-		if url == to {
-			return fmt.Errorf("%w: shard %d at %s", ErrReplicaExists, shard, to)
-		}
-	}
-	fromCl, err := c.client(from)
-	if err != nil {
-		return err
-	}
-	ref := wire.ShardRef{Relation: c.spec.Relation, Shard: shard}
-	abort := func(err error) error {
-		toCl.ShardRemove(ref)
-		return err
-	}
-	ok := false
-	var settled wire.DigestResponse
-	for round := 0; round < copyRounds && !ok; round++ {
-		before, err := fromCl.ShardDigest(ref)
-		if err != nil {
-			return abort(fmt.Errorf("cluster: replica source digest: %w", err))
-		}
-		if err := c.transfer(fromCl, toCl, ref); err != nil {
-			return abort(fmt.Errorf("cluster: replica transfer: %w", err))
-		}
-		after, err := fromCl.ShardDigest(ref)
-		if err != nil {
-			return abort(fmt.Errorf("cluster: replica source digest: %w", err))
-		}
-		if after.Digest.Equal(before.Digest) {
-			settled, ok = after, true
-		}
+	if err := cp.settle(); err != nil {
+		return cp.abort(err)
 	}
 	c.ctl.Lock()
 	defer c.ctl.Unlock()
-	current, err := fromCl.ShardDigest(ref)
-	if err != nil {
-		return abort(fmt.Errorf("cluster: replica source digest: %w", err))
-	}
-	if !ok || !current.Digest.Equal(settled.Digest) {
-		if err := c.transfer(fromCl, toCl, ref); err != nil {
-			return abort(fmt.Errorf("cluster: replica catch-up transfer: %w", err))
-		}
-		again, err := fromCl.ShardDigest(ref)
-		if err != nil {
-			return abort(fmt.Errorf("cluster: replica source digest: %w", err))
-		}
-		if !again.Digest.Equal(current.Digest) {
-			return abort(fmt.Errorf("%w: shard %d", ErrMigrateUnsettled, shard))
-		}
-		current = again
-	}
-	target, err := toCl.ShardDigest(ref)
-	if err != nil {
-		return abort(fmt.Errorf("cluster: replica target digest: %w", err))
-	}
-	if !target.Digest.Equal(current.Digest) {
-		return abort(fmt.Errorf("%w: shard %d: source %x target %x",
-			ErrMigrateDiverged, shard, current.Digest, target.Digest))
-	}
-	c.mu.Lock()
-	joined := false
-	if shard >= 0 && shard < len(c.route) {
-		already := false
-		for _, url := range c.route[shard] {
-			if url == to {
-				already = true
-			}
-		}
-		if !already {
+	if _, err = cp.prove(); err == nil {
+		c.mu.Lock()
+		if slices.Contains(c.route[shard], to) {
+			err = fmt.Errorf("%w: shard %d at %s", ErrReplicaExists, shard, to)
+		} else {
 			c.route[shard] = append(c.route[shard], to)
-			joined = true
 		}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
-	if !joined {
-		return abort(fmt.Errorf("%w: shard %d at %s", ErrReplicaExists, shard, to))
+	if err != nil {
+		cp.forget()
+		return err
 	}
 	c.repoch.Add(1)
 	c.persistRouting()

@@ -606,6 +606,51 @@ func TestAddDropReplica(t *testing.T) {
 	}
 }
 
+// TestConcurrentAddReplicaKeepsJoinedCopy drives the operator-retry
+// race: two AddReplica calls for the same (shard, node) both pass the
+// unlocked pre-check; the injector holds the first inside its transfer
+// while the second copies and joins. The held call must then lose with
+// ErrReplicaExists WITHOUT removing the copy the routing table now
+// lists — the joined node keeps answering for the shard and the next
+// write-all delta commits.
+func TestConcurrentAddReplicaKeepsJoinedCopy(t *testing.T) {
+	f, inj := newReplicaCluster(t, 60, 3, 2, 1, 0, nil)
+	from := f.coord.Routing()[1]
+	to := f.urls[0]
+	if to == from {
+		to = f.urls[1]
+	}
+	inj.Set(cluster.Fault{Node: from, Path: wire.ShardFetchEP.Path, Mode: cluster.Hang, Times: 1})
+	loser := make(chan error, 1)
+	go func() { loser <- f.coord.AddReplica(1, to) }()
+	for deadline := time.Now().Add(10 * time.Second); inj.Fired() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first AddReplica never reached its transfer")
+		}
+	}
+
+	if err := f.coord.AddReplica(1, to); err != nil {
+		t.Fatalf("the second AddReplica: %v", err)
+	}
+	inj.Release()
+	if err := <-loser; !errors.Is(err, cluster.ErrReplicaExists) {
+		t.Fatalf("the held AddReplica: %v, want ErrReplicaExists", err)
+	}
+
+	if set := f.coord.ReplicaSets()[1]; len(set) != 2 || set[1] != to {
+		t.Fatalf("replica set after the race: %v", set)
+	}
+	ref := wire.ShardRef{Relation: "Uniform", Shard: 1}
+	if _, err := (&wire.Client{BaseURL: to}).ShardDigest(ref); err != nil {
+		t.Fatalf("the joined replica lost its slice to the loser's abort: %v", err)
+	}
+	sl := f.set.Slices[1]
+	mid := sl.Recs[len(sl.Recs)/2]
+	if _, err := f.coord.ApplyDelta(f.mintDelta(f.globalIndexOf(mid.Key(), mid.Tuple.RowID), []byte("after-race"))); err != nil {
+		t.Fatalf("delta after the race refused: %v", err)
+	}
+}
+
 // TestReplicaAwareRecover: a fresh coordinator inventorying an R=2
 // cluster must adopt the digest-identical double-hosted copies as
 // replica sets — double-hosted is the normal replicated state, not a

@@ -261,19 +261,17 @@ func indexByte(s string, b byte) int {
 
 // Registry holds a process's named stage histograms and its slow-query
 // log. Hist is get-or-create; hot paths should resolve their histogram
-// pointers once and call Observe directly. A disabled registry (see
-// Disabled) hands out nil histograms so instrumentation collapses to a
-// nil check.
+// pointers once and call Observe directly. A nil registry hands out nil
+// histograms, so uninstrumented callers pay one nil check.
 type Registry struct {
-	disabled bool
-	mu       sync.RWMutex
-	hists    map[string]*Histogram
+	mu    sync.RWMutex
+	hists map[string]*Histogram
 
 	// Slow is the bounded slow-query log fed by the serving layers.
 	Slow *SlowLog
 }
 
-// NewRegistry creates an enabled registry with a default slow-query log
+// NewRegistry creates a registry with a default slow-query log
 // (capacity DefaultSlowLogCap, threshold DefaultSlowThreshold).
 func NewRegistry() *Registry {
 	return &Registry{
@@ -282,24 +280,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Disabled returns a registry whose histograms are nil no-op recorders
-// and whose slow log never records — the baseline for measuring
-// instrumentation overhead.
-func Disabled() *Registry {
-	return &Registry{
-		disabled: true,
-		hists:    make(map[string]*Histogram),
-		Slow:     NewSlowLog(0, -1),
-	}
-}
-
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil && !r.disabled }
-
 // Hist returns the named histogram, creating it on first use. On a nil
-// or disabled registry it returns nil, which is a valid no-op recorder.
+// registry it returns nil, which is a valid no-op recorder.
 func (r *Registry) Hist(name string) *Histogram {
-	if r == nil || r.disabled {
+	if r == nil {
 		return nil
 	}
 	r.mu.RLock()

@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -14,6 +12,7 @@ import (
 	"vcqr/internal/delta"
 	"vcqr/internal/engine"
 	"vcqr/internal/obs"
+	"vcqr/internal/store"
 	"vcqr/internal/wire"
 )
 
@@ -34,17 +33,11 @@ import (
 // clients, so the transport needs no hardening beyond basic hygiene.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/query", wire.CapBody(wire.MaxQueryBody, wire.QueryHandler(s.Query)))
-	mux.Handle("/batch", wire.CapBody(wire.MaxBatchBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req wire.BatchRequest
-		if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	wire.QueryRPC.Mount(mux, func(req wire.Request) (wire.Response, error) {
+		res, err := s.Query(req.Role, req.Query)
+		return wire.Response{Result: res}, err
+	}, nil)
+	wire.BatchRPC.Mount(mux, func(req wire.BatchRequest) (wire.BatchResponse, error) {
 		results, errs := s.QueryBatch(req.Role, req.Queries)
 		resp := wire.BatchResponse{Items: make([]wire.Response, len(results))}
 		for i := range results {
@@ -54,30 +47,13 @@ func (s *Server) Handler() http.Handler {
 				resp.Items[i].Result = results[i]
 			}
 		}
-		writeGob(w, resp)
-	})))
-	mux.Handle("/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(s.handleStream)))
-	mux.Handle("/delta", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var resp wire.DeltaResponse
-		blob, err := io.ReadAll(r.Body)
-		if err == nil {
-			var d delta.Delta
-			d, err = wire.DecodeDelta(blob)
-			if err == nil {
-				var epoch uint64
-				epoch, err = s.ApplyDelta(d)
-				resp.Epoch = epoch
-			}
-		}
-		if err != nil {
-			resp.Err = err.Error()
-		}
-		writeGob(w, resp)
-	})))
+		return resp, nil
+	}, nil)
+	wire.StreamEP.Mount(mux, s.handleStream)
+	wire.DeltaRPC.Mount(mux, func(d delta.Delta) (wire.DeltaResponse, error) {
+		epoch, err := s.ApplyDelta(d)
+		return wire.DeltaResponse{Epoch: epoch}, err
+	}, nil)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -103,20 +79,28 @@ func (s *Server) obsRole() string {
 	return "server"
 }
 
-// obsCounters flattens the Stats counters for /metrics and /metrics.json.
-func (s *Server) obsCounters(st Stats) map[string]uint64 {
-	return map[string]uint64{
-		"queries":        st.Queries,
-		"batches":        st.Batches,
-		"deltas_applied": st.DeltasApplied,
-		"errors":         st.Errors,
-		"streams":        st.Streams,
-		"stream_chunks":  st.StreamChunks,
-		"stream_bytes":   st.StreamBytes,
-		"shard_streams":  st.ShardStreams,
-		"cache_hits":     st.Cache.Hits,
-		"cache_misses":   st.Cache.Misses,
-	}
+// counters is the process's serving-counter table: every rendering of a
+// counter outside the Stats struct itself — /metrics, /metrics.json, the
+// vcqr_server expvar — ranges over it.
+var counters = []obs.Counter[Stats]{
+	{Key: "queries", Help: "Point queries served.", Field: func(st *Stats) *uint64 { return &st.Queries }},
+	{Key: "batches", Help: "Batch requests served.", Field: func(st *Stats) *uint64 { return &st.Batches }},
+	{Key: "streams", Help: "Streamed queries served.", Field: func(st *Stats) *uint64 { return &st.Streams }},
+	{Key: "stream_chunks", Help: "Stream chunk frames shipped.", Field: func(st *Stats) *uint64 { return &st.StreamChunks }},
+	{Key: "stream_bytes", Help: "Stream frame bytes shipped.", Field: func(st *Stats) *uint64 { return &st.StreamBytes }},
+	{Key: "deltas_applied", Help: "Deltas applied.", Field: func(st *Stats) *uint64 { return &st.DeltasApplied }},
+	{Key: "errors", Help: "Serving errors.", Field: func(st *Stats) *uint64 { return &st.Errors }},
+	{Key: "shard_streams", Help: "Fan-out sub-streams served (node mode).", Field: func(st *Stats) *uint64 { return &st.ShardStreams }},
+	{Key: "cache_hits", Help: "VO cache hits.", Field: func(st *Stats) *uint64 { return &st.Cache.Hits }},
+	{Key: "cache_misses", Help: "VO cache misses.", Field: func(st *Stats) *uint64 { return &st.Cache.Misses }},
+}
+
+// storeCounters are the durable node store's counters, exposed on
+// /metrics only.
+var storeCounters = []obs.Counter[store.NodeStats]{
+	{Key: "wal_appends", Help: "Durable WAL records appended (node store).", Field: func(st *store.NodeStats) *uint64 { return &st.WALAppends }},
+	{Key: "snapshots", Help: "Compacting store snapshots written.", Field: func(st *store.NodeStats) *uint64 { return &st.Snapshots }},
+	{Key: "cold_starts", Help: "Recoveries from the durable store.", Field: func(st *store.NodeStats) *uint64 { return &st.ColdStarts }},
 }
 
 // handleMetrics serves the Prometheus text exposition: the flat serving
@@ -126,39 +110,13 @@ func (s *Server) obsCounters(st Stats) map[string]uint64 {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	role := s.obsRole()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"vcqr_queries_total", "Point queries served.", st.Queries},
-		{"vcqr_batches_total", "Batch requests served.", st.Batches},
-		{"vcqr_streams_total", "Streamed queries served.", st.Streams},
-		{"vcqr_stream_chunks_total", "Stream chunk frames shipped.", st.StreamChunks},
-		{"vcqr_stream_bytes_total", "Stream frame bytes shipped.", st.StreamBytes},
-		{"vcqr_deltas_applied_total", "Deltas applied.", st.DeltasApplied},
-		{"vcqr_errors_total", "Serving errors.", st.Errors},
-		{"vcqr_shard_streams_total", "Fan-out sub-streams served (node mode).", st.ShardStreams},
-		{"vcqr_cache_hits_total", "VO cache hits.", st.Cache.Hits},
-		{"vcqr_cache_misses_total", "VO cache misses.", st.Cache.Misses},
-	} {
-		obs.WriteCounterFamily(w, c.name, c.help,
-			[]obs.CounterSeries{{Labels: [][2]string{{"role", role}}, Value: float64(c.v)}})
-	}
+	roleName := s.obsRole()
+	role := [][2]string{{"role", roleName}}
+	obs.WriteCounters(w, counters, &st, role)
 	obs.WriteGaugeFamily(w, "vcqr_epoch", "Current publication epoch.",
-		[]obs.CounterSeries{{Labels: [][2]string{{"role", role}}, Value: float64(st.Epoch)}})
+		[]obs.CounterSeries{{Labels: role, Value: float64(st.Epoch)}})
 	if st.Store != nil {
-		for _, c := range []struct {
-			name, help string
-			v          uint64
-		}{
-			{"vcqr_wal_appends_total", "Durable WAL records appended (node store).", st.Store.WALAppends},
-			{"vcqr_snapshots_total", "Compacting store snapshots written.", st.Store.Snapshots},
-			{"vcqr_cold_starts_total", "Recoveries from the durable store.", st.Store.ColdStarts},
-		} {
-			obs.WriteCounterFamily(w, c.name, c.help,
-				[]obs.CounterSeries{{Labels: [][2]string{{"role", role}}, Value: float64(c.v)}})
-		}
+		obs.WriteCounters(w, storeCounters, st.Store, role)
 		// Age of the newest snapshot; the replay depth a crash right now
 		// would pay grows with it. Zero before the first snapshot of
 		// this process (the WAL alone is still fully durable).
@@ -168,23 +126,25 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		obs.WriteGaugeFamily(w, "vcqr_snapshot_age_seconds",
 			"Seconds since the last compacting store snapshot.",
-			[]obs.CounterSeries{{Labels: [][2]string{{"role", role}}, Value: age}})
+			[]obs.CounterSeries{{Labels: role, Value: age}})
 	}
 	obs.WriteHistogramFamily(w, "vcqr_stage_seconds",
 		"Per-stage serving latency (seconds).",
-		obs.HistFamily(s.obs.Snapshot(), "role", role))
+		obs.HistFamily(s.obs.Snapshot(), "role", roleName))
 }
 
 // handleMetricsJSON serves the machine-readable obs.Export a coordinator
 // scrapes and merges into cluster aggregates.
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	obs.WriteExport(w, obs.Export{
+	e := obs.Export{
 		Role:     s.obsRole(),
 		BoundsNS: obs.BucketBounds(),
 		Hists:    s.obs.Snapshot(),
-		Counters: s.obsCounters(st),
-	})
+		Counters: map[string]uint64{},
+	}
+	obs.ExportCounters(e.Counters, counters, &st)
+	obs.WriteExport(w, e)
 }
 
 // handleStream serves one query as length-prefixed chunk frames over
@@ -194,16 +154,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 // (bad request, unknown relation, rewrite errors) use the HTTP status;
 // once the first frame is out, failures travel in-band as a ChunkError
 // frame. Every frame is flushed individually and accounted in /statsz.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req wire.StreamRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+func (s *Server) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 	// Span covers the whole request; the trace ID is the client's when it
 	// sent one (a coordinator fan-out does), freshly minted otherwise.
 	sp := obs.StartSpan(req.Trace)
@@ -216,7 +167,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	cw := &chunkCountingWriter{w: w, srv: s}
 	werr := wire.WriteStream(cw, st)
 	if werr != nil {
@@ -274,13 +224,6 @@ func (cw *chunkCountingWriter) Flush() {
 	cw.pend = 0
 	if f, ok := cw.w.(http.Flusher); ok {
 		f.Flush()
-	}
-}
-
-func writeGob(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := gob.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 

@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"encoding/gob"
 
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
@@ -309,25 +308,17 @@ func (s *Server) ShardDigestInfo(ref wire.ShardRef) (wire.DigestResponse, error)
 func (s *Server) HostedInventory() wire.HostedResponse {
 	out := wire.HostedResponse{Relations: map[string]wire.HostedInfo{}}
 	s.nodeMu.RLock()
-	names := make([]string, 0, len(s.nodeRels))
-	for name := range s.nodeRels {
-		names = append(names, name)
-	}
+	names := slices.Sorted(maps.Keys(s.nodeRels))
 	s.nodeMu.RUnlock()
-	sort.Strings(names)
 	for _, name := range names {
 		nt := s.nodeFor(name)
 		if nt == nil {
 			continue
 		}
 		nt.mu.Lock()
-		shards := make([]int, 0, len(nt.hosted))
-		for i := range nt.hosted {
-			shards = append(shards, i)
-		}
+		shards := slices.Sorted(maps.Keys(nt.hosted))
 		spec := nt.spec
 		nt.mu.Unlock()
-		sort.Ints(shards)
 		info := wire.HostedInfo{Spec: spec}
 		for _, i := range shards {
 			dg, err := s.ShardDigestInfo(wire.ShardRef{Relation: name, Shard: i})
@@ -570,7 +561,7 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 	tx := &stagedTx{token: s.stagedTokens.Add(1), slices: news}
 	nt.staged = tx
 	resp := wire.NodeDeltaResponse{Token: tx.token}
-	for _, i := range sortedShards(news) {
+	for _, i := range slices.Sorted(maps.Keys(news)) {
 		resp.Modified = append(resp.Modified, wire.ModifiedShard{Shard: i, Edges: partition.EdgesOf(news[i])})
 	}
 	return resp, nil
@@ -593,7 +584,7 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 	if err != nil {
 		return nil, nil, fmt.Errorf("server: delta rejected: %w", err)
 	}
-	affected := sortedShards(groups)
+	affected := slices.Sorted(maps.Keys(groups))
 	for _, i := range affected {
 		if !hosted(i) {
 			return nil, nil, fmt.Errorf("%w %d of %q (delta misrouted)", ErrNodeNotHosting, i, d.Relation)
@@ -695,24 +686,14 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 // shard, in shard order — and returns the highest epoch. The swaps are
 // not mutually atomic; readers pinning across a seam mid-publish observe
 // a hand-off mismatch and re-pin.
-func (s *Server) publishSlices(rel string, slices map[int]*core.SignedRelation) uint64 {
+func (s *Server) publishSlices(rel string, staged map[int]*core.SignedRelation) uint64 {
 	var epoch uint64
-	for _, i := range sortedShards(slices) {
-		if e := s.store.AddNamed(shardName(rel, i), slices[i]); e > epoch {
+	for _, i := range slices.Sorted(maps.Keys(staged)) {
+		if e := s.store.AddNamed(shardName(rel, i), staged[i]); e > epoch {
 			epoch = e
 		}
 	}
 	return epoch
-}
-
-// sortedShards returns a per-shard map's keys in shard order.
-func sortedShards[V any](m map[int]V) []int {
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // validateStagedSlice is delta.ValidateTouched with the cross-node
@@ -812,7 +793,7 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 	if !req.Commit {
 		return 0, nil
 	}
-	shards := sortedShards(tx.slices)
+	shards := slices.Sorted(maps.Keys(tx.slices))
 	// Append-before-acknowledge: the committed delta lands in the
 	// durable WAL before any slice publishes. A failed append refuses
 	// the commit with the staged transaction already discarded — the
@@ -849,155 +830,44 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 
 // --- HTTP wiring ------------------------------------------------------
 
-// nodeHandlers registers the coordinator-facing endpoints.
+// nodeHandlers registers the coordinator-facing endpoints on their rows
+// of the wire endpoint table. Every refusal counts as a serving error.
 func (s *Server) nodeHandlers(mux *http.ServeMux) {
-	gobEndpoint := func(path string, handle func(dec *gob.Decoder) (any, error)) {
-		mux.Handle(path, wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, "POST only", http.StatusMethodNotAllowed)
-				return
-			}
-			resp, err := handle(gob.NewDecoder(r.Body))
-			if err != nil {
-				s.errors.Add(1)
-			}
-			writeGob(w, resp)
-		})))
-	}
-
-	gobEndpoint("/shard/edges", func(dec *gob.Decoder) (any, error) {
-		var ref wire.ShardRef
-		if err := dec.Decode(&ref); err != nil {
-			return wire.EdgeResponse{Err: err.Error()}, err
-		}
-		out, err := s.ShardEdges(ref)
-		if err != nil {
-			out.Err = err.Error()
-		}
-		return out, err
-	})
-	gobEndpoint("/shard/digest", func(dec *gob.Decoder) (any, error) {
-		var ref wire.ShardRef
-		if err := dec.Decode(&ref); err != nil {
-			return wire.DigestResponse{Err: err.Error()}, err
-		}
-		out, err := s.ShardDigestInfo(ref)
-		if err != nil {
-			out.Err = err.Error()
-		}
-		return out, err
-	})
-	gobEndpoint("/shard/remove", func(dec *gob.Decoder) (any, error) {
-		var ref wire.ShardRef
-		if err := dec.Decode(&ref); err != nil {
-			return wire.OKResponse{Err: err.Error()}, err
-		}
-		if err := s.RemoveShard(ref); err != nil {
-			return wire.OKResponse{Err: err.Error()}, err
-		}
-		return wire.OKResponse{}, nil
-	})
-	gobEndpoint("/node/hosted", func(dec *gob.Decoder) (any, error) {
+	wire.ShardEdgesRPC.Mount(mux, s.ShardEdges, &s.errors)
+	wire.ShardDigestRPC.Mount(mux, s.ShardDigestInfo, &s.errors)
+	wire.ShardRemoveRPC.Mount(mux, func(ref wire.ShardRef) (wire.OKResponse, error) {
+		return wire.OKResponse{}, s.RemoveShard(ref)
+	}, &s.errors)
+	wire.HostedRPC.Mount(mux, func(struct{}) (wire.HostedResponse, error) {
 		return s.HostedInventory(), nil
-	})
-	gobEndpoint("/node/delta", func(dec *gob.Decoder) (any, error) {
-		var req wire.NodeDeltaRequest
-		if err := dec.Decode(&req); err != nil {
-			return wire.NodeDeltaResponse{Err: err.Error()}, err
-		}
-		out, err := s.PrepareNodeDelta(req.Delta)
-		if err != nil {
-			out.Err = err.Error()
-		}
-		return out, err
-	})
-	gobEndpoint("/node/mirror", func(dec *gob.Decoder) (any, error) {
-		var req wire.MirrorRequest
-		if err := dec.Decode(&req); err != nil {
-			return wire.MirrorResponse{Err: err.Error()}, err
-		}
-		out, err := s.StageMirror(req)
-		if err != nil {
-			out.Err = err.Error()
-		}
-		return out, err
-	})
-	gobEndpoint("/node/tx", func(dec *gob.Decoder) (any, error) {
-		var req wire.TxRequest
-		if err := dec.Decode(&req); err != nil {
-			return wire.OKResponse{Err: err.Error()}, err
-		}
+	}, &s.errors)
+	wire.NodeDeltaRPC.Mount(mux, func(req wire.NodeDeltaRequest) (wire.NodeDeltaResponse, error) {
+		return s.PrepareNodeDelta(req.Delta)
+	}, &s.errors)
+	wire.NodeMirrorRPC.Mount(mux, s.StageMirror, &s.errors)
+	wire.NodeTxRPC.Mount(mux, func(req wire.TxRequest) (wire.OKResponse, error) {
 		epoch, err := s.FinishNodeDelta(req)
-		if err != nil {
-			return wire.OKResponse{Err: err.Error()}, err
-		}
-		return wire.OKResponse{Epoch: epoch}, nil
-	})
-
-	// The lease endpoint rides the length-prefixed frame codec end to
-	// end (not the gob control envelope), so both decode surfaces are
-	// the fuzzed ones (FuzzReadLeaseFrame).
-	mux.Handle("/node/lease", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		req, err := wire.ReadLeaseRequest(r.Body)
-		if err != nil {
-			s.errors.Add(1)
-			wire.WriteLeaseResponse(w, &wire.LeaseResponse{Err: err.Error()})
-			return
-		}
-		resp := s.RecordLease(*req)
-		wire.WriteLeaseResponse(w, &resp)
-	})))
-
-	mux.Handle("/shard/install", wire.CapBody(wire.MaxDeltaBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		man, sr, err := wire.ReadShardTransfer(r.Body, s.h)
+		return wire.OKResponse{Epoch: epoch}, err
+	}, &s.errors)
+	wire.NodeLeaseRPC.Mount(mux, func(req wire.LeaseRequest) (wire.LeaseResponse, error) {
+		return s.RecordLease(req), nil
+	}, &s.errors)
+	wire.ShardInstallRPC.Mount(mux, func(body io.Reader) (wire.OKResponse, error) {
+		man, sr, err := wire.ReadShardTransfer(body, s.h)
 		if err == nil {
 			err = s.InstallShard(man, sr)
 		}
-		if err != nil {
-			s.errors.Add(1)
-			writeGob(w, wire.OKResponse{Err: err.Error()})
-			return
-		}
-		writeGob(w, wire.OKResponse{})
-	})))
-	mux.Handle("/shard/fetch", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var ref wire.ShardRef
-		if err := gob.NewDecoder(r.Body).Decode(&ref); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
+		return wire.OKResponse{}, err
+	}, &s.errors)
+	wire.ShardFetchEP.Mount(mux, func(w http.ResponseWriter, ref wire.ShardRef) {
 		if err := s.WriteShardTo(w, ref); err != nil {
 			// Pre-frame failures can still use the status line; mid-stream
 			// ones surface as a truncated transfer at the receiver.
 			s.errors.Add(1)
 			http.Error(w, err.Error(), http.StatusNotFound)
 		}
-	})))
-	mux.Handle("/shard/stream", wire.CapBody(wire.MaxQueryBody, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req wire.ShardStreamRequest
-		if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
+	})
+	wire.ShardStreamEP.Mount(mux, func(w http.ResponseWriter, req wire.ShardStreamRequest) {
 		flush := func() {}
 		if f, ok := w.(http.Flusher); ok {
 			flush = f.Flush
@@ -1005,7 +875,7 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 		if err := s.serveShardPartial(w, flush, req); err != nil {
 			s.errors.Add(1)
 		}
-	})))
+	})
 }
 
 // NodeShardStat is one hosted slice's line in /statsz.
@@ -1021,15 +891,11 @@ type NodeShardStat struct {
 // nodeStats snapshots the node-mode hosting state.
 func (s *Server) nodeStats() map[string][]NodeShardStat {
 	s.nodeMu.RLock()
-	names := make([]string, 0, len(s.nodeRels))
-	for name := range s.nodeRels {
-		names = append(names, name)
-	}
+	names := slices.Sorted(maps.Keys(s.nodeRels))
 	s.nodeMu.RUnlock()
 	if len(names) == 0 {
 		return nil
 	}
-	sort.Strings(names)
 	out := map[string][]NodeShardStat{}
 	for _, name := range names {
 		nt := s.nodeFor(name)
@@ -1037,16 +903,12 @@ func (s *Server) nodeStats() map[string][]NodeShardStat {
 			continue
 		}
 		nt.mu.Lock()
-		shards := make([]int, 0, len(nt.hosted))
-		for i := range nt.hosted {
-			shards = append(shards, i)
-		}
+		shards := slices.Sorted(maps.Keys(nt.hosted))
 		stats := make(map[int]NodeShardStat, len(shards))
 		for i, hs := range nt.hosted {
 			stats[i] = NodeShardStat{Shard: i, Deltas: hs.deltas.Load(), Streams: hs.streams.Load()}
 		}
 		nt.mu.Unlock()
-		sort.Ints(shards)
 		for _, i := range shards {
 			st := stats[i]
 			if sl, epoch, ok := s.store.View(shardName(name, i)); ok {

@@ -3,7 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -327,7 +329,7 @@ func (s *Server) applyPartitionedDelta(pt *partTable, d delta.Delta) (uint64, er
 			seams[i] = true
 		}
 	}
-	for _, x := range sortedShards(seams) {
+	for _, x := range slices.Sorted(maps.Keys(seams)) {
 		left, err := edges(x)
 		if err != nil {
 			return 0, err

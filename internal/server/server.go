@@ -27,7 +27,6 @@
 package server
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"strings"
@@ -53,12 +52,8 @@ type Config struct {
 	// CacheSize bounds the VO cache in entries; 0 means DefaultCacheSize,
 	// negative disables caching.
 	CacheSize int
-	// Individual switches the executor to one-signature-per-entry VOs
-	// (the pre-Section-5.2 mode); default is condensed signatures.
-	Individual bool
 	// Obs is the stage-latency registry (internal/obs). Nil creates a
-	// fresh enabled registry; pass obs.Disabled() to serve with
-	// instrumentation off.
+	// fresh one.
 	Obs *obs.Registry
 	// SlowThreshold sets the slow-query log's retention threshold: 0
 	// keeps the obs default (100ms), negative disables the log.
@@ -115,7 +110,7 @@ type Server struct {
 	lease nodeLease
 
 	// obs is the stage-latency registry; the h* fields are its hot-path
-	// histograms, resolved once (nil when the registry is disabled).
+	// histograms, resolved once.
 	obs     *obs.Registry
 	hCache  *obs.Histogram // cache_lookup
 	hVO     *obs.Histogram // vo_assemble
@@ -138,7 +133,6 @@ func New(cfg Config) *Server {
 		size = DefaultCacheSize
 	}
 	exec := engine.NewPublisher(cfg.Hasher, cfg.Pub, cfg.Policy)
-	exec.Aggregate = !cfg.Individual
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -166,7 +160,7 @@ func New(cfg Config) *Server {
 		hWire:    reg.Hist(obs.StageWireEncode),
 		hDelta:   reg.Hist(obs.StageDeltaApply),
 	}
-	register(s)
+	processVar.Add(s)
 	return s
 }
 
@@ -175,7 +169,7 @@ func New(cfg Config) *Server {
 func (s *Server) Obs() *obs.Registry { return s.obs }
 
 // Close unregisters the server from the process-wide expvar aggregate.
-func (s *Server) Close() { unregister(s) }
+func (s *Server) Close() { processVar.Remove(s) }
 
 // AddRelation publishes a relation snapshot (optionally validating every
 // signature first, as a publisher receiving an untrusted feed must).
@@ -489,48 +483,17 @@ func (s *Server) Stats() Stats {
 
 // --- process-wide expvar aggregation ---------------------------------
 
-var (
-	registryMu sync.Mutex
-	registry   = map[*Server]struct{}{}
-	publishVar sync.Once
-)
-
-// register adds the server to the expvar aggregate. The expvar name is
-// published once per process (expvar panics on duplicates), so tests may
-// create as many servers as they like.
-func register(s *Server) {
-	publishVar.Do(func() {
-		expvar.Publish("vcqr_server", expvar.Func(func() any {
-			registryMu.Lock()
-			defer registryMu.Unlock()
-			var agg Stats
-			for srv := range registry {
-				st := srv.Stats()
-				agg.Queries += st.Queries
-				agg.Batches += st.Batches
-				agg.DeltasApplied += st.DeltasApplied
-				agg.Errors += st.Errors
-				agg.Streams += st.Streams
-				agg.StreamChunks += st.StreamChunks
-				agg.StreamBytes += st.StreamBytes
-				// Node-mode servers count fan-out sub-streams; folding them
-				// in keeps the aggregate meaningful for every serving mode.
-				agg.ShardStreams += st.ShardStreams
-				agg.Cache.Hits += st.Cache.Hits
-				agg.Cache.Misses += st.Cache.Misses
-				agg.Cache.Evictions += st.Cache.Evictions
-				agg.Cache.Entries += st.Cache.Entries
-			}
-			return agg
-		}))
-	})
-	registryMu.Lock()
-	registry[s] = struct{}{}
-	registryMu.Unlock()
-}
-
-func unregister(s *Server) {
-	registryMu.Lock()
-	delete(registry, s)
-	registryMu.Unlock()
-}
+// processVar is the vcqr_server expvar: the counters of every live
+// Server of the process, summed.
+var processVar = obs.Aggregate[*Server]{Name: "vcqr_server", Fold: func(live []*Server) any {
+	var agg Stats
+	for _, srv := range live {
+		st := srv.Stats()
+		// The table includes node mode's fan-out sub-streams, which keeps
+		// the aggregate meaningful for every serving mode.
+		obs.SumCounters(counters, &agg, &st)
+		agg.Cache.Evictions += st.Cache.Evictions
+		agg.Cache.Entries += st.Cache.Entries
+	}
+	return agg
+}}

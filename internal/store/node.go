@@ -5,9 +5,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -475,15 +476,10 @@ func (ns *NodeStore) Snapshot() error {
 
 func (ns *NodeStore) snapshotLocked() error {
 	img := nodeSnapshot{Seq: ns.seq}
-	for _, rel := range sortedRelNames(ns.rels) {
+	for _, rel := range slices.Sorted(maps.Keys(ns.rels)) {
 		rm := ns.rels[rel]
 		sr := snapRelation{Relation: rel, Spec: rm.spec}
-		shards := make([]int, 0, len(rm.slices))
-		for i := range rm.slices {
-			shards = append(shards, i)
-		}
-		sort.Ints(shards)
-		for _, i := range shards {
+		for _, i := range slices.Sorted(maps.Keys(rm.slices)) {
 			snap, err := encodeSlice(rm.slices[i])
 			if err != nil {
 				return err
@@ -542,15 +538,10 @@ func (ns *NodeStore) Recovered() map[string]RecoveredRelation {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	out := make(map[string]RecoveredRelation, len(ns.rels))
-	for _, rel := range sortedRelNames(ns.rels) {
+	for _, rel := range slices.Sorted(maps.Keys(ns.rels)) {
 		rm := ns.rels[rel]
 		rr := RecoveredRelation{Spec: rm.spec}
-		shards := make([]int, 0, len(rm.slices))
-		for i := range rm.slices {
-			shards = append(shards, i)
-		}
-		sort.Ints(shards)
-		for _, i := range shards {
+		for _, i := range slices.Sorted(maps.Keys(rm.slices)) {
 			rr.Shards = append(rr.Shards, RecoveredShard{
 				Shard: i, Slice: rm.slices[i],
 				InstallDigest: rm.install[i], Deltas: rm.deltas[i],
@@ -634,13 +625,4 @@ func decodeSlice(b []byte) (*core.SignedRelation, error) {
 		return nil, fmt.Errorf("store: slice snapshot holds no relation")
 	}
 	return snap.Relation, nil
-}
-
-func sortedRelNames(m map[string]*relMirror) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"strings"
 	"sync"
 
 	"vcqr/internal/hashx"
@@ -86,7 +84,7 @@ type CacheReply struct {
 	Err   string
 }
 
-// Cache frame layout: 4-byte big-endian payload length, then a tag byte
+// Cache frame layout: the shared frame header (frame.go), then a tag byte
 // and the operation's fields. Strings and byte fields carry a uvarint
 // length prefix; integers are (u)varints. A decoded frame must consume
 // its payload exactly — trailing bytes are a malformed frame, so every
@@ -101,8 +99,9 @@ const (
 
 var errCacheFrame = errors.New("wire: malformed cache frame")
 
-// cacheBufPool holds encode scratch: payload bytes are built once,
-// header patched in place, and the whole frame leaves in one Write.
+// cacheBufPool holds encode scratch: the header is reserved, payload
+// bytes are built once behind it, and sealFrame sends the whole frame in
+// one Write.
 var cacheBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
@@ -116,18 +115,6 @@ func appendCacheBytes(b []byte, p []byte) []byte {
 func appendCacheString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-// writeCacheRaw patches the length header into b[:4] and writes the
-// frame. b includes the 4 reserved header bytes.
-func writeCacheRaw(w io.Writer, b []byte) error {
-	n := len(b) - 4
-	if n > MaxChunkFrame {
-		return fmt.Errorf("wire: cache frame of %d bytes exceeds cap %d", n, MaxChunkFrame)
-	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
-	_, err := w.Write(b)
-	return err
 }
 
 // cacheDecoder is a sticky-error cursor over one frame payload.
@@ -175,7 +162,7 @@ func (d *cacheDecoder) varint() int64 {
 }
 
 // bytes returns a sub-slice aliasing the frame's backing array (each
-// read allocates a fresh payload, so aliases stay valid and private).
+// frame is read into a fresh payload, so aliases stay valid and private).
 func (d *cacheDecoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil || n > uint64(len(d.b)) {
@@ -200,25 +187,16 @@ func (d *cacheDecoder) done() error {
 	return d.err
 }
 
-// readCachePayload reads one length-prefixed frame payload. A clean EOF
-// before the header surfaces as io.EOF so stream loops terminate.
-func readCachePayload(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// openCacheFrame reads one frame's payload and its tag byte. The payload
+// lands in a buffer of its own (never the gob codec's pool): decoded
+// byte fields alias it.
+func openCacheFrame(r io.Reader) (cacheDecoder, byte, error) {
+	var body bytes.Buffer
+	if err := openFrame(r, &body); err != nil {
+		return cacheDecoder{}, 0, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxChunkFrame {
-		return nil, fmt.Errorf("wire: cache frame of %d bytes exceeds cap %d", n, MaxChunkFrame)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return b, nil
+	d := cacheDecoder{b: body.Bytes()}
+	return d, d.byte(), nil
 }
 
 // WriteCacheFrame writes one cache request frame.
@@ -252,21 +230,22 @@ func WriteCacheFrame(w io.Writer, f *CacheFrame) error {
 		cacheBufPool.Put(bp)
 		return fmt.Errorf("wire: cache frame sets no operation")
 	}
-	err := writeCacheRaw(w, b)
+	err := sealFrame(w, b)
 	*bp = b[:0]
 	cacheBufPool.Put(bp)
 	return err
 }
 
-// ReadCacheFrame reads one cache request frame.
-func ReadCacheFrame(r io.Reader) (*CacheFrame, error) {
-	payload, err := readCachePayload(r)
+// ReadCacheFrame reads one cache request frame: io.EOF at a frame
+// boundary, the shared framing errors otherwise.
+func ReadCacheFrame(r io.Reader) (*CacheFrame, error) { return fresh(r, readCacheFrame) }
+
+func readCacheFrame(r io.Reader, f *CacheFrame) error {
+	d, tag, err := openCacheFrame(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d := cacheDecoder{b: payload}
-	var f CacheFrame
-	switch d.byte() {
+	switch tag {
 	case cacheTagGet:
 		f.Get = &CacheGet{Key: d.str()}
 	case cacheTagPut:
@@ -288,12 +267,9 @@ func ReadCacheFrame(r io.Reader) (*CacheFrame, error) {
 	case cacheTagStats:
 		f.Stats = true
 	default:
-		return nil, errCacheFrame
+		return errCacheFrame
 	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return &f, nil
+	return d.done()
 }
 
 // WriteCacheReply writes one cache reply frame.
@@ -322,24 +298,25 @@ func WriteCacheReply(w io.Writer, rp *CacheReply) error {
 		b = binary.AppendUvarint(b, s.Invalidations)
 	}
 	b = appendCacheString(b, rp.Err)
-	err := writeCacheRaw(w, b)
+	err := sealFrame(w, b)
 	*bp = b[:0]
 	cacheBufPool.Put(bp)
 	return err
 }
 
 // ReadCacheReply reads one cache reply frame.
-func ReadCacheReply(r io.Reader) (*CacheReply, error) {
-	payload, err := readCachePayload(r)
+func ReadCacheReply(r io.Reader) (*CacheReply, error) { return fresh(r, readCacheReply) }
+
+func readCacheReply(r io.Reader, rp *CacheReply) error {
+	d, tag, err := openCacheFrame(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	d := cacheDecoder{b: payload}
-	if d.byte() != cacheTagReply {
-		return nil, errCacheFrame
+	if tag != cacheTagReply {
+		return errCacheFrame
 	}
 	flags := d.byte()
-	rp := &CacheReply{
+	*rp = CacheReply{
 		Hit:     flags&1 != 0,
 		Sum:     hashx.Digest(d.bytes()),
 		Bytes:   d.bytes(),
@@ -358,34 +335,12 @@ func ReadCacheReply(r io.Reader) (*CacheReply, error) {
 		}
 	}
 	rp.Err = d.str()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return rp, nil
+	return d.done()
 }
 
-// CacheOp posts one cache request frame to a peer's /cache endpoint and
+// CacheOp posts one cache request frame to a peer's cache endpoint and
 // reads the reply frame.
 func (c *Client) CacheOp(f *CacheFrame) (*CacheReply, error) {
-	var body bytes.Buffer
-	if err := WriteCacheFrame(&body, f); err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/cache", "application/octet-stream", &body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: post cache op: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("wire: cache peer returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	rp, err := ReadCacheReply(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if rp.Err != "" {
-		return rp, fmt.Errorf("wire: cache peer error: %s", rp.Err)
-	}
-	return rp, nil
+	rp, err := CacheRPC.Call(c, *f)
+	return &rp, err
 }

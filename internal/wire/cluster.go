@@ -1,13 +1,9 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"vcqr/internal/core"
@@ -50,58 +46,6 @@ const NotHostingMsg = "not hosting shard"
 // refusal.
 func IsNotHosting(err error) bool {
 	return err != nil && strings.Contains(err.Error(), NotHostingMsg)
-}
-
-// --- generic frame codec ---------------------------------------------
-
-// writeFrame writes one length-prefixed gob frame of any payload type,
-// sharing the chunk codec's pooled buffers and size cap.
-func writeFrame(w io.Writer, v any) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("wire: encode frame: %w", err)
-	}
-	if buf.Len() > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads one length-prefixed gob frame into v. It returns
-// io.EOF exactly at a frame boundary and ErrFrameTruncated when the
-// stream dies mid-frame.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	body := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(body)
-	body.Reset()
-	if _, err := io.CopyN(body, r, int64(n)); err != nil {
-		return fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
-	}
-	if err := gob.NewDecoder(body).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode frame: %w", err)
-	}
-	return nil
 }
 
 // --- shard sub-streams ------------------------------------------------
@@ -184,13 +128,7 @@ type NodeFrame struct {
 func WriteNodeFrame(w io.Writer, f *NodeFrame) error { return writeFrame(w, f) }
 
 // ReadNodeFrame reads one sub-stream frame.
-func ReadNodeFrame(r io.Reader) (*NodeFrame, error) {
-	var f NodeFrame
-	if err := readFrame(r, &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
+func ReadNodeFrame(r io.Reader) (*NodeFrame, error) { return fresh(r, readFrame[NodeFrame]) }
 
 // NodeStream is a client-side shard sub-stream in consumption order:
 // Hello (already read), Next until io.EOF, Foot, Close.
@@ -214,35 +152,24 @@ func (c *Client) ShardStream(req ShardStreamRequest) (*NodeStream, error) {
 // fully drained tee holds the byte-exact frame sequence a later replay
 // decodes back into the merge. A nil tee is ShardStream.
 func (c *Client) ShardStreamTee(req ShardStreamRequest, tee io.Writer) (*NodeStream, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return nil, fmt.Errorf("wire: encode shard stream request: %w", err)
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/shard/stream", "application/octet-stream", &body)
+	rbody, err := ShardStreamEP.open(c, req)
 	if err != nil {
-		return nil, fmt.Errorf("wire: post shard stream: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		resp.Body.Close()
-		return nil, fmt.Errorf("wire: node returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	rbody := resp.Body
-	if tee != nil {
-		rbody = &teeReadCloser{r: io.TeeReader(resp.Body, tee), c: resp.Body}
-	}
-	var f NodeFrame
-	if err := readFrame(rbody, &f); err != nil {
-		rbody.Close()
 		return nil, err
 	}
-	switch {
-	case f.Err != "":
+	if tee != nil {
+		rbody = &teeReadCloser{r: io.TeeReader(rbody, tee), c: rbody}
+	}
+	var f NodeFrame
+	err = readFrame(rbody, &f)
+	if err == nil {
+		err = remoteErr(node, f.Err)
+	}
+	if err == nil && f.Hello == nil {
+		err = fmt.Errorf("wire: shard sub-stream did not open with a hello frame")
+	}
+	if err != nil {
 		rbody.Close()
-		return nil, fmt.Errorf("wire: node error: %s", f.Err)
-	case f.Hello == nil:
-		rbody.Close()
-		return nil, fmt.Errorf("wire: shard sub-stream did not open with a hello frame")
+		return nil, err
 	}
 	return &NodeStream{body: rbody, hello: *f.Hello}, nil
 }
@@ -276,10 +203,10 @@ func (ns *NodeStream) Next() (*engine.Chunk, error) {
 		ns.err = err
 		return nil, err
 	}
-	switch {
-	case f.Err != "":
-		ns.err = fmt.Errorf("wire: node error: %s", f.Err)
+	if ns.err = remoteErr(node, f.Err); ns.err != nil {
 		return nil, ns.err
+	}
+	switch {
 	case f.Foot != nil:
 		ns.foot = f.Foot
 		return nil, io.EOF
@@ -373,8 +300,8 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 		}
 		return ShardManifest{}, nil, err
 	}
-	if f.Err != "" {
-		return ShardManifest{}, nil, fmt.Errorf("wire: transfer error: %s", f.Err)
+	if err := remoteErr(node, f.Err); err != nil {
+		return ShardManifest{}, nil, err
 	}
 	if f.Manifest == nil {
 		return ShardManifest{}, nil, fmt.Errorf("wire: shard transfer did not open with a manifest")
@@ -396,9 +323,10 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 			}
 			return man, nil, err
 		}
+		if err := remoteErr(node, f.Err); err != nil {
+			return man, nil, err
+		}
 		switch {
-		case f.Err != "":
-			return man, nil, fmt.Errorf("wire: transfer error: %s", f.Err)
 		case f.Foot != nil:
 			if len(sr.Recs) != man.Records {
 				return man, nil, fmt.Errorf("%w: %d records streamed, manifest says %d", ErrTransferTruncated, len(sr.Recs), man.Records)
@@ -516,24 +444,14 @@ type LeaseResponse struct {
 func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return writeFrame(w, req) }
 
 // ReadLeaseRequest reads one framed heartbeat.
-func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) {
-	var req LeaseRequest
-	if err := readFrame(r, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
+func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) { return fresh(r, readFrame[LeaseRequest]) }
 
 // WriteLeaseResponse frames a heartbeat acknowledgement.
 func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error { return writeFrame(w, resp) }
 
 // ReadLeaseResponse reads one framed heartbeat acknowledgement.
 func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) {
-	var resp LeaseResponse
-	if err := readFrame(r, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return fresh(r, readFrame[LeaseResponse])
 }
 
 // --- two-phase distributed delta -------------------------------------
@@ -594,167 +512,57 @@ type TxRequest struct {
 // /metrics aggregate. The data is advisory monitoring state; a node that
 // lies here can only corrupt dashboards, never results.
 func (c *Client) ObsExport() (obs.Export, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + "/metrics.json")
+	const path = "/metrics.json"
+	resp, err := c.httpClient().Get(c.BaseURL + path)
 	if err != nil {
 		return obs.Export{}, fmt.Errorf("wire: get metrics: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return obs.Export{}, fmt.Errorf("wire: node returned %s on /metrics.json", resp.Status)
+	if err := statusOK(resp, node, path); err != nil {
+		return obs.Export{}, err
 	}
+	defer resp.Body.Close()
 	return obs.DecodeExport(io.LimitReader(resp.Body, 8<<20))
 }
 
 // ShardEdges fetches a hosted slice's seam material.
-func (c *Client) ShardEdges(ref ShardRef) (EdgeResponse, error) {
-	var out EdgeResponse
-	if err := c.postGob("/shard/edges", ref, &out); err != nil {
-		return out, err
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node error: %s", out.Err)
-	}
-	return out, nil
-}
+func (c *Client) ShardEdges(ref ShardRef) (EdgeResponse, error) { return ShardEdgesRPC.Call(c, ref) }
 
 // ShardDigest fetches a hosted slice's digest summary.
 func (c *Client) ShardDigest(ref ShardRef) (DigestResponse, error) {
-	var out DigestResponse
-	if err := c.postGob("/shard/digest", ref, &out); err != nil {
-		return out, err
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node error: %s", out.Err)
-	}
-	return out, nil
+	return ShardDigestRPC.Call(c, ref)
 }
 
 // ShardRemove drops a hosted slice from a node. In-flight streams keep
 // their pinned snapshots; only new requests are refused.
 func (c *Client) ShardRemove(ref ShardRef) error {
-	var out OKResponse
-	if err := c.postGob("/shard/remove", ref, &out); err != nil {
-		return err
-	}
-	if out.Err != "" {
-		return fmt.Errorf("wire: node error: %s", out.Err)
-	}
-	return nil
+	_, err := ShardRemoveRPC.Call(c, ref)
+	return err
 }
 
 // Hosted inventories the node.
-func (c *Client) Hosted() (HostedResponse, error) {
-	var out HostedResponse
-	if err := c.postGob("/node/hosted", struct{}{}, &out); err != nil {
-		return out, err
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node error: %s", out.Err)
-	}
-	return out, nil
-}
+func (c *Client) Hosted() (HostedResponse, error) { return HostedRPC.Call(c, struct{}{}) }
 
 // ShardFetch opens a transfer stream for a hosted slice. The caller owns
 // the returned body (positioned at the manifest frame) and must close it.
-func (c *Client) ShardFetch(ref ShardRef) (io.ReadCloser, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(ref); err != nil {
-		return nil, fmt.Errorf("wire: encode fetch request: %w", err)
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/shard/fetch", "application/octet-stream", &body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: post fetch: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		resp.Body.Close()
-		return nil, fmt.Errorf("wire: node returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return resp.Body, nil
-}
+func (c *Client) ShardFetch(ref ShardRef) (io.ReadCloser, error) { return ShardFetchEP.open(c, ref) }
 
 // ShardInstall streams transfer frames from r into a node's install
 // endpoint. The reader is typically a ShardFetch body (migration) or a
 // local WriteShardTransfer pipe (initial placement).
-func (c *Client) ShardInstall(r io.Reader) (OKResponse, error) {
-	resp, err := c.httpClient().Post(c.BaseURL+"/shard/install", "application/octet-stream", r)
-	if err != nil {
-		return OKResponse{}, fmt.Errorf("wire: post install: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return OKResponse{}, fmt.Errorf("wire: node returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var out OKResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return OKResponse{}, fmt.Errorf("wire: decode install response: %w", err)
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node rejected install: %s", out.Err)
-	}
-	return out, nil
-}
+func (c *Client) ShardInstall(r io.Reader) (OKResponse, error) { return ShardInstallRPC.Call(c, r) }
 
 // NodeDeltaPrepare stages an update batch on a node.
 func (c *Client) NodeDeltaPrepare(d delta.Delta) (NodeDeltaResponse, error) {
-	var out NodeDeltaResponse
-	if err := c.postGob("/node/delta", NodeDeltaRequest{Delta: d}, &out); err != nil {
-		return out, err
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node rejected delta: %s", out.Err)
-	}
-	return out, nil
+	return NodeDeltaRPC.Call(c, NodeDeltaRequest{Delta: d})
 }
 
 // NodeMirror applies one cross-node mirror fix to a staged delta.
 func (c *Client) NodeMirror(req MirrorRequest) (MirrorResponse, error) {
-	var out MirrorResponse
-	if err := c.postGob("/node/mirror", req, &out); err != nil {
-		return out, err
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node rejected mirror fix: %s", out.Err)
-	}
-	return out, nil
+	return NodeMirrorRPC.Call(c, req)
 }
 
-// NodeLease sends one heartbeat to a node's lease endpoint. Unlike the
-// gob control calls this rides the length-prefixed frame codec end to
-// end, so the decode surface on both sides is the fuzzed one.
-func (c *Client) NodeLease(req LeaseRequest) (LeaseResponse, error) {
-	var body bytes.Buffer
-	if err := WriteLeaseRequest(&body, &req); err != nil {
-		return LeaseResponse{}, err
-	}
-	hresp, err := c.httpClient().Post(c.BaseURL+"/node/lease", "application/octet-stream", &body)
-	if err != nil {
-		return LeaseResponse{}, fmt.Errorf("wire: post lease: %w", err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
-		return LeaseResponse{}, fmt.Errorf("wire: node returned %s: %s", hresp.Status, strings.TrimSpace(string(msg)))
-	}
-	resp, err := ReadLeaseResponse(hresp.Body)
-	if err != nil {
-		return LeaseResponse{}, err
-	}
-	if resp.Err != "" {
-		return *resp, fmt.Errorf("wire: node error: %s", resp.Err)
-	}
-	return *resp, nil
-}
+// NodeLease sends one heartbeat to a node's lease endpoint.
+func (c *Client) NodeLease(req LeaseRequest) (LeaseResponse, error) { return NodeLeaseRPC.Call(c, req) }
 
 // NodeTx commits or aborts a node's staged delta.
-func (c *Client) NodeTx(req TxRequest) (OKResponse, error) {
-	var out OKResponse
-	if err := c.postGob("/node/tx", req, &out); err != nil {
-		return out, err
-	}
-	if out.Err != "" {
-		return out, fmt.Errorf("wire: node error: %s", out.Err)
-	}
-	return out, nil
-}
+func (c *Client) NodeTx(req TxRequest) (OKResponse, error) { return NodeTxRPC.Call(c, req) }

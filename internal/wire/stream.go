@@ -2,14 +2,8 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/engine"
@@ -17,99 +11,14 @@ import (
 	"vcqr/internal/verify"
 )
 
-// Chunk framing: each chunk of a streamed result travels as one
-// self-delimiting frame — a 4-byte big-endian length followed by that
-// many bytes of gob-encoded engine.Chunk. Frames are independently
-// decodable (each carries its own gob type preamble), so a reader can
-// resynchronize per frame, bound its memory by MaxChunkFrame, and hand
-// chunks to the verifier the moment they arrive. Nothing in the framing
-// is trusted: truncation, reordering and tampering are all caught by the
-// verification layer; the frame format only needs to fail cleanly.
+// WriteChunkFrame writes one result-stream chunk as a frame;
+// ReadChunkFrame is its counterpart.
+func WriteChunkFrame(w io.Writer, c *engine.Chunk) error { return writeFrame(w, c) }
 
-// MaxChunkFrame bounds one frame's payload. An engine chunk holds at
-// most MaxChunkRows entries of digests and values; anything larger is a
-// malformed or malicious stream, rejected before allocation.
-const MaxChunkFrame = 64 << 20
-
-// Framing errors.
-var (
-	// ErrFrameTooBig reports a length prefix beyond MaxChunkFrame.
-	ErrFrameTooBig = errors.New("wire: chunk frame exceeds size limit")
-	// ErrFrameTruncated reports a stream that ended inside a frame.
-	ErrFrameTruncated = errors.New("wire: chunk frame truncated")
-)
-
-// frameBufPool recycles the per-frame scratch buffers of the chunk
-// codec. A long stream writes (and reads) thousands of frames; without
-// the pool every frame retires a buffer the size of its payload to the
-// garbage collector. Buffers that grew beyond maxPooledFrame are dropped
-// instead of pooled so one pathological frame cannot pin megabytes.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledFrame bounds the capacity of buffers returned to the pool.
-const maxPooledFrame = 1 << 20
-
-func putFrameBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledFrame {
-		frameBufPool.Put(buf)
-	}
-}
-
-// WriteChunkFrame writes one length-prefixed chunk frame. The encode
-// scratch buffer is pooled; nothing of the chunk is retained.
-func WriteChunkFrame(w io.Writer, c *engine.Chunk) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(c); err != nil {
-		return fmt.Errorf("wire: encode chunk: %w", err)
-	}
-	if buf.Len() > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, buf.Len())
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// ReadChunkFrame reads one frame. It returns io.EOF exactly at a frame
-// boundary (the clean end of a stream) and ErrFrameTruncated when the
-// stream dies mid-frame.
-func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxChunkFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
-	}
-	// Copy incrementally rather than pre-allocating the claimed length:
-	// a lying length prefix on a short stream then costs a small buffer,
-	// not MaxChunkFrame of allocation. The buffer is pooled — gob copies
-	// everything it decodes into the chunk, so nothing aliases it after
-	// the decode returns.
-	body := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(body)
-	body.Reset()
-	if _, err := io.CopyN(body, r, int64(n)); err != nil {
-		return nil, fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
-	}
-	var c engine.Chunk
-	if err := gob.NewDecoder(body).Decode(&c); err != nil {
-		return nil, fmt.Errorf("wire: decode chunk: %w", err)
-	}
-	return &c, nil
-}
+// ReadChunkFrame reads one chunk frame. It returns io.EOF exactly at a
+// frame boundary (the clean end of a stream) and ErrFrameTruncated when
+// the stream dies mid-frame.
+func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) { return fresh(r, readFrame[engine.Chunk]) }
 
 // StreamRequest asks a publisher to answer a query as a chunk stream.
 type StreamRequest struct {
@@ -221,22 +130,14 @@ func (c *Client) QueryStream(v *verify.Verifier, role accessctl.Role, roleName s
 // by this one stream.
 func (c *Client) QueryStreamWith(sv verify.ChunkVerifier, roleName string, q engine.Query, chunkRows int, fn func(engine.Row) error) (StreamStats, error) {
 	var stats StreamStats
-	var body bytes.Buffer
-	req := StreamRequest{Role: roleName, Query: q, ChunkRows: chunkRows,
-		Trace: c.Trace, Timing: c.Timing}
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return stats, fmt.Errorf("wire: encode stream request: %w", err)
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/stream", "application/octet-stream", &body)
+	body, err := StreamEP.open(c, StreamRequest{Role: roleName, Query: q, ChunkRows: chunkRows,
+		Trace: c.Trace, Timing: c.Timing})
 	if err != nil {
-		return stats, fmt.Errorf("wire: post stream: %w", err)
+		return stats, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return stats, fmt.Errorf("wire: publisher returned %s", resp.Status)
-	}
+	defer body.Close()
 
-	cr := &countingReader{r: resp.Body}
+	cr := &countingReader{r: body}
 	for {
 		chunk, err := ReadChunkFrame(cr)
 		if err == io.EOF {

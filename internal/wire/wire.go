@@ -10,11 +10,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math/big"
 	"net/http"
 	"os"
-	"strings"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
@@ -164,16 +162,6 @@ type DeltaResponse struct {
 	Err   string
 }
 
-// DecodeDelta deserializes an update batch. Publishers must still apply
-// it through delta.Apply, which validates against the owner's key.
-func DecodeDelta(data []byte) (delta.Delta, error) {
-	var d delta.Delta
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&d); err != nil {
-		return delta.Delta{}, fmt.Errorf("wire: decode delta: %w", err)
-	}
-	return d, nil
-}
-
 // EncodeResult and DecodeResult serialize publisher responses.
 func EncodeResult(res *engine.Result) ([]byte, error) {
 	var buf bytes.Buffer
@@ -189,57 +177,7 @@ func DecodeResult(data []byte) (*engine.Result, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
 		return nil, fmt.Errorf("wire: decode result: %w", err)
 	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("wire: publisher error: %s", resp.Err)
-	}
-	return resp.Result, nil
-}
-
-// QueryHandler returns the POST /query endpoint over any query executor
-// (engine.Publisher.Execute, server.Server.Query) — one implementation
-// of the wire protocol shared by every front end.
-func QueryHandler(exec func(role string, q engine.Query) (*engine.Result, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req Request
-		if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var resp Response
-		res, err := exec(req.Role, req.Query)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Result = res
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := gob.NewEncoder(w).Encode(resp); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-}
-
-// Request body caps, one definition for the server, node and
-// coordinator handlers. Queries and batches are small by construction; a
-// delta batch legitimately carries signed records but still bounded —
-// anything larger than this should ship as a snapshot, not a delta.
-const (
-	MaxQueryBody = 1 << 20
-	MaxBatchBody = 8 << 20
-	MaxDeltaBody = 256 << 20
-)
-
-// CapBody bounds an untrusted request body so one client cannot buffer
-// the publisher into OOM (gob's own limit is 1 GiB per message).
-func CapBody(limit int64, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, limit)
-		next.ServeHTTP(w, r)
-	})
+	return resp.Result, remoteErr(publisher, resp.Err)
 }
 
 // Client queries a remote publisher.
@@ -264,46 +202,19 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// postGob posts a gob request and decodes a gob response.
-func (c *Client) postGob(path string, req, resp any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
-		return fmt.Errorf("wire: encode request: %w", err)
-	}
-	hresp, err := c.httpClient().Post(c.BaseURL+path, "application/octet-stream", &body)
-	if err != nil {
-		return fmt.Errorf("wire: post %s: %w", path, err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 1024))
-		return fmt.Errorf("wire: POST %s returned %s: %s", path, hresp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := gob.NewDecoder(hresp.Body).Decode(resp); err != nil {
-		return fmt.Errorf("wire: decode %s response: %w", path, err)
-	}
-	return nil
-}
-
 // Query sends a request and decodes the response. The result is NOT
 // verified; callers pass it to verify.Verifier.
 func (c *Client) Query(role string, q engine.Query) (*engine.Result, error) {
-	var out Response
-	if err := c.postGob("/query", Request{Role: role, Query: q}, &out); err != nil {
-		return nil, err
-	}
-	if out.Err != "" {
-		return nil, fmt.Errorf("wire: publisher error: %s", out.Err)
-	}
-	return out.Result, nil
+	out, err := QueryRPC.Call(c, Request{Role: role, Query: q})
+	return out.Result, err
 }
 
 // QueryBatch sends several queries in one round trip. It returns one
 // result or error per query; the returned error covers transport-level
 // failures only.
 func (c *Client) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, []error, error) {
-	var out BatchResponse
-	if err := c.postGob("/batch", BatchRequest{Role: role, Queries: qs}, &out); err != nil {
+	out, err := BatchRPC.Call(c, BatchRequest{Role: role, Queries: qs})
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(out.Items) != len(qs) {
@@ -312,11 +223,9 @@ func (c *Client) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, [
 	results := make([]*engine.Result, len(qs))
 	errs := make([]error, len(qs))
 	for i, item := range out.Items {
-		if item.Err != "" {
-			errs[i] = fmt.Errorf("wire: publisher error: %s", item.Err)
-			continue
+		if errs[i] = remoteErr(publisher, item.Err); errs[i] == nil {
+			results[i] = item.Result
 		}
-		results[i] = item.Result
 	}
 	return results, errs, nil
 }
@@ -324,12 +233,6 @@ func (c *Client) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, [
 // SendDelta pushes an owner update batch to the publisher's ingest
 // endpoint and returns the publisher's new epoch.
 func (c *Client) SendDelta(d delta.Delta) (uint64, error) {
-	var out DeltaResponse
-	if err := c.postGob("/delta", d, &out); err != nil {
-		return 0, err
-	}
-	if out.Err != "" {
-		return 0, fmt.Errorf("wire: publisher rejected delta: %s", out.Err)
-	}
-	return out.Epoch, nil
+	out, err := DeltaRPC.Call(c, d)
+	return out.Epoch, err
 }

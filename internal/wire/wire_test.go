@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -90,7 +91,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err := pub.AddRelation(remote, true); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(wire.QueryHandler(pub.Execute))
+	mux := http.NewServeMux()
+	wire.QueryRPC.Mount(mux, func(req wire.Request) (wire.Response, error) {
+		res, err := pub.Execute(req.Role, req.Query)
+		return wire.Response{Result: res}, err
+	}, nil)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	client := &wire.Client{BaseURL: srv.URL}

@@ -22,3 +22,23 @@ func TestServingTreeIsPaperFree(t *testing.T) {
 		}
 	}
 }
+
+// TestGobStaysInWire pins the codec as a decision two packages hold: of
+// everything under internal/ and cmd/, only internal/wire (the wire) and
+// internal/store (the disk) import encoding/gob outside their tests.
+func TestGobStaysInWire(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Imports}}",
+		"./internal/...", "./cmd/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, imports, _ := strings.Cut(line, " ")
+		if !strings.Contains(imports, "encoding/gob") {
+			continue
+		}
+		if pkg != "vcqr/internal/wire" && pkg != "vcqr/internal/store" {
+			t.Errorf("%s imports encoding/gob", pkg)
+		}
+	}
+}
