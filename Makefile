@@ -36,10 +36,10 @@ bench-smoke: bench-verify
 bench-verify:
 	sh scripts/bench_verify.sh
 
-# fuzz smoke-tests the wire decoders — the gob chunk frames, the
-# hand-rolled binary cache frames, the node sub-stream frames the
-# fault-injection seam replays, and the lease frames — plus the durable
-# store's on-disk codecs (WAL records and epoch snapshot files).
+# fuzz smoke-tests the wire decoders — the chunk frames, the cache frames
+# and the node sub-stream frames the fault-injection seam replays (one
+# field codec), and the gob lease frames — plus the durable store's
+# on-disk codecs (WAL records and epoch snapshot files).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadChunkFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadCacheFrame -fuzztime 30s ./internal/wire

@@ -2,6 +2,7 @@ package cache_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,7 @@ func subStreamBytes(t testing.TB, shard int) []byte {
 	var buf bytes.Buffer
 	for _, f := range []*wire.NodeFrame{
 		{Hello: &wire.NodeHello{Shard: shard, Epoch: 3}},
-		{Chunk: &engine.Chunk{Seq: 1, Shard: shard, Relation: "Uniform"}},
+		{Chunk: &engine.Chunk{Type: engine.ChunkEntries, Seq: 1, Shard: shard}},
 		{Foot: &wire.NodeFoot{Entries: 1}},
 	} {
 		if err := wire.WriteNodeFrame(&buf, f); err != nil {
@@ -31,6 +32,17 @@ func subStreamBytes(t testing.TB, shard int) []byte {
 		}
 	}
 	return buf.Bytes()
+}
+
+// splitFrames cuts a frame sequence at its length prefixes.
+func splitFrames(b []byte) [][]byte {
+	var out [][]byte
+	for len(b) >= 4 {
+		n := 4 + int(binary.BigEndian.Uint32(b))
+		out = append(out, b[:n])
+		b = b[n:]
+	}
+	return out
 }
 
 // env is one cache peer process plus a client over it.
@@ -279,6 +291,24 @@ func TestClientNamedErrors(t *testing.T) {
 	e.srv.Store().Put(k4.String(), "Uniform", 2, 13, h.Hash(trailing), trailing)
 	if _, err := e.cl.Probe(k4); !errors.Is(err, cache.ErrEntryMalformed) {
 		t.Fatalf("trailing-bytes entry probed as %v, want ErrEntryMalformed", err)
+	}
+
+	// A sub-stream cut before its foot, and one that carries a node's
+	// in-band error, are not entries.
+	frames := splitFrames(valid)
+	var errFrame bytes.Buffer
+	if err := wire.WriteNodeFrame(&errFrame, &wire.NodeFrame{Err: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range [][]byte{
+		bytes.Join(frames[:2], nil),
+		bytes.Join([][]byte{frames[0], frames[1], errFrame.Bytes(), frames[2]}, nil),
+	} {
+		k := subKey(uint64(14 + i))
+		e.srv.Store().Put(k.String(), "Uniform", 2, uint64(14+i), h.Hash(bad), bad)
+		if _, err := e.cl.Probe(k); !errors.Is(err, cache.ErrEntryMalformed) {
+			t.Fatalf("footless/error-frame entry %d probed as %v, want ErrEntryMalformed", i, err)
+		}
 	}
 
 	// On the serving path the same poison reads as a miss with a fill —

@@ -2,12 +2,12 @@ package engine_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"testing"
 
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/wire"
 )
 
 // partials builds one ShardPartial feed per covering shard of q — the
@@ -51,9 +51,9 @@ func (e *fanoutEnv) mergeSequential(t *testing.T, q engine.Query, opts engine.St
 	return st
 }
 
-// gobChunks encodes a drained stream chunk by chunk — the same encoding
-// the wire framing uses, so equality here is frame-level byte identity.
-func gobChunks(t *testing.T, st engine.ResultStream) [][]byte {
+// frameChunks encodes a drained stream chunk by chunk as the wire frames
+// it, so equality here is frame-level byte identity.
+func frameChunks(t *testing.T, st engine.ResultStream) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for {
@@ -65,7 +65,7 @@ func gobChunks(t *testing.T, st engine.ResultStream) [][]byte {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(c); err != nil {
+		if err := wire.WriteChunkFrame(&buf, c); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, buf.Bytes())
@@ -74,7 +74,7 @@ func gobChunks(t *testing.T, st engine.ResultStream) [][]byte {
 
 // TestMergeShardsByteIdentical pins the fan-out invariant at the engine
 // seam: FanoutStream (prefetching producers behind the merger) must emit
-// a chunk sequence byte-identical (gob frame bytes) to MergeShards over
+// a chunk sequence byte-identical (wire frame bytes) to MergeShards over
 // bare sequential ShardPartial feeds — what a coordinator assembles from
 // its nodes — for full-range, sub-range and single-shard covers.
 func TestMergeShardsByteIdentical(t *testing.T) {
@@ -86,8 +86,8 @@ func TestMergeShardsByteIdentical(t *testing.T) {
 	}
 	for i, q := range queries {
 		opts := engine.StreamOpts{ChunkRows: 8}
-		want := gobChunks(t, e.fanout(t, q, opts))
-		got := gobChunks(t, e.mergeSequential(t, q, opts))
+		want := frameChunks(t, e.fanout(t, q, opts))
+		got := frameChunks(t, e.mergeSequential(t, q, opts))
 		if len(want) != len(got) {
 			t.Fatalf("query %d: fan-out emitted %d chunks, merge %d", i, len(want), len(got))
 		}
@@ -116,8 +116,8 @@ func TestMergeShardsEmptyRange(t *testing.T) {
 	q := engine.Query{Relation: e.sr.Schema.Name, KeyLo: spanLo, KeyHi: firstOwned - 1}
 
 	opts := engine.StreamOpts{ChunkRows: 8}
-	want := gobChunks(t, e.fanout(t, q, opts))
-	got := gobChunks(t, e.mergeSequential(t, q, opts))
+	want := frameChunks(t, e.fanout(t, q, opts))
+	got := frameChunks(t, e.mergeSequential(t, q, opts))
 	if len(want) != len(got) {
 		t.Fatalf("fan-out emitted %d chunks, merge %d", len(want), len(got))
 	}

@@ -177,7 +177,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 	if ts, ok := st.(*timedStream); ok {
 		total, assemble, encode := ts.breakdown()
 		// Assembly is timed inside the stream (per-Next); the remainder of
-		// the drain is gob encode + flush — the wire_encode share.
+		// the drain is frame encode + flush — the wire_encode share.
 		s.hWire.Observe(encode)
 		if s.partFor(req.Query.Relation) != nil {
 			// A partitioned relation's stream is a merged one; observed
@@ -203,9 +203,9 @@ func (s *Server) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 }
 
 // chunkCountingWriter forwards frames to the HTTP response, flushing and
-// accounting per chunk. WriteStream writes a 4-byte prefix then a body
-// per frame; counting every Write and flushing on demand keeps the
-// accounting exact without re-buffering.
+// accounting per chunk. WriteStream hands over each frame — prefix and
+// payload — in one Write; counting every Write and flushing on demand
+// keeps the accounting exact without re-buffering.
 type chunkCountingWriter struct {
 	w    http.ResponseWriter
 	srv  *Server

@@ -5,37 +5,52 @@ import (
 	"io"
 	"testing"
 
+	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/relation"
 	"vcqr/internal/wire"
 )
 
 // allocChunk builds a realistic entries chunk: n covered records, each
-// with a disclosed value, hidden leaves and chain digests — the shape
-// the /stream path serializes thousands of times per large result.
+// with a disclosed value, hidden leaves and chain roots — the shape the
+// /stream path serializes thousands of times per large result.
 func allocChunk(n int) *engine.Chunk {
 	h := hashx.New()
 	c := &engine.Chunk{Type: engine.ChunkEntries, Seq: 1, Entries: make([]engine.VOEntry, 0, n)}
 	for i := 0; i < n; i++ {
 		c.Entries = append(c.Entries, engine.VOEntry{
-			Mode: engine.EntryResult,
-			Key:  uint64(i + 1),
+			Mode:      engine.EntryResult,
+			Key:       uint64(i + 1),
+			Disclosed: []engine.DisclosedAttr{{Col: 0, Val: relation.BytesVal(h.Hash([]byte{byte(i), 2}))}},
 			HiddenLeaves: []hashx.Digest{
 				h.Hash([]byte{byte(i)}),
 				h.Hash([]byte{byte(i), 1}),
 			},
+			Chain: core.EntryChainInfo{UpRoot: h.Hash([]byte{byte(i), 3}), DownRoot: h.Hash([]byte{byte(i), 4})},
 		})
 	}
 	return c
 }
 
+// frameOf encodes one frame into memory.
+func frameOf[T any](t *testing.T, write func(io.Writer, *T) error, v *T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := write(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestWriteChunkFrameAllocBudget pins the per-chunk allocation cost of
-// the frame encoder. The scratch buffer is pooled, so what remains is
-// gob's own per-encode state — the budget catches a regression that
-// reintroduces a fresh buffer (or worse, a full copy) per frame.
+// the frame encoder: the payload is appended into pooled scratch, so a
+// steady-state encode allocates nothing of its own — the budget catches
+// a regression that reintroduces a fresh buffer (or a reflective codec)
+// per frame.
 func TestWriteChunkFrameAllocBudget(t *testing.T) {
 	c := allocChunk(256)
-	// Warm the pool and the gob type registry.
+	// Warm the pool.
 	if err := wire.WriteChunkFrame(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
@@ -44,39 +59,63 @@ func TestWriteChunkFrameAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 130 // measured ~51 on go1.24 with the pooled buffer; 2.5x headroom
+	const budget = 4 // measured 0 on go1.24; gob spent ~51
 	t.Logf("WriteChunkFrame(256 entries): %.0f allocs/chunk (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("WriteChunkFrame allocates %.0f/chunk, budget %d", allocs, budget)
 	}
 }
 
-// TestStreamFrameAllocBudget pins the full frame round trip — encode,
-// frame, read back, decode — per chunk. This is the wire cost of one
-// /stream chunk minus the HTTP transport itself.
+// TestStreamFrameAllocBudget pins the decode half of the frame round
+// trip per 256-entry chunk: the payload buffer, the chunk, its entries
+// and one arena per per-entry list, however many rows the chunk carries.
 func TestStreamFrameAllocBudget(t *testing.T) {
-	c := allocChunk(256)
-	var buf bytes.Buffer
-	if err := wire.WriteChunkFrame(&buf, c); err != nil {
-		t.Fatal(err)
-	}
-	frame := append([]byte(nil), buf.Bytes()...)
-
+	frame := frameOf(t, wire.WriteChunkFrame, allocChunk(256))
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := wire.ReadChunkFrame(bytes.NewReader(frame)); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const budget = 4400 // measured ~2900 on go1.24: decode must materialize every entry; 1.5x headroom
+	const budget = 20 // measured 8 on go1.24 (gob: ~2900); 2.5x headroom
 	t.Logf("ReadChunkFrame(256 entries): %.0f allocs/chunk (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("ReadChunkFrame allocates %.0f/chunk, budget %d", allocs, budget)
 	}
 }
 
+// TestReadChunkFrameAllocBudget and TestReadNodeFrameAllocBudget hold the
+// decoders to the benchmark's own unit — one 64-row entries chunk, where
+// gob spent 1,819 allocations (bench wire.allocs_per_chunk).
+func TestReadChunkFrameAllocBudget(t *testing.T) {
+	frame := frameOf(t, wire.WriteChunkFrame, allocChunk(64))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := wire.ReadChunkFrame(bytes.NewReader(frame)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadChunkFrame(64 entries): %.0f allocs/chunk", allocs)
+	if allocs > 180 {
+		t.Fatalf("ReadChunkFrame allocates %.0f/chunk, budget 180", allocs)
+	}
+}
+
+func TestReadNodeFrameAllocBudget(t *testing.T) {
+	frame := frameOf(t, wire.WriteNodeFrame, &wire.NodeFrame{Chunk: allocChunk(64)})
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := wire.ReadNodeFrame(bytes.NewReader(frame)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadNodeFrame(64 entries): %.0f allocs/chunk", allocs)
+	if allocs > 180 {
+		t.Fatalf("ReadNodeFrame allocates %.0f/chunk, budget 180", allocs)
+	}
+}
+
 // TestFrameBufferPoolDropsOversize checks a pathologically large frame
-// does not pin its buffer in the pool: a follow-up small write must not
-// fail, and (indirectly) the pool stays bounded. Behavioural, not
+// does not pin its buffer in the one scratch pool every encoder shares: a
+// follow-up small write must not fail, and (indirectly) the pool stays
+// bounded. Behavioural, not
 // alloc-counted — pool retention is not observable directly.
 func TestFrameBufferPoolDropsOversize(t *testing.T) {
 	big := allocChunk(4096)

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,12 +20,40 @@ import (
 
 // This file is the coordinator/node half of the wire protocol
 // (internal/cluster): per-shard sub-streams, shard slice transfer, edge
-// and digest probes, and the two-phase distributed delta. Everything
-// rides the same length-prefixed gob framing as the user-facing chunk
-// streams, and — as everywhere in this system — nothing in the transport
-// is trusted: a node that lies produces a merged stream the user's
-// verifier rejects, a tampered transfer dies on the receiver's digest
-// compare and signature validation.
+// and digest probes, and the two-phase distributed delta. Sub-streams
+// ride the same frames and field codec as the user-facing chunk streams
+// (frame.go, codec.go); shard transfers and heartbeats are gob inside
+// the same frames, and the unary RPC bodies are plain gob (endpoint.go).
+// As everywhere in this system nothing in the transport is trusted: a
+// node that lies produces a merged stream the user's verifier rejects, a
+// tampered transfer dies on the receiver's digest compare and signature
+// validation.
+
+// writeFrame writes v as one gob frame (each frame carries its own gob
+// type preamble) — the codec of the transfer and lease frames, which are
+// off the query path.
+func writeFrame[T any](w io.Writer, v *T) error {
+	return encodeFrame(w, v, func(b []byte, v *T) ([]byte, error) {
+		buf := bytes.NewBuffer(b)
+		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+			return b, fmt.Errorf("wire: encode frame: %w", err)
+		}
+		return buf.Bytes(), nil
+	})
+}
+
+// readFrame reads one gob frame into v, with openFrame's end-of-stream
+// contract.
+func readFrame[T any](r io.Reader, v *T) error {
+	body, err := openFrame(r)
+	if err != nil {
+		return err
+	}
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
+		return fmt.Errorf("wire: decode frame: %w", err)
+	}
+	return nil
+}
 
 // Cluster transport errors.
 var (
@@ -70,9 +100,10 @@ type ShardStreamRequest struct {
 	RoutingEpoch uint64
 	// Trace is the coordinator-minted trace ID, propagated so the node's
 	// slow-query log and sub-stream timing carry the same ID as the
-	// coordinator's span. Optional: old nodes decode requests without it
-	// unchanged (gob skips unknown fields) and simply don't echo timing.
-	// Advisory only — never part of the verified material.
+	// coordinator's span. Optional: requests are gob, so old nodes decode
+	// them without it unchanged (gob skips unknown fields) and simply
+	// don't echo timing. Advisory only — never part of the verified
+	// material.
 	Trace string
 }
 
@@ -89,9 +120,8 @@ type NodeHello struct {
 	// hosting the byte-identical slice when a sub-stream fails over
 	// mid-flight, and to attribute seam failures to a lying replica via
 	// cross-replica compare. Like Edges it is a claim, not a proof: the
-	// user's verifier is what catches a node lying here. Optional wire
-	// field — old hellos decode with a zero digest and simply disable
-	// digest-pinned failover for that sub-stream.
+	// user's verifier is what catches a node lying here. May be empty,
+	// which simply disables digest-pinned failover for that sub-stream.
 	Digest hashx.Digest
 }
 
@@ -110,8 +140,8 @@ type NodeFoot struct {
 	// Timing is the node's advisory per-stage breakdown for this
 	// sub-stream (assembly, agg-index lookups...), echoed so the
 	// coordinator can attribute a slow merged stream to the node at
-	// fault. Optional wire field, outside every digest and signature —
-	// the seam material above it is what hand-off checks compare.
+	// fault. May be empty; outside every digest and signature — the seam
+	// material above it is what hand-off checks compare.
 	Timing []obs.StageDur
 }
 
@@ -125,10 +155,16 @@ type NodeFrame struct {
 
 // WriteNodeFrame writes one sub-stream frame; ReadNodeFrame is its
 // counterpart (the client's NodeStream wraps it).
-func WriteNodeFrame(w io.Writer, f *NodeFrame) error { return writeFrame(w, f) }
+func WriteNodeFrame(w io.Writer, f *NodeFrame) error { return encodeFrame(w, f, appendNodeFrame) }
 
-// ReadNodeFrame reads one sub-stream frame.
-func ReadNodeFrame(r io.Reader) (*NodeFrame, error) { return fresh(r, readFrame[NodeFrame]) }
+// ReadNodeFrame reads one sub-stream frame, with ReadChunkFrame's
+// end-of-stream and ownership contracts: the returned frame owns one
+// buffer, and retaining any digest of it retains the frame.
+func ReadNodeFrame(r io.Reader) (*NodeFrame, error) { return fresh(r, readNodeFrame) }
+
+func readNodeFrame(r io.Reader, f *NodeFrame) error {
+	return decodeFrame(r, f, (*decoder).nodeFrame)
+}
 
 // NodeStream is a client-side shard sub-stream in consumption order:
 // Hello (already read), Next until io.EOF, Foot, Close.
@@ -160,7 +196,7 @@ func (c *Client) ShardStreamTee(req ShardStreamRequest, tee io.Writer) (*NodeStr
 		rbody = &teeReadCloser{r: io.TeeReader(rbody, tee), c: rbody}
 	}
 	var f NodeFrame
-	err = readFrame(rbody, &f)
+	err = readNodeFrame(rbody, &f)
 	if err == nil {
 		err = remoteErr(node, f.Err)
 	}
@@ -196,7 +232,7 @@ func (ns *NodeStream) Next() (*engine.Chunk, error) {
 		return nil, io.EOF
 	}
 	var f NodeFrame
-	if err := readFrame(ns.body, &f); err != nil {
+	if err := readNodeFrame(ns.body, &f); err != nil {
 		if err == io.EOF {
 			err = fmt.Errorf("%w: sub-stream ended before its foot", ErrFrameTruncated)
 		}
@@ -310,10 +346,12 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 	if man.Records < 3 || man.Records > MaxChunkFrame {
 		return ShardManifest{}, nil, fmt.Errorf("wire: implausible transfer record count %d", man.Records)
 	}
+	// The manifest is a claim from an untrusted peer: reserve a few
+	// batches and let the slice grow as records actually arrive.
 	sr := &core.SignedRelation{
 		Params: man.Params,
 		Schema: man.Schema,
-		Recs:   make([]core.SignedRecord, 0, man.Records),
+		Recs:   make([]core.SignedRecord, 0, min(man.Records, 4*transferBatch)),
 	}
 	for {
 		f = TransferFrame{}
@@ -438,8 +476,8 @@ type LeaseResponse struct {
 	Err      string
 }
 
-// WriteLeaseRequest / ReadLeaseRequest frame a heartbeat on the shared
-// length-prefixed gob codec. Exported so the fuzz harness can hammer the
+// WriteLeaseRequest / ReadLeaseRequest frame a heartbeat as one gob
+// frame. Exported so the fuzz harness can hammer the
 // decode path with raw bytes exactly as the endpoint receives them.
 func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return writeFrame(w, req) }
 

@@ -3,8 +3,10 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"vcqr/internal/hashx"
@@ -98,6 +100,52 @@ func TestShardTransferIntegrity(t *testing.T) {
 	}
 }
 
+// TestLyingManifestCostsLittle: a transfer manifest is a claim from an
+// untrusted peer. One announcing 8 Mi records over an empty tail is a
+// truncated transfer, and the claim alone must not reserve memory — the
+// slice grows as batches actually arrive.
+func TestLyingManifestCostsLittle(t *testing.T) {
+	h := hashx.New()
+	o := owner.NewWithKey(h, signKey(t))
+	rel, err := workload.Uniform(workload.UniformConfig{N: 8, L: 0, U: 1 << 20, PayloadSize: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := o.Publish(rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var honest bytes.Buffer
+	if err := wire.WriteShardTransfer(&honest, h, wire.ShardManifest{}, sr); err != nil {
+		t.Fatal(err)
+	}
+	// Re-frame the manifest with a lying record count. The transfer frames
+	// are gob; the test owns a copy of the frame's shape.
+	var f wire.TransferFrame
+	manifest := splitFrames(t, honest.Bytes())[0]
+	if err := gob.NewDecoder(bytes.NewReader(manifest[4:])).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	f.Manifest.Records = 8 << 20
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&f); err != nil {
+		t.Fatal(err)
+	}
+	lying := binary.BigEndian.AppendUint32(nil, uint32(payload.Len()))
+	lying = append(lying, payload.Bytes()...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = wire.ReadShardTransfer(bytes.NewReader(lying), h)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrTransferTruncated) {
+		t.Fatalf("lying manifest over an empty tail = %v, want ErrTransferTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("a %d-byte lying manifest allocated %d bytes", len(lying), grew)
+	}
+}
+
 // TestLeaseFrameRoundTrip pins the heartbeat codec: request and
 // acknowledgement survive a frame round trip field-exact.
 func TestLeaseFrameRoundTrip(t *testing.T) {
@@ -169,9 +217,11 @@ func FuzzReadLeaseFrame(f *testing.F) {
 }
 
 // FuzzReadNodeFrame fuzzes the sub-stream frame decoder — the bytes the
-// coordinator's merge path and the fault injector's frame parser both
-// consume from untrusted node streams. It must never panic, and accepted
-// frames must re-encode.
+// coordinator's merge path, the cache replay and the fault injector's
+// frame parser all consume from untrusted peers. It must never panic,
+// and an accepted frame must re-encode to one that decodes to the same
+// value. Seeded with hand-made frames and with every frame kind the codec
+// fixture's real sub-streams emit.
 func FuzzReadNodeFrame(f *testing.F) {
 	var seed bytes.Buffer
 	if err := wire.WriteNodeFrame(&seed, &wire.NodeFrame{Hello: &wire.NodeHello{Shard: 1, Epoch: 2}}); err != nil {
@@ -184,6 +234,13 @@ func FuzzReadNodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	for _, nf := range newCodecFixture(f).realNodeFrames(f) {
+		var frame bytes.Buffer
+		if err := wire.WriteNodeFrame(&frame, nf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -191,8 +248,14 @@ func FuzzReadNodeFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if err := wire.WriteNodeFrame(io.Discard, fr); err != nil {
-				t.Fatalf("accepted node frame does not re-encode: %v", err)
+			again := frameOf(t, wire.WriteNodeFrame, fr)
+			fr2, err := wire.ReadNodeFrame(bytes.NewReader(again))
+			if err != nil {
+				t.Fatalf("re-encoded node frame does not decode: %v", err)
+			}
+			// Compared by encoding; see FuzzReadChunkFrame.
+			if !bytes.Equal(frameOf(t, wire.WriteNodeFrame, fr2), again) {
+				t.Fatalf("re-encoded node frame decodes to %+v, want %+v", fr2, fr)
 			}
 		}
 	})

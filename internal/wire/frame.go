@@ -1,9 +1,7 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +16,25 @@ import (
 // by MaxChunkFrame, and hand each payload on the moment it arrives.
 // Nothing in the framing is trusted: truncation, reordering and
 // tampering are all caught by the verification layer; the frame format
-// only needs to fail cleanly. This file holds the one header writer and
-// the one header reader; the typed frames are thin codecs over them.
+// only needs to fail cleanly. This file holds the one header writer, the
+// one header reader and the one field codec the data-path payloads
+// (result chunks, node sub-stream frames, cache operations) are written
+// in; codec.go holds the typed encoders over it.
+//
+// Payload layout: a tag byte, then that tag's fields in a fixed order —
+// integers as (u)varints, strings, digests, signatures and byte values
+// with a uvarint length prefix, lists with a uvarint count. A decoder
+// must consume its payload exactly, so every byte on the wire is
+// accounted for and an unknown tag, a count or length beyond the bytes
+// that remain, or a trailing byte is errMalformed.
+//
+// The tag byte is the format's only version. A tag's field list never
+// changes: a new optional field ships as a new tag carrying the longer
+// list, readers accept both tags, and the old one is retired once no
+// writer emits it. Streamed frames are therefore not compatible across
+// releases that add a tag — coordinator, nodes and clients upgrade
+// together (docs/OPERATIONS.md) — while a cached entry in a retired
+// encoding is simply malformed, which falls through to origin.
 
 // MaxChunkFrame bounds one frame's payload. An engine chunk holds at
 // most MaxChunkRows entries of digests and values; anything larger is a
@@ -32,6 +47,10 @@ var (
 	ErrFrameTooBig = errors.New("wire: chunk frame exceeds size limit")
 	// ErrFrameTruncated reports a stream that ended inside a frame.
 	ErrFrameTruncated = errors.New("wire: chunk frame truncated")
+
+	// errMalformed reports a complete frame whose payload is not a valid
+	// encoding of the frame type the reader expected.
+	errMalformed = errors.New("wire: malformed frame")
 )
 
 // frameHeader is the length prefix every frame opens with; encoders
@@ -58,79 +77,189 @@ func sealFrame(w io.Writer, b []byte) error {
 	return nil
 }
 
-// openFrame reads one frame's payload into body. It returns io.EOF
+// openFrame reads one frame and returns its payload in a buffer of its
+// own, which whatever is decoded from it may alias. It returns io.EOF
 // exactly at a frame boundary (the clean end of a stream),
 // ErrFrameTruncated when the stream dies mid-frame and ErrFrameTooBig on
-// a length prefix beyond the cap. The payload is copied incrementally
-// rather than into a buffer of the claimed length, so the claim itself
-// allocates at most frameReadAhead.
-func openFrame(r io.Reader, body *bytes.Buffer) error {
+// a length prefix beyond the cap. Past frameReadAhead the buffer grows
+// only as fast as bytes arrive, so the claim itself allocates little.
+func openFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return io.EOF
+			return nil, io.EOF
 		}
-		return fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
+		return nil, fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > MaxChunkFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	// bytes.Buffer.ReadFrom wants MinRead spare bytes before every read,
-	// the last one included; reserving them here keeps an exact-fit
-	// payload to one allocation.
-	body.Grow(int(min(n, frameReadAhead)) + bytes.MinRead)
-	if _, err := io.CopyN(body, r, int64(n)); err != nil {
-		return fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
+	body := make([]byte, min(n, frameReadAhead))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		if got += m; err != nil {
+			return nil, fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
+		}
+		if got == n {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(n-got, got))...)
 	}
-	return nil
 }
 
-// frameBufPool recycles the per-frame scratch buffers of the gob frame
-// codec. A long stream writes (and reads) thousands of frames; without
-// the pool every frame retires a buffer the size of its payload to the
-// garbage collector. Buffers that grew beyond maxPooledFrame are dropped
-// instead of pooled so one pathological frame cannot pin megabytes.
-var frameBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// scratchPool recycles every encoder's scratch: the header is reserved,
+// the payload is appended behind it, and sealFrame sends the whole frame
+// in one Write. A long stream writes thousands of frames; without the
+// pool each retires a payload-sized buffer to the garbage collector.
+var scratchPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}
 
-// maxPooledFrame bounds the capacity of buffers returned to the pool.
+// maxPooledFrame bounds the capacity of buffers returned to the pool, so
+// one pathological frame cannot pin megabytes.
 const maxPooledFrame = 1 << 20
 
-func putFrameBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledFrame {
-		frameBufPool.Put(buf)
+// encodeFrame appends v's payload behind a reserved header in pooled
+// scratch and writes the sealed frame. Nothing of v is retained.
+func encodeFrame[T any](w io.Writer, v *T, payload func([]byte, *T) ([]byte, error)) error {
+	bp := scratchPool.Get().(*[]byte)
+	b, err := payload(append((*bp)[:0], 0, 0, 0, 0), v)
+	if err == nil {
+		err = sealFrame(w, b)
 	}
+	if cap(b) <= maxPooledFrame {
+		*bp = b[:0]
+		scratchPool.Put(bp)
+	}
+	return err
 }
 
-// writeFrame writes v as one gob frame (each frame carries its own gob
-// type preamble). The encode scratch buffer is pooled; nothing of v is
-// retained.
-func writeFrame[T any](w io.Writer, v *T) error {
-	buf := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
-	buf.Reset()
-	var reserved [frameHeader]byte
-	buf.Write(reserved[:])
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("wire: encode frame: %w", err)
-	}
-	return sealFrame(w, buf.Bytes())
+func appendBytes[T ~[]byte | ~string](b []byte, p T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p)))
+	return append(b, p...)
 }
 
-// readFrame reads one gob frame into v, with openFrame's end-of-stream
-// contract. The payload buffer is pooled — gob copies everything it
-// decodes into v, so nothing aliases it after the decode returns.
-func readFrame[T any](r io.Reader, v *T) error {
-	body := frameBufPool.Get().(*bytes.Buffer)
-	defer putFrameBuf(body)
-	body.Reset()
-	if err := openFrame(r, body); err != nil {
+func appendInt(b []byte, v int) []byte { return binary.AppendVarint(b, int64(v)) }
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// decoder is a sticky-error cursor over one frame payload: after the
+// first malformed field every read returns zero, so a decode function
+// reads its fields straight through and checks done() once.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail() { d.err = errMalformed }
+
+func (d *decoder) byte() byte {
+	if d.err != nil || len(d.b) == 0 {
+		d.fail()
+		return 0
+	}
+	v := d.b[0]
+	d.b = d.b[1:]
+	return v
+}
+
+func (d *decoder) bool() bool {
+	v := d.byte()
+	if v > 1 {
+		d.fail()
+	}
+	return v == 1
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// int reads a varint that must fit the platform's int.
+func (d *decoder) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail()
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a list length whose elements take at least size encoded
+// bytes each, refusing one the remaining payload cannot hold — checked
+// here so no caller sizes an allocation from an unchecked claim.
+func (d *decoder) count(size int) int {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.b)/size) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// bytes returns a sub-slice aliasing the frame's payload (openFrame gives
+// every frame a buffer of its own, so aliases stay valid and private);
+// an empty field decodes as nil.
+func (d *decoder) bytes() []byte {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := d.b[:n:n]
+	d.b = d.b[n:]
+	return out
+}
+
+// str copies: a string must not change if the payload is later written.
+func (d *decoder) str() string { return string(d.bytes()) }
+
+// done fails the decode unless the payload was consumed exactly.
+func (d *decoder) done() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.fail()
+	}
+	return d.err
+}
+
+// decodeFrame reads one frame and decodes its payload into v, which
+// from then on owns the payload buffer it aliases.
+func decodeFrame[T any](r io.Reader, v *T, payload func(*decoder, *T)) error {
+	body, err := openFrame(r)
+	if err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(body).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode frame: %w", err)
-	}
-	return nil
+	d := decoder{b: body}
+	payload(&d, v)
+	return d.done()
 }
 
 // fresh runs a read-into decoder on a new value — the shape the exported

@@ -3,18 +3,21 @@ package wire
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"reflect"
 	"testing"
 
 	"vcqr/internal/engine"
 	"vcqr/internal/obs"
 )
 
-// These tests pin the wire-compatibility claim of the tracing fields:
-// they are *optional* gob struct fields, so a peer built before this
-// change decodes the new encodings unchanged (gob drops fields the
+// These tests pin the wire-compatibility claim of the tracing fields.
+// On requests they are *optional* gob struct fields, so a peer built
+// before them decodes the new encodings unchanged (gob drops fields the
 // receiver lacks) and a new peer decodes old encodings with the fields
-// zero. The "old" shapes below are literal copies of the structs as they
-// existed before the trace fields landed.
+// zero; the "old" shapes below are literal copies of the structs as they
+// existed before the trace fields landed. On streamed frames, which are
+// not gob, the tag rule of frame.go applies instead.
 
 // oldStreamRequest is StreamRequest before Trace/Timing.
 type oldStreamRequest struct {
@@ -111,44 +114,40 @@ func TestTimingTrailerFrameRoundTrip(t *testing.T) {
 		out.Timing[0] != in.Timing[0] || out.Timing[1] != in.Timing[1] {
 		t.Fatalf("trailer round trip mismatch: %+v", out)
 	}
-	// An old-shaped chunk reader (no Trace/Timing fields) must decode the
-	// frame without error — the trailer degrades to an unknown-typed chunk
-	// it can ignore or reject at its own layer, never a decode failure.
-	type oldChunk struct {
-		Type engine.ChunkType
-		Seq  uint64
-		Err  string
-	}
+	// The trailer has a tag of its own, and the tag is the format's only
+	// version: a reader that predates a tag refuses the frame by name —
+	// it never misreads one chunk type's fields as another's.
 	buf.Reset()
 	if err := WriteChunkFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [4]byte
-	if _, err := buf.Read(hdr[:]); err != nil {
-		t.Fatal(err)
+	frame := buf.Bytes()
+	if frame[frameHeader] != tagChunk+byte(engine.ChunkTiming) {
+		t.Fatalf("timing trailer opens with tag %#x", frame[frameHeader])
 	}
-	var old oldChunk
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("old reader failed to decode timing frame: %v", err)
-	}
-	if old.Type != engine.ChunkTiming {
-		t.Fatalf("old reader saw type %v", old.Type)
+	frame[frameHeader] = tagChunk + byte(engine.ChunkTiming) + 1
+	if _, err := ReadChunkFrame(&buf); !errors.Is(err, errMalformed) {
+		t.Fatalf("unknown chunk tag = %v, want errMalformed", err)
 	}
 }
 
+// TestNodeFootTimingOptional: a foot's advisory Timing may be absent —
+// it then decodes nil, and the seam material beside it is untouched.
 func TestNodeFootTimingOptional(t *testing.T) {
-	type oldNodeFoot struct {
-		Entries uint64
-	}
-	in := NodeFoot{Entries: 9, Timing: []obs.StageDur{{Stage: obs.StageVOAssemble, NS: 42}}}
-	var old oldNodeFoot
-	gobRoundTrip(t, in, &old)
-	if old.Entries != 9 {
-		t.Fatalf("old reader lost Entries: %+v", old)
-	}
-	var cur NodeFoot
-	gobRoundTrip(t, oldNodeFoot{Entries: 4}, &cur)
-	if cur.Entries != 4 || cur.Timing != nil {
-		t.Fatalf("optional Timing must decode nil: %+v", cur)
+	for _, in := range []NodeFoot{
+		{Entries: 4},
+		{Entries: 9, Timing: []obs.StageDur{{Stage: obs.StageVOAssemble, NS: 42}}},
+	} {
+		var buf bytes.Buffer
+		if err := WriteNodeFrame(&buf, &NodeFrame{Foot: &in}); err != nil {
+			t.Fatal(err)
+		}
+		out, err := ReadNodeFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*out.Foot, in) {
+			t.Fatalf("foot round trip: %+v, want %+v", *out.Foot, in)
+		}
 	}
 }

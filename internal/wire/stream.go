@@ -12,13 +12,23 @@ import (
 )
 
 // WriteChunkFrame writes one result-stream chunk as a frame;
-// ReadChunkFrame is its counterpart.
-func WriteChunkFrame(w io.Writer, c *engine.Chunk) error { return writeFrame(w, c) }
+// ReadChunkFrame is its counterpart. Nothing of c is retained.
+func WriteChunkFrame(w io.Writer, c *engine.Chunk) error { return encodeFrame(w, c, appendChunk) }
 
 // ReadChunkFrame reads one chunk frame. It returns io.EOF exactly at a
 // frame boundary (the clean end of a stream) and ErrFrameTruncated when
 // the stream dies mid-frame.
-func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) { return fresh(r, readFrame[engine.Chunk]) }
+//
+// Ownership: the payload is read into a buffer no one else holds — never
+// pooled, never the caller's memory — and every digest, signature and
+// byte value of the returned chunk aliases it (strings are copied). The
+// returned value owns that one buffer; retaining any digest retains the
+// frame, and whoever wants to change decoded material clones it first.
+func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) { return fresh(r, readChunkFrame) }
+
+func readChunkFrame(r io.Reader, c *engine.Chunk) error {
+	return decodeFrame(r, c, (*decoder).chunk)
+}
 
 // StreamRequest asks a publisher to answer a query as a chunk stream.
 type StreamRequest struct {
@@ -28,9 +38,9 @@ type StreamRequest struct {
 	ChunkRows int
 
 	// Trace is an optional client-supplied trace ID; empty lets the
-	// serving entry point mint one (internal/obs). Old servers decode
-	// requests without this field untouched — gob ignores fields the
-	// receiver lacks — so tracing needs no protocol version bump. Trace
+	// serving entry point mint one (internal/obs). Requests are gob, so
+	// old servers decode them without this field untouched — gob ignores
+	// fields the receiver lacks — and tracing needs no version bump. Trace
 	// IDs are advisory and never part of the verified material.
 	Trace string
 	// Timing asks the server to append an advisory engine.ChunkTiming

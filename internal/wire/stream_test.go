@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -87,21 +88,25 @@ func TestChunkFrameSizeLimit(t *testing.T) {
 	}
 }
 
-// TestChunkFrameGarbage checks that non-gob bytes fail cleanly.
+// TestChunkFrameGarbage checks that bytes no encoder wrote — prose, and a
+// gob chunk as the previous format framed it — fail cleanly.
 func TestChunkFrameGarbage(t *testing.T) {
-	body := []byte("this is not gob")
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	buf.Write(hdr[:])
-	buf.Write(body)
-	if _, err := wire.ReadChunkFrame(&buf); err == nil {
-		t.Fatal("garbage frame decoded")
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(sampleChunks()[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{[]byte("this is not a chunk"), old.Bytes()} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+		if _, err := wire.ReadChunkFrame(bytes.NewReader(append(frame, body...))); !errors.Is(err, wire.ErrMalformed) {
+			t.Fatalf("garbage frame decoded: %v, want the malformed-frame error", err)
+		}
 	}
 }
 
 // FuzzReadChunkFrame fuzzes the frame decoder with raw bytes: it must
-// never panic, and any chunk it accepts must re-encode.
+// never panic, and any chunk it accepts must re-encode to a frame that
+// decodes to the same chunk. Seeded with hand-made frames and with every
+// chunk the codec fixture's real streams emit.
 func FuzzReadChunkFrame(f *testing.F) {
 	var seed bytes.Buffer
 	for _, c := range sampleChunks() {
@@ -113,6 +118,13 @@ func FuzzReadChunkFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	for _, c := range newCodecFixture(f).realChunks(f) {
+		var frame bytes.Buffer
+		if err := wire.WriteChunkFrame(&frame, c); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -120,8 +132,15 @@ func FuzzReadChunkFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			if err := wire.WriteChunkFrame(io.Discard, c); err != nil {
-				t.Fatalf("accepted chunk does not re-encode: %v", err)
+			again := frameOf(t, wire.WriteChunkFrame, c)
+			c2, err := wire.ReadChunkFrame(bytes.NewReader(again))
+			if err != nil {
+				t.Fatalf("re-encoded chunk does not decode: %v", err)
+			}
+			// Compared by encoding, which is injective on decoded values
+			// (DeepEqual would call a NaN float value unequal to itself).
+			if !bytes.Equal(frameOf(t, wire.WriteChunkFrame, c2), again) {
+				t.Fatalf("re-encoded chunk decodes to %+v, want %+v", c2, c)
 			}
 		}
 	})

@@ -1,9 +1,16 @@
 package vcqr
 
 import (
+	"bytes"
+	"encoding/gob"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"vcqr/internal/engine"
+	"vcqr/internal/wire"
 )
 
 // TestServingTreeIsPaperFree pins the split the tree layout promises:
@@ -39,6 +46,46 @@ func TestGobStaysInWire(t *testing.T) {
 		}
 		if pkg != "vcqr/internal/wire" && pkg != "vcqr/internal/store" {
 			t.Errorf("%s imports encoding/gob", pkg)
+		}
+	}
+}
+
+// TestStreamFramesAreGobFree pins the data path's codec: a result-chunk
+// frame and a node sub-stream frame are not gob — a gob decoder over a
+// freshly written payload fails — and inside internal/wire encoding/gob
+// is named only where something still rides it: the transfer and lease
+// frames (cluster.go), the unary RPC bodies (endpoint.go) and the
+// snapshot and params files (wire.go).
+func TestStreamFramesAreGobFree(t *testing.T) {
+	chunk := &engine.Chunk{Type: engine.ChunkFooter, Seq: 2, AggSig: []byte("sig")}
+	var buf bytes.Buffer
+	if err := wire.WriteChunkFrame(&buf, chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[4:])).Decode(new(engine.Chunk)); err == nil {
+		t.Error("a chunk frame's payload decodes as gob")
+	}
+	buf.Reset()
+	if err := wire.WriteNodeFrame(&buf, &wire.NodeFrame{Chunk: chunk}); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[4:])).Decode(new(wire.NodeFrame)); err == nil {
+		t.Error("a node frame's payload decodes as gob")
+	}
+
+	out, err := exec.Command("go", "list", "-f",
+		`{{range .GoFiles}}{{.}} {{end}}`, "./internal/wire").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	allowed := map[string]bool{"cluster.go": true, "endpoint.go": true, "wire.go": true}
+	for _, name := range strings.Fields(string(out)) {
+		src, err := os.ReadFile(filepath.Join("internal", "wire", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(src, []byte(`"encoding/gob"`)) != allowed[name] {
+			t.Errorf("internal/wire/%s: imports encoding/gob = %v, want %v", name, !allowed[name], allowed[name])
 		}
 	}
 }
