@@ -481,14 +481,13 @@ func BenchmarkDeltaApply(b *testing.B) {
 // --- serving layer (internal/server) ---------------------------------------
 
 // serverFixture builds a server over the shared 512-record relation.
-func serverFixture(b *testing.B, cacheSize int) *server.Server {
+func serverFixture(b *testing.B) *server.Server {
 	f := sharedFixture(b)
 	e := env(b)
 	s := server.New(server.Config{
-		Hasher:    f.h,
-		Pub:       e.Key.Public(),
-		Policy:    accessctl.NewPolicy(f.role),
-		CacheSize: cacheSize,
+		Hasher: f.h,
+		Pub:    e.Key.Public(),
+		Policy: accessctl.NewPolicy(f.role),
 	})
 	b.Cleanup(s.Close)
 	if err := s.AddRelation(f.sr.Clone(), false); err != nil {
@@ -499,11 +498,11 @@ func serverFixture(b *testing.B, cacheSize int) *server.Server {
 
 // BenchmarkServerConcurrentQuery measures serving throughput with many
 // goroutines querying epoch snapshots lock-free (RunParallel scales with
-// -cpu). The query mix rotates over ranges so both cache hits and full
-// VO assemblies occur.
+// -cpu). The query mix rotates over ranges; every query is a full VO
+// assembly, drained chunk by chunk.
 func BenchmarkServerConcurrentQuery(b *testing.B) {
 	f := sharedFixture(b)
-	s := serverFixture(b, server.DefaultCacheSize)
+	s := serverFixture(b)
 	queries := []engine.Query{
 		queryTopQ(b, f, 1), queryTopQ(b, f, 5),
 		queryTopQ(b, f, 10), queryTopQ(b, f, 100),
@@ -513,53 +512,15 @@ func BenchmarkServerConcurrentQuery(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := s.Query("all", queries[i%len(queries)]); err != nil {
+			st, err := s.QueryStream("all", queries[i%len(queries)], 0)
+			for err == nil {
+				_, err = st.Next()
+			}
+			if err != io.EOF {
 				b.Error(err)
 				return
 			}
 			i++
-		}
-	})
-	b.StopTimer()
-	st := s.Stats()
-	total := st.Cache.Hits + st.Cache.Misses
-	if total > 0 {
-		b.ReportMetric(100*float64(st.Cache.Hits)/float64(total), "cache-hit-%")
-	}
-}
-
-// BenchmarkServerCachedVO contrasts a hot query served from the VO cache
-// against the same query with caching disabled (full boundary-proof,
-// digest, and aggregation work every time). The cached case must be
-// measurably faster — that gap is what the cache buys on hot ranges.
-func BenchmarkServerCachedVO(b *testing.B) {
-	f := sharedFixture(b)
-	query := queryTopQ(b, f, 100)
-	b.Run("cached", func(b *testing.B) {
-		s := serverFixture(b, server.DefaultCacheSize)
-		if _, err := s.Query("all", query); err != nil { // warm the entry
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Query("all", query); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if s.Stats().Cache.Hits == 0 {
-			b.Fatal("cached run never hit the cache")
-		}
-	})
-	b.Run("uncached", func(b *testing.B) {
-		s := serverFixture(b, -1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Query("all", query); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }
@@ -576,11 +537,15 @@ func BenchmarkStreamQuery(b *testing.B) {
 	f := sharedFixture(b)
 	query := queryTopQ(b, f, 512)
 	b.Run("materialized", func(b *testing.B) {
-		s := serverFixture(b, -1)
+		s := serverFixture(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := s.Query("all", query)
+			st, err := s.QueryStream("all", query, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := engine.Collect(st)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -590,7 +555,7 @@ func BenchmarkStreamQuery(b *testing.B) {
 		}
 	})
 	b.Run("streamed", func(b *testing.B) {
-		s := serverFixture(b, -1)
+		s := serverFixture(b)
 		var ttfc time.Duration
 		b.ReportAllocs()
 		b.ResetTimer()

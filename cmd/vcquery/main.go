@@ -8,8 +8,8 @@
 //	vcquery -url http://localhost:8080 -params params.gob \
 //	        -role manager -lo 1000 -hi 500000 -cols Name,Dept
 //
-// Batch mode sends several ranges in one round trip (served from one
-// epoch snapshot on the publisher) and verifies each result:
+// Batch mode queries several ranges, one after another, and verifies
+// each result independently:
 //
 //	vcquery -url http://localhost:8080 -params params.gob \
 //	        -role manager -ranges 1000:2000,500000:900000,1:0
@@ -52,7 +52,7 @@ func main() {
 	lo := flag.Uint64("lo", 1, "range lower bound (inclusive)")
 	hi := flag.Uint64("hi", 0, "range upper bound (inclusive, 0 = unbounded)")
 	cols := flag.String("cols", "", "comma-separated projection (empty = all columns)")
-	ranges := flag.String("ranges", "", "batch mode: comma-separated lo:hi pairs sent as one batch query")
+	ranges := flag.String("ranges", "", "batch mode: comma-separated lo:hi pairs, each queried and verified independently")
 	stream := flag.Bool("stream", false, "stream mode: verify and print rows chunk by chunk")
 	chunkRows := flag.Int("chunk", 0, "stream mode: rows per chunk (0 = publisher default)")
 	timing := flag.Bool("timing", false, "stream mode: request the server's advisory timing trailer and print the per-stage latency breakdown (plus client-side verify cost)")
@@ -176,9 +176,9 @@ func printTiming(v *verify.Verifier, stats wire.StreamStats) {
 	}
 }
 
-// runBatch parses "lo:hi,lo:hi,..." into one batch request, verifies
-// every result independently, and reports per-range outcomes. Exits
-// non-zero if any result is rejected.
+// runBatch parses "lo:hi,lo:hi,...", queries and verifies every range
+// independently, and reports per-range outcomes. Exits non-zero if any
+// result is rejected.
 func runBatch(client *wire.Client, v *verify.Verifier, cp wire.ClientParams, role accessctl.Role, roleName, spec string, project []string) {
 	var qs []engine.Query
 	for _, part := range strings.Split(spec, ",") {
@@ -196,20 +196,17 @@ func runBatch(client *wire.Client, v *verify.Verifier, cp wire.ClientParams, rol
 		}
 		qs = append(qs, engine.Query{Relation: cp.Schema.Name, KeyLo: lo, KeyHi: hi, Project: project})
 	}
-	results, errs, err := client.QueryBatch(roleName, qs)
-	if err != nil {
-		log.Fatalf("batch failed: %v", err)
-	}
 	rejected := 0
-	for i, res := range results {
-		if errs[i] != nil {
-			fmt.Printf("[%d] [%d, %d] publisher error: %v\n", i, qs[i].KeyLo, qs[i].KeyHi, errs[i])
+	for i, q := range qs {
+		res, err := client.Query(roleName, q)
+		if err != nil {
+			fmt.Printf("[%d] [%d, %d] publisher error: %v\n", i, q.KeyLo, q.KeyHi, err)
 			rejected++
 			continue
 		}
-		rows, err := v.VerifyResult(qs[i], role, res)
+		rows, err := v.VerifyResult(q, role, res)
 		if err != nil {
-			fmt.Printf("[%d] [%d, %d] REJECTED: %v\n", i, qs[i].KeyLo, qs[i].KeyHi, err)
+			fmt.Printf("[%d] [%d, %d] REJECTED: %v\n", i, q.KeyLo, q.KeyHi, err)
 			rejected++
 			continue
 		}
@@ -218,7 +215,7 @@ func runBatch(client *wire.Client, v *verify.Verifier, cp wire.ClientParams, rol
 			i, res.Effective.KeyLo, res.Effective.KeyHi, len(rows), acc.Bytes())
 	}
 	if rejected > 0 {
-		log.Fatalf("%d of %d batch results rejected", rejected, len(results))
+		log.Fatalf("%d of %d batch results rejected", rejected, len(qs))
 	}
 }
 

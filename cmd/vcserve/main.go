@@ -25,9 +25,9 @@
 //     needs no keys and no params: anything it garbles or forges fails
 //     digest and seam checks and the query falls through to origin.
 //
-// The user-facing endpoints (/query, /batch, /stream, /delta, /healthz,
-// /statsz) are identical in single-process and coordinator modes, so
-// vcquery works against either unchanged. See docs/OPERATIONS.md for the
+// The user-facing endpoints (/stream, /delta, /healthz, /statsz) are
+// identical in single-process and coordinator modes, so vcquery works
+// against either unchanged. See docs/OPERATIONS.md for the
 // operator's handbook.
 //
 // Usage:
@@ -108,7 +108,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed when -load is empty")
 	shards := flag.Int("shards", 1, "range-partition the in-process publication (ignored with -load)")
 	paramsPath := flag.String("params", "params.gob", "client parameters file (read with -load/-node/-coordinator, written otherwise)")
-	cacheSize := flag.Int("cache", server.DefaultCacheSize, "VO cache entries (negative disables)")
 	nodeMode := flag.Bool("node", false, "run as a shard node awaiting coordinator installs")
 	coordMode := flag.Bool("coordinator", false, "run as a cluster coordinator over -nodes")
 	cacheMode := flag.Bool("cache-node", false, "run as an untrusted edge-cache peer (internal/cache)")
@@ -137,11 +136,11 @@ func main() {
 	case *cacheMode:
 		runCachePeer(*addr, *cacheBytes)
 	case *nodeMode:
-		runNode(*addr, *paramsPath, *cacheSize, *dataDir, *snapshotEvery)
+		runNode(*addr, *paramsPath, *dataDir, *snapshotEvery)
 	case *coordMode:
 		runCoordinator(*addr, *load, *paramsPath, *nodesFlag, *cachePeers, *adopt, *replicas, *leaseTTL, *heartbeat, *dataDir)
 	default:
-		runSingle(*addr, *load, *paramsPath, *n, *seed, *shards, *cacheSize)
+		runSingle(*addr, *load, *paramsPath, *n, *seed, *shards)
 	}
 }
 
@@ -183,7 +182,7 @@ func policyFrom(cp wire.ClientParams) accessctl.Policy {
 // later over /shard/install from a coordinator — or, with -data-dir,
 // from the node's own crash-safe WAL, self-checked against the owner's
 // public key before a byte of it is served.
-func runNode(addr, paramsPath string, cacheSize int, dataDir string, snapshotEvery int) {
+func runNode(addr, paramsPath, dataDir string, snapshotEvery int) {
 	cp, err := wire.ReadClientParams(paramsPath)
 	if err != nil {
 		log.Fatal(err)
@@ -212,7 +211,6 @@ func runNode(addr, paramsPath string, cacheSize int, dataDir string, snapshotEve
 		Hasher:        hashx.New(),
 		Pub:           &sig.PublicKey{N: cp.N, E: cp.E},
 		Policy:        policyFrom(cp),
-		CacheSize:     cacheSize,
 		SlowThreshold: slowQuery,
 		Store:         nstore,
 	})
@@ -407,7 +405,7 @@ func waitAndShutdown(shutdown func(context.Context) error, done func() <-chan st
 }
 
 // runSingle is the original single-process publisher.
-func runSingle(addr, load, paramsPath string, n int, seed int64, shards, cacheSize int) {
+func runSingle(addr, load, paramsPath string, n int, seed int64, shards int) {
 	h := hashx.New()
 	var (
 		snap *wire.Snapshot
@@ -472,7 +470,6 @@ func runSingle(addr, load, paramsPath string, n int, seed int64, shards, cacheSi
 		Hasher:        h,
 		Pub:           pub,
 		Policy:        policyFrom(cp),
-		CacheSize:     cacheSize,
 		SlowThreshold: slowQuery,
 	})
 	serveDebug(s.Obs().Slow)
@@ -505,6 +502,5 @@ func runSingle(addr, load, paramsPath string, n int, seed int64, shards, cacheSi
 	fmt.Printf("publisher serving %q (%d records) on %s\n", name, records, hs.Addr())
 	waitAndShutdown(func(ctx context.Context) error { return hs.Shutdown(ctx) }, hs.Done, hs.Err)
 	st := s.Stats()
-	log.Printf("served %d queries (%d batches, %d deltas, cache %d/%d hits); bye",
-		st.Queries, st.Batches, st.DeltasApplied, st.Cache.Hits, st.Cache.Hits+st.Cache.Misses)
+	log.Printf("served %d queries (%d deltas); bye", st.Queries, st.DeltasApplied)
 }

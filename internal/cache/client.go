@@ -56,8 +56,8 @@ type Key struct {
 	ChunkRows   int
 }
 
-// String renders the canonical key (the server-side VO cache key idiom,
-// extended with the placement coordinates).
+// String renders the canonical key: the query's identity plus the
+// placement coordinates.
 func (k Key) String() string {
 	var b strings.Builder
 	b.Grow(96)

@@ -234,12 +234,22 @@ func TestClusterStreamByteIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterMaterializedQuery: the coordinator's /query path collects
-// the merged stream and verifies with the whole-result verifier.
+// collect answers q as one materialized result: the coordinator's merged
+// stream, collected.
+func collect(c *cluster.Coordinator, role string, q engine.Query) (*engine.Result, error) {
+	st, err := c.QueryStream(role, q, 0)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Collect(st)
+}
+
+// TestClusterMaterializedQuery: the coordinator's merged stream, collected,
+// verifies with the whole-result verifier.
 func TestClusterMaterializedQuery(t *testing.T) {
 	f := newCluster(t, 60, 3, 2, nil)
 	q := engine.Query{Relation: "Uniform"}
-	res, err := f.coord.Query("all", q)
+	res, err := collect(f.coord, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +260,7 @@ func TestClusterMaterializedQuery(t *testing.T) {
 	if len(rows) != 60 {
 		t.Fatalf("verified %d rows, want 60", len(rows))
 	}
-	if _, err := f.coord.Query("all", engine.Query{Relation: "Uniform", Distinct: true}); err == nil {
+	if _, err := collect(f.coord, "all", engine.Query{Relation: "Uniform", Distinct: true}); err == nil {
 		t.Fatal("DISTINCT accepted by the coordinator")
 	}
 }
@@ -316,7 +326,7 @@ func TestClusterDelta(t *testing.T) {
 	if rows != 96 {
 		t.Fatalf("verified %d rows, want 96", rows)
 	}
-	res, err := f.coord.Query("all", q)
+	res, err := collect(f.coord, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +478,7 @@ func TestDeltaMidMigrationLandsOneSide(t *testing.T) {
 	}
 
 	q := engine.Query{Relation: "Uniform"}
-	res, err := f.coord.Query("all", q)
+	res, err := collect(f.coord, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +570,7 @@ func TestCoordinatorCrashRecovery(t *testing.T) {
 
 	// And the recovered cluster serves the delta'd, verifying state.
 	q := engine.Query{Relation: "Uniform"}
-	res, err := coord2.Query("all", q)
+	res, err := collect(coord2, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}

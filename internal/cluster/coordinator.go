@@ -775,24 +775,6 @@ func closeFeeds(feeds []engine.ShardFeed) {
 	}
 }
 
-// Query answers one materialized query by collecting its merged stream.
-func (c *Coordinator) Query(roleName string, q engine.Query) (*engine.Result, error) {
-	sp := obs.StartSpan("")
-	defer func() {
-		c.obs.Slow.Finish(sp, "query", fmt.Sprintf("role=%s relation=%s", roleName, q.Relation))
-	}()
-	st, err := c.queryStreamTraced(roleName, q, 0, sp)
-	if err != nil {
-		return nil, err
-	}
-	res, err := engine.Collect(st)
-	if err != nil {
-		c.errors.Add(1)
-		return nil, err
-	}
-	return res, nil
-}
-
 // NodeStat is one node's lease/health view in Stats and /statsz.
 type NodeStat struct {
 	URL string

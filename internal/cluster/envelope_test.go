@@ -60,8 +60,11 @@ func TestEndpointEnvelope(t *testing.T) {
 	gone := wire.ShardRef{Relation: "Uniform", Shard: 99}
 	okErr := gobRefusal(func(r *wire.OKResponse) string { return r.Err })
 	deltaErr := gobRefusal(func(r *wire.DeltaResponse) string { return r.Err })
-	queryFails := func(cl *wire.Client) error { _, err := cl.Query("all", nope); return err }
+	// Both consumers of /stream, the verifying one and the collecting one.
 	streamFails := func(cl *wire.Client) error {
+		if _, err := cl.Query("all", nope); err == nil {
+			return nil
+		}
 		_, err := cl.QueryStream(f.v, f.role, "all", nope, 0, nil)
 		return err
 	}
@@ -74,11 +77,6 @@ func TestEndpointEnvelope(t *testing.T) {
 		rows    []envelopeRow
 	}{
 		{"node", f.nodes[0].Handler(), f.urls[0], []envelopeRow{
-			{ep: wire.QueryRPC.Endpoint, fail: queryFails},
-			{ep: wire.BatchRPC.Endpoint, fail: func(cl *wire.Client) error {
-				_, errs, err := cl.QueryBatch("all", []engine.Query{nope})
-				return errors.Join(append(errs, err)...)
-			}},
 			{ep: wire.StreamEP.Endpoint, fail: streamFails},
 			{ep: wire.DeltaRPC.Endpoint, refusal: deltaErr, fail: deltaFails},
 			{ep: wire.ShardEdgesRPC.Endpoint, refusal: gobRefusal(func(r *wire.EdgeResponse) string { return r.Err }),
@@ -118,7 +116,6 @@ func TestEndpointEnvelope(t *testing.T) {
 				}, notHosting: true},
 		}},
 		{"coordinator", f.coord.Handler(), coordTS.URL, []envelopeRow{
-			{ep: wire.QueryRPC.Endpoint, fail: queryFails},
 			{ep: wire.StreamEP.Endpoint, fail: streamFails},
 			{ep: wire.DeltaRPC.Endpoint, refusal: deltaErr, fail: deltaFails},
 		}},
@@ -126,6 +123,14 @@ func TestEndpointEnvelope(t *testing.T) {
 			{ep: wire.CacheRPC.Endpoint},
 		}},
 	} {
+		// One read path: the materialized endpoints are gone at every tier.
+		for _, path := range []string{"/query", "/batch"} {
+			rec := httptest.NewRecorder()
+			side.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("%s: POST %s answered %d, want 404", side.name, path, rec.Code)
+			}
+		}
 		for _, row := range side.rows {
 			name := side.name + " " + row.ep.Path
 

@@ -18,12 +18,11 @@ import (
 )
 
 // Handler returns the coordinator's HTTP API. The user-facing endpoints
-// (/query, /stream, /delta, /healthz, /statsz) speak exactly the wire
+// (/stream, /delta, /healthz, /statsz) speak exactly the wire
 // protocol a single-process vcserve speaks, so vcquery and owner tooling
 // work against a coordinator unchanged; /admin adds the control plane an
 // operator drives:
 //
-//	POST /query            gob wire.Request       -> gob wire.Response
 //	POST /stream           gob wire.StreamRequest -> chunk frames
 //	POST /delta            gob delta.Delta        -> gob wire.DeltaResponse
 //	GET  /healthz          "ok"
@@ -37,10 +36,6 @@ import (
 //	POST /admin/rebalance  ?shard=N&to=URL        -> JSON RebalanceReport
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	wire.QueryRPC.Mount(mux, func(req wire.Request) (wire.Response, error) {
-		res, err := c.Query(req.Role, req.Query)
-		return wire.Response{Result: res}, err
-	}, nil)
 	wire.StreamEP.Mount(mux, c.handleStream)
 	wire.DeltaRPC.Mount(mux, func(d delta.Delta) (wire.DeltaResponse, error) {
 		epoch, err := c.ApplyDelta(d)

@@ -182,7 +182,7 @@ func TestCoordinatorMetricsJSON(t *testing.T) {
 	coordTS := httptest.NewServer(f.coord.Handler())
 	defer coordTS.Close()
 	defer f.coord.Close()
-	if _, err := f.coord.Query("all", engine.Query{Relation: "Uniform"}); err != nil {
+	if _, err := collect(f.coord, "all", engine.Query{Relation: "Uniform"}); err != nil {
 		t.Fatal(err)
 	}
 	cl := &wire.Client{BaseURL: coordTS.URL}

@@ -244,7 +244,7 @@ func TestReplicaNodeDeathZeroFailedQueries(t *testing.T) {
 	if rows != 96 {
 		t.Fatalf("verified %d rows, want 96", rows)
 	}
-	res, err := f.coord.Query("all", q)
+	res, err := collect(f.coord, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestLeaseExpiryDemotesWithoutDroppingStreams(t *testing.T) {
 
 	// New queries route around the demoted node by selection, not
 	// failover: every shard still has a live replica.
-	res, err := f.coord.Query("all", q)
+	res, err := collect(f.coord, "all", q)
 	if err != nil {
 		t.Fatalf("query with a demoted node: %v", err)
 	}
@@ -540,7 +540,7 @@ func TestReplicaDeltaWriteAll(t *testing.T) {
 	}
 
 	q := engine.Query{Relation: "Uniform"}
-	res, err := f.coord.Query("all", q)
+	res, err := collect(f.coord, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func TestReplicaAwareRecover(t *testing.T) {
 	}
 
 	q := engine.Query{Relation: "Uniform"}
-	res, err := coord2.Query("all", q)
+	res, err := collect(coord2, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,8 +188,7 @@ func (s Snapshot) Mean() time.Duration {
 // either a bare stage name or "stage|key=value[,key=value...]" when the
 // series carries extra labels (e.g. per-node sub-stream latency).
 const (
-	StageCacheLookup  = "cache_lookup"      // server: VO cache probe
-	StageVOAssemble   = "vo_assemble"       // server/engine: materialized VO build
+	StageVOAssemble   = "vo_assemble"       // server: VO assembly, summed over one stream's chunks
 	StageStreamChunk  = "stream_chunk"      // per-chunk assembly (ResultStream.Next)
 	StageStreamTotal  = "stream_total"      // whole-stream drain, first byte to footer
 	StageAggIndex     = "agg_index"         // engine: product-tree range aggregate
@@ -197,7 +196,6 @@ const (
 	StageFanoutMerge  = "fanout_merge"      // server, coordinator: merged /stream, open to footer
 	StageWireEncode   = "wire_encode"       // server: chunk frame encode + flush
 	StageVerify       = "verify"            // client: per-chunk verifier cost
-	StageQueryTotal   = "query_total"       // server: materialized query end to end
 	StageDeltaApply   = "delta_apply"       // server: single-process delta ingest
 	StageSubStream    = "substream"         // coordinator: per-node shard sub-stream
 	StagePinFeeds     = "pin_feeds"         // coordinator: epoch-pinned fan-out open

@@ -18,8 +18,6 @@ import (
 
 // Handler returns the server's HTTP API:
 //
-//	POST /query       gob wire.Request       -> gob wire.Response
-//	POST /batch       gob wire.BatchRequest  -> gob wire.BatchResponse
 //	POST /stream      gob wire.StreamRequest -> length-prefixed chunk frames
 //	                  (chunked transfer encoding, flushed per chunk)
 //	POST /delta       gob delta.Delta        -> gob wire.DeltaResponse
@@ -33,22 +31,6 @@ import (
 // clients, so the transport needs no hardening beyond basic hygiene.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	wire.QueryRPC.Mount(mux, func(req wire.Request) (wire.Response, error) {
-		res, err := s.Query(req.Role, req.Query)
-		return wire.Response{Result: res}, err
-	}, nil)
-	wire.BatchRPC.Mount(mux, func(req wire.BatchRequest) (wire.BatchResponse, error) {
-		results, errs := s.QueryBatch(req.Role, req.Queries)
-		resp := wire.BatchResponse{Items: make([]wire.Response, len(results))}
-		for i := range results {
-			if errs[i] != nil {
-				resp.Items[i].Err = errs[i].Error()
-			} else {
-				resp.Items[i].Result = results[i]
-			}
-		}
-		return resp, nil
-	}, nil)
 	wire.StreamEP.Mount(mux, s.handleStream)
 	wire.DeltaRPC.Mount(mux, func(d delta.Delta) (wire.DeltaResponse, error) {
 		epoch, err := s.ApplyDelta(d)
@@ -83,16 +65,13 @@ func (s *Server) obsRole() string {
 // counter outside the Stats struct itself — /metrics, /metrics.json, the
 // vcqr_server expvar — ranges over it.
 var counters = []obs.Counter[Stats]{
-	{Key: "queries", Help: "Point queries served.", Field: func(st *Stats) *uint64 { return &st.Queries }},
-	{Key: "batches", Help: "Batch requests served.", Field: func(st *Stats) *uint64 { return &st.Batches }},
+	{Key: "queries", Help: "Queries served.", Field: func(st *Stats) *uint64 { return &st.Queries }},
 	{Key: "streams", Help: "Streamed queries served.", Field: func(st *Stats) *uint64 { return &st.Streams }},
 	{Key: "stream_chunks", Help: "Stream chunk frames shipped.", Field: func(st *Stats) *uint64 { return &st.StreamChunks }},
 	{Key: "stream_bytes", Help: "Stream frame bytes shipped.", Field: func(st *Stats) *uint64 { return &st.StreamBytes }},
 	{Key: "deltas_applied", Help: "Deltas applied.", Field: func(st *Stats) *uint64 { return &st.DeltasApplied }},
 	{Key: "errors", Help: "Serving errors.", Field: func(st *Stats) *uint64 { return &st.Errors }},
 	{Key: "shard_streams", Help: "Fan-out sub-streams served (node mode).", Field: func(st *Stats) *uint64 { return &st.ShardStreams }},
-	{Key: "cache_hits", Help: "VO cache hits.", Field: func(st *Stats) *uint64 { return &st.Cache.Hits }},
-	{Key: "cache_misses", Help: "VO cache misses.", Field: func(st *Stats) *uint64 { return &st.Cache.Misses }},
 }
 
 // storeCounters are the durable node store's counters, exposed on
@@ -178,6 +157,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 		total, assemble, encode := ts.breakdown()
 		// Assembly is timed inside the stream (per-Next); the remainder of
 		// the drain is frame encode + flush — the wire_encode share.
+		s.hVO.Observe(assemble)
 		s.hWire.Observe(encode)
 		if s.partFor(req.Query.Relation) != nil {
 			// A partitioned relation's stream is a merged one; observed

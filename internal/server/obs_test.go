@@ -97,10 +97,10 @@ func TestMetricsScrape(t *testing.T) {
 	}
 
 	m := scrapeMetrics(t, ts.URL+"/metrics")
-	if got := m[`vcqr_streams_total{role="server"}`]; got != 1 {
-		t.Fatalf("vcqr_streams_total = %v, want 1", got)
+	// A collected Client.Query is a stream like any other.
+	if got := m[`vcqr_streams_total{role="server"}`]; got != 2 {
+		t.Fatalf("vcqr_streams_total = %v, want 2", got)
 	}
-	// Streams count toward queries too, so 1 stream + 1 point query = 2.
 	if got := m[`vcqr_queries_total{role="server"}`]; got != 2 {
 		t.Fatalf("vcqr_queries_total = %v, want 2", got)
 	}
@@ -108,11 +108,11 @@ func TestMetricsScrape(t *testing.T) {
 		t.Fatalf("expected at least header+entries+footer chunk frames, got %v",
 			m[`vcqr_stream_chunks_total{role="server"}`])
 	}
-	// Stage histograms: one observation per stream for stream_total, at
-	// least one chunk observation, and a query_total from the point query.
+	// Stage histograms: one observation per stream for stream_total,
+	// vo_assemble and wire_encode, at least one chunk observation.
 	for _, stage := range []string{
 		obs.StageStreamTotal, obs.StageStreamChunk, obs.StageWireEncode,
-		obs.StageQueryTotal, obs.StageCacheLookup, obs.StageVOAssemble,
+		obs.StageVOAssemble,
 	} {
 		key := `vcqr_stage_seconds_count{stage="` + stage + `",role="server"}`
 		if m[key] < 1 {

@@ -21,13 +21,11 @@ import (
 // This file is the partitioned half of the server: a range-partitioned
 // relation (internal/partition) is hosted as K independent store entries
 // — one per shard slice — so each shard has its own copy-on-write epoch,
-// its own writer lock, and its own slot in the VO cache's key space.
-// That independence is the point of the whole layer:
+// and its own writer lock. That independence is the point of the whole
+// layer:
 //
 //   - a delta touching shard i clones, validates and swaps O(n/K)
 //     records instead of O(n), under a lock no other shard contends on;
-//   - the cache keys of shard j's queries embed shard j's epoch, so a
-//     cutover on shard i invalidates nothing outside shard i;
 //   - a stream pins exactly the slices it covers, so it keeps verifying
 //     against its pinned epochs no matter which shards cut over
 //     mid-drain.
@@ -190,17 +188,12 @@ func (s *Server) pinCover(pt *partTable, sub []partition.SubRange) (pinnedCover,
 	return pinnedCover{}, ErrShardPin
 }
 
-// prevPin exposes the cover's pinned preceding slice to the fan-out,
-// recording use so the caller can keep cache keys honest (a VO that
-// consulted prev depends on more than the covering shard's epoch).
-func (pc pinnedCover) prevPin(used *bool) engine.PrevPin {
+// prevPin exposes the cover's pinned preceding slice to the fan-out.
+func (pc pinnedCover) prevPin() engine.PrevPin {
 	if pc.prev == nil {
 		return nil
 	}
-	return func() (*core.SignedRelation, bool) {
-		*used = true
-		return pc.prev, true
-	}
+	return func() (*core.SignedRelation, bool) { return pc.prev, true }
 }
 
 // planPartitioned resolves the role, computes the effective query, and
@@ -222,9 +215,8 @@ func (s *Server) planPartitioned(pt *partTable, roleName string, q engine.Query)
 }
 
 // partitionedStream plans, pins and launches a fan-out stream for one
-// query. prevUsed reports whether the lazy preceding-shard pin was
-// consulted (it taints single-shard cacheability).
-func (s *Server) partitionedStream(pt *partTable, roleName string, q engine.Query, opts engine.StreamOpts, prevUsed *bool) (engine.ResultStream, error) {
+// query.
+func (s *Server) partitionedStream(pt *partTable, roleName string, q engine.Query, opts engine.StreamOpts) (engine.ResultStream, error) {
 	role, eff, sub, err := s.planPartitioned(pt, roleName, q)
 	if err != nil {
 		return nil, err
@@ -233,59 +225,7 @@ func (s *Server) partitionedStream(pt *partTable, roleName string, q engine.Quer
 	if err != nil {
 		return nil, err
 	}
-	return s.exec.FanoutStream(role, eff, pc.slices, pc.prevPin(prevUsed), opts)
-}
-
-// queryPartitioned answers a materialized query on a partitioned
-// relation by collecting its fan-out stream. Single-shard covers are
-// served through the VO cache keyed on that shard's epoch alone — the
-// isolation that keeps a delta on shard i from evicting shard j's hot
-// queries — and the cache probe happens before any slice is scanned, so
-// a hit costs a map lookup, not a shard walk.
-func (s *Server) queryPartitioned(pt *partTable, roleName string, q engine.Query) (*engine.Result, error) {
-	role, eff, sub, err := s.planPartitioned(pt, roleName, q)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	name := pt.spec.Relation
-	single := len(sub) == 1
-	var key string
-	if single {
-		// Probe before pinning or scanning anything: a hit costs a map
-		// lookup. The key embeds only the covering shard's epoch; a
-		// result that consulted the preceding slice is not cached (see
-		// prevUsed below), so the key's epoch is the VO's whole world.
-		_, epoch, ok := s.store.View(shardName(name, sub[0].Shard))
-		if !ok {
-			s.errors.Add(1)
-			return nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, name)
-		}
-		key = cacheKey(epoch, roleName, q)
-		if res, hit := s.cache.Get(key); hit {
-			return res, nil
-		}
-	}
-	pc, err := s.pinCover(pt, sub)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	var prevUsed bool
-	st, err := s.exec.FanoutStream(role, eff, pc.slices, pc.prevPin(&prevUsed), engine.StreamOpts{})
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	res, err := engine.Collect(st)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	if single && !prevUsed {
-		s.cache.Put(key, res)
-	}
-	return res, nil
+	return s.exec.FanoutStream(role, eff, pc.slices, pc.prevPin(), opts)
 }
 
 // applyPartitionedDelta runs the node tier's delta protocol with all K

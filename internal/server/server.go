@@ -3,7 +3,7 @@
 // engine.Publisher reproduction into a system that serves many users at
 // once while the owner streams updates.
 //
-// Three mechanisms make it safe and fast under concurrency:
+// Two mechanisms make it safe and fast under concurrency:
 //
 //   - Sharded copy-on-write epochs (Store): readers load an immutable
 //     snapshot through an atomic pointer — no read locks — while writers
@@ -17,13 +17,10 @@
 //     re-validated, then cut over atomically. A rejected delta leaves
 //     the published epoch untouched.
 //
-//   - A VO cache (voCache): assembling a VO costs boundary proofs,
-//     per-entry digests, and an RSA aggregation; hot queries skip all of
-//     it. Keys include the epoch, so a cutover invalidates implicitly —
-//     stale entries age out of the LRU instead of needing purge logic.
-//
-// The HTTP front end (http.go) exposes query, batch-query, delta-ingest
-// and health/stats endpoints and shuts down gracefully.
+// Every query is answered as a chunk stream (QueryStream) — the one read
+// path; a caller that wants the materialized result collects it. The HTTP
+// front end (http.go) exposes the stream, delta-ingest and health/stats
+// endpoints and shuts down gracefully.
 package server
 
 import (
@@ -49,9 +46,6 @@ type Config struct {
 	Hasher *hashx.Hasher
 	Pub    *sig.PublicKey
 	Policy accessctl.Policy
-	// CacheSize bounds the VO cache in entries; 0 means DefaultCacheSize,
-	// negative disables caching.
-	CacheSize int
 	// Obs is the stage-latency registry (internal/obs). Nil creates a
 	// fresh one.
 	Obs *obs.Registry
@@ -67,19 +61,14 @@ type Config struct {
 	Store *store.NodeStore
 }
 
-// DefaultCacheSize is the VO-cache bound when Config.CacheSize is 0.
-const DefaultCacheSize = 1024
-
-// Server is a goroutine-safe publisher: an epoch store, a stateless
-// query executor, and a VO cache. All exported methods may be called
-// concurrently.
+// Server is a goroutine-safe publisher: an epoch store and a stateless
+// query executor. All exported methods may be called concurrently.
 type Server struct {
 	h      *hashx.Hasher
 	pub    *sig.PublicKey
 	policy accessctl.Policy
 	exec   *engine.Publisher
 	store  *Store
-	cache  *voCache
 
 	// parts registers the range-partitioned relations; their shard
 	// slices live in the store under internal per-shard names.
@@ -99,9 +88,9 @@ type Server struct {
 	nstore   *store.NodeStore
 	installs atomic.Uint64
 
-	queries, batches, deltasApplied, errors atomic.Uint64
-	streams, streamChunks, streamBytes      atomic.Uint64
-	shardStreams                            atomic.Uint64
+	queries, deltasApplied, errors     atomic.Uint64
+	streams, streamChunks, streamBytes atomic.Uint64
+	shardStreams                       atomic.Uint64
 	// subInflight gauges currently-open fan-out sub-streams — the load
 	// signal leases report back to the coordinator's replica selection.
 	subInflight atomic.Int64
@@ -112,9 +101,7 @@ type Server struct {
 	// obs is the stage-latency registry; the h* fields are its hot-path
 	// histograms, resolved once.
 	obs     *obs.Registry
-	hCache  *obs.Histogram // cache_lookup
 	hVO     *obs.Histogram // vo_assemble
-	hQuery  *obs.Histogram // query_total
 	hChunk  *obs.Histogram // stream_chunk
 	hStream *obs.Histogram // stream_total
 	hWire   *obs.Histogram // wire_encode
@@ -127,10 +114,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.Hasher == nil {
 		cfg.Hasher = hashx.New()
-	}
-	size := cfg.CacheSize
-	if size == 0 {
-		size = DefaultCacheSize
 	}
 	exec := engine.NewPublisher(cfg.Hasher, cfg.Pub, cfg.Policy)
 	reg := cfg.Obs
@@ -147,14 +130,11 @@ func New(cfg Config) *Server {
 		policy:   cfg.Policy,
 		exec:     exec,
 		store:    NewStore(cfg.Hasher, cfg.Pub),
-		cache:    newVOCache(size),
 		parts:    map[string]*partTable{},
 		nodeRels: map[string]*nodeTable{},
 		nstore:   cfg.Store,
 		obs:      reg,
-		hCache:   reg.Hist(obs.StageCacheLookup),
 		hVO:      reg.Hist(obs.StageVOAssemble),
-		hQuery:   reg.Hist(obs.StageQueryTotal),
 		hChunk:   reg.Hist(obs.StageStreamChunk),
 		hStream:  reg.Hist(obs.StageStreamTotal),
 		hWire:    reg.Hist(obs.StageWireEncode),
@@ -210,56 +190,13 @@ func (s *Server) ApplyDelta(d delta.Delta) (uint64, error) {
 	return epoch, nil
 }
 
-// Query answers one select-project query for a role, serving from the
-// VO cache when the same (relation, role, query, epoch) was assembled
-// before.
-func (s *Server) Query(role string, q engine.Query) (*engine.Result, error) {
-	s.queries.Add(1)
-	sp := obs.StartSpan("")
-	defer func() {
-		s.hQuery.Observe(sp.Elapsed())
-		s.obs.Slow.Finish(sp, "query", fmt.Sprintf("role=%s relation=%s", role, q.Relation))
-	}()
-	if pt := s.partFor(q.Relation); pt != nil {
-		return s.queryPartitioned(pt, role, q)
-	}
-	sr, epoch, ok := s.store.View(q.Relation)
-	if !ok {
-		s.errors.Add(1)
-		return nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
-	}
-	return s.queryOn(sr, epoch, role, q)
-}
-
-// queryOn answers one query against a pinned epoch snapshot, through
-// the VO cache.
-func (s *Server) queryOn(sr *core.SignedRelation, epoch uint64, role string, q engine.Query) (*engine.Result, error) {
-	key := cacheKey(epoch, role, q)
-	t0 := time.Now()
-	res, ok := s.cache.Get(key)
-	s.hCache.ObserveSince(t0)
-	if ok {
-		return res, nil
-	}
-	t0 = time.Now()
-	res, err := s.exec.ExecuteOn(sr, role, q)
-	s.hVO.ObserveSince(t0)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	s.cache.Put(key, res)
-	return res, nil
-}
-
 // QueryStream answers one query as a chunk stream with bounded memory:
 // the VO is assembled and shipped ≤chunkRows entries at a time instead
 // of being materialized. The relation's epoch snapshot is pinned when
 // the stream is created and stays pinned (GC-rooted by the stream) until
 // the stream is dropped, so a delta cutover mid-stream never mixes
 // epochs — the whole stream verifies against the epoch that answered
-// its first chunk. Streams bypass the VO cache: their point is not to
-// hold whole results in memory.
+// its first chunk.
 //
 // Chunks from this API are independently retainable (no buffer reuse) —
 // in-process consumers may collect them. The HTTP /stream handler uses
@@ -276,8 +213,7 @@ func (s *Server) QueryStreamOpts(role string, q engine.Query, opts engine.Stream
 	s.queries.Add(1)
 	s.streams.Add(1)
 	if pt := s.partFor(q.Relation); pt != nil {
-		var prevUsed bool
-		st, err := s.partitionedStream(pt, role, q, opts, &prevUsed)
+		st, err := s.partitionedStream(pt, role, q, opts)
 		if err != nil {
 			s.errors.Add(1)
 			return nil, err
@@ -355,61 +291,13 @@ func (s *Server) accountStreamChunk(bytes int) {
 	s.streamBytes.Add(uint64(bytes))
 }
 
-// pinned is one relation snapshot held for the duration of a batch.
-type pinned struct {
-	sr    *core.SignedRelation
-	epoch uint64
-	ok    bool
-}
-
-// QueryBatch answers several queries for one role in a single call.
-// Each relation's snapshot is pinned on first use, so every query
-// touching the same relation is answered on one epoch even if a delta
-// cutover lands mid-batch — the cross-range consistency the batch API
-// exists for. Per-item failures do not fail the batch: results[i] is
-// nil exactly when errs[i] is non-nil.
-func (s *Server) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, []error) {
-	s.batches.Add(1)
-	sp := obs.StartSpan("")
-	defer func() {
-		s.obs.Slow.Finish(sp, "batch", fmt.Sprintf("role=%s queries=%d", role, len(qs)))
-	}()
-	results := make([]*engine.Result, len(qs))
-	errs := make([]error, len(qs))
-	pins := map[string]pinned{}
-	for i, q := range qs {
-		s.queries.Add(1)
-		func() {
-			defer s.hQuery.ObserveSince(time.Now())
-			if pt := s.partFor(q.Relation); pt != nil {
-				// Partitioned relations pin per item; single-shard items
-				// still hit the per-shard VO cache.
-				results[i], errs[i] = s.queryPartitioned(pt, role, q)
-				return
-			}
-			pin, seen := pins[q.Relation]
-			if !seen {
-				pin.sr, pin.epoch, pin.ok = s.store.View(q.Relation)
-				pins[q.Relation] = pin
-			}
-			if !pin.ok {
-				s.errors.Add(1)
-				errs[i] = fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
-				return
-			}
-			results[i], errs[i] = s.queryOn(pin.sr, pin.epoch, role, q)
-		}()
-	}
-	return results, errs
-}
-
 // Epoch returns the store's cutover counter.
 func (s *Server) Epoch() uint64 { return s.store.Epoch() }
 
 // Stats is a point-in-time server snapshot, served on /statsz and
 // aggregated into the process expvar.
 type Stats struct {
-	Queries, Batches, DeltasApplied, Errors uint64
+	Queries, DeltasApplied, Errors uint64
 	// Streams counts /stream queries; StreamChunks and StreamBytes
 	// account the shipped frames — the per-chunk traffic a capacity
 	// planner multiplies out instead of per-result peaks.
@@ -438,7 +326,6 @@ type Stats struct {
 	// lease is still live — what scripts/replica_smoke.sh and operators
 	// assert on. Nil outside node mode.
 	Lease *NodeLeaseStat `json:",omitempty"`
-	Cache CacheStats
 }
 
 // Stats snapshots the counters.
@@ -463,7 +350,6 @@ func (s *Server) Stats() Stats {
 	s.partMu.RUnlock()
 	return Stats{
 		Queries:       s.queries.Load(),
-		Batches:       s.batches.Load(),
 		DeltasApplied: s.deltasApplied.Load(),
 		Errors:        s.errors.Load(),
 		Streams:       s.streams.Load(),
@@ -477,7 +363,6 @@ func (s *Server) Stats() Stats {
 		Installs:      s.installs.Load(),
 		Store:         s.storeStats(),
 		Lease:         s.leaseStat(),
-		Cache:         s.cache.Stats(),
 	}
 }
 
@@ -492,8 +377,6 @@ var processVar = obs.Aggregate[*Server]{Name: "vcqr_server", Fold: func(live []*
 		// The table includes node mode's fan-out sub-streams, which keeps
 		// the aggregate meaningful for every serving mode.
 		obs.SumCounters(counters, &agg, &st)
-		agg.Cache.Evictions += st.Cache.Evictions
-		agg.Cache.Entries += st.Cache.Entries
 	}
 	return agg
 }}

@@ -19,9 +19,9 @@ import (
 const numShards = 16
 
 // relEntry pairs a hosted relation with the value of the global cutover
-// counter at its last change — the per-relation epoch the VO cache keys
-// on. Stamping epochs per relation (not per shard) means a delta to one
-// relation never invalidates cache entries of a shard sibling.
+// counter at its last change — the per-relation epoch. Stamping epochs
+// per relation (not per store shard) means a delta to one relation never
+// moves the epoch of a shard sibling.
 type relEntry struct {
 	sr    *core.SignedRelation
 	epoch uint64
@@ -53,8 +53,8 @@ type Store struct {
 	h      *hashx.Hasher
 	pub    *sig.PublicKey
 	shards [numShards]shard
-	// epochs counts cutovers across all shards; it feeds stats and the
-	// VO-cache key, so any swap anywhere advances it.
+	// epochs counts cutovers across all shards; it feeds stats and stamps
+	// each relation's epoch, so any swap anywhere advances it.
 	epochs atomic.Uint64
 }
 

@@ -117,7 +117,7 @@ func TestStreamPinsEpochAcrossDelta(t *testing.T) {
 	}
 
 	// A fresh query sees the post-delta epoch and verifies too.
-	res, err := s.Query("all", q)
+	res, err := collect(s, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,19 +23,18 @@ import (
 // package alone.
 //
 // Errors travel in two places, by row: a malformed request is refused
-// on the status line (400) by the user-facing query endpoints and the
-// cache peer, and inside the reply's Err field by everything else; a
-// handler's own error always travels in the reply's Err field, and Call
-// turns a non-empty Err back into a Go error carrying the remote text
-// verbatim (which is what keeps IsNotHosting's substring contract).
+// on the status line (400) by the stream endpoints and the cache peer,
+// and inside the reply's Err field by everything else; a handler's own
+// error always travels in the reply's Err field, and Call turns a
+// non-empty Err back into a Go error carrying the remote text verbatim
+// (which is what keeps IsNotHosting's substring contract).
 
-// Request body caps. Queries, batches and shard references are small by
+// Request body caps. Queries and shard references are small by
 // construction; a delta batch legitimately carries signed records but
 // still bounded — anything larger than this should ship as a snapshot,
 // not a delta.
 const (
 	MaxQueryBody = 1 << 20
-	MaxBatchBody = 8 << 20
 	MaxDeltaBody = 256 << 20
 )
 
@@ -47,12 +46,9 @@ const (
 )
 
 // The endpoint table. Replies are capped too: the peer is untrusted, and
-// gob alone would buffer up to 1 GiB of whatever it sends. A reply that
-// carries a materialized result may be as large as a delta; every other
-// reply fits one frame.
+// gob alone would buffer up to 1 GiB of whatever it sends. Every unary
+// reply fits one frame; anything larger is a frame stream.
 var (
-	QueryRPC = &RPC[Request, Response]{Endpoint: Endpoint{"/query", MaxQueryBody, publisher}, ReplyCap: MaxDeltaBody, status400: true}
-	BatchRPC = &RPC[BatchRequest, BatchResponse]{Endpoint: Endpoint{"/batch", MaxBatchBody, publisher}, ReplyCap: MaxDeltaBody, status400: true}
 	DeltaRPC = &RPC[delta.Delta, DeltaResponse]{Endpoint: Endpoint{"/delta", MaxDeltaBody, publisher}, ReplyCap: MaxChunkFrame}
 
 	ShardEdgesRPC  = &RPC[ShardRef, EdgeResponse]{Endpoint: Endpoint{"/shard/edges", MaxQueryBody, node}, ReplyCap: MaxChunkFrame}
@@ -149,7 +145,6 @@ func remoteErr(peer, msg string) error {
 // refuser is implemented by every reply type with an Err field.
 type refuser interface{ refusal() *string }
 
-func (r *Response) refusal() *string          { return &r.Err }
 func (r *DeltaResponse) refusal() *string     { return &r.Err }
 func (r *EdgeResponse) refusal() *string      { return &r.Err }
 func (r *DigestResponse) refusal() *string    { return &r.Err }

@@ -27,7 +27,8 @@ func (e *endlessReply) Read(p []byte) (int, error) {
 // TestCallCapsUntrustedReply: a Byzantine peer answering with an endless
 // reply costs the caller at most the row's ReplyCap (+1 byte to tell "at
 // the cap" from "beyond it"), not gob's own gigabyte-scale message limit
-// — and every row of the table declares such a cap. The row under test is
+// — and every row of the table declares such a cap, none above one frame
+// (a reply that could be larger is a frame stream). The row under test is
 // a scaled-down /shard/edges so the check itself stays small.
 func TestCallCapsUntrustedReply(t *testing.T) {
 	const replyCap = 4096
@@ -42,14 +43,14 @@ func TestCallCapsUntrustedReply(t *testing.T) {
 	}
 
 	for path, c := range map[string]int64{
-		QueryRPC.Path: QueryRPC.ReplyCap, BatchRPC.Path: BatchRPC.ReplyCap, DeltaRPC.Path: DeltaRPC.ReplyCap,
+		DeltaRPC.Path:      DeltaRPC.ReplyCap,
 		ShardEdgesRPC.Path: ShardEdgesRPC.ReplyCap, ShardDigestRPC.Path: ShardDigestRPC.ReplyCap,
 		ShardRemoveRPC.Path: ShardRemoveRPC.ReplyCap, HostedRPC.Path: HostedRPC.ReplyCap,
 		NodeDeltaRPC.Path: NodeDeltaRPC.ReplyCap, NodeMirrorRPC.Path: NodeMirrorRPC.ReplyCap,
 		NodeTxRPC.Path: NodeTxRPC.ReplyCap, ShardInstallRPC.Path: ShardInstallRPC.ReplyCap,
 		NodeLeaseRPC.Path: NodeLeaseRPC.ReplyCap, CacheRPC.Path: CacheRPC.ReplyCap,
 	} {
-		if c <= 0 || c > MaxDeltaBody {
+		if c <= 0 || c > MaxChunkFrame+frameHeader {
 			t.Errorf("%s declares reply cap %d", path, c)
 		}
 	}

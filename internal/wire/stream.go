@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
@@ -185,4 +187,42 @@ func (c *Client) QueryStreamWith(sv verify.ChunkVerifier, roleName string, q eng
 		return stats, err
 	}
 	return stats, nil
+}
+
+// errResultTooBig refuses a stream whose frames add up to more than a
+// materialized result may hold.
+var errResultTooBig = errors.New("wire: collected result exceeds size limit")
+
+// Query answers q as one materialized result: the frames of one /stream
+// reply, collected. The result is NOT verified; callers pass it to
+// verify.Verifier.VerifyResult. The publisher is untrusted and a stream
+// has no length, so the collection is bounded at MaxDeltaBody (plus the
+// frame that crosses it); QueryStream holds one chunk at a time and needs
+// no such bound.
+func (c *Client) Query(role string, q engine.Query) (*engine.Result, error) {
+	return c.collect(role, q, MaxDeltaBody)
+}
+
+func (c *Client) collect(role string, q engine.Query, limit int64) (*engine.Result, error) {
+	body, err := StreamEP.open(c, StreamRequest{Role: role, Query: q, Trace: c.Trace})
+	if err != nil {
+		return nil, err
+	}
+	defer body.Close()
+	return engine.Collect(&frameStream{cr: countingReader{r: body}, limit: limit})
+}
+
+// frameStream reads a reply body as the engine.ResultStream the
+// publisher drained into it, refusing once more than limit bytes came.
+type frameStream struct {
+	cr    countingReader
+	limit int64
+}
+
+func (f *frameStream) Next() (*engine.Chunk, error) {
+	c, err := ReadChunkFrame(&f.cr)
+	if err == nil && f.cr.n > f.limit {
+		return nil, fmt.Errorf("%w: more than %d bytes", errResultTooBig, f.limit)
+	}
+	return c, err
 }

@@ -1,9 +1,9 @@
 // Package wire provides serialization and the HTTP transport of the
 // data-publishing deployment (Figure 3): the owner ships gob-encoded
-// signed relations to publishers; publishers answer queries over HTTP
-// with gob-encoded results; users verify client-side with the owner's
-// public key. Nothing in the transport is trusted — all integrity comes
-// from the verification objects.
+// signed relations to publishers; publishers answer every query over
+// HTTP as one stream of chunk frames (stream.go); users verify
+// client-side with the owner's public key. Nothing in the transport is
+// trusted — all integrity comes from the verification objects.
 package wire
 
 import (
@@ -17,7 +17,6 @@ import (
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
-	"vcqr/internal/engine"
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 )
@@ -128,56 +127,12 @@ func DecodeRelation(data []byte) (*core.SignedRelation, error) {
 	return &sr, nil
 }
 
-// Request is a query addressed to a publisher.
-type Request struct {
-	Role  string
-	Query engine.Query
-}
-
-// Response wraps either a result or a publisher-side error message.
-type Response struct {
-	Result *engine.Result
-	Err    string
-}
-
-// BatchRequest carries several queries for one role in a single round
-// trip — amortizing transport and letting the publisher serve all of
-// them from one epoch snapshot.
-type BatchRequest struct {
-	Role    string
-	Queries []engine.Query
-}
-
-// BatchResponse returns one Response per query, in order. Individual
-// failures do not fail the batch.
-type BatchResponse struct {
-	Items []Response
-}
-
 // DeltaResponse acknowledges a delta ingest with the publisher's new
 // epoch, or reports why the batch was rejected (validation failures
 // leave the published epoch untouched).
 type DeltaResponse struct {
 	Epoch uint64
 	Err   string
-}
-
-// EncodeResult and DecodeResult serialize publisher responses.
-func EncodeResult(res *engine.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Response{Result: res}); err != nil {
-		return nil, fmt.Errorf("wire: encode result: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeResult deserializes a publisher response.
-func DecodeResult(data []byte) (*engine.Result, error) {
-	var resp Response
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: decode result: %w", err)
-	}
-	return resp.Result, remoteErr(publisher, resp.Err)
 }
 
 // Client queries a remote publisher.
@@ -200,34 +155,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-// Query sends a request and decodes the response. The result is NOT
-// verified; callers pass it to verify.Verifier.
-func (c *Client) Query(role string, q engine.Query) (*engine.Result, error) {
-	out, err := QueryRPC.Call(c, Request{Role: role, Query: q})
-	return out.Result, err
-}
-
-// QueryBatch sends several queries in one round trip. It returns one
-// result or error per query; the returned error covers transport-level
-// failures only.
-func (c *Client) QueryBatch(role string, qs []engine.Query) ([]*engine.Result, []error, error) {
-	out, err := BatchRPC.Call(c, BatchRequest{Role: role, Queries: qs})
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(out.Items) != len(qs) {
-		return nil, nil, fmt.Errorf("wire: %d batch items for %d queries", len(out.Items), len(qs))
-	}
-	results := make([]*engine.Result, len(qs))
-	errs := make([]error, len(qs))
-	for i, item := range out.Items {
-		if errs[i] = remoteErr(publisher, item.Err); errs[i] == nil {
-			results[i] = item.Result
-		}
-	}
-	return results, errs, nil
 }
 
 // SendDelta pushes an owner update batch to the publisher's ingest

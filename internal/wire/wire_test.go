@@ -92,10 +92,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	wire.QueryRPC.Mount(mux, func(req wire.Request) (wire.Response, error) {
-		res, err := pub.Execute(req.Role, req.Query)
-		return wire.Response{Result: res}, err
-	}, nil)
+	wire.StreamEP.Mount(mux, func(w http.ResponseWriter, req wire.StreamRequest) {
+		st, err := pub.ExecuteStream(req.Role, req.Query, engine.StreamOpts{ChunkRows: req.ChunkRows})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		wire.WriteStream(w, st)
+	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -135,9 +139,6 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 	if _, err := wire.DecodeRelation([]byte("not a gob stream")); err == nil {
 		t.Error("garbage relation blob accepted")
-	}
-	if _, err := wire.DecodeResult([]byte{0x01, 0x02}); err == nil {
-		t.Error("garbage result blob accepted")
 	}
 	// A truncated but once-valid stream must also fail.
 	h := hashx.New()
@@ -191,41 +192,6 @@ func TestClientParamsRoundTrip(t *testing.T) {
 	}
 	if _, err := wire.ReadClientParams(path + ".missing"); err == nil {
 		t.Fatal("missing params file accepted")
-	}
-}
-
-func TestResultGobRoundTrip(t *testing.T) {
-	h := hashx.New()
-	o := owner.NewWithKey(h, signKey(t))
-	rel, err := workload.Employees(workload.EmployeeConfig{N: 10, L: 0, U: 1 << 20, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := o.Publish(rel, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	role := accessctl.Role{Name: "user"}
-	pub := engine.NewPublisher(h, o.PublicKey(), accessctl.NewPolicy(role))
-	if err := pub.AddRelation(sr, false); err != nil {
-		t.Fatal(err)
-	}
-	q := engine.Query{Relation: "Emp"}
-	res, err := pub.Execute("user", q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := wire.EncodeResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wire.DecodeResult(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := verify.New(h, o.PublicKey(), sr.Params, sr.Schema)
-	if _, err := v.VerifyResult(q, role, got); err != nil {
-		t.Fatalf("decoded result failed verification: %v", err)
 	}
 }
 

@@ -44,7 +44,7 @@ wait_healthy http://127.0.0.1:18082
 
 # 3. Coordinator: validates the untrusted snapshot against the owner's
 #    key, places the 3 slices round-robin across the 2 nodes, serves the
-#    same /query /stream /delta API a single-process vcserve serves.
+#    same /stream /delta API a single-process vcserve serves.
 "$workdir/vcserve" -coordinator -load "$workdir/emp.gob" -params "$workdir/params.gob" \
     -nodes http://127.0.0.1:18081,http://127.0.0.1:18082 -addr 127.0.0.1:18080 &
 COORD=$!

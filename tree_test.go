@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -46,6 +47,64 @@ func TestGobStaysInWire(t *testing.T) {
 		}
 		if pkg != "vcqr/internal/wire" && pkg != "vcqr/internal/store" {
 			t.Errorf("%s imports encoding/gob", pkg)
+		}
+	}
+}
+
+// TestOneReadPath pins /stream as the only way a query is answered: no
+// serving package outside its tests names a materialized engine.Result
+// or collects a stream into one (clients do that, wire.Client.Query);
+// internal/cache's LRU is the only one in the tree; and the endpoint
+// table declares 14 endpoints whose unary replies each fit one frame —
+// whatever could be larger is a frame stream.
+func TestOneReadPath(t *testing.T) {
+	materialized := regexp.MustCompile(`engine\.(Result|Collect)\b`)
+	for _, dir := range []string{"internal/server", "internal/cluster", "cmd/vcserve"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: %d files, %v", dir, len(files), err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := materialized.Find(src); m != nil {
+				t.Errorf("%s names %s", name, m)
+			}
+		}
+	}
+
+	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Imports}}",
+		"./internal/...", "./cmd/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, imports, _ := strings.Cut(line, " ")
+		if strings.Contains(imports, "container/list") && pkg != "vcqr/internal/cache" {
+			t.Errorf("%s imports container/list", pkg)
+		}
+	}
+
+	table, err := os.ReadFile(filepath.Join("internal", "wire", "endpoint.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(regexp.MustCompile(`Endpoint\{"/`).FindAll(table, -1)); n != 14 {
+		t.Errorf("internal/wire/endpoint.go declares %d endpoints, want 14", n)
+	}
+	oneFrame := map[string]bool{"MaxQueryBody": true, "MaxChunkFrame": true, "MaxChunkFrame + frameHeader": true}
+	caps := regexp.MustCompile(`ReplyCap: ([^,}]+)`).FindAllSubmatch(table, -1)
+	if len(caps) != 11 {
+		t.Errorf("found %d ReplyCap declarations, want one per unary row (11)", len(caps))
+	}
+	for _, m := range caps {
+		if !oneFrame[string(m[1])] {
+			t.Errorf("a unary reply is capped at %s, beyond one frame", m[1])
 		}
 	}
 }
