@@ -17,17 +17,14 @@ import (
 	"vcqr/internal/wire"
 )
 
-// subStreamBytes builds a structurally valid shard sub-stream entry:
-// hello + one chunk + foot, exactly what a coordinator fill tees.
-func subStreamBytes(t testing.TB, shard int) []byte {
+// streamBytes builds a structurally valid entry: header + one entries
+// chunk + footer, framed exactly as the coordinator's fill tees a merged
+// stream.
+func streamBytes(t testing.TB, shard int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, f := range []*wire.NodeFrame{
-		{Hello: &wire.NodeHello{Shard: shard, Epoch: 3}},
-		{Chunk: &engine.Chunk{Type: engine.ChunkEntries, Seq: 1, Shard: shard}},
-		{Foot: &wire.NodeFoot{Entries: 1}},
-	} {
-		if err := wire.WriteNodeFrame(&buf, f); err != nil {
+	for i, typ := range []engine.ChunkType{engine.ChunkHeader, engine.ChunkEntries, engine.ChunkFooter} {
+		if err := wire.WriteChunkFrame(&buf, &engine.Chunk{Type: typ, Seq: uint64(i), Shard: shard}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,8 +75,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func subKey(epoch uint64) cache.Key {
 	return cache.Key{
 		Relation: "Uniform", SpecVersion: 1, Shard: 2, Epoch: epoch,
-		Role: "all", Query: engine.Query{Relation: "Uniform"},
-		Lo: 0, Hi: 99, First: true, Last: true, ChunkRows: 8,
+		Role: "all", Query: engine.Query{Relation: "Uniform"}, ChunkRows: 8,
 	}
 }
 
@@ -166,7 +162,7 @@ func TestStoreInvalidate(t *testing.T) {
 }
 
 // TestKeyStringSchema: every field that shapes the bytes must move the
-// key, and whole-stream keys bind the full epoch vector.
+// key, and multi-shard keys bind their covering shards' epoch vector.
 func TestKeyStringSchema(t *testing.T) {
 	base := subKey(3)
 	variants := []cache.Key{subKey(4)}
@@ -178,12 +174,6 @@ func TestKeyStringSchema(t *testing.T) {
 	variants = append(variants, v)
 	v = base
 	v.Role = "public"
-	variants = append(variants, v)
-	v = base
-	v.Lo = 1
-	variants = append(variants, v)
-	v = base
-	v.Last = false
 	variants = append(variants, v)
 	v = base
 	v.ChunkRows = 16
@@ -211,55 +201,48 @@ func TestKeyStringSchema(t *testing.T) {
 }
 
 // TestClientFillAndHit drives the leader miss → tee → async put → hit
-// round trip against a live peer.
+// round trip against a live peer, for a single-shard key and for a
+// multi-shard (StreamShard) one: both are the same kind of entry.
 func TestClientFillAndHit(t *testing.T) {
 	e := newEnv(t, cache.Config{})
-	k := subKey(3)
-	hit, fill := e.cl.Lookup(k)
-	if hit != nil || fill == nil {
-		t.Fatalf("cold lookup: hit=%v fill=%v", hit, fill)
-	}
-	raw := subStreamBytes(t, k.Shard)
-	if _, err := fill.Write(raw); err != nil {
-		t.Fatal(err)
-	}
-	fill.Commit()
-	waitFor(t, "async fill to land", func() bool { return e.srv.Store().Stats().Entries == 1 })
-
-	hit, fill = e.cl.Lookup(k)
-	if fill != nil {
-		t.Fatal("warm lookup returned a fill")
-	}
-	if hit == nil || hit.Hello.Shard != k.Shard || len(hit.Chunks) != 1 || hit.Foot.Entries != 1 {
-		t.Fatalf("warm hit mismatch: %+v", hit)
-	}
-	if st := e.cl.Stats(); st.Hits != 1 || st.Misses != 1 || st.Fills != 1 {
-		t.Fatalf("client counters off: %+v", st)
-	}
-
-	// Whole-stream entries round-trip as raw bytes, no decode.
 	sk := cache.Key{Relation: "Uniform", Shard: cache.StreamShard, Epochs: []uint64{3, 3}, Role: "all", ChunkRows: 8}
-	b, sfill := e.cl.LookupStream(sk)
-	if b != nil || sfill == nil {
-		t.Fatal("cold stream lookup did not return a fill")
+	for i, k := range []cache.Key{subKey(3), sk} {
+		b, fill := e.cl.Lookup(k)
+		if b != nil || fill == nil {
+			t.Fatalf("key %d: cold lookup: bytes=%v fill=%v", i, b, fill)
+		}
+		raw := streamBytes(t, i)
+		if _, err := fill.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		fill.Commit()
+		// Landed and acknowledged: until then the committed fill itself
+		// answers lookups, which count as collapsed misses.
+		waitFor(t, "async fill to land", func() bool {
+			return e.srv.Store().Stats().Entries == i+1 && e.cl.Stats().Flights == 0
+		})
+
+		b, fill = e.cl.Lookup(k)
+		if fill != nil {
+			t.Fatalf("key %d: warm lookup returned a fill", i)
+		}
+		if !bytes.Equal(b, raw) {
+			t.Fatalf("key %d: warm hit is not the filled bytes: %q", i, b)
+		}
 	}
-	sfill.Write([]byte("merged-stream-bytes"))
-	sfill.Commit()
-	waitFor(t, "stream fill to land", func() bool { return e.srv.Store().Stats().Entries == 2 })
-	b, sfill = e.cl.LookupStream(sk)
-	if sfill != nil || string(b) != "merged-stream-bytes" {
-		t.Fatalf("warm stream lookup: %q", b)
+	if st := e.cl.Stats(); st.Hits != 2 || st.Misses != 2 || st.Fills != 2 {
+		t.Fatalf("client counters off: %+v", st)
 	}
 }
 
 // TestClientNamedErrors pins the untrusted-peer defenses by name: a
-// digest mismatch is ErrSumMismatch, bytes that pass the digest but do
-// not decode as the promised sub-stream are ErrEntryMalformed, and both
-// read as misses on the serving path.
+// digest mismatch is ErrSumMismatch, bytes that pass the digest but are
+// not framed as one complete result stream are ErrEntryMalformed, and
+// both read as misses on the serving path.
 func TestClientNamedErrors(t *testing.T) {
 	e := newEnv(t, cache.Config{})
 	h := hashx.New()
-	valid := subStreamBytes(t, 2)
+	valid := streamBytes(t, 2)
 
 	// Corrupted bytes under a stale digest.
 	k1 := subKey(10)
@@ -268,72 +251,75 @@ func TestClientNamedErrors(t *testing.T) {
 		t.Fatalf("tampered entry probed as %v, want ErrSumMismatch", err)
 	}
 
-	// Garbage consistent with its digest — a peer can always hash what
-	// it forges, so the structural decode is the second line.
-	k2 := subKey(11)
-	garbage := []byte("not a sub-stream")
-	e.srv.Store().Put(k2.String(), "Uniform", 2, 11, h.Hash(garbage), garbage)
-	if _, err := e.cl.Probe(k2); !errors.Is(err, cache.ErrEntryMalformed) {
-		t.Fatalf("garbage entry probed as %v, want ErrEntryMalformed", err)
-	}
-
-	// A valid sub-stream for the WRONG shard must not decode either.
-	k3 := subKey(12)
-	wrong := subStreamBytes(t, 5)
-	e.srv.Store().Put(k3.String(), "Uniform", 2, 12, h.Hash(wrong), wrong)
-	if _, err := e.cl.Probe(k3); !errors.Is(err, cache.ErrEntryMalformed) {
-		t.Fatalf("wrong-shard entry probed as %v, want ErrEntryMalformed", err)
-	}
-
-	// Trailing bytes after the foot are refused.
-	k4 := subKey(13)
-	trailing := append(append([]byte{}, valid...), 0xde, 0xad)
-	e.srv.Store().Put(k4.String(), "Uniform", 2, 13, h.Hash(trailing), trailing)
-	if _, err := e.cl.Probe(k4); !errors.Is(err, cache.ErrEntryMalformed) {
-		t.Fatalf("trailing-bytes entry probed as %v, want ErrEntryMalformed", err)
-	}
-
-	// A sub-stream cut before its foot, and one that carries a node's
-	// in-band error, are not entries.
+	// Everything below is consistent with its digest — a peer can always
+	// hash what it forges, so the frame walk is the second line.
 	frames := splitFrames(valid)
-	var errFrame bytes.Buffer
-	if err := wire.WriteNodeFrame(&errFrame, &wire.NodeFrame{Err: "boom"}); err != nil {
-		t.Fatal(err)
-	}
-	for i, bad := range [][]byte{
-		bytes.Join(frames[:2], nil),
-		bytes.Join([][]byte{frames[0], frames[1], errFrame.Bytes(), frames[2]}, nil),
-	} {
-		k := subKey(uint64(14 + i))
-		e.srv.Store().Put(k.String(), "Uniform", 2, uint64(14+i), h.Hash(bad), bad)
-		if _, err := e.cl.Probe(k); !errors.Is(err, cache.ErrEntryMalformed) {
-			t.Fatalf("footless/error-frame entry %d probed as %v, want ErrEntryMalformed", i, err)
+	frame := func(c *engine.Chunk) []byte {
+		var buf bytes.Buffer
+		if err := wire.WriteChunkFrame(&buf, c); err != nil {
+			t.Fatal(err)
 		}
+		return buf.Bytes()
+	}
+	errFrame := frame(&engine.Chunk{Type: engine.ChunkError, Err: "boom"})
+	timing := frame(&engine.Chunk{Type: engine.ChunkTiming, Trace: "t"})
+	for i, tc := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"garbage", []byte("not a result stream")},
+		{"does not open with a header", bytes.Join(frames[1:], nil)},
+		{"trailing bytes after the footer", append(append([]byte{}, valid...), 0xde, 0xad)},
+		{"cut before its footer", bytes.Join(frames[:2], nil)},
+		{"in-band error frame", bytes.Join([][]byte{frames[0], frames[1], errFrame, frames[2]}, nil)},
+		{"ends in an error frame", bytes.Join([][]byte{frames[0], frames[1], errFrame}, nil)},
+		{"timing trailer", bytes.Join([][]byte{valid, timing}, nil)},
+		{"second header", bytes.Join([][]byte{frames[0], frames[0], frames[2]}, nil)},
+		{"empty frame", bytes.Join([][]byte{frames[0], {0, 0, 0, 0}, frames[2]}, nil)},
+		{"empty entry", nil},
+	} {
+		k := subKey(uint64(11 + i))
+		e.srv.Store().Put(k.String(), "Uniform", 2, k.Epoch, h.Hash(tc.bad), tc.bad)
+		if _, err := e.cl.Probe(k); !errors.Is(err, cache.ErrEntryMalformed) {
+			t.Fatalf("%s: entry probed as %v, want ErrEntryMalformed", tc.name, err)
+		}
+	}
+	// A header followed directly by a footer — an empty result — is a
+	// complete stream.
+	k0 := subKey(40)
+	empty := bytes.Join([][]byte{frames[0], frames[2]}, nil)
+	e.srv.Store().Put(k0.String(), "Uniform", 2, 40, h.Hash(empty), empty)
+	if b, err := e.cl.Probe(k0); err != nil || !bytes.Equal(b, empty) {
+		t.Fatalf("empty-result stream probed as (%q, %v)", b, err)
 	}
 
-	// On the serving path the same poison reads as a miss with a fill —
-	// the caller falls through to origin and the suspect entry dies.
-	k5 := subKey(14)
-	e.srv.Store().Put(k5.String(), "Uniform", 2, 14, h.Hash([]byte("other")), valid)
-	hit, fill := e.cl.Lookup(k5)
-	if hit != nil || fill == nil {
-		t.Fatal("poisoned entry did not fall through to a fillable miss")
-	}
-	fill.Abort()
-	if st := e.cl.Stats(); st.Fallthroughs == 0 {
-		t.Fatalf("fall-through not counted: %+v", st)
-	}
-	waitFor(t, "suspect entry drop", func() bool {
-		for _, ks := range e.srv.Store().Keys() {
-			if ks == k5.String() {
-				return false
-			}
+	// On the serving path either poison reads as a miss with a fill — the
+	// caller falls through to origin and the suspect entry dies.
+	for i, sum := range []hashx.Digest{h.Hash([]byte("other")), h.Hash(frames[0])} {
+		k5 := subKey(uint64(50 + i))
+		bad := [][]byte{valid, frames[0]}[i]
+		e.srv.Store().Put(k5.String(), "Uniform", 2, k5.Epoch, sum, bad)
+		pre := e.cl.Stats().Fallthroughs
+		b, fill := e.cl.Lookup(k5)
+		if b != nil || fill == nil {
+			t.Fatalf("poisoned entry %d did not fall through to a fillable miss", i)
 		}
-		return true
-	})
+		fill.Abort()
+		if st := e.cl.Stats(); st.Fallthroughs != pre+1 {
+			t.Fatalf("fall-through %d not counted: %+v", i, st)
+		}
+		waitFor(t, "suspect entry drop", func() bool {
+			for _, ks := range e.srv.Store().Keys() {
+				if ks == k5.String() {
+					return false
+				}
+			}
+			return true
+		})
+	}
 	// Probe on a clean miss is (nil, nil).
-	if hit, err := e.cl.Probe(subKey(99)); hit != nil || err != nil {
-		t.Fatalf("clean miss probed as (%v, %v)", hit, err)
+	if b, err := e.cl.Probe(subKey(99)); b != nil || err != nil {
+		t.Fatalf("clean miss probed as (%v, %v)", b, err)
 	}
 }
 
@@ -350,7 +336,7 @@ func TestSingleflightCollapse(t *testing.T) {
 
 	const waiters = 8
 	type res struct {
-		hit  *cache.Hit
+		hit  []byte
 		fill *cache.Fill
 	}
 	ch := make(chan res, waiters)
@@ -362,15 +348,16 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 	waitFor(t, "waiters to collapse", func() bool { return e.cl.Stats().Collapsed == waiters })
 
-	fill.Write(subStreamBytes(t, k.Shard))
+	raw := streamBytes(t, k.Shard)
+	fill.Write(raw)
 	fill.Commit()
 	for i := 0; i < waiters; i++ {
 		r := <-ch
 		if r.fill != nil {
 			t.Fatal("collapsed waiter was handed a second fill")
 		}
-		if r.hit == nil || len(r.hit.Chunks) != 1 {
-			t.Fatalf("collapsed waiter got %+v", r.hit)
+		if !bytes.Equal(r.hit, raw) {
+			t.Fatalf("collapsed waiter got %q", r.hit)
 		}
 	}
 	if st := e.cl.Stats(); st.Collapsed != waiters || st.Fills != 1 {
@@ -384,7 +371,7 @@ func TestSingleflightCollapse(t *testing.T) {
 func TestAdmissionGate(t *testing.T) {
 	e := newEnv(t, cache.Config{MinAccesses: 3})
 	k := subKey(3)
-	raw := subStreamBytes(t, k.Shard)
+	raw := streamBytes(t, k.Shard)
 	for touch := 1; touch <= 3; touch++ {
 		hit, fill := e.cl.Lookup(k)
 		if touch < 3 {
@@ -467,10 +454,10 @@ func TestStaleMissFindsSettledFlight(t *testing.T) {
 			gate := &parkFirst{base: http.DefaultTransport, parked: make(chan struct{}), release: make(chan struct{})}
 			e := newEnv(t, cache.Config{MinAccesses: tc.minAccesses, HTTP: &http.Client{Transport: gate}})
 			k := subKey(3)
-			raw := subStreamBytes(t, k.Shard)
+			raw := streamBytes(t, k.Shard)
 
 			type res struct {
-				hit  *cache.Hit
+				hit  []byte
 				fill *cache.Fill
 			}
 			stale := make(chan res, 1)
@@ -496,8 +483,8 @@ func TestStaleMissFindsSettledFlight(t *testing.T) {
 			if r.fill != nil {
 				t.Fatal("a lookup whose GET missed before the commit became a second leader")
 			}
-			if r.hit == nil || len(r.hit.Chunks) != 1 {
-				t.Fatalf("stale lookup got %+v, want the committed bytes", r.hit)
+			if !bytes.Equal(r.hit, raw) {
+				t.Fatalf("stale lookup got %q, want the committed bytes", r.hit)
 			}
 			// Nothing is kept past the lookups it was kept for: with the
 			// flight retired, an unadmitted key misses to a fresh leader.

@@ -25,34 +25,34 @@ import (
 var (
 	// ErrSumMismatch: the peer returned bytes whose digest does not
 	// match the digest stored at fill time — corruption or lazy
-	// tampering caught before any decode work.
+	// tampering caught before the bytes are looked at.
 	ErrSumMismatch = errors.New("cache: entry bytes do not match their stored digest")
-	// ErrEntryMalformed: the bytes pass the digest compare but do not
-	// decode as the frame sequence the key promises.
-	ErrEntryMalformed = errors.New("cache: entry does not decode as a shard sub-stream")
+	// ErrEntryMalformed: the bytes pass the digest compare but are not
+	// framed as one complete result stream — a peer stores both bytes and
+	// digest, so it can mint a consistent pair.
+	ErrEntryMalformed = errors.New("cache: entry is not framed as one complete result stream")
 )
 
-// StreamShard is the Key.Shard value grouping whole merged streams: such
-// an entry depends on every covering shard, so it lives in a single
-// per-relation group that any epoch bump clears.
+// StreamShard is the Key.Shard value grouping merged streams that cover
+// more than one shard: such an entry depends on every covering shard, so
+// it lives in a single per-relation group that any epoch bump clears.
 const StreamShard = -1
 
-// Key identifies one cacheable byte range. Sub-stream entries carry the
-// covering shard and its content epoch; whole-stream entries (Shard ==
-// StreamShard) carry the full per-shard epoch vector instead, so a bump
-// of any covering shard changes the key. Everything that shapes the
-// bytes is in the key: spec version, role, the full query shape, the
-// covering sub-range, the first/last anchors and the chunking.
+// Key identifies one cached merged stream. A stream covered by a single
+// shard carries that shard and its content epoch, and is filed in the
+// shard's invalidation group; a stream covering several (Shard ==
+// StreamShard) carries the covering shards' epochs in cover order, so a
+// bump of any of them changes the key. Everything else that shapes the
+// bytes is in the key too: spec version, role, the full query as asked
+// (which, with the spec, fixes the cover) and the chunking.
 type Key struct {
 	Relation    string
 	SpecVersion uint64
 	Shard       int
 	Epoch       uint64
-	Epochs      []uint64 // whole-stream entries: content epoch per shard
+	Epochs      []uint64 // multi-shard covers: content epoch per covering shard
 	Role        string
 	Query       engine.Query
-	Lo, Hi      uint64
-	First, Last bool
 	ChunkRows   int
 }
 
@@ -83,16 +83,7 @@ func (k Key) String() string {
 	b.WriteByte(0)
 	b.WriteString(k.Role)
 	b.WriteByte(0)
-	b.WriteString(strconv.FormatUint(k.Lo, 10))
-	b.WriteByte('-')
-	b.WriteString(strconv.FormatUint(k.Hi, 10))
-	if k.First {
-		b.WriteString("|F")
-	}
-	if k.Last {
-		b.WriteString("|L")
-	}
-	b.WriteString("|c")
+	b.WriteString("c")
 	b.WriteString(strconv.Itoa(k.ChunkRows))
 	b.WriteByte(0)
 	b.WriteString(strconv.FormatUint(k.Query.KeyLo, 10))
@@ -380,20 +371,14 @@ func (f *Fill) Abort() {
 	close(f.fl.done)
 }
 
-// Hit is a validated sub-stream entry decoded for replay into the merge.
-type Hit struct {
-	Hello  wire.NodeHello
-	Chunks []*engine.Chunk
-	Foot   wire.NodeFoot
-}
-
-// lookup is the shared miss/hit/singleflight machinery. validate turns
-// raw entry bytes into the caller's value; returning an error counts as
-// a fall-through (the entry is dropped from its peer asynchronously).
-// Exactly one of (value, fill) is non-nil, or both are nil (serve from
-// origin without filling — peer unreachable or an in-flight fill
-// aborted).
-func (c *Client) lookup(k Key, validate func([]byte) (any, error)) (any, *Fill) {
+// Lookup consults the tier for one merged stream. Exactly one of the
+// returns is non-nil, or both are nil: validated chunk-frame bytes ready
+// to write to the client verbatim (a hit); the Fill to tee the freshly
+// merged stream through (a leader miss); or neither — serve from origin
+// without filling, because the peer is unreachable or the fill this
+// lookup collapsed onto aborted. An entry that fails validation is a
+// fall-through: dropped from its peer asynchronously and read as a miss.
+func (c *Client) Lookup(k Key) ([]byte, *Fill) {
 	ks := k.String()
 	admit := c.freq.touch(ks) >= c.minAccesses
 	peer := c.peerFor(ks)
@@ -410,23 +395,23 @@ func (c *Client) lookup(k Key, validate func([]byte) (any, error)) (any, *Fill) 
 	c.mu.Unlock()
 	if ok {
 		c.misses.Add(1)
-		return c.await(fl, validate), nil
+		return c.await(fl), nil
 	}
 	t0 := time.Now()
 	rp, err := peer.CacheOp(&wire.CacheFrame{Get: &wire.CacheGet{Key: ks}})
 	c.hGet.ObserveSince(t0)
-	var v any
+	hit := false
 	if err != nil {
 		c.peerErrs.Add(1)
 	} else if rp.Hit {
-		v, _ = c.check(ks, rp.Bytes, rp.Sum, validate)
+		hit = c.check(ks, rp.Bytes, rp.Sum) == nil
 	}
 
 	c.mu.Lock()
 	if c.probing[ks]--; c.probing[ks] == 0 {
 		delete(c.probing, ks)
 	}
-	miss := err == nil && v == nil
+	miss := err == nil && !hit
 	fl, ok = c.flights[ks]
 	if ok {
 		if miss {
@@ -441,135 +426,88 @@ func (c *Client) lookup(k Key, validate func([]byte) (any, error)) (any, *Fill) 
 	switch {
 	case err != nil:
 		return nil, nil
-	case v != nil:
+	case hit:
 		c.hits.Add(1)
-		return v, nil
+		return rp.Bytes, nil
 	}
 	c.misses.Add(1)
 	if ok {
-		return c.await(fl, validate), nil
+		return c.await(fl), nil
 	}
 	return nil, &Fill{c: c, key: k, ks: ks, admit: admit, fl: fl}
 }
 
 // await collapses a lookup, already counted among the flight's waiters,
-// onto a flight: it returns the flight's bytes as the caller's value, or
-// nil (serve from origin) when the fill aborted, timed out or does not
-// validate.
-func (c *Client) await(fl *flight, validate func([]byte) (any, error)) any {
+// onto a flight: it returns the flight's bytes, or nil (serve from
+// origin) when the fill aborted, timed out or is not a complete stream.
+func (c *Client) await(fl *flight) []byte {
 	c.collapsed.Add(1)
 	select {
 	case <-fl.done:
 	case <-time.After(waitTimeout):
 		return nil
 	}
-	if fl.bytes == nil {
+	if !completeStream(fl.bytes) {
 		return nil
 	}
-	v, err := validate(fl.bytes)
-	if err != nil {
-		return nil
+	return fl.bytes
+}
+
+// completeStream reports whether b is framed as exactly one clean result
+// stream — what the coordinator tees into a fill: a header frame,
+// entries frames, a footer frame, tiling b. An error or timing frame, a
+// second header, a missing footer and trailing bytes all fail.
+func completeStream(b []byte) bool {
+	want := engine.ChunkHeader
+	for {
+		typ, rest, ok := wire.SplitChunkFrame(b)
+		switch {
+		case !ok:
+			return false
+		case typ == engine.ChunkFooter && want == engine.ChunkEntries:
+			return len(rest) == 0
+		case typ != want:
+			return false
+		}
+		b, want = rest, engine.ChunkEntries
 	}
-	return v
 }
 
 // check runs the untrusted-peer defenses on returned bytes: digest
-// compare first, then the caller's structural decode. Any failure drops
-// the suspect entry from its peer and reads as a miss.
-func (c *Client) check(ks string, b []byte, sum hashx.Digest, validate func([]byte) (any, error)) (any, error) {
-	if !c.h.Hash(b).Equal(sum) {
-		c.dropSuspect(ks)
-		return nil, ErrSumMismatch
+// compare first, then the frame walk. Any failure drops the suspect
+// entry from its peer and reads as a miss.
+func (c *Client) check(ks string, b []byte, sum hashx.Digest) error {
+	var err error
+	switch {
+	case !c.h.Hash(b).Equal(sum):
+		err = ErrSumMismatch
+	case !completeStream(b):
+		err = ErrEntryMalformed
+	default:
+		return nil
 	}
-	v, err := validate(b)
-	if err != nil {
-		c.dropSuspect(ks)
-		return nil, err
-	}
-	return v, nil
-}
-
-func (c *Client) dropSuspect(ks string) {
 	c.fallthroughs.Add(1)
 	c.DropAsync(ks)
+	return err
 }
 
-// Lookup consults the tier for one shard sub-stream. On a validated hit
-// it returns the decoded replay material; on a leader miss it returns
-// the Fill to tee the origin sub-stream through; (nil, nil) means plain
-// origin.
-func (c *Client) Lookup(k Key) (*Hit, *Fill) {
-	v, fill := c.lookup(k, func(b []byte) (any, error) { return decodeSubStream(k.Shard, b) })
-	if v == nil {
-		return nil, fill
-	}
-	return v.(*Hit), fill
-}
-
-// LookupStream consults the tier for a whole merged stream: raw
-// chunk-frame bytes ready to write to the client verbatim, or the Fill
-// to tee the freshly merged stream through.
-func (c *Client) LookupStream(k Key) ([]byte, *Fill) {
-	// A whole-stream entry is served without decoding (that is the
-	// point: it short-circuits decode/merge/re-encode), so its defense
-	// is the digest compare here plus the user's own stream verifier.
-	v, fill := c.lookup(k, func(b []byte) (any, error) { return b, nil })
-	if v == nil {
-		return nil, fill
-	}
-	return v.([]byte), fill
-}
-
-// Probe fetches and validates one sub-stream entry, surfacing the named
-// error a Lookup would swallow into a fall-through. Test and tooling
-// seam; no admission tracking, no singleflight.
-func (c *Client) Probe(k Key) (*Hit, error) {
+// Probe fetches and validates one entry, surfacing the named error a
+// Lookup would swallow into a fall-through; a clean miss is (nil, nil).
+// Test and tooling seam; no admission tracking, no singleflight.
+func (c *Client) Probe(k Key) ([]byte, error) {
 	ks := k.String()
 	peer := c.peerFor(ks)
 	if peer == nil {
 		return nil, errors.New("cache: no peers configured")
 	}
 	rp, err := peer.CacheOp(&wire.CacheFrame{Get: &wire.CacheGet{Key: ks}})
-	if err != nil {
+	if err != nil || !rp.Hit {
 		return nil, err
 	}
-	if !rp.Hit {
-		return nil, nil
-	}
-	v, err := c.check(ks, rp.Bytes, rp.Sum, func(b []byte) (any, error) { return decodeSubStream(k.Shard, b) })
-	if err != nil {
+	if err := c.check(ks, rp.Bytes, rp.Sum); err != nil {
 		return nil, err
 	}
-	return v.(*Hit), nil
-}
-
-// decodeSubStream strictly decodes a cached entry back into hello +
-// chunks + foot. Anything unexpected — error frames, a wrong shard, a
-// missing foot, trailing bytes — is ErrEntryMalformed.
-func decodeSubStream(shard int, raw []byte) (*Hit, error) {
-	r := bytes.NewReader(raw)
-	f, err := wire.ReadNodeFrame(r)
-	if err != nil || f.Err != "" || f.Hello == nil || f.Hello.Shard != shard {
-		return nil, ErrEntryMalformed
-	}
-	hit := &Hit{Hello: *f.Hello}
-	for {
-		f, err = wire.ReadNodeFrame(r)
-		if err != nil || f.Err != "" {
-			return nil, ErrEntryMalformed
-		}
-		if f.Foot != nil {
-			if r.Len() != 0 {
-				return nil, ErrEntryMalformed
-			}
-			hit.Foot = *f.Foot
-			return hit, nil
-		}
-		if f.Chunk == nil {
-			return nil, ErrEntryMalformed
-		}
-		hit.Chunks = append(hit.Chunks, f.Chunk)
-	}
+	return rp.Bytes, nil
 }
 
 // Invalidate pushes one epoch-scoped group invalidation to every peer

@@ -64,19 +64,24 @@ func (s *Server) serveCache(f wire.CacheFrame) (rp wire.CacheReply, err error) {
 	return rp, err
 }
 
+// peerCounters is the peer's counter table: /metrics ranges over it.
+var peerCounters = []obs.Counter[wire.CacheStats]{
+	{Key: "cache_hits", Help: "Cache peer entry hits.", Field: func(st *wire.CacheStats) *uint64 { return &st.Hits }},
+	{Key: "cache_misses", Help: "Cache peer entry misses.", Field: func(st *wire.CacheStats) *uint64 { return &st.Misses }},
+	{Key: "cache_puts", Help: "Cache peer entry stores.", Field: func(st *wire.CacheStats) *uint64 { return &st.Puts }},
+	{Key: "cache_evictions", Help: "Entries evicted by the byte-budget LRU.", Field: func(st *wire.CacheStats) *uint64 { return &st.Evictions }},
+	{Key: "cache_invalidations", Help: "Entries dropped by epoch-scoped invalidation.", Field: func(st *wire.CacheStats) *uint64 { return &st.Invalidations }},
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.store.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	role := [][2]string{{"role", "cache"}}
-	one := func(v uint64) []obs.CounterSeries {
-		return []obs.CounterSeries{{Labels: role, Value: float64(v)}}
+	obs.WriteCounters(w, peerCounters, &st, role)
+	gauge := func(name, help string, v int64) {
+		obs.WriteGaugeFamily(w, name, help, []obs.CounterSeries{{Labels: role, Value: float64(v)}})
 	}
-	obs.WriteCounterFamily(w, "vcqr_cache_hits_total", "Cache peer entry hits.", one(st.Hits))
-	obs.WriteCounterFamily(w, "vcqr_cache_misses_total", "Cache peer entry misses.", one(st.Misses))
-	obs.WriteCounterFamily(w, "vcqr_cache_puts_total", "Cache peer entry stores.", one(st.Puts))
-	obs.WriteCounterFamily(w, "vcqr_cache_evictions_total", "Entries evicted by the byte-budget LRU.", one(st.Evictions))
-	obs.WriteCounterFamily(w, "vcqr_cache_invalidations_total", "Entries dropped by epoch-scoped invalidation.", one(st.Invalidations))
-	obs.WriteGaugeFamily(w, "vcqr_cache_entries", "Entries resident.", []obs.CounterSeries{{Labels: role, Value: float64(st.Entries)}})
-	obs.WriteGaugeFamily(w, "vcqr_cache_bytes", "Bytes resident (payload plus bookkeeping).", []obs.CounterSeries{{Labels: role, Value: float64(st.Bytes)}})
-	obs.WriteGaugeFamily(w, "vcqr_cache_budget_bytes", "Configured byte budget.", []obs.CounterSeries{{Labels: role, Value: float64(st.Budget)}})
+	gauge("vcqr_cache_entries", "Entries resident.", int64(st.Entries))
+	gauge("vcqr_cache_bytes", "Bytes resident (payload plus bookkeeping).", st.Bytes)
+	gauge("vcqr_cache_budget_bytes", "Configured byte budget.", st.Budget)
 }

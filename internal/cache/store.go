@@ -11,7 +11,7 @@ import (
 
 // DefaultBudget is the byte budget a cache peer runs with when the
 // operator does not set one: enough for a few thousand typical chunked
-// sub-streams without threatening a small host.
+// streams without threatening a small host.
 const DefaultBudget int64 = 256 << 20
 
 // Store is the peer-side entry table: a byte-budgeted LRU over opaque

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"vcqr/internal/cache"
 	"vcqr/internal/cluster"
 	"vcqr/internal/engine"
+	"vcqr/internal/hashx"
 	"vcqr/internal/server"
 	"vcqr/internal/wire"
 )
@@ -80,12 +82,22 @@ func hasPayload(rows []engine.Row, payload string) bool {
 	return false
 }
 
+// origin totals the sub-streams the nodes have served: a cache hit moves
+// it by nothing, a miss by one per covering shard.
+func (cf *cacheFix) origin() uint64 {
+	var n uint64
+	for _, s := range cf.nodes {
+		n += s.Stats().ShardStreams
+	}
+	return n
+}
+
 // TestClusterCachedStreamByteIdentical is the cache-tier acceptance pin:
-// with the edge cache in the path, both serving modes — a whole-stream
-// hit served verbatim and per-shard sub-stream hits replayed through the
-// merge — must emit raw frame bytes identical to the uncached
-// single-process /stream output, and the unmodified
-// verify.ShardStreamVerifier must accept them.
+// with the edge cache in the path, a miss teed into a fill, a hit served
+// verbatim, and the origin miss after a covering shard's epoch moved
+// must all emit raw frame bytes identical to the uncached single-process
+// /stream output, and the unmodified verify.ShardStreamVerifier must
+// accept them.
 func TestClusterCachedStreamByteIdentical(t *testing.T) {
 	cf := newCachedCluster(t, 96, 3, 2)
 	coordTS := httptest.NewServer(cf.coord.Handler())
@@ -105,19 +117,20 @@ func TestClusterCachedStreamByteIdentical(t *testing.T) {
 	req := wire.StreamRequest{Role: "all", Query: q, ChunkRows: 8}
 	want := streamBody(t, singleTS.URL, req)
 
-	// Cold pass: every shard misses; the stream is teed into fills.
+	// Cold pass: a miss; the merged stream is teed into the fill.
 	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
 		t.Fatal("cold cached-cluster stream differs from single-process stream")
 	}
-	cf.waitEntries(4) // 3 sub-streams + 1 whole stream
+	cf.waitEntries(1) // one request, one entry
 
-	// Warm pass: the whole merged stream is served verbatim from cache.
+	// Warm pass: the merged stream is served verbatim from cache.
+	before := cf.origin()
 	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
-		t.Fatal("whole-stream cache hit differs from single-process stream")
+		t.Fatal("cache hit differs from single-process stream")
 	}
 	st := cf.coord.Stats()
-	if st.Cache == nil || st.Cache.Hits == 0 {
-		t.Fatalf("warm pass did not hit the cache: %+v", st.Cache)
+	if st.Cache == nil || st.Cache.Hits != 1 || cf.origin() != before {
+		t.Fatalf("warm pass did not serve from the cache: %+v, origin +%d", st.Cache, cf.origin()-before)
 	}
 	rows, err := cf.verifyStream(coordTS.URL, q, 8)
 	if err != nil {
@@ -127,36 +140,55 @@ func TestClusterCachedStreamByteIdentical(t *testing.T) {
 		t.Fatalf("verified %d rows, want 96", rows)
 	}
 
-	// Drop only the whole-stream group: the next query must replay the
-	// three cached sub-streams through the merge — still byte-identical.
-	cf.cc.Invalidate("Uniform", cache.StreamShard, 0)
-	pre := cf.coord.Stats().Cache.Hits
-	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
-		t.Fatal("sub-stream replay differs from single-process stream")
+	// Bump one covering shard (a migration moves no content, only the
+	// epoch): the next pass is an origin miss over all three shards —
+	// still byte-identical — and refills under the new key.
+	if _, err := cf.coord.Rebalance(1, cf.urls[0]); err != nil {
+		t.Fatalf("rebalance failed: %v", err)
 	}
-	if got := cf.coord.Stats().Cache.Hits; got-pre < 3 {
-		t.Fatalf("replay pass hit %d cached sub-streams, want 3", got-pre)
+	hits, before := cf.coord.Stats().Cache.Hits, cf.origin()
+	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
+		t.Fatal("post-bump origin stream differs from single-process stream")
+	}
+	if got := cf.coord.Stats().Cache.Hits; got != hits || cf.origin() != before+3 {
+		t.Fatalf("post-bump pass: hits +%d, origin +%d; want an origin miss over 3 shards", got-hits, cf.origin()-before)
+	}
+	cf.waitEntries(1)
+	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
+		t.Fatal("refilled cache hit differs from single-process stream")
+	}
+	if got := cf.coord.Stats().Cache.Hits; got != hits+1 {
+		t.Fatalf("the post-bump miss did not refill: hits +%d", got-hits)
 	}
 	if rows, err := cf.verifyStream(coordTS.URL, q, 8); err != nil || rows != 96 {
-		t.Fatalf("replayed stream: rows=%d err=%v", rows, err)
+		t.Fatalf("refilled stream: rows=%d err=%v", rows, err)
 	}
 }
 
+// coverQuery asks for exactly the keys shards first..last own.
+func (cf *cacheFix) coverQuery(first, last int) engine.Query {
+	lo, _ := cf.spec.Span(first)
+	_, hi := cf.spec.Span(last)
+	return engine.Query{Relation: "Uniform", KeyLo: lo, KeyHi: hi}
+}
+
 // TestCacheDeltaInvalidationExact: a two-phase delta commit must retire
-// exactly the touched shard's cached entries and every whole-stream
-// entry, leave the untouched shards' entries serving, and never let a
-// pre-delta entry answer a post-delta query.
+// exactly the entries whose cover contains the touched shard, leave the
+// streams the untouched shards cover alone resident and serving, and
+// never let a pre-delta entry answer a post-delta query.
 func TestCacheDeltaInvalidationExact(t *testing.T) {
 	cf := newCachedCluster(t, 96, 3, 2)
 	coordTS := httptest.NewServer(cf.coord.Handler())
 	defer coordTS.Close()
-	q := engine.Query{Relation: "Uniform"}
 
-	// Warm all shards and the whole-stream entry.
-	if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
-		t.Fatal(err)
+	// Warm one entry per cover: each shard alone, each adjacent pair, all.
+	covers := [][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}, {1, 2}, {0, 2}}
+	for _, cv := range covers {
+		if _, err := cf.verifyStream(coordTS.URL, cf.coverQuery(cv[0], cv[1]), 8); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cf.waitEntries(4)
+	cf.waitEntries(len(covers))
 	oldEpochs := cf.coord.Stats().ContentEpochs
 
 	// Interior update to shard 1 (hosted alone on node 1).
@@ -172,34 +204,144 @@ func TestCacheDeltaInvalidationExact(t *testing.T) {
 	if newEpochs[1] != oldEpochs[1]+1 || newEpochs[0] != oldEpochs[0] || newEpochs[2] != oldEpochs[2] {
 		t.Fatalf("content epochs %v -> %v: want only shard 1 bumped", oldEpochs, newEpochs)
 	}
-	// The pushed invalidation swept shard 1's old-epoch entries and the
-	// whole-stream group; the other shards' entries survive.
+	// The pushed invalidation swept shard 1's old-epoch entry and the
+	// multi-shard group; exactly shards 0's and 2's own entries survive.
 	staleTag := fmt.Sprintf("\x00s1\x00e%d\x00", oldEpochs[1])
 	streamTag := fmt.Sprintf("\x00s%d\x00", cache.StreamShard)
-	for _, ks := range cf.srv.Store().Keys() {
+	resident := cf.srv.Store().Keys()
+	for _, ks := range resident {
 		if strings.Contains(ks, staleTag) {
 			t.Fatalf("pre-delta shard 1 entry survived the commit: %q", ks)
 		}
 		if strings.Contains(ks, streamTag) {
-			t.Fatalf("whole-stream entry survived the commit: %q", ks)
+			t.Fatalf("multi-shard entry survived the commit: %q", ks)
 		}
 	}
-	if cf.srv.Store().Stats().Entries == 0 {
-		t.Fatal("invalidation swept untouched shards' entries too")
+	if len(resident) != 2 {
+		t.Fatalf("%d entries resident after the commit, want shards 0's and 2's: %q", len(resident), resident)
 	}
 
-	// The very next verified query sees the new payload — shard 1 comes
-	// from origin (its old key is unaskable), the others from cache.
-	pre := cf.coord.Stats().Cache.Hits
-	rows, err := cf.streamRows(coordTS.URL, q, 8)
+	// The very next verified query per cover: the untouched shards' own
+	// streams are hits that never reach a node; every cover containing
+	// shard 1 comes from origin (its old key is unaskable) and is fresh.
+	for _, cv := range covers {
+		hits, before := cf.coord.Stats().Cache.Hits, cf.origin()
+		rows, err := cf.streamRows(coordTS.URL, cf.coverQuery(cv[0], cv[1]), 8)
+		if err != nil {
+			t.Fatalf("cover %v: post-delta stream rejected: %v", cv, err)
+		}
+		dHits, dOrigin := cf.coord.Stats().Cache.Hits-hits, cf.origin()-before
+		if cv[0] <= 1 && 1 <= cv[1] {
+			if dHits != 0 || dOrigin != uint64(cv[1]-cv[0]+1) || !hasPayload(rows, "cached-delta-v2") {
+				t.Fatalf("cover %v is stale: hits +%d, origin +%d, payload present=%v",
+					cv, dHits, dOrigin, hasPayload(rows, "cached-delta-v2"))
+			}
+		} else if dHits != 1 || dOrigin != 0 {
+			t.Fatalf("cover %v did not serve from cache after the delta: hits +%d, origin +%d", cv, dHits, dOrigin)
+		}
+	}
+}
+
+// TestCacheKeyCoversPredecessorCorner pins the one thing a merged stream
+// carries from outside its cover: an empty range at the start of shard i
+// proves emptiness with g(pred-1), read off shard i-1's tail. A delta to
+// shard i-1's second-to-last record moves that digest; it must also move
+// the key (the re-signed last record of shard i-1 is mirrored as shard
+// i's left context, so shard i is staged and bumped), and the answer
+// after it must be the fresh one.
+func TestCacheKeyCoversPredecessorCorner(t *testing.T) {
+	cf := newCachedCluster(t, 96, 3, 2)
+	coordTS := httptest.NewServer(cf.coord.Handler())
+	defer coordTS.Close()
+
+	// The keys of shard 1 below its first record: a single-shard cover
+	// that does not start at shard 0, with nothing in it.
+	lo, _ := cf.spec.Span(1)
+	q := engine.Query{Relation: "Uniform", KeyLo: lo, KeyHi: cf.set.Slices[1].Recs[1].Key() - 1}
+	if q.KeyHi < q.KeyLo {
+		t.Fatalf("fixture has no gap at the start of shard 1: %d..%d", q.KeyLo, q.KeyHi)
+	}
+	req := wire.StreamRequest{Role: "all", Query: q, ChunkRows: 8}
+	old := streamBody(t, coordTS.URL, req)
+	cf.waitEntries(1)
+	if rows, err := cf.verifyStream(coordTS.URL, q, 8); err != nil || rows != 0 {
+		t.Fatalf("empty range: rows=%d err=%v", rows, err)
+	}
+	if hits := cf.coord.Stats().Cache.Hits; hits != 1 {
+		t.Fatalf("warm empty-range query: %d hits, want 1", hits)
+	}
+	oldEpochs := cf.coord.Stats().ContentEpochs
+
+	sl0 := cf.set.Slices[0]
+	rec := sl0.Recs[len(sl0.Recs)-3] // second-to-last owned record of shard 0
+	d := cf.mintDelta(cf.globalIndexOf(rec.Key(), rec.Tuple.RowID), []byte("corner-v2"))
+	if _, err := cf.coord.ApplyDelta(d); err != nil {
+		t.Fatalf("delta rejected: %v", err)
+	}
+	newEpochs := cf.coord.Stats().ContentEpochs
+	if newEpochs[1] == oldEpochs[1] {
+		t.Fatalf("content epochs %v -> %v: shard 1's key did not move with its predecessor corner", oldEpochs, newEpochs)
+	}
+
+	// Fresh means: what origin says now, which is not what was cached.
+	st, err := cf.coord.QueryStream("all", q, 8)
 	if err != nil {
-		t.Fatalf("post-delta stream rejected: %v", err)
+		t.Fatal(err)
 	}
-	if len(rows) != 96 || !hasPayload(rows, "cached-delta-v2") {
-		t.Fatalf("post-delta stream is stale: %d rows, payload present=%v", len(rows), hasPayload(rows, "cached-delta-v2"))
+	var want bytes.Buffer
+	if err := wire.WriteStream(&want, st); err != nil {
+		t.Fatal(err)
 	}
-	if got := cf.coord.Stats().Cache.Hits; got-pre < 2 {
-		t.Fatalf("untouched shards did not serve from cache after the delta (hits +%d)", got-pre)
+	if bytes.Equal(want.Bytes(), old) {
+		t.Fatal("the delta did not change the empty-range proof; the fixture misses the corner")
+	}
+	hits := cf.coord.Stats().Cache.Hits
+	if got := streamBody(t, coordTS.URL, req); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("post-delta empty-range answer is not the origin's")
+	}
+	if got := cf.coord.Stats().Cache.Hits; got != hits {
+		t.Fatal("post-delta empty-range query was answered from the cache")
+	}
+	if rows, err := cf.verifyStream(coordTS.URL, q, 8); err != nil || rows != 0 {
+		t.Fatalf("post-delta empty range (PredPrevG) rejected: rows=%d err=%v", rows, err)
+	}
+}
+
+// TestCacheFillSurvivesFailover: the fill tees the merged stream, which
+// a mid-stream replica failover never shows in — so a request whose
+// first replica dies mid-chunk still commits its fill, and the next
+// request is a hit with the same bytes.
+func TestCacheFillSurvivesFailover(t *testing.T) {
+	srv := cache.NewServer(0)
+	peerTS := httptest.NewServer(srv.Handler())
+	defer peerTS.Close()
+	cc := cache.NewClient(cache.Config{Peers: []string{peerTS.URL}, MinAccesses: 1})
+	f, inj := newReplicaCluster(t, 96, 3, 3, 2, 1500*time.Millisecond, func(cfg *cluster.Config) { cfg.Cache = cc })
+	cf := &cacheFix{fix: f, cc: cc, srv: srv}
+	coordTS := httptest.NewServer(cf.coord.Handler())
+	defer coordTS.Close()
+
+	req := wire.StreamRequest{Role: "all", Query: engine.Query{Relation: "Uniform"}, ChunkRows: 8}
+	want := singleBaseline(t, f, req)
+
+	inj.Set(cluster.Fault{Path: "/shard/stream", Stage: cluster.StageMidChunk, Mode: cluster.Kill, Times: 1})
+	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
+		t.Fatal("faulted cached-cluster stream differs from single-process stream")
+	}
+	if inj.Fired() != 1 || cf.coord.Stats().Failovers == 0 {
+		t.Fatalf("fault fired %d times, %d failovers; want a mid-stream failover", inj.Fired(), cf.coord.Stats().Failovers)
+	}
+	cf.waitEntries(1)
+	if st := cf.coord.Stats().Cache; st.Fills != 1 || st.FillDrops != 0 {
+		t.Fatalf("the failed-over request did not commit its fill: %+v", st)
+	}
+
+	before := cf.origin()
+	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
+		t.Fatal("cache hit after a failed-over fill differs from single-process stream")
+	}
+	if st := cf.coord.Stats().Cache; st.Hits != 1 || cf.origin() != before {
+		t.Fatalf("request after the failed-over fill was not a hit: %+v, origin +%d", st, cf.origin()-before)
 	}
 }
 
@@ -216,7 +358,7 @@ func TestCacheDeltaUnderLiveTraffic(t *testing.T) {
 	if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
 		t.Fatal(err)
 	}
-	cf.waitEntries(4)
+	cf.waitEntries(1)
 
 	var stop atomic.Bool
 	var queriesRun atomic.Uint64
@@ -270,7 +412,7 @@ func TestCacheRebalanceInvalidation(t *testing.T) {
 	if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
 		t.Fatal(err)
 	}
-	cf.waitEntries(4)
+	cf.waitEntries(1)
 	oldEpochs := cf.coord.Stats().ContentEpochs
 
 	var stop atomic.Bool
@@ -324,43 +466,72 @@ func TestCacheRebalanceInvalidation(t *testing.T) {
 }
 
 // TestCachePoisonedEntriesFallThrough: corrupting every resident cache
-// entry must not fail a single query — the digest compare rejects the
-// poison, the coordinator falls through to origin, and the unmodified
-// verifier accepts the result.
+// entry must not fail a single query, whichever way the peer lies — a
+// flipped byte under the stored digest dies on the digest compare, a
+// truncated stream under a recomputed digest dies on the frame walk —
+// the coordinator falls through to origin, and the unmodified verifier
+// accepts the result.
 func TestCachePoisonedEntriesFallThrough(t *testing.T) {
 	cf := newCachedCluster(t, 96, 3, 2)
 	coordTS := httptest.NewServer(cf.coord.Handler())
 	defer coordTS.Close()
 	q := engine.Query{Relation: "Uniform"}
-
-	if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
-		t.Fatal(err)
-	}
-	cf.waitEntries(4)
-
-	// Flip a byte in every entry, keeping the stored digest: the peer is
-	// now fully poisoned.
 	store := cf.srv.Store()
-	for _, ks := range store.Keys() {
-		b, sum, ok := store.Get(ks)
-		if !ok {
-			continue
-		}
-		bad := append([]byte(nil), b...)
-		bad[len(bad)/2] ^= 0xff
-		store.Put(ks, "Uniform", 0, 0, sum, bad)
-	}
 
-	rows, err := cf.verifyStream(coordTS.URL, q, 8)
-	if err != nil {
-		t.Fatalf("query over a poisoned cache rejected: %v", err)
-	}
-	if rows != 96 {
-		t.Fatalf("verified %d rows over a poisoned cache, want 96", rows)
-	}
-	st := cf.coord.Stats()
-	if st.Cache.Fallthroughs == 0 {
-		t.Fatalf("poison was not detected: %+v", st.Cache)
+	for _, phase := range []struct {
+		name   string
+		poison func(b []byte, sum hashx.Digest) ([]byte, hashx.Digest)
+	}{
+		{"flipped byte, stored digest kept", func(b []byte, sum hashx.Digest) ([]byte, hashx.Digest) {
+			bad := append([]byte(nil), b...)
+			bad[len(bad)/2] ^= 0xff
+			return bad, sum
+		}},
+		{"cut at the last frame boundary, digest recomputed", func(b []byte, _ hashx.Digest) ([]byte, hashx.Digest) {
+			end := 0 // start of the last frame
+			for off := 0; off < len(b); off += 4 + int(binary.BigEndian.Uint32(b[off:])) {
+				end = off
+			}
+			return b[:end], cf.h.Hash(b[:end])
+		}},
+	} {
+		// (Re)fill: the previous phase's suspect drop and refill race on
+		// the peer, so ask until the entry is resident and settled.
+		drops := store.Stats().Invalidations
+		if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
+			t.Fatal(err)
+		}
+		cf.waitEntries(1)
+
+		// The peer is now fully poisoned.
+		for _, ks := range store.Keys() {
+			b, sum, ok := store.Get(ks)
+			if !ok {
+				continue
+			}
+			bad, badSum := phase.poison(b, sum)
+			store.Put(ks, "Uniform", 0, 0, badSum, bad)
+		}
+
+		pre := cf.coord.Stats().Cache.Fallthroughs
+		rows, err := cf.verifyStream(coordTS.URL, q, 8)
+		if err != nil {
+			t.Fatalf("%s: query over a poisoned cache rejected: %v", phase.name, err)
+		}
+		if rows != 96 {
+			t.Fatalf("%s: verified %d rows over a poisoned cache, want 96", phase.name, rows)
+		}
+		if st := cf.coord.Stats(); st.Cache.Fallthroughs != pre+1 {
+			t.Fatalf("%s: poison was not detected: %+v", phase.name, st.Cache)
+		}
+		// Let the suspect drop land before the next phase refills.
+		deadline := time.Now().Add(5 * time.Second)
+		for store.Stats().Invalidations == drops {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: suspect entry was never dropped from its peer", phase.name)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 }
 
@@ -434,9 +605,8 @@ func TestCacheDeadPeerFailsToOrigin(t *testing.T) {
 			if rows != 96 {
 				t.Fatalf("verified %d rows, want 96", rows)
 			}
-			// One whole-stream probe plus three sub-stream probes, each
-			// bounded by the 250ms budget, plus origin time: 4 seconds is
-			// generous, and infinity is the bug.
+			// One probe, bounded by the 250ms budget, plus origin time: 4
+			// seconds is generous, and infinity is the bug.
 			if elapsed > 4*time.Second {
 				t.Fatalf("query took %v against a dead peer; budget not enforced", elapsed)
 			}
@@ -448,22 +618,15 @@ func TestCacheDeadPeerFailsToOrigin(t *testing.T) {
 }
 
 // TestCacheSingleflightStorm: 64 concurrent identical queries against a
-// cold cache must reach origin at most once per (epoch, shard) key — the
-// whole fan-out runs once, everyone else rides the flight.
+// cold cache must reach origin at most once — the whole fan-out runs
+// once under the one key, everyone else rides the flight.
 func TestCacheSingleflightStorm(t *testing.T) {
 	cf := newCachedCluster(t, 96, 3, 2)
 	coordTS := httptest.NewServer(cf.coord.Handler())
 	defer coordTS.Close()
 	q := engine.Query{Relation: "Uniform"}
 
-	origin := func() uint64 {
-		var n uint64
-		for _, s := range cf.nodes {
-			n += s.Stats().ShardStreams
-		}
-		return n
-	}
-	before := origin()
+	before := cf.origin()
 
 	const storm = 64
 	start := make(chan struct{})
@@ -488,8 +651,8 @@ func TestCacheSingleflightStorm(t *testing.T) {
 	}
 
 	// 3 covering shards, one origin sub-stream each.
-	if got := origin() - before; got > 3 {
-		t.Fatalf("storm reached origin %d times, want <= 3 (once per shard key)", got)
+	if got := cf.origin() - before; got > 3 {
+		t.Fatalf("storm opened %d origin sub-streams, want <= 3 (one fan-out)", got)
 	}
 	st := cf.coord.Stats()
 	if st.Cache.Collapsed == 0 {

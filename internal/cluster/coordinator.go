@@ -69,9 +69,10 @@ type Config struct {
 	// ChunkRows bounds entries per chunk on node sub-streams when the
 	// client request does not choose; 0 = engine.DefaultChunkRows.
 	ChunkRows int
-	// Cache is the optional edge-cache tier client (internal/cache):
-	// sub-streams and whole merged streams are served from and filled
-	// into it. Nil disables the tier entirely.
+	// Cache is the optional edge-cache tier client (internal/cache): the
+	// HTTP /stream handler serves merged streams from it and fills them
+	// into it; in-process QueryStream callers never see it. Nil disables
+	// the tier entirely.
 	Cache *cache.Client
 	// Obs receives the coordinator's stage histograms and slow-query log;
 	// nil builds a fresh registry.
@@ -146,9 +147,10 @@ type Coordinator struct {
 
 	// cache is the optional edge-cache tier; cepochs holds one content
 	// epoch per shard, bumped on every commit/cutover that can change the
-	// shard's served bytes. Cache keys bind these epochs, which is what
-	// makes invalidation exact: a bumped shard's old entries become
-	// unreachable by key even before the pushed group invalidation lands.
+	// shard's served bytes. A cache key binds the epochs of the shards its
+	// stream covers, which is what makes invalidation exact: once a
+	// covering shard is bumped the old entries are unreachable by key,
+	// even before the pushed group invalidation lands.
 	cache   *cache.Client
 	cepochs []atomic.Uint64
 
@@ -307,10 +309,10 @@ func (c *Coordinator) contentEpochs() []uint64 {
 }
 
 // bumpShards advances the named shards' content epochs and pushes the
-// epoch-exact invalidations to the cache tier: each shard's group keeps
-// only entries at the fresh epoch, and every whole-stream entry of the
-// relation dies with them (a merged stream depends on all covering
-// shards, so any bump kills its key). The bump is the correctness
+// invalidations to the cache tier: each shard's group (the streams that
+// shard alone covers) keeps only entries at the fresh epoch, and the
+// relation's multi-shard group is dropped whole (coarser than the keys,
+// which bind only their own cover). The bump is the correctness
 // mechanism — old keys become unaskable the moment the epoch moves; the
 // pushed invalidation only reclaims the bytes.
 func (c *Coordinator) bumpShards(shards ...int) {
@@ -341,44 +343,37 @@ func (c *Coordinator) bumpAllShards() {
 	c.bumpShards(all...)
 }
 
-// cacheSubKey names one covering shard's sub-stream bytes: everything
-// that shapes them (spec version, shard, content epoch, role, raw query,
-// sub-range, first/last anchors, chunking) is in the key.
-func (c *Coordinator) cacheSubKey(roleName string, q engine.Query, sr partition.SubRange, first, last bool, chunkRows int) cache.Key {
-	if chunkRows == 0 {
-		chunkRows = c.chunkRows
-	}
-	return cache.Key{
-		Relation:    c.spec.Relation,
-		SpecVersion: c.spec.Version,
-		Shard:       sr.Shard,
-		Epoch:       c.cepochs[sr.Shard].Load(),
-		Role:        roleName,
-		Query:       q,
-		Lo:          sr.Lo,
-		Hi:          sr.Hi,
-		First:       first,
-		Last:        last,
-		ChunkRows:   chunkRows,
-	}
-}
-
-// cacheStreamKey names a whole merged stream: the full content-epoch
-// vector stands in for a single shard epoch, so a bump of any shard
-// retires the key.
-func (c *Coordinator) cacheStreamKey(roleName string, q engine.Query, chunkRows int) cache.Key {
-	if chunkRows == 0 {
-		chunkRows = c.chunkRows
-	}
-	return cache.Key{
+// cacheStreamKey names the merged stream of one planned request. It
+// binds the content epochs of the covering shards only, which is exact:
+// everything the stream carries comes from those shards, except the
+// empty-range predecessor digest g(pred-1) read off shard first-1's tail
+// — and a delta that moves that digest must re-sign shard first-1's last
+// record, whose mirror is shard first's left context, so applyDelta
+// stages (and bumps) shard first as well. A single-shard cover is filed
+// in its shard's invalidation group at that epoch; a wider one in the
+// relation-wide StreamShard group.
+func (c *Coordinator) cacheStreamKey(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int) cache.Key {
+	k := cache.Key{
 		Relation:    c.spec.Relation,
 		SpecVersion: c.spec.Version,
 		Shard:       cache.StreamShard,
-		Epochs:      c.contentEpochs(),
 		Role:        roleName,
 		Query:       q,
 		ChunkRows:   chunkRows,
 	}
+	if chunkRows == 0 {
+		k.ChunkRows = c.chunkRows
+	}
+	if len(sub) == 1 {
+		k.Shard = sub[0].Shard
+		k.Epoch = c.cepochs[k.Shard].Load()
+		return k
+	}
+	k.Epochs = make([]uint64, len(sub))
+	for i, sr := range sub {
+		k.Epochs[i] = c.cepochs[sr.Shard].Load()
+	}
+	return k
 }
 
 // Place distributes a validated partition set across the nodes
@@ -442,47 +437,52 @@ func (c *Coordinator) installSlice(url string, shard int, sl *core.SignedRelatio
 	return err
 }
 
-// plan resolves the role, validates and rewrites the query, and
-// decomposes it over the spec.
-func (c *Coordinator) plan(roleName string, q engine.Query) (accessctl.Role, engine.Query, []partition.SubRange, error) {
-	if q.Relation != c.spec.Relation {
-		return accessctl.Role{}, engine.Query{}, nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
+// plan counts one query, resolves the role, validates and rewrites the
+// query, and decomposes it over the spec.
+func (c *Coordinator) plan(roleName string, q engine.Query) (engine.Query, []partition.SubRange, error) {
+	c.queries.Add(1)
+	c.streams.Add(1)
+	refuse := func(err error) (engine.Query, []partition.SubRange, error) {
+		c.errors.Add(1)
+		return engine.Query{}, nil, err
 	}
-	role, eff, err := engine.PlanQuery(c.policy, c.params, c.schema, roleName, q)
+	if q.Relation != c.spec.Relation {
+		return refuse(fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation))
+	}
+	_, eff, err := engine.PlanQuery(c.policy, c.params, c.schema, roleName, q)
 	if err != nil {
-		return role, engine.Query{}, nil, err
+		return refuse(err)
 	}
 	if eff.Distinct {
-		return role, engine.Query{}, nil, ErrDistinct
+		return refuse(ErrDistinct)
 	}
 	sub := c.spec.Decompose(eff.KeyLo, eff.KeyHi)
 	if len(sub) > 1 {
 		c.fanouts.Add(1)
 	}
-	return role, eff, sub, nil
+	return eff, sub, nil
 }
 
 // QueryStream answers one query as a verifiable chunk stream merged from
 // per-node shard sub-streams. The stream is byte-identical to what a
 // single process serving the same slices would emit, so the unmodified
-// client verifiers accept it unchanged.
+// client verifiers accept it unchanged. It always reads origin: the edge
+// cache sits in front of the HTTP /stream handler, where the bytes are.
 func (c *Coordinator) QueryStream(roleName string, q engine.Query, chunkRows int) (engine.ResultStream, error) {
-	return c.queryStreamTraced(roleName, q, chunkRows, nil)
-}
-
-// queryStreamTraced is QueryStream carrying an optional request span: the
-// span's trace ID propagates to every shard node (one trace stitches the
-// whole fan-out) and the per-node sub-stream breakdowns land on the span
-// as they arrive. A nil span serves untraced with zero overhead beyond
-// the histogram observations.
-func (c *Coordinator) queryStreamTraced(roleName string, q engine.Query, chunkRows int, span *obs.Span) (engine.ResultStream, error) {
-	c.queries.Add(1)
-	c.streams.Add(1)
-	_, eff, sub, err := c.plan(roleName, q)
+	eff, sub, err := c.plan(roleName, q)
 	if err != nil {
-		c.errors.Add(1)
 		return nil, err
 	}
+	return c.mergeStream(roleName, q, eff, sub, chunkRows, nil)
+}
+
+// mergeStream pins one live feed per covering shard of a planned query
+// and merges them. It carries an optional request span: the span's trace
+// ID propagates to every shard node (one trace stitches the whole
+// fan-out) and the per-node sub-stream breakdowns land on the span as
+// they arrive. A nil span serves untraced with zero overhead beyond the
+// histogram observations.
+func (c *Coordinator) mergeStream(roleName string, q, eff engine.Query, sub []partition.SubRange, chunkRows int, span *obs.Span) (engine.ResultStream, error) {
 	if chunkRows == 0 {
 		chunkRows = c.chunkRows
 	}
@@ -508,7 +508,7 @@ func (c *Coordinator) queryStreamTraced(roleName string, q engine.Query, chunkRo
 // the bound is smaller than the server's.
 const pinRetries = 8
 
-// pinFeeds opens one sub-stream per covering shard and checks every
+// pinFeeds opens one live sub-stream per covering shard and checks every
 // adjacent hand-off by digest compare — the cross-process pinCover. A
 // mismatch (boundary delta or migration mid-cutover) closes everything
 // and re-pins; a node's not-hosting refusal re-reads the routing table
@@ -516,29 +516,20 @@ const pinRetries = 8
 // does not start at shard 0, the preceding shard's edge material is
 // pinned with the set (and hand-off-checked against the first feed), so
 // the empty-range predecessor digest is epoch-consistent with the cover
-// — exactly the in-process pinCover contract.
-//
-// With a cache tier configured, each covering shard is first looked up
-// by its epoch-exact key: a validated hit replays into the merge, a
-// leader miss tees the node sub-stream into an async fill. Cached feeds
-// pass through the same seam checks as live ones; a seam mismatch while
-// any cached feed is in the set drops the suspect entries and re-pins
-// with the cache bypassed — a forged-but-digest-consistent entry costs
-// one retry, never a wrong or stale answer.
+// — exactly the in-process pinCover contract. Every feed is a node's:
+// the edge cache never enters the merge.
 func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int, span *obs.Span) ([]engine.ShardFeed, engine.PrevG, error) {
 	var trace string
 	if span != nil {
 		trace = span.Trace
 	}
 	var lastErr error
-	bypassCache := false
 	for attempt := 0; attempt < pinRetries; attempt++ {
 		repoch := c.repoch.Load()
 		feeds := make([]engine.ShardFeed, 0, len(sub))
-		hellos := make([]wire.NodeHello, 0, len(sub))
-		// urls records which node served each feed ("" for cache hits) so
-		// a failed seam check can be attributed to a lying replica.
-		urls := make([]string, 0, len(sub))
+		// pinned keeps each feed's hello and serving node, so a failed
+		// seam check can be attributed to a lying replica.
+		pinned := make([]*nodeFeed, 0, len(sub))
 		ok := true
 		// staleRouting classifies a not-hosting refusal: transparent
 		// retry when the table moved under us, hard error otherwise.
@@ -552,73 +543,45 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 			ok = false
 			return nil
 		}
-		// cachedKeys tracks entries serving this attempt; a seam failure
-		// with cached feeds in play drops them and re-pins cache-free.
-		var cachedKeys []string
 		for i, sr := range sub {
-			var fill *cache.Fill
-			served := false
-			if c.cache != nil && !bypassCache {
-				k := c.cacheSubKey(roleName, q, sr, i == 0, i == len(sub)-1, chunkRows)
-				tGet := time.Now()
-				hit, f := c.cache.Lookup(k)
-				span.Add(obs.StageCacheGet, time.Since(tGet))
-				if hit != nil {
-					feeds = append(feeds, &replayFeed{shard: sr.Shard, hit: hit})
-					hellos = append(hellos, hit.Hello)
-					urls = append(urls, "")
-					cachedKeys = append(cachedKeys, k.String())
-					served = true
-				}
-				fill = f
-			}
-			if !served {
-				ff, url, err := c.openFeed(wire.ShardStreamRequest{
-					Role: roleName, Query: q, Shard: sr.Shard,
-					Lo: sr.Lo, Hi: sr.Hi,
-					First: i == 0, Last: i == len(sub)-1,
-					ChunkRows: chunkRows, RoutingEpoch: repoch,
-					Trace: trace,
-				}, fill, span)
-				if err != nil {
-					closeFeeds(feeds)
-					if wire.IsNotHosting(err) {
-						// Every usable replica refused the shard: the table
-						// and the replica set disagree about placement.
-						if herr := staleRouting(sr.Shard, "(all replicas)", err); herr != nil {
-							return nil, nil, herr
-						}
-						break
+			nf, err := c.openFeed(wire.ShardStreamRequest{
+				Role: roleName, Query: q, Shard: sr.Shard,
+				Lo: sr.Lo, Hi: sr.Hi,
+				First: i == 0, Last: i == len(sub)-1,
+				ChunkRows: chunkRows, RoutingEpoch: repoch,
+				Trace: trace,
+			}, span)
+			if err != nil {
+				closeFeeds(feeds)
+				if wire.IsNotHosting(err) {
+					// Every usable replica refused the shard: the table
+					// and the replica set disagree about placement.
+					if herr := staleRouting(sr.Shard, "(all replicas)", err); herr != nil {
+						return nil, nil, herr
 					}
-					return nil, nil, err
+					break
 				}
-				feeds = append(feeds, ff)
-				hellos = append(hellos, ff.hello)
-				urls = append(urls, url)
+				return nil, nil, err
+			}
+			feeds = append(feeds, nf)
+			pinned = append(pinned, nf)
+			if i == 0 {
+				continue
 			}
 			tSeam := time.Now()
-			seamOK := i == 0 || hellos[i-1].Edges.HandoffOK(hellos[i].Edges)
-			if i > 0 {
-				c.obs.Hist(obs.StageSeamCheck).ObserveSince(tSeam)
-			}
+			seamOK := pinned[i-1].hello.Edges.HandoffOK(nf.hello.Edges)
+			c.obs.Hist(obs.StageSeamCheck).ObserveSince(tSeam)
 			if !seamOK {
 				// A boundary change is mid-cutover somewhere between these
 				// two nodes' pins — or a replica lying about its seam
-				// material, or a digest-consistent forged cache entry.
-				// Attribute first (a Byzantine replica caught here is
-				// quarantined, so the re-pin lands on a sibling), then
-				// re-pin the whole set, without the cache if it was in play.
+				// material. Attribute first (a Byzantine replica caught
+				// here is quarantined, so the re-pin lands on a sibling),
+				// then re-pin the whole set.
 				c.handoffRetries.Add(1)
 				lastErr = fmt.Errorf("hand-off between shards %d and %d disagrees", sub[i-1].Shard, sr.Shard)
 				ok = false
-				c.investigateSeam(sub[i-1].Shard, urls[i-1], hellos[i-1])
-				c.investigateSeam(sr.Shard, urls[i], hellos[i])
-				if len(cachedKeys) > 0 {
-					bypassCache = true
-					for _, ks := range cachedKeys {
-						c.cache.DropAsync(ks)
-					}
-				}
+				c.investigateSeam(pinned[i-1])
+				c.investigateSeam(nf)
 				break
 			}
 		}
@@ -639,17 +602,11 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 			case err != nil:
 				closeFeeds(feeds)
 				return nil, nil, fmt.Errorf("cluster: shard %d at %s: %w", prev, url, err)
-			case !resp.Edges.HandoffOK(hellos[0].Edges):
+			case !resp.Edges.HandoffOK(pinned[0].hello.Edges):
 				c.handoffRetries.Add(1)
 				lastErr = fmt.Errorf("hand-off between shards %d and %d disagrees", prev, sub[0].Shard)
 				ok = false
-				c.investigateSeam(sub[0].Shard, urls[0], hellos[0])
-				if len(cachedKeys) > 0 {
-					bypassCache = true
-					for _, ks := range cachedKeys {
-						c.cache.DropAsync(ks)
-					}
-				}
+				c.investigateSeam(pinned[0])
 			default:
 				g := resp.Edges.Tail[0].G
 				prevG = func() (hashx.Digest, error) { return g, nil }
@@ -669,11 +626,11 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 // budget) before delivering its hello is skipped for the next sibling —
 // the pre-hello failover path; a candidate that answers not-hosting is
 // likewise skipped, and only when every candidate refused does the
-// not-hosting surface (the caller's stale-routing classification).
-// The successful feed is wrapped for mid-stream failover: its hello's
-// digest pins the slice content, so a later death can be resumed
-// byte-exactly on any sibling holding the identical slice.
-func (c *Coordinator) openFeed(req wire.ShardStreamRequest, fill *cache.Fill, span *obs.Span) (*failoverFeed, string, error) {
+// not-hosting surface (the caller's stale-routing classification). The
+// returned feed fails over mid-stream by itself: its hello's digest pins
+// the slice content, so a later death can be resumed byte-exactly on any
+// sibling holding the identical slice.
+func (c *Coordinator) openFeed(req wire.ShardStreamRequest, span *obs.Span) (*nodeFeed, error) {
 	tried := make(map[string]bool)
 	allRefused := true
 	var lastErr error
@@ -681,28 +638,21 @@ func (c *Coordinator) openFeed(req wire.ShardStreamRequest, fill *cache.Fill, sp
 	for {
 		url, perr := c.pickReplica(req.Shard, tried)
 		if perr != nil {
-			if fill != nil {
-				fill.Abort()
-			}
 			if lastErr == nil {
-				return nil, "", perr
+				return nil, perr
 			}
 			if allRefused {
-				return nil, "", lastErr
+				return nil, lastErr
 			}
-			return nil, "", fmt.Errorf("cluster: shard %d: every replica failed: %w", req.Shard, lastErr)
+			return nil, fmt.Errorf("cluster: shard %d: every replica failed: %w", req.Shard, lastErr)
 		}
 		tried[url] = true
 		cl := c.clients[url]
 		if cl == nil {
 			continue
 		}
-		var tee io.Writer
-		if fill != nil {
-			tee = fill
-		}
 		t0 := time.Now()
-		ns, err := cl.ShardStreamTee(req, tee)
+		ns, err := cl.ShardStream(req)
 		if err != nil {
 			if wire.IsNotHosting(err) {
 				lastErr = err
@@ -711,12 +661,6 @@ func (c *Coordinator) openFeed(req wire.ShardStreamRequest, fill *cache.Fill, sp
 			allRefused = false
 			failedOver = true
 			lastErr = fmt.Errorf("cluster: shard %d at %s: %w", req.Shard, url, err)
-			if fill != nil {
-				// The fill may hold partial bytes from the dead attempt;
-				// it cannot back the sibling's stream.
-				fill.Abort()
-				fill = nil
-			}
 			continue
 		}
 		if failedOver {
@@ -724,20 +668,9 @@ func (c *Coordinator) openFeed(req wire.ShardStreamRequest, fill *cache.Fill, sp
 			c.obs.Hist(obs.StageFailover).ObserveSince(t0)
 			span.Add(obs.StageFailover, time.Since(t0))
 		}
-		hello := ns.Hello()
-		if nh := c.health[url]; nh != nil {
-			nh.inflight.Add(1)
-		}
-		rf := &remoteFeed{
-			ns: ns, shard: req.Shard, relation: c.spec.Relation,
-			url: url, span: span,
-			hWait: c.obs.Hist(obs.Labeled(obs.StageSubStream, "node", url)),
-		}
-		return &failoverFeed{
-			c: c, f: rf, fill: fill, req: req,
-			hello: hello, digest: hello.Digest.Clone(),
-			tried: tried, span: span,
-		}, url, nil
+		nf := &nodeFeed{c: c, span: span, req: req, hello: ns.Hello(), tried: tried}
+		nf.attach(ns, url)
+		return nf, nil
 	}
 }
 

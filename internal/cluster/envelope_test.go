@@ -170,4 +170,39 @@ func TestEndpointEnvelope(t *testing.T) {
 			}
 		}
 	}
+
+	// A coordinator with a cache tier plans before it looks anything up,
+	// so its refusals read exactly as the uncached coordinator's do.
+	t.Run("cache-configured coordinator", func(t *testing.T) {
+		cached := newCachedCluster(t, 16, 2, 1)
+		cachedTS := httptest.NewServer(cached.coord.Handler())
+		defer cachedTS.Close()
+		refusal := func(url string, req wire.StreamRequest) (int, string) {
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(req); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(url+"/stream", "application/octet-stream", &body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			text, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, string(text)
+		}
+		for name, req := range map[string]wire.StreamRequest{
+			"unknown relation": {Role: "all", Query: nope},
+			"bad role":         {Role: "nobody", Query: engine.Query{Relation: "Uniform"}},
+			"DISTINCT":         {Role: "all", Query: engine.Query{Relation: "Uniform", Distinct: true}},
+		} {
+			code, text := refusal(coordTS.URL, req)
+			ccode, ctext := refusal(cachedTS.URL, req)
+			if code != http.StatusBadRequest || ccode != code || ctext != text {
+				t.Errorf("%s: uncached %d %q, cache-configured %d %q; want one 400", name, code, text, ccode, ctext)
+			}
+		}
+		if st := cached.coord.Stats(); st.Cache.Misses != 0 || st.Errors != 3 {
+			t.Errorf("refused requests reached the cache tier: %+v, errors %d", st.Cache, st.Errors)
+		}
+	})
 }

@@ -4,53 +4,153 @@ import (
 	"io"
 	"time"
 
-	"vcqr/internal/cache"
 	"vcqr/internal/engine"
-	"vcqr/internal/hashx"
 	"vcqr/internal/obs"
 	"vcqr/internal/wire"
 )
 
-// remoteFeed adapts one node sub-stream to the engine's ShardFeed seam:
-// the hello maps to the head, the wire foot to the feed foot. The
+// nodeFeed adapts one node sub-stream to the engine's ShardFeed seam —
+// the hello maps to the head, the wire foot to the feed foot — and is
+// the only ShardFeed the coordinator's merge ever sees: the edge cache
+// stores merged streams at the HTTP edge, so every feed is live. The
 // adapter adds nothing to the merge semantics — those live in
 // engine.MergeShards, which is what keeps the remote fan-out
-// byte-identical to the local one. What it does add is the coordinator's
-// per-node observation point: every wait on the node accumulates into
-// the node-labeled substream histogram, and the node's advisory foot
-// timing lands on the request span.
-type remoteFeed struct {
-	ns       *wire.NodeStream
-	shard    int
-	relation string
+// byte-identical to the local one. What it adds is:
+//
+//   - The coordinator's per-node observation point: every wait on the
+//     node accumulates into the node-labeled substream histogram, and
+//     the node's advisory foot timing lands on the request span.
+//   - Mid-stream replica failover. The hello's slice digest pins the
+//     content this feed committed to. When the live sub-stream dies
+//     mid-merge, every untried sibling replica is offered the same
+//     request; one whose hello carries the identical digest holds
+//     byte-identical slice content, so its chunk sequence (same query,
+//     same chunking) is byte-identical too — the already-delivered
+//     prefix is skipped and the merge continues as if nothing happened.
+//     The merged stream the client verifies — and the edge-cache fill
+//     teed from it — never observes the failover.
+//   - A sibling at a different digest is NOT resumable: a delta landed
+//     between the pin and the death, and old content epochs exist only
+//     on the node that pinned them. The feed then surfaces the original
+//     error and the client-side retry re-pins at the fresh epoch — an
+//     honest failure, never a spliced stream (see DESIGN.md,
+//     "Replication").
+type nodeFeed struct {
+	c  *Coordinator
+	ns *wire.NodeStream
 
-	// url labels the node; hWait is the coordinator-side wait histogram
-	// (obs.Labeled(StageSubStream, "node", url)); span, when the request
-	// is traced, receives the node's own foot breakdown.
+	// url labels the node serving ns; hWait is its coordinator-side wait
+	// histogram (obs.Labeled(StageSubStream, "node", url)); span, when
+	// the request is traced, receives the node's own foot breakdown.
 	url    string
 	span   *obs.Span
 	hWait  *obs.Histogram
 	waitNS int64
+
+	// req re-opens the sub-stream on a sibling; hello (its Digest above
+	// all) pins what the original replica promised; tried accumulates
+	// every node offered this sub-range (seeded by openFeed's candidate
+	// loop).
+	req   wire.ShardStreamRequest
+	hello wire.NodeHello
+	tried map[string]bool
+
+	delivered int
+	closed    bool
 }
 
-func (f *remoteFeed) Head() (engine.ShardHead, error) {
-	hello := f.ns.Hello()
-	return engine.ShardHead{Shard: f.shard, Left: hello.Left}, nil
+// attach points the feed at a freshly opened sub-stream on url and moves
+// the node's in-flight gauge with it.
+func (f *nodeFeed) attach(ns *wire.NodeStream, url string) {
+	f.ns, f.url = ns, url
+	f.hWait = f.c.obs.Hist(obs.Labeled(obs.StageSubStream, "node", url))
+	if nh := f.c.health[url]; nh != nil {
+		nh.inflight.Add(1)
+	}
 }
 
-func (f *remoteFeed) Next() (*engine.Chunk, error) {
+// detach closes the current sub-stream and releases its node's gauge.
+func (f *nodeFeed) detach() error {
+	if nh := f.c.health[f.url]; nh != nil {
+		nh.inflight.Add(-1)
+	}
+	return f.ns.Close()
+}
+
+func (f *nodeFeed) Head() (engine.ShardHead, error) {
+	return engine.ShardHead{Shard: f.req.Shard, Left: f.hello.Left}, nil
+}
+
+func (f *nodeFeed) Next() (*engine.Chunk, error) {
+	for {
+		t0 := time.Now()
+		ch, err := f.ns.Next()
+		f.waitNS += int64(time.Since(t0))
+		if err == nil {
+			f.delivered++
+			return ch, nil
+		}
+		if err == io.EOF || !f.failover() {
+			return nil, err
+		}
+	}
+}
+
+// failover re-pins the live sub-stream onto a digest-identical sibling,
+// skipping the already-delivered chunk prefix. Returns false when no
+// sibling can resume byte-exactly (none left, or none at the pinned
+// digest) — the caller then surfaces the original error.
+func (f *nodeFeed) failover() bool {
 	t0 := time.Now()
-	c, err := f.ns.Next()
-	f.waitNS += int64(time.Since(t0))
-	return c, err
+	if len(f.hello.Digest) == 0 {
+		return false // node predates digest-carrying hellos; nothing pins content
+	}
+	for {
+		url, err := f.c.pickReplica(f.req.Shard, f.tried)
+		if err != nil {
+			return false
+		}
+		f.tried[url] = true
+		cl := f.c.clients[url]
+		if cl == nil {
+			continue
+		}
+		req := f.req
+		req.RoutingEpoch = f.c.repoch.Load()
+		ns, err := cl.ShardStream(req)
+		if err != nil {
+			continue
+		}
+		if !ns.Hello().Digest.Equal(f.hello.Digest) {
+			ns.Close() // different content version — not byte-resumable
+			continue
+		}
+		skipped := true
+		for i := 0; i < f.delivered; i++ {
+			if _, serr := ns.Next(); serr != nil {
+				skipped = false
+				break
+			}
+		}
+		if !skipped {
+			ns.Close()
+			continue
+		}
+		f.detach()
+		f.attach(ns, url)
+		f.c.failovers.Add(1)
+		f.c.obs.Hist(obs.StageFailover).ObserveSince(t0)
+		f.span.Add(obs.StageFailover, time.Since(t0))
+		return true
+	}
 }
 
-func (f *remoteFeed) Foot() (engine.ShardFeedFoot, error) {
+func (f *nodeFeed) Foot() (engine.ShardFeedFoot, error) {
 	t0 := time.Now()
 	foot, err := f.ns.Foot()
 	f.waitNS += int64(time.Since(t0))
 	// One observation per sub-stream: the total time this feed spent
-	// waiting on its node, attributed to the node by label.
+	// waiting on its node(s), attributed to the last one by label.
 	f.hWait.Observe(time.Duration(f.waitNS))
 	if err != nil {
 		return engine.ShardFeedFoot{}, err
@@ -72,201 +172,10 @@ func (f *remoteFeed) Foot() (engine.ShardFeedFoot, error) {
 	}, nil
 }
 
-func (f *remoteFeed) Close() error { return f.ns.Close() }
-
-// replayFeed replays a validated edge-cache hit into the merge seam. The
-// decoded hello/chunks/foot came from a byte-exact tee of a real node
-// sub-stream, so the merge — and therefore the merged stream the client
-// verifies — is byte-identical to the origin path. The cached foot's
-// advisory timing is deliberately not folded into the live span: it
-// described the run that filled the entry, not this one.
-type replayFeed struct {
-	shard int
-	hit   *cache.Hit
-	i     int
-}
-
-func (f *replayFeed) Head() (engine.ShardHead, error) {
-	return engine.ShardHead{Shard: f.shard, Left: f.hit.Hello.Left}, nil
-}
-
-func (f *replayFeed) Next() (*engine.Chunk, error) {
-	if f.i >= len(f.hit.Chunks) {
-		return nil, io.EOF
+func (f *nodeFeed) Close() error {
+	if f.closed {
+		return nil
 	}
-	c := f.hit.Chunks[f.i]
-	f.i++
-	return c, nil
-}
-
-func (f *replayFeed) Foot() (engine.ShardFeedFoot, error) {
-	foot := f.hit.Foot
-	return engine.ShardFeedFoot{
-		Entries:   foot.Entries,
-		Partial:   foot.Partial,
-		Right:     foot.Right,
-		PredSig:   foot.PredSig,
-		PredPrevG: foot.PredPrevG,
-		NeedPrevG: foot.NeedPrevG,
-	}, nil
-}
-
-func (f *replayFeed) Close() error { return nil }
-
-// failoverFeed wraps a remoteFeed with mid-stream replica failover and
-// the optional edge-cache fill lifecycle:
-//
-//   - The hello's slice digest (captured at open) pins the content this
-//     feed committed to. When the live sub-stream dies mid-merge, every
-//     untried sibling replica is offered the same request; one whose
-//     hello carries the identical digest holds byte-identical slice
-//     content, so its chunk sequence (same query, same chunking) is
-//     byte-identical too — the already-delivered prefix is skipped and
-//     the merge continues as if nothing happened. The merged stream the
-//     client verifies never observes the failover.
-//   - A sibling at a different digest is NOT resumable: a delta landed
-//     between the pin and the death, and old content epochs exist only
-//     on the node that pinned them. The feed then surfaces the original
-//     error and the client-side retry re-pins at the fresh epoch — an
-//     honest failure, never a spliced stream (see DESIGN.md,
-//     "Replication").
-//   - A fill (cache tee of the raw bytes) commits only on a cleanly
-//     drained foot with no failover: after a failover the tee holds the
-//     dead stream's partial bytes and is aborted. Commit/Abort are
-//     idempotent, so the merger's close-everything error path is safe
-//     over a committed feed.
-type failoverFeed struct {
-	c    *Coordinator
-	f    *remoteFeed
-	fill *cache.Fill
-
-	// req re-opens the sub-stream on a sibling; hello/digest pin what
-	// the original replica promised; tried accumulates every node
-	// offered this sub-range (seeded by openFeed's candidate loop).
-	req    wire.ShardStreamRequest
-	hello  wire.NodeHello
-	digest hashx.Digest
-	tried  map[string]bool
-
-	delivered int
-	span      *obs.Span
-	closed    bool
-}
-
-func (ff *failoverFeed) Head() (engine.ShardHead, error) {
-	return engine.ShardHead{Shard: ff.f.shard, Left: ff.hello.Left}, nil
-}
-
-func (ff *failoverFeed) Next() (*engine.Chunk, error) {
-	for {
-		ch, err := ff.f.Next()
-		if err == nil {
-			ff.delivered++
-			return ch, nil
-		}
-		if err == io.EOF {
-			return nil, err
-		}
-		if !ff.failover() {
-			return nil, err
-		}
-	}
-}
-
-// failover re-pins the live sub-stream onto a digest-identical sibling,
-// skipping the already-delivered chunk prefix. Returns false when no
-// sibling can resume byte-exactly (none left, or none at the pinned
-// digest) — the caller then surfaces the original error.
-func (ff *failoverFeed) failover() bool {
-	t0 := time.Now()
-	if ff.fill != nil {
-		ff.fill.Abort()
-		ff.fill = nil
-	}
-	if len(ff.digest) == 0 {
-		return false // node predates digest-carrying hellos; nothing pins content
-	}
-	for {
-		url, err := ff.c.pickReplica(ff.req.Shard, ff.tried)
-		if err != nil {
-			return false
-		}
-		ff.tried[url] = true
-		cl := ff.c.clients[url]
-		if cl == nil {
-			continue
-		}
-		req := ff.req
-		req.RoutingEpoch = ff.c.repoch.Load()
-		ns, err := cl.ShardStreamTee(req, nil)
-		if err != nil {
-			continue
-		}
-		hello := ns.Hello()
-		if !hello.Digest.Equal(ff.digest) {
-			ns.Close() // different content version — not byte-resumable
-			continue
-		}
-		skipped := true
-		for i := 0; i < ff.delivered; i++ {
-			if _, serr := ns.Next(); serr != nil {
-				skipped = false
-				break
-			}
-		}
-		if !skipped {
-			ns.Close()
-			continue
-		}
-		old := ff.f
-		ff.f = &remoteFeed{
-			ns: ns, shard: old.shard, relation: old.relation,
-			url: url, span: old.span,
-			hWait:  ff.c.obs.Hist(obs.Labeled(obs.StageSubStream, "node", url)),
-			waitNS: old.waitNS,
-		}
-		if nh := ff.c.health[url]; nh != nil {
-			nh.inflight.Add(1)
-		}
-		if nh := ff.c.health[old.url]; nh != nil {
-			nh.inflight.Add(-1)
-		}
-		old.Close()
-		ff.c.failovers.Add(1)
-		ff.c.obs.Hist(obs.StageFailover).ObserveSince(t0)
-		ff.span.Add(obs.StageFailover, time.Since(t0))
-		return true
-	}
-}
-
-func (ff *failoverFeed) Foot() (engine.ShardFeedFoot, error) {
-	foot, err := ff.f.Foot()
-	if err != nil {
-		if ff.fill != nil {
-			ff.fill.Abort()
-			ff.fill = nil
-		}
-		return foot, err
-	}
-	if ff.fill != nil {
-		tFill := time.Now()
-		ff.fill.Commit()
-		ff.span.Add(obs.StageCacheFill, time.Since(tFill))
-		ff.fill = nil
-	}
-	return foot, nil
-}
-
-func (ff *failoverFeed) Close() error {
-	if ff.fill != nil {
-		ff.fill.Abort()
-		ff.fill = nil
-	}
-	if !ff.closed {
-		ff.closed = true
-		if nh := ff.c.health[ff.f.url]; nh != nil {
-			nh.inflight.Add(-1)
-		}
-	}
-	return ff.f.Close()
+	f.closed = true
+	return f.detach()
 }

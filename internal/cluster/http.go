@@ -129,26 +129,32 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, req wire.StreamRequest
 	// shard sub-request, so one ID stitches coordinator and nodes.
 	sp := obs.StartSpan(req.Trace)
 	detail := fmt.Sprintf("role=%s relation=%s", req.Role, req.Query.Relation)
-	// With a cache tier configured, a whole merged stream may be served
-	// straight from cached chunk-frame bytes — no decode, no merge, no
-	// re-encode. The bytes are a verbatim tee of a previous run's output
-	// under the same epoch vector, so they are byte-identical to what the
-	// origin path would emit and the client's unmodified verifier is the
-	// final check on them.
+	// Plan first: a refusal reads the same with or without a cache tier,
+	// and the cache key is derived from the very cover the pin will use.
+	eff, sub, err := c.plan(req.Role, req.Query)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// With a cache tier configured, the merged stream may be served
+	// straight from cached chunk-frame bytes — no pin, no merge, no
+	// encode. The bytes are a verbatim tee of a previous run's output
+	// under the same covering-shard epochs, so they are byte-identical to
+	// what the origin path would emit and the client's unmodified
+	// verifier is the final check on them.
 	var fill *cache.Fill
 	if c.cache != nil {
-		k := c.cacheStreamKey(req.Role, req.Query, req.ChunkRows)
 		tGet := time.Now()
-		raw, f := c.cache.LookupStream(k)
+		raw, f := c.cache.Lookup(c.cacheStreamKey(req.Role, req.Query, sub, req.ChunkRows))
 		sp.Add(obs.StageCacheGet, time.Since(tGet))
 		if raw != nil {
-			c.serveCachedStream(w, raw, req.Timing, sp, detail)
+			c.serveCachedStream(w, raw, req.Timing, sp, detail+" cache=hit")
 			return
 		}
 		fill = f
 		detail += " cache=miss"
 	}
-	st, err := c.queryStreamTraced(req.Role, req.Query, req.ChunkRows, sp)
+	st, err := c.mergeStream(req.Role, req.Query, eff, sub, req.ChunkRows, sp)
 	if err != nil {
 		if fill != nil {
 			fill.Abort()
@@ -197,12 +203,10 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, req wire.StreamRequest
 // freshly built timing trailer if the request asked for one (the trailer
 // is never cached — it describes this request, not the fill).
 func (c *Coordinator) serveCachedStream(w http.ResponseWriter, raw []byte, timing bool, sp *obs.Span, detail string) {
-	c.queries.Add(1)
-	c.streams.Add(1)
 	fw := flushWriter{w}
 	if _, err := fw.Write(raw); err != nil {
 		c.errors.Add(1)
-		c.obs.Slow.Finish(sp, "stream", detail+" cache=hit")
+		c.obs.Slow.Finish(sp, "stream", detail)
 		return
 	}
 	fw.Flush()
@@ -213,7 +217,7 @@ func (c *Coordinator) serveCachedStream(w http.ResponseWriter, raw []byte, timin
 			fw.Flush()
 		}
 	}
-	c.obs.Slow.Finish(sp, "stream", detail+" cache=hit")
+	c.obs.Slow.Finish(sp, "stream", detail)
 }
 
 // teeFlushWriter mirrors every stream byte into an edge-cache fill while

@@ -328,10 +328,8 @@ func edgesEqual(a, b partition.Edges) bool {
 // unreachable, no siblings) quarantines nobody: the pin loop re-pins and
 // the client verifier remains the integrity boundary either way.
 // Returns true when a node was quarantined.
-func (c *Coordinator) investigateSeam(shard int, url string, hello wire.NodeHello) bool {
-	if url == "" {
-		return false // cached feed: no node sent these bytes
-	}
+func (c *Coordinator) investigateSeam(nf *nodeFeed) bool {
+	shard, url, hello := nf.req.Shard, nf.url, nf.hello
 	cl := c.clients[url]
 	if cl == nil {
 		return false

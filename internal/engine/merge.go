@@ -35,9 +35,9 @@ import (
 //     hand-off order) into the canonical chunk sequence — one header,
 //     the entry runs, one footer with the combined condensed signature
 //     and per-shard continuity accounting. Whether a feed is a local
-//     ShardPartial, a node sub-stream or replayed cache bytes is
-//     invisible to it, which is what keeps every serving path
-//     byte-identical and acceptable to the unmodified stream verifiers.
+//     ShardPartial or a node sub-stream is invisible to it, which is
+//     what keeps every serving path byte-identical and acceptable to
+//     the unmodified stream verifiers.
 //
 // Nothing in the seam is trusted: a node that lies in its chunks,
 // partial, or boundary proof produces a merged stream the user's
@@ -76,10 +76,9 @@ type ShardFeedFoot struct {
 // releases the feed's resources at any point; the merger closes every
 // feed when the stream errors or is abandoned.
 //
-// Implementations: ShardPartial (in-process), internal/cluster's wire
-// adapter over node sub-streams, and internal/cluster's replay of
-// edge-cached sub-stream bytes — all indistinguishable to the merger,
-// which is what keeps every serving path byte-identical.
+// Implementations: ShardPartial (in-process) and internal/cluster's wire
+// adapter over node sub-streams — indistinguishable to the merger, which
+// is what keeps every serving path byte-identical.
 type ShardFeed interface {
 	Head() (ShardHead, error)
 	Next() (*Chunk, error)

@@ -12,11 +12,11 @@ import (
 // (internal/cache): memcached-shaped get/put/invalidate/stats operations
 // carried as length-prefixed binary frames over a single POST endpoint,
 // under the same size cap as the chunk streams and in the same field
-// codec (frame.go) as the result chunks and node frames they carry. A
-// cache peer is deliberately outside the trust model — it stores opaque
-// bytes the coordinator handed it and returns them verbatim; anything it
-// garbles or forges dies on the client's entry digest compare, the
-// coordinator's seam checks, or ultimately the user's unmodified stream
+// codec (frame.go) as the result chunks they carry. A cache peer is
+// deliberately outside the trust model — it stores opaque bytes the
+// coordinator handed it and returns them verbatim; anything it garbles
+// or forges dies on the client's entry digest compare, its frame walk
+// (SplitChunkFrame), or ultimately the user's unmodified stream
 // verifier.
 
 // CacheGet asks a peer for one entry by its full key.
@@ -25,9 +25,10 @@ type CacheGet struct {
 }
 
 // CachePut stores one entry. Relation/Shard/Epoch place the entry in its
-// invalidation group (Shard < 0 groups whole merged streams); Sum is the
-// filler's digest over Bytes, stored and echoed so a reader can detect a
-// corrupted or lazily tampered entry without trusting the peer.
+// invalidation group (Shard < 0 groups streams covering several shards);
+// Sum is the filler's digest over Bytes, stored and echoed so a reader
+// can detect a corrupted or lazily tampered entry without trusting the
+// peer.
 type CachePut struct {
 	Key      string
 	Relation string

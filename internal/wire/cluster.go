@@ -179,21 +179,9 @@ type NodeStream struct {
 // is consumed before returning, so a stale-routing refusal surfaces here
 // (IsNotHosting) rather than mid-merge.
 func (c *Client) ShardStream(req ShardStreamRequest) (*NodeStream, error) {
-	return c.ShardStreamTee(req, nil)
-}
-
-// ShardStreamTee is ShardStream with every raw byte the node sends — the
-// hello, chunk and foot frames exactly as framed — copied into tee as it
-// is consumed. The edge-cache fill path records sub-streams this way: a
-// fully drained tee holds the byte-exact frame sequence a later replay
-// decodes back into the merge. A nil tee is ShardStream.
-func (c *Client) ShardStreamTee(req ShardStreamRequest, tee io.Writer) (*NodeStream, error) {
 	rbody, err := ShardStreamEP.open(c, req)
 	if err != nil {
 		return nil, err
-	}
-	if tee != nil {
-		rbody = &teeReadCloser{r: io.TeeReader(rbody, tee), c: rbody}
 	}
 	var f NodeFrame
 	err = readNodeFrame(rbody, &f)
@@ -209,15 +197,6 @@ func (c *Client) ShardStreamTee(req ShardStreamRequest, tee io.Writer) (*NodeStr
 	}
 	return &NodeStream{body: rbody, hello: *f.Hello}, nil
 }
-
-// teeReadCloser pairs a TeeReader with the underlying body's closer.
-type teeReadCloser struct {
-	r io.Reader
-	c io.Closer
-}
-
-func (t *teeReadCloser) Read(p []byte) (int, error) { return t.r.Read(p) }
-func (t *teeReadCloser) Close() error               { return t.c.Close() }
 
 // Hello returns the sub-stream's opening frame.
 func (ns *NodeStream) Hello() NodeHello { return ns.hello }

@@ -59,7 +59,7 @@ const frameHeader = 4
 
 // frameReadAhead bounds what a frame's claimed length may reserve before
 // its bytes arrive: a lying prefix over a short stream costs this much,
-// never MaxChunkFrame. Sized above a typical cached sub-stream, so an
+// never MaxChunkFrame. Sized above a typical cached stream, so an
 // honest cache frame still lands in one exact allocation.
 const frameReadAhead = 128 << 10
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -88,6 +89,24 @@ func WriteStream(w io.Writer, st engine.ResultStream) error {
 		}
 		flush()
 	}
+}
+
+// SplitChunkFrame splits the chunk frame b opens with off it, returning
+// that frame's chunk type and the bytes after it; ok is false when b
+// does not open with a whole frame of a non-empty payload within
+// MaxChunkFrame. Only the length prefix and the tag byte are read,
+// nothing is decoded: it lets the edge cache check the shape of bytes an
+// untrusted peer returned — what the frames say is the user's verifier's
+// to judge.
+func SplitChunkFrame(b []byte) (typ engine.ChunkType, rest []byte, ok bool) {
+	if len(b) <= frameHeader {
+		return 0, nil, false
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	if n <= 0 || n > MaxChunkFrame || n > len(b)-frameHeader {
+		return 0, nil, false
+	}
+	return engine.ChunkType(b[frameHeader] - tagChunk), b[frameHeader+n:], true
 }
 
 // StreamStats reports transport-level accounting for one streamed query.

@@ -51,6 +51,26 @@ func TestGobStaysInWire(t *testing.T) {
 	}
 }
 
+// sources reads the non-test Go files of one package directory.
+func sources(t *testing.T, dir string) map[string][]byte {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("%s: %d files, %v", dir, len(files), err)
+	}
+	out := map[string][]byte{}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = src
+	}
+	return out
+}
+
 // TestOneReadPath pins /stream as the only way a query is answered: no
 // serving package outside its tests names a materialized engine.Result
 // or collects a stream into one (clients do that, wire.Client.Query);
@@ -60,18 +80,7 @@ func TestGobStaysInWire(t *testing.T) {
 func TestOneReadPath(t *testing.T) {
 	materialized := regexp.MustCompile(`engine\.(Result|Collect)\b`)
 	for _, dir := range []string{"internal/server", "internal/cluster", "cmd/vcserve"} {
-		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s: %d files, %v", dir, len(files), err)
-		}
-		for _, name := range files {
-			if strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for name, src := range sources(t, dir) {
 			if m := materialized.Find(src); m != nil {
 				t.Errorf("%s names %s", name, m)
 			}
@@ -106,6 +115,35 @@ func TestOneReadPath(t *testing.T) {
 		if !oneFrame[string(m[1])] {
 			t.Errorf("a unary reply is capped at %s, beyond one frame", m[1])
 		}
+	}
+}
+
+// TestOneCacheGranularity pins the edge cache as one kind of entry, the
+// merged stream, looked up in one place: no non-test file of
+// internal/cluster names a decoded cache hit, a feed replayed from one
+// or a tee on a node sub-stream; internal/cache exports exactly one
+// lookup method; and internal/cluster/feed.go declares a single
+// engine.ShardFeed implementation, the live node feed.
+func TestOneCacheGranularity(t *testing.T) {
+	second := regexp.MustCompile(`cache\.Hit\b|replayFeed|ShardStreamTee`)
+	for name, src := range sources(t, "internal/cluster") {
+		if m := second.Find(src); m != nil {
+			t.Errorf("%s names %s", name, m)
+		}
+	}
+	lookups := 0
+	for _, src := range sources(t, "internal/cache") {
+		lookups += len(regexp.MustCompile(`(?m)^func \(\w+ \*?\w+\) Lookup\w*\(`).FindAll(src, -1))
+	}
+	if lookups != 1 {
+		t.Errorf("internal/cache exports %d lookup methods, want 1", lookups)
+	}
+	feed, err := os.ReadFile(filepath.Join("internal", "cluster", "feed.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feet := regexp.MustCompile(`(?m)^func \(\w+ \*?\w+\) Foot\(\)`).FindAll(feed, -1); len(feet) != 1 {
+		t.Errorf("internal/cluster/feed.go declares %d types with a Foot() method, want 1", len(feet))
 	}
 }
 
