@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -397,6 +398,68 @@ func TestCacheDeltaUnderLiveTraffic(t *testing.T) {
 	wg.Wait()
 	if queriesRun.Load() == 0 {
 		t.Fatal("no background queries completed")
+	}
+}
+
+// TestCacheReplicaCommitWindow: at R=2 a delta's commit reaches the two
+// replicas of a shard at different times. A full scan taken in between,
+// reading the replica that has not committed yet, fills the cache with
+// pre-delta bytes; the content epoch must not have moved by then, or the
+// fill lands under the post-delta key and the first read after
+// ApplyDelta returns is a stale hit.
+func TestCacheReplicaCommitWindow(t *testing.T) {
+	srv := cache.NewServer(0)
+	peerTS := httptest.NewServer(srv.Handler())
+	defer peerTS.Close()
+	cc := cache.NewClient(cache.Config{Peers: []string{peerTS.URL}, MinAccesses: 1})
+	f, inj := newReplicaCluster(t, 96, 3, 2, 2, 0, func(cfg *cluster.Config) { cfg.Cache = cc })
+	cf := &cacheFix{fix: f, cc: cc, srv: srv}
+	coordTS := httptest.NewServer(cf.coord.Handler())
+	defer coordTS.Close()
+	q := engine.Query{Relation: "Uniform"}
+
+	// Hang the commit to the replica that commits second.
+	urls := slices.Sorted(slices.Values(f.urls))
+	first := f.nodes[slices.Index(f.urls, urls[0])]
+	inj.Set(cluster.Fault{Node: urls[1], Path: wire.NodeTxRPC.Path, Mode: cluster.Hang, Times: 1})
+	applied := first.Stats().DeltasApplied
+	done := make(chan error, 1)
+	go func() {
+		_, err := cf.coord.ApplyDelta(cf.interiorDelta("window-v2"))
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for first.Stats().DeltasApplied == applied {
+		if time.Now().After(deadline) {
+			inj.Release()
+			t.Fatalf("the first replica never committed: %v", <-done)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Inside the window: a full scan reads the uncommitted replica only,
+	// and its merged stream fills the cache.
+	inj.Set(cluster.Fault{Node: urls[0], Path: wire.ShardStreamEP.Path, Mode: cluster.Kill})
+	rows, err := cf.streamRows(coordTS.URL, q, 8)
+	if err != nil {
+		t.Fatalf("in-window scan rejected: %v", err)
+	}
+	if hasPayload(rows, "window-v2") {
+		t.Fatal("in-window scan read the committed replica; the window was not exercised")
+	}
+	cf.waitEntries(1)
+	inj.Clear()
+	inj.Release()
+	if err := <-done; err != nil {
+		t.Fatalf("delta rejected: %v", err)
+	}
+
+	rows, err = cf.streamRows(coordTS.URL, q, 8)
+	if err != nil {
+		t.Fatalf("post-delta scan rejected: %v", err)
+	}
+	if !hasPayload(rows, "window-v2") {
+		t.Fatal("stale read: the first scan after ApplyDelta returned served the pre-delta fill")
 	}
 }
 

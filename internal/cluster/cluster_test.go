@@ -142,6 +142,13 @@ func (f *fix) mintDelta(idx int, payload []byte) delta.Delta {
 	return delta.Diff(before, f.owner)
 }
 
+// interiorDelta mints an attribute update interior to shard 1.
+func (f *fix) interiorDelta(payload string) delta.Delta {
+	sl1 := f.set.Slices[1]
+	mid := sl1.Recs[len(sl1.Recs)/2]
+	return f.mintDelta(f.globalIndexOf(mid.Key(), mid.Tuple.RowID), []byte(payload))
+}
+
 // streamBody POSTs a wire.StreamRequest and returns the raw frame bytes.
 func streamBody(t *testing.T, url string, req wire.StreamRequest) []byte {
 	t.Helper()
@@ -587,6 +594,7 @@ func TestTamperedTransferRejected(t *testing.T) {
 	f := newCluster(t, 60, 3, 2, nil)
 
 	tampered := f.set.Slices[1].Clone()
+	tampered.Recs[2] = tampered.Recs[2].Clone() // Clone shares record bytes
 	tampered.Recs[2].Sig[0] ^= 0x01
 	var buf bytes.Buffer
 	man := wire.ShardManifest{Spec: f.spec, Shard: 1}

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"vcqr/internal/core"
@@ -32,6 +33,12 @@ import (
 //     deferred.
 //  4. commit — each node publishes its staged slices.
 //
+// Prepare and commit go to every node at once and join, so a delta costs
+// one round trip per phase, not one per node. Phases 2–3 stay serial: a
+// node holds one staged transaction per relation and a token-0 mirror
+// push opens it, so two calls in flight to one node would discard each
+// other's staging — concurrency is across nodes, never within one.
+//
 // Replication makes the write path write-all: each shard's sub-batch
 // goes to every non-quarantined replica, and the staged edge material
 // must agree across a shard's replicas before anything commits —
@@ -47,8 +54,11 @@ import (
 // all published epochs untouched. The commit fan-out itself is not
 // atomic across nodes — the same per-shard non-atomicity the in-process
 // publish has — and readers absorb it the same way, by re-pinning on an
-// observed hand-off mismatch. A coordinator crash mid-protocol leaves
-// only staged state, which the next prepare discards.
+// observed hand-off mismatch. Content epochs move only after every
+// commit has answered, so no cache fill taken while a replica still
+// serves the pre-delta slice is filed under a post-delta key. A
+// coordinator crash mid-protocol leaves only staged state, which the
+// next prepare discards.
 func (c *Coordinator) ApplyDelta(d delta.Delta) (uint64, error) {
 	if d.Relation != c.spec.Relation {
 		return 0, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, d.Relation)
@@ -61,7 +71,7 @@ func (c *Coordinator) ApplyDelta(d delta.Delta) (uint64, error) {
 		c.obs.Slow.Finish(sp, "delta", fmt.Sprintf("relation=%s ops=%d", d.Relation, len(d.Ops)))
 	}()
 
-	epoch, err := c.applyDelta(d)
+	epoch, err := c.applyDelta(d, sp)
 	if err != nil {
 		c.errors.Add(1)
 		return 0, err
@@ -70,8 +80,15 @@ func (c *Coordinator) ApplyDelta(d delta.Delta) (uint64, error) {
 	return epoch, nil
 }
 
-func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
+// applyDelta runs the four phases, recording each one's time in its
+// stage histogram and on sp, so a slow-log delta entry names its phase.
+func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 	k := c.spec.K()
+	observe := func(stage string, t0 time.Time) {
+		el := time.Since(t0)
+		c.obs.Hist(stage).Observe(el)
+		sp.Add(stage, el)
+	}
 	shardOps, err := delta.Route(c.spec, d)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: delta rejected: %w", err)
@@ -126,19 +143,25 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 			}
 		}
 	}
-	for _, url := range slices.Sorted(maps.Keys(nodeOps)) {
-		cl, err := c.client(url)
-		if err != nil {
-			abort()
-			return 0, err
+	// Every node prepares at once; the replies fold in URL order, so the
+	// agreement checks and their error text are a serial loop's. Any
+	// failure aborts every token that came back, including those of nodes
+	// later in URL order that prepared concurrently.
+	prepURLs := slices.Sorted(maps.Keys(nodeOps))
+	preps, errs := fanOut(c, prepURLs, func(cl *wire.Client, url string) (wire.NodeDeltaResponse, error) {
+		return cl.NodeDeltaPrepare(delta.Delta{Relation: d.Relation, Ops: nodeOps[url]})
+	})
+	for i, url := range prepURLs {
+		if errs[i] == nil {
+			tokens[url] = preps[i].Token
 		}
-		resp, err := cl.NodeDeltaPrepare(delta.Delta{Relation: d.Relation, Ops: nodeOps[url]})
-		if err != nil {
+	}
+	for i, url := range prepURLs {
+		if errs[i] != nil {
 			abort()
-			return 0, fmt.Errorf("cluster: prepare on %s: %w", url, err)
+			return 0, fmt.Errorf("cluster: prepare on %s: %w", url, errs[i])
 		}
-		tokens[url] = resp.Token
-		for _, m := range resp.Modified {
+		for _, m := range preps[i].Modified {
 			if opsShards[m.Shard] {
 				// Identical copies staging identical sub-batches must stage
 				// identical owned records. Context records are exempt until
@@ -158,7 +181,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 		}
 	}
 
-	c.obs.Hist(obs.StageDeltaPrepare).ObserveSince(tPhase)
+	observe(obs.StageDeltaPrepare, tPhase)
 
 	// Phase 2: cross-node mirror fixes. A staged shard's edge records
 	// must be mirrored by every replica of its neighbours; replicas
@@ -258,7 +281,7 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 		}
 	}
 
-	c.obs.Hist(obs.StageDeltaMirror).ObserveSince(tPhase)
+	observe(obs.StageDeltaMirror, tPhase)
 
 	// Phase 3: seam checks over staged edge material — the validations
 	// the nodes deferred, plus the digest compare, for every seam
@@ -300,16 +323,17 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 		}
 	}
 
-	c.obs.Hist(obs.StageDeltaSeam).ObserveSince(tPhase)
+	observe(obs.StageDeltaSeam, tPhase)
 
-	// Phase 4: commit everywhere. Failures here are partial by nature;
-	// report them with the nodes that did commit so the operator can
-	// reconcile (the staged-versus-published divergence is visible in
-	// /shard/digest). Each shard's content epoch is bumped once, at the
-	// first committing node staging it — the bump retires cached bytes,
-	// and one retirement per shard is exact.
+	// Phase 4: commit everywhere, at once. Failures here are partial by
+	// nature; report them with the nodes that did commit so the operator
+	// can reconcile (the staged-versus-published divergence is visible in
+	// /shard/digest). Each staged shard's content epoch is bumped once,
+	// after the join, committed or not: the bump retires cached bytes, and
+	// bumping before the last replica commits would let a fill read off a
+	// not-yet-committed replica land under the post-delta key.
 	tPhase = time.Now()
-	defer func() { c.obs.Hist(obs.StageDeltaCommit).ObserveSince(tPhase) }()
+	defer observe(obs.StageDeltaCommit, tPhase)
 	// Durably bracket the commit fan-out: if the coordinator dies inside
 	// it, the next incarnation finds the open staged record in its log
 	// and knows any divergence it inventories is an in-flight commit —
@@ -323,32 +347,24 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 			return 0, fmt.Errorf("cluster: delta rejected: staged-token log append: %w", err)
 		}
 	}
+	commitURLs := slices.Sorted(maps.Keys(tokens))
+	acks, errs := fanOut(c, commitURLs, func(cl *wire.Client, url string) (wire.OKResponse, error) {
+		return cl.NodeTx(wire.TxRequest{Relation: d.Relation, Token: tokens[url], Commit: true})
+	})
+	c.bumpShards(slices.Sorted(maps.Keys(stagedOn))...)
 	var epoch uint64
-	committed := make([]string, 0, len(tokens))
-	bumped := map[int]bool{}
-	for _, url := range slices.Sorted(maps.Keys(tokens)) {
-		cl, err := c.client(url)
-		if err == nil {
-			var resp wire.OKResponse
-			resp, err = cl.NodeTx(wire.TxRequest{Relation: d.Relation, Token: tokens[url], Commit: true})
-			if resp.Epoch > epoch {
-				epoch = resp.Epoch
-			}
+	var committed []string
+	for i, url := range commitURLs {
+		if errs[i] == nil {
+			committed = append(committed, url)
+			epoch = max(epoch, acks[i].Epoch)
 		}
-		if err != nil {
+	}
+	for i, url := range commitURLs {
+		if errs[i] != nil {
 			return 0, fmt.Errorf("cluster: commit on %s failed after %d of %d nodes committed (%v): %w",
-				url, len(committed), len(tokens), committed, err)
+				url, len(committed), len(tokens), committed, errs[i])
 		}
-		committed = append(committed, url)
-		var touched []int
-		for shard, on := range stagedOn {
-			if _, here := on[url]; here && !bumped[shard] {
-				touched = append(touched, shard)
-				bumped[shard] = true
-			}
-		}
-		sort.Ints(touched)
-		c.bumpShards(touched...)
 	}
 	if c.clog != nil {
 		if err := c.clog.LogStagedEnd(d.Relation, true); err != nil {
@@ -356,4 +372,25 @@ func (c *Coordinator) applyDelta(d delta.Delta) (uint64, error) {
 		}
 	}
 	return epoch, nil
+}
+
+// fanOut calls one node RPC on every url at once and returns the replies
+// and errors in urls' order once all have answered — the join both
+// all-node phases of a delta share. urls names each node once.
+func fanOut[T any](c *Coordinator, urls []string, call func(*wire.Client, string) (T, error)) ([]T, []error) {
+	out, errs := make([]T, len(urls)), make([]error, len(urls))
+	var wg sync.WaitGroup
+	for i, url := range urls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := c.client(url)
+			if err == nil {
+				out[i], err = call(cl, url)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	return out, errs
 }

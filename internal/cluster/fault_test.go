@@ -21,9 +21,9 @@ import (
 // trip, or at a precise stage *inside* a shard sub-stream (before the
 // hello, mid-chunk, before the foot) by parsing the node-frame protocol
 // as it flows. Faults fire on exact frame boundaries, so every failover
-// path is a table-driven test, not timing luck. Production code never
-// constructs an Injector; it is exported because the cache tier's tests
-// (and any out-of-package chaos harness) drive the same seam.
+// path is a table-driven test, not timing luck. It lives in a test file
+// so no serving binary links it; it is exported for the external
+// cluster_test package, whose replication and cache tests drive it.
 
 // FaultStage selects where inside a matched exchange a fault fires.
 type FaultStage int

@@ -3,9 +3,13 @@ package cluster_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +18,7 @@ import (
 	"vcqr/internal/accessctl"
 	"vcqr/internal/cluster"
 	"vcqr/internal/engine"
+	"vcqr/internal/obs"
 	"vcqr/internal/server"
 	"vcqr/internal/wire"
 )
@@ -561,6 +566,116 @@ func TestReplicaDeltaWriteAll(t *testing.T) {
 	}
 	if found != 2 {
 		t.Fatalf("found %d updated payloads, want 2", found)
+	}
+}
+
+// TestDeltaCommitFansOut: a delta's commits go to every node at once —
+// with the commit to the node a serial loop would reach first hung, the
+// other node's commit still lands before the hang is released. The
+// delta's slow-log entry names all four phases.
+func TestDeltaCommitFansOut(t *testing.T) {
+	inj := cluster.NewInjector(nil)
+	landed := make(chan struct{})
+	ht := &hookTransport{path: wire.NodeTxRPC.Path, inner: inj, hook: func() { close(landed) }}
+	f := newClusterCfg(t, 96, 3, 2, &http.Client{Transport: ht}, func(cfg *cluster.Config) { cfg.Replicas = 2 })
+	f.coord.Obs().Slow.SetThreshold(time.Nanosecond)
+	urls := slices.Sorted(slices.Values(f.urls))
+	inj.Set(cluster.Fault{Node: urls[0], Path: wire.NodeTxRPC.Path, Mode: cluster.Hang, Times: 1})
+	ht.armed.Store(true)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.coord.ApplyDelta(f.interiorDelta("fan-out"))
+		done <- err
+	}()
+	select {
+	case <-landed:
+	case err := <-done:
+		t.Fatalf("delta returned before the hung commit was released: %v", err)
+	case <-time.After(10 * time.Second):
+		inj.Release()
+		<-done
+		t.Fatalf("the commit to %s waited on the hung commit to %s", urls[1], urls[0])
+	}
+	inj.Release()
+	if err := <-done; err != nil {
+		t.Fatalf("delta rejected: %v", err)
+	}
+
+	for _, e := range f.coord.Obs().Slow.Entries() {
+		if e.Op != "delta" {
+			continue
+		}
+		stages := map[string]bool{}
+		for _, sd := range e.Stages {
+			stages[sd.Stage] = true
+		}
+		for _, want := range []string{obs.StageDeltaPrepare, obs.StageDeltaMirror, obs.StageDeltaSeam, obs.StageDeltaCommit} {
+			if !stages[want] {
+				t.Fatalf("delta slow-log entry lacks stage %q: %+v", want, e.Stages)
+			}
+		}
+		return
+	}
+	t.Fatal("no delta entry in the coordinator's slow log")
+}
+
+// TestDeltaPrepareFailureAbortsAll: a prepare that dies on one node fails
+// the delta by that node's name while the other nodes' prepares run
+// concurrently; every token that came back is aborted, no replica's
+// published digest moves, and the same delta then applies cleanly.
+func TestDeltaPrepareFailureAbortsAll(t *testing.T) {
+	f, inj := newReplicaCluster(t, 96, 3, 3, 2, 0, nil)
+	digests := func() map[string]string {
+		out := map[string]string{}
+		for shard, set := range f.coord.ReplicaSets() {
+			for _, url := range set {
+				dg, err := (&wire.Client{BaseURL: url}).ShardDigest(wire.ShardRef{Relation: "Uniform", Shard: shard})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%d@%s", shard, url)] = string(dg.Digest)
+			}
+		}
+		return out
+	}
+	before := digests()
+
+	// A seam-crossing update: ops for shards 0 and 1 reach every node.
+	sl0 := f.set.Slices[0]
+	edge := sl0.Recs[len(sl0.Recs)-2]
+	d := f.mintDelta(f.globalIndexOf(edge.Key(), edge.Tuple.RowID), []byte("after-abort"))
+	victim := f.coord.ReplicaSets()[1][0]
+	inj.Set(cluster.Fault{Node: victim, Path: wire.NodeDeltaRPC.Path, Mode: cluster.Kill, Times: 1})
+	_, err := f.coord.ApplyDelta(d)
+	if !errors.Is(err, cluster.ErrInjectedKill) || !strings.Contains(err.Error(), "prepare on "+victim) {
+		t.Fatalf("delta with a dead prepare: %v, want a prepare failure naming %s", err, victim)
+	}
+	if after := digests(); !maps.Equal(after, before) {
+		t.Fatalf("a refused delta moved a replica:\nbefore %v\nafter  %v", before, after)
+	}
+
+	if _, err := f.coord.ApplyDelta(d); err != nil {
+		t.Fatalf("the same delta after the abort: %v", err)
+	}
+	q := engine.Query{Relation: "Uniform"}
+	res, err := collect(f.coord, "all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.v.VerifyResult(q, f.role, res); err != nil {
+		t.Fatalf("post-delta result rejected: %v", err)
+	}
+	found := 0
+	for _, row := range res.Rows() {
+		for _, attr := range row.Values {
+			if string(attr.Val.Bytes) == "after-abort" {
+				found++
+			}
+		}
+	}
+	if found != 1 {
+		t.Fatalf("payload present %d times, want 1", found)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"vcqr/internal/hashx"
@@ -299,19 +300,26 @@ func (sr *SignedRelation) Validate(h *hashx.Hasher, pub *sig.PublicKey) error {
 	return nil
 }
 
-// Clone returns a deep copy of the signed relation (used by publishers to
-// keep a pre-delta snapshot and by tests). The crypto index is carried
-// over by reference — it is persistent (immutable nodes), so the clone
-// and the original can diverge via index updates without affecting each
-// other; callers that mutate Recs directly must RefreshAggIndex (or
-// detach) before serving aggregates.
+// Clone returns a copy of the signed relation whose record sequence is
+// its own but whose records share their byte slices (digests, signature,
+// tuple attributes) with the original — the staging copy a delta is
+// applied on, O(records) pointer copies rather than a copy of every byte.
+//
+// The rule that makes this safe: a record's bytes are immutable once the
+// record is in a relation. Every writer replaces a record whole or
+// reassigns a field (ApplyOps, mirror stitching, the re-signs in
+// Insert/Delete/UpdateAttrs); none writes into a digest or signature in
+// place. Code that wants to edit a record's bytes takes
+// SignedRecord.Clone first. Replacing, inserting or deleting records in
+// the clone, or reassigning a record's fields there, never shows in the
+// original.
+//
+// The crypto index is carried over by reference — it is persistent
+// (immutable nodes), so the clone and the original can diverge via
+// index updates without affecting each other; callers that mutate Recs
+// directly must RefreshAggIndex (or detach) before serving aggregates.
 func (sr *SignedRelation) Clone() *SignedRelation {
-	out := &SignedRelation{Params: sr.Params, Schema: sr.Schema, aggIdx: sr.aggIdx}
-	out.Recs = make([]SignedRecord, len(sr.Recs))
-	for i, r := range sr.Recs {
-		out.Recs[i] = r.Clone()
-	}
-	return out
+	return &SignedRelation{Params: sr.Params, Schema: sr.Schema, aggIdx: sr.aggIdx, Recs: slices.Clone(sr.Recs)}
 }
 
 // VerifyEntrySig checks the formula-(1) signature of entry i against the

@@ -179,15 +179,32 @@ func TestVerifyEntrySigAndCheckEntryDigests(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence: mutations to a clone never affect the original.
+// TestCloneIndependence pins Clone's contract: the clone shares record
+// bytes, so every write the immutability rule allows — replacing a
+// record, reassigning its Sig or G, appending to or truncating Recs —
+// must leave the original Validate-clean.
 func TestCloneIndependence(t *testing.T) {
 	h, sr := buildPaper(t, 10)
+	pub := signKey(t).Public()
+	n := len(sr.Recs)
 	cl := sr.Clone()
-	cl.Recs[1].Sig[0] ^= 0xff
-	cl.Recs[1].G[0] ^= 0xff
-	cl.Recs = cl.Recs[:3]
-	if err := sr.Validate(h, signKey(t).Public()); err != nil {
+	cl.Recs[2] = cl.Recs[3]
+	cl.Recs[1].Sig = []byte("not a signature")
+	cl.Recs[1].G = hashx.Digest("not a digest")
+	cl.Recs[4].Tuple.Key++
+	cl.Recs = append(cl.Recs, cl.Recs[1])
+	if err := sr.Validate(h, pub); err != nil {
 		t.Fatalf("original corrupted by clone mutation: %v", err)
+	}
+	cl.Recs = cl.Recs[:3]
+	if _, err := cl.Insert(h, signKey(t), relation.Tuple{Key: sr.Recs[1].Key(), Attrs: sr.Recs[1].Tuple.Attrs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sr.Validate(h, pub); err != nil {
+		t.Fatalf("original corrupted by clone truncate/insert: %v", err)
+	}
+	if len(sr.Recs) != n {
+		t.Fatalf("original has %d entries after clone edits, want %d", len(sr.Recs), n)
 	}
 }
 

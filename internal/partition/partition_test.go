@@ -188,6 +188,7 @@ func TestHandoffOKAndStitch(t *testing.T) {
 
 	// Tamper with one slice's interior record: the set must fail validation.
 	bad := set.Slices[2].Clone()
+	bad.Recs[1] = bad.Recs[1].Clone() // Clone shares record bytes
 	bad.Recs[1].Tuple.Attrs[0] = relation.IntVal(424242)
 	tampered := &Set{Spec: set.Spec, Slices: append([]*core.SignedRelation{}, set.Slices...)}
 	tampered.Slices[2] = bad
@@ -197,7 +198,9 @@ func TestHandoffOKAndStitch(t *testing.T) {
 
 	// Desynchronize a hand-off mirror: must fail the hand-off check.
 	bad2 := set.Slices[1].Clone()
-	bad2.Recs[len(bad2.Recs)-1].G[0] ^= 0xff
+	last := len(bad2.Recs) - 1
+	bad2.Recs[last] = bad2.Recs[last].Clone()
+	bad2.Recs[last].G[0] ^= 0xff
 	tampered2 := &Set{Spec: set.Spec, Slices: append([]*core.SignedRelation{}, set.Slices...)}
 	tampered2.Slices[1] = bad2
 	if err := tampered2.Validate(h, key.Public()); err == nil {

@@ -436,6 +436,7 @@ func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
 		if cs.Old != nil {
 			d := delta.Diff(cs.Old, cs.New)
 			probe := cs.Old.Clone()
+			probe.SetAggIndex(nil) // only the probe's digest is compared
 			if _, err := delta.ApplyOps(probe, d); err == nil &&
 				partition.SliceDigest(ns.h, probe).Equal(cs.PostDigest) {
 				rec.Ops = d.Ops

@@ -31,6 +31,18 @@ func TestServingTreeIsPaperFree(t *testing.T) {
 	}
 }
 
+// TestServingTreeHasNoInjector pins the fault-injection seam as test
+// machinery: no non-test file of internal/cluster declares Injector, so
+// no serving binary links it.
+func TestServingTreeHasNoInjector(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^(type )?\s*Injector\s+(struct|interface|=)`)
+	for name, src := range sources(t, "internal/cluster") {
+		if decl.Match(src) {
+			t.Errorf("%s declares Injector", name)
+		}
+	}
+}
+
 // TestGobStaysInWire pins the codec as a decision two packages hold: of
 // everything under internal/ and cmd/, only internal/wire (the wire) and
 // internal/store (the disk) import encoding/gob outside their tests.
