@@ -36,15 +36,18 @@ bench-smoke: bench-verify
 bench-verify:
 	sh scripts/bench_verify.sh
 
-# fuzz smoke-tests the wire decoders — the chunk frames, the cache frames
-# and the node sub-stream frames the fault-injection seam replays (one
-# field codec), and the gob lease frames — plus the durable store's
-# on-disk codecs (WAL records and epoch snapshot files).
+# fuzz smoke-tests the wire decoders, all one field codec — the chunk
+# frames, the cache frames, the node sub-stream frames the
+# fault-injection seam replays, the lease frames, the /stream request
+# (legacy gob branch included) and the /delta body — plus the durable
+# store's on-disk codecs (WAL records and epoch snapshot files).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadChunkFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadCacheFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadNodeFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadLeaseFrame -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadStreamRequest -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadDeltaRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 

@@ -42,11 +42,15 @@ const StreamShard = -1
 // shard carries that shard and its content epoch, and is filed in the
 // shard's invalidation group; a stream covering several (Shard ==
 // StreamShard) carries the covering shards' epochs in cover order, so a
-// bump of any of them changes the key. Everything else that shapes the
-// bytes is in the key too: spec version, role, the full query as asked
-// (which, with the spec, fixes the cover) and the chunking.
+// bump of any of them changes the key. Content epochs count from zero in
+// every coordinator, so the key also carries the issuing coordinator's
+// incarnation: a restarted coordinator never asks for what its
+// predecessor filed under the same epoch numbers. Everything else that
+// shapes the bytes is in the key too: spec version, role, the full query
+// as asked (which, with the spec, fixes the cover) and the chunking.
 type Key struct {
 	Relation    string
+	Incarnation uint64
 	SpecVersion uint64
 	Shard       int
 	Epoch       uint64
@@ -62,6 +66,9 @@ func (k Key) String() string {
 	var b strings.Builder
 	b.Grow(96)
 	b.WriteString(k.Relation)
+	b.WriteByte(0)
+	b.WriteString("i")
+	b.WriteString(strconv.FormatUint(k.Incarnation, 16))
 	b.WriteByte(0)
 	b.WriteString("v")
 	b.WriteString(strconv.FormatUint(k.SpecVersion, 10))

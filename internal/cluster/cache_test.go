@@ -463,6 +463,71 @@ func TestCacheReplicaCommitWindow(t *testing.T) {
 	}
 }
 
+// TestCacheKeysSurviveCoordinatorRestart: content epochs start at 0 in
+// every coordinator, so a restarted coordinator's Recover re-issues epoch
+// numbers its predecessor used for other content. A peer that missed one
+// delta's invalidation sweep still holds the pre-delta stream filed at
+// epoch 1 when the successor, back at epoch 1, asks for the same range —
+// and it must not be handed those bytes: the next answer is origin's,
+// post-delta.
+func TestCacheKeysSurviveCoordinatorRestart(t *testing.T) {
+	srv := cache.NewServer(0)
+	peerTS := httptest.NewServer(srv.Handler())
+	defer peerTS.Close()
+	inj := cluster.NewInjector(nil)
+	cc := cache.NewClient(cache.Config{Peers: []string{peerTS.URL}, MinAccesses: 1, HTTP: &http.Client{Transport: inj}})
+	f := newClusterCfg(t, 96, 3, 2, nil, func(cfg *cluster.Config) { cfg.Cache = cc })
+	cf := &cacheFix{fix: f, cc: cc, srv: srv}
+	coordTS := httptest.NewServer(cf.coord.Handler())
+	defer coordTS.Close()
+
+	// Placed at epoch 1: fill the stream shard 1 alone covers.
+	q := cf.coverQuery(1, 1)
+	if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
+		t.Fatal(err)
+	}
+	cf.waitEntries(1)
+
+	// The delta moves shard 1 to epoch 2, and the peer misses its sweep.
+	inj.Set(cluster.Fault{Path: wire.CacheRPC.Path, Mode: cluster.Kill})
+	if _, err := cf.coord.ApplyDelta(cf.interiorDelta("restart-v2")); err != nil {
+		t.Fatalf("delta rejected: %v", err)
+	}
+	inj.Clear()
+	if inj.Fired() == 0 || srv.Store().Stats().Entries != 1 {
+		t.Fatalf("the sweep was not dropped: %d faults fired, %d entries resident", inj.Fired(), srv.Store().Stats().Entries)
+	}
+
+	// A new coordinator over the same nodes and peer adopts the cluster;
+	// Recover moves every shard's content epoch 0 -> 1.
+	coord2, err := cluster.New(cluster.Config{
+		Hasher: f.h, Pub: signKey(t).Public(), Params: f.owner.Params, Schema: f.owner.Schema,
+		Policy: accessctl.NewPolicy(f.role), Spec: f.spec, Nodes: f.urls, Cache: cc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if _, err := coord2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if e := coord2.Stats().ContentEpochs[1]; e != 1 {
+		t.Fatalf("recovered content epoch %d; the fixture wants the predecessor's epoch 1 reused", e)
+	}
+	ts2 := httptest.NewServer(coord2.Handler())
+	defer ts2.Close()
+
+	hits, before := coord2.Stats().Cache.Hits, cf.origin()
+	rows, err := cf.streamRows(ts2.URL, q, 8)
+	if err != nil {
+		t.Fatalf("post-restart stream rejected: %v", err)
+	}
+	if got := coord2.Stats().Cache.Hits; got != hits || cf.origin() != before+1 || !hasPayload(rows, "restart-v2") {
+		t.Fatalf("stale read after restart: hits +%d, origin +%d, delta payload present=%v",
+			got-hits, cf.origin()-before, hasPayload(rows, "restart-v2"))
+	}
+}
+
 // TestCacheRebalanceInvalidation: an online migration under live cached
 // traffic must reject nothing, bump the migrated shard's content epoch at
 // cutover, and keep post-migration streams fresh and verifiable.

@@ -153,22 +153,70 @@ func (f *fix) interiorDelta(payload string) delta.Delta {
 func streamBody(t *testing.T, url string, req wire.StreamRequest) []byte {
 	t.Helper()
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(req); err != nil {
+	if err := wire.WriteStreamRequest(&body, &req); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/stream", "application/octet-stream", &body)
+	code, blob := postStream(t, url, body.Bytes())
+	if code != http.StatusOK {
+		t.Fatalf("stream returned %d: %s", code, blob)
+	}
+	return blob
+}
+
+// postStream POSTs raw bytes to /stream and returns the status and body.
+func postStream(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/stream", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream returned %s", resp.Status)
-	}
 	blob, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob
+	return resp.StatusCode, blob
+}
+
+// TestStreamAcceptsLegacyGobRequest: /stream still reads a request
+// gob-encoded the way clients built before the field codec encode it
+// (bench's traced client, exactly as it builds one), at the single server
+// and at a coordinator, and answers it with the very bytes the framed
+// request gets; a body that is neither a frame nor gob is still a 400.
+func TestStreamAcceptsLegacyGobRequest(t *testing.T) {
+	f := newCluster(t, 96, 3, 2, nil)
+	coordTS := httptest.NewServer(f.coord.Handler())
+	defer coordTS.Close()
+	single := server.New(server.Config{
+		Hasher: f.h, Pub: signKey(t).Public(), Policy: accessctl.NewPolicy(f.role),
+	})
+	defer single.Close()
+	if err := single.AddPartition(f.set, true); err != nil {
+		t.Fatal(err)
+	}
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+
+	q := engine.Query{Relation: "Uniform", KeyLo: f.owner.Recs[10].Key(), KeyHi: f.owner.Recs[90].Key()}
+	req := wire.StreamRequest{Role: "all", Query: q, ChunkRows: 8}
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	want := streamBody(t, singleTS.URL, req)
+	for name, url := range map[string]string{"single server": singleTS.URL, "coordinator": coordTS.URL} {
+		if got := streamBody(t, url, req); !bytes.Equal(got, want) {
+			t.Fatalf("%s: framed request answered %d bytes, single server %d", name, len(got), len(want))
+		}
+		if code, got := postStream(t, url, legacy.Bytes()); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: gob request answered %d with %d bytes, the framed request %d", name, code, len(got), len(want))
+		}
+		for _, body := range [][]byte{[]byte("neither a frame nor gob"), {0, 0, 0, 1, 0x99}} {
+			if code, _ := postStream(t, url, body); code != http.StatusBadRequest {
+				t.Errorf("%s: body %q answered %d, want 400", name, body, code)
+			}
+		}
+	}
 }
 
 // verifyStream drives a coordinator stream through the UNMODIFIED
@@ -610,8 +658,9 @@ func TestTamperedTransferRejected(t *testing.T) {
 	}
 }
 
-// garbageBody is size bytes no gob decoder accepts; read counts what
-// was pulled from it.
+// garbageBody is size bytes no decoder accepts — as a frame its length
+// prefix claims 4 GiB, as gob a 255-byte message of garbage; read counts
+// what was pulled from it.
 type garbageBody struct{ size, read int64 }
 
 var garbage = bytes.Repeat([]byte{0xFF}, 32<<10)

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -153,6 +155,11 @@ type Coordinator struct {
 	// even before the pushed group invalidation lands.
 	cache   *cache.Client
 	cepochs []atomic.Uint64
+	// incarnation is this coordinator's random nonce, bound into every
+	// cache key: cepochs restart at zero with each coordinator, so a
+	// successor re-issues its predecessor's epoch numbers, and only the
+	// nonce keeps a stale entry a missed sweep left behind unaskable.
+	incarnation uint64
 
 	// clog is the durable coordinator log (nil = memory-only);
 	// persistFailures counts best-effort appends that failed.
@@ -194,6 +201,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if leaseTTL <= 0 {
 		leaseTTL = DefaultLeaseTTL
 	}
+	var nonce [8]byte
+	_, _ = rand.Read(nonce[:]) // never fails: crypto/rand crashes the process instead
 	c := &Coordinator{
 		h:         cfg.Hasher,
 		pub:       cfg.Pub,
@@ -213,6 +222,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cache:     cfg.Cache,
 		clog:      cfg.Log,
 		cepochs:   make([]atomic.Uint64, cfg.Spec.K()),
+
+		incarnation: binary.LittleEndian.Uint64(nonce[:]),
 	}
 	if c.advertise == "" {
 		c.advertise = "coordinator"
@@ -313,8 +324,9 @@ func (c *Coordinator) contentEpochs() []uint64 {
 // shard alone covers) keeps only entries at the fresh epoch, and the
 // relation's multi-shard group is dropped whole (coarser than the keys,
 // which bind only their own cover). The bump is the correctness
-// mechanism — old keys become unaskable the moment the epoch moves; the
-// pushed invalidation only reclaims the bytes.
+// mechanism — old keys become unaskable the moment the epoch moves, and
+// keys bind this coordinator's incarnation, so no successor's epoch
+// reaches them either; the pushed invalidation only reclaims the bytes.
 func (c *Coordinator) bumpShards(shards ...int) {
 	if len(shards) == 0 {
 		return
@@ -355,6 +367,7 @@ func (c *Coordinator) bumpAllShards() {
 func (c *Coordinator) cacheStreamKey(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int) cache.Key {
 	k := cache.Key{
 		Relation:    c.spec.Relation,
+		Incarnation: c.incarnation,
 		SpecVersion: c.spec.Version,
 		Shard:       cache.StreamShard,
 		Role:        roleName,

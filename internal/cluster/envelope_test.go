@@ -2,11 +2,11 @@ package cluster_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"vcqr/internal/cache"
@@ -18,9 +18,10 @@ import (
 // envelopeRow is one declared endpoint as the envelope test drives it.
 type envelopeRow struct {
 	ep wire.Endpoint
-	// refusal decodes the reply a malformed request gets and returns its
-	// Err field; nil for the rows that refuse on the status line (400).
-	refusal func(io.Reader) (string, error)
+	// refusal is a call of the row that reads the reply through the row's
+	// own codec, returning its Err field as an error; nil for the rows
+	// that refuse a malformed request on the status line (400).
+	refusal func(*wire.Client) error
 	// fail is a well-formed call the handler refuses (nil: the handler
 	// cannot fail); notHosting says the refusal is a node's stale-routing
 	// one and must still read as such on the client side.
@@ -28,13 +29,24 @@ type envelopeRow struct {
 	notHosting bool
 }
 
-// gobRefusal decodes a gob reply of type T and returns its Err field.
-func gobRefusal[T any](errOf func(*T) string) func(io.Reader) (string, error) {
-	return func(r io.Reader) (string, error) {
-		var v T
-		err := gob.NewDecoder(r).Decode(&v)
-		return errOf(&v), err
-	}
+// garbagePost serves each request in process on handler with its body
+// swapped for size garbage bytes, keeping the handler-side request and
+// the status it answered for the envelope checks.
+type garbagePost struct {
+	handler http.Handler
+	size    int64
+	body    *garbageBody
+	req     *http.Request
+	code    int
+}
+
+func (g *garbagePost) RoundTrip(r *http.Request) (*http.Response, error) {
+	g.body = &garbageBody{size: g.size}
+	g.req = httptest.NewRequest(r.Method, r.URL.Path, g.body)
+	rec := httptest.NewRecorder()
+	g.handler.ServeHTTP(rec, g.req)
+	g.code = rec.Code
+	return rec.Result(), nil
 }
 
 // TestEndpointEnvelope ranges over every endpoint the wire table
@@ -45,7 +57,8 @@ func gobRefusal[T any](errOf func(*T) string) func(io.Reader) (string, error) {
 // handler reads gives out at the row's cap (the handler swaps the capped
 // body onto the request, so draining it shows the cap without pushing
 // 256 MiB through a decoder); a malformed request is refused in the
-// row's documented place, the status line or the reply's Err field; and
+// row's documented place, the status line or the reply's Err field, which
+// the caller reads back through the row's own codec; and
 // a handler's own refusal reaches the caller as a Go error that keeps
 // wire.IsNotHosting's substring contract.
 func TestEndpointEnvelope(t *testing.T) {
@@ -58,8 +71,6 @@ func TestEndpointEnvelope(t *testing.T) {
 
 	nope := engine.Query{Relation: "nope", KeyLo: 1}
 	gone := wire.ShardRef{Relation: "Uniform", Shard: 99}
-	okErr := gobRefusal(func(r *wire.OKResponse) string { return r.Err })
-	deltaErr := gobRefusal(func(r *wire.DeltaResponse) string { return r.Err })
 	// Both consumers of /stream, the verifying one and the collecting one.
 	streamFails := func(cl *wire.Client) error {
 		if _, err := cl.Query("all", nope); err == nil {
@@ -69,6 +80,13 @@ func TestEndpointEnvelope(t *testing.T) {
 		return err
 	}
 	deltaFails := func(cl *wire.Client) error { _, err := cl.SendDelta(delta.Delta{Relation: "nope"}); return err }
+	edgesFails := func(cl *wire.Client) error { _, err := cl.ShardEdges(gone); return err }
+	digestFails := func(cl *wire.Client) error { _, err := cl.ShardDigest(gone); return err }
+	removeFails := func(cl *wire.Client) error { return cl.ShardRemove(gone) }
+	prepareFails := func(cl *wire.Client) error { _, err := cl.NodeDeltaPrepare(delta.Delta{Relation: "nope"}); return err }
+	mirrorFails := func(cl *wire.Client) error { _, err := cl.NodeMirror(wire.MirrorRequest{Relation: "nope"}); return err }
+	txFails := func(cl *wire.Client) error { _, err := cl.NodeTx(wire.TxRequest{Relation: "nope"}); return err }
+	installFails := func(cl *wire.Client) error { _, err := cl.ShardInstall(bytes.NewReader(nil)); return err }
 
 	for _, side := range []struct {
 		name    string
@@ -78,35 +96,16 @@ func TestEndpointEnvelope(t *testing.T) {
 	}{
 		{"node", f.nodes[0].Handler(), f.urls[0], []envelopeRow{
 			{ep: wire.StreamEP.Endpoint, fail: streamFails},
-			{ep: wire.DeltaRPC.Endpoint, refusal: deltaErr, fail: deltaFails},
-			{ep: wire.ShardEdgesRPC.Endpoint, refusal: gobRefusal(func(r *wire.EdgeResponse) string { return r.Err }),
-				fail: func(cl *wire.Client) error { _, err := cl.ShardEdges(gone); return err }, notHosting: true},
-			{ep: wire.ShardDigestRPC.Endpoint, refusal: gobRefusal(func(r *wire.DigestResponse) string { return r.Err }),
-				fail: func(cl *wire.Client) error { _, err := cl.ShardDigest(gone); return err }, notHosting: true},
-			{ep: wire.ShardRemoveRPC.Endpoint, refusal: okErr,
-				fail: func(cl *wire.Client) error { return cl.ShardRemove(gone) }, notHosting: true},
-			{ep: wire.HostedRPC.Endpoint, refusal: gobRefusal(func(r *wire.HostedResponse) string { return r.Err })},
-			{ep: wire.NodeDeltaRPC.Endpoint, refusal: gobRefusal(func(r *wire.NodeDeltaResponse) string { return r.Err }),
-				fail: func(cl *wire.Client) error {
-					_, err := cl.NodeDeltaPrepare(delta.Delta{Relation: "nope"})
-					return err
-				}, notHosting: true},
-			{ep: wire.NodeMirrorRPC.Endpoint, refusal: gobRefusal(func(r *wire.MirrorResponse) string { return r.Err }),
-				fail: func(cl *wire.Client) error {
-					_, err := cl.NodeMirror(wire.MirrorRequest{Relation: "nope"})
-					return err
-				}, notHosting: true},
-			{ep: wire.NodeTxRPC.Endpoint, refusal: okErr,
-				fail: func(cl *wire.Client) error { _, err := cl.NodeTx(wire.TxRequest{Relation: "nope"}); return err }, notHosting: true},
-			{ep: wire.NodeLeaseRPC.Endpoint, refusal: func(r io.Reader) (string, error) {
-				resp, err := wire.ReadLeaseResponse(r)
-				if err != nil {
-					return "", err
-				}
-				return resp.Err, nil
-			}},
-			{ep: wire.ShardInstallRPC.Endpoint, refusal: okErr,
-				fail: func(cl *wire.Client) error { _, err := cl.ShardInstall(bytes.NewReader(nil)); return err }},
+			{ep: wire.DeltaRPC.Endpoint, refusal: deltaFails, fail: deltaFails},
+			{ep: wire.ShardEdgesRPC.Endpoint, refusal: edgesFails, fail: edgesFails, notHosting: true},
+			{ep: wire.ShardDigestRPC.Endpoint, refusal: digestFails, fail: digestFails, notHosting: true},
+			{ep: wire.ShardRemoveRPC.Endpoint, refusal: removeFails, fail: removeFails, notHosting: true},
+			{ep: wire.HostedRPC.Endpoint, refusal: func(cl *wire.Client) error { _, err := cl.Hosted(); return err }},
+			{ep: wire.NodeDeltaRPC.Endpoint, refusal: prepareFails, fail: prepareFails, notHosting: true},
+			{ep: wire.NodeMirrorRPC.Endpoint, refusal: mirrorFails, fail: mirrorFails, notHosting: true},
+			{ep: wire.NodeTxRPC.Endpoint, refusal: txFails, fail: txFails, notHosting: true},
+			{ep: wire.NodeLeaseRPC.Endpoint, refusal: func(cl *wire.Client) error { _, err := cl.NodeLease(wire.LeaseRequest{}); return err }},
+			{ep: wire.ShardInstallRPC.Endpoint, refusal: installFails, fail: installFails},
 			{ep: wire.ShardFetchEP.Endpoint,
 				fail: func(cl *wire.Client) error { _, err := cl.ShardFetch(gone); return err }, notHosting: true},
 			{ep: wire.ShardStreamEP.Endpoint,
@@ -117,7 +116,7 @@ func TestEndpointEnvelope(t *testing.T) {
 		}},
 		{"coordinator", f.coord.Handler(), coordTS.URL, []envelopeRow{
 			{ep: wire.StreamEP.Endpoint, fail: streamFails},
-			{ep: wire.DeltaRPC.Endpoint, refusal: deltaErr, fail: deltaFails},
+			{ep: wire.DeltaRPC.Endpoint, refusal: deltaFails, fail: deltaFails},
 		}},
 		{"cache peer", peer.Handler(), peerTS.URL, []envelopeRow{
 			{ep: wire.CacheRPC.Endpoint},
@@ -140,23 +139,29 @@ func TestEndpointEnvelope(t *testing.T) {
 				t.Errorf("%s: GET answered %d, want 405", name, rec.Code)
 			}
 
-			body := &garbageBody{size: row.ep.Cap + 2}
-			req := httptest.NewRequest(http.MethodPost, row.ep.Path, body)
-			rec = httptest.NewRecorder()
-			side.handler.ServeHTTP(rec, req)
+			// The garbage claims a 4 GiB frame, so every decoder refuses
+			// it by the frame's own size check before reading further.
+			g := &garbagePost{handler: side.handler, size: row.ep.Cap + 2}
+			hc := &http.Client{Transport: g}
 			if row.refusal == nil {
-				if rec.Code != http.StatusBadRequest {
-					t.Errorf("%s: garbage body answered %d, want 400", name, rec.Code)
+				resp, err := hc.Post("http://in-process"+row.ep.Path, "application/octet-stream", nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if msg, err := row.refusal(rec.Body); rec.Code != http.StatusOK || err != nil || msg == "" {
-				t.Errorf("%s: garbage body answered %d with Err %q (decode error %v), want an in-band refusal", name, rec.Code, msg, err)
+				resp.Body.Close()
+				if g.code != http.StatusBadRequest {
+					t.Errorf("%s: garbage body answered %d, want 400", name, g.code)
+				}
+			} else if err := row.refusal(&wire.Client{BaseURL: "http://in-process", HTTP: hc}); g.code != http.StatusOK ||
+				err == nil || !strings.Contains(err.Error(), " error: "+wire.ErrFrameTooBig.Error()) {
+				t.Errorf("%s: garbage body answered %d and the caller read %v, want an in-band refusal", name, g.code, err)
 			}
 			var tooLarge *http.MaxBytesError
-			if _, err := io.Copy(io.Discard, req.Body); !errors.As(err, &tooLarge) || tooLarge.Limit != row.ep.Cap {
+			if _, err := io.Copy(io.Discard, g.req.Body); !errors.As(err, &tooLarge) || tooLarge.Limit != row.ep.Cap {
 				t.Errorf("%s: draining the handler's body = %v, want a %d-byte cap", name, err, row.ep.Cap)
 			}
-			if body.read > row.ep.Cap+1 {
-				t.Errorf("%s: read %d bytes of an oversize body, cap is %d", name, body.read, row.ep.Cap)
+			if g.body.read > row.ep.Cap+1 {
+				t.Errorf("%s: read %d bytes of an oversize body, cap is %d", name, g.body.read, row.ep.Cap)
 			}
 
 			if row.fail == nil {
@@ -179,7 +184,7 @@ func TestEndpointEnvelope(t *testing.T) {
 		defer cachedTS.Close()
 		refusal := func(url string, req wire.StreamRequest) (int, string) {
 			var body bytes.Buffer
-			if err := gob.NewEncoder(&body).Encode(req); err != nil {
+			if err := wire.WriteStreamRequest(&body, &req); err != nil {
 				t.Fatal(err)
 			}
 			resp, err := http.Post(url+"/stream", "application/octet-stream", &body)

@@ -23,8 +23,8 @@ import (
 // work against a coordinator unchanged; /admin adds the control plane an
 // operator drives:
 //
-//	POST /stream           gob wire.StreamRequest -> chunk frames
-//	POST /delta            gob delta.Delta        -> gob wire.DeltaResponse
+//	POST /stream           wire.StreamRequest frame -> chunk frames
+//	POST /delta            delta.Delta frame        -> wire.DeltaResponse frame
 //	GET  /healthz          "ok"
 //	GET  /statsz           JSON cluster.Stats
 //	GET  /metrics          Prometheus text: coordinator counters and stage

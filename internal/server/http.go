@@ -18,9 +18,9 @@ import (
 
 // Handler returns the server's HTTP API:
 //
-//	POST /stream      gob wire.StreamRequest -> length-prefixed chunk frames
+//	POST /stream      wire.StreamRequest frame -> length-prefixed chunk frames
 //	                  (chunked transfer encoding, flushed per chunk)
-//	POST /delta       gob delta.Delta        -> gob wire.DeltaResponse
+//	POST /delta       delta.Delta frame        -> wire.DeltaResponse frame
 //	GET  /healthz      "ok"
 //	GET  /statsz       JSON Stats snapshot
 //	GET  /metrics      Prometheus text exposition (counters + stage histograms)

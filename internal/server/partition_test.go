@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"io"
 	"net/http"
@@ -658,7 +657,7 @@ func TestPartitionedStreamAbandoned(t *testing.T) {
 	}
 	f := newPartServer(t, 96, 4)
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(wire.StreamRequest{
+	if err := wire.WriteStreamRequest(&body, &wire.StreamRequest{
 		Role: "all", Query: engine.Query{Relation: "Uniform"}, ChunkRows: 2,
 	}); err != nil {
 		t.Fatal(err)

@@ -91,7 +91,7 @@ const (
 
 // WriteCacheFrame writes one cache request frame.
 func WriteCacheFrame(w io.Writer, f *CacheFrame) error {
-	return encodeFrame(w, f, appendCacheFrame)
+	return encodeFrame(w, f, MaxChunkFrame, appendCacheFrame)
 }
 
 func appendCacheFrame(b []byte, f *CacheFrame) ([]byte, error) {
@@ -128,7 +128,7 @@ func appendCacheFrame(b []byte, f *CacheFrame) ([]byte, error) {
 func ReadCacheFrame(r io.Reader) (*CacheFrame, error) { return fresh(r, readCacheFrame) }
 
 func readCacheFrame(r io.Reader, f *CacheFrame) error {
-	return decodeFrame(r, f, (*decoder).cacheFrame)
+	return decodeFrame(r, f, MaxChunkFrame, (*decoder).cacheFrame)
 }
 
 func (d *decoder) cacheFrame(f *CacheFrame) {
@@ -160,7 +160,7 @@ func (d *decoder) cacheFrame(f *CacheFrame) {
 
 // WriteCacheReply writes one cache reply frame.
 func WriteCacheReply(w io.Writer, rp *CacheReply) error {
-	return encodeFrame(w, rp, appendCacheReply)
+	return encodeFrame(w, rp, MaxChunkFrame, appendCacheReply)
 }
 
 func appendCacheReply(b []byte, rp *CacheReply) ([]byte, error) {
@@ -192,7 +192,7 @@ func appendCacheReply(b []byte, rp *CacheReply) ([]byte, error) {
 func ReadCacheReply(r io.Reader) (*CacheReply, error) { return fresh(r, readCacheReply) }
 
 func readCacheReply(r io.Reader, rp *CacheReply) error {
-	return decodeFrame(r, rp, (*decoder).cacheReply)
+	return decodeFrame(r, rp, MaxChunkFrame, (*decoder).cacheReply)
 }
 
 func (d *decoder) cacheReply(rp *CacheReply) {

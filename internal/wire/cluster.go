@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,40 +18,13 @@ import (
 
 // This file is the coordinator/node half of the wire protocol
 // (internal/cluster): per-shard sub-streams, shard slice transfer, edge
-// and digest probes, and the two-phase distributed delta. Sub-streams
-// ride the same frames and field codec as the user-facing chunk streams
-// (frame.go, codec.go); shard transfers and heartbeats are gob inside
-// the same frames, and the unary RPC bodies are plain gob (endpoint.go).
-// As everywhere in this system nothing in the transport is trusted: a
-// node that lies produces a merged stream the user's verifier rejects, a
-// tampered transfer dies on the receiver's digest compare and signature
-// validation.
-
-// writeFrame writes v as one gob frame (each frame carries its own gob
-// type preamble) — the codec of the transfer and lease frames, which are
-// off the query path.
-func writeFrame[T any](w io.Writer, v *T) error {
-	return encodeFrame(w, v, func(b []byte, v *T) ([]byte, error) {
-		buf := bytes.NewBuffer(b)
-		if err := gob.NewEncoder(buf).Encode(v); err != nil {
-			return b, fmt.Errorf("wire: encode frame: %w", err)
-		}
-		return buf.Bytes(), nil
-	})
-}
-
-// readFrame reads one gob frame into v, with openFrame's end-of-stream
-// contract.
-func readFrame[T any](r io.Reader, v *T) error {
-	body, err := openFrame(r)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return fmt.Errorf("wire: decode frame: %w", err)
-	}
-	return nil
-}
+// and digest probes, and the two-phase distributed delta. Everything
+// here rides the same frames and field codec as the user-facing chunk
+// streams: sub-streams in codec.go, transfers, heartbeats and the unary
+// RPC bodies in body.go. As everywhere in this system nothing in the
+// transport is trusted: a node that lies produces a merged stream the
+// user's verifier rejects, a tampered transfer dies on the receiver's
+// digest compare and signature validation.
 
 // Cluster transport errors.
 var (
@@ -100,10 +71,8 @@ type ShardStreamRequest struct {
 	RoutingEpoch uint64
 	// Trace is the coordinator-minted trace ID, propagated so the node's
 	// slow-query log and sub-stream timing carry the same ID as the
-	// coordinator's span. Optional: requests are gob, so old nodes decode
-	// them without it unchanged (gob skips unknown fields) and simply
-	// don't echo timing. Advisory only — never part of the verified
-	// material.
+	// coordinator's span. Empty when the coordinator has none. Advisory
+	// only — never part of the verified material.
 	Trace string
 }
 
@@ -155,7 +124,9 @@ type NodeFrame struct {
 
 // WriteNodeFrame writes one sub-stream frame; ReadNodeFrame is its
 // counterpart (the client's NodeStream wraps it).
-func WriteNodeFrame(w io.Writer, f *NodeFrame) error { return encodeFrame(w, f, appendNodeFrame) }
+func WriteNodeFrame(w io.Writer, f *NodeFrame) error {
+	return encodeFrame(w, f, MaxChunkFrame, appendNodeFrame)
+}
 
 // ReadNodeFrame reads one sub-stream frame, with ReadChunkFrame's
 // end-of-stream and ownership contracts: the returned frame owns one
@@ -163,7 +134,7 @@ func WriteNodeFrame(w io.Writer, f *NodeFrame) error { return encodeFrame(w, f, 
 func ReadNodeFrame(r io.Reader) (*NodeFrame, error) { return fresh(r, readNodeFrame) }
 
 func readNodeFrame(r io.Reader, f *NodeFrame) error {
-	return decodeFrame(r, f, (*decoder).nodeFrame)
+	return decodeFrame(r, f, MaxChunkFrame, (*decoder).nodeFrame)
 }
 
 // NodeStream is a client-side shard sub-stream in consumption order:
@@ -288,7 +259,7 @@ func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *cor
 	man.Records = len(sr.Recs)
 	man.Params = sr.Params
 	man.Schema = sr.Schema
-	if err := writeFrame(w, &TransferFrame{Manifest: &man}); err != nil {
+	if err := writeTransferFrame(w, &TransferFrame{Manifest: &man}); err != nil {
 		return err
 	}
 	for off := 0; off < len(sr.Recs); off += transferBatch {
@@ -296,11 +267,11 @@ func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *cor
 		if end > len(sr.Recs) {
 			end = len(sr.Recs)
 		}
-		if err := writeFrame(w, &TransferFrame{Recs: sr.Recs[off:end]}); err != nil {
+		if err := writeTransferFrame(w, &TransferFrame{Recs: sr.Recs[off:end]}); err != nil {
 			return err
 		}
 	}
-	return writeFrame(w, &TransferFrame{Foot: &TransferFoot{Digest: partition.SliceDigest(h, sr)}})
+	return writeTransferFrame(w, &TransferFrame{Foot: &TransferFoot{Digest: partition.SliceDigest(h, sr)}})
 }
 
 // ReadShardTransfer consumes a transfer stream and reconstructs the
@@ -309,7 +280,7 @@ func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *cor
 // owes the signature validation of an untrusted feed.
 func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.SignedRelation, error) {
 	var f TransferFrame
-	if err := readFrame(r, &f); err != nil {
+	if err := readTransferFrame(r, &f); err != nil {
 		if err == io.EOF {
 			err = ErrTransferTruncated
 		}
@@ -334,7 +305,7 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 	}
 	for {
 		f = TransferFrame{}
-		if err := readFrame(r, &f); err != nil {
+		if err := readTransferFrame(r, &f); err != nil {
 			if err == io.EOF {
 				err = ErrTransferTruncated
 			}
@@ -455,21 +426,20 @@ type LeaseResponse struct {
 	Err      string
 }
 
-// WriteLeaseRequest / ReadLeaseRequest frame a heartbeat as one gob
-// frame. Exported so the fuzz harness can hammer the
-// decode path with raw bytes exactly as the endpoint receives them.
-func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return writeFrame(w, req) }
+// WriteLeaseRequest / ReadLeaseRequest frame a heartbeat as one
+// field-codec frame, the /node/lease row's body. Exported so the fuzz
+// harness can hammer the decode path with raw bytes exactly as the
+// endpoint receives them.
+func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return leaseRequestBody.w(w, req) }
 
 // ReadLeaseRequest reads one framed heartbeat.
-func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) { return fresh(r, readFrame[LeaseRequest]) }
+func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) { return fresh(r, leaseRequestBody.r) }
 
 // WriteLeaseResponse frames a heartbeat acknowledgement.
-func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error { return writeFrame(w, resp) }
+func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error { return leaseResponseBody.w(w, resp) }
 
 // ReadLeaseResponse reads one framed heartbeat acknowledgement.
-func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) {
-	return fresh(r, readFrame[LeaseResponse])
-}
+func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) { return fresh(r, leaseResponseBody.r) }
 
 // --- two-phase distributed delta -------------------------------------
 

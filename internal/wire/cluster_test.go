@@ -3,12 +3,12 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"io"
 	"runtime"
 	"testing"
 
+	"vcqr/internal/delta"
 	"vcqr/internal/hashx"
 	"vcqr/internal/owner"
 	"vcqr/internal/partition"
@@ -120,20 +120,17 @@ func TestLyingManifestCostsLittle(t *testing.T) {
 	if err := wire.WriteShardTransfer(&honest, h, wire.ShardManifest{}, sr); err != nil {
 		t.Fatal(err)
 	}
-	// Re-frame the manifest with a lying record count. The transfer frames
-	// are gob; the test owns a copy of the frame's shape.
-	var f wire.TransferFrame
-	manifest := splitFrames(t, honest.Bytes())[0]
-	if err := gob.NewDecoder(bytes.NewReader(manifest[4:])).Decode(&f); err != nil {
+	// Re-frame the manifest with a lying record count.
+	f, err := wire.TransferFrameBody.Read(bytes.NewReader(splitFrames(t, honest.Bytes())[0]))
+	if err != nil {
 		t.Fatal(err)
 	}
 	f.Manifest.Records = 8 << 20
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&f); err != nil {
+	var lyingFrame bytes.Buffer
+	if err := wire.TransferFrameBody.Write(&lyingFrame, f); err != nil {
 		t.Fatal(err)
 	}
-	lying := binary.BigEndian.AppendUint32(nil, uint32(payload.Len()))
-	lying = append(lying, payload.Bytes()...)
+	lying := lyingFrame.Bytes()
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -178,9 +175,9 @@ func TestLeaseFrameRoundTrip(t *testing.T) {
 }
 
 // FuzzReadLeaseFrame fuzzes both heartbeat decoders with raw bytes:
-// neither may panic, and any frame either accepts must re-encode. The
-// coordinator feeds these decoders bytes from nodes it explicitly does
-// not trust.
+// neither may panic, and any frame either accepts must re-encode to one
+// that decodes to the same heartbeat. The coordinator feeds these
+// decoders bytes from nodes it explicitly does not trust.
 func FuzzReadLeaseFrame(f *testing.F) {
 	var seed bytes.Buffer
 	if err := wire.WriteLeaseRequest(&seed, &wire.LeaseRequest{Coordinator: "c", Epoch: 1, TTLMillis: 1000, Seq: 1}); err != nil {
@@ -194,26 +191,54 @@ func FuzzReadLeaseFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			req, err := wire.ReadLeaseRequest(r)
-			if err != nil {
-				break
-			}
-			if err := wire.WriteLeaseRequest(io.Discard, req); err != nil {
-				t.Fatalf("accepted lease request does not re-encode: %v", err)
-			}
+		holdsRoundTrip(t, data, wire.WriteLeaseRequest, wire.ReadLeaseRequest)
+		holdsRoundTrip(t, data, wire.WriteLeaseResponse, wire.ReadLeaseResponse)
+	})
+}
+
+// holdsRoundTrip decodes every frame data opens with and holds each to
+// decode(encode(v)) == v, compared by encoding — which is injective on
+// decoded values, where DeepEqual would call a NaN float value unequal to
+// itself.
+func holdsRoundTrip[T any](t *testing.T, data []byte, write func(io.Writer, *T) error, read func(io.Reader) (*T, error)) {
+	t.Helper()
+	r := bytes.NewReader(data)
+	for {
+		v, err := read(r)
+		if err != nil {
+			return
 		}
-		r = bytes.NewReader(data)
-		for {
-			resp, err := wire.ReadLeaseResponse(r)
-			if err != nil {
-				break
-			}
-			if err := wire.WriteLeaseResponse(io.Discard, resp); err != nil {
-				t.Fatalf("accepted lease response does not re-encode: %v", err)
-			}
+		again := frameOf(t, write, v)
+		v2, err := read(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded value does not decode: %v", err)
 		}
+		if !bytes.Equal(frameOf(t, write, v2), again) {
+			t.Fatalf("re-encoded value decodes to %+v, want %+v", v2, v)
+		}
+	}
+}
+
+// FuzzReadDeltaRequest fuzzes the /delta body decoder — the largest
+// untrusted body, read up to MaxDeltaBody — with raw bytes: it must never
+// panic, and an accepted batch must re-encode to one that decodes to the
+// same batch. Seeded with the codec fixture's 3-op delta.
+func FuzzReadDeltaRequest(f *testing.F) {
+	d := newCodecFixture(f).delta()
+	var seed bytes.Buffer
+	if err := wire.DeltaBody.Write(&seed, &d); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	if err := wire.DeltaBody.Write(&seed, &delta.Delta{Relation: "Emp"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 42})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		holdsRoundTrip(t, data, wire.DeltaBody.Write, wire.DeltaBody.Read)
 	})
 }
 
@@ -243,21 +268,6 @@ func FuzzReadNodeFrame(f *testing.F) {
 		f.Add(frame.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			fr, err := wire.ReadNodeFrame(r)
-			if err != nil {
-				break
-			}
-			again := frameOf(t, wire.WriteNodeFrame, fr)
-			fr2, err := wire.ReadNodeFrame(bytes.NewReader(again))
-			if err != nil {
-				t.Fatalf("re-encoded node frame does not decode: %v", err)
-			}
-			// Compared by encoding; see FuzzReadChunkFrame.
-			if !bytes.Equal(frameOf(t, wire.WriteNodeFrame, fr2), again) {
-				t.Fatalf("re-encoded node frame decodes to %+v, want %+v", fr2, fr)
-			}
-		}
+		holdsRoundTrip(t, data, wire.WriteNodeFrame, wire.ReadNodeFrame)
 	})
 }

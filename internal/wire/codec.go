@@ -10,12 +10,14 @@ import (
 	"vcqr/internal/hashx"
 	"vcqr/internal/mht"
 	"vcqr/internal/obs"
+	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 )
 
 // This file is the typed half of the field codec (frame.go): result
-// chunks and node sub-stream frames, and the values they are made of.
+// chunks and node sub-stream frames, and the values they and the request
+// and reply bodies (body.go) are made of.
 // Every decoded digest, signature and byte value aliases the frame's
 // payload; every list that was empty on the wire decodes as nil.
 
@@ -29,12 +31,43 @@ const (
 	tagNodeChunk = 0x22
 	tagNodeFoot  = 0x23
 	tagNodeErr   = 0x24
+
+	// Request bodies (body.go).
+	tagStreamRequest      = 0x31
+	tagShardStreamRequest = 0x32
+	tagShardRef           = 0x33
+	tagDelta              = 0x34
+	tagNodeDeltaRequest   = 0x35
+	tagMirrorRequest      = 0x36
+	tagTxRequest          = 0x37
+	tagHostedRequest      = 0x38
+	tagLeaseRequest       = 0x39
+
+	// Reply bodies (body.go).
+	tagDeltaResponse     = 0x41
+	tagEdgeResponse      = 0x42
+	tagDigestResponse    = 0x43
+	tagHostedResponse    = 0x44
+	tagOKResponse        = 0x45
+	tagNodeDeltaResponse = 0x46
+	tagMirrorResponse    = 0x47
+	tagLeaseResponse     = 0x48
+
+	// Shard-transfer frames (body.go).
+	tagTransferManifest = 0x51
+	tagTransferRecs     = 0x52
+	tagTransferFoot     = 0x53
+	tagTransferErr      = 0x54
 )
 
 // minEntry is the least an entry encodes to (mode, key, two counts, five
-// digest lengths); the other list elements' least sizes are spelled at
-// their alloc call.
-const minEntry = 9
+// digest lengths), minRecord the least a signed record does (kind, key,
+// row id, attribute count, six digest and one signature lengths); the
+// other list elements' least sizes are spelled at their alloc call.
+const (
+	minEntry  = 9
+	minRecord = 11
+)
 
 // --- values -----------------------------------------------------------
 
@@ -103,6 +136,26 @@ func (d *decoder) record(r *core.SignedRecord) {
 		*dg = d.bytes()
 	}
 	r.Sig = d.bytes()
+}
+
+// appendEdges writes a slice's seam material: head records, then tail.
+func appendEdges(b []byte, e *partition.Edges) []byte {
+	for i := range e.Head {
+		b = appendRecord(b, &e.Head[i])
+	}
+	for i := range e.Tail {
+		b = appendRecord(b, &e.Tail[i])
+	}
+	return b
+}
+
+func (d *decoder) edges(e *partition.Edges) {
+	for i := range e.Head {
+		d.record(&e.Head[i])
+	}
+	for i := range e.Tail {
+		d.record(&e.Tail[i])
+	}
 }
 
 // appendList writes a counted run of digests or signatures.
@@ -346,13 +399,7 @@ func appendNodeFrame(b []byte, f *NodeFrame) ([]byte, error) {
 	case f.Hello != nil:
 		h := f.Hello
 		b = binary.AppendUvarint(appendInt(append(b, tagNodeHello), h.Shard), h.Epoch)
-		for i := range h.Edges.Head {
-			b = appendRecord(b, &h.Edges.Head[i])
-		}
-		for i := range h.Edges.Tail {
-			b = appendRecord(b, &h.Edges.Tail[i])
-		}
-		return appendBytes(appendOptBoundary(b, h.Left), h.Digest), nil
+		return appendBytes(appendOptBoundary(appendEdges(b, &h.Edges), h.Left), h.Digest), nil
 	case f.Chunk != nil:
 		return appendChunk(append(b, tagNodeChunk), f.Chunk)
 	case f.Foot != nil:
@@ -369,12 +416,7 @@ func (d *decoder) nodeFrame(f *NodeFrame) {
 	switch d.byte() {
 	case tagNodeHello:
 		h := &NodeHello{Shard: d.int(), Epoch: d.uvarint()}
-		for i := range h.Edges.Head {
-			d.record(&h.Edges.Head[i])
-		}
-		for i := range h.Edges.Tail {
-			d.record(&h.Edges.Tail[i])
-		}
+		d.edges(&h.Edges)
 		h.Left, h.Digest = d.optBoundary(), d.bytes()
 		f.Hello = h
 	case tagNodeChunk:

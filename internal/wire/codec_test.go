@@ -12,6 +12,7 @@ import (
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
+	"vcqr/internal/delta"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/obs"
@@ -305,9 +306,11 @@ func checkFrame[T any](t *testing.T, name string, v *T, write func(io.Writer, *T
 }
 
 // TestCodecMatchesGob is the differential: over every chunk and node
-// frame the fixture's real streams emit, the hand-written codec decodes
-// field for field what gob decoded — nil-vs-empty included — so the
-// unmodified verifiers see the values they always saw.
+// frame the fixture's real streams emit, and over one populated value of
+// every request and reply body, transfer frame and heartbeat, the
+// hand-written codec decodes field for field what gob decoded —
+// nil-vs-empty included — so the unmodified verifiers and every handler
+// see the values they always saw.
 func TestCodecMatchesGob(t *testing.T) {
 	f := newCodecFixture(t)
 	chunks := f.realChunks(t)
@@ -348,6 +351,83 @@ func TestCodecMatchesGob(t *testing.T) {
 	if hello != [3]bool{true, true, true} || !footRight || !footBare || !footPred || !nodeErr {
 		t.Fatalf("fixture lost node-frame coverage: hello %v right %v bare %v pred %v err %v", hello, footRight, footBare, footPred, nodeErr)
 	}
+
+	// One row per request and reply body, populated from the fixture.
+	sc := codecScenarios[4] // filters and a projection
+	checkFrame(t, "stream request", &wire.StreamRequest{Role: sc.role, Query: sc.q, ChunkRows: 5, Trace: "feedface", Timing: true},
+		wire.StreamRequestBody.Write, wire.StreamRequestBody.Read)
+	checkFrame(t, "shard stream request", &wire.ShardStreamRequest{Role: "clerk", Query: codecScenarios[7].q, Shard: 1,
+		Lo: 3, Hi: 1 << 19, Last: true, ChunkRows: 8, RoutingEpoch: 4, Trace: "cafe"},
+		wire.ShardStreamRequestBody.Write, wire.ShardStreamRequestBody.Read)
+	checkFrame(t, "shard ref", &wire.ShardRef{Relation: "Emp", Shard: 2}, wire.ShardRefBody.Write, wire.ShardRefBody.Read)
+	d := f.delta()
+	checkFrame(t, "delta", &d, wire.DeltaBody.Write, wire.DeltaBody.Read)
+	checkFrame(t, "node delta request", &wire.NodeDeltaRequest{Delta: d}, wire.NodeDeltaRequestBody.Write, wire.NodeDeltaRequestBody.Read)
+	checkFrame(t, "mirror request", &wire.MirrorRequest{Token: 9, Relation: "Emp", Shard: 1, Left: true, Rec: f.sr.Recs[7]},
+		wire.MirrorRequestBody.Write, wire.MirrorRequestBody.Read)
+	checkFrame(t, "tx request", &wire.TxRequest{Relation: "Emp", Token: 9, Commit: true}, wire.TxRequestBody.Write, wire.TxRequestBody.Read)
+	checkFrame(t, "hosted request", &struct{}{}, wire.HostedRequestBody.Write, wire.HostedRequestBody.Read)
+	checkFrame(t, "lease request", &wire.LeaseRequest{Coordinator: "coord-a", Epoch: 7, TTLMillis: -1500, Seq: 42},
+		wire.WriteLeaseRequest, wire.ReadLeaseRequest)
+
+	edges := func(i int) partition.Edges { return partition.EdgesOf(f.set.Slices[i]) }
+	dg := func(i int) hashx.Digest { return partition.SliceDigest(f.h, f.set.Slices[i]) }
+	checkFrame(t, "delta response", &wire.DeltaResponse{Epoch: 12, Err: "delta: malformed operation"},
+		wire.DeltaResponseBody.Write, wire.DeltaResponseBody.Read)
+	checkFrame(t, "edge response", &wire.EdgeResponse{Epoch: 3, Edges: edges(1)}, wire.EdgeResponseBody.Write, wire.EdgeResponseBody.Read)
+	checkFrame(t, "digest response", &wire.DigestResponse{Epoch: 3, Digest: dg(0), InstallDigest: dg(1), Records: 17, Deltas: 2},
+		wire.DigestResponseBody.Write, wire.DigestResponseBody.Read)
+	checkFrame(t, "hosted response", &wire.HostedResponse{Relations: map[string]wire.HostedInfo{
+		"Emp": {Spec: f.set.Spec, Shards: []wire.HostedShard{
+			{Shard: 0, Epoch: 3, Digest: dg(0), InstallDigest: dg(0), Records: 17},
+			{Shard: 2, Epoch: 5, Digest: dg(2), InstallDigest: dg(1), Records: 16, Deltas: 4}}},
+		"Aux": {Spec: partition.Spec{Relation: "Aux", Cuts: []uint64{0, 1 << 20}, Version: 1}},
+	}}, wire.HostedResponseBody.Write, wire.HostedResponseBody.Read)
+	checkFrame(t, "ok response", &wire.OKResponse{Epoch: 8, Err: wire.NotHostingMsg + " 2"}, wire.OKResponseBody.Write, wire.OKResponseBody.Read)
+	checkFrame(t, "node delta response", &wire.NodeDeltaResponse{Token: 9, Modified: []wire.ModifiedShard{
+		{Shard: 0, Edges: edges(0)}, {Shard: 1, Edges: edges(1)}}},
+		wire.NodeDeltaResponseBody.Write, wire.NodeDeltaResponseBody.Read)
+	checkFrame(t, "mirror response", &wire.MirrorResponse{Token: 9, Edges: edges(2)}, wire.MirrorResponseBody.Write, wire.MirrorResponseBody.Read)
+	checkFrame(t, "lease response", &wire.LeaseResponse{Epoch: 7, Hosted: 2, Inflight: 5, Err: "late"},
+		wire.WriteLeaseResponse, wire.ReadLeaseResponse)
+
+	// A whole slice through the transfer stream, then every frame of it.
+	sl := f.set.Slices[1]
+	man := wire.ShardManifest{Spec: f.set.Spec, Shard: 1, Epoch: 3, Deltas: 2}
+	var transfer bytes.Buffer
+	if err := wire.WriteShardTransfer(&transfer, f.h, man, sl); err != nil {
+		t.Fatal(err)
+	}
+	gotMan, got, err := wire.ReadShardTransfer(bytes.NewReader(transfer.Bytes()), f.h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Params, man.Schema, man.Records = sl.Params, sl.Schema, len(sl.Recs)
+	if !reflect.DeepEqual(gotMan, *viaGob(t, &man)) || !reflect.DeepEqual(got, viaGob(t, sl)) {
+		t.Fatal("shard transfer: codec and gob disagree")
+	}
+	for _, frame := range splitFrames(t, transfer.Bytes()) {
+		tf, err := wire.TransferFrameBody.Read(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFrame(t, "transfer frame", tf, wire.TransferFrameBody.Write, wire.TransferFrameBody.Read)
+	}
+	checkFrame(t, "transfer error", &wire.TransferFrame{Err: "boom"}, wire.TransferFrameBody.Write, wire.TransferFrameBody.Read)
+}
+
+// delta is a 3-op batch of fixture records: an upsert, a delete (whose
+// record is the zero record) and another upsert.
+func (f *codecFixture) delta() delta.Delta {
+	up := func(r core.SignedRecord) delta.Op {
+		return delta.Op{Kind: delta.OpUpsert, Key: r.Key(), RowID: r.Tuple.RowID, Rec: r}
+	}
+	gone := f.sr.Recs[9]
+	return delta.Delta{Relation: "Emp", Ops: []delta.Op{
+		up(f.sr.Recs[8]),
+		{Kind: delta.OpDelete, Key: gone.Key(), RowID: gone.Tuple.RowID},
+		up(f.sr.Recs[10]),
+	}}
 }
 
 // TestDecodedFramesDoNotShareMemory pins the ownership rule: a decoded

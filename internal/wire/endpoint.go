@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,9 +17,11 @@ import (
 // reply its caller accepts — and both sides derive from that row: the
 // Client methods are one-liners over Call/open, and the serving packages
 // Mount their handlers on it without naming a path, a cap, an HTTP
-// method, a status or a codec. Request and reply bodies are gob unless a
-// row says otherwise, which makes the codec a decision held by this
-// package alone.
+// method, a status or a codec. Every row names the codec of its request
+// and of its reply — one field-codec frame each (body.go), the frame
+// streams of the streaming rows, a raw transfer stream for
+// /shard/install — which makes the codec a decision held by this package
+// alone.
 //
 // Errors travel in two places, by row: a malformed request is refused
 // on the status line (400) by the stream endpoints and the cache peer,
@@ -46,37 +47,46 @@ const (
 )
 
 // The endpoint table. Replies are capped too: the peer is untrusted, and
-// gob alone would buffer up to 1 GiB of whatever it sends. Every unary
-// reply fits one frame; anything larger is a frame stream.
+// a frame may claim up to MaxDeltaBody. Every unary reply fits one frame;
+// anything larger is a frame stream.
 var (
-	DeltaRPC = &RPC[delta.Delta, DeltaResponse]{Endpoint: Endpoint{"/delta", MaxDeltaBody, publisher}, ReplyCap: MaxChunkFrame}
+	DeltaRPC = &RPC[delta.Delta, DeltaResponse]{Endpoint: Endpoint{"/delta", MaxDeltaBody, publisher}, ReplyCap: MaxChunkFrame,
+		req: deltaBody, resp: deltaResponseBody}
 
-	ShardEdgesRPC  = &RPC[ShardRef, EdgeResponse]{Endpoint: Endpoint{"/shard/edges", MaxQueryBody, node}, ReplyCap: MaxChunkFrame}
-	ShardDigestRPC = &RPC[ShardRef, DigestResponse]{Endpoint: Endpoint{"/shard/digest", MaxQueryBody, node}, ReplyCap: MaxChunkFrame}
-	ShardRemoveRPC = &RPC[ShardRef, OKResponse]{Endpoint: Endpoint{"/shard/remove", MaxQueryBody, node}, ReplyCap: MaxChunkFrame}
-	HostedRPC      = &RPC[struct{}, HostedResponse]{Endpoint: Endpoint{"/node/hosted", MaxQueryBody, node}, ReplyCap: MaxChunkFrame}
-	NodeDeltaRPC   = &RPC[NodeDeltaRequest, NodeDeltaResponse]{Endpoint: Endpoint{"/node/delta", MaxDeltaBody, node}, ReplyCap: MaxChunkFrame}
-	NodeMirrorRPC  = &RPC[MirrorRequest, MirrorResponse]{Endpoint: Endpoint{"/node/mirror", MaxDeltaBody, node}, ReplyCap: MaxChunkFrame}
-	NodeTxRPC      = &RPC[TxRequest, OKResponse]{Endpoint: Endpoint{"/node/tx", MaxQueryBody, node}, ReplyCap: MaxChunkFrame}
+	ShardEdgesRPC = &RPC[ShardRef, EdgeResponse]{Endpoint: Endpoint{"/shard/edges", MaxQueryBody, node}, ReplyCap: MaxChunkFrame,
+		req: shardRefBody, resp: edgeResponseBody}
+	ShardDigestRPC = &RPC[ShardRef, DigestResponse]{Endpoint: Endpoint{"/shard/digest", MaxQueryBody, node}, ReplyCap: MaxChunkFrame,
+		req: shardRefBody, resp: digestResponseBody}
+	ShardRemoveRPC = &RPC[ShardRef, OKResponse]{Endpoint: Endpoint{"/shard/remove", MaxQueryBody, node}, ReplyCap: MaxChunkFrame,
+		req: shardRefBody, resp: okResponseBody}
+	HostedRPC = &RPC[struct{}, HostedResponse]{Endpoint: Endpoint{"/node/hosted", MaxQueryBody, node}, ReplyCap: MaxChunkFrame,
+		req: hostedRequestBody, resp: hostedResponseBody}
+	NodeDeltaRPC = &RPC[NodeDeltaRequest, NodeDeltaResponse]{Endpoint: Endpoint{"/node/delta", MaxDeltaBody, node}, ReplyCap: MaxChunkFrame,
+		req: nodeDeltaRequestBody, resp: nodeDeltaResponseBody}
+	NodeMirrorRPC = &RPC[MirrorRequest, MirrorResponse]{Endpoint: Endpoint{"/node/mirror", MaxDeltaBody, node}, ReplyCap: MaxChunkFrame,
+		req: mirrorRequestBody, resp: mirrorResponseBody}
+	NodeTxRPC = &RPC[TxRequest, OKResponse]{Endpoint: Endpoint{"/node/tx", MaxQueryBody, node}, ReplyCap: MaxChunkFrame,
+		req: txRequestBody, resp: okResponseBody}
 
 	// ShardInstallRPC's request is a raw transfer-frame stream (see
-	// ReadShardTransfer), piped through unbuffered; NodeLeaseRPC and
-	// CacheRPC ride the frame codecs in both directions, so their decode
-	// surfaces are the fuzzed ones.
+	// ReadShardTransfer), piped through unbuffered by requestBody, so its
+	// request codec has no writer; NodeLeaseRPC's and CacheRPC's bodies
+	// are exported frame codecs, so their decode surfaces are the fuzzed
+	// ones.
 	ShardInstallRPC = &RPC[io.Reader, OKResponse]{Endpoint: Endpoint{"/shard/install", MaxDeltaBody, node}, ReplyCap: MaxChunkFrame,
-		req: codec[io.Reader]{r: func(r io.Reader, v *io.Reader) error { *v = r; return nil }}}
+		req:  codec[io.Reader]{r: func(r io.Reader, v *io.Reader) error { *v = r; return nil }},
+		resp: okResponseBody}
 	NodeLeaseRPC = &RPC[LeaseRequest, LeaseResponse]{Endpoint: Endpoint{"/node/lease", MaxQueryBody, node}, ReplyCap: MaxQueryBody,
-		req:  codec[LeaseRequest]{writeFrame[LeaseRequest], readFrame[LeaseRequest]},
-		resp: codec[LeaseResponse]{writeFrame[LeaseResponse], readFrame[LeaseResponse]}}
+		req: leaseRequestBody, resp: leaseResponseBody}
 	CacheRPC = &RPC[CacheFrame, CacheReply]{Endpoint: Endpoint{"/cache", MaxChunkFrame + frameHeader, cachePeer}, ReplyCap: MaxChunkFrame + frameHeader, status400: true,
 		req:  codec[CacheFrame]{WriteCacheFrame, readCacheFrame},
 		resp: codec[CacheReply]{WriteCacheReply, readCacheReply}}
 
 	// The endpoints whose reply is a frame stream the caller consumes as
-	// it arrives.
-	StreamEP      = &Stream[StreamRequest]{Endpoint{"/stream", MaxQueryBody, publisher}}
-	ShardStreamEP = &Stream[ShardStreamRequest]{Endpoint{"/shard/stream", MaxQueryBody, node}}
-	ShardFetchEP  = &Stream[ShardRef]{Endpoint{"/shard/fetch", MaxQueryBody, node}}
+	// it arrives. /stream also reads a legacy gob request (wire.go).
+	StreamEP      = &Stream[StreamRequest]{Endpoint{"/stream", MaxQueryBody, publisher}, codec[StreamRequest]{WriteStreamRequest, readStreamRequest}}
+	ShardStreamEP = &Stream[ShardStreamRequest]{Endpoint{"/shard/stream", MaxQueryBody, node}, shardStreamRequestBody}
+	ShardFetchEP  = &Stream[ShardRef]{Endpoint{"/shard/fetch", MaxQueryBody, node}, shardRefBody}
 )
 
 // Endpoint is what every POST endpoint declares: where it is mounted,
@@ -100,7 +110,7 @@ func PostOnly(next http.HandlerFunc) http.HandlerFunc {
 
 // handler is the server half every endpoint shares: POST only, and the
 // untrusted request body bounded at e.Cap so one client cannot buffer
-// the process into OOM (gob's own limit is 1 GiB per message).
+// the process into OOM (a body frame may claim up to MaxDeltaBody).
 func (e Endpoint) handler(next http.HandlerFunc) http.Handler {
 	return PostOnly(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, e.Cap)
@@ -156,24 +166,12 @@ func (r *LeaseResponse) refusal() *string     { return &r.Err }
 func (r *CacheReply) refusal() *string        { return &r.Err }
 
 // codec is one direction of an exchange: how a value becomes body bytes
-// and back. The zero codec is gob.
+// and back. Every row sets both halves of both directions — bar the raw
+// /shard/install request, which requestBody passes through — and there
+// is no default codec.
 type codec[T any] struct {
 	w func(io.Writer, *T) error
 	r func(io.Reader, *T) error
-}
-
-func (c codec[T]) write(w io.Writer, v *T) error {
-	if c.w == nil {
-		return gob.NewEncoder(w).Encode(v)
-	}
-	return c.w(w, v)
-}
-
-func (c codec[T]) read(r io.Reader, v *T) error {
-	if c.r == nil {
-		return gob.NewDecoder(r).Decode(v)
-	}
-	return c.r(r, v)
 }
 
 // requestBody encodes one request for posting. A request that already is
@@ -183,7 +181,7 @@ func requestBody[T any](c codec[T], path string, req *T) (io.Reader, error) {
 		return raw, nil
 	}
 	var buf bytes.Buffer
-	if err := c.write(&buf, req); err != nil {
+	if err := c.w(&buf, req); err != nil {
 		return nil, fmt.Errorf("wire: encode %s request: %w", path, err)
 	}
 	return &buf, nil
@@ -217,7 +215,7 @@ func (e *RPC[Req, Resp]) Call(c *Client, req Req) (Resp, error) {
 	}
 	defer reply.Close()
 	lr := &io.LimitedReader{R: reply, N: e.ReplyCap + 1}
-	err = e.resp.read(lr, &out)
+	err = e.resp.r(lr, &out)
 	if lr.N <= 0 {
 		return zero, fmt.Errorf("wire: %s reply on %s exceeds the %d-byte cap", e.peer, e.Path, e.ReplyCap)
 	}
@@ -238,7 +236,7 @@ func (e *RPC[Req, Resp]) Mount(mux *http.ServeMux, run func(Req) (Resp, error), 
 	mux.Handle(e.Path, e.handler(func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		var resp Resp
-		err := e.req.read(r.Body, &req)
+		err := e.req.r(r.Body, &req)
 		if err != nil && e.status400 {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -257,20 +255,23 @@ func (e *RPC[Req, Resp]) Mount(mux *http.ServeMux, run func(Req) (Resp, error), 
 			}
 			*rf.refusal() = err.Error()
 		}
-		if err := e.resp.write(w, &resp); err != nil {
+		if err := e.resp.w(w, &resp); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	}))
 }
 
-// Stream is one endpoint whose reply is a frame stream: a gob Req in,
-// frames out until the handler returns.
-type Stream[Req any] struct{ Endpoint }
+// Stream is one endpoint whose reply is a frame stream: a Req in, frames
+// out until the handler returns.
+type Stream[Req any] struct {
+	Endpoint
+	req codec[Req]
+}
 
 // open posts the request and returns the reply body positioned at its
 // first frame; the caller must close it.
 func (e *Stream[Req]) open(c *Client, req Req) (io.ReadCloser, error) {
-	body, err := requestBody(codec[Req]{}, e.Path, &req)
+	body, err := requestBody(e.req, e.Path, &req)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +285,7 @@ func (e *Stream[Req]) open(c *Client, req Req) (io.ReadCloser, error) {
 func (e *Stream[Req]) Mount(mux *http.ServeMux, serve func(http.ResponseWriter, Req)) {
 	mux.Handle(e.Path, e.handler(func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		if err := (codec[Req]{}).read(r.Body, &req); err != nil {
+		if err := e.req.r(r.Body, &req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

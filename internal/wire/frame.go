@@ -8,18 +8,18 @@ import (
 	"sync"
 )
 
-// Framing: every streamed payload of the protocol — result chunks, node
-// sub-stream frames, shard transfers, heartbeats, cache operations —
-// travels as one self-delimiting frame: a 4-byte big-endian length
-// followed by that many payload bytes. Frames are independently
-// decodable, so a reader can resynchronize per frame, bound its memory
-// by MaxChunkFrame, and hand each payload on the moment it arrives.
+// Framing: every payload of the protocol — result chunks, node
+// sub-stream frames, shard transfers, heartbeats, cache operations and
+// every request and reply body — travels as one self-delimiting frame: a
+// 4-byte big-endian length followed by that many payload bytes. Frames
+// are independently decodable, so a reader can resynchronize per frame,
+// bound its memory by MaxChunkFrame (a unary body by MaxDeltaBody, the
+// largest row cap), and hand each payload on the moment it arrives.
 // Nothing in the framing is trusted: truncation, reordering and
 // tampering are all caught by the verification layer; the frame format
 // only needs to fail cleanly. This file holds the one header writer, the
-// one header reader and the one field codec the data-path payloads
-// (result chunks, node sub-stream frames, cache operations) are written
-// in; codec.go holds the typed encoders over it.
+// one header reader and the one field codec every payload is written in;
+// codec.go, body.go and cache.go hold the typed encoders over it.
 //
 // Payload layout: a tag byte, then that tag's fields in a fixed order —
 // integers as (u)varints, strings, digests, signatures and byte values
@@ -64,10 +64,11 @@ const frameHeader = 4
 const frameReadAhead = 128 << 10
 
 // sealFrame patches the length prefix into b — frameHeader reserved
-// bytes followed by the payload — and writes the whole frame.
-func sealFrame(w io.Writer, b []byte) error {
+// bytes followed by the payload — and writes the whole frame, refusing a
+// payload beyond limit.
+func sealFrame(w io.Writer, b []byte, limit int) error {
 	n := len(b) - frameHeader
-	if n > MaxChunkFrame {
+	if n > limit {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
 	binary.BigEndian.PutUint32(b[:frameHeader], uint32(n))
@@ -81,9 +82,9 @@ func sealFrame(w io.Writer, b []byte) error {
 // own, which whatever is decoded from it may alias. It returns io.EOF
 // exactly at a frame boundary (the clean end of a stream),
 // ErrFrameTruncated when the stream dies mid-frame and ErrFrameTooBig on
-// a length prefix beyond the cap. Past frameReadAhead the buffer grows
-// only as fast as bytes arrive, so the claim itself allocates little.
-func openFrame(r io.Reader) ([]byte, error) {
+// a length prefix beyond limit. Past frameReadAhead the buffer grows only
+// as fast as bytes arrive, so the claim itself allocates little.
+func openFrame(r io.Reader, limit int) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -92,7 +93,7 @@ func openFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > MaxChunkFrame {
+	if n > limit {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
 	body := make([]byte, min(n, frameReadAhead))
@@ -122,12 +123,13 @@ var scratchPool = sync.Pool{New: func() any {
 const maxPooledFrame = 1 << 20
 
 // encodeFrame appends v's payload behind a reserved header in pooled
-// scratch and writes the sealed frame. Nothing of v is retained.
-func encodeFrame[T any](w io.Writer, v *T, payload func([]byte, *T) ([]byte, error)) error {
+// scratch and writes the sealed frame, at most limit payload bytes.
+// Nothing of v is retained.
+func encodeFrame[T any](w io.Writer, v *T, limit int, payload func([]byte, *T) ([]byte, error)) error {
 	bp := scratchPool.Get().(*[]byte)
 	b, err := payload(append((*bp)[:0], 0, 0, 0, 0), v)
 	if err == nil {
-		err = sealFrame(w, b)
+		err = sealFrame(w, b, limit)
 	}
 	if cap(b) <= maxPooledFrame {
 		*bp = b[:0]
@@ -159,6 +161,13 @@ type decoder struct {
 }
 
 func (d *decoder) fail() { d.err = errMalformed }
+
+// tag consumes the payload's tag byte, which must be want.
+func (d *decoder) tag(want byte) {
+	if d.byte() != want {
+		d.fail()
+	}
+}
 
 func (d *decoder) byte() byte {
 	if d.err != nil || len(d.b) == 0 {
@@ -250,10 +259,10 @@ func (d *decoder) done() error {
 	return d.err
 }
 
-// decodeFrame reads one frame and decodes its payload into v, which
-// from then on owns the payload buffer it aliases.
-func decodeFrame[T any](r io.Reader, v *T, payload func(*decoder, *T)) error {
-	body, err := openFrame(r)
+// decodeFrame reads one frame of at most limit payload bytes and decodes
+// it into v, which from then on owns the payload buffer it aliases.
+func decodeFrame[T any](r io.Reader, v *T, limit int, payload func(*decoder, *T)) error {
+	body, err := openFrame(r, limit)
 	if err != nil {
 		return err
 	}

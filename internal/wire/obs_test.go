@@ -11,59 +11,60 @@ import (
 	"vcqr/internal/obs"
 )
 
-// These tests pin the wire-compatibility claim of the tracing fields.
-// On requests they are *optional* gob struct fields, so a peer built
-// before them decodes the new encodings unchanged (gob drops fields the
-// receiver lacks) and a new peer decodes old encodings with the fields
-// zero; the "old" shapes below are literal copies of the structs as they
-// existed before the trace fields landed. On streamed frames, which are
-// not gob, the tag rule of frame.go applies instead.
+// These tests pin the tracing fields on the wire. On requests they are
+// plain fields of the request's frame: a traced request round trips
+// field-exact and an untraced one decodes with them zero. The one gob
+// request format still read — a /stream request from a client built
+// before the field codec — decodes with them zero when it predates them.
+// On streamed frames the advisory material has its own tags (frame.go's
+// tag rule).
 
-// oldStreamRequest is StreamRequest before Trace/Timing.
+// oldStreamRequest is StreamRequest before Trace/Timing, as a client of
+// that era gob-encoded it.
 type oldStreamRequest struct {
 	Role      string
 	Query     engine.Query
 	ChunkRows int
 }
 
-// oldShardStreamRequest is ShardStreamRequest before Trace.
-type oldShardStreamRequest struct {
-	Role         string
-	Query        engine.Query
-	Shard        int
-	Lo, Hi       uint64
-	First, Last  bool
-	ChunkRows    int
-	RoutingEpoch uint64
-}
-
-func gobRoundTrip(t *testing.T, in, out any) {
+// roundTrip writes v with one codec and reads it back.
+func roundTrip[T any](t *testing.T, c codec[T], in T) T {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+	if err := c.w(&buf, &in); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+	var out T
+	if err := c.r(&buf, &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	return out
 }
 
-func TestOldReaderSkipsStreamRequestTrace(t *testing.T) {
-	in := StreamRequest{
-		Role: "all", Query: engine.Query{Relation: "r", KeyLo: 5, KeyHi: 9},
-		ChunkRows: 64, Trace: "deadbeefdeadbeef", Timing: true,
-	}
-	var old oldStreamRequest
-	gobRoundTrip(t, in, &old)
-	if old.Role != "all" || old.Query.Relation != "r" || old.Query.KeyLo != 5 || old.ChunkRows != 64 {
-		t.Fatalf("old reader lost pre-existing fields: %+v", old)
+func TestStreamRequestTraceRoundTrip(t *testing.T) {
+	for _, in := range []StreamRequest{
+		{Role: "all", Query: engine.Query{Relation: "r", KeyLo: 5, KeyHi: 9}, ChunkRows: 64, Trace: "deadbeefdeadbeef", Timing: true},
+		{Role: "all", Query: engine.Query{Relation: "r", KeyLo: 5, KeyHi: 9}, ChunkRows: 64},
+	} {
+		if out := roundTrip(t, StreamEP.req, in); !reflect.DeepEqual(out, in) {
+			t.Fatalf("stream request round trip: %+v, want %+v", out, in)
+		}
 	}
 }
 
+// TestNewReaderAcceptsOldStreamRequest: a gob request from a client that
+// predates the field codec and the trace fields still reads, with the
+// trace fields zero.
 func TestNewReaderAcceptsOldStreamRequest(t *testing.T) {
+	var buf bytes.Buffer
 	in := oldStreamRequest{Role: "all", Query: engine.Query{Relation: "r", KeyHi: 7}, ChunkRows: 32}
+	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+		t.Fatal(err)
+	}
 	var cur StreamRequest
-	gobRoundTrip(t, in, &cur)
+	if err := StreamEP.req.r(&buf, &cur); err != nil {
+		t.Fatal(err)
+	}
 	if cur.Role != "all" || cur.Query.KeyHi != 7 || cur.ChunkRows != 32 {
 		t.Fatalf("new reader lost fields from old encoding: %+v", cur)
 	}
@@ -72,24 +73,15 @@ func TestNewReaderAcceptsOldStreamRequest(t *testing.T) {
 	}
 }
 
-func TestOldReaderSkipsShardStreamRequestTrace(t *testing.T) {
-	in := ShardStreamRequest{
-		Role: "all", Query: engine.Query{Relation: "r"},
-		Shard: 2, Lo: 10, Hi: 20, First: true, ChunkRows: 16,
-		RoutingEpoch: 3, Trace: "0123456789abcdef",
-	}
-	var old oldShardStreamRequest
-	gobRoundTrip(t, in, &old)
-	if old.Shard != 2 || old.Lo != 10 || old.Hi != 20 || !old.First || old.RoutingEpoch != 3 {
-		t.Fatalf("old reader lost pre-existing fields: %+v", old)
-	}
-	var cur ShardStreamRequest
-	gobRoundTrip(t, old, &cur)
-	if cur.Trace != "" {
-		t.Fatalf("absent Trace must decode empty, got %q", cur.Trace)
-	}
-	if cur.Shard != 2 || cur.RoutingEpoch != 3 {
-		t.Fatalf("new reader lost fields: %+v", cur)
+func TestShardStreamRequestTraceRoundTrip(t *testing.T) {
+	for _, in := range []ShardStreamRequest{
+		{Role: "all", Query: engine.Query{Relation: "r"}, Shard: 2, Lo: 10, Hi: 20, First: true, ChunkRows: 16,
+			RoutingEpoch: 3, Trace: "0123456789abcdef"},
+		{Role: "all", Query: engine.Query{Relation: "r"}, Shard: 2, Lo: 10, Hi: 20, Last: true, RoutingEpoch: 3},
+	} {
+		if out := roundTrip(t, ShardStreamEP.req, in); !reflect.DeepEqual(out, in) {
+			t.Fatalf("shard stream request round trip: %+v, want %+v", out, in)
+		}
 	}
 }
 

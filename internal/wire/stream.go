@@ -16,7 +16,9 @@ import (
 
 // WriteChunkFrame writes one result-stream chunk as a frame;
 // ReadChunkFrame is its counterpart. Nothing of c is retained.
-func WriteChunkFrame(w io.Writer, c *engine.Chunk) error { return encodeFrame(w, c, appendChunk) }
+func WriteChunkFrame(w io.Writer, c *engine.Chunk) error {
+	return encodeFrame(w, c, MaxChunkFrame, appendChunk)
+}
 
 // ReadChunkFrame reads one chunk frame. It returns io.EOF exactly at a
 // frame boundary (the clean end of a stream) and ErrFrameTruncated when
@@ -30,7 +32,7 @@ func WriteChunkFrame(w io.Writer, c *engine.Chunk) error { return encodeFrame(w,
 func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) { return fresh(r, readChunkFrame) }
 
 func readChunkFrame(r io.Reader, c *engine.Chunk) error {
-	return decodeFrame(r, c, (*decoder).chunk)
+	return decodeFrame(r, c, MaxChunkFrame, (*decoder).chunk)
 }
 
 // StreamRequest asks a publisher to answer a query as a chunk stream.
@@ -41,17 +43,18 @@ type StreamRequest struct {
 	ChunkRows int
 
 	// Trace is an optional client-supplied trace ID; empty lets the
-	// serving entry point mint one (internal/obs). Requests are gob, so
-	// old servers decode them without this field untouched — gob ignores
-	// fields the receiver lacks — and tracing needs no version bump. Trace
-	// IDs are advisory and never part of the verified material.
+	// serving entry point mint one (internal/obs). Trace IDs are advisory
+	// and never part of the verified material.
 	Trace string
 	// Timing asks the server to append an advisory engine.ChunkTiming
 	// trailer after the footer carrying the per-stage latency breakdown.
-	// Old servers ignore the field and send no trailer; old clients never
-	// set it and so never see one.
+	// A client that leaves it unset never sees one.
 	Timing bool
 }
+
+// WriteStreamRequest writes a /stream request body: one field-codec
+// frame, what Client sends and what a hand-built request should send.
+func WriteStreamRequest(w io.Writer, req *StreamRequest) error { return streamRequestBody.w(w, req) }
 
 // WriteStream drains a result stream into w as chunk frames, flushing
 // after every frame when w supports it (http.Flusher or *bufio.Writer),

@@ -126,22 +126,45 @@ func FuzzReadChunkFrame(f *testing.F) {
 		f.Add(frame.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for {
-			c, err := wire.ReadChunkFrame(r)
-			if err != nil {
-				break
-			}
-			again := frameOf(t, wire.WriteChunkFrame, c)
-			c2, err := wire.ReadChunkFrame(bytes.NewReader(again))
-			if err != nil {
-				t.Fatalf("re-encoded chunk does not decode: %v", err)
-			}
-			// Compared by encoding, which is injective on decoded values
-			// (DeepEqual would call a NaN float value unequal to itself).
-			if !bytes.Equal(frameOf(t, wire.WriteChunkFrame, c2), again) {
-				t.Fatalf("re-encoded chunk decodes to %+v, want %+v", c2, c)
-			}
+		holdsRoundTrip(t, data, wire.WriteChunkFrame, wire.ReadChunkFrame)
+	})
+}
+
+// FuzzReadStreamRequest fuzzes what any client can send /stream — a
+// request frame, or a gob request through the legacy branch — with raw
+// bytes: it must never panic, and an accepted request must re-encode to a
+// frame that decodes to the same request. A gob-decoded value may carry
+// fields the frame does not (a value's unselected fields), so sameness
+// is the frame encoding's. Seeded with every codec scenario's request in
+// both formats.
+func FuzzReadStreamRequest(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 42})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	for _, sc := range codecScenarios {
+		req := &wire.StreamRequest{Role: sc.role, Query: sc.q, ChunkRows: 5, Trace: sc.name}
+		var frame, legacy bytes.Buffer
+		if err := wire.WriteStreamRequest(&frame, req); err != nil {
+			f.Fatal(err)
+		}
+		if err := gob.NewEncoder(&legacy).Encode(*req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame.Bytes())
+		f.Add(legacy.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := wire.StreamRequestBody.Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again := frameOf(t, wire.WriteStreamRequest, req)
+		req2, err := wire.StreamRequestBody.Read(bytes.NewReader(again))
+		if err != nil {
+			t.Fatalf("re-encoded request does not decode: %v", err)
+		}
+		if !bytes.Equal(frameOf(t, wire.WriteStreamRequest, req2), again) {
+			t.Fatalf("re-encoded request decodes to %+v, want %+v", req2, req)
 		}
 	})
 }

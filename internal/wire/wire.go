@@ -2,14 +2,18 @@
 // data-publishing deployment (Figure 3): the owner ships gob-encoded
 // signed relations to publishers; publishers answer every query over
 // HTTP as one stream of chunk frames (stream.go); users verify
-// client-side with the owner's public key. Nothing in the transport is
-// trusted — all integrity comes from the verification objects.
+// client-side with the owner's public key. Everything that crosses the
+// network is a field-codec frame (frame.go); gob is left to the files
+// of this one (snapshots, parameters, relations) and to the one legacy
+// /stream request format below. Nothing in the transport is trusted —
+// all integrity comes from the verification objects.
 package wire
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math/big"
 	"net/http"
 	"os"
@@ -127,6 +131,29 @@ func DecodeRelation(data []byte) (*core.SignedRelation, error) {
 	return &sr, nil
 }
 
+// readStreamRequest reads a /stream request body: a field-codec frame
+// (WriteStreamRequest, what Client sends), or a gob-encoded StreamRequest
+// as clients built before the field codec send it. The first byte tells
+// them apart: a frame opens with its 4-byte big-endian length, which
+// under MaxQueryBody starts with 0x00, and a gob stream opens with a
+// message length, which never is 0. The gob branch is the one request
+// format still read as gob; it goes once the last gob writer (bench's
+// traced client) moves onto WriteStreamRequest.
+func readStreamRequest(r io.Reader, req *StreamRequest) error {
+	var first [1]byte
+	if _, err := io.ReadFull(r, first[:]); err != nil {
+		return err
+	}
+	r = io.MultiReader(bytes.NewReader(first[:]), r)
+	if first[0] == 0 {
+		return streamRequestBody.r(r, req)
+	}
+	if err := gob.NewDecoder(r).Decode(req); err != nil {
+		return fmt.Errorf("wire: decode gob stream request: %w", err)
+	}
+	return nil
+}
+
 // DeltaResponse acknowledges a delta ingest with the publisher's new
 // epoch, or reports why the batch was rejected (validation failures
 // leave the published epoch untouched).
@@ -143,8 +170,7 @@ type Client struct {
 	// Trace, when non-empty, stamps outgoing streaming requests with a
 	// caller-chosen trace ID; empty lets the server mint one. Timing asks
 	// streaming servers for the advisory per-stage timing trailer
-	// (surfaced in StreamStats). Both are optional wire fields old
-	// servers ignore.
+	// (surfaced in StreamStats).
 	Trace  string
 	Timing bool
 }

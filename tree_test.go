@@ -159,12 +159,11 @@ func TestOneCacheGranularity(t *testing.T) {
 	}
 }
 
-// TestStreamFramesAreGobFree pins the data path's codec: a result-chunk
+// TestStreamFramesAreGobFree pins the transport's codec: a result-chunk
 // frame and a node sub-stream frame are not gob — a gob decoder over a
 // freshly written payload fails — and inside internal/wire encoding/gob
-// is named only where something still rides it: the transfer and lease
-// frames (cluster.go), the unary RPC bodies (endpoint.go) and the
-// snapshot and params files (wire.go).
+// is named only in wire.go, beside the snapshot, params and relation
+// files and the one legacy /stream request format it still reads.
 func TestStreamFramesAreGobFree(t *testing.T) {
 	chunk := &engine.Chunk{Type: engine.ChunkFooter, Seq: 2, AggSig: []byte("sig")}
 	var buf bytes.Buffer
@@ -187,7 +186,7 @@ func TestStreamFramesAreGobFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, out)
 	}
-	allowed := map[string]bool{"cluster.go": true, "endpoint.go": true, "wire.go": true}
+	allowed := map[string]bool{"wire.go": true}
 	for _, name := range strings.Fields(string(out)) {
 		src, err := os.ReadFile(filepath.Join("internal", "wire", name))
 		if err != nil {
