@@ -40,7 +40,8 @@ bench-verify:
 # frames, the cache frames, the node sub-stream frames the
 # fault-injection seam replays, the lease frames, the /stream request
 # (legacy gob branch included) and the /delta body — plus the durable
-# store's on-disk codecs (WAL records and epoch snapshot files).
+# store's on-disk codecs (WAL records and epoch snapshot files) — and the
+# one-block SHA-256 kernel against the stdlib digest.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadChunkFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadCacheFrame -fuzztime 30s ./internal/wire
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadDeltaRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
+	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
 
 # smoke-cluster launches 1 coordinator + 2 shard nodes as separate OS
 # processes, streams a cross-node verified query and runs one online

@@ -20,7 +20,10 @@ package hashx
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
+	"hash"
+	"sync"
 	"sync/atomic"
 )
 
@@ -89,10 +92,18 @@ func (h *Hasher) Ops() uint64 { return h.ops.Load() }
 // ResetOps zeroes the operation counter.
 func (h *Hasher) ResetOps() { h.ops.Store(0) }
 
-// sum is the single primitive: SHA-256 over tag||parts. The hash state
-// stays on the stack (the compiler sees through sha256.New), so a caller
-// that keeps the result on its stack hashes without garbage.
+// sum is the single primitive: SHA-256 over tag||parts. A message that
+// fits one block goes through the kernel; a longer one is streamed, its
+// state on the stack (the compiler sees through sha256.New), so a caller
+// that keeps the result on its stack hashes without garbage either way.
 func sum(tag byte, parts ...[]byte) (out [sha256.Size]byte) {
+	n := 1
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n <= oneBlock {
+		return once([]byte{tag}, parts...)
+	}
 	st := sha256.New()
 	st.Write([]byte{tag})
 	for _, p := range parts {
@@ -100,6 +111,105 @@ func sum(tag byte, parts ...[]byte) (out [sha256.Size]byte) {
 	}
 	st.Sum(out[:0])
 	return out
+}
+
+// Sum256 returns the plain, untagged SHA-256 digest of msg — identical to
+// sha256.Sum256, through the kernel when msg fits one block. It is not a
+// scheme hash and no Hasher counts it; sig's full-domain hash expands a
+// digest with it.
+func Sum256(msg []byte) [MaxSize]byte {
+	if len(msg) > oneBlock {
+		return sha256.Sum256(msg)
+	}
+	return once(msg)
+}
+
+// oneBlock is the longest message one SHA-256 block holds once padded:
+// 64 bytes less the 0x80 pad byte and the 8-byte bit length.
+const oneBlock = sha256.BlockSize - 9
+
+// kernel is one reusable SHA-256 state and the block it compresses. The
+// message is laid out pre-padded — msg‖0x80‖0…‖bit length — so one Write
+// of a full block runs the block function in place with no buffering, and
+// after that final block the chaining value the state marshals *is* the
+// digest: no padding writes, no copy of the state, no Sum. Kernels are
+// pooled and held for one call only, so no state outlives the call that
+// took it (a copied Batch can never share one between goroutines); a
+// per-call state would escape through the type assertion.
+type kernel struct {
+	st    state
+	block [sha256.BlockSize]byte
+	buf   [marshaled]byte
+}
+
+// state is crypto/sha256's hash state with the marshaling the kernel
+// reads it back through.
+type state interface {
+	hash.Hash
+	encoding.BinaryAppender
+}
+
+// crypto/sha256 marshals a SHA-256 state as magic, the eight chaining
+// words big-endian, the buffered block and the length.
+const (
+	magic     = "sha\x03"
+	marshaled = len(magic) + sha256.Size + sha256.BlockSize + 8
+)
+
+var kernels = sync.Pool{New: func() any { return &kernel{st: sha256.New().(state)} }}
+
+// init refuses to start on a toolchain whose state the kernel cannot read
+// (a state without AppendBinary fails its assertion, naming the method),
+// so a changed layout fails loudly instead of mis-hashing.
+func init() {
+	st, _ := sha256.New().(state).AppendBinary(nil)
+	switch {
+	case len(st) != marshaled || string(st[:len(magic)]) != magic:
+		panic("hashx: crypto/sha256 marshaled state layout changed")
+	case once([]byte("abc")) != sha256.Sum256([]byte("abc")):
+		panic("hashx: one-block kernel digest differs from sha256.Sum256")
+	}
+}
+
+// once hashes head‖parts, at most oneBlock bytes, on a pooled kernel.
+func once(head []byte, parts ...[]byte) (out [sha256.Size]byte) {
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	k.fill(head, parts...)
+	copy(out[:], k.compress())
+	return out
+}
+
+// fill lays out head‖parts, at most oneBlock bytes, pre-padded in the
+// block.
+func (k *kernel) fill(head []byte, parts ...[]byte) {
+	n := copy(k.block[:], head)
+	for _, p := range parts {
+		n += copy(k.block[n:], p)
+	}
+	k.block[n] = 0x80
+	clear(k.block[n+1 : oneBlock+1])
+	binary.BigEndian.PutUint64(k.block[oneBlock+1:], uint64(n)<<3)
+}
+
+// compress hashes the filled block and returns the full digest, which
+// aliases the kernel until its next compress. A hash's Write and
+// sha256's AppendBinary never return an error.
+func (k *kernel) compress() []byte {
+	k.st.Reset()
+	k.st.Write(k.block[:])
+	st, _ := k.st.AppendBinary(k.buf[:0])
+	return st[len(magic) : len(magic)+sha256.Size]
+}
+
+// chain appends the digest i applications of Next beyond d to dst. Only
+// the digest bytes of the block change between compressions.
+func (k *kernel) chain(dst, d []byte, i uint64) []byte {
+	k.fill([]byte{tagIter}, d)
+	for ; i > 0; i-- {
+		copy(k.block[1:1+len(d)], k.compress())
+	}
+	return append(dst, k.block[1:1+len(d)]...)
 }
 
 // hash counts one operation and returns the digest in fresh storage.
@@ -207,22 +317,35 @@ func (b *Batch) Node(dst []byte, left, right Digest) []byte {
 }
 
 // Iterate appends h^i(m) to dst: First(m) followed by i applications of
-// Next, the chain held in one stack block throughout.
+// Next, on one kernel throughout when m fits one block.
 func (b *Batch) Iterate(dst, m []byte, i uint64) []byte {
-	b.n++
-	s := sum(tagFirst, m)
-	return b.IterateFrom(dst, s[:b.h.size], i)
+	if 1+len(m) > oneBlock {
+		b.n++
+		s := sum(tagFirst, m)
+		return b.IterateFrom(dst, s[:b.h.size], i)
+	}
+	b.n += 1 + i
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	k.fill([]byte{tagFirst}, m)
+	return k.chain(dst, k.compress()[:b.h.size], i)
 }
 
 // IterateFrom appends the digest i applications of Next beyond d to dst.
 func (b *Batch) IterateFrom(dst []byte, d Digest, i uint64) []byte {
 	b.n += i
-	var s [sha256.Size]byte
-	for ; i > 0; i-- {
-		s = sum(tagIter, d)
-		d = s[:b.h.size]
+	if i == 0 {
+		return append(dst, d...)
 	}
-	return append(dst, d...)
+	if len(d) != b.h.size {
+		// A digest of another width (a malformed proof's) takes its
+		// first step through sum, which hashes any length.
+		s := sum(tagIter, d)
+		d, i = s[:b.h.size], i-1
+	}
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	return k.chain(dst, d, i)
 }
 
 // U64 encodes v as 8 big-endian bytes; the canonical pre-image encoding for

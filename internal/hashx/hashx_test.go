@@ -203,12 +203,27 @@ func BenchmarkHashOp(b *testing.B) {
 	}
 }
 
-// TestSumEqualsOneShotSHA256: the streamed primitive is SHA-256 over
-// tag|msg whatever way the input is split into parts, across the edges
-// that matter — 55/56 bytes (the one-block padding limit) and the 64-byte
-// block size.
+// TestSumEqualsOneShotSHA256: the primitive is SHA-256 over tag|msg
+// whatever way the input is split into parts, across the edges that
+// matter — 55/56 bytes (the one-block kernel's limit, where sum switches
+// to streaming) and the 64-byte block size. Every total length 0..64 is
+// hashed for every tag, as one part and as random splits.
 func TestSumEqualsOneShotSHA256(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	check := func(tag byte, msg []byte, parts [][]byte) {
+		t.Helper()
+		if sum(tag, parts...) != sha256.Sum256(append([]byte{tag}, msg...)) {
+			t.Fatalf("tag %d, %d bytes in %d parts: digest differs from SHA-256(tag|msg)", tag, len(msg), len(parts))
+		}
+	}
+	for tag := byte(0); tag <= tagMisc; tag++ {
+		for total := 0; total <= sha256.BlockSize; total++ {
+			msg := make([]byte, total)
+			rng.Read(msg)
+			check(tag, msg, [][]byte{msg})
+			check(tag, msg, split(rng, msg))
+		}
+	}
 	lengths := []int{0, 1, 53, 54, 55, 56, 57, 62, 63, 64, 65, 118, 119, 120, 127, 128, 529}
 	for trial := 0; trial < 2000; trial++ {
 		total := lengths[trial%len(lengths)]
@@ -217,19 +232,134 @@ func TestSumEqualsOneShotSHA256(t *testing.T) {
 		}
 		msg := make([]byte, total)
 		rng.Read(msg)
-		var parts [][]byte
-		for rest := msg; ; {
-			cut := rng.Intn(len(rest) + 1)
-			parts = append(parts, rest[:cut])
-			if rest = rest[cut:]; len(rest) == 0 {
-				break
-			}
-		}
-		tag := byte(rng.Intn(8))
-		if sum(tag, parts...) != sha256.Sum256(append([]byte{tag}, msg...)) {
-			t.Fatalf("%d bytes in %d parts: digest differs from SHA-256(tag|msg)", total, len(parts))
+		check(byte(rng.Intn(8)), msg, split(rng, msg))
+	}
+}
+
+// split cuts msg into random consecutive parts, empty ones included.
+func split(rng *rand.Rand, msg []byte) [][]byte {
+	var parts [][]byte
+	for rest := msg; ; {
+		cut := rng.Intn(len(rest) + 1)
+		parts = append(parts, rest[:cut])
+		if rest = rest[cut:]; len(rest) == 0 {
+			return parts
 		}
 	}
+}
+
+// TestSum256MatchesStdlib: the untagged digest is the stdlib's on both
+// sides of the one-block limit and across the next block boundary.
+func TestSum256MatchesStdlib(t *testing.T) {
+	msg := make([]byte, 130)
+	rand.New(rand.NewSource(9)).Read(msg)
+	for n := 0; n <= len(msg); n++ {
+		if Sum256(msg[:n]) != sha256.Sum256(msg[:n]) {
+			t.Fatalf("Sum256 of %d bytes differs from sha256.Sum256", n)
+		}
+	}
+}
+
+// TestChainMatchesNextLoop: a chain on one kernel, which rewrites only
+// the digest bytes of its block between compressions, equals i separate
+// Next calls at every width — and so does a chain started from a digest
+// of a foreign width, whose first step is hashed at its own length.
+func TestChainMatchesNextLoop(t *testing.T) {
+	for _, size := range []int{8, 16, 32} {
+		h := NewSize(size)
+		m := U64Pair(42, 5)
+		first := h.First(m)
+		foreign := [][]byte{bytes.Repeat([]byte{7}, size+3), bytes.Repeat([]byte{9}, 60)}
+		for _, i := range []uint64{1, 2, 7, 64} {
+			b := h.Batch()
+			want := first
+			for range i {
+				want = h.Next(want)
+			}
+			if got := b.Iterate([]byte("keep"), m, i); !bytes.Equal(got, append([]byte("keep"), want...)) {
+				t.Errorf("size %d: Iterate(m, %d) differs from First and %d Next", size, i, i)
+			}
+			if got := b.IterateFrom(nil, first, i); !bytes.Equal(got, want) {
+				t.Errorf("size %d: IterateFrom(d, %d) differs from %d Next", size, i, i)
+			}
+			for _, d := range foreign {
+				want := Digest(d)
+				for range i {
+					want = h.Next(want)
+				}
+				if got := b.IterateFrom(nil, d, i); !bytes.Equal(got, want) {
+					t.Errorf("size %d: IterateFrom(%d-byte digest, %d) differs from %d Next", size, len(d), i, i)
+				}
+			}
+			b.Done()
+		}
+	}
+}
+
+// TestKernelConcurrent: Batches on many goroutines draw kernels from one
+// pool; every chain they hash matches the serial result (run with -race).
+func TestKernelConcurrent(t *testing.T) {
+	h := New()
+	const goroutines, keys = 8, 64
+	serial := make([][]byte, keys)
+	for k := range serial {
+		serial[k] = h.IterateFrom(h.Iterate(U64(uint64(k)), uint64(k%17)), 5)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := h.Batch()
+			defer b.Done()
+			var buf [2 * MaxSize]byte
+			for r := 0; r < 20; r++ {
+				for k := range keys {
+					k = (k + g) % keys
+					d := b.Iterate(buf[:0], U64(uint64(k)), uint64(k%17))
+					if got := b.IterateFrom(d, d, 5)[len(d):]; !bytes.Equal(got, serial[k]) {
+						t.Errorf("goroutine %d key %d: chain differs from the serial one", g, k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// FuzzSum: the kernel and the streamed path agree with the stdlib for any
+// tag, message and split point.
+func FuzzSum(f *testing.F) {
+	f.Add(tagIter, make([]byte, 16), 8)
+	f.Add(tagMisc, make([]byte, 54), 0)
+	f.Add(tagSig, make([]byte, 55), 55)
+	f.Add(tagFirst, make([]byte, 129), 64)
+	f.Fuzz(func(t *testing.T, tag byte, msg []byte, cut int) {
+		cut = int(uint(cut) % uint(len(msg)+1))
+		if sum(tag, msg[:cut], msg[cut:]) != sha256.Sum256(append([]byte{tag}, msg...)) {
+			t.Fatalf("sum(tag %d, %d+%d bytes) differs from SHA-256(tag|msg)", tag, cut, len(msg)-cut)
+		}
+		if Sum256(msg) != sha256.Sum256(msg) {
+			t.Fatalf("Sum256 of %d bytes differs from sha256.Sum256", len(msg))
+		}
+	})
+}
+
+// BenchmarkChain is the chain step the verifier spends most of a row on:
+// a 64-step IterateFrom of a 16-byte digest, reported per compression.
+func BenchmarkChain(b *testing.B) {
+	h := New()
+	d := h.First(U64Pair(12345, 7))
+	var buf [MaxSize]byte
+	bt := h.Batch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.IterateFrom(buf[:0], d, 64)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(64*b.N), "ns/compression")
+	bt.Done()
 }
 
 // TestBatchMatchesHasher: the in-place kernel produces the Hasher's
@@ -282,7 +412,7 @@ func TestBatchAllocatesNothing(t *testing.T) {
 		b.Hash(out, long, m)
 		b.Done()
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("kernel into a caller buffer: %v allocs/op, want 0", allocs)
 	}
 }

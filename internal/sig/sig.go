@@ -30,7 +30,6 @@ package sig
 import (
 	"crypto/rand"
 	"crypto/rsa"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -175,7 +174,7 @@ func fdh(n *big.Int, digest hashx.Digest) *big.Int {
 
 // fdhStack holds the expansion for moduli up to 4096 bits on the caller's
 // stack; wider keys spill to the heap.
-const fdhStack = 4096/8 + 8 + sha256.Size
+const fdhStack = 4096/8 + 8 + hashx.MaxSize
 
 // fdhExpand appends the unreduced expansion of digest — 64 bits wider
 // than n — to buf, which must be empty.
@@ -184,7 +183,7 @@ func fdhExpand(buf []byte, n *big.Int, digest hashx.Digest) []byte {
 	var msg [8 + hashx.MaxSize + 4]byte
 	m := append(append(msg[:0], "vcqr/fdh"...), digest...)
 	for counter := uint32(0); len(buf) < byteLen; counter++ {
-		sum := sha256.Sum256(binary.BigEndian.AppendUint32(m, counter))
+		sum := hashx.Sum256(binary.BigEndian.AppendUint32(m, counter))
 		buf = append(buf, sum[:]...)
 	}
 	return buf[:byteLen]

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,20 +48,41 @@ func TestServingTreeHasNoInjector(t *testing.T) {
 // everything under internal/ and cmd/, only internal/wire (the wire) and
 // internal/store (the disk) import encoding/gob outside their tests.
 func TestGobStaysInWire(t *testing.T) {
+	for _, pkg := range importers(t, "encoding/gob") {
+		if pkg != "vcqr/internal/wire" && pkg != "vcqr/internal/store" {
+			t.Errorf("%s imports encoding/gob", pkg)
+		}
+	}
+}
+
+// TestSHA256StaysInHashx pins the hash kernel as the one way to SHA-256:
+// of everything under internal/ and cmd/, only internal/hashx imports
+// crypto/sha256 outside its tests, so no hashing path bypasses the
+// one-block kernel (sig's full-domain hash goes through hashx.Sum256).
+func TestSHA256StaysInHashx(t *testing.T) {
+	for _, pkg := range importers(t, "crypto/sha256") {
+		if pkg != "vcqr/internal/hashx" {
+			t.Errorf("%s imports crypto/sha256", pkg)
+		}
+	}
+}
+
+// importers lists the packages under internal/ and cmd/ whose non-test
+// files import path.
+func importers(t *testing.T, path string) []string {
 	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Imports}}",
 		"./internal/...", "./cmd/...").CombinedOutput()
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, out)
 	}
+	var pkgs []string
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		pkg, imports, _ := strings.Cut(line, " ")
-		if !strings.Contains(imports, "encoding/gob") {
-			continue
-		}
-		if pkg != "vcqr/internal/wire" && pkg != "vcqr/internal/store" {
-			t.Errorf("%s imports encoding/gob", pkg)
+		if slices.Contains(strings.Fields(strings.Trim(imports, "[]")), path) {
+			pkgs = append(pkgs, pkg)
 		}
 	}
+	return pkgs
 }
 
 // sources reads the non-test Go files of one package directory.
@@ -99,14 +121,8 @@ func TestOneReadPath(t *testing.T) {
 		}
 	}
 
-	out, err := exec.Command("go", "list", "-f", "{{.ImportPath}} {{.Imports}}",
-		"./internal/...", "./cmd/...").CombinedOutput()
-	if err != nil {
-		t.Fatalf("go list: %v\n%s", err, out)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		pkg, imports, _ := strings.Cut(line, " ")
-		if strings.Contains(imports, "container/list") && pkg != "vcqr/internal/cache" {
+	for _, pkg := range importers(t, "container/list") {
+		if pkg != "vcqr/internal/cache" {
 			t.Errorf("%s imports container/list", pkg)
 		}
 	}
