@@ -40,8 +40,10 @@ bench-verify:
 # frames, the cache frames, the node sub-stream frames the
 # fault-injection seam replays, the lease frames, the /stream request
 # (legacy gob branch included) and the /delta body — plus the durable
-# store's on-disk codecs (WAL records and epoch snapshot files) — and the
-# one-block SHA-256 kernel against the stdlib digest.
+# store's on-disk codecs (WAL records and epoch snapshot files), the
+# one-block SHA-256 kernel against the stdlib digest — and the verifier's
+# soundness: edited streams are refused or release exactly the rows an
+# oracle scan of the owner's relation holds.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadChunkFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadCacheFrame -fuzztime 30s ./internal/wire
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
+	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 
 # smoke-cluster launches 1 coordinator + 2 shard nodes as separate OS
 # processes, streams a cross-node verified query and runs one online

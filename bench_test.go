@@ -302,11 +302,10 @@ func BenchmarkGBaseB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	info := core.EntryChainInfo{UpRoot: h.Hash([]byte("r")), DownRoot: h.Hash([]byte("r"))}
-	attr := h.Hash([]byte("a"))
+	root, attr := h.Hash([]byte("r")), h.Hash([]byte("a"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EntryG(h, p, 12345, core.KindRecord, info, attr); err != nil {
+		if _, err := core.EntryG(h, p, 12345, core.KindRecord, root, root, attr); err != nil {
 			b.Fatal(err)
 		}
 	}

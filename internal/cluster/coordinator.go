@@ -28,9 +28,11 @@ import (
 // Cluster errors. Each is an operator-facing condition; see
 // docs/OPERATIONS.md for remediations.
 var (
-	// ErrDistinct refuses DISTINCT queries at the coordinator: duplicate
-	// elision is a cross-shard sequential pass, which a distributed
-	// fan-out cannot provide. Route DISTINCT queries at a single-process
+	// ErrDistinct refuses DISTINCT queries at the coordinator. Duplicate
+	// elision is the verifier's since record format 1, so nothing in a
+	// fan-out stands in the way; the cluster's caching and merge paths
+	// have simply never been held to DISTINCT, so it stays refused until
+	// they are (ROADMAP). Route DISTINCT queries at a single-process
 	// publisher of the same publication.
 	ErrDistinct = errors.New("cluster: DISTINCT queries are not served across shard nodes")
 	// ErrUnknownNode names a node URL outside the coordinator's

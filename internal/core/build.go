@@ -38,8 +38,10 @@ var ErrRelationMismatch = errors.New("core: relation domain does not match param
 
 // Build signs a relation: it computes the chain structures and g(r) for
 // every record, inserts the delimiters, and produces the neighbour-chained
-// signatures of formula (1).
+// signatures of formula (1). The result is in this build's RecordFormat,
+// whatever format p names.
 func Build(h *hashx.Hasher, key *sig.PrivateKey, p Params, rel *relation.Relation) (*SignedRelation, error) {
+	p.Format = RecordFormat
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -151,8 +153,6 @@ func makeRecord(h *hashx.Hasher, p Params, t relation.Tuple) (SignedRecord, erro
 	return SignedRecord{
 		Kind:         KindRecord,
 		Tuple:        t.Clone(),
-		UpRoot:       up.RepRoot(),
-		DownRoot:     down.RepRoot(),
 		UpCombined:   up.Combined,
 		DownCombined: down.Combined,
 		AttrRoot:     attrRoot,
@@ -167,8 +167,6 @@ func makeDelim(h *hashx.Hasher, p Params, kind Kind) (SignedRecord, error) {
 	var (
 		key      uint64
 		up, down hashx.Digest
-		upRoot   hashx.Digest
-		downRoot hashx.Digest
 	)
 	switch kind {
 	case KindDelimLeft:
@@ -177,16 +175,14 @@ func makeDelim(h *hashx.Hasher, p Params, kind Kind) (SignedRecord, error) {
 		if err != nil {
 			return SignedRecord{}, err
 		}
-		up, upRoot = side.Combined, side.RepRoot()
-		down = markerNoChain(h)
+		up, down = side.Combined, markerNoChain(h)
 	case KindDelimRight:
 		key = p.U
 		side, err := buildChainSide(h, p, key, Down)
 		if err != nil {
 			return SignedRecord{}, err
 		}
-		down, downRoot = side.Combined, side.RepRoot()
-		up = markerNoChain(h)
+		up, down = markerNoChain(h), side.Combined
 	default:
 		return SignedRecord{}, fmt.Errorf("core: makeDelim on kind %v", kind)
 	}
@@ -194,8 +190,6 @@ func makeDelim(h *hashx.Hasher, p Params, kind Kind) (SignedRecord, error) {
 	return SignedRecord{
 		Kind:         kind,
 		Tuple:        relation.Tuple{Key: key},
-		UpRoot:       upRoot,
-		DownRoot:     downRoot,
 		UpCombined:   up,
 		DownCombined: down,
 		AttrRoot:     attrRoot,
@@ -341,8 +335,9 @@ func (sr *SignedRelation) VerifyEntrySig(h *hashx.Hasher, pub *sig.PublicKey, i 
 
 // CheckEntryDigests recomputes entry i's digest material from its tuple
 // and compares against the stored values — the expensive half of
-// publisher-side validation, catching an owner feed whose G digests do
-// not match the tuples they claim to cover.
+// publisher-side validation, catching an owner feed whose digests do not
+// match the tuples they claim to cover: G, and the three components a VO
+// ships in its place (the combined chain digests and the attribute root).
 func (sr *SignedRelation) CheckEntryDigests(h *hashx.Hasher, i int) error {
 	if i < 0 || i >= len(sr.Recs) {
 		return fmt.Errorf("core: entry %d out of range", i)
@@ -358,7 +353,8 @@ func (sr *SignedRelation) CheckEntryDigests(h *hashx.Hasher, i int) error {
 	if err != nil {
 		return err
 	}
-	if !want.G.Equal(rec.G) || !want.UpRoot.Equal(rec.UpRoot) || !want.DownRoot.Equal(rec.DownRoot) {
+	if !want.G.Equal(rec.G) || !want.UpCombined.Equal(rec.UpCombined) ||
+		!want.DownCombined.Equal(rec.DownCombined) || !want.AttrRoot.Equal(rec.AttrRoot) {
 		return fmt.Errorf("core: entry %d digest material inconsistent with its tuple", i)
 	}
 	return nil

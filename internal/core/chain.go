@@ -115,17 +115,11 @@ func combineChain(b *hashx.Batch, dst []byte, canonDig, repRoot hashx.Digest) ha
 	return b.Hash(dst, canonDig, repRoot)
 }
 
-// RepRoot returns the root of the non-canonical-representation tree; this
-// digest is shipped per result entry so the user can recompute the
-// combined digest from the known key.
-func (cs *chainSide) RepRoot() hashx.Digest { return cs.repTree.Root() }
-
 // entryCombined recomputes the per-direction combined digest for a record
-// whose key the user KNOWS (a result entry, Figure 8(b)) and appends it to
-// dst: walk each digit chain by the canonical digit of delta_t (at most
-// B-1 iterations per digit), hash the tips laid end to end, and fold in
-// the representation-tree root received from the publisher. This is most
-// of what a verified row costs, so it runs in one stack frame: no
+// whose key the user KNOWS (Figure 8(b), EntryG) and appends it to dst:
+// walk each digit chain by the canonical digit of delta_t (at most B-1
+// iterations per digit), hash the tips laid end to end, and fold in the
+// representation-tree root. It runs in one stack frame: no
 // representation, no per-digit digest, no part list.
 func entryCombined(b *hashx.Batch, dst []byte, p Params, key uint64, dir Direction, repRoot hashx.Digest) (hashx.Digest, error) {
 	dt, err := p.deltaT(key, dir)

@@ -301,12 +301,35 @@ func TestBoundaryProofDoesNotLeakKey(t *testing.T) {
 	}
 }
 
+// repRoots rebuilds the two representation-tree roots EntryG folds in,
+// which a format-0 VO shipped per result entry. A delimiter's missing
+// direction is nil.
+func repRoots(t *testing.T, h *hashx.Hasher, p Params, rec SignedRecord) (up, down hashx.Digest) {
+	t.Helper()
+	for _, dir := range []Direction{Up, Down} {
+		if (dir == Down && rec.Kind == KindDelimLeft) || (dir == Up && rec.Kind == KindDelimRight) {
+			continue
+		}
+		side, err := buildChainSide(h, p, rec.Key(), dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dir == Up {
+			up = side.repTree.Root()
+		} else {
+			down = side.repTree.Root()
+		}
+	}
+	return up, down
+}
+
 func TestEntryGMatchesOwner(t *testing.T) {
 	for _, base := range []uint64{2, 10} {
 		h, sr := buildPaper(t, base)
 		for i := 1; i <= sr.Len(); i++ {
 			rec := sr.Recs[i]
-			g, err := EntryG(h, sr.Params, rec.Key(), rec.Kind, sr.EntryInfo(i), rec.AttrRoot)
+			up, down := repRoots(t, h, sr.Params, rec)
+			g, err := EntryG(h, sr.Params, rec.Key(), rec.Kind, up, down, rec.AttrRoot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,7 +340,8 @@ func TestEntryGMatchesOwner(t *testing.T) {
 		// Delimiters too.
 		for _, i := range []int{0, len(sr.Recs) - 1} {
 			rec := sr.Recs[i]
-			g, err := EntryG(h, sr.Params, rec.Key(), rec.Kind, sr.EntryInfo(i), rec.AttrRoot)
+			up, down := repRoots(t, h, sr.Params, rec)
+			g, err := EntryG(h, sr.Params, rec.Key(), rec.Kind, up, down, rec.AttrRoot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +357,8 @@ func TestEntryGWrongKindRejected(t *testing.T) {
 	rec := sr.Recs[1]
 	// Claiming a data record is a delimiter must change g (the kind byte
 	// is bound into the digest).
-	g, err := EntryG(h, sr.Params, rec.Key(), KindDelimLeft, sr.EntryInfo(1), rec.AttrRoot)
+	up, down := repRoots(t, h, sr.Params, rec)
+	g, err := EntryG(h, sr.Params, rec.Key(), KindDelimLeft, up, down, rec.AttrRoot)
 	if err != nil {
 		t.Fatal(err)
 	}

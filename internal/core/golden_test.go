@@ -75,33 +75,40 @@ func goldenDigests(t *testing.T) map[string]string {
 			attrRoot := AttrRoot(h, tuple)
 			put(tag+"/attr/owner", attrRoot)
 			for name, cols := range map[string][]int{"full": {0, 1, 2}, "partial": {0, 2}, "hidden": {}} {
-				root, err := disclosedRoot(h, tuple, cols)
+				root, err := disclosedRoot(h, tuple, cols, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				put(tag+"/attr/"+name, root)
 			}
+			// A Case 2 entry: only the third column opened, the key leaf
+			// travelling as a digest.
+			root, err := disclosedRoot(h, tuple, []int{2}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(tag+"/attr/key-hidden", root)
 
 			// g for records the user knows the key of, and for delimiters.
-			info := EntryChainInfo{UpRoot: h.Hash([]byte("up-root")), DownRoot: h.Hash([]byte("down-root"))}
+			upRoot, downRoot := h.Hash([]byte("up-root")), h.Hash([]byte("down-root"))
 			for _, key := range keys {
-				g, err := EntryG(h, p, key, KindRecord, info, attrRoot)
+				g, err := EntryG(h, p, key, KindRecord, upRoot, downRoot, attrRoot)
 				if err != nil {
 					t.Fatal(err)
 				}
 				put(fmt.Sprintf("%s/g/record/%d", tag, key), g)
 			}
-			gl, err := EntryG(h, p, p.L, KindDelimLeft, info, markerDelimAttr(h))
+			gl, err := EntryG(h, p, p.L, KindDelimLeft, upRoot, downRoot, markerDelimAttr(h))
 			if err != nil {
 				t.Fatal(err)
 			}
 			put(tag+"/g/delim-left", gl)
-			gr, err := EntryG(h, p, p.U, KindDelimRight, info, markerDelimAttr(h))
+			gr, err := EntryG(h, p, p.U, KindDelimRight, upRoot, downRoot, markerDelimAttr(h))
 			if err != nil {
 				t.Fatal(err)
 			}
 			put(tag+"/g/delim-right", gr)
-			put(tag+"/g/hidden", GFromComponents(h, KindRecord, info.UpRoot, info.DownRoot, attrRoot))
+			put(tag+"/g/hidden", GFromComponents(h, KindRecord, upRoot, downRoot, attrRoot))
 
 			// Formula (1) pre-signature digests: interior and both virtual
 			// ends, unversioned and versioned.
@@ -122,9 +129,10 @@ func goldenDigests(t *testing.T) map[string]string {
 			}
 			for i, rec := range sr.Recs {
 				rt := fmt.Sprintf("%s/build/%d", tag, i)
+				up, down := repRoots(t, h, p, rec)
 				put(rt+"/g", rec.G)
-				put(rt+"/up-root", rec.UpRoot)
-				put(rt+"/down-root", rec.DownRoot)
+				put(rt+"/up-root", up)
+				put(rt+"/down-root", down)
 				put(rt+"/up-combined", rec.UpCombined)
 				put(rt+"/down-combined", rec.DownCombined)
 				put(rt+"/sigdigest", sr.sigDigest(h, i))
@@ -245,12 +253,16 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // disclosedRoot rebuilds MHT(r.A) the way a user does: the given columns
-// opened as values, every other leaf (the row id included) as a digest.
-func disclosedRoot(h *hashx.Hasher, t relation.Tuple, cols []int) (hashx.Digest, error) {
-	leaves := AttrLeaves(h, t)
+// opened as values, the key slot opened from the key when openKey, every
+// other leaf (the row id included) as a digest.
+func disclosedRoot(h *hashx.Hasher, t relation.Tuple, cols []int, openKey bool) (hashx.Digest, error) {
+	leaves := append(AttrLeaves(h, t), KeyLeaf(h, t.Key))
 	disclosed := make([][]byte, len(leaves))
 	for _, c := range cols {
 		disclosed[c+1] = t.Attrs[c].Encode()
+	}
+	if openKey {
+		disclosed[len(leaves)-1] = hashx.U64(t.Key)
 	}
 	var hidden []hashx.Digest
 	for i, l := range leaves {

@@ -49,11 +49,20 @@ var (
 	ErrNotOutside = errors.New("core: record key does not satisfy the boundary condition")
 	// ErrProofShape reports a structurally malformed proof.
 	ErrProofShape = errors.New("core: malformed proof")
+	// ErrRecordFormat reports parameters or signed material from a
+	// record format this build does not verify.
+	ErrRecordFormat = errors.New("core: record format not verifiable by this build; re-sign from the owner's master")
 )
+
+// RecordFormat numbers the layout of the record digest g(r) this build
+// signs and verifies. Format 1 makes the key the last leaf of MHT(r.A)
+// (KeyLeaf); format 0, everything signed before it, had no key leaf and
+// decodes with Format 0 because the field did not exist.
+const RecordFormat = 1
 
 // Params fixes the authenticated domain: the open key interval (L, U),
 // the base-B digit parameters shared by the owner, publisher and user,
-// and the publication version.
+// the publication version and the record format.
 //
 // Version addresses the freshness gap of the 2005 scheme: nothing in the
 // paper stops a publisher from serving a stale (complete, authentic)
@@ -65,6 +74,7 @@ type Params struct {
 	L, U    uint64
 	BP      basep.Params
 	Version uint64
+	Format  uint64
 }
 
 // NewParams validates the domain and derives the digit budget
@@ -77,7 +87,15 @@ func NewParams(l, u, base uint64) (Params, error) {
 	if err != nil {
 		return Params{}, err
 	}
-	return Params{L: l, U: u, BP: bp}, nil
+	return Params{L: l, U: u, BP: bp, Format: RecordFormat}, nil
+}
+
+// CheckFormat refuses parameters of another record format by name.
+func (p Params) CheckFormat() error {
+	if p.Format != RecordFormat {
+		return fmt.Errorf("%w: format %d, this build verifies format %d", ErrRecordFormat, p.Format, RecordFormat)
+	}
+	return nil
 }
 
 // Validate checks internal consistency.

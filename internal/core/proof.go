@@ -113,10 +113,3 @@ func VerifyBoundary(h *hashx.Hasher, p Params, proof BoundaryProof, dir Directio
 		return nil, fmt.Errorf("%w: unknown boundary kind %d", ErrProofShape, proof.Kind)
 	}
 }
-
-// EntryInfo returns the chain roots the publisher ships for result entry
-// idx so the user can recompute g from the known key.
-func (sr *SignedRelation) EntryInfo(idx int) EntryChainInfo {
-	rec := sr.Recs[idx]
-	return EntryChainInfo{UpRoot: rec.UpRoot.Clone(), DownRoot: rec.DownRoot.Clone()}
-}

@@ -70,7 +70,8 @@ func TestChainProofCoversEveryRepresentationIndex(t *testing.T) {
 }
 
 // TestAttrRootDisclosureEquivalence: for every subset of disclosed
-// columns, AttrRootFromDisclosure must reproduce the owner's AttrRoot.
+// columns, with the key slot opened from the key or travelling as its
+// leaf digest, AttrRootFromDisclosure must reproduce the owner's AttrRoot.
 func TestAttrRootDisclosureEquivalence(t *testing.T) {
 	h := hashx.New()
 	tuple := relation.Tuple{
@@ -85,9 +86,10 @@ func TestAttrRootDisclosureEquivalence(t *testing.T) {
 	}
 	want := AttrRoot(h, tuple)
 	leaves := AttrLeaves(h, tuple)
-	nLeaves := len(tuple.Attrs) + 1
-	// All 2^4 disclosure subsets of the 4 columns (row-id always hidden).
-	for mask := 0; mask < 16; mask++ {
+	nLeaves := len(tuple.Attrs) + 2
+	// All 2^4 disclosure subsets of the 4 columns (row-id always hidden),
+	// each with the key opened and hidden.
+	for mask := 0; mask < 32; mask++ {
 		disclosed := make([][]byte, nLeaves)
 		hidden := []hashx.Digest{leaves[0]}
 		for c := 0; c < 4; c++ {
@@ -97,12 +99,43 @@ func TestAttrRootDisclosureEquivalence(t *testing.T) {
 				hidden = append(hidden, leaves[c+1])
 			}
 		}
+		if mask&16 != 0 {
+			disclosed[nLeaves-1] = hashx.U64(tuple.Key)
+		} else {
+			hidden = append(hidden, KeyLeaf(h, tuple.Key))
+		}
 		got, err := AttrRootFromDisclosure(h, disclosed, hidden)
 		if err != nil {
-			t.Fatalf("mask %04b: %v", mask, err)
+			t.Fatalf("mask %05b: %v", mask, err)
 		}
 		if !got.Equal(want) {
-			t.Fatalf("mask %04b: root mismatch", mask)
+			t.Fatalf("mask %05b: root mismatch", mask)
+		}
+	}
+}
+
+// TestAttrRootKeySlot: a user who opens only the key slot — every
+// attribute and the row id travelling as digests — rebuilds the owner's
+// AttrRoot at 0, 1 and 3 attributes, and a neighbouring key does not.
+func TestAttrRootKeySlot(t *testing.T) {
+	h := hashx.New()
+	for _, attrs := range [][]relation.Value{
+		nil,
+		{relation.IntVal(7)},
+		{relation.IntVal(7), relation.StringVal("abc"), relation.BoolVal(false)},
+	} {
+		tuple := relation.Tuple{Key: 1 << 20, RowID: 1, Attrs: attrs}
+		disclosed := make([][]byte, len(attrs)+2)
+		hidden := AttrLeaves(h, tuple)
+		for _, key := range []uint64{tuple.Key, tuple.Key + 1, tuple.Key - 1} {
+			disclosed[len(disclosed)-1] = hashx.U64(key)
+			got, err := AttrRootFromDisclosure(h, disclosed, hidden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Equal(AttrRoot(h, tuple)) != (key == tuple.Key) {
+				t.Errorf("%d attributes, key %d opened for %d: root match %v", len(attrs), key, tuple.Key, key != tuple.Key)
+			}
 		}
 	}
 }
@@ -111,18 +144,19 @@ func TestAttrRootDisclosureRejectsInconsistency(t *testing.T) {
 	h := hashx.New()
 	tuple := relation.Tuple{Key: 1, Attrs: []relation.Value{relation.IntVal(7)}}
 	leaves := AttrLeaves(h, tuple)
+	key := hashx.U64(tuple.Key)
 	// Too few digests for the hidden leaves.
-	if _, err := AttrRootFromDisclosure(h, make([][]byte, 2), []hashx.Digest{leaves[0]}); err == nil {
+	if _, err := AttrRootFromDisclosure(h, make([][]byte, 3), []hashx.Digest{leaves[0]}); err == nil {
 		t.Error("short disclosure accepted")
 	}
 	// Malformed digest width.
-	if _, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode()},
+	if _, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode(), key},
 		[]hashx.Digest{leaves[0][:4]}); err == nil {
 		t.Error("short digest accepted")
 	}
 	// A digest beyond the last hidden leaf binds nothing: same root.
 	want := AttrRoot(h, tuple)
-	got, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode()},
+	got, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode(), key},
 		[]hashx.Digest{leaves[0], leaves[1]})
 	if err != nil || !got.Equal(want) {
 		t.Errorf("surplus digest changed the outcome: %v", err)

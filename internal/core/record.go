@@ -50,13 +50,15 @@ func virtualEndDigest(h *hashx.Hasher, bound uint64) hashx.Digest {
 	return h.Hash([]byte("core/end"), hashx.U64(bound))
 }
 
-// AttrLeaves returns the leaf digests of the per-record attribute tree
+// AttrLeaves returns leaves 0..n of the per-record attribute tree
 // MHT(r.A): leaf 0 is the row identifier (the replica number that
-// disambiguates duplicates), leaves 1..R are the encoded attribute values.
+// disambiguates duplicates), leaves 1..n are the encoded attribute values.
+// Leaf n+1, the last, is the key (KeyLeaf): a user who is shown the key
+// opens that slot from it, so a publisher ships the other leaves only.
 func AttrLeaves(h *hashx.Hasher, t relation.Tuple) []hashx.Digest {
 	b := h.Batch()
 	defer b.Done()
-	leaves := make([]hashx.Digest, len(t.Attrs)+1)
+	leaves := make([]hashx.Digest, len(t.Attrs)+1, len(t.Attrs)+2)
 	leaves[0] = b.Leaf(nil, hashx.U64(t.RowID))
 	var enc []byte
 	for i, a := range t.Attrs {
@@ -66,9 +68,15 @@ func AttrLeaves(h *hashx.Hasher, t relation.Tuple) []hashx.Digest {
 	return leaves
 }
 
+// KeyLeaf returns the last leaf of MHT(r.A), the record's key in
+// hashx.U64's encoding. It binds a disclosed key to g(r) without the
+// formula-(3) chains (record format 1; DESIGN.md "Disclosed keys bind
+// through the attribute tree").
+func KeyLeaf(h *hashx.Hasher, key uint64) hashx.Digest { return h.Leaf(hashx.U64(key)) }
+
 // AttrTree builds the per-record attribute tree.
 func AttrTree(h *hashx.Hasher, t relation.Tuple) *mht.Tree {
-	return mht.BuildFromDigests(h, AttrLeaves(h, t))
+	return mht.BuildFromDigests(h, append(AttrLeaves(h, t), KeyLeaf(h, t.Key)))
 }
 
 // AttrRoot returns the root of the per-record attribute tree, the
@@ -92,12 +100,9 @@ type SignedRecord struct {
 	Kind  Kind
 	Tuple relation.Tuple
 
-	// UpRoot and DownRoot are the roots of the non-canonical-
-	// representation trees of the two chains; shipped per result entry.
-	UpRoot, DownRoot hashx.Digest
 	// UpCombined and DownCombined are the folded per-direction chain
-	// digests h(h(delta_t) | rep-tree root). They are shipped opaquely
-	// for Section 4.4 Case 2 entries, whose keys stay hidden.
+	// digests h(h(delta_t) | rep-tree root). Every VO entry ships them
+	// opaquely: the key leaf, not the chains, binds a disclosed key.
 	UpCombined, DownCombined hashx.Digest
 	// AttrRoot is the root of MHT(r.A).
 	AttrRoot hashx.Digest
@@ -111,8 +116,6 @@ type SignedRecord struct {
 func (r SignedRecord) Clone() SignedRecord {
 	out := r
 	out.Tuple = r.Tuple.Clone()
-	out.UpRoot = r.UpRoot.Clone()
-	out.DownRoot = r.DownRoot.Clone()
 	out.UpCombined = r.UpCombined.Clone()
 	out.DownCombined = r.DownCombined.Clone()
 	out.AttrRoot = r.AttrRoot.Clone()
@@ -124,18 +127,10 @@ func (r SignedRecord) Clone() SignedRecord {
 // Key returns the record's sort-key value.
 func (r SignedRecord) Key() uint64 { return r.Tuple.Key }
 
-// EntryChainInfo is the per-result-entry digest material the publisher
-// ships so the user can recompute g(r) from the known key: the two
-// representation-tree roots (the third per-entry digest of formula (4),
-// MHT(r.A) or the row-id leaf, travels with the attribute disclosure).
-type EntryChainInfo struct {
-	UpRoot, DownRoot hashx.Digest
-}
-
 // GFromComponents recomputes g(r) from opaque combined chain digests and
-// an attribute root. This is the Section 4.4 Case 2 path: the record's key
-// stays hidden, so the user cannot derive the chain digests and receives
-// them as-is; the signature chain still binds them.
+// an attribute root — the user's path for every VO entry. The chain
+// digests are bound by the signature chain; a disclosed key is bound by
+// its leaf inside the attribute root.
 func GFromComponents(h *hashx.Hasher, kind Kind, upCombined, downCombined, attrRoot hashx.Digest) hashx.Digest {
 	return recordG(h, kind, upCombined, downCombined, attrRoot)
 }
@@ -145,11 +140,12 @@ var errDisclosure = fmt.Errorf("core: inconsistent attribute disclosure")
 
 // AttrRootFromDisclosure rebuilds the root of MHT(r.A) from a partial
 // disclosure. disclosed has one slot per leaf (leaf 0 is the row id, leaf
-// i+1 is attribute i) holding the encoded leaf pre-image, or nil for a
-// leaf that travels as a digest; hidden supplies those digests in
-// ascending leaf order (digests beyond the last hidden leaf bind nothing
-// and are ignored). This implements the projection mechanism of Section
-// 4.2: projected-out attributes travel as digests, never as values.
+// i+1 is attribute i, the last leaf is the key) holding the encoded leaf
+// pre-image, or nil for a leaf that travels as a digest; hidden supplies
+// those digests in ascending leaf order (digests beyond the last hidden
+// leaf bind nothing and are ignored). This implements the projection
+// mechanism of Section 4.2: projected-out attributes travel as digests,
+// never as values.
 func AttrRootFromDisclosure(h *hashx.Hasher, disclosed [][]byte, hidden []hashx.Digest) (hashx.Digest, error) {
 	b := h.Batch()
 	defer b.Done()
@@ -170,10 +166,11 @@ func AttrRootFromDisclosure(h *hashx.Hasher, disclosed [][]byte, hidden []hashx.
 }
 
 // EntryG recomputes g(r) for a record whose key and kind the user knows,
-// given the representation-tree roots from the VO and the attribute root
-// reconstructed from the (possibly partially disclosed) attributes.
-// This is the Figure 8(b) procedure.
-func EntryG(h *hashx.Hasher, p Params, key uint64, kind Kind, info EntryChainInfo, attrRoot hashx.Digest) (hashx.Digest, error) {
+// given the two representation-tree roots and the attribute root: the
+// paper's Figure 8(b) procedure, which rebuilds both formula-(3) chains
+// from the key. No serving path runs it since record format 1 bound the
+// key through its leaf; the paper tree times and counts it.
+func EntryG(h *hashx.Hasher, p Params, key uint64, kind Kind, upRoot, downRoot, attrRoot hashx.Digest) (hashx.Digest, error) {
 	b := h.Batch()
 	defer b.Done()
 	var ub, db [hashx.MaxSize]byte
@@ -181,12 +178,12 @@ func EntryG(h *hashx.Hasher, p Params, key uint64, kind Kind, info EntryChainInf
 	var err error
 	if kind == KindDelimRight {
 		up = markerNoChain(h)
-	} else if up, err = entryCombined(&b, up, p, key, Up, info.UpRoot); err != nil {
+	} else if up, err = entryCombined(&b, up, p, key, Up, upRoot); err != nil {
 		return nil, err
 	}
 	if kind == KindDelimLeft {
 		down = markerNoChain(h)
-	} else if down, err = entryCombined(&b, down, p, key, Down, info.DownRoot); err != nil {
+	} else if down, err = entryCombined(&b, down, p, key, Down, downRoot); err != nil {
 		return nil, err
 	}
 	return recordG(h, kind, up, down, attrRoot), nil

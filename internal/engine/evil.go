@@ -254,7 +254,8 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 				Key:          e.Key,
 				Disclosed:    disclosed,
 				HiddenLeaves: hidden,
-				Chain:        e.Chain,
+				UpCombined:   e.UpCombined,
+				DownCombined: e.DownCombined,
 			}
 			return res, nil
 		}

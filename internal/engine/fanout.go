@@ -48,11 +48,9 @@ type PrevPin func() (*core.SignedRelation, bool)
 // slices (internal/server does all three).
 //
 // A cover of several shards is produced in parallel — each partial runs
-// ahead of the merger behind a small bounded buffer — whenever that can
-// help and is sound: more than one CPU, and no DISTINCT (duplicate
-// elision is one sequential pass over the merged run with a shared seen
-// set). Parallel production ignores StreamOpts.ReuseChunks; chunks that
-// cross a channel cannot be recycled.
+// ahead of the merger behind a small bounded buffer — whenever there is
+// more than one CPU. Parallel production ignores StreamOpts.ReuseChunks;
+// chunks that cross a channel cannot be recycled.
 //
 // The returned stream implements io.Closer; callers that may abandon a
 // stream mid-drain (transport failures) should defer Close to release
@@ -70,17 +68,13 @@ func (p *Publisher) FanoutStream(role accessctl.Role, eff Query, slices []ShardS
 			return nil, fmt.Errorf("engine: shard sub-ranges not contiguous at shard %d", slices[i].Shard)
 		}
 	}
-	var seen map[string]bool
-	if eff.Distinct {
-		seen = map[string]bool{}
-	}
-	parallel := len(slices) > 1 && !eff.Distinct && runtime.GOMAXPROCS(0) > 1
+	parallel := len(slices) > 1 && runtime.GOMAXPROCS(0) > 1
 	if parallel {
 		opts.ReuseChunks = false
 	}
 	feeds := make([]ShardFeed, len(slices))
 	for i, sl := range slices {
-		sp := p.newShardPartial(role, eff, seen, sl, i == 0, i == len(slices)-1, opts)
+		sp := p.newShardPartial(role, eff, sl, i == 0, i == len(slices)-1, opts)
 		if parallel {
 			feeds[i] = prefetch(sp)
 		} else {

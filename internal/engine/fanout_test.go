@@ -335,9 +335,9 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestFanoutDistinctAcrossSeams: DISTINCT is one sequential pass over
-// the merged run with one seen set shared by every shard's partial. In
-// the relation here every key is a run of three records that project
+// TestFanoutDistinctAcrossSeams: under DISTINCT the shards ship every
+// record and the verifier elides duplicates, across seams too. In the
+// relation here every key is a run of three records that project
 // identically, so each seam has a duplicate run ending flush against it
 // on the left and another starting flush against it on the right
 // (partition.Split keeps equal keys on one side), and the chunk sizes

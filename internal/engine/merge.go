@@ -106,13 +106,6 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 	if err != nil {
 		return nil, err
 	}
-	if eff.Distinct {
-		// Duplicate elision is a cross-shard dependency: it needs one
-		// sequential pass over the merged run with one shared seen set,
-		// which only a merger holding every covering slice can arrange
-		// (FanoutStream does).
-		return nil, fmt.Errorf("engine: DISTINCT cannot be served as a shard partial")
-	}
 	if lo > hi || lo < eff.KeyLo || hi > eff.KeyHi {
 		return nil, fmt.Errorf("engine: sub-range [%d,%d] outside effective range [%d,%d]", lo, hi, eff.KeyLo, eff.KeyHi)
 	}
@@ -122,16 +115,15 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 	if last && hi != eff.KeyHi {
 		return nil, fmt.Errorf("engine: last shard partial must end at %d, got %d", eff.KeyHi, hi)
 	}
-	return p.newShardPartial(role, eff, nil, ShardSlice{Shard: shard, SR: sr, Lo: lo, Hi: hi}, first, last, opts), nil
+	return p.newShardPartial(role, eff, ShardSlice{Shard: shard, SR: sr, Lo: lo, Hi: hi}, first, last, opts), nil
 }
 
 // newShardPartial builds the run producer for one slice of an already
-// planned and tiled cover. seen is the DISTINCT suppression set shared
-// by every partial of one sequentially merged stream (nil otherwise).
-func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, seen map[string]bool, sl ShardSlice, first, last bool, opts StreamOpts) *ShardPartial {
+// planned and tiled cover.
+func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, sl ShardSlice, first, last bool, opts StreamOpts) *ShardPartial {
 	a, b := sl.SR.RangeIndices(sl.Lo, sl.Hi)
 	sp := &ShardPartial{
-		p: p, sr: sl.SR, role: role, eff: eff, seen: seen,
+		p: p, sr: sl.SR, role: role, eff: eff,
 		shard: sl.Shard, lo: sl.Lo, hi: sl.Hi, first: first, last: last,
 		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
 		reuse: opts.ReuseChunks,
@@ -157,7 +149,6 @@ type ShardPartial struct {
 	sr   *core.SignedRelation
 	role accessctl.Role
 	eff  Query
-	seen map[string]bool // DISTINCT suppression, shared across the cover
 
 	shard       int
 	lo, hi      uint64
@@ -214,7 +205,7 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	}
 	for i := sp.pos; i < sp.pos+n; i++ {
 		rec := sp.sr.Recs[i]
-		entry, err := sp.p.buildEntry(sp.sr, sp.role, sp.eff, rec, i, sp.seen)
+		entry, err := sp.p.buildEntry(sp.sr, sp.role, sp.eff, rec)
 		if err != nil {
 			sp.err = err
 			return nil, err

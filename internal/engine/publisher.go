@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -140,11 +141,13 @@ func PlanQuery(policy accessctl.Policy, params core.Params, schema relation.Sche
 
 // EffectiveQuery computes the rewrite the owner's policy mandates for a
 // role's query: range defaulting over the open domain (L, U), the role's
-// row-policy clamp, and projection filtering. The publisher executes the
-// effective query, the verifier recomputes it to check the publisher's
-// claim, and the serving layer derives it up front to decompose a range
-// across partition shards before pinning their epochs — all three must
-// agree, which is why the derivation is exported once.
+// row-policy clamp, and projection filtering, which keeps the role's
+// visibility column in any projection so that results prove their
+// visibility. The publisher executes the effective query, the verifier
+// recomputes it to check the publisher's claim, and the serving layer
+// derives it up front to decompose a range across partition shards
+// before pinning their epochs — all three must agree, which is why the
+// derivation is exported once.
 func EffectiveQuery(p core.Params, schema relation.Schema, role accessctl.Role, q Query) (Query, error) {
 	lo, hi := q.KeyLo, q.KeyHi
 	if lo <= p.L {
@@ -163,6 +166,11 @@ func EffectiveQuery(p core.Params, schema relation.Schema, role accessctl.Role, 
 	eff := q
 	eff.KeyLo, eff.KeyHi = lo, hi
 	eff.Project = role.FilterCols(schema, q.Project)
+	if v := role.VisibilityCol; eff.Project != nil && schema.ColIndex(v) >= 0 && !slices.Contains(eff.Project, v) {
+		// A record-level policy is a filter on the visibility column, and
+		// a result row proves it passes one by disclosing the column.
+		eff.Project = append(eff.Project, v)
+	}
 	return eff, nil
 }
 
@@ -174,7 +182,9 @@ func (p *Publisher) executeRewritten(sr *core.SignedRelation, role accessctl.Rol
 }
 
 // buildEntry classifies one covered record and assembles its VO entry.
-func (p *Publisher) buildEntry(sr *core.SignedRelation, role accessctl.Role, eff Query, rec core.SignedRecord, idx int, seen map[string]bool) (VOEntry, error) {
+// Every mode ships the record's combined chain digests; the key leaf
+// travels only when the key stays hidden (Case 2).
+func (p *Publisher) buildEntry(sr *core.SignedRelation, role accessctl.Role, eff Query, rec core.SignedRecord) (VOEntry, error) {
 	schema := sr.Schema
 	t := rec.Tuple
 
@@ -188,7 +198,7 @@ func (p *Publisher) buildEntry(sr *core.SignedRelation, role accessctl.Role, eff
 		return VOEntry{
 			Mode:         EntryFilteredHidden,
 			Disclosed:    disclosed,
-			HiddenLeaves: hidden,
+			HiddenLeaves: append(hidden, core.KeyLeaf(p.h, t.Key)),
 			UpCombined:   rec.UpCombined.Clone(),
 			DownCombined: rec.DownCombined.Clone(),
 		}, nil
@@ -205,27 +215,22 @@ func (p *Publisher) buildEntry(sr *core.SignedRelation, role accessctl.Role, eff
 			Key:          t.Key,
 			Disclosed:    disclosed,
 			HiddenLeaves: hidden,
-			Chain:        sr.EntryInfo(idx),
+			UpCombined:   rec.UpCombined.Clone(),
+			DownCombined: rec.DownCombined.Clone(),
 		}, nil
 	}
 
+	// Under DISTINCT a duplicate ships as a result too: the user releases
+	// each distinct row once, and can see that what it skips repeats one.
 	cols := projectCols(schema, eff.Project)
 	disclosed, hidden := disclose(p.h, t, cols)
-	if eff.Distinct {
-		k := dupKey(t.Key, disclosed)
-		if seen[k] {
-			// Section 4.2: present g and sig for each eliminated
-			// duplicate so the chain remains checkable.
-			return VOEntry{Mode: EntryElidedDup, G: rec.G.Clone()}, nil
-		}
-		seen[k] = true
-	}
 	return VOEntry{
 		Mode:         EntryResult,
 		Key:          t.Key,
 		Disclosed:    disclosed,
 		HiddenLeaves: hidden,
-		Chain:        sr.EntryInfo(idx),
+		UpCombined:   rec.UpCombined.Clone(),
+		DownCombined: rec.DownCombined.Clone(),
 	}, nil
 }
 
@@ -262,12 +267,12 @@ func projectCols(schema relation.Schema, project []string) []int {
 	return out
 }
 
-// disclose splits a tuple's attribute-tree leaves into opened values (the
-// given column indexes, sorted) and hidden digests (everything else,
-// including the row-id leaf 0). cols is walked in step with the leaves
-// instead of through a set — this runs once per covered record per query,
-// and the two per-entry map allocations were a measurable slice of the
-// streaming loop's garbage.
+// disclose splits a tuple's attribute-tree leaves other than the key leaf
+// into opened values (the given column indexes, sorted) and hidden
+// digests (everything else, including the row-id leaf 0). cols is walked
+// in step with the leaves instead of through a set — this runs once per
+// covered record per query, and the two per-entry map allocations were a
+// measurable slice of the streaming loop's garbage.
 func disclose(h *hashx.Hasher, t relation.Tuple, cols []int) ([]DisclosedAttr, []hashx.Digest) {
 	leaves := core.AttrLeaves(h, t)
 	disclosed := make([]DisclosedAttr, 0, len(cols))
@@ -289,13 +294,4 @@ func disclose(h *hashx.Hasher, t relation.Tuple, cols []int) ([]DisclosedAttr, [
 		hidden = append(hidden, l)
 	}
 	return disclosed, hidden
-}
-
-// dupKey builds the duplicate-detection key over the projected values.
-func dupKey(key uint64, disclosed []DisclosedAttr) string {
-	out := string(hashx.U64(key))
-	for _, d := range disclosed {
-		out += string(hashx.U64(uint64(d.Col))) + string(d.Val.Encode())
-	}
-	return out
 }

@@ -74,7 +74,7 @@ func TestOpStrings(t *testing.T) {
 	}
 	modes := map[EntryMode]string{
 		EntryResult: "result", EntryFilteredVisible: "filtered-visible",
-		EntryFilteredHidden: "filtered-hidden", EntryElidedDup: "elided-dup",
+		EntryFilteredHidden: "filtered-hidden", EntryFilteredHidden + 1: "?",
 	}
 	for m, s := range modes {
 		if m.String() != s {

@@ -230,7 +230,6 @@ type voStream struct {
 	a, b      int // covered record interval [a, b) in sr.Recs
 	pos       int // next record index to emit
 	seq       uint64
-	seen      map[string]bool // DISTINCT suppression, nil unless Distinct
 
 	agg *sig.Aggregator // condensed-signature accumulator (Aggregate mode)
 	// idx is the snapshot's crypto index when one is attached: per-entry
@@ -267,9 +266,6 @@ func (p *Publisher) newStreamOpts(sr *core.SignedRelation, role accessctl.Role, 
 		p: p, sr: sr, role: role, eff: eff,
 		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
 		reuse: opts.ReuseChunks,
-	}
-	if eff.Distinct {
-		st.seen = map[string]bool{}
 	}
 	if p.Aggregate {
 		st.agg = p.pub.NewAggregator()
@@ -333,7 +329,7 @@ func (s *voStream) next() (*Chunk, error) {
 		}
 		for i := s.pos; i < s.pos+n; i++ {
 			rec := s.sr.Recs[i]
-			entry, err := s.p.buildEntry(s.sr, s.role, s.eff, rec, i, s.seen)
+			entry, err := s.p.buildEntry(s.sr, s.role, s.eff, rec)
 			if err != nil {
 				return nil, err
 			}

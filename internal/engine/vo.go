@@ -23,11 +23,8 @@ const (
 	EntryFilteredVisible
 	// EntryFilteredHidden is Section 4.4 Case 2: a tuple the access
 	// policy hides. Only the visibility-column leaf is opened; the key
-	// and chain digests stay opaque.
+	// travels as its leaf digest.
 	EntryFilteredHidden
-	// EntryElidedDup is a Section 4.2 DISTINCT duplicate: only g(r) is
-	// shipped so the signature chain remains checkable.
-	EntryElidedDup
 )
 
 // String implements fmt.Stringer.
@@ -39,8 +36,6 @@ func (m EntryMode) String() string {
 		return "filtered-visible"
 	case EntryFilteredHidden:
 		return "filtered-hidden"
-	case EntryElidedDup:
-		return "elided-dup"
 	}
 	return "?"
 }
@@ -63,16 +58,13 @@ type VOEntry struct {
 	// 2), sorted by Col.
 	Disclosed []DisclosedAttr
 	// HiddenLeaves carries digests of the undisclosed leaves of
-	// MHT(r.A), in ascending leaf-index order (leaf 0 is the row id).
+	// MHT(r.A), in ascending leaf-index order (leaf 0 is the row id). The
+	// key leaf, last, is among them only for EntryFilteredHidden: for the
+	// other modes the user opens it from Key.
 	HiddenLeaves []hashx.Digest
-	// Chain holds the representation-tree roots for modes where the user
-	// knows the key and recomputes the chain digests.
-	Chain core.EntryChainInfo
-	// UpCombined/DownCombined are the opaque chain digests for
-	// EntryFilteredHidden.
+	// UpCombined/DownCombined are the record's opaque combined chain
+	// digests.
 	UpCombined, DownCombined hashx.Digest
-	// G is the raw record digest for EntryElidedDup.
-	G hashx.Digest
 }
 
 // RangeVO is the verification object for a (possibly multipoint) range
@@ -154,16 +146,9 @@ func (vo *RangeVO) Account(digestSize, sigSize int) SizeAccounting {
 	acc := SizeAccounting{DigestSize: digestSize, SigSize: sigSize}
 	acc.Digests += vo.Left.Size() + vo.Right.Size()
 	for _, e := range vo.Entries {
-		switch e.Mode {
-		case EntryResult, EntryFilteredVisible:
-			acc.Digests += 2 // chain rep-tree roots
-			acc.Digests += len(e.HiddenLeaves)
-		case EntryFilteredHidden:
-			acc.Digests += 2 // opaque combined chain digests
-			acc.Digests += len(e.HiddenLeaves)
-		case EntryElidedDup:
-			acc.Digests++
-		}
+		// The two opaque combined chain digests, plus the hidden leaves —
+		// a Case 2 entry's key leaf among them.
+		acc.Digests += 2 + len(e.HiddenLeaves)
 	}
 	if vo.PredPrevG != nil {
 		acc.Digests++

@@ -42,9 +42,8 @@ func (e *Env) Ablation() ([]AblationRow, error) {
 		lin := hLin.Ops()
 
 		hOpt := hashx.New()
-		if _, err := core.EntryG(hOpt, p, key, core.KindRecord,
-			core.EntryChainInfo{UpRoot: hOpt.Hash([]byte("r")), DownRoot: hOpt.Hash([]byte("r"))},
-			hOpt.Hash([]byte("a"))); err != nil {
+		root := hOpt.Hash([]byte("r"))
+		if _, err := core.EntryG(hOpt, p, key, core.KindRecord, root, root, hOpt.Hash([]byte("a"))); err != nil {
 			return nil, err
 		}
 		opt := hOpt.Ops()

@@ -122,15 +122,11 @@ func TestCuserValidatesPaperNumbers(t *testing.T) {
 		if ratio < 0.9 || ratio > 1.1 {
 			t.Errorf("|Q|=%d: model %.1fms vs paper %.1fms", r.Q, r.ModelMs, r.PaperClaimMs)
 		}
-		// The implementation's hash count stays within a small constant of
-		// the formula (our g hashes both directions plus the attribute
-		// tree; the formula models the one-sided digest).
-		if r.MeasuredHashes > 0 {
-			f := float64(r.MeasuredHashes) / float64(r.FormulaHashes)
-			if f < 0.5 || f > 4 {
-				t.Errorf("|Q|=%d: measured hashes %d vs formula %d (ratio %.2f)",
-					r.Q, r.MeasuredHashes, r.FormulaHashes, f)
-			}
+		// The serving verifier binds a disclosed key through its leaf
+		// instead of rebuilding formula (3)'s chains per row, so it hashes
+		// less than formula (5) counts, yet at least once per row.
+		if r.MeasuredHashes > 0 && (r.MeasuredHashes >= uint64(r.FormulaHashes) || r.MeasuredHashes < uint64(r.Q)) {
+			t.Errorf("|Q|=%d: serving hashes %d vs formula (5) %d", r.Q, r.MeasuredHashes, r.FormulaHashes)
 		}
 	}
 	var buf bytes.Buffer

@@ -177,7 +177,10 @@ type NodeStore struct {
 // corruption is never fatal — a torn snapshot starts empty, a torn WAL
 // tail is truncated, an inconsistent slice is dropped — and every such
 // refusal lands in the LoadReport. Only environmental I/O failures
-// (permissions, full disk) return an error.
+// (permissions, full disk) return an error, and a slice signed in another
+// record format (core.ErrRecordFormat): the whole data dir was written by
+// a build whose signatures this one cannot verify, so the open fails by
+// name and writes nothing, rather than dropping every slice durably.
 func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -219,6 +222,9 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 				rm := newRelMirror(sr.Spec)
 				for _, sh := range sr.Shards {
 					sl, derr := decodeSlice(sh.Snap)
+					if errors.Is(derr, core.ErrRecordFormat) {
+						return nil, nil, fmt.Errorf("store: %s: %w", ns.snapPath, derr)
+					}
 					if derr != nil {
 						rep.Refused = append(rep.Refused,
 							fmt.Sprintf("%s/%d: snapshot slice: %v", sr.Relation, sh.Shard, derr))
@@ -256,7 +262,10 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 			rep.Skipped++
 			continue
 		}
-		ns.applyRecord(&rec, rep)
+		if err := ns.applyRecord(&rec, rep); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("store: %s: %w", ns.walPath, err)
+		}
 		ns.seq = rec.Seq
 		ns.pending++
 		rep.Replayed++
@@ -270,15 +279,20 @@ func isTorn(err error) bool {
 }
 
 // applyRecord folds one replayed WAL record into the mirror. Failures
-// refuse the affected slice (dropping it) rather than guessing.
-func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) {
+// refuse the affected slice (dropping it) rather than guessing; the one
+// error returned is a slice of another record format, which fails the
+// open (OpenNode).
+func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 	switch {
 	case rec.Install != nil:
 		in := rec.Install
 		sl, err := decodeSlice(in.Snap)
+		if errors.Is(err, core.ErrRecordFormat) {
+			return err
+		}
 		if err != nil {
 			rep.Refused = append(rep.Refused, fmt.Sprintf("%s/%d: install replay: %v", in.Relation, in.Shard, err))
-			return
+			return nil
 		}
 		rm := ns.rels[in.Relation]
 		if rm == nil {
@@ -293,7 +307,7 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) {
 	case rec.Remove != nil:
 		rm := ns.rels[rec.Remove.Relation]
 		if rm == nil {
-			return
+			return nil
 		}
 		delete(rm.slices, rec.Remove.Shard)
 		delete(rm.install, rec.Remove.Shard)
@@ -320,6 +334,9 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) {
 			var next *core.SignedRelation
 			if len(cs.FullSnap) > 0 {
 				sl, err := decodeSlice(cs.FullSnap)
+				if errors.Is(err, core.ErrRecordFormat) {
+					return err
+				}
 				if err != nil {
 					refuse(fmt.Sprintf("full-slice fallback: %v", err))
 					continue
@@ -344,6 +361,7 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) {
 			delete(ns.rels, cr.Relation)
 		}
 	}
+	return nil
 }
 
 // append encodes and durably appends one record, then updates the

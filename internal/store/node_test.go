@@ -531,3 +531,55 @@ func TestNodeCommitFullSliceFallback(t *testing.T) {
 		t.Fatal("full-slice fallback did not replay to the committed state")
 	}
 }
+
+// A data dir written before record format 1 holds slices this build
+// cannot verify. OpenNode refuses it by name, whether the old slice sits
+// in the WAL or in the snapshot, and writes nothing: no refusal reaches
+// the serving layer's RecoverHosted, whose refusals are durable removes.
+func TestNodeRefusesOldFormatDataDir(t *testing.T) {
+	h := hashx.New()
+	set := buildSet(t, h, 12, 2)
+	old := set.Slices[0].Clone()
+	old.Params.Format = 0 // as a gob file from before the field existed decodes
+	for _, snapshot := range []bool{false, true} {
+		dir := t.TempDir()
+		ns, _, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ns.LogInstall("Uniform", set.Spec, 0, old, partition.SliceDigest(h, old)); err != nil {
+			t.Fatal(err)
+		}
+		if snapshot {
+			if err := ns.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ns.Close()
+		before := dirBytes(t, dir)
+		if _, _, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1}); !errors.Is(err, core.ErrRecordFormat) {
+			t.Fatalf("snapshot=%v: open = %v, want core.ErrRecordFormat", snapshot, err)
+		}
+		if after := dirBytes(t, dir); after != before {
+			t.Fatalf("snapshot=%v: refused open changed the data dir", snapshot)
+		}
+	}
+}
+
+// dirBytes is every file of dir with its contents, as one string.
+func dirBytes(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out string
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out += e.Name() + "\x00" + string(b) + "\x00"
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"vcqr/internal/accessctl"
@@ -53,6 +54,11 @@ type StreamVerifier struct {
 	havePending bool
 	lastKey     uint64 // key-order tracking across chunk boundaries
 	haveKey     bool
+
+	// DISTINCT: the disclosed values of the rows released for one key.
+	// A key's entries arrive together, so this is all elision needs.
+	groupKey uint64
+	group    [][]engine.DisclosedAttr
 
 	// Signature mode is established by the first chunk that reveals it:
 	// entry chunks carrying Sigs switch to individual, the footer's
@@ -159,6 +165,9 @@ func (sv *StreamVerifier) consumeHeader(c *engine.Chunk) error {
 	if sv.started {
 		return fmt.Errorf("%w: duplicate header", ErrChunkShape)
 	}
+	if err := sv.v.Params.CheckFormat(); err != nil {
+		return err
+	}
 	if err := sv.v.checkRewrite(sv.q, sv.role, c.Effective); err != nil {
 		return err
 	}
@@ -172,7 +181,7 @@ func (sv *StreamVerifier) consumeHeader(c *engine.Chunk) error {
 	sv.started = true
 	sv.eff = c.Effective
 	sv.plan = sv.v.newPlan(sv.eff, sv.role)
-	sv.open = make([][]byte, len(sv.v.Schema.Cols)+1)
+	sv.open = make([][]byte, len(sv.v.Schema.Cols)+2) // row id, attributes, key
 	sv.gPrev = gLeft
 	return nil
 }
@@ -226,7 +235,8 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 		if sv.individual {
 			esig = c.Sigs[i]
 		}
-		if err := sv.advance(g, e, esig); err != nil {
+		release := e.Mode == engine.EntryResult && !(sv.eff.Distinct && sv.repeats(e))
+		if err := sv.advance(g, e, release, esig); err != nil {
 			return err
 		}
 		sv.entryIdx++
@@ -235,17 +245,33 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 	return nil
 }
 
+// repeats reports whether a result row repeats one already released for
+// its key, which DISTINCT (Section 4.2) releases once. The publisher ships
+// every duplicate in full, so the user sees what each one repeats.
+func (sv *StreamVerifier) repeats(e *engine.VOEntry) bool {
+	if e.Key != sv.groupKey {
+		sv.groupKey, sv.group = e.Key, sv.group[:0]
+	}
+	if slices.ContainsFunc(sv.group, func(vals []engine.DisclosedAttr) bool {
+		return slices.EqualFunc(vals, e.Disclosed, func(a, b engine.DisclosedAttr) bool { return a.Col == b.Col && a.Val.Equal(b.Val) })
+	}) {
+		return true
+	}
+	sv.group = append(sv.group, e.Disclosed)
+	return false
+}
+
 // advance shifts the one-entry lookahead window: the newly reconstructed
 // g completes the pending entry's signed digest, then becomes pending
-// itself.
-func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, esig sig.Signature) error {
+// itself, with its row when release.
+func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, release bool, esig sig.Signature) error {
 	if sv.havePending {
 		if err := sv.completePending(g); err != nil {
 			return err
 		}
 		sv.gPrev = sv.pending.g
 	}
-	sv.pending = pendingEntry{g: g, sig: esig, idx: sv.entryIdx, hasRow: e.Mode == engine.EntryResult}
+	sv.pending = pendingEntry{g: g, sig: esig, idx: sv.entryIdx, hasRow: release}
 	if sv.pending.hasRow {
 		sv.pending.row = engine.Row{Key: e.Key, Values: e.Disclosed}
 	}

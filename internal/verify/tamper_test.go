@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -37,29 +38,33 @@ var namedErrors = []struct {
 	{"ErrKeyOrder", verify.ErrKeyOrder}, {"ErrFilterViolation", verify.ErrFilterViolation},
 	{"ErrFilteredMatches", verify.ErrFilteredMatches}, {"ErrPrecision", verify.ErrPrecision},
 	{"ErrHiddenNotAllowed", verify.ErrHiddenNotAllowed}, {"ErrVisibility", verify.ErrVisibility},
-	{"ErrSignature", verify.ErrSignature}, {"ErrDistinct", verify.ErrDistinct},
+	{"ErrSignature", verify.ErrSignature},
 	{"ErrChunkSequence", verify.ErrChunkSequence}, {"ErrChunkShape", verify.ErrChunkShape},
 	{"ErrStreamEnded", verify.ErrStreamEnded}, {"ErrStreamTruncated", verify.ErrStreamTruncated},
 }
 
 // outcome runs a chunk sequence through a fresh StreamVerifier and names
 // what happened: "ok:<rows>" or "<Err name>@<index of the refused chunk>".
-func outcome(v *verify.Verifier, q engine.Query, role accessctl.Role, chunks []*engine.Chunk) string {
+// An accepted stream's rows come back too.
+func outcome(v *verify.Verifier, q engine.Query, role accessctl.Role, chunks []*engine.Chunk) (string, []engine.Row) {
 	sv := v.NewStreamVerifier(q, role)
 	rows, at, err := feed(sv, chunks)
 	if err == nil {
 		err = sv.Finish()
 	}
 	if err == nil {
-		return fmt.Sprintf("ok:%d", len(rows))
+		return fmt.Sprintf("ok:%d", len(rows)), rows
 	}
 	for _, ne := range namedErrors {
 		if errors.Is(err, ne.err) {
-			return fmt.Sprintf("%s@%d", ne.name, at)
+			return fmt.Sprintf("%s@%d", ne.name, at), nil
 		}
 	}
-	return fmt.Sprintf("unnamed@%d", at)
+	return fmt.Sprintf("unnamed@%d", at), nil
 }
+
+// outcomeFunc is how a replay carries a stream to the verifier.
+type outcomeFunc func(v *verify.Verifier, q engine.Query, role accessctl.Role, chunks []*engine.Chunk) (string, []engine.Row)
 
 // Copy-on-write byte edits: results share slices with the publisher's
 // signed relation, so a mutation never writes through.
@@ -110,6 +115,7 @@ func entryMutations(res *engine.Result, i int) []mutation {
 	}
 	e := res.VO.Entries[i]
 	add("key+1", func(e *engine.VOEntry) { e.Key++ })
+	add("key-1", func(e *engine.VOEntry) { e.Key-- })
 	add("key=0", func(e *engine.VOEntry) { e.Key = 0 })
 	add("key=max", func(e *engine.VOEntry) { e.Key = ^uint64(0) })
 	add("key=hi+1", func(e *engine.VOEntry) { e.Key = res.VO.KeyHi + 1 })
@@ -119,7 +125,6 @@ func entryMutations(res *engine.Result, i int) []mutation {
 			add(fmt.Sprintf("mode=%d", mode), func(e *engine.VOEntry) { e.Mode = mode })
 		}
 	}
-	add("mode=dup+g", func(e *engine.VOEntry) { e.Mode = engine.EntryElidedDup; e.G = e.Chain.UpRoot })
 	if len(e.Disclosed) > 0 {
 		add("disclosed/drop-first", func(e *engine.VOEntry) { e.Disclosed = e.Disclosed[1:] })
 		add("disclosed/drop-last", func(e *engine.VOEntry) { e.Disclosed = e.Disclosed[:len(e.Disclosed)-1] })
@@ -163,7 +168,7 @@ func entryMutations(res *engine.Result, i int) []mutation {
 			e.HiddenLeaves = e.HiddenLeaves[:len(e.HiddenLeaves)-1]
 		}
 	})
-	add("hidden/append-surplus", func(e *engine.VOEntry) { e.HiddenLeaves = append(e.HiddenLeaves, e.Chain.UpRoot) })
+	add("hidden/append-surplus", func(e *engine.VOEntry) { e.HiddenLeaves = append(e.HiddenLeaves, e.UpCombined) })
 	add("hidden/append-surplus-malformed", func(e *engine.VOEntry) { e.HiddenLeaves = append(e.HiddenLeaves, hashx.Digest{1, 2}) })
 	add("hidden/nil-all", func(e *engine.VOEntry) { e.HiddenLeaves = nil })
 	if len(e.HiddenLeaves) > 0 {
@@ -184,11 +189,8 @@ func entryMutations(res *engine.Result, i int) []mutation {
 	}
 	for _, ed := range digestEdits {
 		ed := ed
-		add("up-root/"+ed.name, func(e *engine.VOEntry) { e.Chain.UpRoot = ed.fn(e.Chain.UpRoot) })
-		add("down-root/"+ed.name, func(e *engine.VOEntry) { e.Chain.DownRoot = ed.fn(e.Chain.DownRoot) })
 		add("up-combined/"+ed.name, func(e *engine.VOEntry) { e.UpCombined = ed.fn(e.UpCombined) })
 		add("down-combined/"+ed.name, func(e *engine.VOEntry) { e.DownCombined = ed.fn(e.DownCombined) })
-		add("g/"+ed.name, func(e *engine.VOEntry) { e.G = ed.fn(e.G) })
 	}
 	return ms
 }
@@ -445,8 +447,9 @@ func newTamperFixture(t *testing.T) *tamperFixture {
 // replayTamperEdits runs every edit of the corpus — every field of every
 // entry mode, both boundary proofs, the rewrite, the signatures and the
 // chunk framing — and names each outcome: accepted with N rows, or
-// refused with a named error at a given chunk.
-func replayTamperEdits(t *testing.T, outcome func(v *verify.Verifier, q engine.Query, role accessctl.Role, chunks []*engine.Chunk) string) map[string]string {
+// refused with a named error at a given chunk. An accepted edit must
+// release exactly the rows the honest stream releases.
+func replayTamperEdits(t *testing.T, outcome outcomeFunc) map[string]string {
 	f := newTamperFixture(t)
 	scenarios := []struct {
 		name      string
@@ -478,30 +481,40 @@ func replayTamperEdits(t *testing.T, outcome func(v *verify.Verifier, q engine.Q
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}
-		honest := outcome(f.v, sc.q, role, chunkify(res))
+		honest, honestRows := outcome(f.v, sc.q, role, chunkify(res))
 		if honest[:3] != "ok:" {
 			t.Fatalf("%s: honest result refused: %s", sc.name, honest)
 		}
 		got[sc.name+"/honest"] = honest
+		record := func(name string, out string, rows []engine.Row) {
+			got[sc.name+"/"+name] = out
+			if out[:3] == "ok:" && !reflect.DeepEqual(rows, honestRows) {
+				t.Errorf("%s/%s: accepted, releasing rows the honest stream does not", sc.name, name)
+			}
+		}
 		for _, m := range resultMutations(res) {
 			edited := *res
 			m.apply(&edited)
-			got[sc.name+"/"+m.name] = outcome(f.v, sc.q, role, chunkify(&edited))
+			out, rows := outcome(f.v, sc.q, role, chunkify(&edited))
+			record(m.name, out, rows)
 		}
 		chunks := chunkify(res)
 		for _, m := range chunkMutations(len(chunks)) {
-			got[sc.name+"/"+m.name] = outcome(f.v, sc.q, role, m.apply(chunks))
+			out, rows := outcome(f.v, sc.q, role, m.apply(chunks))
+			record(m.name, out, rows)
 		}
 		// The user's own query and rights are inputs too.
 		wrongQ := sc.q
 		wrongQ.KeyLo += 5
-		got[sc.name+"/user/other-range"] = outcome(f.v, wrongQ, role, chunks)
-		got[sc.name+"/user/other-role"] = outcome(f.v, sc.q, f.roles["clerk"], chunks)
+		out, rows := outcome(f.v, wrongQ, role, chunks)
+		record("user/other-range", out, rows)
+		out, rows = outcome(f.v, sc.q, f.roles["clerk"], chunks)
+		record("user/other-role", out, rows)
 	}
 	return got
 }
 
-func readCorpus(t *testing.T) map[string]string {
+func readCorpus(t testing.TB) map[string]string {
 	t.Helper()
 	buf, err := os.ReadFile(corpusPath)
 	if err != nil {
@@ -515,9 +528,11 @@ func readCorpus(t *testing.T) map[string]string {
 }
 
 // TestTamperCorpusReplay replays a fixed corpus of VO and stream edits
-// and holds each outcome to what the pre-kernel verifier did with the
-// same edit (generated at commit c274afd): the kernel must accept and
-// refuse exactly the same streams.
+// and holds each outcome to the committed one, regenerated with -update
+// for record format 1 (first generated at commit c274afd, before the
+// kernel rebuild): a verifier change must accept and refuse exactly the
+// same streams, and no accepted edit may release other rows than the
+// honest stream.
 func TestTamperCorpusReplay(t *testing.T) {
 	got := replayTamperEdits(t, outcome)
 	if *updateCorpus {
@@ -539,7 +554,7 @@ func TestTamperCorpusReplay(t *testing.T) {
 	}
 	for name, w := range want {
 		if g := got[name]; g != w {
-			t.Errorf("%s: %s, pre-kernel verifier: %s", name, g, w)
+			t.Errorf("%s: %s, corpus: %s", name, g, w)
 		}
 	}
 }
@@ -551,12 +566,12 @@ func TestTamperCorpusReplay(t *testing.T) {
 // put in, so every edit is refused by the same named error at the same
 // chunk. The two edits a transport cannot carry as made are spelled out.
 func TestTamperCorpusReplayOverFrames(t *testing.T) {
-	got := replayTamperEdits(t, func(v *verify.Verifier, q engine.Query, role accessctl.Role, chunks []*engine.Chunk) string {
+	got := replayTamperEdits(t, func(v *verify.Verifier, q engine.Query, role accessctl.Role, chunks []*engine.Chunk) (string, []engine.Row) {
 		framed := make([]*engine.Chunk, len(chunks))
 		for i, c := range chunks {
 			var frame bytes.Buffer
 			if err := wire.WriteChunkFrame(&frame, c); err != nil {
-				return fmt.Sprintf("unencodable@%d", i)
+				return fmt.Sprintf("unencodable@%d", i), nil
 			}
 			var err error
 			if framed[i], err = wire.ReadChunkFrame(&frame); err != nil {

@@ -12,8 +12,10 @@
 package verify
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
@@ -35,9 +37,8 @@ var (
 	ErrFilteredMatches  = errors.New("verify: filtered entry actually satisfies the query")
 	ErrPrecision        = errors.New("verify: disclosure does not match the projection")
 	ErrHiddenNotAllowed = errors.New("verify: hidden entry without a record-level policy")
-	ErrVisibility       = errors.New("verify: hidden entry visibility disclosure invalid")
+	ErrVisibility       = errors.New("verify: visibility disclosure invalid")
 	ErrSignature        = errors.New("verify: signature check failed")
-	ErrDistinct         = errors.New("verify: duplicate elision without DISTINCT")
 )
 
 // Verifier holds the user's trusted inputs: the owner's public key, the
@@ -90,40 +91,24 @@ func (v *Verifier) VerifyResult(q engine.Query, role accessctl.Role, res *engine
 // why the user must know their own rights — exactly the paper's trust
 // model, where rewriting is mandated by the owner's policy.
 func (v *Verifier) checkRewrite(q engine.Query, role accessctl.Role, eff engine.Query) error {
-	lo, hi := q.KeyLo, q.KeyHi
-	if lo <= v.Params.L {
-		lo = v.Params.L + 1
+	want, err := engine.EffectiveQuery(v.Params, v.Schema, role, q)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrRewriteMismatch, err)
 	}
-	if hi == 0 || hi >= v.Params.U {
-		hi = v.Params.U - 1
+	if eff.KeyLo != want.KeyLo || eff.KeyHi != want.KeyHi {
+		return fmt.Errorf("%w: expected [%d,%d], got [%d,%d]", ErrRewriteMismatch, want.KeyLo, want.KeyHi, eff.KeyLo, eff.KeyHi)
 	}
-	lo, hi, ok := role.ClampRange(lo, hi)
-	if !ok {
-		return fmt.Errorf("%w: rewrite empties the range", ErrRewriteMismatch)
-	}
-	if eff.KeyLo != lo || eff.KeyHi != hi {
-		return fmt.Errorf("%w: expected [%d,%d], got [%d,%d]", ErrRewriteMismatch, lo, hi, eff.KeyLo, eff.KeyHi)
-	}
-	wantCols := role.FilterCols(v.Schema, q.Project)
-	if !sameCols(wantCols, eff.Project) {
+	if (want.Project == nil) != (eff.Project == nil) || !slices.Equal(want.Project, eff.Project) {
 		return fmt.Errorf("%w: projection", ErrRewriteMismatch)
 	}
-	if eff.Distinct != q.Distinct || len(eff.Filters) != len(q.Filters) {
+	// The filters must be the user's own, not merely as many: the
+	// per-entry checks evaluate the effective ones.
+	if eff.Distinct != q.Distinct || !slices.EqualFunc(eff.Filters, q.Filters, func(a, b engine.Filter) bool {
+		return a.Col == b.Col && a.Op == b.Op && a.Val.Equal(b.Val)
+	}) {
 		return fmt.Errorf("%w: flags or filters", ErrRewriteMismatch)
 	}
 	return nil
-}
-
-func sameCols(a, b []string) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // plan is the per-stream disclosure layout, resolved against the schema
@@ -164,33 +149,38 @@ func (v *Verifier) newPlan(eff engine.Query, role accessctl.Role) plan {
 }
 
 // entryG reconstructs g for one VO entry and performs the per-entry
-// semantic checks.
+// semantic checks. Every mode takes the same path: the attribute root
+// from the disclosure — the key slot opened from the entry's key when the
+// mode discloses it — folded with the two opaque combined chain digests
+// (record format 1: the key leaf, not the formula-(3) chains, binds a
+// disclosed key).
 func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 	v := sv.v
 	switch e.Mode {
-	case engine.EntryResult, engine.EntryFilteredVisible:
-		if err := sv.openDisclosure(e); err != nil {
+	case engine.EntryResult:
+		if err := sv.openDisclosure(e, true); err != nil {
 			return nil, err
 		}
-		if e.Mode == engine.EntryResult {
-			if err := sv.checkResultDisclosure(e); err != nil {
-				return nil, err
-			}
-			if !sv.passesDisclosed(e) {
-				return nil, ErrFilterViolation
-			}
-		} else if err := sv.checkFilteredDisclosure(e); err != nil {
+		if err := sv.checkResultDisclosure(e); err != nil {
 			return nil, err
 		}
-		attrRoot, err := core.AttrRootFromDisclosure(v.H, sv.open, e.HiddenLeaves)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEntry, err)
+		if !sv.passesDisclosed(e) {
+			return nil, ErrFilterViolation
 		}
-		g, err := core.EntryG(v.H, v.Params, e.Key, core.KindRecord, e.Chain, attrRoot)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEntry, err)
+		if sv.plan.visCol >= 0 {
+			// The rewrite projects the visibility column (EffectiveQuery).
+			if vis, _ := disclosedVal(e, sv.plan.visCol); vis.Type == relation.TypeBool && !vis.Bool {
+				return nil, ErrVisibility
+			}
 		}
-		return g, nil
+
+	case engine.EntryFilteredVisible:
+		if err := sv.openDisclosure(e, true); err != nil {
+			return nil, err
+		}
+		if err := sv.checkFilteredDisclosure(e); err != nil {
+			return nil, err
+		}
 
 	case engine.EntryFilteredHidden:
 		if sv.plan.visCol < 0 {
@@ -200,38 +190,32 @@ func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 			!e.Disclosed[0].Val.Equal(relation.BoolVal(false)) {
 			return nil, ErrVisibility
 		}
-		if err := sv.openDisclosure(e); err != nil {
+		if err := sv.openDisclosure(e, false); err != nil {
 			return nil, err
 		}
-		attrRoot, err := core.AttrRootFromDisclosure(v.H, sv.open, e.HiddenLeaves)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrEntry, err)
-		}
-		if len(e.UpCombined) != v.H.Size() || len(e.DownCombined) != v.H.Size() {
-			return nil, fmt.Errorf("%w: hidden entry chain digests", ErrEntry)
-		}
-		return core.GFromComponents(v.H, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot), nil
-
-	case engine.EntryElidedDup:
-		if !sv.eff.Distinct {
-			return nil, ErrDistinct
-		}
-		if len(e.G) != v.H.Size() {
-			return nil, fmt.Errorf("%w: elided dup digest", ErrEntry)
-		}
-		return e.G, nil
 
 	default:
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrEntry, e.Mode)
 	}
+	attrRoot, err := core.AttrRootFromDisclosure(v.H, sv.open, e.HiddenLeaves)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrEntry, err)
+	}
+	if len(e.UpCombined) != v.H.Size() || len(e.DownCombined) != v.H.Size() {
+		return nil, fmt.Errorf("%w: chain digests", ErrEntry)
+	}
+	return core.GFromComponents(v.H, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot), nil
 }
 
 // openDisclosure encodes an entry's disclosed attributes into the
 // by-leaf pre-image slots used for attribute-root reconstruction (leaf 0
-// is the row id, never opened), rejecting duplicate or out-of-range
-// columns. The slots and the encoding buffer are the stream's own and are
-// overwritten by the next entry.
-func (sv *StreamVerifier) openDisclosure(e *engine.VOEntry) error {
+// is the row id, never opened), rejecting out-of-range columns and any
+// order but strictly ascending — the released row's values are the
+// disclosure as sent, so its layout must be the one the query fixes —
+// and opens the last slot, the key leaf, from the entry's key when
+// openKey. The slots and the encoding buffer are the stream's own and
+// are overwritten by the next entry.
+func (sv *StreamVerifier) openDisclosure(e *engine.VOEntry, openKey bool) error {
 	clear(sv.open)
 	sv.enc = sv.enc[:0]
 	for i := range e.Disclosed {
@@ -239,12 +223,18 @@ func (sv *StreamVerifier) openDisclosure(e *engine.VOEntry) error {
 		if d.Col < 0 || d.Col >= len(sv.v.Schema.Cols) {
 			return fmt.Errorf("%w: disclosed column %d out of schema", ErrEntry, d.Col)
 		}
-		if sv.open[d.Col+1] != nil {
-			return fmt.Errorf("%w: column %d disclosed twice", ErrEntry, d.Col)
+		if i > 0 && d.Col <= e.Disclosed[i-1].Col {
+			return fmt.Errorf("%w: disclosed column %d out of order or twice", ErrEntry, d.Col)
 		}
 		at := len(sv.enc)
 		sv.enc = d.Val.AppendEncode(sv.enc)
 		sv.open[d.Col+1] = sv.enc[at:len(sv.enc):len(sv.enc)]
+	}
+	if openKey {
+		// core.KeyLeaf's pre-image: the key in hashx.U64's encoding.
+		at := len(sv.enc)
+		sv.enc = binary.BigEndian.AppendUint64(sv.enc, e.Key)
+		sv.open[len(sv.open)-1] = sv.enc[at:]
 	}
 	return nil
 }

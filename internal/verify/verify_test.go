@@ -83,6 +83,25 @@ func TestRejectsOverDisclosure(t *testing.T) {
 	}
 }
 
+// TestRejectsUnsortedDisclosure: a result entry's disclosed values must
+// come in ascending column order, the order the publisher writes them.
+// A verifier that accepted them in any order released a row whose values
+// are the owner's but whose layout the publisher chose, so a client
+// reading a row by position saw columns swapped.
+func TestRejectsUnsortedDisclosure(t *testing.T) {
+	f := newVFix(t)
+	q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19, Project: []string{"Name", "Dept"}}
+	res := f.query(t, q)
+	e := &res.VO.Entries[0]
+	if len(e.Disclosed) != 2 {
+		t.Fatalf("want two disclosed columns, got %d", len(e.Disclosed))
+	}
+	e.Disclosed = []engine.DisclosedAttr{e.Disclosed[1], e.Disclosed[0]}
+	if _, err := f.v.VerifyResult(q, f.role, res); !errors.Is(err, verify.ErrEntry) {
+		t.Fatalf("reversed disclosure: %v, want ErrEntry", err)
+	}
+}
+
 func TestRejectsMissingSignatures(t *testing.T) {
 	f := newVFix(t)
 	q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}
@@ -170,11 +189,11 @@ func TestRandomBitFlipsNeverVerify(t *testing.T) {
 			for _, d := range e.HiddenLeaves {
 				targets = append(targets, d)
 			}
-			if e.Chain.UpRoot != nil {
-				targets = append(targets, e.Chain.UpRoot)
+			if e.UpCombined != nil {
+				targets = append(targets, e.UpCombined)
 			}
-			if e.Chain.DownRoot != nil {
-				targets = append(targets, e.Chain.DownRoot)
+			if e.DownCombined != nil {
+				targets = append(targets, e.DownCombined)
 			}
 		}
 		for _, d := range vo.Left.Chain.Intermediates {

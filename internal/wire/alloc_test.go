@@ -5,7 +5,6 @@ import (
 	"io"
 	"testing"
 
-	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/relation"
@@ -13,7 +12,7 @@ import (
 )
 
 // allocChunk builds a realistic entries chunk: n covered records, each
-// with a disclosed value, hidden leaves and chain roots — the shape the
+// with a disclosed value, hidden leaves and chain digests — the shape the
 // /stream path serializes thousands of times per large result.
 func allocChunk(n int) *engine.Chunk {
 	h := hashx.New()
@@ -27,7 +26,8 @@ func allocChunk(n int) *engine.Chunk {
 				h.Hash([]byte{byte(i)}),
 				h.Hash([]byte{byte(i), 1}),
 			},
-			Chain: core.EntryChainInfo{UpRoot: h.Hash([]byte{byte(i), 3}), DownRoot: h.Hash([]byte{byte(i), 4})},
+			UpCombined:   h.Hash([]byte{byte(i), 3}),
+			DownCombined: h.Hash([]byte{byte(i), 4}),
 		})
 	}
 	return c

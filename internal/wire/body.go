@@ -260,7 +260,7 @@ func appendTransferFrame(b []byte, f *TransferFrame) ([]byte, error) {
 		b = appendInt(appendSpec(append(b, tagTransferManifest), &m.Spec), m.Shard)
 		p := &m.Params
 		b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, p.L), p.U), p.BP.B)
-		b = binary.AppendUvarint(appendInt(b, p.BP.Digits), p.Version)
+		b = binary.AppendUvarint(binary.AppendUvarint(appendInt(b, p.BP.Digits), p.Version), p.Format)
 		b = binary.AppendUvarint(appendBytes(appendBytes(b, m.Schema.Name), m.Schema.KeyName), uint64(len(m.Schema.Cols)))
 		for _, c := range m.Schema.Cols {
 			b = appendInt(appendBytes(b, c.Name), int(c.Type))
@@ -285,7 +285,7 @@ func (d *decoder) transferFrame(f *TransferFrame) {
 		d.spec(&m.Spec)
 		m.Shard = d.int()
 		m.Params = core.Params{L: d.uvarint(), U: d.uvarint(),
-			BP: basep.Params{B: d.uvarint(), Digits: d.int()}, Version: d.uvarint()}
+			BP: basep.Params{B: d.uvarint(), Digits: d.int()}, Version: d.uvarint(), Format: d.uvarint()}
 		m.Schema.Name, m.Schema.KeyName = d.str(), d.str()
 		m.Schema.Cols = alloc[relation.Column](d, 2)
 		for i := range m.Schema.Cols {

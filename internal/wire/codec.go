@@ -25,9 +25,16 @@ import (
 // complete the space — so a frame read as the wrong kind is malformed.
 // Each tag's fields are what its append function writes, in that order;
 // DESIGN.md "One field codec for everything streamed" has the table.
+//
+// Record format 1 (core.RecordFormat) changed the fields of an entry and
+// of a signed record, so every frame carrying either took a new tag — the
+// chunk family moved whole, from 0x10 + type — and the format-0 tags
+// (0x11–0x15, 0x21, 0x34–0x36, 0x42, 0x46, 0x47, 0x51, 0x52) are retired:
+// nothing signed in format 0 verifies any more, so there is nothing to
+// read forward.
 const (
-	tagChunk     = 0x10 // + engine.ChunkType
-	tagNodeHello = 0x21
+	tagChunk     = 0x60 // + engine.ChunkType
+	tagNodeHello = 0x25
 	tagNodeChunk = 0x22
 	tagNodeFoot  = 0x23
 	tagNodeErr   = 0x24
@@ -36,37 +43,37 @@ const (
 	tagStreamRequest      = 0x31
 	tagShardStreamRequest = 0x32
 	tagShardRef           = 0x33
-	tagDelta              = 0x34
-	tagNodeDeltaRequest   = 0x35
-	tagMirrorRequest      = 0x36
+	tagDelta              = 0x3a
+	tagNodeDeltaRequest   = 0x3b
+	tagMirrorRequest      = 0x3c
 	tagTxRequest          = 0x37
 	tagHostedRequest      = 0x38
 	tagLeaseRequest       = 0x39
 
 	// Reply bodies (body.go).
 	tagDeltaResponse     = 0x41
-	tagEdgeResponse      = 0x42
+	tagEdgeResponse      = 0x49
 	tagDigestResponse    = 0x43
 	tagHostedResponse    = 0x44
 	tagOKResponse        = 0x45
-	tagNodeDeltaResponse = 0x46
-	tagMirrorResponse    = 0x47
+	tagNodeDeltaResponse = 0x4a
+	tagMirrorResponse    = 0x4b
 	tagLeaseResponse     = 0x48
 
 	// Shard-transfer frames (body.go).
-	tagTransferManifest = 0x51
-	tagTransferRecs     = 0x52
+	tagTransferManifest = 0x55
+	tagTransferRecs     = 0x56
 	tagTransferFoot     = 0x53
 	tagTransferErr      = 0x54
 )
 
-// minEntry is the least an entry encodes to (mode, key, two counts, five
+// minEntry is the least an entry encodes to (mode, key, two counts, two
 // digest lengths), minRecord the least a signed record does (kind, key,
-// row id, attribute count, six digest and one signature lengths); the
+// row id, attribute count, four digest and one signature lengths); the
 // other list elements' least sizes are spelled at their alloc call.
 const (
-	minEntry  = 9
-	minRecord = 11
+	minEntry  = 6
+	minRecord = 9
 )
 
 // --- values -----------------------------------------------------------
@@ -119,7 +126,7 @@ func appendRecord(b []byte, r *core.SignedRecord) []byte {
 	for i := range r.Tuple.Attrs {
 		b = appendValue(b, &r.Tuple.Attrs[i])
 	}
-	for _, dg := range [...]hashx.Digest{r.UpRoot, r.DownRoot, r.UpCombined, r.DownCombined, r.AttrRoot, r.G} {
+	for _, dg := range [...]hashx.Digest{r.UpCombined, r.DownCombined, r.AttrRoot, r.G} {
 		b = appendBytes(b, dg)
 	}
 	return appendBytes(b, r.Sig)
@@ -132,7 +139,7 @@ func (d *decoder) record(r *core.SignedRecord) {
 	for i := range r.Tuple.Attrs {
 		d.value(&r.Tuple.Attrs[i])
 	}
-	for _, dg := range [...]*hashx.Digest{&r.UpRoot, &r.DownRoot, &r.UpCombined, &r.DownCombined, &r.AttrRoot, &r.G} {
+	for _, dg := range [...]*hashx.Digest{&r.UpCombined, &r.DownCombined, &r.AttrRoot, &r.G} {
 		*dg = d.bytes()
 	}
 	r.Sig = d.bytes()
@@ -298,10 +305,7 @@ func appendEntry(b []byte, e *engine.VOEntry) []byte {
 		b = appendValue(appendInt(b, e.Disclosed[i].Col), &e.Disclosed[i].Val)
 	}
 	b = appendList(b, e.HiddenLeaves)
-	for _, dg := range [...]hashx.Digest{e.Chain.UpRoot, e.Chain.DownRoot, e.UpCombined, e.DownCombined, e.G} {
-		b = appendBytes(b, dg)
-	}
-	return b
+	return appendBytes(appendBytes(b, e.UpCombined), e.DownCombined)
 }
 
 // chunkArenas backs the per-entry lists of one entries chunk, so a chunk
@@ -321,9 +325,7 @@ func (d *decoder) entry(e *engine.VOEntry, a *chunkArenas, more int) {
 		d.value(&e.Disclosed[i].Val)
 	}
 	e.HiddenLeaves = fill(d, carve(d, &a.leaves, 1, more))
-	for _, dg := range [...]*hashx.Digest{&e.Chain.UpRoot, &e.Chain.DownRoot, &e.UpCombined, &e.DownCombined, &e.G} {
-		*dg = d.bytes()
-	}
+	e.UpCombined, e.DownCombined = d.bytes(), d.bytes()
 }
 
 func appendChunk(b []byte, c *engine.Chunk) ([]byte, error) {

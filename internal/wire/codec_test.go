@@ -172,14 +172,13 @@ func (f *codecFixture) realChunks(t testing.TB) []*engine.Chunk {
 		t.Fatal(err)
 	}
 	out = append(out, drain(t, st)...)
-	// The fixture's keys are unique, so no stream elides a duplicate; the
-	// Section 4.2 entry shape and an entry mode no publisher defines ride
-	// on edited copies, as the tamper corpus makes them.
+	// Entry modes no publisher defines — format 0's elided duplicate
+	// among them — ride on edited copies, as the tamper corpus makes them.
 	for _, c := range out {
 		if c.Type == engine.ChunkEntries && len(c.Entries) > 1 {
 			edited := *c
 			edited.Entries = append([]engine.VOEntry(nil), c.Entries...)
-			edited.Entries[0] = engine.VOEntry{Mode: engine.EntryElidedDup, G: c.Entries[0].Chain.UpRoot}
+			edited.Entries[0].Mode = 3
 			edited.Entries[1].Mode = 4
 			out = append(out, &edited)
 			break
@@ -477,11 +476,8 @@ func TestDecodedFramesDoNotShareMemory(t *testing.T) {
 			for _, l := range e.HiddenLeaves {
 				scribble(l)
 			}
-			scribble(e.Chain.UpRoot)
-			scribble(e.Chain.DownRoot)
 			scribble(e.UpCombined)
 			scribble(e.DownCombined)
-			scribble(e.G)
 		}
 		for _, d := range c.Left.Chain.Intermediates {
 			scribble(d)

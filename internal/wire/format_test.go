@@ -1,0 +1,97 @@
+package wire_test
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"math/big"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"vcqr/internal/accessctl"
+	"vcqr/internal/basep"
+	"vcqr/internal/core"
+	"vcqr/internal/hashx"
+	"vcqr/internal/owner"
+	"vcqr/internal/relation"
+	"vcqr/internal/wire"
+	"vcqr/internal/workload"
+)
+
+// The format0 types mirror what a build before record format 1 wrote:
+// params without a Format, records carrying the two representation-tree
+// roots. gob matches struct fields by name, so encoding them writes the
+// bytes such a build wrote.
+type format0Params struct {
+	L, U    uint64
+	BP      basep.Params
+	Version uint64
+}
+
+type format0Record struct {
+	Kind                                                    core.Kind
+	Tuple                                                   relation.Tuple
+	UpRoot, DownRoot, UpCombined, DownCombined, AttrRoot, G hashx.Digest
+	Sig                                                     []byte
+}
+
+type format0Relation struct {
+	Params format0Params
+	Schema relation.Schema
+	Recs   []format0Record
+}
+
+type format0ClientParams struct {
+	N      *big.Int
+	E      int
+	Params format0Params
+	Schema relation.Schema
+	Roles  map[string]accessctl.Role
+}
+
+// TestOldFormatFilesRefused: a params file, a snapshot and a bare
+// relation file written before record format 1 decode, and are refused
+// by name — never served, never verified against.
+func TestOldFormatFilesRefused(t *testing.T) {
+	h := hashx.New()
+	o := owner.NewWithKey(h, signKey(t))
+	rel, err := workload.Employees(workload.EmployeeConfig{N: 6, L: 0, U: 1 << 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := o.Publish(rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := format0Params{L: sr.Params.L, U: sr.Params.U, BP: sr.Params.BP}
+	old := format0Relation{Params: p, Schema: sr.Schema}
+	for _, r := range sr.Recs {
+		old.Recs = append(old.Recs, format0Record{Kind: r.Kind, Tuple: r.Tuple, UpRoot: r.UpCombined,
+			DownRoot: r.DownCombined, UpCombined: r.UpCombined, DownCombined: r.DownCombined,
+			AttrRoot: r.AttrRoot, G: r.G, Sig: r.Sig})
+	}
+	encode := func(prefix string, v any) []byte {
+		buf := bytes.NewBufferString(prefix)
+		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	path := filepath.Join(t.TempDir(), "params.gob")
+	cp := format0ClientParams{N: o.PublicKey().N, E: o.PublicKey().E, Params: p, Schema: sr.Schema}
+	if err := os.WriteFile(path, encode("", cp), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadClientParams(path); !errors.Is(err, core.ErrRecordFormat) {
+		t.Errorf("format-0 params file: %v, want core.ErrRecordFormat", err)
+	}
+	snapshot := encode("vcqr-snapshot-1\n", struct{ Relation *format0Relation }{&old})
+	if _, err := wire.DecodeSnapshot(snapshot); !errors.Is(err, core.ErrRecordFormat) {
+		t.Errorf("format-0 snapshot: %v, want core.ErrRecordFormat", err)
+	}
+	if _, err := wire.DecodeSnapshot(encode("", old)); !errors.Is(err, core.ErrRecordFormat) {
+		t.Errorf("format-0 bare relation: %v, want core.ErrRecordFormat", err)
+	}
+}

@@ -29,8 +29,7 @@ func sampleChunks() []*engine.Chunk {
 			Type: engine.ChunkEntries,
 			Seq:  1,
 			Entries: []engine.VOEntry{{
-				Mode:         engine.EntryElidedDup,
-				G:            h.Hash([]byte("g")),
+				Mode:         engine.EntryFilteredHidden,
 				HiddenLeaves: []hashx.Digest{h.Hash([]byte("leaf"))},
 			}},
 		},

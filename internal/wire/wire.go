@@ -50,7 +50,8 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 }
 
 // DecodeSnapshot deserializes a publication snapshot, transparently
-// accepting the legacy bare-relation format. Publishers must still
+// accepting the legacy bare-relation format, and refuses one signed in
+// another record format (core.ErrRecordFormat). Publishers must still
 // validate the contents against the owner's public key.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if !bytes.HasPrefix(data, snapMagic) {
@@ -63,6 +64,18 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data[len(snapMagic):])).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
+	}
+	if snap.Relation != nil {
+		if err := snap.Relation.Params.CheckFormat(); err != nil {
+			return nil, fmt.Errorf("wire: snapshot: %w", err)
+		}
+	}
+	if snap.Partition != nil {
+		for _, sl := range snap.Partition.Slices {
+			if err := sl.Params.CheckFormat(); err != nil {
+				return nil, fmt.Errorf("wire: snapshot: %w", err)
+			}
+		}
 	}
 	return &snap, nil
 }
@@ -98,7 +111,8 @@ func WriteClientParams(path string, cp ClientParams) error {
 	return f.Close()
 }
 
-// ReadClientParams loads a parameters file.
+// ReadClientParams loads a parameters file, refusing one the owner wrote
+// for another record format (core.ErrRecordFormat).
 func ReadClientParams(path string) (ClientParams, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -108,6 +122,9 @@ func ReadClientParams(path string) (ClientParams, error) {
 	var cp ClientParams
 	if err := gob.NewDecoder(f).Decode(&cp); err != nil {
 		return ClientParams{}, fmt.Errorf("wire: decode params: %w", err)
+	}
+	if err := cp.Params.CheckFormat(); err != nil {
+		return ClientParams{}, fmt.Errorf("wire: params %s: %w", path, err)
 	}
 	return cp, nil
 }
@@ -121,12 +138,16 @@ func EncodeRelation(sr *core.SignedRelation) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeRelation deserializes a signed relation. Publishers must still
+// DecodeRelation deserializes a signed relation, refusing one signed in
+// another record format (core.ErrRecordFormat). Publishers must still
 // Validate it against the owner's public key.
 func DecodeRelation(data []byte) (*core.SignedRelation, error) {
 	var sr core.SignedRelation
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sr); err != nil {
 		return nil, fmt.Errorf("wire: decode relation: %w", err)
+	}
+	if err := sr.Params.CheckFormat(); err != nil {
+		return nil, fmt.Errorf("wire: relation: %w", err)
 	}
 	return &sr, nil
 }
