@@ -518,21 +518,21 @@ func (c *Coordinator) mergeStream(roleName string, q, eff engine.Query, sub []pa
 	return st, nil
 }
 
-// pinRetries bounds the cross-node pin loop. Retries are rarer and
-// costlier than in-process re-pins (each opens fresh sub-streams), so
-// the bound is smaller than the server's.
+// pinRetries bounds the cross-node pin loop. Each retry opens fresh
+// sub-streams, so the bound is small.
 const pinRetries = 8
 
 // pinFeeds opens one live sub-stream per covering shard and checks every
-// adjacent hand-off by digest compare — the cross-process pinCover. A
-// mismatch (boundary delta or migration mid-cutover) closes everything
-// and re-pins; a node's not-hosting refusal re-reads the routing table
-// (a migration may have swung mid-query) and retries. When the cover
-// does not start at shard 0, the preceding shard's edge material is
-// pinned with the set (and hand-off-checked against the first feed), so
-// the empty-range predecessor digest is epoch-consistent with the cover
-// — exactly the in-process pinCover contract. Every feed is a node's:
-// the edge cache never enters the merge.
+// adjacent hand-off by digest compare. A mismatch (boundary delta or
+// migration mid-cutover) closes everything and re-pins; a node's
+// not-hosting refusal re-reads the routing table (a migration may have
+// swung mid-query) and retries. When the cover does not start at shard
+// 0, the preceding shard's edge material is pinned with the set (and
+// hand-off-checked against the first feed), so the empty-range
+// predecessor digest is epoch-consistent with the cover — the cut an
+// in-process read gets by pinning under the hosting table's lock, which
+// no cross-process read can take. Every feed is a node's: the edge cache
+// never enters the merge.
 func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int, span *obs.Span) ([]engine.ShardFeed, engine.PrevG, error) {
 	var trace string
 	if span != nil {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -95,40 +96,89 @@ func (e *fanoutEnv) fanout(t *testing.T, q engine.Query, opts engine.StreamOpts)
 // TestFanoutMatchesUnpartitioned is the core soundness check: a
 // cross-shard fan-out stream must collect into a result byte-identical
 // to the unpartitioned execution, and must pass the *unmodified*
-// whole-result verifier — partitioning is invisible to the chain.
+// whole-result verifier — partitioning is invisible to the chain. At
+// K = 1 the frames themselves are compared: the merged stream is
+// ExecuteStream's chunk for chunk except that its footer carries one
+// ShardFeet line (shard tags are 0, the field's zero value), which is
+// what keeps an unpartitioned relation off the merged path.
 func TestFanoutMatchesUnpartitioned(t *testing.T) {
-	e := newFanoutEnv(t, 120, 4)
-	if err := e.pub.AddRelation(e.sr, false); err != nil {
-		t.Fatal(err)
-	}
-	lo := e.sr.Recs[10].Key()
-	hi := e.sr.Recs[110].Key()
-	q := engine.Query{Relation: e.sr.Schema.Name, KeyLo: lo, KeyHi: hi}
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			e := newFanoutEnv(t, 120, k)
+			if err := e.pub.AddRelation(e.sr, false); err != nil {
+				t.Fatal(err)
+			}
+			lo := e.sr.Recs[10].Key()
+			hi := e.sr.Recs[110].Key()
+			q := engine.Query{Relation: e.sr.Schema.Name, KeyLo: lo, KeyHi: hi}
 
-	want, err := e.pub.Execute("all", q)
-	if err != nil {
-		t.Fatal(err)
+			want, err := e.pub.Execute("all", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := engine.Collect(e.fanout(t, q, engine.StreamOpts{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.VO.AggSig, got.VO.AggSig) {
+				t.Fatal("fan-out aggregate signature differs from unpartitioned execution")
+			}
+			if len(want.VO.Entries) != len(got.VO.Entries) {
+				t.Fatalf("fan-out covered %d entries, unpartitioned %d", len(got.VO.Entries), len(want.VO.Entries))
+			}
+			rows, err := e.v.VerifyResult(q, e.role, got)
+			if err != nil {
+				t.Fatalf("fan-out result rejected by the unmodified verifier: %v", err)
+			}
+			wantRows, err := e.v.VerifyResult(q, e.role, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(rows, wantRows) {
+				t.Fatal("verified rows differ")
+			}
+			if k > 1 {
+				return
+			}
+			opts := engine.StreamOpts{ChunkRows: 16}
+			plain, err := e.pub.ExecuteStream("all", q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := drainChunks(t, plain), drainChunks(t, e.fanout(t, q, opts))
+			if len(a) != len(b) {
+				t.Fatalf("ExecuteStream emitted %d chunks, the K = 1 merge %d", len(a), len(b))
+			}
+			for i := range a {
+				ca, cb := *a[i], *b[i]
+				if ca.Type == engine.ChunkFooter {
+					feet := []engine.ShardFoot{{Shard: 0, Entries: uint64(len(want.VO.Entries))}}
+					if ca.ShardFeet != nil || !reflect.DeepEqual(cb.ShardFeet, feet) {
+						t.Fatalf("footer ShardFeet: ExecuteStream %v, K = 1 merge %v", ca.ShardFeet, cb.ShardFeet)
+					}
+					cb.ShardFeet = nil
+				}
+				if !reflect.DeepEqual(ca, cb) {
+					t.Fatalf("chunk %d (%v) differs between ExecuteStream and the K = 1 merge", i, ca.Type)
+				}
+			}
+		})
 	}
-	got, err := engine.Collect(e.fanout(t, q, engine.StreamOpts{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.VO.AggSig, got.VO.AggSig) {
-		t.Fatal("fan-out aggregate signature differs from unpartitioned execution")
-	}
-	if len(want.VO.Entries) != len(got.VO.Entries) {
-		t.Fatalf("fan-out covered %d entries, unpartitioned %d", len(got.VO.Entries), len(want.VO.Entries))
-	}
-	rows, err := e.v.VerifyResult(q, e.role, got)
-	if err != nil {
-		t.Fatalf("fan-out result rejected by the unmodified verifier: %v", err)
-	}
-	wantRows, err := e.v.VerifyResult(q, e.role, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, wantRows) {
-		t.Fatal("verified rows differ")
+}
+
+// drainChunks reads a stream to its end.
+func drainChunks(t *testing.T, st engine.ResultStream) []*engine.Chunk {
+	t.Helper()
+	var out []*engine.Chunk
+	for {
+		c, err := st.Next()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, c)
 	}
 }
 
@@ -141,22 +191,9 @@ func TestFanoutParallelDeterminism(t *testing.T) {
 	e := newFanoutEnv(t, 160, 8)
 	q := engine.Query{Relation: e.sr.Schema.Name}
 
-	drain := func(st engine.ResultStream) []*engine.Chunk {
-		var out []*engine.Chunk
-		for {
-			c, err := st.Next()
-			if err == io.EOF {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, c)
-		}
-	}
 	opts := engine.StreamOpts{ChunkRows: 16}
-	seqChunks := drain(e.mergeSequential(t, q, opts))
-	parChunks := drain(e.fanout(t, q, opts))
+	seqChunks := drainChunks(t, e.mergeSequential(t, q, opts))
+	parChunks := drainChunks(t, e.fanout(t, q, opts))
 	if len(seqChunks) != len(parChunks) {
 		t.Fatalf("sequential emitted %d chunks, parallel %d", len(seqChunks), len(parChunks))
 	}

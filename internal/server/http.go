@@ -52,10 +52,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// obsRole reports the Export role: a server that hosts shard slices for
-// a coordinator is a node, otherwise a standalone server.
+// obsRole reports the Export role from what a coordinator did: a server
+// that accepted an install, recorded a lease, or runs on a durable node
+// store is a node; anything else — AddPartition's shards included — is a
+// standalone server.
 func (s *Server) obsRole() string {
-	if len(s.nodeStats()) > 0 {
+	if s.installs.Load() > 0 || s.leaseStat() != nil || s.nstore != nil {
 		return "node"
 	}
 	return "server"
@@ -159,7 +161,7 @@ func (s *Server) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 		// the drain is frame encode + flush — the wire_encode share.
 		s.hVO.Observe(assemble)
 		s.hWire.Observe(encode)
-		if s.partFor(req.Query.Relation) != nil {
+		if s.nodeFor(req.Query.Relation) != nil {
 			// A partitioned relation's stream is a merged one; observed
 			// as the coordinator observes its own.
 			s.obs.Observe(obs.StageFanoutMerge, total)

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net/http"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +23,17 @@ import (
 	"vcqr/internal/wire"
 )
 
-// This file is shard-node mode: the server side of the distributed tier
-// (internal/cluster). A node hosts individual shard slices — installed,
-// served, and removed one at a time by a coordinator — instead of a
-// whole partitioned publication. Each hosted slice is a regular store
-// entry with its own copy-on-write epoch, so everything the in-process
-// partitioned server guarantees (pinned streams across cutovers, per-
-// shard isolation) holds per node for free.
+// This file is the hosting table: the server side of the distributed tier
+// (internal/cluster) and the in-process partitioned relation alike. A
+// node table hosts shard slices of one relation — installed, served and
+// removed one at a time by a coordinator, or all K at once by
+// AddPartition. Each hosted slice is a regular store entry with its own
+// copy-on-write epoch: a delta to shard i clones and swaps O(n/K)
+// records, and a stream keeps verifying against the slices it pinned
+// whichever shards cut over mid-drain. The server answers /stream and
+// /delta for a relation when its table hosts every shard of the spec;
+// both pin or publish under the table's lock, so a read sees a delta
+// entirely or not at all.
 //
 // The node stays untrusted exactly like a whole publisher: nothing it
 // serves is believed without verification, so the coordinator/node
@@ -45,7 +50,7 @@ import (
 // only then commits each node's staged slices. A crashed coordinator
 // leaves at most a staged transaction, which the next prepare discards.
 
-// Node-mode errors.
+// Hosting errors.
 var (
 	// ErrNodeNotHosting refuses a shard request for a shard this node
 	// does not host. The message embeds wire.NotHostingMsg so the
@@ -61,9 +66,15 @@ var (
 	ErrStagedToken = errors.New("server: staged delta token mismatch")
 	// ErrInstallInvalid refuses a shard install that fails validation.
 	ErrInstallInvalid = errors.New("server: shard install failed validation")
+	// ErrShardUnderflow rejects a delta that would leave a shard with no
+	// owned records; shard rebalancing is an owner-side operation, not
+	// something a live delta may force.
+	ErrShardUnderflow = errors.New("server: delta would leave a shard without records; repartition required")
+	// ErrAlreadyHosted rejects hosting two publications under one name.
+	ErrAlreadyHosted = errors.New("server: relation name already hosted")
 )
 
-// hostedShard is the per-slice bookkeeping of node mode.
+// hostedShard is the per-slice bookkeeping of the hosting table.
 type hostedShard struct {
 	// installDigest is the slice digest at install time. Comparing it
 	// with the current digest tells whether this copy has been written
@@ -89,17 +100,23 @@ type stagedTx struct {
 	slices map[int]*core.SignedRelation
 }
 
-// nodeTable is the node-mode state of one relation.
+// nodeTable is the hosting state of one relation.
 type nodeTable struct {
 	spec   partition.Spec
 	params core.Params
 	schema relation.Schema
 
-	// mu serializes installs, removes and staged-delta operations for
-	// this relation; queries never take it.
+	// mu serializes installs, removes, delta staging and commits for this
+	// relation; a read holds it only while it pins slices.
 	mu     sync.Mutex
 	hosted map[int]*hostedShard
 	staged *stagedTx
+}
+
+// shardName is the store key of one shard slice. The NUL byte keeps the
+// namespace disjoint from user relation names.
+func shardName(rel string, i int) string {
+	return rel + "\x00shard" + strconv.Itoa(i)
 }
 
 // nodeFor returns the node table for a relation, or nil.
@@ -108,6 +125,150 @@ func (s *Server) nodeFor(name string) *nodeTable {
 	nt := s.nodeRels[name]
 	s.nodeMu.RUnlock()
 	return nt
+}
+
+// openTable returns the relation's node table with nt.mu held, creating
+// it from spec and sr's params and schema when the relation has none —
+// the one table-creation path of InstallShard, recoverSlice and
+// AddPartition. A relation hosted plain is refused, and with fresh set
+// so is one that already has a table. nodeMu is held across the check and
+// the insert, and AddRelation takes it too, so a name is hosted one way.
+func (s *Server) openTable(name string, spec partition.Spec, sr *core.SignedRelation, fresh bool) (*nodeTable, error) {
+	s.nodeMu.Lock()
+	defer s.nodeMu.Unlock()
+	nt := s.nodeRels[name]
+	if _, _, plain := s.store.View(name); plain || (fresh && nt != nil) {
+		return nil, fmt.Errorf("%w: %q", ErrAlreadyHosted, name)
+	}
+	if nt == nil {
+		nt = &nodeTable{spec: spec, params: sr.Params, schema: sr.Schema, hosted: map[int]*hostedShard{}}
+		s.nodeRels[name] = nt
+	}
+	nt.mu.Lock()
+	return nt, nil
+}
+
+// served returns the relation's node table with nt.mu held when it hosts
+// every shard of its spec — the one condition under which the server
+// answers /stream and /delta from it — and nil otherwise, so a partial
+// host falls through to the plain path and its refusal.
+func (s *Server) served(name string) *nodeTable {
+	nt := s.nodeFor(name)
+	if nt == nil {
+		return nil
+	}
+	nt.mu.Lock()
+	if nt.servesAll() {
+		return nt
+	}
+	nt.mu.Unlock()
+	return nil
+}
+
+// servesAll reports whether every shard of the spec is hosted. Caller
+// holds nt.mu.
+func (nt *nodeTable) servesAll() bool {
+	for i := range nt.spec.K() {
+		if nt.hosted[i] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// AddPartition publishes a partitioned relation: a fresh node table that
+// hosts every shard slice, each its own store entry with an independent
+// epoch. With validate set, the whole set is checked first — hand-off
+// agreement, span containment, and the full digest/signature validation
+// of the stitched global sequence — exactly what a publisher owes an
+// untrusted owner feed.
+func (s *Server) AddPartition(set *partition.Set, validate bool) error {
+	if validate {
+		if err := set.Validate(s.h, s.pub); err != nil {
+			return err
+		}
+	} else if err := set.Spec.Validate(); err != nil {
+		return err
+	}
+	if len(set.Slices) != set.Spec.K() {
+		return fmt.Errorf("%w: %d slices for %d shards", partition.ErrSetInvalid, len(set.Slices), set.Spec.K())
+	}
+	name := set.Spec.Relation
+	nt, err := s.openTable(name, set.Spec, set.Slices[0], true)
+	if err != nil {
+		return err
+	}
+	defer nt.mu.Unlock()
+	for i, sl := range set.Slices {
+		dg := partition.SliceDigest(s.h, sl)
+		s.store.AddNamed(shardName(name, i), sl)
+		nt.hosted[i] = &hostedShard{installDigest: dg, digest: dg}
+	}
+	return nil
+}
+
+// hostedStream answers q from a table served returned locked: it plans
+// and pins every covering slice, plus the one preceding the cover (the
+// empty-range predecessor material), in that one critical section, then
+// releases it and launches the fan-out. Deltas stage and publish under
+// the same lock, so the pinned slices are one cut of the chain and no
+// hand-off needs re-checking.
+func (s *Server) hostedStream(nt *nodeTable, roleName string, q engine.Query, opts engine.StreamOpts) (engine.ResultStream, error) {
+	role, eff, err := engine.PlanQuery(s.policy, nt.params, nt.schema, roleName, q)
+	if err != nil {
+		nt.mu.Unlock()
+		return nil, err
+	}
+	sub := nt.spec.Decompose(eff.KeyLo, eff.KeyHi)
+	cover := make([]engine.ShardSlice, len(sub))
+	for i, sr := range sub {
+		sl, _, _ := s.store.View(shardName(q.Relation, sr.Shard))
+		cover[i] = engine.ShardSlice{Shard: sr.Shard, SR: sl, Lo: sr.Lo, Hi: sr.Hi}
+		nt.hosted[sr.Shard].streams.Add(1)
+	}
+	var prev engine.PrevPin
+	if first := sub[0].Shard; first > 0 {
+		sl, _, _ := s.store.View(shardName(q.Relation, first-1))
+		prev = func() (*core.SignedRelation, bool) { return sl, true }
+	}
+	nt.mu.Unlock()
+	return s.exec.FanoutStream(role, eff, cover, prev, opts)
+}
+
+// applyHostedDelta runs the node tier's delta protocol with every shard
+// hosted here, under the nt.mu served took: prepare (stageDelta — every
+// mirror stitch is local and every touched neighbourhood validates
+// against fresh mirrors), the coordinator's seam check over the staged
+// edge material, then the node's commit. A failure anywhere publishes
+// nothing.
+func (s *Server) applyHostedDelta(nt *nodeTable, d delta.Delta) (uint64, error) {
+	defer nt.mu.Unlock()
+	news, err := s.stageDelta(nt.spec, d, func(int) bool { return true })
+	if err != nil {
+		return 0, err
+	}
+	// Per-shard validation skipped the signatures of context records (each
+	// slice sees only its side of a hand-off). Re-prove both hand-off
+	// signatures of every seam beside a modified shard: a delta that
+	// re-signed one side of a boundary without the matching neighbour op
+	// dies here, before anything publishes.
+	edges := func(i int) partition.Edges {
+		if sl := news[i]; sl != nil {
+			return partition.EdgesOf(sl)
+		}
+		sl, _, _ := s.store.View(shardName(d.Relation, i))
+		return partition.EdgesOf(sl)
+	}
+	for x := 0; x+1 < nt.spec.K(); x++ { // seam x is between shards x and x+1
+		if news[x] == nil && news[x+1] == nil {
+			continue
+		}
+		if err := partition.CheckSeam(s.h, s.pub, nt.params, edges(x), edges(x+1)); err != nil {
+			return 0, fmt.Errorf("server: delta rejected: seam %d-%d: %w", x, x+1, err)
+		}
+	}
+	nt.staged = nil // whatever a coordinator staged is stale after this commit
+	return s.commitSlices(nt, d.Relation, news)
 }
 
 // InstallShard hosts one shard slice received over a transfer stream.
@@ -129,36 +290,12 @@ func (s *Server) InstallShard(man wire.ShardManifest, sr *core.SignedRelation) e
 		return fmt.Errorf("%w: %v", ErrInstallInvalid, err)
 	}
 	name := man.Spec.Relation
-
-	// Lock order is partMu before nodeMu everywhere (AddRelation and
-	// AddPartition hold partMu and peek at nodeRels through nodeFor);
-	// taking them in the other order here would be an ABBA deadlock.
-	// s.parts is read directly instead of via partFor because RLock is
-	// not reentrant once a writer queues.
-	s.partMu.RLock()
-	defer s.partMu.RUnlock()
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	if s.parts[name] != nil {
-		return fmt.Errorf("%w: %q (partitioned)", ErrAlreadyHosted, name)
-	}
-	if _, _, plain := s.store.View(name); plain {
-		return fmt.Errorf("%w: %q", ErrAlreadyHosted, name)
-	}
-	nt := s.nodeRels[name]
-	if nt == nil {
-		nt = &nodeTable{
-			spec:   man.Spec,
-			params: sr.Params,
-			schema: sr.Schema,
-			hosted: map[int]*hostedShard{},
-		}
-		s.nodeRels[name] = nt
-	}
-
 	// The spec check-and-adopt and the hosting write share one nt.mu
 	// critical section: every other reader of nt.spec holds nt.mu too.
-	nt.mu.Lock()
+	nt, err := s.openTable(name, man.Spec, sr, false)
+	if err != nil {
+		return err
+	}
 	defer nt.mu.Unlock()
 	if !nt.spec.Same(man.Spec) {
 		if man.Spec.Version <= nt.spec.Version {
@@ -181,8 +318,7 @@ func (s *Server) InstallShard(man wire.ShardManifest, sr *core.SignedRelation) e
 		}
 	}
 	s.store.AddNamed(shardName(name, man.Shard), sr)
-	hs := &hostedShard{installDigest: dg, digest: dg}
-	nt.hosted[man.Shard] = hs
+	nt.hosted[man.Shard] = &hostedShard{installDigest: dg, digest: dg}
 	s.installs.Add(1)
 	return nil
 }
@@ -246,14 +382,15 @@ func (s *Server) RemoveShard(ref wire.ShardRef) error {
 	return nil
 }
 
-// viewHosted pins a hosted slice, returning the pinned snapshot, its
-// store epoch and the cached slice digest as one consistent triple:
-// every publish path (install, delta commit) swaps the store entry and
-// refreshes the cached digest inside the same nt.mu critical section
-// this read holds, so the digest always names exactly the returned
-// slice. Holding nt.mu across store.View matches the existing lock
-// order (publishers already call store.AddNamed under nt.mu).
-func (s *Server) viewHosted(ref wire.ShardRef) (*nodeTable, *core.SignedRelation, uint64, hashx.Digest, error) {
+// viewHosted pins a hosted slice, returning its bookkeeping, the pinned
+// snapshot, its store epoch and the cached slice digest as one
+// consistent set: every publish path (install, delta commit) swaps the
+// store entry and refreshes the cached digest inside the same nt.mu
+// critical section this read holds, so the digest always names exactly
+// the returned slice. Holding nt.mu across store.View matches the
+// existing lock order (publishers already call store.AddNamed under
+// nt.mu).
+func (s *Server) viewHosted(ref wire.ShardRef) (*hostedShard, *core.SignedRelation, uint64, hashx.Digest, error) {
 	nt := s.nodeFor(ref.Relation)
 	if nt == nil {
 		return nil, nil, 0, nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, ref.Shard, ref.Relation)
@@ -268,7 +405,7 @@ func (s *Server) viewHosted(ref wire.ShardRef) (*nodeTable, *core.SignedRelation
 	if !ok {
 		return nil, nil, 0, nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, ref.Shard, ref.Relation)
 	}
-	return nt, sl, epoch, hs.digest, nil
+	return hs, sl, epoch, hs.digest, nil
 }
 
 // ShardEdges returns a hosted slice's seam material.
@@ -282,24 +419,16 @@ func (s *Server) ShardEdges(ref wire.ShardRef) (wire.EdgeResponse, error) {
 
 // ShardDigestInfo returns a hosted slice's digest summary.
 func (s *Server) ShardDigestInfo(ref wire.ShardRef) (wire.DigestResponse, error) {
-	nt, sl, epoch, _, err := s.viewHosted(ref)
+	hs, sl, epoch, _, err := s.viewHosted(ref)
 	if err != nil {
 		return wire.DigestResponse{}, err
 	}
-	nt.mu.Lock()
-	var deltas uint64
-	var installDigest hashx.Digest
-	if hs := nt.hosted[ref.Shard]; hs != nil {
-		deltas = hs.deltas.Load()
-		installDigest = hs.installDigest
-	}
-	nt.mu.Unlock()
 	return wire.DigestResponse{
 		Epoch:         epoch,
 		Digest:        partition.SliceDigest(s.h, sl),
-		InstallDigest: installDigest,
+		InstallDigest: hs.installDigest,
 		Records:       sl.Len(),
-		Deltas:        deltas,
+		Deltas:        hs.deltas.Load(),
 	}, nil
 }
 
@@ -312,9 +441,6 @@ func (s *Server) HostedInventory() wire.HostedResponse {
 	s.nodeMu.RUnlock()
 	for _, name := range names {
 		nt := s.nodeFor(name)
-		if nt == nil {
-			continue
-		}
 		nt.mu.Lock()
 		shards := slices.Sorted(maps.Keys(nt.hosted))
 		spec := nt.spec
@@ -338,18 +464,15 @@ func (s *Server) HostedInventory() wire.HostedResponse {
 // WriteShardTo streams a hosted slice as transfer frames — the fetch
 // half of a migration.
 func (s *Server) WriteShardTo(w io.Writer, ref wire.ShardRef) error {
-	nt, sl, epoch, _, err := s.viewHosted(ref)
+	hs, sl, epoch, _, err := s.viewHosted(ref)
 	if err != nil {
 		return err
 	}
+	nt := s.nodeFor(ref.Relation)
 	nt.mu.Lock()
-	var deltas uint64
-	if hs := nt.hosted[ref.Shard]; hs != nil {
-		deltas = hs.deltas.Load()
-	}
 	spec := nt.spec
 	nt.mu.Unlock()
-	man := wire.ShardManifest{Spec: spec, Shard: ref.Shard, Epoch: epoch, Deltas: deltas}
+	man := wire.ShardManifest{Spec: spec, Shard: ref.Shard, Epoch: epoch, Deltas: hs.deltas.Load()}
 	return wire.WriteShardTransfer(w, s.h, man, sl)
 }
 
@@ -410,11 +533,10 @@ func (s *Server) RecordLease(req wire.LeaseRequest) wire.LeaseResponse {
 	}
 	s.nodeMu.RUnlock()
 	for _, name := range names {
-		if nt := s.nodeFor(name); nt != nil {
-			nt.mu.Lock()
-			hosted += len(nt.hosted)
-			nt.mu.Unlock()
-		}
+		nt := s.nodeFor(name)
+		nt.mu.Lock()
+		hosted += len(nt.hosted)
+		nt.mu.Unlock()
 	}
 	inflight := s.subInflight.Load()
 	if inflight < 0 {
@@ -462,7 +584,7 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 			fmt.Sprintf("relation=%s shard=%d", req.Query.Relation, req.Shard))
 	}()
 	ref := wire.ShardRef{Relation: req.Query.Relation, Shard: req.Shard}
-	nt, sl, epoch, dg, err := s.viewHosted(ref)
+	hs, sl, epoch, dg, err := s.viewHosted(ref)
 	if err != nil {
 		writeNodeErr(w, flush, err)
 		return err
@@ -480,11 +602,7 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 		writeNodeErr(w, flush, err)
 		return err
 	}
-	nt.mu.Lock()
-	if hs := nt.hosted[req.Shard]; hs != nil {
-		hs.streams.Add(1)
-	}
-	nt.mu.Unlock()
+	hs.streams.Add(1)
 	s.shardStreams.Add(1)
 	s.subInflight.Add(1)
 	defer s.subInflight.Add(-1)
@@ -554,7 +672,7 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 	defer nt.mu.Unlock()
 	nt.staged = nil // discard any crashed coordinator's leftovers
 
-	news, _, err := s.stageDelta(nt.spec, d, func(i int) bool { return nt.hosted[i] != nil })
+	news, err := s.stageDelta(nt.spec, d, func(i int) bool { return nt.hosted[i] != nil })
 	if err != nil {
 		return wire.NodeDeltaResponse{}, err
 	}
@@ -572,22 +690,22 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 // that shard alone, stitches the hand-off mirrors between slices hosted
 // in this process, and validates every touched neighbourhood that can be
 // checked here — publishing nothing. hosted reports whether shard i's
-// slice lives in this process: the in-process partitioned server hosts
-// all K, so every stitch is local and every validation runs against
+// slice lives in this process: an in-process /delta runs on a table that
+// hosts all K, so every stitch is local and every validation runs against
 // fresh mirrors; a shard node hosts what its coordinator installed, and
 // a signature adjacent to an off-node mirror is deferred to the
-// coordinator's mirror fixes and seam checks. The caller holds the
-// relation's delta lock. Returned are the staged slices by shard (ops
-// shards plus stitched neighbours) and the shards that carried ops.
-func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int) bool) (map[int]*core.SignedRelation, []int, error) {
+// coordinator's mirror fixes and seam checks. The caller holds nt.mu.
+// Returned are the staged slices by shard (ops shards plus stitched
+// neighbours).
+func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int) bool) (map[int]*core.SignedRelation, error) {
 	groups, err := delta.Route(spec, d)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: delta rejected: %w", err)
+		return nil, fmt.Errorf("server: delta rejected: %w", err)
 	}
 	affected := slices.Sorted(maps.Keys(groups))
 	for _, i := range affected {
 		if !hosted(i) {
-			return nil, nil, fmt.Errorf("%w %d of %q (delta misrouted)", ErrNodeNotHosting, i, d.Relation)
+			return nil, fmt.Errorf("%w %d of %q (delta misrouted)", ErrNodeNotHosting, i, d.Relation)
 		}
 	}
 	k := spec.K()
@@ -610,15 +728,15 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 	for _, i := range affected {
 		cur, err := current(i)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		next := cur.Clone()
 		idxs, err := delta.ApplyOps(next, delta.Delta{Relation: d.Relation, Ops: groups[i]})
 		if err != nil {
-			return nil, nil, fmt.Errorf("server: delta rejected: %w", err)
+			return nil, fmt.Errorf("server: delta rejected: %w", err)
 		}
 		if next.Len() < 1 {
-			return nil, nil, fmt.Errorf("%w: shard %d", ErrShardUnderflow, i)
+			return nil, fmt.Errorf("%w: shard %d", ErrShardUnderflow, i)
 		}
 		news[i] = next
 		touched[i] = idxs
@@ -654,14 +772,14 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 			// The left neighbour's right context mirrors shard i's first
 			// owned record.
 			if err := stitch(i-1, true, sl.Recs[1]); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if i < k-1 && hosted(i+1) {
 			// The right neighbour's left context mirrors shard i's last
 			// owned record.
 			if err := stitch(i+1, false, sl.Recs[len(sl.Recs)-2]); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -676,24 +794,48 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 		leftFresh := i == 0 || hosted(i-1)
 		rightFresh := i == k-1 || hosted(i+1)
 		if err := validateStagedSlice(s, sl, touched[i], leftFresh, rightFresh); err != nil {
-			return nil, nil, fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
+			return nil, fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
 		}
 	}
-	return news, affected, nil
+	return news, nil
 }
 
-// publishSlices swaps staged slices into the store — one epoch per
-// shard, in shard order — and returns the highest epoch. The swaps are
-// not mutually atomic; readers pinning across a seam mid-publish observe
-// a hand-off mismatch and re-pin.
-func (s *Server) publishSlices(rel string, staged map[int]*core.SignedRelation) uint64 {
+// commitSlices is the one delta commit, FinishNodeDelta's and the
+// in-process /delta's. Append-before-acknowledge: with a durable store
+// configured, the delta lands in the WAL before any slice publishes, and
+// a failed append refuses the commit with nothing published — so the
+// served state never disagrees with what a restart would recover. Then
+// each staged slice swaps in as one epoch, in shard order, and its
+// cached digest and delta counter move with it. It returns the highest
+// epoch. The caller holds nt.mu, which every pin takes too, so no reader
+// sees the swaps half done.
+func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.SignedRelation) (uint64, error) {
+	shards := slices.Sorted(maps.Keys(staged))
+	digests := make(map[int]hashx.Digest, len(shards))
+	for _, i := range shards {
+		digests[i] = partition.SliceDigest(s.h, staged[i])
+	}
+	if s.nstore != nil {
+		cs := make([]store.CommitShard, 0, len(shards))
+		for _, i := range shards {
+			old, _, _ := s.store.View(shardName(rel, i))
+			cs = append(cs, store.CommitShard{Shard: i, Old: old, New: staged[i], PostDigest: digests[i]})
+		}
+		if err := s.nstore.LogCommit(rel, cs); err != nil {
+			return 0, fmt.Errorf("server: delta commit not durable: %w", err)
+		}
+	}
 	var epoch uint64
-	for _, i := range slices.Sorted(maps.Keys(staged)) {
+	for _, i := range shards {
 		if e := s.store.AddNamed(shardName(rel, i), staged[i]); e > epoch {
 			epoch = e
 		}
+		if hs := nt.hosted[i]; hs != nil {
+			hs.deltas.Add(1)
+			hs.digest = digests[i]
+		}
 	}
-	return epoch
+	return epoch, nil
 }
 
 // validateStagedSlice is delta.ValidateTouched with the cross-node
@@ -774,10 +916,9 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 	return wire.MirrorResponse{Token: tx.token, Edges: partition.EdgesOf(sl)}, nil
 }
 
-// FinishNodeDelta commits or aborts the staged transaction. Commit
-// publishes every staged slice (publishSlices, the in-process
-// partitioned server's publish too) and bumps the per-shard delta
-// counters.
+// FinishNodeDelta commits (commitSlices) or aborts the staged
+// transaction. The transaction is discarded either way, so a commit the
+// WAL refuses is re-driven by the coordinator from a fresh prepare.
 func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 	nt := s.nodeFor(req.Relation)
 	if nt == nil {
@@ -793,36 +934,9 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 	if !req.Commit {
 		return 0, nil
 	}
-	shards := slices.Sorted(maps.Keys(tx.slices))
-	// Append-before-acknowledge: the committed delta lands in the
-	// durable WAL before any slice publishes. A failed append refuses
-	// the commit with the staged transaction already discarded — the
-	// coordinator sees the error and re-drives the delta; nothing was
-	// published, so the node's served state never disagrees with what a
-	// restart would recover.
-	digests := make(map[int]hashx.Digest, len(shards))
-	for _, i := range shards {
-		digests[i] = partition.SliceDigest(s.h, tx.slices[i])
-	}
-	if s.nstore != nil {
-		cs := make([]store.CommitShard, 0, len(shards))
-		for _, i := range shards {
-			var old *core.SignedRelation
-			if sl, _, ok := s.store.View(shardName(req.Relation, i)); ok {
-				old = sl
-			}
-			cs = append(cs, store.CommitShard{Shard: i, Old: old, New: tx.slices[i], PostDigest: digests[i]})
-		}
-		if err := s.nstore.LogCommit(req.Relation, cs); err != nil {
-			return 0, fmt.Errorf("server: delta commit not durable: %w", err)
-		}
-	}
-	epoch := s.publishSlices(req.Relation, tx.slices)
-	for _, i := range shards {
-		if hs := nt.hosted[i]; hs != nil {
-			hs.deltas.Add(1)
-			hs.digest = digests[i]
-		}
+	epoch, err := s.commitSlices(nt, req.Relation, tx.slices)
+	if err != nil {
+		return 0, err
 	}
 	s.deltasApplied.Add(1)
 	return epoch, nil
@@ -883,13 +997,15 @@ type NodeShardStat struct {
 	Shard   int
 	Epoch   uint64
 	Records int
-	// Deltas counts committed distributed deltas since install; Streams
-	// counts fan-out sub-streams served from the slice.
+	// Deltas counts committed deltas since install; Streams counts the
+	// sub-streams served from the slice, to a coordinator or into a local
+	// fan-out.
 	Deltas, Streams uint64
 }
 
-// nodeStats snapshots the node-mode hosting state.
-func (s *Server) nodeStats() map[string][]NodeShardStat {
+// nodeStats snapshots the hosting state and adds the record total of
+// every relation the server answers for (all shards hosted) to rels.
+func (s *Server) nodeStats(rels map[string]int) map[string][]NodeShardStat {
 	s.nodeMu.RLock()
 	names := slices.Sorted(maps.Keys(s.nodeRels))
 	s.nodeMu.RUnlock()
@@ -899,24 +1015,20 @@ func (s *Server) nodeStats() map[string][]NodeShardStat {
 	out := map[string][]NodeShardStat{}
 	for _, name := range names {
 		nt := s.nodeFor(name)
-		if nt == nil {
-			continue
-		}
 		nt.mu.Lock()
-		shards := slices.Sorted(maps.Keys(nt.hosted))
-		stats := make(map[int]NodeShardStat, len(shards))
-		for i, hs := range nt.hosted {
-			stats[i] = NodeShardStat{Shard: i, Deltas: hs.deltas.Load(), Streams: hs.streams.Load()}
-		}
-		nt.mu.Unlock()
-		for _, i := range shards {
-			st := stats[i]
+		served := nt.servesAll()
+		for _, i := range slices.Sorted(maps.Keys(nt.hosted)) {
+			hs := nt.hosted[i]
+			st := NodeShardStat{Shard: i, Deltas: hs.deltas.Load(), Streams: hs.streams.Load()}
 			if sl, epoch, ok := s.store.View(shardName(name, i)); ok {
-				st.Epoch = epoch
-				st.Records = sl.Len()
+				st.Epoch, st.Records = epoch, sl.Len()
+			}
+			if served {
+				rels[name] += st.Records
 			}
 			out[name] = append(out[name], st)
 		}
+		nt.mu.Unlock()
 	}
 	return out
 }

@@ -82,48 +82,67 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	return out
 }
 
+// TestMetricsScrape runs over a plain relation and an AddPartition one:
+// both are standalone servers (role="server"), and each /stream on the
+// partitioned relation is one fanout_merge observation.
 func TestMetricsScrape(t *testing.T) {
-	s, _, v, _ := newServer(t, 64)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &wire.Client{BaseURL: ts.URL}
-
-	q := engine.Query{Relation: "Uniform", KeyLo: 1, KeyHi: 1 << 19}
-	if _, err := client.QueryStream(v, roleAll(), "all", q, 16, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Query("all", q); err != nil {
-		t.Fatal(err)
-	}
-
-	m := scrapeMetrics(t, ts.URL+"/metrics")
-	// A collected Client.Query is a stream like any other.
-	if got := m[`vcqr_streams_total{role="server"}`]; got != 2 {
-		t.Fatalf("vcqr_streams_total = %v, want 2", got)
-	}
-	if got := m[`vcqr_queries_total{role="server"}`]; got != 2 {
-		t.Fatalf("vcqr_queries_total = %v, want 2", got)
-	}
-	if m[`vcqr_stream_chunks_total{role="server"}`] < 3 {
-		t.Fatalf("expected at least header+entries+footer chunk frames, got %v",
-			m[`vcqr_stream_chunks_total{role="server"}`])
-	}
-	// Stage histograms: one observation per stream for stream_total,
-	// vo_assemble and wire_encode, at least one chunk observation.
-	for _, stage := range []string{
-		obs.StageStreamTotal, obs.StageStreamChunk, obs.StageWireEncode,
-		obs.StageVOAssemble,
+	plain, _, v, _ := newServer(t, 64)
+	part := newPartServer(t, 64, 4)
+	for _, tc := range []struct {
+		name   string
+		s      *server.Server
+		v      *verify.Verifier
+		merges float64
+	}{
+		{"plain", plain, v, 0},
+		{"partitioned", part.s, part.v, 2},
 	} {
-		key := `vcqr_stage_seconds_count{stage="` + stage + `",role="server"}`
-		if m[key] < 1 {
-			t.Fatalf("no observations for stage %q (key %s): %v", stage, key, m)
-		}
-	}
-	// The +Inf bucket of every histogram equals its count.
-	cnt := m[`vcqr_stage_seconds_count{stage="stream_total",role="server"}`]
-	inf := m[`vcqr_stage_seconds_bucket{stage="stream_total",role="server",le="+Inf"}`]
-	if cnt != inf {
-		t.Fatalf("+Inf bucket %v != count %v", inf, cnt)
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.s.Handler())
+			defer ts.Close()
+			client := &wire.Client{BaseURL: ts.URL}
+
+			q := engine.Query{Relation: "Uniform", KeyLo: 1, KeyHi: 1 << 19}
+			if _, err := client.QueryStream(tc.v, roleAll(), "all", q, 16, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Query("all", q); err != nil {
+				t.Fatal(err)
+			}
+
+			m := scrapeMetrics(t, ts.URL+"/metrics")
+			// A collected Client.Query is a stream like any other.
+			if got := m[`vcqr_streams_total{role="server"}`]; got != 2 {
+				t.Fatalf("vcqr_streams_total = %v, want 2", got)
+			}
+			if got := m[`vcqr_queries_total{role="server"}`]; got != 2 {
+				t.Fatalf("vcqr_queries_total = %v, want 2", got)
+			}
+			if m[`vcqr_stream_chunks_total{role="server"}`] < 3 {
+				t.Fatalf("expected at least header+entries+footer chunk frames, got %v",
+					m[`vcqr_stream_chunks_total{role="server"}`])
+			}
+			// Stage histograms: one observation per stream for stream_total,
+			// vo_assemble and wire_encode, at least one chunk observation.
+			for _, stage := range []string{
+				obs.StageStreamTotal, obs.StageStreamChunk, obs.StageWireEncode,
+				obs.StageVOAssemble,
+			} {
+				key := `vcqr_stage_seconds_count{stage="` + stage + `",role="server"}`
+				if m[key] < 1 {
+					t.Fatalf("no observations for stage %q (key %s): %v", stage, key, m)
+				}
+			}
+			if got := m[`vcqr_stage_seconds_count{stage="`+obs.StageFanoutMerge+`",role="server"}`]; got != tc.merges {
+				t.Fatalf("fanout_merge observed %v times, want %v", got, tc.merges)
+			}
+			// The +Inf bucket of every histogram equals its count.
+			cnt := m[`vcqr_stage_seconds_count{stage="stream_total",role="server"}`]
+			inf := m[`vcqr_stage_seconds_bucket{stage="stream_total",role="server",le="+Inf"}`]
+			if cnt != inf {
+				t.Fatalf("+Inf bucket %v != count %v", inf, cnt)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,16 +116,13 @@ func TestPartitionedStreamEndToEnd(t *testing.T) {
 	}
 
 	st := f.s.Stats()
-	ps, ok := st.Partitions["Uniform"]
-	if !ok || len(ps.Shards) != 4 {
-		t.Fatalf("partition stats missing: %+v", st.Partitions)
-	}
-	if ps.Fanouts < 2 {
-		t.Fatalf("fan-out counter = %d, want >= 2", ps.Fanouts)
+	hosted := st.Hosted["Uniform"]
+	if len(hosted) != 4 {
+		t.Fatalf("shard inventory missing: %+v", st.Hosted)
 	}
 	for i := 0; i < 3; i++ {
-		if ps.Shards[i].Queries == 0 {
-			t.Fatalf("shard %d has no routed queries: %+v", i, ps.Shards)
+		if hosted[i].Streams == 0 {
+			t.Fatalf("shard %d served no sub-streams: %+v", i, hosted)
 		}
 	}
 	if st.Relations["Uniform"] != 96 {
@@ -200,15 +198,15 @@ func TestPartitionedDeltaIsolation(t *testing.T) {
 	}
 
 	run()
-	ps := f.s.Stats().Partitions["Uniform"]
-	if ps.Shards[1].Deltas != 1 {
-		t.Fatalf("shard 1 delta counter = %d", ps.Shards[1].Deltas)
+	hosted := f.s.Stats().Hosted["Uniform"]
+	if hosted[1].Deltas != 1 {
+		t.Fatalf("shard 1 delta counter = %d", hosted[1].Deltas)
 	}
 	for _, i := range []int{0, 2, 3} {
-		if ps.Shards[i].Deltas != 0 {
+		if hosted[i].Deltas != 0 {
 			t.Fatalf("shard %d saw a delta", i)
 		}
-		if ps.Shards[i].Epoch != before.Partitions["Uniform"].Shards[i].Epoch {
+		if hosted[i].Epoch != before.Hosted["Uniform"][i].Epoch {
 			t.Fatalf("shard %d epoch moved on an interior delta to shard 1", i)
 		}
 	}
@@ -240,9 +238,9 @@ func TestPartitionedBoundaryDelta(t *testing.T) {
 	if len(rows) != 64 {
 		t.Fatalf("got %d rows, want 64", len(rows))
 	}
-	ps := f.s.Stats().Partitions["Uniform"]
-	if ps.Shards[0].Deltas+ps.Shards[1].Deltas < 2 {
-		t.Fatalf("boundary delta should touch both shards: %+v", ps.Shards)
+	hosted := f.s.Stats().Hosted["Uniform"]
+	if hosted[0].Deltas+hosted[1].Deltas < 2 {
+		t.Fatalf("boundary delta should touch both shards: %+v", hosted)
 	}
 }
 
@@ -534,8 +532,63 @@ func TestDeltaPathsAgree(t *testing.T) {
 	}
 }
 
+// TestPartialHostRefuses pins the edge of the one serving rule: a server
+// answers /stream and /delta for a relation when its table hosts every
+// shard. A node holding 2 of 4 refuses both exactly as it refuses a
+// relation it never heard of; installing the other two makes it answer.
+func TestPartialHostRefuses(t *testing.T) {
+	f := newPartServer(t, 64, 4)
+	node := server.New(server.Config{
+		Hasher: f.h, Pub: signKey(t).Public(), Policy: accessctl.NewPolicy(f.role),
+	})
+	t.Cleanup(node.Close)
+	install := func(i int) {
+		sl := f.set.Slices[i]
+		man := wire.ShardManifest{Spec: f.set.Spec, Shard: i, Params: sl.Params, Schema: sl.Schema, Records: len(sl.Recs)}
+		if err := node.InstallShard(man, sl.Clone()); err != nil {
+			t.Fatalf("install shard %d: %v", i, err)
+		}
+	}
+	install(1)
+	install(2)
+	ts := httptest.NewServer(node.Handler())
+	defer ts.Close()
+	client := &wire.Client{BaseURL: ts.URL}
+
+	q := engine.Query{Relation: "Uniform"}
+	const wantStream = `engine: unknown relation: "Uniform"`
+	const wantDelta = `server: delta for unhosted relation "Uniform"`
+	if _, err := node.QueryStream("all", q, 8); !errors.Is(err, engine.ErrUnknownRelation) || err.Error() != wantStream {
+		t.Fatalf("stream on 2 of 4 shards: %v, want %s", err, wantStream)
+	}
+	if _, err := client.Query("all", q); err == nil || !strings.Contains(err.Error(), wantStream) {
+		t.Fatalf("/stream on 2 of 4 shards: %v, want %s", err, wantStream)
+	}
+	sl1 := f.set.Slices[1]
+	d := f.mintDelta(t, f.globalIndexOf(t, sl1.Recs[2].Key(), sl1.Recs[2].Tuple.RowID), []byte("partial"))
+	if _, err := node.ApplyDelta(d); err == nil || err.Error() != wantDelta {
+		t.Fatalf("delta on 2 of 4 shards: %v, want %s", err, wantDelta)
+	}
+	if _, err := client.SendDelta(d); err == nil || !strings.Contains(err.Error(), wantDelta) {
+		t.Fatalf("/delta on 2 of 4 shards: %v, want %s", err, wantDelta)
+	}
+
+	install(0)
+	install(3)
+	if _, err := client.SendDelta(d); err != nil {
+		t.Fatalf("/delta on all 4 shards: %v", err)
+	}
+	res, err := client.Query("all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := f.v.VerifyResult(q, f.role, res); err != nil || len(rows) != 64 {
+		t.Fatalf("/stream on all 4 shards: %d rows, %v", len(rows), err)
+	}
+}
+
 // TestPartitionedDistinctAcrossSeams: DISTINCT through Server.QueryStream
-// on an AddPartition relation. Every key of the relation is a run of
+// on an AddPartition relation, K = 1 included. Every key of the relation is a run of
 // three records with identical payloads, so every seam has a duplicate
 // run flush against each side of it, and the chunk sizes split the runs.
 // The stream must collect into the result a server hosting the same
@@ -565,7 +618,7 @@ func TestPartitionedDistinctAcrossSeams(t *testing.T) {
 	}
 	plain := newServerWith(t, h, sr.Clone(), 0)
 	q := engine.Query{Relation: "Uniform", Distinct: true}
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		f := newPartServerOver(t, h, sr, k)
 		for _, chunkRows := range []int{1, 2, 4, 5} {
 			ref, err := plain.QueryStream("all", q, chunkRows)

@@ -56,9 +56,9 @@ func (s *Server) RecoverHosted() (*RecoverReport, error) {
 	return rep, nil
 }
 
-// recoverSlice proves one recovered slice and publishes it. The
-// publish path mirrors InstallShard's locking but appends nothing: the
-// slice is already durable — that is where it came from.
+// recoverSlice proves one recovered slice and publishes it into the
+// table InstallShard uses (openTable) but appends nothing: the slice is
+// already durable — that is where it came from.
 func (s *Server) recoverSlice(name string, spec partition.Spec, sh store.RecoveredShard) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -91,27 +91,10 @@ func (s *Server) recoverSlice(name string, spec partition.Spec, sh store.Recover
 		return fmt.Errorf("recovered slice fails condensed-signature self-check")
 	}
 
-	s.partMu.RLock()
-	defer s.partMu.RUnlock()
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	if s.parts[name] != nil {
-		return fmt.Errorf("%w: %q (partitioned)", ErrAlreadyHosted, name)
+	nt, err := s.openTable(name, spec, sl, false)
+	if err != nil {
+		return err
 	}
-	if _, _, plain := s.store.View(name); plain {
-		return fmt.Errorf("%w: %q", ErrAlreadyHosted, name)
-	}
-	nt := s.nodeRels[name]
-	if nt == nil {
-		nt = &nodeTable{
-			spec:   spec,
-			params: sl.Params,
-			schema: sl.Schema,
-			hosted: map[int]*hostedShard{},
-		}
-		s.nodeRels[name] = nt
-	}
-	nt.mu.Lock()
 	defer nt.mu.Unlock()
 	if spec.Version > nt.spec.Version {
 		nt.spec = spec

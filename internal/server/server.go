@@ -70,13 +70,9 @@ type Server struct {
 	exec   *engine.Publisher
 	store  *Store
 
-	// parts registers the range-partitioned relations; their shard
-	// slices live in the store under internal per-shard names.
-	partMu sync.RWMutex
-	parts  map[string]*partTable
-
-	// nodeRels registers the shard slices hosted in node mode (node.go),
-	// installed and removed one at a time by a cluster coordinator.
+	// nodeRels registers the relations hosted as shard slices (node.go):
+	// installed one at a time by a cluster coordinator, or all at once by
+	// AddPartition. The slices live in the store under per-shard names.
 	nodeMu   sync.RWMutex
 	nodeRels map[string]*nodeTable
 	// stagedTokens mints tokens for two-phase distributed deltas.
@@ -130,7 +126,6 @@ func New(cfg Config) *Server {
 		policy:   cfg.Policy,
 		exec:     exec,
 		store:    NewStore(cfg.Hasher, cfg.Pub),
-		parts:    map[string]*partTable{},
 		nodeRels: map[string]*nodeTable{},
 		nstore:   cfg.Store,
 		obs:      reg,
@@ -153,13 +148,12 @@ func (s *Server) Close() { processVar.Remove(s) }
 
 // AddRelation publishes a relation snapshot (optionally validating every
 // signature first, as a publisher receiving an untrusted feed must).
-// The partition registry lock is held across the duplicate check and the
-// store write so a concurrent AddPartition of the same name cannot
-// interleave and silently shadow this relation in the query router.
+// nodeMu is held across the duplicate check and the store write, as
+// openTable holds it, so a name never ends up hosted both ways.
 func (s *Server) AddRelation(sr *core.SignedRelation, validate bool) error {
-	s.partMu.Lock()
-	defer s.partMu.Unlock()
-	if s.parts[sr.Schema.Name] != nil || s.nodeFor(sr.Schema.Name) != nil {
+	s.nodeMu.Lock()
+	defer s.nodeMu.Unlock()
+	if s.nodeRels[sr.Schema.Name] != nil {
 		return fmt.Errorf("%w: %q", ErrAlreadyHosted, sr.Schema.Name)
 	}
 	return s.store.AddRelation(sr, validate)
@@ -177,8 +171,8 @@ func (s *Server) ApplyDelta(d delta.Delta) (uint64, error) {
 	}()
 	var epoch uint64
 	var err error
-	if pt := s.partFor(d.Relation); pt != nil {
-		epoch, err = s.applyPartitionedDelta(pt, d)
+	if nt := s.served(d.Relation); nt != nil {
+		epoch, err = s.applyHostedDelta(nt, d)
 	} else {
 		epoch, err = s.store.ApplyDelta(d)
 	}
@@ -212,20 +206,15 @@ func (s *Server) QueryStream(role string, q engine.Query, chunkRows int) (engine
 func (s *Server) QueryStreamOpts(role string, q engine.Query, opts engine.StreamOpts) (engine.ResultStream, error) {
 	s.queries.Add(1)
 	s.streams.Add(1)
-	if pt := s.partFor(q.Relation); pt != nil {
-		st, err := s.partitionedStream(pt, role, q, opts)
-		if err != nil {
-			s.errors.Add(1)
-			return nil, err
-		}
-		return s.timed(st), nil
+	var st engine.ResultStream
+	var err error
+	if nt := s.served(q.Relation); nt != nil {
+		st, err = s.hostedStream(nt, role, q, opts)
+	} else if sr, _, ok := s.store.View(q.Relation); ok {
+		st, err = s.exec.ExecuteStreamOn(sr, role, q, opts)
+	} else {
+		err = fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
 	}
-	sr, _, ok := s.store.View(q.Relation)
-	if !ok {
-		s.errors.Add(1)
-		return nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
-	}
-	st, err := s.exec.ExecuteStreamOn(sr, role, q, opts)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
@@ -303,15 +292,14 @@ type Stats struct {
 	// planner multiplies out instead of per-result peaks.
 	Streams, StreamChunks, StreamBytes uint64
 	Epoch                              uint64
-	Relations                          map[string]int
-	// Partitions carries the per-shard counters of every partitioned
-	// relation: sub-queries and deltas routed per shard, per-shard
-	// epochs, fan-out and hand-off-retry totals.
-	Partitions map[string]PartitionStats `json:",omitempty"`
-	// Hosted carries the node-mode inventory: one line per shard slice
-	// this process hosts for a cluster coordinator, with the slice's
-	// epoch, record count, committed distributed deltas, and served
-	// sub-streams. ShardStreams totals the fan-out sub-streams served.
+	// Relations counts the records of every relation the server answers
+	// for: plain ones, and partitioned ones whose every shard is hosted.
+	Relations map[string]int
+	// Hosted carries the shard inventory: one line per shard slice this
+	// process hosts, installed by a cluster coordinator or by
+	// AddPartition, with the slice's epoch, record count, committed
+	// deltas, and served sub-streams. ShardStreams totals the sub-streams
+	// served to a coordinator.
 	Hosted       map[string][]NodeShardStat `json:",omitempty"`
 	ShardStreams uint64                     `json:",omitempty"`
 	// Installs counts shard slices accepted over the transfer wire.
@@ -332,22 +320,11 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	rels := map[string]int{}
 	for name, n := range s.store.Relations() {
-		if strings.ContainsRune(name, 0) {
-			continue // internal shard entry, reported under Partitions
+		if !strings.ContainsRune(name, 0) { // shard entries count under Hosted
+			rels[name] = n
 		}
-		rels[name] = n
 	}
-	s.partMu.RLock()
-	for name, pt := range s.parts {
-		total := 0
-		for i := 0; i < pt.spec.K(); i++ {
-			if sl, _, ok := s.store.View(shardName(name, i)); ok {
-				total += sl.Len()
-			}
-		}
-		rels[name] = total
-	}
-	s.partMu.RUnlock()
+	hosted := s.nodeStats(rels)
 	return Stats{
 		Queries:       s.queries.Load(),
 		DeltasApplied: s.deltasApplied.Load(),
@@ -357,8 +334,7 @@ func (s *Server) Stats() Stats {
 		StreamBytes:   s.streamBytes.Load(),
 		Epoch:         s.store.Epoch(),
 		Relations:     rels,
-		Partitions:    s.partitionStats(),
-		Hosted:        s.nodeStats(),
+		Hosted:        hosted,
 		ShardStreams:  s.shardStreams.Load(),
 		Installs:      s.installs.Load(),
 		Store:         s.storeStats(),

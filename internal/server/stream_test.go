@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"vcqr/internal/engine"
+	"vcqr/internal/server"
+	"vcqr/internal/verify"
 	"vcqr/internal/wire"
 )
 
@@ -128,64 +130,80 @@ func TestStreamPinsEpochAcrossDelta(t *testing.T) {
 
 // TestConcurrentStreamsAndDeltas hammers /stream from several clients
 // while deltas cut over continuously; every stream must verify end to
-// end on whatever epoch it pinned. Run with -race.
+// end on whatever epoch it pinned. The partitioned input pins under the
+// hosting table's lock while boundary-crossing deltas stitch and publish
+// two shards under it. Run with -race.
 func TestConcurrentStreamsAndDeltas(t *testing.T) {
-	s, h, v, role := newServer(t, 64)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	plain, h, v, role := newServer(t, 64)
+	part := newPartServer(t, 64, 4)
+	for _, tc := range []struct {
+		name string
+		s    *server.Server
+		v    *verify.Verifier
+	}{
+		{"plain", plain, v},
+		{"partitioned", part.s, part.v},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	const (
-		streamers = 4
-		perWorker = 5
-		deltas    = 10
-	)
-	var wg sync.WaitGroup
-	errc := make(chan error, streamers*perWorker+deltas)
+			const (
+				streamers = 4
+				perWorker = 5
+				deltas    = 10
+			)
+			var wg sync.WaitGroup
+			errc := make(chan error, streamers*perWorker+deltas)
 
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, owner := build(t, 64)
-		for i := 0; i < deltas; i++ {
-			d := ownerUpdate(t, h, owner, 1+i%62, []byte{byte(i)})
-			if _, err := s.ApplyDelta(d); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-
-	q := engine.Query{Relation: "Uniform", KeyLo: 1}
-	for w := 0; w < streamers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := &wire.Client{BaseURL: ts.URL}
-			for i := 0; i < perWorker; i++ {
-				stats, err := client.QueryStream(v, role, "all", q, 4, nil)
-				if err != nil {
-					errc <- err
-					return
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, owner := build(t, 64)
+				for i := 0; i < deltas; i++ {
+					// Records 15 and 50 re-sign across a 16-record shard's edge.
+					d := ownerUpdate(t, h, owner, 1+i*7%62, []byte{byte(i)})
+					if _, err := s.ApplyDelta(d); err != nil {
+						errc <- err
+						return
+					}
 				}
-				if stats.Rows != 64 {
-					errc <- io.ErrShortBuffer
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatalf("concurrent stream/delta failure: %v", err)
-	}
+			}()
 
-	st := s.Stats()
-	if st.Streams != streamers*perWorker {
-		t.Fatalf("Streams = %d, want %d", st.Streams, streamers*perWorker)
-	}
-	if st.DeltasApplied != deltas {
-		t.Fatalf("DeltasApplied = %d, want %d", st.DeltasApplied, deltas)
+			q := engine.Query{Relation: "Uniform", KeyLo: 1}
+			for w := 0; w < streamers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					client := &wire.Client{BaseURL: ts.URL}
+					for i := 0; i < perWorker; i++ {
+						stats, err := client.QueryStream(tc.v, role, "all", q, 4, nil)
+						if err != nil {
+							errc <- err
+							return
+						}
+						if stats.Rows != 64 {
+							errc <- io.ErrShortBuffer
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Fatalf("concurrent stream/delta failure: %v", err)
+			}
+
+			st := s.Stats()
+			if st.Streams != streamers*perWorker {
+				t.Fatalf("Streams = %d, want %d", st.Streams, streamers*perWorker)
+			}
+			if st.DeltasApplied != deltas {
+				t.Fatalf("DeltasApplied = %d, want %d", st.DeltasApplied, deltas)
+			}
+		})
 	}
 }
 

@@ -112,6 +112,23 @@ func TestHiddenRecordCannotPoseAsResult(t *testing.T) {
 	}
 }
 
+// TestHiddenEntryRefusesKey: a Section 4.4 Case 2 entry keeps its key
+// hidden, so the publisher never sets one. The key binds nothing there
+// (the key leaf travels as a hidden digest), which is why a non-zero Key
+// is refused by name rather than ignored.
+func TestHiddenEntryRefusesKey(t *testing.T) {
+	f := newPolicyFix(t)
+	q := engine.Query{Relation: "P", Project: []string{"A"}}
+	res := f.execute(t, "viewer", q)
+	if res.VO.Entries[2].Mode != engine.EntryFilteredHidden || res.VO.Entries[2].Key != 0 {
+		t.Fatal("fixture: entry 2 is not a keyless hidden entry")
+	}
+	res.VO.Entries[2].Key = 7
+	if rows, err := f.v.VerifyResult(q, f.roles["viewer"], res); !errors.Is(err, verify.ErrEntry) {
+		t.Fatalf("hidden entry carrying key 7: %d rows, %v; want ErrEntry", len(rows), err)
+	}
+}
+
 // TestFilterRewriteMustMatch: the publisher's effective query must carry
 // the user's own filters. A verifier that compared only their number let
 // a publisher tighten a filter and pass the rows it then failed off as

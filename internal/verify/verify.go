@@ -190,6 +190,10 @@ func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 			!e.Disclosed[0].Val.Equal(relation.BoolVal(false)) {
 			return nil, ErrVisibility
 		}
+		if e.Key != 0 {
+			// The key stays hidden; its leaf travels as a digest.
+			return nil, fmt.Errorf("%w: key on a hidden entry", ErrEntry)
+		}
 		if err := sv.openDisclosure(e, false); err != nil {
 			return nil, err
 		}

@@ -146,6 +146,26 @@ func TestOneReadPath(t *testing.T) {
 	}
 }
 
+// TestOneHostingTable pins one registry of hosted shard slices: no
+// non-test file of internal/server declares partTable, partMu or
+// pinRetries, and exactly one type there carries the partition.Spec its
+// slices were cut by — the node table, which InstallShard, recovery and
+// AddPartition all fill.
+func TestOneHostingTable(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^\s*(type\s+|const\s+|var\s+)?(partTable|partMu|pinRetries)\s`)
+	specField := regexp.MustCompile(`(?m)^\s+\w+\s+partition\.Spec\s*(//.*)?$`)
+	tables := 0
+	for name, src := range sources(t, "internal/server") {
+		if m := decl.FindSubmatch(src); m != nil {
+			t.Errorf("%s declares %s", name, m[2])
+		}
+		tables += len(specField.FindAll(src, -1))
+	}
+	if tables != 1 {
+		t.Errorf("internal/server declares %d types holding hosted slices (a partition.Spec field), want 1", tables)
+	}
+}
+
 // TestOneCacheGranularity pins the edge cache as one kind of entry, the
 // merged stream, looked up in one place: no non-test file of
 // internal/cluster names a decoded cache hit, a feed replayed from one
