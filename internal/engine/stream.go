@@ -204,10 +204,9 @@ func (p *Publisher) ExecuteStream(roleName string, q Query, opts StreamOpts) (Re
 }
 
 // ExecuteStreamOn is ExecuteStream against an explicitly pinned relation
-// snapshot — the seam the serving layer uses to hold one copy-on-write
-// epoch for the whole lifetime of a stream while deltas cut over
-// concurrently. The snapshot must not be mutated while the stream is
-// being drained.
+// snapshot, one that no Publisher registry holds (the serving layer pins
+// slices itself and runs FanoutStream). The snapshot must not be mutated
+// while the stream is being drained.
 func (p *Publisher) ExecuteStreamOn(sr *core.SignedRelation, roleName string, q Query, opts StreamOpts) (ResultStream, error) {
 	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {

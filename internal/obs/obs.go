@@ -193,7 +193,7 @@ const (
 	StageStreamTotal  = "stream_total"      // whole-stream drain, first byte to footer
 	StageAggIndex     = "agg_index"         // engine: product-tree range aggregate
 	StageSeamCheck    = "seam_check"        // cluster: hand-off / seam proof checks
-	StageFanoutMerge  = "fanout_merge"      // server, coordinator: merged /stream, open to footer
+	StageFanoutMerge  = "fanout_merge"      // coordinator: merged /stream, open to footer
 	StageWireEncode   = "wire_encode"       // server: chunk frame encode + flush
 	StageVerify       = "verify"            // client: per-chunk verifier cost
 	StageDeltaApply   = "delta_apply"       // server: single-process delta ingest

@@ -1,11 +1,14 @@
 package server
 
-import "vcqr/internal/core"
+import (
+	"vcqr/internal/core"
+	"vcqr/internal/wire"
+)
 
-// ShardSlice exposes the current store entry of one shard slice — an
+// ShardSlice exposes the current published slice of one hosted shard — an
 // AddPartition relation's or a node-mode install's — to the external
 // tests that compare the two delta paths state for state.
 func (s *Server) ShardSlice(rel string, shard int) (*core.SignedRelation, bool) {
-	sl, _, ok := s.store.View(shardName(rel, shard))
-	return sl, ok
+	_, sl, _, _, err := s.viewHosted(wire.ShardRef{Relation: rel, Shard: shard})
+	return sl, err == nil
 }

@@ -54,8 +54,8 @@ func (s *Server) Handler() http.Handler {
 
 // obsRole reports the Export role from what a coordinator did: a server
 // that accepted an install, recorded a lease, or runs on a durable node
-// store is a node; anything else — AddPartition's shards included — is a
-// standalone server.
+// store is a node; anything else — AddRelation's and AddPartition's
+// slices included — is a standalone server.
 func (s *Server) obsRole() string {
 	if s.installs.Load() > 0 || s.leaseStat() != nil || s.nstore != nil {
 		return "node"
@@ -161,11 +161,6 @@ func (s *Server) handleStream(w http.ResponseWriter, req wire.StreamRequest) {
 		// the drain is frame encode + flush — the wire_encode share.
 		s.hVO.Observe(assemble)
 		s.hWire.Observe(encode)
-		if s.nodeFor(req.Query.Relation) != nil {
-			// A partitioned relation's stream is a merged one; observed
-			// as the coordinator observes its own.
-			s.obs.Observe(obs.StageFanoutMerge, total)
-		}
 		sp.Add(obs.StageStreamTotal, total)
 		sp.Add(obs.StageVOAssemble, assemble)
 		sp.Add(obs.StageWireEncode, encode)

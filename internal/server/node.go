@@ -7,7 +7,6 @@ import (
 	"maps"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,12 +22,13 @@ import (
 	"vcqr/internal/wire"
 )
 
-// This file is the hosting table: the server side of the distributed tier
-// (internal/cluster) and the in-process partitioned relation alike. A
-// node table hosts shard slices of one relation — installed, served and
-// removed one at a time by a coordinator, or all K at once by
-// AddPartition. Each hosted slice is a regular store entry with its own
-// copy-on-write epoch: a delta to shard i clones and swaps O(n/K)
+// This file is the hosting table, the server's one registry: the server
+// side of the distributed tier (internal/cluster), the in-process
+// partitioned relation and the plain relation alike. A node table hosts
+// shard slices of one relation — installed, served and removed one at a
+// time by a coordinator, all K at once by AddPartition, or the one slice
+// of a K = 1 spec by AddRelation. Each hosted slice is an immutable
+// snapshot with its own epoch: a delta to shard i clones and swaps O(n/K)
 // records, and a stream keeps verifying against the slices it pinned
 // whichever shards cut over mid-drain. The server answers /stream and
 // /delta for a relation when its table hosts every shard of the spec;
@@ -82,11 +82,15 @@ type hostedShard struct {
 	// the written-to copy of a double-hosted shard (coordinator crash
 	// mid-migration) regardless of either copy's prior history.
 	installDigest hashx.Digest
-	// digest is the current slice digest, refreshed by every publish
-	// path (install, delta commit) under nt.mu so sub-stream hellos can
-	// claim the hosting slice's identity without an O(slice) rehash per
-	// stream. Decisive compares (migration cutover) keep recomputing
-	// from bytes via ShardDigestInfo.
+	// sl is the published slice and epoch the global cutover count at its
+	// publish; digest is sl's slice digest, nil until viewHosted first
+	// needs it when the publish did not hash the slice anyway, so
+	// sub-stream hellos claim the slice's identity without an O(slice)
+	// rehash per stream. Decisive compares (migration cutover) keep
+	// recomputing from bytes via ShardDigestInfo. All three are written
+	// under nt.mu only, which every pin takes.
+	sl     *core.SignedRelation
+	epoch  uint64
 	digest hashx.Digest
 	// deltas counts update batches committed against the slice since it
 	// was installed on this node.
@@ -113,12 +117,6 @@ type nodeTable struct {
 	staged *stagedTx
 }
 
-// shardName is the store key of one shard slice. The NUL byte keeps the
-// namespace disjoint from user relation names.
-func shardName(rel string, i int) string {
-	return rel + "\x00shard" + strconv.Itoa(i)
-}
-
 // nodeFor returns the node table for a relation, or nil.
 func (s *Server) nodeFor(name string) *nodeTable {
 	s.nodeMu.RLock()
@@ -129,15 +127,14 @@ func (s *Server) nodeFor(name string) *nodeTable {
 
 // openTable returns the relation's node table with nt.mu held, creating
 // it from spec and sr's params and schema when the relation has none —
-// the one table-creation path of InstallShard, recoverSlice and
-// AddPartition. A relation hosted plain is refused, and with fresh set
-// so is one that already has a table. nodeMu is held across the check and
-// the insert, and AddRelation takes it too, so a name is hosted one way.
+// the one table-creation path of InstallShard, recoverSlice, AddPartition
+// and AddRelation. With fresh set, a relation that already has a table is
+// refused. nodeMu is held across the check and the insert.
 func (s *Server) openTable(name string, spec partition.Spec, sr *core.SignedRelation, fresh bool) (*nodeTable, error) {
 	s.nodeMu.Lock()
 	defer s.nodeMu.Unlock()
 	nt := s.nodeRels[name]
-	if _, _, plain := s.store.View(name); plain || (fresh && nt != nil) {
+	if fresh && nt != nil {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyHosted, name)
 	}
 	if nt == nil {
@@ -151,7 +148,7 @@ func (s *Server) openTable(name string, spec partition.Spec, sr *core.SignedRela
 // served returns the relation's node table with nt.mu held when it hosts
 // every shard of its spec — the one condition under which the server
 // answers /stream and /delta from it — and nil otherwise, so a partial
-// host falls through to the plain path and its refusal.
+// host refuses both as it refuses a relation it never heard of.
 func (s *Server) served(name string) *nodeTable {
 	nt := s.nodeFor(name)
 	if nt == nil {
@@ -177,11 +174,11 @@ func (nt *nodeTable) servesAll() bool {
 }
 
 // AddPartition publishes a partitioned relation: a fresh node table that
-// hosts every shard slice, each its own store entry with an independent
-// epoch. With validate set, the whole set is checked first — hand-off
-// agreement, span containment, and the full digest/signature validation
-// of the stitched global sequence — exactly what a publisher owes an
-// untrusted owner feed.
+// hosts every shard slice, each with an independent epoch. With validate
+// set, the whole set is checked first — hand-off agreement, span
+// containment, and the full digest/signature validation of the stitched
+// global sequence — exactly what a publisher owes an untrusted owner
+// feed.
 func (s *Server) AddPartition(set *partition.Set, validate bool) error {
 	if validate {
 		if err := set.Validate(s.h, s.pub); err != nil {
@@ -193,18 +190,38 @@ func (s *Server) AddPartition(set *partition.Set, validate bool) error {
 	if len(set.Slices) != set.Spec.K() {
 		return fmt.Errorf("%w: %d slices for %d shards", partition.ErrSetInvalid, len(set.Slices), set.Spec.K())
 	}
-	name := set.Spec.Relation
-	nt, err := s.openTable(name, set.Spec, set.Slices[0], true)
+	return s.hostAll(set.Spec, set.Slices)
+}
+
+// hostAll publishes every slice of spec into a fresh table — AddPartition's
+// and AddRelation's one hosting step.
+func (s *Server) hostAll(spec partition.Spec, sls []*core.SignedRelation) error {
+	nt, err := s.openTable(spec.Relation, spec, sls[0], true)
 	if err != nil {
 		return err
 	}
 	defer nt.mu.Unlock()
-	for i, sl := range set.Slices {
+	for i, sl := range sls {
 		dg := partition.SliceDigest(s.h, sl)
-		s.store.AddNamed(shardName(name, i), sl)
-		nt.hosted[i] = &hostedShard{installDigest: dg, digest: dg}
+		nt.hosted[i] = &hostedShard{installDigest: dg}
+		s.publish(nt.hosted[i], sl, dg)
 	}
 	return nil
+}
+
+// publish swaps sl in as hs's slice at a fresh epoch, with its digest
+// (nil: viewHosted computes it on first use). It builds the slice's crypto
+// index (core.AggIndex) when it carries none, so the O(n) cost lands at
+// publish time and every query on the epoch aggregates in O(log n); a
+// build failure (malformed signature bytes on an unvalidated feed)
+// publishes without an index, the correct-but-slow path. The caller holds
+// nt.mu.
+func (s *Server) publish(hs *hostedShard, sl *core.SignedRelation, digest hashx.Digest) uint64 {
+	if sl.AggIndex() == nil {
+		_ = sl.BuildAggIndex(s.h, s.pub)
+	}
+	hs.sl, hs.digest, hs.epoch = sl, digest, s.epochs.Add(1)
+	return hs.epoch
 }
 
 // hostedStream answers q from a table served returned locked: it plans
@@ -222,13 +239,13 @@ func (s *Server) hostedStream(nt *nodeTable, roleName string, q engine.Query, op
 	sub := nt.spec.Decompose(eff.KeyLo, eff.KeyHi)
 	cover := make([]engine.ShardSlice, len(sub))
 	for i, sr := range sub {
-		sl, _, _ := s.store.View(shardName(q.Relation, sr.Shard))
-		cover[i] = engine.ShardSlice{Shard: sr.Shard, SR: sl, Lo: sr.Lo, Hi: sr.Hi}
-		nt.hosted[sr.Shard].streams.Add(1)
+		hs := nt.hosted[sr.Shard]
+		cover[i] = engine.ShardSlice{Shard: sr.Shard, SR: hs.sl, Lo: sr.Lo, Hi: sr.Hi}
+		hs.streams.Add(1)
 	}
 	var prev engine.PrevPin
 	if first := sub[0].Shard; first > 0 {
-		sl, _, _ := s.store.View(shardName(q.Relation, first-1))
+		sl := nt.hosted[first-1].sl
 		prev = func() (*core.SignedRelation, bool) { return sl, true }
 	}
 	nt.mu.Unlock()
@@ -243,7 +260,7 @@ func (s *Server) hostedStream(nt *nodeTable, roleName string, q engine.Query, op
 // nothing.
 func (s *Server) applyHostedDelta(nt *nodeTable, d delta.Delta) (uint64, error) {
 	defer nt.mu.Unlock()
-	news, err := s.stageDelta(nt.spec, d, func(int) bool { return true })
+	news, err := s.stageDelta(nt, d)
 	if err != nil {
 		return 0, err
 	}
@@ -256,8 +273,7 @@ func (s *Server) applyHostedDelta(nt *nodeTable, d delta.Delta) (uint64, error) 
 		if sl := news[i]; sl != nil {
 			return partition.EdgesOf(sl)
 		}
-		sl, _, _ := s.store.View(shardName(d.Relation, i))
-		return partition.EdgesOf(sl)
+		return partition.EdgesOf(nt.hosted[i].sl)
 	}
 	for x := 0; x+1 < nt.spec.K(); x++ { // seam x is between shards x and x+1
 		if news[x] == nil && news[x+1] == nil {
@@ -317,8 +333,8 @@ func (s *Server) InstallShard(man wire.ShardManifest, sr *core.SignedRelation) e
 			return fmt.Errorf("server: install not durable: %w", err)
 		}
 	}
-	s.store.AddNamed(shardName(name, man.Shard), sr)
-	nt.hosted[man.Shard] = &hostedShard{installDigest: dg, digest: dg}
+	nt.hosted[man.Shard] = &hostedShard{installDigest: dg}
+	s.publish(nt.hosted[man.Shard], sr, dg)
 	s.installs.Add(1)
 	return nil
 }
@@ -378,18 +394,16 @@ func (s *Server) RemoveShard(ref wire.ShardRef) error {
 		}
 	}
 	delete(nt.hosted, ref.Shard)
-	s.store.Remove(shardName(ref.Relation, ref.Shard))
+	s.epochs.Add(1)
 	return nil
 }
 
 // viewHosted pins a hosted slice, returning its bookkeeping, the pinned
-// snapshot, its store epoch and the cached slice digest as one
-// consistent set: every publish path (install, delta commit) swaps the
-// store entry and refreshes the cached digest inside the same nt.mu
-// critical section this read holds, so the digest always names exactly
-// the returned slice. Holding nt.mu across store.View matches the
-// existing lock order (publishers already call store.AddNamed under
-// nt.mu).
+// snapshot, its epoch and its slice digest as one consistent set: every
+// publish swaps slice, epoch and digest inside the same nt.mu critical
+// section this read holds, so the digest always names exactly the
+// returned slice. It is the digest's one reader, so it hashes a slice
+// whose publish left the digest unset, once per publish.
 func (s *Server) viewHosted(ref wire.ShardRef) (*hostedShard, *core.SignedRelation, uint64, hashx.Digest, error) {
 	nt := s.nodeFor(ref.Relation)
 	if nt == nil {
@@ -401,11 +415,10 @@ func (s *Server) viewHosted(ref wire.ShardRef) (*hostedShard, *core.SignedRelati
 	if hs == nil {
 		return nil, nil, 0, nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, ref.Shard, ref.Relation)
 	}
-	sl, epoch, ok := s.store.View(shardName(ref.Relation, ref.Shard))
-	if !ok {
-		return nil, nil, 0, nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, ref.Shard, ref.Relation)
+	if hs.digest == nil {
+		hs.digest = partition.SliceDigest(s.h, hs.sl)
 	}
-	return hs, sl, epoch, hs.digest, nil
+	return hs, hs.sl, hs.epoch, hs.digest, nil
 }
 
 // ShardEdges returns a hosted slice's seam material.
@@ -672,7 +685,7 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 	defer nt.mu.Unlock()
 	nt.staged = nil // discard any crashed coordinator's leftovers
 
-	news, err := s.stageDelta(nt.spec, d, func(i int) bool { return nt.hosted[i] != nil })
+	news, err := s.stageDelta(nt, d)
 	if err != nil {
 		return wire.NodeDeltaResponse{}, err
 	}
@@ -685,19 +698,20 @@ func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error)
 	return resp, nil
 }
 
-// stageDelta is the one partitioned-delta stager. It routes the batch to
-// the owning shards (delta.Route), applies each sub-batch on a clone of
-// that shard alone, stitches the hand-off mirrors between slices hosted
-// in this process, and validates every touched neighbourhood that can be
-// checked here — publishing nothing. hosted reports whether shard i's
-// slice lives in this process: an in-process /delta runs on a table that
+// stageDelta is the one delta stager. It routes the batch to the owning
+// shards (delta.Route), applies each sub-batch on a clone of that shard
+// alone, stitches the hand-off mirrors between slices hosted in this
+// process, and validates every touched neighbourhood that can be checked
+// here — publishing nothing. An in-process /delta runs on a table that
 // hosts all K, so every stitch is local and every validation runs against
-// fresh mirrors; a shard node hosts what its coordinator installed, and
-// a signature adjacent to an off-node mirror is deferred to the
+// fresh mirrors; a shard node hosts what its coordinator installed, and a
+// signature adjacent to an off-node mirror is deferred to the
 // coordinator's mirror fixes and seam checks. The caller holds nt.mu.
 // Returned are the staged slices by shard (ops shards plus stitched
 // neighbours).
-func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int) bool) (map[int]*core.SignedRelation, error) {
+func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedRelation, error) {
+	spec := nt.spec
+	hosted := func(i int) bool { return nt.hosted[i] != nil }
 	groups, err := delta.Route(spec, d)
 	if err != nil {
 		return nil, fmt.Errorf("server: delta rejected: %w", err)
@@ -715,27 +729,15 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 	// hand-off mirrors are restitched below.
 	news := map[int]*core.SignedRelation{}
 	touched := map[int][]int{}
-	current := func(i int) (*core.SignedRelation, error) {
-		if sl := news[i]; sl != nil {
-			return sl, nil
-		}
-		sl, _, ok := s.store.View(shardName(d.Relation, i))
-		if !ok {
-			return nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, i, d.Relation)
-		}
-		return sl, nil
-	}
 	for _, i := range affected {
-		cur, err := current(i)
-		if err != nil {
-			return nil, err
-		}
-		next := cur.Clone()
+		next := nt.hosted[i].sl.Clone()
 		idxs, err := delta.ApplyOps(next, delta.Delta{Relation: d.Relation, Ops: groups[i]})
 		if err != nil {
 			return nil, fmt.Errorf("server: delta rejected: %w", err)
 		}
-		if next.Len() < 1 {
+		// A K = 1 slice's edges are the delimiters: with no hand-off to
+		// protect, it may empty like any relation.
+		if k > 1 && next.Len() < 1 {
 			return nil, fmt.Errorf("%w: shard %d", ErrShardUnderflow, i)
 		}
 		news[i] = next
@@ -747,50 +749,45 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 	// (cross-node mirrors arrive later as MirrorRequests from the
 	// coordinator). Clones are made lazily so an interior delta touches
 	// exactly one shard.
-	stitch := func(i int, rightContext bool, want core.SignedRecord) error {
-		sl, err := current(i)
-		if err != nil {
-			return err
+	stitch := func(i int, rightContext bool, want core.SignedRecord) {
+		sl := news[i]
+		if sl == nil {
+			sl = nt.hosted[i].sl
 		}
 		pos := 0
 		if rightContext {
 			pos = len(sl.Recs) - 1
 		}
 		if partition.SameRecord(sl.Recs[pos], want) {
-			return nil
+			return
 		}
 		if news[i] == nil {
 			news[i] = sl.Clone()
 		}
+		// The stitch bypasses delta.ApplyOps' index bookkeeping, so it
+		// refreshes the crypto-index leaves around pos itself (as
+		// StageMirror does) before anything validates against them.
 		news[i].Recs[pos] = want.Clone()
+		news[i].RefreshAggIndex([]int{pos})
 		touched[i] = append(touched[i], pos)
-		return nil
 	}
 	for _, i := range affected {
 		sl := news[i]
 		if i > 0 && hosted(i-1) {
 			// The left neighbour's right context mirrors shard i's first
 			// owned record.
-			if err := stitch(i-1, true, sl.Recs[1]); err != nil {
-				return nil, err
-			}
+			stitch(i-1, true, sl.Recs[1])
 		}
 		if i < k-1 && hosted(i+1) {
 			// The right neighbour's left context mirrors shard i's last
 			// owned record.
-			if err := stitch(i+1, false, sl.Recs[len(sl.Recs)-2]); err != nil {
-				return nil, err
-			}
+			stitch(i+1, false, sl.Recs[len(sl.Recs)-2])
 		}
 	}
 
-	// Phase 3: refresh each modified shard's crypto-index leaves — the
-	// stitch edited edge records directly, bypassing the bookkeeping
-	// delta.ApplyOps does — then validate every touched neighbourhood
-	// that is checkable here. Refresh precedes validation so the
-	// per-record FDH cache the validator consults is current.
+	// Phase 3: validate every touched neighbourhood that is checkable
+	// here, against index leaves ApplyOps and the stitches kept current.
 	for i, sl := range news {
-		sl.RefreshAggIndex(touched[i])
 		leftFresh := i == 0 || hosted(i-1)
 		rightFresh := i == k-1 || hosted(i+1)
 		if err := validateStagedSlice(s, sl, touched[i], leftFresh, rightFresh); err != nil {
@@ -805,21 +802,20 @@ func (s *Server) stageDelta(spec partition.Spec, d delta.Delta, hosted func(int)
 // configured, the delta lands in the WAL before any slice publishes, and
 // a failed append refuses the commit with nothing published — so the
 // served state never disagrees with what a restart would recover. Then
-// each staged slice swaps in as one epoch, in shard order, and its
-// cached digest and delta counter move with it. It returns the highest
-// epoch. The caller holds nt.mu, which every pin takes too, so no reader
-// sees the swaps half done.
+// each staged slice of a still-hosted shard swaps in as one epoch, in
+// shard order, and its delta counter moves with it. Only the WAL record
+// needs the post-commit digests, so only a durable commit hashes its
+// slices; otherwise viewHosted hashes one when it is first asked. It
+// returns the highest epoch. The caller holds nt.mu, which every pin
+// takes too, so no reader sees the swaps half done.
 func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.SignedRelation) (uint64, error) {
-	shards := slices.Sorted(maps.Keys(staged))
+	shards := slices.DeleteFunc(slices.Sorted(maps.Keys(staged)), func(i int) bool { return nt.hosted[i] == nil })
 	digests := make(map[int]hashx.Digest, len(shards))
-	for _, i := range shards {
-		digests[i] = partition.SliceDigest(s.h, staged[i])
-	}
 	if s.nstore != nil {
 		cs := make([]store.CommitShard, 0, len(shards))
 		for _, i := range shards {
-			old, _, _ := s.store.View(shardName(rel, i))
-			cs = append(cs, store.CommitShard{Shard: i, Old: old, New: staged[i], PostDigest: digests[i]})
+			digests[i] = partition.SliceDigest(s.h, staged[i])
+			cs = append(cs, store.CommitShard{Shard: i, Old: nt.hosted[i].sl, New: staged[i], PostDigest: digests[i]})
 		}
 		if err := s.nstore.LogCommit(rel, cs); err != nil {
 			return 0, fmt.Errorf("server: delta commit not durable: %w", err)
@@ -827,13 +823,9 @@ func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.Si
 	}
 	var epoch uint64
 	for _, i := range shards {
-		if e := s.store.AddNamed(shardName(rel, i), staged[i]); e > epoch {
-			epoch = e
-		}
-		if hs := nt.hosted[i]; hs != nil {
-			hs.deltas.Add(1)
-			hs.digest = digests[i]
-		}
+		hs := nt.hosted[i]
+		epoch = max(epoch, s.publish(hs, staged[i], digests[i]))
+		hs.deltas.Add(1)
 	}
 	return epoch, nil
 }
@@ -894,11 +886,7 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 	tx := nt.staged
 	sl := tx.slices[req.Shard]
 	if sl == nil {
-		cur, _, ok := s.store.View(shardName(req.Relation, req.Shard))
-		if !ok {
-			return wire.MirrorResponse{}, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, req.Shard, req.Relation)
-		}
-		sl = cur.Clone()
+		sl = nt.hosted[req.Shard].sl.Clone()
 		tx.slices[req.Shard] = sl
 	}
 	pos, adj := 0, 1
@@ -1019,10 +1007,7 @@ func (s *Server) nodeStats(rels map[string]int) map[string][]NodeShardStat {
 		served := nt.servesAll()
 		for _, i := range slices.Sorted(maps.Keys(nt.hosted)) {
 			hs := nt.hosted[i]
-			st := NodeShardStat{Shard: i, Deltas: hs.deltas.Load(), Streams: hs.streams.Load()}
-			if sl, epoch, ok := s.store.View(shardName(name, i)); ok {
-				st.Epoch, st.Records = epoch, sl.Len()
-			}
+			st := NodeShardStat{Shard: i, Epoch: hs.epoch, Records: hs.sl.Len(), Deltas: hs.deltas.Load(), Streams: hs.streams.Load()}
 			if served {
 				rels[name] += st.Records
 			}

@@ -83,19 +83,18 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsScrape runs over a plain relation and an AddPartition one:
-// both are standalone servers (role="server"), and each /stream on the
-// partitioned relation is one fanout_merge observation.
+// both are standalone servers (role="server"), and neither observes
+// fanout_merge, which is the coordinator's stage.
 func TestMetricsScrape(t *testing.T) {
 	plain, _, v, _ := newServer(t, 64)
 	part := newPartServer(t, 64, 4)
 	for _, tc := range []struct {
-		name   string
-		s      *server.Server
-		v      *verify.Verifier
-		merges float64
+		name string
+		s    *server.Server
+		v    *verify.Verifier
 	}{
-		{"plain", plain, v, 0},
-		{"partitioned", part.s, part.v, 2},
+		{"plain", plain, v},
+		{"partitioned", part.s, part.v},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := httptest.NewServer(tc.s.Handler())
@@ -133,8 +132,8 @@ func TestMetricsScrape(t *testing.T) {
 					t.Fatalf("no observations for stage %q (key %s): %v", stage, key, m)
 				}
 			}
-			if got := m[`vcqr_stage_seconds_count{stage="`+obs.StageFanoutMerge+`",role="server"}`]; got != tc.merges {
-				t.Fatalf("fanout_merge observed %v times, want %v", got, tc.merges)
+			if got := m[`vcqr_stage_seconds_count{stage="`+obs.StageFanoutMerge+`",role="server"}`]; got != 0 {
+				t.Fatalf("fanout_merge observed %v times on a server, want 0", got)
 			}
 			// The +Inf bucket of every histogram equals its count.
 			cnt := m[`vcqr_stage_seconds_count{stage="stream_total",role="server"}`]

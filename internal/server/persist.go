@@ -99,9 +99,9 @@ func (s *Server) recoverSlice(name string, spec partition.Spec, sh store.Recover
 	if spec.Version > nt.spec.Version {
 		nt.spec = spec
 	}
-	s.store.AddNamed(shardName(name, sh.Shard), sl)
-	hs := &hostedShard{installDigest: sh.InstallDigest, digest: partition.SliceDigest(s.h, sl)}
+	hs := &hostedShard{installDigest: sh.InstallDigest}
 	hs.deltas.Store(sh.Deltas)
+	s.publish(hs, sl, nil)
 	nt.hosted[sh.Shard] = hs
 	return nil
 }

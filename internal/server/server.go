@@ -3,30 +3,34 @@
 // engine.Publisher reproduction into a system that serves many users at
 // once while the owner streams updates.
 //
-// Two mechanisms make it safe and fast under concurrency:
+// Every relation lives in one registry, the hosting table (node.go): a
+// K-way partitioned relation as K shard slices, a plain relation as the
+// one slice of a K = 1 spec. Two mechanisms make it safe and fast under
+// concurrency:
 //
-//   - Sharded copy-on-write epochs (Store): readers load an immutable
-//     snapshot through an atomic pointer — no read locks — while writers
-//     clone, validate, and swap. The paper's security argument is what
-//     makes the old epoch servable during a cutover: any internally
-//     consistent signed relation yields VOs that verify against the
-//     owner's key, regardless of when the user reads them.
+//   - Copy-on-write epochs: each hosted slice is an immutable snapshot.
+//     A read pins the slices it covers under the table's lock, then
+//     drains them without it, while writers clone, validate and swap.
+//     The paper's security argument is what makes the old epoch servable
+//     during a cutover: any internally consistent signed relation yields
+//     VOs that verify against the owner's key, regardless of when the
+//     user reads them.
 //
-//   - Live delta ingest (Store.ApplyDelta): internal/delta batches are
-//     applied to a clone with exactly the affected neighbourhood
-//     re-validated, then cut over atomically. A rejected delta leaves
-//     the published epoch untouched.
+//   - Live delta ingest (ApplyDelta): internal/delta batches are routed
+//     to the owning slices and applied to clones with exactly the
+//     affected neighbourhood re-validated, then cut over under the same
+//     lock. A rejected delta leaves the published epochs untouched.
 //
 // Every query is answered as a chunk stream (QueryStream) — the one read
-// path; a caller that wants the materialized result collects it. The HTTP
-// front end (http.go) exposes the stream, delta-ingest and health/stats
-// endpoints and shuts down gracefully.
+// path, the fan-out merger over the covering slices; a caller that wants
+// the materialized result collects it. The HTTP front end (http.go)
+// exposes the stream, delta-ingest and health/stats endpoints and shuts
+// down gracefully.
 package server
 
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,6 +41,7 @@ import (
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/obs"
+	"vcqr/internal/partition"
 	"vcqr/internal/sig"
 	"vcqr/internal/store"
 )
@@ -61,20 +66,22 @@ type Config struct {
 	Store *store.NodeStore
 }
 
-// Server is a goroutine-safe publisher: an epoch store and a stateless
+// Server is a goroutine-safe publisher: a hosting table and a stateless
 // query executor. All exported methods may be called concurrently.
 type Server struct {
 	h      *hashx.Hasher
 	pub    *sig.PublicKey
 	policy accessctl.Policy
 	exec   *engine.Publisher
-	store  *Store
 
-	// nodeRels registers the relations hosted as shard slices (node.go):
-	// installed one at a time by a cluster coordinator, or all at once by
-	// AddPartition. The slices live in the store under per-shard names.
+	// nodeRels registers every hosted relation by name (node.go): shard
+	// slices installed one at a time by a cluster coordinator, or all at
+	// once by AddPartition and AddRelation.
 	nodeMu   sync.RWMutex
 	nodeRels map[string]*nodeTable
+	// epochs counts cutovers across every hosted slice; it stamps each
+	// slice's epoch, so any publish or removal anywhere advances it.
+	epochs atomic.Uint64
 	// stagedTokens mints tokens for two-phase distributed deltas.
 	stagedTokens atomic.Uint64
 	// nstore is the durable node store (nil = memory-only node);
@@ -105,8 +112,8 @@ type Server struct {
 }
 
 // New creates a server. The executor publisher carries no relations of
-// its own — every query pins an epoch snapshot from the store and runs
-// through engine.ExecuteOn.
+// its own — every query pins epoch slices from the hosting table and
+// runs through engine.FanoutStream.
 func New(cfg Config) *Server {
 	if cfg.Hasher == nil {
 		cfg.Hasher = hashx.New()
@@ -125,7 +132,6 @@ func New(cfg Config) *Server {
 		pub:      cfg.Pub,
 		policy:   cfg.Policy,
 		exec:     exec,
-		store:    NewStore(cfg.Hasher, cfg.Pub),
 		nodeRels: map[string]*nodeTable{},
 		nstore:   cfg.Store,
 		obs:      reg,
@@ -147,16 +153,18 @@ func (s *Server) Obs() *obs.Registry { return s.obs }
 func (s *Server) Close() { processVar.Remove(s) }
 
 // AddRelation publishes a relation snapshot (optionally validating every
-// signature first, as a publisher receiving an untrusted feed must).
-// nodeMu is held across the duplicate check and the store write, as
-// openTable holds it, so a name never ends up hosted both ways.
+// signature first, as a publisher receiving an untrusted feed must) as
+// the one slice of a K = 1 spec over its whole domain. The caller must
+// not retain or mutate sr afterwards: it is the published epoch, crypto
+// index included.
 func (s *Server) AddRelation(sr *core.SignedRelation, validate bool) error {
-	s.nodeMu.Lock()
-	defer s.nodeMu.Unlock()
-	if s.nodeRels[sr.Schema.Name] != nil {
-		return fmt.Errorf("%w: %q", ErrAlreadyHosted, sr.Schema.Name)
+	if validate {
+		if err := sr.Validate(s.h, s.pub); err != nil {
+			return fmt.Errorf("server: ingest validation: %w", err)
+		}
 	}
-	return s.store.AddRelation(sr, validate)
+	spec := partition.Spec{Relation: sr.Schema.Name, Cuts: []uint64{sr.Params.L, sr.Params.U}}
+	return s.hostAll(spec, []*core.SignedRelation{sr})
 }
 
 // ApplyDelta ingests an owner update batch live and returns the new
@@ -174,7 +182,7 @@ func (s *Server) ApplyDelta(d delta.Delta) (uint64, error) {
 	if nt := s.served(d.Relation); nt != nil {
 		epoch, err = s.applyHostedDelta(nt, d)
 	} else {
-		epoch, err = s.store.ApplyDelta(d)
+		err = fmt.Errorf("server: delta for unhosted relation %q", d.Relation)
 	}
 	if err != nil {
 		s.errors.Add(1)
@@ -210,8 +218,6 @@ func (s *Server) QueryStreamOpts(role string, q engine.Query, opts engine.Stream
 	var err error
 	if nt := s.served(q.Relation); nt != nil {
 		st, err = s.hostedStream(nt, role, q, opts)
-	} else if sr, _, ok := s.store.View(q.Relation); ok {
-		st, err = s.exec.ExecuteStreamOn(sr, role, q, opts)
 	} else {
 		err = fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
 	}
@@ -280,8 +286,8 @@ func (s *Server) accountStreamChunk(bytes int) {
 	s.streamBytes.Add(uint64(bytes))
 }
 
-// Epoch returns the store's cutover counter.
-func (s *Server) Epoch() uint64 { return s.store.Epoch() }
+// Epoch returns the global cutover counter.
+func (s *Server) Epoch() uint64 { return s.epochs.Load() }
 
 // Stats is a point-in-time server snapshot, served on /statsz and
 // aggregated into the process expvar.
@@ -293,13 +299,13 @@ type Stats struct {
 	Streams, StreamChunks, StreamBytes uint64
 	Epoch                              uint64
 	// Relations counts the records of every relation the server answers
-	// for: plain ones, and partitioned ones whose every shard is hosted.
+	// for: every relation whose every shard is hosted.
 	Relations map[string]int
 	// Hosted carries the shard inventory: one line per shard slice this
-	// process hosts, installed by a cluster coordinator or by
-	// AddPartition, with the slice's epoch, record count, committed
-	// deltas, and served sub-streams. ShardStreams totals the sub-streams
-	// served to a coordinator.
+	// process hosts — installed by a cluster coordinator, by AddPartition,
+	// or by AddRelation as shard 0 — with the slice's epoch, record
+	// count, committed deltas, and served sub-streams. ShardStreams totals
+	// the sub-streams served to a coordinator.
 	Hosted       map[string][]NodeShardStat `json:",omitempty"`
 	ShardStreams uint64                     `json:",omitempty"`
 	// Installs counts shard slices accepted over the transfer wire.
@@ -319,11 +325,6 @@ type Stats struct {
 // Stats snapshots the counters.
 func (s *Server) Stats() Stats {
 	rels := map[string]int{}
-	for name, n := range s.store.Relations() {
-		if !strings.ContainsRune(name, 0) { // shard entries count under Hosted
-			rels[name] = n
-		}
-	}
 	hosted := s.nodeStats(rels)
 	return Stats{
 		Queries:       s.queries.Load(),
@@ -332,7 +333,7 @@ func (s *Server) Stats() Stats {
 		Streams:       s.streams.Load(),
 		StreamChunks:  s.streamChunks.Load(),
 		StreamBytes:   s.streamBytes.Load(),
-		Epoch:         s.store.Epoch(),
+		Epoch:         s.epochs.Load(),
 		Relations:     rels,
 		Hosted:        hosted,
 		ShardStreams:  s.shardStreams.Load(),

@@ -146,18 +146,23 @@ func TestOneReadPath(t *testing.T) {
 	}
 }
 
-// TestOneHostingTable pins one registry of hosted shard slices: no
-// non-test file of internal/server declares partTable, partMu or
-// pinRetries, and exactly one type there carries the partition.Spec its
-// slices were cut by — the node table, which InstallShard, recovery and
-// AddPartition all fill.
+// TestOneHostingTable pins one registry of hosted relations: no non-test
+// file of internal/server declares partTable, partMu, pinRetries, a
+// Store type or shardName, or applies a delta through delta.Apply (the
+// plain relation's second delta path), and exactly one type there
+// carries the partition.Spec its slices were cut by — the node table,
+// which InstallShard, recovery, AddPartition and AddRelation all fill.
 func TestOneHostingTable(t *testing.T) {
 	decl := regexp.MustCompile(`(?m)^\s*(type\s+|const\s+|var\s+)?(partTable|partMu|pinRetries)\s`)
+	second := regexp.MustCompile(`type\s+Store\b|func\s+shardName\b|delta\.Apply\(`)
 	specField := regexp.MustCompile(`(?m)^\s+\w+\s+partition\.Spec\s*(//.*)?$`)
 	tables := 0
 	for name, src := range sources(t, "internal/server") {
 		if m := decl.FindSubmatch(src); m != nil {
 			t.Errorf("%s declares %s", name, m[2])
+		}
+		if m := second.Find(src); m != nil {
+			t.Errorf("%s names %s", name, m)
 		}
 		tables += len(specField.FindAll(src, -1))
 	}
