@@ -225,6 +225,43 @@ func TestStoreDeltaForUnhostedRelation(t *testing.T) {
 	}
 }
 
+// TestRelationRefusesEmptyDeltaAndRepublish: a plain relation takes the
+// partitioned delta path, so a batch without operations is refused
+// (delta.ErrEmpty) rather than republished at a fresh epoch, and AddRelation
+// on a hosted name is refused (ErrAlreadyHosted) rather than replacing it.
+// Neither refusal moves the epoch or the served records.
+func TestRelationRefusesEmptyDeltaAndRepublish(t *testing.T) {
+	h, sr := build(t, 8)
+	v := verifierFor(t, h, sr)
+	orig := sr.Recs[1].Tuple.Attrs[0]
+	s := newBareServer(t, h)
+	if err := s.AddRelation(sr, false); err != nil {
+		t.Fatal(err)
+	}
+	epoch0 := s.Epoch()
+	if _, err := s.ApplyDelta(delta.Delta{Relation: "Uniform"}); !errors.Is(err, delta.ErrEmpty) {
+		t.Fatalf("empty delta: %v, want delta.ErrEmpty", err)
+	}
+	other := sr.Clone()
+	if _, err := other.UpdateAttrs(h, signKey(t), other.Recs[1].Key(), other.Recs[1].Tuple.RowID,
+		[]relation.Value{relation.BytesVal([]byte("republished"))}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddRelation(other, false); !errors.Is(err, server.ErrAlreadyHosted) {
+		t.Fatalf("re-publish: %v, want ErrAlreadyHosted", err)
+	}
+	if s.Epoch() != epoch0 {
+		t.Fatalf("a refusal moved the epoch %d -> %d", epoch0, s.Epoch())
+	}
+	cur, err := collect(s, "all", engine.Query{Relation: "Uniform"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !payloadOf(t, v, cur, 1).Equal(orig) {
+		t.Fatal("a refused re-publish replaced the served relation")
+	}
+}
+
 // TestRelationEmptiesAndRefills: a plain relation is the one slice of a
 // K = 1 table, whose edges are the delimiters, so a delta may delete
 // every record (only K > 1 shards refuse to empty). The empty relation

@@ -33,7 +33,9 @@ import (
 // whichever shards cut over mid-drain. The server answers /stream and
 // /delta for a relation when its table hosts every shard of the spec;
 // both pin or publish under the table's lock, so a read sees a delta
-// entirely or not at all.
+// entirely or not at all. The coordinator-facing RPCs answer only for
+// tables a coordinator filled (coordTable), never for AddPartition's or
+// AddRelation's.
 //
 // The node stays untrusted exactly like a whole publisher: nothing it
 // serves is believed without verification, so the coordinator/node
@@ -70,7 +72,9 @@ var (
 	// owned records; shard rebalancing is an owner-side operation, not
 	// something a live delta may force.
 	ErrShardUnderflow = errors.New("server: delta would leave a shard without records; repartition required")
-	// ErrAlreadyHosted rejects hosting two publications under one name.
+	// ErrAlreadyHosted rejects hosting two publications under one name,
+	// a re-publish (AddRelation or AddPartition on a hosted name) and a
+	// shard install over a relation this process published itself.
 	ErrAlreadyHosted = errors.New("server: relation name already hosted")
 )
 
@@ -109,6 +113,10 @@ type nodeTable struct {
 	spec   partition.Spec
 	params core.Params
 	schema relation.Schema
+	// local marks a table hostAll published (AddPartition, AddRelation):
+	// this process's own relation, which the coordinator-facing RPCs treat
+	// as not hosted. Set at creation, never written after.
+	local bool
 
 	// mu serializes installs, removes, delta staging and commits for this
 	// relation; a read holds it only while it pins slices.
@@ -125,20 +133,32 @@ func (s *Server) nodeFor(name string) *nodeTable {
 	return nt
 }
 
+// coordTable returns the node table a coordinator filled for a relation,
+// or nil. The node-tier RPCs are unauthenticated, so they answer for a
+// local table as for a relation this node does not host: no caller can
+// fetch, remove, re-cut or stage a relation the process published itself.
+func (s *Server) coordTable(name string) *nodeTable {
+	if nt := s.nodeFor(name); nt != nil && !nt.local {
+		return nt
+	}
+	return nil
+}
+
 // openTable returns the relation's node table with nt.mu held, creating
 // it from spec and sr's params and schema when the relation has none —
 // the one table-creation path of InstallShard, recoverSlice, AddPartition
-// and AddRelation. With fresh set, a relation that already has a table is
-// refused. nodeMu is held across the check and the insert.
-func (s *Server) openTable(name string, spec partition.Spec, sr *core.SignedRelation, fresh bool) (*nodeTable, error) {
+// and AddRelation. A local table (hostAll's) is created only fresh, and
+// an install or recovery into one is refused. nodeMu is held across the
+// check and the insert.
+func (s *Server) openTable(name string, spec partition.Spec, sr *core.SignedRelation, local bool) (*nodeTable, error) {
 	s.nodeMu.Lock()
 	defer s.nodeMu.Unlock()
 	nt := s.nodeRels[name]
-	if fresh && nt != nil {
+	if nt != nil && (local || nt.local) {
 		return nil, fmt.Errorf("%w: %q", ErrAlreadyHosted, name)
 	}
 	if nt == nil {
-		nt = &nodeTable{spec: spec, params: sr.Params, schema: sr.Schema, hosted: map[int]*hostedShard{}}
+		nt = &nodeTable{spec: spec, params: sr.Params, schema: sr.Schema, local: local, hosted: map[int]*hostedShard{}}
 		s.nodeRels[name] = nt
 	}
 	nt.mu.Lock()
@@ -193,8 +213,8 @@ func (s *Server) AddPartition(set *partition.Set, validate bool) error {
 	return s.hostAll(set.Spec, set.Slices)
 }
 
-// hostAll publishes every slice of spec into a fresh table — AddPartition's
-// and AddRelation's one hosting step.
+// hostAll publishes every slice of spec into a fresh local table —
+// AddPartition's and AddRelation's one hosting step.
 func (s *Server) hostAll(spec partition.Spec, sls []*core.SignedRelation) error {
 	nt, err := s.openTable(spec.Relation, spec, sls[0], true)
 	if err != nil {
@@ -379,7 +399,7 @@ func (s *Server) validateSlice(spec partition.Spec, shard int, sr *core.SignedRe
 // RemoveShard drops a hosted slice. In-flight streams keep their pinned
 // epochs; new requests for the shard get the not-hosting refusal.
 func (s *Server) RemoveShard(ref wire.ShardRef) error {
-	nt := s.nodeFor(ref.Relation)
+	nt := s.coordTable(ref.Relation)
 	if nt == nil {
 		return fmt.Errorf("%w %d of %q", ErrNodeNotHosting, ref.Shard, ref.Relation)
 	}
@@ -398,14 +418,14 @@ func (s *Server) RemoveShard(ref wire.ShardRef) error {
 	return nil
 }
 
-// viewHosted pins a hosted slice, returning its bookkeeping, the pinned
-// snapshot, its epoch and its slice digest as one consistent set: every
-// publish swaps slice, epoch and digest inside the same nt.mu critical
-// section this read holds, so the digest always names exactly the
-// returned slice. It is the digest's one reader, so it hashes a slice
-// whose publish left the digest unset, once per publish.
+// viewHosted pins a slice of a coordinator's table, returning its
+// bookkeeping, the pinned snapshot, its epoch and its slice digest as one
+// consistent set: every publish swaps slice, epoch and digest inside the
+// same nt.mu critical section this read holds, so the digest always names
+// exactly the returned slice. It is the digest's one reader, so it hashes
+// a slice whose publish left the digest unset, once per publish.
 func (s *Server) viewHosted(ref wire.ShardRef) (*hostedShard, *core.SignedRelation, uint64, hashx.Digest, error) {
-	nt := s.nodeFor(ref.Relation)
+	nt := s.coordTable(ref.Relation)
 	if nt == nil {
 		return nil, nil, 0, nil, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, ref.Shard, ref.Relation)
 	}
@@ -453,7 +473,10 @@ func (s *Server) HostedInventory() wire.HostedResponse {
 	names := slices.Sorted(maps.Keys(s.nodeRels))
 	s.nodeMu.RUnlock()
 	for _, name := range names {
-		nt := s.nodeFor(name)
+		nt := s.coordTable(name)
+		if nt == nil {
+			continue
+		}
 		nt.mu.Lock()
 		shards := slices.Sorted(maps.Keys(nt.hosted))
 		spec := nt.spec
@@ -677,7 +700,7 @@ func writeNodeErr(w io.Writer, flush func(), err error) {
 // mirror fixes and a commit. A previous staged transaction (crashed
 // coordinator) is discarded.
 func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error) {
-	nt := s.nodeFor(d.Relation)
+	nt := s.coordTable(d.Relation)
 	if nt == nil {
 		return wire.NodeDeltaResponse{}, fmt.Errorf("%w 0 of %q", ErrNodeNotHosting, d.Relation)
 	}
@@ -866,7 +889,7 @@ func validateStagedSlice(s *Server, sl *core.SignedRelation, touched []int, left
 // new context digest — is validated in full. Token 0 opens a fresh
 // staging transaction (the fixed shard had no local ops).
 func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error) {
-	nt := s.nodeFor(req.Relation)
+	nt := s.coordTable(req.Relation)
 	if nt == nil {
 		return wire.MirrorResponse{}, fmt.Errorf("%w %d of %q", ErrNodeNotHosting, req.Shard, req.Relation)
 	}
@@ -908,7 +931,7 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 // transaction. The transaction is discarded either way, so a commit the
 // WAL refuses is re-driven by the coordinator from a fresh prepare.
 func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
-	nt := s.nodeFor(req.Relation)
+	nt := s.coordTable(req.Relation)
 	if nt == nil {
 		return 0, fmt.Errorf("%w 0 of %q", ErrNodeNotHosting, req.Relation)
 	}

@@ -580,6 +580,81 @@ func TestPartialHostRefuses(t *testing.T) {
 	}
 }
 
+// TestNodeRPCsRefuseLocalTables: the coordinator-facing RPCs carry no
+// authentication, so they answer for a relation the process published
+// itself (AddRelation, AddPartition) as for one it does not host. No
+// caller can fetch its records past the role policy, remove it, re-cut
+// it with an install, stage a delta on it or list it, and the relation
+// keeps serving its original records.
+func TestNodeRPCsRefuseLocalTables(t *testing.T) {
+	f := newPartServer(t, 64, 4)
+	plain := newBareServer(t, f.h)
+	if err := plain.AddRelation(f.owner.Clone(), false); err != nil {
+		t.Fatal(err)
+	}
+	d := f.mintDelta(t, 2, []byte("staged-over-rpc"))
+	set, err := partition.Split(f.owner, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recut := set.Spec
+	recut.Version = 1
+	sl := set.Slices[0]
+	q := engine.Query{Relation: "Uniform"}
+	ref := wire.ShardRef{Relation: "Uniform", Shard: 0}
+
+	for name, s := range map[string]*server.Server{"AddRelation": plain, "AddPartition": f.s} {
+		ts := httptest.NewServer(s.Handler())
+		client := &wire.Client{BaseURL: ts.URL}
+		notHosting := func(rpc string, err error) {
+			t.Helper()
+			if !wire.IsNotHosting(err) {
+				t.Errorf("%s: %s: %v, want a not-hosting refusal", name, rpc, err)
+			}
+		}
+		rc, err := client.ShardFetch(ref)
+		if err == nil {
+			rc.Close()
+		}
+		notHosting("/shard/fetch", err)
+		notHosting("/shard/remove", client.ShardRemove(ref))
+		_, err = client.ShardEdges(ref)
+		notHosting("edges", err)
+		_, err = client.ShardDigest(ref)
+		notHosting("digest", err)
+		_, err = client.NodeDeltaPrepare(d)
+		notHosting("delta prepare", err)
+		_, err = client.NodeMirror(wire.MirrorRequest{Relation: "Uniform", Left: true, Rec: sl.Recs[0]})
+		notHosting("mirror", err)
+		_, err = client.NodeTx(wire.TxRequest{Relation: "Uniform", Token: 1, Commit: true})
+		notHosting("commit", err)
+		_, err = client.ShardStream(wire.ShardStreamRequest{Role: "all", Query: q, Hi: 1 << 20, First: true, Last: true})
+		notHosting("sub-stream", err)
+		if inv, err := client.Hosted(); err != nil || len(inv.Relations) != 0 {
+			t.Errorf("%s: inventory %+v, %v; want empty", name, inv.Relations, err)
+		}
+		var body bytes.Buffer
+		if err := wire.WriteShardTransfer(&body, f.h, wire.ShardManifest{Spec: recut, Shard: 0}, sl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.ShardInstall(&body); err == nil || !strings.Contains(err.Error(), server.ErrAlreadyHosted.Error()) {
+			t.Errorf("%s: /shard/install of a re-cut shard 0: %v, want %v", name, err, server.ErrAlreadyHosted)
+		}
+		ts.Close()
+
+		res, err := collect(s, "all", q)
+		if err != nil {
+			t.Fatalf("%s: relation stopped serving: %v", name, err)
+		}
+		if rows, err := f.v.VerifyResult(q, f.role, res); err != nil || len(rows) != 64 {
+			t.Fatalf("%s: %d rows, %v; want all 64 verified", name, len(rows), err)
+		}
+		if got := payloadOf(t, f.v, res, 2); !got.Equal(f.set.Slices[0].Recs[2].Tuple.Attrs[0]) {
+			t.Fatalf("%s: the refused prepare published its payload", name)
+		}
+	}
+}
+
 // TestPartitionedDistinctAcrossSeams: DISTINCT through Server.QueryStream
 // on an AddPartition relation, K = 1 included. Every key of the relation is a run of
 // three records with identical payloads, so every seam has a duplicate

@@ -168,9 +168,10 @@ func (s *Server) AddRelation(sr *core.SignedRelation, validate bool) error {
 }
 
 // ApplyDelta ingests an owner update batch live and returns the new
-// epoch. Concurrent queries are never blocked: in-flight ones finish on
-// the pre-delta snapshot, later ones see the post-delta epoch, and both
-// produce VOs that verify.
+// epoch. In-flight streams finish on the epochs they pinned; a query that
+// arrives while the delta stages and publishes waits for the cutover and
+// sees the post-delta epoch. Both produce VOs that verify. A batch with
+// no operations is refused (delta.ErrEmpty).
 func (s *Server) ApplyDelta(d delta.Delta) (uint64, error) {
 	sp := obs.StartSpan("")
 	defer func() {
