@@ -41,7 +41,8 @@ bench-verify:
 # fault-injection seam replays, the lease frames, the /stream request
 # (legacy gob branch included) and the /delta body — plus the durable
 # store's on-disk codecs (WAL records and epoch snapshot files), the
-# one-block SHA-256 kernel against the stdlib digest — and the verifier's
+# one-block SHA-256 kernel and its MGF1 expansion against the stdlib
+# digest, the Barrett-reduced FDH product against Mul+Mod — and the verifier's
 # soundness: edited streams are refused or release exactly the rows an
 # oracle scan of the owner's relation holds.
 fuzz:
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
+	$(GO) test -run xxx -fuzz FuzzAggVerifierAdd -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 
 # smoke-cluster launches 1 coordinator + 2 shard nodes as separate OS

@@ -31,12 +31,19 @@ type cacheFix struct {
 
 func newCachedCluster(t *testing.T, n, k, nNodes int) *cacheFix {
 	t.Helper()
+	return newCachedClusterHTTP(t, n, k, nNodes, nil)
+}
+
+// newCachedClusterHTTP is newCachedCluster with the coordinator's node
+// traffic on hc (nil = the default client).
+func newCachedClusterHTTP(t *testing.T, n, k, nNodes int, hc *http.Client) *cacheFix {
+	t.Helper()
 	srv := cache.NewServer(0)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	// MinAccesses 1 admits on first sight so tests warm deterministically.
 	cc := cache.NewClient(cache.Config{Peers: []string{ts.URL}, MinAccesses: 1})
-	f := newClusterCfg(t, n, k, nNodes, nil, func(cfg *cluster.Config) { cfg.Cache = cc })
+	f := newClusterCfg(t, n, k, nNodes, hc, func(cfg *cluster.Config) { cfg.Cache = cc })
 	return &cacheFix{fix: f, cc: cc, srv: srv}
 }
 
@@ -747,12 +754,18 @@ func TestCacheDeadPeerFailsToOrigin(t *testing.T) {
 
 // TestCacheSingleflightStorm: 64 concurrent identical queries against a
 // cold cache must reach origin at most once — the whole fan-out runs
-// once under the one key, everyone else rides the flight.
+// once under the one key, everyone else rides the flight. The one
+// fan-out is held open (its first sub-stream hangs before the hello)
+// until every other lookup has joined the flight, so the collapse does
+// not depend on the fill still being in flight by luck.
 func TestCacheSingleflightStorm(t *testing.T) {
-	cf := newCachedCluster(t, 96, 3, 2)
+	inj := cluster.NewInjector(nil)
+	cf := newCachedClusterHTTP(t, 96, 3, 2, &http.Client{Transport: inj})
 	coordTS := httptest.NewServer(cf.coord.Handler())
 	defer coordTS.Close()
 	q := engine.Query{Relation: "Uniform"}
+	inj.Set(cluster.Fault{Path: wire.ShardStreamEP.Path, Stage: cluster.StageBeforeHello, Mode: cluster.Hang, Times: 1})
+	defer inj.Release()
 
 	before := cf.origin()
 
@@ -773,6 +786,16 @@ func TestCacheSingleflightStorm(t *testing.T) {
 		}()
 	}
 	close(start)
+	deadline := time.Now().Add(5 * time.Second)
+	for cf.coord.Stats().Cache.Collapsed < storm-1 {
+		if time.Now().After(deadline) {
+			inj.Release()
+			wg.Wait()
+			t.Fatalf("only %d lookups joined the held flight: %+v", cf.coord.Stats().Cache.Collapsed, cf.coord.Stats().Cache)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	inj.Release()
 	wg.Wait()
 	if failures.Load() != 0 {
 		t.Fatalf("%d storm queries failed", failures.Load())
@@ -782,8 +805,7 @@ func TestCacheSingleflightStorm(t *testing.T) {
 	if got := cf.origin() - before; got > 3 {
 		t.Fatalf("storm opened %d origin sub-streams, want <= 3 (one fan-out)", got)
 	}
-	st := cf.coord.Stats()
-	if st.Cache.Collapsed == 0 {
-		t.Fatalf("no lookups collapsed onto the flight: %+v", st.Cache)
+	if st := cf.coord.Stats(); st.Cache.Collapsed != storm-1 || inj.Fired() != 1 {
+		t.Fatalf("want %d lookups collapsed onto one held fan-out, got %d (faults fired %d): %+v", storm-1, st.Cache.Collapsed, inj.Fired(), st.Cache)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"vcqr/internal/hashx"
@@ -59,13 +60,24 @@ func AttrLeaves(h *hashx.Hasher, t relation.Tuple) []hashx.Digest {
 	b := h.Batch()
 	defer b.Done()
 	leaves := make([]hashx.Digest, len(t.Attrs)+1, len(t.Attrs)+2)
-	leaves[0] = b.Leaf(nil, hashx.U64(t.RowID))
 	var enc []byte
-	for i, a := range t.Attrs {
-		enc = a.AppendEncode(enc[:0])
-		leaves[i+1] = b.Leaf(nil, enc)
+	for i := range leaves {
+		enc = AppendAttrLeaf(enc[:0], t, i)
+		leaves[i] = b.Leaf(nil, enc)
 	}
 	return leaves
+}
+
+// AppendAttrLeaf appends the pre-image of leaf i of MHT(r.A) to dst: the
+// row identifier in hashx.U64's encoding for leaf 0, the encoding of
+// attribute i−1 for leaf i ≥ 1. It is the one definition of those
+// leaves, so a publisher that hashes only the leaves it ships hashes
+// exactly what AttrLeaves would.
+func AppendAttrLeaf(dst []byte, t relation.Tuple, i int) []byte {
+	if i == 0 {
+		return binary.BigEndian.AppendUint64(dst, t.RowID)
+	}
+	return t.Attrs[i-1].AppendEncode(dst)
 }
 
 // KeyLeaf returns the last leaf of MHT(r.A), the record's key in

@@ -269,20 +269,24 @@ func projectCols(schema relation.Schema, project []string) []int {
 
 // disclose splits a tuple's attribute-tree leaves other than the key leaf
 // into opened values (the given column indexes, sorted) and hidden
-// digests (everything else, including the row-id leaf 0). cols is walked
-// in step with the leaves instead of through a set — this runs once per
-// covered record per query, and the two per-entry map allocations were a
-// measurable slice of the streaming loop's garbage.
+// digests (everything else, including the row-id leaf 0). Only the
+// hidden leaves are hashed — an opened one travels as its value, and the
+// user hashes it — so a full projection costs the row-id leaf alone.
+// cols is walked in step with the leaves instead of through a set — this
+// runs once per covered record per query, and the two per-entry map
+// allocations were a measurable slice of the streaming loop's garbage.
 func disclose(h *hashx.Hasher, t relation.Tuple, cols []int) ([]DisclosedAttr, []hashx.Digest) {
-	leaves := core.AttrLeaves(h, t)
+	b := h.Batch()
+	defer b.Done()
 	disclosed := make([]DisclosedAttr, 0, len(cols))
-	hideCap := len(leaves) - len(cols)
+	hideCap := len(t.Attrs) + 1 - len(cols)
 	if hideCap < 0 {
 		hideCap = 0 // duplicate column requests
 	}
 	hidden := make([]hashx.Digest, 0, hideCap)
+	var enc [64]byte
 	ci := 0
-	for i, l := range leaves {
+	for i := 0; i <= len(t.Attrs); i++ {
 		if ci < len(cols) && cols[ci]+1 == i {
 			c := cols[ci]
 			disclosed = append(disclosed, DisclosedAttr{Col: c, Val: t.Attrs[c]})
@@ -291,7 +295,7 @@ func disclose(h *hashx.Hasher, t relation.Tuple, cols []int) ([]DisclosedAttr, [
 			}
 			continue
 		}
-		hidden = append(hidden, l)
+		hidden = append(hidden, b.Leaf(nil, core.AppendAttrLeaf(enc[:0], t, i)))
 	}
 	return disclosed, hidden
 }

@@ -113,16 +113,33 @@ func sum(tag byte, parts ...[]byte) (out [sha256.Size]byte) {
 	return out
 }
 
-// Sum256 returns the plain, untagged SHA-256 digest of msg — identical to
-// sha256.Sum256, through the kernel when msg fits one block. It is not a
-// scheme hash and no Hasher counts it; sig's full-domain hash expands a
-// digest with it.
-func Sum256(msg []byte) [MaxSize]byte {
-	if len(msg) > oneBlock {
-		return sha256.Sum256(msg)
+// MGF1 appends n bytes of the MGF1-SHA256 expansion of seed to dst:
+// SHA-256(seed‖0) ‖ SHA-256(seed‖1) ‖ …, each counter 4 bytes big-endian,
+// truncated to n. Every block runs on one kernel, which rewrites only the
+// counter bytes between compressions. seed must leave room for the
+// counter in one block (at most maxSeed bytes); sig's full-domain hash,
+// the only caller, expands a tag and one digest. It is not a scheme hash
+// and no Hasher counts it.
+func MGF1(dst, seed []byte, n int) []byte {
+	if len(seed) > maxSeed {
+		panic("hashx: MGF1 seed longer than one block holds")
 	}
-	return once(msg)
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	var ctr [4]byte
+	k.fill(seed, ctr[:])
+	for c := uint32(0); n > 0; c++ {
+		binary.BigEndian.PutUint32(k.block[len(seed):], c)
+		d := k.compress()
+		m := min(n, len(d))
+		dst = append(dst, d[:m]...)
+		n -= m
+	}
+	return dst
 }
+
+// maxSeed is the longest seed MGF1 expands: one block less its counter.
+const maxSeed = oneBlock - 4
 
 // oneBlock is the longest message one SHA-256 block holds once padded:
 // 64 bytes less the 0x80 pad byte and the 8-byte bit length.

@@ -3,6 +3,7 @@ package hashx
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -248,16 +249,36 @@ func split(rng *rand.Rand, msg []byte) [][]byte {
 	}
 }
 
-// TestSum256MatchesStdlib: the untagged digest is the stdlib's on both
-// sides of the one-block limit and across the next block boundary.
-func TestSum256MatchesStdlib(t *testing.T) {
-	msg := make([]byte, 130)
-	rand.New(rand.NewSource(9)).Read(msg)
-	for n := 0; n <= len(msg); n++ {
-		if Sum256(msg[:n]) != sha256.Sum256(msg[:n]) {
-			t.Fatalf("Sum256 of %d bytes differs from sha256.Sum256", n)
+// TestMGF1MatchesStdlib: the one-kernel expansion equals the stdlib's
+// SHA-256(seed‖counter) loop for every seed length up to maxSeed and for
+// lengths that end inside, on and just past a 32-byte block.
+func TestMGF1MatchesStdlib(t *testing.T) {
+	seed := make([]byte, maxSeed)
+	rand.New(rand.NewSource(9)).Read(seed)
+	for s := 0; s <= maxSeed; s++ {
+		for _, n := range []int{0, 1, 31, 32, 33, 136, 264, 520} {
+			if got, want := MGF1([]byte("keep"), seed[:s], n), append([]byte("keep"), mgf1Ref(seed[:s], n)...); !bytes.Equal(got, want) {
+				t.Fatalf("MGF1 of a %d-byte seed to %d bytes differs from the stdlib loop", s, n)
+			}
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MGF1 accepted a seed that leaves no room for its counter")
+		}
+	}()
+	MGF1(nil, make([]byte, maxSeed+1), 32)
+}
+
+// mgf1Ref is MGF1-SHA256 straight from the stdlib: one sha256.Sum256 of
+// seed‖counter per 32 bytes.
+func mgf1Ref(seed []byte, n int) []byte {
+	var out []byte
+	for c := uint32(0); len(out) < n; c++ {
+		sum := sha256.Sum256(binary.BigEndian.AppendUint32(append([]byte(nil), seed...), c))
+		out = append(out, sum[:]...)
+	}
+	return out[:n]
 }
 
 // TestChainMatchesNextLoop: a chain on one kernel, which rewrites only
@@ -329,7 +350,9 @@ func TestKernelConcurrent(t *testing.T) {
 }
 
 // FuzzSum: the kernel and the streamed path agree with the stdlib for any
-// tag, message and split point.
+// tag, message and split point, and MGF1 expands any seed that fits (the
+// message's first maxSeed bytes) to any length up to it (the split point)
+// exactly as the stdlib loop does.
 func FuzzSum(f *testing.F) {
 	f.Add(tagIter, make([]byte, 16), 8)
 	f.Add(tagMisc, make([]byte, 54), 0)
@@ -340,8 +363,8 @@ func FuzzSum(f *testing.F) {
 		if sum(tag, msg[:cut], msg[cut:]) != sha256.Sum256(append([]byte{tag}, msg...)) {
 			t.Fatalf("sum(tag %d, %d+%d bytes) differs from SHA-256(tag|msg)", tag, cut, len(msg)-cut)
 		}
-		if Sum256(msg) != sha256.Sum256(msg) {
-			t.Fatalf("Sum256 of %d bytes differs from sha256.Sum256", len(msg))
+		if seed := msg[:min(len(msg), maxSeed)]; !bytes.Equal(MGF1(nil, seed, cut), mgf1Ref(seed, cut)) {
+			t.Fatalf("MGF1 of a %d-byte seed to %d bytes differs from the stdlib loop", len(seed), cut)
 		}
 	})
 }

@@ -58,7 +58,7 @@ func TestGobStaysInWire(t *testing.T) {
 // TestSHA256StaysInHashx pins the hash kernel as the one way to SHA-256:
 // of everything under internal/ and cmd/, only internal/hashx imports
 // crypto/sha256 outside its tests, so no hashing path bypasses the
-// one-block kernel (sig's full-domain hash goes through hashx.Sum256).
+// one-block kernel (sig's full-domain hash expands through hashx.MGF1).
 func TestSHA256StaysInHashx(t *testing.T) {
 	for _, pkg := range importers(t, "crypto/sha256") {
 		if pkg != "vcqr/internal/hashx" {
