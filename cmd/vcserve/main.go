@@ -118,7 +118,7 @@ func main() {
 	replicas := flag.Int("replicas", 1, "coordinator mode: replication factor R — every shard's slice installs on R distinct nodes and queries pick the least-loaded live replica (clamped to the node count)")
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator mode: how long one acknowledged heartbeat keeps a node live for routing; expiry demotes, never deletes (0 = default 15s)")
 	heartbeat := flag.Duration("heartbeat", 0, "coordinator mode: lease heartbeat interval (0 = lease-ttl/3)")
-	dataDir := flag.String("data-dir", "", "durable storage directory: node mode logs installs and deltas to a crash-safe WAL and recovers them on restart; coordinator mode persists routing epochs and staged delta tokens (empty = memory-only)")
+	dataDir := flag.String("data-dir", "", "durable storage directory: node mode logs installs and deltas to a crash-safe WAL and recovers them on restart; coordinator mode persists routing epochs and staged delta tokens; other modes refuse it (empty = memory-only)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "node mode with -data-dir: fold the WAL into an epoch snapshot every N appends (0 = default 64, negative disables)")
 	flag.StringVar(&debugAddr, "debug-addr", "", "serve expvar/pprof/slowlog on a separate listener (empty = query port only)")
 	flag.DurationVar(&slowQuery, "slow-query", 0, "slow-query log retention threshold, e.g. 250ms (0 = default 100ms, negative disables)")
@@ -129,6 +129,15 @@ func main() {
 		if m {
 			modes++
 		}
+	}
+	// Durability reaches only the modes that keep a disk image; any
+	// other mode would run memory-only while its operator believes it
+	// durable, so the combination is refused before anything starts.
+	if *dataDir != "" && !*nodeMode && !*coordMode {
+		log.Fatal("-data-dir is accepted only with -node or -coordinator; single-process and -cache-node servers are memory-only")
+	}
+	if *snapshotEvery != 0 && (!*nodeMode || *dataDir == "") {
+		log.Fatal("-snapshot-every is accepted only with -node and -data-dir")
 	}
 	switch {
 	case modes > 1:

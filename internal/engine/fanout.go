@@ -13,9 +13,9 @@ import (
 
 // This file is the in-process entry to the fan-out engine (merge.go): it
 // turns slices held in this process into local ShardPartial feeds and
-// hands them to the one merger, so a single-process partitioned server
-// and a coordinator over remote nodes run the same code on the same
-// bytes.
+// hands them to the one merger, so a single-process server, a
+// coordinator over remote nodes and Execute/ExecuteStream (the K = 1
+// cover) run the same code on the same bytes.
 
 // ShardSlice couples one pinned shard slice with the sub-range of the
 // effective query it covers. Slices must be passed in shard (key) order

@@ -97,10 +97,9 @@ func (e *fanoutEnv) fanout(t *testing.T, q engine.Query, opts engine.StreamOpts)
 // cross-shard fan-out stream must collect into a result byte-identical
 // to the unpartitioned execution, and must pass the *unmodified*
 // whole-result verifier — partitioning is invisible to the chain. At
-// K = 1 the frames themselves are compared: the merged stream is
-// ExecuteStream's chunk for chunk except that its footer carries one
-// ShardFeet line (shard tags are 0, the field's zero value), which is
-// what keeps an unpartitioned relation off the merged path.
+// K = 1 the frames themselves are compared: ExecuteStream is the K = 1
+// merge, so the two streams agree chunk for chunk, footer ShardFeet
+// {0, n} included.
 func TestFanoutMatchesUnpartitioned(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
@@ -150,17 +149,13 @@ func TestFanoutMatchesUnpartitioned(t *testing.T) {
 				t.Fatalf("ExecuteStream emitted %d chunks, the K = 1 merge %d", len(a), len(b))
 			}
 			for i := range a {
-				ca, cb := *a[i], *b[i]
-				if ca.Type == engine.ChunkFooter {
-					feet := []engine.ShardFoot{{Shard: 0, Entries: uint64(len(want.VO.Entries))}}
-					if ca.ShardFeet != nil || !reflect.DeepEqual(cb.ShardFeet, feet) {
-						t.Fatalf("footer ShardFeet: ExecuteStream %v, K = 1 merge %v", ca.ShardFeet, cb.ShardFeet)
-					}
-					cb.ShardFeet = nil
+				if !reflect.DeepEqual(a[i], b[i]) {
+					t.Fatalf("chunk %d (%v) differs between ExecuteStream and the K = 1 merge", i, a[i].Type)
 				}
-				if !reflect.DeepEqual(ca, cb) {
-					t.Fatalf("chunk %d (%v) differs between ExecuteStream and the K = 1 merge", i, ca.Type)
-				}
+			}
+			feet := []engine.ShardFoot{{Shard: 0, Entries: uint64(len(want.VO.Entries))}}
+			if foot := a[len(a)-1]; !reflect.DeepEqual(foot.ShardFeet, feet) {
+				t.Fatalf("ExecuteStream footer ShardFeet %v, want %v", foot.ShardFeet, feet)
 			}
 		})
 	}

@@ -12,14 +12,16 @@ import (
 	"vcqr/internal/sig"
 )
 
-// This file is the one fan-out engine: a query whose effective range
-// spans several partition shards is answered as a single chunk stream
-// that concatenates per-shard entry runs. Because the shards of
-// internal/partition are contiguous slices of one global signature
-// chain, the merged stream is indistinguishable — to the chain-
-// verification rules — from the stream an unpartitioned publisher would
-// emit for the same range; the only additions are the per-chunk Shard
-// tags and the footer's ShardFeet accounting, which give verifiers
+// This file is the one chunk producer: every VO the publisher emits is a
+// single chunk stream that concatenates per-shard entry runs. A query
+// whose effective range spans several partition shards merges one run
+// per covering shard; an unpartitioned relation is the K = 1 case, one
+// run over the whole relation (Execute, ExecuteStream). Because the
+// shards of internal/partition are contiguous slices of one global
+// signature chain, the merged stream is indistinguishable — to the
+// chain-verification rules — from a K = 1 stream over the same range;
+// the only additions are the per-chunk Shard tags and the footer's
+// ShardFeet accounting (one line at K = 1), which give verifiers
 // shard-attributed fail-fast errors. The engine has two halves, split
 // where a distributed deployment crosses the wire:
 //
@@ -29,7 +31,8 @@ import (
 //     in any order), and whichever boundary proofs its position in the
 //     cover obliges it to supply. Shard nodes run it behind
 //     /shard/stream; Publisher.FanoutStream (fanout.go) runs it over
-//     slices held in this process.
+//     slices held in this process, and Execute and ExecuteStream run it
+//     over one whole relation.
 //
 //   - MergeShards is the merger: it concatenates per-shard feeds (in
 //     hand-off order) into the canonical chunk sequence — one header,
@@ -311,6 +314,17 @@ func MergeShards(pub *sig.PublicKey, aggregate bool, eff Query, feeds []ShardFee
 	}
 	return st, nil
 }
+
+// streamStage is a merged stream's position in the canonical chunk
+// order.
+type streamStage byte
+
+const (
+	stageHeader streamStage = iota
+	stageEntries
+	stageFooter
+	stageDone
+)
 
 // mergeStream concatenates shard feeds into the canonical chunk order.
 type mergeStream struct {

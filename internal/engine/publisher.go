@@ -175,10 +175,14 @@ func EffectiveQuery(p core.Params, schema relation.Schema, role accessctl.Role, 
 }
 
 // executeRewritten builds the result for an already-rewritten query by
-// draining the chunk stream — the materialized API is a view over the
-// streaming one, so the two cannot diverge.
+// draining the K = 1 fan-out stream — the materialized API is a view over
+// the one chunk producer, so the two cannot diverge.
 func (p *Publisher) executeRewritten(sr *core.SignedRelation, role accessctl.Role, eff Query) (*Result, error) {
-	return Collect(p.newStream(sr, role, eff, DefaultChunkRows))
+	st, err := p.FanoutStream(role, eff, []ShardSlice{{SR: sr, Lo: eff.KeyLo, Hi: eff.KeyHi}}, nil, StreamOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return Collect(st)
 }
 
 // buildEntry classifies one covered record and assembles its VO entry.

@@ -4,16 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
-	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/hashx"
 	"vcqr/internal/obs"
 	"vcqr/internal/sig"
 )
 
-// This file is the streaming half of the publisher: instead of
+// This file defines the streaming shape of a result: instead of
 // materializing a whole Result, the VO is emitted as a sequence of
 // self-delimiting chunks with bounded memory per chunk. The chunk
 // sequence mirrors the structure the completeness proof is built from:
@@ -28,8 +26,12 @@ import (
 // binds g(i-1) | g(i) | g(i+1) regardless of which chunks carry them, so
 // a verifier that maintains the running chain detects dropped, reordered
 // or truncated chunks no later than the footer — and usually immediately,
-// via the Seq numbers and key ordering. Execute is a drain of this
-// stream, so the materialized and streaming paths cannot diverge.
+// via the Seq numbers and key ordering.
+//
+// One producer builds every such stream: the fan-out engine (merge.go),
+// ShardPartial runs merged by MergeShards. An unpartitioned relation is
+// answered as its K = 1 merge — ExecuteStream is that stream and Execute
+// its drain, so the materialized and streaming paths cannot diverge.
 
 // ChunkType tags the chunks of a streamed result.
 type ChunkType byte
@@ -122,7 +124,9 @@ type Chunk struct {
 	// with the entry count that shard contributed. Verifiers cross-check
 	// it against the shard tags they observed so an interior shard whose
 	// chunks went missing is attributed by name before (or in addition
-	// to) the chain failure. Nil on unpartitioned streams.
+	// to) the chain failure. An unpartitioned stream, the K = 1 merge,
+	// carries the one line {0, n}; only a footer rebuilt from a
+	// materialized Result (ChunkResult) has none.
 	ShardFeet []ShardFoot
 
 	// Error field.
@@ -145,13 +149,11 @@ type ShardFoot struct {
 }
 
 // ResultStream yields the chunks of one query result in order. Next
-// returns io.EOF after the footer. Single-relation streams need no
-// Close — they hold no resources beyond the relation snapshot, which
-// the garbage collector keeps alive exactly as long as the stream is
-// reachable. Merged streams (MergeShards, FanoutStream) additionally
-// implement io.Closer to release their per-shard feeds; callers that may
-// abandon a stream mid-drain should type-assert and defer Close
-// (wire.WriteStream does).
+// returns io.EOF after the footer. The engine's streams are merges
+// (MergeShards, FanoutStream) and implement io.Closer to release their
+// per-shard feeds; callers that may abandon a stream mid-drain should
+// type-assert and defer Close (wire.WriteStream does). A K = 1 stream
+// holds nothing beyond its relation snapshot, so Close is a no-op there.
 type ResultStream interface {
 	Next() (*Chunk, error)
 }
@@ -177,8 +179,10 @@ type StreamOpts struct {
 	// is why Collect and the incremental verifiers are reuse-safe. Set
 	// by drain-style consumers (the server's /stream handler serializes
 	// each chunk before pulling the next); leave off when chunks are
-	// retained. Parallel fan-out production (FanoutStream) ignores it —
-	// chunks crossing a channel cannot be recycled safely.
+	// retained. Each ShardPartial honours it; a parallel fan-out over
+	// several slices (FanoutStream) ignores it — chunks crossing a
+	// channel cannot be recycled safely. A K = 1 stream is never
+	// parallel, so ExecuteStream always honours it.
 	ReuseChunks bool
 }
 
@@ -193,8 +197,10 @@ func (o StreamOpts) chunkRows() int {
 }
 
 // ExecuteStream runs a select-project query and returns the result as a
-// chunk stream instead of a materialized Result. Rewrite errors surface
-// here; assembly errors surface from Next as the stream advances.
+// chunk stream instead of a materialized Result: the K = 1 fan-out over
+// the registered relation, the stream /stream ships for it, footer
+// ShardFeet {0, n} included. Rewrite errors surface here; assembly
+// errors surface from Next as the stream advances.
 func (p *Publisher) ExecuteStream(roleName string, q Query, opts StreamOpts) (ResultStream, error) {
 	sr, ok := p.Relation(q.Relation)
 	if !ok {
@@ -204,211 +210,22 @@ func (p *Publisher) ExecuteStream(roleName string, q Query, opts StreamOpts) (Re
 }
 
 // ExecuteStreamOn is ExecuteStream against an explicitly pinned relation
-// snapshot, one that no Publisher registry holds (the serving layer pins
-// slices itself and runs FanoutStream). The snapshot must not be mutated
-// while the stream is being drained.
+// snapshot, one that no Publisher registry holds: PlanQuery, then
+// FanoutStream over the single slice covering the effective range. The
+// snapshot must not be mutated while the stream is being drained.
 func (p *Publisher) ExecuteStreamOn(sr *core.SignedRelation, roleName string, q Query, opts StreamOpts) (ResultStream, error) {
 	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}
-	return p.newStreamOpts(sr, role, eff, opts), nil
-}
-
-// voStream is the pull-based chunk producer. Memory is O(ChunkRows) per
-// Next call plus the O(1) signature accumulator; the only state that can
-// grow with the result is the DISTINCT duplicate-suppression set, which
-// is inherent to the operator's semantics.
-type voStream struct {
-	p    *Publisher
-	sr   *core.SignedRelation
-	role accessctl.Role
-	eff  Query
-
-	chunkRows int
-	a, b      int // covered record interval [a, b) in sr.Recs
-	pos       int // next record index to emit
-	seq       uint64
-
-	agg *sig.Aggregator // condensed-signature accumulator (Aggregate mode)
-	// idx is the snapshot's crypto index when one is attached: per-entry
-	// signature folding is skipped and the footer's condensed signature
-	// comes from an O(log n) product-tree range query instead.
-	idx *core.AggIndex
-
-	// reuse recycles chunk + entries buffers across Next calls (see
-	// StreamOpts.ReuseChunks).
-	reuse    bool
-	chunkBuf Chunk
-	entryBuf []VOEntry
-
-	stage streamStage
-	err   error // sticky failure
-}
-
-type streamStage byte
-
-const (
-	stageHeader streamStage = iota
-	stageEntries
-	stageFooter
-	stageDone
-)
-
-func (p *Publisher) newStream(sr *core.SignedRelation, role accessctl.Role, eff Query, chunkRows int) *voStream {
-	return p.newStreamOpts(sr, role, eff, StreamOpts{ChunkRows: chunkRows})
-}
-
-func (p *Publisher) newStreamOpts(sr *core.SignedRelation, role accessctl.Role, eff Query, opts StreamOpts) *voStream {
-	a, b := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
-	st := &voStream{
-		p: p, sr: sr, role: role, eff: eff,
-		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
-		reuse: opts.ReuseChunks,
-	}
-	if p.Aggregate {
-		st.agg = p.pub.NewAggregator()
-		// The fast path: every covered entry's signature is in the index,
-		// so the footer folds ONE O(log n) range product into the
-		// aggregate instead of one multiplication per entry here.
-		if ix := sr.AggIndex(); ix != nil && ix.Len() == len(sr.Recs) {
-			st.idx = ix
-		}
-	}
-	return st
-}
-
-// Next returns the next chunk, io.EOF after the footer, or the assembly
-// error that ended the stream (sticky).
-func (s *voStream) Next() (*Chunk, error) {
-	if s.err != nil {
-		return nil, s.err
-	}
-	c, err := s.next()
-	if err != nil {
-		s.err = err
-		return nil, err
-	}
-	c.Seq = s.seq
-	s.seq++
-	return c, nil
-}
-
-func (s *voStream) next() (*Chunk, error) {
-	switch s.stage {
-	case stageHeader:
-		left, err := s.sr.ProveBoundary(s.p.h, s.a-1, core.Up, s.eff.KeyLo)
-		if err != nil {
-			return nil, fmt.Errorf("engine: left boundary: %w", err)
-		}
-		s.stage = stageEntries
-		if s.pos >= s.b {
-			s.stage = stageFooter
-		}
-		return &Chunk{
-			Type:      ChunkHeader,
-			Relation:  s.eff.Relation,
-			Effective: s.eff,
-			KeyLo:     s.eff.KeyLo,
-			KeyHi:     s.eff.KeyHi,
-			Left:      left,
-		}, nil
-
-	case stageEntries:
-		n := s.b - s.pos
-		if n > s.chunkRows {
-			n = s.chunkRows
-		}
-		var c *Chunk
-		if s.reuse {
-			s.chunkBuf = Chunk{Type: ChunkEntries, Entries: s.entryBuf[:0]}
-			c = &s.chunkBuf
-		} else {
-			c = &Chunk{Type: ChunkEntries, Entries: make([]VOEntry, 0, n)}
-		}
-		for i := s.pos; i < s.pos+n; i++ {
-			rec := s.sr.Recs[i]
-			entry, err := s.p.buildEntry(s.sr, s.role, s.eff, rec)
-			if err != nil {
-				return nil, err
-			}
-			c.Entries = append(c.Entries, entry)
-			switch {
-			case s.idx != nil:
-				// Indexed: the footer takes the whole covered run's
-				// product from the tree in O(log n); nothing per entry.
-			case s.agg != nil:
-				if err := s.agg.Add(sig.Signature(rec.Sig)); err != nil {
-					return nil, fmt.Errorf("engine: aggregation: %w", err)
-				}
-			default:
-				// Aliasing rec.Sig is safe: epoch snapshots are immutable.
-				c.Sigs = append(c.Sigs, sig.Signature(rec.Sig))
-			}
-		}
-		if s.reuse {
-			s.entryBuf = c.Entries
-		}
-		s.pos += n
-		if s.pos >= s.b {
-			s.stage = stageFooter
-		}
-		return c, nil
-
-	case stageFooter:
-		c := &Chunk{Type: ChunkFooter}
-		right, err := s.sr.ProveBoundary(s.p.h, s.b, core.Down, s.eff.KeyHi)
-		if err != nil {
-			return nil, fmt.Errorf("engine: right boundary: %w", err)
-		}
-		c.Right = right
-		if s.b == s.a {
-			// Empty range: ship sig(pred) and g(pred-1) so the user can
-			// check the predecessor and successor are adjacent (Section
-			// 3.2 Case 2 analysis, generalized to ranges).
-			predSig := sig.Signature(s.sr.Recs[s.a-1].Sig)
-			if s.agg != nil {
-				if err := s.agg.Add(predSig); err != nil {
-					return nil, fmt.Errorf("engine: aggregation: %w", err)
-				}
-			} else {
-				c.Sigs = []sig.Signature{predSig}
-			}
-			if s.a-1 > 0 {
-				c.PredPrevG = s.sr.Recs[s.a-2].G.Clone()
-			}
-		}
-		if s.idx != nil && s.b > s.a {
-			// The covered run's condensed signature in O(log n)
-			// multiplications — this one line is the tentpole speedup.
-			t0 := time.Now()
-			rs, err := s.idx.RangeAggregate(s.a, s.b)
-			s.p.Obs.Hist(obs.StageAggIndex).ObserveSince(t0)
-			if err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-			if err := s.agg.Add(rs); err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-		}
-		if s.agg != nil {
-			agg, err := s.agg.Sum()
-			if err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-			c.AggSig = agg
-		}
-		s.stage = stageDone
-		return c, nil
-
-	default:
-		return nil, io.EOF
-	}
+	return p.FanoutStream(role, eff, []ShardSlice{{SR: sr, Lo: eff.KeyLo, Hi: eff.KeyHi}}, nil, opts)
 }
 
 // Collect drains a stream into the materialized Result the non-streaming
-// API returns. Execute is implemented as ExecuteStream + Collect, so the
-// two paths emit byte-identical VOs.
+// API returns. Execute is the K = 1 merge ExecuteStream returns plus
+// Collect, so the two paths emit byte-identical VOs; the footer's
+// ShardFeet and the chunks' Shard tags are framing, not VO, and are
+// dropped.
 func Collect(st ResultStream) (*Result, error) {
 	var res *Result
 	sawFooter := false
@@ -459,8 +276,9 @@ func Collect(st ResultStream) (*Result, error) {
 
 // ChunkResult slices a materialized Result back into the chunk sequence
 // ExecuteStream would have produced for it (with the given per-chunk
-// entry budget). The whole-result verifier runs on these chunks, and
-// tamper tests use them to corrupt individual stream pieces.
+// entry budget), less the footer's ShardFeet, which a Result does not
+// keep. The whole-result verifier runs on these chunks, and tamper tests
+// use them to corrupt individual stream pieces.
 func ChunkResult(res *Result, chunkRows int) []*Chunk {
 	if chunkRows <= 0 {
 		chunkRows = DefaultChunkRows

@@ -171,6 +171,34 @@ func TestOneHostingTable(t *testing.T) {
 	}
 }
 
+// TestOneChunkProducer pins one producer of a VO's chunks: no non-test
+// file of internal/engine declares voStream, the unpartitioned producer
+// Execute and ExecuteStream once ran beside the fan-out engine, and
+// buildEntry — the step that turns a covered record into a VO entry —
+// has exactly one call site, ShardPartial.Next. Every answer is a
+// merge of shard partials; an unpartitioned one is the K = 1 merge.
+func TestOneChunkProducer(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^\s*type\s+voStream\b`)
+	call := regexp.MustCompile(`\.buildEntry\(`)
+	funcLine := regexp.MustCompile(`(?m)^func [^\n]*`)
+	var sites []string
+	for name, src := range sources(t, filepath.Join("internal", "engine")) {
+		if decl.Match(src) {
+			t.Errorf("%s declares voStream", name)
+		}
+		for _, at := range call.FindAllIndex(src, -1) {
+			fns := funcLine.FindAll(src[:at[0]], -1)
+			if len(fns) == 0 {
+				t.Fatalf("%s calls buildEntry outside a function", name)
+			}
+			sites = append(sites, string(fns[len(fns)-1]))
+		}
+	}
+	if len(sites) != 1 || !strings.HasPrefix(sites[0], "func (sp *ShardPartial) Next()") {
+		t.Errorf("buildEntry is called from %q, want only ShardPartial.Next", sites)
+	}
+}
+
 // TestOneCacheGranularity pins the edge cache as one kind of entry, the
 // merged stream, looked up in one place: no non-test file of
 // internal/cluster names a decoded cache hit, a feed replayed from one
