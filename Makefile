@@ -42,7 +42,9 @@ bench-verify:
 # (legacy gob branch included) and the /delta body — plus the durable
 # store's on-disk codecs (WAL records and epoch snapshot files), the
 # one-block SHA-256 kernel and its MGF1 expansion against the stdlib
-# digest, the Barrett-reduced FDH product against Mul+Mod — and the verifier's
+# digest, the once-hashed chain side (combined digest and boundary proof)
+# against the reference construction, the Barrett-reduced FDH product
+# against Mul+Mod — and the verifier's
 # soundness: edited streams are refused or release exactly the rows an
 # oracle scan of the owner's relation holds.
 fuzz:
@@ -55,6 +57,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
+	$(GO) test -run xxx -fuzz FuzzChainSide -fuzztime 30s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzAggVerifierAdd -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 

@@ -141,11 +141,11 @@ func makeRecord(h *hashx.Hasher, p Params, t relation.Tuple) (SignedRecord, erro
 	if t.Key <= p.L || t.Key >= p.U {
 		return SignedRecord{}, fmt.Errorf("%w: key %d", ErrKeyDomain, t.Key)
 	}
-	up, err := buildChainSide(h, p, t.Key, Up)
+	up, err := sideCombined(h, nil, p, t.Key, Up)
 	if err != nil {
 		return SignedRecord{}, err
 	}
-	down, err := buildChainSide(h, p, t.Key, Down)
+	down, err := sideCombined(h, nil, p, t.Key, Down)
 	if err != nil {
 		return SignedRecord{}, err
 	}
@@ -153,10 +153,10 @@ func makeRecord(h *hashx.Hasher, p Params, t relation.Tuple) (SignedRecord, erro
 	return SignedRecord{
 		Kind:         KindRecord,
 		Tuple:        t.Clone(),
-		UpCombined:   up.Combined,
-		DownCombined: down.Combined,
+		UpCombined:   up,
+		DownCombined: down,
 		AttrRoot:     attrRoot,
-		G:            recordG(h, KindRecord, up.Combined, down.Combined, attrRoot),
+		G:            recordG(h, KindRecord, up, down, attrRoot),
 	}, nil
 }
 
@@ -171,18 +171,18 @@ func makeDelim(h *hashx.Hasher, p Params, kind Kind) (SignedRecord, error) {
 	switch kind {
 	case KindDelimLeft:
 		key = p.L
-		side, err := buildChainSide(h, p, key, Up)
-		if err != nil {
+		var err error
+		if up, err = sideCombined(h, nil, p, key, Up); err != nil {
 			return SignedRecord{}, err
 		}
-		up, down = side.Combined, markerNoChain(h)
+		down = markerNoChain(h)
 	case KindDelimRight:
 		key = p.U
-		side, err := buildChainSide(h, p, key, Down)
-		if err != nil {
+		var err error
+		if down, err = sideCombined(h, nil, p, key, Down); err != nil {
 			return SignedRecord{}, err
 		}
-		up, down = markerNoChain(h), side.Combined
+		up = markerNoChain(h)
 	default:
 		return SignedRecord{}, fmt.Errorf("core: makeDelim on kind %v", kind)
 	}

@@ -8,104 +8,138 @@ import (
 	"vcqr/internal/mht"
 )
 
-// digitChains holds, for one (key, direction) pair, the iterated-hash
-// chain of every digit position up to the maximum count any representation
-// can need (2B-1, by the lemma's digit bounds). chains[j][c] = h^c(r|j).
-//
-// Building all of them once makes owner-side signing O(m*B) hash
-// operations instead of O(m^2*B), because the canonical representation and
-// all m preferred non-canonical representations share these chain values.
-type digitChains struct {
-	p      Params
-	key    uint64
-	dir    Direction
-	size   int    // digest width
-	counts int    // chain values kept per digit: counts 0..2B-1
-	chains []byte // h^c(r|j) at ((j*counts)+c)*size, one block for all digits
+// side is one (key, direction) chain side of Section 5.1 as the owner
+// signs it and the publisher proves from it: the canonical digits c_j of
+// delta_t and, per digit j, the iterated-hash chain h^0..h^top_j(r|j),
+// laid end to end in one block. A chain runs only as far as a
+// representation of this key reaches: every preferred representation
+// adds B to digit 0 and B-1 to the digits it borrows through, so top_0 =
+// c_0+B and top_j = c_j+B-1 above it. A boundary proof's exponents
+// DeltaE never exceed the representation it chose, so they stay inside
+// too.
+type side struct {
+	h     *hashx.Hasher
+	p     Params
+	key   uint64
+	dir   Direction
+	size  int // digest width
+	dt    uint64
+	canon basep.Rep
+	// at[j] is the digest offset of h^0(r|j) in chains; at[Digits] ends
+	// the last chain.
+	at     [basep.MaxDigits + 1]int
+	chains []byte
+	// tips is the canonical representation's tips laid end to end,
+	// h^{c_0}(r|0) | .. | h^{c_m}(r|m): the canonical digest's message
+	// and, from digit i+2 on, preferred representation i's tail.
+	tips []byte
 }
 
-// newDigitChains computes the chains for a key in one direction.
-func newDigitChains(h *hashx.Hasher, p Params, key uint64, dir Direction) *digitChains {
-	b := h.Batch()
-	defer b.Done()
-	dc := &digitChains{p: p, key: key, dir: dir, size: h.Size(), counts: int(2 * p.BP.B)}
-	dc.chains = make([]byte, 0, p.BP.Digits*dc.counts*dc.size)
-	for j := 0; j < p.BP.Digits; j++ {
-		dc.chains = b.Iterate(dc.chains, preimage(key, j, dir), 0)
-		for c := 1; c < dc.counts; c++ {
-			dc.chains = b.IterateFrom(dc.chains, dc.chains[len(dc.chains)-dc.size:], 1)
+// newSide sizes a chain side for a key; hashChains computes it.
+func newSide(h *hashx.Hasher, p Params, key uint64, dir Direction) (side, error) {
+	dt, err := p.deltaT(key, dir)
+	if err != nil {
+		return side{}, err
+	}
+	canon, err := basep.Canonical(p.BP, dt)
+	if err != nil {
+		return side{}, err
+	}
+	s := side{h: h, p: p, key: key, dir: dir, size: h.Size(), dt: dt, canon: canon}
+	n := 0
+	for j, c := range canon.Digits {
+		s.at[j] = n
+		n += int(c + p.BP.B) // h^0..h^{c_j+B-1}
+		if j == 0 {
+			n++ // digit 0 reaches c_0+B
 		}
 	}
-	return dc
+	s.at[len(canon.Digits)] = n
+	return s, nil
+}
+
+// hashChains computes every digit chain and the canonical tips into one
+// fresh block.
+func (s *side) hashChains(b *hashx.Batch) {
+	digits := len(s.canon.Digits)
+	block := make([]byte, 0, (s.at[digits]+digits)*s.size)
+	for j := 0; j < digits; j++ {
+		block = b.Iterate(block, preimage(s.key, j, s.dir), 0)
+		for c := s.at[j] + 1; c < s.at[j+1]; c++ {
+			block = b.IterateFrom(block, block[len(block)-s.size:], 1)
+		}
+	}
+	s.chains = block
+	for j, c := range s.canon.Digits {
+		block = append(block, s.tip(j, c)...)
+	}
+	s.tips = block[len(s.chains):]
 }
 
 // tip returns h^count(r|j). It aliases the chain block: read-only.
-func (dc *digitChains) tip(j int, count uint64) hashx.Digest {
-	if count >= uint64(dc.counts) {
-		panic(fmt.Sprintf("core: digit %d chain count %d exceeds precomputed %d", j, count, dc.counts-1))
+func (s *side) tip(j int, count uint64) hashx.Digest {
+	if count >= uint64(s.at[j+1]-s.at[j]) {
+		panic(fmt.Sprintf("core: digit %d chain count %d exceeds precomputed %d", j, count, s.at[j+1]-s.at[j]-1))
 	}
-	at := (j*dc.counts + int(count)) * dc.size
-	return dc.chains[at : at+dc.size : at+dc.size]
+	at := s.at[j] + int(count)
+	return s.chains[at*s.size : (at+1)*s.size : (at+1)*s.size]
 }
 
 // maxTips bounds one direction's chain tips laid end to end, so every
 // representation digest is hashed from one stack block.
 const maxTips = basep.MaxDigits * hashx.MaxSize
 
-// repDigest appends the digest of one representation to dst: the hash over
-// the concatenated per-digit chain tips, h(h^{d_0}(r|0) | .. | h^{d_m}(r|m)).
-// Digit positions marked basep.InvalidDigit (the undefined component of an
-// invalid preferred representation) are dropped from the concatenation, as
-// prescribed in Section 5.1.
-func (dc *digitChains) repDigest(b *hashx.Batch, dst []byte, rep basep.Rep) []byte {
-	var tips [maxTips]byte
-	t := tips[:0]
-	for j, d := range rep.Digits {
-		if d != basep.InvalidDigit {
-			t = append(t, dc.tip(j, d)...)
+// maxLeaves bounds one side's representation leaves padded to a power of
+// two (m < basep.MaxDigits), so the tree folds in one stack block.
+const maxLeaves = basep.MaxDigits * hashx.MaxSize
+
+// canonDigest appends h(delta_t)'s digest, the hash over the canonical
+// tips, to dst.
+func (s *side) canonDigest(b *hashx.Batch, dst []byte) []byte {
+	return b.Hash(dst, s.tips)
+}
+
+// leaves appends the digests of the m preferred non-canonical
+// representations (basep.Preferred) to dst, each the hash over its
+// per-digit chain tips. Representation i is digit 0 at c_0+B, digits
+// 1..i at c_j+B-1, digit i+1 at c_{i+1}-1 — dropped from the
+// concatenation when c_{i+1} = 0 makes it invalid (Section 5.1) — and
+// the canonical digits above. Representations i and i+1 agree on digits
+// 0..i, so one running hash absorbs that prefix a digit at a time and
+// each leaf finishes a fork of it with its own tail.
+func (s *side) leaves(dst []byte) []byte {
+	m := s.p.BP.M()
+	pre := s.h.Prefix()
+	defer pre.Done()
+	c := s.canon.Digits
+	pre.Write(s.tip(0, c[0]+s.p.BP.B))
+	for i := 0; i < m; i++ {
+		var borrowed []byte
+		if c[i+1] > 0 {
+			borrowed = s.tip(i+1, c[i+1]-1)
+		}
+		dst = pre.Sum(dst, borrowed, s.tips[(i+2)*s.size:])
+		if i+1 < m {
+			pre.Write(s.tip(i+1, c[i+1]+s.p.BP.B-1))
 		}
 	}
-	return b.Hash(dst, t)
+	return dst
 }
 
-// chainSide is everything the owner derives for one (record, direction):
-// the canonical-representation digest h(delta_t), the Merkle tree over the
-// m preferred non-canonical representations (Figure 7), and the combined
-// digest h(h(delta_t) | MHT root) that enters g(r).
-type chainSide struct {
-	canon    basep.Rep
-	canonDig hashx.Digest
-	repTree  *mht.Tree
-	Combined hashx.Digest
-}
-
-// buildChainSide computes the full chain-side structure for a key.
-func buildChainSide(h *hashx.Hasher, p Params, key uint64, dir Direction) (*chainSide, error) {
-	dt, err := p.deltaT(key, dir)
+// sideCombined appends one chain side's component of g(r) to dst: Figure
+// 7's h(h(delta_t) | MHT root) over the m representation leaves. The
+// record path needs nothing else of the side.
+func sideCombined(h *hashx.Hasher, dst []byte, p Params, key uint64, dir Direction) (hashx.Digest, error) {
+	s, err := newSide(h, p, key, dir)
 	if err != nil {
 		return nil, err
 	}
-	canon, err := basep.Canonical(p.BP, dt)
-	if err != nil {
-		return nil, err
-	}
-	dc := newDigitChains(h, p, key, dir)
 	b := h.Batch()
 	defer b.Done()
-	canonDig := hashx.Digest(dc.repDigest(&b, nil, canon))
-	m := p.BP.M()
-	leaves := make([]hashx.Digest, m)
-	for i := 0; i < m; i++ {
-		rep, _ := basep.Preferred(canon, i)
-		leaves[i] = dc.repDigest(&b, nil, rep)
-	}
-	tree := mht.BuildFromDigests(h, leaves)
-	return &chainSide{
-		canon:    canon,
-		canonDig: canonDig,
-		repTree:  tree,
-		Combined: combineChain(&b, nil, canonDig, tree.Root()),
-	}, nil
+	s.hashChains(&b)
+	var canon [hashx.MaxSize]byte
+	var leaves [maxLeaves]byte
+	return combineChain(&b, dst, s.canonDigest(&b, canon[:0]), mht.Root(&b, s.leaves(leaves[:0]))), nil
 }
 
 // combineChain folds the canonical-representation digest and the
@@ -164,45 +198,54 @@ type ChainProof struct {
 	RepPath []mht.PathElem
 }
 
-// proveChain builds the ChainProof that this side's key lies outside
-// bound: key < bound for Up, key > bound for Down. Returns ErrNotOutside
-// when the condition is false — precisely the case the scheme makes
-// unforgeable.
-func (dc *digitChains) proveChain(h *hashx.Hasher, cs *chainSide, bound uint64) (ChainProof, error) {
-	p := dc.p
-	dt, err := p.deltaT(dc.key, dc.dir)
+// proveSide builds the ChainProof that key lies outside bound in
+// direction dir: key < bound for Up, key > bound for Down. Returns
+// ErrNotOutside when the condition is false — precisely the case the
+// scheme makes unforgeable — before hashing anything. It computes the
+// side's chains once and folds the representation leaves once, taking
+// the root (canonical proofs) or the audit path (the others) from the
+// one fold.
+func proveSide(h *hashx.Hasher, p Params, key uint64, dir Direction, bound uint64) (ChainProof, error) {
+	s, err := newSide(h, p, key, dir)
 	if err != nil {
 		return ChainProof{}, err
 	}
-	dcBound, err := p.deltaC(bound, dc.dir)
+	dcBound, err := p.deltaC(bound, dir)
 	if err != nil {
 		return ChainProof{}, err
 	}
-	if dt < dcBound {
-		return ChainProof{}, fmt.Errorf("%w: key %d vs bound %d (%s)", ErrNotOutside, dc.key, bound, dc.dir)
+	if s.dt < dcBound {
+		return ChainProof{}, fmt.Errorf("%w: key %d vs bound %d (%s)", ErrNotOutside, key, bound, dir)
 	}
-	sel, err := basep.Select(p.BP, dt, dcBound)
+	sel, err := basep.Select(p.BP, s.dt, dcBound)
 	if err != nil {
 		return ChainProof{}, err
 	}
-	inter := make([]hashx.Digest, p.BP.Digits)
+	b := h.Batch()
+	defer b.Done()
+	s.hashChains(&b)
+	inter := make([]hashx.Digest, len(sel.DeltaE))
+	block := make([]byte, 0, len(sel.DeltaE)*s.size)
 	for j, e := range sel.DeltaE {
-		inter[j] = dc.tip(j, e).Clone()
+		block = append(block, s.tip(j, e)...)
+		inter[j] = block[j*s.size : (j+1)*s.size : (j+1)*s.size]
 	}
+	var leaves [maxLeaves]byte
 	if sel.Canonical {
 		return ChainProof{
 			Canonical:     true,
 			Index:         -1,
 			Intermediates: inter,
-			RepRoot:       cs.repTree.Root(),
+			RepRoot:       mht.Root(&b, s.leaves(leaves[:0])).Clone(),
 		}, nil
 	}
+	_, path := mht.RootPath(&b, s.leaves(leaves[:0]), sel.Index)
 	return ChainProof{
 		Canonical:     false,
 		Index:         sel.Index,
 		Intermediates: inter,
-		CanonDigest:   cs.canonDig,
-		RepPath:       cs.repTree.Path(sel.Index),
+		CanonDigest:   s.canonDigest(&b, nil),
+		RepPath:       path,
 	}, nil
 }
 

@@ -600,12 +600,7 @@ func TestLinearMatchesOptimizedAcceptance(t *testing.T) {
 			_, linErr := LinearProve(h, p, key, Up, bound)
 			var optErr error
 			if key < p.U {
-				side, err := buildChainSide(h, p, key, Up)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dc := newDigitChains(h, p, key, Up)
-				_, optErr = dc.proveChain(h, side, bound)
+				_, optErr = proveSide(h, p, key, Up, bound)
 			}
 			if (linErr == nil) != (optErr == nil) {
 				t.Fatalf("key %d bound %d: linear err=%v optimized err=%v", key, bound, linErr, optErr)

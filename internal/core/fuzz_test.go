@@ -18,12 +18,11 @@ func FuzzVerifyChain(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	side, err := buildChainSide(h, p, 12345, Up)
+	want, err := sideCombined(h, nil, p, 12345, Up)
 	if err != nil {
 		f.Fatal(err)
 	}
-	dc := newDigitChains(h, p, 12345, Up)
-	genuine, err := dc.proveChain(h, side, 20000)
+	genuine, err := proveSide(h, p, 12345, Up, 20000)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,7 +36,6 @@ func FuzzVerifyChain(f *testing.F) {
 	f.Add([]byte{}, false, -1)
 	f.Add(make([]byte, 1000), true, 99)
 
-	want := side.Combined
 	f.Fuzz(func(t *testing.T, material []byte, canonical bool, index int) {
 		proof := ChainProof{Canonical: canonical, Index: index}
 		// Slice the material into digest-width intermediates.

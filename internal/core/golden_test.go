@@ -29,7 +29,7 @@ func goldenTuple(key uint64) relation.Tuple {
 }
 
 // goldenRelation holds one goldenTuple per key.
-func goldenRelation(t *testing.T, p Params, keys []uint64) *relation.Relation {
+func goldenRelation(t testing.TB, p Params, keys []uint64) *relation.Relation {
 	t.Helper()
 	rel, err := relation.New(relation.Schema{Name: "G", KeyName: "K", Cols: []relation.Column{
 		{Name: "A", Type: relation.TypeInt}, {Name: "B", Type: relation.TypeBytes}, {Name: "C", Type: relation.TypeBool},

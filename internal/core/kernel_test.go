@@ -3,18 +3,44 @@ package core
 import (
 	"testing"
 
+	"vcqr/internal/basep"
 	"vcqr/internal/hashx"
 )
 
 // buildFormat1 is the hash count of Build over goldenRelation per base in
-// record format 1, whose key leaf widens each record's attribute tree.
+// record format 1, whose key leaf widens each record's attribute tree,
+// when every digit chain ran its full 2B steps.
 var buildFormat1 = map[uint64]uint64{2: 2461, 4: 2125, 16: 3757}
+
+// unreachedSteps counts the chain steps a full 2B-step chain side of
+// (key, dir) applies beyond what any of the key's representations
+// reaches, which a side hashed once skips: B-1-c_0 at digit 0, whose
+// chain stops at c_0+B, and B-c_j at every digit above, whose chains
+// stop at c_j+B-1.
+func unreachedSteps(t *testing.T, p Params, key uint64, dir Direction) uint64 {
+	t.Helper()
+	dt, err := p.deltaT(key, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := basep.Canonical(p.BP, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := p.BP.B - 1 - canon.Digits[0]
+	for _, c := range canon.Digits[1:] {
+		n += p.BP.B - c
+	}
+	return n
+}
 
 // TestOpsMatchPreKernelCounts: batching the Hasher's counter must keep
 // totals exact — experiments report Chash from Ops(). The EntryG and
 // VerifyBoundary counts are the ones the pre-kernel implementation
 // (commit c274afd) reported for the same calls; the Build counts are
-// record format 1's, each record's attribute tree one key leaf wider.
+// record format 1's, each record's attribute tree one key leaf wider,
+// less the chain steps no representation reaches on each chain side
+// Build hashes: both sides of every golden key and the delimiters' one.
 func TestOpsMatchPreKernelCounts(t *testing.T) {
 	want := map[uint64]struct {
 		build, entry uint64
@@ -33,8 +59,17 @@ func TestOpsMatchPreKernelCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Ops(); got != want[base].build {
-			t.Errorf("base %d: Build counted %d ops, format 1 counts %d", base, got, want[base].build)
+		build := want[base].build
+		for _, rec := range sr.Recs {
+			if rec.Kind != KindDelimRight {
+				build -= unreachedSteps(t, p, rec.Key(), Up)
+			}
+			if rec.Kind != KindDelimLeft {
+				build -= unreachedSteps(t, p, rec.Key(), Down)
+			}
+		}
+		if got := h.Ops(); got != build {
+			t.Errorf("base %d: Build counted %d ops, format 1 less unreached chain steps counts %d", base, got, build)
 		}
 		up, down := repRoots(t, h, p, sr.Recs[3])
 		h.ResetOps()
@@ -79,6 +114,43 @@ func TestEntryGAllocs(t *testing.T) {
 		})
 		if allocs > 2 && !raceEnabled {
 			t.Errorf("base %d: EntryG %v allocs/op, want <= 2", base, allocs)
+		}
+	}
+}
+
+// TestProveBoundaryAllocs: a chain side is hashed once, into one chain
+// block, with its representation leaves folded on the stack, so a
+// boundary proof allocates a bounded handful (the selection's digit
+// slices, the chain block, the proof's digests and path) and a record
+// side a few — where rebuilding a tree per side cost 194 and 145.
+func TestProveBoundaryAllocs(t *testing.T) {
+	h := hashx.New()
+	p := mustParams(t, 0, 1<<32, 2)
+	sr, err := Build(h, signKey(t), p, goldenRelation(t, p, goldenKeys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dir   Direction
+		bound uint64
+	}{{Up, 77778}, {Up, 77777 + 9}, {Down, 77776}, {Down, 77777 - 4}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := sr.ProveBoundary(h, 3, c.dir, c.bound); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 && !raceEnabled {
+			t.Errorf("%v bound %d: ProveBoundary %v allocs/op, want <= 16", c.dir, c.bound, allocs)
+		}
+	}
+	for _, dir := range []Direction{Up, Down} {
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := sideCombined(h, nil, p, 77777, dir); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 && !raceEnabled {
+			t.Errorf("%v: record-path chain side %v allocs/op, want <= 8", dir, allocs)
 		}
 	}
 }

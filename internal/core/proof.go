@@ -57,12 +57,7 @@ func (sr *SignedRelation) ProveBoundary(h *hashx.Hasher, idx int, dir Direction,
 		rec.Kind == KindDelimRight && dir == Up:
 		return BoundaryProof{}, fmt.Errorf("core: delimiter %v has no %v chain", rec.Kind, dir)
 	}
-	side, err := buildChainSide(h, sr.Params, rec.Key(), dir)
-	if err != nil {
-		return BoundaryProof{}, err
-	}
-	dc := newDigitChains(h, sr.Params, rec.Key(), dir)
-	chain, err := dc.proveChain(h, side, bound)
+	chain, err := proveSide(h, sr.Params, rec.Key(), dir, bound)
 	if err != nil {
 		return BoundaryProof{}, err
 	}

@@ -44,12 +44,11 @@ func TestChainProofCoversEveryRepresentationIndex(t *testing.T) {
 		}
 		covered[sel.Index] = true
 
-		side, err := buildChainSide(h, p, key, Up)
+		want, err := sideCombined(h, nil, p, key, Up)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dcChains := newDigitChains(h, p, key, Up)
-		proof, err := dcChains.proveChain(h, side, bound)
+		proof, err := proveSide(h, p, key, Up, bound)
 		if err != nil {
 			t.Fatalf("index %d: %v", sel.Index, err)
 		}
@@ -60,7 +59,7 @@ func TestChainProofCoversEveryRepresentationIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("index %d verify: %v", sel.Index, err)
 		}
-		if !combined.Equal(side.Combined) {
+		if !combined.Equal(want) {
 			t.Fatalf("index %d: combined digest mismatch", sel.Index)
 		}
 	}
@@ -249,15 +248,15 @@ func TestDirectionSeparation(t *testing.T) {
 	// Symmetric domain: key at the midpoint has equal deltas both ways.
 	p := mustParams(t, 0, 1000, 2)
 	key := uint64(500) // deltaT(up) = 499 = deltaT(down)
-	up, err := buildChainSide(h, p, key, Up)
+	up, err := sideCombined(h, nil, p, key, Up)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, err := buildChainSide(h, p, key, Down)
+	down, err := sideCombined(h, nil, p, key, Down)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.Combined.Equal(down.Combined) {
+	if up.Equal(down) {
 		t.Fatal("up and down chains collide at the symmetric key")
 	}
 }

@@ -160,10 +160,11 @@ type kernel struct {
 }
 
 // state is crypto/sha256's hash state with the marshaling the kernel
-// reads it back through.
+// reads it back through and a Prefix forks it by.
 type state interface {
 	hash.Hash
 	encoding.BinaryAppender
+	encoding.BinaryUnmarshaler
 }
 
 // crypto/sha256 marshals a SHA-256 state as magic, the eight chaining
@@ -176,8 +177,9 @@ const (
 var kernels = sync.Pool{New: func() any { return &kernel{st: sha256.New().(state)} }}
 
 // init refuses to start on a toolchain whose state the kernel cannot read
-// (a state without AppendBinary fails its assertion, naming the method),
-// so a changed layout fails loudly instead of mis-hashing.
+// (a state without AppendBinary or UnmarshalBinary fails its assertion,
+// naming the method), so a changed layout fails loudly instead of
+// mis-hashing.
 func init() {
 	st, _ := sha256.New().(state).AppendBinary(nil)
 	switch {
@@ -363,6 +365,70 @@ func (b *Batch) IterateFrom(dst []byte, d Digest, i uint64) []byte {
 	k := kernels.Get().(*kernel)
 	defer kernels.Put(k)
 	return k.chain(dst, d, i)
+}
+
+// Prefix hashes a run of tagMisc messages that share a growing leading
+// part: the part is absorbed once into a running state, and each Sum
+// finishes a fork of that state with its own suffix. It serves digests
+// over many concatenations of one prefix — Section 5.1's preferred
+// representations i and i+1 agree on digits 0..i — without hashing the
+// prefix again for each. Like a Batch it counts locally, one operation
+// per Sum as Hash counts it, and Done adds the count to the Hasher; it
+// also returns the pooled state. A Prefix must not be shared between
+// goroutines or used after Done.
+type Prefix struct {
+	h  *Hasher
+	ps *prefixState
+}
+
+// prefixState is a Prefix's running state, the fork Sum finishes, the
+// buffers the fork and the digest pass through and the operation count,
+// pooled so a run of sums allocates nothing.
+type prefixState struct {
+	run, fork state
+	buf       [marshaled]byte
+	out       [sha256.Size]byte
+	n         uint64
+}
+
+var prefixes = sync.Pool{New: func() any {
+	return &prefixState{run: sha256.New().(state), fork: sha256.New().(state)}
+}}
+
+// miscTag is tagMisc as the message byte a Prefix's state starts from.
+var miscTag = []byte{tagMisc}
+
+// Prefix starts a run of hashes whose shared part is empty.
+func (h *Hasher) Prefix() Prefix {
+	ps := prefixes.Get().(*prefixState)
+	ps.run.Reset()
+	ps.run.Write(miscTag)
+	return Prefix{h: h, ps: ps}
+}
+
+// Write appends data to the shared part.
+func (p Prefix) Write(data []byte) { p.ps.run.Write(data) }
+
+// Sum appends to dst the digest Hash gives over the shared part followed
+// by suffix.
+func (p Prefix) Sum(dst []byte, suffix ...[]byte) []byte {
+	p.ps.n++
+	st, _ := p.ps.run.AppendBinary(p.ps.buf[:0])
+	if err := p.ps.fork.UnmarshalBinary(st); err != nil {
+		panic("hashx: a SHA-256 state does not restore its own marshaling: " + err.Error())
+	}
+	for _, s := range suffix {
+		p.ps.fork.Write(s)
+	}
+	return append(dst, p.ps.fork.Sum(p.ps.out[:0])[:p.h.size]...)
+}
+
+// Done adds the run's operation count to the Hasher's counter and
+// returns the state to the pool.
+func (p Prefix) Done() {
+	p.h.ops.Add(p.ps.n)
+	p.ps.n = 0
+	prefixes.Put(p.ps)
 }
 
 // U64 encodes v as 8 big-endian bytes; the canonical pre-image encoding for

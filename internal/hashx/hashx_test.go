@@ -482,3 +482,45 @@ func TestOpsExactUnderBatching(t *testing.T) {
 		t.Fatalf("Ops() = %d after concurrent use, want exactly %d", got, want)
 	}
 }
+
+// TestPrefixMatchesHash: each Sum of a Prefix is Hash over the shared
+// part written so far followed by its suffix, at every width and across
+// block boundaries; every Sum counts one operation and Write none, and a
+// run of sums into a caller buffer allocates nothing.
+func TestPrefixMatchesHash(t *testing.T) {
+	parts := [][]byte{nil, []byte("a"), bytes.Repeat([]byte("b"), 54), bytes.Repeat([]byte("c"), 64), bytes.Repeat([]byte("d"), 600)}
+	for _, size := range []int{8, 16, 32} {
+		h := NewSize(size)
+		pre := h.Prefix()
+		var shared []byte
+		for _, p := range parts {
+			pre.Write(p)
+			shared = append(shared, p...)
+			for _, s := range parts {
+				got := pre.Sum([]byte("keep"), s, p)
+				if want := h.Hash(shared, s, p); !bytes.Equal(got, append([]byte("keep"), want...)) {
+					t.Fatalf("size %d: Sum after %d shared bytes, suffix %d+%d bytes, differs from Hash", size, len(shared), len(s), len(p))
+				}
+			}
+		}
+		h.ResetOps()
+		pre.Done()
+		if got, want := h.Ops(), uint64(len(parts)*len(parts)); got != want {
+			t.Fatalf("size %d: a Prefix counted %d ops, want one per Sum, %d", size, got, want)
+		}
+	}
+	h := New()
+	long := bytes.Repeat([]byte("x"), 529)
+	var buf [4 * MaxSize]byte
+	allocs := testing.AllocsPerRun(100, func() {
+		pre := h.Prefix()
+		pre.Write(long[:100])
+		out := pre.Sum(buf[:0], long[100:], long[:3])
+		pre.Write(long)
+		pre.Sum(out, long[200:])
+		pre.Done()
+	})
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("a Prefix into a caller buffer: %v allocs/op, want 0", allocs)
+	}
+}

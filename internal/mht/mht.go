@@ -15,6 +15,7 @@ package mht
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vcqr/internal/hashx"
 )
@@ -87,19 +88,48 @@ func BuildFromDigests(h *hashx.Hasher, leaves []hashx.Digest) *Tree {
 // tree, no garbage when leaves has room for the padded width (it grows
 // like any append otherwise). The result aliases leaves.
 func Root(b *hashx.Batch, leaves []byte) hashx.Digest {
+	root, _ := RootPath(b, leaves, -1)
+	return root
+}
+
+// RootPath folds leaves as Root does and, in the same pass, records leaf
+// i's audit path — the one BuildFromDigests(...).Path(i) reports: each
+// level's sibling of the path node is copied out before that level is
+// paired over. The siblings share one fresh block; a negative i asks for
+// the root alone. The root aliases leaves.
+func RootPath(b *hashx.Batch, leaves []byte, i int) (hashx.Digest, []PathElem) {
 	size := b.Size()
 	pad := b.Const(padWide)
-	width := nextPow2(len(leaves) / size)
-	for i := len(leaves) / size; i < width; i++ {
+	n := len(leaves) / size
+	if i >= n {
+		panic(fmt.Sprintf("mht: leaf index %d out of range [0,%d)", i, n))
+	}
+	width := nextPow2(n)
+	for k := n; k < width; k++ {
 		leaves = append(leaves, pad...)
 	}
+	var (
+		path []PathElem
+		sibs []byte
+	)
+	if i >= 0 && width > 1 {
+		depth := bits.TrailingZeros(uint(width))
+		path = make([]PathElem, 0, depth)
+		sibs = make([]byte, 0, depth*size)
+	}
 	for w := width / 2; w >= 1; w /= 2 {
-		for i := 0; i < w; i++ {
-			at := 2 * i * size
-			b.Node(leaves[i*size:i*size], leaves[at:at+size], leaves[at+size:at+2*size])
+		if path != nil {
+			sib := i ^ 1
+			sibs = append(sibs, leaves[sib*size:(sib+1)*size]...)
+			path = append(path, PathElem{Sibling: sibs[len(sibs)-size : len(sibs) : len(sibs)], Right: sib > i})
+			i /= 2
+		}
+		for k := 0; k < w; k++ {
+			at := 2 * k * size
+			b.Node(leaves[k*size:k*size], leaves[at:at+size], leaves[at+size:at+2*size])
 		}
 	}
-	return leaves[:size:size]
+	return leaves[:size:size], path
 }
 
 // Len returns the number of real (unpadded) leaves.

@@ -3,6 +3,7 @@ package mht
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -276,4 +277,38 @@ func BenchmarkUpdateVsRebuild(b *testing.B) {
 			tr.Update(rng.Intn(4096), h.Leaf([]byte{byte(i)}))
 		}
 	})
+}
+
+// TestRootPathMatchesTree: the one-pass fold gives, for every leaf count
+// and every leaf, the root and the audit path a built tree reports, and
+// that path verifies; asking for no path gives the root alone.
+func TestRootPathMatchesTree(t *testing.T) {
+	h := hashx.New()
+	for n := 1; n <= 65; n++ {
+		leaves := make([]hashx.Digest, n)
+		var flat []byte
+		for i := range leaves {
+			leaves[i] = h.Leaf([]byte(fmt.Sprintf("leaf-%d", i)))
+			flat = append(flat, leaves[i]...)
+		}
+		tree := BuildFromDigests(h, leaves)
+		b := h.Batch()
+		root, path := RootPath(&b, append([]byte(nil), flat...), -1)
+		if !root.Equal(tree.Root()) || path != nil {
+			t.Fatalf("n=%d: root-only fold gives %x and path %v, tree root %x", n, root, path, tree.Root())
+		}
+		for i := 0; i < n; i++ {
+			root, path := RootPath(&b, append([]byte(nil), flat...), i)
+			if !root.Equal(tree.Root()) {
+				t.Fatalf("n=%d leaf %d: root %x, tree root %x", n, i, root, tree.Root())
+			}
+			if !reflect.DeepEqual(path, tree.Path(i)) {
+				t.Fatalf("n=%d leaf %d: path %v, tree path %v", n, i, path, tree.Path(i))
+			}
+			if !VerifyPath(h, leaves[i], path, root) {
+				t.Fatalf("n=%d leaf %d: path does not verify", n, i)
+			}
+		}
+		b.Done()
+	}
 }
