@@ -17,6 +17,7 @@ import (
 	"vcqr/internal/hashx"
 	"vcqr/internal/paper/baseline/devanbu"
 	"vcqr/internal/paper/experiments"
+	"vcqr/internal/paper/relalg"
 	"vcqr/internal/relation"
 	"vcqr/internal/server"
 	"vcqr/internal/sig"
@@ -426,18 +427,16 @@ func BenchmarkPKFKJoin(b *testing.B) {
 	if err := pub.AddRelation(deptSR, false); err != nil {
 		b.Fatal(err)
 	}
-	jq := engine.JoinQuery{R: "EmpFK", S: "DeptPK", KeyLo: 100, KeyHi: 800}
-	jv := &verify.JoinVerifier{
-		R: verify.New(h, e.Key.Public(), p, empSchema),
-		S: verify.New(h, e.Key.Public(), p, deptSchema),
-	}
+	jq := relalg.JoinQuery{R: "EmpFK", S: "DeptPK", KeyLo: 100, KeyHi: 800}
+	rv := verify.New(h, e.Key.Public(), p, empSchema)
+	sv := verify.New(h, e.Key.Public(), p, deptSchema)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pub.ExecuteJoin("all", jq)
+		res, err := relalg.ExecuteJoin(pub, "all", jq)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := jv.VerifyJoin(jq, role, res); err != nil {
+		if _, err := relalg.VerifyJoin(rv, sv, jq, role, res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -474,9 +473,15 @@ func BenchmarkDeltaApply(b *testing.B) {
 		}
 		d := delta.Diff(before, ownerCopy)
 		b.StartTimer()
-		if err := delta.Apply(h, e.Key.Public(), publisherCopy, d); err != nil {
+		next := publisherCopy.Clone()
+		touched, err := delta.ApplyOps(next, d)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if err := delta.ValidateTouched(h, e.Key.Public(), next, touched, false); err != nil {
+			b.Fatal(err)
+		}
+		publisherCopy = next
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/owner"
+	"vcqr/internal/paper/relalg"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
 	"vcqr/internal/workload"
@@ -108,21 +109,20 @@ func main() {
 	if err != nil {
 		log.Fatalf("price window rejected: %v", err)
 	}
-	lo, hi, _ := verify.MinMaxKeys(rows)
+	lo, hi, _ := relalg.MinMaxKeys(rows)
 	fmt.Printf("verified %d price ticks in window [30000, 40000] (first %d, last %d); Volume never left the publisher\n",
-		verify.Count(rows), lo, hi)
+		relalg.Count(rows), lo, hi)
 
 	// --- PK-FK join: trades with their company symbols ---------------
-	jq := engine.JoinQuery{R: "Trades", S: "Companies", KeyLo: 1, KeyHi: 25}
-	jres, err := pub.ExecuteJoin("analyst", jq)
+	jq := relalg.JoinQuery{R: "Trades", S: "Companies", KeyLo: 1, KeyHi: 25}
+	jres, err := relalg.ExecuteJoin(pub, "analyst", jq)
 	if err != nil {
 		log.Fatal(err)
 	}
-	jv := &verify.JoinVerifier{
-		R: verify.New(h, own.PublicKey(), tradesSR.Params, tradesSR.Schema),
-		S: verify.New(h, own.PublicKey(), companiesSR.Params, companiesSR.Schema),
-	}
-	joined, err := jv.VerifyJoin(jq, role, jres)
+	joined, err := relalg.VerifyJoin(
+		verify.New(h, own.PublicKey(), tradesSR.Params, tradesSR.Schema),
+		verify.New(h, own.PublicKey(), companiesSR.Params, companiesSR.Schema),
+		jq, role, jres)
 	if err != nil {
 		log.Fatalf("join rejected: %v", err)
 	}
@@ -143,14 +143,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := verify.SumInt(tradesSR.Schema, arows, "Qty")
+	sum, err := relalg.SumInt(tradesSR.Schema, arows, "Qty")
 	if err != nil {
 		log.Fatal(err)
 	}
-	avg, err := verify.AvgInt(tradesSR.Schema, arows, "Qty")
+	avg, err := relalg.AvgInt(tradesSR.Schema, arows, "Qty")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("verified aggregate over companies [1,25]: COUNT=%d SUM(Qty)=%d AVG(Qty)=%.1f\n",
-		verify.Count(arows), sum, avg)
+		relalg.Count(arows), sum, avg)
 }

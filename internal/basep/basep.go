@@ -134,16 +134,6 @@ func Canonical(p Params, delta uint64) (Rep, error) {
 	return Rep{Params: p, Digits: digits}, nil
 }
 
-// IsCanonical reports whether every digit is below B.
-func (r Rep) IsCanonical() bool {
-	for _, d := range r.Digits {
-		if d >= r.Params.B {
-			return false
-		}
-	}
-	return true
-}
-
 // Preferred returns the i-th preferred non-canonical representation of the
 // canonical representation canon (0 <= i < m), and whether it is valid.
 // When invalid (the borrow would drive digit i+1 negative) the returned
@@ -291,15 +281,4 @@ func largestDeficientPrefix(ct, cc Rep) int {
 		}
 	}
 	return imax
-}
-
-// UserExponents returns the canonical digits of deltaC: how many extra
-// iterations the user applies to each received intermediate digest. This
-// is the only representation arithmetic the user performs.
-func UserExponents(p Params, deltaC uint64) ([]uint64, error) {
-	cc, err := Canonical(p, deltaC)
-	if err != nil {
-		return nil, err
-	}
-	return cc.Digits, nil
 }

@@ -306,19 +306,22 @@ func TestSelectExhaustiveSmallDomain(t *testing.T) {
 	}
 }
 
+// TestUserExponents: the user's per-digit extra iterations are the
+// canonical digits of deltaC, the only representation arithmetic the
+// user performs.
 func TestUserExponents(t *testing.T) {
 	p := Params{B: 10, Digits: 4}
-	exp, err := UserExponents(p, 2828)
+	exp, err := Canonical(p, 2828)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{8, 2, 8, 2}
 	for i := range want {
-		if exp[i] != want[i] {
-			t.Fatalf("UserExponents = %v, want %v", exp, want)
+		if exp.Digits[i] != want[i] {
+			t.Fatalf("user exponents = %v, want %v", exp.Digits, want)
 		}
 	}
-	if _, err := UserExponents(p, 10000); err == nil {
+	if _, err := Canonical(p, 10000); err == nil {
 		t.Fatal("out-of-range deltaC must error")
 	}
 }
@@ -349,4 +352,14 @@ func BenchmarkSelect(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// IsCanonical reports whether every digit is below B.
+func (r Rep) IsCanonical() bool {
+	for _, d := range r.Digits {
+		if d >= r.Params.B {
+			return false
+		}
+	}
+	return true
 }

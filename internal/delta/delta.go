@@ -122,53 +122,14 @@ func Diff(old, new *core.SignedRelation) Delta {
 	return d
 }
 
-// Apply integrates a delta into the publisher's copy and validates the
-// touched neighbourhood: every affected entry and its immediate
-// neighbours get their digest material recomputed and their signatures
-// checked against the owner's public key. On any failure the relation is
-// left unchanged (apply-then-validate runs on a scratch copy).
-func Apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta) error {
-	return apply(h, pub, sr, d, false)
-}
-
-// ApplySlice is Apply for a partition shard slice (internal/partition):
-// a contiguous run of the global record sequence whose first and last
-// entries are context records mirroring the neighbouring shards. Their
-// signatures bind records outside the slice, so they cannot be checked
-// locally; the slice variant still recomputes their digest material but
-// skips the signature check on non-delimiter edge entries. The skipped
-// checks are not lost: each record's signature is verified by the shard
-// that owns it, and the serving layer re-validates the cross-shard seams
-// after stitching mirrors (see internal/server).
-func ApplySlice(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta) error {
-	return apply(h, pub, sr, d, true)
-}
-
-func apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta, slice bool) error {
-	scratch := sr.Clone()
-	touched, err := ApplyOps(scratch, d)
-	if err != nil {
-		return err
-	}
-	if err := ValidateTouched(h, pub, scratch, touched, slice); err != nil {
-		return err
-	}
-	sr.Recs = scratch.Recs
-	// The crypto index followed the ops on the scratch copy (ApplyOps
-	// keeps it in lock-step); adopt it with the records so the next epoch
-	// keeps the O(log n) aggregation path without a rebuild.
-	sr.SetAggIndex(scratch.AggIndex())
-	return nil
-}
-
 // ApplyOps mutates sr in place with the delta's operations and returns
 // the indexes whose entries (or neighbourhoods) were affected — the set
 // ValidateTouched must check. No cryptographic validation happens here;
-// callers that need the all-or-nothing contract pass a scratch clone
-// (Apply and ApplySlice do). The split exists for multi-shard
-// transactions: the serving layer applies every shard's sub-batch,
-// stitches the cross-shard mirrors, and only then validates — edge
-// neighbourhoods cannot be checked before their mirrors are fresh.
+// callers that need the all-or-nothing contract pass a scratch clone.
+// The split exists for multi-shard transactions: the serving layer
+// applies every shard's sub-batch, stitches the cross-shard mirrors, and
+// only then validates — edge neighbourhoods cannot be checked before
+// their mirrors are fresh.
 //
 // When sr carries a crypto index (core.AggIndex), it is maintained in
 // lock-step: record inserts and deletes become O(log n) tree updates at
@@ -259,7 +220,7 @@ func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
 }
 
 // ValidateTouched checks the digest material and signatures of the given
-// entries against the owner's key — the post-apply half of Apply. With
+// entries against the owner's key — the half that follows ApplyOps. With
 // slice set, the first and last entries are treated as shard-slice
 // context records: their digest material is still checked, but their
 // signatures bind records outside the slice and are skipped (the owning

@@ -13,21 +13,20 @@
 // unchanged records), and ApplyOps only splices them into the record
 // sequence, maintaining the crypto index in lock-step.
 //
-// Mirrored boundaries are the reason the slice-aware entry points
-// exist. A partition shard slice cannot validate its context records
-// alone — their signatures bind records on neighbouring shards — so
-// ApplySlice and ValidateTouched(slice=true) check all digest material
-// but defer exactly those signatures. Who picks them up depends on the
+// Mirrored boundaries are the reason ValidateTouched takes a slice flag.
+// A partition shard slice cannot validate its context records alone —
+// their signatures bind records on neighbouring shards — so
+// ValidateTouched(slice=true) checks all digest material but defers
+// exactly those signatures. Who picks them up depends on the
 // deployment: the in-process partitioned server stitches mirrors across
 // its co-resident slices and re-validates every affected seam before
 // publishing (internal/server); the distributed tier stages per-node,
 // pushes cross-node mirror fixes, and re-proves seams from shipped edge
-// material at the coordinator (internal/cluster). Either way the deltas
-// observe the all-or-nothing contract of Apply: a rejected batch leaves
-// the published epoch untouched.
+// material at the coordinator (internal/cluster). Either way a delta is
+// all-or-nothing: a rejected batch leaves the published epoch untouched.
 //
-// Epoch pinning is owned by the serving layer: every Apply variant here
-// runs on a clone and the serving layer swaps the result in as a fresh
-// copy-on-write epoch, so in-flight queries keep verifying against the
-// epoch they pinned — a delta can never invalidate a running stream.
+// Epoch pinning is owned by the serving layer: it runs ApplyOps on a
+// clone, validates, and swaps the result in as a fresh copy-on-write
+// epoch, so in-flight queries keep verifying against the epoch they
+// pinned — a delta can never invalidate a running stream.
 package delta

@@ -1,0 +1,50 @@
+package delta
+
+import (
+	"vcqr/internal/core"
+	"vcqr/internal/hashx"
+	"vcqr/internal/sig"
+)
+
+// The tests drive ApplyOps and ValidateTouched through the
+// all-or-nothing composition the serving layer performs per shard
+// (internal/server stages, stitches mirrors, then validates).
+
+// Apply integrates a delta into the publisher's copy and validates the
+// touched neighbourhood: every affected entry and its immediate
+// neighbours get their digest material recomputed and their signatures
+// checked against the owner's public key. On any failure the relation is
+// left unchanged (apply-then-validate runs on a scratch copy).
+func Apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta) error {
+	return apply(h, pub, sr, d, false)
+}
+
+// ApplySlice is Apply for a partition shard slice (internal/partition):
+// a contiguous run of the global record sequence whose first and last
+// entries are context records mirroring the neighbouring shards. Their
+// signatures bind records outside the slice, so they cannot be checked
+// locally; the slice variant still recomputes their digest material but
+// skips the signature check on non-delimiter edge entries. The skipped
+// checks are not lost: each record's signature is verified by the shard
+// that owns it, and the serving layer re-validates the cross-shard seams
+// after stitching mirrors (see internal/server).
+func ApplySlice(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta) error {
+	return apply(h, pub, sr, d, true)
+}
+
+func apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta, slice bool) error {
+	scratch := sr.Clone()
+	touched, err := ApplyOps(scratch, d)
+	if err != nil {
+		return err
+	}
+	if err := ValidateTouched(h, pub, scratch, touched, slice); err != nil {
+		return err
+	}
+	sr.Recs = scratch.Recs
+	// The crypto index followed the ops on the scratch copy (ApplyOps
+	// keeps it in lock-step); adopt it with the records so the next epoch
+	// keeps the O(log n) aggregation path without a rebuild.
+	sr.SetAggIndex(scratch.AggIndex())
+	return nil
+}

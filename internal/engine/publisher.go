@@ -19,13 +19,13 @@ import (
 // see evil.go — because the system's guarantee is that cheating is
 // detected by the user, not prevented at the publisher.
 //
-// Concurrency contract: AddRelation, Relation, Execute, ExecuteJoin and
-// ExecuteUnion may be called from multiple goroutines; the relation
-// registry is guarded by an internal RWMutex. The *contents* of a hosted
-// *core.SignedRelation must not be mutated while queries run — callers
-// that apply live updates (internal/delta) must either serialize updates
-// with queries or swap in a fresh copy via AddRelation, never modify a
-// registered relation in place. internal/server implements the
+// Concurrency contract: AddRelation, Relation, Execute, ExecuteOn and
+// the streaming executors may be called from multiple goroutines; the
+// relation registry is guarded by an internal RWMutex. The *contents* of
+// a hosted *core.SignedRelation must not be mutated while queries run —
+// callers that apply live updates (internal/delta) must either serialize
+// updates with queries or swap in a fresh copy via AddRelation, never
+// modify a registered relation in place. internal/server implements the
 // copy-on-write epoch discipline on top of this contract. The Aggregate
 // flag is read without synchronization and must be set before the
 // publisher is shared.

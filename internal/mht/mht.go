@@ -187,11 +187,6 @@ func RootFromPath(h *hashx.Hasher, leaf hashx.Digest, path []PathElem) hashx.Dig
 	return d
 }
 
-// VerifyPath reports whether leaf+path reproduce root.
-func VerifyPath(h *hashx.Hasher, leaf hashx.Digest, path []PathElem, root hashx.Digest) bool {
-	return RootFromPath(h, leaf, path).Equal(root)
-}
-
 // Update replaces leaf i's digest and recomputes the O(log n) path to the
 // root, returning the number of node recomputations performed (used by the
 // Section 6.3 update-cost experiment).

@@ -312,3 +312,8 @@ func TestRootPathMatchesTree(t *testing.T) {
 		b.Done()
 	}
 }
+
+// VerifyPath reports whether leaf+path reproduce root.
+func VerifyPath(h *hashx.Hasher, leaf hashx.Digest, path []PathElem, root hashx.Digest) bool {
+	return RootFromPath(h, leaf, path).Equal(root)
+}

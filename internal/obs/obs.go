@@ -175,15 +175,6 @@ func (s Snapshot) Quantile(p float64) time.Duration {
 	return time.Duration(bucketBounds[NumBuckets-1])
 }
 
-// Mean returns the exact mean of observed durations.
-func (s Snapshot) Mean() time.Duration {
-	n := s.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNS / int64(n))
-}
-
 // Stage names recorded across the serving stack. A registry key is
 // either a bare stage name or "stage|key=value[,key=value...]" when the
 // series carries extra labels (e.g. per-node sub-stream latency).

@@ -236,3 +236,23 @@ func TestMergeAllDropsLabels(t *testing.T) {
 		t.Fatalf("merged count %d, want 2", m[StageSubStream].Count())
 	}
 }
+
+// Mean returns the exact mean of observed durations.
+func (s Snapshot) Mean() time.Duration {
+	n := s.Count()
+	if n == 0 {
+		return 0
+	}
+	return time.Duration(s.SumNS / int64(n))
+}
+
+// Seen returns how many entries have ever been retained (including ones
+// since evicted).
+func (l *SlowLog) Seen() uint64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seen
+}

@@ -257,17 +257,6 @@ func (l *SlowLog) Entries() []SlowEntry {
 	return out
 }
 
-// Seen returns how many entries have ever been retained (including ones
-// since evicted).
-func (l *SlowLog) Seen() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seen
-}
-
 // FormatNS renders a nanosecond count for human output (vcquery
 // -timing): microsecond precision below 10ms, millisecond above.
 func FormatNS(ns int64) string {

@@ -1,4 +1,4 @@
-package verify
+package relalg
 
 import (
 	"errors"
@@ -16,7 +16,7 @@ import (
 // protocol.
 
 // ErrNoRows reports an aggregate over zero rows where undefined (AVG).
-var ErrNoRows = errors.New("verify: aggregate over zero rows")
+var ErrNoRows = errors.New("relalg: aggregate over zero rows")
 
 // Count returns the number of verified rows.
 func Count(rows []engine.Row) int { return len(rows) }
@@ -42,14 +42,14 @@ func AvgKeys(rows []engine.Row) (float64, error) {
 func colValue(schema relation.Schema, row engine.Row, col string) (relation.Value, error) {
 	idx := schema.ColIndex(col)
 	if idx < 0 {
-		return relation.Value{}, fmt.Errorf("verify: no column %q", col)
+		return relation.Value{}, fmt.Errorf("relalg: no column %q", col)
 	}
 	for _, d := range row.Values {
 		if d.Col == idx {
 			return d.Val, nil
 		}
 	}
-	return relation.Value{}, fmt.Errorf("verify: column %q not disclosed in row", col)
+	return relation.Value{}, fmt.Errorf("relalg: column %q not disclosed in row", col)
 }
 
 // SumInt sums an integer column across rows; every row must disclose it.
@@ -61,7 +61,7 @@ func SumInt(schema relation.Schema, rows []engine.Row, col string) (int64, error
 			return 0, err
 		}
 		if v.Type != relation.TypeInt {
-			return 0, fmt.Errorf("verify: column %q is %v, not int", col, v.Type)
+			return 0, fmt.Errorf("relalg: column %q is %v, not int", col, v.Type)
 		}
 		s += v.Int
 	}

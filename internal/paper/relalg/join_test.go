@@ -1,6 +1,7 @@
-package verify_test
+package relalg_test
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/relalg"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 	"vcqr/internal/verify"
@@ -36,7 +38,7 @@ func signKey(t testing.TB) *sig.PrivateKey {
 type joinFixture struct {
 	h        *hashx.Hasher
 	pub      *engine.Publisher
-	jv       *verify.JoinVerifier
+	rv, sv   *verify.Verifier
 	role     accessctl.Role
 	empRel   *relation.Relation
 	deptRel  *relation.Relation
@@ -108,12 +110,10 @@ func newJoinFixture(t testing.TB, empDepts []uint64, deptIDs []uint64) *joinFixt
 	if err := pub.AddRelation(deptSR, false); err != nil {
 		t.Fatal(err)
 	}
-	jv := &verify.JoinVerifier{
-		R: verify.New(h, k.Public(), empPars, empSchema),
-		S: verify.New(h, k.Public(), deptPars, deptSchema),
-	}
 	return &joinFixture{
-		h: h, pub: pub, jv: jv, role: role,
+		h: h, pub: pub, role: role,
+		rv:     verify.New(h, k.Public(), empPars, empSchema),
+		sv:     verify.New(h, k.Public(), deptPars, deptSchema),
 		empRel: empRel, deptRel: deptRel, empSR: empSR, deptSR: deptSR,
 		empPars: empPars, deptPars: deptPars,
 	}
@@ -122,12 +122,12 @@ func newJoinFixture(t testing.TB, empDepts []uint64, deptIDs []uint64) *joinFixt
 func TestPKFKJoinRoundTrip(t *testing.T) {
 	// Employees in departments 10,10,20,30; departments 10,20,30,40.
 	f := newJoinFixture(t, []uint64{10, 10, 20, 30}, []uint64{10, 20, 30, 40})
-	q := engine.JoinQuery{R: "EmpByDept", S: "Dept", KeyLo: 1, KeyHi: 25}
-	res, err := f.pub.ExecuteJoin("all", q)
+	q := relalg.JoinQuery{R: "EmpByDept", S: "Dept", KeyLo: 1, KeyHi: 25}
+	res, err := relalg.ExecuteJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := f.jv.VerifyJoin(q, f.role, res)
+	rows, err := relalg.VerifyJoin(f.rv, f.sv, q, f.role, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,22 +145,22 @@ func TestPKFKJoinRoundTrip(t *testing.T) {
 
 func TestPKFKJoinDetectsWithheldS(t *testing.T) {
 	f := newJoinFixture(t, []uint64{10, 20}, []uint64{10, 20})
-	q := engine.JoinQuery{R: "EmpByDept", S: "Dept"}
-	res, err := f.pub.ExecuteJoin("all", q)
+	q := relalg.JoinQuery{R: "EmpByDept", S: "Dept"}
+	res, err := relalg.ExecuteJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Publisher withholds one S point result entirely.
 	delete(res.S, 20)
-	if _, err := f.jv.VerifyJoin(q, f.role, res); err == nil {
+	if _, err := relalg.VerifyJoin(f.rv, f.sv, q, f.role, res); err == nil {
 		t.Fatal("missing S point result accepted")
 	}
 }
 
 func TestPKFKJoinDetectsSpuriousS(t *testing.T) {
 	f := newJoinFixture(t, []uint64{10}, []uint64{10, 20})
-	q := engine.JoinQuery{R: "EmpByDept", S: "Dept"}
-	res, err := f.pub.ExecuteJoin("all", q)
+	q := relalg.JoinQuery{R: "EmpByDept", S: "Dept"}
+	res, err := relalg.ExecuteJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPKFKJoinDetectsSpuriousS(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.S[20] = extra
-	if _, err := f.jv.VerifyJoin(q, f.role, res); err == nil {
+	if _, err := relalg.VerifyJoin(f.rv, f.sv, q, f.role, res); err == nil {
 		t.Fatal("spurious S result accepted")
 	}
 }
@@ -183,8 +183,8 @@ func TestPKFKJoinDetectsEmptySPoint(t *testing.T) {
 	// empty-range result for a different key... which cannot verify for
 	// [20,20], so the attack must be detected.
 	f := newJoinFixture(t, []uint64{20}, []uint64{20})
-	q := engine.JoinQuery{R: "EmpByDept", S: "Dept"}
-	res, err := f.pub.ExecuteJoin("all", q)
+	q := relalg.JoinQuery{R: "EmpByDept", S: "Dept"}
+	res, err := relalg.ExecuteJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,34 @@ func TestPKFKJoinDetectsEmptySPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.S[20] = fake
-	if _, err := f.jv.VerifyJoin(q, f.role, res); err == nil {
+	if _, err := relalg.VerifyJoin(f.rv, f.sv, q, f.role, res); err == nil {
 		t.Fatal("mismatched S point result accepted")
+	}
+}
+
+// TestPKFKJoinRefusesMissingResults: a JoinResult whose R side is nil,
+// or whose S map holds a nil point result, is a publisher's input like
+// any other and is refused by name, not with a panic.
+func TestPKFKJoinRefusesMissingResults(t *testing.T) {
+	f := newJoinFixture(t, []uint64{10, 20}, []uint64{10, 20})
+	q := relalg.JoinQuery{R: "EmpByDept", S: "Dept"}
+	for _, c := range []struct {
+		name   string
+		mutate func(*relalg.JoinResult)
+	}{
+		{"nil R", func(res *relalg.JoinResult) { res.R = nil }},
+		{"nil S entry", func(res *relalg.JoinResult) { res.S[20] = nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := relalg.ExecuteJoin(f.pub, "all", q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(res)
+			if _, err := relalg.VerifyJoin(f.rv, f.sv, q, f.role, res); !errors.Is(err, verify.ErrStreamTruncated) {
+				t.Fatalf("got %v, want %v", err, verify.ErrStreamTruncated)
+			}
+		})
 	}
 }
 
@@ -205,15 +231,15 @@ func TestBandJoinRoundTrip(t *testing.T) {
 	// 5-40, 5-60, 50-60 => 3 rows. maxS=60 so R partition is [1,60]
 	// containing {5,50}; minR=5 so S partition is [5,999] = {40,60}.
 	f := newJoinFixture(t, []uint64{5, 50, 500}, []uint64{40, 60})
-	q := engine.BandJoinQuery{R: "EmpByDept", S: "Dept"}
-	res, err := f.pub.ExecuteBandJoin("all", q)
+	q := relalg.BandJoinQuery{R: "EmpByDept", S: "Dept"}
+	res, err := relalg.ExecuteBandJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Empty {
 		t.Fatal("non-empty band join reported empty")
 	}
-	rows, err := f.jv.VerifyBandJoin(q, f.role, res)
+	rows, err := relalg.VerifyBandJoin(f.rv, f.sv, q, f.role, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,15 +256,15 @@ func TestBandJoinRoundTrip(t *testing.T) {
 func TestBandJoinEmpty(t *testing.T) {
 	// All R keys above all S keys: empty join.
 	f := newJoinFixture(t, []uint64{500, 600}, []uint64{40, 60})
-	q := engine.BandJoinQuery{R: "EmpByDept", S: "Dept"}
-	res, err := f.pub.ExecuteBandJoin("all", q)
+	q := relalg.BandJoinQuery{R: "EmpByDept", S: "Dept"}
+	res, err := relalg.ExecuteBandJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Empty {
 		t.Fatal("separated relations must give an empty join")
 	}
-	if _, err := f.jv.VerifyBandJoin(q, f.role, res); err != nil {
+	if _, err := relalg.VerifyBandJoin(f.rv, f.sv, q, f.role, res); err != nil {
 		t.Fatalf("valid empty band join rejected: %v", err)
 	}
 }
@@ -255,15 +281,15 @@ func TestBandJoinEmptyRelations(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newJoinFixture(t, c.rKeys, c.sKeys)
-			q := engine.BandJoinQuery{R: "EmpByDept", S: "Dept"}
-			res, err := f.pub.ExecuteBandJoin("all", q)
+			q := relalg.BandJoinQuery{R: "EmpByDept", S: "Dept"}
+			res, err := relalg.ExecuteBandJoin(f.pub, "all", q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Empty {
 				t.Fatal("expected empty join")
 			}
-			if _, err := f.jv.VerifyBandJoin(q, f.role, res); err != nil {
+			if _, err := relalg.VerifyBandJoin(f.rv, f.sv, q, f.role, res); err != nil {
 				t.Fatalf("valid empty band join rejected: %v", err)
 			}
 		})
@@ -272,8 +298,8 @@ func TestBandJoinEmptyRelations(t *testing.T) {
 
 func TestBandJoinTamperedBoundRejected(t *testing.T) {
 	f := newJoinFixture(t, []uint64{5, 50, 500}, []uint64{40, 60})
-	q := engine.BandJoinQuery{R: "EmpByDept", S: "Dept"}
-	res, err := f.pub.ExecuteBandJoin("all", q)
+	q := relalg.BandJoinQuery{R: "EmpByDept", S: "Dept"}
+	res, err := relalg.ExecuteBandJoin(f.pub, "all", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +310,7 @@ func TestBandJoinTamperedBoundRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.R = inner
-	if _, err := f.jv.VerifyBandJoin(q, f.role, res); err == nil {
+	if _, err := relalg.VerifyBandJoin(f.rv, f.sv, q, f.role, res); err == nil {
 		t.Fatal("shrunk R partition accepted")
 	}
 }
@@ -294,7 +320,7 @@ func TestBandJoinFakeEmptyRejected(t *testing.T) {
 	// pivot 4: S ∩ [5, 999] is NOT empty, so the proof cannot be built
 	// honestly; build the nearest dishonest variant and check rejection.
 	f := newJoinFixture(t, []uint64{5}, []uint64{40})
-	q := engine.BandJoinQuery{R: "EmpByDept", S: "Dept"}
+	q := relalg.BandJoinQuery{R: "EmpByDept", S: "Dept"}
 	sEmpty, err := f.pub.Execute("all", engine.Query{Relation: "Dept", KeyLo: 61}) // honestly empty above 60
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +329,8 @@ func TestBandJoinFakeEmptyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fake := &engine.BandJoinResult{Empty: true, Pivot: 4, SEmpty: sEmpty, REmpty: rEmpty}
-	if _, err := f.jv.VerifyBandJoin(q, f.role, fake); err == nil {
+	fake := &relalg.BandJoinResult{Empty: true, Pivot: 4, SEmpty: sEmpty, REmpty: rEmpty}
+	if _, err := relalg.VerifyBandJoin(f.rv, f.sv, q, f.role, fake); err == nil {
 		t.Fatal("fake empty band join accepted")
 	}
 	// Variant with a consistent S range but non-empty result rows.
@@ -312,8 +338,8 @@ func TestBandJoinFakeEmptyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fake2 := &engine.BandJoinResult{Empty: true, Pivot: 4, SEmpty: sAbove, REmpty: rEmpty}
-	if _, err := f.jv.VerifyBandJoin(q, f.role, fake2); err == nil {
+	fake2 := &relalg.BandJoinResult{Empty: true, Pivot: 4, SEmpty: sAbove, REmpty: rEmpty}
+	if _, err := relalg.VerifyBandJoin(f.rv, f.sv, q, f.role, fake2); err == nil {
 		t.Fatal("fake empty band join with non-empty S accepted")
 	}
 }

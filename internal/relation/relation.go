@@ -287,18 +287,6 @@ func (r *Relation) Delete(key, rowID uint64) bool {
 	return false
 }
 
-// Find returns the index of the tuple with (key, rowID), or -1.
-func (r *Relation) Find(key, rowID uint64) int {
-	i := sort.Search(len(r.Tuples), func(i int) bool {
-		ti := r.Tuples[i]
-		return ti.Key > key || (ti.Key == key && ti.RowID >= rowID)
-	})
-	if i < len(r.Tuples) && r.Tuples[i].Key == key && r.Tuples[i].RowID == rowID {
-		return i
-	}
-	return -1
-}
-
 // Validate checks the invariants: sortedness, domain membership, arity,
 // and (Key, RowID) uniqueness.
 func (r *Relation) Validate() error {

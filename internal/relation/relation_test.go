@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -315,4 +316,16 @@ func TestRandomisedInsertInvariant(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Find returns the index of the tuple with (key, rowID), or -1.
+func (r *Relation) Find(key, rowID uint64) int {
+	i := sort.Search(len(r.Tuples), func(i int) bool {
+		ti := r.Tuples[i]
+		return ti.Key > key || (ti.Key == key && ti.RowID >= rowID)
+	})
+	if i < len(r.Tuples) && r.Tuples[i].Key == key && r.Tuples[i].RowID == rowID {
+		return i
+	}
+	return -1
 }

@@ -273,21 +273,3 @@ func (h *HTTPServer) Shutdown(ctx context.Context) error {
 	})
 	return h.shutdownErr
 }
-
-// Kill abruptly closes the listener and every active connection — the
-// SIGKILL-equivalent used by fault drills and the replication
-// benchmark. In-flight requests see a connection reset, not a drain.
-// Shares Shutdown's once: whichever runs first decides how connections
-// die, and later calls of either return that first result.
-func (h *HTTPServer) Kill() error {
-	h.shutdownOnce.Do(func() {
-		err := h.hs.Close()
-		<-h.done
-		if err == nil {
-			err = h.serveErr
-		}
-		h.srv.Close()
-		h.shutdownErr = err
-	})
-	return h.shutdownErr
-}

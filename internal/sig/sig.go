@@ -148,17 +148,6 @@ func (k *PrivateKey) SignOps() uint64 { return k.signOps.Load() }
 // the Csign unit of the paper's cost model.
 func (p *PublicKey) VerifyOps() uint64 { return p.verifyOps.Load() }
 
-// ResetOps zeroes the verify-operation counter ONLY. Signing counts live
-// on the PrivateKey and are unaffected; reset them with
-// PrivateKey.ResetOps. (The asymmetry is deliberate: the two counters
-// belong to different parties — Csign on the user side, signing cost on
-// the owner side — and experiments reset them independently.)
-func (p *PublicKey) ResetOps() { p.verifyOps.Store(0) }
-
-// ResetOps zeroes the sign-operation counter. The public key's verify
-// counter is independent; see PublicKey.ResetOps.
-func (k *PrivateKey) ResetOps() { k.signOps.Store(0) }
-
 // FDH maps a digest into Z_N — the full-domain hash of formula (1),
 // exported so the publisher-side crypto index (core.AggIndex) can
 // precompute per-record FDH values once per epoch instead of re-deriving
@@ -247,17 +236,6 @@ func (p *PublicKey) Aggregate(sigs []Signature) (Signature, error) {
 		}
 	}
 	return agg.Sum()
-}
-
-// VerifyAggregate checks a condensed signature against the digests of the
-// messages it is supposed to cover. A single modular exponentiation is
-// performed regardless of len(digests) — the Section 5.2 saving.
-func (p *PublicKey) VerifyAggregate(digests []hashx.Digest, agg Signature) bool {
-	av := p.NewAggVerifier()
-	for _, d := range digests {
-		av.Add(d)
-	}
-	return av.Verify(agg)
 }
 
 // Aggregator condenses signatures incrementally: the running product mod

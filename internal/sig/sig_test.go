@@ -467,3 +467,19 @@ func BenchmarkAggVerifierAdd(b *testing.B) {
 		av.Add(ds[i%len(ds)])
 	}
 }
+
+// VerifyAggregate checks a condensed signature against the digests of the
+// messages it is supposed to cover, in one modular exponentiation
+// regardless of len(digests) — the Section 5.2 saving. It is the tests'
+// one-shot form of the AggVerifier every serving path streams through.
+func (p *PublicKey) VerifyAggregate(digests []hashx.Digest, agg Signature) bool {
+	av := p.NewAggVerifier()
+	for _, d := range digests {
+		av.Add(d)
+	}
+	return av.Verify(agg)
+}
+
+// ResetOps zeroes the verify-operation counter only; the signing count
+// lives on the PrivateKey.
+func (p *PublicKey) ResetOps() { p.verifyOps.Store(0) }

@@ -296,20 +296,3 @@ func (t *ProductTree) Delete(i int) *ProductTree {
 	}
 	return &ProductTree{p: t.p, root: del(t.root, i)}
 }
-
-// Height returns the tree height (0 for empty) — exposed for balance
-// tests; queries cost O(Height) multiplications.
-func (t *ProductTree) Height() int {
-	var h func(n *ptNode) int
-	h = func(n *ptNode) int {
-		if n == nil {
-			return 0
-		}
-		l, r := h(n.left), h(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return h(t.root)
-}

@@ -172,3 +172,20 @@ func TestSigTreeMatchesAggregate(t *testing.T) {
 		t.Fatalf("empty RangeSig error = %v", err)
 	}
 }
+
+// Height returns the tree height (0 for empty), which the balance test
+// bounds: queries cost O(Height) multiplications.
+func (t *ProductTree) Height() int {
+	var h func(n *ptNode) int
+	h = func(n *ptNode) int {
+		if n == nil {
+			return 0
+		}
+		l, r := h(n.left), h(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	return h(t.root)
+}

@@ -67,8 +67,12 @@ func New(h *hashx.Hasher, pub *sig.PublicKey, p core.Params, schema relation.Sch
 // It is a thin drain over the incremental StreamVerifier: the result is
 // sliced back into its chunk sequence and consumed in order, so the
 // materialized and streaming verification paths enforce exactly the same
-// checks.
+// checks. A nil result is a stream that never started, refused as
+// ErrStreamTruncated.
 func (v *Verifier) VerifyResult(q engine.Query, role accessctl.Role, res *engine.Result) ([]engine.Row, error) {
+	if res == nil {
+		return nil, fmt.Errorf("%w: no result", ErrStreamTruncated)
+	}
 	sv := v.NewStreamVerifier(q, role)
 	rows := make([]engine.Row, 0, len(res.VO.Entries))
 	for _, c := range engine.ChunkResult(res, engine.DefaultChunkRows) {

@@ -3,6 +3,7 @@ package verify_test
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vcqr/internal/accessctl"
@@ -10,9 +11,26 @@ import (
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/relation"
+	"vcqr/internal/sig"
 	"vcqr/internal/verify"
 	"vcqr/internal/workload"
 )
+
+var (
+	keyOnce  sync.Once
+	ownerKey *sig.PrivateKey
+)
+
+func signKey(t testing.TB) *sig.PrivateKey {
+	keyOnce.Do(func() {
+		k, err := sig.Generate(sig.DefaultBits, nil)
+		if err != nil {
+			t.Fatalf("keygen: %v", err)
+		}
+		ownerKey = k
+	})
+	return ownerKey
+}
 
 // fixture for direct verifier tests: a 30-record employee relation with
 // an all-access role.
@@ -239,77 +257,5 @@ func TestHonestResultAlwaysVerifies(t *testing.T) {
 		if _, err := f.v.VerifyResult(q, f.role, res); err != nil {
 			t.Fatalf("trial %d [%d,%d]: honest result rejected: %v", trial, lo, hi, err)
 		}
-	}
-}
-
-func TestAggregateHelpers(t *testing.T) {
-	schema := relation.Schema{
-		Name: "T", KeyName: "K",
-		Cols: []relation.Column{{Name: "V", Type: relation.TypeInt}, {Name: "S", Type: relation.TypeString}},
-	}
-	rows := []engine.Row{
-		{Key: 10, Values: []engine.DisclosedAttr{{Col: 0, Val: relation.IntVal(5)}}},
-		{Key: 20, Values: []engine.DisclosedAttr{{Col: 0, Val: relation.IntVal(7)}}},
-		{Key: 30, Values: []engine.DisclosedAttr{{Col: 0, Val: relation.IntVal(9)}}},
-	}
-	if verify.Count(rows) != 3 {
-		t.Error("Count")
-	}
-	if verify.SumKeys(rows) != 60 {
-		t.Error("SumKeys")
-	}
-	if avg, err := verify.AvgKeys(rows); err != nil || avg != 20 {
-		t.Errorf("AvgKeys = %v, %v", avg, err)
-	}
-	if s, err := verify.SumInt(schema, rows, "V"); err != nil || s != 21 {
-		t.Errorf("SumInt = %v, %v", s, err)
-	}
-	if a, err := verify.AvgInt(schema, rows, "V"); err != nil || a != 7 {
-		t.Errorf("AvgInt = %v, %v", a, err)
-	}
-	lo, hi, err := verify.MinMaxKeys(rows)
-	if err != nil || lo != 10 || hi != 30 {
-		t.Errorf("MinMaxKeys = %d, %d, %v", lo, hi, err)
-	}
-	// Error paths.
-	if _, err := verify.AvgKeys(nil); !errors.Is(err, verify.ErrNoRows) {
-		t.Error("AvgKeys(nil)")
-	}
-	if _, _, err := verify.MinMaxKeys(nil); !errors.Is(err, verify.ErrNoRows) {
-		t.Error("MinMaxKeys(nil)")
-	}
-	if _, err := verify.SumInt(schema, rows, "Missing"); err == nil {
-		t.Error("SumInt missing column")
-	}
-	if _, err := verify.SumInt(schema, rows, "S"); err == nil {
-		t.Error("SumInt on undisclosed/wrong-typed column")
-	}
-	if _, err := verify.AvgInt(schema, nil, "V"); !errors.Is(err, verify.ErrNoRows) {
-		t.Error("AvgInt(nil)")
-	}
-}
-
-func TestVerifiedAggregateEndToEnd(t *testing.T) {
-	// Duplicates retained (no DISTINCT): SUM over a verified multiset is
-	// trustworthy, the Section 4.2 point.
-	f := newVFix(t)
-	q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1<<20 - 1, Project: []string{"Dept"}}
-	res := f.query(t, q)
-	rows, err := f.v.VerifyResult(q, f.role, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := verify.SumInt(f.sr.Schema, rows, "Dept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ground truth.
-	var want int64
-	deptIdx := f.sr.Schema.ColIndex("Dept")
-	for i := 1; i <= f.sr.Len(); i++ {
-		want += f.sr.Recs[i].Tuple.Attrs[deptIdx].Int
-	}
-	if sum != want {
-		t.Fatalf("verified SUM(Dept) = %d, ground truth %d", sum, want)
 	}
 }

@@ -147,42 +147,3 @@ func Uniform(cfg UniformConfig) (*relation.Relation, error) {
 	}
 	return rel, nil
 }
-
-// RangeQueries yields nq random range queries over (l, u) whose expected
-// selectivity picks about want records from a table of n.
-type RangeQuery struct{ Lo, Hi uint64 }
-
-// RangeQueries generates a deterministic query mix.
-func RangeQueries(nq int, l, u uint64, n, want int, seed int64) []RangeQuery {
-	rng := rand.New(rand.NewSource(seed))
-	span := u - l - 1
-	width := span
-	if n > 0 && want < n {
-		width = span * uint64(want) / uint64(n)
-		if width == 0 {
-			width = 1
-		}
-	}
-	out := make([]RangeQuery, nq)
-	for i := range out {
-		lo := uint64(rng.Int63n(int64(span))) + l + 1
-		hi := lo + width
-		if hi >= u {
-			hi = u - 1
-		}
-		out[i] = RangeQuery{Lo: lo, Hi: hi}
-	}
-	return out
-}
-
-// ZipfKeys returns n keys drawn from a zipf distribution over (l, u) —
-// a skewed alternative for robustness experiments.
-func ZipfKeys(n int, l, u uint64, s float64, seed int64) []uint64 {
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, s, 1, u-l-2)
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = l + 1 + z.Uint64()
-	}
-	return out
-}

@@ -83,24 +83,3 @@ func TestUniformRecordSize(t *testing.T) {
 		}
 	}
 }
-
-func TestRangeQueriesSelectivity(t *testing.T) {
-	qs := RangeQueries(50, 0, 1<<20, 1000, 10, 9)
-	if len(qs) != 50 {
-		t.Fatalf("got %d queries", len(qs))
-	}
-	for _, q := range qs {
-		if q.Lo > q.Hi || q.Lo == 0 || q.Hi >= 1<<20 {
-			t.Fatalf("query [%d,%d] out of domain", q.Lo, q.Hi)
-		}
-	}
-}
-
-func TestZipfKeysInDomain(t *testing.T) {
-	keys := ZipfKeys(1000, 100, 10000, 1.2, 5)
-	for _, k := range keys {
-		if k <= 100 || k >= 10000 {
-			t.Fatalf("zipf key %d outside (100, 10000)", k)
-		}
-	}
-}

@@ -266,3 +266,59 @@ func TestStreamFramesAreGobFree(t *testing.T) {
 		}
 	}
 }
+
+// TestServingReachesARequest pins the serving tree (internal/... minus
+// internal/paper/...) to code a request or the benchmark reaches: from
+// every declaration of the three binaries and bench/ (BENCHMARK.json
+// freezes it), the serving packages' var initialisers and init
+// functions, the methods the standard library calls through interfaces
+// and the allow-list, the name walk of reach_test.go must reach every
+// serving function, method and type. An allow-list entry the walk
+// reaches anyway, or that names nothing, fails too, so the list only
+// shrinks; DESIGN.md "Paper tree" groups its reasons by kind.
+func TestServingReachesARequest(t *testing.T) {
+	r, err := parseReach(os.DirFS("."), []string{"cmd/vcserve", "cmd/vcquery", "cmd/vcsign", "bench"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, finding := range r.check(servingAllowList) {
+		t.Error(finding)
+	}
+}
+
+// servingAllowList names the serving declarations no request reaches
+// that stay anyway, each with its reason. Whatever an entry reaches in
+// turn needs no entry of its own.
+var servingAllowList = map[string]string{
+	// Test seams: hooks the serving code carries for its tests.
+	"store.Crasher.Arm":              "test seam: crash-point drills arm the hook both durable write paths check",
+	"store.Crasher.Fired":            "test seam: crash-point drills count the hook's firings",
+	"store.CoordLog.Compact":         "test seam: the coordinator-log crash drill forces a rewrite at a crash point",
+	"wire.ReadCacheReply":            "test seam: the codec round-trip and truncation tests read a cache reply frame",
+	"wire.WriteLeaseRequest":         "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease request codec",
+	"wire.ReadLeaseRequest":          "test seam: FuzzReadLeaseFrame decodes the /node/lease request codec",
+	"wire.WriteLeaseResponse":        "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease reply codec",
+	"wire.ReadLeaseResponse":         "test seam: FuzzReadLeaseFrame decodes the /node/lease reply codec",
+	"cache.Client.Probe":             "test seam: surfaces the named error a Lookup folds into a fall-through",
+	"owner.NewWithKey":               "test seam: tests sign with one generated key instead of one per owner",
+	"engine.Publisher.ExecuteStream": "test seam: engine and wire tests stream a registered relation by name",
+
+	// References other tests compare the serving code against.
+	"core.LinearProve":  "reference: formula (2) without Section 5.1, which the boundary-proof tests cross-check",
+	"core.LinearExtend": "reference: the user's side of formula (2), cross-checked with LinearProve",
+
+	// Reached from examples/ or internal/paper.
+	"engine.NewAdversary":       "examples/{quickstart,tamper} and experiments/attacks.go; waits on ROADMAP item 15's mutator (item 14)",
+	"engine.Adversary.Execute":  "examples/{quickstart,tamper} and experiments/attacks.go; waits on ROADMAP item 15's mutator (item 14)",
+	"engine.Attacks":            "examples/tamper and experiments/attacks.go list the Section 3.2 attacks",
+	"engine.Publisher.Execute":  "examples/ and internal/paper run materialized queries (with ExecuteOn, which it calls)",
+	"engine.Result.ResultBytes": "experiments/fig9 reports |Q|·Mr beside the VO size",
+	"core.EntryG":               "the E7 ablation times a record digest rebuild; uses unexported deltaT, deltaC and entryCombined",
+	"core.LinearG":              "the E7 ablation times formula (2); uses unexported deltaT",
+	"hashx.Hasher.ResetOps":     "experiments/{cuser,fig10} count hash operations per query",
+	"mht.Build":                 "the Devanbu baseline builds a Merkle tree over a relation",
+	"mht.Tree.ProveRange":       "the Devanbu baseline proves a range",
+	"mht.VerifyRange":           "the Devanbu baseline verifies a range",
+	"mht.RangeProof.ProofSize":  "the Devanbu baseline reports its VO size",
+	"workload.Stocks":           "examples/stocks generates its trades relation",
+}
