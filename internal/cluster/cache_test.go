@@ -72,10 +72,20 @@ func (cf *cacheFix) streamRows(url string, q engine.Query, chunkRows int) ([]eng
 	client := &wire.Client{BaseURL: url}
 	var rows []engine.Row
 	_, err = client.QueryStreamWith(sv, cf.role.Name, q, chunkRows, func(r engine.Row) error {
-		rows = append(rows, r)
+		rows = append(rows, keepRow(r))
 		return nil
 	})
 	return rows, err
+}
+
+// keepRow copies a row QueryStreamWith passed to its callback, whose
+// values alias a recycled chunk and are valid only during the call.
+func keepRow(r engine.Row) engine.Row {
+	vals := slices.Clone(r.Values)
+	for i := range vals {
+		vals[i].Val.Bytes = bytes.Clone(vals[i].Val.Bytes)
+	}
+	return engine.Row{Key: r.Key, Values: vals}
 }
 
 // hasPayload reports whether any verified row carries the payload.

@@ -488,21 +488,24 @@ func (c *Coordinator) QueryStream(roleName string, q engine.Query, chunkRows int
 	if err != nil {
 		return nil, err
 	}
-	return c.mergeStream(roleName, q, eff, sub, chunkRows, nil)
+	return c.mergeStream(roleName, q, eff, sub, engine.StreamOpts{ChunkRows: chunkRows}, nil)
 }
 
 // mergeStream pins one live feed per covering shard of a planned query
-// and merges them. It carries an optional request span: the span's trace
-// ID propagates to every shard node (one trace stitches the whole
-// fan-out) and the per-node sub-stream breakdowns land on the span as
-// they arrive. A nil span serves untraced with zero overhead beyond the
-// histogram observations.
-func (c *Coordinator) mergeStream(roleName string, q, eff engine.Query, sub []partition.SubRange, chunkRows int, span *obs.Span) (engine.ResultStream, error) {
+// and merges them. opts.ReuseChunks carries to the node feeds, whose
+// chunks the merged stream passes on: the caller promises to be done
+// with each chunk when it pulls the next. It carries an optional request
+// span: the span's trace ID propagates to every shard node (one trace
+// stitches the whole fan-out) and the per-node sub-stream breakdowns
+// land on the span as they arrive. A nil span serves untraced with zero
+// overhead beyond the histogram observations.
+func (c *Coordinator) mergeStream(roleName string, q, eff engine.Query, sub []partition.SubRange, opts engine.StreamOpts, span *obs.Span) (engine.ResultStream, error) {
+	chunkRows := opts.ChunkRows
 	if chunkRows == 0 {
 		chunkRows = c.chunkRows
 	}
 	tPin := time.Now()
-	feeds, prevG, err := c.pinFeeds(roleName, q, sub, chunkRows, span)
+	feeds, prevG, err := c.pinFeeds(roleName, q, sub, chunkRows, opts.ReuseChunks, span)
 	c.hPin.ObserveSince(tPin)
 	span.Add(obs.StagePinFeeds, time.Since(tPin))
 	if err != nil {
@@ -533,7 +536,7 @@ const pinRetries = 8
 // in-process read gets by pinning under the hosting table's lock, which
 // no cross-process read can take. Every feed is a node's: the edge cache
 // never enters the merge.
-func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int, span *obs.Span) ([]engine.ShardFeed, engine.PrevG, error) {
+func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int, reuse bool, span *obs.Span) ([]engine.ShardFeed, engine.PrevG, error) {
 	var trace string
 	if span != nil {
 		trace = span.Trace
@@ -565,7 +568,7 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 				First: i == 0, Last: i == len(sub)-1,
 				ChunkRows: chunkRows, RoutingEpoch: repoch,
 				Trace: trace,
-			}, span)
+			}, reuse, span)
 			if err != nil {
 				closeFeeds(feeds)
 				if wire.IsNotHosting(err) {
@@ -644,8 +647,9 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 // not-hosting surface (the caller's stale-routing classification). The
 // returned feed fails over mid-stream by itself: its hello's digest pins
 // the slice content, so a later death can be resumed byte-exactly on any
-// sibling holding the identical slice.
-func (c *Coordinator) openFeed(req wire.ShardStreamRequest, span *obs.Span) (*nodeFeed, error) {
+// sibling holding the identical slice. reuse is the sub-streams'
+// wire.Client.ShardStream flag.
+func (c *Coordinator) openFeed(req wire.ShardStreamRequest, reuse bool, span *obs.Span) (*nodeFeed, error) {
 	tried := make(map[string]bool)
 	allRefused := true
 	var lastErr error
@@ -667,7 +671,7 @@ func (c *Coordinator) openFeed(req wire.ShardStreamRequest, span *obs.Span) (*no
 			continue
 		}
 		t0 := time.Now()
-		ns, err := cl.ShardStream(req)
+		ns, err := cl.ShardStream(req, reuse)
 		if err != nil {
 			if wire.IsNotHosting(err) {
 				lastErr = err
@@ -683,7 +687,7 @@ func (c *Coordinator) openFeed(req wire.ShardStreamRequest, span *obs.Span) (*no
 			c.obs.Hist(obs.StageFailover).ObserveSince(t0)
 			span.Add(obs.StageFailover, time.Since(t0))
 		}
-		nf := &nodeFeed{c: c, span: span, req: req, hello: ns.Hello(), tried: tried}
+		nf := &nodeFeed{c: c, span: span, req: req, reuse: reuse, hello: ns.Hello(), tried: tried}
 		nf.attach(ns, url)
 		return nf, nil
 	}

@@ -110,7 +110,7 @@ func TestEndpointEnvelope(t *testing.T) {
 				fail: func(cl *wire.Client) error { _, err := cl.ShardFetch(gone); return err }, notHosting: true},
 			{ep: wire.ShardStreamEP.Endpoint,
 				fail: func(cl *wire.Client) error {
-					_, err := cl.ShardStream(wire.ShardStreamRequest{Role: "all", Query: engine.Query{Relation: "Uniform"}, Shard: 99})
+					_, err := cl.ShardStream(wire.ShardStreamRequest{Role: "all", Query: engine.Query{Relation: "Uniform"}, Shard: 99}, false)
 					return err
 				}, notHosting: true},
 		}},

@@ -47,11 +47,12 @@ type nodeFeed struct {
 	hWait  *obs.Histogram
 	waitNS int64
 
-	// req re-opens the sub-stream on a sibling; hello (its Digest above
-	// all) pins what the original replica promised; tried accumulates
-	// every node offered this sub-range (seeded by openFeed's candidate
-	// loop).
+	// req re-opens the sub-stream on a sibling, recycling its chunks as
+	// the original did when reuse; hello (its Digest above all) pins what
+	// the original replica promised; tried accumulates every node offered
+	// this sub-range (seeded by openFeed's candidate loop).
 	req   wire.ShardStreamRequest
+	reuse bool
 	hello wire.NodeHello
 	tried map[string]bool
 
@@ -117,7 +118,7 @@ func (f *nodeFeed) failover() bool {
 		}
 		req := f.req
 		req.RoutingEpoch = f.c.repoch.Load()
-		ns, err := cl.ShardStream(req)
+		ns, err := cl.ShardStream(req, f.reuse)
 		if err != nil {
 			continue
 		}

@@ -154,7 +154,9 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, req wire.StreamRequest
 		fill = f
 		detail += " cache=miss"
 	}
-	st, err := c.mergeStream(req.Role, req.Query, eff, sub, req.ChunkRows, sp)
+	// WriteStream encodes each chunk before pulling the next (and the
+	// cache fill tees the encoded bytes), so the node feeds recycle.
+	st, err := c.mergeStream(req.Role, req.Query, eff, sub, engine.StreamOpts{ChunkRows: req.ChunkRows, ReuseChunks: true}, sp)
 	if err != nil {
 		if fill != nil {
 			fill.Abort()

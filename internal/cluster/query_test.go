@@ -95,7 +95,7 @@ func TestClientQueryIsCollectedStream(t *testing.T) {
 			}
 			var streamed []engine.Row
 			if _, err := client.QueryStream(f.v, f.role, "all", tc.q, 0, func(r engine.Row) error {
-				streamed = append(streamed, r)
+				streamed = append(streamed, keepRow(r))
 				return nil
 			}); err != nil {
 				t.Fatalf("%s: stream rejected: %v", name, err)

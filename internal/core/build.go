@@ -201,29 +201,14 @@ func makeDelim(h *hashx.Hasher, p Params, kind Kind) (SignedRecord, error) {
 // with the paper's h(L) / h(U) virtual neighbours at the two ends and the
 // publication version bound in (see Params.Version).
 func (sr *SignedRelation) sigDigest(h *hashx.Hasher, i int) hashx.Digest {
-	var prev, next hashx.Digest
-	if i == 0 {
-		prev = virtualEndDigest(h, sr.Params.L)
-	} else {
+	var prev, next hashx.Digest // nil: the virtual end beyond a delimiter
+	if i > 0 {
 		prev = sr.Recs[i-1].G
 	}
-	if i == len(sr.Recs)-1 {
-		next = virtualEndDigest(h, sr.Params.U)
-	} else {
+	if i < len(sr.Recs)-1 {
 		next = sr.Recs[i+1].G
 	}
-	return h.SigDigest(versionedG(h, sr.Params, prev), sr.Recs[i].G, versionedG(h, sr.Params, next))
-}
-
-// versionedG binds the publication version to a neighbour digest before
-// signing. Folding the version into the neighbour slots (rather than a
-// fourth SigDigest input) keeps the signed payload at the paper's three
-// components while making every signature version-specific.
-func versionedG(h *hashx.Hasher, p Params, g hashx.Digest) hashx.Digest {
-	if p.Version == 0 {
-		return g // version 0: the paper's original, unversioned form
-	}
-	return h.Hash(hashx.U64(p.Version), g)
+	return SigDigestFor(h, sr.Params, prev, sr.Recs[i].G, next)
 }
 
 // SigDigestFor is the user-side counterpart of sigDigest: the digest a
@@ -232,13 +217,35 @@ func versionedG(h *hashx.Hasher, p Params, g hashx.Digest) hashx.Digest {
 // version comes from Params, which the user obtained over the
 // authenticated channel — a stale publication fails here.
 func SigDigestFor(h *hashx.Hasher, p Params, prev, cur, next hashx.Digest) hashx.Digest {
-	if prev == nil {
-		prev = virtualEndDigest(h, p.L)
+	b := h.Batch()
+	defer b.Done()
+	return AppendSigDigest(&b, nil, p, prev, cur, next)
+}
+
+// AppendSigDigest appends SigDigestFor's digest to dst, hashing on b:
+// the neighbours' virtual ends and version binding go through stack
+// scratch, so a caller whose dst is on its stack allocates nothing.
+func AppendSigDigest(b *hashx.Batch, dst []byte, p Params, prev, cur, next hashx.Digest) []byte {
+	var pb, nb [hashx.MaxSize]byte
+	return b.SigDigest(dst, signedNeighbour(b, pb[:0], p, prev, p.L), cur, signedNeighbour(b, nb[:0], p, next, p.U))
+}
+
+// signedNeighbour is one neighbour slot of the signed digest, written
+// into dst when it is hashed: g, or when g is nil the virtual end digest
+// of bound — the paper's h(L) and h(U) in sig(r_0) = s(h(h(L) | g(r_0) |
+// g(r_1))) — with the publication version folded in unless it is 0, the
+// paper's original unversioned form. Folding the version into the
+// neighbour slots (rather than a fourth SigDigest input) keeps the signed
+// payload at the paper's three components while making every signature
+// version-specific.
+func signedNeighbour(b *hashx.Batch, dst []byte, p Params, g hashx.Digest, bound uint64) hashx.Digest {
+	if g == nil {
+		g = b.Hash(dst, endTag, hashx.U64(bound))
 	}
-	if next == nil {
-		next = virtualEndDigest(h, p.U)
+	if p.Version == 0 {
+		return g
 	}
-	return h.SigDigest(versionedG(h, p, prev), cur, versionedG(h, p, next))
+	return b.Hash(dst[:0], hashx.U64(p.Version), g)
 }
 
 // Len returns the number of data records (excluding delimiters).

@@ -108,7 +108,9 @@ func goldenDigests(t *testing.T) map[string]string {
 				t.Fatal(err)
 			}
 			put(tag+"/g/delim-right", gr)
-			put(tag+"/g/hidden", GFromComponents(h, KindRecord, upRoot, downRoot, attrRoot))
+			b := h.Batch()
+			put(tag+"/g/hidden", AppendG(&b, nil, KindRecord, upRoot, downRoot, attrRoot))
+			b.Done()
 
 			// Formula (1) pre-signature digests: interior and both virtual
 			// ends, unversioned and versioned.
@@ -270,5 +272,12 @@ func disclosedRoot(h *hashx.Hasher, t relation.Tuple, cols []int, openKey bool) 
 			hidden = append(hidden, l)
 		}
 	}
-	return AttrRootFromDisclosure(h, disclosed, hidden)
+	return attrRootFrom(h, disclosed, hidden)
+}
+
+// attrRootFrom is AppendAttrRoot into fresh storage.
+func attrRootFrom(h *hashx.Hasher, disclosed [][]byte, hidden []hashx.Digest) (hashx.Digest, error) {
+	b := h.Batch()
+	defer b.Done()
+	return AppendAttrRoot(&b, nil, disclosed, hidden)
 }

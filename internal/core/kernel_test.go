@@ -118,6 +118,35 @@ func TestEntryGAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendDigestsAllocNothing: the verifier's per-row digests — the
+// attribute root, g, and the signed digest at every version, virtual
+// ends included — append into caller storage without allocating.
+func TestAppendDigestsAllocNothing(t *testing.T) {
+	h := hashx.New()
+	p := mustParams(t, 0, 1<<32, 2)
+	g := h.Hash([]byte("g"))
+	disclosed := [][]byte{nil, []byte("value"), hashx.U64(77777)}
+	hidden := []hashx.Digest{h.Hash([]byte("row id"))}
+	for _, version := range []uint64{0, 7} {
+		p.Version = version
+		allocs := testing.AllocsPerRun(50, func() {
+			var root, gb, sb [hashx.MaxSize]byte
+			b := h.Batch()
+			r, err := AppendAttrRoot(&b, root[:0], disclosed, hidden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := AppendG(&b, gb[:0], KindRecord, g, g, r)
+			AppendSigDigest(&b, sb[:0], p, nil, cur, g)
+			AppendSigDigest(&b, sb[:0], p, g, cur, nil)
+			b.Done()
+		})
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("version %d: %v allocs/op, want 0", version, allocs)
+		}
+	}
+}
+
 // TestProveBoundaryAllocs: a chain side is hashed once, into one chain
 // block, with its representation leaves folded on the stack, so a
 // boundary proof allocates a bounded handful (the selection's digit

@@ -70,7 +70,7 @@ func TestChainProofCoversEveryRepresentationIndex(t *testing.T) {
 
 // TestAttrRootDisclosureEquivalence: for every subset of disclosed
 // columns, with the key slot opened from the key or travelling as its
-// leaf digest, AttrRootFromDisclosure must reproduce the owner's AttrRoot.
+// leaf digest, AppendAttrRoot must reproduce the owner's AttrRoot.
 func TestAttrRootDisclosureEquivalence(t *testing.T) {
 	h := hashx.New()
 	tuple := relation.Tuple{
@@ -103,7 +103,7 @@ func TestAttrRootDisclosureEquivalence(t *testing.T) {
 		} else {
 			hidden = append(hidden, KeyLeaf(h, tuple.Key))
 		}
-		got, err := AttrRootFromDisclosure(h, disclosed, hidden)
+		got, err := attrRootFrom(h, disclosed, hidden)
 		if err != nil {
 			t.Fatalf("mask %05b: %v", mask, err)
 		}
@@ -128,7 +128,7 @@ func TestAttrRootKeySlot(t *testing.T) {
 		hidden := AttrLeaves(h, tuple)
 		for _, key := range []uint64{tuple.Key, tuple.Key + 1, tuple.Key - 1} {
 			disclosed[len(disclosed)-1] = hashx.U64(key)
-			got, err := AttrRootFromDisclosure(h, disclosed, hidden)
+			got, err := attrRootFrom(h, disclosed, hidden)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,17 +145,17 @@ func TestAttrRootDisclosureRejectsInconsistency(t *testing.T) {
 	leaves := AttrLeaves(h, tuple)
 	key := hashx.U64(tuple.Key)
 	// Too few digests for the hidden leaves.
-	if _, err := AttrRootFromDisclosure(h, make([][]byte, 3), []hashx.Digest{leaves[0]}); err == nil {
+	if _, err := attrRootFrom(h, make([][]byte, 3), []hashx.Digest{leaves[0]}); err == nil {
 		t.Error("short disclosure accepted")
 	}
 	// Malformed digest width.
-	if _, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode(), key},
+	if _, err := attrRootFrom(h, [][]byte{nil, tuple.Attrs[0].Encode(), key},
 		[]hashx.Digest{leaves[0][:4]}); err == nil {
 		t.Error("short digest accepted")
 	}
 	// A digest beyond the last hidden leaf binds nothing: same root.
 	want := AttrRoot(h, tuple)
-	got, err := AttrRootFromDisclosure(h, [][]byte{nil, tuple.Attrs[0].Encode(), key},
+	got, err := attrRootFrom(h, [][]byte{nil, tuple.Attrs[0].Encode(), key},
 		[]hashx.Digest{leaves[0], leaves[1]})
 	if err != nil || !got.Equal(want) {
 		t.Errorf("surplus digest changed the outcome: %v", err)

@@ -44,12 +44,9 @@ func markerDelimAttr(h *hashx.Hasher) hashx.Digest {
 	return h.Hash([]byte("core/delim-attr"))
 }
 
-// virtualEndDigest is the digest standing in for the non-existent
-// neighbour beyond a delimiter: the paper's h(L) and h(U) in
-// sig(r_0) = s(h(h(L) | g(r_0) | g(r_1))).
-func virtualEndDigest(h *hashx.Hasher, bound uint64) hashx.Digest {
-	return h.Hash([]byte("core/end"), hashx.U64(bound))
-}
+// endTag opens the virtual end digest hashed for the neighbour beyond a
+// delimiter (signedNeighbour).
+var endTag = []byte("core/end")
 
 // AttrLeaves returns leaves 0..n of the per-record attribute tree
 // MHT(r.A): leaf 0 is the row identifier (the replica number that
@@ -84,7 +81,16 @@ func AppendAttrLeaf(dst []byte, t relation.Tuple, i int) []byte {
 // hashx.U64's encoding. It binds a disclosed key to g(r) without the
 // formula-(3) chains (record format 1; DESIGN.md "Disclosed keys bind
 // through the attribute tree").
-func KeyLeaf(h *hashx.Hasher, key uint64) hashx.Digest { return h.Leaf(hashx.U64(key)) }
+func KeyLeaf(h *hashx.Hasher, key uint64) hashx.Digest {
+	b := h.Batch()
+	defer b.Done()
+	return AppendKeyLeaf(&b, nil, key)
+}
+
+// AppendKeyLeaf appends KeyLeaf(key) to dst.
+func AppendKeyLeaf(b *hashx.Batch, dst []byte, key uint64) []byte {
+	return b.Leaf(dst, hashx.U64(key))
+}
 
 // AttrTree builds the per-record attribute tree.
 func AttrTree(h *hashx.Hasher, t relation.Tuple) *mht.Tree {
@@ -139,28 +145,26 @@ func (r SignedRecord) Clone() SignedRecord {
 // Key returns the record's sort-key value.
 func (r SignedRecord) Key() uint64 { return r.Tuple.Key }
 
-// GFromComponents recomputes g(r) from opaque combined chain digests and
-// an attribute root — the user's path for every VO entry. The chain
-// digests are bound by the signature chain; a disclosed key is bound by
-// its leaf inside the attribute root.
-func GFromComponents(h *hashx.Hasher, kind Kind, upCombined, downCombined, attrRoot hashx.Digest) hashx.Digest {
-	return recordG(h, kind, upCombined, downCombined, attrRoot)
+// AppendG appends g(r), recomputed from opaque combined chain digests
+// and an attribute root, to dst — the user's path for every VO entry. The
+// chain digests are bound by the signature chain; a disclosed key is
+// bound by its leaf inside the attribute root.
+func AppendG(b *hashx.Batch, dst []byte, kind Kind, upCombined, downCombined, attrRoot hashx.Digest) []byte {
+	return b.GDigest(dst, []byte{byte(kind)}, upCombined, downCombined, attrRoot)
 }
 
 // ErrDisclosure reports an inconsistent attribute disclosure.
 var errDisclosure = fmt.Errorf("core: inconsistent attribute disclosure")
 
-// AttrRootFromDisclosure rebuilds the root of MHT(r.A) from a partial
-// disclosure. disclosed has one slot per leaf (leaf 0 is the row id, leaf
-// i+1 is attribute i, the last leaf is the key) holding the encoded leaf
-// pre-image, or nil for a leaf that travels as a digest; hidden supplies
-// those digests in ascending leaf order (digests beyond the last hidden
-// leaf bind nothing and are ignored). This implements the projection
-// mechanism of Section 4.2: projected-out attributes travel as digests,
-// never as values.
-func AttrRootFromDisclosure(h *hashx.Hasher, disclosed [][]byte, hidden []hashx.Digest) (hashx.Digest, error) {
-	b := h.Batch()
-	defer b.Done()
+// AppendAttrRoot rebuilds the root of MHT(r.A) from a partial disclosure
+// and appends it to dst. disclosed has one slot per leaf (leaf 0 is the
+// row id, leaf i+1 is attribute i, the last leaf is the key) holding the
+// encoded leaf pre-image, or nil for a leaf that travels as a digest;
+// hidden supplies those digests in ascending leaf order (digests beyond
+// the last hidden leaf bind nothing and are ignored). This implements
+// the projection mechanism of Section 4.2: projected-out attributes
+// travel as digests, never as values.
+func AppendAttrRoot(b *hashx.Batch, dst []byte, disclosed [][]byte, hidden []hashx.Digest) ([]byte, error) {
 	var stack [8 * hashx.MaxSize]byte // wider records spill to the heap
 	leaves := stack[:0]
 	for i, enc := range disclosed {
@@ -168,13 +172,13 @@ func AttrRootFromDisclosure(h *hashx.Hasher, disclosed [][]byte, hidden []hashx.
 			leaves = b.Leaf(leaves, enc)
 			continue
 		}
-		if len(hidden) == 0 || len(hidden[0]) != h.Size() {
-			return nil, fmt.Errorf("%w: leaf %d missing or malformed", errDisclosure, i)
+		if len(hidden) == 0 || len(hidden[0]) != b.Size() {
+			return dst, fmt.Errorf("%w: leaf %d missing or malformed", errDisclosure, i)
 		}
 		leaves = append(leaves, hidden[0]...)
 		hidden = hidden[1:]
 	}
-	return mht.Root(&b, leaves).Clone(), nil
+	return append(dst, mht.Root(b, leaves)...), nil
 }
 
 // EntryG recomputes g(r) for a record whose key and kind the user knows,

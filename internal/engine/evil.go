@@ -248,7 +248,10 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 			cols := filterCols(sr.Schema, eff.Filters)
 			fake := rec.Tuple.Clone()
 			fake.Attrs[fcol] = failingValue(eff.Filters[0])
-			disclosed, hidden := disclose(a.p.h, fake, cols)
+			var arena entryArena
+			b := a.p.h.Batch()
+			disclosed, hidden := arena.disclose(&b, fake, cols, false)
+			b.Done()
 			res.VO.Entries[i] = VOEntry{
 				Mode:         EntryFilteredVisible,
 				Key:          e.Key,

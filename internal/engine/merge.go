@@ -125,12 +125,26 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 // planned and tiled cover.
 func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, sl ShardSlice, first, last bool, opts StreamOpts) *ShardPartial {
 	a, b := sl.SR.RangeIndices(sl.Lo, sl.Hi)
+	schema := sl.SR.Schema
 	sp := &ShardPartial{
 		p: p, sr: sl.SR, role: role, eff: eff,
 		shard: sl.Shard, lo: sl.Lo, hi: sl.Hi, first: first, last: last,
 		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
-		reuse: opts.ReuseChunks,
-		hAgg:  p.Obs.Hist(obs.StageAggIndex),
+		projCols:   projectCols(schema, eff.Project),
+		filterCols: filterCols(schema, eff.Filters),
+		visCol:     schema.ColIndex(role.VisibilityCol),
+		reuse:      opts.ReuseChunks,
+		hAgg:       p.Obs.Hist(obs.StageAggIndex),
+	}
+	// Leaves 0..n less the opened ones, per mode this query can ship; a
+	// Case 2 entry opens one and hides the key leaf too.
+	leaves := len(schema.Cols) + 1
+	sp.opened, sp.hidden = len(sp.projCols), leaves-len(sp.projCols)
+	if len(eff.Filters) > 0 {
+		sp.opened, sp.hidden = max(sp.opened, len(sp.filterCols)), max(sp.hidden, leaves-len(sp.filterCols))
+	}
+	if sp.visCol >= 0 {
+		sp.opened, sp.hidden = max(sp.opened, 1), max(sp.hidden, leaves)
 	}
 	if p.Aggregate {
 		// Per-shard crypto index: the slice's partial condensed signature
@@ -162,9 +176,23 @@ type ShardPartial struct {
 	idx       *core.AggIndex
 	agg       *sig.Aggregator
 
+	// The columns each entry mode discloses, planned once per partial:
+	// the projection (results), the filter columns (Section 4.4 Case 1)
+	// and the role's visibility column (Case 2; -1 when the schema lacks
+	// it) — and the most values an entry opens and leaves it hides, which
+	// size the arena.
+	projCols, filterCols []int
+	visCol               int
+	opened, hidden       int
+
+	// arena holds the current chunk's entry lists and digests. Under
+	// reuse it, the chunk struct and the entry and signature slices are
+	// recycled by the next Next; otherwise every chunk gets its own.
+	arena    entryArena
 	reuse    bool
 	chunkBuf Chunk
 	entryBuf []VOEntry
+	sigBuf   []sig.Signature
 
 	// hAgg records the foot's product-tree lookup (nil without a registry).
 	hAgg *obs.Histogram
@@ -201,14 +229,19 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	}
 	var c *Chunk
 	if sp.reuse {
-		sp.chunkBuf = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entryBuf[:0]}
+		sp.chunkBuf = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entryBuf[:0], Sigs: sp.sigBuf[:0]}
 		c = &sp.chunkBuf
+		sp.arena.reset()
 	} else {
 		c = &Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: make([]VOEntry, 0, n)}
+		sp.arena = entryArena{}
 	}
+	sp.arena.reserve(n*sp.opened, n*sp.hidden, n*(sp.hidden+2)*sp.p.h.Size())
+	b := sp.p.h.Batch()
+	defer b.Done()
 	for i := sp.pos; i < sp.pos+n; i++ {
-		rec := sp.sr.Recs[i]
-		entry, err := sp.p.buildEntry(sp.sr, sp.role, sp.eff, rec)
+		rec := &sp.sr.Recs[i]
+		entry, err := sp.buildEntry(&b, rec)
 		if err != nil {
 			sp.err = err
 			return nil, err
@@ -228,10 +261,42 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 		}
 	}
 	if sp.reuse {
-		sp.entryBuf = c.Entries
+		sp.entryBuf, sp.sigBuf = c.Entries, c.Sigs
 	}
 	sp.pos += n
 	return c, nil
+}
+
+// buildEntry classifies one covered record and assembles its VO entry in
+// the partial's arena. Every mode ships copies of the record's combined
+// chain digests; the key leaf travels only when the key stays hidden
+// (Case 2).
+func (sp *ShardPartial) buildEntry(b *hashx.Batch, rec *core.SignedRecord) (VOEntry, error) {
+	schema := sp.sr.Schema
+	t := rec.Tuple
+	e := VOEntry{Mode: EntryResult, Key: t.Key}
+	var one [1]int
+	cols := sp.projCols
+	switch {
+	case !sp.role.RecordVisible(schema, t):
+		// Section 4.4 Case 2: open only the visibility-column leaf.
+		if sp.visCol < 0 {
+			return VOEntry{}, fmt.Errorf("engine: role %q visibility column %q missing in %q", sp.role.Name, sp.role.VisibilityCol, schema.Name)
+		}
+		e = VOEntry{Mode: EntryFilteredHidden}
+		one[0] = sp.visCol
+		cols = one[:]
+	case !sp.eff.passes(schema, t):
+		// Section 4.4 Case 1: disclose the filter columns so the user can
+		// confirm the record fails the condition; everything else travels
+		// as digests.
+		e.Mode, cols = EntryFilteredVisible, sp.filterCols
+	}
+	// Under DISTINCT a duplicate ships as a result too: the user releases
+	// each distinct row once, and can see that what it skips repeats one.
+	e.Disclosed, e.HiddenLeaves = sp.arena.disclose(b, t, cols, e.Mode == EntryFilteredHidden)
+	e.UpCombined, e.DownCombined = sp.arena.copy(rec.UpCombined), sp.arena.copy(rec.DownCombined)
+	return e, nil
 }
 
 // Foot summarizes the drained partial. It must not be called before Next

@@ -185,59 +185,6 @@ func (p *Publisher) executeRewritten(sr *core.SignedRelation, role accessctl.Rol
 	return Collect(st)
 }
 
-// buildEntry classifies one covered record and assembles its VO entry.
-// Every mode ships the record's combined chain digests; the key leaf
-// travels only when the key stays hidden (Case 2).
-func (p *Publisher) buildEntry(sr *core.SignedRelation, role accessctl.Role, eff Query, rec core.SignedRecord) (VOEntry, error) {
-	schema := sr.Schema
-	t := rec.Tuple
-
-	if !role.RecordVisible(schema, t) {
-		// Section 4.4 Case 2: open only the visibility-column leaf.
-		visCol := schema.ColIndex(role.VisibilityCol)
-		if visCol < 0 {
-			return VOEntry{}, fmt.Errorf("engine: role %q visibility column %q missing in %q", role.Name, role.VisibilityCol, schema.Name)
-		}
-		disclosed, hidden := disclose(p.h, t, []int{visCol})
-		return VOEntry{
-			Mode:         EntryFilteredHidden,
-			Disclosed:    disclosed,
-			HiddenLeaves: append(hidden, core.KeyLeaf(p.h, t.Key)),
-			UpCombined:   rec.UpCombined.Clone(),
-			DownCombined: rec.DownCombined.Clone(),
-		}, nil
-	}
-
-	if !eff.passes(schema, t) {
-		// Section 4.4 Case 1: disclose the filter columns so the user can
-		// confirm the record fails the condition; everything else travels
-		// as digests.
-		cols := filterCols(schema, eff.Filters)
-		disclosed, hidden := disclose(p.h, t, cols)
-		return VOEntry{
-			Mode:         EntryFilteredVisible,
-			Key:          t.Key,
-			Disclosed:    disclosed,
-			HiddenLeaves: hidden,
-			UpCombined:   rec.UpCombined.Clone(),
-			DownCombined: rec.DownCombined.Clone(),
-		}, nil
-	}
-
-	// Under DISTINCT a duplicate ships as a result too: the user releases
-	// each distinct row once, and can see that what it skips repeats one.
-	cols := projectCols(schema, eff.Project)
-	disclosed, hidden := disclose(p.h, t, cols)
-	return VOEntry{
-		Mode:         EntryResult,
-		Key:          t.Key,
-		Disclosed:    disclosed,
-		HiddenLeaves: hidden,
-		UpCombined:   rec.UpCombined.Clone(),
-		DownCombined: rec.DownCombined.Clone(),
-	}, nil
-}
-
 // filterCols returns the sorted distinct column indexes used by filters.
 func filterCols(schema relation.Schema, filters []Filter) []int {
 	set := map[int]bool{}
@@ -269,37 +216,4 @@ func projectCols(schema relation.Schema, project []string) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// disclose splits a tuple's attribute-tree leaves other than the key leaf
-// into opened values (the given column indexes, sorted) and hidden
-// digests (everything else, including the row-id leaf 0). Only the
-// hidden leaves are hashed — an opened one travels as its value, and the
-// user hashes it — so a full projection costs the row-id leaf alone.
-// cols is walked in step with the leaves instead of through a set — this
-// runs once per covered record per query, and the two per-entry map
-// allocations were a measurable slice of the streaming loop's garbage.
-func disclose(h *hashx.Hasher, t relation.Tuple, cols []int) ([]DisclosedAttr, []hashx.Digest) {
-	b := h.Batch()
-	defer b.Done()
-	disclosed := make([]DisclosedAttr, 0, len(cols))
-	hideCap := len(t.Attrs) + 1 - len(cols)
-	if hideCap < 0 {
-		hideCap = 0 // duplicate column requests
-	}
-	hidden := make([]hashx.Digest, 0, hideCap)
-	var enc [64]byte
-	ci := 0
-	for i := 0; i <= len(t.Attrs); i++ {
-		if ci < len(cols) && cols[ci]+1 == i {
-			c := cols[ci]
-			disclosed = append(disclosed, DisclosedAttr{Col: c, Val: t.Attrs[c]})
-			for ci++; ci < len(cols) && cols[ci] == c; ci++ {
-				// skip duplicate column requests
-			}
-			continue
-		}
-		hidden = append(hidden, b.Leaf(nil, core.AppendAttrLeaf(enc[:0], t, i)))
-	}
-	return disclosed, hidden
 }

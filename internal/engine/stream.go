@@ -171,14 +171,20 @@ type StreamOpts struct {
 	// ChunkRows bounds the entries per chunk; 0 means DefaultChunkRows,
 	// values above MaxChunkRows are clamped.
 	ChunkRows int
-	// ReuseChunks lets the stream recycle its chunk struct and entry
-	// slice across Next calls: a chunk (and its Entries/Sigs backing
-	// arrays) is valid only until the next Next. The per-entry payloads
-	// (disclosed values, digests, signatures) are NOT recycled — copying
-	// a VOEntry out of a reused chunk keeps it valid indefinitely, which
-	// is why Collect and the incremental verifiers are reuse-safe. Set
-	// by drain-style consumers (the server's /stream handler serializes
-	// each chunk before pulling the next); leave off when chunks are
+	// ReuseChunks lets the stream recycle an entries chunk and
+	// everything it aliases across Next calls: the chunk struct, its
+	// Entries and Sigs arrays, and the arena holding every entry's
+	// disclosed attributes, hidden leaves and combined digests. A chunk is
+	// valid only until the next Next; only disclosed values' bytes and
+	// signatures, which are the records' own immutable memory, outlive
+	// it. Without it each chunk gets its own arena, one allocation per
+	// array however many rows it carries. A recycling producer needs a
+	// consumer that is done with a chunk when it pulls the next, so
+	// Collect, which keeps every chunk's entries, must not drain one.
+	// Set by drain-style consumers — the /stream and /shard/stream
+	// handlers encode each chunk before pulling the next, and the
+	// coordinator's /stream handler passes it on to its node feeds
+	// (wire.Client.ShardStream) — and leave off when chunks are
 	// retained. Each ShardPartial honours it; a parallel fan-out over
 	// several slices (FanoutStream) ignores it — chunks crossing a
 	// channel cannot be recycled safely. A K = 1 stream is never
@@ -225,7 +231,8 @@ func (p *Publisher) ExecuteStreamOn(sr *core.SignedRelation, roleName string, q 
 // API returns. Execute is the K = 1 merge ExecuteStream returns plus
 // Collect, so the two paths emit byte-identical VOs; the footer's
 // ShardFeet and the chunks' Shard tags are framing, not VO, and are
-// dropped.
+// dropped. The Result keeps every chunk's entries, so the stream must
+// not recycle them: never a ReuseChunks stream.
 func Collect(st ResultStream) (*Result, error) {
 	var res *Result
 	sawFooter := false

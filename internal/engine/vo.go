@@ -67,6 +67,85 @@ type VOEntry struct {
 	UpCombined, DownCombined hashx.Digest
 }
 
+// entryArena holds a run of entries' lists and bytes in three arrays: the
+// disclosed attributes, the hidden-leaf digest headers, and the bytes of
+// every digest. Each list is cut with a full slice expression, so an
+// append that outgrows an array moves only the entries that follow; the
+// ones cut before keep the old array. The publisher's disclosed values share the record's
+// immutable bytes, as its shipped signatures do.
+type entryArena struct {
+	attrs  []DisclosedAttr
+	leaves []hashx.Digest
+	bytes  []byte
+}
+
+// reset empties the arena for the next chunk, keeping its arrays: the
+// entries cut from it before are overwritten.
+func (a *entryArena) reset() {
+	a.attrs, a.leaves, a.bytes = a.attrs[:0], a.leaves[:0], a.bytes[:0]
+}
+
+// reserve makes room for attrs more disclosed attributes, leaves more
+// hidden-leaf headers and bytes more bytes: an array short of its room
+// is replaced by a new one of exactly that room — the lists cut before
+// keep the old one — so a chunk costs one allocation per array, and a
+// recycled arena that already has the room none.
+func (a *entryArena) reserve(attrs, leaves, bytes int) {
+	if cap(a.attrs)-len(a.attrs) < attrs {
+		a.attrs = make([]DisclosedAttr, 0, attrs)
+	}
+	if cap(a.leaves)-len(a.leaves) < leaves {
+		a.leaves = make([]hashx.Digest, 0, leaves)
+	}
+	if cap(a.bytes)-len(a.bytes) < bytes {
+		a.bytes = make([]byte, 0, bytes)
+	}
+}
+
+// copy copies b into the arena.
+func (a *entryArena) copy(b []byte) []byte {
+	at := len(a.bytes)
+	a.bytes = append(a.bytes, b...)
+	return a.cut(at)
+}
+
+// cut returns the digest bytes appended since at.
+func (a *entryArena) cut(at int) hashx.Digest {
+	return a.bytes[at:len(a.bytes):len(a.bytes)]
+}
+
+// disclose splits a tuple's attribute-tree leaves other than the key leaf
+// into opened values (the given column indexes, sorted) and hidden
+// digests (everything else, including the row-id leaf 0), then the key
+// leaf itself when hideKey. Only the hidden leaves are hashed — an opened
+// one travels as its value, and the user hashes it — so a full projection
+// costs the row-id leaf alone. cols is walked in step with the leaves
+// instead of through a set: this runs once per covered record per query.
+func (a *entryArena) disclose(b *hashx.Batch, t relation.Tuple, cols []int, hideKey bool) ([]DisclosedAttr, []hashx.Digest) {
+	at, lat := len(a.attrs), len(a.leaves)
+	var enc [64]byte
+	ci := 0
+	for i := 0; i <= len(t.Attrs); i++ {
+		if ci < len(cols) && cols[ci]+1 == i {
+			c := cols[ci]
+			a.attrs = append(a.attrs, DisclosedAttr{Col: c, Val: t.Attrs[c]})
+			for ci++; ci < len(cols) && cols[ci] == c; ci++ {
+				// skip duplicate column requests
+			}
+			continue
+		}
+		d := len(a.bytes)
+		a.bytes = b.Leaf(a.bytes, core.AppendAttrLeaf(enc[:0], t, i))
+		a.leaves = append(a.leaves, a.cut(d))
+	}
+	if hideKey {
+		d := len(a.bytes)
+		a.bytes = core.AppendKeyLeaf(b, a.bytes, t.Key)
+		a.leaves = append(a.leaves, a.cut(d))
+	}
+	return a.attrs[at:len(a.attrs):len(a.attrs)], a.leaves[lat:len(a.leaves):len(a.leaves)]
+}
+
 // RangeVO is the verification object for a (possibly multipoint) range
 // query: boundary proofs at both ends, one entry per covered record, and
 // the signatures binding them together.

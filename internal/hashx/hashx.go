@@ -335,6 +335,14 @@ func (b *Batch) Node(dst []byte, left, right Digest) []byte {
 	return b.hash(dst, tagNode, left, right)
 }
 
+// GDigest appends Hasher.GDigest(parts...) to dst.
+func (b *Batch) GDigest(dst []byte, parts ...[]byte) []byte { return b.hash(dst, tagG, parts...) }
+
+// SigDigest appends Hasher.SigDigest(prev, cur, next) to dst.
+func (b *Batch) SigDigest(dst []byte, prev, cur, next Digest) []byte {
+	return b.hash(dst, tagSig, prev, cur, next)
+}
+
 // Iterate appends h^i(m) to dst: First(m) followed by i applications of
 // Next, on one kernel throughout when m fits one block.
 func (b *Batch) Iterate(dst, m []byte, i uint64) []byte {

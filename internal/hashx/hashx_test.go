@@ -399,6 +399,8 @@ func TestBatchMatchesHasher(t *testing.T) {
 			"hash":         {b.Hash(prefix, l, long, r), h.Hash(l, long, r)},
 			"leaf":         {b.Leaf(prefix, long), h.Leaf(long)},
 			"node":         {b.Node(prefix, l, r), h.Node(l, r)},
+			"g":            {b.GDigest(prefix, []byte{1}, l, r), h.GDigest([]byte{1}, l, r)},
+			"sig":          {b.SigDigest(prefix, l, r, l), h.SigDigest(l, r, l)},
 			"first":        {b.Iterate(prefix, m, 0), h.First(m)},
 			"iterate":      {b.Iterate(prefix, m, 5), h.Iterate(m, 5)},
 			"next":         {b.IterateFrom(prefix, l, 1), h.Next(l)},
@@ -417,8 +419,9 @@ func TestBatchMatchesHasher(t *testing.T) {
 	}
 }
 
-// TestBatchAllocatesNothing: First, Next and the rest of the kernel into
-// a caller buffer leave no garbage. Allocation counts repeat exactly, so
+// TestBatchAllocatesNothing: First, Next and the rest of the kernel —
+// the verifier's g and signed digests among it — into a caller buffer
+// leave no garbage. Allocation counts repeat exactly, so
 // this is the regression gate timings cannot be on a shared box.
 func TestBatchAllocatesNothing(t *testing.T) {
 	h := New()
@@ -432,6 +435,8 @@ func TestBatchAllocatesNothing(t *testing.T) {
 		out = b.Iterate(out, U64Pair(1, 2), 3) // a digit chain
 		out = b.Node(out[:0], out[:16], out[16:32])
 		out = b.Leaf(out, long)
+		out = b.GDigest(out[:0], m, out[:16])
+		out = b.SigDigest(out, out[:16], out[:16], out[:16])
 		b.Hash(out, long, m)
 		b.Done()
 	})

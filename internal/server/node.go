@@ -647,6 +647,7 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 		return err
 	}
 	flush()
+	var frame wire.NodeFrame // one per sub-stream, not one per chunk
 	for {
 		tn := time.Now()
 		c, err := sp.Next()
@@ -658,7 +659,8 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 			writeNodeErr(w, flush, err)
 			return err
 		}
-		if err := wire.WriteNodeFrame(w, &wire.NodeFrame{Chunk: c}); err != nil {
+		frame.Chunk = c
+		if err := wire.WriteNodeFrame(w, &frame); err != nil {
 			return err
 		}
 		flush()

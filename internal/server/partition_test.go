@@ -628,7 +628,7 @@ func TestNodeRPCsRefuseLocalTables(t *testing.T) {
 		notHosting("mirror", err)
 		_, err = client.NodeTx(wire.TxRequest{Relation: "Uniform", Token: 1, Commit: true})
 		notHosting("commit", err)
-		_, err = client.ShardStream(wire.ShardStreamRequest{Role: "all", Query: q, Hi: 1 << 20, First: true, Last: true})
+		_, err = client.ShardStream(wire.ShardStreamRequest{Role: "all", Query: q, Hi: 1 << 20, First: true, Last: true}, false)
 		notHosting("sub-stream", err)
 		if inv, err := client.Hosted(); err != nil || len(inv.Relations) != 0 {
 			t.Errorf("%s: inventory %+v, %v; want empty", name, inv.Relations, err)

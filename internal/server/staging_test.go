@@ -69,7 +69,7 @@ func TestStagingSharesNoWritableBytes(t *testing.T) {
 			st, err := (&wire.Client{BaseURL: nodeTS.URL}).ShardStream(wire.ShardStreamRequest{
 				Role: "all", Query: engine.Query{Relation: "Uniform", KeyLo: lo, KeyHi: hi},
 				Shard: i, Lo: lo, Hi: hi, First: true, Last: true, ChunkRows: 8,
-			})
+			}, false)
 			if err != nil {
 				return fmt.Errorf("shard %d sub-stream: %w", i, err)
 			}

@@ -1,13 +1,21 @@
 package server_test
 
 import (
+	"bytes"
+	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"vcqr/internal/accessctl"
+	"vcqr/internal/core"
 	"vcqr/internal/engine"
+	"vcqr/internal/hashx"
+	"vcqr/internal/relation"
 	"vcqr/internal/server"
 	"vcqr/internal/verify"
 	"vcqr/internal/wire"
@@ -225,6 +233,162 @@ func TestStreamRowBudgetClamped(t *testing.T) {
 		}
 		if len(c.Entries) > engine.MaxChunkRows {
 			t.Fatalf("chunk carries %d entries, cap %d", len(c.Entries), engine.MaxChunkRows)
+		}
+	}
+}
+
+// TestDistinctStreamSpansRecycledChunks: a DISTINCT /stream whose run of
+// one key spans four entries chunks, read through QueryStreamWith, whose
+// recycling frame reader overwrites each entries chunk with the next.
+// The verifier's duplicate elision must compare against copies it owns:
+// with chunk memory it would find key 5's value D already "released" in
+// the slot an earlier chunk held B in, after a later chunk overwrote it,
+// and drop a distinct row. The released rows must be exactly the oracle's — each distinct
+// (key, value) once, in key order.
+func TestDistinctStreamSpansRecycledChunks(t *testing.T) {
+	h := hashx.New()
+	schema := relation.Schema{Name: "D", KeyName: "K", Cols: []relation.Column{{Name: "V", Type: relation.TypeBytes}}}
+	rel, err := relation.New(schema, 0, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ChunkRows 2: [3:X 5:A] [5:B 5:A] [5:C 5:B] [5:D 5:C] [9:Y].
+	type row struct {
+		key uint64
+		val string
+	}
+	rows := []row{{3, "X"}, {5, "A"}, {5, "B"}, {5, "A"}, {5, "C"}, {5, "B"}, {5, "D"}, {5, "C"}, {9, "Y"}}
+	var want []row
+	seen := map[row]bool{}
+	for _, r := range rows {
+		if _, err := rel.Insert(relation.Tuple{Key: r.key, Attrs: []relation.Value{relation.BytesVal([]byte(r.val))}}); err != nil {
+			t.Fatal(err)
+		}
+		if !seen[r] {
+			seen[r] = true
+			want = append(want, r)
+		}
+	}
+	p, err := core.NewParams(0, 1<<10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := core.Build(h, signKey(t), p, rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	role := accessctl.Role{Name: "all"}
+	s := server.New(server.Config{Hasher: h, Pub: signKey(t).Public(), Policy: accessctl.NewPolicy(role)})
+	t.Cleanup(s.Close)
+	if err := s.AddRelation(sr, true); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	q := engine.Query{Relation: "D", Project: []string{"V"}, Distinct: true}
+	var got []row
+	stats, err := (&wire.Client{BaseURL: ts.URL}).QueryStream(verify.New(h, signKey(t).Public(), p, schema), role, "all", q, 2,
+		func(r engine.Row) error {
+			got = append(got, row{r.Key, string(r.Values[0].Val.Bytes)})
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("DISTINCT stream rejected: %v", err)
+	}
+	if stats.Chunks != 7 {
+		t.Fatalf("stream used %d chunks, want header + 5 entries chunks + footer", stats.Chunks)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("DISTINCT released %v, the oracle %v", got, want)
+	}
+}
+
+// TestTimingFrameBetweenEntriesChunks: the client skips an advisory
+// timing frame without showing it to the verifier, and an untrusted
+// publisher may put one anywhere. Here one follows every entries chunk,
+// or none does, in both signature modes. Either way each entries chunk
+// decodes into the memory of the one before (a timing frame between
+// them takes only the payload buffer with it), so the entry the verifier
+// holds across the chunk boundary, values and signature, must be its
+// own copy. The client releases exactly the rows, values included, that
+// VerifyResult finds in the honest result.
+func TestTimingFrameBetweenEntriesChunks(t *testing.T) {
+	h, sr := build(t, 64)
+	v := verify.New(h, signKey(t).Public(), sr.Params, sr.Schema)
+	role := accessctl.Role{Name: "all"}
+	pub := engine.NewPublisher(h, signKey(t).Public(), accessctl.NewPolicy(role))
+	if err := pub.AddRelation(sr, true); err != nil {
+		t.Fatal(err)
+	}
+	q := engine.Query{Relation: "Uniform", KeyLo: 1}
+	render := func(r engine.Row) string {
+		row := fmt.Sprint(r.Key)
+		for _, d := range r.Values {
+			row += fmt.Sprintf("|%d=%x", d.Col, d.Val.Encode())
+		}
+		return row
+	}
+	for _, mode := range []struct{ aggregate, timing bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
+		pub.Aggregate = mode.aggregate
+		res, err := pub.Execute("all", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := v.VerifyResult(q, role, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, r := range oracle {
+			want = append(want, render(r))
+		}
+
+		st, err := pub.ExecuteStream("all", q, engine.StreamOpts{ChunkRows: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply bytes.Buffer
+		for {
+			c, err := st.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteChunkFrame(&reply, c); err != nil {
+				t.Fatal(err)
+			}
+			if c.Type == engine.ChunkEntries && mode.timing {
+				if err := wire.WriteChunkFrame(&reply, &engine.Chunk{Type: engine.ChunkTiming, Trace: "interleaved"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Write(reply.Bytes())
+		}))
+		var got []string
+		stats, err := (&wire.Client{BaseURL: liar.URL}).QueryStream(v, role, "all", q, 8, func(r engine.Row) error {
+			got = append(got, render(r))
+			return nil
+		})
+		liar.Close()
+		if err != nil {
+			t.Fatalf("%+v: stream rejected: %v", mode, err)
+		}
+		if stats.Chunks != 10 {
+			t.Fatalf("%+v: verifier saw %d chunks, want header + 8 entries chunks + footer", mode, stats.Chunks)
+		}
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%+v: client released %d rows, the honest result %d; first difference at row %d",
+				mode, len(got), len(want), i)
 		}
 	}
 }

@@ -92,14 +92,14 @@ func FuzzStreamSound(f *testing.F) {
 		honest := corpus == "" && len(edits) < 4 &&
 			(user.Filters == nil || user.Project == nil || slices.Contains(user.Project, "A"))
 		for _, v := range verifiers {
-			rows, err := consume(v, frames)
+			got, err := consume(v, frames)
 			if err != nil && honest {
 				t.Fatalf("%T refused the honest stream for %s %+v: %v", v, userRole, user, err)
 			}
 			if err != nil {
 				continue
 			}
-			if got := renderRows(rows); !slices.Equal(got, want) {
+			if !slices.Equal(got, want) {
 				i := 0
 				for i < min(len(got), len(want)) && got[i] == want[i] {
 					i++
@@ -160,10 +160,11 @@ func renderRows(rows []engine.Row) []string {
 	return out
 }
 
-// consume feeds decoded frames to a verifier: the released rows, or the
-// first refusal.
-func consume(v verify.ChunkVerifier, frames [][]byte) ([]engine.Row, error) {
-	var rows []engine.Row
+// consume feeds decoded frames to a verifier: the released rows,
+// rendered as each Consume returns them (they are valid until the next),
+// or the first refusal.
+func consume(v verify.ChunkVerifier, frames [][]byte) ([]string, error) {
+	var rows []string
 	for _, fr := range frames {
 		c, err := wire.ReadChunkFrame(bytes.NewReader(fr))
 		if err != nil {
@@ -173,7 +174,7 @@ func consume(v verify.ChunkVerifier, frames [][]byte) ([]engine.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, released...)
+		rows = append(rows, renderRows(released)...)
 	}
 	return rows, v.Finish()
 }

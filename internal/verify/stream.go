@@ -48,6 +48,14 @@ type StreamVerifier struct {
 	open [][]byte
 	enc  []byte
 
+	// b hashes one Consume call's digests; its operation count reaches
+	// the Hasher once per chunk.
+	b hashx.Batch
+	// gs is the ring entry g digests are written into: entry i takes slot
+	// i mod 3, so the new entry's g never overwrites pending's or gPrev's
+	// (entries i-1 and i-2), and the chain of digests allocates nothing.
+	gs [3][hashx.MaxSize]byte
+
 	entryIdx    int          // global entry index, for error messages
 	gPrev       hashx.Digest // g of the entry before pending (gLeft initially)
 	pending     pendingEntry // by value, overwritten in place: no per-entry allocation
@@ -55,10 +63,25 @@ type StreamVerifier struct {
 	lastKey     uint64 // key-order tracking across chunk boundaries
 	haveKey     bool
 
+	// held keeps the pending entry's row values and signature once its
+	// chunk is consumed: a transport may decode the next chunk into the
+	// same memory. Two slots take turns, because the row held over from
+	// the chunk before is released by the Consume that holds the next.
+	// VerifyResult's chunks are slices of a Result it holds, so it sets
+	// stable: nothing needs holding, and every row it returns keeps
+	// aliasing the Result.
+	held   [2]heldEntry
+	heldAt int
+	stable bool
+
 	// DISTINCT: the disclosed values of the rows released for one key.
-	// A key's entries arrive together, so this is all elision needs.
-	groupKey uint64
-	group    [][]engine.DisclosedAttr
+	// A key's entries arrive together, so this is all elision needs. Its
+	// run can span many chunks, so group holds copies, cut from
+	// groupVals and groupBytes, never a chunk's memory.
+	groupKey   uint64
+	group      [][]engine.DisclosedAttr
+	groupVals  []engine.DisclosedAttr
+	groupBytes []byte
 
 	// Signature mode is established by the first chunk that reveals it:
 	// entry chunks carrying Sigs switch to individual, the footer's
@@ -70,7 +93,7 @@ type StreamVerifier struct {
 	// Verifier carries an obs registry; nil otherwise.
 	hVerify *obs.Histogram
 
-	rows []engine.Row // rows released by the current Consume call
+	rows []engine.Row // rows released by the current Consume call, reused by the next
 	err  error        // sticky: first failure is terminal for the stream
 }
 
@@ -83,6 +106,14 @@ type pendingEntry struct {
 	hasRow bool
 	sig    sig.Signature // individual mode: the entry's own signature
 	idx    int
+}
+
+// heldEntry is verifier-owned memory for one pending entry's row values
+// and signature.
+type heldEntry struct {
+	vals  []engine.DisclosedAttr
+	bytes []byte
+	sig   sig.Signature
 }
 
 // Stream-shape failures. All of them mean "reject the stream".
@@ -121,6 +152,12 @@ func (sv *StreamVerifier) Finish() error {
 // Rows are released once their position in the signature chain is fixed
 // (one entry of lookahead), so the final rows of a stream arrive with the
 // footer. Any error is terminal for the stream.
+//
+// The returned slice and the rows' values are valid until the next
+// Consume: they alias c or the verifier's own memory, which the next
+// Consume reuses. Nothing the verifier keeps aliases c once Consume
+// returns, so the caller may decode the next chunk into c's memory.
+// Copy what must outlive the next Consume.
 func (sv *StreamVerifier) Consume(c *engine.Chunk) ([]engine.Row, error) {
 	if sv.hVerify != nil {
 		// Deferred-arg idiom: time.Now() is evaluated here, the record at
@@ -148,7 +185,9 @@ func (sv *StreamVerifier) consume(c *engine.Chunk) error {
 		return fmt.Errorf("%w: got %d, want %d", ErrChunkSequence, c.Seq, sv.seq)
 	}
 	sv.seq++
-	sv.rows = nil // fresh slice per call: released rows stay valid after the next Consume
+	sv.rows = sv.rows[:0]
+	sv.b = sv.v.H.Batch()
+	defer sv.b.Done()
 	switch c.Type {
 	case engine.ChunkHeader:
 		return sv.consumeHeader(c)
@@ -242,7 +281,41 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 		sv.entryIdx++
 	}
 	sv.lastKey, sv.haveKey = lastKey, haveKey
+	sv.hold()
 	return nil
+}
+
+// hold copies what the pending entry still needs of its chunk — its row
+// values and signature — into the held slot not backing a row this
+// Consume released.
+func (sv *StreamVerifier) hold() {
+	if sv.stable {
+		return
+	}
+	p := &sv.pending
+	sv.heldAt ^= 1
+	h := &sv.held[sv.heldAt]
+	if p.hasRow && len(p.row.Values) > 0 {
+		h.vals, h.bytes = appendAttrs(h.vals[:0], h.bytes[:0], p.row.Values)
+		p.row.Values = h.vals[:len(h.vals):len(h.vals)]
+	}
+	if p.sig != nil {
+		h.sig = append(h.sig[:0], p.sig...)
+		p.sig = h.sig
+	}
+}
+
+// appendAttrs appends copies of attrs to vals, their value bytes to b.
+func appendAttrs(vals []engine.DisclosedAttr, b []byte, attrs []engine.DisclosedAttr) ([]engine.DisclosedAttr, []byte) {
+	for _, d := range attrs {
+		if d.Val.Bytes != nil {
+			n := len(b)
+			b = append(b, d.Val.Bytes...)
+			d.Val.Bytes = b[n:len(b):len(b)]
+		}
+		vals = append(vals, d)
+	}
+	return vals, b
 }
 
 // repeats reports whether a result row repeats one already released for
@@ -251,13 +324,16 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 func (sv *StreamVerifier) repeats(e *engine.VOEntry) bool {
 	if e.Key != sv.groupKey {
 		sv.groupKey, sv.group = e.Key, sv.group[:0]
+		sv.groupVals, sv.groupBytes = sv.groupVals[:0], sv.groupBytes[:0]
 	}
 	if slices.ContainsFunc(sv.group, func(vals []engine.DisclosedAttr) bool {
 		return slices.EqualFunc(vals, e.Disclosed, func(a, b engine.DisclosedAttr) bool { return a.Col == b.Col && a.Val.Equal(b.Val) })
 	}) {
 		return true
 	}
-	sv.group = append(sv.group, e.Disclosed)
+	at := len(sv.groupVals)
+	sv.groupVals, sv.groupBytes = appendAttrs(sv.groupVals, sv.groupBytes, e.Disclosed)
+	sv.group = append(sv.group, sv.groupVals[at:len(sv.groupVals):len(sv.groupVals)])
 	return false
 }
 
@@ -280,10 +356,12 @@ func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, release boo
 }
 
 // completePending folds the pending entry's digest into the signature
-// check, given its successor digest, and releases its row.
+// check, given its successor digest, and releases its row. The signed
+// digest lives on the stack: neither check keeps it.
 func (sv *StreamVerifier) completePending(gNext hashx.Digest) error {
 	p := &sv.pending
-	digest := core.SigDigestFor(sv.v.H, sv.v.Params, sv.gPrev, p.g, gNext)
+	var buf [hashx.MaxSize]byte
+	digest := core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, sv.gPrev, p.g, gNext)
 	if sv.individual {
 		if !sv.v.Pub.Verify(digest, p.sig) {
 			return fmt.Errorf("%w: entry %d", ErrSignature, p.idx)
@@ -311,7 +389,7 @@ func (sv *StreamVerifier) consumeFooter(c *engine.Chunk) error {
 		if c.PredPrevG != nil && len(c.PredPrevG) != sv.v.H.Size() {
 			return fmt.Errorf("%w: PredPrevG width", ErrEntry)
 		}
-		digest := core.SigDigestFor(sv.v.H, sv.v.Params, c.PredPrevG, sv.gPrev, gRight)
+		digest := core.AppendSigDigest(&sv.b, nil, sv.v.Params, c.PredPrevG, sv.gPrev, gRight)
 		switch {
 		case c.AggSig != nil:
 			sv.agg.Add(digest)

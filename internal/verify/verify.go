@@ -74,6 +74,7 @@ func (v *Verifier) VerifyResult(q engine.Query, role accessctl.Role, res *engine
 		return nil, fmt.Errorf("%w: no result", ErrStreamTruncated)
 	}
 	sv := v.NewStreamVerifier(q, role)
+	sv.stable = true
 	rows := make([]engine.Row, 0, len(res.VO.Entries))
 	for _, c := range engine.ChunkResult(res, engine.DefaultChunkRows) {
 		released, err := sv.Consume(c)
@@ -157,7 +158,8 @@ func (v *Verifier) newPlan(eff engine.Query, role accessctl.Role) plan {
 // from the disclosure — the key slot opened from the entry's key when the
 // mode discloses it — folded with the two opaque combined chain digests
 // (record format 1: the key leaf, not the formula-(3) chains, binds a
-// disclosed key).
+// disclosed key). The attribute root stays on the stack and g lands in
+// the entry's slot of the verifier's ring (gs).
 func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 	v := sv.v
 	switch e.Mode {
@@ -205,14 +207,15 @@ func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown mode %d", ErrEntry, e.Mode)
 	}
-	attrRoot, err := core.AttrRootFromDisclosure(v.H, sv.open, e.HiddenLeaves)
+	var rb [hashx.MaxSize]byte
+	attrRoot, err := core.AppendAttrRoot(&sv.b, rb[:0], sv.open, e.HiddenLeaves)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEntry, err)
 	}
 	if len(e.UpCombined) != v.H.Size() || len(e.DownCombined) != v.H.Size() {
 		return nil, fmt.Errorf("%w: chain digests", ErrEntry)
 	}
-	return core.GFromComponents(v.H, core.KindRecord, e.UpCombined, e.DownCombined, attrRoot), nil
+	return core.AppendG(&sv.b, sv.gs[sv.entryIdx%3][:0], core.KindRecord, e.UpCombined, e.DownCombined, attrRoot), nil
 }
 
 // openDisclosure encodes an entry's disclosed attributes into the

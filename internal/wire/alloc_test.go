@@ -76,7 +76,7 @@ func TestStreamFrameAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 20 // measured 8 on go1.24 (gob: ~2900); 2.5x headroom
+	const budget = 20 // measured 6 on go1.24 (gob: ~2900)
 	t.Logf("ReadChunkFrame(256 entries): %.0f allocs/chunk (budget %d)", allocs, budget)
 	if allocs > budget {
 		t.Fatalf("ReadChunkFrame allocates %.0f/chunk, budget %d", allocs, budget)
@@ -109,6 +109,56 @@ func TestReadNodeFrameAllocBudget(t *testing.T) {
 	t.Logf("ReadNodeFrame(64 entries): %.0f allocs/chunk", allocs)
 	if allocs > 180 {
 		t.Fatalf("ReadNodeFrame allocates %.0f/chunk, budget 180", allocs)
+	}
+}
+
+// endless reads one frame's bytes over and over: a stream that never
+// ends, for counting a reader's steady state.
+type endless struct {
+	frame []byte
+	off   int
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := copy(p, e.frame[e.off:])
+	e.off = (e.off + n) % len(e.frame)
+	return n, nil
+}
+
+// TestRecyclingReaderAllocBudget: once its buffer and arenas have grown
+// to fit a stream's entries frames, the recycling frame reader — the one
+// QueryStreamWith reads through — decodes an entries frame in no
+// allocations at all: the payload, the Chunk, its entries and every
+// list are the previous frame's memory. (A string value would still be
+// copied; the chunk here carries byte values, as the benchmark's do.)
+func TestRecyclingReaderAllocBudget(t *testing.T) {
+	rc := wire.NewRecycler(&endless{frame: frameOf(t, wire.WriteChunkFrame, allocChunk(64))})
+	allocs := testing.AllocsPerRun(50, func() {
+		c, err := rc.Next()
+		if err != nil || len(c.Entries) != 64 {
+			t.Fatalf("recycled read: %d entries, %v", len(c.Entries), err)
+		}
+	})
+	t.Logf("recycling reader (64 entries): %.0f allocs/frame", allocs)
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("recycling reader allocates %.0f per entries frame, want 0", allocs)
+	}
+}
+
+// TestDrainingNodeStreamAllocBudget holds the coordinator's side of a
+// node feed on the drain path to the same: a NodeStream opened to drain
+// reads an entries frame in no allocations.
+func TestDrainingNodeStreamAllocBudget(t *testing.T) {
+	ns := wire.DrainingNodeStream(&endless{frame: frameOf(t, wire.WriteNodeFrame, &wire.NodeFrame{Chunk: allocChunk(64)})})
+	allocs := testing.AllocsPerRun(50, func() {
+		c, err := ns.Next()
+		if err != nil || len(c.Entries) != 64 {
+			t.Fatalf("drained node frame: %v", err)
+		}
+	})
+	t.Logf("draining node stream (64 entries): %.0f allocs/frame", allocs)
+	if allocs != 0 && !raceEnabled {
+		t.Fatalf("draining node stream allocates %.0f per entries frame, want 0", allocs)
 	}
 }
 

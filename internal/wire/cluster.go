@@ -129,18 +129,38 @@ func WriteNodeFrame(w io.Writer, f *NodeFrame) error {
 }
 
 // ReadNodeFrame reads one sub-stream frame, with ReadChunkFrame's
-// end-of-stream and ownership contracts: the returned frame owns one
-// buffer, and retaining any digest of it retains the frame.
-func ReadNodeFrame(r io.Reader) (*NodeFrame, error) { return fresh(r, readNodeFrame) }
+// end-of-stream and ownership contracts: a one-shot use of the frame
+// reader, so the returned frame owns one buffer, and retaining any
+// digest of it retains the frame.
+func ReadNodeFrame(r io.Reader) (*NodeFrame, error) {
+	f := new(NodeFrame)
+	if err := new(frameReader).readNode(r, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
 
-func readNodeFrame(r io.Reader, f *NodeFrame) error {
-	return decodeFrame(r, f, MaxChunkFrame, (*decoder).nodeFrame)
+// readNode reads one sub-stream frame into f through fr: an entries
+// chunk into fr's recycled memory, valid until fr's next read; any other
+// frame fresh.
+func (fr *frameReader) readNode(r io.Reader, f *NodeFrame) error {
+	p, err := fr.open(r, MaxChunkFrame)
+	if err != nil {
+		return err
+	}
+	d := fr.decoder(p, tagNodeChunk)
+	d.nodeFrame(f)
+	return d.done()
 }
 
 // NodeStream is a client-side shard sub-stream in consumption order:
-// Hello (already read), Next until io.EOF, Foot, Close.
+// Hello (already read), Next until io.EOF, Foot, Close. Opened to drain
+// (ShardStream's reuse), it reads through one recycling frame reader: a
+// chunk from Next, and everything it aliases, is valid until the next
+// Next. Otherwise each chunk owns its frame, as ReadNodeFrame's do.
 type NodeStream struct {
 	body  io.ReadCloser
+	fr    *frameReader // nil: every chunk decodes fresh
 	hello NodeHello
 	foot  *NodeFoot
 	err   error
@@ -149,13 +169,25 @@ type NodeStream struct {
 // ShardStream opens one shard sub-stream against a node. The hello frame
 // is consumed before returning, so a stale-routing refusal surfaces here
 // (IsNotHosting) rather than mid-merge.
-func (c *Client) ShardStream(req ShardStreamRequest) (*NodeStream, error) {
+//
+// reuse is engine.StreamOpts.ReuseChunks's contract carried to the feed:
+// the stream's entries chunks decode into one recycling frame reader, so
+// a chunk Next returns, and everything it aliases, is valid only until
+// the next Next. A caller that drains each chunk to a writer before
+// pulling the next — the coordinator's /stream handler — sets it; one
+// that keeps chunks, like in-process Coordinator.QueryStream consumers,
+// leaves it off and gets chunks that own their frames.
+func (c *Client) ShardStream(req ShardStreamRequest, reuse bool) (*NodeStream, error) {
 	rbody, err := ShardStreamEP.open(c, req)
 	if err != nil {
 		return nil, err
 	}
+	ns := &NodeStream{body: rbody}
+	if reuse {
+		ns.fr = new(frameReader)
+	}
 	var f NodeFrame
-	err = readNodeFrame(rbody, &f)
+	err = ns.reader().readNode(rbody, &f)
 	if err == nil {
 		err = remoteErr(node, f.Err)
 	}
@@ -166,7 +198,16 @@ func (c *Client) ShardStream(req ShardStreamRequest) (*NodeStream, error) {
 		rbody.Close()
 		return nil, err
 	}
-	return &NodeStream{body: rbody, hello: *f.Hello}, nil
+	ns.hello = *f.Hello
+	return ns, nil
+}
+
+// reader is the frame reader for the stream's next frame.
+func (ns *NodeStream) reader() *frameReader {
+	if ns.fr == nil {
+		return new(frameReader)
+	}
+	return ns.fr
 }
 
 // Hello returns the sub-stream's opening frame.
@@ -182,7 +223,7 @@ func (ns *NodeStream) Next() (*engine.Chunk, error) {
 		return nil, io.EOF
 	}
 	var f NodeFrame
-	if err := readNodeFrame(ns.body, &f); err != nil {
+	if err := ns.reader().readNode(ns.body, &f); err != nil {
 		if err == io.EOF {
 			err = fmt.Errorf("%w: sub-stream ended before its foot", ErrFrameTruncated)
 		}

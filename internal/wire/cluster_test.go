@@ -271,3 +271,45 @@ func FuzzReadNodeFrame(f *testing.F) {
 		holdsRoundTrip(t, data, wire.WriteNodeFrame, wire.ReadNodeFrame)
 	})
 }
+
+// TestRecyclingNodeReaderKeepsOtherFrames: a draining NodeStream recycles
+// only entries chunks. Every other sub-stream frame decodes fresh and
+// must survive every later read — a hello among them whose first byte
+// after its tag (shard 49's varint, 0x62) reads like an entries chunk's
+// tag, which is why the reader matches the node frame's tag as well.
+func TestRecyclingNodeReaderKeepsOtherFrames(t *testing.T) {
+	h := hashx.New()
+	// Each kept frame outweighs the chunk after it, so a recycled buffer
+	// would take that chunk in place.
+	big := bytes.Repeat(h.Hash([]byte("slice")), 32)
+	frames := []*wire.NodeFrame{
+		{Hello: &wire.NodeHello{Shard: 49, Epoch: 2, Digest: big}},
+		{Chunk: allocChunk(1)},
+		{Chunk: allocChunk(2)},
+		{Foot: &wire.NodeFoot{Entries: 3, PredPrevG: big}},
+		{Chunk: allocChunk(1)},
+	}
+	var stream bytes.Buffer
+	for _, f := range frames {
+		if err := wire.WriteNodeFrame(&stream, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc := wire.NewRecycler(&stream)
+	var kept []*wire.NodeFrame
+	for i, want := range frames {
+		f, err := rc.NextNode()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if !bytes.Equal(frameOf(t, wire.WriteNodeFrame, f), frameOf(t, wire.WriteNodeFrame, want)) {
+			t.Fatalf("frame %d decodes differently from what was written", i)
+		}
+		kept = append(kept, f)
+	}
+	for _, i := range []int{0, 3} {
+		if !bytes.Equal(frameOf(t, wire.WriteNodeFrame, kept[i]), frameOf(t, wire.WriteNodeFrame, frames[i])) {
+			t.Fatalf("frame %d changed under later reads", i)
+		}
+	}
+}

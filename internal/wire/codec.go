@@ -98,7 +98,7 @@ func appendValue(b []byte, v *relation.Value) []byte {
 // value reads the field Type selects; an unknown type carries none and
 // is the verifier's to refuse.
 func (d *decoder) value(v *relation.Value) {
-	v.Type = relation.Type(d.int())
+	*v = relation.Value{Type: relation.Type(d.int())} // a recycled value keeps no stale field
 	switch v.Type {
 	case relation.TypeInt:
 		v.Int = d.varint()
@@ -174,22 +174,27 @@ func appendList[T ~[]byte](b []byte, l []T) []byte {
 	return b
 }
 
-// carve reads a list count and cuts that many elements off *arena; size
-// is the least one element encodes to. When the arena runs dry it is
-// refilled with room for more lists of this length — a chunk's entries
-// are alike, so one refill usually serves them all — but never beyond
-// what the payload bytes left could hold. An empty list is nil.
+// carve reads a list count and cuts that many elements from the unused
+// end of *arena; size is the least one element encodes to. An arena
+// without room is replaced by a new array with room for more lists of
+// this length — a chunk's entries are alike, so one array usually serves
+// them all — capped at what the payload bytes left could hold, or by one
+// twice the old array's size when that is larger, so that a recycled
+// arena grows to fit a stream's chunks and then stays. Either size is
+// backed by payload bytes. Lists cut before keep the array they were cut
+// from. An empty list is nil.
 func carve[T any](d *decoder, arena *[]T, size, more int) []T {
 	n := d.count(size)
 	if n == 0 {
 		return nil
 	}
-	if n > len(*arena) {
-		*arena = make([]T, min(int64(n)*int64(more), int64(len(d.b)/size)))
+	if n > cap(*arena)-len(*arena) {
+		room := int(min(int64(n)*int64(more), int64(len(d.b)/size)))
+		*arena = make([]T, 0, max(room, 2*cap(*arena)))
 	}
-	out := (*arena)[:n:n]
-	*arena = (*arena)[n:]
-	return out
+	at := len(*arena)
+	*arena = (*arena)[:at+n]
+	return (*arena)[at : at+n : at+n]
 }
 
 // alloc reads a list count and allocates exactly that list.
@@ -308,11 +313,39 @@ func appendEntry(b []byte, e *engine.VOEntry) []byte {
 	return appendBytes(appendBytes(b, e.UpCombined), e.DownCombined)
 }
 
-// chunkArenas backs the per-entry lists of one entries chunk, so a chunk
-// decodes in a handful of allocations however many rows it carries.
+// chunkArenas backs the lists of an entries chunk — its entries, their
+// disclosed attributes and hidden leaves, its signatures — so a chunk
+// decodes in a handful of allocations however many rows it carries, and
+// in none once a recycling reader's arenas have grown to fit.
 type chunkArenas struct {
-	attrs  []engine.DisclosedAttr
-	leaves []hashx.Digest
+	entries []engine.VOEntry
+	attrs   []engine.DisclosedAttr
+	leaves  []hashx.Digest
+	sigs    []sig.Signature
+}
+
+// reset empties the arenas for the next chunk, keeping their arrays.
+func (a *chunkArenas) reset() {
+	a.entries, a.attrs, a.leaves, a.sigs = a.entries[:0], a.attrs[:0], a.leaves[:0], a.sigs[:0]
+}
+
+// arenas returns the arrays an entries chunk's lists are cut from: the
+// reader's recycled ones, or new ones.
+func (d *decoder) arenas() *chunkArenas {
+	if d.fr == nil {
+		return new(chunkArenas)
+	}
+	return &d.fr.arenas
+}
+
+// newChunk returns the chunk a frame's chunk decodes into: the reader's
+// recycled one for an entries chunk, a new one otherwise.
+func (d *decoder) newChunk() *engine.Chunk {
+	if d.fr == nil {
+		return new(engine.Chunk)
+	}
+	d.fr.chunk = engine.Chunk{}
+	return &d.fr.chunk
 }
 
 // entry decodes one covered record; more counts it and the entries that
@@ -371,12 +404,12 @@ func (d *decoder) chunk(c *engine.Chunk) {
 		c.KeyLo, c.KeyHi = d.uvarint(), d.uvarint()
 		d.boundary(&c.Left)
 	case engine.ChunkEntries:
-		c.Entries = alloc[engine.VOEntry](d, minEntry)
-		var a chunkArenas
+		a := d.arenas()
+		c.Entries = carve(d, &a.entries, minEntry, 1)
 		for i := range c.Entries {
-			d.entry(&c.Entries[i], &a, len(c.Entries)-i)
+			d.entry(&c.Entries[i], a, len(c.Entries)-i)
 		}
-		c.Sigs = fill(d, alloc[sig.Signature](d, 1))
+		c.Sigs = fill(d, carve(d, &a.sigs, 1, 1))
 	case engine.ChunkFooter:
 		d.boundary(&c.Right)
 		c.AggSig, c.PredPrevG = d.bytes(), d.bytes()
@@ -422,7 +455,7 @@ func (d *decoder) nodeFrame(f *NodeFrame) {
 		h.Left, h.Digest = d.optBoundary(), d.bytes()
 		f.Hello = h
 	case tagNodeChunk:
-		f.Chunk = new(engine.Chunk)
+		f.Chunk = d.newChunk()
 		d.chunk(f.Chunk)
 	case tagNodeFoot:
 		f.Foot = &NodeFoot{Entries: d.uvarint(), Partial: d.bytes(), Right: d.optBoundary(),

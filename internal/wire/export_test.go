@@ -50,3 +50,31 @@ var (
 
 	TransferFrameBody = bodyOf(codec[TransferFrame]{writeTransferFrame, readTransferFrame})
 )
+
+// Recycler reads frames through one recycling frame reader, as
+// QueryStreamWith does.
+type Recycler struct {
+	fr frameReader
+	r  io.Reader
+}
+
+func NewRecycler(r io.Reader) *Recycler { return &Recycler{r: r} }
+
+func (rc *Recycler) Next() (*engine.Chunk, error) { return rc.fr.readChunk(rc.r) }
+
+// NextNode reads a sub-stream frame, as a NodeStream opened to drain does.
+func (rc *Recycler) NextNode() (*NodeFrame, error) {
+	f := new(NodeFrame)
+	return f, rc.fr.readNode(rc.r, f)
+}
+
+// Reserved is the capacity of the reader's payload buffer.
+func (rc *Recycler) Reserved() int { return cap(rc.fr.buf) }
+
+const FrameReadAhead = frameReadAhead
+
+// DrainingNodeStream is the NodeStream ShardStream(req, true) opens, over
+// r, past its hello.
+func DrainingNodeStream(r io.Reader) *NodeStream {
+	return &NodeStream{body: io.NopCloser(r), fr: new(frameReader)}
+}

@@ -1,11 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"vcqr/internal/engine"
 )
 
 // Framing: every payload of the protocol — result chunks, node
@@ -78,35 +81,80 @@ func sealFrame(w io.Writer, b []byte, limit int) error {
 	return nil
 }
 
-// openFrame reads one frame and returns its payload in a buffer of its
-// own, which whatever is decoded from it may alias. It returns io.EOF
-// exactly at a frame boundary (the clean end of a stream),
-// ErrFrameTruncated when the stream dies mid-frame and ErrFrameTooBig on
-// a length prefix beyond limit. Past frameReadAhead the buffer grows only
-// as fast as bytes arrive, so the claim itself allocates little.
-func openFrame(r io.Reader, limit int) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads the frames of one stream into a payload buffer it
+// keeps from frame to frame, and recycles what an entries chunk — the one
+// frame a long stream carries many of — decodes into: the Chunk and the
+// arrays its lists are cut from (decoder.newChunk, decoder.arenas). An
+// entries chunk, and everything it aliases, is valid until the reader's
+// next read. Any other frame decodes fresh and takes the buffer with it,
+// so the reader starts a new one. Every frame read goes through one: the
+// exported Read* functions are one-shot uses of a new reader, and the
+// recycling callers — wire.Client.QueryStreamWith and a NodeStream opened
+// to drain — keep theirs for a whole stream.
+type frameReader struct {
+	hdr [frameHeader]byte
+	buf []byte
+
+	chunk  engine.Chunk
+	arenas chunkArenas
+}
+
+// open reads one frame into the reader's buffer and returns its payload,
+// valid until the next open. It returns io.EOF exactly at a frame
+// boundary (the clean end of a stream), ErrFrameTruncated when the
+// stream dies mid-frame and ErrFrameTooBig on a length prefix beyond
+// limit. The buffer grows only as fast as bytes arrive: beyond what it
+// already holds, a claimed length reserves at most frameReadAhead before
+// its bytes come, so a lying prefix over a short stream costs little.
+func (fr *frameReader) open(r io.Reader, limit int) ([]byte, error) {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("%w: length prefix: %v", ErrFrameTruncated, err)
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n > limit {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	body := make([]byte, min(n, frameReadAhead))
+	if want := min(n, frameReadAhead); cap(fr.buf) < want {
+		// Doubling keeps a stream of slowly growing frames from
+		// reallocating at every one.
+		fr.buf = make([]byte, 0, min(max(want, 2*cap(fr.buf)), frameReadAhead))
+	}
+	body := fr.buf[:min(n, cap(fr.buf))]
 	for got := 0; ; {
 		m, err := io.ReadFull(r, body[got:])
 		if got += m; err != nil {
 			return nil, fmt.Errorf("%w: body: %v", ErrFrameTruncated, err)
 		}
 		if got == n {
+			fr.buf = body
 			return body, nil
 		}
 		body = append(body, make([]byte, min(n-got, got))...)
 	}
+}
+
+// decoder returns a decoder over payload p. A frame that opens with
+// prefix and then an entries chunk's tag decodes into the reader's
+// recycled chunk and arenas; anything else is decoded fresh and keeps p,
+// so the reader lets go of its buffer.
+func (fr *frameReader) decoder(p []byte, prefix ...byte) decoder {
+	if n := len(prefix); len(p) > n && bytes.HasPrefix(p, prefix) && p[n] == tagChunk+byte(engine.ChunkEntries) {
+		fr.arenas.reset()
+		return decoder{b: p, fr: fr}
+	}
+	fr.buf = nil
+	return decoder{b: p}
+}
+
+// openFrame reads one frame and returns its payload in a buffer of its
+// own, which whatever is decoded from it may alias: open on a new
+// reader.
+func openFrame(r io.Reader, limit int) ([]byte, error) {
+	var fr frameReader
+	return fr.open(r, limit)
 }
 
 // scratchPool recycles every encoder's scratch: the header is reserved,
@@ -154,10 +202,13 @@ func appendBool(b []byte, v bool) []byte {
 
 // decoder is a sticky-error cursor over one frame payload: after the
 // first malformed field every read returns zero, so a decode function
-// reads its fields straight through and checks done() once.
+// reads its fields straight through and checks done() once. fr, when
+// set, is the reader whose recycled chunk and arenas an entries chunk
+// decodes into.
 type decoder struct {
 	b   []byte
 	err error
+	fr  *frameReader
 }
 
 func (d *decoder) fail() { d.err = errMalformed }
@@ -235,9 +286,9 @@ func (d *decoder) count(size int) int {
 	return int(n)
 }
 
-// bytes returns a sub-slice aliasing the frame's payload (openFrame gives
-// every frame a buffer of its own, so aliases stay valid and private);
-// an empty field decodes as nil.
+// bytes returns a sub-slice aliasing the frame's payload, which is the
+// decoded value's own or, for a recycled entries chunk, its reader's
+// until the next read; an empty field decodes as nil.
 func (d *decoder) bytes() []byte {
 	n := d.count(1)
 	if n == 0 {

@@ -24,15 +24,28 @@ func WriteChunkFrame(w io.Writer, c *engine.Chunk) error {
 // frame boundary (the clean end of a stream) and ErrFrameTruncated when
 // the stream dies mid-frame.
 //
-// Ownership: the payload is read into a buffer no one else holds — never
-// pooled, never the caller's memory — and every digest, signature and
-// byte value of the returned chunk aliases it (strings are copied). The
-// returned value owns that one buffer; retaining any digest retains the
-// frame, and whoever wants to change decoded material clones it first.
-func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) { return fresh(r, readChunkFrame) }
+// Ownership: it is a one-shot use of the frame reader every chunk read
+// goes through, so the payload is read into a buffer no one else holds —
+// never the caller's memory, never reused — and every digest, signature
+// and byte value of the returned chunk aliases it (strings are copied).
+// The returned value owns that one buffer; retaining any digest retains
+// the frame, and whoever wants to change decoded material clones it
+// first. A caller that is done with each entries chunk before it reads
+// the next gets the same decode with recycled memory: QueryStreamWith
+// and a draining NodeStream (DESIGN.md "Ownership").
+func ReadChunkFrame(r io.Reader) (*engine.Chunk, error) { return new(frameReader).readChunk(r) }
 
-func readChunkFrame(r io.Reader, c *engine.Chunk) error {
-	return decodeFrame(r, c, MaxChunkFrame, (*decoder).chunk)
+// readChunk reads one chunk frame through fr: an entries chunk into fr's
+// recycled memory, valid until fr's next read; any other chunk fresh.
+func (fr *frameReader) readChunk(r io.Reader) (*engine.Chunk, error) {
+	p, err := fr.open(r, MaxChunkFrame)
+	if err != nil {
+		return nil, err
+	}
+	d := fr.decoder(p)
+	c := d.newChunk()
+	d.chunk(c)
+	return c, d.done()
 }
 
 // StreamRequest asks a publisher to answer a query as a chunk stream.
@@ -162,6 +175,11 @@ func (c *Client) QueryStream(v *verify.Verifier, role accessctl.Role, roleName s
 // verifier (verify.ShardStreamVerifier) while unpartitioned clients keep
 // the plain incremental one. The verifier must be fresh: it is consumed
 // by this one stream.
+//
+// Frames are read by one recycling frame reader, so each entries chunk
+// decodes into the memory of the one before; the verifier keeps nothing
+// of a chunk past its Consume. A row passed to fn is therefore valid
+// only during the call; copy what must outlive it.
 func (c *Client) QueryStreamWith(sv verify.ChunkVerifier, roleName string, q engine.Query, chunkRows int, fn func(engine.Row) error) (StreamStats, error) {
 	var stats StreamStats
 	body, err := StreamEP.open(c, StreamRequest{Role: roleName, Query: q, ChunkRows: chunkRows,
@@ -172,8 +190,9 @@ func (c *Client) QueryStreamWith(sv verify.ChunkVerifier, roleName string, q eng
 	defer body.Close()
 
 	cr := &countingReader{r: body}
+	var fr frameReader
 	for {
-		chunk, err := ReadChunkFrame(cr)
+		chunk, err := fr.readChunk(cr)
 		if err == io.EOF {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"testing"
@@ -126,6 +127,83 @@ func FuzzReadChunkFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		holdsRoundTrip(t, data, wire.WriteChunkFrame, wire.ReadChunkFrame)
+	})
+}
+
+// FuzzRecycledChunkReader holds the recycling frame reader to the
+// one-shot decode it shares its decoder with: any byte sequence read
+// through one recycling reader (QueryStreamWith's and a draining
+// NodeStream's pattern) decodes frame for frame to what fresh
+// ReadChunkFrame calls give — the same chunks, down to nil versus empty
+// lists and stale fields, and the same error where the sequence breaks.
+// A chunk other than an entries chunk decodes fresh, so it must stay
+// unchanged through every later read. And a lying length prefix reserves
+// no more than frameReadAhead beyond what the reader already held.
+// Seeded with a whole real stream, the sample chunks and a truncated
+// frame that claims 64 MiB.
+func FuzzRecycledChunkReader(f *testing.F) {
+	var stream, sample bytes.Buffer
+	for _, c := range newCodecFixture(f).realChunks(f) {
+		if err := wire.WriteChunkFrame(&stream, c); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for _, c := range sampleChunks() {
+		if err := wire.WriteChunkFrame(&sample, c); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream.Bytes())
+	f.Add(sample.Bytes())
+	f.Add(append(bytes.Clone(sample.Bytes()), 0x03, 0xff, 0xff, 0xff, 0x62, 1, 2, 3))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []string
+		var wantErr error
+		for r := bytes.NewReader(data); wantErr == nil; {
+			c, err := wire.ReadChunkFrame(r)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, fmt.Sprintf("%#v", *c))
+		}
+		// The reservation bound: frameReadAhead before bytes arrive, then
+		// at most doubling what did arrive (rounded up to a page).
+		bound := max(wire.FrameReadAhead, 2*len(data)+8<<10)
+		check := func(how string, i int, c *engine.Chunk, err error) bool {
+			if err != nil {
+				if i != len(want) || err.Error() != wantErr.Error() {
+					t.Fatalf("%s: frame %d: error %v, fresh reads give %d chunks then %v", how, i, err, len(want), wantErr)
+				}
+				return false
+			}
+			if i >= len(want) || fmt.Sprintf("%#v", *c) != want[i] {
+				t.Fatalf("%s: frame %d decodes differently from a fresh read", how, i)
+			}
+			return true
+		}
+
+		one := wire.NewRecycler(bytes.NewReader(data))
+		kept := map[int]*engine.Chunk{} // the fresh chunks read so far, by frame
+		for i := 0; ; i++ {
+			before := one.Reserved()
+			c, err := one.Next()
+			if got := one.Reserved(); got > max(before, bound) {
+				t.Fatalf("frame %d reserved %d bytes, held %d", i, got, before)
+			}
+			for j, k := range kept {
+				if fmt.Sprintf("%#v", *k) != want[j] {
+					t.Fatalf("frame %d: fresh chunk %d changed under it", i, j)
+				}
+			}
+			if !check("recycling reader", i, c, err) {
+				break
+			}
+			if c.Type != engine.ChunkEntries {
+				kept[i] = c
+			}
+		}
 	})
 }
 
