@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -396,6 +398,13 @@ func (c *Coordinator) cacheStreamKey(roleName string, q engine.Query, sub []part
 // shard i lands on node (i+r) mod N) — the fresh-deployment path. The
 // set must match the coordinator's spec. With Replicas 1 the layout is
 // exactly the pre-replication placement.
+//
+// Nodes install concurrently (fanOut), and each node takes its slices in
+// (shard, replica) order and stops at its first refusal, so a node still
+// sees one install at a time while the transfers, validations and WAL
+// syncs of different nodes overlap. The refusal reported is the one a
+// serial loop would have met first: the lowest failing (shard, replica).
+// The routing table is set only after every install succeeded.
 func (c *Coordinator) Place(set *partition.Set) error {
 	if !set.Spec.Same(c.spec) {
 		return fmt.Errorf("%w: placing v%d over coordinator v%d", ErrSpecMismatch, set.Spec.Version, c.spec.Version)
@@ -404,14 +413,32 @@ func (c *Coordinator) Place(set *partition.Set) error {
 		return fmt.Errorf("%w: %d slices for %d shards", partition.ErrSetInvalid, len(set.Slices), c.spec.K())
 	}
 	assign := make([][]string, c.spec.K())
-	for i, sl := range set.Slices {
+	slots := make(map[string][]int, len(c.nodes)) // per node, slot i*R+r ascending
+	for i := range set.Slices {
 		for r := 0; r < c.replicas; r++ {
 			url := c.nodes[(i+r)%len(c.nodes)]
-			if err := c.installSlice(url, i, sl); err != nil {
-				return fmt.Errorf("cluster: installing shard %d replica %d on %s: %w", i, r, url, err)
-			}
 			assign[i] = append(assign[i], url)
+			slots[url] = append(slots[url], i*c.replicas+r)
 		}
+	}
+	urls := slices.Collect(maps.Keys(slots)) // each node once: one install at a time
+	failAt, errs := fanOut(c, urls, func(cl *wire.Client, url string) (int, error) {
+		for _, at := range slots[url] {
+			if err := c.installSlice(cl, at/c.replicas, set.Slices[at/c.replicas]); err != nil {
+				return at, err
+			}
+		}
+		return 0, nil
+	})
+	first := -1
+	for n, err := range errs {
+		if err != nil && (first < 0 || failAt[n] < failAt[first]) {
+			first = n
+		}
+	}
+	if first >= 0 {
+		at := failAt[first]
+		return fmt.Errorf("cluster: installing shard %d replica %d on %s: %w", at/c.replicas, at%c.replicas, urls[first], errs[first])
 	}
 	c.mu.Lock()
 	c.route = assign
@@ -437,18 +464,17 @@ func (c *Coordinator) persistRouting() {
 }
 
 // installSlice streams one local slice to a node's install endpoint.
-func (c *Coordinator) installSlice(url string, shard int, sl *core.SignedRelation) error {
-	cl, err := c.client(url)
-	if err != nil {
-		return err
-	}
+func (c *Coordinator) installSlice(cl *wire.Client, shard int, sl *core.SignedRelation) error {
 	pr, pw := io.Pipe()
+	wrote := make(chan struct{})
 	go func() {
+		defer close(wrote)
 		man := wire.ShardManifest{Spec: c.spec, Shard: shard}
 		pw.CloseWithError(wire.WriteShardTransfer(pw, c.h, man, sl))
 	}()
-	_, err = cl.ShardInstall(pr)
-	pr.Close()
+	_, err := cl.ShardInstall(pr)
+	pr.Close() // a writer the node stopped reading fails its next write
+	<-wrote
 	return err
 }
 

@@ -376,7 +376,8 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 
 // fanOut calls one node RPC on every url at once and returns the replies
 // and errors in urls' order once all have answered — the join both
-// all-node phases of a delta share. urls names each node once.
+// all-node phases of a delta and Place's per-node installs share. urls
+// names each node once.
 func fanOut[T any](c *Coordinator, urls []string, call func(*wire.Client, string) (T, error)) ([]T, []error) {
 	out, errs := make([]T, len(urls)), make([]error, len(urls))
 	var wg sync.WaitGroup

@@ -87,13 +87,13 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, p Params, rel *relation.Relatio
 	return sr, nil
 }
 
-// parallelRange runs fn(0..n-1) across a bounded worker pool, returning
-// the first error. Small inputs run inline.
+// parallelRange runs fn(0..n-1) across a bounded worker pool and returns
+// the error of the lowest failing index — the error a serial scan would
+// return. Indices are handed out in order, so when index i fails every
+// index below it is already in flight: the pool records the minimum and
+// hands out no index above it. Small inputs run inline.
 func parallelRange(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
@@ -103,10 +103,11 @@ func parallelRange(n int, fn func(i int) error) error {
 		return nil
 	}
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		fail error
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		next   int
+		failAt = n
+		fail   error
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -114,7 +115,7 @@ func parallelRange(n int, fn func(i int) error) error {
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if fail != nil || next >= n {
+				if next >= failAt {
 					mu.Unlock()
 					return
 				}
@@ -123,11 +124,10 @@ func parallelRange(n int, fn func(i int) error) error {
 				mu.Unlock()
 				if err := fn(i); err != nil {
 					mu.Lock()
-					if fail == nil {
-						fail = err
+					if i < failAt {
+						failAt, fail = i, err
 					}
 					mu.Unlock()
-					return
 				}
 			}
 		}()
@@ -266,8 +266,9 @@ func (sr *SignedRelation) RangeIndices(lo, hi uint64) (int, int) {
 	return a, b
 }
 
-// Validate rebuilds every digest and checks every signature; used by
-// publishers on receipt of a snapshot and by tests.
+// Validate checks a whole relation the way a publisher must on ingest:
+// delimiters at both ends, data records in key order, and CheckEntries
+// over every entry — all four digest components and every signature.
 func (sr *SignedRelation) Validate(h *hashx.Hasher, pub *sig.PublicKey) error {
 	if len(sr.Recs) < 2 {
 		return errors.New("core: signed relation missing delimiters")
@@ -275,30 +276,36 @@ func (sr *SignedRelation) Validate(h *hashx.Hasher, pub *sig.PublicKey) error {
 	if sr.Recs[0].Kind != KindDelimLeft || sr.Recs[len(sr.Recs)-1].Kind != KindDelimRight {
 		return errors.New("core: delimiters missing or mislabelled")
 	}
-	for i, rec := range sr.Recs {
-		if i > 0 && i < len(sr.Recs)-1 {
-			if rec.Kind != KindRecord {
-				return fmt.Errorf("core: interior entry %d has kind %v", i, rec.Kind)
-			}
-			prev := sr.Recs[i-1]
-			if prev.Kind == KindRecord {
-				if prev.Key() > rec.Key() || (prev.Key() == rec.Key() && prev.Tuple.RowID >= rec.Tuple.RowID) {
-					return fmt.Errorf("core: entries %d,%d out of order", i-1, i)
-				}
-			}
-			want, err := makeRecord(h, sr.Params, rec.Tuple)
-			if err != nil {
-				return err
-			}
-			if !want.G.Equal(rec.G) {
-				return fmt.Errorf("core: entry %d digest mismatch", i)
-			}
+	for i := 1; i < len(sr.Recs)-1; i++ {
+		rec, prev := sr.Recs[i], sr.Recs[i-1]
+		if rec.Kind != KindRecord {
+			return fmt.Errorf("core: interior entry %d has kind %v", i, rec.Kind)
 		}
-		if !pub.Verify(sr.sigDigest(h, i), rec.Sig) {
-			return fmt.Errorf("core: entry %d signature invalid", i)
+		if prev.Kind == KindRecord {
+			if prev.Key() > rec.Key() || (prev.Key() == rec.Key() && prev.Tuple.RowID >= rec.Tuple.RowID) {
+				return fmt.Errorf("core: entries %d,%d out of order", i-1, i)
+			}
 		}
 	}
-	return nil
+	return sr.CheckEntries(h, pub, nil)
+}
+
+// CheckEntries re-proves every entry: CheckEntryDigests on each, and
+// VerifyEntrySig on each that sigged admits (nil admits every entry).
+// Entries are independent, so the work runs on Build's worker pool, and
+// a refusal names the lowest failing entry, as a serial scan would. It is
+// the one whole-relation validation loop: Validate and a node's slice
+// validation both run it after their structural checks.
+func (sr *SignedRelation) CheckEntries(h *hashx.Hasher, pub *sig.PublicKey, sigged func(i int) bool) error {
+	return parallelRange(len(sr.Recs), func(i int) error {
+		if err := sr.CheckEntryDigests(h, i); err != nil {
+			return err
+		}
+		if (sigged == nil || sigged(i)) && !sr.VerifyEntrySig(h, pub, i) {
+			return fmt.Errorf("core: entry %d signature invalid", i)
+		}
+		return nil
+	})
 }
 
 // Clone returns a copy of the signed relation whose record sequence is

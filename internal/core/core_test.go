@@ -178,6 +178,20 @@ func TestValidateDetectsTampering(t *testing.T) {
 		{"reorder", func(sr *SignedRelation) {
 			sr.Recs[1], sr.Recs[2] = sr.Recs[2], sr.Recs[1]
 		}},
+		// The components a VO ships in place of G: altered with G and
+		// every signature left alone, only re-deriving them catches it.
+		{"up chain digest", func(sr *SignedRelation) {
+			sr.Recs[3].UpCombined = flip(sr.Recs[3].UpCombined)
+		}},
+		{"down chain digest", func(sr *SignedRelation) {
+			sr.Recs[3].DownCombined = flip(sr.Recs[3].DownCombined)
+		}},
+		{"attribute root", func(sr *SignedRelation) {
+			sr.Recs[3].AttrRoot = flip(sr.Recs[3].AttrRoot)
+		}},
+		{"delimiter chain digest", func(sr *SignedRelation) {
+			sr.Recs[0].UpCombined = flip(sr.Recs[0].UpCombined)
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -382,18 +382,10 @@ func (s *Server) validateSlice(spec partition.Spec, shard int, sr *core.SignedRe
 			return fmt.Errorf("owned key %d outside span [%d,%d]", k, lo, hi)
 		}
 	}
-	for j := 0; j < n; j++ {
-		if err := sr.CheckEntryDigests(s.h, j); err != nil {
-			return err
-		}
-		if (j == 0 || j == n-1) && sr.Recs[j].Kind == core.KindRecord {
-			continue // context record: signature binds off-slice records
-		}
-		if !sr.VerifyEntrySig(s.h, s.pub, j) {
-			return fmt.Errorf("entry %d signature invalid", j)
-		}
-	}
-	return nil
+	// A context record's signature binds records on other shards.
+	return sr.CheckEntries(s.h, s.pub, func(j int) bool {
+		return (j != 0 && j != n-1) || sr.Recs[j].Kind != core.KindRecord
+	})
 }
 
 // RemoveShard drops a hosted slice. In-flight streams keep their pinned
