@@ -44,8 +44,9 @@ bench-verify:
 # store's on-disk codecs (WAL records and epoch snapshot files), the
 # one-block SHA-256 kernel and its MGF1 expansion against the stdlib
 # digest, the once-hashed chain side (combined digest and boundary proof)
-# against the reference construction, the Barrett-reduced FDH product
-# against Mul+Mod — and the verifier's
+# against the reference construction, the one-walk delta diff against
+# the map-based reference (and its ops round-tripping), the
+# Barrett-reduced FDH product against Mul+Mod — and the verifier's
 # soundness: edited streams are refused or release exactly the rows an
 # oracle scan of the owner's relation holds.
 fuzz:
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
 	$(GO) test -run xxx -fuzz FuzzChainSide -fuzztime 30s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzDiff -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzAggVerifierAdd -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 

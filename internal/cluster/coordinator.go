@@ -422,8 +422,8 @@ func (c *Coordinator) Place(set *partition.Set) error {
 		}
 	}
 	urls := slices.Collect(maps.Keys(slots)) // each node once: one install at a time
-	failAt, errs := fanOut(c, urls, func(cl *wire.Client, url string) (int, error) {
-		for _, at := range slots[url] {
+	failAt, errs := fanOut(c, urls, func(cl *wire.Client, i int) (int, error) {
+		for _, at := range slots[urls[i]] {
 			if err := c.installSlice(cl, at/c.replicas, set.Slices[at/c.replicas]); err != nil {
 				return at, err
 			}

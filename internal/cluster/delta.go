@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,10 +33,14 @@ import (
 //  4. commit — each node publishes its staged slices.
 //
 // Prepare and commit go to every node at once and join, so a delta costs
-// one round trip per phase, not one per node. Phases 2–3 stay serial: a
-// node holds one staged transaction per relation and a token-0 mirror
-// push opens it, so two calls in flight to one node would discard each
-// other's staging — concurrency is across nodes, never within one.
+// one round trip per phase, not one per node. Phase 2 opens by probing
+// the published edges of every neighbour replica that staged nothing,
+// all at once; the mirror fixes and phase 3 both read those results, so
+// each such replica is probed once per delta. The mirror pushes stay
+// serial: a node holds one staged transaction per relation and a
+// token-0 mirror push opens it, so two staging calls in flight to one
+// node would discard each other's staging — staging concurrency is
+// across nodes, never within one.
 //
 // Replication makes the write path write-all: each shard's sub-batch
 // goes to every non-quarantined replica, and the staged edge material
@@ -148,8 +151,8 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 	// failure aborts every token that came back, including those of nodes
 	// later in URL order that prepared concurrently.
 	prepURLs := slices.Sorted(maps.Keys(nodeOps))
-	preps, errs := fanOut(c, prepURLs, func(cl *wire.Client, url string) (wire.NodeDeltaResponse, error) {
-		return cl.NodeDeltaPrepare(delta.Delta{Relation: d.Relation, Ops: nodeOps[url]})
+	preps, errs := fanOut(c, prepURLs, func(cl *wire.Client, i int) (wire.NodeDeltaResponse, error) {
+		return cl.NodeDeltaPrepare(delta.Delta{Relation: d.Relation, Ops: nodeOps[prepURLs[i]]})
 	})
 	for i, url := range prepURLs {
 		if errs[i] == nil {
@@ -189,30 +192,63 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 	// accurate, the rest get a pushed fix — which opens a fresh staging
 	// transaction on nodes not yet in the delta (token 0).
 	tPhase = time.Now()
-	modified := make([]int, 0, len(stagedOn))
-	for i := range stagedOn {
-		modified = append(modified, i)
+	modified := slices.Sorted(maps.Keys(stagedOn))
+	neighbours := map[int][]string{} // shard → its write replicas
+	for _, i := range modified {
+		for _, nb := range []int{i - 1, i + 1} {
+			if nb < 0 || nb >= k || neighbours[nb] != nil {
+				continue
+			}
+			urls, err := c.writeReplicas(nb)
+			if err != nil {
+				abort()
+				return 0, fmt.Errorf("cluster: delta rejected: %w", err)
+			}
+			neighbours[nb] = urls
+		}
 	}
-	sort.Ints(modified)
-	currentEdgesOn := func(shard int, url string) (partition.Edges, error) {
+	// Every neighbour replica that staged nothing at prepare is probed
+	// for its published edges once, all probes at once; the mirror fixes
+	// and the seam checks below both read the results. Probes are
+	// read-only, so several may go to one node.
+	type probe struct {
+		shard int
+		url   string
+	}
+	var probes []probe
+	var probeURLs []string
+	for _, nb := range slices.Sorted(maps.Keys(neighbours)) {
+		for _, url := range neighbours[nb] {
+			if _, staged := stagedOn[nb][url]; !staged {
+				probes = append(probes, probe{nb, url})
+				probeURLs = append(probeURLs, url)
+			}
+		}
+	}
+	probed, errs := fanOut(c, probeURLs, func(cl *wire.Client, i int) (wire.EdgeResponse, error) {
+		return cl.ShardEdges(wire.ShardRef{Relation: d.Relation, Shard: probes[i].shard})
+	})
+	published := map[int]map[string]partition.Edges{}
+	for i, p := range probes {
+		if errs[i] != nil {
+			abort()
+			return 0, fmt.Errorf("cluster: delta rejected: edges of shard %d on %s: %w", p.shard, p.url, errs[i])
+		}
+		if published[p.shard] == nil {
+			published[p.shard] = map[string]partition.Edges{}
+		}
+		published[p.shard][p.url] = probed[i].Edges
+	}
+	// currentEdgesOn is a replica's edge material as the delta left it so
+	// far: staged if it staged, published otherwise.
+	currentEdgesOn := func(shard int, url string) partition.Edges {
 		if e, ok := stagedOn[shard][url]; ok {
-			return e, nil
+			return e
 		}
-		cl, err := c.client(url)
-		if err != nil {
-			return partition.Edges{}, err
-		}
-		resp, err := cl.ShardEdges(wire.ShardRef{Relation: d.Relation, Shard: shard})
-		if err != nil {
-			return partition.Edges{}, err
-		}
-		return resp.Edges, nil
+		return published[shard][url]
 	}
 	pushMirror := func(neighbour int, url string, left bool, want core.SignedRecord) error {
-		edges, err := currentEdgesOn(neighbour, url)
-		if err != nil {
-			return err
-		}
+		edges := currentEdgesOn(neighbour, url)
 		cur := edges.Head[0]
 		if !left {
 			cur = edges.Tail[2]
@@ -234,12 +270,10 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 		record(neighbour, url, resp.Edges)
 		return nil
 	}
+	// Mirror pushes open or extend a node's staging, so they go one at a
+	// time (fanOut's one-call-per-node rule).
 	pushMirrors := func(neighbour int, left bool, want core.SignedRecord) error {
-		urls, err := c.writeReplicas(neighbour)
-		if err != nil {
-			return err
-		}
-		for _, url := range urls {
+		for _, url := range neighbours[neighbour] {
 			if err := pushMirror(neighbour, url, left, want); err != nil {
 				return err
 			}
@@ -287,15 +321,16 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 	// the nodes deferred, plus the digest compare, for every seam
 	// adjacent to anything staged.
 	tPhase = time.Now()
-	currentEdges := func(shard int) (partition.Edges, error) {
+	// A shard no replica staged is read from its probed published edges:
+	// every replica of it already mirrored the staged side (no fix was
+	// pushed), and the lowest URL's copy is the one checked, as canon
+	// picks among staged copies.
+	currentEdges := func(shard int) partition.Edges {
 		if e, ok := canon(shard); ok {
-			return e, nil
+			return e
 		}
-		url, err := c.routeFor(shard)
-		if err != nil {
-			return partition.Edges{}, err
-		}
-		return currentEdgesOn(shard, url)
+		m := published[shard]
+		return m[slices.Min(slices.Collect(maps.Keys(m)))]
 	}
 	seams := map[int]bool{} // seam x joins shards x and x+1
 	for _, i := range modified {
@@ -307,17 +342,7 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 		}
 	}
 	for _, x := range slices.Sorted(maps.Keys(seams)) {
-		left, err := currentEdges(x)
-		if err != nil {
-			abort()
-			return 0, err
-		}
-		right, err := currentEdges(x + 1)
-		if err != nil {
-			abort()
-			return 0, err
-		}
-		if err := partition.CheckSeam(c.h, c.pub, c.params, left, right); err != nil {
+		if err := partition.CheckSeam(c.h, c.pub, c.params, currentEdges(x), currentEdges(x+1)); err != nil {
 			abort()
 			return 0, fmt.Errorf("cluster: delta rejected: seam %d-%d: %w", x, x+1, err)
 		}
@@ -348,8 +373,8 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 		}
 	}
 	commitURLs := slices.Sorted(maps.Keys(tokens))
-	acks, errs := fanOut(c, commitURLs, func(cl *wire.Client, url string) (wire.OKResponse, error) {
-		return cl.NodeTx(wire.TxRequest{Relation: d.Relation, Token: tokens[url], Commit: true})
+	acks, errs := fanOut(c, commitURLs, func(cl *wire.Client, i int) (wire.OKResponse, error) {
+		return cl.NodeTx(wire.TxRequest{Relation: d.Relation, Token: tokens[commitURLs[i]], Commit: true})
 	})
 	c.bumpShards(slices.Sorted(maps.Keys(stagedOn))...)
 	var epoch uint64
@@ -374,11 +399,17 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 	return epoch, nil
 }
 
-// fanOut calls one node RPC on every url at once and returns the replies
-// and errors in urls' order once all have answered — the join both
-// all-node phases of a delta and Place's per-node installs share. urls
-// names each node once.
-func fanOut[T any](c *Coordinator, urls []string, call func(*wire.Client, string) (T, error)) ([]T, []error) {
+// fanOut makes one node RPC per entry of urls at once and returns the
+// replies and errors in urls' order once all have answered — the join
+// both all-node phases of a delta, its neighbour edge probes and Place's
+// per-node installs share. call gets the entry's index, so a caller can
+// address each call by more than its node (the probes go out per
+// (shard, url) pair). A node may appear more than once only for
+// read-only calls: the staging calls (prepare, mirror fixes, commit) go
+// one per node, because a node holds one staged transaction per
+// relation and two calls in flight would discard each other's staging.
+// Every goroutine has exited when fanOut returns.
+func fanOut[T any](c *Coordinator, urls []string, call func(cl *wire.Client, i int) (T, error)) ([]T, []error) {
 	out, errs := make([]T, len(urls)), make([]error, len(urls))
 	var wg sync.WaitGroup
 	for i, url := range urls {
@@ -387,7 +418,7 @@ func fanOut[T any](c *Coordinator, urls []string, call func(*wire.Client, string
 			defer wg.Done()
 			cl, err := c.client(url)
 			if err == nil {
-				out[i], err = call(cl, url)
+				out[i], err = call(cl, i)
 			}
 			errs[i] = err
 		}()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"vcqr/internal/hashx"
 	"vcqr/internal/sig"
@@ -142,36 +143,42 @@ func (ix *AggIndex) deleteAt(i int) *AggIndex {
 
 // refreshed returns an index with the leaves of every touched entry —
 // and its immediate neighbours, whose signed digests bind the touched
-// g values — recomputed from the relation's current state. O(t · log n).
+// g values — recomputed from the relation's current state. The leaves
+// are gathered first and each tree is rebuilt once (UpdateMany), so an
+// ancestor shared by several refreshed leaves costs one rebuild:
+// O(t + log n) multiplications for a run of t adjacent leaves.
 // The ±1 expansion deliberately overlaps with callers (delta.ApplyOps)
 // whose touched sets already include neighbourhoods: refreshing a
-// distance-2 leaf twice costs microseconds inside a cutover dominated
-// by the O(n) clone, while an under-refreshed leaf would cost a wrong
-// (client-rejected) aggregate — so every caller gets the conservative
-// semantics.
+// distance-2 leaf costs microseconds, while an under-refreshed leaf
+// would cost a wrong (client-rejected) aggregate — so every caller gets
+// the conservative semantics.
 func (ix *AggIndex) refreshed(sr *SignedRelation, touched []int) (*AggIndex, error) {
-	out := ix
-	seen := map[int]bool{}
-	for _, t := range touched {
-		for _, i := range []int{t - 1, t, t + 1} {
-			if i < 0 || i >= len(sr.Recs) || i >= out.Len() || seen[i] {
-				continue
-			}
-			seen[i] = true
-			v, err := out.pub.SigValue(sig.Signature(sr.Recs[i].Sig))
-			if err != nil {
-				return nil, fmt.Errorf("core: agg index refresh at %d: %w", i, err)
-			}
-			d := sr.sigDigest(out.h, i)
-			out = &AggIndex{
-				h:    out.h,
-				pub:  out.pub,
-				sigs: out.sigs.Update(i, v, nil),
-				fdhs: out.fdhs.Update(i, out.pub.FDH(d), d),
-			}
+	n := min(len(sr.Recs), ix.Len())
+	pos := make([]int, 0, 3*len(touched))
+	next := 0 // the lowest leaf not gathered yet
+	for _, t := range slices.Sorted(slices.Values(touched)) {
+		for i := max(t-1, next); i <= t+1 && i < n; i++ {
+			pos = append(pos, i)
 		}
+		next = max(next, t+2)
 	}
-	return out, nil
+	sigVals := make([]*big.Int, len(pos))
+	fdhVals := make([]*big.Int, len(pos))
+	tags := make([][]byte, len(pos))
+	for k, i := range pos {
+		v, err := ix.pub.SigValue(sig.Signature(sr.Recs[i].Sig))
+		if err != nil {
+			return nil, fmt.Errorf("core: agg index refresh at %d: %w", i, err)
+		}
+		d := sr.sigDigest(ix.h, i)
+		sigVals[k], fdhVals[k], tags[k] = v, ix.pub.FDH(d), d
+	}
+	return &AggIndex{
+		h:    ix.h,
+		pub:  ix.pub,
+		sigs: ix.sigs.UpdateMany(pos, sigVals, nil),
+		fdhs: ix.fdhs.UpdateMany(pos, fdhVals, tags),
+	}, nil
 }
 
 // --- SignedRelation attachment ---------------------------------------

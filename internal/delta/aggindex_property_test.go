@@ -173,7 +173,9 @@ func TestAggIndexRandomDeltas(t *testing.T) {
 // TestAggIndexShardedDeltas runs the same property at every shard count
 // 1..4: each shard slice gets its own index, random ranges on every
 // slice must match the naive fold, and an interior delta applied through
-// delta.ApplySlice must keep that shard's index attached and exact.
+// delta.ApplySlice must keep that shard's index attached and exact. At
+// two or more shards, seam deltas follow (seamDeltas): the serving
+// tiers' stitches and mirror fixes must keep every index exact too.
 func TestAggIndexShardedDeltas(t *testing.T) {
 	h, master := build(t, 60)
 	pub := signKey(t).Public()
@@ -217,6 +219,82 @@ func TestAggIndexShardedDeltas(t *testing.T) {
 				t.Fatalf("k=%d shard %d: apply: %v", shards, si, err)
 			}
 			checkIndexedRanges(t, rng, h, pub, sl, 12, shards > 1)
+		}
+		if shards > 1 {
+			seamDeltas(t, rng, h, pub, master.Clone(), shards)
+		}
+	}
+}
+
+// seamDeltas drives updates, deletes and inserts at every seam of a
+// k-shard split the way the serving tiers deliver them: the owner's
+// batch is routed per shard (Route) and applied with ApplyOps, then every
+// neighbour's context record is re-stitched from the owning slice and its
+// leaves refreshed — what a co-hosted stitch and a cross-node mirror fix
+// both do. A delete or insert at a seam swaps a context record's
+// identity. After every delta each slice's index must match the naive
+// fold, and the slices must stitch back to the owner's relation.
+func seamDeltas(t *testing.T, rng *rand.Rand, h *hashx.Hasher, pub *sig.PublicKey, owner *core.SignedRelation, k int) {
+	t.Helper()
+	set, err := partition.Split(owner.Clone(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sl := range set.Slices {
+		// Split's slices share one record array; a node holds each in its
+		// own, so a write to one slice never shows in its neighbour.
+		set.Slices[i] = sl.Clone()
+		if err := set.Slices[i].BuildAggIndex(h, pub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restitch := func(sl *core.SignedRelation, pos int, want core.SignedRecord) {
+		if !partition.SameRecord(sl.Recs[pos], want) {
+			sl.Recs[pos] = want.Clone()
+			sl.RefreshAggIndex([]int{pos})
+		}
+	}
+	for seam := 0; seam < k-1; seam++ {
+		for _, edit := range []string{"update", "delete", "insert"} {
+			left := set.Slices[seam]
+			last := left.Recs[len(left.Recs)-2]
+			before := owner.Clone()
+			var err error
+			switch edit {
+			case "update":
+				_, err = owner.UpdateAttrs(h, signKey(t), last.Key(), last.Tuple.RowID, someAttrs(owner))
+			case "delete":
+				_, err = owner.Delete(h, signKey(t), last.Key(), last.Tuple.RowID)
+			case "insert": // a duplicate key lands after last, as the shard's new last record
+				_, err = owner.Insert(h, signKey(t), relation.Tuple{Key: last.Key(), Attrs: someAttrs(owner)})
+			}
+			if err != nil {
+				t.Fatalf("k=%d seam %d %s: %v", k, seam, edit, err)
+			}
+			groups, err := delta.Route(set.Spec, delta.Diff(before, owner))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ops := range groups {
+				if _, err := delta.ApplyOps(set.Slices[i], delta.Delta{Relation: owner.Schema.Name, Ops: ops}); err != nil {
+					t.Fatalf("k=%d seam %d %s: shard %d: %v", k, seam, edit, i, err)
+				}
+			}
+			for i := 0; i+1 < k; i++ {
+				l, r := set.Slices[i], set.Slices[i+1]
+				restitch(l, len(l.Recs)-1, r.Recs[1])
+				restitch(r, 0, l.Recs[len(l.Recs)-2])
+			}
+			stitched, err := set.Stitch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !partition.SameSlice(stitched, owner) {
+				t.Fatalf("k=%d seam %d %s: the slices no longer stitch to the owner's relation", k, seam, edit)
+			}
+			for _, sl := range set.Slices {
+				checkIndexedRanges(t, rng, h, pub, sl, 8, true)
+			}
 		}
 	}
 }

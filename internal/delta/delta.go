@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -81,45 +83,71 @@ func Route(spec partition.Spec, d Delta) (map[int][]Op, error) {
 // records and for records whose signature or digest material changed,
 // deletes for removed records. Both snapshots must be forms of the same
 // relation. Delimiter re-signs are included (they border edge updates).
+//
+// Precondition: both record sequences are in identity order — key, then
+// row id, then entry kind — the order Validate and CheckEntries enforce
+// at ingest and ApplyOps keeps. Diff walks the two sequences once, side
+// by side, with no index: an entry Clone left shared with the published
+// epoch compares in O(1) (bytes.Equal checks the pointers first), so a
+// diff costs one pass of pointer compares plus the changed entries.
+// Input out of order may yield ops that do not reproduce new; callers that
+// log ops prove the round trip first (store.NodeStore.LogCommit).
+//
+// Ops come upserts first, then deletes, each in identity order. Upserts
+// go first so that a shard slice whose context record changes identity
+// (a neighbour shard inserted or deleted its edge record) can re-seat
+// it: the new context is inserted beside the old one, then the old one
+// is deleted. Deletes first would leave ApplyOps no slot for it.
 func Diff(old, new *core.SignedRelation) Delta {
 	d := Delta{Relation: new.Schema.Name}
-	type ident struct {
-		k, r uint64
-		kind core.Kind
+	var dels []Op
+	i, j := 0, 0
+	for i < len(old.Recs) || j < len(new.Recs) {
+		var c int
+		switch {
+		case i == len(old.Recs):
+			c = 1
+		case j == len(new.Recs):
+			c = -1
+		default:
+			c = compareIdentity(&old.Recs[i], &new.Recs[j])
+		}
+		switch {
+		case c < 0: // only in old
+			if rec := &old.Recs[i]; rec.Kind == core.KindRecord {
+				dels = append(dels, Op{Kind: OpDelete, Key: rec.Key(), RowID: rec.Tuple.RowID})
+			}
+			i++
+		case c > 0: // only in new
+			d.Ops = append(d.Ops, upsert(&new.Recs[j]))
+			j++
+		default:
+			prev, rec := &old.Recs[i], &new.Recs[j]
+			if !bytes.Equal(prev.Sig, rec.Sig) || !prev.G.Equal(rec.G) {
+				d.Ops = append(d.Ops, upsert(rec))
+			}
+			i++
+			j++
+		}
 	}
-	index := func(sr *core.SignedRelation) map[ident]core.SignedRecord {
-		m := make(map[ident]core.SignedRecord, len(sr.Recs))
-		for _, rec := range sr.Recs {
-			m[ident{rec.Key(), rec.Tuple.RowID, rec.Kind}] = rec
-		}
-		return m
-	}
-	oldIdx := index(old)
-	newIdx := index(new)
-	for id, rec := range newIdx {
-		prev, ok := oldIdx[id]
-		if !ok || !sig.Signature(prev.Sig).Equal(sig.Signature(rec.Sig)) || !prev.G.Equal(rec.G) {
-			d.Ops = append(d.Ops, Op{Kind: OpUpsert, Key: id.k, RowID: id.r, Rec: rec.Clone()})
-		}
-	}
-	for id := range oldIdx {
-		if _, ok := newIdx[id]; !ok && id.kind == core.KindRecord {
-			d.Ops = append(d.Ops, Op{Kind: OpDelete, Key: id.k, RowID: id.r})
-		}
-	}
-	// Deterministic order: deletes first (frees identities), then
-	// upserts by key.
-	sort.Slice(d.Ops, func(i, j int) bool {
-		a, b := d.Ops[i], d.Ops[j]
-		if a.Kind != b.Kind {
-			return a.Kind == OpDelete
-		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
-		}
-		return a.RowID < b.RowID
-	})
+	d.Ops = append(d.Ops, dels...)
 	return d
+}
+
+// compareIdentity orders two entries by key, row id and kind — the
+// identity order of a record sequence.
+func compareIdentity(a, b *core.SignedRecord) int {
+	if c := cmp.Compare(a.Key(), b.Key()); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Tuple.RowID, b.Tuple.RowID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Kind, b.Kind)
+}
+
+func upsert(rec *core.SignedRecord) Op {
+	return Op{Kind: OpUpsert, Key: rec.Key(), RowID: rec.Tuple.RowID, Rec: rec.Clone()}
 }
 
 // ApplyOps mutates sr in place with the delta's operations and returns

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -216,21 +217,8 @@ func SplitIndices(sr *core.SignedRelation, spec Spec, t []int) (*Set, error) {
 // identity, digest, and signature all equal. This is the hand-off
 // equality the mirror-maintenance protocol preserves.
 func SameRecord(a, b core.SignedRecord) bool {
-	if a.Kind != b.Kind || a.Key() != b.Key() || a.Tuple.RowID != b.Tuple.RowID {
-		return false
-	}
-	if !a.G.Equal(b.G) {
-		return false
-	}
-	if len(a.Sig) != len(b.Sig) {
-		return false
-	}
-	for i := range a.Sig {
-		if a.Sig[i] != b.Sig[i] {
-			return false
-		}
-	}
-	return true
+	return a.Kind == b.Kind && a.Key() == b.Key() && a.Tuple.RowID == b.Tuple.RowID &&
+		a.G.Equal(b.G) && bytes.Equal(a.Sig, b.Sig)
 }
 
 // HandoffOK reports whether two adjacent shard slices agree on their
@@ -321,6 +309,22 @@ func SliceDigest(h *hashx.Hasher, sr *core.SignedRelation) hashx.Digest {
 		d = h.Hash(d, []byte{byte(rec.Kind)}, hashx.U64Pair(rec.Key(), rec.Tuple.RowID), rec.G, rec.Sig)
 	}
 	return d
+}
+
+// SameSlice reports whether two slices have the same SliceDigest,
+// compared entry by entry (SameRecord) instead of through the digest:
+// the same fields, no hashing, and an entry the two slices share by
+// reference (SignedRelation.Clone) compares in O(1).
+func SameSlice(a, b *core.SignedRelation) bool {
+	if len(a.Recs) != len(b.Recs) {
+		return false
+	}
+	for i := range a.Recs {
+		if !SameRecord(a.Recs[i], b.Recs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Stitch reassembles the global record sequence from the shard slices,

@@ -220,3 +220,49 @@ func TestSplitErrors(t *testing.T) {
 		t.Fatal("non-increasing cuts accepted")
 	}
 }
+
+// TestSameSliceMatchesSliceDigest pins SameSlice to SliceDigest equality,
+// field by field: an edit to anything SliceDigest hashes (kind, key, row
+// id, G, signature — one byte of it) makes both say "different"; an
+// edit to anything it does not hash leaves both saying "same"; and a
+// slice one entry short differs.
+func TestSameSliceMatchesSliceDigest(t *testing.T) {
+	h, _, sr := build(t, 12, 5)
+	set, err := Split(sr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := set.Slices[1]
+	edits := []struct {
+		name   string
+		hashed bool
+		edit   func(r *core.SignedRecord)
+	}{
+		{"kind", true, func(r *core.SignedRecord) { r.Kind ^= 3 }},
+		{"key", true, func(r *core.SignedRecord) { r.Tuple.Key++ }},
+		{"row id", true, func(r *core.SignedRecord) { r.Tuple.RowID++ }},
+		{"G", true, func(r *core.SignedRecord) { r.G = append(r.G[:len(r.G)-1:len(r.G)-1], r.G[len(r.G)-1]^1) }},
+		{"signature", true, func(r *core.SignedRecord) { r.Sig = append(r.Sig[:len(r.Sig)-1:len(r.Sig)-1], r.Sig[len(r.Sig)-1]^1) }},
+		{"attribute root", false, func(r *core.SignedRecord) { r.AttrRoot = hashx.Digest{1} }},
+		{"attributes", false, func(r *core.SignedRecord) { r.Tuple.Attrs = nil }},
+	}
+	for _, e := range edits {
+		for _, at := range []int{0, 2, len(base.Recs) - 1} {
+			other := base.Clone()
+			other.Recs[at] = other.Recs[at].Clone()
+			e.edit(&other.Recs[at])
+			same, digestSame := SameSlice(base, other), SliceDigest(h, base).Equal(SliceDigest(h, other))
+			if same != digestSame || same == e.hashed {
+				t.Fatalf("%s edit at %d: SameSlice %v, digests equal %v", e.name, at, same, digestSame)
+			}
+		}
+	}
+	if !SameSlice(base, base.Clone()) {
+		t.Fatal("a clone differs from its original")
+	}
+	short := base.Clone()
+	short.Recs = short.Recs[:len(short.Recs)-1]
+	if SameSlice(base, short) || SameSlice(short, base) {
+		t.Fatal("a slice one entry short compares equal")
+	}
+}

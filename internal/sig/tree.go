@@ -3,6 +3,7 @@ package sig
 import (
 	"fmt"
 	"math/big"
+	"sort"
 )
 
 // ProductTree is a persistent (immutable, path-copying) order-statistic
@@ -13,8 +14,8 @@ import (
 //   - Range(i, j) returns prod of leaves [i, j) mod N in O(log n)
 //     modular multiplications instead of the O(j-i) a naive fold costs —
 //     the move that takes per-query aggregation from O(|Q|) to O(log n).
-//   - Update/Insert/Delete return a NEW tree that shares all untouched
-//     nodes with the receiver, allocating only the O(log n) spine that
+//   - UpdateMany/Insert/Delete return a NEW tree that shares all
+//     untouched nodes with the receiver, allocating only the spines that
 //     changed. The old tree stays valid forever, which is exactly the
 //     copy-on-write epoch discipline of internal/server: a delta cutover
 //     derives the next epoch's tree from the current one in O(log n)
@@ -224,25 +225,42 @@ func (t *ProductTree) RangeSig(i, j int) (Signature, error) {
 	return encode(t.Range(i, j), t.p.SigBytes()), nil
 }
 
-// Update returns a tree with leaf i replaced. O(log n) new nodes; the
-// receiver is unchanged.
-func (t *ProductTree) Update(i int, val *big.Int, tag []byte) *ProductTree {
-	if i < 0 || i >= t.Len() {
-		panic(fmt.Sprintf("sig: ProductTree.Update(%d) with %d leaves", i, t.Len()))
+// UpdateMany returns a tree with leaf pos[k] replaced by vals[k] (and
+// its tag by tags[k]; tags may be nil) for every k. pos must be strictly
+// increasing. Each ancestor of a replaced leaf is rebuilt once, however
+// many of its descendants change — a run of t adjacent leaves costs
+// O(t + log n) new nodes, not t · O(log n). The receiver is unchanged.
+func (t *ProductTree) UpdateMany(pos []int, vals []*big.Int, tags [][]byte) *ProductTree {
+	if len(vals) != len(pos) || (tags != nil && len(tags) != len(pos)) {
+		panic(fmt.Sprintf("sig: ProductTree.UpdateMany with %d positions, %d values, %d tags", len(pos), len(vals), len(tags)))
 	}
-	var up func(n *ptNode, i int) *ptNode
-	up = func(n *ptNode, i int) *ptNode {
-		ls := n.left.sz()
-		switch {
-		case i < ls:
-			return t.mkNode(up(n.left, i), n.val, n.tag, n.right)
-		case i == ls:
-			return t.mkNode(n.left, val, tag, n.right)
-		default:
-			return t.mkNode(n.left, n.val, n.tag, up(n.right, i-ls-1))
+	for k, i := range pos {
+		if i < 0 || i >= t.Len() || (k > 0 && i <= pos[k-1]) {
+			panic(fmt.Sprintf("sig: ProductTree.UpdateMany(%v) with %d leaves", pos, t.Len()))
 		}
 	}
-	return &ProductTree{p: t.p, root: up(t.root, i)}
+	if len(pos) == 0 {
+		return t
+	}
+	// up rebuilds n, whose leftmost leaf sits at position off, with the
+	// replacements pos[lo:hi] — all of which fall inside n's subtree.
+	var up func(n *ptNode, off, lo, hi int) *ptNode
+	up = func(n *ptNode, off, lo, hi int) *ptNode {
+		if lo == hi {
+			return n
+		}
+		at := off + n.left.sz()
+		mid := lo + sort.SearchInts(pos[lo:hi], at)
+		val, tag, next := n.val, n.tag, mid
+		if mid < hi && pos[mid] == at {
+			val, tag, next = vals[mid], nil, mid+1
+			if tags != nil {
+				tag = tags[mid]
+			}
+		}
+		return t.mkNode(up(n.left, off, lo, mid), val, tag, up(n.right, at+1, next, hi))
+	}
+	return &ProductTree{p: t.p, root: up(t.root, 0, 0, len(pos))}
 }
 
 // Insert returns a tree with a new leaf at position i (existing leaves

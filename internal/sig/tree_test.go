@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -75,7 +76,7 @@ func TestProductTreePersistentUpdates(t *testing.T) {
 		switch choice := rng.Intn(3); {
 		case choice == 0 && tr.Len() > 0: // update
 			i := rng.Intn(tr.Len())
-			tr = tr.Update(i, v, nil)
+			tr = tr.UpdateMany([]int{i}, []*big.Int{v}, nil)
 			vals[i] = v
 		case choice == 1 && tr.Len() > 1: // delete
 			i := rng.Intn(tr.Len())
@@ -128,11 +129,129 @@ func TestProductTreeTags(t *testing.T) {
 	tr := p.NewProductTree([]*big.Int{one, one, one}, [][]byte{{0}, {1}, {2}})
 	tr = tr.Insert(1, one, []byte{9})
 	tr = tr.Delete(0)
-	tr = tr.Update(2, one, []byte{7})
+	tr = tr.UpdateMany([]int{2}, []*big.Int{one}, [][]byte{{7}})
 	want := [][]byte{{9}, {1}, {7}}
 	for i, w := range want {
 		if _, tag := tr.At(i); len(tag) != 1 || tag[0] != w[0] {
 			t.Fatalf("leaf %d tag %v, want %v", i, tag, w)
+		}
+	}
+}
+
+// updateOne is the single-leaf path-copying update UpdateMany replaced:
+// every ancestor of leaf i rebuilt, once per updated leaf. It is the
+// reference TestUpdateManyMatchesUpdate holds UpdateMany to.
+func (t *ProductTree) updateOne(i int, val *big.Int, tag []byte) *ProductTree {
+	var up func(n *ptNode, i int) *ptNode
+	up = func(n *ptNode, i int) *ptNode {
+		ls := n.left.sz()
+		switch {
+		case i < ls:
+			return t.mkNode(up(n.left, i), n.val, n.tag, n.right)
+		case i == ls:
+			return t.mkNode(n.left, val, tag, n.right)
+		default:
+			return t.mkNode(n.left, n.val, n.tag, up(n.right, i-ls-1))
+		}
+	}
+	return &ProductTree{p: t.p, root: up(t.root, i)}
+}
+
+// ancestors returns the nodes on the root paths of the given leaves.
+func (t *ProductTree) ancestors(pos []int) map[*ptNode]bool {
+	out := map[*ptNode]bool{}
+	for _, i := range pos {
+		n := t.root
+		for {
+			out[n] = true
+			ls := n.left.sz()
+			if i == ls {
+				break
+			}
+			if i < ls {
+				n = n.left
+			} else {
+				n, i = n.right, i-ls-1
+			}
+		}
+	}
+	return out
+}
+
+// fresh returns the nodes of t that old does not share.
+func (t *ProductTree) fresh(old *ProductTree) int {
+	shared := map[*ptNode]bool{}
+	var walk func(n *ptNode, into map[*ptNode]bool)
+	walk = func(n *ptNode, into map[*ptNode]bool) {
+		if n != nil {
+			into[n] = true
+			walk(n.left, into)
+			walk(n.right, into)
+		}
+	}
+	walk(old.root, shared)
+	mine := map[*ptNode]bool{}
+	walk(t.root, mine)
+	count := 0
+	for n := range mine {
+		if !shared[n] {
+			count++
+		}
+	}
+	return count
+}
+
+// TestUpdateManyMatchesUpdate holds UpdateMany to the single-leaf
+// reference and to a fresh build, for random sorted position sets — runs
+// of adjacent leaves, as a delta's refresh produces, and scattered sets:
+// every leaf, every tag and every Range must agree, the receiver must be
+// untouched, and the new nodes must be exactly the union of the updated
+// leaves' root paths (each ancestor rebuilt once).
+func TestUpdateManyMatchesUpdate(t *testing.T) {
+	p := treeKey()
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 2, 5, 16, 33, 70} {
+		vals := randVals(rng, p, n)
+		base := p.NewProductTree(vals, nil)
+		for round := 0; round < 12; round++ {
+			var pos []int
+			if round%2 == 0 {
+				start, run := rng.Intn(n), 1+rng.Intn(7)
+				for i := start; i < n && i < start+run; i++ {
+					pos = append(pos, i)
+				}
+			} else {
+				for i := 0; i < n; i++ {
+					if rng.Intn(4) == 0 {
+						pos = append(pos, i)
+					}
+				}
+			}
+			nv := randVals(rng, p, len(pos))
+			tags := make([][]byte, len(pos))
+			want := append([]*big.Int(nil), vals...)
+			wantTags := make([][]byte, n)
+			ref := base
+			for k, i := range pos {
+				tags[k] = []byte{byte(i), byte(round)}
+				want[i], wantTags[i] = nv[k], tags[k]
+				ref = ref.updateOne(i, nv[k], tags[k])
+			}
+			got := base.UpdateMany(pos, nv, tags)
+			checkAllRanges(t, p, got, want)
+			checkAllRanges(t, p, ref, want)
+			checkAllRanges(t, p, p.NewProductTree(want, wantTags), want)
+			checkAllRanges(t, p, base, vals)
+			for i := 0; i < n; i++ {
+				gv, gt := got.At(i)
+				rv, rt := ref.At(i)
+				if gv.Cmp(rv) != 0 || !bytes.Equal(gt, rt) || !bytes.Equal(gt, wantTags[i]) {
+					t.Fatalf("n=%d pos=%v: leaf %d differs from the single-leaf reference", n, pos, i)
+				}
+			}
+			if fresh, paths := got.fresh(base), len(base.ancestors(pos)); fresh != paths {
+				t.Fatalf("n=%d pos=%v: %d new nodes, want the %d on the leaves' root paths", n, pos, fresh, paths)
+			}
 		}
 	}
 }

@@ -1,0 +1,43 @@
+package store
+
+import (
+	"bytes"
+	"encoding/gob"
+	"os"
+	"path/filepath"
+)
+
+// LoggedShard is one shard's share of a logged commit as LogCommit wrote
+// it: the ops it carries, or Full when it fell back to the whole slice.
+type LoggedShard struct {
+	Shard int
+	Ops   int
+	Full  bool
+}
+
+// LoggedCommits decodes the node WAL in dir and returns every commit
+// record's shards in log order — how the tests see which branch of the
+// round-trip check a commit took.
+func LoggedCommits(dir string) ([][]LoggedShard, error) {
+	data, err := os.ReadFile(filepath.Join(dir, "node.wal"))
+	if err != nil {
+		return nil, err
+	}
+	payloads, _, _ := scanWAL(data)
+	var out [][]LoggedShard
+	for _, p := range payloads {
+		var rec nodeRecord
+		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec); err != nil {
+			return nil, err
+		}
+		if rec.Commit == nil {
+			continue
+		}
+		var shards []LoggedShard
+		for _, cs := range rec.Commit.Shards {
+			shards = append(shards, LoggedShard{Shard: cs.Shard, Ops: len(cs.Ops), Full: len(cs.FullSnap) > 0})
+		}
+		out = append(out, shards)
+	}
+	return out, nil
+}

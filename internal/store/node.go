@@ -443,9 +443,13 @@ type CommitShard struct {
 
 // LogCommit durably records a committed distributed delta as per-shard
 // identity-keyed ops. Call before publishing; an error means the
-// commit must be refused. Each shard's ops are proven to reproduce the
-// staged slice on a clone before they are trusted to the log; a shard
-// whose diff does not round-trip is logged as a full slice instead.
+// commit must be refused. Each shard's ops (delta.Diff: one walk of the
+// two slices) are proven to reproduce the staged slice on a clone before
+// they are trusted to the log: the probe is compared with New entry by
+// entry over every field PostDigest hashes (partition.SameSlice), so the
+// slice is not hashed a second time. A shard whose diff does not
+// round-trip (an Old out of identity order, say) is logged as a full
+// slice instead. Replay checks PostDigest either way.
 func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
 	recs := make([]commitShardRecord, 0, len(shards))
 	for _, cs := range shards {
@@ -454,9 +458,8 @@ func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
 		if cs.Old != nil {
 			d := delta.Diff(cs.Old, cs.New)
 			probe := cs.Old.Clone()
-			probe.SetAggIndex(nil) // only the probe's digest is compared
-			if _, err := delta.ApplyOps(probe, d); err == nil &&
-				partition.SliceDigest(ns.h, probe).Equal(cs.PostDigest) {
+			probe.SetAggIndex(nil) // only the probe's entries are compared
+			if _, err := delta.ApplyOps(probe, d); err == nil && partition.SameSlice(probe, cs.New) {
 				rec.Ops = d.Ops
 				ok = true
 			}

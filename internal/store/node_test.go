@@ -36,7 +36,7 @@ func signKey(t testing.TB) *sig.PrivateKey {
 // buildSet signs a k-shard publication — real slices with real chained
 // signatures, because the store's commit records must round-trip the
 // same record structure production does.
-func buildSet(t *testing.T, h *hashx.Hasher, n, k int) *partition.Set {
+func buildSet(t testing.TB, h *hashx.Hasher, n, k int) *partition.Set {
 	t.Helper()
 	rel, err := workload.Uniform(workload.UniformConfig{
 		N: n, L: 0, U: 1 << 20, PayloadSize: 16, Seed: 7,
@@ -61,7 +61,7 @@ func buildSet(t *testing.T, h *hashx.Hasher, n, k int) *partition.Set {
 
 // evolve returns a successor of sl with one owned record's payload
 // re-signed — the post-state of a committed delta.
-func evolve(t *testing.T, h *hashx.Hasher, sl *core.SignedRelation, idx int, payload []byte) *core.SignedRelation {
+func evolve(t testing.TB, h *hashx.Hasher, sl *core.SignedRelation, idx int, payload []byte) *core.SignedRelation {
 	t.Helper()
 	next := sl.Clone()
 	rec := next.Recs[idx]
