@@ -46,6 +46,7 @@ bench-verify:
 # digest, the once-hashed chain side (combined digest and boundary proof)
 # against the reference construction, the one-walk delta diff against
 # the map-based reference (and its ops round-tripping), the
+# binary-search delta apply against the linear reference, the
 # Barrett-reduced FDH product against Mul+Mod — and the verifier's
 # soundness: edited streams are refused or release exactly the rows an
 # oracle scan of the owner's relation holds.
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
 	$(GO) test -run xxx -fuzz FuzzChainSide -fuzztime 30s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzDiff -fuzztime 30s ./internal/delta
+	$(GO) test -run xxx -fuzz FuzzApplyOps -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzAggVerifierAdd -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 

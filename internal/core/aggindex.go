@@ -97,7 +97,7 @@ func (ix *AggIndex) RangeFDH(a, b int) *big.Int { return ix.fdhs.Range(a, b) }
 // region — are locally verifiable: the two context records' signatures
 // bind g digests the slice does not hold, so a range touching them fails
 // closed here exactly as their signature checks are deferred to the
-// owning shard in delta.ValidateTouched.
+// owning shard in delta.ValidateTouched and delta.ValidateStaged.
 func (ix *AggIndex) VerifyRange(a, b int, agg sig.Signature) bool {
 	if a >= b {
 		return false

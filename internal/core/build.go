@@ -353,15 +353,40 @@ func (sr *SignedRelation) VerifyEntrySig(h *hashx.Hasher, pub *sig.PublicKey, i 
 // match the tuples they claim to cover: G, and the three components a VO
 // ships in its place (the combined chain digests and the attribute root).
 func (sr *SignedRelation) CheckEntryDigests(h *hashx.Hasher, i int) error {
+	return sr.CheckEntryDigestsBeside(h, i, nil)
+}
+
+// CheckEntryDigestsBeside is CheckEntryDigests that reuses a proved
+// entry's chain digests instead of re-deriving them. proved must be an
+// entry of this relation's params whose digest material was itself
+// re-proved (or nil). UpCombined and DownCombined are a pure function
+// of params, kind and key, so when proved has entry i's kind and key
+// and byte-equal chain digests, entry i's chain digests are exactly what
+// the derivation would yield and the derivation — the expensive half —
+// is skipped. AttrRoot and G are recomputed from the tuple and compared
+// every time: a changed tuple or a G that does not fold the components
+// is refused as before. Any other proved (nil included) gets the full
+// derivation.
+func (sr *SignedRelation) CheckEntryDigestsBeside(h *hashx.Hasher, i int, proved *SignedRecord) error {
 	if i < 0 || i >= len(sr.Recs) {
 		return fmt.Errorf("core: entry %d out of range", i)
 	}
-	rec := sr.Recs[i]
+	rec := &sr.Recs[i]
 	var want SignedRecord
 	var err error
-	if rec.Kind == KindRecord {
+	switch {
+	case proved != nil && proved.Kind == rec.Kind && proved.Key() == rec.Key() &&
+		proved.UpCombined.Equal(rec.UpCombined) && proved.DownCombined.Equal(rec.DownCombined):
+		want.UpCombined, want.DownCombined = rec.UpCombined, rec.DownCombined
+		if rec.Kind == KindRecord {
+			want.AttrRoot = AttrRoot(h, rec.Tuple)
+		} else {
+			want.AttrRoot = markerDelimAttr(h)
+		}
+		want.G = recordG(h, rec.Kind, want.UpCombined, want.DownCombined, want.AttrRoot)
+	case rec.Kind == KindRecord:
 		want, err = makeRecord(h, sr.Params, rec.Tuple)
-	} else {
+	default:
 		want, err = makeDelim(h, sr.Params, rec.Kind)
 	}
 	if err != nil {

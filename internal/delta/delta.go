@@ -137,13 +137,36 @@ func Diff(old, new *core.SignedRelation) Delta {
 // compareIdentity orders two entries by key, row id and kind — the
 // identity order of a record sequence.
 func compareIdentity(a, b *core.SignedRecord) int {
-	if c := cmp.Compare(a.Key(), b.Key()); c != 0 {
+	return compareTo(a, b.Key(), b.Tuple.RowID, b.Kind)
+}
+
+// compareTo orders entry a against the identity (key, rowID, kind).
+func compareTo(a *core.SignedRecord, key, rowID uint64, kind core.Kind) int {
+	if c := cmp.Compare(a.Key(), key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Tuple.RowID, b.Tuple.RowID); c != 0 {
+	if c := cmp.Compare(a.Tuple.RowID, rowID); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Kind, b.Kind)
+	return cmp.Compare(a.Kind, kind)
+}
+
+// search locates the identity (key, rowID, kind) in a record sequence:
+// its index and true when an entry has it, else the index an entry with
+// it would be inserted at and false.
+type search func(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool)
+
+// find is ApplyOps' search: one binary search in identity order, the
+// order every sequence it is handed is in and every op it applies keeps
+// (an upsert replaces an entry of the same identity or inserts at the
+// search's position; a delete removes one). The position is not clamped
+// inside the edge entries: a context record re-seated at a shard's edge
+// (a neighbour inserted or deleted its edge record) sorts before the old
+// left context or after the old right one, and inserting it anywhere
+// else would leave the sequence out of order for the ops that follow.
+func find(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
+	i := sort.Search(len(recs), func(i int) bool { return compareTo(&recs[i], key, rowID, kind) >= 0 })
+	return i, i < len(recs) && compareTo(&recs[i], key, rowID, kind) == 0
 }
 
 func upsert(rec *core.SignedRecord) Op {
@@ -167,6 +190,10 @@ func upsert(rec *core.SignedRecord) Op {
 // persistent, the pre-delta epoch's index (shared via Clone) is never
 // disturbed.
 func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
+	return applyOps(sr, d, find)
+}
+
+func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 	if d.Relation != sr.Schema.Name {
 		return nil, fmt.Errorf("%w: delta for %q, relation %q", ErrRelationName, d.Relation, sr.Schema.Name)
 	}
@@ -182,8 +209,8 @@ func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
 	for _, op := range d.Ops {
 		switch op.Kind {
 		case OpDelete:
-			pos := findEntry(scratch, op.Key, op.RowID, core.KindRecord)
-			if pos < 0 {
+			pos, ok := locate(scratch.Recs, op.Key, op.RowID, core.KindRecord)
+			if !ok {
 				return nil, fmt.Errorf("%w: delete of missing record (%d, %d)", ErrBadOp, op.Key, op.RowID)
 			}
 			scratch.Recs = append(scratch.Recs[:pos], scratch.Recs[pos+1:]...)
@@ -201,12 +228,13 @@ func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
 			markAround(pos - 1)
 			markAround(pos)
 		case OpUpsert:
-			if op.Rec.Kind == core.KindRecord &&
-				(op.Rec.Key() != op.Key || op.Rec.Tuple.RowID != op.RowID) {
+			// Every kind carries its identity, so an upsert in place keeps
+			// the sequence in identity order.
+			if op.Rec.Key() != op.Key || op.Rec.Tuple.RowID != op.RowID {
 				return nil, fmt.Errorf("%w: upsert identity mismatch", ErrBadOp)
 			}
-			pos := findEntry(scratch, op.Key, op.RowID, op.Rec.Kind)
-			if pos >= 0 {
+			pos, ok := locate(scratch.Recs, op.Key, op.RowID, op.Rec.Kind)
+			if ok {
 				scratch.Recs[pos] = op.Rec.Clone()
 				markAround(pos)
 				continue
@@ -214,7 +242,6 @@ func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
 			if op.Rec.Kind != core.KindRecord {
 				return nil, fmt.Errorf("%w: delimiter upsert for absent delimiter", ErrBadOp)
 			}
-			pos = insertPos(scratch, op.Key, op.RowID)
 			scratch.Recs = append(scratch.Recs, core.SignedRecord{})
 			copy(scratch.Recs[pos+1:], scratch.Recs[pos:])
 			scratch.Recs[pos] = op.Rec.Clone()
@@ -254,14 +281,39 @@ func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
 // signatures bind records outside the slice and are skipped (the owning
 // shard, or the serving layer's seam re-validation, checks them).
 func ValidateTouched(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, touched []int, slice bool) error {
+	return validate(h, pub, nil, sr, touched, slice, true, true)
+}
+
+// ValidateStaged is ValidateTouched for a shard slice staged from the
+// published slice (ApplyOps on its clone, plus mirror stitches), with the
+// cross-node deferral: context-record signatures are always skipped (they
+// bind off-slice records), and the edge-most owned record's signature is
+// skipped on a side whose adjacent mirror lives on another node and may
+// be stale until the coordinator's mirror fix (leftFresh or rightFresh
+// false). Digest material is checked everywhere regardless, reusing the
+// published entry's chain digests where they are unchanged
+// (CheckEntryDigests); every signature not deferred is verified.
+func ValidateStaged(h *hashx.Hasher, pub *sig.PublicKey, published, staged *core.SignedRelation, touched []int, leftFresh, rightFresh bool) error {
+	return validate(h, pub, published, staged, touched, true, leftFresh, rightFresh)
+}
+
+// validate is the one touched-entry loop behind ValidateTouched and
+// ValidateStaged.
+func validate(h *hashx.Hasher, pub *sig.PublicKey, published, sr *core.SignedRelation, touched []int, slice, leftFresh, rightFresh bool) error {
+	n := len(sr.Recs)
 	for _, i := range touched {
-		if i < 0 || i >= len(sr.Recs) {
+		if i < 0 || i >= n {
 			continue
 		}
-		if err := sr.CheckEntryDigests(h, i); err != nil {
+		if err := CheckEntryDigests(h, published, sr, i); err != nil {
 			return fmt.Errorf("%w: %v", ErrValidation, err)
 		}
-		if slice && (i == 0 || i == len(sr.Recs)-1) && sr.Recs[i].Kind == core.KindRecord {
+		switch {
+		case slice && (i == 0 || i == n-1) && sr.Recs[i].Kind == core.KindRecord:
+			continue
+		case i == 1 && !leftFresh:
+			continue
+		case i == n-2 && !rightFresh:
 			continue
 		}
 		if !sr.VerifyEntrySig(h, pub, i) {
@@ -271,26 +323,22 @@ func ValidateTouched(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelatio
 	return nil
 }
 
-// findEntry locates an entry by identity.
-func findEntry(sr *core.SignedRelation, key, rowID uint64, kind core.Kind) int {
-	for i, rec := range sr.Recs {
-		if rec.Kind == kind && rec.Key() == key && rec.Tuple.RowID == rowID {
-			return i
+// CheckEntryDigests re-proves staged entry i's digest material. The
+// entry of published with the same identity, found by binary search,
+// lends its chain digests when they are unchanged
+// (core.CheckEntryDigestsBeside): published must be a slice whose every
+// entry was itself re-proved — at install, at recovery or by an earlier
+// delta — or nil, which re-derives everything. AttrRoot and G are
+// recomputed from the tuple either way.
+func CheckEntryDigests(h *hashx.Hasher, published, staged *core.SignedRelation, i int) error {
+	var proved *core.SignedRecord
+	if published != nil && i >= 0 && i < len(staged.Recs) {
+		rec := &staged.Recs[i]
+		if j, ok := find(published.Recs, rec.Key(), rec.Tuple.RowID, rec.Kind); ok {
+			proved = &published.Recs[j]
 		}
 	}
-	return -1
-}
-
-// insertPos returns the sorted insertion index for a data record.
-func insertPos(sr *core.SignedRelation, key, rowID uint64) int {
-	pos := 1
-	for ; pos < len(sr.Recs)-1; pos++ {
-		rec := sr.Recs[pos]
-		if rec.Key() > key || (rec.Key() == key && rec.Tuple.RowID > rowID) {
-			break
-		}
-	}
-	return pos
+	return staged.CheckEntryDigestsBeside(h, i, proved)
 }
 
 // Size returns the operation count — the sync-traffic metric (a snapshot

@@ -17,7 +17,10 @@
 // A partition shard slice cannot validate its context records alone —
 // their signatures bind records on neighbouring shards — so
 // ValidateTouched(slice=true) checks all digest material but defers
-// exactly those signatures. Who picks them up depends on the
+// exactly those signatures. ValidateStaged is the same loop for a node's
+// staged slice: it also defers the edge-most owned record's signature
+// beside a mirror another node has yet to fix, and re-proves only the
+// digest material that differs from the published slice's. Who picks them up depends on the
 // deployment: the in-process partitioned server stitches mirrors across
 // its co-resident slices and re-validates every affected seam before
 // publishing (internal/server); the distributed tier stages per-node,

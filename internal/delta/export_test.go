@@ -48,3 +48,40 @@ func apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta
 	sr.SetAggIndex(scratch.AggIndex())
 	return nil
 }
+
+// ApplyOpsRef is ApplyOps with the two linear scans its binary search
+// replaced, kept as its reference (FuzzApplyOps): findEntry walks the
+// sequence for the identity, insertPos for the first entry past (key,
+// rowID). The old insertPos started at 1 and stopped before the last
+// entry; that clamp is dropped here as in ApplyOps, because a context
+// record re-seated at a shard's edge sorts before the old left context
+// or after the old right one, and the clamp put it on the wrong side,
+// out of identity order, until the old context's delete.
+func ApplyOpsRef(sr *core.SignedRelation, d Delta) ([]int, error) {
+	return applyOps(sr, d, func(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
+		if i := findEntry(recs, key, rowID, kind); i >= 0 {
+			return i, true
+		}
+		return insertPos(recs, key, rowID), false
+	})
+}
+
+func findEntry(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) int {
+	for i, rec := range recs {
+		if rec.Kind == kind && rec.Key() == key && rec.Tuple.RowID == rowID {
+			return i
+		}
+	}
+	return -1
+}
+
+func insertPos(recs []core.SignedRecord, key, rowID uint64) int {
+	pos := 0
+	for ; pos < len(recs); pos++ {
+		rec := recs[pos]
+		if rec.Key() > key || (rec.Key() == key && rec.Tuple.RowID > rowID) {
+			break
+		}
+	}
+	return pos
+}

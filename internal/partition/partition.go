@@ -302,13 +302,53 @@ func CheckSeam(h *hashx.Hasher, pub *sig.PublicKey, p core.Params, left, right E
 // plane detects divergence between two copies of a shard without
 // shipping either. It is a comparison primitive, not a security
 // boundary: a forged slice still dies on signature validation.
+//
+// The fold is a hash chain, dᵢ = H(dᵢ₋₁, kind, key‖row id, G, Sig) from
+// d₋₁ = H("partition/slice-digest"), and the digest is the last link.
 func SliceDigest(h *hashx.Hasher, sr *core.SignedRelation) hashx.Digest {
-	d := h.Hash([]byte("partition/slice-digest"))
-	for i := range sr.Recs {
-		rec := &sr.Recs[i]
-		d = h.Hash(d, []byte{byte(rec.Kind)}, hashx.U64Pair(rec.Key(), rec.Tuple.RowID), rec.G, rec.Sig)
-	}
+	d, _ := SliceDigestFrom(h, sr, nil, 0)
 	return d
+}
+
+// SliceDigestFrom is SliceDigest resumed at entry from. run holds the
+// running digests of a slice whose first from entries are sr's — link i
+// at run[i·size:(i+1)·size], as a previous call returned them — and only
+// sr's entries from there on are hashed. from is clamped to the links run
+// holds (nil run: the whole slice is hashed). It returns sr's digest and
+// sr's running digests, in fresh storage: run is only read.
+func SliceDigestFrom(h *hashx.Hasher, sr *core.SignedRelation, run []byte, from int) (hashx.Digest, []byte) {
+	size := h.Size()
+	from = max(0, min(from, len(sr.Recs), len(run)/size))
+	out := make([]byte, from*size, len(sr.Recs)*size)
+	copy(out, run)
+	b := h.Batch()
+	defer b.Done()
+	var seed [hashx.MaxSize]byte
+	last := b.Hash(seed[:0], []byte("partition/slice-digest"))
+	if from > 0 {
+		last = out[(from-1)*size:]
+	}
+	for i := from; i < len(sr.Recs); i++ {
+		rec := &sr.Recs[i]
+		out = b.Hash(out, last, []byte{byte(rec.Kind)}, hashx.U64Pair(rec.Key(), rec.Tuple.RowID), rec.G, rec.Sig)
+		last = out[i*size:]
+	}
+	return hashx.Digest(last).Clone(), out
+}
+
+// FirstDiff returns the index of the first entry at which a and b differ
+// (SameRecord), or the shorter length when one is a prefix of the other:
+// the entry SliceDigestFrom resumes b's digest at from a's running
+// digests. An entry the two slices share by reference
+// (SignedRelation.Clone) compares in O(1).
+func FirstDiff(a, b *core.SignedRelation) int {
+	n := min(len(a.Recs), len(b.Recs))
+	for i := range n {
+		if !SameRecord(a.Recs[i], b.Recs[i]) {
+			return i
+		}
+	}
+	return n
 }
 
 // SameSlice reports whether two slices have the same SliceDigest,
@@ -316,15 +356,7 @@ func SliceDigest(h *hashx.Hasher, sr *core.SignedRelation) hashx.Digest {
 // the same fields, no hashing, and an entry the two slices share by
 // reference (SignedRelation.Clone) compares in O(1).
 func SameSlice(a, b *core.SignedRelation) bool {
-	if len(a.Recs) != len(b.Recs) {
-		return false
-	}
-	for i := range a.Recs {
-		if !SameRecord(a.Recs[i], b.Recs[i]) {
-			return false
-		}
-	}
-	return true
+	return len(a.Recs) == len(b.Recs) && FirstDiff(a, b) == len(a.Recs)
 }
 
 // Stitch reassembles the global record sequence from the shard slices,

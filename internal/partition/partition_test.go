@@ -266,3 +266,84 @@ func TestSameSliceMatchesSliceDigest(t *testing.T) {
 		t.Fatal("a slice one entry short compares equal")
 	}
 }
+
+// sliceDigestRef is SliceDigest as a plain fold, one Hasher.Hash per
+// entry: the definition the resumable form must reproduce byte for byte.
+func sliceDigestRef(h *hashx.Hasher, sr *core.SignedRelation) hashx.Digest {
+	d := h.Hash([]byte("partition/slice-digest"))
+	for i := range sr.Recs {
+		rec := &sr.Recs[i]
+		d = h.Hash(d, []byte{byte(rec.Kind)}, hashx.U64Pair(rec.Key(), rec.Tuple.RowID), rec.G, rec.Sig)
+	}
+	return d
+}
+
+// TestSliceDigestFromMatchesSliceDigest: resumed from the running
+// digests of a slice, at any entry up to the first one an edit changed,
+// SliceDigestFrom yields the edited slice's SliceDigest and its running
+// digests — for a re-sign, an insert, a delete and an edit at either
+// edge — and leaves the running digests it read as they were. Resumed
+// past the first change, it does not; a nil run or an out-of-range from
+// hashes the whole slice.
+func TestSliceDigestFromMatchesSliceDigest(t *testing.T) {
+	h, _, sr := build(t, 12, 5)
+	set, err := Split(sr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := set.Slices[1]
+	n := len(base.Recs)
+	if d, run := SliceDigestFrom(h, base, nil, 0); !d.Equal(sliceDigestRef(h, base)) || len(run) != n*h.Size() ||
+		!SliceDigest(h, base).Equal(d) {
+		t.Fatal("SliceDigest differs from its definition")
+	}
+	resign := func(at int) func(*core.SignedRelation) {
+		return func(s *core.SignedRelation) {
+			s.Recs[at] = s.Recs[at].Clone()
+			s.Recs[at].Sig[0] ^= 1
+		}
+	}
+	edits := []struct {
+		name string
+		edit func(*core.SignedRelation)
+	}{
+		{"re-sign first", resign(0)},
+		{"re-sign interior", resign(n / 2)},
+		{"re-sign last", resign(n - 1)},
+		{"insert", func(s *core.SignedRelation) {
+			s.Recs = append(s.Recs[:3], append([]core.SignedRecord{s.Recs[2].Clone()}, s.Recs[3:]...)...)
+			s.Recs[3].Tuple.RowID++
+		}},
+		{"delete", func(s *core.SignedRelation) { s.Recs = append(s.Recs[:2], s.Recs[3:]...) }},
+		{"append", func(s *core.SignedRelation) { s.Recs = append(s.Recs, s.Recs[n-1].Clone()) }},
+		{"truncate", func(s *core.SignedRelation) { s.Recs = s.Recs[:n-1] }},
+	}
+	_, run := SliceDigestFrom(h, base, nil, 0)
+	kept := append([]byte(nil), run...)
+	for _, e := range edits {
+		next := base.Clone()
+		e.edit(next)
+		want := sliceDigestRef(h, next)
+		_, wantRun := SliceDigestFrom(h, next, nil, 0)
+		first := FirstDiff(base, next)
+		for from := 0; from <= first; from++ {
+			d, nextRun := SliceDigestFrom(h, next, run, from)
+			if !d.Equal(want) || string(nextRun) != string(wantRun) {
+				t.Fatalf("%s: resumed at %d (first difference %d): digest differs from SliceDigest", e.name, from, first)
+			}
+		}
+		if first < n && first < len(next.Recs) {
+			if d, _ := SliceDigestFrom(h, next, run, first+1); d.Equal(want) {
+				t.Fatalf("%s: resumed past the first difference (%d) and still matched", e.name, first)
+			}
+		}
+		for _, from := range []int{-1, len(next.Recs) + 5} {
+			if d, _ := SliceDigestFrom(h, next, nil, from); !d.Equal(want) {
+				t.Fatalf("%s: nil run at from %d does not hash the whole slice", e.name, from)
+			}
+		}
+		if string(run) != string(kept) {
+			t.Fatalf("%s: the running digests read were written", e.name)
+		}
+	}
+}

@@ -91,11 +91,16 @@ type hostedShard struct {
 	// needs it when the publish did not hash the slice anyway, so
 	// sub-stream hellos claim the slice's identity without an O(slice)
 	// rehash per stream. Decisive compares (migration cutover) keep
-	// recomputing from bytes via ShardDigestInfo. All three are written
-	// under nt.mu only, which every pin takes.
+	// recomputing from bytes via ShardDigestInfo. run is sl's running
+	// slice digests (partition.SliceDigestFrom), kept when a commit hashed
+	// sl so the next commit hashes only from its first changed entry; nil
+	// otherwise, and always nil while digest is. publish is the one writer
+	// of run; viewHosted may fill a nil digest. All are written under
+	// nt.mu only, which every pin takes.
 	sl     *core.SignedRelation
 	epoch  uint64
 	digest hashx.Digest
+	run    []byte
 	// deltas counts update batches committed against the slice since it
 	// was installed on this node.
 	deltas  atomic.Uint64
@@ -224,23 +229,28 @@ func (s *Server) hostAll(spec partition.Spec, sls []*core.SignedRelation) error 
 	for i, sl := range sls {
 		dg := partition.SliceDigest(s.h, sl)
 		nt.hosted[i] = &hostedShard{installDigest: dg}
-		s.publish(nt.hosted[i], sl, dg)
+		s.publish(nt.hosted[i], sl, dg, nil)
 	}
 	return nil
 }
 
 // publish swaps sl in as hs's slice at a fresh epoch, with its digest
-// (nil: viewHosted computes it on first use). It builds the slice's crypto
+// (nil: viewHosted computes it on first use) and its running digests
+// (nil: the next commit hashes the whole slice; dropped with a nil
+// digest). It is the one writer of hs.run. It builds the slice's crypto
 // index (core.AggIndex) when it carries none, so the O(n) cost lands at
 // publish time and every query on the epoch aggregates in O(log n); a
 // build failure (malformed signature bytes on an unvalidated feed)
 // publishes without an index, the correct-but-slow path. The caller holds
 // nt.mu.
-func (s *Server) publish(hs *hostedShard, sl *core.SignedRelation, digest hashx.Digest) uint64 {
+func (s *Server) publish(hs *hostedShard, sl *core.SignedRelation, digest hashx.Digest, run []byte) uint64 {
 	if sl.AggIndex() == nil {
 		_ = sl.BuildAggIndex(s.h, s.pub)
 	}
-	hs.sl, hs.digest, hs.epoch = sl, digest, s.epochs.Add(1)
+	if digest == nil {
+		run = nil
+	}
+	hs.sl, hs.digest, hs.run, hs.epoch = sl, digest, run, s.epochs.Add(1)
 	return hs.epoch
 }
 
@@ -354,7 +364,7 @@ func (s *Server) InstallShard(man wire.ShardManifest, sr *core.SignedRelation) e
 		}
 	}
 	nt.hosted[man.Shard] = &hostedShard{installDigest: dg}
-	s.publish(nt.hosted[man.Shard], sr, dg)
+	s.publish(nt.hosted[man.Shard], sr, dg, nil)
 	s.installs.Add(1)
 	return nil
 }
@@ -803,11 +813,13 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 	}
 
 	// Phase 3: validate every touched neighbourhood that is checkable
-	// here, against index leaves ApplyOps and the stitches kept current.
+	// here, against index leaves ApplyOps and the stitches kept current,
+	// re-proving only the digest material that differs from the published
+	// slice's.
 	for i, sl := range news {
 		leftFresh := i == 0 || hosted(i-1)
 		rightFresh := i == k-1 || hosted(i+1)
-		if err := validateStagedSlice(s, sl, touched[i], leftFresh, rightFresh); err != nil {
+		if err := delta.ValidateStaged(s.h, s.pub, nt.hosted[i].sl, sl, touched[i], leftFresh, rightFresh); err != nil {
 			return nil, fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
 		}
 	}
@@ -822,17 +834,27 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 // each staged slice of a still-hosted shard swaps in as one epoch, in
 // shard order, and its delta counter moves with it. Only the WAL record
 // needs the post-commit digests, so only a durable commit hashes its
-// slices; otherwise viewHosted hashes one when it is first asked. It
-// returns the highest epoch. The caller holds nt.mu, which every pin
-// takes too, so no reader sees the swaps half done.
+// slices; otherwise viewHosted hashes one when it is first asked. A
+// durable commit resumes each digest at the first entry the staged slice
+// changed, from the published slice's running digests when its publish
+// kept them (the first commit after an install hashes the whole slice),
+// and keeps the staged slice's for the next commit. It returns the
+// highest epoch. The caller holds nt.mu, which every pin takes too, so no
+// reader sees the swaps half done.
 func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.SignedRelation) (uint64, error) {
 	shards := slices.DeleteFunc(slices.Sorted(maps.Keys(staged)), func(i int) bool { return nt.hosted[i] == nil })
 	digests := make(map[int]hashx.Digest, len(shards))
+	runs := make(map[int][]byte, len(shards))
 	if s.nstore != nil {
 		cs := make([]store.CommitShard, 0, len(shards))
 		for _, i := range shards {
-			digests[i] = partition.SliceDigest(s.h, staged[i])
-			cs = append(cs, store.CommitShard{Shard: i, Old: nt.hosted[i].sl, New: staged[i], PostDigest: digests[i]})
+			hs := nt.hosted[i]
+			from := 0
+			if hs.run != nil {
+				from = partition.FirstDiff(hs.sl, staged[i])
+			}
+			digests[i], runs[i] = partition.SliceDigestFrom(s.h, staged[i], hs.run, from)
+			cs = append(cs, store.CommitShard{Shard: i, Old: hs.sl, New: staged[i], PostDigest: digests[i]})
 		}
 		if err := s.nstore.LogCommit(rel, cs); err != nil {
 			return 0, fmt.Errorf("server: delta commit not durable: %w", err)
@@ -841,46 +863,19 @@ func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.Si
 	var epoch uint64
 	for _, i := range shards {
 		hs := nt.hosted[i]
-		epoch = max(epoch, s.publish(hs, staged[i], digests[i]))
+		epoch = max(epoch, s.publish(hs, staged[i], digests[i], runs[i]))
 		hs.deltas.Add(1)
 	}
 	return epoch, nil
 }
 
-// validateStagedSlice is delta.ValidateTouched with the cross-node
-// deferral: context-record signatures are always skipped (they bind
-// off-slice records), and the edge-most owned record's signature is
-// skipped when the adjacent mirror lives on another node and may be
-// stale until the coordinator's mirror fix. Digest material is checked
-// everywhere regardless.
-func validateStagedSlice(s *Server, sl *core.SignedRelation, touched []int, leftFresh, rightFresh bool) error {
-	n := len(sl.Recs)
-	for _, i := range touched {
-		if i < 0 || i >= n {
-			continue
-		}
-		if err := sl.CheckEntryDigests(s.h, i); err != nil {
-			return fmt.Errorf("%w: %v", delta.ErrValidation, err)
-		}
-		switch {
-		case (i == 0 || i == n-1) && sl.Recs[i].Kind == core.KindRecord:
-			continue
-		case i == 1 && !leftFresh:
-			continue
-		case i == n-2 && !rightFresh:
-			continue
-		}
-		if !sl.VerifyEntrySig(s.h, s.pub, i) {
-			return fmt.Errorf("%w: entry %d signature", delta.ErrValidation, i)
-		}
-	}
-	return nil
-}
-
 // StageMirror applies one cross-node mirror fix to the staged delta:
 // the named context record is replaced with the neighbour shard's staged
 // edge record, and the adjacent owned record — whose signature binds the
-// new context digest — is validated in full. Token 0 opens a fresh
+// new context digest — is validated in full. The context record's digest
+// material is re-proved as a staged entry's is (delta.CheckEntryDigests:
+// chain digests the published context record of the same identity
+// already proved are reused). Token 0 opens a fresh
 // staging transaction (the fixed shard had no local ops).
 func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error) {
 	nt := s.coordTable(req.Relation)
@@ -912,7 +907,7 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 	}
 	sl.Recs[pos] = req.Rec.Clone()
 	sl.RefreshAggIndex([]int{pos})
-	if err := sl.CheckEntryDigests(s.h, pos); err != nil {
+	if err := delta.CheckEntryDigests(s.h, nt.hosted[req.Shard].sl, sl, pos); err != nil {
 		return wire.MirrorResponse{}, fmt.Errorf("server: mirror fix rejected: %w", err)
 	}
 	if !sl.VerifyEntrySig(s.h, s.pub, adj) {

@@ -101,7 +101,7 @@ func (s *Server) recoverSlice(name string, spec partition.Spec, sh store.Recover
 	}
 	hs := &hostedShard{installDigest: sh.InstallDigest}
 	hs.deltas.Store(sh.Deltas)
-	s.publish(hs, sl, nil)
+	s.publish(hs, sl, nil, nil)
 	nt.hosted[sh.Shard] = hs
 	return nil
 }

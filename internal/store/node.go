@@ -98,6 +98,11 @@ type relMirror struct {
 	slices  map[int]*core.SignedRelation
 	install map[int]hashx.Digest
 	deltas  map[int]uint64
+	// runs holds, during replay only, a slice's running digests
+	// (partition.SliceDigestFrom) when a replayed record hashed it whole
+	// or resumed them, so the next replayed commit hashes only from the
+	// first entry its ops touched. OpenNode drops them before returning.
+	runs map[int][]byte
 }
 
 func newRelMirror(spec partition.Spec) *relMirror {
@@ -106,7 +111,16 @@ func newRelMirror(spec partition.Spec) *relMirror {
 		slices:  map[int]*core.SignedRelation{},
 		install: map[int]hashx.Digest{},
 		deltas:  map[int]uint64{},
+		runs:    map[int][]byte{},
 	}
+}
+
+// drop forgets one shard's slice and bookkeeping.
+func (rm *relMirror) drop(shard int) {
+	delete(rm.slices, shard)
+	delete(rm.install, shard)
+	delete(rm.deltas, shard)
+	delete(rm.runs, shard)
 }
 
 // DefaultSnapshotEvery is the appends-per-snapshot compaction cadence
@@ -270,6 +284,9 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 		ns.pending++
 		rep.Replayed++
 	}
+	for _, rm := range ns.rels {
+		rm.runs = nil
+	}
 	ns.coldStarts.Add(1)
 	return ns, rep, nil
 }
@@ -302,16 +319,14 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 			rm.spec = in.Spec
 		}
 		rm.slices[in.Shard] = sl
-		rm.install[in.Shard] = partition.SliceDigest(ns.h, sl)
+		rm.install[in.Shard], rm.runs[in.Shard] = partition.SliceDigestFrom(ns.h, sl, nil, 0)
 		rm.deltas[in.Shard] = 0
 	case rec.Remove != nil:
 		rm := ns.rels[rec.Remove.Relation]
 		if rm == nil {
 			return nil
 		}
-		delete(rm.slices, rec.Remove.Shard)
-		delete(rm.install, rec.Remove.Shard)
-		delete(rm.deltas, rec.Remove.Shard)
+		rm.drop(rec.Remove.Shard)
 		if len(rm.slices) == 0 {
 			delete(ns.rels, rec.Remove.Relation)
 		}
@@ -322,16 +337,19 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 			refuse := func(why string) {
 				rep.Refused = append(rep.Refused, fmt.Sprintf("%s/%d: commit replay: %s", cr.Relation, cs.Shard, why))
 				if rm != nil {
-					delete(rm.slices, cs.Shard)
-					delete(rm.install, cs.Shard)
-					delete(rm.deltas, cs.Shard)
+					rm.drop(cs.Shard)
 				}
 			}
 			if rm == nil || rm.slices[cs.Shard] == nil {
 				refuse("commit for a slice the log never installed")
 				continue
 			}
+			// The digest resumes at the first entry the ops touched (ApplyOps
+			// reports every index whose entry or neighbour changed, and
+			// leaves every entry before the lowest as it was); a full-slice
+			// record is hashed whole.
 			var next *core.SignedRelation
+			from := 0
 			if len(cs.FullSnap) > 0 {
 				sl, err := decodeSlice(cs.FullSnap)
 				if errors.Is(err, core.ErrRecordFormat) {
@@ -344,17 +362,23 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 				next = sl
 			} else {
 				sl := rm.slices[cs.Shard].Clone()
-				if _, err := delta.ApplyOps(sl, delta.Delta{Relation: cr.Relation, Ops: cs.Ops}); err != nil {
+				touched, err := delta.ApplyOps(sl, delta.Delta{Relation: cr.Relation, Ops: cs.Ops})
+				if err != nil {
 					refuse(fmt.Sprintf("ops replay: %v", err))
 					continue
 				}
-				next = sl
+				next, from = sl, len(sl.Recs)
+				if len(touched) > 0 {
+					from = touched[0]
+				}
 			}
-			if dg := partition.SliceDigest(ns.h, next); !dg.Equal(cs.PostDigest) {
+			dg, run := partition.SliceDigestFrom(ns.h, next, rm.runs[cs.Shard], from)
+			if !dg.Equal(cs.PostDigest) {
 				refuse("post-delta digest mismatch")
 				continue
 			}
 			rm.slices[cs.Shard] = next
+			rm.runs[cs.Shard] = run
 			rm.deltas[cs.Shard]++
 		}
 		if rm != nil && len(rm.slices) == 0 {
@@ -422,9 +446,7 @@ func (ns *NodeStore) LogRemove(rel string, shard int) error {
 		return &nodeRecord{Seq: seq, Remove: &removeRecord{Relation: rel, Shard: shard}}
 	}, func() {
 		if rm := ns.rels[rel]; rm != nil {
-			delete(rm.slices, shard)
-			delete(rm.install, shard)
-			delete(rm.deltas, shard)
+			rm.drop(shard)
 			if len(rm.slices) == 0 {
 				delete(ns.rels, rel)
 			}
