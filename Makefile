@@ -38,7 +38,8 @@ bench-verify:
 
 # fuzz smoke-tests the wire decoders, all one field codec — the chunk
 # frames, the cache frames, the node sub-stream frames the
-# fault-injection seam replays, the recycling frame reader against
+# fault-injection seam replays, the node prepare replies (staged and
+# neighbour edges), the recycling frame reader against
 # one-shot decodes, the lease frames, the /stream request
 # (legacy gob branch included) and the /delta body — plus the durable
 # store's on-disk codecs (WAL records and epoch snapshot files), the
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadChunkFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadCacheFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadNodeFrame -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadNodeDeltaResponse -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzRecycledChunkReader -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadLeaseFrame -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadStreamRequest -fuzztime 30s ./internal/wire

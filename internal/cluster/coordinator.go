@@ -55,6 +55,12 @@ var (
 	// ErrSpecMismatch reports nodes hosting slices of different
 	// partition layouts (spec versions) for one relation.
 	ErrSpecMismatch = errors.New("cluster: nodes disagree on the partition spec")
+	// ErrPrevGUnannounced refuses a merged stream whose first sub-stream's
+	// foot needs the preceding shard's edge material (an empty range whose
+	// predecessor is the slice's left context) that its hello did not
+	// announce, so none was pinned with the cover. Only a node that lies
+	// in its hello gets here; the stream ends before its footer.
+	ErrPrevGUnannounced = errors.New("cluster: first sub-stream needs predecessor material its hello did not announce")
 )
 
 // Config parameterizes a Coordinator. Everything here arrives over the
@@ -555,12 +561,15 @@ const pinRetries = 8
 // adjacent hand-off by digest compare. A mismatch (boundary delta or
 // migration mid-cutover) closes everything and re-pins; a node's
 // not-hosting refusal re-reads the routing table (a migration may have
-// swung mid-query) and retries. When the cover does not start at shard
-// 0, the preceding shard's edge material is pinned with the set (and
-// hand-off-checked against the first feed), so the empty-range
-// predecessor digest is epoch-consistent with the cover — the cut an
-// in-process read gets by pinning under the hosting table's lock, which
-// no cross-process read can take. Every feed is a node's: the edge cache
+// swung mid-query) and retries. When the first feed's hello announces
+// that an empty range would need the preceding shard's g digest
+// (NodeHello.NeedPrevG, only ever on a cover past shard 0), that shard's
+// edge material is pinned with the set (and hand-off-checked against the
+// first feed), so the empty-range predecessor digest is epoch-consistent
+// with the cover — the cut an in-process read gets by pinning under the
+// hosting table's lock, which no cross-process read can take. Any other
+// cover needs no probe; its PrevG refuses by name (ErrPrevGUnannounced)
+// if the foot asks after all. Every feed is a node's: the edge cache
 // never enters the merge.
 func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int, reuse bool, span *obs.Span) ([]engine.ShardFeed, engine.PrevG, error) {
 	var trace string
@@ -629,12 +638,12 @@ func (c *Coordinator) pinFeeds(roleName string, q engine.Query, sub []partition.
 				break
 			}
 		}
-		var prevG engine.PrevG
-		if ok && sub[0].Shard > 0 {
+		prevG := unannounced
+		if ok && sub[0].Shard > 0 && pinned[0].hello.NeedPrevG {
 			// Pin the preceding shard's seam material with the cover: the
-			// empty-range corner may need g(pred-1) from it, and a lazy
-			// fetch at footer time could observe a later epoch than the
-			// pinned first slice.
+			// empty-range corner needs g(pred-1) from it, and a lazy fetch
+			// at footer time could observe a later epoch than the pinned
+			// first slice.
 			prev := sub[0].Shard - 1
 			resp, url, err := c.probeEdges(prev)
 			switch {
@@ -746,6 +755,10 @@ func (c *Coordinator) probeEdges(shard int) (wire.EdgeResponse, string, error) {
 		return resp, url, nil
 	}
 }
+
+// unannounced is the PrevG of a cover whose first hello announced no
+// need of the preceding shard's edge material.
+var unannounced engine.PrevG = func() (hashx.Digest, error) { return nil, ErrPrevGUnannounced }
 
 func closeFeeds(feeds []engine.ShardFeed) {
 	for _, f := range feeds {

@@ -32,15 +32,22 @@ import (
 //     deferred.
 //  4. commit — each node publishes its staged slices.
 //
-// Prepare and commit go to every node at once and join, so a delta costs
-// one round trip per phase, not one per node. Phase 2 opens by probing
-// the published edges of every neighbour replica that staged nothing,
-// all at once; the mirror fixes and phase 3 both read those results, so
-// each such replica is probed once per delta. The mirror pushes stay
-// serial: a node holds one staged transaction per relation and a
-// token-0 mirror push opens it, so two staging calls in flight to one
-// node would discard each other's staging — staging concurrency is
-// across nodes, never within one.
+// A delta with no cross-node mirror fix costs two round trips: prepare
+// and commit, each sent to every node at once and joined. The edge
+// material of the ops shards' neighbours rides the prepare wave: a
+// neighbour replica on a preparing node is named in its prepare request
+// and comes back in the reply, read under the same lock as the staging;
+// a replica on a node that gets no ops is probed (/shard/edges) while the
+// others prepare. After prepare a probe goes out only for a seam the
+// prepare itself created — the far side of a shard a preparing node
+// stitched. The mirror fixes and phase 3 both read those edges, so each
+// replica's are fetched once per delta. The mirror pushes stay serial: a
+// node holds one staged transaction per relation and a token-0 mirror
+// push opens it, so two staging calls in flight to one node would
+// discard each other's staging — staging concurrency is across nodes,
+// never within one. A durable node plans its commit (digests and WAL
+// record) while the coordinator runs phases 2 and 3, so its commit is
+// the WAL append.
 //
 // Replication makes the write path write-all: each shard's sub-batch
 // goes to every non-quarantined replica, and the staged edge material
@@ -114,18 +121,55 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 		}
 	}
 
+	// The edges of every replica of a shard beside an ops shard (and not
+	// one itself) ride the prepare wave: a replica on a preparing node is
+	// named in that node's request and its edges come back in the reply,
+	// read under the lock the staging held; every other is probed, all at
+	// once, while the nodes prepare. Probes are read-only, so several may
+	// go to one node, and none goes to a preparing node, whose probe would
+	// only queue behind its staging.
+	type probe struct {
+		shard int
+		url   string
+	}
+	var early []probe
+	named := map[string][]int{} // url → neighbour shards its prepare reply carries
+	beside := map[int]bool{}
+	for _, shard := range slices.Sorted(maps.Keys(shardOps)) {
+		for _, nb := range []int{shard - 1, shard + 1} {
+			if nb < 0 || nb >= k || opsShards[nb] || beside[nb] {
+				continue
+			}
+			beside[nb] = true
+			urls, err := c.writeReplicas(nb)
+			if err != nil {
+				return 0, fmt.Errorf("cluster: delta rejected: %w", err)
+			}
+			for _, url := range urls {
+				if _, prepares := nodeOps[url]; prepares {
+					named[url] = append(named[url], nb)
+				} else {
+					early = append(early, probe{nb, url})
+				}
+			}
+		}
+	}
+
 	// Phase 1: prepare on every affected node. stagedOn[shard][url] is
 	// the staged edge material per replica; a shard's replicas must
-	// converge on identical material before commit.
+	// converge on identical material before commit. published[shard][url]
+	// is the published edge material of a replica that staged nothing.
 	tPhase := time.Now()
 	tokens := map[string]uint64{}
 	stagedOn := map[int]map[string]partition.Edges{}
-	record := func(shard int, url string, e partition.Edges) {
-		if stagedOn[shard] == nil {
-			stagedOn[shard] = map[string]partition.Edges{}
+	published := map[int]map[string]partition.Edges{}
+	put := func(m map[int]map[string]partition.Edges, shard int, url string, e partition.Edges) {
+		if m[shard] == nil {
+			m[shard] = map[string]partition.Edges{}
 		}
-		stagedOn[shard][url] = e
+		m[shard][url] = e
 	}
+	record := func(shard int, url string, e partition.Edges) { put(stagedOn, shard, url, e) }
 	// canon returns one replica's staged edges for a shard. The records a
 	// caller reads from it (owned records, for mirror pushes and seam
 	// checks) are replica-independent: stitching and mirror fixes touch
@@ -146,17 +190,43 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 			}
 		}
 	}
-	// Every node prepares at once; the replies fold in URL order, so the
-	// agreement checks and their error text are a serial loop's. Any
-	// failure aborts every token that came back, including those of nodes
-	// later in URL order that prepared concurrently.
+	// fold files one probe's published edges; a failed probe refuses the
+	// delta by shard and node.
+	fold := func(p probe, r wire.EdgeResponse, err error) error {
+		if err != nil {
+			return fmt.Errorf("cluster: delta rejected: edges of shard %d on %s: %w", p.shard, p.url, err)
+		}
+		put(published, p.shard, p.url, r.Edges)
+		return nil
+	}
+	// Every node prepares at once, in one fan-out with the early probes;
+	// the replies fold in URL order, so the agreement checks and their
+	// error text are a serial loop's. Any failure aborts every token that
+	// came back, including those of nodes later in URL order that
+	// prepared concurrently.
+	type reply struct {
+		prep  wire.NodeDeltaResponse
+		edges wire.EdgeResponse
+	}
 	prepURLs := slices.Sorted(maps.Keys(nodeOps))
-	preps, errs := fanOut(c, prepURLs, func(cl *wire.Client, i int) (wire.NodeDeltaResponse, error) {
-		return cl.NodeDeltaPrepare(delta.Delta{Relation: d.Relation, Ops: nodeOps[prepURLs[i]]})
+	n := len(prepURLs)
+	urls := slices.Clone(prepURLs)
+	for _, p := range early {
+		urls = append(urls, p.url)
+	}
+	replies, errs := fanOut(c, urls, func(cl *wire.Client, i int) (r reply, err error) {
+		if i >= n {
+			r.edges, err = cl.ShardEdges(wire.ShardRef{Relation: d.Relation, Shard: early[i-n].shard})
+			return r, err
+		}
+		r.prep, err = cl.NodeDeltaPrepare(wire.NodeDeltaRequest{
+			Delta: delta.Delta{Relation: d.Relation, Ops: nodeOps[urls[i]]}, Neighbours: named[urls[i]],
+		})
+		return r, err
 	})
 	for i, url := range prepURLs {
 		if errs[i] == nil {
-			tokens[url] = preps[i].Token
+			tokens[url] = replies[i].prep.Token
 		}
 	}
 	for i, url := range prepURLs {
@@ -164,7 +234,7 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 			abort()
 			return 0, fmt.Errorf("cluster: prepare on %s: %w", url, errs[i])
 		}
-		for _, m := range preps[i].Modified {
+		for _, m := range replies[i].prep.Modified {
 			if opsShards[m.Shard] {
 				// Identical copies staging identical sub-batches must stage
 				// identical owned records. Context records are exempt until
@@ -181,6 +251,18 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 				}
 			}
 			record(m.Shard, url, m.Edges)
+		}
+		// A named neighbour the node stitched is in Modified already.
+		for _, nb := range replies[i].prep.Neighbours {
+			if _, staged := stagedOn[nb.Shard][url]; !staged && slices.Contains(named[url], nb.Shard) {
+				put(published, nb.Shard, url, nb.Edges)
+			}
+		}
+	}
+	for i, p := range early {
+		if err := fold(p, replies[n+i].edges, errs[n+i]); err != nil {
+			abort()
+			return 0, err
 		}
 	}
 
@@ -207,37 +289,32 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 			neighbours[nb] = urls
 		}
 	}
-	// Every neighbour replica that staged nothing at prepare is probed
-	// for its published edges once, all probes at once; the mirror fixes
-	// and the seam checks below both read the results. Probes are
-	// read-only, so several may go to one node.
-	type probe struct {
-		shard int
-		url   string
-	}
-	var probes []probe
-	var probeURLs []string
+	// A neighbour replica that staged nothing and whose edges the prepare
+	// wave did not bring is probed now, all at once: only the far side of
+	// a shard a preparing node stitched, a seam the prepare itself
+	// created. The mirror fixes and the seam checks below read the staged
+	// and published edges alike.
+	var late []probe
 	for _, nb := range slices.Sorted(maps.Keys(neighbours)) {
 		for _, url := range neighbours[nb] {
-			if _, staged := stagedOn[nb][url]; !staged {
-				probes = append(probes, probe{nb, url})
-				probeURLs = append(probeURLs, url)
+			_, staged := stagedOn[nb][url]
+			if _, known := published[nb][url]; !staged && !known {
+				late = append(late, probe{nb, url})
 			}
 		}
 	}
-	probed, errs := fanOut(c, probeURLs, func(cl *wire.Client, i int) (wire.EdgeResponse, error) {
-		return cl.ShardEdges(wire.ShardRef{Relation: d.Relation, Shard: probes[i].shard})
+	var lateURLs []string
+	for _, p := range late {
+		lateURLs = append(lateURLs, p.url)
+	}
+	edges, errs := fanOut(c, lateURLs, func(cl *wire.Client, i int) (wire.EdgeResponse, error) {
+		return cl.ShardEdges(wire.ShardRef{Relation: d.Relation, Shard: late[i].shard})
 	})
-	published := map[int]map[string]partition.Edges{}
-	for i, p := range probes {
-		if errs[i] != nil {
+	for i, p := range late {
+		if err := fold(p, edges[i], errs[i]); err != nil {
 			abort()
-			return 0, fmt.Errorf("cluster: delta rejected: edges of shard %d on %s: %w", p.shard, p.url, errs[i])
+			return 0, err
 		}
-		if published[p.shard] == nil {
-			published[p.shard] = map[string]partition.Edges{}
-		}
-		published[p.shard][p.url] = probed[i].Edges
 	}
 	// currentEdgesOn is a replica's edge material as the delta left it so
 	// far: staged if it staged, published otherwise.
@@ -402,7 +479,8 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 // fanOut makes one node RPC per entry of urls at once and returns the
 // replies and errors in urls' order once all have answered — the join
 // both all-node phases of a delta, its neighbour edge probes and Place's
-// per-node installs share. call gets the entry's index, so a caller can
+// per-node installs share; a delta's early probes ride the prepare
+// fan-out. call gets the entry's index, so a caller can
 // address each call by more than its node (the probes go out per
 // (shard, url) pair). A node may appear more than once only for
 // read-only calls: the staging calls (prepare, mirror fixes, commit) go

@@ -83,7 +83,10 @@ func TestEndpointEnvelope(t *testing.T) {
 	edgesFails := func(cl *wire.Client) error { _, err := cl.ShardEdges(gone); return err }
 	digestFails := func(cl *wire.Client) error { _, err := cl.ShardDigest(gone); return err }
 	removeFails := func(cl *wire.Client) error { return cl.ShardRemove(gone) }
-	prepareFails := func(cl *wire.Client) error { _, err := cl.NodeDeltaPrepare(delta.Delta{Relation: "nope"}); return err }
+	prepareFails := func(cl *wire.Client) error {
+		_, err := cl.NodeDeltaPrepare(wire.NodeDeltaRequest{Delta: delta.Delta{Relation: "nope"}})
+		return err
+	}
 	mirrorFails := func(cl *wire.Client) error { _, err := cl.NodeMirror(wire.MirrorRequest{Relation: "nope"}); return err }
 	txFails := func(cl *wire.Client) error { _, err := cl.NodeTx(wire.TxRequest{Relation: "nope"}); return err }
 	installFails := func(cl *wire.Client) error { _, err := cl.ShardInstall(bytes.NewReader(nil)); return err }

@@ -64,6 +64,10 @@ const (
 	// replica the quarantine path must catch. Other frames get a payload
 	// byte flipped.
 	Corrupt
+	// Rewrite hands the node frame at the stage to Fault.Edit and
+	// delivers what it leaves, re-encoded — a node that lies in one chosen
+	// field of an otherwise well-formed frame.
+	Rewrite
 )
 
 // Fault arms one fault. Zero values mean "match everything": an empty
@@ -79,6 +83,8 @@ type Fault struct {
 	Delay time.Duration
 	// Times bounds how often the fault fires; 0 = every match.
 	Times int
+	// Edit is Mode Rewrite's edit.
+	Edit func(*wire.NodeFrame)
 }
 
 // ErrInjectedKill is the transport error a StageRoundTrip Kill returns —
@@ -295,6 +301,15 @@ func (fb *faultBody) pump() error {
 			}
 		case Corrupt:
 			frame = corruptFrame(frame, nf)
+		case Rewrite:
+			var buf bytes.Buffer
+			if nf != nil {
+				fb.fault.Edit(nf)
+				if err := wire.WriteNodeFrame(&buf, nf); err != nil {
+					return err
+				}
+				frame = buf.Bytes()
+			}
 		}
 	}
 	fb.frames++

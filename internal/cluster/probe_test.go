@@ -1,21 +1,28 @@
 package cluster_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"vcqr/internal/accessctl"
 	"vcqr/internal/cluster"
+	"vcqr/internal/delta"
 	"vcqr/internal/engine"
+	"vcqr/internal/server"
 	"vcqr/internal/wire"
 )
 
-// countingTransport counts the coordinator's requests per endpoint path.
+// countingTransport counts the coordinator's requests per endpoint path,
+// and per node and path.
 type countingTransport struct {
 	inner http.RoundTripper
 	mu    sync.Mutex
@@ -25,8 +32,19 @@ type countingTransport struct {
 func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	c.mu.Lock()
 	c.paths[req.URL.Path]++
+	c.paths[req.URL.Scheme+"://"+req.URL.Host+req.URL.Path]++
 	c.mu.Unlock()
 	return c.inner.RoundTrip(req)
+}
+
+// takeAt returns the count for path and the part of it sent to the node
+// at url, and resets every count.
+func (c *countingTransport) takeAt(url, path string) (int, int) {
+	c.mu.Lock()
+	n, at := c.paths[path], c.paths[url+path]
+	c.mu.Unlock()
+	c.take("")
+	return n, at
 }
 
 // take returns the count for path and resets every count.
@@ -58,18 +76,32 @@ func noFanOutLeft(t *testing.T) {
 	}
 }
 
-// A delta probes each untouched neighbour replica's edges once, all at
-// once, and the seam checks read those probes: an interior delta on
-// shard 1 costs exactly R probes for each of its two neighbours, and a
-// seam-crossing delta (ops on shards 0 and 1, every replica of both
-// staged) exactly R for shard 2 — no probe from the seam phase.
+// A delta's neighbour edges ride the prepare wave. A neighbour replica on
+// a node that prepares comes back in that node's prepare reply; only the
+// replicas on nodes that get no ops are probed, once each and while the
+// others prepare. So an interior delta on shard 1 (replicas on two of the
+// three nodes) costs exactly two probes, both to the third node, which
+// hosts both neighbours; and a seam-crossing delta (ops on shards 0 and 1,
+// every node preparing) costs none. Nothing is probed after prepare.
 func TestDeltaProbesEachNeighbourReplicaOnce(t *testing.T) {
 	f, _, ct := probeCluster(t)
+	sets := f.coord.ReplicaSets()
+	idle := ""
+	for _, url := range f.urls {
+		if !slices.Contains(sets[1], url) {
+			idle = url
+		}
+	}
+	for _, nb := range []int{0, 2} {
+		if !slices.Contains(sets[nb], idle) {
+			t.Fatalf("fixture: node %s without ops on shard 1 does not host neighbour %d: %v", idle, nb, sets)
+		}
+	}
 	if _, err := f.coord.ApplyDelta(f.interiorDelta("probe-interior")); err != nil {
 		t.Fatal(err)
 	}
-	if got := ct.take(wire.ShardEdgesRPC.Path); got != 2*2 {
-		t.Fatalf("interior delta sent %d edge probes, want 4 (R = 2 for each of 2 neighbours)", got)
+	if got, to := ct.takeAt(idle, wire.ShardEdgesRPC.Path); got != 2 || to != 2 {
+		t.Fatalf("interior delta sent %d edge probes, %d of them to %s; want 2, both to the node without ops", got, to, idle)
 	}
 	noFanOutLeft(t)
 
@@ -78,15 +110,88 @@ func TestDeltaProbesEachNeighbourReplicaOnce(t *testing.T) {
 	if _, err := f.coord.ApplyDelta(f.mintDelta(f.globalIndexOf(edge.Key(), edge.Tuple.RowID), []byte("probe-seam"))); err != nil {
 		t.Fatal(err)
 	}
-	if got := ct.take(wire.ShardEdgesRPC.Path); got != 2 {
-		t.Fatalf("seam delta sent %d edge probes, want 2 (R = 2 for shard 2)", got)
+	if got := ct.take(wire.ShardEdgesRPC.Path); got != 0 {
+		t.Fatalf("seam delta sent %d edge probes, want 0 (every node prepares, so shard 2's edges come back in prepare replies)", got)
 	}
 	noFanOutLeft(t)
 }
 
-// A probe that dies refuses the delta by shard and node, aborts every
-// staged transaction, moves no published slice, and leaves no goroutine
-// behind; the same delta then commits.
+// A co-hosted stitch creates a seam the coordinator could not name before
+// prepare: a delta re-signing shard 2's first owned record, with ops on
+// shard 2 only, makes the node co-hosting shard 1 stitch shard 1's right
+// context, so seam 0-1 joins the checks. Shard 0's edges are probed on
+// every replica after prepare — and only then: the probes are the early
+// ones (neighbours 1 and 3 on the node without ops) plus R for shard 0.
+// A kill of that late probe refuses the delta by shard 0 and aborts every
+// token; the same delta then commits and verifies.
+func TestDeltaCoHostedStitchProbesFarSeam(t *testing.T) {
+	f, inj, ct := probeCluster(t)
+	sets := f.coord.ReplicaSets()
+	cohost := false
+	for _, url := range sets[2] {
+		cohost = cohost || slices.Contains(sets[1], url)
+	}
+	if !cohost {
+		t.Fatalf("fixture: no node hosts both shards 1 and 2: %v", sets)
+	}
+	early := 0
+	for _, nb := range []int{1, 3} {
+		for _, url := range sets[nb] {
+			if !slices.Contains(sets[2], url) {
+				early++
+			}
+		}
+	}
+	// victim hosts shard 0 and gets no early probe: its only probe is
+	// shard 0's, after prepare.
+	victim := ""
+	for _, url := range sets[0] {
+		if slices.Contains(sets[2], url) {
+			victim = url
+		}
+	}
+	if victim == "" {
+		t.Fatalf("fixture: no replica of shard 0 prepares shard 2: %v", sets)
+	}
+
+	sl2 := f.set.Slices[2]
+	second := sl2.Recs[2] // re-signs shard 2's first owned record, and no other shard's
+	d := f.mintDelta(f.globalIndexOf(second.Key(), second.Tuple.RowID), []byte("far-seam"))
+	if shards, err := delta.Route(f.spec, d); err != nil || len(shards) != 1 || shards[2] == nil {
+		t.Fatalf("fixture: delta routes to %v (%v), want shard 2 alone", shards, err)
+	}
+	inj.Set(cluster.Fault{Node: victim, Path: wire.ShardEdgesRPC.Path, Mode: cluster.Kill, Times: 1})
+	_, err := f.coord.ApplyDelta(d)
+	want := fmt.Sprintf("edges of shard 0 on %s", victim)
+	if !errors.Is(err, cluster.ErrInjectedKill) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("delta with a dead far-seam probe: %v, want a refusal naming %q", err, want)
+	}
+	if got := ct.take(wire.NodeTxRPC.Path); got != len(sets[2]) {
+		t.Fatalf("%d transactions finished after the refusal, want an abort for each of the %d prepared nodes", got, len(sets[2]))
+	}
+	noFanOutLeft(t)
+
+	if _, err := f.coord.ApplyDelta(d); err != nil {
+		t.Fatalf("the same delta after the abort: %v", err)
+	}
+	if got := ct.take(wire.ShardEdgesRPC.Path); got != early+len(sets[0]) {
+		t.Fatalf("stitching delta sent %d edge probes, want %d early and %d for shard 0", got, early, len(sets[0]))
+	}
+	noFanOutLeft(t)
+	q := engine.Query{Relation: "Uniform"}
+	res, err := collect(f.coord, "all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.v.VerifyResult(q, f.role, res); err != nil {
+		t.Fatalf("post-delta result rejected: %v", err)
+	}
+}
+
+// An early probe that dies — one sent while the nodes prepare — refuses
+// the delta by shard and node, aborts every staged transaction, moves no
+// published slice, and leaves no goroutine behind; the same delta then
+// commits.
 func TestDeltaProbeFailureAbortsAll(t *testing.T) {
 	f, inj, ct := probeCluster(t)
 	digests := func() map[string]string {
@@ -104,29 +209,24 @@ func TestDeltaProbeFailureAbortsAll(t *testing.T) {
 	}
 	before := digests()
 
-	// The interior delta on shard 1 probes shards 0 and 2; pick a node
-	// that hosts exactly one of them, so the failing probe is known.
+	// The interior delta on shard 1 probes shards 0 and 2 early, on the
+	// node that gets no ops; kill both probes there, so the refusal names
+	// the first, shard 0's.
 	sets := f.coord.ReplicaSets()
-	hosts := map[string][]int{}
-	for _, nb := range []int{0, 2} {
-		for _, url := range sets[nb] {
-			hosts[url] = append(hosts[url], nb)
+	victim, shard := "", 0
+	for _, url := range f.urls {
+		if !slices.Contains(sets[1], url) {
+			victim = url
 		}
 	}
-	victim, shard := "", -1
-	for url, nbs := range hosts {
-		if len(nbs) == 1 {
-			victim, shard = url, nbs[0]
-		}
-	}
-	if victim == "" {
-		t.Fatalf("no node hosts exactly one neighbour of shard 1: %v", sets)
+	if !slices.Contains(sets[0], victim) || !slices.Contains(sets[2], victim) {
+		t.Fatalf("fixture: node %s without ops on shard 1 does not host both neighbours: %v", victim, sets)
 	}
 	prepared := len(sets[1])
 	ct.take("")
 
 	d := f.interiorDelta("after-probe-failure")
-	inj.Set(cluster.Fault{Node: victim, Path: wire.ShardEdgesRPC.Path, Mode: cluster.Kill, Times: 1})
+	inj.Set(cluster.Fault{Node: victim, Path: wire.ShardEdgesRPC.Path, Mode: cluster.Kill, Times: 2})
 	_, err := f.coord.ApplyDelta(d)
 	want := fmt.Sprintf("edges of shard %d on %s", shard, victim)
 	if !errors.Is(err, cluster.ErrInjectedKill) || !strings.Contains(err.Error(), want) {
@@ -161,5 +261,77 @@ func TestDeltaProbeFailureAbortsAll(t *testing.T) {
 	}
 	if found != 1 {
 		t.Fatalf("payload present %d times, want 1", found)
+	}
+}
+
+// The read path probes the predecessor shard only when the first feed's
+// hello announces an empty range that needs it. At K = 4 on 3 nodes, an
+// empty range at the start of every shard i > 0 — its predecessor is
+// shard i's left context, so the g digest before it lives on shard i−1 —
+// costs exactly one /shard/edges call, passes the unmodified
+// ShardStreamVerifier and is byte-identical to the single-process
+// stream; a non-empty range costs none. A hello that under-reports the
+// need is refused by name before any footer, and no probe goes out.
+func TestEmptyRangeProbesPredecessorOnce(t *testing.T) {
+	f, inj, ct := probeCluster(t)
+	coordTS := httptest.NewServer(f.coord.Handler())
+	defer coordTS.Close()
+	single := server.New(server.Config{Hasher: f.h, Pub: signKey(t).Public(), Policy: accessctl.NewPolicy(f.role)})
+	defer single.Close()
+	if err := single.AddPartition(f.set, true); err != nil {
+		t.Fatal(err)
+	}
+	singleTS := httptest.NewServer(single.Handler())
+	defer singleTS.Close()
+
+	for i := 1; i < f.spec.K(); i++ {
+		lo, _ := f.spec.Span(i)
+		first := f.set.Slices[i].Recs[1].Key()
+		if first <= lo {
+			t.Fatalf("fixture: shard %d's first key %d is its span's start", i, first)
+		}
+		for _, c := range []struct {
+			q      engine.Query
+			rows   int
+			probes int
+		}{
+			{engine.Query{Relation: "Uniform", KeyLo: lo, KeyHi: first - 1}, 0, 1},
+			{engine.Query{Relation: "Uniform", KeyLo: lo, KeyHi: first}, 1, 0},
+		} {
+			ct.take("")
+			req := wire.StreamRequest{Role: "all", Query: c.q, ChunkRows: 8}
+			if !bytes.Equal(streamBody(t, coordTS.URL, req), streamBody(t, singleTS.URL, req)) {
+				t.Fatalf("shard %d, [%d,%d]: cluster stream differs from the single-process stream", i, c.q.KeyLo, c.q.KeyHi)
+			}
+			if got := ct.take(wire.ShardEdgesRPC.Path); got != c.probes {
+				t.Fatalf("shard %d, [%d,%d]: %d edge probes, want %d", i, c.q.KeyLo, c.q.KeyHi, got, c.probes)
+			}
+			rows, err := f.verifyStream(coordTS.URL, c.q, 8)
+			if err != nil || rows != c.rows {
+				t.Fatalf("shard %d, [%d,%d]: verified %d rows (%v), want %d", i, c.q.KeyLo, c.q.KeyHi, rows, err, c.rows)
+			}
+		}
+	}
+
+	lo, _ := f.spec.Span(2)
+	q := engine.Query{Relation: "Uniform", KeyLo: lo, KeyHi: f.set.Slices[2].Recs[1].Key() - 1}
+	inj.Set(cluster.Fault{Path: wire.ShardStreamEP.Path, Stage: cluster.StageBeforeHello, Mode: cluster.Rewrite, Times: 1,
+		Edit: func(nf *wire.NodeFrame) { nf.Hello.NeedPrevG = false }})
+	ct.take("")
+	st, err := f.coord.QueryStream("all", q, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil {
+		var c *engine.Chunk
+		if c, err = st.Next(); err == nil && len(c.Entries) > 0 {
+			t.Fatalf("an under-reporting hello's stream shipped %d entries", len(c.Entries))
+		}
+	}
+	if !errors.Is(err, cluster.ErrPrevGUnannounced) {
+		t.Fatalf("under-reporting hello: %v, want ErrPrevGUnannounced", err)
+	}
+	if got := ct.take(wire.ShardEdgesRPC.Path); got != 0 {
+		t.Fatalf("under-reporting hello drew %d edge probes", got)
 	}
 }

@@ -187,11 +187,6 @@ func (ix *AggIndex) refreshed(sr *SignedRelation, touched []int) (*AggIndex, err
 // attached (the naive O(|Q|) aggregation path then applies).
 func (sr *SignedRelation) AggIndex() *AggIndex { return sr.aggIdx }
 
-// SetAggIndex attaches (or, with nil, detaches) a crypto index. The
-// index must describe exactly this relation's entry sequence; consumers
-// guard on AggIndex().Len() == len(sr.Recs) before trusting it.
-func (sr *SignedRelation) SetAggIndex(ix *AggIndex) { sr.aggIdx = ix }
-
 // BuildAggIndex builds and attaches the crypto index — the publish-time
 // step of the aggregation fast path. Any error (malformed signature
 // material) leaves the relation unindexed on the correct-but-slow path.

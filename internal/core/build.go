@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 
 	"vcqr/internal/hashx"
@@ -253,17 +254,18 @@ func (sr *SignedRelation) Len() int { return len(sr.Recs) - 2 }
 
 // RangeIndices returns the half-open interval [a, b) over sr.Recs of data
 // records with keys in [lo, hi]. Delimiters never qualify because data
-// keys are strictly inside (L, U).
+// keys are strictly inside (L, U), and a shard slice's context records,
+// its first and last entries, are never searched. Two binary searches
+// over the interior, which is in key order (Validate); b is never below
+// a, so lo > hi gives an empty interval at lo's position.
 func (sr *SignedRelation) RangeIndices(lo, hi uint64) (int, int) {
-	a := 1
-	for a < len(sr.Recs)-1 && sr.Recs[a].Key() < lo {
-		a++
+	if len(sr.Recs) < 3 {
+		return 1, 1
 	}
-	b := a
-	for b < len(sr.Recs)-1 && sr.Recs[b].Key() <= hi {
-		b++
-	}
-	return a, b
+	in := sr.Recs[1 : len(sr.Recs)-1]
+	a := sort.Search(len(in), func(i int) bool { return in[i].Tuple.Key >= lo })
+	b := a + sort.Search(len(in)-a, func(i int) bool { return in[a+i].Tuple.Key > hi })
+	return 1 + a, 1 + b
 }
 
 // Validate checks a whole relation the way a publisher must on ingest:

@@ -59,6 +59,10 @@ func FuzzApplyOps(f *testing.F) {
 		if (gotErr == nil) != (refErr == nil) || (gotErr != nil && gotErr.Error() != refErr.Error()) {
 			t.Fatalf("ops %v: binary search refused with %v, reference with %v", opList(d), gotErr, refErr)
 		}
+		// The windowed round trip agrees with the whole-slice one.
+		if want := gotErr == nil && partition.SameSlice(got, next.sr); delta.Reproduces(old.sr, d, next.sr) != want {
+			t.Fatalf("ops %v: Reproduces says %v, applying them to a copy of the whole slice %v", opList(d), !want, want)
+		}
 		if gotErr != nil {
 			if !shuffled {
 				t.Fatalf("diff ops %v do not apply: %v", opList(d), gotErr)
@@ -135,5 +139,28 @@ func checkTouchedCover(t *testing.T, old, next *core.SignedRelation, touched []i
 		if changed && !isTouched[j] {
 			t.Fatalf("entry %d changed (or its neighbourhood did) but is not touched %v", j, touched)
 		}
+	}
+}
+
+// TestReproducesRefusesOutOfOrder: the windowed round trip is sound only
+// on a sequence in identity order, so an old sequence out of order is
+// refused even when the whole-slice round trip of the same ops would
+// pass — LogCommit then logs the full slice.
+func TestReproducesRefusesOutOfOrder(t *testing.T) {
+	old := newDiffSlice(6, true, true)
+	next := &diffSlice{sr: old.sr.Clone(), next: 128}
+	next.edit(0, 3, 0) // re-sign entry 3
+	d := delta.Diff(old.sr, next.sr)
+	if !delta.Reproduces(old.sr, d, next.sr) {
+		t.Fatal("an in-order re-sign does not round-trip")
+	}
+	old.sr.Recs[5], old.sr.Recs[6] = old.sr.Recs[6], old.sr.Recs[5]
+	next.sr.Recs[5], next.sr.Recs[6] = next.sr.Recs[6], next.sr.Recs[5]
+	probe := old.sr.Clone()
+	if _, err := delta.ApplyOps(probe, d); err != nil || !partition.SameSlice(probe, next.sr) {
+		t.Fatalf("fixture: the whole-slice round trip fails (%v)", err)
+	}
+	if delta.Reproduces(old.sr, d, next.sr) {
+		t.Fatal("an out-of-order sequence round-trips")
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vcqr/internal/core"
 	"vcqr/internal/hashx"
 	"vcqr/internal/partition"
+	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 )
 
@@ -137,12 +139,14 @@ func Diff(old, new *core.SignedRelation) Delta {
 // compareIdentity orders two entries by key, row id and kind — the
 // identity order of a record sequence.
 func compareIdentity(a, b *core.SignedRecord) int {
-	return compareTo(a, b.Key(), b.Tuple.RowID, b.Kind)
+	return compareTo(a, b.Tuple.Key, b.Tuple.RowID, b.Kind)
 }
 
-// compareTo orders entry a against the identity (key, rowID, kind).
+// compareTo orders entry a against the identity (key, rowID, kind). It
+// reads the key field in place: the value-receiver Key() would copy the
+// whole record at every comparison.
 func compareTo(a *core.SignedRecord, key, rowID uint64, kind core.Kind) int {
-	if c := cmp.Compare(a.Key(), key); c != 0 {
+	if c := cmp.Compare(a.Tuple.Key, key); c != 0 {
 		return c
 	}
 	if c := cmp.Compare(a.Tuple.RowID, rowID); c != 0 {
@@ -167,6 +171,67 @@ type search func(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (i
 func find(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
 	i := sort.Search(len(recs), func(i int) bool { return compareTo(&recs[i], key, rowID, kind) >= 0 })
 	return i, i < len(recs) && compareTo(&recs[i], key, rowID, kind) == 0
+}
+
+// Reproduces reports whether ApplyOps on a copy of old succeeds and
+// leaves a sequence equal to new entry by entry over the fields
+// SliceDigest hashes (partition.SameRecord) — LogCommit's round trip —
+// copying only the window of old the ops can reach instead of all of it.
+// old must be in strict identity order, which is checked first (false
+// otherwise). Then every op's binary search lands inside [lo, hi), the
+// entries whose identities lie between the lowest and the highest op
+// identity, in the whole sequence exactly as in the window alone, and
+// the entries before lo and from hi on keep their contents in place:
+// ApplyOps(old) is old[:lo] ++ ApplyOps(old[lo:hi]) ++ old[hi:].
+func Reproduces(old *core.SignedRelation, d Delta, new *core.SignedRelation) bool {
+	for i := 1; i < len(old.Recs); i++ {
+		if compareIdentity(&old.Recs[i-1], &old.Recs[i]) >= 0 {
+			return false
+		}
+	}
+	if len(d.Ops) == 0 {
+		return d.Relation == old.Schema.Name && partition.SameSlice(old, new)
+	}
+	first, last := d.Ops[0].identity(), d.Ops[0].identity()
+	for _, op := range d.Ops[1:] {
+		id := op.identity()
+		if compareIdentity(&id, &first) < 0 {
+			first = id
+		}
+		if compareIdentity(&id, &last) > 0 {
+			last = id
+		}
+	}
+	lo := sort.Search(len(old.Recs), func(i int) bool { return compareIdentity(&old.Recs[i], &first) >= 0 })
+	hi := sort.Search(len(old.Recs), func(i int) bool { return compareIdentity(&old.Recs[i], &last) > 0 })
+	win := &core.SignedRelation{Params: old.Params, Schema: old.Schema, Recs: slices.Clone(old.Recs[lo:hi])}
+	if _, err := ApplyOps(win, d); err != nil {
+		return false
+	}
+	tail := len(old.Recs) - hi
+	if len(new.Recs) != lo+len(win.Recs)+tail {
+		return false
+	}
+	same := func(a, b []core.SignedRecord) bool {
+		for i := range a {
+			if !partition.SameRecord(a[i], b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return same(old.Recs[:lo], new.Recs[:lo]) && same(win.Recs, new.Recs[lo:lo+len(win.Recs)]) &&
+		same(old.Recs[hi:], new.Recs[len(new.Recs)-tail:])
+}
+
+// identity is the (key, row id, kind) an op addresses, as an entry
+// compareTo can order against: a delete addresses a record.
+func (op Op) identity() core.SignedRecord {
+	kind := core.KindRecord
+	if op.Kind == OpUpsert {
+		kind = op.Rec.Kind
+	}
+	return core.SignedRecord{Kind: kind, Tuple: relation.Tuple{Key: op.Key, RowID: op.RowID}}
 }
 
 func upsert(rec *core.SignedRecord) Op {

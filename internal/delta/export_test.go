@@ -41,11 +41,10 @@ func apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta
 	if err := ValidateTouched(h, pub, scratch, touched, slice); err != nil {
 		return err
 	}
-	sr.Recs = scratch.Recs
 	// The crypto index followed the ops on the scratch copy (ApplyOps
 	// keeps it in lock-step); adopt it with the records so the next epoch
 	// keeps the O(log n) aggregation path without a rebuild.
-	sr.SetAggIndex(scratch.AggIndex())
+	*sr = *scratch
 	return nil
 }
 

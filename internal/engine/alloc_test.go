@@ -177,8 +177,7 @@ func TestIndexedStreamMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("indexed execute: %v", err)
 		}
-		naive := sr.Clone()
-		naive.SetAggIndex(nil)
+		naive := &core.SignedRelation{Params: sr.Params, Schema: sr.Schema, Recs: sr.Recs} // no crypto index
 		slow, err := pub.ExecuteOn(naive, "all", q)
 		if err != nil {
 			t.Fatalf("naive execute: %v", err)

@@ -337,20 +337,26 @@ func (sp *ShardPartial) Foot() (ShardFeedFoot, error) {
 		// Locally empty first shard: ship the predecessor material the
 		// merger needs if the range turns out globally empty (it can only
 		// be globally empty if every covering shard is — interior shards
-		// never are).
+		// never are). A predecessor at index 0 that is the global left
+		// delimiter needs no PredPrevG: the verifier substitutes the
+		// virtual end digest.
 		predIdx := sp.a - 1
 		foot.PredSig = sig.Signature(sp.sr.Recs[predIdx].Sig)
-		switch {
-		case predIdx > 0:
+		if predIdx > 0 {
 			foot.PredPrevG = sp.sr.Recs[predIdx-1].G.Clone()
-		case sp.sr.Recs[0].Kind == core.KindDelimLeft:
-			// pred is the global left delimiter: the verifier substitutes
-			// the virtual end digest, no PredPrevG needed.
-		default:
-			foot.NeedPrevG = true
 		}
+		foot.NeedPrevG = sp.NeedPrevG()
 	}
 	return foot, nil
+}
+
+// NeedPrevG reports, from the covered interval alone, what Foot's
+// NeedPrevG will say: the partial is the first covering shard, it covers
+// no record, and its predecessor is the slice's left context record, so
+// the g digest before that predecessor lives on the preceding shard. A
+// node announces it in its sub-stream hello, before any entry.
+func (sp *ShardPartial) NeedPrevG() bool {
+	return sp.first && sp.a == sp.b && sp.a == 1 && sp.sr.Recs[0].Kind != core.KindDelimLeft
 }
 
 // Close implements ShardFeed; a partial holds no resources beyond its

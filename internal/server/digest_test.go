@@ -2,7 +2,9 @@ package server_test
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"vcqr/internal/accessctl"
@@ -13,6 +15,7 @@ import (
 	"vcqr/internal/relation"
 	"vcqr/internal/server"
 	"vcqr/internal/store"
+	"vcqr/internal/wire"
 )
 
 // TestCachedDigestsFollowCommits holds a node's cached slice digests to
@@ -21,9 +24,12 @@ import (
 // cross-node mirror fix), interior updates and a Rebalance follow. After
 // every step each hosted slice's cached digest, where one is cached,
 // equals SliceDigest of the slice, and its running digests equal the
-// slice's; a commit after the first resumes them. Then every node's
-// store is reopened: replay reproduces every logged PostDigest (nothing
-// refused) and lands on the slices the nodes last published.
+// slice's; a commit after the first resumes them. Some mirror fixes land
+// on a node that prepared the same delta, after its commit plan was
+// built: the fix re-plans, or the published digest would be the
+// pre-fix slice's. Then every node's store is reopened: replay
+// reproduces every logged PostDigest (nothing refused) and lands on the
+// slices the nodes last published.
 func TestCachedDigestsFollowCommits(t *testing.T) {
 	h, sr := build(t, 64)
 	set, err := partition.Split(sr, 4)
@@ -37,13 +43,23 @@ func TestCachedDigestsFollowCommits(t *testing.T) {
 	}
 	var nodes []*node
 	var urls []string
-	for range 3 {
+	// seen records, per node, the node RPC paths the current delta sent it.
+	var seenMu sync.Mutex
+	seen := make([]map[string]bool, 3)
+	for ni := range 3 {
 		n := &node{dir: t.TempDir()}
 		n.ns = openStore(t, h, n.dir)
 		n.s = server.New(server.Config{
 			Hasher: h, Pub: signKey(t).Public(), Policy: accessctl.NewPolicy(accessctl.Role{Name: "all"}), Store: n.ns,
 		})
-		ts := httptest.NewServer(n.s.Handler())
+		handler := n.s.Handler()
+		seen[ni] = map[string]bool{}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			seenMu.Lock()
+			seen[ni][r.URL.Path] = true
+			seenMu.Unlock()
+			handler.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		nodes = append(nodes, n)
 		urls = append(urls, ts.URL)
@@ -62,14 +78,23 @@ func TestCachedDigestsFollowCommits(t *testing.T) {
 	}
 
 	owner := sr.Clone()
+	replanned := 0 // mirror fixes on a node that prepared the same delta
 	apply := func(what string, edit func() error) {
 		t.Helper()
 		before := owner.Clone()
 		if err := edit(); err != nil {
 			t.Fatalf("%s: owner edit: %v", what, err)
 		}
+		for _, m := range seen {
+			clear(m)
+		}
 		if _, err := coord.ApplyDelta(delta.Diff(before, owner)); err != nil {
 			t.Fatalf("%s: %v", what, err)
+		}
+		for _, m := range seen {
+			if m[wire.NodeDeltaRPC.Path] && m[wire.NodeMirrorRPC.Path] {
+				replanned++
+			}
 		}
 	}
 	// edge returns shard i's first (first) or last owned record in the
@@ -156,6 +181,9 @@ func TestCachedDigestsFollowCommits(t *testing.T) {
 	check("second commit after the move")
 	if resumed == 0 {
 		t.Fatal("no commit kept running digests")
+	}
+	if replanned == 0 {
+		t.Fatal("no mirror fix landed on a prepared transaction")
 	}
 
 	for ni, n := range nodes {

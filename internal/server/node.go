@@ -108,9 +108,45 @@ type hostedShard struct {
 }
 
 // stagedTx is one prepared-but-unpublished distributed delta.
+//
+// On a durable node its commit plan (commitPlan: the post-delta digests
+// and the WAL record) is built off the request path by one goroutine the
+// transaction owns, started when the prepare reply is built and again by
+// each mirror fix for the shard it changed (replan), so a commit is its
+// WAL append. The goroutine writes plans and closes planned; everything
+// else reads plans only after wait, and every exit — commit, abort, a
+// later prepare or token-0 mirror fix discarding the transaction, the
+// in-process /delta — waits first, so no plan goroutine outlives its
+// transaction.
 type stagedTx struct {
-	token  uint64
-	slices map[int]*core.SignedRelation
+	token   uint64
+	slices  map[int]*core.SignedRelation
+	plans   map[int]*commitPlan
+	planned chan struct{} // nil until a plan goroutine starts
+}
+
+func newStagedTx(token uint64, slices map[int]*core.SignedRelation) *stagedTx {
+	return &stagedTx{token: token, slices: slices, plans: map[int]*commitPlan{}}
+}
+
+// wait returns once the transaction's plan goroutine, if any, has
+// returned. Nil-safe.
+func (tx *stagedTx) wait() {
+	if tx != nil && tx.planned != nil {
+		<-tx.planned
+	}
+}
+
+// commitPlan is one staged shard's durable commit, built ahead of the
+// commit (planShard): the post-delta digest and running digests, and the
+// WAL record. old is the published slice it was planned against; a
+// commit that finds another published re-plans.
+type commitPlan struct {
+	old    *core.SignedRelation
+	digest hashx.Digest
+	run    []byte
+	rec    store.PlannedShard
+	err    error
 }
 
 // nodeTable is the hosting state of one relation.
@@ -128,6 +164,13 @@ type nodeTable struct {
 	mu     sync.Mutex
 	hosted map[int]*hostedShard
 	staged *stagedTx
+}
+
+// dropStaged discards the staged transaction once its plan goroutine has
+// returned. The caller holds nt.mu.
+func (nt *nodeTable) dropStaged() {
+	nt.staged.wait()
+	nt.staged = nil
 }
 
 // nodeFor returns the node table for a relation, or nil.
@@ -313,8 +356,8 @@ func (s *Server) applyHostedDelta(nt *nodeTable, d delta.Delta) (uint64, error) 
 			return 0, fmt.Errorf("server: delta rejected: seam %d-%d: %w", x, x+1, err)
 		}
 	}
-	nt.staged = nil // whatever a coordinator staged is stale after this commit
-	return s.commitSlices(nt, d.Relation, news)
+	nt.dropStaged() // whatever a coordinator staged is stale after this commit
+	return s.commitSlices(nt, d.Relation, news, nil)
 }
 
 // InstallShard hosts one shard slice received over a transfer stream.
@@ -644,7 +687,8 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 	s.shardStreams.Add(1)
 	s.subInflight.Add(1)
 	defer s.subInflight.Add(-1)
-	hello := wire.NodeHello{Shard: req.Shard, Epoch: epoch, Edges: partition.EdgesOf(sl), Left: head.Left, Digest: dg}
+	hello := wire.NodeHello{Shard: req.Shard, Epoch: epoch, Edges: partition.EdgesOf(sl), Left: head.Left, Digest: dg,
+		NeedPrevG: sp.NeedPrevG()}
 	if err := wire.WriteNodeFrame(w, &wire.NodeFrame{Hello: &hello}); err != nil {
 		return err
 	}
@@ -702,27 +746,92 @@ func writeNodeErr(w io.Writer, flush func(), err error) {
 // PrepareNodeDelta stages an update batch against this node's hosted
 // shards (stageDelta). Nothing publishes; the staged slices wait for
 // mirror fixes and a commit. A previous staged transaction (crashed
-// coordinator) is discarded.
-func (s *Server) PrepareNodeDelta(d delta.Delta) (wire.NodeDeltaResponse, error) {
+// coordinator) is discarded. The reply carries the edges of every staged
+// slice and of every neighbour shard the request names, as this staging
+// left them, all read under the one nt.mu hold: that is what spares the
+// coordinator a probe of this node's neighbour replicas. On a durable
+// node the commit plan starts building as the reply leaves (stagedTx).
+func (s *Server) PrepareNodeDelta(req wire.NodeDeltaRequest) (wire.NodeDeltaResponse, error) {
+	d := req.Delta
 	nt := s.coordTable(d.Relation)
 	if nt == nil {
 		return wire.NodeDeltaResponse{}, fmt.Errorf("%w 0 of %q", ErrNodeNotHosting, d.Relation)
 	}
 	nt.mu.Lock()
 	defer nt.mu.Unlock()
-	nt.staged = nil // discard any crashed coordinator's leftovers
+	nt.dropStaged() // discard any crashed coordinator's leftovers
+	for _, i := range req.Neighbours {
+		if nt.hosted[i] == nil {
+			return wire.NodeDeltaResponse{}, fmt.Errorf("%w %d of %q (neighbour edges)", ErrNodeNotHosting, i, d.Relation)
+		}
+	}
 
 	news, err := s.stageDelta(nt, d)
 	if err != nil {
 		return wire.NodeDeltaResponse{}, err
 	}
-	tx := &stagedTx{token: s.stagedTokens.Add(1), slices: news}
+	tx := newStagedTx(s.stagedTokens.Add(1), news)
 	nt.staged = tx
 	resp := wire.NodeDeltaResponse{Token: tx.token}
-	for _, i := range slices.Sorted(maps.Keys(news)) {
+	staged := slices.Sorted(maps.Keys(news))
+	for _, i := range staged {
 		resp.Modified = append(resp.Modified, wire.ModifiedShard{Shard: i, Edges: partition.EdgesOf(news[i])})
 	}
+	for _, i := range req.Neighbours {
+		sl := news[i]
+		if sl == nil {
+			sl = nt.hosted[i].sl
+		}
+		resp.Neighbours = append(resp.Neighbours, wire.ModifiedShard{Shard: i, Edges: partition.EdgesOf(sl)})
+	}
+	s.replan(nt, tx, staged...)
 	return resp, nil
+}
+
+// replan waits for tx's plan goroutine, then, on a durable node, starts
+// one that plans the listed staged shards against their published slices
+// (planShard). Its inputs are read here, under nt.mu, which the caller
+// holds; the staged slices it reads stay untouched until the next wait.
+func (s *Server) replan(nt *nodeTable, tx *stagedTx, shards ...int) {
+	tx.wait()
+	if s.nstore == nil {
+		return
+	}
+	type job struct {
+		shard       int
+		old, staged *core.SignedRelation
+		run         []byte
+	}
+	jobs := make([]job, 0, len(shards))
+	for _, i := range shards {
+		if hs := nt.hosted[i]; hs != nil {
+			jobs = append(jobs, job{i, hs.sl, tx.slices[i], hs.run})
+		}
+	}
+	done := make(chan struct{})
+	tx.planned = done
+	go func() {
+		defer close(done)
+		for _, j := range jobs {
+			tx.plans[j.shard] = s.planShard(j.shard, j.old, j.run, j.staged)
+		}
+	}()
+}
+
+// planShard is the one commit planner, the plan goroutine's and the
+// in-process /delta's: it resumes the staged slice's digest at the first
+// entry it changed from the published slice's running digests when its
+// publish kept them (the first commit after an install hashes the whole
+// slice), and builds the WAL record (store.PlanShard).
+func (s *Server) planShard(shard int, old *core.SignedRelation, run []byte, staged *core.SignedRelation) *commitPlan {
+	from := 0
+	if run != nil {
+		from = partition.FirstDiff(old, staged)
+	}
+	p := &commitPlan{old: old}
+	p.digest, p.run = partition.SliceDigestFrom(s.h, staged, run, from)
+	p.rec, p.err = store.PlanShard(store.CommitShard{Shard: shard, Old: old, New: staged, PostDigest: p.digest})
+	return p
 }
 
 // stageDelta is the one delta stager. It routes the batch to the owning
@@ -833,30 +942,34 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 // served state never disagrees with what a restart would recover. Then
 // each staged slice of a still-hosted shard swaps in as one epoch, in
 // shard order, and its delta counter moves with it. Only the WAL record
-// needs the post-commit digests, so only a durable commit hashes its
-// slices; otherwise viewHosted hashes one when it is first asked. A
-// durable commit resumes each digest at the first entry the staged slice
-// changed, from the published slice's running digests when its publish
-// kept them (the first commit after an install hashes the whole slice),
-// and keeps the staged slice's for the next commit. It returns the
-// highest epoch. The caller holds nt.mu, which every pin takes too, so no
-// reader sees the swaps half done.
-func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.SignedRelation) (uint64, error) {
+// needs the post-commit digests, so only a durable commit plans its
+// slices (planShard); otherwise viewHosted hashes one when it is first
+// asked. plans holds what the staged transaction's goroutine built; a
+// shard without one (the in-process /delta passes none), or whose
+// published or staged slice is no longer the one it was planned from (a
+// reinstall since prepare), is planned here, inline, by the same
+// function. The staged slice's running digests are kept for the next
+// commit. It returns the highest epoch. The caller holds nt.mu, which
+// every pin takes too, so no reader sees the swaps half done.
+func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.SignedRelation, plans map[int]*commitPlan) (uint64, error) {
 	shards := slices.DeleteFunc(slices.Sorted(maps.Keys(staged)), func(i int) bool { return nt.hosted[i] == nil })
 	digests := make(map[int]hashx.Digest, len(shards))
 	runs := make(map[int][]byte, len(shards))
 	if s.nstore != nil {
-		cs := make([]store.CommitShard, 0, len(shards))
+		planned := make([]store.PlannedShard, 0, len(shards))
 		for _, i := range shards {
 			hs := nt.hosted[i]
-			from := 0
-			if hs.run != nil {
-				from = partition.FirstDiff(hs.sl, staged[i])
+			p := plans[i]
+			if p == nil || p.old != hs.sl || p.rec.New != staged[i] {
+				p = s.planShard(i, hs.sl, hs.run, staged[i])
 			}
-			digests[i], runs[i] = partition.SliceDigestFrom(s.h, staged[i], hs.run, from)
-			cs = append(cs, store.CommitShard{Shard: i, Old: hs.sl, New: staged[i], PostDigest: digests[i]})
+			if p.err != nil {
+				return 0, fmt.Errorf("server: delta commit not durable: %w", p.err)
+			}
+			digests[i], runs[i] = p.digest, p.run
+			planned = append(planned, p.rec)
 		}
-		if err := s.nstore.LogCommit(rel, cs); err != nil {
+		if err := s.nstore.AppendCommit(rel, planned); err != nil {
 			return 0, fmt.Errorf("server: delta commit not durable: %w", err)
 		}
 	}
@@ -891,11 +1004,13 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 	case req.Token == 0:
 		// Opening a new transaction; leftovers from a crashed
 		// coordinator's unfinished delta must not ride along.
-		nt.staged = &stagedTx{token: s.stagedTokens.Add(1), slices: map[int]*core.SignedRelation{}}
+		nt.dropStaged()
+		nt.staged = newStagedTx(s.stagedTokens.Add(1), map[int]*core.SignedRelation{})
 	case nt.staged == nil || nt.staged.token != req.Token:
 		return wire.MirrorResponse{}, ErrStagedToken
 	}
 	tx := nt.staged
+	tx.wait() // the plan goroutine reads the staged slices this fix edits
 	sl := tx.slices[req.Shard]
 	if sl == nil {
 		sl = nt.hosted[req.Shard].sl.Clone()
@@ -907,6 +1022,9 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 	}
 	sl.Recs[pos] = req.Rec.Clone()
 	sl.RefreshAggIndex([]int{pos})
+	// The plan follows the edited slice, accepted or not; the deferred
+	// replan runs before nt.mu is released.
+	defer s.replan(nt, tx, req.Shard)
 	if err := delta.CheckEntryDigests(s.h, nt.hosted[req.Shard].sl, sl, pos); err != nil {
 		return wire.MirrorResponse{}, fmt.Errorf("server: mirror fix rejected: %w", err)
 	}
@@ -930,11 +1048,11 @@ func (s *Server) FinishNodeDelta(req wire.TxRequest) (uint64, error) {
 		return 0, ErrStagedToken
 	}
 	tx := nt.staged
-	nt.staged = nil
+	nt.dropStaged()
 	if !req.Commit {
 		return 0, nil
 	}
-	epoch, err := s.commitSlices(nt, req.Relation, tx.slices)
+	epoch, err := s.commitSlices(nt, req.Relation, tx.slices, tx.plans)
 	if err != nil {
 		return 0, err
 	}
@@ -955,9 +1073,7 @@ func (s *Server) nodeHandlers(mux *http.ServeMux) {
 	wire.HostedRPC.Mount(mux, func(struct{}) (wire.HostedResponse, error) {
 		return s.HostedInventory(), nil
 	}, &s.errors)
-	wire.NodeDeltaRPC.Mount(mux, func(req wire.NodeDeltaRequest) (wire.NodeDeltaResponse, error) {
-		return s.PrepareNodeDelta(req.Delta)
-	}, &s.errors)
+	wire.NodeDeltaRPC.Mount(mux, s.PrepareNodeDelta, &s.errors)
 	wire.NodeMirrorRPC.Mount(mux, s.StageMirror, &s.errors)
 	wire.NodeTxRPC.Mount(mux, func(req wire.TxRequest) (wire.OKResponse, error) {
 		epoch, err := s.FinishNodeDelta(req)

@@ -423,7 +423,7 @@ func TestDeltaPathsAgree(t *testing.T) {
 		}
 	}
 	viaNode := func(d delta.Delta) error {
-		resp, err := node.PrepareNodeDelta(d)
+		resp, err := node.PrepareNodeDelta(wire.NodeDeltaRequest{Delta: d})
 		if err != nil {
 			return err
 		}
@@ -622,7 +622,7 @@ func TestNodeRPCsRefuseLocalTables(t *testing.T) {
 		notHosting("edges", err)
 		_, err = client.ShardDigest(ref)
 		notHosting("digest", err)
-		_, err = client.NodeDeltaPrepare(d)
+		_, err = client.NodeDeltaPrepare(wire.NodeDeltaRequest{Delta: d})
 		notHosting("delta prepare", err)
 		_, err = client.NodeMirror(wire.MirrorRequest{Relation: "Uniform", Left: true, Rec: sl.Recs[0]})
 		notHosting("mirror", err)

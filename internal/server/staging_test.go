@@ -135,7 +135,7 @@ func TestStagingSharesNoWritableBytes(t *testing.T) {
 		if abort {
 			f.owner = keep // no publisher ever applies it
 		}
-		resp, err := node.PrepareNodeDelta(d)
+		resp, err := node.PrepareNodeDelta(wire.NodeDeltaRequest{Delta: d})
 		if err != nil {
 			t.Fatalf("step %d: prepare: %v", step, err)
 		}

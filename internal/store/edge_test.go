@@ -72,7 +72,7 @@ func TestEdgeDeleteLogsOps(t *testing.T) {
 			if _, err := owner.Delete(h, key, tc.victim.Key(), tc.victim.Tuple.RowID); err != nil {
 				t.Fatal(err)
 			}
-			prep, err := s.PrepareNodeDelta(delta.Diff(master, owner))
+			prep, err := s.PrepareNodeDelta(wire.NodeDeltaRequest{Delta: delta.Diff(master, owner)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -463,37 +463,49 @@ type CommitShard struct {
 	PostDigest hashx.Digest
 }
 
-// LogCommit durably records a committed distributed delta as per-shard
-// identity-keyed ops. Call before publishing; an error means the
-// commit must be refused. Each shard's ops (delta.Diff: one walk of the
-// two slices) are proven to reproduce the staged slice on a clone before
-// they are trusted to the log: the probe is compared with New entry by
-// entry over every field PostDigest hashes (partition.SameSlice), so the
-// slice is not hashed a second time. A shard whose diff does not
-// round-trip (an Old out of identity order, say) is logged as a full
-// slice instead. Replay checks PostDigest either way.
-func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
-	recs := make([]commitShardRecord, 0, len(shards))
-	for _, cs := range shards {
-		rec := commitShardRecord{Shard: cs.Shard, PostDigest: cs.PostDigest}
-		ok := false
-		if cs.Old != nil {
-			d := delta.Diff(cs.Old, cs.New)
-			probe := cs.Old.Clone()
-			probe.SetAggIndex(nil) // only the probe's entries are compared
-			if _, err := delta.ApplyOps(probe, d); err == nil && partition.SameSlice(probe, cs.New) {
-				rec.Ops = d.Ops
-				ok = true
-			}
+// PlannedShard is one shard's commit record as PlanShard built it, ready
+// for AppendCommit: the staged slice the record transforms the old one
+// into, and the record itself (ops or the full slice, and PostDigest).
+type PlannedShard struct {
+	New *core.SignedRelation
+	rec commitShardRecord
+}
+
+// PlanShard builds one shard's commit record, touching no store state:
+// the plan half of LogCommit, which a caller may run ahead of the append
+// and off its own locks. The identity-keyed ops (delta.Diff: one walk of
+// the two slices) are proven to reproduce the staged slice before they
+// are trusted to the log (delta.Reproduces: applied to a copy of the
+// window of Old they reach, and the result compared with New entry by
+// entry over every field PostDigest hashes), so the slice is neither
+// copied nor hashed a second time. A shard whose diff does not
+// round-trip (an Old out of identity order, say), or that has no Old, is
+// planned as a full slice instead. Replay checks PostDigest either way.
+// Old and New must not change until the plan is appended or dropped.
+func PlanShard(cs CommitShard) (PlannedShard, error) {
+	rec := commitShardRecord{Shard: cs.Shard, PostDigest: cs.PostDigest}
+	if cs.Old != nil {
+		if d := delta.Diff(cs.Old, cs.New); delta.Reproduces(cs.Old, d, cs.New) {
+			rec.Ops = d.Ops
+			return PlannedShard{New: cs.New, rec: rec}, nil
 		}
-		if !ok {
-			snap, err := encodeSlice(cs.New)
-			if err != nil {
-				return err
-			}
-			rec.FullSnap = snap
-		}
-		recs = append(recs, rec)
+	}
+	snap, err := encodeSlice(cs.New)
+	if err != nil {
+		return PlannedShard{}, err
+	}
+	rec.FullSnap = snap
+	return PlannedShard{New: cs.New, rec: rec}, nil
+}
+
+// AppendCommit durably records a committed distributed delta from its
+// per-shard plans (PlanShard), in one WAL record: the append half of
+// LogCommit. Call before publishing; an error means the commit must be
+// refused.
+func (ns *NodeStore) AppendCommit(rel string, shards []PlannedShard) error {
+	recs := make([]commitShardRecord, len(shards))
+	for i := range shards {
+		recs[i] = shards[i].rec
 	}
 	return ns.append(func(seq uint64) *nodeRecord {
 		return &nodeRecord{Seq: seq, Commit: &commitRecord{Relation: rel, Shards: recs}}
@@ -502,13 +514,28 @@ func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
 		if rm == nil {
 			return
 		}
-		for _, cs := range shards {
-			if rm.slices[cs.Shard] != nil {
-				rm.slices[cs.Shard] = cs.New
-				rm.deltas[cs.Shard]++
+		for _, ps := range shards {
+			if rm.slices[ps.rec.Shard] != nil {
+				rm.slices[ps.rec.Shard] = ps.New
+				rm.deltas[ps.rec.Shard]++
 			}
 		}
 	})
+}
+
+// LogCommit durably records a committed distributed delta as per-shard
+// identity-keyed ops: PlanShard for every shard, then one AppendCommit.
+// Call before publishing; an error means the commit must be refused.
+func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
+	planned := make([]PlannedShard, 0, len(shards))
+	for _, cs := range shards {
+		ps, err := PlanShard(cs)
+		if err != nil {
+			return err
+		}
+		planned = append(planned, ps)
+	}
+	return ns.AppendCommit(rel, planned)
 }
 
 // Snapshot forces a compacting snapshot now.

@@ -76,9 +76,17 @@ var (
 	deltaBody = body(tagDelta, appendDelta, (*decoder).batch)
 
 	nodeDeltaRequestBody = body(tagNodeDeltaRequest, func(b []byte, r *NodeDeltaRequest) []byte {
-		return appendDelta(b, &r.Delta)
+		b = binary.AppendUvarint(appendDelta(b, &r.Delta), uint64(len(r.Neighbours)))
+		for _, i := range r.Neighbours {
+			b = appendInt(b, i)
+		}
+		return b
 	}, func(d *decoder, r *NodeDeltaRequest) {
 		d.batch(&r.Delta)
+		r.Neighbours = alloc[int](d, 1)
+		for i := range r.Neighbours {
+			r.Neighbours[i] = d.int()
+		}
 	})
 
 	mirrorRequestBody = body(tagMirrorRequest, func(b []byte, r *MirrorRequest) []byte {
@@ -193,18 +201,11 @@ var (
 	})
 
 	nodeDeltaResponseBody = body(tagNodeDeltaResponse, func(b []byte, r *NodeDeltaResponse) []byte {
-		b = binary.AppendUvarint(binary.AppendUvarint(b, r.Token), uint64(len(r.Modified)))
-		for i := range r.Modified {
-			b = appendEdges(appendInt(b, r.Modified[i].Shard), &r.Modified[i].Edges)
-		}
-		return appendBytes(b, r.Err)
+		b = appendShardEdges(binary.AppendUvarint(b, r.Token), r.Modified)
+		return appendBytes(appendShardEdges(b, r.Neighbours), r.Err)
 	}, func(d *decoder, r *NodeDeltaResponse) {
 		r.Token = d.uvarint()
-		r.Modified = alloc[ModifiedShard](d, 1+6*minRecord)
-		for i := range r.Modified {
-			r.Modified[i].Shard = d.int()
-			d.edges(&r.Modified[i].Edges)
-		}
+		r.Modified, r.Neighbours = d.shardEdges(), d.shardEdges()
 		r.Err = d.str()
 	})
 
@@ -239,6 +240,24 @@ func (d *decoder) spec(s *partition.Spec) {
 		s.Cuts[i] = d.uvarint()
 	}
 	s.Version = d.uvarint()
+}
+
+// appendShardEdges writes a counted run of per-shard seam material.
+func appendShardEdges(b []byte, l []ModifiedShard) []byte {
+	b = binary.AppendUvarint(b, uint64(len(l)))
+	for i := range l {
+		b = appendEdges(appendInt(b, l[i].Shard), &l[i].Edges)
+	}
+	return b
+}
+
+func (d *decoder) shardEdges() []ModifiedShard {
+	l := alloc[ModifiedShard](d, 1+6*minRecord)
+	for i := range l {
+		l[i].Shard = d.int()
+		d.edges(&l[i].Edges)
+	}
+	return l
 }
 
 // --- shard-transfer frames --------------------------------------------

@@ -92,6 +92,13 @@ type NodeHello struct {
 	// user's verifier is what catches a node lying here. May be empty,
 	// which simply disables digest-pinned failover for that sub-stream.
 	Digest hashx.Digest
+	// NeedPrevG announces, before any entry, what the foot's NeedPrevG
+	// will say (engine.ShardPartial.NeedPrevG): the sub-range is empty on
+	// this slice and its predecessor is the slice's left context, so a
+	// globally empty range needs the preceding shard's edge material. The
+	// coordinator probes that shard only when the first feed's hello sets
+	// it; a foot that needs it unannounced is refused by name.
+	NeedPrevG bool
 }
 
 // NodeFoot is the last frame of a shard sub-stream: the shard's entry
@@ -488,8 +495,12 @@ func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) { return fresh(r, le
 // shards it hosts: apply, stitch co-hosted mirrors, validate everything
 // checkable locally — but publish nothing. The coordinator follows with
 // cross-node mirror fixes and seam checks, then commits or aborts.
+// Neighbours names hosted shards next to the delta's ops shards whose
+// edge material the reply must carry, so the coordinator need not probe
+// them.
 type NodeDeltaRequest struct {
-	Delta delta.Delta
+	Delta      delta.Delta
+	Neighbours []int
 }
 
 // ModifiedShard reports one staged slice's post-delta seam material.
@@ -499,10 +510,15 @@ type ModifiedShard struct {
 }
 
 // NodeDeltaResponse returns the staging token and the staged edges.
+// Neighbours answers the request's list in its order: each shard's edges
+// as the prepare left them, read under the same lock as the staging —
+// staged if the node stitched the shard (it is then in Modified too),
+// published otherwise.
 type NodeDeltaResponse struct {
-	Token    uint64
-	Modified []ModifiedShard
-	Err      string
+	Token      uint64
+	Modified   []ModifiedShard
+	Neighbours []ModifiedShard
+	Err        string
 }
 
 // MirrorRequest refreshes one staged slice's context record with the
@@ -580,8 +596,8 @@ func (c *Client) ShardFetch(ref ShardRef) (io.ReadCloser, error) { return ShardF
 func (c *Client) ShardInstall(r io.Reader) (OKResponse, error) { return ShardInstallRPC.Call(c, r) }
 
 // NodeDeltaPrepare stages an update batch on a node.
-func (c *Client) NodeDeltaPrepare(d delta.Delta) (NodeDeltaResponse, error) {
-	return NodeDeltaRPC.Call(c, NodeDeltaRequest{Delta: d})
+func (c *Client) NodeDeltaPrepare(req NodeDeltaRequest) (NodeDeltaResponse, error) {
+	return NodeDeltaRPC.Call(c, req)
 }
 
 // NodeMirror applies one cross-node mirror fix to a staged delta.

@@ -242,6 +242,35 @@ func FuzzReadDeltaRequest(f *testing.F) {
 	})
 }
 
+// FuzzReadNodeDeltaResponse fuzzes the prepare reply decoder — the
+// staged and neighbour edge material a coordinator folds into its
+// agreement and seam checks, read from an untrusted node. It must never
+// panic, and an accepted reply must re-encode to one that decodes to the
+// same reply. Seeded with replies carrying the codec fixture's real edges
+// in both lists, an empty reply and a refusal.
+func FuzzReadNodeDeltaResponse(f *testing.F) {
+	fx := newCodecFixture(f)
+	edges := func(i int) partition.Edges { return partition.EdgesOf(fx.set.Slices[i]) }
+	for _, resp := range []*wire.NodeDeltaResponse{
+		{Token: 9, Modified: []wire.ModifiedShard{{Shard: 1, Edges: edges(1)}},
+			Neighbours: []wire.ModifiedShard{{Shard: 0, Edges: edges(0)}, {Shard: 2, Edges: edges(2)}}},
+		{Token: 1},
+		{Err: wire.NotHostingMsg + " 2"},
+	} {
+		var seed bytes.Buffer
+		if err := wire.NodeDeltaResponseBody.Write(&seed, resp); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.Bytes())
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 0x4a})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		holdsRoundTrip(t, data, wire.NodeDeltaResponseBody.Write, wire.NodeDeltaResponseBody.Read)
+	})
+}
+
 // FuzzReadNodeFrame fuzzes the sub-stream frame decoder — the bytes the
 // coordinator's merge path, the cache replay and the fault injector's
 // frame parser all consume from untrusted peers. It must never panic,
@@ -251,6 +280,9 @@ func FuzzReadDeltaRequest(f *testing.F) {
 func FuzzReadNodeFrame(f *testing.F) {
 	var seed bytes.Buffer
 	if err := wire.WriteNodeFrame(&seed, &wire.NodeFrame{Hello: &wire.NodeHello{Shard: 1, Epoch: 2}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := wire.WriteNodeFrame(&seed, &wire.NodeFrame{Hello: &wire.NodeHello{Shard: 3, Epoch: 4, NeedPrevG: true}}); err != nil {
 		f.Fatal(err)
 	}
 	if err := wire.WriteNodeFrame(&seed, &wire.NodeFrame{Err: "boom"}); err != nil {

@@ -434,7 +434,8 @@ func appendNodeFrame(b []byte, f *NodeFrame) ([]byte, error) {
 	case f.Hello != nil:
 		h := f.Hello
 		b = binary.AppendUvarint(appendInt(append(b, tagNodeHello), h.Shard), h.Epoch)
-		return appendBytes(appendOptBoundary(appendEdges(b, &h.Edges), h.Left), h.Digest), nil
+		b = appendBytes(appendOptBoundary(appendEdges(b, &h.Edges), h.Left), h.Digest)
+		return appendBool(b, h.NeedPrevG), nil
 	case f.Chunk != nil:
 		return appendChunk(append(b, tagNodeChunk), f.Chunk)
 	case f.Foot != nil:
@@ -452,7 +453,7 @@ func (d *decoder) nodeFrame(f *NodeFrame) {
 	case tagNodeHello:
 		h := &NodeHello{Shard: d.int(), Epoch: d.uvarint()}
 		d.edges(&h.Edges)
-		h.Left, h.Digest = d.optBoundary(), d.bytes()
+		h.Left, h.Digest, h.NeedPrevG = d.optBoundary(), d.bytes(), d.bool()
 		f.Hello = h
 	case tagNodeChunk:
 		f.Chunk = d.newChunk()

@@ -210,7 +210,7 @@ func (f *codecFixture) realNodeFrames(t testing.TB) []*wire.NodeFrame {
 			}
 			sl := f.set.Slices[head.Shard]
 			out = append(out, &wire.NodeFrame{Hello: &wire.NodeHello{Shard: head.Shard, Epoch: 7,
-				Edges: partition.EdgesOf(sl), Left: head.Left, Digest: partition.SliceDigest(f.h, sl)}})
+				Edges: partition.EdgesOf(sl), Left: head.Left, Digest: partition.SliceDigest(f.h, sl), NeedPrevG: sp.NeedPrevG()}})
 			for _, c := range drain(t, sp) {
 				out = append(out, &wire.NodeFrame{Chunk: c})
 			}
@@ -362,6 +362,8 @@ func TestCodecMatchesGob(t *testing.T) {
 	d := f.delta()
 	checkFrame(t, "delta", &d, wire.DeltaBody.Write, wire.DeltaBody.Read)
 	checkFrame(t, "node delta request", &wire.NodeDeltaRequest{Delta: d}, wire.NodeDeltaRequestBody.Write, wire.NodeDeltaRequestBody.Read)
+	checkFrame(t, "node delta request with neighbours", &wire.NodeDeltaRequest{Delta: d, Neighbours: []int{0, 2, 300}},
+		wire.NodeDeltaRequestBody.Write, wire.NodeDeltaRequestBody.Read)
 	checkFrame(t, "mirror request", &wire.MirrorRequest{Token: 9, Relation: "Emp", Shard: 1, Left: true, Rec: f.sr.Recs[7]},
 		wire.MirrorRequestBody.Write, wire.MirrorRequestBody.Read)
 	checkFrame(t, "tx request", &wire.TxRequest{Relation: "Emp", Token: 9, Commit: true}, wire.TxRequestBody.Write, wire.TxRequestBody.Read)
@@ -386,6 +388,12 @@ func TestCodecMatchesGob(t *testing.T) {
 	checkFrame(t, "node delta response", &wire.NodeDeltaResponse{Token: 9, Modified: []wire.ModifiedShard{
 		{Shard: 0, Edges: edges(0)}, {Shard: 1, Edges: edges(1)}}},
 		wire.NodeDeltaResponseBody.Write, wire.NodeDeltaResponseBody.Read)
+	checkFrame(t, "node delta response with neighbours", &wire.NodeDeltaResponse{Token: 9,
+		Modified:   []wire.ModifiedShard{{Shard: 1, Edges: edges(1)}},
+		Neighbours: []wire.ModifiedShard{{Shard: 0, Edges: edges(0)}, {Shard: 2, Edges: edges(2)}}},
+		wire.NodeDeltaResponseBody.Write, wire.NodeDeltaResponseBody.Read)
+	checkFrame(t, "node hello announcing an empty-range predecessor", &wire.NodeFrame{Hello: &wire.NodeHello{Shard: 2, Epoch: 7,
+		Edges: edges(2), Digest: dg(2), NeedPrevG: true}}, wire.WriteNodeFrame, wire.ReadNodeFrame)
 	checkFrame(t, "mirror response", &wire.MirrorResponse{Token: 9, Edges: edges(2)}, wire.MirrorResponseBody.Write, wire.MirrorResponseBody.Read)
 	checkFrame(t, "lease response", &wire.LeaseResponse{Epoch: 7, Hosted: 2, Inflight: 5, Err: "late"},
 		wire.WriteLeaseResponse, wire.ReadLeaseResponse)
