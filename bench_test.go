@@ -312,37 +312,17 @@ func BenchmarkGBaseB(b *testing.B) {
 	}
 }
 
-// --- Section 5.2 / signature aggregation ablation -------------------------
+// --- Section 5.2 / signature aggregation ----------------------------------
 
 // BenchmarkVerifyAggregated verifies a 100-entry result with one
 // condensed signature.
 func BenchmarkVerifyAggregated(b *testing.B) {
 	f := sharedFixture(b)
-	f.pub.Aggregate = true
 	query := queryTopQ(b, f, 100)
 	res, err := f.pub.Execute("all", query)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.v.VerifyResult(query, f.role, res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkVerifyIndividual verifies the same result with one signature
-// per entry (the pre-optimization mode).
-func BenchmarkVerifyIndividual(b *testing.B) {
-	f := sharedFixture(b)
-	f.pub.Aggregate = false
-	query := queryTopQ(b, f, 100)
-	res, err := f.pub.Execute("all", query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f.pub.Aggregate = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := f.v.VerifyResult(query, f.role, res); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/big"
 	"slices"
@@ -10,8 +11,8 @@ import (
 	"vcqr/internal/sig"
 )
 
-// AggIndex is the per-epoch crypto index of a signed relation — the
-// aggregation fast path. It holds two persistent product trees
+// AggIndex is the per-epoch crypto index of a signed relation — the one
+// source of the condensed signatures the publisher ships. It holds two persistent product trees
 // (sig.ProductTree) with one leaf per entry of sr.Recs:
 //
 //   - the σ tree: leaf i is the decoded signature value of entry i, so
@@ -29,7 +30,8 @@ import (
 //
 // Both trees are persistent: every mutation returns a new index sharing
 // all untouched nodes, so an index is a copy-on-write snapshot member.
-// The serving layer builds it once at publish time; a delta cutover
+// The serving layer builds it once at publish time (a slice it cannot
+// index is refused, see ErrAggIndex); a delta cutover
 // derives the successor epoch's index with O(ops · log n) work
 // (insertAt/deleteAt for structural changes, refreshed for re-signed
 // neighbourhoods) while readers keep using the old epoch's index.
@@ -61,7 +63,7 @@ func BuildAggIndex(h *hashx.Hasher, pub *sig.PublicKey, sr *SignedRelation) (*Ag
 	}
 	sigT, err := pub.NewSigTree(sigs)
 	if err != nil {
-		return nil, fmt.Errorf("core: agg index: %w", err)
+		return nil, fmt.Errorf("%w: build: %w", ErrAggIndex, err)
 	}
 	return &AggIndex{
 		h:    h,
@@ -126,7 +128,7 @@ func (ix *AggIndex) VerifyEntry(h *hashx.Hasher, sr *SignedRelation, i int) bool
 func (ix *AggIndex) insertAt(i int, rec *SignedRecord) (*AggIndex, error) {
 	v, err := ix.pub.SigValue(sig.Signature(rec.Sig))
 	if err != nil {
-		return nil, fmt.Errorf("core: agg index insert at %d: %w", i, err)
+		return nil, fmt.Errorf("%w: insert at %d: %w", ErrAggIndex, i, err)
 	}
 	return &AggIndex{
 		h:    ix.h,
@@ -168,7 +170,7 @@ func (ix *AggIndex) refreshed(sr *SignedRelation, touched []int) (*AggIndex, err
 	for k, i := range pos {
 		v, err := ix.pub.SigValue(sig.Signature(sr.Recs[i].Sig))
 		if err != nil {
-			return nil, fmt.Errorf("core: agg index refresh at %d: %w", i, err)
+			return nil, fmt.Errorf("%w: refresh at %d: %w", ErrAggIndex, i, err)
 		}
 		d := sr.sigDigest(ix.h, i)
 		sigVals[k], fdhVals[k], tags[k] = v, ix.pub.FDH(d), d
@@ -183,13 +185,46 @@ func (ix *AggIndex) refreshed(sr *SignedRelation, touched []int) (*AggIndex, err
 
 // --- SignedRelation attachment ---------------------------------------
 
+// ErrAggIndex reports a relation whose crypto index cannot serve it: none
+// attached, a leaf count other than len(Recs), an index built for
+// another key, or signature bytes the σ tree cannot hold. Condensed
+// signatures are assembled from the index alone, so a published slice
+// always carries a current one, and this error is a refusal — of the
+// ingest, publication, delta or query that met it — never a slower path.
+var ErrAggIndex = errors.New("core: crypto index")
+
 // AggIndex returns the relation's crypto index, or nil when none is
-// attached (the naive O(|Q|) aggregation path then applies).
+// attached (an owner-side relation not yet published).
 func (sr *SignedRelation) AggIndex() *AggIndex { return sr.aggIdx }
 
-// BuildAggIndex builds and attaches the crypto index — the publish-time
-// step of the aggregation fast path. Any error (malformed signature
-// material) leaves the relation unindexed on the correct-but-slow path.
+// AggIndexFor returns the relation's crypto index when it is current for
+// pub: attached, one leaf per entry, built against pub's modulus and
+// exponent. Anything else is ErrAggIndex.
+func (sr *SignedRelation) AggIndexFor(pub *sig.PublicKey) (*AggIndex, error) {
+	ix := sr.aggIdx
+	switch {
+	case ix.current(sr, pub):
+		return ix, nil
+	case ix == nil:
+		return nil, fmt.Errorf("%w: none attached", ErrAggIndex)
+	case ix.Len() != len(sr.Recs):
+		return nil, fmt.Errorf("%w: %d leaves for %d entries", ErrAggIndex, ix.Len(), len(sr.Recs))
+	}
+	return nil, fmt.Errorf("%w: built for another key", ErrAggIndex)
+}
+
+// current reports whether ix serves sr under pub: attached, one leaf per
+// entry, built against pub's modulus and exponent.
+func (ix *AggIndex) current(sr *SignedRelation, pub *sig.PublicKey) bool {
+	return ix != nil && ix.Len() == len(sr.Recs) &&
+		(ix.pub == pub || ix.pub.E == pub.E && ix.pub.N.Cmp(pub.N) == 0)
+}
+
+// BuildAggIndex builds and attaches the crypto index, whatever the
+// relation carried (EnsureAggIndex is the publication step, which keeps
+// a current one). Malformed signature material fails the build with
+// ErrAggIndex and leaves the relation unindexed, so the publication is
+// refused.
 func (sr *SignedRelation) BuildAggIndex(h *hashx.Hasher, pub *sig.PublicKey) error {
 	ix, err := BuildAggIndex(h, pub, sr)
 	if err != nil {
@@ -200,56 +235,67 @@ func (sr *SignedRelation) BuildAggIndex(h *hashx.Hasher, pub *sig.PublicKey) err
 	return nil
 }
 
+// EnsureAggIndex builds and attaches a crypto index unless the relation
+// already carries one current for pub — the one indexing step of every
+// publication (engine.Publisher.AddRelation, the server's ingest, install
+// and recovery). A relation that cannot be indexed is ErrAggIndex.
+func (sr *SignedRelation) EnsureAggIndex(h *hashx.Hasher, pub *sig.PublicKey) error {
+	if sr.aggIdx.current(sr, pub) {
+		return nil
+	}
+	return sr.BuildAggIndex(h, pub)
+}
+
 // RefreshAggIndex recomputes the index leaves of the touched entries and
 // their neighbours after in-place record changes (delta application,
-// shard mirror stitching). A refresh failure detaches the index — the
-// relation falls back to naive aggregation rather than ever serving a
-// product derived from stale leaves. No-op when no index is attached.
-func (sr *SignedRelation) RefreshAggIndex(touched []int) {
+// shard mirror stitching). An index out of step with the records, or a
+// touched signature it cannot decode, is ErrAggIndex: the caller refuses
+// the edit rather than ever serving a product derived from stale leaves.
+// No-op when no index is attached.
+func (sr *SignedRelation) RefreshAggIndex(touched []int) error {
 	if sr.aggIdx == nil {
-		return
+		return nil
 	}
 	if sr.aggIdx.Len() != len(sr.Recs) {
-		sr.aggIdx = nil
-		return
+		return fmt.Errorf("%w: refresh over %d leaves for %d entries", ErrAggIndex, sr.aggIdx.Len(), len(sr.Recs))
 	}
 	ix, err := sr.aggIdx.refreshed(sr, touched)
 	if err != nil {
-		sr.aggIdx = nil
-		return
+		return err
 	}
 	sr.aggIdx = ix
+	return nil
 }
 
 // AggIndexInsertAt mirrors a record insertion at position pos into the
 // attached index (placeholder FDH leaf; callers must RefreshAggIndex the
-// touched neighbourhood afterwards). No-op when no index is attached; on
-// any inconsistency the index is detached.
-func (sr *SignedRelation) AggIndexInsertAt(pos int) {
+// touched neighbourhood afterwards). No-op when no index is attached; an
+// index out of step with the insertion is ErrAggIndex.
+func (sr *SignedRelation) AggIndexInsertAt(pos int) error {
 	if sr.aggIdx == nil {
-		return
+		return nil
 	}
 	if pos < 0 || pos >= len(sr.Recs) || sr.aggIdx.Len() != len(sr.Recs)-1 {
-		sr.aggIdx = nil
-		return
+		return fmt.Errorf("%w: insert at %d over %d leaves for %d entries", ErrAggIndex, pos, sr.aggIdx.Len(), len(sr.Recs))
 	}
 	ix, err := sr.aggIdx.insertAt(pos, &sr.Recs[pos])
 	if err != nil {
-		sr.aggIdx = nil
-		return
+		return err
 	}
 	sr.aggIdx = ix
+	return nil
 }
 
 // AggIndexDeleteAt mirrors a record deletion at position pos into the
-// attached index. No-op when no index is attached.
-func (sr *SignedRelation) AggIndexDeleteAt(pos int) {
+// attached index. No-op when no index is attached; an index out of step
+// with the deletion is ErrAggIndex.
+func (sr *SignedRelation) AggIndexDeleteAt(pos int) error {
 	if sr.aggIdx == nil {
-		return
+		return nil
 	}
 	if pos < 0 || pos >= sr.aggIdx.Len() || sr.aggIdx.Len() != len(sr.Recs)+1 {
-		sr.aggIdx = nil
-		return
+		return fmt.Errorf("%w: delete at %d over %d leaves for %d entries", ErrAggIndex, pos, sr.aggIdx.Len(), len(sr.Recs))
 	}
 	sr.aggIdx = sr.aggIdx.deleteAt(pos)
+	return nil
 }

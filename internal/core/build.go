@@ -25,12 +25,14 @@ type SignedRelation struct {
 	// delimiter (key U), and Recs[1..n] the data records in key order.
 	Recs []SignedRecord
 
-	// aggIdx is the optional per-epoch crypto index (see aggindex.go):
-	// product trees over the entry signatures and their FDH values that
-	// turn contiguous-range aggregation into an O(log n) operation.
-	// Unexported so it never travels in gob snapshots — publishers
-	// rebuild it at publish time. Owner-side mutators that edit Recs
-	// without index bookkeeping detach it (correct-but-slow fallback).
+	// aggIdx is the per-epoch crypto index (see aggindex.go): product
+	// trees over the entry signatures and their FDH values that turn
+	// contiguous-range aggregation into an O(log n) operation, and the
+	// only source of a served condensed signature. Unexported so it never
+	// travels in gob snapshots — every publication builds it, and a slice
+	// without a current one is refused (ErrAggIndex). Owner-side mutators
+	// that edit Recs without index bookkeeping (Insert, Delete,
+	// UpdateAttrs) drop it; the relation is indexed when it is published.
 	aggIdx *AggIndex
 }
 
@@ -327,7 +329,8 @@ func (sr *SignedRelation) CheckEntries(h *hashx.Hasher, pub *sig.PublicKey, sigg
 // The crypto index is carried over by reference — it is persistent
 // (immutable nodes), so the clone and the original can diverge via
 // index updates without affecting each other; callers that mutate Recs
-// directly must RefreshAggIndex (or detach) before serving aggregates.
+// directly must RefreshAggIndex, and refuse the edit on its error, before
+// serving aggregates.
 func (sr *SignedRelation) Clone() *SignedRelation {
 	return &SignedRelation{Params: sr.Params, Schema: sr.Schema, aggIdx: sr.aggIdx, Recs: slices.Clone(sr.Recs)}
 }
@@ -343,7 +346,7 @@ func (sr *SignedRelation) VerifyEntrySig(h *hashx.Hasher, pub *sig.PublicKey, i 
 	if i < 0 || i >= len(sr.Recs) {
 		return false
 	}
-	if ix := sr.aggIdx; ix != nil && ix.pub == pub && ix.Len() == len(sr.Recs) {
+	if ix := sr.aggIdx; ix.current(sr, pub) {
 		return ix.VerifyEntry(h, sr, i)
 	}
 	return pub.Verify(sr.sigDigest(h, i), sr.Recs[i].Sig)

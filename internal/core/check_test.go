@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vcqr/internal/hashx"
 	"vcqr/internal/workload"
@@ -33,23 +32,32 @@ func flip(d hashx.Digest) hashx.Digest {
 // parallelRange returns the lowest failing index's error, as a serial
 // scan would, even when a higher index fails first; every index below it
 // ran, and the indices above the first failure stopped being handed out.
+// The order is set by events, not timing: in the pool, lowBad fails only
+// once highBad has, and every index above highBad fails only once lowBad
+// has — so a worker records a failure before it asks for another index,
+// and none gets near the end.
 func TestParallelRangeLowestFailure(t *testing.T) {
 	const n, lowBad, highBad = 1000, 300, 700
 	atProcs(t, func(t *testing.T) {
+		pooled := runtime.GOMAXPROCS(0) > 1 // run inline, lowBad ends the scan
 		var ran [n]atomic.Bool
+		highFailed, lowFailed := make(chan struct{}), make(chan struct{})
 		err := parallelRange(n, func(i int) error {
 			ran[i].Store(true)
-			switch i {
-			case lowBad:
-				time.Sleep(20 * time.Millisecond) // let highBad fail first
-				return fmt.Errorf("bad %d", i)
-			case highBad:
-				return fmt.Errorf("bad %d", i)
+			switch {
+			case i == lowBad:
+				if pooled {
+					<-highFailed
+				}
+				close(lowFailed)
+			case i == highBad:
+				close(highFailed)
+			case i > highBad:
+				<-lowFailed
+			default:
+				return nil
 			}
-			if i > highBad {
-				time.Sleep(time.Millisecond) // ample time to record highBad
-			}
-			return nil
+			return fmt.Errorf("bad %d", i)
 		})
 		if err == nil || err.Error() != fmt.Sprintf("bad %d", lowBad) {
 			t.Fatalf("got %v, want the error of index %d", err, lowBad)

@@ -250,10 +250,12 @@ func upsert(rec *core.SignedRecord) Op {
 // When sr carries a crypto index (core.AggIndex), it is maintained in
 // lock-step: record inserts and deletes become O(log n) tree updates at
 // the same positions, and the touched entries' leaves are recomputed at
-// the end — the delta-cutover half of the aggregation fast path, costing
+// the end — the delta-cutover half of the crypto index, costing
 // O(ops · log n) instead of an O(n) index rebuild. Because the index is
 // persistent, the pre-delta epoch's index (shared via Clone) is never
-// disturbed.
+// disturbed. Bookkeeping that finds the index out of step with the
+// records, or an op signature the index cannot hold, refuses the delta
+// with core.ErrAggIndex.
 func ApplyOps(sr *core.SignedRelation, d Delta) ([]int, error) {
 	return applyOps(sr, d, find)
 }
@@ -279,7 +281,9 @@ func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 				return nil, fmt.Errorf("%w: delete of missing record (%d, %d)", ErrBadOp, op.Key, op.RowID)
 			}
 			scratch.Recs = append(scratch.Recs[:pos], scratch.Recs[pos+1:]...)
-			scratch.AggIndexDeleteAt(pos)
+			if err := scratch.AggIndexDeleteAt(pos); err != nil {
+				return nil, err
+			}
 			// Renumber: everything at/after pos shifted.
 			shifted := map[int]bool{}
 			for i := range touched {
@@ -310,7 +314,9 @@ func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 			scratch.Recs = append(scratch.Recs, core.SignedRecord{})
 			copy(scratch.Recs[pos+1:], scratch.Recs[pos:])
 			scratch.Recs[pos] = op.Rec.Clone()
-			scratch.AggIndexInsertAt(pos)
+			if err := scratch.AggIndexInsertAt(pos); err != nil {
+				return nil, err
+			}
 			shifted := map[int]bool{}
 			for i := range touched {
 				if i >= pos {
@@ -335,7 +341,9 @@ func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 	// Re-signed entries changed their σ leaves, and their neighbours'
 	// signed digests changed with them: refresh exactly the touched
 	// neighbourhood's index leaves.
-	scratch.RefreshAggIndex(out)
+	if err := scratch.RefreshAggIndex(out); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -272,3 +272,54 @@ func TestApplySliceEdgeValidation(t *testing.T) {
 		t.Fatalf("forged op on slice: got %v, want ErrValidation", err)
 	}
 }
+
+// TestApplyOpsRefusesIndexBookkeeping: ApplyOps on an indexed relation
+// refuses, with core.ErrAggIndex, a delta its crypto index cannot follow
+// — an inserted record whose signature is no value below N, and an index
+// already out of step with the records — and leaves the index attached
+// rather than dropping it for a slower path.
+func TestApplyOpsRefusesIndexBookkeeping(t *testing.T) {
+	h, owner := build(t, 20)
+	pub := signKey(t).Public()
+	published := owner.Clone()
+	if err := published.BuildAggIndex(h, pub); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := owner.Insert(h, signKey(t), relation.Tuple{Key: 777, Attrs: someAttrs(owner)}); err != nil {
+		t.Fatal(err)
+	}
+	d := delta.Diff(published, owner)
+	forged := false
+	for i := range d.Ops {
+		if op := &d.Ops[i]; op.Kind == delta.OpUpsert && op.Key == 777 {
+			op.Rec.Sig = pub.N.FillBytes(make([]byte, pub.SigBytes()))
+			forged = true
+		}
+	}
+	if !forged {
+		t.Fatal("the insert's upsert is missing from the delta")
+	}
+	sr := published.Clone()
+	if _, err := delta.ApplyOps(sr, d); !errors.Is(err, core.ErrAggIndex) {
+		t.Fatalf("insert whose signature is N: %v, want core.ErrAggIndex", err)
+	}
+	if sr.AggIndex() == nil {
+		t.Fatal("the refused delta detached the index")
+	}
+
+	owner = published.Clone()
+	target := owner.Recs[10]
+	if _, err := owner.UpdateAttrs(h, signKey(t), target.Key(), target.Tuple.RowID, someAttrs(owner)); err != nil {
+		t.Fatal(err)
+	}
+	d = delta.Diff(published, owner)
+	stale := published.Clone()
+	stale.Recs = append(stale.Recs[:3:3], stale.Recs[4:]...) // a record gone behind the index's back
+	if _, err := delta.ApplyOps(stale, d); !errors.Is(err, core.ErrAggIndex) {
+		t.Fatalf("index out of step: %v, want core.ErrAggIndex", err)
+	}
+	if stale.AggIndex() == nil {
+		t.Fatal("the refused delta detached the index")
+	}
+}

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -331,6 +332,10 @@ func TestDistinctElidesDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The owner-side inserts drop the crypto index; republishing builds it.
+	if err := f.pub.AddRelation(f.sr, false); err != nil {
+		t.Fatal(err)
+	}
 	q := engine.Query{
 		Relation: "Emp", KeyLo: 8010, KeyHi: 8010,
 		Project: []string{"Name", "Dept"}, Distinct: true,
@@ -362,19 +367,22 @@ func TestDistinctElidesDuplicates(t *testing.T) {
 	}
 }
 
-func TestIndividualSignatureMode(t *testing.T) {
+// TestAddRelationRefusesUnindexableRelation: a relation whose signature
+// bytes no crypto index can hold — one signature equal to N, ingested
+// with validation off — is refused at ingest with core.ErrAggIndex, not
+// registered to be served by a slower path.
+func TestAddRelationRefusesUnindexableRelation(t *testing.T) {
 	f := newFixture(t)
-	f.pub.Aggregate = false
-	q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 9999}
-	res, err := f.pub.Execute("manager", q)
-	if err != nil {
-		t.Fatal(err)
+	key := signKey(t).Public()
+	bad := &core.SignedRelation{Params: f.sr.Params, Schema: f.sr.Schema, Recs: slices.Clone(f.sr.Recs)}
+	bad.Recs[2] = bad.Recs[2].Clone()
+	bad.Recs[2].Sig = key.N.FillBytes(make([]byte, key.SigBytes()))
+	pub := engine.NewPublisher(f.h, key, f.policy)
+	if err := pub.AddRelation(bad, false); !errors.Is(err, core.ErrAggIndex) {
+		t.Fatalf("AddRelation with a signature equal to N: %v, want core.ErrAggIndex", err)
 	}
-	if res.VO.AggSig != nil || len(res.VO.IndividualSigs) != 3 {
-		t.Fatalf("expected 3 individual signatures, got agg=%v n=%d", res.VO.AggSig != nil, len(res.VO.IndividualSigs))
-	}
-	if _, err := f.verifier(t).VerifyResult(q, f.roles["manager"], res); err != nil {
-		t.Fatal(err)
+	if _, ok := pub.Relation("Emp"); ok {
+		t.Fatal("the refused relation was registered")
 	}
 }
 
@@ -437,11 +445,11 @@ func TestAttackMatrix(t *testing.T) {
 	}
 }
 
-// TestAttacksDetectedInIndividualMode repeats the detectable attacks with
-// per-entry signatures instead of aggregation.
-func TestAttacksDetectedInIndividualMode(t *testing.T) {
+// TestAttacksDetectedOverWholeTable repeats the detectable attacks over
+// the whole table, so the omitted or reordered records include both ends
+// of the relation.
+func TestAttacksDetectedOverWholeTable(t *testing.T) {
 	f := newFixture(t)
-	f.pub.Aggregate = false
 	adv := engine.NewAdversary(f.pub)
 	q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 30000}
 	for _, attack := range []string{
@@ -453,7 +461,7 @@ func TestAttacksDetectedInIndividualMode(t *testing.T) {
 			t.Fatalf("%s: %v", attack, err)
 		}
 		if _, err := f.verifier(t).VerifyResult(q, f.roles["manager"], res); err == nil {
-			t.Fatalf("attack %s not detected in individual mode", attack)
+			t.Fatalf("attack %s not detected over the whole table", attack)
 		}
 	}
 }

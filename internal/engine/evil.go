@@ -279,7 +279,6 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 			return nil, err
 		}
 		res.VO.AggSig = stale.VO.AggSig
-		res.VO.IndividualSigs = stale.VO.IndividualSigs
 		return res, nil
 
 	default:
@@ -287,20 +286,14 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 	}
 }
 
-// resign recomputes the aggregate (or individual signature list) the way
-// the cheating publisher would, from the real signatures it holds.
+// resign recomputes the condensed signature the way the cheating
+// publisher would, from the real signatures it holds.
 func (a *Adversary) resign(res *Result, sigs []sig.Signature) (*Result, error) {
-	if a.p.Aggregate {
-		agg, err := a.p.pub.Aggregate(sigs)
-		if err != nil {
-			return nil, err
-		}
-		res.VO.AggSig = agg
-		res.VO.IndividualSigs = nil
-	} else {
-		res.VO.IndividualSigs = sigs
-		res.VO.AggSig = nil
+	agg, err := a.p.pub.Aggregate(sigs)
+	if err != nil {
+		return nil, err
 	}
+	res.VO.AggSig = agg
 	return res, nil
 }
 

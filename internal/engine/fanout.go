@@ -45,7 +45,9 @@ type PrevPin func() (*core.SignedRelation, bool)
 // chunk stream drawn from the covering shard slices: MergeShards over
 // one local ShardPartial per slice. The caller has resolved the role,
 // computed the effective query, and pinned hand-off-consistent epoch
-// slices (internal/server does all three).
+// slices (internal/server does all three). Every slice must carry a
+// crypto index current for the publisher's key; a cover with a slice
+// that does not is refused with core.ErrAggIndex before any feed starts.
 //
 // A cover of several shards is produced in parallel — each partial runs
 // ahead of the merger behind a small bounded buffer — whenever there is
@@ -74,11 +76,15 @@ func (p *Publisher) FanoutStream(role accessctl.Role, eff Query, slices []ShardS
 	}
 	feeds := make([]ShardFeed, len(slices))
 	for i, sl := range slices {
-		sp := p.newShardPartial(role, eff, sl, i == 0, i == len(slices)-1, opts)
-		if parallel {
+		sp, err := p.newShardPartial(role, eff, sl, i == 0, i == len(slices)-1, opts)
+		if err != nil {
+			return nil, err
+		}
+		feeds[i] = sp
+	}
+	if parallel {
+		for i, sp := range feeds {
 			feeds[i] = prefetch(sp)
-		} else {
-			feeds[i] = sp
 		}
 	}
 	var prevG PrevG
@@ -91,7 +97,7 @@ func (p *Publisher) FanoutStream(role accessctl.Role, eff Query, slices []ShardS
 			return sl.Recs[len(sl.Recs)-3].G.Clone(), nil
 		}
 	}
-	return MergeShards(p.pub, p.Aggregate, eff, feeds, prevG)
+	return MergeShards(p.pub, true, eff, feeds, prevG)
 }
 
 // prefetchBuffer throttles each producer: enough to keep it busy while

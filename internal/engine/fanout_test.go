@@ -57,6 +57,13 @@ func newFanoutEnvOver(t *testing.T, rel *relation.Relation, k int) *fanoutEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every slice a query reaches carries its crypto index, as a
+	// publication gives it.
+	for _, sl := range append([]*core.SignedRelation{sr}, set.Slices...) {
+		if err := sl.BuildAggIndex(h, key.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	role := accessctl.Role{Name: "all"}
 	pub := engine.NewPublisher(h, key.Public(), accessctl.NewPolicy(role))
 	return &fanoutEnv{

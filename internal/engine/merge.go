@@ -56,8 +56,8 @@ type ShardHead struct {
 }
 
 // ShardFeedFoot summarizes a drained feed: how many entries it
-// contributed, its partial condensed signature (nil when empty or in
-// individual-signature mode), the right boundary proof when the feed is
+// contributed, its partial condensed signature (nil when empty), the
+// right boundary proof when the feed is
 // the last covering shard, and the empty-range predecessor material when
 // the feed is the first covering shard and covered no records.
 type ShardFeedFoot struct {
@@ -104,6 +104,8 @@ type PrevG func() (hashx.Digest, error)
 // shard covers; the query is planned here exactly as every other serving
 // path plans it, and the sub-range must tile into the effective range
 // ([lo, hi] inside it, anchored at its ends when first/last are set).
+// The slice must carry a crypto index current for the publisher's key
+// (core.AggIndexFor); one without is refused with core.ErrAggIndex.
 func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Query, shard int, lo, hi uint64, first, last bool, opts StreamOpts) (*ShardPartial, error) {
 	role, eff, err := p.plan(sr, roleName, q)
 	if err != nil {
@@ -118,18 +120,25 @@ func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Que
 	if last && hi != eff.KeyHi {
 		return nil, fmt.Errorf("engine: last shard partial must end at %d, got %d", eff.KeyHi, hi)
 	}
-	return p.newShardPartial(role, eff, ShardSlice{Shard: shard, SR: sr, Lo: lo, Hi: hi}, first, last, opts), nil
+	return p.newShardPartial(role, eff, ShardSlice{Shard: shard, SR: sr, Lo: lo, Hi: hi}, first, last, opts)
 }
 
 // newShardPartial builds the run producer for one slice of an already
-// planned and tiled cover.
-func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, sl ShardSlice, first, last bool, opts StreamOpts) *ShardPartial {
+// planned and tiled cover. The slice's crypto index makes its partial
+// condensed signature one O(log n) tree lookup, so a K-way fan-out
+// combines K lookups with K-1 multiplications; a slice without a current
+// index is refused.
+func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, sl ShardSlice, first, last bool, opts StreamOpts) (*ShardPartial, error) {
+	ix, err := sl.SR.AggIndexFor(p.pub)
+	if err != nil {
+		return nil, fmt.Errorf("engine: shard %d: %w", sl.Shard, err)
+	}
 	a, b := sl.SR.RangeIndices(sl.Lo, sl.Hi)
 	schema := sl.SR.Schema
 	sp := &ShardPartial{
 		p: p, sr: sl.SR, role: role, eff: eff,
 		shard: sl.Shard, lo: sl.Lo, hi: sl.Hi, first: first, last: last,
-		chunkRows: opts.chunkRows(), a: a, b: b, pos: a,
+		chunkRows: opts.chunkRows(), a: a, b: b, pos: a, idx: ix,
 		projCols:   projectCols(schema, eff.Project),
 		filterCols: filterCols(schema, eff.Filters),
 		visCol:     schema.ColIndex(role.VisibilityCol),
@@ -146,17 +155,7 @@ func (p *Publisher) newShardPartial(role accessctl.Role, eff Query, sl ShardSlic
 	if sp.visCol >= 0 {
 		sp.opened, sp.hidden = max(sp.opened, 1), max(sp.hidden, leaves)
 	}
-	if p.Aggregate {
-		// Per-shard crypto index: the slice's partial condensed signature
-		// becomes one O(log n) tree lookup, so a K-way fan-out combines K
-		// lookups with K-1 multiplications.
-		if ix := sl.SR.AggIndex(); ix != nil && ix.Len() == len(sl.SR.Recs) {
-			sp.idx = ix
-		} else {
-			sp.agg = p.pub.NewAggregator()
-		}
-	}
-	return sp
+	return sp, nil
 }
 
 // ShardPartial is the run producer of a fan-out; see
@@ -174,7 +173,6 @@ type ShardPartial struct {
 	chunkRows int
 	a, b, pos int
 	idx       *core.AggIndex
-	agg       *sig.Aggregator
 
 	// The columns each entry mode discloses, planned once per partial:
 	// the projection (results), the filter columns (Section 4.4 Case 1)
@@ -186,13 +184,12 @@ type ShardPartial struct {
 	opened, hidden       int
 
 	// arena holds the current chunk's entry lists and digests. Under
-	// reuse it, the chunk struct and the entry and signature slices are
-	// recycled by the next Next; otherwise every chunk gets its own.
+	// reuse it, the chunk struct and the entry slice are recycled by the
+	// next Next; otherwise every chunk gets its own.
 	arena    entryArena
 	reuse    bool
 	chunkBuf Chunk
 	entryBuf []VOEntry
-	sigBuf   []sig.Signature
 
 	// hAgg records the foot's product-tree lookup (nil without a registry).
 	hAgg *obs.Histogram
@@ -229,7 +226,7 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	}
 	var c *Chunk
 	if sp.reuse {
-		sp.chunkBuf = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entryBuf[:0], Sigs: sp.sigBuf[:0]}
+		sp.chunkBuf = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entryBuf[:0]}
 		c = &sp.chunkBuf
 		sp.arena.reset()
 	} else {
@@ -247,21 +244,9 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 			return nil, err
 		}
 		c.Entries = append(c.Entries, entry)
-		switch {
-		case !sp.p.Aggregate:
-			// Aliasing rec.Sig is safe: epoch slices are immutable.
-			c.Sigs = append(c.Sigs, sig.Signature(rec.Sig))
-		case sp.idx != nil:
-			// Indexed: the partial is one tree lookup in Foot.
-		default:
-			if err := sp.agg.Add(sig.Signature(rec.Sig)); err != nil {
-				sp.err = fmt.Errorf("engine: aggregation: %w", err)
-				return nil, sp.err
-			}
-		}
 	}
 	if sp.reuse {
-		sp.entryBuf, sp.sigBuf = c.Entries, c.Sigs
+		sp.entryBuf = c.Entries
 	}
 	sp.pos += n
 	return c, nil
@@ -299,9 +284,9 @@ func (sp *ShardPartial) buildEntry(b *hashx.Batch, rec *core.SignedRecord) (VOEn
 	return e, nil
 }
 
-// Foot summarizes the drained partial. It must not be called before Next
-// has returned io.EOF — the partial condensed signature is only complete
-// then.
+// Foot summarizes the drained partial: the partial condensed signature
+// is one lookup in the slice's index. It must not be called before Next
+// has returned io.EOF.
 func (sp *ShardPartial) Foot() (ShardFeedFoot, error) {
 	if sp.err != nil {
 		return ShardFeedFoot{}, sp.err
@@ -310,17 +295,10 @@ func (sp *ShardPartial) Foot() (ShardFeedFoot, error) {
 		return ShardFeedFoot{}, fmt.Errorf("engine: shard partial foot before drain")
 	}
 	foot := ShardFeedFoot{Entries: uint64(sp.b - sp.a)}
-	switch {
-	case sp.idx != nil && sp.b > sp.a:
+	if sp.b > sp.a {
 		t0 := time.Now()
 		partial, err := sp.idx.RangeAggregate(sp.a, sp.b)
 		sp.hAgg.ObserveSince(t0)
-		if err != nil {
-			return ShardFeedFoot{}, fmt.Errorf("engine: aggregation: %w", err)
-		}
-		foot.Partial = partial
-	case sp.agg != nil && sp.agg.Count() > 0:
-		partial, err := sp.agg.Sum()
 		if err != nil {
 			return ShardFeedFoot{}, fmt.Errorf("engine: aggregation: %w", err)
 		}
@@ -364,26 +342,31 @@ func (sp *ShardPartial) NeedPrevG() bool {
 func (sp *ShardPartial) Close() error { return nil }
 
 // MergeShards assembles the canonical fan-out chunk stream from one feed
-// per covering shard, in hand-off order. The first feed must supply the
-// left boundary proof, the last the right one; prevG may be nil when the
-// caller can prove the empty-range corner cannot need it (a cover
-// starting at shard 0). The merged stream is accepted by the unmodified
-// stream verifiers.
+// per covering shard, in hand-off order, and multiplies the feeds'
+// partial condensed signatures into the footer's. The first feed must
+// supply the left boundary proof, the last the right one; prevG may be
+// nil when the caller can prove the empty-range corner cannot need it (a
+// cover starting at shard 0). The merged stream is accepted by the
+// unmodified stream verifiers.
+//
+// aggregate must be true: the condensed signature is the only one a VO
+// carries, and false is refused with ErrSignatureMode. The parameter
+// stays only for existing callers and goes with their next edit.
 //
 // The returned stream implements io.Closer; abandoning callers should
 // close it to release the feeds (a fully drained stream needs no Close).
 func MergeShards(pub *sig.PublicKey, aggregate bool, eff Query, feeds []ShardFeed, prevG PrevG) (ResultStream, error) {
+	if !aggregate {
+		return nil, ErrSignatureMode
+	}
 	if len(feeds) == 0 {
 		return nil, fmt.Errorf("engine: merge over zero shard feeds")
 	}
-	st := &mergeStream{
+	return &mergeStream{
 		eff: eff, feeds: feeds, prevG: prevG,
+		agg:  pub.NewAggregator(),
 		feet: make([]ShardFoot, len(feeds)),
-	}
-	if aggregate {
-		st.agg = pub.NewAggregator()
-	}
-	return st, nil
+	}, nil
 }
 
 // streamStage is a merged stream's position in the canonical chunk
@@ -473,7 +456,7 @@ func (st *mergeStream) next() (*Chunk, error) {
 				if err != nil {
 					return nil, err
 				}
-				if st.agg != nil && foot.Partial != nil {
+				if foot.Partial != nil {
 					if err := st.agg.Add(foot.Partial); err != nil {
 						return nil, fmt.Errorf("engine: combining shard aggregate: %w", err)
 					}
@@ -528,12 +511,8 @@ func (st *mergeStream) footer() (*Chunk, error) {
 		if st.firstFoot.PredSig == nil {
 			return nil, fmt.Errorf("engine: merge: empty range without predecessor material")
 		}
-		if st.agg != nil {
-			if err := st.agg.Add(st.firstFoot.PredSig); err != nil {
-				return nil, fmt.Errorf("engine: aggregation: %w", err)
-			}
-		} else {
-			c.Sigs = []sig.Signature{st.firstFoot.PredSig}
+		if err := st.agg.Add(st.firstFoot.PredSig); err != nil {
+			return nil, fmt.Errorf("engine: aggregation: %w", err)
 		}
 		switch {
 		case st.firstFoot.NeedPrevG:
@@ -549,13 +528,11 @@ func (st *mergeStream) footer() (*Chunk, error) {
 			c.PredPrevG = st.firstFoot.PredPrevG
 		}
 	}
-	if st.agg != nil {
-		agg, err := st.agg.Sum()
-		if err != nil {
-			return nil, fmt.Errorf("engine: aggregation: %w", err)
-		}
-		c.AggSig = agg
+	agg, err := st.agg.Sum()
+	if err != nil {
+		return nil, fmt.Errorf("engine: aggregation: %w", err)
 	}
+	c.AggSig = agg
 	c.ShardFeet = append([]ShardFoot(nil), st.feet...)
 	st.stage = stageDone
 	return c, nil

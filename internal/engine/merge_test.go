@@ -2,11 +2,14 @@ package engine_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
+	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/sig"
 	"vcqr/internal/wire"
 )
 
@@ -154,6 +157,55 @@ func TestShardPartialRejectsMisuse(t *testing.T) {
 	}
 	if _, err := e.pub.ShardPartial(e.set.Slices[0], "all", q, 0, eff.KeyLo, eff.KeyHi+1, true, true, engine.StreamOpts{}); err == nil {
 		t.Fatal("sub-range beyond the effective range accepted")
+	}
+}
+
+// TestShardPartialRefusesUnindexedSlice: condensed signatures come from
+// the slice's crypto index alone, so a slice with none, one out of step
+// with its records and one built for another key are each refused with
+// core.ErrAggIndex — by ShardPartial and by the K = 1 stream over the
+// whole relation — never answered by a slower path.
+func TestShardPartialRefusesUnindexedSlice(t *testing.T) {
+	e := newFanoutEnv(t, 30, 2)
+	q := engine.Query{Relation: e.sr.Schema.Name}
+	eff, err := engine.EffectiveQuery(e.sr.Params, e.sr.Schema, e.role, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := e.set.Spec.Decompose(eff.KeyLo, eff.KeyHi)
+	key := streamSignKey(t).Public()
+	unindexed := func(sr *core.SignedRelation) map[string]*core.SignedRelation {
+		stale := sr.Clone()
+		stale.Recs = append(stale.Recs[:2:2], stale.Recs[3:]...) // a record gone behind the index's back
+		other := sr.Clone()
+		if err := other.BuildAggIndex(e.h, &sig.PublicKey{N: key.N, E: 3}); err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*core.SignedRelation{
+			"none":        {Params: sr.Params, Schema: sr.Schema, Recs: sr.Recs},
+			"stale":       stale,
+			"another key": other,
+		}
+	}
+	for name, sl := range unindexed(e.set.Slices[sub[0].Shard]) {
+		if _, err := e.pub.ShardPartial(sl, "all", q, sub[0].Shard, sub[0].Lo, sub[0].Hi, true, len(sub) == 1, engine.StreamOpts{}); !errors.Is(err, core.ErrAggIndex) {
+			t.Errorf("ShardPartial over a slice with index %s: %v, want core.ErrAggIndex", name, err)
+		}
+	}
+	for name, sr := range unindexed(e.sr) {
+		if _, err := e.pub.ExecuteStreamOn(sr, "all", q, engine.StreamOpts{}); !errors.Is(err, core.ErrAggIndex) {
+			t.Errorf("ExecuteStreamOn a relation with index %s: %v, want core.ErrAggIndex", name, err)
+		}
+	}
+}
+
+// TestMergeShardsServesOnlyCondensed: a merge asked for anything but the
+// condensed signature is refused by name.
+func TestMergeShardsServesOnlyCondensed(t *testing.T) {
+	e := newFanoutEnv(t, 30, 2)
+	eff, feeds, prevG := e.partials(t, engine.Query{Relation: e.sr.Schema.Name}, engine.StreamOpts{})
+	if _, err := engine.MergeShards(streamSignKey(t).Public(), false, eff, feeds, prevG); !errors.Is(err, engine.ErrSignatureMode) {
+		t.Fatalf("MergeShards(aggregate = false): %v, want engine.ErrSignatureMode", err)
 	}
 }
 

@@ -26,9 +26,7 @@ import (
 // callers that apply live updates (internal/delta) must either serialize
 // updates with queries or swap in a fresh copy via AddRelation, never
 // modify a registered relation in place. internal/server implements the
-// copy-on-write epoch discipline on top of this contract. The Aggregate
-// flag is read without synchronization and must be set before the
-// publisher is shared.
+// copy-on-write epoch discipline on top of this contract.
 type Publisher struct {
 	h      *hashx.Hasher
 	pub    *sig.PublicKey
@@ -37,13 +35,10 @@ type Publisher struct {
 	mu   sync.RWMutex
 	rels map[string]*core.SignedRelation
 
-	// Aggregate selects condensed signatures (Section 5.2, default) over
-	// one-signature-per-entry VOs.
-	Aggregate bool
-
 	// Obs receives stage latency observations (internal/obs) when the
-	// hosting layer wires a registry in. Nil or disabled is a no-op.
-	// Like Aggregate it must be set before the publisher is shared.
+	// hosting layer wires a registry in. Nil or disabled is a no-op. It
+	// is read without synchronization and must be set before the
+	// publisher is shared.
 	Obs *obs.Registry
 }
 
@@ -51,29 +46,28 @@ type Publisher struct {
 // owner's public key on ingest.
 func NewPublisher(h *hashx.Hasher, pub *sig.PublicKey, policy accessctl.Policy) *Publisher {
 	return &Publisher{
-		h:         h,
-		pub:       pub,
-		policy:    policy,
-		rels:      make(map[string]*core.SignedRelation),
-		Aggregate: true,
+		h:      h,
+		pub:    pub,
+		policy: policy,
+		rels:   make(map[string]*core.SignedRelation),
 	}
 }
 
 // AddRelation ingests a signed relation after validating every digest and
 // signature — the publisher protects itself from a corrupted owner feed.
-// Publishing also builds the relation's crypto index (core.AggIndex) when
-// it does not carry one yet: an O(n) pass here buys every subsequent
-// query O(log n) signature aggregation. An index build failure (malformed
-// signature bytes with validation off) leaves the relation on the naive
-// aggregation path rather than failing ingest.
+// Publishing also builds the relation's crypto index (core.AggIndex),
+// from which every condensed signature is assembled, unless it carries a
+// current one: an O(n) pass here buys every subsequent query O(log n)
+// signature aggregation. A relation that cannot be indexed (malformed
+// signature bytes with validation off) is refused with core.ErrAggIndex.
 func (p *Publisher) AddRelation(sr *core.SignedRelation, validate bool) error {
 	if validate {
 		if err := sr.Validate(p.h, p.pub); err != nil {
 			return fmt.Errorf("engine: ingest validation: %w", err)
 		}
 	}
-	if sr.AggIndex() == nil {
-		_ = sr.BuildAggIndex(p.h, p.pub)
+	if err := sr.EnsureAggIndex(p.h, p.pub); err != nil {
+		return fmt.Errorf("engine: ingest: %w", err)
 	}
 	p.mu.Lock()
 	p.rels[sr.Schema.Name] = sr

@@ -149,6 +149,9 @@ var (
 	ErrUnknownRelation = errors.New("engine: unknown relation")
 	ErrUnknownColumn   = errors.New("engine: unknown column")
 	ErrEmptyRewrite    = errors.New("engine: access policy leaves an empty key range")
+	// ErrSignatureMode refuses a merge asked to ship anything but the
+	// condensed signature (Section 5.2), the one signature a VO carries.
+	ErrSignatureMode = errors.New("engine: only condensed signatures are served")
 )
 
 // Validate resolves column names against the schema, rejecting filters

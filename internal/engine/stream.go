@@ -18,7 +18,6 @@ import (
 //
 //	header   — effective rewrite + left boundary proof
 //	entries* — ≤ ChunkRows covered records each, with their chain digests
-//	           (and per-entry signatures when aggregation is off)
 //	footer   — right boundary proof + condensed signature (+ the
 //	           empty-range predecessor material)
 //
@@ -42,8 +41,8 @@ const (
 	ChunkHeader ChunkType = 1
 	// ChunkEntries carries up to ChunkRows covered records.
 	ChunkEntries ChunkType = 2
-	// ChunkFooter closes a stream: right boundary, signatures, empty-range
-	// predecessor material. No chunk may follow it.
+	// ChunkFooter closes a stream: right boundary, condensed signature,
+	// empty-range predecessor material. No chunk may follow it.
 	ChunkFooter ChunkType = 3
 	// ChunkError aborts a stream mid-flight with a publisher-side error;
 	// transport layers use it to carry failures in-band once the HTTP
@@ -106,16 +105,12 @@ type Chunk struct {
 
 	// Entries fields.
 	Entries []VOEntry
-	// Sigs carries one signature per entry when aggregation is off. On a
-	// footer it carries the single predecessor signature of an empty
-	// range in that mode.
-	Sigs []sig.Signature
 
 	// Footer fields.
 	// Right proves the record following the range has key > KeyHi.
 	Right core.BoundaryProof
 	// AggSig is the condensed signature over every covered entry (or the
-	// empty-range predecessor). Nil when per-entry Sigs are used.
+	// empty-range predecessor).
 	AggSig sig.Signature
 	// PredPrevG supports the empty-range check; see RangeVO.PredPrevG.
 	PredPrevG hashx.Digest
@@ -173,11 +168,10 @@ type StreamOpts struct {
 	ChunkRows int
 	// ReuseChunks lets the stream recycle an entries chunk and
 	// everything it aliases across Next calls: the chunk struct, its
-	// Entries and Sigs arrays, and the arena holding every entry's
-	// disclosed attributes, hidden leaves and combined digests. A chunk is
-	// valid only until the next Next; only disclosed values' bytes and
-	// signatures, which are the records' own immutable memory, outlive
-	// it. Without it each chunk gets its own arena, one allocation per
+	// Entries array, and the arena holding every entry's disclosed
+	// attributes, hidden leaves and combined digests. A chunk is valid
+	// only until the next Next; only disclosed values' bytes, which are
+	// the records' own immutable memory, outlive it. Without it each chunk gets its own arena, one allocation per
 	// array however many rows it carries. A recycling producer needs a
 	// consumer that is done with a chunk when it pulls the next, so
 	// Collect, which keeps every chunk's entries, must not drain one.
@@ -257,7 +251,6 @@ func Collect(st ResultStream) (*Result, error) {
 				return nil, errors.New("engine: entries before header chunk")
 			}
 			res.VO.Entries = append(res.VO.Entries, c.Entries...)
-			res.VO.IndividualSigs = append(res.VO.IndividualSigs, c.Sigs...)
 		case ChunkFooter:
 			if res == nil {
 				return nil, errors.New("engine: footer before header chunk")
@@ -265,7 +258,6 @@ func Collect(st ResultStream) (*Result, error) {
 			res.VO.Right = c.Right
 			res.VO.AggSig = c.AggSig
 			res.VO.PredPrevG = c.PredPrevG
-			res.VO.IndividualSigs = append(res.VO.IndividualSigs, c.Sigs...)
 			sawFooter = true
 		case ChunkError:
 			return nil, fmt.Errorf("engine: stream error: %s", c.Err)
@@ -291,9 +283,6 @@ func ChunkResult(res *Result, chunkRows int) []*Chunk {
 		chunkRows = DefaultChunkRows
 	}
 	vo := &res.VO
-	// When aggregation is on, any IndividualSigs in the materialized VO
-	// are ignored — mirroring the verifier, which checks AggSig first.
-	individual := vo.AggSig == nil
 	var chunks []*Chunk
 	chunks = append(chunks, &Chunk{
 		Type:      ChunkHeader,
@@ -308,28 +297,14 @@ func ChunkResult(res *Result, chunkRows int) []*Chunk {
 		if end > len(vo.Entries) {
 			end = len(vo.Entries)
 		}
-		c := &Chunk{Type: ChunkEntries, Entries: vo.Entries[off:end]}
-		if individual && off < len(vo.IndividualSigs) {
-			se := end
-			if se > len(vo.IndividualSigs) {
-				se = len(vo.IndividualSigs)
-			}
-			c.Sigs = vo.IndividualSigs[off:se]
-		}
-		chunks = append(chunks, c)
+		chunks = append(chunks, &Chunk{Type: ChunkEntries, Entries: vo.Entries[off:end]})
 	}
-	footer := &Chunk{
+	chunks = append(chunks, &Chunk{
 		Type:      ChunkFooter,
 		Right:     vo.Right,
 		AggSig:    vo.AggSig,
 		PredPrevG: vo.PredPrevG,
-	}
-	if individual && len(vo.IndividualSigs) > len(vo.Entries) {
-		// Empty-range predecessor signature (or a publisher shipping
-		// excess signatures — the verifier rejects those).
-		footer.Sigs = vo.IndividualSigs[len(vo.Entries):]
-	}
-	chunks = append(chunks, footer)
+	})
 	for i, c := range chunks {
 		c.Seq = uint64(i)
 	}

@@ -102,8 +102,7 @@ func drain(t *testing.T, st engine.ResultStream, maxRows int) []*engine.Chunk {
 
 // TestExecuteStreamMatchesExecute checks the drain equivalence: for any
 // chunk size, Collect(ExecuteStream(q)) must be byte-identical to
-// Execute(q) — including filters, projection, DISTINCT and empty ranges,
-// in both signature modes.
+// Execute(q) — including filters, projection, DISTINCT and empty ranges.
 func TestExecuteStreamMatchesExecute(t *testing.T) {
 	pub, _ := newStreamFix(t, 40)
 	queries := []engine.Query{
@@ -113,29 +112,25 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 		{Relation: "Emp", KeyLo: 1, Project: []string{"Dept"}, Distinct: true},
 		{Relation: "Emp", KeyLo: 3, KeyHi: 3}, // almost surely empty
 	}
-	for _, aggregate := range []bool{true, false} {
-		pub.Aggregate = aggregate
-		for qi, q := range queries {
-			want, err := pub.Execute("all", q)
+	for qi, q := range queries {
+		want, err := pub.Execute("all", q)
+		if err != nil {
+			t.Fatalf("query %d: Execute: %v", qi, err)
+		}
+		for _, chunkRows := range []int{1, 3, 1000} {
+			st, err := pub.ExecuteStream("all", q, engine.StreamOpts{ChunkRows: chunkRows})
 			if err != nil {
-				t.Fatalf("agg=%v query %d: Execute: %v", aggregate, qi, err)
+				t.Fatalf("query %d: ExecuteStream: %v", qi, err)
 			}
-			for _, chunkRows := range []int{1, 3, 1000} {
-				st, err := pub.ExecuteStream("all", q, engine.StreamOpts{ChunkRows: chunkRows})
-				if err != nil {
-					t.Fatalf("agg=%v query %d: ExecuteStream: %v", aggregate, qi, err)
-				}
-				got, err := engine.Collect(st)
-				if err != nil {
-					t.Fatalf("agg=%v query %d: Collect: %v", aggregate, qi, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("agg=%v query %d chunkRows=%d: stream result differs from Execute", aggregate, qi, chunkRows)
-				}
+			got, err := engine.Collect(st)
+			if err != nil {
+				t.Fatalf("query %d: Collect: %v", qi, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("query %d chunkRows=%d: stream result differs from Execute", qi, chunkRows)
 			}
 		}
 	}
-	pub.Aggregate = true
 }
 
 // TestStreamChunkShape checks the emitted chunk structure directly.
@@ -162,21 +157,17 @@ func TestStreamChunkShape(t *testing.T) {
 // back into chunks and re-collecting reproduces it.
 func TestChunkResultRoundTrip(t *testing.T) {
 	pub, _ := newStreamFix(t, 40)
-	for _, aggregate := range []bool{true, false} {
-		pub.Aggregate = aggregate
-		res, err := pub.Execute("all", engine.Query{Relation: "Emp", KeyLo: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := engine.Collect(chunkSlice(engine.ChunkResult(res, 7)))
-		if err != nil {
-			t.Fatalf("agg=%v: %v", aggregate, err)
-		}
-		if !reflect.DeepEqual(got, res) {
-			t.Fatalf("agg=%v: ChunkResult round trip differs", aggregate)
-		}
+	res, err := pub.Execute("all", engine.Query{Relation: "Emp", KeyLo: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pub.Aggregate = true
+	got, err := engine.Collect(chunkSlice(engine.ChunkResult(res, 7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Fatal("ChunkResult round trip differs")
+	}
 }
 
 // TestStreamOptsClamp checks chunk-row normalization.

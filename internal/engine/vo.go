@@ -148,7 +148,7 @@ func (a *entryArena) disclose(b *hashx.Batch, t relation.Tuple, cols []int, hide
 
 // RangeVO is the verification object for a (possibly multipoint) range
 // query: boundary proofs at both ends, one entry per covered record, and
-// the signatures binding them together.
+// the condensed signature binding them together.
 type RangeVO struct {
 	// KeyLo, KeyHi is the effective (post-rewrite) inclusive range the
 	// boundary proofs are relative to.
@@ -160,13 +160,8 @@ type RangeVO struct {
 	Entries []VOEntry
 	// AggSig is the condensed signature over the covered entries'
 	// signatures (Section 5.2), or over the single predecessor signature
-	// when the range is empty. Nil when IndividualSigs is used instead.
+	// when the range is empty.
 	AggSig sig.Signature
-	// IndividualSigs carries one signature per covered entry when
-	// aggregation is disabled (the pre-Section-5.2 mode, kept for the
-	// aggregation ablation). For an empty range it holds the single
-	// predecessor signature.
-	IndividualSigs []sig.Signature
 	// PredPrevG is g of the entry preceding the predecessor, needed to
 	// check sig(pred) when the range is empty. Nil means the predecessor
 	// is the left delimiter and the verifier substitutes the virtual end
@@ -235,7 +230,6 @@ func (vo *RangeVO) Account(digestSize, sigSize int) SizeAccounting {
 	if vo.AggSig != nil {
 		acc.Signatures++
 	}
-	acc.Signatures += len(vo.IndividualSigs)
 	return acc
 }
 

@@ -264,6 +264,11 @@ func (s *Server) AddPartition(set *partition.Set, validate bool) error {
 // hostAll publishes every slice of spec into a fresh local table —
 // AddPartition's and AddRelation's one hosting step.
 func (s *Server) hostAll(spec partition.Spec, sls []*core.SignedRelation) error {
+	for i, sl := range sls {
+		if err := sl.EnsureAggIndex(s.h, s.pub); err != nil {
+			return fmt.Errorf("server: shard %d: %w", i, err)
+		}
+	}
 	nt, err := s.openTable(spec.Relation, spec, sls[0], true)
 	if err != nil {
 		return err
@@ -280,16 +285,14 @@ func (s *Server) hostAll(spec partition.Spec, sls []*core.SignedRelation) error 
 // publish swaps sl in as hs's slice at a fresh epoch, with its digest
 // (nil: viewHosted computes it on first use) and its running digests
 // (nil: the next commit hashes the whole slice; dropped with a nil
-// digest). It is the one writer of hs.run. It builds the slice's crypto
-// index (core.AggIndex) when it carries none, so the O(n) cost lands at
-// publish time and every query on the epoch aggregates in O(log n); a
-// build failure (malformed signature bytes on an unvalidated feed)
-// publishes without an index, the correct-but-slow path. The caller holds
+// digest). It is the one writer of hs.run. sl carries a crypto index
+// (core.AggIndex) current for the server's key, the one source of every
+// condensed signature served from it: ingest, install and recovery build
+// it before anything is logged or published (SignedRelation.EnsureAggIndex,
+// which refuses a slice that cannot be indexed), and a delta's ApplyOps and
+// mirror stitches keep it current or refuse the delta. The caller holds
 // nt.mu.
 func (s *Server) publish(hs *hostedShard, sl *core.SignedRelation, digest hashx.Digest, run []byte) uint64 {
-	if sl.AggIndex() == nil {
-		_ = sl.BuildAggIndex(s.h, s.pub)
-	}
 	if digest == nil {
 		run = nil
 	}
@@ -377,6 +380,9 @@ func (s *Server) InstallShard(man wire.ShardManifest, sr *core.SignedRelation) e
 	}
 	if err := s.validateSlice(man.Spec, man.Shard, sr); err != nil {
 		return fmt.Errorf("%w: %v", ErrInstallInvalid, err)
+	}
+	if err := sr.EnsureAggIndex(s.h, s.pub); err != nil {
+		return fmt.Errorf("%w: %w", ErrInstallInvalid, err)
 	}
 	name := man.Spec.Relation
 	// The spec check-and-adopt and the hosting write share one nt.mu
@@ -885,7 +891,7 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 	// (cross-node mirrors arrive later as MirrorRequests from the
 	// coordinator). Clones are made lazily so an interior delta touches
 	// exactly one shard.
-	stitch := func(i int, rightContext bool, want core.SignedRecord) {
+	stitch := func(i int, rightContext bool, want core.SignedRecord) error {
 		sl := news[i]
 		if sl == nil {
 			sl = nt.hosted[i].sl
@@ -895,7 +901,7 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 			pos = len(sl.Recs) - 1
 		}
 		if partition.SameRecord(sl.Recs[pos], want) {
-			return
+			return nil
 		}
 		if news[i] == nil {
 			news[i] = sl.Clone()
@@ -904,20 +910,27 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 		// refreshes the crypto-index leaves around pos itself (as
 		// StageMirror does) before anything validates against them.
 		news[i].Recs[pos] = want.Clone()
-		news[i].RefreshAggIndex([]int{pos})
+		if err := news[i].RefreshAggIndex([]int{pos}); err != nil {
+			return fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
+		}
 		touched[i] = append(touched[i], pos)
+		return nil
 	}
 	for _, i := range affected {
 		sl := news[i]
 		if i > 0 && hosted(i-1) {
 			// The left neighbour's right context mirrors shard i's first
 			// owned record.
-			stitch(i-1, true, sl.Recs[1])
+			if err := stitch(i-1, true, sl.Recs[1]); err != nil {
+				return nil, err
+			}
 		}
 		if i < k-1 && hosted(i+1) {
 			// The right neighbour's left context mirrors shard i's last
 			// owned record.
-			stitch(i+1, false, sl.Recs[len(sl.Recs)-2])
+			if err := stitch(i+1, false, sl.Recs[len(sl.Recs)-2]); err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -1021,10 +1034,12 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 		pos, adj = len(sl.Recs)-1, len(sl.Recs)-2
 	}
 	sl.Recs[pos] = req.Rec.Clone()
-	sl.RefreshAggIndex([]int{pos})
 	// The plan follows the edited slice, accepted or not; the deferred
 	// replan runs before nt.mu is released.
 	defer s.replan(nt, tx, req.Shard)
+	if err := sl.RefreshAggIndex([]int{pos}); err != nil {
+		return wire.MirrorResponse{}, fmt.Errorf("server: mirror fix rejected: %w", err)
+	}
 	if err := delta.CheckEntryDigests(s.h, nt.hosted[req.Shard].sl, sl, pos); err != nil {
 		return wire.MirrorResponse{}, fmt.Errorf("server: mirror fix rejected: %w", err)
 	}

@@ -76,10 +76,8 @@ func (s *Server) recoverSlice(name string, spec partition.Spec, sh store.Recover
 	// from this slice. The two context records' signatures bind records
 	// on other shards and are covered by the coordinator's seam checks,
 	// as at install time.
-	if sl.AggIndex() == nil {
-		if err := sl.BuildAggIndex(s.h, s.pub); err != nil {
-			return err
-		}
+	if err := sl.EnsureAggIndex(s.h, s.pub); err != nil {
+		return err
 	}
 	ix := sl.AggIndex()
 	n := len(sl.Recs)

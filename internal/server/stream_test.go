@@ -307,12 +307,12 @@ func TestDistinctStreamSpansRecycledChunks(t *testing.T) {
 // TestTimingFrameBetweenEntriesChunks: the client skips an advisory
 // timing frame without showing it to the verifier, and an untrusted
 // publisher may put one anywhere. Here one follows every entries chunk,
-// or none does, in both signature modes. Either way each entries chunk
-// decodes into the memory of the one before (a timing frame between
-// them takes only the payload buffer with it), so the entry the verifier
-// holds across the chunk boundary, values and signature, must be its
-// own copy. The client releases exactly the rows, values included, that
-// VerifyResult finds in the honest result.
+// or none does. Either way each entries chunk decodes into the memory of
+// the one before (a timing frame between them takes only the payload
+// buffer with it), so the entry the verifier holds across the chunk
+// boundary, values included, must be its own copy. The client releases
+// exactly the rows, values included, that VerifyResult finds in the
+// honest result.
 func TestTimingFrameBetweenEntriesChunks(t *testing.T) {
 	h, sr := build(t, 64)
 	v := verify.New(h, signKey(t).Public(), sr.Params, sr.Schema)
@@ -329,8 +329,7 @@ func TestTimingFrameBetweenEntriesChunks(t *testing.T) {
 		}
 		return row
 	}
-	for _, mode := range []struct{ aggregate, timing bool }{{true, true}, {false, true}, {true, false}, {false, false}} {
-		pub.Aggregate = mode.aggregate
+	for _, mode := range []struct{ timing bool }{{true}, {false}} {
 		res, err := pub.Execute("all", q)
 		if err != nil {
 			t.Fatal(err)

@@ -65,6 +65,11 @@ func newShardFix(t *testing.T, n, k int) *shardFix {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, sl := range set.Slices {
+		if err := sl.BuildAggIndex(h, key.Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	role := accessctl.Role{Name: "all"}
 	return &shardFix{
 		sr:   sr,

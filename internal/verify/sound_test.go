@@ -30,9 +30,10 @@ import (
 //
 // query picks the scenario (soundScenario). corpus names a tamper-corpus
 // edit (tamper_test.go), applied to the materialized result; the seeds
-// are every edit the corpus makes, on analogues of its scenarios. edits
-// is a list of four-byte field-level edits on the decoded chunks, raw
-// byte flips on the encoded frames among them (the edit* ops below).
+// are every edit the corpus makes, on analogues of its scenarios, and a
+// signature list on each scenario's frames (sigCountFlips). edits is a
+// list of four-byte field-level edits on the decoded chunks, raw byte
+// flips on the encoded frames among them (the edit* ops below).
 func FuzzStreamSound(f *testing.F) {
 	fx := newSoundFix(f)
 	seeded := map[string]bool{}
@@ -40,7 +41,7 @@ func FuzzStreamSound(f *testing.F) {
 		if !reflect.DeepEqual(soundQuery(sc.bytes()), sc) {
 			f.Fatalf("scenario %+v does not survive its encoding", sc)
 		}
-		res, err := fx.publisher(sc).Execute(sc.role, sc.q)
+		res, err := fx.pub.Execute(sc.role, sc.q)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -52,6 +53,11 @@ func FuzzStreamSound(f *testing.F) {
 	for name := range readCorpus(f) {
 		if _, edit, _ := strings.Cut(name, "/"); edit != "honest" && !seeded[soundKind(edit)] {
 			f.Fatalf("tamper corpus edit %q has no seed", name)
+		}
+	}
+	for _, sc := range soundCorpusScenarios {
+		for _, flip := range fx.sigCountFlips(f, sc) {
+			f.Add(sc.bytes(), "", flip)
 		}
 	}
 	f.Add(soundCorpusScenarios[0].bytes(), "", []byte{6, 3, 0, 0, 7, 4, 1, 0, 13, 0, 1, 0, 13, 1, 0, 0, 14, 2, 5, 0, 11, 1, 0, 9})
@@ -188,22 +194,21 @@ var soundRoles = map[string]accessctl.Role{
 }
 
 // soundFix is one signed relation of 64 rows over 40 keys — duplicates
-// everywhere — served whole and as 2 and 4 shards, with and without
-// condensed signatures, plus the same relation one row earlier at the
-// previous publication version: the epoch a stale replica would splice
-// in.
+// everywhere — served whole and as 2 and 4 shards, plus the same
+// relation one row earlier at the previous publication version: the
+// epoch a stale replica would splice in.
 type soundFix struct {
-	h        *hashx.Hasher
-	master   []relation.Tuple
-	sr       *core.SignedRelation
-	sets     map[int]*partition.Set
-	agg, ind *engine.Publisher
-	stale    *engine.Publisher
-	v        *verify.Verifier
-	staleSR  *core.SignedRelation
-	keys     []uint64       // every record's key, in order
-	digests  []hashx.Digest // every digest a record carries
-	policy   accessctl.Policy
+	h       *hashx.Hasher
+	master  []relation.Tuple
+	sr      *core.SignedRelation
+	sets    map[int]*partition.Set
+	pub     *engine.Publisher
+	stale   *engine.Publisher
+	v       *verify.Verifier
+	staleSR *core.SignedRelation
+	keys    []uint64       // every record's key, in order
+	digests []hashx.Digest // every digest a record carries
+	policy  accessctl.Policy
 }
 
 func newSoundFix(tb testing.TB) *soundFix {
@@ -258,10 +263,14 @@ func newSoundFix(tb testing.TB) *soundFix {
 		if fx.sets[k], err = partition.Split(sr, k); err != nil {
 			tb.Fatal(err)
 		}
+		for _, sl := range fx.sets[k].Slices {
+			if err := sl.BuildAggIndex(h, signKey(tb).Public()); err != nil {
+				tb.Fatal(err)
+			}
+		}
 	}
-	fx.agg = fx.newPublisher(tb, sr, true)
-	fx.ind = fx.newPublisher(tb, sr, false)
-	fx.stale = fx.newPublisher(tb, staleSR, true)
+	fx.pub = fx.newPublisher(tb, sr)
+	fx.stale = fx.newPublisher(tb, staleSR)
 	for _, rec := range sr.Recs {
 		fx.keys = append(fx.keys, rec.Key())
 		fx.digests = append(fx.digests, rec.UpCombined, rec.DownCombined, rec.AttrRoot, rec.G, core.KeyLeaf(h, rec.Key()))
@@ -272,38 +281,29 @@ func newSoundFix(tb testing.TB) *soundFix {
 	return fx
 }
 
-func (fx *soundFix) newPublisher(tb testing.TB, sr *core.SignedRelation, aggregate bool) *engine.Publisher {
+func (fx *soundFix) newPublisher(tb testing.TB, sr *core.SignedRelation) *engine.Publisher {
 	p := engine.NewPublisher(fx.h, signKey(tb).Public(), fx.policy)
-	p.Aggregate = aggregate
 	if err := p.AddRelation(sr, false); err != nil {
 		tb.Fatal(err)
 	}
 	return p
 }
 
-func (fx *soundFix) publisher(sc soundScenario) *engine.Publisher {
-	if sc.individual {
-		return fx.ind
-	}
-	return fx.agg
-}
-
 // soundScenario is what the user asks and how the publisher serves it.
 type soundScenario struct {
-	role       string
-	q          engine.Query
-	k          int // shards: 1 is the unpartitioned stream
-	individual bool
-	chunkRows  int
+	role      string
+	q         engine.Query
+	k         int // shards: 1 is the unpartitioned stream
+	chunkRows int
 }
 
-// soundQuery decodes a scenario: byte 0 packs role, shard count,
-// DISTINCT, signature mode and projection; bytes 1 and 2 the range
-// (soundBound); byte 3 an optional filter A <= 0..2; byte 5 the chunk
-// size. Missing bytes read as zero.
+// soundQuery decodes a scenario: byte 0 packs role (bit 0), shard count
+// (bits 1-2), DISTINCT (bit 3) and projection (bits 5-6); bytes 1 and 2
+// the range (soundBound); byte 3 an optional filter A <= 0..2; byte 5 the
+// chunk size. Missing bytes read as zero.
 func soundQuery(b []byte) soundScenario {
 	b = append(b[:len(b):len(b)], make([]byte, 6)...)
-	sc := soundScenario{role: "all", k: []int{1, 2, 4, 1}[b[0]>>1&3], individual: b[0]>>4&1 == 1, chunkRows: 1 + int(b[5]%12)}
+	sc := soundScenario{role: "all", k: []int{1, 2, 4, 1}[b[0]>>1&3], chunkRows: 1 + int(b[5]%12)}
 	if b[0]&1 == 1 {
 		sc.role = "viewer"
 	}
@@ -334,9 +334,6 @@ func (sc soundScenario) bytes() []byte {
 	if sc.q.Distinct {
 		b[0] |= 1 << 3
 	}
-	if sc.individual {
-		b[0] |= 1 << 4
-	}
 	for i, p := range [][]string{nil, {"A"}, {"B"}, {"B", "A"}} {
 		if slices.Equal(p, sc.q.Project) && (p == nil) == (sc.q.Project == nil) {
 			b[0] |= byte(i) << 5
@@ -358,11 +355,12 @@ func (sc soundScenario) bytes() []byte {
 }
 
 // soundCorpusScenarios are the tamper corpus's scenarios (tamper_test.go)
-// on this fixture: every entry mode, both signature modes, projections,
-// filters, DISTINCT, a hidden-row role, empty ranges and the whole domain.
+// on this fixture: every entry mode, projections, filters, DISTINCT, a
+// hidden-row role, a mid-relation range, empty ranges and the whole
+// domain.
 var soundCorpusScenarios = []soundScenario{
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 1000, KeyHi: 19999}, k: 1, chunkRows: 7},
-	{role: "all", q: engine.Query{Relation: "S", KeyLo: 9000, KeyHi: 20000}, k: 1, individual: true, chunkRows: 7},
+	{role: "all", q: engine.Query{Relation: "S", KeyLo: 9000, KeyHi: 20000}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 1000, KeyHi: 19999, Project: []string{"A"}}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 1000, Filters: []engine.Filter{{Col: "A", Op: engine.OpLe, Val: relation.IntVal(1)}}}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 1001, Project: []string{"B", "A"},
@@ -373,8 +371,45 @@ var soundCorpusScenarios = []soundScenario{
 		Filters: []engine.Filter{{Col: "A", Op: engine.OpLe, Val: relation.IntVal(2)}}}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 21001, KeyHi: 32999}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, chunkRows: 7},
-	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, individual: true, chunkRows: 7},
+	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S"}, k: 1, chunkRows: 7},
+}
+
+// sigCountFlips returns, for the scenario's honest stream, one editFlip
+// per frame among its first three entries frames and its footer that
+// makes the signature count closing the frame non-zero: the count is the
+// frame's last payload byte, a zero on every frame an honest writer
+// emits. A VO carries no signature but the footer's condensed one, so
+// these are the per-entry signature lists (on the first entries chunk,
+// mid-stream, beside the aggregate) a lying publisher would add, and
+// the codec refuses every one of them.
+func (fx *soundFix) sigCountFlips(tb testing.TB, sc soundScenario) [][]byte {
+	st, err := fx.pub.ExecuteStreamOn(fx.sr, sc.role, sc.q, engine.StreamOpts{ChunkRows: sc.chunkRows})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var lens []int // payload lengths
+	for {
+		c, err := st.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := wire.WriteChunkFrame(&buf, c); err != nil {
+			tb.Fatal(err)
+		}
+		lens = append(lens, buf.Len()-4)
+	}
+	var out [][]byte
+	for _, x := range []int{1, 2, 3, len(lens) - 1} {
+		x = min(x, len(lens)-1)
+		last := lens[x] - 1 // y·256+z: any bit editFlip flips there makes the count non-zero
+		out = append(out, []byte{editFlip, byte(x), byte(last / 256), byte(last % 256)})
+	}
+	return out
 }
 
 // corpusEditNames lists every edit the tamper corpus makes of a result.
@@ -404,7 +439,7 @@ func soundKind(name string) string {
 // materialized result. The two edits of the user's own inputs return the
 // query and role the user verifies against instead.
 func (fx *soundFix) corpusEdit(sc soundScenario, name string) ([]*engine.Chunk, engine.Query, string, bool) {
-	res, err := fx.publisher(sc).Execute(sc.role, sc.q)
+	res, err := fx.pub.Execute(sc.role, sc.q)
 	if err != nil {
 		return nil, sc.q, sc.role, false
 	}
@@ -435,7 +470,7 @@ func (fx *soundFix) corpusEdit(sc soundScenario, name string) ([]*engine.Chunk, 
 // stream is the honest chunk stream for a scenario over a relation, or
 // nil when the publisher refuses the query.
 func (fx *soundFix) stream(t *testing.T, sc soundScenario, sr *core.SignedRelation) []*engine.Chunk {
-	pub := fx.publisher(sc)
+	pub := fx.pub
 	if sr != fx.sr {
 		pub = fx.stale
 	}

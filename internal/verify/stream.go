@@ -20,15 +20,14 @@ import (
 // the expected-digest product for the condensed signature accumulates in
 // a single modular residue, never a digest list.
 //
-// Failure is fast: a malformed entry, an out-of-order key, a skipped
-// sequence number or a bad per-entry signature rejects the stream the
-// moment the offending chunk is consumed. The one check that must wait
-// is the condensed signature itself, which only exists in the footer —
-// so in aggregate mode the rows released before the footer are
+// Failure is fast: a malformed entry, an out-of-order key or a skipped
+// sequence number rejects the stream the moment the offending chunk is
+// consumed. The one check that must wait is the condensed signature
+// (Section 5.2), the only signature a stream carries, which exists only
+// in the footer — so the rows released before the footer are
 // chain-consistent but not yet anchored to the owner's key, and a caller
 // acting on them before Consume returns from the footer (or relying on
-// Finish to catch truncation) trusts the publisher exactly that far. In
-// individual-signature mode every released row is fully verified.
+// Finish to catch truncation) trusts the publisher exactly that far.
 //
 // Verification failures surface the same named errors as VerifyResult,
 // plus the stream-shape errors below.
@@ -63,8 +62,8 @@ type StreamVerifier struct {
 	lastKey     uint64 // key-order tracking across chunk boundaries
 	haveKey     bool
 
-	// held keeps the pending entry's row values and signature once its
-	// chunk is consumed: a transport may decode the next chunk into the
+	// held keeps the pending entry's row values once its chunk is
+	// consumed: a transport may decode the next chunk into the
 	// same memory. Two slots take turns, because the row held over from
 	// the chunk before is released by the Consume that holds the next.
 	// VerifyResult's chunks are slices of a Result it holds, so it sets
@@ -83,11 +82,9 @@ type StreamVerifier struct {
 	groupVals  []engine.DisclosedAttr
 	groupBytes []byte
 
-	// Signature mode is established by the first chunk that reveals it:
-	// entry chunks carrying Sigs switch to individual, the footer's
-	// AggSig to aggregate. Until then both paths accumulate.
-	individual bool
-	agg        *sig.AggVerifier
+	// agg accumulates the FDH product of every signed digest the chain
+	// completes; the footer's condensed signature is checked against it.
+	agg *sig.AggVerifier
 
 	// hVerify records per-chunk verification cost when the parent
 	// Verifier carries an obs registry; nil otherwise.
@@ -104,16 +101,12 @@ type pendingEntry struct {
 	g      hashx.Digest
 	row    engine.Row
 	hasRow bool
-	sig    sig.Signature // individual mode: the entry's own signature
-	idx    int
 }
 
-// heldEntry is verifier-owned memory for one pending entry's row values
-// and signature.
+// heldEntry is verifier-owned memory for one pending entry's row values.
 type heldEntry struct {
 	vals  []engine.DisclosedAttr
 	bytes []byte
-	sig   sig.Signature
 }
 
 // Stream-shape failures. All of them mean "reject the stream".
@@ -238,22 +231,6 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 		// reintroduce materialize-then-ship on the client.
 		return fmt.Errorf("%w: %d entries exceeds the %d-row chunk cap", ErrChunkShape, len(c.Entries), engine.MaxChunkRows)
 	}
-	if len(c.Sigs) > 0 {
-		if len(c.Sigs) != len(c.Entries) {
-			return fmt.Errorf("%w: %d signatures for %d entries", ErrSignature, len(c.Sigs), len(c.Entries))
-		}
-		if !sv.individual {
-			if sv.entryIdx > 0 {
-				// Earlier chunks carried no signatures; a mode switch
-				// mid-stream means some entries would go unsigned.
-				return fmt.Errorf("%w: per-entry signatures appeared mid-stream", ErrSignature)
-			}
-			sv.individual = true
-			sv.agg = nil
-		}
-	} else if sv.individual {
-		return fmt.Errorf("%w: per-entry signatures missing mid-stream", ErrSignature)
-	}
 	lastKey, haveKey := sv.lastKey, sv.haveKey
 	for i := range c.Entries {
 		e := &c.Entries[i]
@@ -270,14 +247,8 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 			}
 			lastKey, haveKey = e.Key, true
 		}
-		var esig sig.Signature
-		if sv.individual {
-			esig = c.Sigs[i]
-		}
 		release := e.Mode == engine.EntryResult && !(sv.eff.Distinct && sv.repeats(e))
-		if err := sv.advance(g, e, release, esig); err != nil {
-			return err
-		}
+		sv.advance(g, e, release)
 		sv.entryIdx++
 	}
 	sv.lastKey, sv.haveKey = lastKey, haveKey
@@ -286,8 +257,7 @@ func (sv *StreamVerifier) consumeEntries(c *engine.Chunk) error {
 }
 
 // hold copies what the pending entry still needs of its chunk — its row
-// values and signature — into the held slot not backing a row this
-// Consume released.
+// values — into the held slot not backing a row this Consume released.
 func (sv *StreamVerifier) hold() {
 	if sv.stable {
 		return
@@ -298,10 +268,6 @@ func (sv *StreamVerifier) hold() {
 	if p.hasRow && len(p.row.Values) > 0 {
 		h.vals, h.bytes = appendAttrs(h.vals[:0], h.bytes[:0], p.row.Values)
 		p.row.Values = h.vals[:len(h.vals):len(h.vals)]
-	}
-	if p.sig != nil {
-		h.sig = append(h.sig[:0], p.sig...)
-		p.sig = h.sig
 	}
 }
 
@@ -340,39 +306,28 @@ func (sv *StreamVerifier) repeats(e *engine.VOEntry) bool {
 // advance shifts the one-entry lookahead window: the newly reconstructed
 // g completes the pending entry's signed digest, then becomes pending
 // itself, with its row when release.
-func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, release bool, esig sig.Signature) error {
+func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, release bool) {
 	if sv.havePending {
-		if err := sv.completePending(g); err != nil {
-			return err
-		}
+		sv.completePending(g)
 		sv.gPrev = sv.pending.g
 	}
-	sv.pending = pendingEntry{g: g, sig: esig, idx: sv.entryIdx, hasRow: release}
-	if sv.pending.hasRow {
+	sv.pending = pendingEntry{g: g, hasRow: release}
+	if release {
 		sv.pending.row = engine.Row{Key: e.Key, Values: e.Disclosed}
 	}
 	sv.havePending = true
-	return nil
 }
 
-// completePending folds the pending entry's digest into the signature
-// check, given its successor digest, and releases its row. The signed
-// digest lives on the stack: neither check keeps it.
-func (sv *StreamVerifier) completePending(gNext hashx.Digest) error {
+// completePending folds the pending entry's signed digest, given its
+// successor digest, into the condensed-signature check and releases its
+// row. The digest lives on the stack: the accumulator keeps only its FDH.
+func (sv *StreamVerifier) completePending(gNext hashx.Digest) {
 	p := &sv.pending
 	var buf [hashx.MaxSize]byte
-	digest := core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, sv.gPrev, p.g, gNext)
-	if sv.individual {
-		if !sv.v.Pub.Verify(digest, p.sig) {
-			return fmt.Errorf("%w: entry %d", ErrSignature, p.idx)
-		}
-	} else {
-		sv.agg.Add(digest)
-	}
+	sv.agg.Add(core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, sv.gPrev, p.g, gNext))
 	if p.hasRow {
 		sv.rows = append(sv.rows, p.row)
 	}
-	return nil
 }
 
 func (sv *StreamVerifier) consumeFooter(c *engine.Chunk) error {
@@ -389,39 +344,17 @@ func (sv *StreamVerifier) consumeFooter(c *engine.Chunk) error {
 		if c.PredPrevG != nil && len(c.PredPrevG) != sv.v.H.Size() {
 			return fmt.Errorf("%w: PredPrevG width", ErrEntry)
 		}
-		digest := core.AppendSigDigest(&sv.b, nil, sv.v.Params, c.PredPrevG, sv.gPrev, gRight)
-		switch {
-		case c.AggSig != nil:
-			sv.agg.Add(digest)
-			if !sv.agg.Verify(c.AggSig) {
-				return fmt.Errorf("%w: aggregate", ErrSignature)
-			}
-		case len(c.Sigs) == 1:
-			if !sv.v.Pub.Verify(digest, c.Sigs[0]) {
-				return fmt.Errorf("%w: entry 0", ErrSignature)
-			}
-		default:
-			return fmt.Errorf("%w: no signatures in VO", ErrSignature)
-		}
-		sv.done = true
-		return nil
+		var buf [hashx.MaxSize]byte
+		sv.agg.Add(core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, c.PredPrevG, sv.gPrev, gRight))
+	} else {
+		// Complete the last entry against the right boundary.
+		sv.completePending(gRight)
 	}
-
-	// Complete the last entry against the right boundary.
-	if err := sv.completePending(gRight); err != nil {
-		return err
-	}
-	switch {
-	case sv.individual:
-		if c.AggSig != nil || len(c.Sigs) > 0 {
-			return fmt.Errorf("%w: trailing signatures in footer", ErrSignature)
-		}
-	case c.AggSig != nil:
-		if !sv.agg.Verify(c.AggSig) {
-			return fmt.Errorf("%w: aggregate", ErrSignature)
-		}
-	default:
+	if c.AggSig == nil {
 		return fmt.Errorf("%w: no signatures in VO", ErrSignature)
+	}
+	if !sv.agg.Verify(c.AggSig) {
+		return fmt.Errorf("%w: aggregate", ErrSignature)
 	}
 	sv.done = true
 	return nil

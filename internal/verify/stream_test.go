@@ -29,40 +29,36 @@ func feed(sv *verify.StreamVerifier, chunks []*engine.Chunk) ([]engine.Row, int,
 	return rows, len(chunks), nil
 }
 
-// TestStreamVerifyReleasesAllRows checks the happy path in both
-// signature modes: the stream releases exactly the rows the whole-result
-// verifier returns, in order, and Finish accepts.
+// TestStreamVerifyReleasesAllRows checks the happy path: the stream
+// releases exactly the rows the whole-result verifier returns, in order,
+// and Finish accepts.
 func TestStreamVerifyReleasesAllRows(t *testing.T) {
 	f := newVFix(t)
 	q := engine.Query{Relation: "Emp", KeyLo: 1}
-	for _, aggregate := range []bool{true, false} {
-		f.pub.Aggregate = aggregate
-		res := f.query(t, q)
-		want, err := f.v.VerifyResult(q, f.role, res)
-		if err != nil {
-			t.Fatalf("agg=%v: VerifyResult: %v", aggregate, err)
-		}
-		sv := f.v.NewStreamVerifier(q, f.role)
-		rows, _, err := feed(sv, chunkify(res))
-		if err != nil {
-			t.Fatalf("agg=%v: stream rejected: %v", aggregate, err)
-		}
-		if err := sv.Finish(); err != nil {
-			t.Fatalf("agg=%v: Finish: %v", aggregate, err)
-		}
-		if !sv.Done() {
-			t.Fatalf("agg=%v: not done after footer", aggregate)
-		}
-		if len(rows) != len(want) {
-			t.Fatalf("agg=%v: stream released %d rows, want %d", aggregate, len(rows), len(want))
-		}
-		for i := range rows {
-			if rows[i].Key != want[i].Key {
-				t.Fatalf("agg=%v: row %d key %d, want %d", aggregate, i, rows[i].Key, want[i].Key)
-			}
+	res := f.query(t, q)
+	want, err := f.v.VerifyResult(q, f.role, res)
+	if err != nil {
+		t.Fatalf("VerifyResult: %v", err)
+	}
+	sv := f.v.NewStreamVerifier(q, f.role)
+	rows, _, err := feed(sv, chunkify(res))
+	if err != nil {
+		t.Fatalf("stream rejected: %v", err)
+	}
+	if err := sv.Finish(); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	if !sv.Done() {
+		t.Fatal("not done after footer")
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("stream released %d rows, want %d", len(rows), len(want))
+	}
+	for i := range rows {
+		if rows[i].Key != want[i].Key {
+			t.Fatalf("row %d key %d, want %d", i, rows[i].Key, want[i].Key)
 		}
 	}
-	f.pub.Aggregate = true
 }
 
 // TestStreamVerifyEmptyRange checks the empty-range footer path.
@@ -87,43 +83,34 @@ func TestStreamVerifyEmptyRange(t *testing.T) {
 }
 
 // TestStreamRejectsMutatedChunk checks mid-stream tampering with an
-// entry's disclosed value. In individual-signature mode the mutation is
-// caught inside the tampered chunk's own Consume; in aggregate mode at
-// the footer. Both reject with ErrSignature.
+// entry's disclosed value: the condensed signature in the footer refuses
+// it with ErrSignature.
 func TestStreamRejectsMutatedChunk(t *testing.T) {
 	f := newVFix(t)
 	q := engine.Query{Relation: "Emp", KeyLo: 1}
-	for _, aggregate := range []bool{true, false} {
-		f.pub.Aggregate = aggregate
-		res := f.query(t, q)
-		chunks := chunkify(res)
-		if len(chunks) < 4 {
-			t.Fatalf("need >= 2 entry chunks, got %d chunks", len(chunks))
-		}
-		// Tamper with the second entry chunk (mid-stream, not the first
-		// or last piece).
-		tampered := *chunks[2]
-		tampered.Entries = append([]engine.VOEntry(nil), tampered.Entries...)
-		e := tampered.Entries[0]
-		e.Disclosed = append([]engine.DisclosedAttr(nil), e.Disclosed...)
-		e.Disclosed[1] = engine.DisclosedAttr{Col: e.Disclosed[1].Col, Val: relation.StringVal("Mallory")}
-		tampered.Entries[0] = e
-		chunks[2] = &tampered
-
-		sv := f.v.NewStreamVerifier(q, f.role)
-		_, at, err := feed(sv, chunks)
-		if !errors.Is(err, verify.ErrSignature) {
-			t.Fatalf("agg=%v: mutated chunk error = %v", aggregate, err)
-		}
-		if aggregate {
-			if at != len(chunks)-1 {
-				t.Fatalf("agg: detected at chunk %d, want footer %d", at, len(chunks)-1)
-			}
-		} else if at != 2 {
-			t.Fatalf("individual: detected at chunk %d, want 2 (the tampered chunk)", at)
-		}
+	res := f.query(t, q)
+	chunks := chunkify(res)
+	if len(chunks) < 4 {
+		t.Fatalf("need >= 2 entry chunks, got %d chunks", len(chunks))
 	}
-	f.pub.Aggregate = true
+	// Tamper with the second entry chunk (mid-stream, not the first or
+	// last piece).
+	tampered := *chunks[2]
+	tampered.Entries = append([]engine.VOEntry(nil), tampered.Entries...)
+	e := tampered.Entries[0]
+	e.Disclosed = append([]engine.DisclosedAttr(nil), e.Disclosed...)
+	e.Disclosed[1] = engine.DisclosedAttr{Col: e.Disclosed[1].Col, Val: relation.StringVal("Mallory")}
+	tampered.Entries[0] = e
+	chunks[2] = &tampered
+
+	sv := f.v.NewStreamVerifier(q, f.role)
+	_, at, err := feed(sv, chunks)
+	if !errors.Is(err, verify.ErrSignature) {
+		t.Fatalf("mutated chunk error = %v", err)
+	}
+	if at != len(chunks)-1 {
+		t.Fatalf("detected at chunk %d, want footer %d", at, len(chunks)-1)
+	}
 }
 
 // TestStreamRejectsDroppedChunk checks that removing one entry chunk

@@ -18,7 +18,6 @@ import (
 	"vcqr/internal/hashx"
 	"vcqr/internal/mht"
 	"vcqr/internal/relation"
-	"vcqr/internal/sig"
 	"vcqr/internal/verify"
 	"vcqr/internal/wire"
 	"vcqr/internal/workload"
@@ -283,28 +282,9 @@ func resultMutations(res *engine.Result) []mutation {
 				r.Effective.Filters = f
 			}
 		}},
-		{"sigs/none", func(r *engine.Result) { r.VO.AggSig, r.VO.IndividualSigs = nil, nil }},
+		{"sigs/none", func(r *engine.Result) { r.VO.AggSig = nil }},
 		{"sigs/agg-flip", func(r *engine.Result) { r.VO.AggSig = flipped(r.VO.AggSig) }},
 		{"sigs/agg-short", func(r *engine.Result) { r.VO.AggSig = shorter(r.VO.AggSig) }},
-		{"sigs/individual-short-list", func(r *engine.Result) {
-			if n := len(r.VO.IndividualSigs); n > 0 {
-				r.VO.IndividualSigs = r.VO.IndividualSigs[:n-1]
-			}
-		}},
-		{"sigs/individual-flip-0", func(r *engine.Result) {
-			if len(r.VO.IndividualSigs) > 0 {
-				s := append([]sig.Signature(nil), r.VO.IndividualSigs...)
-				s[0] = flipped(s[0])
-				r.VO.IndividualSigs = s
-			}
-		}},
-		{"sigs/both", func(r *engine.Result) {
-			if r.VO.AggSig == nil {
-				r.VO.AggSig = r.VO.IndividualSigs[0]
-			} else {
-				r.VO.IndividualSigs = []sig.Signature{r.VO.AggSig}
-			}
-		}},
 	}
 	for _, ed := range digestEdits {
 		ed := ed
@@ -390,20 +370,6 @@ func chunkMutations(n int) []chunkMutation {
 			out := append(clone(cs[:1]), big)
 			return append(out, cs[1:]...)
 		}},
-		{"stream/sigs-mid-stream", func(cs []*engine.Chunk) []*engine.Chunk {
-			if n < 4 {
-				return cs
-			}
-			out := clone(cs)
-			c := *out[2]
-			if len(c.Sigs) > 0 {
-				c.Sigs = nil
-			} else {
-				c.Sigs = make([]sig.Signature, len(c.Entries))
-			}
-			out[2] = &c
-			return out
-		}},
 	}
 }
 
@@ -452,32 +418,28 @@ func newTamperFixture(t *testing.T) *tamperFixture {
 func replayTamperEdits(t *testing.T, outcome outcomeFunc) map[string]string {
 	f := newTamperFixture(t)
 	scenarios := []struct {
-		name      string
-		role      string
-		q         engine.Query
-		aggregate bool
+		name string
+		role string
+		q    engine.Query
 	}{
-		{"plain", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}, true},
-		{"individual", "all", engine.Query{Relation: "Emp", KeyLo: 1 << 18, KeyHi: 1 << 19}, false},
-		{"project", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19, Project: []string{"Name", "Dept"}}, true},
-		{"filter", "all", engine.Query{Relation: "Emp", KeyLo: 1, Filters: []engine.Filter{{Col: "Dept", Op: engine.OpLe, Val: relation.IntVal(2)}}}, true},
+		{"plain", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}},
+		{"mid-range", "all", engine.Query{Relation: "Emp", KeyLo: 1 << 18, KeyHi: 1 << 19}},
+		{"project", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19, Project: []string{"Name", "Dept"}}},
+		{"filter", "all", engine.Query{Relation: "Emp", KeyLo: 1, Filters: []engine.Filter{{Col: "Dept", Op: engine.OpLe, Val: relation.IntVal(2)}}}},
 		{"filter-project", "all", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Dept", "ID"},
-			Filters: []engine.Filter{{Col: "Dept", Op: engine.OpGt, Val: relation.IntVal(1)}, {Col: "ID", Op: engine.OpLt, Val: relation.IntVal(30)}}}, true},
-		{"distinct", "all", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Dept"}, Distinct: true}, true},
-		{"clerk", "clerk", engine.Query{Relation: "Emp", KeyLo: 1}, true},
+			Filters: []engine.Filter{{Col: "Dept", Op: engine.OpGt, Val: relation.IntVal(1)}, {Col: "ID", Op: engine.OpLt, Val: relation.IntVal(30)}}}},
+		{"distinct", "all", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Dept"}, Distinct: true}},
+		{"clerk", "clerk", engine.Query{Relation: "Emp", KeyLo: 1}},
 		{"clerk-filter", "clerk", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Name", "Dept", "Photo"},
-			Filters: []engine.Filter{{Col: "Dept", Op: engine.OpNe, Val: relation.IntVal(3)}}}, true},
-		{"exec-clamped", "exec", engine.Query{Relation: "Emp", KeyLo: 1}, true},
-		{"empty", "all", engine.Query{Relation: "Emp", KeyLo: 3, KeyHi: 3}, true},
-		{"empty-individual", "all", engine.Query{Relation: "Emp", KeyLo: 3, KeyHi: 3}, false},
-		{"whole-domain", "all", engine.Query{Relation: "Emp"}, true},
+			Filters: []engine.Filter{{Col: "Dept", Op: engine.OpNe, Val: relation.IntVal(3)}}}},
+		{"exec-clamped", "exec", engine.Query{Relation: "Emp", KeyLo: 1}},
+		{"empty", "all", engine.Query{Relation: "Emp", KeyLo: 3, KeyHi: 3}},
+		{"whole-domain", "all", engine.Query{Relation: "Emp"}},
 	}
 	got := map[string]string{}
 	for _, sc := range scenarios {
 		role := f.roles[sc.role]
-		f.pub.Aggregate = sc.aggregate
 		res, err := f.pub.Execute(sc.role, sc.q)
-		f.pub.Aggregate = true
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}

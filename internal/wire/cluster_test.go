@@ -292,12 +292,18 @@ func FuzzReadNodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	for _, nf := range newCodecFixture(f).realNodeFrames(f) {
+	fx := newCodecFixture(f)
+	for _, nf := range fx.realNodeFrames(f) {
 		var frame bytes.Buffer
 		if err := wire.WriteNodeFrame(&frame, nf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame.Bytes())
+	}
+	for _, sl := range fx.sigListFrames(f) {
+		if sl.node {
+			f.Add(sl.frame)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		holdsRoundTrip(t, data, wire.WriteNodeFrame, wire.ReadNodeFrame)

@@ -12,7 +12,6 @@ import (
 	"vcqr/internal/obs"
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
-	"vcqr/internal/sig"
 )
 
 // This file is the typed half of the field codec (frame.go): result
@@ -313,20 +312,19 @@ func appendEntry(b []byte, e *engine.VOEntry) []byte {
 	return appendBytes(appendBytes(b, e.UpCombined), e.DownCombined)
 }
 
-// chunkArenas backs the lists of an entries chunk — its entries, their
-// disclosed attributes and hidden leaves, its signatures — so a chunk
-// decodes in a handful of allocations however many rows it carries, and
-// in none once a recycling reader's arenas have grown to fit.
+// chunkArenas backs the lists of an entries chunk — its entries and their
+// disclosed attributes and hidden leaves — so a chunk decodes in a
+// handful of allocations however many rows it carries, and in none once a
+// recycling reader's arenas have grown to fit.
 type chunkArenas struct {
 	entries []engine.VOEntry
 	attrs   []engine.DisclosedAttr
 	leaves  []hashx.Digest
-	sigs    []sig.Signature
 }
 
 // reset empties the arenas for the next chunk, keeping their arrays.
 func (a *chunkArenas) reset() {
-	a.entries, a.attrs, a.leaves, a.sigs = a.entries[:0], a.attrs[:0], a.leaves[:0], a.sigs[:0]
+	a.entries, a.attrs, a.leaves = a.entries[:0], a.attrs[:0], a.leaves[:0]
 }
 
 // arenas returns the arrays an entries chunk's lists are cut from: the
@@ -377,7 +375,7 @@ func appendChunk(b []byte, c *engine.Chunk) ([]byte, error) {
 		for i := range c.Entries {
 			b = appendEntry(b, &c.Entries[i])
 		}
-		b = appendList(b, c.Sigs)
+		b = append(b, 0) // a zero signature count (see noSigs)
 	case engine.ChunkFooter:
 		b = appendBoundary(b, &c.Right)
 		b = appendBytes(appendBytes(b, c.AggSig), c.PredPrevG)
@@ -385,7 +383,7 @@ func appendChunk(b []byte, c *engine.Chunk) ([]byte, error) {
 		for _, sf := range c.ShardFeet {
 			b = binary.AppendUvarint(appendInt(b, sf.Shard), sf.Entries)
 		}
-		b = appendList(b, c.Sigs)
+		b = append(b, 0) // a zero signature count (see noSigs)
 	case engine.ChunkError:
 		b = appendBytes(b, c.Err)
 	case engine.ChunkTiming:
@@ -409,7 +407,7 @@ func (d *decoder) chunk(c *engine.Chunk) {
 		for i := range c.Entries {
 			d.entry(&c.Entries[i], a, len(c.Entries)-i)
 		}
-		c.Sigs = fill(d, carve(d, &a.sigs, 1, 1))
+		d.noSigs()
 	case engine.ChunkFooter:
 		d.boundary(&c.Right)
 		c.AggSig, c.PredPrevG = d.bytes(), d.bytes()
@@ -417,12 +415,22 @@ func (d *decoder) chunk(c *engine.Chunk) {
 		for i := range c.ShardFeet {
 			c.ShardFeet[i] = engine.ShardFoot{Shard: d.int(), Entries: d.uvarint()}
 		}
-		c.Sigs = fill(d, alloc[sig.Signature](d, 1))
+		d.noSigs()
 	case engine.ChunkError:
 		c.Err = d.str()
 	case engine.ChunkTiming:
 		c.Trace, c.Timing = d.str(), d.timing()
 	default:
+		d.fail()
+	}
+}
+
+// noSigs reads the signature count that closes an entries chunk and a
+// footer. The field once carried per-entry signatures; a VO now carries
+// only the footer's condensed signature, so every writer emits a zero
+// count (one 0 byte) and any other count is malformed.
+func (d *decoder) noSigs() {
+	if d.uvarint() != 0 {
 		d.fail()
 	}
 }

@@ -57,6 +57,11 @@ func newCodecFixture(t testing.TB) *codecFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, sl := range set.Slices {
+		if err := sl.BuildAggIndex(h, signKey(t).Public()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	roles := map[string]accessctl.Role{
 		"all":   {Name: "all"},
 		"clerk": {Name: "clerk", VisibilityCol: "vis_clerk", Cols: []string{"Name", "Dept", "vis_clerk"}},
@@ -70,27 +75,25 @@ func newCodecFixture(t testing.TB) *codecFixture {
 		v: verify.New(h, signKey(t).Public(), p, rel.Schema)}
 }
 
-// codecScenarios are the tamper corpus's twelve: all entry modes,
-// projection, filters, DISTINCT, both signature modes, an empty range.
+// codecScenarios are the tamper corpus's eleven: all entry modes,
+// projection, filters, DISTINCT, a mid-relation range, an empty range.
 var codecScenarios = []struct {
 	name, role string
 	q          engine.Query
-	aggregate  bool
 }{
-	{"plain", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}, true},
-	{"individual", "all", engine.Query{Relation: "Emp", KeyLo: 1 << 18, KeyHi: 1 << 19}, false},
-	{"project", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19, Project: []string{"Name", "Dept"}}, true},
-	{"filter", "all", engine.Query{Relation: "Emp", KeyLo: 1, Filters: []engine.Filter{{Col: "Dept", Op: engine.OpLe, Val: relation.IntVal(2)}}}, true},
+	{"plain", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}},
+	{"mid-range", "all", engine.Query{Relation: "Emp", KeyLo: 1 << 18, KeyHi: 1 << 19}},
+	{"project", "all", engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19, Project: []string{"Name", "Dept"}}},
+	{"filter", "all", engine.Query{Relation: "Emp", KeyLo: 1, Filters: []engine.Filter{{Col: "Dept", Op: engine.OpLe, Val: relation.IntVal(2)}}}},
 	{"filter-project", "all", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Dept", "ID"},
-		Filters: []engine.Filter{{Col: "Dept", Op: engine.OpGt, Val: relation.IntVal(1)}, {Col: "ID", Op: engine.OpLt, Val: relation.IntVal(30)}}}, true},
-	{"distinct", "all", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Dept"}, Distinct: true}, true},
-	{"clerk", "clerk", engine.Query{Relation: "Emp", KeyLo: 1}, true},
+		Filters: []engine.Filter{{Col: "Dept", Op: engine.OpGt, Val: relation.IntVal(1)}, {Col: "ID", Op: engine.OpLt, Val: relation.IntVal(30)}}}},
+	{"distinct", "all", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Dept"}, Distinct: true}},
+	{"clerk", "clerk", engine.Query{Relation: "Emp", KeyLo: 1}},
 	{"clerk-filter", "clerk", engine.Query{Relation: "Emp", KeyLo: 1, Project: []string{"Name", "Dept", "Photo"},
-		Filters: []engine.Filter{{Col: "Dept", Op: engine.OpNe, Val: relation.IntVal(3)}}}, true},
-	{"exec-clamped", "exec", engine.Query{Relation: "Emp", KeyLo: 1}, true},
-	{"empty", "all", engine.Query{Relation: "Emp", KeyLo: 3, KeyHi: 3}, true},
-	{"empty-individual", "all", engine.Query{Relation: "Emp", KeyLo: 3, KeyHi: 3}, false},
-	{"whole-domain", "all", engine.Query{Relation: "Emp"}, true},
+		Filters: []engine.Filter{{Col: "Dept", Op: engine.OpNe, Val: relation.IntVal(3)}}}},
+	{"exec-clamped", "exec", engine.Query{Relation: "Emp", KeyLo: 1}},
+	{"empty", "all", engine.Query{Relation: "Emp", KeyLo: 3, KeyHi: 3}},
+	{"whole-domain", "all", engine.Query{Relation: "Emp"}},
 }
 
 func drain(t testing.TB, st engine.ResultStream) []*engine.Chunk {
@@ -109,8 +112,7 @@ func drain(t testing.TB, st engine.ResultStream) []*engine.Chunk {
 }
 
 // partials opens one ShardPartial per covering shard of a scenario — the
-// node half of a distributed fan-out, run in-process. The caller holds
-// pub.Aggregate at the scenario's mode until the feeds are drained.
+// node half of a distributed fan-out, run in-process.
 func (f *codecFixture) partials(t testing.TB, role string, q engine.Query) (engine.Query, []*engine.ShardPartial, engine.PrevG) {
 	t.Helper()
 	eff, err := engine.EffectiveQuery(f.sr.Params, f.sr.Schema, f.roles[role], q)
@@ -143,7 +145,6 @@ func (f *codecFixture) realChunks(t testing.TB) []*engine.Chunk {
 	t.Helper()
 	var out []*engine.Chunk
 	for _, sc := range codecScenarios {
-		f.pub.Aggregate = sc.aggregate
 		st, err := f.pub.ExecuteStream(sc.role, sc.q, engine.StreamOpts{ChunkRows: 5})
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
@@ -157,13 +158,12 @@ func (f *codecFixture) realChunks(t testing.TB) []*engine.Chunk {
 		for i, sp := range sps {
 			feeds[i] = sp
 		}
-		merged, err := engine.MergeShards(signKey(t).Public(), sc.aggregate, eff, feeds, prevG)
+		merged, err := engine.MergeShards(signKey(t).Public(), true, eff, feeds, prevG)
 		if err != nil {
 			t.Fatalf("%s: merge: %v", sc.name, err)
 		}
 		out = append(out, drain(t, merged)...)
 	}
-	f.pub.Aggregate = true
 	// An empty range whose predecessor is a record, not the delimiter:
 	// the footer carries PredPrevG.
 	gap := engine.Query{Relation: "Emp", KeyLo: f.sr.Recs[5].Key() + 1, KeyHi: f.sr.Recs[6].Key() - 1}
@@ -190,6 +190,105 @@ func (f *codecFixture) realChunks(t testing.TB) []*engine.Chunk {
 			Timing: []obs.StageDur{{Stage: obs.StageStreamTotal, NS: 123456}, {Stage: obs.StageWireEncode, NS: -1}}})
 }
 
+// sigListFrame is one frame in the encoding the closing signature count
+// of an entries chunk and a footer had while a VO could carry per-entry
+// signatures: an honest frame whose zero count is replaced by a counted
+// list of signatures.
+type sigListFrame struct {
+	name  string
+	frame []byte
+	node  bool // a node sub-stream frame, for ReadNodeFrame
+}
+
+// sigListFrames builds every shape that encoding took from the fixture's
+// real streams: an entries chunk with one signature per entry and with
+// one, a footer with one beside the condensed signature, an empty
+// range's footer with its predecessor's, and the two entries chunks
+// inside node sub-stream frames.
+func (f *codecFixture) sigListFrames(tb testing.TB) []sigListFrame {
+	tb.Helper()
+	var entries, footer, empty *engine.Chunk
+	for _, c := range f.realChunks(tb) {
+		switch {
+		case c.Type == engine.ChunkEntries && entries == nil && len(c.Entries) > 1:
+			entries = c
+		case c.Type == engine.ChunkFooter && footer == nil && c.ShardFeet[0].Entries > 0:
+			footer = c
+		case c.Type == engine.ChunkFooter && empty == nil && len(c.ShardFeet) == 1 && c.ShardFeet[0].Entries == 0:
+			empty = c
+		}
+	}
+	if entries == nil || footer == nil || empty == nil {
+		tb.Fatal("the fixture streams no entries chunk, footer or empty-range footer")
+	}
+	perEntry := make([][]byte, len(entries.Entries))
+	for i := range perEntry {
+		perEntry[i] = f.sr.Recs[1+i].Sig
+	}
+	one := [][]byte{f.sr.Recs[1].Sig}
+	withSigs := func(frame []byte, sigs [][]byte) []byte {
+		payload := bytes.Clone(frame[4 : len(frame)-1]) // less the zero count
+		payload = binary.AppendUvarint(payload, uint64(len(sigs)))
+		for _, s := range sigs {
+			payload = append(binary.AppendUvarint(payload, uint64(len(s))), s...)
+		}
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	encode := func(write func(io.Writer) error) []byte {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	chunk := func(c *engine.Chunk) []byte {
+		return encode(func(w io.Writer) error { return wire.WriteChunkFrame(w, c) })
+	}
+	node := encode(func(w io.Writer) error { return wire.WriteNodeFrame(w, &wire.NodeFrame{Chunk: entries}) })
+	return []sigListFrame{
+		{"entries chunk, a signature per entry", withSigs(chunk(entries), perEntry), false},
+		{"entries chunk, one signature", withSigs(chunk(entries), one), false},
+		{"footer, a signature beside the aggregate", withSigs(chunk(footer), [][]byte{footer.AggSig}), false},
+		{"empty-range footer, the predecessor's signature", withSigs(chunk(empty), one), false},
+		{"node entries chunk, a signature per entry", withSigs(node, perEntry), true},
+		{"node entries chunk, one signature", withSigs(node, one), true},
+	}
+}
+
+// TestSignatureListRefused: a VO carries no signature but the footer's
+// condensed one, so every frame whose closing signature count is not zero
+// is malformed — refused with ErrMalformed by the one-shot readers, by a
+// recycling reader after an honest entries chunk it decodes into, and
+// inside a node sub-stream.
+func TestSignatureListRefused(t *testing.T) {
+	f := newCodecFixture(t)
+	var honest []byte // an entries chunk, so the next frame decodes into recycled memory
+	for _, c := range f.realChunks(t) {
+		if c.Type == engine.ChunkEntries {
+			honest = frameOf(t, wire.WriteChunkFrame, c)
+			break
+		}
+	}
+	for _, sl := range f.sigListFrames(t) {
+		stream := io.MultiReader(bytes.NewReader(honest), bytes.NewReader(sl.frame))
+		rc := wire.NewRecycler(stream)
+		if _, err := rc.Next(); err != nil {
+			t.Fatal(err)
+		}
+		var oneShot, recycled error
+		if sl.node {
+			_, oneShot = wire.ReadNodeFrame(bytes.NewReader(sl.frame))
+			_, recycled = rc.NextNode()
+		} else {
+			_, oneShot = wire.ReadChunkFrame(bytes.NewReader(sl.frame))
+			_, recycled = rc.Next()
+		}
+		if !errors.Is(oneShot, wire.ErrMalformed) || !errors.Is(recycled, wire.ErrMalformed) {
+			t.Errorf("%s: one-shot read %v, recycling read %v; want the malformed-frame error", sl.name, oneShot, recycled)
+		}
+	}
+}
+
 // realNodeFrames is every frame the fixture's sub-streams emit, built as
 // the node's /shard/stream handler builds them: hellos of first, interior
 // and last shards, chunks, feet with and without Right and PredSig, and
@@ -201,7 +300,6 @@ func (f *codecFixture) realNodeFrames(t testing.TB) []*wire.NodeFrame {
 		if sc.q.Distinct {
 			continue
 		}
-		f.pub.Aggregate = sc.aggregate
 		_, sps, _ := f.partials(t, sc.role, sc.q)
 		for _, sp := range sps {
 			head, err := sp.Head()
@@ -226,7 +324,6 @@ func (f *codecFixture) realNodeFrames(t testing.TB) []*wire.NodeFrame {
 			out = append(out, &wire.NodeFrame{Foot: nf})
 		}
 	}
-	f.pub.Aggregate = true
 	return append(out, &wire.NodeFrame{Err: wire.NotHostingMsg + " 2"})
 }
 
@@ -314,19 +411,18 @@ func TestCodecMatchesGob(t *testing.T) {
 	f := newCodecFixture(t)
 	chunks := f.realChunks(t)
 	modes, types := map[engine.EntryMode]bool{}, map[engine.ChunkType]bool{}
-	var sigs, feet, predPrev bool
+	var feet, predPrev bool
 	for _, c := range chunks {
 		checkFrame(t, "chunk "+c.Type.String(), c, wire.WriteChunkFrame, wire.ReadChunkFrame)
 		types[c.Type] = true
 		for _, e := range c.Entries {
 			modes[e.Mode] = true
 		}
-		sigs = sigs || (c.Type == engine.ChunkEntries && len(c.Sigs) > 0)
 		feet = feet || len(c.ShardFeet) > 1
 		predPrev = predPrev || len(c.PredPrevG) > 0
 	}
-	if len(modes) != 5 || len(types) != 5 || !sigs || !feet || !predPrev {
-		t.Fatalf("fixture lost coverage: modes %v types %v sigs %v feet %v predPrevG %v", modes, types, sigs, feet, predPrev)
+	if len(modes) != 5 || len(types) != 5 || !feet || !predPrev {
+		t.Fatalf("fixture lost coverage: modes %v types %v feet %v predPrevG %v", modes, types, feet, predPrev)
 	}
 	var hello [3]bool
 	var footRight, footBare, footPred, nodeErr bool

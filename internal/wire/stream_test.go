@@ -118,12 +118,18 @@ func FuzzReadChunkFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	for _, c := range newCodecFixture(f).realChunks(f) {
+	fx := newCodecFixture(f)
+	for _, c := range fx.realChunks(f) {
 		var frame bytes.Buffer
 		if err := wire.WriteChunkFrame(&frame, c); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame.Bytes())
+	}
+	for _, sl := range fx.sigListFrames(f) {
+		if !sl.node {
+			f.Add(sl.frame)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		holdsRoundTrip(t, data, wire.WriteChunkFrame, wire.ReadChunkFrame)
@@ -213,13 +219,12 @@ func FuzzRecycledChunkReader(f *testing.F) {
 // frame that decodes to the same request. A gob-decoded value may carry
 // fields the frame does not (a value's unselected fields), so sameness
 // is the frame encoding's. Seeded with every codec scenario's request in
-// both formats.
+// both formats, and one asking for the timing trailer.
 func FuzzReadStreamRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	for _, sc := range codecScenarios {
-		req := &wire.StreamRequest{Role: sc.role, Query: sc.q, ChunkRows: 5, Trace: sc.name}
+	add := func(req *wire.StreamRequest) {
 		var frame, legacy bytes.Buffer
 		if err := wire.WriteStreamRequest(&frame, req); err != nil {
 			f.Fatal(err)
@@ -230,6 +235,10 @@ func FuzzReadStreamRequest(f *testing.F) {
 		f.Add(frame.Bytes())
 		f.Add(legacy.Bytes())
 	}
+	for _, sc := range codecScenarios {
+		add(&wire.StreamRequest{Role: sc.role, Query: sc.q, ChunkRows: 5, Trace: sc.name})
+	}
+	add(&wire.StreamRequest{Role: "all", Query: codecScenarios[0].q, ChunkRows: 5, Trace: "timed", Timing: true})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := wire.StreamRequestBody.Read(bytes.NewReader(data))
 		if err != nil {

@@ -199,6 +199,45 @@ func TestOneChunkProducer(t *testing.T) {
 	}
 }
 
+// TestOneSignatureMode pins the condensed signature (Section 5.2), taken
+// from the slice's crypto index, as the one signature a VO carries: no
+// non-test file of internal/engine or internal/verify declares a field
+// holding a list of signatures, names a piece of the per-entry mode
+// (Publisher.Aggregate, IndividualSigs, Chunk.Sigs, the verifier's
+// individual state) or checks a lone signature with PublicKey.Verify;
+// and internal/engine folds signatures with an Aggregator only in
+// MergeShards, which multiplies the shards' index-derived partials.
+func TestOneSignatureMode(t *testing.T) {
+	list := regexp.MustCompile(`(?m)^\s*\w+(\s*,\s*\w+)*\s+\[\]sig\.Signature\b`)
+	mode := regexp.MustCompile(`Aggregate\s+bool|\.Aggregate\s*=[^=]|IndividualSigs|\.Sigs\b|\bindividual\s+bool|\.individual\b`)
+	single := regexp.MustCompile(`(?i)\bpub\.Verify\(`)
+	fold := regexp.MustCompile(`\.NewAggregator\(`)
+	funcLine := regexp.MustCompile(`(?m)^func [^\n]*`)
+	var folds []string
+	for _, pkg := range []string{"engine", "verify"} {
+		for name, src := range sources(t, filepath.Join("internal", pkg)) {
+			for _, re := range []*regexp.Regexp{list, mode, single} {
+				if m := re.Find(src); m != nil {
+					t.Errorf("%s: %q", name, m)
+				}
+			}
+			if pkg != "engine" {
+				continue
+			}
+			for _, at := range fold.FindAllIndex(src, -1) {
+				fns := funcLine.FindAll(src[:at[0]], -1)
+				if len(fns) == 0 {
+					t.Fatalf("%s calls NewAggregator outside a function", name)
+				}
+				folds = append(folds, string(fns[len(fns)-1]))
+			}
+		}
+	}
+	if len(folds) != 1 || !strings.HasPrefix(folds[0], "func MergeShards(") {
+		t.Errorf("engine calls NewAggregator from %q, want only MergeShards", folds)
+	}
+}
+
 // TestOneCacheGranularity pins the edge cache as one kind of entry, the
 // merged stream, looked up in one place: no non-test file of
 // internal/cluster names a decoded cache hit, a feed replayed from one
