@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-verify fuzz docs loc smoke-cluster smoke-cache smoke-replica smoke-store metrics-smoke ci
+.PHONY: all build vet test race bench bench-smoke bench-verify fuzz docs examples loc smoke-cluster smoke-cache smoke-replica smoke-store metrics-smoke ci
 
 all: ci
 
@@ -112,6 +112,13 @@ docs:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./examples/...
+
+# examples runs all six examples and diffs each one's stdout against its
+# golden in examples/testdata, so a refactor cannot change what an
+# example prints unseen (also run by CI's docs job). After a deliberate
+# change, `sh scripts/examples.sh -update` rewrites the goldens.
+examples:
+	@sh scripts/examples.sh
 
 # loc prints the non-test Go code lines (blank and comment-only lines
 # and bench/ excluded) per package and as three totals — serving, paper
