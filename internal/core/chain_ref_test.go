@@ -5,12 +5,12 @@ import (
 
 	"vcqr/internal/basep"
 	"vcqr/internal/hashx"
-	"vcqr/internal/mht"
+	"vcqr/internal/paper/baseline/merkle"
 )
 
 // This file keeps the chain-side construction as it stood before a side
 // was hashed once — full 2B-step digit chains, one digest per preferred
-// representation over basep.Preferred, and an mht.Tree for the root and
+// representation over basep.Preferred, and a merkle.Tree for the root and
 // the audit path — as the reference the differential tests and
 // FuzzChainSide hold chain.go to, byte for byte.
 
@@ -77,7 +77,7 @@ func (dc *digitChains) repDigest(b *hashx.Batch, dst []byte, rep basep.Rep) []by
 type chainSide struct {
 	canon    basep.Rep
 	canonDig hashx.Digest
-	repTree  *mht.Tree
+	repTree  *merkle.Tree
 	Combined hashx.Digest
 }
 
@@ -101,7 +101,7 @@ func buildChainSide(h *hashx.Hasher, p Params, key uint64, dir Direction) (*chai
 		rep, _ := basep.Preferred(canon, i)
 		leaves[i] = dc.repDigest(&b, nil, rep)
 	}
-	tree := mht.BuildFromDigests(h, leaves)
+	tree := merkle.BuildFromDigests(h, leaves)
 	return &chainSide{
 		canon:    canon,
 		canonDig: canonDig,

@@ -92,15 +92,17 @@ func AppendKeyLeaf(b *hashx.Batch, dst []byte, key uint64) []byte {
 	return b.Leaf(dst, hashx.U64(key))
 }
 
-// AttrTree builds the per-record attribute tree.
-func AttrTree(h *hashx.Hasher, t relation.Tuple) *mht.Tree {
-	return mht.BuildFromDigests(h, append(AttrLeaves(h, t), KeyLeaf(h, t.Key)))
-}
-
 // AttrRoot returns the root of the per-record attribute tree, the
-// MHT(r.A) component of formula (3).
+// MHT(r.A) component of formula (3): AttrLeaves and KeyLeaf, laid end to
+// end and folded in place, as AppendAttrRoot folds a disclosure.
 func AttrRoot(h *hashx.Hasher, t relation.Tuple) hashx.Digest {
-	return AttrTree(h, t).Root()
+	var leaves []byte
+	for _, l := range AttrLeaves(h, t) {
+		leaves = append(leaves, l...)
+	}
+	b := h.Batch()
+	defer b.Done()
+	return mht.Root(&b, append(leaves, KeyLeaf(h, t.Key)...))
 }
 
 // recordG computes g(r) from its components: the kind tag, the two

@@ -27,7 +27,7 @@ import (
 	"sort"
 
 	"vcqr/internal/hashx"
-	"vcqr/internal/mht"
+	"vcqr/internal/paper/baseline/merkle"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 )
@@ -49,7 +49,7 @@ type SignedTable struct {
 	L, U   uint64
 	// Tuples holds sentinel(L), data..., sentinel(U), sorted by key.
 	Tuples []relation.Tuple
-	tree   *mht.Tree
+	tree   *merkle.Tree
 	// RootSig is the owner's signature on the root digest.
 	RootSig sig.Signature
 }
@@ -83,7 +83,7 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, rel *relation.Relation) (*Signe
 	for i, t := range st.Tuples {
 		leaves[i] = encodeTuple(t)
 	}
-	st.tree = mht.Build(h, leaves)
+	st.tree = merkle.Build(h, leaves)
 	st.RootSig = key.Sign(hashx.Digest(st.tree.Root()))
 	return st, nil
 }
@@ -99,7 +99,7 @@ type QueryResult struct {
 	Lo, Hi uint64
 	// Tuples covers boundary-left, matches..., boundary-right.
 	Tuples []relation.Tuple
-	Proof  mht.RangeProof
+	Proof  merkle.RangeProof
 	// Root and RootSig authenticate the tree.
 	Root    hashx.Digest
 	RootSig sig.Signature
@@ -166,7 +166,7 @@ func Verify(h *hashx.Hasher, pub *sig.PublicKey, res *QueryResult) ([]relation.T
 	for i, t := range res.Tuples {
 		leaves[i] = h.Leaf(encodeTuple(t))
 	}
-	if !mht.VerifyRange(h, res.Proof, leaves, hashx.Digest(res.Root)) {
+	if !merkle.VerifyRange(h, res.Proof, leaves, hashx.Digest(res.Root)) {
 		return nil, ErrProof
 	}
 	out := make([]relation.Tuple, len(res.Tuples)-2)

@@ -19,7 +19,7 @@ import (
 	"sort"
 
 	"vcqr/internal/hashx"
-	"vcqr/internal/mht"
+	"vcqr/internal/paper/baseline/merkle"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 )
@@ -34,7 +34,7 @@ var (
 // SignedIndex is a binary index with a signature per node.
 type SignedIndex struct {
 	Tuples []relation.Tuple
-	tree   *mht.Tree
+	tree   *merkle.Tree
 	// sigs[level][idx] signs the node digest at that position.
 	sigs [][]sig.Signature
 	// width is the padded leaf count.
@@ -66,7 +66,7 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, rel *relation.Relation) (*Signe
 		si.Tuples[i] = t.Clone()
 		leaves[i] = encodeTuple(t)
 	}
-	si.tree = mht.Build(h, leaves)
+	si.tree = merkle.Build(h, leaves)
 	// Sign every node at every level.
 	width := 1
 	for width < len(leaves) {

@@ -355,10 +355,5 @@ var servingAllowList = map[string]string{
 	"core.EntryG":               "the E7 ablation times a record digest rebuild; uses unexported deltaT, deltaC and entryCombined",
 	"core.LinearG":              "the E7 ablation times formula (2); uses unexported deltaT",
 	"hashx.Hasher.ResetOps":     "experiments/{cuser,fig10} count hash operations per query",
-	"mht.Build":                 "the Devanbu baseline builds a Merkle tree over a relation",
-	"mht.Tree.ProveRange":       "the Devanbu baseline proves a range",
-	"mht.Tree.Update":           "the Devanbu baseline re-hashes a leaf's root path per update",
-	"mht.VerifyRange":           "the Devanbu baseline verifies a range",
-	"mht.RangeProof.ProofSize":  "the Devanbu baseline reports its VO size",
 	"workload.Stocks":           "examples/stocks generates its trades relation",
 }
