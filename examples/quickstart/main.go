@@ -18,6 +18,7 @@ import (
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/owner"
+	"vcqr/internal/paper/adversary"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
 )
@@ -76,8 +77,8 @@ func main() {
 	}
 
 	// --- And the point: a truncated result is rejected ---------------
-	adv := engine.NewAdversary(pub)
-	evil, err := adv.Execute("user", q, engine.AttackOmitFirst)
+	adv := adversary.New(pub, h, own.PublicKey())
+	evil, err := adv.Execute("user", q, adversary.AttackOmitFirst)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/owner"
+	"vcqr/internal/paper/adversary"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
 	"vcqr/internal/workload"
@@ -50,7 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 	v := verify.New(h, own.PublicKey(), sr.Params, sr.Schema)
-	adv := engine.NewAdversary(pub)
+	adv := adversary.New(pub, h, own.PublicKey())
 
 	fmt.Println("honest baseline:")
 	q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}
@@ -66,13 +67,13 @@ func main() {
 
 	fmt.Println("attack matrix (every attack must be rejected):")
 	detected, mounted := 0, 0
-	for _, attack := range engine.Attacks() {
+	for _, attack := range adversary.Attacks() {
 		aq := q
 		role := "manager"
 		switch attack {
-		case engine.AttackHideAsFiltered:
+		case adversary.AttackHideAsFiltered:
 			aq.Filters = []engine.Filter{{Col: "Dept", Op: engine.OpLe, Val: relation.IntVal(3)}}
-		case engine.AttackWidenRewrite:
+		case adversary.AttackWidenRewrite:
 			role = "exec"
 		}
 		evil, err := adv.Execute(role, aq, attack)

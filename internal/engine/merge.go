@@ -107,7 +107,7 @@ type PrevG func() (hashx.Digest, error)
 // The slice must carry a crypto index current for the publisher's key
 // (core.AggIndexFor); one without is refused with core.ErrAggIndex.
 func (p *Publisher) ShardPartial(sr *core.SignedRelation, roleName string, q Query, shard int, lo, hi uint64, first, last bool, opts StreamOpts) (*ShardPartial, error) {
-	role, eff, err := p.plan(sr, roleName, q)
+	role, eff, err := p.Plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,9 @@ import (
 )
 
 // Publisher hosts signed relations on behalf of the owner and answers
-// queries with verification objects. It is deliberately *able* to cheat —
-// see evil.go — because the system's guarantee is that cheating is
-// detected by the user, not prevented at the publisher.
+// queries with verification objects. It is deliberately *able* to cheat
+// (internal/paper/adversary does) because the system's guarantee is that
+// cheating is detected by the user, not prevented at the publisher.
 //
 // Concurrency contract: AddRelation, Relation, Execute, ExecuteOn and
 // the streaming executors may be called from multiple goroutines; the
@@ -102,16 +102,18 @@ func (p *Publisher) Execute(roleName string, q Query) (*Result, error) {
 // updates swap in new epochs concurrently (see internal/server). The
 // snapshot must not be mutated while the call runs.
 func (p *Publisher) ExecuteOn(sr *core.SignedRelation, roleName string, q Query) (*Result, error) {
-	role, eff, err := p.plan(sr, roleName, q)
+	role, eff, err := p.Plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}
 	return p.executeRewritten(sr, role, eff)
 }
 
-// plan is PlanQuery under this publisher's policy against one relation
-// snapshot's parameters and schema.
-func (p *Publisher) plan(sr *core.SignedRelation, roleName string, q Query) (accessctl.Role, Query, error) {
+// Plan is PlanQuery under this publisher's policy against one relation
+// snapshot's parameters and schema: the role and the effective query
+// every execution starts from (the Section 3.2 adversary starts there
+// too).
+func (p *Publisher) Plan(sr *core.SignedRelation, roleName string, q Query) (accessctl.Role, Query, error) {
 	return PlanQuery(p.policy, sr.Params, sr.Schema, roleName, q)
 }
 

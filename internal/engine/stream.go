@@ -214,7 +214,7 @@ func (p *Publisher) ExecuteStream(roleName string, q Query, opts StreamOpts) (Re
 // FanoutStream over the single slice covering the effective range. The
 // snapshot must not be mutated while the stream is being drained.
 func (p *Publisher) ExecuteStreamOn(sr *core.SignedRelation, roleName string, q Query, opts StreamOpts) (ResultStream, error) {
-	role, eff, err := p.plan(sr, roleName, q)
+	role, eff, err := p.Plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}

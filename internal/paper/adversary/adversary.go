@@ -1,9 +1,18 @@
-package engine
+// Package adversary is the compromised publisher of Section 3.2: it holds
+// exactly what an honest engine.Publisher holds and mounts each attack of
+// the paper's analysis on an honest result, so the tests, the E8
+// experiment and examples/{quickstart,tamper} can show the unmodified
+// verifier rejecting every one. It serves no request: it reaches the
+// engine through its exported API and one hook, Publisher.Plan.
+package adversary
 
 import (
 	"fmt"
 
+	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
+	"vcqr/internal/engine"
+	"vcqr/internal/hashx"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
 )
@@ -16,11 +25,16 @@ import (
 // shifted bounds — so the tests show the attacks fail because of the
 // cryptography, not because of sloppy bookkeeping.
 type Adversary struct {
-	p *Publisher
+	p  *engine.Publisher
+	h  *hashx.Hasher
+	pk *sig.PublicKey
 }
 
-// NewAdversary wraps a publisher.
-func NewAdversary(p *Publisher) *Adversary { return &Adversary{p: p} }
+// New wraps a publisher, with the hasher and the owner's public key it
+// was built with.
+func New(p *engine.Publisher, h *hashx.Hasher, pk *sig.PublicKey) *Adversary {
+	return &Adversary{p: p, h: h, pk: pk}
+}
 
 // Attack names correspond to the cases of Section 3.2 plus the
 // authenticity and access-control threats of Sections 4.1 and 1.
@@ -48,12 +62,12 @@ func Attacks() []string {
 
 // Execute runs the query honestly and then applies the named attack to
 // the result. The returned result is what a cheating publisher would send.
-func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, error) {
+func (a *Adversary) Execute(roleName string, q engine.Query, attack string) (*engine.Result, error) {
 	sr, ok := a.p.Relation(q.Relation)
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, q.Relation)
+		return nil, fmt.Errorf("%w: %q", engine.ErrUnknownRelation, q.Relation)
 	}
-	role, eff, err := a.p.plan(sr, roleName, q)
+	role, eff, err := a.p.Plan(sr, roleName, q)
 	if err != nil {
 		return nil, err
 	}
@@ -67,14 +81,14 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 		// publisher cannot produce h^{KeyLo-pred-1}).
 		ia, ib := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
 		if ib-ia < 1 {
-			return nil, fmt.Errorf("engine: attack %s needs a non-empty result", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs a non-empty result", attack)
 		}
 		inner := eff
 		inner.KeyLo = sr.Recs[ia].Key() + 1
 		if inner.KeyLo > inner.KeyHi {
-			return nil, fmt.Errorf("engine: attack %s cannot narrow", attack)
+			return nil, fmt.Errorf("adversary: attack %s cannot narrow", attack)
 		}
-		res, err := a.p.executeRewritten(sr, role, inner)
+		res, err := a.execute(sr, role, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -85,14 +99,14 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 	case AttackOmitLast:
 		ia, ib := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
 		if ib-ia < 1 {
-			return nil, fmt.Errorf("engine: attack %s needs a non-empty result", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs a non-empty result", attack)
 		}
 		inner := eff
 		inner.KeyHi = sr.Recs[ib-1].Key() - 1
 		if inner.KeyHi < inner.KeyLo {
-			return nil, fmt.Errorf("engine: attack %s cannot narrow", attack)
+			return nil, fmt.Errorf("adversary: attack %s cannot narrow", attack)
 		}
-		res, err := a.p.executeRewritten(sr, role, inner)
+		res, err := a.execute(sr, role, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -107,19 +121,19 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 		// neighbour — the first omitted record — not the successor.
 		ia, ib := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
 		if ib == ia {
-			return nil, fmt.Errorf("engine: attack %s needs a non-empty result", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs a non-empty result", attack)
 		}
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		vo := &res.VO
 		vo.Entries = nil
-		left, err := sr.ProveBoundary(a.p.h, ia-1, core.Up, eff.KeyLo)
+		left, err := sr.ProveBoundary(a.h, ia-1, core.Up, eff.KeyLo)
 		if err != nil {
 			return nil, err
 		}
-		right, err := sr.ProveBoundary(a.p.h, ib, core.Down, eff.KeyHi)
+		right, err := sr.ProveBoundary(a.h, ib, core.Down, eff.KeyHi)
 		if err != nil {
 			return nil, err
 		}
@@ -133,12 +147,12 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 		return a.resign(res, sigs)
 
 	case AttackOmitMiddle:
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		if len(res.VO.Entries) < 3 {
-			return nil, fmt.Errorf("engine: attack %s needs >= 3 entries", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs >= 3 entries", attack)
 		}
 		ia, _ := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
 		mid := len(res.VO.Entries) / 2
@@ -157,22 +171,22 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 		// Inject a record that was never signed, with self-consistent
 		// digest material derived from a forged relation (Case 5: the
 		// adversary can compute digests but not the owner's signature).
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		if len(res.VO.Entries) == 0 {
-			return nil, fmt.Errorf("engine: attack %s needs a non-empty result", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs a non-empty result", attack)
 		}
 		forged := res.VO.Entries[0]
 		forged.Key = eff.KeyLo
-		forged.Disclosed = append([]DisclosedAttr(nil), forged.Disclosed...)
+		forged.Disclosed = append([]engine.DisclosedAttr(nil), forged.Disclosed...)
 		for i := range forged.Disclosed {
 			if forged.Disclosed[i].Val.Type == relation.TypeString {
 				forged.Disclosed[i].Val = relation.StringVal("intruder")
 			}
 		}
-		res.VO.Entries = append([]VOEntry{forged}, res.VO.Entries...)
+		res.VO.Entries = append([]engine.VOEntry{forged}, res.VO.Entries...)
 		ia, ib := sr.RangeIndices(eff.KeyLo, eff.KeyHi)
 		sigs := []sig.Signature{sig.Signature(sr.Recs[ia].Sig)} // reuse a real sig
 		for i := ia; i < ib; i++ {
@@ -181,32 +195,32 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 		return a.resign(res, sigs)
 
 	case AttackTamperValue:
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		if !tamperFirstString(res, "TAMPERED") {
-			return nil, fmt.Errorf("engine: attack %s found no string value", attack)
+			return nil, fmt.Errorf("adversary: attack %s found no string value", attack)
 		}
 		return res, nil
 
 	case AttackSwapValues:
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		var idx []int
 		for i, e := range res.VO.Entries {
-			if e.Mode == EntryResult && len(e.Disclosed) > 0 {
+			if e.Mode == engine.EntryResult && len(e.Disclosed) > 0 {
 				idx = append(idx, i)
 			}
 		}
 		if len(idx) < 2 {
-			return nil, fmt.Errorf("engine: attack %s needs two result entries", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs two result entries", attack)
 		}
 		a1, a2 := idx[0], idx[1]
-		e1 := append([]DisclosedAttr(nil), res.VO.Entries[a1].Disclosed...)
-		e2 := append([]DisclosedAttr(nil), res.VO.Entries[a2].Disclosed...)
+		e1 := append([]engine.DisclosedAttr(nil), res.VO.Entries[a1].Disclosed...)
+		e2 := append([]engine.DisclosedAttr(nil), res.VO.Entries[a2].Disclosed...)
 		res.VO.Entries[a1].Disclosed, res.VO.Entries[a2].Disclosed = e2, e1
 		return res, nil
 
@@ -223,21 +237,21 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 			raw.KeyHi = sr.Params.U - 1
 		}
 		raw.Project = role.FilterCols(sr.Schema, q.Project)
-		return a.p.executeRewritten(sr, role, raw)
+		return a.execute(sr, role, raw)
 
 	case AttackHideAsFiltered:
 		// Re-class a qualifying tuple as Case 1 filtered, fabricating a
 		// failing value for the filter column. The fabricated value's
 		// leaf digest cannot match the owner's attribute tree.
 		if len(eff.Filters) == 0 {
-			return nil, fmt.Errorf("engine: attack %s needs a filtered query", attack)
+			return nil, fmt.Errorf("adversary: attack %s needs a filtered query", attack)
 		}
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		for i, e := range res.VO.Entries {
-			if e.Mode != EntryResult {
+			if e.Mode != engine.EntryResult {
 				continue
 			}
 			fcol := sr.Schema.ColIndex(eff.Filters[0].Col)
@@ -245,15 +259,11 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 			if !ok {
 				continue
 			}
-			cols := filterCols(sr.Schema, eff.Filters)
 			fake := rec.Tuple.Clone()
 			fake.Attrs[fcol] = failingValue(eff.Filters[0])
-			var arena entryArena
-			b := a.p.h.Batch()
-			disclosed, hidden := arena.disclose(&b, fake, cols, false)
-			b.Done()
-			res.VO.Entries[i] = VOEntry{
-				Mode:         EntryFilteredVisible,
+			disclosed, hidden := a.disclose(fake, sr.Schema, eff.Filters)
+			res.VO.Entries[i] = engine.VOEntry{
+				Mode:         engine.EntryFilteredVisible,
 				Key:          e.Key,
 				Disclosed:    disclosed,
 				HiddenLeaves: hidden,
@@ -262,19 +272,19 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 			}
 			return res, nil
 		}
-		return nil, fmt.Errorf("engine: attack %s found no result entry", attack)
+		return nil, fmt.Errorf("adversary: attack %s found no result entry", attack)
 
 	case AttackReplaySig:
 		// Serve the right rows but attach the aggregate from a *different*
 		// range (immutability threat of Section 5.2).
-		res, err := a.p.executeRewritten(sr, role, eff)
+		res, err := a.execute(sr, role, eff)
 		if err != nil {
 			return nil, err
 		}
 		other := eff
 		other.KeyLo = sr.Params.L + 1
 		other.KeyHi = sr.Params.U - 1
-		stale, err := a.p.executeRewritten(sr, role, other)
+		stale, err := a.execute(sr, role, other)
 		if err != nil {
 			return nil, err
 		}
@@ -282,14 +292,46 @@ func (a *Adversary) Execute(roleName string, q Query, attack string) (*Result, e
 		return res, nil
 
 	default:
-		return nil, fmt.Errorf("engine: unknown attack %q", attack)
+		return nil, fmt.Errorf("adversary: unknown attack %q", attack)
 	}
+}
+
+// execute runs an already-rewritten query honestly: the K = 1 fan-out
+// over the slice covering its range, drained, as ExecuteStream serves it.
+func (a *Adversary) execute(sr *core.SignedRelation, role accessctl.Role, eff engine.Query) (*engine.Result, error) {
+	st, err := a.p.FanoutStream(role, eff, []engine.ShardSlice{{SR: sr, Lo: eff.KeyLo, Hi: eff.KeyHi}}, nil, engine.StreamOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return engine.Collect(st)
+}
+
+// disclose lays out a Case 1 entry's attribute tree the way the
+// publisher ships one: the filter columns opened as values, every other
+// leaf but the key leaf hidden as its digest, in leaf order.
+func (a *Adversary) disclose(t relation.Tuple, schema relation.Schema, filters []engine.Filter) ([]engine.DisclosedAttr, []hashx.Digest) {
+	open := map[int]bool{}
+	for _, f := range filters {
+		open[schema.ColIndex(f.Col)] = true
+	}
+	var (
+		disclosed []engine.DisclosedAttr
+		hidden    []hashx.Digest
+	)
+	for i := 0; i <= len(t.Attrs); i++ {
+		if i > 0 && open[i-1] {
+			disclosed = append(disclosed, engine.DisclosedAttr{Col: i - 1, Val: t.Attrs[i-1]})
+			continue
+		}
+		hidden = append(hidden, a.h.Leaf(core.AppendAttrLeaf(nil, t, i)))
+	}
+	return disclosed, hidden
 }
 
 // resign recomputes the condensed signature the way the cheating
 // publisher would, from the real signatures it holds.
-func (a *Adversary) resign(res *Result, sigs []sig.Signature) (*Result, error) {
-	agg, err := a.p.pub.Aggregate(sigs)
+func (a *Adversary) resign(res *engine.Result, sigs []sig.Signature) (*engine.Result, error) {
+	agg, err := a.pk.Aggregate(sigs)
 	if err != nil {
 		return nil, err
 	}
@@ -297,14 +339,14 @@ func (a *Adversary) resign(res *Result, sigs []sig.Signature) (*Result, error) {
 	return res, nil
 }
 
-func tamperFirstString(res *Result, repl string) bool {
+func tamperFirstString(res *engine.Result, repl string) bool {
 	for i, e := range res.VO.Entries {
-		if e.Mode != EntryResult {
+		if e.Mode != engine.EntryResult {
 			continue
 		}
 		for j, d := range e.Disclosed {
 			if d.Val.Type == relation.TypeString {
-				vals := append([]DisclosedAttr(nil), e.Disclosed...)
+				vals := append([]engine.DisclosedAttr(nil), e.Disclosed...)
 				vals[j].Val = relation.StringVal(repl)
 				res.VO.Entries[i].Disclosed = vals
 				return true
@@ -324,10 +366,10 @@ func findRecord(sr *core.SignedRelation, key uint64) (core.SignedRecord, bool) {
 }
 
 // failingValue fabricates a value that fails the filter.
-func failingValue(f Filter) relation.Value {
+func failingValue(f engine.Filter) relation.Value {
 	switch f.Val.Type {
 	case relation.TypeInt:
-		if f.Op == OpEq || f.Op == OpGe || f.Op == OpGt {
+		if f.Op == engine.OpEq || f.Op == engine.OpGe || f.Op == engine.OpGt {
 			return relation.IntVal(f.Val.Int - 1000)
 		}
 		return relation.IntVal(f.Val.Int + 1000)

@@ -8,6 +8,7 @@ import (
 	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/adversary"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
 	"vcqr/internal/workload"
@@ -48,17 +49,17 @@ func (e *Env) Attacks() ([]AttackRow, error) {
 	if err := pub.AddRelation(sr, false); err != nil {
 		return nil, err
 	}
-	adv := engine.NewAdversary(pub)
+	adv := adversary.New(pub, h, e.Key.Public())
 	v := verify.New(h, e.Key.Public(), p, rel.Schema)
 
 	var rows []AttackRow
-	for _, attack := range engine.Attacks() {
+	for _, attack := range adversary.Attacks() {
 		q := engine.Query{Relation: "Emp", KeyLo: 1, KeyHi: 1 << 19}
 		role := "manager"
 		switch attack {
-		case engine.AttackHideAsFiltered:
+		case adversary.AttackHideAsFiltered:
 			q.Filters = []engine.Filter{{Col: "Dept", Op: engine.OpLe, Val: relation.IntVal(3)}}
-		case engine.AttackWidenRewrite:
+		case adversary.AttackWidenRewrite:
 			role = "exec"
 		}
 		res, err := adv.Execute(role, q, attack)

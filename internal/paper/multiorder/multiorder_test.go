@@ -8,6 +8,7 @@ import (
 	"vcqr/internal/accessctl"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/paper/adversary"
 	"vcqr/internal/paper/multiorder"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
@@ -163,9 +164,9 @@ func TestSecondaryOrderingDetectsOmission(t *testing.T) {
 	if err := pub.AddRelation(sr, false); err != nil {
 		t.Fatal(err)
 	}
-	adv := engine.NewAdversary(pub)
+	adv := adversary.New(pub, h, signKey(t).Public())
 	q := engine.Query{Relation: sr.Schema.Name, KeyLo: 1, KeyHi: 2}
-	evil, err := adv.Execute("all", q, engine.AttackOmitFirst)
+	evil, err := adv.Execute("all", q, adversary.AttackOmitFirst)
 	if err != nil {
 		t.Fatal(err)
 	}

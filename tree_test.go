@@ -343,13 +343,11 @@ var servingAllowList = map[string]string{
 	"engine.Publisher.ExecuteStream": "test seam: engine and wire tests stream a registered relation by name",
 
 	// References other tests compare the serving code against.
-	"core.LinearProve":  "reference: formula (2) without Section 5.1, which the boundary-proof tests cross-check",
-	"core.LinearExtend": "reference: the user's side of formula (2), cross-checked with LinearProve",
+	"core.LinearProve":        "reference: formula (2) without Section 5.1, which the boundary-proof tests cross-check",
+	"core.LinearExtend":       "reference: the user's side of formula (2), cross-checked with LinearProve",
+	"sig.PublicKey.Aggregate": "reference: the plain product of a signature list, which the crypto index's range aggregates and the indexed stream are checked against",
 
 	// Reached from examples/ or internal/paper.
-	"engine.NewAdversary":       "examples/{quickstart,tamper} and experiments/attacks.go; waits on ROADMAP item 15's mutator (item 14)",
-	"engine.Adversary.Execute":  "examples/{quickstart,tamper} and experiments/attacks.go; waits on ROADMAP item 15's mutator (item 14)",
-	"engine.Attacks":            "examples/tamper and experiments/attacks.go list the Section 3.2 attacks",
 	"engine.Publisher.Execute":  "examples/ and internal/paper run materialized queries (with ExecuteOn, which it calls)",
 	"engine.Result.ResultBytes": "experiments/fig9 reports |Q|·Mr beside the VO size",
 	"core.EntryG":               "the E7 ablation times a record digest rebuild; uses unexported deltaT, deltaC and entryCombined",
