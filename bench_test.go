@@ -146,7 +146,7 @@ func BenchmarkFig9TrafficOverhead(b *testing.B) {
 			}
 			acc := res.VO.Account(f.h.Size(), env(b).Key.Public().SigBytes())
 			b.ReportMetric(float64(acc.Bytes()), "VO-bytes")
-			b.ReportMetric(100*float64(acc.Bytes())/float64(res.ResultBytes()), "overhead-%")
+			b.ReportMetric(100*float64(acc.Bytes())/float64(experiments.ResultBytes(res)), "overhead-%")
 		})
 	}
 }

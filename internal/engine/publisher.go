@@ -19,8 +19,8 @@ import (
 // (internal/paper/adversary does) because the system's guarantee is that
 // cheating is detected by the user, not prevented at the publisher.
 //
-// Concurrency contract: AddRelation, Relation, Execute, ExecuteOn and
-// the streaming executors may be called from multiple goroutines; the
+// Concurrency contract: AddRelation, Relation, Execute and the
+// streaming executors may be called from multiple goroutines; the
 // relation registry is guarded by an internal RWMutex. The *contents* of
 // a hosted *core.SignedRelation must not be mutated while queries run —
 // callers that apply live updates (internal/delta) must either serialize
@@ -83,30 +83,19 @@ func (p *Publisher) Relation(name string) (*core.SignedRelation, bool) {
 	return sr, ok
 }
 
-// Execute runs a select-project query for a role and assembles the VO.
-// The query is first rewritten per the role's row and column policies
-// (Section 1's HR example); completeness is then proven for the
-// *rewritten* range, so nothing outside the user's rights is disclosed,
-// not even as boundary records.
+// Execute runs a select-project query for a role and returns the
+// materialized result: the drain (Collect) of ExecuteStream, which
+// rewrites the query per the role's row and column policies (Section 1's
+// HR example) and proves completeness for the *rewritten* range, so
+// nothing outside the user's rights is disclosed, not even as boundary
+// records. It is the tests' and the paper tree's one-call query; every
+// request is served as the stream.
 func (p *Publisher) Execute(roleName string, q Query) (*Result, error) {
-	sr, ok := p.Relation(q.Relation)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRelation, q.Relation)
-	}
-	return p.ExecuteOn(sr, roleName, q)
-}
-
-// ExecuteOn runs a query against an explicitly supplied relation snapshot
-// instead of the internal registry. This is the seam a serving layer uses
-// to pin one copy-on-write epoch for the duration of a query while
-// updates swap in new epochs concurrently (see internal/server). The
-// snapshot must not be mutated while the call runs.
-func (p *Publisher) ExecuteOn(sr *core.SignedRelation, roleName string, q Query) (*Result, error) {
-	role, eff, err := p.Plan(sr, roleName, q)
+	st, err := p.ExecuteStream(roleName, q, StreamOpts{})
 	if err != nil {
 		return nil, err
 	}
-	return p.executeRewritten(sr, role, eff)
+	return Collect(st)
 }
 
 // Plan is PlanQuery under this publisher's policy against one relation
@@ -168,17 +157,6 @@ func EffectiveQuery(p core.Params, schema relation.Schema, role accessctl.Role, 
 		eff.Project = append(eff.Project, v)
 	}
 	return eff, nil
-}
-
-// executeRewritten builds the result for an already-rewritten query by
-// draining the K = 1 fan-out stream — the materialized API is a view over
-// the one chunk producer, so the two cannot diverge.
-func (p *Publisher) executeRewritten(sr *core.SignedRelation, role accessctl.Role, eff Query) (*Result, error) {
-	st, err := p.FanoutStream(role, eff, []ShardSlice{{SR: sr, Lo: eff.KeyLo, Hi: eff.KeyHi}}, nil, StreamOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return Collect(st)
 }
 
 // filterCols returns the sorted distinct column indexes used by filters.

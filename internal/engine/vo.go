@@ -232,20 +232,3 @@ func (vo *RangeVO) Account(digestSize, sigSize int) SizeAccounting {
 	}
 	return acc
 }
-
-// ResultBytes returns the payload size of the result rows (|Q| * Mr in
-// the paper's notation): keys plus disclosed values of EntryResult
-// entries.
-func (r *Result) ResultBytes() int {
-	n := 0
-	for _, e := range r.VO.Entries {
-		if e.Mode != EntryResult {
-			continue
-		}
-		n += 8
-		for _, d := range e.Disclosed {
-			n += d.Val.Size()
-		}
-	}
-	return n
-}

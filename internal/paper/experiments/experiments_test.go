@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"vcqr/internal/engine"
+	"vcqr/internal/hashx"
 )
 
 var (
@@ -54,6 +57,36 @@ func TestFig9Shape(t *testing.T) {
 	PrintFig9(&buf, rows)
 	if buf.Len() == 0 {
 		t.Fatal("printer produced nothing")
+	}
+}
+
+// TestResultBytes: a result's payload is positive when it has rows, and
+// an empty result, which still carries authentication bytes, has none.
+func TestResultBytes(t *testing.T) {
+	h := hashx.New()
+	sr, _, err := env(t).buildUniform(h, 20, 16, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, _ := env(t).publisherFor(h, sr)
+	q, err := greaterThanQuery(sr, "Uniform", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pub.Execute("all", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ResultBytes(res) <= 0 {
+		t.Fatal("result bytes must be positive")
+	}
+	gap := engine.Query{Relation: "Uniform", KeyLo: sr.Recs[1].Key() + 1, KeyHi: sr.Recs[2].Key() - 1}
+	empty, err := pub.Execute("all", gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.Rows()) != 0 || ResultBytes(empty) != 0 {
+		t.Fatal("empty result has payload bytes")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
 	"vcqr/internal/paper/costmodel"
 )
@@ -53,7 +54,7 @@ func (e *Env) Fig9() ([]Fig9Row, error) {
 			}
 			acc := res.VO.Account(h.Size(), e.Key.Public().SigBytes())
 			vo := acc.Bytes()
-			payloadBytes := res.ResultBytes()
+			payloadBytes := ResultBytes(res)
 			rows = append(rows, Fig9Row{
 				Mr:          mr,
 				Q:           q,
@@ -65,6 +66,23 @@ func (e *Env) Fig9() ([]Fig9Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// ResultBytes returns the payload size of a result's rows (|Q| * Mr in
+// the paper's notation): keys plus disclosed values of EntryResult
+// entries — the denominator of the figure's overhead.
+func ResultBytes(res *engine.Result) int {
+	n := 0
+	for _, e := range res.VO.Entries {
+		if e.Mode != engine.EntryResult {
+			continue
+		}
+		n += 8
+		for _, d := range e.Disclosed {
+			n += d.Val.Size()
+		}
+	}
+	return n
 }
 
 // PrintFig9 renders the experiment like the paper's figure: one series

@@ -57,7 +57,7 @@ func ExecuteJoin(p *engine.Publisher, roleName string, q JoinQuery) (*JoinResult
 	if err != nil {
 		return nil, fmt.Errorf("relalg: join: %w", err)
 	}
-	rRes, err := p.ExecuteOn(rRel, roleName, engine.Query{
+	rRes, err := executeOn(p, rRel, roleName, engine.Query{
 		Relation: q.R, KeyLo: q.KeyLo, KeyHi: q.KeyHi, Project: q.RProject,
 	})
 	if err != nil {
@@ -68,7 +68,7 @@ func ExecuteJoin(p *engine.Publisher, roleName string, q JoinQuery) (*JoinResult
 		if _, done := out.S[row.Key]; done {
 			continue
 		}
-		sRes, err := p.ExecuteOn(sRel, roleName, engine.Query{
+		sRes, err := executeOn(p, sRel, roleName, engine.Query{
 			Relation: q.S, KeyLo: row.Key, KeyHi: row.Key, Project: q.SProject,
 		})
 		if err != nil {
@@ -173,24 +173,24 @@ func ExecuteBandJoin(p *engine.Publisher, roleName string, q BandJoinQuery) (*Ba
 		res := &BandJoinResult{Empty: true, Pivot: pivot}
 		var err error
 		if pivot+1 <= sRel.Params.U-1 {
-			res.SEmpty, err = p.ExecuteOn(sRel, roleName, engine.Query{Relation: q.S, KeyLo: pivot + 1})
+			res.SEmpty, err = executeOn(p, sRel, roleName, engine.Query{Relation: q.S, KeyLo: pivot + 1})
 			if err != nil {
 				return nil, fmt.Errorf("relalg: band join S-empty proof: %w", err)
 			}
 		}
 		if pivot >= rRel.Params.L+1 {
-			res.REmpty, err = p.ExecuteOn(rRel, roleName, engine.Query{Relation: q.R, KeyLo: rRel.Params.L + 1, KeyHi: pivot})
+			res.REmpty, err = executeOn(p, rRel, roleName, engine.Query{Relation: q.R, KeyLo: rRel.Params.L + 1, KeyHi: pivot})
 			if err != nil {
 				return nil, fmt.Errorf("relalg: band join R-empty proof: %w", err)
 			}
 		}
 		return res, nil
 	}
-	rRes, err := p.ExecuteOn(rRel, roleName, engine.Query{Relation: q.R, KeyLo: rRel.Params.L + 1, KeyHi: maxS, Project: q.RProject})
+	rRes, err := executeOn(p, rRel, roleName, engine.Query{Relation: q.R, KeyLo: rRel.Params.L + 1, KeyHi: maxS, Project: q.RProject})
 	if err != nil {
 		return nil, fmt.Errorf("relalg: band join R partition: %w", err)
 	}
-	sRes, err := p.ExecuteOn(sRel, roleName, engine.Query{Relation: q.S, KeyLo: minR, Project: q.SProject})
+	sRes, err := executeOn(p, sRel, roleName, engine.Query{Relation: q.S, KeyLo: minR, Project: q.SProject})
 	if err != nil {
 		return nil, fmt.Errorf("relalg: band join S partition: %w", err)
 	}
@@ -297,6 +297,16 @@ func relations(p *engine.Publisher, r, s string) (*core.SignedRelation, *core.Si
 		return nil, nil, fmt.Errorf("S side: %w: %q", engine.ErrUnknownRelation, s)
 	}
 	return rRel, sRel, nil
+}
+
+// executeOn runs q against one pinned relation snapshot and materializes
+// the answer: the K = 1 stream /stream serves for it, drained.
+func executeOn(p *engine.Publisher, sr *core.SignedRelation, roleName string, q engine.Query) (*engine.Result, error) {
+	st, err := p.ExecuteStreamOn(sr, roleName, q, engine.StreamOpts{})
+	if err != nil {
+		return nil, err
+	}
+	return engine.Collect(st)
 }
 
 // minKey returns the smallest data key of a signed relation.

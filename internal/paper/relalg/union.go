@@ -2,8 +2,8 @@
 // verified select-project query: K ≠ a as a union of ranges (4.1),
 // aggregates over a verified multiset (4.2), and the PK–FK and band
 // joins (4.3). Each operator is a pair of functions. The publisher half
-// answers it with one ordinary range query per member, through
-// engine.Publisher.ExecuteOn; the verifier half checks each member with
+// answers it with one ordinary range query per member, the drained
+// engine.Publisher.ExecuteStreamOn; the verifier half checks each member with
 // verify.Verifier.VerifyResult and then the shape that ties the members
 // together, which is where the operator's completeness argument lives.
 //
@@ -113,7 +113,7 @@ func ExecuteUnion(p *engine.Publisher, roleName string, uq UnionQuery) (*UnionRe
 	}
 	out := &UnionResult{Members: make([]*engine.Result, len(uq.Ranges))}
 	for i, r := range uq.Ranges {
-		res, err := p.ExecuteOn(sr, roleName, uq.memberQuery(r))
+		res, err := executeOn(p, sr, roleName, uq.memberQuery(r))
 		if errors.Is(err, engine.ErrEmptyRewrite) {
 			continue // range entirely outside the caller's rights
 		}

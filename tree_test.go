@@ -330,17 +330,17 @@ func TestServingReachesARequest(t *testing.T) {
 // turn needs no entry of its own.
 var servingAllowList = map[string]string{
 	// Test seams: hooks the serving code carries for its tests.
-	"store.Crasher.Arm":              "test seam: crash-point drills arm the hook both durable write paths check",
-	"store.Crasher.Fired":            "test seam: crash-point drills count the hook's firings",
-	"store.CoordLog.Compact":         "test seam: the coordinator-log crash drill forces a rewrite at a crash point",
-	"wire.ReadCacheReply":            "test seam: the codec round-trip and truncation tests read a cache reply frame",
-	"wire.WriteLeaseRequest":         "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease request codec",
-	"wire.ReadLeaseRequest":          "test seam: FuzzReadLeaseFrame decodes the /node/lease request codec",
-	"wire.WriteLeaseResponse":        "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease reply codec",
-	"wire.ReadLeaseResponse":         "test seam: FuzzReadLeaseFrame decodes the /node/lease reply codec",
-	"cache.Client.Probe":             "test seam: surfaces the named error a Lookup folds into a fall-through",
-	"owner.NewWithKey":               "test seam: tests sign with one generated key instead of one per owner",
-	"engine.Publisher.ExecuteStream": "test seam: engine and wire tests stream a registered relation by name",
+	"store.Crasher.Arm":        "test seam: crash-point drills arm the hook both durable write paths check",
+	"store.Crasher.Fired":      "test seam: crash-point drills count the hook's firings",
+	"store.CoordLog.Compact":   "test seam: the coordinator-log crash drill forces a rewrite at a crash point",
+	"wire.ReadCacheReply":      "test seam: the codec round-trip and truncation tests read a cache reply frame",
+	"wire.WriteLeaseRequest":   "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease request codec",
+	"wire.ReadLeaseRequest":    "test seam: FuzzReadLeaseFrame decodes the /node/lease request codec",
+	"wire.WriteLeaseResponse":  "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease reply codec",
+	"wire.ReadLeaseResponse":   "test seam: FuzzReadLeaseFrame decodes the /node/lease reply codec",
+	"cache.Client.Probe":       "test seam: surfaces the named error a Lookup folds into a fall-through",
+	"owner.NewWithKey":         "test seam: tests sign with one generated key instead of one per owner",
+	"engine.Publisher.Execute": "test seam: tests query a registered relation by name in one call (examples and the paper tree too); it drains ExecuteStream, which engine and wire tests stream",
 
 	// References other tests compare the serving code against.
 	"core.LinearProve":        "reference: formula (2) without Section 5.1, which the boundary-proof tests cross-check",
@@ -348,10 +348,8 @@ var servingAllowList = map[string]string{
 	"sig.PublicKey.Aggregate": "reference: the plain product of a signature list, which the crypto index's range aggregates and the indexed stream are checked against",
 
 	// Reached from examples/ or internal/paper.
-	"engine.Publisher.Execute":  "examples/ and internal/paper run materialized queries (with ExecuteOn, which it calls)",
-	"engine.Result.ResultBytes": "experiments/fig9 reports |Q|·Mr beside the VO size",
-	"core.EntryG":               "the E7 ablation times a record digest rebuild; uses unexported deltaT, deltaC and entryCombined",
-	"core.LinearG":              "the E7 ablation times formula (2); uses unexported deltaT",
-	"hashx.Hasher.ResetOps":     "experiments/{cuser,fig10} count hash operations per query",
-	"workload.Stocks":           "examples/stocks generates its trades relation",
+	"core.EntryG":           "the E7 ablation times a record digest rebuild; uses unexported deltaT, deltaC and entryCombined",
+	"core.LinearG":          "the E7 ablation times formula (2); uses unexported deltaT",
+	"hashx.Hasher.ResetOps": "experiments/{cuser,fig10} count hash operations per query",
+	"workload.Stocks":       "examples/stocks generates its trades relation",
 }
