@@ -23,7 +23,6 @@ import (
 	"vcqr/internal/paper/relalg"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
-	"vcqr/internal/workload"
 )
 
 func main() {
@@ -34,7 +33,7 @@ func main() {
 	}
 
 	// --- Price history: 500 ticks over a day of timestamps -----------
-	prices, err := workload.Stocks(500, 0, 86400, []string{"ACME", "GLOBEX"}, 42)
+	prices, err := stocks(500, 0, 86400, []string{"ACME", "GLOBEX"}, 42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,21 +1,16 @@
 package core
 
-import (
-	"fmt"
+import "vcqr/internal/hashx"
 
-	"vcqr/internal/hashx"
-)
-
-// This file implements the *conceptual* scheme of Section 3.1 — formula
-// (2), g(r) = h^{U-r-1}(r) with a single hash chain linear in the domain
-// span — without the Section 5.1 base-B optimization. The paper notes it
-// is prohibitively slow for realistic domains (2^32 hashes per digest for
-// a four-byte key, "almost 60 hours"); it is retained here because:
-//
-//   - it cross-checks the optimized scheme in tests (both must accept and
-//     reject the same boundary claims on small domains), and
-//   - the E7 ablation benchmark measures exactly how much Section 5.1
-//     buys at increasing domain sizes.
+// This file keeps the digest of the *conceptual* scheme of Section 3.1 —
+// formula (2), g(r) = h^{U-r-1}(r) with a single hash chain linear in the
+// domain span — without the Section 5.1 base-B optimization. The paper
+// notes it is prohibitively slow for realistic domains (2^32 hashes per
+// digest for a four-byte key, "almost 60 hours"); it is retained as a
+// reference: the tests cross-check the optimized scheme against the
+// linear chain (linear_ref_test.go holds its prove and extend sides),
+// and the E7 ablation measures how much Section 5.1 buys at increasing
+// domain sizes.
 
 // LinearG computes the conceptual digest g(key) = h^{delta_t}(key) in the
 // given direction: delta_t = U-key-1 (Up) or key-L-1 (Down).
@@ -25,38 +20,6 @@ func LinearG(h *hashx.Hasher, p Params, key uint64, dir Direction) (hashx.Digest
 		return nil, err
 	}
 	return h.Iterate(linearPreimage(key, dir), dt), nil
-}
-
-// LinearProve computes the intermediate digest the publisher releases to
-// show key lies outside bound: h^{delta_e}(key) with
-// delta_e = bound-key-1 (Up, proves key < bound) or key-bound-1 (Down,
-// proves key > bound). When the condition is false the required exponent
-// is negative — undefined — and ErrNotOutside is returned; this is the
-// whole security argument of Section 3.2, Case 1.
-func LinearProve(h *hashx.Hasher, p Params, key uint64, dir Direction, bound uint64) (hashx.Digest, error) {
-	dt, err := p.deltaT(key, dir)
-	if err != nil {
-		return nil, err
-	}
-	dc, err := p.deltaC(bound, dir)
-	if err != nil {
-		return nil, err
-	}
-	if dt < dc {
-		return nil, fmt.Errorf("%w: key %d vs bound %d (%s)", ErrNotOutside, key, bound, dir)
-	}
-	return h.Iterate(linearPreimage(key, dir), dt-dc), nil
-}
-
-// LinearExtend performs the user's side: extend the publisher's
-// intermediate digest by delta_c = U-bound (Up) or bound-L (Down) steps,
-// yielding the candidate g digest to compare against the signed value.
-func LinearExtend(h *hashx.Hasher, p Params, intermediate hashx.Digest, dir Direction, bound uint64) (hashx.Digest, error) {
-	dc, err := p.deltaC(bound, dir)
-	if err != nil {
-		return nil, err
-	}
-	return h.IterateFrom(intermediate, dc), nil
 }
 
 // linearPreimage domain-separates the conceptual chains from the base-B

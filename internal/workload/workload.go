@@ -1,8 +1,7 @@
 // Package workload generates the synthetic datasets and query mixes the
 // benchmark harness uses to regenerate the paper's evaluation: an
-// Employee table shaped like Figure 1, the stock-price scenario from the
-// introduction, and parameterized uniform/zipf relations with controllable
-// record sizes (the Mr axis of Figure 9).
+// Employee table shaped like Figure 1 and parameterized uniform relations
+// with controllable record sizes (the Mr axis of Figure 9).
 //
 // Everything is seeded: the same seed reproduces the same dataset, so
 // experiment output is deterministic across runs.
@@ -10,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"vcqr/internal/relation"
@@ -62,45 +60,6 @@ func Employees(cfg EmployeeConfig) (*relation.Relation, error) {
 			relation.IntVal(int64(rng.Intn(cfg.Depts)) + 1),
 			relation.BytesVal(photo),
 			relation.BoolVal(vis),
-		}}); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
-// StockSchema models the introduction's financial-information-provider
-// scenario: historical prices keyed by timestamp.
-func StockSchema() relation.Schema {
-	return relation.Schema{
-		Name:    "Prices",
-		KeyName: "Time",
-		Cols: []relation.Column{
-			{Name: "Symbol", Type: relation.TypeString},
-			{Name: "Price", Type: relation.TypeFloat},
-			{Name: "Volume", Type: relation.TypeInt},
-		},
-	}
-}
-
-// Stocks generates a price-history relation over [l, u) timestamps.
-func Stocks(n int, l, u uint64, symbols []string, seed int64) (*relation.Relation, error) {
-	if len(symbols) == 0 {
-		symbols = []string{"ACME", "GLOBEX", "INITECH"}
-	}
-	rel, err := relation.New(StockSchema(), l, u)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	price := 100.0
-	for i := 0; i < n; i++ {
-		ts := uint64(rng.Int63n(int64(u-l-1))) + l + 1
-		price *= 1 + (rng.Float64()-0.5)/50
-		if _, err := rel.Insert(relation.Tuple{Key: ts, Attrs: []relation.Value{
-			relation.StringVal(symbols[rng.Intn(len(symbols))]),
-			relation.FloatVal(math.Round(price*100) / 100),
-			relation.IntVal(int64(rng.Intn(100000))),
 		}}); err != nil {
 			return nil, err
 		}

@@ -58,19 +58,6 @@ func TestEmployeesHiddenFraction(t *testing.T) {
 	}
 }
 
-func TestStocks(t *testing.T) {
-	rel, err := Stocks(200, 0, 1<<30, nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 200 {
-		t.Fatalf("Len = %d", rel.Len())
-	}
-	if err := rel.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUniformRecordSize(t *testing.T) {
 	rel, err := Uniform(UniformConfig{N: 20, L: 0, U: 1 << 20, PayloadSize: 512, Seed: 1})
 	if err != nil {

@@ -347,13 +347,18 @@ func (r *reach) walk(from []string) map[string]bool {
 
 // check walks from the roots plus the allow-list and returns one line
 // per finding, sorted: a serving function, method or type nothing
-// reaches; an allow-list entry that names no such declaration; and an
-// entry the walk reaches without it (from the roots and the other
-// entries), so the list can only shrink.
+// reaches; an allow-list entry whose reason files it as neither a test
+// seam nor a reference, so paper and example code cannot stay in the
+// serving tree; an entry that names no such declaration; and an entry
+// the walk reaches without it (from the roots and the other entries), so
+// the list can only shrink.
 func (r *reach) check(allow map[string]string) []string {
 	var out []string
 	from := slices.Clone(r.roots)
-	for key := range allow {
+	for key, reason := range allow {
+		if !strings.HasPrefix(reason, "test seam: ") && !strings.HasPrefix(reason, "reference: ") {
+			out = append(out, fmt.Sprintf("allow-list entry %s: reason %q starts with neither \"test seam: \" nor \"reference: \"", key, reason))
+		}
 		if !r.serving[key] {
 			out = append(out, fmt.Sprintf("allow-list entry %s names no serving function, method or type", key))
 			continue
@@ -472,12 +477,13 @@ func main() { a.Kept() }
 		t.Fatal(err)
 	}
 	got := r.check(map[string]string{
-		"a.Kept":    "reached from examples/e",
-		"a.Stale":   "a stale entry",
+		"a.Kept":    "test seam: examples/e calls it",
+		"a.Stale":   "reference: a stale entry",
 		"a.Missing": "names nothing",
 	})
 	want := []string{
 		"a.Missing names no serving function",
+		`a.Missing: reason "names nothing" starts with neither`,
 		"a.Stale is reached anyway",
 		"method a.Orphan.Run is reached by no request",
 		"method a.T.Unused is reached by no request",
