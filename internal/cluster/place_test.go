@@ -7,8 +7,8 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/cluster"
@@ -17,21 +17,30 @@ import (
 	"vcqr/internal/partition"
 	"vcqr/internal/server"
 	"vcqr/internal/sig"
+	"vcqr/internal/wire"
 	"vcqr/internal/workload"
 )
 
-// slowHost delays every request to one host, so that host's refusal
-// lands after the others'.
-type slowHost struct {
-	host  string
-	delay time.Duration
+// refusalOrder holds every install round trip to host late until one to
+// host early has returned, so early's refusal lands before late's. Place
+// installs on every node at once, so early's round trip is under way and
+// the wait ends; other RPCs (leases) pass through.
+type refusalOrder struct {
+	late, early string
+	returned    chan struct{} // closed when an install round trip to early has returned
+	once        *sync.Once
 }
 
-func (s slowHost) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.URL.Host == s.host {
-		time.Sleep(s.delay)
+func (o refusalOrder) RoundTrip(req *http.Request) (*http.Response, error) {
+	install := req.URL.Path == wire.ShardInstallRPC.Path
+	if install && req.URL.Host == o.late {
+		<-o.returned
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if install && req.URL.Host == o.early {
+		o.once.Do(func() { close(o.returned) })
+	}
+	return resp, err
 }
 
 // A Place in which nodes refuse their installs reports the refusal a
@@ -80,7 +89,10 @@ func TestPlaceRefusalIsLowestSlot(t *testing.T) {
 		Hasher: h, Pub: signKey(t).Public(), Params: sr.Params, Schema: sr.Schema,
 		Policy: accessctl.NewPolicy(role), Spec: set.Spec, Nodes: urls, Replicas: 2,
 		// Node 1 answers last, so node 2's refusal of (1,1) is in first.
-		HTTP: &http.Client{Transport: slowHost{host: strings.TrimPrefix(urls[1], "http://"), delay: 50 * time.Millisecond}},
+		HTTP: &http.Client{Transport: refusalOrder{
+			late: strings.TrimPrefix(urls[1], "http://"), early: strings.TrimPrefix(urls[2], "http://"),
+			returned: make(chan struct{}), once: new(sync.Once),
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -314,16 +314,14 @@ func (a *Adversary) disclose(t relation.Tuple, schema relation.Schema, filters [
 	for _, f := range filters {
 		open[schema.ColIndex(f.Col)] = true
 	}
-	var (
-		disclosed []engine.DisclosedAttr
-		hidden    []hashx.Digest
-	)
-	for i := 0; i <= len(t.Attrs); i++ {
+	var disclosed []engine.DisclosedAttr
+	var hidden []hashx.Digest
+	for i, leaf := range core.AttrLeaves(a.h, t) {
 		if i > 0 && open[i-1] {
 			disclosed = append(disclosed, engine.DisclosedAttr{Col: i - 1, Val: t.Attrs[i-1]})
-			continue
+		} else {
+			hidden = append(hidden, leaf)
 		}
-		hidden = append(hidden, a.h.Leaf(core.AppendAttrLeaf(nil, t, i)))
 	}
 	return disclosed, hidden
 }

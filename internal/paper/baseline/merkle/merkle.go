@@ -83,6 +83,10 @@ func (t *Tree) Len() int { return t.n }
 // Root returns the root digest.
 func (t *Tree) Root() hashx.Digest { return t.levels[len(t.levels)-1][0] }
 
+// Levels returns the tree's digests level by level: the padded leaves
+// first, the root's one-element level last. Callers must not modify them.
+func (t *Tree) Levels() [][]hashx.Digest { return t.levels }
+
 // Leaf returns the digest of leaf i.
 func (t *Tree) Leaf(i int) hashx.Digest {
 	if i < 0 || i >= t.n {

@@ -35,10 +35,9 @@ var (
 type SignedIndex struct {
 	Tuples []relation.Tuple
 	tree   *merkle.Tree
-	// sigs[level][idx] signs the node digest at that position.
+	// sigs[level][idx] signs the node digest at that position; sigs[0]
+	// spans the padded leaf count.
 	sigs [][]sig.Signature
-	// width is the padded leaf count.
-	width int
 }
 
 // encodeTuple hashes the whole tuple into its leaf.
@@ -68,48 +67,14 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, rel *relation.Relation) (*Signe
 	}
 	si.tree = merkle.Build(h, leaves)
 	// Sign every node at every level.
-	width := 1
-	for width < len(leaves) {
-		width <<= 1
-	}
-	if len(leaves) == 0 {
-		width = 1
-	}
-	si.width = width
-	for lvl, w := 0, width; w >= 1; lvl, w = lvl+1, w/2 {
-		row := make([]sig.Signature, w)
-		for i := 0; i < w; i++ {
-			row[i] = key.Sign(si.nodeDigest(h, lvl, i))
+	for _, level := range si.tree.Levels() {
+		row := make([]sig.Signature, len(level))
+		for i, d := range level {
+			row[i] = key.Sign(d)
 		}
 		si.sigs = append(si.sigs, row)
-		if w == 1 {
-			break
-		}
 	}
 	return si, nil
-}
-
-// nodeDigest recomputes the digest of node (level, idx) from the tree.
-func (si *SignedIndex) nodeDigest(h *hashx.Hasher, level, idx int) hashx.Digest {
-	// Rebuild from leaf digests to avoid exposing mht internals: walk the
-	// subtree.
-	span := 1 << level
-	lo := idx * span
-	digs := make([]hashx.Digest, span)
-	pad := h.Leaf([]byte("mht/pad"))
-	for i := 0; i < span; i++ {
-		if lo+i < len(si.Tuples) {
-			digs[i] = h.Leaf(encodeTuple(si.Tuples[lo+i]))
-		} else {
-			digs[i] = pad
-		}
-	}
-	for w := span; w > 1; w /= 2 {
-		for i := 0; i < w/2; i++ {
-			digs[i] = h.Node(digs[2*i], digs[2*i+1])
-		}
-	}
-	return digs[0]
 }
 
 // QueryResult ships the tuples, the enveloping node coordinates, its
@@ -145,23 +110,19 @@ func (si *SignedIndex) proveWindow(h *hashx.Hasher, lo, hi uint64, a, b int) (*Q
 			level++
 		}
 		idx = a >> level
-	} else if idx >= si.width {
-		idx = si.width - 1
+	} else if width := len(si.sigs[0]); idx >= width {
+		idx = width - 1
 	}
 	res := &QueryResult{Lo: lo, Hi: hi, Level: level, Index: idx, NodeSig: si.sigs[level][idx].Clone()}
 	span := 1 << level
 	start := idx * span
-	pad := h.Leaf([]byte("mht/pad"))
+	leaves := si.tree.Levels()[0]
 	for i := start; i < start+span; i++ {
 		if i >= a && i < b {
 			res.Tuples = append(res.Tuples, si.Tuples[i].Clone())
 			continue
 		}
-		if i < len(si.Tuples) {
-			res.Fill = append(res.Fill, h.Leaf(encodeTuple(si.Tuples[i])))
-		} else {
-			res.Fill = append(res.Fill, pad)
-		}
+		res.Fill = append(res.Fill, leaves[i].Clone())
 	}
 	return res, nil
 }

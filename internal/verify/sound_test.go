@@ -371,7 +371,6 @@ var soundCorpusScenarios = []soundScenario{
 		Filters: []engine.Filter{{Col: "A", Op: engine.OpLe, Val: relation.IntVal(2)}}}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 21001, KeyHi: 32999}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, chunkRows: 7},
-	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S"}, k: 1, chunkRows: 7},
 }
 
