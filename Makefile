@@ -115,8 +115,7 @@ docs:
 
 # examples runs all six examples and diffs each one's stdout against its
 # golden in examples/testdata, so a refactor cannot change what an
-# example prints unseen (also run by CI's docs job). After a deliberate
-# change, `sh scripts/examples.sh -update` rewrites the goldens.
+# example prints unseen (also run by CI's docs job).
 examples:
 	@sh scripts/examples.sh
 
@@ -128,4 +127,4 @@ examples:
 loc:
 	@sh scripts/loc.sh
 
-ci: vet build race docs
+ci: vet build race docs examples

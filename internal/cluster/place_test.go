@@ -34,7 +34,11 @@ type refusalOrder struct {
 func (o refusalOrder) RoundTrip(req *http.Request) (*http.Response, error) {
 	install := req.URL.Path == wire.ShardInstallRPC.Path
 	if install && req.URL.Host == o.late {
-		<-o.returned
+		select {
+		case <-o.returned:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
 	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if install && req.URL.Host == o.early {

@@ -91,15 +91,15 @@ type QueryResult struct {
 }
 
 // Query answers [lo, hi] with the smallest signed enveloping subtree.
-func (si *SignedIndex) Query(h *hashx.Hasher, lo, hi uint64) (*QueryResult, error) {
+func (si *SignedIndex) Query(lo, hi uint64) (*QueryResult, error) {
 	a := sort.Search(len(si.Tuples), func(i int) bool { return si.Tuples[i].Key >= lo })
 	b := sort.Search(len(si.Tuples), func(i int) bool { return si.Tuples[i].Key > hi })
-	return si.proveWindow(h, lo, hi, a, b)
+	return si.proveWindow(lo, hi, a, b)
 }
 
 // proveWindow builds the proof for tuple window [a, b); exported behaviour
 // for the completeness-gap demonstration lives in QueryTruncated.
-func (si *SignedIndex) proveWindow(h *hashx.Hasher, lo, hi uint64, a, b int) (*QueryResult, error) {
+func (si *SignedIndex) proveWindow(lo, hi uint64, a, b int) (*QueryResult, error) {
 	// The smallest enveloping node is the lowest level at which a and b-1
 	// fall under the same node. An empty window degenerates to a single
 	// leaf (clamped into the padded width).
@@ -131,13 +131,13 @@ func (si *SignedIndex) proveWindow(h *hashx.Hasher, lo, hi uint64, a, b int) (*Q
 // silently drops the last qualifying tuple, enveloping only the rest.
 // The result still VERIFIES — the completeness gap the SIGMOD 2005 paper
 // addresses.
-func (si *SignedIndex) QueryTruncated(h *hashx.Hasher, lo, hi uint64) (*QueryResult, error) {
+func (si *SignedIndex) QueryTruncated(lo, hi uint64) (*QueryResult, error) {
 	a := sort.Search(len(si.Tuples), func(i int) bool { return si.Tuples[i].Key >= lo })
 	b := sort.Search(len(si.Tuples), func(i int) bool { return si.Tuples[i].Key > hi })
 	if b-a < 1 {
 		return nil, fmt.Errorf("vbtree: nothing to truncate in [%d, %d]", lo, hi)
 	}
-	return si.proveWindow(h, lo, hi, a, b-1)
+	return si.proveWindow(lo, hi, a, b-1)
 }
 
 // Verify checks authenticity of the returned tuples: they must reproduce

@@ -55,7 +55,7 @@ func TestAuthenticityRoundTrip(t *testing.T) {
 	h, si := buildIndex(t, keys)
 	pub := signKey(t).Public()
 	for _, c := range [][2]uint64{{1, 9999}, {3500, 30000}, {2000, 2000}, {1, 99999}} {
-		res, err := si.Query(h, c[0], c[1])
+		res, err := si.Query(c[0], c[1])
 		if err != nil {
 			t.Fatalf("[%d,%d]: %v", c[0], c[1], err)
 		}
@@ -74,7 +74,7 @@ func TestAuthenticityRoundTrip(t *testing.T) {
 func TestTamperDetected(t *testing.T) {
 	h, si := buildIndex(t, keys)
 	pub := signKey(t).Public()
-	res, err := si.Query(h, 1, 9999)
+	res, err := si.Query(1, 9999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTamperDetected(t *testing.T) {
 func TestSpuriousDetected(t *testing.T) {
 	h, si := buildIndex(t, keys)
 	pub := signKey(t).Public()
-	res, err := si.Query(h, 1, 9999)
+	res, err := si.Query(1, 9999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSpuriousDetected(t *testing.T) {
 func TestCompletenessGap(t *testing.T) {
 	h, si := buildIndex(t, keys)
 	pub := signKey(t).Public()
-	honest, err := si.Query(h, 1, 9999)
+	honest, err := si.Query(1, 9999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCompletenessGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheat, err := si.QueryTruncated(h, 1, 9999)
+	cheat, err := si.QueryTruncated(1, 9999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestCompletenessGap(t *testing.T) {
 func TestVerifyShapeChecks(t *testing.T) {
 	h, si := buildIndex(t, keys)
 	pub := signKey(t).Public()
-	res, err := si.Query(h, 1, 9999)
+	res, err := si.Query(1, 9999)
 	if err != nil {
 		t.Fatal(err)
 	}

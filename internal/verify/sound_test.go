@@ -357,7 +357,8 @@ func (sc soundScenario) bytes() []byte {
 // soundCorpusScenarios are the tamper corpus's scenarios (tamper_test.go)
 // on this fixture: every entry mode, projections, filters, DISTINCT, a
 // hidden-row role, a mid-relation range, empty ranges and the whole
-// domain.
+// domain. The empty range 3001..3001 also runs at K = 2, so its seeds
+// face the shard verifier too and its unedited stream is a fan-out.
 var soundCorpusScenarios = []soundScenario{
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 1000, KeyHi: 19999}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 9000, KeyHi: 20000}, k: 1, chunkRows: 7},
@@ -371,6 +372,7 @@ var soundCorpusScenarios = []soundScenario{
 		Filters: []engine.Filter{{Col: "A", Op: engine.OpLe, Val: relation.IntVal(2)}}}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 21001, KeyHi: 32999}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, chunkRows: 7},
+	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 2, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S"}, k: 1, chunkRows: 7},
 }
 

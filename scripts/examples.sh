@@ -2,14 +2,12 @@
 # Runs every example under examples/ and diffs its stdout against the
 # golden examples/testdata/<name>.out, so a refactor that changes what an
 # example prints fails here. Every example is seeded and prints no
-# wall-clock figure, so its output repeats byte for byte. With -update
-# the goldens are rewritten instead. Run by `make examples` and CI's docs
-# job.
+# wall-clock figure, so its output repeats byte for byte. After a
+# deliberate change, `go run ./examples/<name> >examples/testdata/<name>.out`
+# rewrites a golden. Run by `make examples` and CI's docs job.
 set -eu
 cd "$(dirname "$0")/.."
 
-update=false
-[ "${1:-}" = "-update" ] && update=true
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 status=0
@@ -17,11 +15,8 @@ for dir in examples/*/; do
     name=$(basename "$dir")
     [ "$name" = testdata ] && continue
     go run "./$dir" >"$out"
-    golden="examples/testdata/$name.out"
-    if $update; then
-        cp "$out" "$golden"
-    elif ! diff -u "$golden" "$out"; then
-        echo "examples/$name: output differs from $golden" >&2
+    if ! diff -u "examples/testdata/$name.out" "$out"; then
+        echo "examples/$name: output differs from examples/testdata/$name.out" >&2
         status=1
     fi
 done

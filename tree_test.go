@@ -18,7 +18,7 @@ import (
 // TestServingTreeIsPaperFree pins the split the tree layout promises:
 // nothing that serves, signs or measures a verified query links a
 // package of the paper tree (internal/paper/..., reached only through
-// cmd/vcbench, bench_test.go and examples/provenance).
+// cmd/vcbench, bench_test.go and examples/).
 func TestServingTreeIsPaperFree(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps",
 		"./cmd/vcserve", "./cmd/vcquery", "./cmd/vcsign", "./bench").CombinedOutput()
