@@ -42,7 +42,7 @@ bench-verify:
 # neighbour edges), the recycling frame reader against
 # one-shot decodes, the lease frames, the /stream request
 # (legacy gob branch included) and the /delta body — plus the durable
-# store's on-disk codecs (WAL records and epoch snapshot files), the
+# store's on-disk codec (WAL records), the
 # one-block SHA-256 kernel and its MGF1 expansion against the stdlib
 # digest, the once-hashed chain side (combined digest and boundary proof)
 # against the reference construction, the one-walk delta diff against
@@ -61,7 +61,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadStreamRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadDeltaRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
-	$(GO) test -run xxx -fuzz FuzzReadSnapshot -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
 	$(GO) test -run xxx -fuzz FuzzChainSide -fuzztime 30s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzDiff -fuzztime 30s ./internal/delta

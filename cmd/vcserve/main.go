@@ -119,7 +119,7 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 0, "coordinator mode: how long one acknowledged heartbeat keeps a node live for routing; expiry demotes, never deletes (0 = default 15s)")
 	heartbeat := flag.Duration("heartbeat", 0, "coordinator mode: lease heartbeat interval (0 = lease-ttl/3)")
 	dataDir := flag.String("data-dir", "", "durable storage directory: node mode logs installs and deltas to a crash-safe WAL and recovers them on restart; coordinator mode persists routing epochs and staged delta tokens; other modes refuse it (empty = memory-only)")
-	snapshotEvery := flag.Int("snapshot-every", 0, "node mode with -data-dir: fold the WAL into an epoch snapshot every N appends (0 = default 64, negative disables)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "node mode with -data-dir: compact the WAL (rewrite it as one record per hosted slice) every N appends (0 = default 64, negative disables)")
 	flag.StringVar(&debugAddr, "debug-addr", "", "serve expvar/pprof/slowlog on a separate listener (empty = query port only)")
 	flag.DurationVar(&slowQuery, "slow-query", 0, "slow-query log retention threshold, e.g. 250ms (0 = default 100ms, negative disables)")
 	flag.Parse()
@@ -207,14 +207,10 @@ func runNode(addr, paramsPath, dataDir string, snapshotEvery int) {
 		}
 		defer ns.Close()
 		nstore = ns
-		if rep.SnapshotErr != nil {
-			log.Printf("WARNING: snapshot unreadable, recovering from WAL alone: %v", rep.SnapshotErr)
-		}
 		if rep.TornTail != nil {
 			log.Printf("WAL tail torn (mid-append crash), truncated: %v", rep.TornTail)
 		}
-		log.Printf("durable store %s: snapshot seq %d, %d WAL records replayed (%d absorbed by snapshot)",
-			dataDir, rep.SnapshotSeq, rep.Replayed, rep.Skipped)
+		log.Printf("durable store %s: %d WAL records replayed", dataDir, rep.Replayed)
 	}
 	s := server.New(server.Config{
 		Hasher:        hashx.New(),

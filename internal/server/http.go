@@ -80,7 +80,7 @@ var counters = []obs.Counter[Stats]{
 // /metrics only.
 var storeCounters = []obs.Counter[store.NodeStats]{
 	{Key: "wal_appends", Help: "Durable WAL records appended (node store).", Field: func(st *store.NodeStats) *uint64 { return &st.WALAppends }},
-	{Key: "snapshots", Help: "Compacting store snapshots written.", Field: func(st *store.NodeStats) *uint64 { return &st.Snapshots }},
+	{Key: "snapshots", Help: "Store compactions (atomic WAL rewrites) written.", Field: func(st *store.NodeStats) *uint64 { return &st.Snapshots }},
 	{Key: "cold_starts", Help: "Recoveries from the durable store.", Field: func(st *store.NodeStats) *uint64 { return &st.ColdStarts }},
 }
 
@@ -98,15 +98,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		[]obs.CounterSeries{{Labels: role, Value: float64(st.Epoch)}})
 	if st.Store != nil {
 		obs.WriteCounters(w, storeCounters, st.Store, role)
-		// Age of the newest snapshot; the replay depth a crash right now
-		// would pay grows with it. Zero before the first snapshot of
-		// this process (the WAL alone is still fully durable).
+		// Age of the newest compaction; the replay depth a crash right
+		// now would pay grows with it. Zero before the first compaction
+		// of this process (the WAL alone is still fully durable).
 		var age float64
 		if st.Store.LastSnapshotUnix > 0 {
 			age = time.Since(time.Unix(st.Store.LastSnapshotUnix, 0)).Seconds()
 		}
 		obs.WriteGaugeFamily(w, "vcqr_snapshot_age_seconds",
-			"Seconds since the last compacting store snapshot.",
+			"Seconds since the last store compaction (atomic WAL rewrite).",
 			[]obs.CounterSeries{{Labels: role, Value: age}})
 	}
 	obs.WriteHistogramFamily(w, "vcqr_stage_seconds",

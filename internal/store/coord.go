@@ -8,15 +8,11 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Coordinator log record: exactly one of the three kinds. The routing
-// table is tiny, so instead of a separate snapshot file the log
-// compacts by atomically rewriting itself (latest routing + still-open
-// staged transactions) — the same temp+fsync+rename idiom the node
-// snapshot uses, so there is no partial-compaction window and no need
-// for sequence numbers.
+// Coordinator log record: exactly one of the three kinds. The log
+// compacts by rewriting itself as the latest routing plus the
+// still-open staged transactions (wal.rewrite, the node log's idiom).
 type coordRecord struct {
 	Routing     *routingRecord
 	StagedBegin *stagedBeginRecord
@@ -43,15 +39,12 @@ type stagedEndRecord struct {
 	Committed bool
 }
 
-// DefaultCompactEvery is the appends-per-compaction cadence when
-// CoordOptions.CompactEvery is zero.
+// DefaultCompactEvery is how many appends trigger an atomic rewrite of
+// the coordinator log.
 const DefaultCompactEvery = 128
 
 // CoordOptions parameterizes OpenCoord.
 type CoordOptions struct {
-	// CompactEvery is how many appends trigger an atomic log rewrite;
-	// 0 = DefaultCompactEvery, negative disables automatic compaction.
-	CompactEvery int
 	// Crash is the injection seam; nil (production) never fires.
 	Crash *Crasher
 }
@@ -74,19 +67,12 @@ type CoordReport struct {
 // table (with its epoch) and the set of in-flight two-phase delta
 // commits. All methods are goroutine-safe.
 type CoordLog struct {
-	path  string
-	crash *Crasher
-	every int
-
-	mu      sync.Mutex
-	f       *os.File
-	pending int // appends since last compaction
-	repoch  uint64
-	route   [][]string
-	haveRt  bool
-	staged  map[string]map[string]uint64
-
-	appends, compactions, compactFailures atomic.Uint64
+	mu     sync.Mutex
+	log    *wal
+	repoch uint64
+	route  [][]string
+	haveRt bool
+	staged map[string]map[string]uint64
 }
 
 // OpenCoord opens (creating if needed) a coordinator log in dir and
@@ -97,23 +83,12 @@ func OpenCoord(dir string, opts CoordOptions) (*CoordLog, *CoordReport, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	every := opts.CompactEvery
-	if every == 0 {
-		every = DefaultCompactEvery
-	}
-	cl := &CoordLog{
-		path:   filepath.Join(dir, "coord.wal"),
-		crash:  opts.Crash,
-		every:  every,
-		staged: map[string]map[string]uint64{},
-	}
-	rep := &CoordReport{}
-	f, payloads, torn, err := openWAL(cl.path)
+	w, payloads, torn, err := openLog(filepath.Join(dir, "coord.wal"), DefaultCompactEvery, opts.Crash)
 	if err != nil {
 		return nil, nil, err
 	}
-	cl.f = f
-	rep.TornTail = torn
+	cl := &CoordLog{log: w, staged: map[string]map[string]uint64{}}
+	rep := &CoordReport{TornTail: torn}
 	for _, payload := range payloads {
 		var rec coordRecord
 		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
@@ -128,8 +103,8 @@ func OpenCoord(dir string, opts CoordOptions) (*CoordLog, *CoordReport, error) {
 	// Compact what we replayed so restart cost stays bounded; failure
 	// here is an I/O problem worth surfacing at open.
 	if rep.Replayed > 1 {
-		if err := cl.compactLocked(); err != nil {
-			cl.f.Close()
+		if err := w.rewrite(cl.image); err != nil {
+			w.close()
 			return nil, nil, err
 		}
 	}
@@ -154,24 +129,17 @@ func (cl *CoordLog) applyRecord(rec *coordRecord) {
 }
 
 func (cl *CoordLog) append(rec *coordRecord) error {
+	payload, err := gobRecord(rec)
+	if err != nil {
+		return err
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	if err := cl.log.append(payload); err != nil {
 		return err
 	}
-	if err := appendRecord(cl.f, cl.crash, buf.Bytes()); err != nil {
-		return err
-	}
-	cl.appends.Add(1)
-	cl.pending++
 	cl.applyRecord(rec)
-	if cl.every > 0 && cl.pending >= cl.every {
-		// Best-effort: the log already holds everything.
-		if err := cl.compactLocked(); err != nil {
-			cl.compactFailures.Add(1)
-		}
-	}
+	cl.log.compactIfDue(cl.image)
 	return nil
 }
 
@@ -238,64 +206,27 @@ func (cl *CoordLog) openStagedLocked() []string {
 func (cl *CoordLog) Compact() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	return cl.compactLocked()
+	return cl.log.rewrite(cl.image)
 }
 
-// compactLocked rewrites the log as [latest routing][open staged
-// begins] via temp+fsync+rename, then reopens the handle for appends.
-// Threads the rename-side crash points: a before-rename death leaves
-// the old log intact, an after-rename death leaves the new one — both
-// complete, consistent images.
-func (cl *CoordLog) compactLocked() error {
-	var buf bytes.Buffer
-	writeRec := func(rec *coordRecord) error {
-		var pb bytes.Buffer
-		if err := gob.NewEncoder(&pb).Encode(rec); err != nil {
-			return err
-		}
-		return appendWALFrame(&buf, pb.Bytes())
-	}
+// image is the compacted log: [latest routing][open staged begins].
+func (cl *CoordLog) image() ([][]byte, error) {
+	var recs []*coordRecord
 	if cl.haveRt {
-		if err := writeRec(&coordRecord{Routing: &routingRecord{Epoch: cl.repoch, Route: cl.route}}); err != nil {
-			return err
-		}
+		recs = append(recs, &coordRecord{Routing: &routingRecord{Epoch: cl.repoch, Route: cl.route}})
 	}
 	for _, rel := range cl.openStagedLocked() {
-		if err := writeRec(&coordRecord{StagedBegin: &stagedBeginRecord{Relation: rel, Tokens: cl.staged[rel]}}); err != nil {
-			return err
+		recs = append(recs, &coordRecord{StagedBegin: &stagedBeginRecord{Relation: rel, Tokens: cl.staged[rel]}})
+	}
+	out := make([][]byte, len(recs))
+	for i, rec := range recs {
+		p, err := gobRecord(rec)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = p
 	}
-	tmp := cl.path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := syncFile(tmp); err != nil {
-		return err
-	}
-	if cl.crash.hit(CrashBeforeRename) {
-		return ErrCrash
-	}
-	if err := os.Rename(tmp, cl.path); err != nil {
-		return err
-	}
-	syncDir(filepath.Dir(cl.path))
-	if cl.crash.hit(CrashAfterRename) {
-		return ErrCrash
-	}
-	f, err := os.OpenFile(cl.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		// The rename already happened, so the old handle points at an
-		// unlinked inode: appends there would silently vanish at the
-		// next open. Drop the handle so later appends fail loudly.
-		cl.f.Close()
-		cl.f = nil
-		return err
-	}
-	cl.f.Close()
-	cl.f = f
-	cl.pending = 0
-	cl.compactions.Add(1)
-	return nil
+	return out, nil
 }
 
 // CoordStats is the log's observability view.
@@ -310,9 +241,9 @@ func (cl *CoordLog) Stats() CoordStats {
 	open := len(cl.staged)
 	cl.mu.Unlock()
 	return CoordStats{
-		Appends:         cl.appends.Load(),
-		Compactions:     cl.compactions.Load(),
-		CompactFailures: cl.compactFailures.Load(),
+		Appends:         cl.log.appends.Load(),
+		Compactions:     cl.log.rewrites.Load(),
+		CompactFailures: cl.log.rewriteFailures.Load(),
 		OpenStaged:      open,
 	}
 }
@@ -321,12 +252,7 @@ func (cl *CoordLog) Stats() CoordStats {
 func (cl *CoordLog) Close() error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if cl.f == nil {
-		return nil
-	}
-	err := cl.f.Close()
-	cl.f = nil
-	return err
+	return cl.log.close()
 }
 
 func cloneRoute(route [][]string) [][]string {

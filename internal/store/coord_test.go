@@ -10,7 +10,7 @@ import (
 
 func TestCoordRoutingReplay(t *testing.T) {
 	dir := t.TempDir()
-	cl, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCoordRoutingReplay(t *testing.T) {
 	}
 	cl.Close()
 
-	cl2, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl2, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestCoordRoutingReplay(t *testing.T) {
 
 	// Open compacted the 2-record log down to its latest state: the
 	// next replay reads exactly one record.
-	cl3, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl3, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCoordRoutingReplay(t *testing.T) {
 // surface — and an end closes it.
 func TestCoordStagedLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	cl, _, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl, _, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCoordStagedLifecycle(t *testing.T) {
 	}
 	cl.Close()
 
-	cl2, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl2, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCoordStagedLifecycle(t *testing.T) {
 	}
 	cl2.Close()
 
-	cl3, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl3, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCoordCompactionCrash(t *testing.T) {
 		t.Run(p.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			crash := &Crasher{}
-			cl, _, err := OpenCoord(dir, CoordOptions{CompactEvery: -1, Crash: crash})
+			cl, _, err := OpenCoord(dir, CoordOptions{Crash: crash})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +121,7 @@ func TestCoordCompactionCrash(t *testing.T) {
 			}
 			cl.Close()
 
-			cl2, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+			cl2, rep, err := OpenCoord(dir, CoordOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,14 +133,8 @@ func TestCoordCompactionCrash(t *testing.T) {
 			if !reflect.DeepEqual(rep.OpenStaged, []string{"Uniform"}) {
 				t.Fatalf("after %s: open staged %v", p, rep.OpenStaged)
 			}
-			if p == CrashBeforeRename {
-				if _, err := os.Stat(filepath.Join(dir, "coord.wal.tmp")); !os.IsNotExist(err) {
-					// openWAL does not clean coord.wal.tmp; the next
-					// successful compaction overwrites it. Either way the
-					// leftover is never read — assert only that the real
-					// log decided the state above.
-					t.Log("compaction temp file left on disk (never read)")
-				}
+			if _, err := os.Stat(filepath.Join(dir, "coord.wal.tmp")); !os.IsNotExist(err) {
+				t.Fatalf("after %s: compaction temp file survived the open", p)
 			}
 		})
 	}
@@ -150,7 +144,7 @@ func TestCoordCompactionCrash(t *testing.T) {
 // record, keeping everything before it.
 func TestCoordTornTail(t *testing.T) {
 	dir := t.TempDir()
-	cl, _, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl, _, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +161,7 @@ func TestCoordTornTail(t *testing.T) {
 	f.Write([]byte{0x00, 0x00, 0x01}) // partial header
 	f.Close()
 
-	cl2, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: -1})
+	cl2, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +177,12 @@ func TestCoordTornTail(t *testing.T) {
 // Automatic compaction keeps the log bounded without losing state.
 func TestCoordAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
-	cl, _, err := OpenCoord(dir, CoordOptions{CompactEvery: 4})
+	cl, _, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := uint64(1); e <= 9; e++ {
+	last := uint64(2*DefaultCompactEvery + 1)
+	for e := uint64(1); e <= last; e++ {
 		if err := cl.LogRouting(e, [][]string{{"http://a"}}); err != nil {
 			t.Fatal(err)
 		}
@@ -197,15 +192,15 @@ func TestCoordAutoCompaction(t *testing.T) {
 	}
 	cl.Close()
 
-	cl2, rep, err := OpenCoord(dir, CoordOptions{CompactEvery: 4})
+	cl2, rep, err := OpenCoord(dir, CoordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
-	if rep.RoutingEpoch != 9 {
-		t.Fatalf("recovered epoch %d, want 9", rep.RoutingEpoch)
+	if rep.RoutingEpoch != last {
+		t.Fatalf("recovered epoch %d, want %d", rep.RoutingEpoch, last)
 	}
-	if rep.Replayed > 4 {
+	if rep.Replayed > DefaultCompactEvery {
 		t.Fatalf("compaction left %d records to replay", rep.Replayed)
 	}
 }

@@ -1,12 +1,12 @@
 // Package store is the durable storage tier of the cluster: a per-node
-// append-only WAL plus periodic snapshots (NodeStore), and the
-// coordinator's routing/staged-token log (CoordLog).
+// append-only WAL (NodeStore) and the coordinator's routing/staged-token
+// log (CoordLog) — two owners of one log type, each with its own record
+// kinds and in-memory state.
 //
 // The store is untrusted by construction — the same argument that lets
 // the system add replicas, caches and peers without trusting them. A
-// node restarting from disk replays its WAL on top of the latest
-// snapshot and then self-checks every recovered slice against the
-// owner's public key (AggIndex.VerifyRange over the owned region, plus
+// node restarting from disk replays its WAL and then self-checks every
+// recovered slice against the owner's public key (AggIndex.VerifyRange over the owned region, plus
 // the full install-time validation) before serving a byte of it. A
 // corrupted, truncated or rolled-back disk therefore yields an honest
 // refusal — the slice is dropped and the coordinator re-installs it —
@@ -15,11 +15,11 @@
 //
 // Durability discipline: every mutation appends to the WAL (and syncs)
 // BEFORE the node acknowledges it — append-before-acknowledge — so an
-// acknowledged install or delta commit survives a SIGKILL. Snapshots
-// are pure compaction: written to a temp file, fsynced, renamed into
-// place, and only then is the WAL truncated; every record carries a
-// sequence number and the snapshot records the last one it covers, so
-// a crash between rename and truncation replays idempotently.
+// acknowledged install or delta commit survives a SIGKILL. Compaction
+// rewrites a log as its owner's current state (a node: one slice record
+// per hosted shard) to a temp file, fsyncs it and renames it over the
+// log: a crash leaves the old log or the new one, each whole, so no
+// record needs a sequence number and no replay has to skip any.
 package store
 
 import (
@@ -31,7 +31,7 @@ import (
 // points cover every distinct durability state a crash can leave:
 // before anything hit disk, mid-record (a torn tail), after the record
 // is durable but before the caller was acknowledged, and either side
-// of a snapshot's atomic rename.
+// of a compaction's atomic rename.
 type CrashPoint int
 
 // Crash points, in write-path order.
@@ -47,12 +47,11 @@ const (
 	// before the store's in-memory state or the caller saw it — the
 	// acknowledged-or-not ambiguity window.
 	CrashAfterAppend
-	// CrashBeforeRename dies with the snapshot fully written to its
-	// temp file but not yet renamed into place.
+	// CrashBeforeRename dies with the compacted log fully written to
+	// its temp file but not yet renamed over the log.
 	CrashBeforeRename
-	// CrashAfterRename dies with the snapshot renamed into place but
-	// the WAL not yet truncated — the double-apply window sequence
-	// numbers exist for.
+	// CrashAfterRename dies with the compacted log renamed in and the
+	// handle not yet reopened.
 	CrashAfterRename
 )
 

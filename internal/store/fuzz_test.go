@@ -38,27 +38,3 @@ func FuzzReadWALRecord(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadSnapshot drives the production snapshot unframing with
-// arbitrary bytes: success means an exact canonical round trip, failure
-// must be ErrSnapshotTorn-named.
-func FuzzReadSnapshot(f *testing.F) {
-	f.Add(EncodeSnapshotFile([]byte("seed-payload")))
-	f.Add(EncodeSnapshotFile(nil))
-	f.Add([]byte("vcqr-store-snap-1\n"))
-	f.Add(EncodeSnapshotFile([]byte("truncated"))[:20])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := ReadSnapshot(data)
-		if err != nil {
-			if !errors.Is(err, ErrSnapshotTorn) {
-				t.Fatalf("unnamed decode failure: %v", err)
-			}
-			return
-		}
-		// The framing is canonical: a payload that read back must
-		// re-encode to exactly the input image.
-		if !bytes.Equal(EncodeSnapshotFile(payload), data) {
-			t.Fatalf("accepted image is not the canonical encoding of its payload")
-		}
-	})
-}

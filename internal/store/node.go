@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
@@ -20,26 +18,25 @@ import (
 	"vcqr/internal/wire"
 )
 
-// Node WAL record: exactly one of the three operation kinds, tagged
-// with a monotonically increasing sequence number. The snapshot
-// records the last sequence it covers, so replay after a crash between
-// snapshot-rename and WAL-truncation skips already-absorbed records
-// instead of double-applying them (ApplyOps would refuse a replayed
-// delete, and a replayed install would roll committed deltas back).
+// Node WAL record: exactly one of the three operation kinds.
 type nodeRecord struct {
-	Seq     uint64
 	Install *installRecord
 	Remove  *removeRecord
 	Commit  *commitRecord
 }
 
-// installRecord carries a full slice — the wire.Snapshot encoding the
-// rest of the system already uses for relation images.
+// installRecord is the slice record: a full slice — the wire.Snapshot
+// encoding the rest of the system already uses for relation images —
+// with its spec, its digest at install time and the deltas committed to
+// it since. An install logs one with Deltas 0; a compaction rewrites the
+// log as one per hosted shard (NodeStore.image).
 type installRecord struct {
-	Relation string
-	Spec     partition.Spec
-	Shard    int
-	Snap     []byte
+	Relation      string
+	Spec          partition.Spec
+	Shard         int
+	InstallDigest hashx.Digest
+	Deltas        uint64
+	Snap          []byte
 }
 
 type removeRecord struct {
@@ -67,29 +64,8 @@ type commitRecord struct {
 	Shards   []commitShardRecord
 }
 
-// nodeSnapshot is the compaction image: every hosted slice (as
-// wire.Snapshot bytes) plus the per-shard bookkeeping, and the WAL
-// sequence it absorbs.
-type nodeSnapshot struct {
-	Seq  uint64
-	Rels []snapRelation
-}
-
-type snapRelation struct {
-	Relation string
-	Spec     partition.Spec
-	Shards   []snapShard
-}
-
-type snapShard struct {
-	Shard         int
-	InstallDigest hashx.Digest
-	Deltas        uint64
-	Snap          []byte
-}
-
 // relMirror is the in-memory double of one relation's durable state.
-// The store maintains it on every append so snapshots never have to
+// The store maintains it on every append so compaction never has to
 // read the serving layer's tables (and so never touch its locks); the
 // slice pointers are the same immutable published snapshots the
 // serving store holds.
@@ -99,9 +75,10 @@ type relMirror struct {
 	install map[int]hashx.Digest
 	deltas  map[int]uint64
 	// runs holds, during replay only, a slice's running digests
-	// (partition.SliceDigestFrom) when a replayed record hashed it whole
-	// or resumed them, so the next replayed commit hashes only from the
-	// first entry its ops touched. OpenNode drops them before returning.
+	// (partition.SliceDigestFrom) once a replayed commit hashed it, so the
+	// next replayed commit hashes only from the first entry its ops
+	// touched; a slice record leaves none, and the first commit after it
+	// hashes whole. OpenNode drops them before returning.
 	runs map[int][]byte
 }
 
@@ -123,16 +100,16 @@ func (rm *relMirror) drop(shard int) {
 	delete(rm.runs, shard)
 }
 
-// DefaultSnapshotEvery is the appends-per-snapshot compaction cadence
-// when Options.SnapshotEvery is zero.
+// DefaultSnapshotEvery is the appends-per-compaction cadence when
+// Options.SnapshotEvery is zero.
 const DefaultSnapshotEvery = 64
 
 // Options parameterizes OpenNode.
 type Options struct {
 	Hasher *hashx.Hasher
 	// SnapshotEvery is how many WAL appends trigger a compacting
-	// snapshot; 0 = DefaultSnapshotEvery, negative disables automatic
-	// snapshots (Snapshot can still be called explicitly).
+	// rewrite of the log; 0 = DefaultSnapshotEvery, negative disables
+	// automatic compaction (Snapshot can still be called explicitly).
 	SnapshotEvery int
 	// Crash is the injection seam; nil (production) never fires.
 	Crash *Crasher
@@ -143,18 +120,12 @@ type Options struct {
 // coordinator repairs), never a wrong answer — but every refusal is
 // named here so operators see what the disk lost.
 type LoadReport struct {
-	// SnapshotSeq is the WAL sequence the loaded snapshot absorbed (0
-	// when starting without one).
-	SnapshotSeq uint64
-	// SnapshotErr is the ErrSnapshotTorn-wrapped reason the snapshot
-	// was refused, when it was; the store started from an empty image.
-	SnapshotErr error
 	// TornTail is the ErrWALTorn-wrapped reason the WAL tail was
 	// truncated, when it was. Records before the tear replayed.
 	TornTail error
-	// Replayed counts WAL records applied on top of the snapshot;
-	// Skipped counts records the snapshot had already absorbed.
-	Replayed, Skipped int
+	// Replayed counts WAL records applied: a compacted log's slice
+	// records, then whatever was appended after them.
+	Replayed int
 	// Refused lists slices dropped during replay ("relation/shard:
 	// reason") — decode failures or post-replay digest mismatches. The
 	// serving layer re-checks everything that remains against the
@@ -162,39 +133,38 @@ type LoadReport struct {
 	Refused []string
 }
 
-// NodeStore is a shard node's durable state: an append-only WAL of
-// installs, removes and committed deltas, compacted by periodic
-// snapshots. Every mutation is synced to the WAL before the caller
-// hears success (append-before-acknowledge). All methods are
-// goroutine-safe.
+// NodeStore is a shard node's durable state: one append-only log
+// (node.wal) of installs, removes and committed deltas, compacted by
+// rewriting it as one slice record per hosted shard. Every mutation is
+// synced to the log before the caller hears success
+// (append-before-acknowledge). All methods are goroutine-safe.
 type NodeStore struct {
-	dir      string
-	walPath  string
-	snapPath string
-	h        *hashx.Hasher
-	every    int
-	crash    *Crasher
+	dir string
+	h   *hashx.Hasher
 
-	mu      sync.Mutex
-	f       *os.File
-	seq     uint64 // last appended sequence
-	snapSeq uint64 // sequence absorbed by the latest snapshot
-	pending int    // WAL records not yet absorbed by a snapshot
-	rels    map[string]*relMirror
-
-	appends, snapshots, snapFailures, coldStarts atomic.Uint64
-	lastSnapUnix                                 atomic.Int64
+	mu   sync.Mutex
+	log  *wal
+	rels map[string]*relMirror
 }
 
+// ErrLegacySnapshot refuses a data dir holding a node.snap: the
+// compaction image of builds that kept one beside the WAL (and truncated
+// the WAL under it). This build never reads that file, so replaying the
+// WAL alone would silently lose every slice the image held; the open
+// fails by name and writes nothing instead. Empty the data dir and let
+// the coordinator re-install the node's slices.
+var ErrLegacySnapshot = errors.New("store: data dir holds a node.snap from an older build")
+
 // OpenNode opens (creating if needed) a node store in dir and recovers
-// its state: latest snapshot, plus every WAL record after it. Disk
-// corruption is never fatal — a torn snapshot starts empty, a torn WAL
-// tail is truncated, an inconsistent slice is dropped — and every such
-// refusal lands in the LoadReport. Only environmental I/O failures
-// (permissions, full disk) return an error, and a slice signed in another
-// record format (core.ErrRecordFormat): the whole data dir was written by
-// a build whose signatures this one cannot verify, so the open fails by
-// name and writes nothing, rather than dropping every slice durably.
+// its state by replaying node.wal. Disk corruption is never fatal — a
+// torn tail is truncated, an inconsistent slice is dropped — and every
+// such refusal lands in the LoadReport. Only environmental I/O failures
+// (permissions, full disk) return an error, and two data dirs this build
+// cannot read: one holding a node.snap (ErrLegacySnapshot), and a slice
+// signed in another record format (core.ErrRecordFormat) — the whole data
+// dir was written by a build whose signatures this one cannot verify.
+// Either way the open fails by name and writes nothing, rather than
+// dropping every slice durably.
 func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -203,96 +173,39 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 	if h == nil {
 		h = hashx.New()
 	}
+	if _, err := os.Stat(filepath.Join(dir, "node.snap")); err == nil {
+		return nil, nil, fmt.Errorf("%w: %s", ErrLegacySnapshot, dir)
+	}
 	every := opts.SnapshotEvery
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	ns := &NodeStore{
-		dir:      dir,
-		walPath:  filepath.Join(dir, "node.wal"),
-		snapPath: filepath.Join(dir, "node.snap"),
-		h:        h,
-		every:    every,
-		crash:    opts.Crash,
-		rels:     map[string]*relMirror{},
-	}
-	rep := &LoadReport{}
-
-	// 1. Snapshot: the base image. Torn or undecodable → start empty.
-	if payload, err := loadSnapshotFile(ns.snapPath); err != nil {
-		if !isTorn(err) {
-			return nil, nil, err
-		}
-		rep.SnapshotErr = err
-	} else if payload != nil {
-		var snap nodeSnapshot
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); derr != nil {
-			rep.SnapshotErr = fmt.Errorf("%w: undecodable payload: %v", ErrSnapshotTorn, derr)
-		} else {
-			ns.snapSeq = snap.Seq
-			ns.seq = snap.Seq
-			rep.SnapshotSeq = snap.Seq
-			for _, sr := range snap.Rels {
-				rm := newRelMirror(sr.Spec)
-				for _, sh := range sr.Shards {
-					sl, derr := decodeSlice(sh.Snap)
-					if errors.Is(derr, core.ErrRecordFormat) {
-						return nil, nil, fmt.Errorf("store: %s: %w", ns.snapPath, derr)
-					}
-					if derr != nil {
-						rep.Refused = append(rep.Refused,
-							fmt.Sprintf("%s/%d: snapshot slice: %v", sr.Relation, sh.Shard, derr))
-						continue
-					}
-					rm.slices[sh.Shard] = sl
-					rm.install[sh.Shard] = sh.InstallDigest
-					rm.deltas[sh.Shard] = sh.Deltas
-				}
-				if len(rm.slices) > 0 {
-					ns.rels[sr.Relation] = rm
-				}
-			}
-		}
-	}
-
-	// 2. WAL: replay everything after the snapshot. A torn tail is
-	// truncated at open so the next append lands on a record boundary.
-	f, payloads, torn, err := openWAL(ns.walPath)
+	path := filepath.Join(dir, "node.wal")
+	w, payloads, torn, err := openLog(path, every, opts.Crash)
 	if err != nil {
 		return nil, nil, err
 	}
-	ns.f = f
-	rep.TornTail = torn
+	ns := &NodeStore{dir: dir, h: h, log: w, rels: map[string]*relMirror{}}
+	rep := &LoadReport{TornTail: torn}
 	for _, payload := range payloads {
 		var rec nodeRecord
 		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
 			// CRC-valid but undecodable: version skew or silent disk
 			// corruption. Refuse the record and everything after it —
 			// later records may depend on this one's effect.
-			rep.TornTail = fmt.Errorf("%w: undecodable record after seq %d: %v", ErrWALTorn, ns.seq, derr)
+			rep.TornTail = fmt.Errorf("%w: undecodable record after %d replayed: %v", ErrWALTorn, rep.Replayed, derr)
 			break
 		}
-		if rec.Seq <= ns.snapSeq {
-			rep.Skipped++
-			continue
-		}
 		if err := ns.applyRecord(&rec, rep); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: %s: %w", ns.walPath, err)
+			w.close()
+			return nil, nil, fmt.Errorf("store: %s: %w", path, err)
 		}
-		ns.seq = rec.Seq
-		ns.pending++
 		rep.Replayed++
 	}
 	for _, rm := range ns.rels {
 		rm.runs = nil
 	}
-	ns.coldStarts.Add(1)
 	return ns, rep, nil
-}
-
-func isTorn(err error) bool {
-	return errors.Is(err, ErrSnapshotTorn) || errors.Is(err, ErrWALTorn)
 }
 
 // applyRecord folds one replayed WAL record into the mirror. Failures
@@ -319,8 +232,13 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 			rm.spec = in.Spec
 		}
 		rm.slices[in.Shard] = sl
-		rm.install[in.Shard], rm.runs[in.Shard] = partition.SliceDigestFrom(ns.h, sl, nil, 0)
-		rm.deltas[in.Shard] = 0
+		rm.install[in.Shard] = in.InstallDigest
+		rm.deltas[in.Shard] = in.Deltas
+		delete(rm.runs, in.Shard)
+		if len(in.InstallDigest) == 0 {
+			// An install logged by a build that did not record its digest.
+			rm.install[in.Shard], rm.runs[in.Shard] = partition.SliceDigestFrom(ns.h, sl, nil, 0)
+		}
 	case rec.Remove != nil:
 		rm := ns.rels[rec.Remove.Relation]
 		if rm == nil {
@@ -391,28 +309,18 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 // append encodes and durably appends one record, then updates the
 // mirror via apply and possibly compacts. apply runs only after the
 // record is synced — the mirror never gets ahead of the disk.
-func (ns *NodeStore) append(build func(seq uint64) *nodeRecord, apply func()) error {
+func (ns *NodeStore) append(rec *nodeRecord, apply func()) error {
+	payload, err := gobRecord(rec)
+	if err != nil {
+		return err
+	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	rec := build(ns.seq + 1)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	if err := ns.log.append(payload); err != nil {
 		return err
 	}
-	if err := appendRecord(ns.f, ns.crash, buf.Bytes()); err != nil {
-		return err
-	}
-	ns.seq++
-	ns.pending++
-	ns.appends.Add(1)
 	apply()
-	if ns.every > 0 && ns.pending >= ns.every {
-		// Compaction is best-effort: the WAL already holds everything,
-		// so a failed snapshot costs replay time, never durability.
-		if err := ns.snapshotLocked(); err != nil {
-			ns.snapFailures.Add(1)
-		}
-	}
+	ns.log.compactIfDue(ns.image)
 	return nil
 }
 
@@ -424,9 +332,9 @@ func (ns *NodeStore) LogInstall(rel string, spec partition.Spec, shard int, sl *
 	if err != nil {
 		return err
 	}
-	return ns.append(func(seq uint64) *nodeRecord {
-		return &nodeRecord{Seq: seq, Install: &installRecord{Relation: rel, Spec: spec, Shard: shard, Snap: snap}}
-	}, func() {
+	return ns.append(&nodeRecord{Install: &installRecord{
+		Relation: rel, Spec: spec, Shard: shard, InstallDigest: digest, Snap: snap,
+	}}, func() {
 		rm := ns.rels[rel]
 		if rm == nil {
 			rm = newRelMirror(spec)
@@ -442,9 +350,7 @@ func (ns *NodeStore) LogInstall(rel string, spec partition.Spec, shard int, sl *
 
 // LogRemove durably records dropping a slice.
 func (ns *NodeStore) LogRemove(rel string, shard int) error {
-	return ns.append(func(seq uint64) *nodeRecord {
-		return &nodeRecord{Seq: seq, Remove: &removeRecord{Relation: rel, Shard: shard}}
-	}, func() {
+	return ns.append(&nodeRecord{Remove: &removeRecord{Relation: rel, Shard: shard}}, func() {
 		if rm := ns.rels[rel]; rm != nil {
 			rm.drop(shard)
 			if len(rm.slices) == 0 {
@@ -507,9 +413,7 @@ func (ns *NodeStore) AppendCommit(rel string, shards []PlannedShard) error {
 	for i := range shards {
 		recs[i] = shards[i].rec
 	}
-	return ns.append(func(seq uint64) *nodeRecord {
-		return &nodeRecord{Seq: seq, Commit: &commitRecord{Relation: rel, Shards: recs}}
-	}, func() {
+	return ns.append(&nodeRecord{Commit: &commitRecord{Relation: rel, Shards: recs}}, func() {
 		rm := ns.rels[rel]
 		if rm == nil {
 			return
@@ -538,53 +442,37 @@ func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
 	return ns.AppendCommit(rel, planned)
 }
 
-// Snapshot forces a compacting snapshot now.
+// Snapshot compacts the log now: it rewrites node.wal as one slice
+// record per hosted shard.
 func (ns *NodeStore) Snapshot() error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.snapshotLocked()
+	return ns.log.rewrite(ns.image)
 }
 
-func (ns *NodeStore) snapshotLocked() error {
-	img := nodeSnapshot{Seq: ns.seq}
+// image is the compacted log: one slice record per hosted shard, with
+// the shard's spec, install digest and delta count, in relation and
+// shard order.
+func (ns *NodeStore) image() ([][]byte, error) {
+	var out [][]byte
 	for _, rel := range slices.Sorted(maps.Keys(ns.rels)) {
 		rm := ns.rels[rel]
-		sr := snapRelation{Relation: rel, Spec: rm.spec}
 		for _, i := range slices.Sorted(maps.Keys(rm.slices)) {
 			snap, err := encodeSlice(rm.slices[i])
 			if err != nil {
-				return err
+				return nil, err
 			}
-			sr.Shards = append(sr.Shards, snapShard{
-				Shard: i, InstallDigest: rm.install[i], Deltas: rm.deltas[i], Snap: snap,
-			})
+			p, err := gobRecord(&nodeRecord{Install: &installRecord{
+				Relation: rel, Spec: rm.spec, Shard: i,
+				InstallDigest: rm.install[i], Deltas: rm.deltas[i], Snap: snap,
+			}})
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, p)
 		}
-		img.Rels = append(img.Rels, sr)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-		return err
-	}
-	if err := writeSnapshotFile(ns.snapPath, ns.crash, buf.Bytes()); err != nil {
-		return err
-	}
-	// The snapshot is durable under its real name: the WAL records it
-	// absorbed are dead weight. A crash inside this truncation replays
-	// them against the snapshot's sequence and skips every one.
-	if err := ns.f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := ns.f.Seek(0, 0); err != nil {
-		return err
-	}
-	if err := ns.f.Sync(); err != nil {
-		return err
-	}
-	ns.snapSeq = ns.seq
-	ns.pending = 0
-	ns.snapshots.Add(1)
-	ns.lastSnapUnix.Store(time.Now().Unix())
-	return nil
+	return out, nil
 }
 
 // RecoveredShard is one slice as recovered from disk, for the serving
@@ -633,34 +521,33 @@ func (ns *NodeStore) Drop(rel string, shard int) error {
 // NodeStats is the store's /statsz and /metrics view.
 type NodeStats struct {
 	// WALAppends counts durable record appends; Snapshots counts
-	// compactions; SnapshotFailures counts best-effort compactions
-	// that failed (durability unaffected — the WAL retains the tail).
+	// compactions (log rewrites); SnapshotFailures counts best-effort
+	// compactions that failed (durability unaffected — the log retains
+	// every record).
 	WALAppends, Snapshots, SnapshotFailures uint64
-	// ColdStarts counts recoveries from disk (1 per process).
+	// ColdStarts counts recoveries from disk: 1, since every NodeStore
+	// is one (OpenNode).
 	ColdStarts uint64
 	// LastSnapshotUnix is the wall time of the last successful
-	// snapshot (0 before the first in this process).
+	// compaction (0 before the first in this process).
 	LastSnapshotUnix int64
-	// Seq is the last appended WAL sequence; SnapshotSeq is the last
-	// sequence a snapshot absorbed; Pending is the replay depth a
-	// crash right now would pay.
-	Seq, SnapshotSeq uint64
-	Pending          int
+	// Pending counts records appended since the last compaction (at
+	// open, every record replayed): SnapshotEvery of them trigger the
+	// next one.
+	Pending int
 }
 
 // Stats snapshots the counters.
 func (ns *NodeStore) Stats() NodeStats {
 	ns.mu.Lock()
-	seq, snapSeq, pending := ns.seq, ns.snapSeq, ns.pending
+	pending := ns.log.pending
 	ns.mu.Unlock()
 	return NodeStats{
-		WALAppends:       ns.appends.Load(),
-		Snapshots:        ns.snapshots.Load(),
-		SnapshotFailures: ns.snapFailures.Load(),
-		ColdStarts:       ns.coldStarts.Load(),
-		LastSnapshotUnix: ns.lastSnapUnix.Load(),
-		Seq:              seq,
-		SnapshotSeq:      snapSeq,
+		WALAppends:       ns.log.appends.Load(),
+		Snapshots:        ns.log.rewrites.Load(),
+		SnapshotFailures: ns.log.rewriteFailures.Load(),
+		ColdStarts:       1,
+		LastSnapshotUnix: ns.log.lastRewriteUnix.Load(),
 		Pending:          pending,
 	}
 }
@@ -668,17 +555,18 @@ func (ns *NodeStore) Stats() NodeStats {
 // Dir returns the store's directory.
 func (ns *NodeStore) Dir() string { return ns.dir }
 
-// Close releases the WAL file handle. No flush is needed: every append
-// synced before acknowledging.
+// Close releases the log's file handle.
 func (ns *NodeStore) Close() error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.f == nil {
-		return nil
-	}
-	err := ns.f.Close()
-	ns.f = nil
-	return err
+	return ns.log.close()
+}
+
+// gobRecord encodes one log record.
+func gobRecord(rec any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(rec)
+	return buf.Bytes(), err
 }
 
 // encodeSlice serializes one slice in the wire.Snapshot format the

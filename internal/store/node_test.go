@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -158,13 +159,13 @@ func TestNodeStoreColdStartReplay(t *testing.T) {
 	if sh.Deltas != 1 || !partition.SliceDigest(h, sh.Slice).Equal(postDg) {
 		t.Fatalf("shard 0 recovered pre-delta state (deltas=%d)", sh.Deltas)
 	}
-	if st := ns2.Stats(); st.ColdStarts != 1 || st.Seq != 4 {
+	if st := ns2.Stats(); st.ColdStarts != 1 || st.Pending != 4 {
 		t.Fatalf("stats off: %+v", st)
 	}
 }
 
-// An automatic snapshot folds the WAL away; the next cold start loads
-// the image and replays nothing.
+// An automatic compaction rewrites the log as one slice record per
+// hosted shard; the next cold start replays exactly those records.
 func TestNodeAutoSnapshotCompaction(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 24, 2)
@@ -174,12 +175,16 @@ func TestNodeAutoSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	install(t, ns, "Uniform", set) // 2 appends → snapshot fires
-	if st := ns.Stats(); st.Snapshots != 1 || st.Pending != 0 || st.SnapshotSeq != 2 {
-		t.Fatalf("auto snapshot did not fire: %+v", st)
+	install(t, ns, "Uniform", set) // 2 appends → compaction fires
+	if st := ns.Stats(); st.Snapshots != 1 || st.Pending != 0 {
+		t.Fatalf("auto compaction did not fire: %+v", st)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, "node.wal")); err != nil || fi.Size() != 0 {
-		t.Fatalf("WAL not truncated after snapshot: %v / %d bytes", err, fi.Size())
+	data, err := os.ReadFile(filepath.Join(dir, "node.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payloads, _, torn := scanWAL(data); torn != nil || len(payloads) != 2 {
+		t.Fatalf("compacted log holds %d records (torn: %v), want one per shard", len(payloads), torn)
 	}
 	ns.Close()
 
@@ -188,11 +193,11 @@ func TestNodeAutoSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ns2.Close()
-	if rep.SnapshotSeq != 2 || rep.Replayed != 0 || rep.SnapshotErr != nil {
-		t.Fatalf("cold start from snapshot off: %+v", rep)
+	if rep.Replayed != 2 || rep.TornTail != nil || len(rep.Refused) != 0 {
+		t.Fatalf("cold start from the compacted log off: %+v", rep)
 	}
 	if rec := ns2.Recovered()["Uniform"]; len(rec.Shards) != 2 {
-		t.Fatalf("recovered %d shards from snapshot, want 2", len(rec.Shards))
+		t.Fatalf("recovered %d shards from the compacted log, want 2", len(rec.Shards))
 	}
 }
 
@@ -201,8 +206,8 @@ func TestNodeAutoSnapshotCompaction(t *testing.T) {
 // pre-operation state (the record never became durable — and was never
 // acknowledged); after-append recovers the post-operation state (the
 // record was durable even though the caller never heard success);
-// either side of the snapshot rename recovers the committed state
-// exactly, with sequence numbers preventing a double apply.
+// either side of the compaction's rename recovers the committed state
+// exactly — from the old log before it, the compacted one after it.
 func TestNodeCrashMatrix(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 24, 2)
@@ -271,22 +276,31 @@ func TestNodeCrashMatrix(t *testing.T) {
 					t.Fatalf("mid-record crash not reported as a torn tail: %v", rep.TornTail)
 				}
 			case CrashBeforeRename:
-				// The half-finished snapshot must be gone, not adopted.
-				if _, err := os.Stat(filepath.Join(dir, "node.snap.tmp")); !os.IsNotExist(err) {
-					t.Fatal("leftover snapshot temp file survived recovery")
+				// The half-finished rewrite must be gone, not adopted: the
+				// old log (2 installs + the commit) replays.
+				if _, err := os.Stat(filepath.Join(dir, "node.wal.tmp")); !os.IsNotExist(err) {
+					t.Fatal("leftover compaction temp file survived recovery")
 				}
-				if rep.SnapshotSeq != 0 {
-					t.Fatalf("unrenamed snapshot was adopted (seq %d)", rep.SnapshotSeq)
+				if rep.Replayed != 3 {
+					t.Fatalf("unrenamed compaction was adopted: replayed %d records, want the old log's 3", rep.Replayed)
 				}
 			case CrashAfterRename:
-				// Snapshot renamed, WAL never truncated: the replay must
-				// skip every absorbed record instead of double-applying.
-				if rep.SnapshotSeq == 0 {
-					t.Fatal("renamed snapshot was not adopted")
+				// The compacted log replaced the old one before the handle
+				// was reopened: it alone replays, one record per shard, to
+				// exactly what an uncrashed store holds.
+				if rep.Replayed != 2 || len(rep.Refused) != 0 {
+					t.Fatalf("compacted log: replayed %d refused %v, want its 2 records and nothing refused", rep.Replayed, rep.Refused)
 				}
-				if rep.Skipped != 3 || rep.Replayed != 0 {
-					t.Fatalf("double-apply guard: skipped=%d replayed=%d, want 3/0", rep.Skipped, rep.Replayed)
+				ctl, _, err := OpenNode(t.TempDir(), Options{Hasher: h, SnapshotEvery: -1})
+				if err != nil {
+					t.Fatal(err)
 				}
+				defer ctl.Close()
+				install(t, ctl, "Uniform", set)
+				if err := ctl.LogCommit("Uniform", commit); err != nil {
+					t.Fatal(err)
+				}
+				compareStates(t, ns2, ctl)
 			}
 		})
 	}
@@ -387,15 +401,16 @@ func TestNodeCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// A torn snapshot under the real name is refused by name and the store
-// starts empty — an honest refusal the coordinator repairs by
-// re-installing, never a guess.
-func TestNodeTornSnapshotStartsEmpty(t *testing.T) {
+// A torn compacted log: a two-shard node compacted to one slice record
+// per shard, then the log cut mid-record or a byte flipped inside one
+// record. Recovery keeps exactly the slices before the damage, names the
+// tear ErrWALTorn, and never panics.
+func TestNodeTornCompactedLog(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 24, 2)
-	dir := t.TempDir()
 	opts := Options{Hasher: h, SnapshotEvery: -1}
-	ns, _, err := OpenNode(dir, opts)
+	src := t.TempDir()
+	ns, _, err := OpenNode(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,62 +419,117 @@ func TestNodeTornSnapshotStartsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns.Close()
-
-	snapPath := filepath.Join(dir, "node.snap")
-	data, err := os.ReadFile(snapPath)
+	img, err := os.ReadFile(filepath.Join(src, "node.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
-		t.Fatal(err)
+	var starts []int
+	for off := 0; off < len(img); off += walHeaderLen + int(binary.BigEndian.Uint32(img[off:])) {
+		starts = append(starts, off)
 	}
-
-	ns2, rep, err := OpenNode(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+	if len(starts) != 2 {
+		t.Fatalf("compacted log holds %d records, want one per shard", len(starts))
 	}
-	defer ns2.Close()
-	if !errors.Is(rep.SnapshotErr, ErrSnapshotTorn) {
-		t.Fatalf("corrupt snapshot reported %v, want ErrSnapshotTorn", rep.SnapshotErr)
-	}
-	if len(ns2.Recovered()) != 0 {
-		t.Fatal("corrupt snapshot produced state instead of an honest refusal")
+	ends := append(starts[1:], len(img))
+	for r := range starts {
+		flipped := append([]byte(nil), img...)
+		flipped[(starts[r]+walHeaderLen+ends[r])/2] ^= 0x10
+		for name, data := range map[string][]byte{
+			fmt.Sprintf("cut-record-%d", r):  img[:(starts[r]+ends[r])/2],
+			fmt.Sprintf("flip-record-%d", r): flipped,
+		} {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dir, "node.wal"), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				ns2, rep, err := OpenNode(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ns2.Close()
+				if !errors.Is(rep.TornTail, ErrWALTorn) {
+					t.Fatalf("damaged record reported %v, want ErrWALTorn", rep.TornTail)
+				}
+				if rep.Replayed != r || len(rep.Refused) != 0 {
+					t.Fatalf("replayed %d refused %v, want the %d records before the damage", rep.Replayed, rep.Refused, r)
+				}
+				got := ns2.Recovered()["Uniform"].Shards
+				if len(got) != r {
+					t.Fatalf("recovered %d shards, want %d", len(got), r)
+				}
+				for i, sh := range got {
+					if sh.Shard != i || !partition.SliceDigest(h, sh.Slice).Equal(partition.SliceDigest(h, set.Slices[i])) {
+						t.Fatalf("recovered shard %d diverged from the one installed", sh.Shard)
+					}
+				}
+			})
+		}
 	}
 }
 
-// A crashed snapshot writer's temp file is never authoritative: it is
-// ignored and removed at open, and the WAL remains the truth.
+// A crashed rewrite's temp file is never authoritative: it is ignored
+// and removed at open, and the log remains the truth — for the node log
+// and the coordinator log alike.
 func TestNodeSnapshotTmpLeftoverIgnored(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 12, 1)
-	dir := t.TempDir()
-	opts := Options{Hasher: h, SnapshotEvery: -1}
-	ns, _, err := OpenNode(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	install(t, ns, "Uniform", set)
-	ns.Close()
+	t.Run("node.wal.tmp", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := Options{Hasher: h, SnapshotEvery: -1}
+		ns, _, err := OpenNode(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		install(t, ns, "Uniform", set)
+		ns.Close()
 
-	tmp := filepath.Join(dir, "node.snap.tmp")
-	if err := os.WriteFile(tmp, []byte("half-written garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ns2, rep, err := OpenNode(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ns2.Close()
-	if rep.SnapshotErr != nil || rep.Replayed != 1 {
-		t.Fatalf("tmp leftover disturbed recovery: %+v", rep)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("tmp leftover not removed at open")
-	}
-	if len(ns2.Recovered()["Uniform"].Shards) != 1 {
-		t.Fatal("WAL state lost")
-	}
+		tmp := filepath.Join(dir, "node.wal.tmp")
+		if err := os.WriteFile(tmp, []byte("half-written garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ns2, rep, err := OpenNode(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ns2.Close()
+		if rep.TornTail != nil || rep.Replayed != 1 {
+			t.Fatalf("tmp leftover disturbed recovery: %+v", rep)
+		}
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatal("tmp leftover not removed at open")
+		}
+		if len(ns2.Recovered()["Uniform"].Shards) != 1 {
+			t.Fatal("WAL state lost")
+		}
+	})
+	t.Run("coord.wal.tmp", func(t *testing.T) {
+		dir := t.TempDir()
+		cl, _, err := OpenCoord(dir, CoordOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.LogRouting(3, [][]string{{"http://a"}}); err != nil {
+			t.Fatal(err)
+		}
+		cl.Close()
+
+		tmp := filepath.Join(dir, "coord.wal.tmp")
+		if err := os.WriteFile(tmp, []byte("half-written garbage"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cl2, rep, err := OpenCoord(dir, CoordOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl2.Close()
+		if rep.TornTail != nil || rep.Replayed != 1 || rep.RoutingEpoch != 3 {
+			t.Fatalf("tmp leftover disturbed recovery: %+v", rep)
+		}
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Fatal("tmp leftover not removed at open")
+		}
+	})
 }
 
 // A CRC-valid but undecodable record (version skew, silent corruption
@@ -532,37 +602,98 @@ func TestNodeCommitFullSliceFallback(t *testing.T) {
 	}
 }
 
-// A data dir written before record format 1 holds slices this build
-// cannot verify. OpenNode refuses it by name, whether the old slice sits
-// in the WAL or in the snapshot, and writes nothing: no refusal reaches
-// the serving layer's RecoverHosted, whose refusals are durable removes.
+// Two data dirs this build cannot read are refused by name, and the
+// refused open writes nothing: no refusal reaches the serving layer's
+// RecoverHosted, whose refusals are durable removes. A slice signed
+// before record format 1 — whether it sits in an install record or in a
+// compacted log's slice record — cannot be verified (core.ErrRecordFormat);
+// a node.snap beside the WAL is the compaction image of an older build,
+// which this one never reads (ErrLegacySnapshot).
 func TestNodeRefusesOldFormatDataDir(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 12, 2)
 	old := set.Slices[0].Clone()
 	old.Params.Format = 0 // as a gob file from before the field existed decodes
-	for _, snapshot := range []bool{false, true} {
+	for _, tc := range []struct {
+		name       string
+		slice      *core.SignedRelation
+		compact    bool
+		legacySnap bool
+		want       error
+	}{
+		{"install-record", old, false, false, core.ErrRecordFormat},
+		{"compacted-log", old, true, false, core.ErrRecordFormat},
+		{"node.snap", set.Slices[0], false, true, ErrLegacySnapshot},
+	} {
 		dir := t.TempDir()
 		ns, _, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ns.LogInstall("Uniform", set.Spec, 0, old, partition.SliceDigest(h, old)); err != nil {
+		if err := ns.LogInstall("Uniform", set.Spec, 0, tc.slice, partition.SliceDigest(h, tc.slice)); err != nil {
 			t.Fatal(err)
 		}
-		if snapshot {
+		if tc.compact {
 			if err := ns.Snapshot(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		ns.Close()
+		if tc.legacySnap {
+			if err := os.WriteFile(filepath.Join(dir, "node.snap"), []byte("vcqr-store-snap-1\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		before := dirBytes(t, dir)
-		if _, _, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1}); !errors.Is(err, core.ErrRecordFormat) {
-			t.Fatalf("snapshot=%v: open = %v, want core.ErrRecordFormat", snapshot, err)
+		if _, _, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1}); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: open = %v, want %v", tc.name, err, tc.want)
 		}
 		if after := dirBytes(t, dir); after != before {
-			t.Fatalf("snapshot=%v: refused open changed the data dir", snapshot)
+			t.Fatalf("%s: refused open changed the data dir", tc.name)
 		}
+	}
+}
+
+// A WAL written by a build that kept a snapshot file beside it, but
+// never compacted, opens as it is: its records carry a sequence number
+// this build ignores, and install records without a digest, which replay
+// hashes.
+func TestNodeReplaysUncompactedOlderWAL(t *testing.T) {
+	type olderInstall struct {
+		Relation string
+		Spec     partition.Spec
+		Shard    int
+		Snap     []byte
+	}
+	type olderRecord struct {
+		Seq     uint64
+		Install *olderInstall
+	}
+	h := hashx.New()
+	set := buildSet(t, h, 12, 1)
+	snap, err := encodeSlice(set.Slices[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := gobRecord(&olderRecord{Seq: 1, Install: &olderInstall{Relation: "Uniform", Spec: set.Spec, Shard: 0, Snap: snap}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "node.wal"), frames(p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ns, rep, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	if rep.Replayed != 1 || rep.TornTail != nil || len(rep.Refused) != 0 {
+		t.Fatalf("older WAL replay off: %+v", rep)
+	}
+	sh := ns.Recovered()["Uniform"].Shards[0]
+	if want := partition.SliceDigest(h, set.Slices[0]); !sh.InstallDigest.Equal(want) || !partition.SliceDigest(h, sh.Slice).Equal(want) {
+		t.Fatal("older install record replayed to another slice or install digest")
 	}
 }
 

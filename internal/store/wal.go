@@ -7,6 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"sync/atomic"
+	"time"
 )
 
 // WAL record framing: [4-byte BE payload length][4-byte BE CRC-32C of
@@ -116,10 +119,36 @@ func (r *byteReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// openWAL opens (creating if absent) a WAL file for appending, after
-// scanning it: the intact payloads are returned, and a torn tail is
-// truncated away so the next append starts on a record boundary.
-func openWAL(path string) (*os.File, [][]byte, error, error) {
+// wal is one durable log file — the store's only on-disk structure.
+// NodeStore (node.wal) and CoordLog (coord.wal) each hold one and keep
+// only their own record types and in-memory state. Every write is one of
+// two kinds: append (one framed record, fsync'd before the caller hears
+// success) and rewrite (the whole log replaced by the owner's compacted
+// image: temp file, fsync, rename, directory fsync, reopen). A reader
+// only ever sees the old log or the new one, never a mix, so compaction
+// leaves no window in which two images overlap and records carry no
+// sequence numbers. Not goroutine-safe: the owner's mutex guards every
+// call.
+type wal struct {
+	path  string
+	crash *Crasher
+	every int // appends per automatic rewrite; <= 0 disables
+	f     *os.File
+	// pending counts records appended since the last rewrite — at open,
+	// every record the log held — against the every cadence.
+	pending int
+
+	appends, rewrites, rewriteFailures atomic.Uint64
+	lastRewriteUnix                    atomic.Int64
+}
+
+// openLog opens (creating if absent) the log at path: it removes a
+// crashed rewrite's leftover temp file (never authoritative — the rename
+// is the commit point), scans the frames, and truncates a torn tail so
+// the next append starts on a record boundary. It returns the intact
+// payloads and, when the tail was torn, the ErrWALTorn-wrapped reason.
+func openLog(path string, every int, crash *Crasher) (*wal, [][]byte, error, error) {
+	os.Remove(path + ".tmp")
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, nil, err
@@ -143,33 +172,127 @@ func openWAL(path string) (*os.File, [][]byte, error, error) {
 		f.Close()
 		return nil, nil, nil, err
 	}
-	return f, payloads, torn, nil
+	return &wal{path: path, crash: crash, every: every, f: f, pending: len(payloads)}, payloads, torn, nil
 }
 
-// appendRecord appends one payload to the WAL through the crash seam
-// and syncs it durable. On a mid-record injection the header and half
-// the payload land on disk — exactly the torn tail recovery handles.
-func appendRecord(f *os.File, crash *Crasher, payload []byte) error {
-	if crash.hit(CrashBeforeAppend) {
+// append writes one framed record through the crash seam and syncs it
+// durable. On a mid-record injection the header and half the payload
+// land on disk — exactly the torn tail recovery handles.
+func (w *wal) append(payload []byte) error {
+	if w.f == nil {
+		return os.ErrClosed
+	}
+	if w.crash.hit(CrashBeforeAppend) {
 		return ErrCrash
 	}
-	if crash.hit(CrashMidRecord) {
+	if w.crash.hit(CrashMidRecord) {
 		var hdr [walHeaderLen]byte
 		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 		binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, walCRC))
-		f.Write(hdr[:])
-		f.Write(payload[:len(payload)/2])
-		f.Sync()
+		w.f.Write(hdr[:])
+		w.f.Write(payload[:len(payload)/2])
+		w.f.Sync()
 		return ErrCrash
 	}
-	if err := appendWALFrame(f, payload); err != nil {
+	if err := appendWALFrame(w.f, payload); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	if crash.hit(CrashAfterAppend) {
+	if w.crash.hit(CrashAfterAppend) {
 		return ErrCrash
 	}
+	w.pending++
+	w.appends.Add(1)
 	return nil
+}
+
+// rewrite replaces the log with image (one record per payload),
+// threading the two rename-side crash points: a before-rename death
+// leaves the old log, an after-rename death the new one — both whole,
+// consistent images. Once the rename happened the open handle points at
+// the replaced, unlinked file, where appends would vanish at the next
+// open; every exit that does not reopen drops it, so later appends fail
+// loudly (os.ErrClosed) until a rewrite succeeds.
+func (w *wal) rewrite(image func() ([][]byte, error)) error {
+	payloads, err := image()
+	if err != nil {
+		return err
+	}
+	tmp := w.path + ".tmp"
+	if err := writeSynced(tmp, payloads); err != nil {
+		return err
+	}
+	if w.crash.hit(CrashBeforeRename) {
+		return ErrCrash
+	}
+	if err := os.Rename(tmp, w.path); err != nil {
+		return err
+	}
+	syncDir(filepath.Dir(w.path))
+	w.close()
+	if w.crash.hit(CrashAfterRename) {
+		return ErrCrash
+	}
+	if w.f, err = os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644); err != nil {
+		return err
+	}
+	w.pending = 0
+	w.rewrites.Add(1)
+	w.lastRewriteUnix.Store(time.Now().Unix())
+	return nil
+}
+
+// compactIfDue rewrites the log once every appends have accumulated
+// since the last rewrite. Compaction is best-effort: the log already
+// holds every record, so a failure costs replay time, never durability —
+// it is counted, not returned.
+func (w *wal) compactIfDue(image func() ([][]byte, error)) {
+	if w.every > 0 && w.pending >= w.every {
+		if err := w.rewrite(image); err != nil {
+			w.rewriteFailures.Add(1)
+		}
+	}
+}
+
+// close releases the file handle. No flush is needed: every append
+// synced before acknowledging.
+func (w *wal) close() error {
+	if w.f == nil {
+		return nil
+	}
+	err := w.f.Close()
+	w.f = nil
+	return err
+}
+
+// writeSynced writes payloads as framed records to a fresh file at path
+// and fsyncs it.
+func writeSynced(path string, payloads [][]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range payloads {
+		if err = appendWALFrame(f, p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncDir fsyncs a directory so a rename is durable; best-effort on
+// filesystems that refuse directory syncs.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }

@@ -50,11 +50,11 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, payloads, tornErr, err := openWAL(path)
+	w, payloads, tornErr, err := openLog(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	w.close()
 	if !errors.Is(tornErr, ErrWALTorn) {
 		t.Fatalf("torn tail reported %v, want ErrWALTorn", tornErr)
 	}
@@ -66,11 +66,11 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 
 	// A second open finds a clean log.
-	f, payloads, tornErr, err = openWAL(path)
+	w, payloads, tornErr, err = openLog(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	w.close()
 	if tornErr != nil || len(payloads) != 3 {
 		t.Fatalf("reopen after truncation: torn=%v records=%d", tornErr, len(payloads))
 	}
@@ -87,11 +87,11 @@ func TestWALBitFlipFinalRecord(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, payloads, tornErr, err := openWAL(path)
+	w, payloads, tornErr, err := openLog(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	w.close()
 	if !errors.Is(tornErr, ErrWALTorn) {
 		t.Fatalf("bit flip reported %v, want ErrWALTorn", tornErr)
 	}
@@ -106,34 +106,5 @@ func TestWALOversizeLengthPrefix(t *testing.T) {
 	_, err := ReadWALRecord(bytes.NewReader(hdr[:]))
 	if !errors.Is(err, ErrWALTorn) {
 		t.Fatalf("oversize length prefix: got %v, want ErrWALTorn", err)
-	}
-}
-
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	payload := []byte("snapshot-payload")
-	got, err := ReadSnapshot(EncodeSnapshotFile(payload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("round trip returned %q", got)
-	}
-}
-
-// Half-written or corrupted snapshot images are ErrSnapshotTorn-named
-// refusals: bad magic, truncated body, flipped payload bit.
-func TestSnapshotTornVariants(t *testing.T) {
-	img := EncodeSnapshotFile([]byte("payload-bytes"))
-	cases := map[string][]byte{
-		"bad magic":    append([]byte("not-a-snapshot!!!!"), img[18:]...),
-		"short header": img[:len(snapMagic)+4],
-		"short body":   img[:len(img)-3],
-		"bit flip":     append(append([]byte{}, img[:len(img)-1]...), img[len(img)-1]^0x01),
-		"empty":        {},
-	}
-	for name, data := range cases {
-		if _, err := ReadSnapshot(data); !errors.Is(err, ErrSnapshotTorn) {
-			t.Errorf("%s: got %v, want ErrSnapshotTorn", name, err)
-		}
 	}
 }
