@@ -11,9 +11,9 @@ import (
 
 // Request tracing. A trace ID is minted where a query enters the system
 // (the coordinator, or a single-process server) and propagated to shard
-// nodes in an *optional* wire field that old peers simply never decode —
-// gob ignores unknown fields, so tracing deploys without a protocol
-// version bump. Trace IDs are advisory: they label operational records
+// nodes in the Trace field of both stream requests (wire.StreamRequest,
+// wire.ShardStreamRequest) — a fixed field of the field codec, empty
+// when untraced. Trace IDs are advisory: they label operational records
 // (slow-log entries, timing trailers) and are never part of the verified
 // material.
 
@@ -49,7 +49,7 @@ func NewTraceID() string {
 }
 
 // StageDur is one stage's share of a request, serialized into slow-log
-// entries and stream timing trailers (gob + JSON friendly).
+// entries (JSON) and stream timing trailers (the wire field codec).
 type StageDur struct {
 	Stage string
 	NS    int64

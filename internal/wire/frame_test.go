@@ -95,7 +95,7 @@ func TestTypedFramesShareOneEnvelope(t *testing.T) {
 
 // TestLyingFrameHeaderCostsLittle: a length prefix claiming a full
 // MaxChunkFrame over an empty body is a truncated frame, and the claim
-// alone must not allocate — on the cache codec as on the gob frames.
+// alone must not allocate — on the cache frames as on the chunk frames.
 func TestLyingFrameHeaderCostsLittle(t *testing.T) {
 	hdr := []byte{0x04, 0x00, 0x00, 0x00} // 64 MiB == MaxChunkFrame
 	for name, read := range map[string]func(io.Reader) error{
