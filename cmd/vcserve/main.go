@@ -51,6 +51,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -202,6 +203,9 @@ func runNode(addr, paramsPath, dataDir string, snapshotEvery int) {
 			Hasher:        hashx.New(),
 			SnapshotEvery: snapshotEvery,
 		})
+		if errors.Is(err, store.ErrWALCorrupt) {
+			log.Fatalf("durable store: %v (damage other than a mid-append crash: acknowledged records follow it, so the log was left as it is; restore it, or empty the data dir and let the coordinator re-install)", err)
+		}
 		if err != nil {
 			log.Fatalf("durable store: %v", err)
 		}
@@ -252,6 +256,9 @@ func runCoordinator(addr, load, paramsPath, nodesFlag, cachePeers string, adopt 
 	var clog *store.CoordLog
 	if dataDir != "" {
 		cl, crep, err := store.OpenCoord(dataDir, store.CoordOptions{})
+		if errors.Is(err, store.ErrWALCorrupt) {
+			log.Fatalf("coordinator log: %v (damage other than a mid-append crash: acknowledged records follow it, so the log was left as it is; restore it, or empty the data dir)", err)
+		}
 		if err != nil {
 			log.Fatalf("coordinator log: %v", err)
 		}

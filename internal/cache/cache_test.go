@@ -263,6 +263,12 @@ func TestClientNamedErrors(t *testing.T) {
 	}
 	errFrame := frame(&engine.Chunk{Type: engine.ChunkError, Err: "boom"})
 	timing := frame(&engine.Chunk{Type: engine.ChunkTiming, Trace: "t"})
+	// A stream cached before record format 2 tagged its chunks 0x60 +
+	// type, 0x10 below today's tags.
+	format1 := bytes.Clone(valid)
+	for at := 0; at+4 < len(format1); at += 4 + int(binary.BigEndian.Uint32(format1[at:])) {
+		format1[at+4] -= 0x10
+	}
 	for i, tc := range []struct {
 		name string
 		bad  []byte
@@ -277,6 +283,7 @@ func TestClientNamedErrors(t *testing.T) {
 		{"second header", bytes.Join([][]byte{frames[0], frames[0], frames[2]}, nil)},
 		{"empty frame", bytes.Join([][]byte{frames[0], {0, 0, 0, 0}, frames[2]}, nil)},
 		{"empty entry", nil},
+		{"record format 1 stream", format1},
 	} {
 		k := subKey(uint64(11 + i))
 		e.srv.Store().Put(k.String(), "Uniform", 2, k.Epoch, h.Hash(tc.bad), tc.bad)

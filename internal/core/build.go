@@ -152,14 +152,15 @@ func makeRecord(h *hashx.Hasher, p Params, t relation.Tuple) (SignedRecord, erro
 	if err != nil {
 		return SignedRecord{}, err
 	}
-	attrRoot := AttrRoot(h, t)
+	attrRoot, c := AttrRoot(h, t), h.CDigest(up, down)
 	return SignedRecord{
 		Kind:         KindRecord,
 		Tuple:        t.Clone(),
 		UpCombined:   up,
 		DownCombined: down,
+		Combined:     c,
 		AttrRoot:     attrRoot,
-		G:            recordG(h, KindRecord, up, down, attrRoot),
+		G:            recordG(h, KindRecord, c, attrRoot),
 	}, nil
 }
 
@@ -189,14 +190,15 @@ func makeDelim(h *hashx.Hasher, p Params, kind Kind) (SignedRecord, error) {
 	default:
 		return SignedRecord{}, fmt.Errorf("core: makeDelim on kind %v", kind)
 	}
-	attrRoot := markerDelimAttr(h)
+	attrRoot, c := markerDelimAttr(h), h.CDigest(up, down)
 	return SignedRecord{
 		Kind:         kind,
 		Tuple:        relation.Tuple{Key: key},
 		UpCombined:   up,
 		DownCombined: down,
+		Combined:     c,
 		AttrRoot:     attrRoot,
-		G:            recordG(h, kind, up, down, attrRoot),
+		G:            recordG(h, kind, c, attrRoot),
 	}, nil
 }
 
@@ -355,8 +357,9 @@ func (sr *SignedRelation) VerifyEntrySig(h *hashx.Hasher, pub *sig.PublicKey, i 
 // CheckEntryDigests recomputes entry i's digest material from its tuple
 // and compares against the stored values — the expensive half of
 // publisher-side validation, catching an owner feed whose digests do not
-// match the tuples they claim to cover: G, and the three components a VO
-// ships in its place (the combined chain digests and the attribute root).
+// match the tuples they claim to cover: G, the chain digest C it folds,
+// and the components VOs and boundary proofs ship in its place (the two
+// combined chain digests and the attribute root).
 func (sr *SignedRelation) CheckEntryDigests(h *hashx.Hasher, i int) error {
 	return sr.CheckEntryDigestsBeside(h, i, nil)
 }
@@ -368,10 +371,11 @@ func (sr *SignedRelation) CheckEntryDigests(h *hashx.Hasher, i int) error {
 // of params, kind and key, so when proved has entry i's kind and key
 // and byte-equal chain digests, entry i's chain digests are exactly what
 // the derivation would yield and the derivation — the expensive half —
-// is skipped. AttrRoot and G are recomputed from the tuple and compared
-// every time: a changed tuple or a G that does not fold the components
-// is refused as before. Any other proved (nil included) gets the full
-// derivation.
+// is skipped. AttrRoot, C and G are recomputed from the tuple and the
+// chain digests and compared every time: a changed tuple, a C that does
+// not fold the two chain digests or a G that does not fold C and the
+// attribute root is refused as before. Any other proved (nil included)
+// gets the full derivation.
 func (sr *SignedRelation) CheckEntryDigestsBeside(h *hashx.Hasher, i int, proved *SignedRecord) error {
 	if i < 0 || i >= len(sr.Recs) {
 		return fmt.Errorf("core: entry %d out of range", i)
@@ -388,7 +392,8 @@ func (sr *SignedRelation) CheckEntryDigestsBeside(h *hashx.Hasher, i int, proved
 		} else {
 			want.AttrRoot = markerDelimAttr(h)
 		}
-		want.G = recordG(h, rec.Kind, want.UpCombined, want.DownCombined, want.AttrRoot)
+		want.Combined = h.CDigest(want.UpCombined, want.DownCombined)
+		want.G = recordG(h, rec.Kind, want.Combined, want.AttrRoot)
 	case rec.Kind == KindRecord:
 		want, err = makeRecord(h, sr.Params, rec.Tuple)
 	default:
@@ -397,7 +402,7 @@ func (sr *SignedRelation) CheckEntryDigestsBeside(h *hashx.Hasher, i int, proved
 	if err != nil {
 		return err
 	}
-	if !want.G.Equal(rec.G) || !want.UpCombined.Equal(rec.UpCombined) ||
+	if !want.G.Equal(rec.G) || !want.Combined.Equal(rec.Combined) || !want.UpCombined.Equal(rec.UpCombined) ||
 		!want.DownCombined.Equal(rec.DownCombined) || !want.AttrRoot.Equal(rec.AttrRoot) {
 		return fmt.Errorf("core: entry %d digest material inconsistent with its tuple", i)
 	}

@@ -109,7 +109,7 @@ func goldenDigests(t *testing.T) map[string]string {
 			}
 			put(tag+"/g/delim-right", gr)
 			b := h.Batch()
-			put(tag+"/g/hidden", AppendG(&b, nil, KindRecord, upRoot, downRoot, attrRoot))
+			put(tag+"/g/hidden", AppendG(&b, nil, KindRecord, h.CDigest(upRoot, downRoot), attrRoot))
 			b.Done()
 
 			// Formula (1) pre-signature digests: interior and both virtual
@@ -137,6 +137,7 @@ func goldenDigests(t *testing.T) map[string]string {
 				put(rt+"/down-root", down)
 				put(rt+"/up-combined", rec.UpCombined)
 				put(rt+"/down-combined", rec.DownCombined)
+				put(rt+"/combined", rec.Combined)
 				put(rt+"/sigdigest", sr.sigDigest(h, i))
 			}
 			goldenBoundaries(t, h, sr, tag, put)

@@ -41,6 +41,7 @@ func unreachedSteps(t *testing.T, p Params, key uint64, dir Direction) uint64 {
 // record format 1's, each record's attribute tree one key leaf wider,
 // less the chain steps no representation reaches on each chain side
 // Build hashes: both sides of every golden key and the delimiters' one.
+// Record format 2 adds one application to every g: the chain digest C.
 func TestOpsMatchPreKernelCounts(t *testing.T) {
 	want := map[uint64]struct {
 		build, entry uint64
@@ -59,7 +60,7 @@ func TestOpsMatchPreKernelCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		build := want[base].build
+		build := want[base].build + uint64(len(sr.Recs))
 		for _, rec := range sr.Recs {
 			if rec.Kind != KindDelimRight {
 				build -= unreachedSteps(t, p, rec.Key(), Up)
@@ -69,15 +70,15 @@ func TestOpsMatchPreKernelCounts(t *testing.T) {
 			}
 		}
 		if got := h.Ops(); got != build {
-			t.Errorf("base %d: Build counted %d ops, format 1 less unreached chain steps counts %d", base, got, build)
+			t.Errorf("base %d: Build counted %d ops, format 1 plus one C per record less unreached chain steps counts %d", base, got, build)
 		}
 		up, down := repRoots(t, h, p, sr.Recs[3])
 		h.ResetOps()
 		if _, err := EntryG(h, p, 77777, KindRecord, up, down, sr.Recs[3].AttrRoot); err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Ops(); got != want[base].entry {
-			t.Errorf("base %d: EntryG counted %d ops, pre-kernel %d", base, got, want[base].entry)
+		if got := h.Ops(); got != want[base].entry+1 {
+			t.Errorf("base %d: EntryG counted %d ops, pre-kernel %d plus C", base, got, want[base].entry)
 		}
 		for i, c := range []struct {
 			idx   int
@@ -92,8 +93,8 @@ func TestOpsMatchPreKernelCounts(t *testing.T) {
 			if _, err := VerifyBoundary(h, p, proof, c.dir, c.bound); err != nil {
 				t.Fatal(err)
 			}
-			if got := h.Ops(); got != want[base].boundary[i] {
-				t.Errorf("base %d: VerifyBoundary #%d counted %d ops, pre-kernel %d", base, i, got, want[base].boundary[i])
+			if got := h.Ops(); got != want[base].boundary[i]+1 {
+				t.Errorf("base %d: VerifyBoundary #%d counted %d ops, pre-kernel %d plus C", base, i, got, want[base].boundary[i])
 			}
 		}
 	}
@@ -136,7 +137,7 @@ func TestAppendDigestsAllocNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cur := AppendG(&b, gb[:0], KindRecord, g, g, r)
+			cur := AppendG(&b, gb[:0], KindRecord, g, r)
 			AppendSigDigest(&b, sb[:0], p, nil, cur, g)
 			AppendSigDigest(&b, sb[:0], p, g, cur, nil)
 			b.Done()

@@ -55,10 +55,13 @@ var (
 )
 
 // RecordFormat numbers the layout of the record digest g(r) this build
-// signs and verifies. Format 1 makes the key the last leaf of MHT(r.A)
-// (KeyLeaf); format 0, everything signed before it, had no key leaf and
-// decodes with Format 0 because the field did not exist.
-const RecordFormat = 1
+// signs and verifies. Format 2 folds the two combined chain digests into
+// one, C = h(up | down), so g(r) = h(kind | C | MHT(r.A)) and a VO entry
+// ships C alone. Format 1 made the key the last leaf of MHT(r.A)
+// (KeyLeaf) and folded up and down into g separately; format 0,
+// everything signed before it, had no key leaf and decodes with Format 0
+// because the field did not exist.
+const RecordFormat = 2
 
 // Params fixes the authenticated domain: the open key interval (L, U),
 // the base-B digit parameters shared by the owner, publisher and user,

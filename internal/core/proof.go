@@ -26,8 +26,9 @@ type BoundaryProof struct {
 	Kind Kind
 	// Chain is the hidden-key chain proof in the relevant direction.
 	Chain ChainProof
-	// OtherCombined is the combined digest of the opposite chain; unused
-	// (and ignored by the verifier) for delimiter kinds.
+	// OtherCombined is the combined digest of the opposite chain, which
+	// the verifier folds with the rebuilt one into the chain digest C;
+	// unused (and ignored by the verifier) for delimiter kinds.
 	OtherCombined hashx.Digest
 	// AttrRoot is MHT(r.A) for the boundary record; ignored for
 	// delimiters, whose attribute root is a public constant.
@@ -87,12 +88,12 @@ func VerifyBoundary(h *hashx.Hasher, p Params, proof BoundaryProof, dir Directio
 		if dir != Up {
 			return nil, fmt.Errorf("%w: left delimiter cannot bound from above", ErrProofShape)
 		}
-		return recordG(h, KindDelimLeft, combined, markerNoChain(h), markerDelimAttr(h)), nil
+		return recordG(h, KindDelimLeft, h.CDigest(combined, markerNoChain(h)), markerDelimAttr(h)), nil
 	case KindDelimRight:
 		if dir != Down {
 			return nil, fmt.Errorf("%w: right delimiter cannot bound from below", ErrProofShape)
 		}
-		return recordG(h, KindDelimRight, markerNoChain(h), combined, markerDelimAttr(h)), nil
+		return recordG(h, KindDelimRight, h.CDigest(markerNoChain(h), combined), markerDelimAttr(h)), nil
 	case KindRecord:
 		if len(proof.OtherCombined) != h.Size() || len(proof.AttrRoot) != h.Size() {
 			return nil, fmt.Errorf("%w: missing boundary components", ErrProofShape)
@@ -103,7 +104,7 @@ func VerifyBoundary(h *hashx.Hasher, p Params, proof BoundaryProof, dir Directio
 		} else {
 			up, down = proof.OtherCombined, combined
 		}
-		return recordG(h, KindRecord, up, down, proof.AttrRoot), nil
+		return recordG(h, KindRecord, h.CDigest(up, down), proof.AttrRoot), nil
 	default:
 		return nil, fmt.Errorf("%w: unknown boundary kind %d", ErrProofShape, proof.Kind)
 	}

@@ -105,11 +105,12 @@ func AttrRoot(h *hashx.Hasher, t relation.Tuple) hashx.Digest {
 	return mht.Root(&b, append(leaves, KeyLeaf(h, t.Key)...))
 }
 
-// recordG computes g(r) from its components: the kind tag, the two
-// per-direction combined chain digests, and the attribute-tree root.
-// This is formula (3) with the concatenation hashed to a fixed width.
-func recordG(h *hashx.Hasher, kind Kind, up, down, attrRoot hashx.Digest) hashx.Digest {
-	return h.GDigest([]byte{byte(kind)}, up, down, attrRoot)
+// recordG computes g(r) from its components: the kind tag, the chain
+// digest C = h(up | down) (Hasher.CDigest) and the attribute-tree root.
+// This is formula (3) with the concatenation hashed to a fixed width and
+// the two chains folded into one digest first (record format 2).
+func recordG(h *hashx.Hasher, kind Kind, c, attrRoot hashx.Digest) hashx.Digest {
+	return h.GDigest([]byte{byte(kind)}, c, attrRoot)
 }
 
 // SignedRecord is one entry of a signed relation as stored by the owner
@@ -121,9 +122,14 @@ type SignedRecord struct {
 	Tuple relation.Tuple
 
 	// UpCombined and DownCombined are the folded per-direction chain
-	// digests h(h(delta_t) | rep-tree root). Every VO entry ships them
-	// opaquely: the key leaf, not the chains, binds a disclosed key.
+	// digests h(h(delta_t) | rep-tree root). A boundary proof ships the
+	// one its chain proof does not rebuild (BoundaryProof.OtherCombined).
 	UpCombined, DownCombined hashx.Digest
+	// Combined is the chain digest C = h(UpCombined | DownCombined) that
+	// g(r) folds. Every VO entry ships it opaquely — the key leaf, not the
+	// chains, binds a disclosed key — and keeping it here means no
+	// serving path hashes it per row.
+	Combined hashx.Digest
 	// AttrRoot is the root of MHT(r.A).
 	AttrRoot hashx.Digest
 	// G is the record digest g(r).
@@ -138,6 +144,7 @@ func (r SignedRecord) Clone() SignedRecord {
 	out.Tuple = r.Tuple.Clone()
 	out.UpCombined = r.UpCombined.Clone()
 	out.DownCombined = r.DownCombined.Clone()
+	out.Combined = r.Combined.Clone()
 	out.AttrRoot = r.AttrRoot.Clone()
 	out.G = r.G.Clone()
 	out.Sig = append([]byte(nil), r.Sig...)
@@ -147,12 +154,12 @@ func (r SignedRecord) Clone() SignedRecord {
 // Key returns the record's sort-key value.
 func (r SignedRecord) Key() uint64 { return r.Tuple.Key }
 
-// AppendG appends g(r), recomputed from opaque combined chain digests
-// and an attribute root, to dst — the user's path for every VO entry. The
-// chain digests are bound by the signature chain; a disclosed key is
-// bound by its leaf inside the attribute root.
-func AppendG(b *hashx.Batch, dst []byte, kind Kind, upCombined, downCombined, attrRoot hashx.Digest) []byte {
-	return b.GDigest(dst, []byte{byte(kind)}, upCombined, downCombined, attrRoot)
+// AppendG appends g(r), recomputed from an opaque chain digest C and an
+// attribute root, to dst — the user's path for every VO entry. C is bound
+// by the signature chain; a disclosed key is bound by its leaf inside the
+// attribute root.
+func AppendG(b *hashx.Batch, dst []byte, kind Kind, c, attrRoot hashx.Digest) []byte {
+	return b.GDigest(dst, []byte{byte(kind)}, c, attrRoot)
 }
 
 // ErrDisclosure reports an inconsistent attribute disclosure.
@@ -204,5 +211,5 @@ func EntryG(h *hashx.Hasher, p Params, key uint64, kind Kind, upRoot, downRoot, 
 	} else if down, err = entryCombined(&b, down, p, key, Down, downRoot); err != nil {
 		return nil, err
 	}
-	return recordG(h, kind, up, down, attrRoot), nil
+	return recordG(h, kind, h.CDigest(up, down), attrRoot), nil
 }

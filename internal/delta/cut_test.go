@@ -18,16 +18,20 @@ import (
 // forgeries, so that only the digest re-proof can refuse them: every
 // signature in them verifies.
 
-// forge replaces entry i of sr with edit's copy of it, refolds its G from
-// the edited components unless keepG, and has the owner re-sign it and
-// its two neighbours, as an owner who signs whatever it is handed would.
+// forge replaces entry i of sr with edit's copy of it, refolds its G —
+// and its chain digest C, unless the edit set C itself — from the edited
+// components unless keepG, and has the owner re-sign it and its two
+// neighbours, as an owner who signs whatever it is handed would.
 func forge(t *testing.T, h *hashx.Hasher, sr *core.SignedRelation, i int, keepG bool, edit func(*core.SignedRecord)) {
 	t.Helper()
 	rec := sr.Recs[i].Clone()
 	edit(&rec)
 	if !keepG {
+		if rec.Combined.Equal(sr.Recs[i].Combined) {
+			rec.Combined = h.CDigest(rec.UpCombined, rec.DownCombined)
+		}
 		b := h.Batch()
-		rec.G = core.AppendG(&b, nil, rec.Kind, rec.UpCombined, rec.DownCombined, rec.AttrRoot)
+		rec.G = core.AppendG(&b, nil, rec.Kind, rec.Combined, rec.AttrRoot)
 		b.Done()
 	}
 	sr.Recs[i] = rec
@@ -69,10 +73,11 @@ func wantDigestRefusal(t *testing.T, err error, what string) {
 }
 
 // TestCutReprovesChangedNeighbour: a one-record update re-signs the
-// record's two neighbours. A neighbour whose G, UpCombined, DownCombined
-// or AttrRoot differs from the published entry's is still re-proved and
-// refused — a changed chain digest loses the cut and is re-derived, and
-// AttrRoot and G are recomputed whether or not the chains are reused.
+// record's two neighbours. A neighbour whose G, UpCombined, DownCombined,
+// chain digest C or AttrRoot differs from the published entry's is still
+// re-proved and refused — a changed chain digest loses the cut and is
+// re-derived, and AttrRoot, C and G are recomputed whether or not the
+// chains are reused.
 // The honest update passes, at fewer hash applications than re-deriving
 // every touched entry.
 func TestCutReprovesChangedNeighbour(t *testing.T) {
@@ -94,6 +99,7 @@ func TestCutReprovesChangedNeighbour(t *testing.T) {
 	}{
 		{"UpCombined", false, func(r *core.SignedRecord) { r.UpCombined = other.UpCombined }},
 		{"DownCombined", false, func(r *core.SignedRecord) { r.DownCombined = other.DownCombined }},
+		{"Combined", false, func(r *core.SignedRecord) { r.Combined = other.Combined }},
 		{"AttrRoot", false, func(r *core.SignedRecord) { r.AttrRoot = other.AttrRoot }},
 		{"G", true, func(r *core.SignedRecord) { r.G = other.G }},
 	} {

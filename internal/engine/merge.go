@@ -253,9 +253,8 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 }
 
 // buildEntry classifies one covered record and assembles its VO entry in
-// the partial's arena. Every mode ships copies of the record's combined
-// chain digests; the key leaf travels only when the key stays hidden
-// (Case 2).
+// the partial's arena. Every mode ships a copy of the record's chain
+// digest C; the key leaf travels only when the key stays hidden (Case 2).
 func (sp *ShardPartial) buildEntry(b *hashx.Batch, rec *core.SignedRecord) (VOEntry, error) {
 	schema := sp.sr.Schema
 	t := rec.Tuple
@@ -280,7 +279,7 @@ func (sp *ShardPartial) buildEntry(b *hashx.Batch, rec *core.SignedRecord) (VOEn
 	// Under DISTINCT a duplicate ships as a result too: the user releases
 	// each distinct row once, and can see that what it skips repeats one.
 	e.Disclosed, e.HiddenLeaves = sp.arena.disclose(b, t, cols, e.Mode == EntryFilteredHidden)
-	e.UpCombined, e.DownCombined = sp.arena.copy(rec.UpCombined), sp.arena.copy(rec.DownCombined)
+	e.Combined = sp.arena.copy(rec.Combined)
 	return e, nil
 }
 

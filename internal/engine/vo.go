@@ -62,9 +62,9 @@ type VOEntry struct {
 	// key leaf, last, is among them only for EntryFilteredHidden: for the
 	// other modes the user opens it from Key.
 	HiddenLeaves []hashx.Digest
-	// UpCombined/DownCombined are the record's opaque combined chain
-	// digests.
-	UpCombined, DownCombined hashx.Digest
+	// Combined is the record's opaque chain digest C, which folds its two
+	// combined chain digests (record format 2).
+	Combined hashx.Digest
 }
 
 // entryArena holds a run of entries' lists and bytes in three arrays: the
@@ -220,9 +220,9 @@ func (vo *RangeVO) Account(digestSize, sigSize int) SizeAccounting {
 	acc := SizeAccounting{DigestSize: digestSize, SigSize: sigSize}
 	acc.Digests += vo.Left.Size() + vo.Right.Size()
 	for _, e := range vo.Entries {
-		// The two opaque combined chain digests, plus the hidden leaves —
-		// a Case 2 entry's key leaf among them.
-		acc.Digests += 2 + len(e.HiddenLeaves)
+		// The opaque chain digest C, plus the hidden leaves — a Case 2
+		// entry's key leaf among them.
+		acc.Digests += 1 + len(e.HiddenLeaves)
 	}
 	if vo.PredPrevG != nil {
 		acc.Digests++

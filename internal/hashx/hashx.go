@@ -44,6 +44,7 @@ const (
 	tagG     byte = 0x05 // record digest g(r), formula (3)
 	tagSig   byte = 0x06 // pre-signature digest, formula (1)
 	tagMisc  byte = 0x07 // application-defined digests
+	tagC     byte = 0x08 // chain digest C = h(up | down), record format 2
 )
 
 // Digest is a truncated SHA-256 digest. The slice is always exactly the
@@ -250,6 +251,11 @@ func (h *Hasher) Node(left, right Digest) Digest { return h.hash(tagNode, left, 
 // GDigest computes the record digest g(r) from its components (formula (3)
 // of the paper, with the concatenation hashed down to a fixed width).
 func (h *Hasher) GDigest(parts ...[]byte) Digest { return h.hash(tagG, parts...) }
+
+// CDigest computes a record's chain digest C from its two combined
+// per-direction chain digests: the one chain digest g(r) folds and a VO
+// entry ships (record format 2).
+func (h *Hasher) CDigest(up, down Digest) Digest { return h.hash(tagC, up, down) }
 
 // SigDigest computes the digest that is signed for a record: the hash of
 // g(r_{i-1}) | g(r_i) | g(r_{i+1}) per formula (1).

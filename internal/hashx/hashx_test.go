@@ -59,7 +59,7 @@ func TestDomainSeparation(t *testing.T) {
 	h := New()
 	m := []byte("same input")
 	digests := []Digest{
-		h.Hash(m), h.Leaf(m), h.First(m), h.GDigest(m),
+		h.Hash(m), h.Leaf(m), h.First(m), h.GDigest(m), h.CDigest(m, nil),
 	}
 	for i := range digests {
 		for j := i + 1; j < len(digests); j++ {

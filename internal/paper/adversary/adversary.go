@@ -267,8 +267,7 @@ func (a *Adversary) Execute(roleName string, q engine.Query, attack string) (*en
 				Key:          e.Key,
 				Disclosed:    disclosed,
 				HiddenLeaves: hidden,
-				UpCombined:   e.UpCombined,
-				DownCombined: e.DownCombined,
+				Combined:     e.Combined,
 			}
 			return res, nil
 		}

@@ -76,28 +76,34 @@ type CoordLog struct {
 }
 
 // OpenCoord opens (creating if needed) a coordinator log in dir and
-// replays it. A torn tail is truncated (reported, not fatal); only
-// environmental I/O failures return an error. If the replayed log had
-// grown, it is compacted before returning.
+// replays it. A torn tail is truncated (reported, not fatal); a log
+// damaged otherwise fails the open with ErrWALCorrupt and is left as it
+// was, as are environmental I/O failures. If the replayed log had grown,
+// it is compacted before returning.
 func OpenCoord(dir string, opts CoordOptions) (*CoordLog, *CoordReport, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	w, payloads, torn, err := openLog(filepath.Join(dir, "coord.wal"), DefaultCompactEvery, opts.Crash)
+	path := filepath.Join(dir, "coord.wal")
+	img, err := readLog(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	cl := &CoordLog{log: w, staged: map[string]map[string]uint64{}}
-	rep := &CoordReport{TornTail: torn}
-	for _, payload := range payloads {
+	cl := &CoordLog{staged: map[string]map[string]uint64{}}
+	rep := &CoordReport{TornTail: img.torn}
+	for i, r := range img.recs {
 		var rec coordRecord
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
-			rep.TornTail = fmt.Errorf("%w: undecodable record: %v", ErrWALTorn, derr)
-			break
+		if derr := gob.NewDecoder(bytes.NewReader(r.payload)).Decode(&rec); derr != nil {
+			return nil, nil, fmt.Errorf("store: %s: %w", path, r.corrupt(i, derr))
 		}
 		cl.applyRecord(&rec)
 		rep.Replayed++
 	}
+	w, err := img.open(DefaultCompactEvery, opts.Crash)
+	if err != nil {
+		return nil, nil, err
+	}
+	cl.log = w
 	rep.RoutingEpoch = cl.repoch
 	rep.OpenStaged = cl.openStagedLocked()
 	// Compact what we replayed so restart cost stays bounded; failure

@@ -23,11 +23,14 @@ func LoggedCommits(dir string) ([][]LoggedShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	payloads, _, _ := scanWAL(data)
+	recs, _, _, err := scanWAL(data)
+	if err != nil {
+		return nil, err
+	}
 	var out [][]LoggedShard
-	for _, p := range payloads {
+	for _, r := range recs {
 		var rec nodeRecord
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(r.payload)).Decode(&rec); err != nil {
 			return nil, err
 		}
 		if rec.Commit == nil {

@@ -116,12 +116,13 @@ type Options struct {
 }
 
 // LoadReport describes what a cold start found on disk. Nothing in it
-// is fatal: corruption yields refusals (empty or partial state the
-// coordinator repairs), never a wrong answer — but every refusal is
-// named here so operators see what the disk lost.
+// is fatal: a tear or an inconsistent slice yields refusals (empty or
+// partial state the coordinator repairs), never a wrong answer — but
+// every refusal is named here so operators see what the disk lost.
 type LoadReport struct {
 	// TornTail is the ErrWALTorn-wrapped reason the WAL tail was
-	// truncated, when it was. Records before the tear replayed.
+	// truncated, when it was: a crash mid-append, whose record was never
+	// acknowledged. Records before the tear replayed.
 	TornTail error
 	// Replayed counts WAL records applied: a compacted log's slice
 	// records, then whatever was appended after them.
@@ -156,15 +157,16 @@ type NodeStore struct {
 var ErrLegacySnapshot = errors.New("store: data dir holds a node.snap from an older build")
 
 // OpenNode opens (creating if needed) a node store in dir and recovers
-// its state by replaying node.wal. Disk corruption is never fatal — a
+// its state by replaying node.wal. A crash's damage is never fatal — a
 // torn tail is truncated, an inconsistent slice is dropped — and every
-// such refusal lands in the LoadReport. Only environmental I/O failures
-// (permissions, full disk) return an error, and two data dirs this build
-// cannot read: one holding a node.snap (ErrLegacySnapshot), and a slice
-// signed in another record format (core.ErrRecordFormat) — the whole data
-// dir was written by a build whose signatures this one cannot verify.
-// Either way the open fails by name and writes nothing, rather than
-// dropping every slice durably.
+// such refusal lands in the LoadReport. Environmental I/O failures
+// (permissions, full disk) return an error, and so do three data dirs
+// this build must not replay: a log damaged other than by a tear
+// (ErrWALCorrupt), whose later records were acknowledged; a node.snap
+// beside the log (ErrLegacySnapshot); and a slice signed in another
+// record format (core.ErrRecordFormat) — the whole data dir was written
+// by a build whose signatures this one cannot verify. Each open fails by
+// name and writes nothing, rather than dropping records durably.
 func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -181,26 +183,28 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 		every = DefaultSnapshotEvery
 	}
 	path := filepath.Join(dir, "node.wal")
-	w, payloads, torn, err := openLog(path, every, opts.Crash)
+	img, err := readLog(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	ns := &NodeStore{dir: dir, h: h, log: w, rels: map[string]*relMirror{}}
-	rep := &LoadReport{TornTail: torn}
-	for _, payload := range payloads {
+	ns := &NodeStore{dir: dir, h: h, rels: map[string]*relMirror{}}
+	rep := &LoadReport{TornTail: img.torn}
+	for i, r := range img.recs {
 		var rec nodeRecord
-		if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); derr != nil {
+		if derr := gob.NewDecoder(bytes.NewReader(r.payload)).Decode(&rec); derr != nil {
 			// CRC-valid but undecodable: version skew or silent disk
-			// corruption. Refuse the record and everything after it —
-			// later records may depend on this one's effect.
-			rep.TornTail = fmt.Errorf("%w: undecodable record after %d replayed: %v", ErrWALTorn, rep.Replayed, derr)
-			break
+			// corruption. Records after it were acknowledged, and may
+			// depend on its effect, so the open fails rather than drop
+			// them.
+			return nil, nil, fmt.Errorf("store: %s: %w", path, r.corrupt(i, derr))
 		}
 		if err := ns.applyRecord(&rec, rep); err != nil {
-			w.close()
 			return nil, nil, fmt.Errorf("store: %s: %w", path, err)
 		}
 		rep.Replayed++
+	}
+	if ns.log, err = img.open(every, opts.Crash); err != nil {
+		return nil, nil, err
 	}
 	for _, rm := range ns.rels {
 		rm.runs = nil

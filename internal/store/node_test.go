@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -183,8 +184,8 @@ func TestNodeAutoSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payloads, _, torn := scanWAL(data); torn != nil || len(payloads) != 2 {
-		t.Fatalf("compacted log holds %d records (torn: %v), want one per shard", len(payloads), torn)
+	if recs, _, torn, err := scanWAL(data); torn != nil || err != nil || len(recs) != 2 {
+		t.Fatalf("compacted log holds %d records (torn: %v, corrupt: %v), want one per shard", len(recs), torn, err)
 	}
 	ns.Close()
 
@@ -401,10 +402,13 @@ func TestNodeCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// A torn compacted log: a two-shard node compacted to one slice record
+// A damaged compacted log: a two-shard node compacted to one slice record
 // per shard, then the log cut mid-record or a byte flipped inside one
-// record. Recovery keeps exactly the slices before the damage, names the
-// tear ErrWALTorn, and never panics.
+// record. A cut, and a flip in the last record, is a tear: recovery keeps
+// exactly the slices before the damage, names the tear ErrWALTorn, and
+// never panics. A flip in the first record has a whole record after it,
+// so the open refuses the log (ErrWALCorrupt) and leaves the data dir as
+// it was.
 func TestNodeTornCompactedLog(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 24, 2)
@@ -442,6 +446,16 @@ func TestNodeTornCompactedLog(t *testing.T) {
 				dir := t.TempDir()
 				if err := os.WriteFile(filepath.Join(dir, "node.wal"), data, 0o644); err != nil {
 					t.Fatal(err)
+				}
+				if strings.HasPrefix(name, "flip") && r < len(starts)-1 {
+					before := dirBytes(t, dir)
+					if _, _, err := OpenNode(dir, opts); !errors.Is(err, ErrWALCorrupt) {
+						t.Fatalf("flip with a record after it: open = %v, want ErrWALCorrupt", err)
+					}
+					if dirBytes(t, dir) != before {
+						t.Fatal("refused open changed the data dir")
+					}
+					return
 				}
 				ns2, rep, err := OpenNode(dir, opts)
 				if err != nil {
@@ -533,7 +547,10 @@ func TestNodeSnapshotTmpLeftoverIgnored(t *testing.T) {
 }
 
 // A CRC-valid but undecodable record (version skew, silent corruption
-// past the checksum) refuses the record and everything after it.
+// past the checksum) stops replay at it: the open fails with
+// ErrWALCorrupt naming the record and its offset, and writes nothing —
+// replaying only the records before it would let later appends land
+// after it and be lost at the next open.
 func TestNodeUndecodableRecordStopsReplay(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 12, 1)
@@ -545,8 +562,13 @@ func TestNodeUndecodableRecordStopsReplay(t *testing.T) {
 	}
 	install(t, ns, "Uniform", set)
 	ns.Close()
+	path := filepath.Join(dir, "node.wal")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	f, err := os.OpenFile(filepath.Join(dir, "node.wal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,16 +577,14 @@ func TestNodeUndecodableRecordStopsReplay(t *testing.T) {
 	}
 	f.Close()
 
-	ns2, rep, err := OpenNode(dir, opts)
-	if err != nil {
-		t.Fatal(err)
+	before := dirBytes(t, dir)
+	_, _, err = OpenNode(dir, opts)
+	var c *walCorrupt
+	if !errors.Is(err, ErrWALCorrupt) || !errors.As(err, &c) || c.index != 1 || c.offset != fi.Size() {
+		t.Fatalf("undecodable record: open = %v, want ErrWALCorrupt naming record 1 at offset %d", err, fi.Size())
 	}
-	defer ns2.Close()
-	if !errors.Is(rep.TornTail, ErrWALTorn) || rep.Replayed != 1 {
-		t.Fatalf("undecodable record: torn=%v replayed=%d, want ErrWALTorn/1", rep.TornTail, rep.Replayed)
-	}
-	if len(ns2.Recovered()["Uniform"].Shards) != 1 {
-		t.Fatal("records before the undecodable one were lost")
+	if dirBytes(t, dir) != before {
+		t.Fatal("refused open changed the data dir")
 	}
 }
 
@@ -604,9 +624,10 @@ func TestNodeCommitFullSliceFallback(t *testing.T) {
 
 // Two data dirs this build cannot read are refused by name, and the
 // refused open writes nothing: no refusal reaches the serving layer's
-// RecoverHosted, whose refusals are durable removes. A slice signed
-// before record format 1 — whether it sits in an install record or in a
-// compacted log's slice record — cannot be verified (core.ErrRecordFormat);
+// RecoverHosted, whose refusals are durable removes. A slice signed in
+// an older record format — before format 1, or in format 1, whose g
+// folded both chain digests — cannot be verified, whether it sits in an
+// install record or in a compacted log's slice record (core.ErrRecordFormat);
 // a node.snap beside the WAL is the compaction image of an older build,
 // which this one never reads (ErrLegacySnapshot).
 func TestNodeRefusesOldFormatDataDir(t *testing.T) {
@@ -614,6 +635,11 @@ func TestNodeRefusesOldFormatDataDir(t *testing.T) {
 	set := buildSet(t, h, 12, 2)
 	old := set.Slices[0].Clone()
 	old.Params.Format = 0 // as a gob file from before the field existed decodes
+	format1 := set.Slices[0].Clone()
+	format1.Params.Format = 1 // g folded both chain digests; no record carried C
+	for i := range format1.Recs {
+		format1.Recs[i].Combined = nil
+	}
 	for _, tc := range []struct {
 		name       string
 		slice      *core.SignedRelation
@@ -623,6 +649,8 @@ func TestNodeRefusesOldFormatDataDir(t *testing.T) {
 	}{
 		{"install-record", old, false, false, core.ErrRecordFormat},
 		{"compacted-log", old, true, false, core.ErrRecordFormat},
+		{"format-1 install-record", format1, false, false, core.ErrRecordFormat},
+		{"format-1 compacted-log", format1, true, false, core.ErrRecordFormat},
 		{"node.snap", set.Slices[0], false, true, ErrLegacySnapshot},
 	} {
 		dir := t.TempDir()

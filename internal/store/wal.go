@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,14 +19,38 @@ import (
 // write (partial record at the tail) detectable without trusting file
 // size to be record-aligned.
 
-// ErrWALTorn reports a WAL whose tail is not a whole, checksummed
-// record: a crash mid-append, a truncated copy, or a flipped bit in
-// the final record. Recovery keeps every record before the tear and
-// truncates the rest — the torn record was never acknowledged (the
-// append syncs before the caller hears success), so dropping it is the
-// correct crash semantics, and the error is surfaced so operators see
-// the tear rather than a silent skip.
+// ErrWALTorn reports a WAL whose tail is a tear: a bad frame that reaches
+// the end of the file — a short header, a length past the end, a CRC
+// mismatch on the last frame — or a bad frame followed only by zero
+// bytes (a file the filesystem extended but the append never filled).
+// That is what a crash mid-append leaves, and the torn record was never
+// acknowledged (the append syncs before the caller hears success), so
+// recovery keeps every record before the tear and truncates the rest.
+// The error is surfaced so operators see the tear rather than a silent
+// skip.
 var ErrWALTorn = errors.New("store: torn WAL record")
+
+// ErrWALCorrupt refuses a WAL damaged other than by a tear: a bad frame
+// with more log after it, or a whole, checksummed record that does not
+// decode. Every record after the damage was acknowledged, so replaying
+// the records before it — and appending after it — would lose them at
+// the next open. The open fails instead, writes nothing, and names the
+// record (walCorrupt); restore the file, or empty the data dir and let
+// the coordinator re-install the node's slices.
+var ErrWALCorrupt = errors.New("store: corrupt WAL record")
+
+// walCorrupt is an ErrWALCorrupt naming the damaged record.
+type walCorrupt struct {
+	index  int   // how many records precede it
+	offset int64 // its first byte in the file
+	reason string
+}
+
+func (e *walCorrupt) Error() string {
+	return fmt.Sprintf("%v: record %d at offset %d: %s", ErrWALCorrupt, e.index, e.offset, e.reason)
+}
+
+func (e *walCorrupt) Unwrap() error { return ErrWALCorrupt }
 
 // maxWALRecord bounds one record's payload. Anything larger than this
 // in a length prefix is corruption, not data: the largest legitimate
@@ -49,74 +74,92 @@ func appendWALFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadWALRecord reads one framed record from r. It returns io.EOF at a
-// clean end of input and an ErrWALTorn-wrapped error for anything that
-// is not a whole, checksummed record: a short header, an absurd length
-// prefix, a short payload, or a CRC mismatch. Exported so the fuzz
-// target drives exactly the production decode path.
-func ReadWALRecord(r io.Reader) ([]byte, error) {
-	var hdr [walHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if n == 0 && (err == io.EOF || err == io.ErrUnexpectedEOF) {
-		return nil, io.EOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: short header (%d of %d bytes)", ErrWALTorn, n, walHeaderLen)
-	}
-	size := binary.BigEndian.Uint32(hdr[0:4])
-	if size > maxWALRecord {
-		return nil, fmt.Errorf("%w: length prefix %d exceeds %d", ErrWALTorn, size, maxWALRecord)
-	}
-	payload := make([]byte, size)
-	if m, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: short payload (%d of %d bytes)", ErrWALTorn, m, size)
-	}
-	if got, want := crc32.Checksum(payload, walCRC), binary.BigEndian.Uint32(hdr[4:8]); got != want {
-		return nil, fmt.Errorf("%w: payload CRC mismatch (got %08x want %08x)", ErrWALTorn, got, want)
-	}
-	return payload, nil
+// logRecord is one whole, checksummed record of a log image.
+type logRecord struct {
+	offset  int64
+	payload []byte
 }
 
-// scanWAL walks a WAL image record by record, returning every intact
-// payload, the byte offset of the end of the last intact record (the
-// truncation point), and the tear error if the tail was not clean.
-func scanWAL(data []byte) (payloads [][]byte, valid int64, torn error) {
-	off := int64(0)
-	for off < int64(len(data)) {
+// corrupt names record i, which does not decode, as the reason its log
+// cannot open.
+func (r logRecord) corrupt(i int, why error) error {
+	return &walCorrupt{index: i, offset: r.offset, reason: why.Error()}
+}
+
+// scanWAL splits a log image into its whole records. At the first bad
+// frame it stops: a tear (ErrWALTorn) returns the records before it and
+// valid, the tear's offset, where the log is cut; any other bad frame is
+// a walCorrupt error.
+func scanWAL(data []byte) (recs []logRecord, valid int64, torn, err error) {
+	for off := int64(0); off < int64(len(data)); {
 		rest := data[off:]
-		if int64(len(rest)) < walHeaderLen {
-			return payloads, off, fmt.Errorf("%w: short header (%d of %d bytes)", ErrWALTorn, len(rest), walHeaderLen)
+		end, why := checkFrame(rest)
+		if why == "" {
+			recs = append(recs, logRecord{offset: off, payload: rest[walHeaderLen:end]})
+			off += end
+			continue
 		}
-		size := binary.BigEndian.Uint32(rest[0:4])
-		if size > maxWALRecord || walHeaderLen+int64(size) > int64(len(rest)) {
-			// Re-derive the precise reason through the shared reader so
-			// the message matches what the stream path would report.
-			_, err := ReadWALRecord(newByteReader(rest))
-			return payloads, off, err
+		if zeroes(rest[end:]) {
+			return recs, off, fmt.Errorf("%w: %s", ErrWALTorn, why), nil
 		}
-		payload := rest[walHeaderLen : walHeaderLen+int64(size)]
-		if got, want := crc32.Checksum(payload, walCRC), binary.BigEndian.Uint32(rest[4:8]); got != want {
-			return payloads, off, fmt.Errorf("%w: payload CRC mismatch (got %08x want %08x)", ErrWALTorn, got, want)
-		}
-		payloads = append(payloads, payload)
-		off += walHeaderLen + int64(size)
+		return nil, 0, nil, &walCorrupt{index: len(recs), offset: off, reason: why + ", with more log after it"}
 	}
-	return payloads, off, nil
+	return recs, int64(len(data)), nil, nil
 }
 
-// newByteReader is a minimal bytes.Reader stand-in that avoids pulling
-// bytes into the torn-tail error path's allocations.
-func newByteReader(b []byte) io.Reader { return &byteReader{b: b} }
-
-type byteReader struct{ b []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
+// checkFrame checks the frame rest opens with, returning its end within
+// rest (at most len(rest)) and, when it is bad, why. A run of zero bytes
+// to the end is bad as a whole: read as frames it would be empty
+// payloads under a zero CRC, and no log ends in those but one the
+// filesystem extended and the append never filled.
+func checkFrame(rest []byte) (end int64, why string) {
+	n := int64(len(rest))
+	switch {
+	case n < walHeaderLen:
+		return n, fmt.Sprintf("short header (%d of %d bytes)", n, walHeaderLen)
+	case zeroes(rest):
+		return n, fmt.Sprintf("%d zero bytes", n)
 	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
+	size := int64(binary.BigEndian.Uint32(rest))
+	switch end = walHeaderLen + size; {
+	case end > n:
+		return n, fmt.Sprintf("length prefix %d runs past the end (%d payload bytes left)", size, n-walHeaderLen)
+	case size > maxWALRecord:
+		return end, fmt.Sprintf("length prefix %d exceeds %d", size, maxWALRecord)
+	}
+	if got, want := crc32.Checksum(rest[walHeaderLen:end], walCRC), binary.BigEndian.Uint32(rest[4:8]); got != want {
+		return end, fmt.Sprintf("payload CRC mismatch (got %08x want %08x)", got, want)
+	}
+	return end, ""
+}
+
+// zeroes reports whether b holds only zero bytes.
+func zeroes(b []byte) bool { return len(bytes.TrimLeft(b, "\x00")) == 0 }
+
+// logImage is a log as read from disk, before anything is written: its
+// whole records, the end of the last one, and the reason the tail after
+// it is torn (nil for a clean log).
+type logImage struct {
+	path  string
+	recs  []logRecord
+	valid int64
+	torn  error
+}
+
+// readLog reads and scans the log at path (absent: an empty log),
+// writing nothing, so that an owner can refuse the log — a walCorrupt
+// from scanWAL, a record that does not decode — and leave the file as it
+// found it.
+func readLog(path string) (*logImage, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	recs, valid, torn, err := scanWAL(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", path, err)
+	}
+	return &logImage{path: path, recs: recs, valid: valid, torn: torn}, nil
 }
 
 // wal is one durable log file — the store's only on-disk structure.
@@ -142,37 +185,31 @@ type wal struct {
 	lastRewriteUnix                    atomic.Int64
 }
 
-// openLog opens (creating if absent) the log at path: it removes a
-// crashed rewrite's leftover temp file (never authoritative — the rename
-// is the commit point), scans the frames, and truncates a torn tail so
-// the next append starts on a record boundary. It returns the intact
-// payloads and, when the tail was torn, the ErrWALTorn-wrapped reason.
-func openLog(path string, every int, crash *Crasher) (*wal, [][]byte, error, error) {
-	os.Remove(path + ".tmp")
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, nil, err
-	}
-	payloads, valid, torn := scanWAL(data)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+// open opens (creating if absent) the log its owner has replayed: it
+// removes a crashed rewrite's leftover temp file (never authoritative —
+// the rename is the commit point), and truncates a torn tail so the next
+// append starts on a record boundary.
+func (img *logImage) open(every int, crash *Crasher) (*wal, error) {
+	os.Remove(img.path + ".tmp")
+	f, err := os.OpenFile(img.path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if torn != nil {
-		if err := f.Truncate(valid); err != nil {
+	if img.torn != nil {
+		if err := f.Truncate(img.valid); err != nil {
 			f.Close()
-			return nil, nil, nil, err
+			return nil, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, nil, nil, err
+			return nil, err
 		}
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return &wal{path: path, crash: crash, every: every, f: f, pending: len(payloads)}, payloads, torn, nil
+	return &wal{path: img.path, crash: crash, every: every, f: f, pending: len(img.recs)}, nil
 }
 
 // append writes one framed record through the crash seam and syncs it

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,20 +19,38 @@ func frames(payloads ...[]byte) []byte {
 	return buf.Bytes()
 }
 
+// reopen reads the log at path and opens it as an owner that decodes
+// every record would, returning the payloads and the tear.
+func reopen(path string) (*wal, [][]byte, error, error) {
+	img, err := readLog(path)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	w, err := img.open(0, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var payloads [][]byte
+	for _, r := range img.recs {
+		payloads = append(payloads, r.payload)
+	}
+	return w, payloads, img.torn, nil
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	want := [][]byte{[]byte("a"), {}, []byte("third-record"), bytes.Repeat([]byte{0xAB}, 4096)}
-	r := bytes.NewReader(frames(want...))
-	for i, w := range want {
-		got, err := ReadWALRecord(r)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !bytes.Equal(got, w) {
-			t.Fatalf("record %d: got %d bytes, want %d", i, len(got), len(w))
-		}
+	data := frames(want...)
+	recs, valid, torn, err := scanWAL(data)
+	if err != nil || torn != nil || valid != int64(len(data)) {
+		t.Fatalf("clean log: valid %d of %d, torn %v, corrupt %v", valid, len(data), torn, err)
 	}
-	if _, err := ReadWALRecord(r); err != io.EOF {
-		t.Fatalf("clean end: got %v, want io.EOF", err)
+	if len(recs) != len(want) {
+		t.Fatalf("%d records, want %d", len(recs), len(want))
+	}
+	for i, w := range want {
+		if !bytes.Equal(recs[i].payload, w) {
+			t.Fatalf("record %d: got %d bytes, want %d", i, len(recs[i].payload), len(w))
+		}
 	}
 }
 
@@ -50,7 +67,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, payloads, tornErr, err := openLog(path, 0, nil)
+	w, payloads, tornErr, err := reopen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +83,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 
 	// A second open finds a clean log.
-	w, payloads, tornErr, err = openLog(path, 0, nil)
+	w, payloads, tornErr, err = reopen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +93,10 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// A flipped bit in the final record is a CRC mismatch, not a panic and
-// not a silent skip: the record is refused by name and earlier records
-// survive.
+// A flipped bit in the final record is a CRC mismatch that reaches the
+// end of the file, which is what a crash mid-append leaves: the record is
+// refused by name as a tear, not a panic and not a silent skip, and
+// earlier records survive.
 func TestWALBitFlipFinalRecord(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
@@ -87,7 +105,7 @@ func TestWALBitFlipFinalRecord(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, payloads, tornErr, err := openLog(path, 0, nil)
+	w, payloads, tornErr, err := reopen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +121,7 @@ func TestWALBitFlipFinalRecord(t *testing.T) {
 func TestWALOversizeLengthPrefix(t *testing.T) {
 	var hdr [walHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[0:4], maxWALRecord+1)
-	_, err := ReadWALRecord(bytes.NewReader(hdr[:]))
-	if !errors.Is(err, ErrWALTorn) {
-		t.Fatalf("oversize length prefix: got %v, want ErrWALTorn", err)
+	if _, _, torn, err := scanWAL(hdr[:]); err != nil || !errors.Is(torn, ErrWALTorn) {
+		t.Fatalf("oversize length prefix: torn %v, corrupt %v; want ErrWALTorn", torn, err)
 	}
 }

@@ -65,9 +65,10 @@ func TestHiddenEntryCarriesKeyLeaf(t *testing.T) {
 	}
 }
 
-// TestVerifierRefusesOldParams: a user still holding parameters from
-// before record format 1 refuses every stream at its header by name,
-// rather than failing each row's signature.
+// TestVerifierRefusesOldParams: a user still holding parameters of an
+// older record format — from before format 1, or format 1's, whose g
+// folded both chain digests — refuses every stream at its header by
+// name, rather than failing each row's signature.
 func TestVerifierRefusesOldParams(t *testing.T) {
 	f := newTamperFixture(t)
 	q := engine.Query{Relation: "Emp", KeyLo: 1}
@@ -75,10 +76,17 @@ func TestVerifierRefusesOldParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := f.v.Params
-	old.Format = 0
-	v := verify.New(f.v.H, f.v.Pub, old, f.v.Schema)
-	if _, err := v.VerifyResult(q, f.roles["all"], res); !errors.Is(err, core.ErrRecordFormat) {
-		t.Fatalf("format-0 params: %v, want core.ErrRecordFormat", err)
+	for format := uint64(0); format < core.RecordFormat; format++ {
+		old := f.v.Params
+		old.Format = format
+		v := verify.New(f.v.H, f.v.Pub, old, f.v.Schema)
+		sv := v.NewStreamVerifier(q, f.roles["all"])
+		header := engine.ChunkResult(res, 0)[0]
+		if _, err := sv.Consume(header); !errors.Is(err, core.ErrRecordFormat) {
+			t.Errorf("format-%d params: header %v, want core.ErrRecordFormat", format, err)
+		}
+		if _, err := v.VerifyResult(q, f.roles["all"], res); !errors.Is(err, core.ErrRecordFormat) {
+			t.Errorf("format-%d params: %v, want core.ErrRecordFormat", format, err)
+		}
 	}
 }

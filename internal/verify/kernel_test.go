@@ -8,17 +8,19 @@ import (
 	"vcqr/internal/relation"
 )
 
-// Hash operations a whole verified result counts in record format 1,
-// where a disclosed key binds through its leaf: the pre-kernel verifier
-// (commit c274afd, format 0) counted 1576, 3185, 3173 and 2682 for the
-// first four queries below, rebuilding both chains of every row; the
-// empty range touches no entry and counts 36 in both formats.
+// Hash operations a whole verified result counts in record format 2,
+// where a disclosed key binds through its leaf and one chain digest C
+// stands for both chains: the pre-kernel verifier (commit c274afd,
+// format 0) counted 1576, 3185, 3173 and 2682 for the first four queries
+// below, rebuilding both chains of every row. Format 1 counted 333, 570,
+// 558, 586 and 36; format 2 adds exactly the two boundaries' C, since a
+// row ships its C and hashes nothing new.
 const (
-	opsRange      = 333
-	opsProject    = 570
-	opsFilter     = 558
-	opsHidden     = 586
-	opsEmptyRange = 36
+	opsRange      = 335
+	opsProject    = 572
+	opsFilter     = 560
+	opsHidden     = 588
+	opsEmptyRange = 38
 )
 
 // TestVerifyOpsMatchPreKernelCounts: a whole verified result counts
@@ -46,7 +48,7 @@ func TestVerifyOpsMatchPreKernelCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := f.v.H.Ops(); got != sc.want {
-			t.Errorf("%s %+v: %d ops, format 1 counts %d", sc.role, sc.q, got, sc.want)
+			t.Errorf("%s %+v: %d ops, format 2 counts %d", sc.role, sc.q, got, sc.want)
 		}
 	}
 }

@@ -30,10 +30,13 @@ import (
 //
 // query picks the scenario (soundScenario). corpus names a tamper-corpus
 // edit (tamper_test.go), applied to the materialized result; the seeds
-// are every edit the corpus makes, on analogues of its scenarios, and a
-// signature list on each scenario's frames (sigCountFlips). edits is a
-// list of four-byte field-level edits on the decoded chunks, raw byte
-// flips on the encoded frames among them (the edit* ops below).
+// are every edit the corpus makes, on analogues of its scenarios; the
+// edits record format 2 calls for on each scenario, whole and fanned out
+// over 2 and 4 shards (a row's C taken from another row, a boundary's
+// OtherCombined swapped with the side its chain proves); and each
+// scenario unedited. edits is a list of four-byte field-level edits on
+// the decoded chunks, raw byte flips on the encoded frames among them
+// (the edit* ops below).
 func FuzzStreamSound(f *testing.F) {
 	fx := newSoundFix(f)
 	seeded := map[string]bool{}
@@ -56,8 +59,14 @@ func FuzzStreamSound(f *testing.F) {
 		}
 	}
 	for _, sc := range soundCorpusScenarios {
-		for _, flip := range fx.sigCountFlips(f, sc) {
-			f.Add(sc.bytes(), "", flip)
+		for _, k := range []int{1, 2, 4} { // whole, and merged from shard partials
+			sc.k = k
+			for x := byte(0); x < 3; x++ {
+				f.Add(sc.bytes(), "", []byte{editOtherC, x, 0, 5 + x})
+				f.Add(sc.bytes(), "", []byte{editOtherC, x, 1, x})
+			}
+			f.Add(sc.bytes(), "", []byte{editSwapOther, 0, 0, 0})
+			f.Add(sc.bytes(), "", []byte{editSwapOther, 0, 1, 0})
 		}
 	}
 	f.Add(soundCorpusScenarios[0].bytes(), "", []byte{6, 3, 0, 0, 7, 4, 1, 0, 13, 0, 1, 0, 13, 1, 0, 0, 14, 2, 5, 0, 11, 1, 0, 9})
@@ -69,6 +78,11 @@ func FuzzStreamSound(f *testing.F) {
 	f.Add([]byte{0x00, 0, 0, 3, 0, 6}, "", []byte{editServe, 0, 0, 1})
 	f.Add([]byte{0x28, 0, 0, 0, 0, 6}, "", []byte{editMode, 1, 3, 0})
 	f.Add([]byte{0x21, 0, 0, 0, 0, 6}, "", []byte{editServe, 0, 3, 0})
+	// Every corpus scenario unedited: the seeds hold the honest stream to
+	// verifying, so a verifier that refuses too much fails without fuzzing.
+	for _, sc := range soundCorpusScenarios {
+		f.Add(sc.bytes(), "", []byte(nil))
+	}
 
 	f.Fuzz(func(t *testing.T, query []byte, corpus string, edits []byte) {
 		sc := soundQuery(query)
@@ -115,6 +129,43 @@ func FuzzStreamSound(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChainDigestEditsRefused: record format 2's two edits change the
+// stream and are refused on every corpus scenario they apply to — a row's
+// chain digest C taken from another record or from the next row of the
+// stream, and a record boundary's OtherCombined swapped with the combined
+// digest of the side its chain proves.
+func TestChainDigestEditsRefused(t *testing.T) {
+	fx := newSoundFix(t)
+	applied := map[string]int{}
+	for _, sc := range soundCorpusScenarios {
+		honest := fx.stream(t, sc, fx.sr)
+		if honest == nil {
+			continue
+		}
+		plain, _ := fx.edit(t, sc, private(t, honest), nil)
+		for name, ed := range map[string][]byte{
+			"C from a record":     {editOtherC, 0, 0, 7},
+			"C from the next row": {editOtherC, 0, 1, 0},
+			"left OtherCombined":  {editSwapOther, 0, 0, 0},
+			"right OtherCombined": {editSwapOther, 0, 1, 0},
+		} {
+			frames, ok := fx.edit(t, sc, private(t, honest), ed)
+			if !ok || slices.EqualFunc(frames, plain, bytes.Equal) {
+				continue // no entry, a delimiter boundary, or a row whose neighbour shares its key
+			}
+			applied[name]++
+			if _, err := consume(fx.v.NewStreamVerifier(sc.q, soundRoles[sc.role]), frames); err == nil {
+				t.Errorf("%s on %s %+v: accepted", name, sc.role, sc.q)
+			}
+		}
+	}
+	for _, name := range []string{"C from a record", "C from the next row", "left OtherCombined", "right OtherCombined"} {
+		if applied[name] == 0 {
+			t.Errorf("%s changed no corpus scenario's stream", name)
+		}
+	}
 }
 
 // soundOracle is the answer the owner's relation holds for a query and
@@ -273,7 +324,7 @@ func newSoundFix(tb testing.TB) *soundFix {
 	fx.stale = fx.newPublisher(tb, staleSR)
 	for _, rec := range sr.Recs {
 		fx.keys = append(fx.keys, rec.Key())
-		fx.digests = append(fx.digests, rec.UpCombined, rec.DownCombined, rec.AttrRoot, rec.G, core.KeyLeaf(h, rec.Key()))
+		fx.digests = append(fx.digests, rec.UpCombined, rec.DownCombined, rec.Combined, rec.AttrRoot, rec.G, core.KeyLeaf(h, rec.Key()))
 		if rec.Kind == core.KindRecord {
 			fx.digests = append(fx.digests, core.AttrLeaves(h, rec.Tuple)...)
 		}
@@ -374,43 +425,6 @@ var soundCorpusScenarios = []soundScenario{
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 1, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S", KeyLo: 3001, KeyHi: 3001}, k: 2, chunkRows: 7},
 	{role: "all", q: engine.Query{Relation: "S"}, k: 1, chunkRows: 7},
-}
-
-// sigCountFlips returns, for the scenario's honest stream, one editFlip
-// per frame among its first three entries frames and its footer that
-// makes the signature count closing the frame non-zero: the count is the
-// frame's last payload byte, a zero on every frame an honest writer
-// emits. A VO carries no signature but the footer's condensed one, so
-// these are the per-entry signature lists (on the first entries chunk,
-// mid-stream, beside the aggregate) a lying publisher would add, and
-// the codec refuses every one of them.
-func (fx *soundFix) sigCountFlips(tb testing.TB, sc soundScenario) [][]byte {
-	st, err := fx.pub.ExecuteStreamOn(fx.sr, sc.role, sc.q, engine.StreamOpts{ChunkRows: sc.chunkRows})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var lens []int // payload lengths
-	for {
-		c, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := wire.WriteChunkFrame(&buf, c); err != nil {
-			tb.Fatal(err)
-		}
-		lens = append(lens, buf.Len()-4)
-	}
-	var out [][]byte
-	for _, x := range []int{1, 2, 3, len(lens) - 1} {
-		x = min(x, len(lens)-1)
-		last := lens[x] - 1 // y·256+z: any bit editFlip flips there makes the count non-zero
-		out = append(out, []byte{editFlip, byte(x), byte(last / 256), byte(last % 256)})
-	}
-	return out
 }
 
 // corpusEditNames lists every edit the tamper corpus makes of a result.
@@ -537,23 +551,24 @@ func private(t *testing.T, chunks []*engine.Chunk) []*engine.Chunk {
 // An edit is four bytes: op (one of these, modulo editOps), then x, y, z.
 // Entry positions count across chunks; every index wraps.
 const (
-	editDropEntry     = iota // entry x
-	editDupEntry             // entry x, the copy after it
-	editSwapEntries          // entries x and y
-	editDropChunk            // chunk x
-	editDupChunk             // chunk x
-	editSwapChunks           // chunks x and y
-	editNeighbourKey         // entry x takes the key of the entry after (y even) or before it
-	editShiftKey             // entry x's key +1 (y even) or -1
-	editMode                 // entry x's mode becomes y%5
-	editShardSeq             // chunk x's shard becomes y%5 (z even) or its Seq becomes y
-	editDigest               // field y%3 of entry x (up, down, a hidden leaf) becomes a digest of the relation
-	editOtherCombined        // entry x's combined chain digests become record z's (y%3: up, down, both)
-	editSplice               // chunk y of the whole-domain stream (z even) or of the stale epoch goes in at x
-	editBoundary             // the left (y even) or right boundary record goes in as a result, its key in range if z is odd
-	editKeyLeaf              // entry x's key leaf becomes record z's: replaced when hidden, appended otherwise
-	editFlip                 // bit z%8 of byte y·256+z of frame x, after encoding
-	editServe                // the stream answers another query: y%4 picks the filter A <= z%3-1, DISTINCT toggled, projection z%4 or the other role
+	editDropEntry    = iota // entry x
+	editDupEntry            // entry x, the copy after it
+	editSwapEntries         // entries x and y
+	editDropChunk           // chunk x
+	editDupChunk            // chunk x
+	editSwapChunks          // chunks x and y
+	editNeighbourKey        // entry x takes the key of the entry after (y even) or before it
+	editShiftKey            // entry x's key +1 (y even) or -1
+	editMode                // entry x's mode becomes y%5
+	editShardSeq            // chunk x's shard becomes y%5 (z even) or its Seq becomes y
+	editDigest              // field y%2 of entry x (C, a hidden leaf) becomes a digest of the relation
+	editOtherC              // entry x's chain digest C becomes record z's (y even) or that of the stream's entry x+1+z
+	editSplice              // chunk y of the whole-domain stream (z even) or of the stale epoch goes in at x
+	editBoundary            // the left (y even) or right boundary record goes in as a result, its key in range if z is odd
+	editKeyLeaf             // entry x's key leaf becomes record z's: replaced when hidden, appended otherwise
+	editFlip                // bit z%8 of byte y·256+z of frame x, after encoding
+	editServe               // the stream answers another query: y%4 picks the filter A <= z%3-1, DISTINCT toggled, projection z%4 or the other role
+	editSwapOther           // the left (y even) or right boundary's OtherCombined becomes the combined digest of the side its chain proves
 	editOps
 )
 
@@ -594,7 +609,7 @@ func (fx *soundFix) edit(t *testing.T, sc soundScenario, chunks []*engine.Chunk,
 			}
 			continue
 		}
-		if op >= editDropChunk && op <= editSwapChunks || op == editShardSeq || op == editSplice || op == editBoundary {
+		if op >= editDropChunk && op <= editSwapChunks || op == editShardSeq || op == editSplice || op == editBoundary || op == editSwapOther {
 			fx.editChunks(t, sc, &chunks, op, int(x), int(y), int(z))
 			continue
 		}
@@ -630,25 +645,19 @@ func (fx *soundFix) edit(t *testing.T, sc soundScenario, chunks []*engine.Chunk,
 		case editMode:
 			e.Mode = engine.EntryMode(y % 5)
 		case editDigest:
-			d := fx.digests[(int(y)/3*256+int(z))%len(fx.digests)]
-			switch y % 3 {
-			case 0:
-				e.UpCombined = d
-			case 1:
-				e.DownCombined = d
-			default:
-				if len(e.HiddenLeaves) > 0 {
-					e.HiddenLeaves = slices.Clone(e.HiddenLeaves)
-					e.HiddenLeaves[int(z)%len(e.HiddenLeaves)] = d
-				}
+			d := fx.digests[(int(y)/2*256+int(z))%len(fx.digests)]
+			if y%2 == 0 {
+				e.Combined = d
+			} else if len(e.HiddenLeaves) > 0 {
+				e.HiddenLeaves = slices.Clone(e.HiddenLeaves)
+				e.HiddenLeaves[int(z)%len(e.HiddenLeaves)] = d
 			}
-		case editOtherCombined:
-			rec := fx.sr.Recs[int(z)%len(fx.sr.Recs)]
-			if y%3 != 1 {
-				e.UpCombined = rec.UpCombined
-			}
-			if y%3 != 0 {
-				e.DownCombined = rec.DownCombined
+		case editOtherC:
+			if y%2 == 0 {
+				e.Combined = fx.sr.Recs[int(z)%len(fx.sr.Recs)].Combined
+			} else {
+				q := es[(int(x)+1+int(z))%len(es)]
+				e.Combined = chunks[q.c].Entries[q.e].Combined
 			}
 		case editKeyLeaf:
 			leaf := core.KeyLeaf(fx.h, fx.keys[int(z)%len(fx.keys)])
@@ -714,6 +723,31 @@ func (fx *soundFix) editChunks(t *testing.T, sc soundScenario, chunks *[]*engine
 		}
 	case editBoundary:
 		fx.insertBoundary(t, sc, chunks, y%2 == 1, z%2 == 1)
+	case editSwapOther:
+		for i, c := range cs {
+			if c.Type != engine.ChunkHeader && c.Type != engine.ChunkFooter {
+				continue
+			}
+			edited := *c
+			if bp := &edited.Left; c.Type == engine.ChunkHeader && y%2 == 0 {
+				fx.swapOther(bp, func(r *core.SignedRecord) (hashx.Digest, hashx.Digest) { return r.DownCombined, r.UpCombined })
+			} else if bp := &edited.Right; c.Type == engine.ChunkFooter && y%2 == 1 {
+				fx.swapOther(bp, func(r *core.SignedRecord) (hashx.Digest, hashx.Digest) { return r.UpCombined, r.DownCombined })
+			}
+			cs[i] = &edited
+		}
+	}
+}
+
+// swapOther replaces a record boundary's OtherCombined with the combined
+// digest of the side its chain proves: sides returns a record's (other,
+// proven) pair, which finds the record by its other side.
+func (fx *soundFix) swapOther(bp *core.BoundaryProof, sides func(*core.SignedRecord) (other, proven hashx.Digest)) {
+	for i := range fx.sr.Recs {
+		if other, proven := sides(&fx.sr.Recs[i]); bp.Kind == core.KindRecord && other.Equal(bp.OtherCombined) {
+			bp.OtherCombined = proven
+			return
+		}
 	}
 }
 

@@ -167,7 +167,7 @@ func entryMutations(res *engine.Result, i int) []mutation {
 			e.HiddenLeaves = e.HiddenLeaves[:len(e.HiddenLeaves)-1]
 		}
 	})
-	add("hidden/append-surplus", func(e *engine.VOEntry) { e.HiddenLeaves = append(e.HiddenLeaves, e.UpCombined) })
+	add("hidden/append-surplus", func(e *engine.VOEntry) { e.HiddenLeaves = append(e.HiddenLeaves, e.Combined) })
 	add("hidden/append-surplus-malformed", func(e *engine.VOEntry) { e.HiddenLeaves = append(e.HiddenLeaves, hashx.Digest{1, 2}) })
 	add("hidden/nil-all", func(e *engine.VOEntry) { e.HiddenLeaves = nil })
 	if len(e.HiddenLeaves) > 0 {
@@ -188,8 +188,7 @@ func entryMutations(res *engine.Result, i int) []mutation {
 	}
 	for _, ed := range digestEdits {
 		ed := ed
-		add("up-combined/"+ed.name, func(e *engine.VOEntry) { e.UpCombined = ed.fn(e.UpCombined) })
-		add("down-combined/"+ed.name, func(e *engine.VOEntry) { e.DownCombined = ed.fn(e.DownCombined) })
+		add("combined/"+ed.name, func(e *engine.VOEntry) { e.Combined = ed.fn(e.Combined) })
 	}
 	return ms
 }
@@ -491,7 +490,7 @@ func readCorpus(t testing.TB) map[string]string {
 
 // TestTamperCorpusReplay replays a fixed corpus of VO and stream edits
 // and holds each outcome to the committed one, regenerated with -update
-// for record format 1 (first generated at commit c274afd, before the
+// for record format 2 (first generated at commit c274afd, before the
 // kernel rebuild): a verifier change must accept and refuse exactly the
 // same streams, and no accepted edit may release other rows than the
 // honest stream.

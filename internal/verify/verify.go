@@ -156,10 +156,11 @@ func (v *Verifier) newPlan(eff engine.Query, role accessctl.Role) plan {
 // entryG reconstructs g for one VO entry and performs the per-entry
 // semantic checks. Every mode takes the same path: the attribute root
 // from the disclosure — the key slot opened from the entry's key when the
-// mode discloses it — folded with the two opaque combined chain digests
+// mode discloses it — folded with the entry's opaque chain digest C
 // (record format 1: the key leaf, not the formula-(3) chains, binds a
-// disclosed key). The attribute root stays on the stack and g lands in
-// the entry's slot of the verifier's ring (gs).
+// disclosed key; format 2: one digest C = h(up | down) stands for both
+// chains). The attribute root stays on the stack and g lands in the
+// entry's slot of the verifier's ring (gs).
 func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 	v := sv.v
 	switch e.Mode {
@@ -212,10 +213,10 @@ func (sv *StreamVerifier) entryG(e *engine.VOEntry) (hashx.Digest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrEntry, err)
 	}
-	if len(e.UpCombined) != v.H.Size() || len(e.DownCombined) != v.H.Size() {
-		return nil, fmt.Errorf("%w: chain digests", ErrEntry)
+	if len(e.Combined) != v.H.Size() {
+		return nil, fmt.Errorf("%w: chain digest", ErrEntry)
 	}
-	return core.AppendG(&sv.b, sv.gs[sv.entryIdx%3][:0], core.KindRecord, e.UpCombined, e.DownCombined, attrRoot), nil
+	return core.AppendG(&sv.b, sv.gs[sv.entryIdx%3][:0], core.KindRecord, e.Combined, attrRoot), nil
 }
 
 // openDisclosure encodes an entry's disclosed attributes into the

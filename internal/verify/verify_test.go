@@ -191,11 +191,8 @@ func TestRandomBitFlipsNeverVerify(t *testing.T) {
 			for _, d := range e.HiddenLeaves {
 				targets = append(targets, d)
 			}
-			if e.UpCombined != nil {
-				targets = append(targets, e.UpCombined)
-			}
-			if e.DownCombined != nil {
-				targets = append(targets, e.DownCombined)
+			if e.Combined != nil {
+				targets = append(targets, e.Combined)
 			}
 		}
 		for _, d := range vo.Left.Chain.Intermediates {

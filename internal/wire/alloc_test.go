@@ -26,8 +26,7 @@ func allocChunk(n int) *engine.Chunk {
 				h.Hash([]byte{byte(i)}),
 				h.Hash([]byte{byte(i), 1}),
 			},
-			UpCombined:   h.Hash([]byte{byte(i), 3}),
-			DownCombined: h.Hash([]byte{byte(i), 4}),
+			Combined: h.Hash([]byte{byte(i), 3}),
 		})
 	}
 	return c

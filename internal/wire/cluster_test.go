@@ -264,7 +264,7 @@ func FuzzReadNodeDeltaResponse(f *testing.F) {
 		f.Add(seed.Bytes())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, 0x4a})
+	f.Add([]byte{0, 0, 0, 1, 0x4d})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		holdsRoundTrip(t, data, wire.NodeDeltaResponseBody.Write, wire.NodeDeltaResponseBody.Read)
@@ -313,7 +313,7 @@ func FuzzReadNodeFrame(f *testing.F) {
 // TestRecyclingNodeReaderKeepsOtherFrames: a draining NodeStream recycles
 // only entries chunks. Every other sub-stream frame decodes fresh and
 // must survive every later read — a hello among them whose first byte
-// after its tag (shard 49's varint, 0x62) reads like an entries chunk's
+// after its tag (shard 114's varint, 0x72) reads like an entries chunk's
 // tag, which is why the reader matches the node frame's tag as well.
 func TestRecyclingNodeReaderKeepsOtherFrames(t *testing.T) {
 	h := hashx.New()
@@ -321,7 +321,7 @@ func TestRecyclingNodeReaderKeepsOtherFrames(t *testing.T) {
 	// would take that chunk in place.
 	big := bytes.Repeat(h.Hash([]byte("slice")), 32)
 	frames := []*wire.NodeFrame{
-		{Hello: &wire.NodeHello{Shard: 49, Epoch: 2, Digest: big}},
+		{Hello: &wire.NodeHello{Shard: 114, Epoch: 2, Digest: big}},
 		{Chunk: allocChunk(1)},
 		{Chunk: allocChunk(2)},
 		{Foot: &wire.NodeFoot{Entries: 3, PredPrevG: big}},

@@ -25,15 +25,18 @@ import (
 // Each tag's fields are what its append function writes, in that order;
 // DESIGN.md "One field codec for everything streamed" has the table.
 //
-// Record format 1 (core.RecordFormat) changed the fields of an entry and
-// of a signed record, so every frame carrying either took a new tag — the
-// chunk family moved whole, from 0x10 + type — and the format-0 tags
-// (0x11–0x15, 0x21, 0x34–0x36, 0x42, 0x46, 0x47, 0x51, 0x52) are retired:
-// nothing signed in format 0 verifies any more, so there is nothing to
-// read forward.
+// Record formats 1 and 2 (core.RecordFormat) each changed the fields of
+// an entry and of a signed record, so every frame carrying either took a
+// new tag — the chunk family moved whole each time, from 0x10 + type to
+// 0x60 + type to 0x70 + type — and the older tags are retired: nothing
+// signed in an older format verifies any more, so there is nothing to
+// read forward. Format 0's were 0x11–0x15, 0x21, 0x34–0x36, 0x42, 0x46,
+// 0x47, 0x51 and 0x52; format 1's were 0x61–0x65, 0x25, 0x3a–0x3c,
+// 0x49, 0x4a, 0x4b and 0x56. A node chunk frame wraps a chunk with its
+// tag, so its own tag stays.
 const (
-	tagChunk     = 0x60 // + engine.ChunkType
-	tagNodeHello = 0x25
+	tagChunk     = 0x70 // + engine.ChunkType
+	tagNodeHello = 0x26
 	tagNodeChunk = 0x22
 	tagNodeFoot  = 0x23
 	tagNodeErr   = 0x24
@@ -42,37 +45,37 @@ const (
 	tagStreamRequest      = 0x31
 	tagShardStreamRequest = 0x32
 	tagShardRef           = 0x33
-	tagDelta              = 0x3a
-	tagNodeDeltaRequest   = 0x3b
-	tagMirrorRequest      = 0x3c
+	tagDelta              = 0x3d
+	tagNodeDeltaRequest   = 0x3e
+	tagMirrorRequest      = 0x3f
 	tagTxRequest          = 0x37
 	tagHostedRequest      = 0x38
 	tagLeaseRequest       = 0x39
 
 	// Reply bodies (body.go).
 	tagDeltaResponse     = 0x41
-	tagEdgeResponse      = 0x49
+	tagEdgeResponse      = 0x4c
 	tagDigestResponse    = 0x43
 	tagHostedResponse    = 0x44
 	tagOKResponse        = 0x45
-	tagNodeDeltaResponse = 0x4a
-	tagMirrorResponse    = 0x4b
+	tagNodeDeltaResponse = 0x4d
+	tagMirrorResponse    = 0x4e
 	tagLeaseResponse     = 0x48
 
 	// Shard-transfer frames (body.go).
 	tagTransferManifest = 0x55
-	tagTransferRecs     = 0x56
+	tagTransferRecs     = 0x57
 	tagTransferFoot     = 0x53
 	tagTransferErr      = 0x54
 )
 
-// minEntry is the least an entry encodes to (mode, key, two counts, two
-// digest lengths), minRecord the least a signed record does (kind, key,
-// row id, attribute count, four digest and one signature lengths); the
+// minEntry is the least an entry encodes to (mode, key, two counts, one
+// digest length), minRecord the least a signed record does (kind, key,
+// row id, attribute count, five digest and one signature lengths); the
 // other list elements' least sizes are spelled at their alloc call.
 const (
-	minEntry  = 6
-	minRecord = 9
+	minEntry  = 5
+	minRecord = 10
 )
 
 // --- values -----------------------------------------------------------
@@ -125,7 +128,7 @@ func appendRecord(b []byte, r *core.SignedRecord) []byte {
 	for i := range r.Tuple.Attrs {
 		b = appendValue(b, &r.Tuple.Attrs[i])
 	}
-	for _, dg := range [...]hashx.Digest{r.UpCombined, r.DownCombined, r.AttrRoot, r.G} {
+	for _, dg := range [...]hashx.Digest{r.UpCombined, r.DownCombined, r.Combined, r.AttrRoot, r.G} {
 		b = appendBytes(b, dg)
 	}
 	return appendBytes(b, r.Sig)
@@ -138,7 +141,7 @@ func (d *decoder) record(r *core.SignedRecord) {
 	for i := range r.Tuple.Attrs {
 		d.value(&r.Tuple.Attrs[i])
 	}
-	for _, dg := range [...]*hashx.Digest{&r.UpCombined, &r.DownCombined, &r.AttrRoot, &r.G} {
+	for _, dg := range [...]*hashx.Digest{&r.UpCombined, &r.DownCombined, &r.Combined, &r.AttrRoot, &r.G} {
 		*dg = d.bytes()
 	}
 	r.Sig = d.bytes()
@@ -308,8 +311,7 @@ func appendEntry(b []byte, e *engine.VOEntry) []byte {
 	for i := range e.Disclosed {
 		b = appendValue(appendInt(b, e.Disclosed[i].Col), &e.Disclosed[i].Val)
 	}
-	b = appendList(b, e.HiddenLeaves)
-	return appendBytes(appendBytes(b, e.UpCombined), e.DownCombined)
+	return appendBytes(appendList(b, e.HiddenLeaves), e.Combined)
 }
 
 // chunkArenas backs the lists of an entries chunk — its entries and their
@@ -356,7 +358,7 @@ func (d *decoder) entry(e *engine.VOEntry, a *chunkArenas, more int) {
 		d.value(&e.Disclosed[i].Val)
 	}
 	e.HiddenLeaves = fill(d, carve(d, &a.leaves, 1, more))
-	e.UpCombined, e.DownCombined = d.bytes(), d.bytes()
+	e.Combined = d.bytes()
 }
 
 func appendChunk(b []byte, c *engine.Chunk) ([]byte, error) {
@@ -375,7 +377,6 @@ func appendChunk(b []byte, c *engine.Chunk) ([]byte, error) {
 		for i := range c.Entries {
 			b = appendEntry(b, &c.Entries[i])
 		}
-		b = append(b, 0) // a zero signature count (see noSigs)
 	case engine.ChunkFooter:
 		b = appendBoundary(b, &c.Right)
 		b = appendBytes(appendBytes(b, c.AggSig), c.PredPrevG)
@@ -383,7 +384,6 @@ func appendChunk(b []byte, c *engine.Chunk) ([]byte, error) {
 		for _, sf := range c.ShardFeet {
 			b = binary.AppendUvarint(appendInt(b, sf.Shard), sf.Entries)
 		}
-		b = append(b, 0) // a zero signature count (see noSigs)
 	case engine.ChunkError:
 		b = appendBytes(b, c.Err)
 	case engine.ChunkTiming:
@@ -407,7 +407,6 @@ func (d *decoder) chunk(c *engine.Chunk) {
 		for i := range c.Entries {
 			d.entry(&c.Entries[i], a, len(c.Entries)-i)
 		}
-		d.noSigs()
 	case engine.ChunkFooter:
 		d.boundary(&c.Right)
 		c.AggSig, c.PredPrevG = d.bytes(), d.bytes()
@@ -415,22 +414,11 @@ func (d *decoder) chunk(c *engine.Chunk) {
 		for i := range c.ShardFeet {
 			c.ShardFeet[i] = engine.ShardFoot{Shard: d.int(), Entries: d.uvarint()}
 		}
-		d.noSigs()
 	case engine.ChunkError:
 		c.Err = d.str()
 	case engine.ChunkTiming:
 		c.Trace, c.Timing = d.str(), d.timing()
 	default:
-		d.fail()
-	}
-}
-
-// noSigs reads the signature count that closes an entries chunk and a
-// footer. The field once carried per-entry signatures; a VO now carries
-// only the footer's condensed signature, so every writer emits a zero
-// count (one 0 byte) and any other count is malformed.
-func (d *decoder) noSigs() {
-	if d.uvarint() != 0 {
 		d.fail()
 	}
 }

@@ -190,10 +190,10 @@ func (f *codecFixture) realChunks(t testing.TB) []*engine.Chunk {
 			Timing: []obs.StageDur{{Stage: obs.StageStreamTotal, NS: 123456}, {Stage: obs.StageWireEncode, NS: -1}}})
 }
 
-// sigListFrame is one frame in the encoding the closing signature count
-// of an entries chunk and a footer had while a VO could carry per-entry
-// signatures: an honest frame whose zero count is replaced by a counted
-// list of signatures.
+// sigListFrame is an honest entries chunk or footer with a counted list
+// of signatures after its last field: the shape per-entry signatures
+// took while those frames closed with a signature count. Record format 2
+// dropped the count, so the list is trailing bytes.
 type sigListFrame struct {
 	name  string
 	frame []byte
@@ -227,8 +227,7 @@ func (f *codecFixture) sigListFrames(tb testing.TB) []sigListFrame {
 	}
 	one := [][]byte{f.sr.Recs[1].Sig}
 	withSigs := func(frame []byte, sigs [][]byte) []byte {
-		payload := bytes.Clone(frame[4 : len(frame)-1]) // less the zero count
-		payload = binary.AppendUvarint(payload, uint64(len(sigs)))
+		payload := binary.AppendUvarint(bytes.Clone(frame[4:]), uint64(len(sigs)))
 		for _, s := range sigs {
 			payload = append(binary.AppendUvarint(payload, uint64(len(s))), s...)
 		}
@@ -256,10 +255,10 @@ func (f *codecFixture) sigListFrames(tb testing.TB) []sigListFrame {
 }
 
 // TestSignatureListRefused: a VO carries no signature but the footer's
-// condensed one, so every frame whose closing signature count is not zero
-// is malformed — refused with ErrMalformed by the one-shot readers, by a
-// recycling reader after an honest entries chunk it decodes into, and
-// inside a node sub-stream.
+// condensed one, and no frame has a field for more, so every frame
+// carrying a signature list after its fields is malformed — refused with
+// ErrMalformed by the one-shot readers, by a recycling reader after an
+// honest entries chunk it decodes into, and inside a node sub-stream.
 func TestSignatureListRefused(t *testing.T) {
 	f := newCodecFixture(t)
 	var honest []byte // an entries chunk, so the next frame decodes into recycled memory
@@ -580,8 +579,7 @@ func TestDecodedFramesDoNotShareMemory(t *testing.T) {
 			for _, l := range e.HiddenLeaves {
 				scribble(l)
 			}
-			scribble(e.UpCombined)
-			scribble(e.DownCombined)
+			scribble(e.Combined)
 		}
 		for _, d := range c.Left.Chain.Intermediates {
 			scribble(d)

@@ -14,6 +14,7 @@ import (
 	"vcqr/internal/core"
 	"vcqr/internal/hashx"
 	"vcqr/internal/owner"
+	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 	"vcqr/internal/wire"
 	"vcqr/internal/workload"
@@ -93,5 +94,97 @@ func TestOldFormatFilesRefused(t *testing.T) {
 	}
 	if _, err := wire.DecodeSnapshot(encode("", old)); !errors.Is(err, core.ErrRecordFormat) {
 		t.Errorf("format-0 bare relation: %v, want core.ErrRecordFormat", err)
+	}
+}
+
+// The format1 types mirror what a build of record format 1 wrote: params
+// stamped Format 1, records without the chain digest C, which that
+// format folded into g as its two halves.
+type format1Record struct {
+	Kind                               core.Kind
+	Tuple                              relation.Tuple
+	UpCombined, DownCombined, AttrRoot hashx.Digest
+	G                                  hashx.Digest
+	Sig                                []byte
+}
+
+type format1Relation struct {
+	Params core.Params
+	Schema relation.Schema
+	Recs   []format1Record
+}
+
+type format1Set struct {
+	Spec   partition.Spec
+	Slices []*format1Relation
+}
+
+type format1ClientParams struct {
+	N      *big.Int
+	E      int
+	Params core.Params
+	Schema relation.Schema
+	Roles  map[string]accessctl.Role
+}
+
+// TestFormat1FilesRefused: a params file, a relation snapshot, a
+// partition snapshot and a bare relation file written in record format 1
+// decode, and are refused by name at ReadClientParams and DecodeSnapshot.
+func TestFormat1FilesRefused(t *testing.T) {
+	h := hashx.New()
+	o := owner.NewWithKey(h, signKey(t))
+	rel, err := workload.Employees(workload.EmployeeConfig{N: 6, L: 0, U: 1 << 20, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := o.Publish(rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := partition.Split(sr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := func(sr *core.SignedRelation) *format1Relation {
+		out := &format1Relation{Params: sr.Params, Schema: sr.Schema}
+		out.Params.Format = 1
+		for _, r := range sr.Recs {
+			out.Recs = append(out.Recs, format1Record{Kind: r.Kind, Tuple: r.Tuple, UpCombined: r.UpCombined,
+				DownCombined: r.DownCombined, AttrRoot: r.AttrRoot, G: r.G, Sig: r.Sig})
+		}
+		return out
+	}
+	oldSet := format1Set{Spec: set.Spec}
+	for _, sl := range set.Slices {
+		oldSet.Slices = append(oldSet.Slices, old(sl))
+	}
+	encode := func(prefix string, v any) []byte {
+		buf := bytes.NewBufferString(prefix)
+		if err := gob.NewEncoder(buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	t.Run("params", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "params.gob")
+		cp := format1ClientParams{N: o.PublicKey().N, E: o.PublicKey().E, Params: old(sr).Params, Schema: sr.Schema}
+		if err := os.WriteFile(path, encode("", cp), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.ReadClientParams(path); !errors.Is(err, core.ErrRecordFormat) {
+			t.Errorf("format-1 params file: %v, want core.ErrRecordFormat", err)
+		}
+	})
+	for name, data := range map[string][]byte{
+		"relation-snapshot":  encode("vcqr-snapshot-1\n", struct{ Relation *format1Relation }{old(sr)}),
+		"partition-snapshot": encode("vcqr-snapshot-1\n", struct{ Partition *format1Set }{&oldSet}),
+		"bare-relation":      encode("", old(sr)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := wire.DecodeSnapshot(data); !errors.Is(err, core.ErrRecordFormat) {
+				t.Errorf("format-1 %s: %v, want core.ErrRecordFormat", name, err)
+			}
+		})
 	}
 }

@@ -161,7 +161,7 @@ func FuzzRecycledChunkReader(f *testing.F) {
 	}
 	f.Add(stream.Bytes())
 	f.Add(sample.Bytes())
-	f.Add(append(bytes.Clone(sample.Bytes()), 0x03, 0xff, 0xff, 0xff, 0x62, 1, 2, 3))
+	f.Add(append(bytes.Clone(sample.Bytes()), 0x03, 0xff, 0xff, 0xff, 0x72, 1, 2, 3))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var want []string
