@@ -465,6 +465,51 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
+// BenchmarkServerDelta measures one in-process Server.ApplyDelta of a
+// 3-op update (a record and its two re-signed neighbours) on a 4,096-row
+// K = 1 table — staging clone, apply, crypto-index refresh, validation
+// of the touched neighbourhood and the epoch swap. The owner mints each
+// delta off the clock.
+func BenchmarkServerDelta(b *testing.B) {
+	e := env(b)
+	h := hashx.New()
+	rel, err := workload.Uniform(workload.UniformConfig{
+		N: 4096, L: 0, U: 1 << 32, PayloadSize: 64, Seed: 5,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := core.NewParams(0, 1<<32, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner, err := core.Build(h, e.Key, p, rel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := server.New(server.Config{Hasher: h, Pub: e.Key.Public(), Policy: accessctl.NewPolicy(accessctl.Role{Name: "all"})})
+	b.Cleanup(s.Close)
+	if err := s.AddRelation(owner.Clone(), false); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := owner.Clone()
+		rec := owner.Recs[2+i*97%(owner.Len()-2)]
+		if _, err := owner.UpdateAttrs(h, e.Key, rec.Key(), rec.Tuple.RowID,
+			[]relation.Value{relation.BytesVal([]byte{byte(i)})}); err != nil {
+			b.Fatal(err)
+		}
+		d := delta.Diff(before, owner)
+		b.StartTimer()
+		if _, err := s.ApplyDelta(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- serving layer (internal/server) ---------------------------------------
 
 // serverFixture builds a server over the shared 512-record relation.

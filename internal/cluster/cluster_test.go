@@ -642,8 +642,7 @@ func TestTamperedTransferRejected(t *testing.T) {
 	f := newCluster(t, 60, 3, 2, nil)
 
 	tampered := f.set.Slices[1].Clone()
-	tampered.Recs[2] = tampered.Recs[2].Clone() // Clone shares record bytes
-	tampered.Recs[2].Sig[0] ^= 0x01
+	tampered.Own(2).Sig[0] ^= 0x01
 	var buf bytes.Buffer
 	man := wire.ShardManifest{Spec: f.spec, Shard: 1}
 	if err := wire.WriteShardTransfer(&buf, f.h, man, tampered); err != nil {

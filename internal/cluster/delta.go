@@ -330,7 +330,7 @@ func (c *Coordinator) applyDelta(d delta.Delta, sp *obs.Span) (uint64, error) {
 		if !left {
 			cur = edges.Tail[2]
 		}
-		if partition.SameRecord(cur, want) {
+		if partition.SameRecord(&cur, &want) {
 			return nil // mirror already accurate (or co-hosted stitch fixed it)
 		}
 		cl, err := c.client(url)

@@ -289,22 +289,22 @@ func (c *Coordinator) StartHeartbeats(interval time.Duration) (stop func()) {
 // phase — an honest, transient difference. Owned records come from the
 // ops themselves and have no such excuse.
 func ownedEdgesEqual(a, b partition.Edges) bool {
-	return partition.SameRecord(a.Head[1], b.Head[1]) &&
-		partition.SameRecord(a.Head[2], b.Head[2]) &&
-		partition.SameRecord(a.Tail[0], b.Tail[0]) &&
-		partition.SameRecord(a.Tail[1], b.Tail[1])
+	return partition.SameRecord(&a.Head[1], &b.Head[1]) &&
+		partition.SameRecord(&a.Head[2], &b.Head[2]) &&
+		partition.SameRecord(&a.Tail[0], &b.Tail[0]) &&
+		partition.SameRecord(&a.Tail[1], &b.Tail[1])
 }
 
 // edgesEqual compares the full six-record seam material of two edge
 // snapshots — the "same staged state" predicate for replica agreement.
 func edgesEqual(a, b partition.Edges) bool {
 	for i := range a.Head {
-		if !partition.SameRecord(a.Head[i], b.Head[i]) {
+		if !partition.SameRecord(&a.Head[i], &b.Head[i]) {
 			return false
 		}
 	}
 	for i := range a.Tail {
-		if !partition.SameRecord(a.Tail[i], b.Tail[i]) {
+		if !partition.SameRecord(&a.Tail[i], &b.Tail[i]) {
 			return false
 		}
 	}

@@ -278,7 +278,7 @@ func (sr *SignedRelation) AggIndexInsertAt(pos int) error {
 	if pos < 0 || pos >= len(sr.Recs) || sr.aggIdx.Len() != len(sr.Recs)-1 {
 		return fmt.Errorf("%w: insert at %d over %d leaves for %d entries", ErrAggIndex, pos, sr.aggIdx.Len(), len(sr.Recs))
 	}
-	ix, err := sr.aggIdx.insertAt(pos, &sr.Recs[pos])
+	ix, err := sr.aggIdx.insertAt(pos, sr.Recs[pos])
 	if err != nil {
 		return err
 	}

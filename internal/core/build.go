@@ -23,7 +23,9 @@ type SignedRelation struct {
 	Schema relation.Schema
 	// Recs[0] is the left delimiter (key L), Recs[len-1] the right
 	// delimiter (key U), and Recs[1..n] the data records in key order.
-	Recs []SignedRecord
+	// A record that is in a relation is never written, not one field:
+	// clones share them, so an editor swaps the pointer (Own).
+	Recs []*SignedRecord
 
 	// aggIdx is the per-epoch crypto index (see aggindex.go): product
 	// trees over the entry signatures and their FDH values that turn
@@ -54,18 +56,24 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, p Params, rel *relation.Relatio
 	if err := rel.Validate(); err != nil {
 		return nil, err
 	}
-	sr := &SignedRelation{Params: p, Schema: rel.Schema}
-	sr.Recs = make([]SignedRecord, rel.Len()+2)
+	// One backing array holds every record, so the relation's reads stay
+	// local; Recs points into it. Until Build returns nothing else can
+	// reach these records, so it fills them in place.
+	backing := make([]SignedRecord, rel.Len()+2)
+	sr := &SignedRelation{Params: p, Schema: rel.Schema, Recs: make([]*SignedRecord, len(backing))}
+	for i := range backing {
+		sr.Recs[i] = &backing[i]
+	}
 	left, err := makeDelim(h, p, KindDelimLeft)
 	if err != nil {
 		return nil, err
 	}
-	sr.Recs[0] = left
+	backing[0] = left
 	right, err := makeDelim(h, p, KindDelimRight)
 	if err != nil {
 		return nil, err
 	}
-	sr.Recs[len(sr.Recs)-1] = right
+	backing[len(backing)-1] = right
 
 	// Record digests are independent of each other; derive them in
 	// parallel. Signing then needs the neighbours' g digests, so it runs
@@ -76,13 +84,13 @@ func Build(h *hashx.Hasher, key *sig.PrivateKey, p Params, rel *relation.Relatio
 		if err != nil {
 			return err
 		}
-		sr.Recs[i+1] = rec
+		backing[i+1] = rec
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if err := parallelRange(len(sr.Recs), func(i int) error {
-		sr.Recs[i].Sig = key.Sign(sr.sigDigest(h, i))
+	if err := parallelRange(len(backing), func(i int) error {
+		backing[i].Sig = key.Sign(sr.sigDigest(h, i))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -315,18 +323,17 @@ func (sr *SignedRelation) CheckEntries(h *hashx.Hasher, pub *sig.PublicKey, sigg
 }
 
 // Clone returns a copy of the signed relation whose record sequence is
-// its own but whose records share their byte slices (digests, signature,
-// tuple attributes) with the original — the staging copy a delta is
-// applied on, O(records) pointer copies rather than a copy of every byte.
+// its own but whose records are the original's, shared by pointer — the
+// staging copy a delta is applied on, one pointer per record rather than
+// a copy of every record.
 //
-// The rule that makes this safe: a record's bytes are immutable once the
-// record is in a relation. Every writer replaces a record whole or
-// reassigns a field (ApplyOps, mirror stitching, the re-signs in
-// Insert/Delete/UpdateAttrs); none writes into a digest or signature in
-// place. Code that wants to edit a record's bytes takes
-// SignedRecord.Clone first. Replacing, inserting or deleting records in
-// the clone, or reassigning a record's fields there, never shows in the
-// original.
+// The rule that makes this safe: a record that is in a relation is never
+// written, not one field of it, nor a byte of its digests, signature or
+// tuple. Every editor replaces the pointer (ApplyOps, mirror stitching)
+// or takes Own, which swaps in a private deep copy (the re-signs in
+// Insert/Delete/UpdateAttrs). So replacing, inserting or deleting
+// records in the clone, or editing what Own returns, never shows in the
+// original, and the original's records never change under the clone.
 //
 // The crypto index is carried over by reference — it is persistent
 // (immutable nodes), so the clone and the original can diverge via
@@ -335,6 +342,15 @@ func (sr *SignedRelation) CheckEntries(h *hashx.Hasher, pub *sig.PublicKey, sigg
 // serving aggregates.
 func (sr *SignedRelation) Clone() *SignedRelation {
 	return &SignedRelation{Params: sr.Params, Schema: sr.Schema, aggIdx: sr.aggIdx, Recs: slices.Clone(sr.Recs)}
+}
+
+// Own replaces entry i with a deep copy of itself and returns the copy,
+// the one record of sr that sr may write: the original, which clones of
+// sr may share, is left untouched.
+func (sr *SignedRelation) Own(i int) *SignedRecord {
+	rec := sr.Recs[i].Clone()
+	sr.Recs[i] = &rec
+	return &rec
 }
 
 // VerifyEntrySig checks the formula-(1) signature of entry i against the
@@ -380,7 +396,7 @@ func (sr *SignedRelation) CheckEntryDigestsBeside(h *hashx.Hasher, i int, proved
 	if i < 0 || i >= len(sr.Recs) {
 		return fmt.Errorf("core: entry %d out of range", i)
 	}
-	rec := &sr.Recs[i]
+	rec := sr.Recs[i]
 	var want SignedRecord
 	var err error
 	switch {
@@ -438,9 +454,7 @@ func (sr *SignedRelation) Insert(h *hashx.Hasher, key *sig.PrivateKey, t relatio
 	if err != nil {
 		return 0, err
 	}
-	sr.Recs = append(sr.Recs, SignedRecord{})
-	copy(sr.Recs[pos+1:], sr.Recs[pos:])
-	sr.Recs[pos] = rec
+	sr.Recs = slices.Insert(sr.Recs, pos, &rec)
 	return sr.resignAround(h, key, pos), nil
 }
 
@@ -459,11 +473,11 @@ func (sr *SignedRelation) Delete(h *hashx.Hasher, key *sig.PrivateKey, k, rowID 
 	if pos < 0 {
 		return 0, fmt.Errorf("core: delete: record (%d,%d) not found", k, rowID)
 	}
-	sr.Recs = append(sr.Recs[:pos], sr.Recs[pos+1:]...)
+	sr.Recs = slices.Delete(sr.Recs, pos, pos+1)
 	n := 0
 	for _, i := range []int{pos - 1, pos} {
 		if i >= 0 && i < len(sr.Recs) {
-			sr.Recs[i].Sig = key.Sign(sr.sigDigest(h, i))
+			sr.Own(i).Sig = key.Sign(sr.sigDigest(h, i))
 			n++
 		}
 	}
@@ -486,7 +500,7 @@ func (sr *SignedRelation) UpdateAttrs(h *hashx.Hasher, key *sig.PrivateKey, k, r
 			if err != nil {
 				return 0, err
 			}
-			sr.Recs[i] = rec
+			sr.Recs[i] = &rec
 			return sr.resignAround(h, key, i), nil
 		}
 	}
@@ -500,7 +514,7 @@ func (sr *SignedRelation) resignAround(h *hashx.Hasher, key *sig.PrivateKey, pos
 	n := 0
 	for _, i := range []int{pos - 1, pos, pos + 1} {
 		if i >= 0 && i < len(sr.Recs) {
-			sr.Recs[i].Sig = key.Sign(sr.sigDigest(h, i))
+			sr.Own(i).Sig = key.Sign(sr.sigDigest(h, i))
 			n++
 		}
 	}

@@ -79,8 +79,9 @@ func TestCheckEntriesNamesLowestEntry(t *testing.T) {
 	h, sr := uniformFixture(t, 256)
 	pub := signKey(t).Public()
 	bad := sr.Clone()
-	bad.Recs[200].AttrRoot = flip(bad.Recs[200].AttrRoot)
-	bad.Recs[100].Sig, bad.Recs[101].Sig = bad.Recs[101].Sig, bad.Recs[100].Sig
+	bad.Own(200).AttrRoot = flip(bad.Recs[200].AttrRoot)
+	a, b := bad.Own(100), bad.Own(101)
+	a.Sig, b.Sig = b.Sig, a.Sig
 	skip := func(i int) bool { return i != 100 && i != 101 }
 	atProcs(t, func(t *testing.T) {
 		if err := sr.CheckEntries(h, pub, nil); err != nil {

@@ -163,17 +163,18 @@ func TestValidateDetectsTampering(t *testing.T) {
 		{"attribute swap", func(sr *SignedRelation) {
 			// Swap the names of the first two records (the paper's
 			// authenticity example).
-			sr.Recs[1].Tuple.Attrs[1], sr.Recs[2].Tuple.Attrs[1] =
-				sr.Recs[2].Tuple.Attrs[1], sr.Recs[1].Tuple.Attrs[1]
+			a, b := sr.Own(1), sr.Own(2)
+			a.Tuple.Attrs[1], b.Tuple.Attrs[1] = b.Tuple.Attrs[1], a.Tuple.Attrs[1]
 		}},
 		{"record removal", func(sr *SignedRelation) {
 			sr.Recs = append(sr.Recs[:2], sr.Recs[3:]...)
 		}},
 		{"signature swap", func(sr *SignedRelation) {
-			sr.Recs[1].Sig, sr.Recs[2].Sig = sr.Recs[2].Sig, sr.Recs[1].Sig
+			a, b := sr.Own(1), sr.Own(2)
+			a.Sig, b.Sig = b.Sig, a.Sig
 		}},
 		{"key tamper", func(sr *SignedRelation) {
-			sr.Recs[1].Tuple.Key = 2001
+			sr.Own(1).Tuple.Key = 2001
 		}},
 		{"reorder", func(sr *SignedRelation) {
 			sr.Recs[1], sr.Recs[2] = sr.Recs[2], sr.Recs[1]
@@ -181,16 +182,16 @@ func TestValidateDetectsTampering(t *testing.T) {
 		// The components a VO ships in place of G: altered with G and
 		// every signature left alone, only re-deriving them catches it.
 		{"up chain digest", func(sr *SignedRelation) {
-			sr.Recs[3].UpCombined = flip(sr.Recs[3].UpCombined)
+			sr.Own(3).UpCombined = flip(sr.Recs[3].UpCombined)
 		}},
 		{"down chain digest", func(sr *SignedRelation) {
-			sr.Recs[3].DownCombined = flip(sr.Recs[3].DownCombined)
+			sr.Own(3).DownCombined = flip(sr.Recs[3].DownCombined)
 		}},
 		{"attribute root", func(sr *SignedRelation) {
-			sr.Recs[3].AttrRoot = flip(sr.Recs[3].AttrRoot)
+			sr.Own(3).AttrRoot = flip(sr.Recs[3].AttrRoot)
 		}},
 		{"delimiter chain digest", func(sr *SignedRelation) {
-			sr.Recs[0].UpCombined = flip(sr.Recs[0].UpCombined)
+			sr.Own(0).UpCombined = flip(sr.Recs[0].UpCombined)
 		}},
 	}
 	for _, c := range cases {
@@ -318,7 +319,7 @@ func TestBoundaryProofDoesNotLeakKey(t *testing.T) {
 // repRoots rebuilds the two representation-tree roots EntryG folds in,
 // which a format-0 VO shipped per result entry. A delimiter's missing
 // direction is nil.
-func repRoots(t *testing.T, h *hashx.Hasher, p Params, rec SignedRecord) (up, down hashx.Digest) {
+func repRoots(t *testing.T, h *hashx.Hasher, p Params, rec *SignedRecord) (up, down hashx.Digest) {
 	t.Helper()
 	for _, dir := range []Direction{Up, Down} {
 		if (dir == Down && rec.Kind == KindDelimLeft) || (dir == Up && rec.Kind == KindDelimRight) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -206,28 +207,34 @@ func TestVerifyEntrySigAndCheckEntryDigests(t *testing.T) {
 		t.Fatal("out-of-range entries verified")
 	}
 	// Tamper one record's tuple: digests check must fail.
-	sr.Recs[2].Tuple.Attrs[0] = relation.IntVal(999)
+	sr.Own(2).Tuple.Attrs[0] = relation.IntVal(999)
 	if err := sr.CheckEntryDigests(h, 2); err == nil {
 		t.Fatal("tampered tuple passed digest check")
 	}
 }
 
-// TestCloneIndependence pins Clone's contract: the clone shares record
-// bytes, so every write the immutability rule allows — replacing a
-// record, reassigning its Sig or G, appending to or truncating Recs —
-// must leave the original Validate-clean.
+// TestCloneIndependence pins Clone's contract: the clone shares its
+// records by pointer, so every edit the immutability rule allows —
+// swapping a record's pointer, editing the copy Own swaps in (its Sig, G
+// or key), appending to or truncating Recs — must leave the original
+// Validate-clean and its records the ones it had.
 func TestCloneIndependence(t *testing.T) {
 	h, sr := buildPaper(t, 10)
 	pub := signKey(t).Public()
 	n := len(sr.Recs)
+	before := slices.Clone(sr.Recs)
 	cl := sr.Clone()
 	cl.Recs[2] = cl.Recs[3]
-	cl.Recs[1].Sig = []byte("not a signature")
-	cl.Recs[1].G = hashx.Digest("not a digest")
-	cl.Recs[4].Tuple.Key++
+	cl.Own(1).Sig = []byte("not a signature")
+	cl.Own(1).G = hashx.Digest("not a digest")
+	cl.Own(4).Tuple.Key++
+	cl.Own(5).Tuple.Attrs[0] = relation.IntVal(-1)
 	cl.Recs = append(cl.Recs, cl.Recs[1])
 	if err := sr.Validate(h, pub); err != nil {
 		t.Fatalf("original corrupted by clone mutation: %v", err)
+	}
+	if cl.Recs[1] == sr.Recs[1] || cl.Recs[6] != sr.Recs[6] {
+		t.Fatal("Own did not swap in a private copy, or an untouched entry is no longer shared")
 	}
 	cl.Recs = cl.Recs[:3]
 	if _, err := cl.Insert(h, signKey(t), relation.Tuple{Key: sr.Recs[1].Key(), Attrs: sr.Recs[1].Tuple.Attrs}); err != nil {
@@ -236,8 +243,8 @@ func TestCloneIndependence(t *testing.T) {
 	if err := sr.Validate(h, pub); err != nil {
 		t.Fatalf("original corrupted by clone truncate/insert: %v", err)
 	}
-	if len(sr.Recs) != n {
-		t.Fatalf("original has %d entries after clone edits, want %d", len(sr.Recs), n)
+	if len(sr.Recs) != n || !slices.Equal(sr.Recs, before) {
+		t.Fatalf("original has %d entries after clone edits, want its %d", len(sr.Recs), n)
 	}
 }
 

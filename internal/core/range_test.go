@@ -30,8 +30,8 @@ func rangeIndicesRef(sr *SignedRelation, lo, hi uint64) (int, int) {
 // every key, between keys, on duplicates, and lo > hi.
 func TestRangeIndicesMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	rec := func(kind Kind, key, row uint64) SignedRecord {
-		return SignedRecord{Kind: kind, Tuple: relation.Tuple{Key: key, RowID: row}}
+	rec := func(kind Kind, key, row uint64) *SignedRecord {
+		return &SignedRecord{Kind: kind, Tuple: relation.Tuple{Key: key, RowID: row}}
 	}
 	for trial := range 2000 {
 		n := rng.Intn(12)
@@ -40,7 +40,7 @@ func TestRangeIndicesMatchesLinearScan(t *testing.T) {
 			keys[i] = 10 + uint64(rng.Intn(20))
 		}
 		slices.Sort(keys)
-		recs := []SignedRecord{rec(KindDelimLeft, 0, 0)}
+		recs := []*SignedRecord{rec(KindDelimLeft, 0, 0)}
 		if trial%2 == 1 {
 			recs[0] = rec(KindRecord, 5+uint64(rng.Intn(5)), 7) // left context
 		}
@@ -65,8 +65,8 @@ func TestRangeIndicesMatchesLinearScan(t *testing.T) {
 			}
 		}
 	}
-	for _, sr := range []*SignedRelation{{}, {Recs: []SignedRecord{rec(KindDelimLeft, 0, 0)}},
-		{Recs: []SignedRecord{rec(KindDelimLeft, 0, 0), rec(KindDelimRight, 1<<20, 0)}}} {
+	for _, sr := range []*SignedRelation{{}, {Recs: []*SignedRecord{rec(KindDelimLeft, 0, 0)}},
+		{Recs: []*SignedRecord{rec(KindDelimLeft, 0, 0), rec(KindDelimRight, 1<<20, 0)}}} {
 		if a, b := sr.RangeIndices(0, 1<<20); a != 1 || b != 1 {
 			t.Fatalf("%d-entry slice: RangeIndices = (%d,%d), want (1,1)", len(sr.Recs), a, b)
 		}

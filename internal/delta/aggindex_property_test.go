@@ -248,9 +248,9 @@ func seamDeltas(t *testing.T, rng *rand.Rand, h *hashx.Hasher, pub *sig.PublicKe
 			t.Fatal(err)
 		}
 	}
-	restitch := func(sl *core.SignedRelation, pos int, want core.SignedRecord) {
+	restitch := func(sl *core.SignedRelation, pos int, want *core.SignedRecord) {
 		if !partition.SameRecord(sl.Recs[pos], want) {
-			sl.Recs[pos] = want.Clone()
+			sl.Recs[pos] = want
 			sl.RefreshAggIndex([]int{pos})
 		}
 	}

@@ -105,7 +105,7 @@ func checkTouchedCover(t *testing.T, old, next *core.SignedRelation, touched []i
 		k, r uint64
 		kind core.Kind
 	}
-	id := func(rec core.SignedRecord) ident { return ident{rec.Key(), rec.Tuple.RowID, rec.Kind} }
+	id := func(rec *core.SignedRecord) ident { return ident{rec.Key(), rec.Tuple.RowID, rec.Kind} }
 	at := map[ident]int{}
 	for i, rec := range old.Recs {
 		at[id(rec)] = i
@@ -114,7 +114,7 @@ func checkTouchedCover(t *testing.T, old, next *core.SignedRelation, touched []i
 	for _, i := range touched {
 		isTouched[i] = true
 	}
-	neighbour := func(recs []core.SignedRecord, i int) (ident, bool) {
+	neighbour := func(recs []*core.SignedRecord, i int) (ident, bool) {
 		if i < 0 || i >= len(recs) {
 			return ident{}, false
 		}

@@ -34,7 +34,7 @@ func forge(t *testing.T, h *hashx.Hasher, sr *core.SignedRelation, i int, keepG 
 		rec.G = core.AppendG(&b, nil, rec.Kind, rec.Combined, rec.AttrRoot)
 		b.Done()
 	}
-	sr.Recs[i] = rec
+	sr.Recs[i] = &rec
 	for _, j := range []int{i - 1, i, i + 1} {
 		var prev, next hashx.Digest
 		if j > 0 {
@@ -43,7 +43,7 @@ func forge(t *testing.T, h *hashx.Hasher, sr *core.SignedRelation, i int, keepG 
 		if j < len(sr.Recs)-1 {
 			next = sr.Recs[j+1].G
 		}
-		sr.Recs[j].Sig = signKey(t).Sign(core.SigDigestFor(h, sr.Params, prev, sr.Recs[j].G, next))
+		sr.Own(j).Sig = signKey(t).Sign(core.SigDigestFor(h, sr.Params, prev, sr.Recs[j].G, next))
 	}
 }
 

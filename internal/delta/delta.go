@@ -90,8 +90,8 @@ func Route(spec partition.Spec, d Delta) (map[int][]Op, error) {
 // row id, then entry kind — the order Validate and CheckEntries enforce
 // at ingest and ApplyOps keeps. Diff walks the two sequences once, side
 // by side, with no index: an entry Clone left shared with the published
-// epoch compares in O(1) (bytes.Equal checks the pointers first), so a
-// diff costs one pass of pointer compares plus the changed entries.
+// epoch is equal by pointer, without a field compared, so a diff costs
+// one pass of pointer compares plus the changed entries.
 // Input out of order may yield ops that do not reproduce new; callers that
 // log ops prove the round trip first (store.NodeStore.LogCommit).
 //
@@ -112,20 +112,20 @@ func Diff(old, new *core.SignedRelation) Delta {
 		case j == len(new.Recs):
 			c = -1
 		default:
-			c = compareIdentity(&old.Recs[i], &new.Recs[j])
+			c = compareIdentity(old.Recs[i], new.Recs[j])
 		}
 		switch {
 		case c < 0: // only in old
-			if rec := &old.Recs[i]; rec.Kind == core.KindRecord {
+			if rec := old.Recs[i]; rec.Kind == core.KindRecord {
 				dels = append(dels, Op{Kind: OpDelete, Key: rec.Key(), RowID: rec.Tuple.RowID})
 			}
 			i++
 		case c > 0: // only in new
-			d.Ops = append(d.Ops, upsert(&new.Recs[j]))
+			d.Ops = append(d.Ops, upsert(new.Recs[j]))
 			j++
 		default:
-			prev, rec := &old.Recs[i], &new.Recs[j]
-			if !bytes.Equal(prev.Sig, rec.Sig) || !prev.G.Equal(rec.G) {
+			prev, rec := old.Recs[i], new.Recs[j]
+			if prev != rec && (!bytes.Equal(prev.Sig, rec.Sig) || !prev.G.Equal(rec.G)) {
 				d.Ops = append(d.Ops, upsert(rec))
 			}
 			i++
@@ -158,7 +158,7 @@ func compareTo(a *core.SignedRecord, key, rowID uint64, kind core.Kind) int {
 // search locates the identity (key, rowID, kind) in a record sequence:
 // its index and true when an entry has it, else the index an entry with
 // it would be inserted at and false.
-type search func(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool)
+type search func(recs []*core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool)
 
 // find is ApplyOps' search: one binary search in identity order, the
 // order every sequence it is handed is in and every op it applies keeps
@@ -168,15 +168,16 @@ type search func(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (i
 // (a neighbour inserted or deleted its edge record) sorts before the old
 // left context or after the old right one, and inserting it anywhere
 // else would leave the sequence out of order for the ops that follow.
-func find(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
-	i := sort.Search(len(recs), func(i int) bool { return compareTo(&recs[i], key, rowID, kind) >= 0 })
-	return i, i < len(recs) && compareTo(&recs[i], key, rowID, kind) == 0
+func find(recs []*core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
+	i := sort.Search(len(recs), func(i int) bool { return compareTo(recs[i], key, rowID, kind) >= 0 })
+	return i, i < len(recs) && compareTo(recs[i], key, rowID, kind) == 0
 }
 
 // Reproduces reports whether ApplyOps on a copy of old succeeds and
 // leaves a sequence equal to new entry by entry over the fields
 // SliceDigest hashes (partition.SameRecord) — LogCommit's round trip —
-// copying only the window of old the ops can reach instead of all of it.
+// copying only the window of old the ops can reach instead of all of it,
+// and an entry new shares with old by reference is equal by pointer.
 // old must be in strict identity order, which is checked first (false
 // otherwise). Then every op's binary search lands inside [lo, hi), the
 // entries whose identities lie between the lowest and the highest op
@@ -185,7 +186,7 @@ func find(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, boo
 // ApplyOps(old) is old[:lo] ++ ApplyOps(old[lo:hi]) ++ old[hi:].
 func Reproduces(old *core.SignedRelation, d Delta, new *core.SignedRelation) bool {
 	for i := 1; i < len(old.Recs); i++ {
-		if compareIdentity(&old.Recs[i-1], &old.Recs[i]) >= 0 {
+		if compareIdentity(old.Recs[i-1], old.Recs[i]) >= 0 {
 			return false
 		}
 	}
@@ -202,8 +203,8 @@ func Reproduces(old *core.SignedRelation, d Delta, new *core.SignedRelation) boo
 			last = id
 		}
 	}
-	lo := sort.Search(len(old.Recs), func(i int) bool { return compareIdentity(&old.Recs[i], &first) >= 0 })
-	hi := sort.Search(len(old.Recs), func(i int) bool { return compareIdentity(&old.Recs[i], &last) > 0 })
+	lo := sort.Search(len(old.Recs), func(i int) bool { return compareIdentity(old.Recs[i], &first) >= 0 })
+	hi := sort.Search(len(old.Recs), func(i int) bool { return compareIdentity(old.Recs[i], &last) > 0 })
 	win := &core.SignedRelation{Params: old.Params, Schema: old.Schema, Recs: slices.Clone(old.Recs[lo:hi])}
 	if _, err := ApplyOps(win, d); err != nil {
 		return false
@@ -212,7 +213,7 @@ func Reproduces(old *core.SignedRelation, d Delta, new *core.SignedRelation) boo
 	if len(new.Recs) != lo+len(win.Recs)+tail {
 		return false
 	}
-	same := func(a, b []core.SignedRecord) bool {
+	same := func(a, b []*core.SignedRecord) bool {
 		for i := range a {
 			if !partition.SameRecord(a[i], b[i]) {
 				return false
@@ -280,7 +281,7 @@ func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 			if !ok {
 				return nil, fmt.Errorf("%w: delete of missing record (%d, %d)", ErrBadOp, op.Key, op.RowID)
 			}
-			scratch.Recs = append(scratch.Recs[:pos], scratch.Recs[pos+1:]...)
+			scratch.Recs = slices.Delete(scratch.Recs, pos, pos+1)
 			if err := scratch.AggIndexDeleteAt(pos); err != nil {
 				return nil, err
 			}
@@ -303,17 +304,16 @@ func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 				return nil, fmt.Errorf("%w: upsert identity mismatch", ErrBadOp)
 			}
 			pos, ok := locate(scratch.Recs, op.Key, op.RowID, op.Rec.Kind)
+			rec := op.Rec.Clone()
 			if ok {
-				scratch.Recs[pos] = op.Rec.Clone()
+				scratch.Recs[pos] = &rec
 				markAround(pos)
 				continue
 			}
 			if op.Rec.Kind != core.KindRecord {
 				return nil, fmt.Errorf("%w: delimiter upsert for absent delimiter", ErrBadOp)
 			}
-			scratch.Recs = append(scratch.Recs, core.SignedRecord{})
-			copy(scratch.Recs[pos+1:], scratch.Recs[pos:])
-			scratch.Recs[pos] = op.Rec.Clone()
+			scratch.Recs = slices.Insert(scratch.Recs, pos, &rec)
 			if err := scratch.AggIndexInsertAt(pos); err != nil {
 				return nil, err
 			}
@@ -406,9 +406,9 @@ func validate(h *hashx.Hasher, pub *sig.PublicKey, published, sr *core.SignedRel
 func CheckEntryDigests(h *hashx.Hasher, published, staged *core.SignedRelation, i int) error {
 	var proved *core.SignedRecord
 	if published != nil && i >= 0 && i < len(staged.Recs) {
-		rec := &staged.Recs[i]
+		rec := staged.Recs[i]
 		if j, ok := find(published.Recs, rec.Key(), rec.Tuple.RowID, rec.Kind); ok {
-			proved = &published.Recs[j]
+			proved = published.Recs[j]
 		}
 	}
 	return staged.CheckEntryDigestsBeside(h, i, proved)

@@ -229,7 +229,7 @@ func TestApplySliceEdgeValidation(t *testing.T) {
 	// Carve a slice owning records 4..8 with contexts at 3 and 9.
 	slice := &core.SignedRelation{Params: sr.Params, Schema: sr.Schema}
 	for i := 3; i <= 9; i++ {
-		slice.Recs = append(slice.Recs, sr.Recs[i].Clone())
+		slice.Recs = append(slice.Recs, sr.Recs[i])
 	}
 
 	// Owner updates the slice's first owned record (global 4): re-signs

@@ -3,6 +3,7 @@ package delta_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -23,8 +24,8 @@ func diffRef(old, new *core.SignedRelation) delta.Delta {
 		k, r uint64
 		kind core.Kind
 	}
-	index := func(sr *core.SignedRelation) map[ident]core.SignedRecord {
-		m := make(map[ident]core.SignedRecord, len(sr.Recs))
+	index := func(sr *core.SignedRelation) map[ident]*core.SignedRecord {
+		m := make(map[ident]*core.SignedRecord, len(sr.Recs))
 		for _, rec := range sr.Recs {
 			m[ident{rec.Key(), rec.Tuple.RowID, rec.Kind}] = rec
 		}
@@ -64,9 +65,9 @@ type diffSlice struct {
 	next byte // salt for fresh G and signature bytes
 }
 
-func (s *diffSlice) rec(kind core.Kind, key, rowID uint64) core.SignedRecord {
+func (s *diffSlice) rec(kind core.Kind, key, rowID uint64) *core.SignedRecord {
 	s.next++
-	return core.SignedRecord{
+	return &core.SignedRecord{
 		Kind:  kind,
 		Tuple: relation.Tuple{Key: key, RowID: rowID},
 		G:     []byte{byte(key), byte(rowID), s.next, 'g'},
@@ -108,10 +109,10 @@ func (s *diffSlice) edit(op, a, b byte) {
 	switch op % 5 {
 	case 0: // re-sign
 		s.next++
-		recs[at].Sig = []byte{s.next, 'r'}
+		s.sr.Own(at).Sig = []byte{s.next, 'r'}
 	case 1: // new digest material
 		s.next++
-		recs[at].G = []byte{s.next, 'G'}
+		s.sr.Own(at).G = []byte{s.next, 'G'}
 	case 2: // insert after at, strictly between it and its successor
 		if at == n-1 {
 			at--
@@ -128,10 +129,10 @@ func (s *diffSlice) edit(op, a, b byte) {
 			}
 		}
 		rec := s.rec(core.KindRecord, key, row)
-		s.sr.Recs = append(recs[:at+1], append([]core.SignedRecord{rec}, recs[at+1:]...)...)
+		s.sr.Recs = slices.Insert(recs, at+1, rec)
 	case 3: // delete an owned record
 		if n > 3 && at > 0 && at < n-1 {
-			s.sr.Recs = append(recs[:at], recs[at+1:]...)
+			s.sr.Recs = slices.Delete(recs, at, at+1)
 		}
 	case 4: // context swap
 		left := b%2 == 0

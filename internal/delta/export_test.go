@@ -57,7 +57,7 @@ func apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta
 // or after the old right one, and the clamp put it on the wrong side,
 // out of identity order, until the old context's delete.
 func ApplyOpsRef(sr *core.SignedRelation, d Delta) ([]int, error) {
-	return applyOps(sr, d, func(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
+	return applyOps(sr, d, func(recs []*core.SignedRecord, key, rowID uint64, kind core.Kind) (int, bool) {
 		if i := findEntry(recs, key, rowID, kind); i >= 0 {
 			return i, true
 		}
@@ -65,7 +65,7 @@ func ApplyOpsRef(sr *core.SignedRelation, d Delta) ([]int, error) {
 	})
 }
 
-func findEntry(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) int {
+func findEntry(recs []*core.SignedRecord, key, rowID uint64, kind core.Kind) int {
 	for i, rec := range recs {
 		if rec.Kind == kind && rec.Key() == key && rec.Tuple.RowID == rowID {
 			return i
@@ -74,7 +74,7 @@ func findEntry(recs []core.SignedRecord, key, rowID uint64, kind core.Kind) int 
 	return -1
 }
 
-func insertPos(recs []core.SignedRecord, key, rowID uint64) int {
+func insertPos(recs []*core.SignedRecord, key, rowID uint64) int {
 	pos := 0
 	for ; pos < len(recs); pos++ {
 		rec := recs[pos]

@@ -19,7 +19,7 @@ import (
 func TestDiscloseShipsAttrLeavesMinusOpened(t *testing.T) {
 	f := newFixture(t)
 	ref := hashx.New()
-	var recs []core.SignedRecord
+	var recs []*core.SignedRecord
 	for _, rec := range f.sr.Recs {
 		if rec.Kind == core.KindRecord {
 			recs = append(recs, rec)

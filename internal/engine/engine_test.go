@@ -375,8 +375,7 @@ func TestAddRelationRefusesUnindexableRelation(t *testing.T) {
 	f := newFixture(t)
 	key := signKey(t).Public()
 	bad := &core.SignedRelation{Params: f.sr.Params, Schema: f.sr.Schema, Recs: slices.Clone(f.sr.Recs)}
-	bad.Recs[2] = bad.Recs[2].Clone()
-	bad.Recs[2].Sig = key.N.FillBytes(make([]byte, key.SigBytes()))
+	bad.Own(2).Sig = key.N.FillBytes(make([]byte, key.SigBytes()))
 	pub := engine.NewPublisher(f.h, key, f.policy)
 	if err := pub.AddRelation(bad, false); !errors.Is(err, core.ErrAggIndex) {
 		t.Fatalf("AddRelation with a signature equal to N: %v, want core.ErrAggIndex", err)

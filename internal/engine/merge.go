@@ -237,8 +237,7 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	b := sp.p.h.Batch()
 	defer b.Done()
 	for i := sp.pos; i < sp.pos+n; i++ {
-		rec := &sp.sr.Recs[i]
-		entry, err := sp.buildEntry(&b, rec)
+		entry, err := sp.buildEntry(&b, sp.sr.Recs[i])
 		if err != nil {
 			sp.err = err
 			return nil, err

@@ -356,7 +356,7 @@ func tamperFirstString(res *engine.Result, repl string) bool {
 func findRecord(sr *core.SignedRelation, key uint64) (core.SignedRecord, bool) {
 	for _, rec := range sr.Recs {
 		if rec.Kind == core.KindRecord && rec.Key() == key {
-			return rec, true
+			return *rec, true
 		}
 	}
 	return core.SignedRecord{}, false

@@ -215,9 +215,11 @@ func SplitIndices(sr *core.SignedRelation, spec Spec, t []int) (*Set, error) {
 
 // SameRecord reports whether two records are the same publication entry:
 // identity, digest, and signature all equal. This is the hand-off
-// equality the mirror-maintenance protocol preserves.
-func SameRecord(a, b core.SignedRecord) bool {
-	return a.Kind == b.Kind && a.Key() == b.Key() && a.Tuple.RowID == b.Tuple.RowID &&
+// equality the mirror-maintenance protocol preserves. One record shared
+// by reference (records in a relation are never written, see
+// SignedRelation.Clone) is the same entry without a field compared.
+func SameRecord(a, b *core.SignedRecord) bool {
+	return a == b || a.Kind == b.Kind && a.Key() == b.Key() && a.Tuple.RowID == b.Tuple.RowID &&
 		a.G.Equal(b.G) && bytes.Equal(a.Sig, b.Sig)
 }
 
@@ -259,8 +261,8 @@ func EdgesOf(sr *core.SignedRelation) Edges {
 	var e Edges
 	n := len(sr.Recs)
 	for i := 0; i < 3 && i < n; i++ {
-		e.Head[i] = sr.Recs[i]
-		e.Tail[2-i] = sr.Recs[n-1-i]
+		e.Head[i] = *sr.Recs[i]
+		e.Tail[2-i] = *sr.Recs[n-1-i]
 	}
 	// A slice shorter than 3 entries is malformed; the zero records left
 	// behind fail CheckSeam's signature verification rather than pass.
@@ -271,7 +273,7 @@ func EdgesOf(sr *core.SignedRelation) Edges {
 // material alone: the left slice's last owned record must be the right
 // slice's left context, and vice versa.
 func (e Edges) HandoffOK(right Edges) bool {
-	return SameRecord(e.Tail[1], right.Head[0]) && SameRecord(e.Tail[2], right.Head[1])
+	return SameRecord(&e.Tail[1], &right.Head[0]) && SameRecord(&e.Tail[2], &right.Head[1])
 }
 
 // CheckSeam verifies one seam from edge material: the hand-off digest
@@ -329,7 +331,7 @@ func SliceDigestFrom(h *hashx.Hasher, sr *core.SignedRelation, run []byte, from 
 		last = out[(from-1)*size:]
 	}
 	for i := from; i < len(sr.Recs); i++ {
-		rec := &sr.Recs[i]
+		rec := sr.Recs[i]
 		out = b.Hash(out, last, []byte{byte(rec.Kind)}, hashx.U64Pair(rec.Key(), rec.Tuple.RowID), rec.G, rec.Sig)
 		last = out[i*size:]
 	}
@@ -340,7 +342,7 @@ func SliceDigestFrom(h *hashx.Hasher, sr *core.SignedRelation, run []byte, from 
 // (SameRecord), or the shorter length when one is a prefix of the other:
 // the entry SliceDigestFrom resumes b's digest at from a's running
 // digests. An entry the two slices share by reference
-// (SignedRelation.Clone) compares in O(1).
+// (SignedRelation.Clone) is equal by pointer, without a field compared.
 func FirstDiff(a, b *core.SignedRelation) int {
 	n := min(len(a.Recs), len(b.Recs))
 	for i := range n {
@@ -354,7 +356,7 @@ func FirstDiff(a, b *core.SignedRelation) int {
 // SameSlice reports whether two slices have the same SliceDigest,
 // compared entry by entry (SameRecord) instead of through the digest:
 // the same fields, no hashing, and an entry the two slices share by
-// reference (SignedRelation.Clone) compares in O(1).
+// reference (SignedRelation.Clone) is equal by pointer.
 func SameSlice(a, b *core.SignedRelation) bool {
 	return len(a.Recs) == len(b.Recs) && FirstDiff(a, b) == len(a.Recs)
 }
@@ -374,7 +376,7 @@ func (set *Set) Stitch() (*core.SignedRelation, error) {
 	out := &core.SignedRelation{
 		Params: set.Slices[0].Params,
 		Schema: set.Slices[0].Schema,
-		Recs:   make([]core.SignedRecord, 0, total),
+		Recs:   make([]*core.SignedRecord, 0, total),
 	}
 	for i, sl := range set.Slices {
 		if len(sl.Recs) < 3 {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -188,8 +189,7 @@ func TestHandoffOKAndStitch(t *testing.T) {
 
 	// Tamper with one slice's interior record: the set must fail validation.
 	bad := set.Slices[2].Clone()
-	bad.Recs[1] = bad.Recs[1].Clone() // Clone shares record bytes
-	bad.Recs[1].Tuple.Attrs[0] = relation.IntVal(424242)
+	bad.Own(1).Tuple.Attrs[0] = relation.IntVal(424242)
 	tampered := &Set{Spec: set.Spec, Slices: append([]*core.SignedRelation{}, set.Slices...)}
 	tampered.Slices[2] = bad
 	if err := tampered.Validate(h, key.Public()); err == nil {
@@ -199,8 +199,7 @@ func TestHandoffOKAndStitch(t *testing.T) {
 	// Desynchronize a hand-off mirror: must fail the hand-off check.
 	bad2 := set.Slices[1].Clone()
 	last := len(bad2.Recs) - 1
-	bad2.Recs[last] = bad2.Recs[last].Clone()
-	bad2.Recs[last].G[0] ^= 0xff
+	bad2.Own(last).G[0] ^= 0xff
 	tampered2 := &Set{Spec: set.Spec, Slices: append([]*core.SignedRelation{}, set.Slices...)}
 	tampered2.Slices[1] = bad2
 	if err := tampered2.Validate(h, key.Public()); err == nil {
@@ -249,8 +248,7 @@ func TestSameSliceMatchesSliceDigest(t *testing.T) {
 	for _, e := range edits {
 		for _, at := range []int{0, 2, len(base.Recs) - 1} {
 			other := base.Clone()
-			other.Recs[at] = other.Recs[at].Clone()
-			e.edit(&other.Recs[at])
+			e.edit(other.Own(at))
 			same, digestSame := SameSlice(base, other), SliceDigest(h, base).Equal(SliceDigest(h, other))
 			if same != digestSame || same == e.hashed {
 				t.Fatalf("%s edit at %d: SameSlice %v, digests equal %v", e.name, at, same, digestSame)
@@ -272,7 +270,7 @@ func TestSameSliceMatchesSliceDigest(t *testing.T) {
 func sliceDigestRef(h *hashx.Hasher, sr *core.SignedRelation) hashx.Digest {
 	d := h.Hash([]byte("partition/slice-digest"))
 	for i := range sr.Recs {
-		rec := &sr.Recs[i]
+		rec := sr.Recs[i]
 		d = h.Hash(d, []byte{byte(rec.Kind)}, hashx.U64Pair(rec.Key(), rec.Tuple.RowID), rec.G, rec.Sig)
 	}
 	return d
@@ -299,8 +297,7 @@ func TestSliceDigestFromMatchesSliceDigest(t *testing.T) {
 	}
 	resign := func(at int) func(*core.SignedRelation) {
 		return func(s *core.SignedRelation) {
-			s.Recs[at] = s.Recs[at].Clone()
-			s.Recs[at].Sig[0] ^= 1
+			s.Own(at).Sig[0] ^= 1
 		}
 	}
 	edits := []struct {
@@ -311,11 +308,12 @@ func TestSliceDigestFromMatchesSliceDigest(t *testing.T) {
 		{"re-sign interior", resign(n / 2)},
 		{"re-sign last", resign(n - 1)},
 		{"insert", func(s *core.SignedRelation) {
-			s.Recs = append(s.Recs[:3], append([]core.SignedRecord{s.Recs[2].Clone()}, s.Recs[3:]...)...)
-			s.Recs[3].Tuple.RowID++
+			dup := s.Recs[2].Clone()
+			dup.Tuple.RowID++
+			s.Recs = slices.Insert(s.Recs, 3, &dup)
 		}},
 		{"delete", func(s *core.SignedRelation) { s.Recs = append(s.Recs[:2], s.Recs[3:]...) }},
-		{"append", func(s *core.SignedRelation) { s.Recs = append(s.Recs, s.Recs[n-1].Clone()) }},
+		{"append", func(s *core.SignedRelation) { s.Recs = append(s.Recs, s.Recs[n-1]) }},
 		{"truncate", func(s *core.SignedRelation) { s.Recs = s.Recs[:n-1] }},
 	}
 	_, run := SliceDigestFrom(h, base, nil, 0)

@@ -99,9 +99,9 @@ func TestCachedDigestsFollowCommits(t *testing.T) {
 	}
 	// edge returns shard i's first (first) or last owned record in the
 	// owner's current chain, by the spec's span.
-	edge := func(i int, first bool) core.SignedRecord {
+	edge := func(i int, first bool) *core.SignedRecord {
 		lo, hi := set.Spec.Span(i)
-		var out core.SignedRecord
+		var out *core.SignedRecord
 		for _, rec := range owner.Recs[1 : len(owner.Recs)-1] {
 			if rec.Key() >= lo && rec.Key() <= hi {
 				out = rec
@@ -112,19 +112,19 @@ func TestCachedDigestsFollowCommits(t *testing.T) {
 		}
 		return out
 	}
-	insertAfter := func(rec core.SignedRecord) func() error {
+	insertAfter := func(rec *core.SignedRecord) func() error {
 		return func() error {
 			_, err := owner.Insert(h, signKey(t), relation.Tuple{Key: rec.Key() + 1, Attrs: rec.Tuple.Attrs})
 			return err
 		}
 	}
-	del := func(rec core.SignedRecord) func() error {
+	del := func(rec *core.SignedRecord) func() error {
 		return func() error {
 			_, err := owner.Delete(h, signKey(t), rec.Key(), rec.Tuple.RowID)
 			return err
 		}
 	}
-	update := func(rec core.SignedRecord, payload string) func() error {
+	update := func(rec *core.SignedRecord, payload string) func() error {
 		return func() error {
 			_, err := owner.UpdateAttrs(h, signKey(t), rec.Key(), rec.Tuple.RowID,
 				[]relation.Value{relation.BytesVal([]byte(payload))})

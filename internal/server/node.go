@@ -891,7 +891,7 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 	// (cross-node mirrors arrive later as MirrorRequests from the
 	// coordinator). Clones are made lazily so an interior delta touches
 	// exactly one shard.
-	stitch := func(i int, rightContext bool, want core.SignedRecord) error {
+	stitch := func(i int, rightContext bool, want *core.SignedRecord) error {
 		sl := news[i]
 		if sl == nil {
 			sl = nt.hosted[i].sl
@@ -908,8 +908,9 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 		}
 		// The stitch bypasses delta.ApplyOps' index bookkeeping, so it
 		// refreshes the crypto-index leaves around pos itself (as
-		// StageMirror does) before anything validates against them.
-		news[i].Recs[pos] = want.Clone()
+		// StageMirror does) before anything validates against them. The
+		// mirror shares the staged edge record: neither slice writes it.
+		news[i].Recs[pos] = want
 		if err := news[i].RefreshAggIndex([]int{pos}); err != nil {
 			return fmt.Errorf("server: delta rejected: shard %d: %w", i, err)
 		}
@@ -1033,7 +1034,8 @@ func (s *Server) StageMirror(req wire.MirrorRequest) (wire.MirrorResponse, error
 	if !req.Left {
 		pos, adj = len(sl.Recs)-1, len(sl.Recs)-2
 	}
-	sl.Recs[pos] = req.Rec.Clone()
+	rec := req.Rec.Clone()
+	sl.Recs[pos] = &rec
 	// The plan follows the edited slice, accepted or not; the deferred
 	// replan runs before nt.mu is released.
 	defer s.replan(nt, tx, req.Shard)

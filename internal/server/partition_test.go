@@ -441,7 +441,7 @@ func TestDeltaPathsAgree(t *testing.T) {
 		}
 		return out
 	}
-	update := func(rec core.SignedRecord, payload string) delta.Delta {
+	update := func(rec *core.SignedRecord, payload string) delta.Delta {
 		return f.mintDelta(t, f.globalIndexOf(t, rec.Key(), rec.Tuple.RowID), []byte(payload))
 	}
 	ownerDiff := func(mutate func() error) delta.Delta {
@@ -624,7 +624,7 @@ func TestNodeRPCsRefuseLocalTables(t *testing.T) {
 		notHosting("digest", err)
 		_, err = client.NodeDeltaPrepare(wire.NodeDeltaRequest{Delta: d})
 		notHosting("delta prepare", err)
-		_, err = client.NodeMirror(wire.MirrorRequest{Relation: "Uniform", Left: true, Rec: sl.Recs[0]})
+		_, err = client.NodeMirror(wire.MirrorRequest{Relation: "Uniform", Left: true, Rec: *sl.Recs[0]})
 		notHosting("mirror", err)
 		_, err = client.NodeTx(wire.TxRequest{Relation: "Uniform", Token: 1, Commit: true})
 		notHosting("commit", err)

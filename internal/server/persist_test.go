@@ -104,8 +104,7 @@ func TestRecoverHostedRefusesTamperedSlice(t *testing.T) {
 	// install record matches the tampered bytes (a consistent-looking
 	// disk), but no signature covers them.
 	evil := set.Slices[0].Clone()
-	evil.Recs[3] = evil.Recs[3].Clone() // Clone shares record bytes
-	evil.Recs[3].Tuple.Attrs[0] = relation.BytesVal([]byte("tampered-on-disk"))
+	evil.Own(3).Tuple.Attrs[0] = relation.BytesVal([]byte("tampered-on-disk"))
 	ns := openStore(t, h, dir)
 	if err := ns.LogInstall("Uniform", set.Spec, 0, evil, partition.SliceDigest(h, evil)); err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func TestCommitPlanLeavesNoGoroutine(t *testing.T) {
 	// own, which an abort ends.
 	prepare(mint(3, 10, "discarded too", false))
 	sl1, _ := node.ShardSlice("Uniform", 1)
-	fix, err := node.StageMirror(wire.MirrorRequest{Relation: "Uniform", Shard: 0, Rec: sl1.Recs[1]})
+	fix, err := node.StageMirror(wire.MirrorRequest{Relation: "Uniform", Shard: 0, Rec: *sl1.Recs[1]})
 	if err != nil {
 		t.Fatalf("token-0 mirror fix: %v", err)
 	}

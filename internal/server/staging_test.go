@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -17,15 +18,22 @@ import (
 )
 
 // TestStagingSharesNoWritableBytes pins the other half of core's Clone
-// contract: a staged delta's slices share record bytes with the epoch
-// readers are serving, so staging, mirror fixes, the durable commit's
-// replay probe and abort must never write through them. A durable node
-// hosting every shard — installed from clones of the set an in-process
-// partitioned server publishes — takes 50 deltas, a third aborted, while
-// readers validate each published slice, drain its node sub-stream and
-// verify the partitioned server's /stream. Under -race a write through a
-// shared byte is a reported race; without it, the set's digests move.
+// contract: a staged delta's slices share their records, by pointer,
+// with the epoch readers are serving, so staging, mirror fixes, the
+// durable commit's replay probe and abort must never write through them.
+// Under -race a write through a shared record is a reported race;
+// without it, the source's digests move.
 func TestStagingSharesNoWritableBytes(t *testing.T) {
+	t.Run("node", stagingNode)
+	t.Run("K=1", stagingOneShard)
+}
+
+// stagingNode: a durable node hosting every shard — installed from
+// clones of the set an in-process partitioned server publishes — takes
+// 50 deltas, a third aborted, while readers validate each published
+// slice, drain its node sub-stream and verify the partitioned server's
+// /stream.
+func stagingNode(t *testing.T) {
 	const k = 4
 	f := newPartServer(t, 64, k)
 	pub := signKey(t).Public()
@@ -179,5 +187,96 @@ func TestStagingSharesNoWritableBytes(t *testing.T) {
 		if !partition.SliceDigest(f.h, got).Equal(partition.SliceDigest(f.h, want.Slices[i])) {
 			t.Fatalf("shard %d: node diverged from the owner's committed state", i)
 		}
+	}
+}
+
+// stagingOneShard: a K = 1 table published by AddRelation from a clone
+// of source takes 30 in-process deltas, a third of them refused (a
+// signature bit lost in transit), while readers validate the published
+// relation and verify its /stream. The refused deltas stage on a clone
+// too, so neither kind may move source.
+func stagingOneShard(t *testing.T) {
+	const n = 64
+	h, owner := build(t, n)
+	pub := signKey(t).Public()
+	source := owner.Clone()
+	want := partition.SliceDigest(h, source)
+	s := newBareServer(t, h)
+	if err := s.AddRelation(source.Clone(), false); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	v := verifierFor(t, h, source)
+
+	readRelation := func() error {
+		sl, ok := s.ShardSlice("Uniform", 0)
+		if !ok {
+			return fmt.Errorf("the relation is not hosted as shard 0")
+		}
+		return sl.Validate(h, pub)
+	}
+	readStream := func() error {
+		rows := 0
+		if _, err := (&wire.Client{BaseURL: ts.URL}).QueryStream(v, roleAll(), "all", engine.Query{Relation: "Uniform"}, 8,
+			func(engine.Row) error {
+				rows++
+				return nil
+			}); err != nil {
+			return err
+		}
+		if rows != n {
+			return fmt.Errorf("verified %d rows, want %d", rows, n)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range []func() error{readRelation, readStream} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := read(); err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+			}
+		}()
+	}
+
+	for step := 0; step < 30; step++ {
+		refuse := step%3 == 0
+		keep := owner.Clone()
+		idx := 1 + step*7%n // the first data record re-signs the left delimiter
+		d := ownerUpdate(t, h, owner, idx, []byte(fmt.Sprintf("step-%d", step)))
+		if refuse {
+			owner = keep // no publisher ever applies it
+			op := &d.Ops[len(d.Ops)/2]
+			op.Rec.Sig = append([]byte(nil), op.Rec.Sig...)
+			op.Rec.Sig[0] ^= 1
+		}
+		_, err := s.ApplyDelta(d)
+		if refuse != errors.Is(err, delta.ErrValidation) || (!refuse && err != nil) {
+			t.Fatalf("step %d (refuse %v): ApplyDelta: %v", step, refuse, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if !partition.SliceDigest(h, source).Equal(want) {
+		t.Fatal("staging wrote through to the published relation's records")
+	}
+	if err := readRelation(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.ShardSlice("Uniform", 0)
+	if !partition.SliceDigest(h, got).Equal(partition.SliceDigest(h, owner)) {
+		t.Fatal("the server diverged from the owner's committed state")
 	}
 }

@@ -16,9 +16,9 @@ import (
 	"vcqr/internal/wire"
 )
 
-// flipped is d with its first byte flipped, in fresh storage: records
-// share their bytes with the owner's copy, so a tamper never writes in
-// place.
+// flipped is d with its first byte flipped, in fresh storage. A tamper
+// edits the copy SignedRelation.Own swaps in: the clone it runs on shares
+// its records with the owner's copy.
 func flipped(d hashx.Digest) hashx.Digest {
 	c := slices.Clone(d)
 	c[0] ^= 0x01
@@ -38,33 +38,34 @@ func sliceTampers() []sliceTamper {
 	at := func(j int) func(int) int { return func(int) int { return j } }
 	return []sliceTamper{
 		{"first owned digest", func(sl *core.SignedRelation) {
-			sl.Recs[1].AttrRoot = flipped(sl.Recs[1].AttrRoot)
+			sl.Own(1).AttrRoot = flipped(sl.Recs[1].AttrRoot)
 		}, at(1)},
 		{"middle owned digest", func(sl *core.SignedRelation) {
 			m := len(sl.Recs) / 2
-			sl.Recs[m].UpCombined = flipped(sl.Recs[m].UpCombined)
+			sl.Own(m).UpCombined = flipped(sl.Recs[m].UpCombined)
 		}, func(n int) int { return n / 2 }},
 		{"last owned digest", func(sl *core.SignedRelation) {
 			l := len(sl.Recs) - 2
-			sl.Recs[l].DownCombined = flipped(sl.Recs[l].DownCombined)
+			sl.Own(l).DownCombined = flipped(sl.Recs[l].DownCombined)
 		}, func(n int) int { return n - 2 }},
 		{"swapped owned signatures", func(sl *core.SignedRelation) {
-			sl.Recs[3].Sig, sl.Recs[4].Sig = sl.Recs[4].Sig, sl.Recs[3].Sig
+			a, b := sl.Own(3), sl.Own(4)
+			a.Sig, b.Sig = b.Sig, a.Sig
 		}, at(3)},
 		{"left context digest", func(sl *core.SignedRelation) {
-			sl.Recs[0].AttrRoot = flipped(sl.Recs[0].AttrRoot)
+			sl.Own(0).AttrRoot = flipped(sl.Recs[0].AttrRoot)
 		}, at(0)},
 		{"right context digest", func(sl *core.SignedRelation) {
 			l := len(sl.Recs) - 1
-			sl.Recs[l].UpCombined = flipped(sl.Recs[l].UpCombined)
+			sl.Own(l).UpCombined = flipped(sl.Recs[l].UpCombined)
 		}, func(n int) int { return n - 1 }},
 		{"two owned digests", func(sl *core.SignedRelation) {
 			l := len(sl.Recs) - 2
-			sl.Recs[l].AttrRoot = flipped(sl.Recs[l].AttrRoot)
-			sl.Recs[2].G = flipped(sl.Recs[2].G)
+			sl.Own(l).AttrRoot = flipped(sl.Recs[l].AttrRoot)
+			sl.Own(2).G = flipped(sl.Recs[2].G)
 		}, at(1)}, // entry 1's signature binds the stored g of entry 2
 		{"context signature", func(sl *core.SignedRelation) {
-			sl.Recs[0].Sig = flipped(sl.Recs[0].Sig)
+			sl.Own(0).Sig = flipped(sl.Recs[0].Sig)
 		}, at(-1)},
 	}
 }

@@ -46,7 +46,7 @@ func TestEdgeDeleteLogsOps(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name      string
-		victim    core.SignedRecord
+		victim    *core.SignedRecord
 		neighbour int
 	}{
 		{"right-context", set.Slices[1].Recs[1], 0},

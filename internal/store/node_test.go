@@ -638,7 +638,7 @@ func TestNodeRefusesOldFormatDataDir(t *testing.T) {
 	format1 := set.Slices[0].Clone()
 	format1.Params.Format = 1 // g folded both chain digests; no record carried C
 	for i := range format1.Recs {
-		format1.Recs[i].Combined = nil
+		format1.Own(i).Combined = nil
 	}
 	for _, tc := range []struct {
 		name       string

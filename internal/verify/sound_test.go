@@ -744,7 +744,7 @@ func (fx *soundFix) editChunks(t *testing.T, sc soundScenario, chunks *[]*engine
 // proven) pair, which finds the record by its other side.
 func (fx *soundFix) swapOther(bp *core.BoundaryProof, sides func(*core.SignedRecord) (other, proven hashx.Digest)) {
 	for i := range fx.sr.Recs {
-		if other, proven := sides(&fx.sr.Recs[i]); bp.Kind == core.KindRecord && other.Equal(bp.OtherCombined) {
+		if other, proven := sides(fx.sr.Recs[i]); bp.Kind == core.KindRecord && other.Equal(bp.OtherCombined) {
 			bp.OtherCombined = proven
 			return
 		}

@@ -289,8 +289,8 @@ func appendTransferFrame(b []byte, f *TransferFrame) ([]byte, error) {
 		return appendBytes(append(b, tagTransferFoot), f.Foot.Digest), nil
 	case len(f.Recs) > 0:
 		b = binary.AppendUvarint(append(b, tagTransferRecs), uint64(len(f.Recs)))
-		for i := range f.Recs {
-			b = appendRecord(b, &f.Recs[i])
+		for _, rec := range f.Recs {
+			b = appendRecord(b, rec)
 		}
 		return b, nil
 	}
@@ -313,9 +313,12 @@ func (d *decoder) transferFrame(f *TransferFrame) {
 		m.Records, m.Epoch, m.Deltas = d.int(), d.uvarint(), d.uvarint()
 		f.Manifest = m
 	case tagTransferRecs:
-		f.Recs = alloc[core.SignedRecord](d, minRecord)
-		for i := range f.Recs {
-			d.record(&f.Recs[i])
+		// The batch is one backing array the slice's records point into.
+		batch := alloc[core.SignedRecord](d, minRecord)
+		f.Recs = make([]*core.SignedRecord, len(batch))
+		for i := range batch {
+			d.record(&batch[i])
+			f.Recs[i] = &batch[i]
 		}
 	case tagTransferFoot:
 		f.Foot = &TransferFoot{Digest: d.bytes()}

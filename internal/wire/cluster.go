@@ -292,7 +292,7 @@ type TransferFoot struct {
 // TransferFrame is one frame of a shard transfer: exactly one field set.
 type TransferFrame struct {
 	Manifest *ShardManifest
-	Recs     []core.SignedRecord
+	Recs     []*core.SignedRecord
 	Foot     *TransferFoot
 	Err      string
 }
@@ -349,7 +349,7 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 	sr := &core.SignedRelation{
 		Params: man.Params,
 		Schema: man.Schema,
-		Recs:   make([]core.SignedRecord, 0, min(man.Records, 4*transferBatch)),
+		Recs:   make([]*core.SignedRecord, 0, min(man.Records, 4*transferBatch)),
 	}
 	for {
 		f = TransferFrame{}

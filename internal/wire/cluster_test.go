@@ -74,8 +74,7 @@ func TestShardTransferIntegrity(t *testing.T) {
 	// Tamper: ship the original records but a foot minted for a modified
 	// slice — the receiver's recomputed digest must disagree, by name.
 	tampered := set.Slices[0].Clone()
-	tampered.Recs[2] = tampered.Recs[2].Clone() // Clone shares record bytes
-	tampered.Recs[2].Sig[0] ^= 0x01
+	tampered.Own(2).Sig[0] ^= 0x01
 	var evil bytes.Buffer
 	if err := wire.WriteShardTransfer(&evil, h, man, tampered); err != nil {
 		t.Fatal(err)

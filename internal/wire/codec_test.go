@@ -459,7 +459,7 @@ func TestCodecMatchesGob(t *testing.T) {
 	checkFrame(t, "node delta request", &wire.NodeDeltaRequest{Delta: d}, wire.NodeDeltaRequestBody.Write, wire.NodeDeltaRequestBody.Read)
 	checkFrame(t, "node delta request with neighbours", &wire.NodeDeltaRequest{Delta: d, Neighbours: []int{0, 2, 300}},
 		wire.NodeDeltaRequestBody.Write, wire.NodeDeltaRequestBody.Read)
-	checkFrame(t, "mirror request", &wire.MirrorRequest{Token: 9, Relation: "Emp", Shard: 1, Left: true, Rec: f.sr.Recs[7]},
+	checkFrame(t, "mirror request", &wire.MirrorRequest{Token: 9, Relation: "Emp", Shard: 1, Left: true, Rec: *f.sr.Recs[7]},
 		wire.MirrorRequestBody.Write, wire.MirrorRequestBody.Read)
 	checkFrame(t, "tx request", &wire.TxRequest{Relation: "Emp", Token: 9, Commit: true}, wire.TxRequestBody.Write, wire.TxRequestBody.Read)
 	checkFrame(t, "hosted request", &struct{}{}, wire.HostedRequestBody.Write, wire.HostedRequestBody.Read)
@@ -521,8 +521,8 @@ func TestCodecMatchesGob(t *testing.T) {
 // delta is a 3-op batch of fixture records: an upsert, a delete (whose
 // record is the zero record) and another upsert.
 func (f *codecFixture) delta() delta.Delta {
-	up := func(r core.SignedRecord) delta.Op {
-		return delta.Op{Kind: delta.OpUpsert, Key: r.Key(), RowID: r.Tuple.RowID, Rec: r}
+	up := func(r *core.SignedRecord) delta.Op {
+		return delta.Op{Kind: delta.OpUpsert, Key: r.Key(), RowID: r.Tuple.RowID, Rec: *r}
 	}
 	gone := f.sr.Recs[9]
 	return delta.Delta{Relation: "Emp", Ops: []delta.Op{

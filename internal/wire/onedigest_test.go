@@ -81,7 +81,7 @@ func TestResultRowShipsOneChainDigest(t *testing.T) {
 		}
 		rec := f.sr.Recs[1]
 		edges := partition.EdgesOf(f.set.Slices[1])
-		dl := delta.Delta{Relation: "Emp", Ops: []delta.Op{{Kind: delta.OpUpsert, Key: rec.Key(), RowID: rec.Tuple.RowID, Rec: rec}}}
+		dl := delta.Delta{Relation: "Emp", Ops: []delta.Op{{Kind: delta.OpUpsert, Key: rec.Key(), RowID: rec.Tuple.RowID, Rec: *rec}}}
 		type retired struct {
 			name  string
 			tag   byte
@@ -106,11 +106,11 @@ func TestResultRowShipsOneChainDigest(t *testing.T) {
 		add("node entries chunk", 0x62, 5, frameOf(t, wire.WriteNodeFrame, &wire.NodeFrame{Chunk: entries}), node)
 		add("delta", 0x3a, 4, frameOf(t, wire.DeltaBody.Write, &dl), readBody(wire.DeltaBody))
 		add("node delta request", 0x3b, 4, frameOf(t, wire.NodeDeltaRequestBody.Write, &wire.NodeDeltaRequest{Delta: dl, Neighbours: []int{0}}), readBody(wire.NodeDeltaRequestBody))
-		add("mirror request", 0x3c, 4, frameOf(t, wire.MirrorRequestBody.Write, &wire.MirrorRequest{Token: 1, Relation: "Emp", Shard: 1, Rec: rec}), readBody(wire.MirrorRequestBody))
+		add("mirror request", 0x3c, 4, frameOf(t, wire.MirrorRequestBody.Write, &wire.MirrorRequest{Token: 1, Relation: "Emp", Shard: 1, Rec: *rec}), readBody(wire.MirrorRequestBody))
 		add("edge response", 0x49, 4, frameOf(t, wire.EdgeResponseBody.Write, &wire.EdgeResponse{Epoch: 1, Edges: edges}), readBody(wire.EdgeResponseBody))
 		add("node delta response", 0x4a, 4, frameOf(t, wire.NodeDeltaResponseBody.Write, &wire.NodeDeltaResponse{Token: 1, Modified: []wire.ModifiedShard{{Shard: 1, Edges: edges}}}), readBody(wire.NodeDeltaResponseBody))
 		add("mirror response", 0x4b, 4, frameOf(t, wire.MirrorResponseBody.Write, &wire.MirrorResponse{Token: 1, Edges: edges}), readBody(wire.MirrorResponseBody))
-		add("transfer records", 0x56, 4, frameOf(t, wire.TransferFrameBody.Write, &wire.TransferFrame{Recs: []core.SignedRecord{rec}}), readBody(wire.TransferFrameBody))
+		add("transfer records", 0x56, 4, frameOf(t, wire.TransferFrameBody.Write, &wire.TransferFrame{Recs: []*core.SignedRecord{rec}}), readBody(wire.TransferFrameBody))
 		for _, c := range cases {
 			if err := c.read(bytes.NewReader(c.frame)); err != nil {
 				t.Fatalf("%s: the format-2 frame does not decode: %v", c.name, err)
