@@ -48,7 +48,8 @@ bench-verify:
 # against the reference construction, the one-walk delta diff against
 # the map-based reference (and its ops round-tripping), the
 # binary-search delta apply against the linear reference, the
-# Barrett-reduced FDH product against Mul+Mod — and the verifier's
+# Barrett-reduced FDH product against Mul+Mod, the Barrett public-key
+# exponentiation against math/big's Exp — and the verifier's
 # soundness: edited streams are refused or release exactly the rows an
 # oracle scan of the owner's relation holds.
 fuzz:
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDiff -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzApplyOps -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzAggVerifierAdd -fuzztime 30s ./internal/sig
+	$(GO) test -run xxx -fuzz FuzzVerifyExp -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 
 # smoke-cluster launches 1 coordinator + 2 shard nodes as separate OS

@@ -54,7 +54,7 @@ func main() {
 	cols := flag.String("cols", "", "comma-separated projection (empty = all columns)")
 	ranges := flag.String("ranges", "", "batch mode: comma-separated lo:hi pairs, each queried and verified independently")
 	stream := flag.Bool("stream", false, "stream mode: verify and print rows chunk by chunk")
-	chunkRows := flag.Int("chunk", 0, "stream mode: rows per chunk (0 = publisher default)")
+	chunkRows := flag.Int("chunk", 0, "stream mode: rows per chunk (0 = publisher default); the first chunk holds at most 8 rows, so the first row arrives sooner")
 	timing := flag.Bool("timing", false, "stream mode: request the server's advisory timing trailer and print the per-stage latency breakdown (plus client-side verify cost)")
 	flag.Parse()
 

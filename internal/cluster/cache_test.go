@@ -183,6 +183,46 @@ func TestClusterCachedStreamByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterStreamsOpenShort pins the chunk schedule on the distributed
+// path: the coordinator relays the first covering shard's short opening
+// chunk (8 entries, the engine's first-chunk cap) and every later chunk
+// at the requested budget, split at the shard seams; a cache hit replays
+// the same frames.
+func TestClusterStreamsOpenShort(t *testing.T) {
+	cf := newCachedCluster(t, 96, 3, 2)
+	coordTS := httptest.NewServer(cf.coord.Handler())
+	defer coordTS.Close()
+	req := wire.StreamRequest{Role: "all", Query: engine.Query{Relation: "Uniform"}, ChunkRows: 32}
+	cold := streamBody(t, coordTS.URL, req)
+	cf.waitEntries(1)
+	hit := streamBody(t, coordTS.URL, req)
+	if cf.coord.Stats().Cache.Hits != 1 {
+		t.Fatal("second pass was not a cache hit")
+	}
+	if !bytes.Equal(hit, cold) {
+		t.Fatal("cache hit differs from the merged stream it was filled from")
+	}
+	want := []int{8, 24, 32, 32} // 3 shards of 32 rows each
+	for _, body := range [][]byte{cold, hit} {
+		var got []int
+		for r := bytes.NewReader(body); r.Len() > 0; {
+			c, err := wire.ReadChunkFrame(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Type == engine.ChunkEntries {
+				got = append(got, len(c.Entries))
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("entries chunks carry %v rows, want %v", got, want)
+		}
+	}
+	if rows, err := cf.verifyStream(coordTS.URL, req.Query, 32); err != nil || rows != 96 {
+		t.Fatalf("verified %d rows, err %v; want 96", rows, err)
+	}
+}
+
 // coverQuery asks for exactly the keys shards first..last own.
 func (cf *cacheFix) coverQuery(first, last int) engine.Query {
 	lo, _ := cf.spec.Span(first)

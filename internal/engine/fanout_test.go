@@ -5,13 +5,14 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/leakcheck"
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 	"vcqr/internal/verify"
@@ -337,9 +338,8 @@ func TestFanoutClose(t *testing.T) {
 	needParallel(t)
 	e := newFanoutEnv(t, 160, 8)
 	q := engine.Query{Relation: e.sr.Schema.Name}
-	before := runtime.NumGoroutine()
 	st := e.fanout(t, q, engine.StreamOpts{ChunkRows: 4})
-	if runtime.NumGoroutine() <= before {
+	if len(leakcheck.Settle(0)) == 0 {
 		t.Fatal("an 8-shard cover started no producers")
 	}
 	for i := 0; i < 2; i++ { // header, first entries chunk
@@ -354,23 +354,11 @@ func TestFanoutClose(t *testing.T) {
 	} else {
 		t.Fatal("fan-out stream does not implement io.Closer")
 	}
-	waitGoroutines(t, before)
+	if left := leakcheck.Settle(leakcheck.Grace); len(left) > 0 {
+		t.Fatalf("%d goroutines outlived Close:\n\n%s", len(left), strings.Join(left, "\n\n"))
+	}
 	if _, err := st.Next(); err == nil {
 		t.Fatal("Next succeeded on a closed stream")
-	}
-}
-
-// waitGoroutines fails unless the goroutine count returns to want: a
-// producer closes its channel before its goroutine is fully retired, so
-// the count is polled briefly rather than read once.
-func waitGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still running, want %d", runtime.NumGoroutine(), want)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

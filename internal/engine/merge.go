@@ -183,13 +183,14 @@ type ShardPartial struct {
 	visCol               int
 	opened, hidden       int
 
-	// arena holds the current chunk's entry lists and digests. Under
-	// reuse it, the chunk struct and the entry slice are recycled by the
-	// next Next; otherwise every chunk gets its own.
+	// arena holds the chunks' entry lists and digests, and entries the
+	// entries themselves. Under reuse both and the chunk struct are
+	// recycled by the next Next; otherwise a chunk keeps what it cut from
+	// them, and the next one takes what room is left or fresh arrays.
 	arena    entryArena
+	entries  []VOEntry
 	reuse    bool
 	chunkBuf Chunk
-	entryBuf []VOEntry
 
 	// hAgg records the foot's product-tree lookup (nil without a registry).
 	hAgg *obs.Histogram
@@ -220,33 +221,42 @@ func (sp *ShardPartial) Next() (*Chunk, error) {
 	if sp.pos >= sp.b {
 		return nil, io.EOF
 	}
-	n := sp.b - sp.pos
-	if n > sp.chunkRows {
-		n = sp.chunkRows
-	}
-	var c *Chunk
+	left := sp.b - sp.pos
+	n := chunkLen(sp.chunkRows, left, sp.first && sp.pos == sp.a)
+	// room is the entries the arrays are sized for when they are short of
+	// n. A short opening chunk must cost no array of its own: recycled
+	// arrays are sized for a full chunk from the start, and fresh ones
+	// for the opening chunk and the one after it.
+	room := n
 	if sp.reuse {
-		sp.chunkBuf = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entryBuf[:0]}
-		c = &sp.chunkBuf
+		room = min(sp.chunkRows, left)
 		sp.arena.reset()
-	} else {
-		c = &Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: make([]VOEntry, 0, n)}
-		sp.arena = entryArena{}
+		sp.entries = sp.entries[:0]
+	} else if n < min(sp.chunkRows, left) {
+		room = n + min(sp.chunkRows, left-n)
 	}
-	sp.arena.reserve(n*sp.opened, n*sp.hidden, n*(sp.hidden+2)*sp.p.h.Size())
+	if cap(sp.entries)-len(sp.entries) < n {
+		sp.entries = make([]VOEntry, 0, room)
+	}
+	sp.arena.reserve(room*sp.opened, room*sp.hidden, room*(sp.hidden+2)*sp.p.h.Size())
 	b := sp.p.h.Batch()
 	defer b.Done()
+	at := len(sp.entries)
 	for i := sp.pos; i < sp.pos+n; i++ {
 		entry, err := sp.buildEntry(&b, sp.sr.Recs[i])
 		if err != nil {
 			sp.err = err
 			return nil, err
 		}
-		c.Entries = append(c.Entries, entry)
+		sp.entries = append(sp.entries, entry)
 	}
-	if sp.reuse {
-		sp.entryBuf = c.Entries
+	// The partial's own chunk struct carries a recycled chunk, and
+	// otherwise its first chunk, which nothing overwrites.
+	c := &sp.chunkBuf
+	if !sp.reuse && sp.pos != sp.a {
+		c = new(Chunk)
 	}
+	*c = Chunk{Type: ChunkEntries, Shard: sp.shard, Entries: sp.entries[at:len(sp.entries):len(sp.entries)]}
 	sp.pos += n
 	return c, nil
 }

@@ -17,7 +17,9 @@ import (
 // sequence mirrors the structure the completeness proof is built from:
 //
 //	header   — effective rewrite + left boundary proof
-//	entries* — ≤ ChunkRows covered records each, with their chain digests
+//	entries* — covered records with their chain digests: the first
+//	           covering shard's first chunk ≤ min(ChunkRows,
+//	           firstChunkRows), every other chunk ≤ ChunkRows
 //	footer   — right boundary proof + condensed signature (+ the
 //	           empty-range predecessor material)
 //
@@ -172,7 +174,8 @@ type StreamOpts struct {
 	// attributes, hidden leaves and combined digests. A chunk is valid
 	// only until the next Next; only disclosed values' bytes, which are
 	// the records' own immutable memory, outlive it. Without it each chunk gets its own arena, one allocation per
-	// array however many rows it carries. A recycling producer needs a
+	// array however many rows it carries; the short opening chunk shares
+	// one with the chunk after it. A recycling producer needs a
 	// consumer that is done with a chunk when it pulls the next, so
 	// Collect, which keeps every chunk's entries, must not drain one.
 	// Set by drain-style consumers — the /stream and /shard/stream
@@ -194,6 +197,26 @@ func (o StreamOpts) chunkRows() int {
 		return MaxChunkRows
 	}
 	return o.ChunkRows
+}
+
+// firstChunkRows caps the stream's opening entries chunk. Formula (1)
+// signs g(i-1) | g(i) | g(i+1), so a verifier releases a row only once it
+// holds the row's successor, and the caller sees the first row only after
+// the whole first chunk has been assembled, shipped, decoded and checked.
+// A short opening chunk brings that row forward at the price of one frame
+// per query. It must be at least 2: under the one-entry lookahead a
+// 1-entry chunk releases nothing.
+const firstChunkRows = 8
+
+// chunkLen is the publisher's one chunk schedule: how many of the left
+// entries of a run the next entries chunk carries, given the per-chunk
+// budget and whether the chunk opens the stream (the first covering
+// shard's first chunk).
+func chunkLen(chunkRows, left int, opening bool) int {
+	if opening {
+		chunkRows = min(chunkRows, firstChunkRows)
+	}
+	return min(chunkRows, left)
 }
 
 // ExecuteStream runs a select-project query and returns the result as a
@@ -292,12 +315,10 @@ func ChunkResult(res *Result, chunkRows int) []*Chunk {
 		KeyHi:     vo.KeyHi,
 		Left:      vo.Left,
 	})
-	for off := 0; off < len(vo.Entries); off += chunkRows {
-		end := off + chunkRows
-		if end > len(vo.Entries) {
-			end = len(vo.Entries)
-		}
+	for off := 0; off < len(vo.Entries); {
+		end := off + chunkLen(chunkRows, len(vo.Entries)-off, off == 0)
 		chunks = append(chunks, &Chunk{Type: ChunkEntries, Entries: vo.Entries[off:end]})
+		off = end
 	}
 	chunks = append(chunks, &Chunk{
 		Type:      ChunkFooter,

@@ -664,12 +664,18 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 	// write/flush share.
 	span := obs.StartSpan(req.Trace)
 	var assembleNS int64
-	defer func() {
+	finished := false
+	finish := func() {
+		if finished {
+			return
+		}
+		finished = true
 		span.AddNS(obs.StageVOAssemble, assembleNS)
 		s.obs.Hist(obs.StageSubStream).ObserveSince(span.Start())
 		s.obs.Slow.Finish(span, "substream",
 			fmt.Sprintf("relation=%s shard=%d", req.Query.Relation, req.Shard))
-	}()
+	}
+	defer finish()
 	ref := wire.ShardRef{Relation: req.Query.Relation, Shard: req.Shard}
 	hs, sl, epoch, dg, err := s.viewHosted(ref)
 	if err != nil {
@@ -734,6 +740,10 @@ func (s *Server) serveShardPartial(w io.Writer, flush func(), req wire.ShardStre
 			{Stage: obs.StageVOAssemble, NS: assembleNS},
 		},
 	}
+	// The span closes before the foot leaves: once the coordinator holds
+	// the foot, and the client its footer, this node's slow log and
+	// histogram already have the sub-stream.
+	finish()
 	if err := wire.WriteNodeFrame(w, &wire.NodeFrame{Foot: &nf}); err != nil {
 		return err
 	}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -84,31 +85,32 @@ type PublicKey struct {
 	E int
 
 	verifyOps atomic.Uint64
-	// ebig caches the public exponent as a big.Int. Verification is the
-	// hot path of both the serving layer (delta validation) and every
-	// client, and allocating the exponent per call is pure overhead; the
-	// cache is lazily initialized so keys built as struct literals (the
-	// cmd tools decode N and E off the wire) still benefit.
-	ebig atomic.Pointer[big.Int]
-	// red caches N's Barrett constant, lazily like ebig: AggVerifier.Add
-	// reduces one product per result row with it.
+	// red caches N's Barrett constant. It is lazily initialized so keys
+	// built as struct literals (the cmd tools decode N and E off the wire)
+	// still benefit: AggVerifier.Add reduces one product per result row
+	// with it, and every public-key exponentiation reduces each step.
 	red atomic.Pointer[barrett]
 }
 
-// EBig returns the public exponent as a big.Int, computed once per key.
-func (p *PublicKey) EBig() *big.Int {
-	if e := p.ebig.Load(); e != nil {
-		return e
-	}
-	e := big.NewInt(int64(p.E))
-	p.ebig.Store(e)
-	return e
-}
+// expScratch is the working set of one public-key exponentiation: the
+// running power, the unreduced product and the reduction's two scratch
+// values. The result is needed only for one comparison, so the set is
+// pooled instead of being garbage per call.
+type expScratch struct{ z, t, q, u big.Int }
 
-// scratchPool recycles the big.Int temporaries of verification: the
-// exponentiation result is needed only for one comparison, so its limb
-// array is reusable across calls instead of being garbage per call.
-var scratchPool = sync.Pool{New: func() any { return new(big.Int) }}
+var expPool = sync.Pool{New: func() any { return new(expScratch) }}
+
+// verifyExp reports whether s^E ≡ want (mod N) for a decoded signature
+// value 0 < s < N. A key whose exponent is below 1 verifies nothing.
+func (p *PublicKey) verifyExp(s, want *big.Int) bool {
+	if p.E < 1 {
+		return false
+	}
+	x := expPool.Get().(*expScratch)
+	ok := p.barrett().exp(&x.z, s, p.E, &x.t, &x.q, &x.u).Cmp(want) == 0
+	expPool.Put(x)
+	return ok
+}
 
 // PrivateKey is the owner's signing key.
 type PrivateKey struct {
@@ -210,20 +212,15 @@ func (p *PublicKey) Verify(digest hashx.Digest, sig Signature) bool {
 
 // VerifyFDH checks an individual signature against an already-computed
 // FDH value — the seam the per-record FDH cache (core.AggIndex) uses to
-// skip re-hashing on delta validation. The exponentiation result lives
-// in a pooled scratch, so the call allocates only what math/big's Exp
-// needs internally.
+// skip re-hashing on delta validation. The exponentiation runs in pooled
+// scratch, so the call allocates only the decoded signature.
 func (p *PublicKey) VerifyFDH(want *big.Int, sig Signature) bool {
 	p.verifyOps.Add(1)
 	s, err := decode(sig, p)
 	if err != nil {
 		return false
 	}
-	got := scratchPool.Get().(*big.Int)
-	got.Exp(s, p.EBig(), p.N)
-	ok := got.Cmp(want) == 0
-	scratchPool.Put(got)
-	return ok
+	return p.verifyExp(s, want)
 }
 
 // Aggregate condenses signatures into one by multiplication mod N.
@@ -320,11 +317,7 @@ func (a *AggVerifier) Verify(agg Signature) bool {
 	if err != nil {
 		return false
 	}
-	got := scratchPool.Get().(*big.Int)
-	got.Exp(s, a.p.EBig(), a.p.N)
-	ok := got.Cmp(a.want) == 0
-	scratchPool.Put(got)
-	return ok
+	return a.p.verifyExp(s, a.want)
 }
 
 // SigValue decodes a signature into its Z_N value — the leaf material of
@@ -369,6 +362,25 @@ func (r *barrett) reduce(z, t, q, u *big.Int) (subs int) {
 		z.Sub(z, r.n)
 	}
 	return subs
+}
+
+// exp sets z = s^e mod N for 0 ≤ s < N and e ≥ 1 and returns z: left-to-
+// right square-and-multiply over e's bits, each step one product and its
+// Barrett reduction. math/big's Exp reduces each step of a one-word
+// exponent — every RSA public exponent — by long division instead. Both
+// squares and products of residues stay below N², inside reduce's bound.
+// z, t, q and u are scratch, distinct from s and from each other.
+func (r *barrett) exp(z, s *big.Int, e int, t, q, u *big.Int) *big.Int {
+	z.Set(s)
+	for i := bits.Len(uint(e)) - 2; i >= 0; i-- {
+		t.Mul(z, z)
+		r.reduce(z, t, q, u)
+		if e>>i&1 == 1 {
+			t.Mul(z, s)
+			r.reduce(z, t, q, u)
+		}
+	}
+	return z
 }
 
 func encode(v *big.Int, size int) Signature {

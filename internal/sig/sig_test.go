@@ -450,6 +450,72 @@ func FuzzAggVerifierAdd(f *testing.F) {
 	})
 }
 
+// TestBarrettExpMatchesExp: the Barrett square-and-multiply every
+// verification runs equals math/big's Exp at 1024, 2048 and 4096 bits,
+// for small, prime and wide public exponents, on the edge bases and on
+// random ones; and VerifyFDH accepts exactly that power.
+func TestBarrettExpMatchesExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, bits := range []int{1024, 2048, 4096} {
+		p := modulus(rng, bits)
+		one := big.NewInt(1)
+		bases := []*big.Int{one, big.NewInt(2), new(big.Int).Sub(p.N, one)}
+		for range 4 {
+			bases = append(bases, new(big.Int).Rand(rng, p.N))
+		}
+		for _, e := range []int{3, 17, 65537, 1<<31 - 1} {
+			q := &PublicKey{N: p.N, E: e}
+			for _, s := range bases {
+				var z, tt, qq, u big.Int
+				want := new(big.Int).Exp(s, big.NewInt(int64(e)), p.N)
+				if got := q.barrett().exp(&z, s, e, &tt, &qq, &u); got.Cmp(want) != 0 {
+					t.Fatalf("%d-bit N, e=%d: exp(%x) = %x, want %x", bits, e, s, got, want)
+				}
+				sig := encode(s, q.SigBytes())
+				if !q.VerifyFDH(want, sig) {
+					t.Fatalf("%d-bit N, e=%d: VerifyFDH rejects s^e", bits, e)
+				}
+				if q.VerifyFDH(new(big.Int).Add(want, one), sig) {
+					t.Fatalf("%d-bit N, e=%d: VerifyFDH accepts s^e+1", bits, e)
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyAllocs: a verification allocates only its decoded signature
+// value; the exponentiation's working set is pooled.
+func TestVerifyAllocs(t *testing.T) {
+	k := key(t)
+	p := k.Public()
+	d := hashx.New().Hash([]byte("row"))
+	s := k.Sign(d)
+	want := p.FDH(d)
+	p.VerifyFDH(want, s) // warm the pool and the Barrett constant
+	if allocs := testing.AllocsPerRun(100, func() { p.VerifyFDH(want, s) }); allocs > 2 && !raceEnabled {
+		t.Fatalf("VerifyFDH allocates %.1f per call, want <= 2", allocs)
+	}
+}
+
+// FuzzVerifyExp: for any base below N and any positive exponent the
+// Barrett exponentiation equals math/big's Exp.
+func FuzzVerifyExp(f *testing.F) {
+	f.Add([]byte{1}, uint32(65537))
+	f.Add([]byte{2}, uint32(3))
+	f.Add(make([]byte, 200), uint32(1<<31-1))
+	f.Add([]byte{0xff, 0xff}, uint32(1))
+	p := key(f).Public()
+	f.Fuzz(func(t *testing.T, raw []byte, e uint32) {
+		s := new(big.Int).Mod(new(big.Int).SetBytes(raw), p.N)
+		ei := max(int(e), 1)
+		var z, tt, q, u big.Int
+		want := new(big.Int).Exp(s, big.NewInt(int64(ei)), p.N)
+		if got := p.barrett().exp(&z, s, ei, &tt, &q, &u); got.Cmp(want) != 0 {
+			t.Fatalf("e=%d: exp(%x) = %x, want %x", ei, s, got, want)
+		}
+	})
+}
+
 // BenchmarkAggVerifierAdd is the per-row signature cost a streaming
 // verifier pays: one full-domain hash (five SHA-256 compressions on one
 // kernel at RSA-1024) folded into the expected product by Barrett

@@ -61,9 +61,19 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 		return &Snapshot{Relation: sr}, nil
 	}
-	var snap Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data[len(snapMagic):])).Decode(&snap); err != nil {
+	var g snapshotGob
+	if err := gob.NewDecoder(bytes.NewReader(data[len(snapMagic):])).Decode(&g); err != nil {
 		return nil, fmt.Errorf("wire: decode snapshot: %w", err)
+	}
+	var snap Snapshot
+	if g.Relation != nil {
+		snap.Relation = g.Relation.relation()
+	}
+	if g.Partition != nil {
+		snap.Partition = &partition.Set{Spec: g.Partition.Spec, Slices: make([]*core.SignedRelation, len(g.Partition.Slices))}
+		for i, sl := range g.Partition.Slices {
+			snap.Partition.Slices[i] = sl.relation()
+		}
 	}
 	if snap.Relation != nil {
 		if err := snap.Relation.Params.CheckFormat(); err != nil {
@@ -78,6 +88,37 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 	return &snap, nil
+}
+
+// snapshotGob and relationGob decode a Snapshot and a core.SignedRelation
+// with each relation's records in one array. Gob sends []*T and []T as
+// the same bytes, so decoding Recs as []core.SignedRecord reads the very
+// files EncodeSnapshot and EncodeRelation write, with one allocation for
+// the records instead of one per record; Recs then points into that
+// array, as core.Build lays a relation out.
+type snapshotGob struct {
+	Relation  *relationGob
+	Partition *struct {
+		Spec   partition.Spec
+		Slices []*relationGob
+	}
+}
+
+type relationGob struct {
+	Params core.Params
+	Schema relation.Schema
+	Recs   []core.SignedRecord
+}
+
+func (g *relationGob) relation() *core.SignedRelation {
+	sr := &core.SignedRelation{Params: g.Params, Schema: g.Schema}
+	if len(g.Recs) > 0 {
+		sr.Recs = make([]*core.SignedRecord, len(g.Recs))
+		for i := range g.Recs {
+			sr.Recs[i] = &g.Recs[i]
+		}
+	}
+	return sr
 }
 
 // ClientParams is everything a user needs from the owner over an
@@ -142,14 +183,14 @@ func EncodeRelation(sr *core.SignedRelation) ([]byte, error) {
 // another record format (core.ErrRecordFormat). Publishers must still
 // Validate it against the owner's public key.
 func DecodeRelation(data []byte) (*core.SignedRelation, error) {
-	var sr core.SignedRelation
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sr); err != nil {
+	var g relationGob
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&g); err != nil {
 		return nil, fmt.Errorf("wire: decode relation: %w", err)
 	}
-	if err := sr.Params.CheckFormat(); err != nil {
+	if err := g.Params.CheckFormat(); err != nil {
 		return nil, fmt.Errorf("wire: relation: %w", err)
 	}
-	return &sr, nil
+	return g.relation(), nil
 }
 
 // readStreamRequest reads a /stream request body: a field-codec frame

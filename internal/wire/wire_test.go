@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -244,5 +245,66 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := snap.Relation.Validate(h, o.PublicKey()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRelationOneArray: a decoded relation holds its records in
+// one array — Recs points into it, as core.Build lays a relation out —
+// so a 1,026-entry relation decodes in well under the 26,033 allocations
+// one heap object per record cost; and the decoded snapshot re-encodes
+// to the very bytes it was read from, so the shadow types drop no field.
+func TestDecodeRelationOneArray(t *testing.T) {
+	h := hashx.New()
+	o := owner.NewWithKey(h, signKey(t))
+	rel, err := workload.Uniform(workload.UniformConfig{N: 1024, L: 0, U: 1 << 24, PayloadSize: 16, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := o.Publish(rel, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := wire.EncodeRelation(sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.DecodeRelation(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Recs) != 1026 {
+		t.Fatalf("decoded %d records, want 1026", len(got.Recs))
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := wire.DecodeRelation(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const parent = 26033 // one heap object per record
+	t.Logf("DecodeRelation: %.0f allocations for 1026 records", allocs)
+	if allocs >= parent-1000 {
+		t.Fatalf("DecodeRelation allocates %.0f for 1026 records, want below %d", allocs, parent-1000)
+	}
+
+	set, err := partition.Split(sr, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, snap := range []*wire.Snapshot{{Relation: sr}, {Partition: set}} {
+		enc, err := wire.EncodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := wire.DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := wire.EncodeSnapshot(dec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatal("a decoded snapshot re-encodes to other bytes")
+		}
 	}
 }
