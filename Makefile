@@ -28,9 +28,9 @@ bench-smoke: bench-verify
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # bench-verify is the allocation gate on the verification kernel: the
-# HashOp, GBaseB and VerifyAggregated benchmarks at a fixed 200
-# iterations, failing when allocs/op exceeds the kernel's ceilings
-# (1 / 2 / 1500). Allocation counts repeat exactly, so this is the perf
+# HashOp, GBaseB, VerifyAggregated and ChainSide/B=2/record benchmarks at
+# a fixed 200 iterations, failing when allocs/op exceeds the kernel's
+# ceilings (1 / 2 / 1500 / 2). Allocation counts repeat exactly, so this is the perf
 # regression gate a shared CI box can hold (CI's "Bench smoke" step runs
 # bench-smoke).
 bench-verify:
@@ -43,8 +43,9 @@ bench-verify:
 # one-shot decodes, the lease frames, the /stream request
 # (legacy gob branch included) and the /delta body — plus the durable
 # store's on-disk codec (WAL records), the
-# one-block SHA-256 kernel and its MGF1 expansion against the stdlib
-# digest, the once-hashed chain side (combined digest and boundary proof)
+# held SHA-256 kernel (one block, two, streamed) and its MGF1 expansion
+# against the stdlib digest, a whole digit chain in one call against
+# step-by-step iteration, the once-hashed chain side (combined digest and boundary proof)
 # against the reference construction, the one-walk delta diff against
 # the map-based reference (and its ops round-tripping), the
 # binary-search delta apply against the linear reference, the
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadDeltaRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
+	$(GO) test -run xxx -fuzz FuzzChain -fuzztime 30s ./internal/hashx
 	$(GO) test -run xxx -fuzz FuzzChainSide -fuzztime 30s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzDiff -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzApplyOps -fuzztime 30s ./internal/delta

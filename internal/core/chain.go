@@ -59,15 +59,12 @@ func newSide(h *hashx.Hasher, p Params, key uint64, dir Direction) (side, error)
 }
 
 // hashChains computes every digit chain and the canonical tips into one
-// fresh block.
+// fresh block, each chain h^0..h^top in one call on b's kernel.
 func (s *side) hashChains(b *hashx.Batch) {
 	digits := len(s.canon.Digits)
 	block := make([]byte, 0, (s.at[digits]+digits)*s.size)
 	for j := 0; j < digits; j++ {
-		block = b.Iterate(block, preimage(s.key, j, s.dir), 0)
-		for c := s.at[j] + 1; c < s.at[j+1]; c++ {
-			block = b.IterateFrom(block, block[len(block)-s.size:], 1)
-		}
+		block = b.Chain(block, preimage(s.key, j, s.dir), uint64(s.at[j+1]-s.at[j]-1))
 	}
 	s.chains = block
 	for j, c := range s.canon.Digits {

@@ -347,6 +347,23 @@ func applyOps(sr *core.SignedRelation, d Delta, locate search) ([]int, error) {
 	return out, nil
 }
 
+// CheckOpSigs refuses, as ErrValidation, a delta with an upsert whose
+// signature decodes to no value below N. It runs before ApplyOps, whose
+// crypto-index bookkeeping decodes op signatures before any is verified
+// and would refuse such an op as core.ErrAggIndex, so the delta paths
+// refuse a bad signature as one whatever its bytes decode to.
+func CheckOpSigs(pub *sig.PublicKey, d Delta) error {
+	for i, op := range d.Ops {
+		if op.Kind != OpUpsert {
+			continue
+		}
+		if _, err := pub.SigValue(sig.Signature(op.Rec.Sig)); err != nil {
+			return fmt.Errorf("%w: op %d signature: %v", ErrValidation, i, err)
+		}
+	}
+	return nil
+}
+
 // ValidateTouched checks the digest material and signatures of the given
 // entries against the owner's key — the half that follows ApplyOps. With
 // slice set, the first and last entries are treated as shard-slice

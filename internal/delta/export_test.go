@@ -6,9 +6,10 @@ import (
 	"vcqr/internal/sig"
 )
 
-// The tests drive ApplyOps and ValidateTouched through the
+// The tests drive CheckOpSigs, ApplyOps and ValidateTouched through the
 // all-or-nothing composition the serving layer performs per shard
-// (internal/server stages, stitches mirrors, then validates).
+// (internal/server checks op signatures, stages, stitches mirrors, then
+// validates).
 
 // Apply integrates a delta into the publisher's copy and validates the
 // touched neighbourhood: every affected entry and its immediate
@@ -33,6 +34,9 @@ func ApplySlice(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d 
 }
 
 func apply(h *hashx.Hasher, pub *sig.PublicKey, sr *core.SignedRelation, d Delta, slice bool) error {
+	if err := CheckOpSigs(pub, d); err != nil {
+		return err
+	}
 	scratch := sr.Clone()
 	touched, err := ApplyOps(scratch, d)
 	if err != nil {

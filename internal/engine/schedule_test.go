@@ -84,12 +84,23 @@ func TestChunkSchedule(t *testing.T) {
 			})
 		}
 	}
+	// A budget above MaxChunkRows is clamped, ChunkResult's as a stream's:
+	// no chunk it cuts carries more than a publisher sends. Cutting needs
+	// no crypto, so a long result of blank entries shows it.
+	long := &engine.Result{VO: engine.RangeVO{Entries: make([]engine.VOEntry, 2*engine.MaxChunkRows+3)}}
+	for _, n := range []int{engine.MaxChunkRows, engine.MaxChunkRows + 1, 5000} {
+		want := schedule([]int{len(long.VO.Entries)}, n)
+		if got := entryLens(engine.ChunkResult(long, n)); !slices.Equal(got, want) || slices.Max(got) != engine.MaxChunkRows {
+			t.Fatalf("ChunkResult of %d entries at n=%d: entries chunks %v, want %v", len(long.VO.Entries), n, got, want)
+		}
+	}
 }
 
 // schedule is the chunk schedule over covering-shard runs of the given
-// lengths at budget n: each run in chunks of n, the first run opening
-// with at most FirstChunkRows.
+// lengths at budget n, clamped to MaxChunkRows: each run in chunks of n,
+// the first run opening with at most FirstChunkRows.
 func schedule(runs []int, n int) []int {
+	n = min(n, engine.MaxChunkRows)
 	var out []int
 	for i, run := range runs {
 		for left := run; left > 0; {

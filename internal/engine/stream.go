@@ -299,12 +299,11 @@ func Collect(st ResultStream) (*Result, error) {
 // ChunkResult slices a materialized Result back into the chunk sequence
 // ExecuteStream would have produced for it (with the given per-chunk
 // entry budget), less the footer's ShardFeet, which a Result does not
-// keep. The whole-result verifier runs on these chunks, and tamper tests
-// use them to corrupt individual stream pieces.
+// keep. The budget is clamped as StreamOpts.ChunkRows is. The
+// whole-result verifier runs on these chunks, and tamper tests use them
+// to corrupt individual stream pieces.
 func ChunkResult(res *Result, chunkRows int) []*Chunk {
-	if chunkRows <= 0 {
-		chunkRows = DefaultChunkRows
-	}
+	chunkRows = StreamOpts{ChunkRows: chunkRows}.chunkRows()
 	vo := &res.VO
 	var chunks []*Chunk
 	chunks = append(chunks, &Chunk{

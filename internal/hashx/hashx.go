@@ -93,70 +93,42 @@ func (h *Hasher) Ops() uint64 { return h.ops.Load() }
 // ResetOps zeroes the operation counter.
 func (h *Hasher) ResetOps() { h.ops.Store(0) }
 
-// sum is the single primitive: SHA-256 over tag||parts. A message that
-// fits one block goes through the kernel; a longer one is streamed, its
-// state on the stack (the compiler sees through sha256.New), so a caller
-// that keeps the result on its stack hashes without garbage either way.
-func sum(tag byte, parts ...[]byte) (out [sha256.Size]byte) {
-	n := 1
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n <= oneBlock {
-		return once([]byte{tag}, parts...)
-	}
-	st := sha256.New()
-	st.Write([]byte{tag})
-	for _, p := range parts {
-		st.Write(p)
-	}
-	st.Sum(out[:0])
-	return out
-}
-
 // MGF1 appends n bytes of the MGF1-SHA256 expansion of seed to dst:
 // SHA-256(seed‖0) ‖ SHA-256(seed‖1) ‖ …, each counter 4 bytes big-endian,
-// truncated to n. Every block runs on one kernel, which rewrites only the
-// counter bytes between compressions. seed must leave room for the
-// counter in one block (at most maxSeed bytes); sig's full-domain hash,
-// the only caller, expands a tag and one digest. It is not a scheme hash
-// and no Hasher counts it.
+// truncated to n, on a pooled kernel held for the call; Batch.MGF1 runs
+// it on a Batch's held kernel. seed must leave room for the counter in
+// one block (at most maxSeed bytes); sig's full-domain hash, the only
+// caller, expands a tag and one digest. It is not a scheme hash and no
+// Hasher counts it.
 func MGF1(dst, seed []byte, n int) []byte {
-	if len(seed) > maxSeed {
-		panic("hashx: MGF1 seed longer than one block holds")
-	}
 	k := kernels.Get().(*kernel)
 	defer kernels.Put(k)
-	var ctr [4]byte
-	k.fill(seed, ctr[:])
-	for c := uint32(0); n > 0; c++ {
-		binary.BigEndian.PutUint32(k.block[len(seed):], c)
-		d := k.compress()
-		m := min(n, len(d))
-		dst = append(dst, d[:m]...)
-		n -= m
-	}
-	return dst
+	return k.mgf1(dst, seed, n)
 }
 
 // maxSeed is the longest seed MGF1 expands: one block less its counter.
 const maxSeed = oneBlock - 4
 
-// oneBlock is the longest message one SHA-256 block holds once padded:
-// 64 bytes less the 0x80 pad byte and the 8-byte bit length.
-const oneBlock = sha256.BlockSize - 9
+// oneBlock and twoBlocks are the longest messages one and two SHA-256
+// blocks hold once padded: less the 0x80 pad byte and the 8-byte bit
+// length.
+const (
+	oneBlock  = sha256.BlockSize - 9
+	twoBlocks = 2*sha256.BlockSize - 9
+)
 
-// kernel is one reusable SHA-256 state and the block it compresses. The
-// message is laid out pre-padded — msg‖0x80‖0…‖bit length — so one Write
-// of a full block runs the block function in place with no buffering, and
-// after that final block the chaining value the state marshals *is* the
-// digest: no padding writes, no copy of the state, no Sum. Kernels are
-// pooled and held for one call only, so no state outlives the call that
-// took it (a copied Batch can never share one between goroutines); a
-// per-call state would escape through the type assertion.
+// kernel is one reusable SHA-256 state and the two blocks it compresses.
+// A message is laid out pre-padded — msg‖0x80‖0…‖bit length — in one
+// block or two, so one Write of whole blocks runs the block function in
+// place with no buffering, and after the final block the chaining value
+// the state marshals *is* the digest: no padding writes, no copy of the
+// state, no Sum. A longer message passes through the blocks two at a
+// time and pads its tail the same way. Kernels are pooled; a Batch holds
+// one from its first hash until Done (a per-call state would escape
+// through the type assertion).
 type kernel struct {
 	st    state
-	block [sha256.BlockSize]byte
+	block [2 * sha256.BlockSize]byte
 	buf   [marshaled]byte
 }
 
@@ -180,63 +152,120 @@ var kernels = sync.Pool{New: func() any { return &kernel{st: sha256.New().(state
 // init refuses to start on a toolchain whose state the kernel cannot read
 // (a state without AppendBinary or UnmarshalBinary fails its assertion,
 // naming the method), so a changed layout fails loudly instead of
-// mis-hashing.
+// mis-hashing. The probes hash one block and two ("abc" is tag 'a' and
+// message "bc").
 func init() {
 	st, _ := sha256.New().(state).AppendBinary(nil)
+	k := kernels.Get().(*kernel)
+	defer kernels.Put(k)
+	long := bytes.Repeat([]byte("abc"), 33)
 	switch {
 	case len(st) != marshaled || string(st[:len(magic)]) != magic:
 		panic("hashx: crypto/sha256 marshaled state layout changed")
-	case once([]byte("abc")) != sha256.Sum256([]byte("abc")):
-		panic("hashx: one-block kernel digest differs from sha256.Sum256")
+	case [sha256.Size]byte(k.sum('a', []byte("bc"))) != sha256.Sum256([]byte("abc")),
+		[sha256.Size]byte(k.sum('a', long[1:])) != sha256.Sum256(long):
+		panic("hashx: kernel digest differs from sha256.Sum256")
 	}
 }
 
-// once hashes head‖parts, at most oneBlock bytes, on a pooled kernel.
-func once(head []byte, parts ...[]byte) (out [sha256.Size]byte) {
-	k := kernels.Get().(*kernel)
-	defer kernels.Put(k)
-	k.fill(head, parts...)
-	copy(out[:], k.compress())
-	return out
-}
-
-// fill lays out head‖parts, at most oneBlock bytes, pre-padded in the
-// block.
-func (k *kernel) fill(head []byte, parts ...[]byte) {
-	n := copy(k.block[:], head)
-	for _, p := range parts {
-		n += copy(k.block[n:], p)
-	}
-	k.block[n] = 0x80
-	clear(k.block[n+1 : oneBlock+1])
-	binary.BigEndian.PutUint64(k.block[oneBlock+1:], uint64(n)<<3)
-}
-
-// compress hashes the filled block and returns the full digest, which
-// aliases the kernel until its next compress. A hash's Write and
-// sha256's AppendBinary never return an error.
-func (k *kernel) compress() []byte {
+// sum hashes tag‖parts and returns the full digest, which aliases the
+// kernel until its next compression. The message fills the blocks, every
+// full pair of them is compressed as it fills, and the tail is padded
+// into one block or two.
+func (k *kernel) sum(tag byte, parts ...[]byte) []byte {
 	k.st.Reset()
-	k.st.Write(k.block[:])
+	k.block[0] = tag
+	at, n := 1, 1
+	for _, p := range parts {
+		n += len(p)
+		for len(p) > 0 {
+			c := copy(k.block[at:], p)
+			if at, p = at+c, p[c:]; at == len(k.block) {
+				k.st.Write(k.block[:])
+				at = 0
+			}
+		}
+	}
+	if at > twoBlocks {
+		// No room left for the padding: compress the first block and
+		// pad the rest of the tail into two.
+		k.st.Write(k.block[:sha256.BlockSize])
+		at = copy(k.block[:], k.block[sha256.BlockSize:at])
+	}
+	return k.finish(k.pad(at, n))
+}
+
+// pad ends a message of n bytes, the last at of them laid out in the
+// blocks, with its padding, and returns the length of the padded tail:
+// one block or two.
+func (k *kernel) pad(at, n int) int {
+	end := sha256.BlockSize
+	if at > oneBlock {
+		end = len(k.block)
+	}
+	k.block[at] = 0x80
+	clear(k.block[at+1 : end-8])
+	binary.BigEndian.PutUint64(k.block[end-8:end], uint64(n)<<3)
+	return end
+}
+
+// finish compresses the first end bytes of the blocks, whole blocks, and
+// returns the full digest, which aliases the kernel until its next
+// compression. A hash's Write and sha256's AppendBinary never return an
+// error.
+func (k *kernel) finish(end int) []byte {
+	k.st.Write(k.block[:end])
 	st, _ := k.st.AppendBinary(k.buf[:0])
 	return st[len(magic) : len(magic)+sha256.Size]
 }
 
-// chain appends the digest i applications of Next beyond d to dst. Only
-// the digest bytes of the block change between compressions.
-func (k *kernel) chain(dst, d []byte, i uint64) []byte {
-	k.fill([]byte{tagIter}, d)
-	for ; i > 0; i-- {
-		copy(k.block[1:1+len(d)], k.compress())
+// mgf1 is MGF1's expansion on k. Every block is one compression of the
+// same laid-out block; only the counter bytes change between them.
+func (k *kernel) mgf1(dst, seed []byte, n int) []byte {
+	if len(seed) > maxSeed {
+		panic("hashx: MGF1 seed longer than one block holds")
 	}
-	return append(dst, k.block[1:1+len(d)]...)
+	at := copy(k.block[:], seed)
+	end := k.pad(at+4, at+4)
+	for c := uint32(0); n > 0; c++ {
+		binary.BigEndian.PutUint32(k.block[at:], c)
+		k.st.Reset()
+		d := k.finish(end)
+		m := min(n, len(d))
+		dst = append(dst, d[:m]...)
+		n -= m
+	}
+	return dst
 }
 
-// hash counts one operation and returns the digest in fresh storage.
+// chain runs i applications of Next beyond d, a digest of at most
+// MaxSize bytes, and appends to dst the last digest — or, when all is
+// set, every one of them in order. Only the digest bytes of the block change between
+// compressions. d may alias the kernel: it is laid out before the first
+// compression.
+func (k *kernel) chain(dst, d []byte, i uint64, all bool) []byte {
+	k.block[0] = tagIter
+	at := 1 + copy(k.block[1:], d)
+	end := k.pad(at, at)
+	for ; i > 0; i-- {
+		k.st.Reset()
+		copy(k.block[1:at], k.finish(end))
+		if all {
+			dst = append(dst, k.block[1:at]...)
+		}
+	}
+	if all {
+		return dst
+	}
+	return append(dst, k.block[1:at]...)
+}
+
+// hash counts one operation and returns the digest in fresh storage, on
+// a Batch of one.
 func (h *Hasher) hash(tag byte, parts ...[]byte) Digest {
-	h.ops.Add(1)
-	s := sum(tag, parts...)
-	return append(Digest(nil), s[:h.size]...)
+	b := h.Batch()
+	defer b.Done()
+	return b.hash(nil, tag, parts...)
 }
 
 // Hash computes a general-purpose digest over the concatenation of parts.
@@ -296,19 +325,46 @@ func (h *Hasher) IterateFrom(d Digest, i uint64) Digest {
 // garbage-free) and counts operations locally; Done adds the count to the
 // Hasher in one atomic step, because one atomic add per hash on a Hasher
 // shared by every client goroutine is a contended cache line that costs
-// as much as the hash. A Batch must not be shared between goroutines.
+// as much as the hash. It holds one pooled kernel from its first hash
+// until Done, so a burst pays one pool round trip, not one per hash. A
+// Batch must not be shared between goroutines, nor copied: a copy would
+// hand its kernel to a second owner, and go vet's copylocks check
+// refuses one.
 type Batch struct {
+	_ noCopy
 	h *Hasher
+	k *kernel
 	n uint64
 }
+
+// noCopy makes go vet report a copied Batch; it holds no lock.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // Batch starts a burst; pair it with Done.
 func (h *Hasher) Batch() Batch { return Batch{h: h} }
 
-// Done adds the burst's operation count to the Hasher's counter.
+// Done adds the burst's operation count to the Hasher's counter and
+// returns the held kernel to the pool. The Batch may hash again after
+// it, as a new burst.
 func (b *Batch) Done() {
 	b.h.ops.Add(b.n)
 	b.n = 0
+	if b.k != nil {
+		kernels.Put(b.k)
+		b.k = nil
+	}
+}
+
+// kernel returns the Batch's kernel, taking one from the pool on the
+// burst's first hash.
+func (b *Batch) kernel() *kernel {
+	if b.k == nil {
+		b.k = kernels.Get().(*kernel)
+	}
+	return b.k
 }
 
 // Size returns the digest width in bytes.
@@ -325,8 +381,7 @@ func (b *Batch) Const(wide Digest) Digest {
 
 func (b *Batch) hash(dst []byte, tag byte, parts ...[]byte) []byte {
 	b.n++
-	s := sum(tag, parts...)
-	return append(dst, s[:b.h.size]...)
+	return append(dst, b.kernel().sum(tag, parts...)[:b.h.size]...)
 }
 
 // Hash appends Hasher.Hash(parts...) to dst.
@@ -350,18 +405,21 @@ func (b *Batch) SigDigest(dst []byte, prev, cur, next Digest) []byte {
 }
 
 // Iterate appends h^i(m) to dst: First(m) followed by i applications of
-// Next, on one kernel throughout when m fits one block.
+// Next.
 func (b *Batch) Iterate(dst, m []byte, i uint64) []byte {
-	if 1+len(m) > oneBlock {
-		b.n++
-		s := sum(tagFirst, m)
-		return b.IterateFrom(dst, s[:b.h.size], i)
-	}
 	b.n += 1 + i
-	k := kernels.Get().(*kernel)
-	defer kernels.Put(k)
-	k.fill([]byte{tagFirst}, m)
-	return k.chain(dst, k.compress()[:b.h.size], i)
+	k := b.kernel()
+	return k.chain(dst, k.sum(tagFirst, m)[:b.h.size], i, false)
+}
+
+// Chain appends the whole chain h^0(m), h^1(m), …, h^top(m) to dst, top+1
+// digests laid end to end: what Iterate(m, 0) and top IterateFrom(…, 1)
+// steps append, in one call.
+func (b *Batch) Chain(dst, m []byte, top uint64) []byte {
+	b.n += 1 + top
+	k := b.kernel()
+	dst = append(dst, k.sum(tagFirst, m)[:b.h.size]...)
+	return k.chain(dst, dst[len(dst)-b.h.size:], top, true)
 }
 
 // IterateFrom appends the digest i applications of Next beyond d to dst.
@@ -370,16 +428,18 @@ func (b *Batch) IterateFrom(dst []byte, d Digest, i uint64) []byte {
 	if i == 0 {
 		return append(dst, d...)
 	}
+	k := b.kernel()
 	if len(d) != b.h.size {
 		// A digest of another width (a malformed proof's) takes its
-		// first step through sum, which hashes any length.
-		s := sum(tagIter, d)
-		d, i = s[:b.h.size], i-1
+		// first step at its own length.
+		d, i = k.sum(tagIter, d)[:b.h.size], i-1
 	}
-	k := kernels.Get().(*kernel)
-	defer kernels.Put(k)
-	return k.chain(dst, d, i)
+	return k.chain(dst, d, i, false)
 }
+
+// MGF1 appends the package-level MGF1(seed, n) to dst, on the Batch's
+// kernel. Like MGF1 it counts no operation.
+func (b *Batch) MGF1(dst, seed []byte, n int) []byte { return b.kernel().mgf1(dst, seed, n) }
 
 // Prefix hashes a run of tagMisc messages that share a growing leading
 // part: the part is absorbed once into a running state, and each Sum

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"os/exec"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -204,11 +207,22 @@ func BenchmarkHashOp(b *testing.B) {
 	}
 }
 
+// sum is the kernel's digest of tag‖parts at full width, on a Batch of
+// one.
+func sum(tag byte, parts ...[]byte) (out [sha256.Size]byte) {
+	b := NewSize(MaxSize).Batch()
+	defer b.Done()
+	copy(out[:], b.hash(nil, tag, parts...))
+	return out
+}
+
 // TestSumEqualsOneShotSHA256: the primitive is SHA-256 over tag|msg
 // whatever way the input is split into parts, across the edges that
-// matter — 55/56 bytes (the one-block kernel's limit, where sum switches
-// to streaming) and the 64-byte block size. Every total length 0..64 is
-// hashed for every tag, as one part and as random splits.
+// matter — 55/56 bytes (one padded block's limit, where the kernel pads
+// into two), 119/120 (two padded blocks' limit, where a message passes
+// through the blocks before its tail is padded) and the 64- and 128-byte
+// block edges. Every total length 0..128 is hashed for every tag, as one
+// part and as random splits.
 func TestSumEqualsOneShotSHA256(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(tag byte, msg []byte, parts [][]byte) {
@@ -218,7 +232,7 @@ func TestSumEqualsOneShotSHA256(t *testing.T) {
 		}
 	}
 	for tag := byte(0); tag <= tagMisc; tag++ {
-		for total := 0; total <= sha256.BlockSize; total++ {
+		for total := 0; total <= 2*sha256.BlockSize; total++ {
 			msg := make([]byte, total)
 			rng.Read(msg)
 			check(tag, msg, [][]byte{msg})
@@ -349,24 +363,135 @@ func TestKernelConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// FuzzSum: the kernel and the streamed path agree with the stdlib for any
-// tag, message and split point, and MGF1 expands any seed that fits (the
-// message's first maxSeed bytes) to any length up to it (the split point)
-// exactly as the stdlib loop does.
+// FuzzSum: the kernel agrees with the stdlib for any tag, message and
+// split point, on a Batch of one and on one held kernel across a run of
+// hashes of different lengths (the message, its tail, the message again:
+// whatever the blocks held last must not leak into the next digest); and
+// MGF1 expands any seed that fits (the message's first maxSeed bytes) to
+// any length up to it (the split point) exactly as the stdlib loop does,
+// standalone and on the held kernel. The seeds sit on the one- and
+// two-block padding edges (55/56 and 119/120 bytes tagged) and beyond.
 func FuzzSum(f *testing.F) {
 	f.Add(tagIter, make([]byte, 16), 8)
 	f.Add(tagMisc, make([]byte, 54), 0)
 	f.Add(tagSig, make([]byte, 55), 55)
+	f.Add(tagLeaf, make([]byte, 66), 30)
+	f.Add(tagG, make([]byte, 118), 60)
+	f.Add(tagNode, make([]byte, 119), 119)
+	f.Add(tagC, make([]byte, 126), 1)
+	f.Add(tagFirst, make([]byte, 127), 64)
 	f.Add(tagFirst, make([]byte, 129), 64)
+	f.Add(tagMisc, make([]byte, 300), 250)
+	h := NewSize(MaxSize)
 	f.Fuzz(func(t *testing.T, tag byte, msg []byte, cut int) {
 		cut = int(uint(cut) % uint(len(msg)+1))
-		if sum(tag, msg[:cut], msg[cut:]) != sha256.Sum256(append([]byte{tag}, msg...)) {
+		want := sha256.Sum256(append([]byte{tag}, msg...))
+		if sum(tag, msg[:cut], msg[cut:]) != want {
 			t.Fatalf("sum(tag %d, %d+%d bytes) differs from SHA-256(tag|msg)", tag, cut, len(msg)-cut)
 		}
-		if seed := msg[:min(len(msg), maxSeed)]; !bytes.Equal(MGF1(nil, seed, cut), mgf1Ref(seed, cut)) {
+		b := h.Batch()
+		defer b.Done()
+		var buf [3 * MaxSize]byte
+		out := b.hash(buf[:0], tag, msg[:cut], msg[cut:])
+		out = b.hash(out, tag, msg[cut:])
+		out = b.hash(out, tag, msg)
+		tail := sha256.Sum256(append([]byte{tag}, msg[cut:]...))
+		if !bytes.Equal(out, slices.Concat(want[:], tail[:], want[:])) {
+			t.Fatalf("held kernel over %d, %d and %d bytes (tag %d) differs from SHA-256(tag|msg)", len(msg), len(msg)-cut, len(msg), tag)
+		}
+		seed := msg[:min(len(msg), maxSeed)]
+		if !bytes.Equal(MGF1(nil, seed, cut), mgf1Ref(seed, cut)) {
 			t.Fatalf("MGF1 of a %d-byte seed to %d bytes differs from the stdlib loop", len(seed), cut)
 		}
+		if !bytes.Equal(b.MGF1(nil, seed, cut), mgf1Ref(seed, cut)) {
+			t.Fatalf("Batch.MGF1 of a %d-byte seed to %d bytes differs from the stdlib loop", len(seed), cut)
+		}
 	})
+}
+
+// FuzzChain: a whole chain in one call, Chain(m, top), lays out exactly
+// the digests Iterate(m, 0) followed by top one-step IterateFrom calls
+// appends, at every width, and counts the same operations.
+func FuzzChain(f *testing.F) {
+	f.Add(U64Pair(42, 5), uint8(0), uint8(16))
+	f.Add(U64Pair(7, 1), uint8(17), uint8(8))
+	f.Add(make([]byte, 54), uint8(3), uint8(32))
+	f.Add(make([]byte, 200), uint8(5), uint8(16))
+	f.Fuzz(func(t *testing.T, m []byte, top, width uint8) {
+		h := NewSize(int(width))
+		b := h.Batch()
+		want := b.Iterate([]byte("keep"), m, 0)
+		for range top {
+			want = b.IterateFrom(want, want[len(want)-h.Size():], 1)
+		}
+		b.Done()
+		steps := h.Ops()
+		h.ResetOps()
+		got := b.Chain([]byte("keep"), m, uint64(top))
+		b.Done()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Chain(%d-byte m, %d) at width %d differs from step-by-step IterateFrom", len(m), top, h.Size())
+		}
+		if h.Ops() != steps {
+			t.Fatalf("Chain counted %d ops, the steps %d", h.Ops(), steps)
+		}
+	})
+}
+
+// TestBatchesOnOneHasher: Batches on many goroutines, each holding its
+// own kernel across one-block, two-block and streamed messages, chains
+// and MGF1 expansions, hash what one goroutine alone does; the Hasher's
+// count loses nothing (run with -race).
+func TestBatchesOnOneHasher(t *testing.T) {
+	h := New()
+	msgs := [][]byte{U64Pair(1, 2), make([]byte, 66), make([]byte, 200)}
+	rand.New(rand.NewSource(3)).Read(msgs[2])
+	burst := func(b *Batch, dst []byte) []byte {
+		for _, m := range msgs {
+			dst = b.Leaf(dst, m)
+			dst = b.Chain(dst, m, 5)
+			dst = b.MGF1(dst, dst[len(dst)-h.Size():], 40)
+		}
+		return dst
+	}
+	b := h.Batch()
+	want := burst(&b, nil)
+	b.Done()
+	perBurst := h.Ops()
+	const goroutines, rounds = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := h.Batch()
+			defer b.Done()
+			var buf [512]byte
+			for r := 0; r < rounds; r++ {
+				if got := burst(&b, buf[:0]); !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d round %d: burst differs from the serial one", g, r)
+					return
+				}
+				if r%7 == 0 {
+					b.Done() // a fresh kernel for the next burst
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := h.Ops(), perBurst*(1+goroutines*rounds); got != want {
+		t.Fatalf("Ops() = %d after concurrent Batches, want %d", got, want)
+	}
+}
+
+// TestVetRefusesCopiedBatch: go vet's copylocks check reports a copied
+// Batch, the one way two owners could share a held kernel — so `make
+// vet` keeps it out of the tree.
+func TestVetRefusesCopiedBatch(t *testing.T) {
+	out, err := exec.Command("go", "vet", "./testdata/copiedbatch").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "copies lock value") {
+		t.Fatalf("go vet on a copied Batch: %v\n%s", err, out)
+	}
 }
 
 // BenchmarkChain is the chain step the verifier spends most of a row on:
@@ -420,14 +545,15 @@ func TestBatchMatchesHasher(t *testing.T) {
 }
 
 // TestBatchAllocatesNothing: First, Next and the rest of the kernel —
-// the verifier's g and signed digests among it — into a caller buffer
-// leave no garbage. Allocation counts repeat exactly, so
+// the verifier's g and signed digests among it, two-block messages, a
+// whole chain and an MGF1 expansion — into a caller buffer leave no
+// garbage. Allocation counts repeat exactly, so
 // this is the regression gate timings cannot be on a shared box.
 func TestBatchAllocatesNothing(t *testing.T) {
 	h := New()
 	m := U64Pair(12345, 7)
 	long := make([]byte, 529)
-	var buf [4 * MaxSize]byte
+	var buf [8 * MaxSize]byte
 	allocs := testing.AllocsPerRun(100, func() {
 		b := h.Batch()
 		out := b.Iterate(buf[:0], m, 0)        // First
@@ -437,7 +563,10 @@ func TestBatchAllocatesNothing(t *testing.T) {
 		out = b.Leaf(out, long)
 		out = b.GDigest(out[:0], m, out[:16])
 		out = b.SigDigest(out, out[:16], out[:16], out[:16])
-		b.Hash(out, long, m)
+		out = b.Hash(out, long, m)
+		out = b.Leaf(out[:0], long[:66])         // two blocks
+		out = b.Chain(out[:0], U64Pair(3, 4), 7) // a whole digit chain
+		b.MGF1(out[:0], long[:40], 136)
 		b.Done()
 	})
 	if allocs != 0 && !raceEnabled {

@@ -875,6 +875,9 @@ func (s *Server) stageDelta(nt *nodeTable, d delta.Delta) (map[int]*core.SignedR
 		}
 	}
 	k := spec.K()
+	if err := delta.CheckOpSigs(s.pub, d); err != nil {
+		return nil, fmt.Errorf("server: delta rejected: %w", err)
+	}
 
 	// Phase 1: apply each shard's sub-batch on a clone with validation
 	// deferred — near-edge neighbourhoods cannot be checked until the

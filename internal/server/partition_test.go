@@ -488,6 +488,15 @@ func TestDeltaPathsAgree(t *testing.T) {
 			d.Ops[0].Rec.Sig[0] ^= 1
 			return d
 		}, delta.ErrValidation},
+		// A signature whose bytes decode to no value below N, refused as
+		// a bad signature before the crypto index ever holds it.
+		{"undecodable signature", func() delta.Delta {
+			keep := f.owner.Clone()
+			d := update(sl2.Recs[len(sl2.Recs)/3], "undecodable")
+			f.owner = keep
+			d.Ops[0].Rec.Sig = bytes.Repeat([]byte{0xFF}, len(d.Ops[0].Rec.Sig))
+			return d
+		}, delta.ErrValidation},
 		{"empty batch", func() delta.Delta { return delta.Delta{Relation: "Uniform"} }, delta.ErrEmpty},
 	}
 	for _, step := range steps {

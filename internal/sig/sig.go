@@ -161,7 +161,7 @@ func (p *PublicKey) FDH(digest hashx.Digest) *big.Int { return fdh(p.N, digest) 
 // negligible because the expansion is 64 bits wider than N.
 func fdh(n *big.Int, digest hashx.Digest) *big.Int {
 	var buf [fdhStack]byte
-	x := new(big.Int).SetBytes(fdhExpand(buf[:0], n, digest))
+	x := new(big.Int).SetBytes(fdhExpand(nil, buf[:0], n, digest))
 	return x.Mod(x, n)
 }
 
@@ -170,12 +170,17 @@ func fdh(n *big.Int, digest hashx.Digest) *big.Int {
 const fdhStack = 4096/8 + 8 + hashx.MaxSize
 
 // fdhExpand appends the unreduced expansion of digest — 64 bits wider
-// than n — to buf: MGF1-SHA256 of "vcqr/fdh"‖digest, every block on one
-// hash kernel. digest is at most hashx.MaxSize bytes, as every Hasher's
-// is, so the seed fits one block with its counter.
-func fdhExpand(buf []byte, n *big.Int, digest hashx.Digest) []byte {
+// than n — to buf: MGF1-SHA256 of "vcqr/fdh"‖digest, every block on b's
+// held hash kernel, or on a pooled one when b is nil. digest is at most
+// hashx.MaxSize bytes, as every Hasher's is, so the seed fits one block
+// with its counter.
+func fdhExpand(b *hashx.Batch, buf []byte, n *big.Int, digest hashx.Digest) []byte {
 	var seed [len(fdhTag) + hashx.MaxSize]byte
-	return hashx.MGF1(buf, append(append(seed[:0], fdhTag...), digest...), (n.BitLen()+7)/8+8)
+	s, size := append(append(seed[:0], fdhTag...), digest...), (n.BitLen()+7)/8+8
+	if b == nil {
+		return hashx.MGF1(buf, s, size)
+	}
+	return b.MGF1(buf, s, size)
 }
 
 // fdhTag domain-separates the full-domain hash's expansion.
@@ -289,15 +294,20 @@ func (p *PublicKey) NewAggVerifier() *AggVerifier {
 	return &AggVerifier{p: p, want: big.NewInt(1)}
 }
 
-// Add folds one expected message digest into the accumulator. The FDH
-// value enters the product unreduced — the one reduction of the product
-// yields the same residue — and that reduction is Barrett's, two
-// multiplications instead of a division. Every temporary is the
-// verifier's own and none aliases its operand, so a streamed result
-// costs no garbage per row.
-func (a *AggVerifier) Add(d hashx.Digest) {
+// Add folds one expected message digest into the accumulator, its FDH
+// expansion on a pooled hash kernel; AddOn is Add on a caller's Batch.
+func (a *AggVerifier) Add(d hashx.Digest) { a.AddOn(nil, d) }
+
+// AddOn folds one expected message digest into the accumulator, its FDH
+// expansion on b's held hash kernel (nil takes a pooled one, as Add
+// does). The FDH value enters the product unreduced — the one reduction
+// of the product yields the same residue — and that reduction is
+// Barrett's, two multiplications instead of a division. Every temporary
+// is the verifier's own and none aliases its operand, so a streamed
+// result costs no garbage per row.
+func (a *AggVerifier) AddOn(b *hashx.Batch, d hashx.Digest) {
 	var buf [fdhStack]byte
-	a.x.SetBytes(fdhExpand(buf[:0], a.p.N, d))
+	a.x.SetBytes(fdhExpand(b, buf[:0], a.p.N, d))
 	a.t.Mul(a.want, &a.x)
 	a.p.barrett().reduce(a.want, &a.t, &a.q, &a.u)
 	a.n++

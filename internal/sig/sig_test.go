@@ -308,14 +308,21 @@ func BenchmarkVerifyAggregate100(b *testing.B) {
 }
 
 // TestAggVerifierAddAllocs: folding a digest into the expected product
-// reuses the verifier's own scratch and allocates nothing per row
-// (allocation counts repeat exactly; timings on a shared box do not).
+// reuses the verifier's own scratch and allocates nothing per row, on a
+// pooled kernel or a caller's Batch (allocation counts repeat exactly;
+// timings on a shared box do not).
 func TestAggVerifierAddAllocs(t *testing.T) {
 	av := key(t).Public().NewAggVerifier()
-	d := hashx.New().Hash([]byte("row"))
+	h := hashx.New()
+	d := h.Hash([]byte("row"))
 	av.Add(d) // size the scratch
 	if allocs := testing.AllocsPerRun(100, func() { av.Add(d) }); allocs > 0 && !raceEnabled {
 		t.Fatalf("AggVerifier.Add: %v allocs/op, want 0", allocs)
+	}
+	b := h.Batch()
+	defer b.Done()
+	if allocs := testing.AllocsPerRun(100, func() { av.AddOn(&b, d) }); allocs > 0 && !raceEnabled {
+		t.Fatalf("AggVerifier.AddOn: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -372,7 +379,7 @@ func twoShort(rng *rand.Rand, k uint) (*PublicKey, *big.Int) {
 
 // TestAggVerifierMatchesModProduct: the Barrett-reduced accumulator holds
 // exactly the Mul+Mod product of the full-domain hashes after every one
-// of 2 000 digests, at the paper's 1024 bits, at 2048, at 4096 (the
+// of 2 000 digests (folded in turn by Add and by AddOn on a Batch), at the paper's 1024 bits, at 2048, at 4096 (the
 // widest expansion kept on the stack) and at widths that are not whole
 // 64-bit words; edge products, random ones up to the bound and products
 // built to need the second subtraction reduce exactly in at most two.
@@ -383,12 +390,18 @@ func TestAggVerifierMatchesModProduct(t *testing.T) {
 	for _, bits := range []int{1000, 1024, 1090, 2048, 4096} {
 		keys = append(keys, modulus(rng, bits))
 	}
+	b := h.Batch()
+	defer b.Done()
 	for _, p := range keys {
 		av := p.NewAggVerifier()
 		ref := big.NewInt(1)
 		for i := range 2000 {
 			d := h.Hash(hashx.U64(uint64(i)))
-			av.Add(d)
+			if i%2 == 0 {
+				av.Add(d)
+			} else {
+				av.AddOn(&b, d) // the same expansion on a held kernel
+			}
 			ref.Mul(ref, p.FDH(d))
 			ref.Mod(ref, p.N)
 			if av.want.Cmp(ref) != 0 {

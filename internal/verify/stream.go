@@ -324,7 +324,7 @@ func (sv *StreamVerifier) advance(g hashx.Digest, e *engine.VOEntry, release boo
 func (sv *StreamVerifier) completePending(gNext hashx.Digest) {
 	p := &sv.pending
 	var buf [hashx.MaxSize]byte
-	sv.agg.Add(core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, sv.gPrev, p.g, gNext))
+	sv.agg.AddOn(&sv.b, core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, sv.gPrev, p.g, gNext))
 	if p.hasRow {
 		sv.rows = append(sv.rows, p.row)
 	}
@@ -345,7 +345,7 @@ func (sv *StreamVerifier) consumeFooter(c *engine.Chunk) error {
 			return fmt.Errorf("%w: PredPrevG width", ErrEntry)
 		}
 		var buf [hashx.MaxSize]byte
-		sv.agg.Add(core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, c.PredPrevG, sv.gPrev, gRight))
+		sv.agg.AddOn(&sv.b, core.AppendSigDigest(&sv.b, buf[:0], sv.v.Params, c.PredPrevG, sv.gPrev, gRight))
 	} else {
 		// Complete the last entry against the right boundary.
 		sv.completePending(gRight)

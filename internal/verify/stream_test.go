@@ -213,7 +213,8 @@ func TestStreamRejectsOversizedChunk(t *testing.T) {
 	f := newVFix(t)
 	q := engine.Query{Relation: "Emp", KeyLo: 1}
 	res := f.query(t, q)
-	chunks := engine.ChunkResult(res, len(res.VO.Entries)) // one entries chunk
+	chunks := engine.ChunkResult(res, len(res.VO.Entries))
+	// The opening entries chunk, hand-swollen past the cap.
 	huge := *chunks[1]
 	huge.Entries = make([]engine.VOEntry, engine.MaxChunkRows+1)
 	chunks[1] = &huge

@@ -276,10 +276,12 @@ func (d *decoder) int() int {
 
 // count reads a list length whose elements take at least size encoded
 // bytes each, refusing one the remaining payload cannot hold — checked
-// here so no caller sizes an allocation from an unchecked claim.
+// here so no caller sizes an allocation from an unchecked claim. The
+// n > len guard keeps n·size from overflowing (size ≥ 1), and n·size >
+// len refuses exactly the n > ⌊len/size⌋ a division would, without one.
 func (d *decoder) count(size int) int {
 	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)/size) {
+	if d.err != nil || n > uint64(len(d.b)) || int(n)*size > len(d.b) {
 		d.fail()
 		return 0
 	}

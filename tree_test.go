@@ -58,7 +58,7 @@ func TestGobStaysInWire(t *testing.T) {
 // TestSHA256StaysInHashx pins the hash kernel as the one way to SHA-256:
 // of everything under internal/ and cmd/, only internal/hashx imports
 // crypto/sha256 outside its tests, so no hashing path bypasses the
-// one-block kernel (sig's full-domain hash expands through hashx.MGF1).
+// held kernel (sig's full-domain hash expands through hashx.MGF1).
 func TestSHA256StaysInHashx(t *testing.T) {
 	for _, pkg := range importers(t, "crypto/sha256") {
 		if pkg != "vcqr/internal/hashx" {
@@ -345,7 +345,7 @@ var servingAllowList = map[string]string{
 	"relation.FloatVal":        "test seam: the value and filter tests build float values (examples/stocks prices its ticks with it)",
 	"owner.NewWithKey":         "test seam: tests sign with one generated key instead of one per owner",
 	"engine.Publisher.Execute": "test seam: tests query a registered relation by name in one call (examples and the paper tree too); it drains ExecuteStream, which engine and wire tests stream",
-	"leakcheck.Main":           "test seam: the goroutine-leak gate engine's and wire's TestMain install; engine's fan-out Close test asserts through its Settle",
+	"leakcheck.Main":           "test seam: the goroutine-leak gate the TestMain of engine, wire, server, cluster, cache and store installs; engine's fan-out Close test asserts through its Settle",
 
 	// References other tests compare the serving code against.
 	"core.EntryG":             "reference: Figure 8(b)'s g(r) rebuilt from a known key, which the golden tests hold the owner's digests to and the kernel tests count hashes and allocations of (the E7 ablation times it)",
