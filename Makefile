@@ -13,8 +13,11 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs at two cores, the benchmark's box size, so the goroutines
+# that run beside a request — cache sweeps, fan-out producers —
+# interleave as they do under load.
 race:
-	$(GO) test -race ./...
+	GOMAXPROCS=2 $(GO) test -race ./...
 
 # bench runs the repo's one benchmark exactly as BENCHMARK.json declares
 # it: every workload over real loopback HTTP through the unmodified
@@ -49,8 +52,10 @@ bench-verify:
 # against the reference construction, the one-walk delta diff against
 # the map-based reference (and its ops round-tripping), the
 # binary-search delta apply against the linear reference, the
-# Barrett-reduced FDH product against Mul+Mod, the Barrett public-key
-# exponentiation against math/big's Exp — and the verifier's
+# Barrett-reduced FDH product against Mul+Mod, the Barrett-reduced
+# product tree (nodes, range folds, updates) against Mul+Mod, the
+# Barrett public-key exponentiation against math/big's Exp — and the
+# verifier's
 # soundness: edited streams are refused or release exactly the rows an
 # oracle scan of the owner's relation holds.
 fuzz:
@@ -69,6 +74,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDiff -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzApplyOps -fuzztime 30s ./internal/delta
 	$(GO) test -run xxx -fuzz FuzzAggVerifierAdd -fuzztime 30s ./internal/sig
+	$(GO) test -run xxx -fuzz FuzzProductTree -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzVerifyExp -fuzztime 30s ./internal/sig
 	$(GO) test -run xxx -fuzz FuzzStreamSound -fuzztime 30s ./internal/verify
 

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -128,7 +131,7 @@ func TestStoreLRUBudget(t *testing.T) {
 	}
 }
 
-// TestStoreInvalidate pins the wire.CacheInvalidate contract on the
+// TestStoreInvalidate pins the wire.CacheGroup contract on the
 // store: key-exact drop, keep-epoch group sweep, whole-group drop.
 func TestStoreInvalidate(t *testing.T) {
 	st := cache.NewStore(0)
@@ -158,6 +161,25 @@ func TestStoreInvalidate(t *testing.T) {
 	}
 	if got := st.Stats(); got.Entries != 1 || got.Invalidations != 4 {
 		t.Fatalf("after invalidations: %+v", got)
+	}
+}
+
+// TestStoreSweepKeepsNewer: a group sweep drops only entries older than
+// its keep, so one that lands after a newer fill leaves the fill.
+func TestStoreSweepKeepsNewer(t *testing.T) {
+	st := cache.NewStore(0)
+	sum := hashx.New().Hash([]byte("x"))
+	for e := uint64(1); e <= 4; e++ {
+		st.Put(fmt.Sprint("e", e), "Uniform", 1, e, sum, []byte("x"))
+	}
+	if n := st.Invalidate("Uniform", 1, 3, ""); n != 2 {
+		t.Fatalf("sweep keeping 3 dropped %d, want the 2 older entries", n)
+	}
+	if n := st.Invalidate("Uniform", 1, 2, ""); n != 0 {
+		t.Fatalf("a late sweep keeping 2 dropped %d entries filed at 3 and 4", n)
+	}
+	if keys := st.Keys(); len(keys) != 2 {
+		t.Fatalf("resident after the sweeps: %q, want e3 and e4", keys)
 	}
 }
 
@@ -505,5 +527,64 @@ func TestStaleMissFindsSettledFlight(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// sweepGate counts the sweep frames (tag 6) a client sends and holds the
+// first until release.
+type sweepGate struct {
+	sweeps  atomic.Int32
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *sweepGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if body, err := req.GetBody(); err == nil {
+		var hdr [5]byte
+		io.ReadFull(body, hdr[:])
+		body.Close()
+		if hdr[4] == 6 && g.sweeps.Add(1) == 1 {
+			close(g.parked)
+			<-g.release
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestClientSweepsCoalesce: invalidations queue per peer and leave on
+// one sender, one push in flight at a time; what is queued meanwhile
+// leaves as one batched frame keeping the highest keep per group, with
+// the suspect drops beside it. Wait returns once everything queued has
+// landed.
+func TestClientSweepsCoalesce(t *testing.T) {
+	gate := &sweepGate{parked: make(chan struct{}), release: make(chan struct{})}
+	e := newEnv(t, cache.Config{HTTP: &http.Client{Transport: gate}})
+	st := e.srv.Store()
+	sum := hashx.New().Hash([]byte("x"))
+	for ep := uint64(1); ep <= 6; ep++ {
+		st.Put(fmt.Sprint("g2-e", ep), "Uniform", 2, ep, sum, []byte("x"))
+	}
+	st.Put("suspect", "Uniform", 3, 1, sum, []byte("x"))
+
+	e.cl.Invalidate(wire.CacheGroup{Relation: "Uniform", Shard: 2, Keep: 2})
+	<-gate.parked // the first push is out; everything below queues behind it
+	for _, keep := range []uint64{3, 5, 4} {
+		e.cl.Invalidate(wire.CacheGroup{Relation: "Uniform", Shard: 2, Keep: keep})
+	}
+	e.cl.DropAsync("suspect")
+	if got := gate.sweeps.Load(); got != 1 {
+		t.Fatalf("%d sweeps sent while the first was in flight, want 1", got)
+	}
+	close(gate.release)
+	e.cl.Wait()
+	if got := gate.sweeps.Load(); got != 2 {
+		t.Fatalf("%d sweeps sent, want the held one and one coalesced batch", got)
+	}
+	want := []string{"g2-e5", "g2-e6"}
+	if got := st.Keys(); !slices.Equal(slices.Sorted(slices.Values(got)), want) {
+		t.Fatalf("resident after the sweeps: %q, want %q", got, want)
+	}
+	if st := e.cl.Stats(); st.Invalidations != 4 || st.PeerErrors != 0 {
+		t.Fatalf("client stats after the sweeps: %+v", st)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,7 +36,8 @@ var (
 
 // StreamShard is the Key.Shard value grouping merged streams that cover
 // more than one shard: such an entry depends on every covering shard, so
-// it lives in a single per-relation group that any epoch bump clears.
+// it lives in a single per-relation group, filed at the issuer's bump
+// generation, that any epoch bump sweeps.
 const StreamShard = -1
 
 // Key identifies one cached merged stream. A stream covered by a single
@@ -53,11 +55,15 @@ type Key struct {
 	Incarnation uint64
 	SpecVersion uint64
 	Shard       int
-	Epoch       uint64
-	Epochs      []uint64 // multi-shard covers: content epoch per covering shard
-	Role        string
-	Query       engine.Query
-	ChunkRows   int
+	// Epoch files the entry in its invalidation group: a single shard's
+	// content epoch, or, for a multi-shard cover, the issuer's bump
+	// generation its Epochs were read at — which sweeps compare against
+	// and the key string leaves out, since Epochs already fix the bytes.
+	Epoch     uint64
+	Epochs    []uint64 // multi-shard covers: content epoch per covering shard
+	Role      string
+	Query     engine.Query
+	ChunkRows int
 }
 
 // String renders the canonical key: the query's identity plus the
@@ -123,11 +129,12 @@ type Config struct {
 	// http.DefaultClient, whose missing timeout would let one hung peer
 	// wedge the query path that treats every peer failure as a miss.
 	HTTP *http.Client
-	// PeerTimeout bounds every peer exchange on the default transport
-	// (ignored when HTTP is set — the caller owns its budgets then). A
-	// peer slower than this is slower than origin, so failing toward
-	// origin is strictly better than waiting. 0 picks
-	// DefaultPeerTimeout.
+	// PeerTimeout bounds every peer exchange on the default transport.
+	// When HTTP is set the caller owns the budgets of lookups and fills,
+	// and PeerTimeout still bounds each invalidation push (no caller
+	// waits on one but Wait). A peer slower than this is slower than
+	// origin, so failing toward origin is strictly better than waiting.
+	// 0 picks DefaultPeerTimeout.
 	PeerTimeout time.Duration
 	// Obs records cache_get / cache_fill timings when set.
 	Obs *obs.Registry
@@ -170,6 +177,15 @@ type Client struct {
 	fills, fillDrops                atomic.Uint64
 	fallthroughs, peerErrs          atomic.Uint64
 	invalidations, admissionsDenied atomic.Uint64
+
+	// sweepers are the peers' clients for invalidation pushes, each
+	// exchange bounded by the peer timeout even when Config.HTTP has
+	// none. smu guards pending (one per peer); idle signals a sweeper
+	// that stopped.
+	sweepers []*wire.Client
+	smu      sync.Mutex
+	pending  []pending
+	idle     sync.Cond
 }
 
 // ringVnodes is how many ring slots each peer claims; enough that a
@@ -200,16 +216,24 @@ func NewClient(cfg Config) *Client {
 	if c.maxEntry <= 0 {
 		c.maxEntry = defaultMaxEntry
 	}
+	c.idle.L = &c.smu
+	to := cfg.PeerTimeout
+	if to <= 0 {
+		to = DefaultPeerTimeout
+	}
 	hc := cfg.HTTP
 	if hc == nil {
-		to := cfg.PeerTimeout
-		if to <= 0 {
-			to = DefaultPeerTimeout
-		}
 		hc = &http.Client{Timeout: to}
 	}
+	sc := *hc
+	if sc.Timeout <= 0 || sc.Timeout > to {
+		sc.Timeout = to
+	}
 	for i, url := range cfg.Peers {
-		c.peers = append(c.peers, &wire.Client{BaseURL: strings.TrimRight(url, "/"), HTTP: hc})
+		base := strings.TrimRight(url, "/")
+		c.peers = append(c.peers, &wire.Client{BaseURL: base, HTTP: hc})
+		c.sweepers = append(c.sweepers, &wire.Client{BaseURL: base, HTTP: &sc})
+		c.pending = append(c.pending, pending{groups: map[groupID]uint64{}, keys: map[string]struct{}{}})
 		for v := 0; v < ringVnodes; v++ {
 			h := fnv.New32a()
 			fmt.Fprintf(h, "%s#%d", url, v)
@@ -220,10 +244,11 @@ func NewClient(cfg Config) *Client {
 	return c
 }
 
-// peerFor maps a key string onto the ring.
-func (c *Client) peerFor(ks string) *wire.Client {
+// peerIndex maps a key string onto the ring: the index of its peer, or
+// -1 with no peers configured.
+func (c *Client) peerIndex(ks string) int {
 	if len(c.ring) == 0 {
-		return nil
+		return -1
 	}
 	h := fnv.New32a()
 	h.Write([]byte(ks))
@@ -232,7 +257,15 @@ func (c *Client) peerFor(ks string) *wire.Client {
 	if i == len(c.ring) {
 		i = 0
 	}
-	return c.peers[c.ring[i].peer]
+	return c.ring[i].peer
+}
+
+// peerFor maps a key string onto its peer's client (nil with no peers).
+func (c *Client) peerFor(ks string) *wire.Client {
+	if i := c.peerIndex(ks); i >= 0 {
+		return c.peers[i]
+	}
+	return nil
 }
 
 // flight is one fill: the leader streams from origin while every
@@ -517,32 +550,108 @@ func (c *Client) Probe(k Key) ([]byte, error) {
 	return rp.Bytes, nil
 }
 
-// Invalidate pushes one epoch-scoped group invalidation to every peer
-// (entries can live anywhere once the peer set changes, and a broadcast
-// of a group drop is cheap). keep == 0 drops the whole group.
-func (c *Client) Invalidate(relation string, shard int, keep uint64) {
-	c.invalidations.Add(1)
-	for _, peer := range c.peers {
-		if _, err := peer.CacheOp(&wire.CacheFrame{Invalidate: &wire.CacheInvalidate{
-			Relation: relation, Shard: shard, Keep: keep,
-		}}); err != nil {
+// Invalidate queues epoch-scoped group sweeps for every peer (entries
+// can live anywhere once the peer set changes, and a broadcast of a
+// group sweep is cheap) and returns without waiting for any of them;
+// Wait waits. A sweep is hygiene, not correctness — keys bind the epochs
+// that make a stale entry unaskable — so it leaves on the peer's sender
+// (sweeper) instead of its caller's path.
+func (c *Client) Invalidate(groups ...wire.CacheGroup) {
+	if len(groups) == 0 {
+		return
+	}
+	c.invalidations.Add(uint64(len(groups)))
+	for i := range c.peers {
+		c.queue(i, func(p *pending) {
+			for _, g := range groups {
+				id := groupID{g.Relation, g.Shard}
+				p.groups[id] = max(p.groups[id], g.Keep)
+			}
+		})
+	}
+}
+
+// DropAsync queues the drop of one entry, by key string, on its peer.
+func (c *Client) DropAsync(ks string) {
+	i := c.peerIndex(ks)
+	if i < 0 {
+		return
+	}
+	c.queue(i, func(p *pending) { p.keys[ks] = struct{}{} })
+}
+
+// groupID names an invalidation group.
+type groupID struct {
+	relation string
+	shard    int
+}
+
+// pending is one peer's invalidations not yet handed to a push: per
+// group the highest keep asked for (a sweep keeping epoch e also drops
+// everything older than any lower keep), and the keys to drop. busy is
+// set while the peer's sweeper runs.
+type pending struct {
+	groups map[groupID]uint64
+	keys   map[string]struct{}
+	busy   bool
+}
+
+// queue adds to peer i's pending invalidations and starts its sweeper
+// unless one is running; at most one push per peer is in flight, and no
+// sweeper runs while nothing is pending.
+func (c *Client) queue(i int, add func(*pending)) {
+	c.smu.Lock()
+	p := &c.pending[i]
+	add(p)
+	start := !p.busy
+	p.busy = true
+	c.smu.Unlock()
+	if start {
+		go c.sweeper(i)
+	}
+}
+
+// sweeper pushes peer i's pending invalidations, one batched frame at a
+// time, until none are left. Invalidations queued during a push coalesce
+// into the next. Each push is bounded by the peer timeout; a failed one
+// is counted and not retried, since what it would have dropped is
+// unaskable already and the LRU reclaims it.
+func (c *Client) sweeper(i int) {
+	for {
+		c.smu.Lock()
+		p := &c.pending[i]
+		if len(p.groups) == 0 && len(p.keys) == 0 {
+			p.busy = false
+			c.idle.Broadcast()
+			c.smu.Unlock()
+			return
+		}
+		sw := &wire.CacheSweep{}
+		for id, keep := range p.groups {
+			sw.Groups = append(sw.Groups, wire.CacheGroup{Relation: id.relation, Shard: id.shard, Keep: keep})
+		}
+		for ks := range p.keys {
+			sw.Keys = append(sw.Keys, ks)
+		}
+		clear(p.groups)
+		clear(p.keys)
+		c.smu.Unlock()
+		if _, err := c.sweepers[i].CacheOp(&wire.CacheFrame{Sweep: sw}); err != nil {
 			c.peerErrs.Add(1)
 		}
 	}
 }
 
-// DropAsync removes one entry by key string on its peer, off the hot
-// path.
-func (c *Client) DropAsync(ks string) {
-	peer := c.peerFor(ks)
-	if peer == nil {
-		return
+// Wait blocks until no invalidation is pending or being pushed to any
+// peer: every Invalidate and DropAsync that returned before the call has
+// reached its peers or failed. A hung peer holds it for at most one peer
+// timeout per push.
+func (c *Client) Wait() {
+	c.smu.Lock()
+	defer c.smu.Unlock()
+	for slices.ContainsFunc(c.pending, func(p pending) bool { return p.busy }) {
+		c.idle.Wait()
 	}
-	go func() {
-		if _, err := peer.CacheOp(&wire.CacheFrame{Invalidate: &wire.CacheInvalidate{Key: ks}}); err != nil {
-			c.peerErrs.Add(1)
-		}
-	}()
 }
 
 // PeerStats scrapes every peer's counter snapshot (nil entry on scrape
@@ -578,7 +687,7 @@ type ClientStats struct {
 	FillDrops        uint64 // fills discarded (aborted, oversized, empty)
 	Fallthroughs     uint64 // entries rejected by digest or structure checks
 	PeerErrors       uint64 // cache-protocol I/O failures
-	Invalidations    uint64 // epoch-scoped group invalidations pushed
+	Invalidations    uint64 // epoch-scoped group sweeps queued (per group, before coalescing)
 	AdmissionsDenied uint64 // fills skipped by the admission gate
 	Flights          int    // gauge: fills in progress, or committed and still answering lookups
 }

@@ -53,8 +53,13 @@ func (s *Server) serveCache(f wire.CacheFrame) (rp wire.CacheReply, err error) {
 		rp.Bytes, rp.Sum, rp.Hit = s.store.Get(f.Get.Key)
 	case f.Put != nil:
 		s.store.Put(f.Put.Key, f.Put.Relation, f.Put.Shard, f.Put.Epoch, f.Put.Sum, f.Put.Bytes)
-	case f.Invalidate != nil:
-		rp.Dropped = s.store.Invalidate(f.Invalidate.Relation, f.Invalidate.Shard, f.Invalidate.Keep, f.Invalidate.Key)
+	case f.Sweep != nil:
+		for _, g := range f.Sweep.Groups {
+			rp.Dropped += s.store.Invalidate(g.Relation, g.Shard, g.Keep, "")
+		}
+		for _, k := range f.Sweep.Keys {
+			rp.Dropped += s.store.Invalidate("", 0, 0, k)
+		}
 	case f.Stats:
 		st := s.store.Stats()
 		rp.Stats = &st

@@ -115,10 +115,11 @@ func (s *Store) Put(key, relation string, shard int, epoch uint64, sum hashx.Dig
 	return true
 }
 
-// Invalidate drops entries per the wire.CacheInvalidate contract: Key
-// set drops exactly that entry; Keep > 0 drops every entry of the
-// (relation, shard) group whose epoch differs from Keep; Keep == 0 drops
-// the whole group. Returns how many entries died.
+// Invalidate drops entries per the wire.CacheGroup contract: key set
+// drops exactly that entry; keep > 0 drops every entry of the (relation,
+// shard) group filed at an epoch older than keep, and leaves those filed
+// at keep or later; keep == 0 drops the whole group. Returns how many
+// entries died.
 func (s *Store) Invalidate(relation string, shard int, keep uint64, key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,7 +131,7 @@ func (s *Store) Invalidate(relation string, shard int, keep uint64, key string) 
 		}
 	} else {
 		for _, el := range s.groups[groupKey(relation, shard)] {
-			if keep != 0 && el.Value.(*storeEntry).epoch == keep {
+			if keep != 0 && el.Value.(*storeEntry).epoch >= keep {
 				continue
 			}
 			s.removeLocked(el)

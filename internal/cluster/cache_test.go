@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -18,6 +19,7 @@ import (
 	"vcqr/internal/cluster"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/leakcheck"
 	"vcqr/internal/server"
 	"vcqr/internal/wire"
 )
@@ -256,14 +258,16 @@ func TestCacheDeltaInvalidationExact(t *testing.T) {
 	if _, err := cf.coord.ApplyDelta(d); err != nil {
 		t.Fatalf("delta rejected: %v", err)
 	}
+	// The commit queued its sweep and returned; await it.
+	cf.cc.Wait()
 
 	// Epoch bump is exact: shard 1 moved, shards 0 and 2 did not.
 	newEpochs := cf.coord.Stats().ContentEpochs
 	if newEpochs[1] != oldEpochs[1]+1 || newEpochs[0] != oldEpochs[0] || newEpochs[2] != oldEpochs[2] {
 		t.Fatalf("content epochs %v -> %v: want only shard 1 bumped", oldEpochs, newEpochs)
 	}
-	// The pushed invalidation swept shard 1's old-epoch entry and the
-	// multi-shard group; exactly shards 0's and 2's own entries survive.
+	// The sweep dropped shard 1's old-epoch entry and the multi-shard
+	// group; exactly shards 0's and 2's own entries survive.
 	staleTag := fmt.Sprintf("\x00s1\x00e%d\x00", oldEpochs[1])
 	streamTag := fmt.Sprintf("\x00s%d\x00", cache.StreamShard)
 	resident := cf.srv.Store().Keys()
@@ -550,6 +554,7 @@ func TestCacheKeysSurviveCoordinatorRestart(t *testing.T) {
 	if _, err := cf.coord.ApplyDelta(cf.interiorDelta("restart-v2")); err != nil {
 		t.Fatalf("delta rejected: %v", err)
 	}
+	cc.Wait() // the commit queued its sweep; let it meet the fault
 	inj.Clear()
 	if inj.Fired() == 0 || srv.Store().Stats().Entries != 1 {
 		t.Fatalf("the sweep was not dropped: %d faults fired, %d entries resident", inj.Fired(), srv.Store().Stats().Entries)
@@ -857,5 +862,224 @@ func TestCacheSingleflightStorm(t *testing.T) {
 	}
 	if st := cf.coord.Stats(); st.Cache.Collapsed != storm-1 || inj.Fired() != 1 {
 		t.Fatalf("want %d lookups collapsed onto one held fan-out, got %d (faults fired %d): %+v", storm-1, st.Cache.Collapsed, inj.Fired(), st.Cache)
+	}
+}
+
+// sweepPark is a cache-client transport that, once armed, holds the next
+// sweep frame (the cache protocol's batched invalidation, tag 6 after the
+// 4-byte length) until released, and lets every other exchange through.
+type sweepPark struct {
+	mu      sync.Mutex
+	armed   bool
+	parked  chan struct{} // closed when the armed sweep is held
+	release chan struct{}
+}
+
+func newSweepPark() *sweepPark {
+	return &sweepPark{parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *sweepPark) RoundTrip(req *http.Request) (*http.Response, error) {
+	p.mu.Lock()
+	hold := p.armed && isSweep(req)
+	if hold {
+		p.armed = false
+		close(p.parked)
+	}
+	p.mu.Unlock()
+	if hold {
+		select {
+		case <-p.release:
+		case <-req.Context().Done():
+			return nil, req.Context().Err()
+		}
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func isSweep(req *http.Request) bool {
+	if req.GetBody == nil {
+		return false
+	}
+	body, err := req.GetBody()
+	if err != nil {
+		return false
+	}
+	defer body.Close()
+	var hdr [5]byte
+	_, err = io.ReadFull(body, hdr[:])
+	return err == nil && hdr[4] == 6
+}
+
+// TestCacheLateSweepKeepsNewerFill: a sweep is pushed after its commit
+// returns, so it can land after later commits and the fills made under
+// them. A sweep carries the epochs it was queued at and drops only
+// entries older than those, so a fill made at a newer epoch — a shard's
+// own stream at e+1, a multi-shard stream at a later bump generation —
+// survives the late sweep of epoch e and serves the next query.
+func TestCacheLateSweepKeepsNewerFill(t *testing.T) {
+	srv := cache.NewServer(0)
+	peerTS := httptest.NewServer(srv.Handler())
+	defer peerTS.Close()
+	park := newSweepPark()
+	cc := cache.NewClient(cache.Config{
+		Peers: []string{peerTS.URL}, MinAccesses: 1,
+		HTTP: &http.Client{Transport: park}, PeerTimeout: 30 * time.Second,
+	})
+	f := newClusterCfg(t, 96, 3, 2, nil, func(cfg *cluster.Config) { cfg.Cache = cc })
+	defer f.coord.Close()
+	cf := &cacheFix{fix: f, cc: cc, srv: srv}
+	coordTS := httptest.NewServer(cf.coord.Handler())
+	defer coordTS.Close()
+	cc.Wait() // Place's sweep
+
+	own, all := cf.coverQuery(1, 1), engine.Query{Relation: "Uniform"}
+	for _, q := range []engine.Query{own, all} {
+		if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cf.waitEntries(2)
+
+	// Delta A moves shard 1 to epoch e; its sweep is held on the wire.
+	park.mu.Lock()
+	park.armed = true
+	park.mu.Unlock()
+	if _, err := cf.coord.ApplyDelta(cf.interiorDelta("late-sweep-a")); err != nil {
+		t.Fatal(err)
+	}
+	<-park.parked
+	// Delta B moves it to e+1 while A's sweep is still out: B's sweep
+	// queues behind it. Both streams refill under B's epochs.
+	if _, err := cf.coord.ApplyDelta(cf.interiorDelta("late-sweep-b")); err != nil {
+		t.Fatal(err)
+	}
+	e := cf.coord.Stats().ContentEpochs[1]
+	for _, q := range []engine.Query{own, all} {
+		rows, err := cf.streamRows(coordTS.URL, q, 8)
+		if err != nil || !hasPayload(rows, "late-sweep-b") {
+			t.Fatalf("post-delta query: err=%v, fresh payload present=%v", err, hasPayload(rows, "late-sweep-b"))
+		}
+	}
+	fresh := fmt.Sprintf("\x00s1\x00e%d\x00", e)
+	multi := fmt.Sprintf("\x00s%d\x00", cache.StreamShard)
+	resident := func() (own, multiShard int) {
+		for _, ks := range srv.Store().Keys() {
+			switch {
+			case strings.Contains(ks, fresh):
+				own++
+			case strings.Contains(ks, multi):
+				multiShard++
+			}
+		}
+		return own, multiShard
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for o, m := resident(); o != 1 || m < 1 || cf.coord.Stats().Cache.Flights > 0; o, m = resident() {
+		if time.Now().After(deadline) {
+			t.Fatalf("fills at epoch %d did not land: %d own, %d multi-shard entries", e, o, m)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	// A's sweep lands now, then B's.
+	close(park.release)
+	cc.Wait()
+	if o, m := resident(); o != 1 || m != 1 {
+		t.Fatalf("late sweeps dropped fills made under newer epochs: %d own, %d multi-shard entries left, want 1 and 1 (%q)",
+			o, m, srv.Store().Keys())
+	}
+	if n := len(srv.Store().Keys()); n != 2 {
+		t.Fatalf("%d entries resident after both sweeps, want the 2 fresh ones: %q", n, srv.Store().Keys())
+	}
+	for _, q := range []engine.Query{own, all} {
+		hits, before := cf.coord.Stats().Cache.Hits, cf.origin()
+		rows, err := cf.streamRows(coordTS.URL, q, 8)
+		if err != nil || !hasPayload(rows, "late-sweep-b") {
+			t.Fatalf("query after the late sweeps: err=%v, fresh payload present=%v", err, hasPayload(rows, "late-sweep-b"))
+		}
+		if cf.coord.Stats().Cache.Hits != hits+1 || cf.origin() != before {
+			t.Fatalf("query %v after the late sweeps did not hit the surviving fill", q)
+		}
+	}
+}
+
+// TestCacheHungPeerDeltaCommits: a cache peer that accepts and never
+// answers cannot stall a write. The sweeps a placement and a delta
+// queue go out on the cache client's sender, each bounded by the peer
+// timeout, so Place and ApplyDelta return in a fraction of one timeout
+// with the content epochs moved — the epochs, not the sweep, keep reads
+// exact — and Close waits the sender out, leaving no goroutine behind.
+func TestCacheHungPeerDeltaCommits(t *testing.T) {
+	const peerTimeout = time.Second
+	cases := []struct {
+		name string
+		peer func(t *testing.T) (string, *http.Client)
+	}{
+		{"hung-server", func(t *testing.T) (string, *http.Client) {
+			block := make(chan struct{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				select {
+				case <-block:
+				case <-r.Context().Done():
+				}
+			}))
+			t.Cleanup(ts.Close)
+			t.Cleanup(func() { close(block) })
+			return ts.URL, nil
+		}},
+		{"injected-hang", func(t *testing.T) (string, *http.Client) {
+			ts := httptest.NewServer(cache.NewServer(0).Handler())
+			t.Cleanup(ts.Close)
+			inj := cluster.NewInjector(nil)
+			inj.Set(cluster.Fault{Path: wire.CacheRPC.Path, Stage: cluster.StageRoundTrip, Mode: cluster.Hang})
+			t.Cleanup(inj.Release)
+			return ts.URL, &http.Client{Transport: inj}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			url, hc := tc.peer(t)
+			cc := cache.NewClient(cache.Config{Peers: []string{url}, HTTP: hc, MinAccesses: 1, PeerTimeout: peerTimeout})
+			f := newClusterCfg(t, 96, 3, 2, nil, func(cfg *cluster.Config) { cfg.Cache = cc })
+
+			before := f.coord.Stats().ContentEpochs
+			t0 := time.Now()
+			if err := f.coord.Place(f.set); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); d > peerTimeout/4 {
+				t.Fatalf("Place took %v against a hung cache peer (peer timeout %v)", d, peerTimeout)
+			}
+			placed := f.coord.Stats().ContentEpochs
+			for i := range placed {
+				if placed[i] != before[i]+1 {
+					t.Fatalf("content epochs %v -> %v: Place must bump every shard", before, placed)
+				}
+			}
+
+			t0 = time.Now()
+			if _, err := f.coord.ApplyDelta(f.interiorDelta("hung-peer-v2")); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); d > peerTimeout/4 {
+				t.Fatalf("ApplyDelta took %v against a hung cache peer (peer timeout %v)", d, peerTimeout)
+			}
+			if e := f.coord.Stats().ContentEpochs; e[1] != placed[1]+1 {
+				t.Fatalf("content epochs %v -> %v: the delta did not bump shard 1", placed, e)
+			}
+
+			// Close waits for the sender: every push it held ends within
+			// the peer timeout, and none outlives Close.
+			f.coord.Close()
+			for _, g := range leakcheck.Settle(0) {
+				if strings.Contains(g, "cache.(*Client).sweeper") {
+					t.Fatalf("a sweep outlived Coordinator.Close:\n%s", g)
+				}
+			}
+			if cc.Stats().PeerErrors == 0 {
+				t.Fatal("the hung peer produced no peer errors; no sweep was pushed")
+			}
+		})
 	}
 }

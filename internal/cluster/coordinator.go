@@ -157,17 +157,19 @@ type Coordinator struct {
 	// migration cutovers. Queries never take it.
 	ctl sync.Mutex
 
-	// cache is the optional edge-cache tier; cepochs holds one content
+	// cache is the optional edge-cache tier; epochs holds one content
 	// epoch per shard, bumped on every commit/cutover that can change the
-	// shard's served bytes. A cache key binds the epochs of the shards its
-	// stream covers, which is what makes invalidation exact: once a
-	// covering shard is bumped the old entries are unreachable by key,
-	// even before the pushed group invalidation lands.
-	cache   *cache.Client
-	cepochs []atomic.Uint64
+	// shard's served bytes, and the bump generation that counts the bumps.
+	// A cache key binds the epochs of the shards its stream covers, which
+	// is what makes invalidation exact: once a covering shard is bumped
+	// the old entries are unaskable by key, before any sweep lands. bumpMu
+	// serializes bumps; readers load one vector, never a mix of two.
+	cache  *cache.Client
+	epochs atomic.Pointer[epochVector]
+	bumpMu sync.Mutex
 	// incarnation is this coordinator's random nonce, bound into every
-	// cache key: cepochs restart at zero with each coordinator, so a
-	// successor re-issues its predecessor's epoch numbers, and only the
+	// cache key: content epochs restart at zero with each coordinator, so
+	// a successor re-issues its predecessor's epoch numbers, and only the
 	// nonce keeps a stale entry a missed sweep left behind unaskable.
 	incarnation uint64
 
@@ -231,10 +233,10 @@ func New(cfg Config) (*Coordinator, error) {
 		health:    make(map[string]*nodeHealth, len(cfg.Nodes)),
 		cache:     cfg.Cache,
 		clog:      cfg.Log,
-		cepochs:   make([]atomic.Uint64, cfg.Spec.K()),
 
 		incarnation: binary.LittleEndian.Uint64(nonce[:]),
 	}
+	c.epochs.Store(&epochVector{shards: make([]uint64, cfg.Spec.K())})
 	if c.advertise == "" {
 		c.advertise = "coordinator"
 	}
@@ -258,8 +260,14 @@ func New(cfg Config) (*Coordinator, error) {
 // Obs returns the coordinator's observability registry.
 func (c *Coordinator) Obs() *obs.Registry { return c.obs }
 
-// Close unregisters the coordinator from the process expvar aggregate.
-func (c *Coordinator) Close() { processVar.Remove(c) }
+// Close unregisters the coordinator from the process expvar aggregate and
+// waits for the cache sweeps its bumps queued.
+func (c *Coordinator) Close() {
+	processVar.Remove(c)
+	if c.cache != nil {
+		c.cache.Wait()
+	}
+}
 
 // Spec returns the authenticated partition layout.
 func (c *Coordinator) Spec() partition.Spec { return c.spec }
@@ -318,40 +326,51 @@ func (c *Coordinator) routeFor(shard int) (string, error) {
 	return c.route[shard][0], nil
 }
 
-// contentEpochs snapshots the per-shard content epoch vector. Reads are
-// per-entry atomic, not jointly: a vector observed mid-bump simply
-// yields a cache key nobody fills twice — never a stale hit.
-func (c *Coordinator) contentEpochs() []uint64 {
-	out := make([]uint64, len(c.cepochs))
-	for i := range c.cepochs {
-		out[i] = c.cepochs[i].Load()
-	}
-	return out
+// epochVector is one version of the content epochs: gen counts the bumps
+// that made it, shards holds each shard's epoch. A published vector is
+// never written.
+type epochVector struct {
+	gen    uint64
+	shards []uint64
 }
 
-// bumpShards advances the named shards' content epochs and pushes the
-// invalidations to the cache tier: each shard's group (the streams that
-// shard alone covers) keeps only entries at the fresh epoch, and the
-// relation's multi-shard group is dropped whole (coarser than the keys,
-// which bind only their own cover). The bump is the correctness
-// mechanism — old keys become unaskable the moment the epoch moves, and
-// keys bind this coordinator's incarnation, so no successor's epoch
-// reaches them either; the pushed invalidation only reclaims the bytes.
+// contentEpochs snapshots the per-shard content epoch vector.
+func (c *Coordinator) contentEpochs() []uint64 {
+	return slices.Clone(c.epochs.Load().shards)
+}
+
+// bumpShards advances the named shards' content epochs and the bump
+// generation in one new vector, then queues the cache sweeps: each
+// shard's group (the streams that shard alone covers) drops entries
+// older than its fresh epoch, and the relation's multi-shard group,
+// whose entries are filed at the generation their key was read at, drops
+// entries older than the fresh generation (coarser than the keys, which
+// bind only their own cover). The bump is the correctness mechanism —
+// old keys become unaskable the moment the vector moves, and keys bind
+// this coordinator's incarnation, so no successor's epoch reaches them
+// either; a sweep only reclaims the bytes, so the caller does not wait
+// for it, and since it drops only what is older than the epochs it
+// carries, a sweep that lands after a later bump's fills leaves them.
 func (c *Coordinator) bumpShards(shards ...int) {
 	if len(shards) == 0 {
 		return
 	}
-	keeps := make([]uint64, len(shards))
-	for i, s := range shards {
-		keeps[i] = c.cepochs[s].Add(1)
+	c.bumpMu.Lock()
+	old := c.epochs.Load()
+	v := &epochVector{gen: old.gen + 1, shards: slices.Clone(old.shards)}
+	for _, s := range shards {
+		v.shards[s]++
 	}
+	c.epochs.Store(v)
+	c.bumpMu.Unlock()
 	if c.cache == nil {
 		return
 	}
-	for i, s := range shards {
-		c.cache.Invalidate(c.spec.Relation, s, keeps[i])
+	groups := make([]wire.CacheGroup, 0, len(shards)+1)
+	for _, s := range shards {
+		groups = append(groups, wire.CacheGroup{Relation: c.spec.Relation, Shard: s, Keep: v.shards[s]})
 	}
-	c.cache.Invalidate(c.spec.Relation, cache.StreamShard, 0)
+	c.cache.Invalidate(append(groups, wire.CacheGroup{Relation: c.spec.Relation, Shard: cache.StreamShard, Keep: v.gen})...)
 }
 
 // bumpAllShards is bumpShards over the whole key space — placement and
@@ -373,7 +392,8 @@ func (c *Coordinator) bumpAllShards() {
 // record, whose mirror is shard first's left context, so applyDelta
 // stages (and bumps) shard first as well. A single-shard cover is filed
 // in its shard's invalidation group at that epoch; a wider one in the
-// relation-wide StreamShard group.
+// relation-wide StreamShard group at the bump generation of the vector
+// its epochs came from.
 func (c *Coordinator) cacheStreamKey(roleName string, q engine.Query, sub []partition.SubRange, chunkRows int) cache.Key {
 	k := cache.Key{
 		Relation:    c.spec.Relation,
@@ -387,14 +407,16 @@ func (c *Coordinator) cacheStreamKey(roleName string, q engine.Query, sub []part
 	if chunkRows == 0 {
 		k.ChunkRows = c.chunkRows
 	}
+	v := c.epochs.Load()
 	if len(sub) == 1 {
 		k.Shard = sub[0].Shard
-		k.Epoch = c.cepochs[k.Shard].Load()
+		k.Epoch = v.shards[k.Shard]
 		return k
 	}
+	k.Epoch = v.gen
 	k.Epochs = make([]uint64, len(sub))
 	for i, sr := range sub {
-		k.Epochs[i] = c.cepochs[sr.Shard].Load()
+		k.Epochs[i] = v.shards[sr.Shard]
 	}
 	return k
 }

@@ -267,7 +267,7 @@ var cacheCounters = []obs.Counter[cache.ClientStats]{
 	{Key: "cache_fills", Help: "Entries pushed to cache peers.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fills }},
 	{Key: "cache_fill_drops", Help: "Fills discarded (aborted, oversized, empty).", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.FillDrops }},
 	{Key: "cache_fallthroughs", Help: "Cache entries rejected by digest or structural checks.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fallthroughs }},
-	{Key: "cache_invalidations", Help: "Epoch-scoped group invalidations pushed.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Invalidations }},
+	{Key: "cache_invalidations", Help: "Epoch-scoped group sweeps queued.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Invalidations }},
 	{Key: "cache_peer_errors", Help: "Cache-protocol I/O failures.", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.PeerErrors }},
 	{Key: "cache_admission_denied", Help: "Fills skipped by the admission gate.", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.AdmissionsDenied }},
 }

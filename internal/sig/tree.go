@@ -69,18 +69,25 @@ const (
 	wbGamma = 2
 )
 
-// mkNode builds an internal node, computing size and product: two
-// modular multiplications when both children exist.
+// mkNode builds an internal node, computing size and product: one
+// product per child, each reduced by the key's Barrett constant before
+// the next, since the reduction's bound covers a product of two residues
+// and not of three.
 func (t *ProductTree) mkNode(l *ptNode, val *big.Int, tag []byte, r *ptNode) *ptNode {
 	n := &ptNode{left: l, right: r, size: l.sz() + r.sz() + 1, val: val, tag: tag}
-	prod := new(big.Int).Set(val)
+	red, x := t.p.barrett(), expPool.Get().(*expScratch)
+	prod := new(big.Int)
+	x.t.Set(val)
 	if l != nil {
-		prod.Mul(prod, l.prod)
+		x.t.Mul(val, l.prod)
 	}
+	red.reduce(prod, &x.t, &x.q, &x.u)
 	if r != nil {
-		prod.Mul(prod, r.prod)
+		x.t.Mul(prod, r.prod)
+		red.reduce(prod, &x.t, &x.q, &x.u)
 	}
-	n.prod = prod.Mod(prod, t.p.N)
+	expPool.Put(x)
+	n.prod = prod
 	return n
 }
 
@@ -193,26 +200,30 @@ func (t *ProductTree) Range(i, j int) *big.Int {
 		panic(fmt.Sprintf("sig: ProductTree.Range(%d, %d) with %d leaves", i, j, t.Len()))
 	}
 	acc := big.NewInt(1)
-	t.rangeProd(t.root, i, j, acc)
+	x := expPool.Get().(*expScratch)
+	t.rangeProd(t.root, i, j, acc, t.p.barrett(), x)
+	expPool.Put(x)
 	return acc
 }
 
-func (t *ProductTree) rangeProd(n *ptNode, i, j int, acc *big.Int) {
+// rangeProd folds the leaves [i, j) of n's subtree into acc, reducing
+// after each fold by Barrett's reduction on x's scratch.
+func (t *ProductTree) rangeProd(n *ptNode, i, j int, acc *big.Int, red *barrett, x *expScratch) {
 	if n == nil || i >= n.size || j <= 0 || i >= j {
 		return
 	}
 	if i <= 0 && j >= n.size {
-		acc.Mul(acc, n.prod)
-		acc.Mod(acc, t.p.N)
+		x.t.Mul(acc, n.prod)
+		red.reduce(acc, &x.t, &x.q, &x.u)
 		return
 	}
 	ls := n.left.sz()
-	t.rangeProd(n.left, i, j, acc)
+	t.rangeProd(n.left, i, j, acc, red, x)
 	if i <= ls && ls < j {
-		acc.Mul(acc, n.val)
-		acc.Mod(acc, t.p.N)
+		x.t.Mul(acc, n.val)
+		red.reduce(acc, &x.t, &x.q, &x.u)
 	}
-	t.rangeProd(n.right, i-ls-1, j-ls-1, acc)
+	t.rangeProd(n.right, i-ls-1, j-ls-1, acc, red, x)
 }
 
 // RangeSig returns the condensed signature over leaves [i, j) — the

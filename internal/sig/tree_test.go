@@ -308,3 +308,86 @@ func (t *ProductTree) Height() int {
 	}
 	return h(t.root)
 }
+
+// FuzzProductTree: for any leaves in Z_N — the fuzzer's bytes cut into
+// N-wide words and reduced, so N−1 and 0 come up — every range product
+// of a built tree, of an UpdateMany successor and of an Insert/Delete
+// successor equals the Mul+Mod fold: the Barrett-reduced nodes and folds
+// are bit-identical to the division they replace.
+func FuzzProductTree(f *testing.F) {
+	p := key(f).Public()
+	width := p.SigBytes()
+	f.Add(bytes.Repeat([]byte{0xff}, 5*width), []byte{0, 2, 4})
+	f.Add([]byte{1, 2, 3}, []byte{})
+	f.Add(make([]byte, 3*width+7), []byte{1, 1, 0xff})
+	f.Add(append(p.N.Bytes(), new(big.Int).Sub(p.N, big.NewInt(1)).Bytes()...), []byte{7})
+	f.Fuzz(func(t *testing.T, raw, ops []byte) {
+		var vals []*big.Int
+		for len(raw) > 0 && len(vals) < 12 {
+			w := raw[:min(len(raw), width)]
+			raw = raw[len(w):]
+			vals = append(vals, new(big.Int).Mod(new(big.Int).SetBytes(w), p.N))
+		}
+		tr := p.NewProductTree(vals, nil)
+		checkAllRanges(t, p, tr, vals)
+		if len(vals) == 0 {
+			return
+		}
+		// Replace every leaf an op byte names with the square of its
+		// successor, then insert the product of the first two leaves at
+		// the first op's position and delete the last leaf.
+		var pos []int
+		var repl []*big.Int
+		for i := range vals {
+			if bytes.IndexByte(ops, byte(i)) >= 0 {
+				v := vals[(i+1)%len(vals)]
+				pos, repl = append(pos, i), append(repl, new(big.Int).Mod(new(big.Int).Mul(v, v), p.N))
+			}
+		}
+		next := append([]*big.Int(nil), vals...)
+		for k, i := range pos {
+			next[i] = repl[k]
+		}
+		up := tr.UpdateMany(pos, repl, nil)
+		checkAllRanges(t, p, up, next)
+		at := 0
+		if len(ops) > 0 {
+			at = int(ops[0]) % (len(next) + 1)
+		}
+		ins := naiveRange(p, next, 0, min(2, len(next)))
+		next = append(next[:at], append([]*big.Int{ins}, next[at:]...)...)
+		up = up.Insert(at, ins, nil).Delete(len(next) - 1)
+		checkAllRanges(t, p, up, next[:len(next)-1])
+		checkAllRanges(t, p, tr, vals) // persistence: the first tree is untouched
+	})
+}
+
+// BenchmarkProductTreeRange is the owner's per-sub-stream signature
+// cost: a 64-leaf range product over a 4,096-leaf tree at the real key
+// size, a few Barrett-reduced folds.
+func BenchmarkProductTreeRange(b *testing.B) {
+	p := key(b).Public()
+	rng := rand.New(rand.NewSource(1))
+	tr := p.NewProductTree(randVals(rng, p, 4096), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := rng.Intn(4096 - 64)
+		tr.Range(lo, lo+64)
+	}
+}
+
+// BenchmarkProductTreeUpdateMany is a delta's index refresh: three
+// adjacent leaves replaced, every ancestor rebuilt once.
+func BenchmarkProductTreeUpdateMany(b *testing.B) {
+	p := key(b).Public()
+	rng := rand.New(rand.NewSource(1))
+	vals := randVals(rng, p, 4096)
+	tr := p.NewProductTree(vals, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := rng.Intn(4096 - 3)
+		tr.UpdateMany([]int{at, at + 1, at + 2}, vals[:3], nil)
+	}
+}

@@ -38,22 +38,32 @@ type CachePut struct {
 	Bytes    []byte
 }
 
-// CacheInvalidate drops entries. With Key set, exactly that entry; with
-// Keep > 0, every entry of the (Relation, Shard) group whose epoch is
-// not Keep; with Keep == 0, the whole group.
-type CacheInvalidate struct {
+// CacheGroup names one invalidation group, the entries a put filed
+// under (Relation, Shard), and sweeps it: with Keep > 0 every entry of
+// the group whose epoch is older than Keep dies, and entries filed at
+// Keep or later stay — so a sweep that lands late never drops a fill
+// made under the epochs that superseded it; with Keep == 0 the whole
+// group dies.
+type CacheGroup struct {
 	Relation string
 	Shard    int
 	Keep     uint64
-	Key      string
+}
+
+// CacheSweep is a batch of invalidations in one frame: group sweeps
+// (CacheGroup) and exact entry drops by full key. The order within a
+// batch does not matter; every item is applied.
+type CacheSweep struct {
+	Groups []CacheGroup
+	Keys   []string
 }
 
 // CacheFrame is one cache-protocol request: exactly one operation set.
 type CacheFrame struct {
-	Get        *CacheGet
-	Put        *CachePut
-	Invalidate *CacheInvalidate
-	Stats      bool
+	Get   *CacheGet
+	Put   *CachePut
+	Sweep *CacheSweep
+	Stats bool
 }
 
 // CacheStats is a peer's counter snapshot.
@@ -72,7 +82,7 @@ type CacheReply struct {
 	Hit   bool
 	Sum   hashx.Digest
 	Bytes []byte
-	// Dropped answers an Invalidate.
+	// Dropped answers a Sweep: how many entries died.
 	Dropped int
 	// Stats answers a Stats request.
 	Stats *CacheStats
@@ -80,13 +90,14 @@ type CacheReply struct {
 }
 
 // Cache frame tags; each is followed by the operation's fields in struct
-// order (frame.go has the payload rules).
+// order (frame.go has the payload rules). Tag 3, the one-group-or-one-key
+// invalidation the sweep replaced, is retired and never reused.
 const (
-	cacheTagGet        = 1
-	cacheTagPut        = 2
-	cacheTagInvalidate = 3
-	cacheTagStats      = 4
-	cacheTagReply      = 5
+	cacheTagGet   = 1
+	cacheTagPut   = 2
+	cacheTagStats = 4
+	cacheTagReply = 5
+	cacheTagSweep = 6
 )
 
 // WriteCacheFrame writes one cache request frame.
@@ -108,13 +119,18 @@ func appendCacheFrame(b []byte, f *CacheFrame) ([]byte, error) {
 		b = binary.AppendUvarint(b, p.Epoch)
 		b = appendBytes(b, p.Sum)
 		b = appendBytes(b, p.Bytes)
-	case f.Invalidate != nil:
-		iv := f.Invalidate
-		b = append(b, cacheTagInvalidate)
-		b = appendBytes(b, iv.Relation)
-		b = appendInt(b, iv.Shard)
-		b = binary.AppendUvarint(b, iv.Keep)
-		b = appendBytes(b, iv.Key)
+	case f.Sweep != nil:
+		b = append(b, cacheTagSweep)
+		b = binary.AppendUvarint(b, uint64(len(f.Sweep.Groups)))
+		for _, g := range f.Sweep.Groups {
+			b = appendBytes(b, g.Relation)
+			b = appendInt(b, g.Shard)
+			b = binary.AppendUvarint(b, g.Keep)
+		}
+		b = binary.AppendUvarint(b, uint64(len(f.Sweep.Keys)))
+		for _, k := range f.Sweep.Keys {
+			b = appendBytes(b, k)
+		}
 	case f.Stats:
 		b = append(b, cacheTagStats)
 	default:
@@ -144,13 +160,23 @@ func (d *decoder) cacheFrame(f *CacheFrame) {
 			Sum:      hashx.Digest(d.bytes()),
 			Bytes:    d.bytes(),
 		}
-	case cacheTagInvalidate:
-		f.Invalidate = &CacheInvalidate{
-			Relation: d.str(),
-			Shard:    d.int(),
-			Keep:     d.uvarint(),
-			Key:      d.str(),
+	case cacheTagSweep:
+		sw := &CacheSweep{}
+		// A group takes at least three bytes (empty relation, shard,
+		// keep), a key at least its length prefix.
+		if n := d.count(3); n > 0 {
+			sw.Groups = make([]CacheGroup, n)
+			for i := range sw.Groups {
+				sw.Groups[i] = CacheGroup{Relation: d.str(), Shard: d.int(), Keep: d.uvarint()}
+			}
 		}
+		if n := d.count(1); n > 0 {
+			sw.Keys = make([]string, n)
+			for i := range sw.Keys {
+				sw.Keys[i] = d.str()
+			}
+		}
+		f.Sweep = sw
 	case cacheTagStats:
 		f.Stats = true
 	default:

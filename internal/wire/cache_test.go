@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"vcqr/internal/hashx"
@@ -23,9 +24,19 @@ func sampleCacheFrames() []*wire.CacheFrame {
 			Bytes:    []byte("entry-bytes"),
 		}},
 		{Put: &wire.CachePut{Key: "stream", Relation: "Uniform", Shard: -1, Bytes: []byte{0}}},
-		{Invalidate: &wire.CacheInvalidate{Relation: "Uniform", Shard: 2, Keep: 8}},
-		{Invalidate: &wire.CacheInvalidate{Relation: "Uniform", Shard: -1}},
-		{Invalidate: &wire.CacheInvalidate{Key: "one-entry"}},
+		{Sweep: &wire.CacheSweep{Groups: []wire.CacheGroup{{Relation: "Uniform", Shard: 2, Keep: 8}}}},
+		{Sweep: &wire.CacheSweep{Keys: []string{"one-entry"}}},
+		// One delta's batch: the staged shards' groups, the multi-shard
+		// group at the bump generation, and a suspect entry's drop.
+		{Sweep: &wire.CacheSweep{
+			Groups: []wire.CacheGroup{
+				{Relation: "Uniform", Shard: 0, Keep: 3},
+				{Relation: "Uniform", Shard: 1, Keep: 1 << 40},
+				{Relation: "Uniform", Shard: -1, Keep: 9},
+			},
+			Keys: []string{"Uniform\x00s1\x00e2", ""},
+		}},
+		{Sweep: &wire.CacheSweep{}},
 		{Stats: true},
 	}
 }
@@ -57,9 +68,9 @@ func TestCacheFrameRoundTrip(t *testing.T) {
 				!got.Put.Sum.Equal(want.Put.Sum) {
 				t.Fatalf("frame %d: put mismatch: %+v", i, got)
 			}
-		case want.Invalidate != nil:
-			if got.Invalidate == nil || *got.Invalidate != *want.Invalidate {
-				t.Fatalf("frame %d: invalidate mismatch: %+v", i, got)
+		case want.Sweep != nil:
+			if got.Sweep == nil || !slices.Equal(got.Sweep.Groups, want.Sweep.Groups) || !slices.Equal(got.Sweep.Keys, want.Sweep.Keys) {
+				t.Fatalf("frame %d: sweep mismatch: %+v", i, got.Sweep)
 			}
 		case want.Stats:
 			if !got.Stats {
@@ -100,6 +111,19 @@ func FuzzReadCacheFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 42})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// Sweep frames one at a time, and a sweep whose group count claims
+	// more groups than its payload holds.
+	for _, fr := range sampleCacheFrames() {
+		if fr.Sweep == nil {
+			continue
+		}
+		var one bytes.Buffer
+		if err := wire.WriteCacheFrame(&one, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(one.Bytes())
+	}
+	f.Add([]byte{0, 0, 0, 3, 6, 0x7f, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {

@@ -55,8 +55,8 @@ func TestTypedFramesShareOneEnvelope(t *testing.T) {
 			name = "cache get"
 		case f.Put != nil:
 			name = "cache put"
-		case f.Invalidate != nil:
-			name = "cache invalidate"
+		case f.Sweep != nil:
+			name = "cache sweep"
 		}
 		cases = append(cases, typedFrame(name, f, wire.WriteCacheFrame, wire.ReadCacheFrame))
 	}
