@@ -44,8 +44,10 @@ bench-verify:
 # fault-injection seam replays, the node prepare replies (staged and
 # neighbour edges), the recycling frame reader against
 # one-shot decodes, the lease frames, the /stream request
-# (legacy gob branch included) and the /delta body — plus the durable
-# store's on-disk codec (WAL records), the
+# (legacy gob branch included) and the /delta body — plus everything on
+# disk: the store's WAL framing, the node and coordinator log records,
+# the client parameters and publication files (each refused by name or
+# re-encoded to its own bytes), the
 # held SHA-256 kernel (one block, two, streamed) and its MGF1 expansion
 # against the stdlib digest, a whole digit chain in one call against
 # step-by-step iteration, the once-hashed chain side (combined digest and boundary proof)
@@ -68,6 +70,10 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadStreamRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadDeltaRequest -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzReadWALRecord -fuzztime 30s ./internal/store
+	$(GO) test -run xxx -fuzz FuzzReadNodeRecord -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadCoordRecord -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadClientParams -fuzztime 30s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzReadPublication -fuzztime 30s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzSum -fuzztime 30s ./internal/hashx
 	$(GO) test -run xxx -fuzz FuzzChain -fuzztime 30s ./internal/hashx
 	$(GO) test -run xxx -fuzz FuzzChainSide -fuzztime 30s ./internal/core

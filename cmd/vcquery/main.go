@@ -5,20 +5,20 @@
 //
 // Usage:
 //
-//	vcquery -url http://localhost:8080 -params params.gob \
+//	vcquery -url http://localhost:8080 -params params.vcqr \
 //	        -role manager -lo 1000 -hi 500000 -cols Name,Dept
 //
 // Batch mode queries several ranges, one after another, and verifies
 // each result independently:
 //
-//	vcquery -url http://localhost:8080 -params params.gob \
+//	vcquery -url http://localhost:8080 -params params.vcqr \
 //	        -role manager -ranges 1000:2000,500000:900000,1:0
 //
 // Stream mode pulls the result as verified chunk frames, printing rows
 // as the incremental verifier releases them and reporting the time to
 // the first row — constant client memory no matter the result size:
 //
-//	vcquery -url http://localhost:8080 -params params.gob \
+//	vcquery -url http://localhost:8080 -params params.vcqr \
 //	        -role manager -lo 1000 -hi 500000 -stream
 //
 // Adding -timing to a stream asks the server for its advisory per-stage
@@ -47,7 +47,7 @@ import (
 
 func main() {
 	url := flag.String("url", "http://localhost:8080", "publisher base URL")
-	paramsPath := flag.String("params", "params.gob", "owner parameters file (authenticated channel)")
+	paramsPath := flag.String("params", "params.vcqr", "owner parameters file (authenticated channel)")
 	roleName := flag.String("role", "manager", "role to query as")
 	lo := flag.Uint64("lo", 1, "range lower bound (inclusive)")
 	hi := flag.Uint64("hi", 0, "range upper bound (inclusive, 0 = unbounded)")

@@ -2,8 +2,9 @@
 // one of three modes:
 //
 //   - single process (default): a concurrent publisher (internal/server)
-//     hosting a plain or range-partitioned publication, loaded from a
-//     vcsign snapshot (-load) or self-signed in-process for demos.
+//     hosting a publication of one or more range shards, loaded from a
+//     vcsign publication file (-load) or self-signed in-process for
+//     demos.
 //   - shard node (-node): an empty publisher that hosts individual shard
 //     slices installed, migrated and removed by a cluster coordinator.
 //     It needs only the owner's client parameters (-params) — a node
@@ -32,18 +33,18 @@
 //
 // Usage:
 //
-//	vcserve -load emp.gob -params params.gob -addr :8080
-//	vcserve -n 1000 -shards 4 -params params.gob       # sharded demo
-//	vcserve -node -params params.gob -addr :8081       # shard node
-//	vcserve -coordinator -load emp.gob -params params.gob \
+//	vcserve -load emp.vcqr -params params.vcqr -addr :8080
+//	vcserve -n 1000 -shards 4 -params params.vcqr       # sharded demo
+//	vcserve -node -params params.vcqr -addr :8081       # shard node
+//	vcserve -coordinator -load emp.vcqr -params params.vcqr \
 //	    -nodes http://127.0.0.1:8081,http://127.0.0.1:8082 -addr :8080
-//	vcserve -coordinator -adopt -params params.gob \
+//	vcserve -coordinator -adopt -params params.vcqr \
 //	    -nodes http://127.0.0.1:8081,http://127.0.0.1:8082 -addr :8080
-//	vcserve -coordinator -load emp.gob -params params.gob -replicas 2 \
+//	vcserve -coordinator -load emp.vcqr -params params.vcqr -replicas 2 \
 //	    -nodes http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083 \
 //	    -lease-ttl 5s -addr :8080                      # R-way replication
 //	vcserve -cache-node -cache-bytes 268435456 -addr :8090   # cache peer
-//	vcserve -coordinator -load emp.gob -params params.gob \
+//	vcserve -coordinator -load emp.vcqr -params params.vcqr \
 //	    -nodes ... -cache-peers http://127.0.0.1:8090 -addr :8080
 //
 // Query it with cmd/vcquery.
@@ -55,10 +56,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -104,11 +107,11 @@ func serveDebug(slow *obs.SlowLog) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	load := flag.String("load", "", "publication snapshot from vcsign (empty = generate in-process)")
+	load := flag.String("load", "", "publication file from vcsign (empty = generate in-process)")
 	n := flag.Int("n", 500, "records to generate when -load is empty")
 	seed := flag.Int64("seed", 1, "workload seed when -load is empty")
 	shards := flag.Int("shards", 1, "range-partition the in-process publication (ignored with -load)")
-	paramsPath := flag.String("params", "params.gob", "client parameters file (read with -load/-node/-coordinator, written otherwise)")
+	paramsPath := flag.String("params", "params.vcqr", "client parameters file (read with -load/-node/-coordinator, written otherwise)")
 	nodeMode := flag.Bool("node", false, "run as a shard node awaiting coordinator installs")
 	coordMode := flag.Bool("coordinator", false, "run as a cluster coordinator over -nodes")
 	cacheMode := flag.Bool("cache-node", false, "run as an untrusted edge-cache peer (internal/cache)")
@@ -181,11 +184,7 @@ func runCachePeer(addr string, budget int64) {
 
 // policyFrom rebuilds the role policy from the distributed parameters.
 func policyFrom(cp wire.ClientParams) accessctl.Policy {
-	roles := make([]accessctl.Role, 0, len(cp.Roles))
-	for _, r := range cp.Roles {
-		roles = append(roles, r)
-	}
-	return accessctl.NewPolicy(roles...)
+	return accessctl.NewPolicy(slices.Collect(maps.Values(cp.Roles))...)
 }
 
 // runNode starts an empty shard node: everything it will serve arrives
@@ -290,14 +289,13 @@ func runCoordinator(addr, load, paramsPath, nodesFlag, cachePeers string, adopt 
 		if err != nil {
 			log.Fatal(err)
 		}
-		snap, err := wire.DecodeSnapshot(blob)
-		if err != nil {
+		if set, err = wire.DecodePublication(blob); err != nil {
 			log.Fatal(err)
 		}
-		if snap.Partition == nil {
-			log.Fatal("coordinator mode needs a partitioned snapshot (vcsign -shards K)")
+		if set.Spec.K() < 2 {
+			log.Fatal("coordinator mode needs a partitioned publication (vcsign -shards K), not a one-shard one")
 		}
-		set, spec = snap.Partition, snap.Partition.Spec
+		spec = set.Spec
 		log.Printf("validating %d-shard snapshot against the owner's key...", spec.K())
 		if err := set.Validate(h, pub); err != nil {
 			log.Fatalf("snapshot failed ingest validation: %v", err)
@@ -420,24 +418,20 @@ func waitAndShutdown(shutdown func(context.Context) error, done func() <-chan st
 func runSingle(addr, load, paramsPath string, n int, seed int64, shards int) {
 	h := hashx.New()
 	var (
-		snap *wire.Snapshot
-		pub  *sig.PublicKey
-		cp   wire.ClientParams
+		set *partition.Set
+		cp  wire.ClientParams
 	)
 	if load != "" {
 		blob, err := os.ReadFile(load)
 		if err != nil {
 			log.Fatal(err)
 		}
-		snap, err = wire.DecodeSnapshot(blob)
-		if err != nil {
+		if set, err = wire.DecodePublication(blob); err != nil {
 			log.Fatal(err)
 		}
-		cp, err = wire.ReadClientParams(paramsPath)
-		if err != nil {
+		if cp, err = wire.ReadClientParams(paramsPath); err != nil {
 			log.Fatal(err)
 		}
-		pub = &sig.PublicKey{N: cp.N, E: cp.E}
 	} else {
 		o, err := owner.New(h, 0)
 		if err != nil {
@@ -454,22 +448,18 @@ func runSingle(addr, load, paramsPath string, n int, seed int64, shards int) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pub = o.PublicKey()
 		cp = wire.ClientParams{
-			N: pub.N, E: pub.E, Params: sr.Params, Schema: sr.Schema,
+			N: o.PublicKey().N, E: o.PublicKey().E, Params: sr.Params, Schema: sr.Schema,
 			Roles: map[string]accessctl.Role{
 				"manager": {Name: "manager"},
 				"exec":    {Name: "exec", KeyHi: 1 << 30},
 				"clerk":   {Name: "clerk", VisibilityCol: "vis_clerk"},
 			},
 		}
-		snap = &wire.Snapshot{Relation: sr}
+		if set, err = partition.Split(sr, shards); err != nil {
+			log.Fatal(err)
+		}
 		if shards > 1 {
-			set, err := partition.Split(sr, shards)
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap = &wire.Snapshot{Partition: set}
 			cp.Partition = &set.Spec
 		}
 		if err := wire.WriteClientParams(paramsPath, cp); err != nil {
@@ -480,32 +470,19 @@ func runSingle(addr, load, paramsPath string, n int, seed int64, shards int) {
 
 	s := server.New(server.Config{
 		Hasher:        h,
-		Pub:           pub,
+		Pub:           &sig.PublicKey{N: cp.N, E: cp.E},
 		Policy:        policyFrom(cp),
 		SlowThreshold: slowQuery,
 	})
 	serveDebug(s.Obs().Slow)
-	var name string
-	var records int
-	switch {
-	case snap.Partition != nil:
-		if err := s.AddPartition(snap.Partition, true); err != nil {
-			log.Fatalf("snapshot failed ingest validation: %v", err)
-		}
-		name = snap.Partition.Spec.Relation
-		for _, sl := range snap.Partition.Slices {
-			records += sl.Len()
-		}
-		log.Printf("hosting %q as %d shards (%d records, per-shard epochs)", name, snap.Partition.Spec.K(), records)
-	case snap.Relation != nil:
-		if err := s.AddRelation(snap.Relation, true); err != nil {
-			log.Fatalf("snapshot failed ingest validation: %v", err)
-		}
-		name = snap.Relation.Schema.Name
-		records = snap.Relation.Len()
-	default:
-		log.Fatal("snapshot holds neither a relation nor a partition")
+	if err := s.AddPartition(set, true); err != nil {
+		log.Fatalf("publication failed ingest validation: %v", err)
 	}
+	name, records := set.Spec.Relation, 0
+	for _, sl := range set.Slices {
+		records += sl.Len()
+	}
+	log.Printf("hosting %q as %d shards (%d records, per-shard epochs)", name, set.Spec.K(), records)
 
 	hs, err := server.Serve(addr, s)
 	if err != nil {

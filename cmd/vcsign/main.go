@@ -2,24 +2,25 @@
 // generates a fresh signing key, signs a relation, and writes two
 // artifacts:
 //
-//   - a publication snapshot (-out) for publishers — contains no
-//     secrets, only tuples, digests and signatures; with -shards K > 1
-//     the snapshot is a K-way range partition (the signatures are
-//     identical either way: partitioning never touches the chain);
+//   - a publication file (-out) for publishers — contains no secrets,
+//     only tuples, digests and signatures; it is a K-way range partition
+//     of the relation, one shard unless -shards K says otherwise (the
+//     signatures are identical either way: partitioning never touches
+//     the chain);
 //   - a client-parameters file (-params) for users — the public key,
 //     domain parameters, schema, role definitions, and the partition
 //     layout when sharded, to be distributed over an authenticated
 //     channel.
 //
 // The private key is used once and discarded; re-run vcsign to publish a
-// new version. Serve the snapshot with:
+// new version. Serve the publication with:
 //
-//	vcsign -n 1000 -out emp.gob -params params.gob
-//	vcserve -load emp.gob -params params.gob
+//	vcsign -n 1000 -out emp.vcqr -params params.vcqr
+//	vcserve -load emp.vcqr -params params.vcqr
 //
 // Sharded publication for a partitioned publisher:
 //
-//	vcsign -n 1000 -shards 4 -out emp.gob -params params.gob
+//	vcsign -n 1000 -shards 4 -out emp.vcqr -params params.vcqr
 package main
 
 import (
@@ -41,8 +42,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	base := flag.Uint64("base", core.DefaultBase, "chain number base B")
 	shards := flag.Int("shards", 1, "range-partition the publication into this many shards")
-	out := flag.String("out", "relation.gob", "publication snapshot for publishers")
-	paramsPath := flag.String("params", "params.gob", "client parameters file for users")
+	out := flag.String("out", "relation.vcqr", "publication file for publishers")
+	paramsPath := flag.String("params", "params.vcqr", "client parameters file for users")
 	flag.Parse()
 
 	h := hashx.New()
@@ -72,28 +73,22 @@ func main() {
 		},
 	}
 
-	var blob []byte
+	set, err := partition.Split(sr, *shards)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *shards > 1 {
-		set, err := partition.Split(sr, *shards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		blob, err = wire.EncodeSnapshot(&wire.Snapshot{Partition: set})
-		if err != nil {
-			log.Fatal(err)
-		}
 		cp.Partition = &set.Spec
 		log.Printf("partitioned into %d shards at cuts %v", set.Spec.K(), set.Spec.Cuts[1:len(set.Spec.Cuts)-1])
-	} else {
-		blob, err = wire.EncodeRelation(sr)
-		if err != nil {
-			log.Fatal(err)
-		}
+	}
+	blob, err := wire.EncodePublication(set)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := os.WriteFile(*out, blob, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("snapshot: %s (%d bytes, %d signatures)", *out, len(blob), o.SignOps())
+	log.Printf("publication: %s (%d bytes, %d signatures)", *out, len(blob), o.SignOps())
 
 	if err := wire.WriteClientParams(*paramsPath, cp); err != nil {
 		log.Fatal(err)

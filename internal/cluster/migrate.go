@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -487,13 +488,12 @@ func (c *Coordinator) Recover() (*RecoveryReport, error) {
 	// whatever state each node durably committed, so the ambiguity is
 	// resolved — but the operator should know it existed.
 	if c.clog != nil {
-		for relName := range c.clog.OpenStaged() {
-			rep.OpenStaged = append(rep.OpenStaged, relName)
+		rep.OpenStaged = slices.Sorted(maps.Keys(c.clog.OpenStaged()))
+		for _, relName := range rep.OpenStaged {
 			if err := c.clog.LogStagedEnd(relName, false); err != nil {
 				c.persistFailures.Add(1)
 			}
 		}
-		sort.Strings(rep.OpenStaged)
 	}
 	sort.Ints(rep.Diverged)
 	sort.Ints(rep.Ambiguous)

@@ -146,7 +146,6 @@ type commitPlan struct {
 	digest hashx.Digest
 	run    []byte
 	rec    store.PlannedShard
-	err    error
 }
 
 // nodeTable is the hosting state of one relation.
@@ -846,7 +845,7 @@ func (s *Server) planShard(shard int, old *core.SignedRelation, run []byte, stag
 	}
 	p := &commitPlan{old: old}
 	p.digest, p.run = partition.SliceDigestFrom(s.h, staged, run, from)
-	p.rec, p.err = store.PlanShard(store.CommitShard{Shard: shard, Old: old, New: staged, PostDigest: p.digest})
+	p.rec = store.PlanShard(store.CommitShard{Shard: shard, Old: old, New: staged, PostDigest: p.digest})
 	return p
 }
 
@@ -989,9 +988,6 @@ func (s *Server) commitSlices(nt *nodeTable, rel string, staged map[int]*core.Si
 			p := plans[i]
 			if p == nil || p.old != hs.sl || p.rec.New != staged[i] {
 				p = s.planShard(i, hs.sl, hs.run, staged[i])
-			}
-			if p.err != nil {
-				return 0, fmt.Errorf("server: delta commit not durable: %w", p.err)
 			}
 			digests[i], runs[i] = p.digest, p.run
 			planned = append(planned, p.rec)

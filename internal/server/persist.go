@@ -2,7 +2,8 @@ package server
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"vcqr/internal/partition"
 	"vcqr/internal/store"
@@ -33,12 +34,7 @@ func (s *Server) RecoverHosted() (*RecoverReport, error) {
 	}
 	rep := &RecoverReport{}
 	recovered := s.nstore.Recovered()
-	names := make([]string, 0, len(recovered))
-	for name := range recovered {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(recovered)) {
 		rr := recovered[name]
 		for _, sh := range rr.Shards {
 			if err := s.recoverSlice(name, rr.Spec, sh); err != nil {
@@ -47,7 +43,7 @@ func (s *Server) RecoverHosted() (*RecoverReport, error) {
 				// not re-litigate a slice the coordinator has since
 				// re-installed elsewhere. Best-effort: a failed drop only
 				// costs a repeat refusal.
-				s.nstore.Drop(name, sh.Shard)
+				s.nstore.LogRemove(name, sh.Shard)
 				continue
 			}
 			rep.Published = append(rep.Published, fmt.Sprintf("%s/%d", name, sh.Shard))

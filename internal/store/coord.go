@@ -1,43 +1,21 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
+	"maps"
+	"slices"
+
+	"vcqr/internal/wire"
 )
 
-// Coordinator log record: exactly one of the three kinds. The log
-// compacts by rewriting itself as the latest routing plus the
-// still-open staged transactions (wal.rewrite, the node log's idiom).
-type coordRecord struct {
-	Routing     *routingRecord
-	StagedBegin *stagedBeginRecord
-	StagedEnd   *stagedEndRecord
-}
-
-type routingRecord struct {
-	Epoch uint64
-	Route [][]string
-}
-
-// stagedBeginRecord is written before phase 4 (commit fan-out) of a
-// distributed delta: the relation and every node's staged token. If
-// the coordinator dies inside the commit fan-out, recovery finds the
-// open transaction here and knows the ambiguity is real — some nodes
-// may have committed — instead of guessing from digests alone.
-type stagedBeginRecord struct {
-	Relation string
-	Tokens   map[string]uint64
-}
-
-type stagedEndRecord struct {
-	Relation  string
-	Committed bool
-}
+// coordMagic names a coordinator's log in its header (wire.FileHeader).
+// Its records (wire.CoordRecord) are a routing table, and the begin and
+// end of a two-phase delta's commit fan-out: a begin is written before
+// the fan-out with every node's staged token, so if the coordinator dies
+// inside it, recovery finds the open transaction and knows the ambiguity
+// is real — some nodes may have committed — instead of guessing from
+// digests alone. The log compacts by rewriting itself as the latest
+// routing plus the still-open begins (wal.rewrite, the node log's idiom).
+const coordMagic = "vcqr coordinator log\n"
 
 // DefaultCompactEvery is how many appends trigger an atomic rewrite of
 // the coordinator log.
@@ -67,12 +45,9 @@ type CoordReport struct {
 // table (with its epoch) and the set of in-flight two-phase delta
 // commits. All methods are goroutine-safe.
 type CoordLog struct {
-	mu     sync.Mutex
-	log    *wal
-	repoch uint64
-	route  [][]string
-	haveRt bool
-	staged map[string]map[string]uint64
+	logged
+	rt     *wire.RoutingRecord // nil until a routing is logged
+	staged map[string]*wire.StagedBegin
 }
 
 // OpenCoord opens (creating if needed) a coordinator log in dir and
@@ -81,31 +56,18 @@ type CoordLog struct {
 // was, as are environmental I/O failures. If the replayed log had grown,
 // it is compacted before returning.
 func OpenCoord(dir string, opts CoordOptions) (*CoordLog, *CoordReport, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	path := filepath.Join(dir, "coord.wal")
-	img, err := readLog(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	cl := &CoordLog{staged: map[string]map[string]uint64{}}
-	rep := &CoordReport{TornTail: img.torn}
-	for i, r := range img.recs {
-		var rec coordRecord
-		if derr := gob.NewDecoder(bytes.NewReader(r.payload)).Decode(&rec); derr != nil {
-			return nil, nil, fmt.Errorf("store: %s: %w", path, r.corrupt(i, derr))
-		}
-		cl.applyRecord(&rec)
-		rep.Replayed++
-	}
-	w, err := img.open(DefaultCompactEvery, opts.Crash)
+	cl := &CoordLog{staged: map[string]*wire.StagedBegin{}}
+	cl.compacted = cl.image
+	w, n, torn, err := replay(dir, "coord.wal", coordMagic, DefaultCompactEvery, opts.Crash, wire.DecodeCoordRecord,
+		func(rec *wire.CoordRecord) error { cl.applyRecord(rec); return nil })
 	if err != nil {
 		return nil, nil, err
 	}
 	cl.log = w
-	rep.RoutingEpoch = cl.repoch
-	rep.OpenStaged = cl.openStagedLocked()
+	rep := &CoordReport{TornTail: torn, Replayed: n, OpenStaged: slices.Sorted(maps.Keys(cl.staged))}
+	if cl.rt != nil {
+		rep.RoutingEpoch = cl.rt.Epoch
+	}
 	// Compact what we replayed so restart cost stays bounded; failure
 	// here is an I/O problem worth surfacing at open.
 	if rep.Replayed > 1 {
@@ -117,58 +79,38 @@ func OpenCoord(dir string, opts CoordOptions) (*CoordLog, *CoordReport, error) {
 	return cl, rep, nil
 }
 
-func (cl *CoordLog) applyRecord(rec *coordRecord) {
+// applyRecord adopts a record, which the log owns from then on.
+func (cl *CoordLog) applyRecord(rec *wire.CoordRecord) {
 	switch {
 	case rec.Routing != nil:
-		cl.repoch = rec.Routing.Epoch
-		cl.route = cloneRoute(rec.Routing.Route)
-		cl.haveRt = true
+		cl.rt = rec.Routing
 	case rec.StagedBegin != nil:
-		toks := make(map[string]uint64, len(rec.StagedBegin.Tokens))
-		for k, v := range rec.StagedBegin.Tokens {
-			toks[k] = v
-		}
-		cl.staged[rec.StagedBegin.Relation] = toks
+		cl.staged[rec.StagedBegin.Relation] = rec.StagedBegin
 	case rec.StagedEnd != nil:
 		delete(cl.staged, rec.StagedEnd.Relation)
 	}
 }
 
-func (cl *CoordLog) append(rec *coordRecord) error {
-	payload, err := gobRecord(rec)
-	if err != nil {
-		return err
-	}
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if err := cl.log.append(payload); err != nil {
-		return err
-	}
-	cl.applyRecord(rec)
-	cl.log.compactIfDue(cl.image)
-	return nil
+func (cl *CoordLog) append(rec *wire.CoordRecord) error {
+	return cl.commit(wire.AppendCoordRecord(nil, rec), func() { cl.applyRecord(rec) })
 }
 
 // LogRouting durably records a routing table at a given epoch.
 func (cl *CoordLog) LogRouting(epoch uint64, route [][]string) error {
-	return cl.append(&coordRecord{Routing: &routingRecord{Epoch: epoch, Route: cloneRoute(route)}})
+	return cl.append(&wire.CoordRecord{Routing: &wire.RoutingRecord{Epoch: epoch, Route: cloneRoute(route)}})
 }
 
 // LogStagedBegin durably records that a two-phase delta for rel is
 // about to enter its commit fan-out, with every node's staged token.
 // Call before the first NodeTx commit is sent.
 func (cl *CoordLog) LogStagedBegin(rel string, tokens map[string]uint64) error {
-	toks := make(map[string]uint64, len(tokens))
-	for k, v := range tokens {
-		toks[k] = v
-	}
-	return cl.append(&coordRecord{StagedBegin: &stagedBeginRecord{Relation: rel, Tokens: toks}})
+	return cl.append(&wire.CoordRecord{StagedBegin: &wire.StagedBegin{Relation: rel, Tokens: maps.Clone(tokens)}})
 }
 
 // LogStagedEnd durably records that the delta for rel resolved
 // (committed or aborted everywhere).
 func (cl *CoordLog) LogStagedEnd(rel string, committed bool) error {
-	return cl.append(&coordRecord{StagedEnd: &stagedEndRecord{Relation: rel, Committed: committed}})
+	return cl.append(&wire.CoordRecord{StagedEnd: &wire.StagedEnd{Relation: rel, Committed: committed}})
 }
 
 // Routing returns the recovered routing table and epoch; ok is false
@@ -176,10 +118,10 @@ func (cl *CoordLog) LogStagedEnd(rel string, committed bool) error {
 func (cl *CoordLog) Routing() (epoch uint64, route [][]string, ok bool) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if !cl.haveRt {
+	if cl.rt == nil {
 		return 0, nil, false
 	}
-	return cl.repoch, cloneRoute(cl.route), true
+	return cl.rt.Epoch, cloneRoute(cl.rt.Route), true
 }
 
 // OpenStaged returns the two-phase deltas that were begun but never
@@ -189,48 +131,21 @@ func (cl *CoordLog) OpenStaged() map[string]map[string]uint64 {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	out := make(map[string]map[string]uint64, len(cl.staged))
-	for rel, toks := range cl.staged {
-		cp := make(map[string]uint64, len(toks))
-		for k, v := range toks {
-			cp[k] = v
-		}
-		out[rel] = cp
+	for rel, b := range cl.staged {
+		out[rel] = maps.Clone(b.Tokens)
 	}
 	return out
 }
 
-func (cl *CoordLog) openStagedLocked() []string {
-	out := make([]string, 0, len(cl.staged))
-	for rel := range cl.staged {
-		out = append(out, rel)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Compact forces an atomic log rewrite now.
-func (cl *CoordLog) Compact() error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.log.rewrite(cl.image)
-}
-
-// image is the compacted log: [latest routing][open staged begins].
+// image is the compacted log: [latest routing][open staged begins, in
+// relation order].
 func (cl *CoordLog) image() ([][]byte, error) {
-	var recs []*coordRecord
-	if cl.haveRt {
-		recs = append(recs, &coordRecord{Routing: &routingRecord{Epoch: cl.repoch, Route: cl.route}})
+	var out [][]byte
+	if cl.rt != nil {
+		out = append(out, wire.AppendCoordRecord(nil, &wire.CoordRecord{Routing: cl.rt}))
 	}
-	for _, rel := range cl.openStagedLocked() {
-		recs = append(recs, &coordRecord{StagedBegin: &stagedBeginRecord{Relation: rel, Tokens: cl.staged[rel]}})
-	}
-	out := make([][]byte, len(recs))
-	for i, rec := range recs {
-		p, err := gobRecord(rec)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
+	for _, rel := range slices.Sorted(maps.Keys(cl.staged)) {
+		out = append(out, wire.AppendCoordRecord(nil, &wire.CoordRecord{StagedBegin: cl.staged[rel]}))
 	}
 	return out, nil
 }
@@ -252,13 +167,6 @@ func (cl *CoordLog) Stats() CoordStats {
 		CompactFailures: cl.log.rewriteFailures.Load(),
 		OpenStaged:      open,
 	}
-}
-
-// Close releases the log file handle.
-func (cl *CoordLog) Close() error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.log.close()
 }
 
 func cloneRoute(route [][]string) [][]string {

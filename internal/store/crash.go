@@ -55,33 +55,39 @@ const (
 	CrashAfterRename
 )
 
-// CrashPoints lists every injectable point, for matrix tests.
+// Faults a process survives: the append returns ErrFault and the owner
+// keeps running, so they are not in CrashPoints.
+const (
+	// FaultShortWrite writes the record's header and half its payload,
+	// as a write cut short by a full disk does.
+	FaultShortWrite CrashPoint = CrashAfterRename + 1 + iota
+	// FaultSync writes the whole record and fails its fsync.
+	FaultSync
+)
+
+// CrashPoints lists every injectable crash point, for matrix tests.
 var CrashPoints = []CrashPoint{
 	CrashBeforeAppend, CrashMidRecord, CrashAfterAppend,
 	CrashBeforeRename, CrashAfterRename,
 }
 
+// crashNames are the points' names, in constant order.
+var crashNames = [...]string{"none", "before-append", "mid-record", "after-append",
+	"before-rename", "after-rename", "short-write", "failed-sync"}
+
 func (p CrashPoint) String() string {
-	switch p {
-	case CrashNone:
-		return "none"
-	case CrashBeforeAppend:
-		return "before-append"
-	case CrashMidRecord:
-		return "mid-record"
-	case CrashAfterAppend:
-		return "after-append"
-	case CrashBeforeRename:
-		return "before-rename"
-	case CrashAfterRename:
-		return "after-rename"
+	if p < 0 || int(p) >= len(crashNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return crashNames[p]
 }
 
 // ErrCrash is the injected-death error: a write path that hits an armed
 // crash point stops exactly there, as a SIGKILL at that instant would.
 var ErrCrash = errors.New("store: injected crash")
+
+// ErrFault is the injected I/O failure of FaultShortWrite and FaultSync.
+var ErrFault = errors.New("store: injected I/O fault")
 
 // Crasher is the deterministic crash-point seam, in the spirit of
 // cluster.Injector: production code never constructs one — a nil

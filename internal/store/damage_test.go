@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -87,10 +88,11 @@ func (c coordOwner) held(t *testing.T) []int {
 	return out
 }
 
-// frameStarts walks a log image's length prefixes.
+// frameStarts walks a log image's length prefixes, from the end of its
+// header: the magic's line, then the format version byte.
 func frameStarts(img []byte) []int {
 	var out []int
-	for off := 0; off+walHeaderLen <= len(img); off += walHeaderLen + int(binary.BigEndian.Uint32(img[off:])) {
+	for off := bytes.IndexByte(img, '\n') + 2; off+walHeaderLen <= len(img); off += walHeaderLen + int(binary.BigEndian.Uint32(img[off:])) {
 		out = append(out, off)
 	}
 	return out

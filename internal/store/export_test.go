@@ -1,10 +1,10 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
+
+	"vcqr/internal/wire"
 )
 
 // LoggedShard is one shard's share of a logged commit as LogCommit wrote
@@ -23,14 +23,14 @@ func LoggedCommits(dir string) ([][]LoggedShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, _, _, err := scanWAL(data)
+	recs, _, _, err := scanWAL(data, int64(len(wire.FileHeader(nodeMagic))))
 	if err != nil {
 		return nil, err
 	}
 	var out [][]LoggedShard
 	for _, r := range recs {
-		var rec nodeRecord
-		if err := gob.NewDecoder(bytes.NewReader(r.payload)).Decode(&rec); err != nil {
+		rec, err := wire.DecodeNodeRecord(r.payload)
+		if err != nil {
 			return nil, err
 		}
 		if rec.Commit == nil {
@@ -38,9 +38,13 @@ func LoggedCommits(dir string) ([][]LoggedShard, error) {
 		}
 		var shards []LoggedShard
 		for _, cs := range rec.Commit.Shards {
-			shards = append(shards, LoggedShard{Shard: cs.Shard, Ops: len(cs.Ops), Full: len(cs.FullSnap) > 0})
+			shards = append(shards, LoggedShard{Shard: cs.Shard, Ops: len(cs.Ops), Full: cs.Full != nil})
 		}
 		out = append(out, shards)
 	}
 	return out, nil
 }
+
+// Compact forces an atomic coordinator-log rewrite now, as the crash
+// drill does at a crash point.
+func (cl *CoordLog) Compact() error { return cl.compact() }

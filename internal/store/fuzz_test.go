@@ -21,7 +21,7 @@ func FuzzReadWALRecord(f *testing.F) {
 	flipped[walHeaderLen] ^= 0x01 // the first frame's payload: damage with more log after it
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, valid, torn, err := scanWAL(data)
+		recs, valid, torn, err := scanWAL(data, 0)
 		if err != nil {
 			var c *walCorrupt
 			if !errors.As(err, &c) || !errors.Is(err, ErrWALCorrupt) || torn != nil || recs != nil {

@@ -2,14 +2,12 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
@@ -18,62 +16,19 @@ import (
 	"vcqr/internal/wire"
 )
 
-// Node WAL record: exactly one of the three operation kinds.
-type nodeRecord struct {
-	Install *installRecord
-	Remove  *removeRecord
-	Commit  *commitRecord
-}
+// nodeMagic names a node's log in its header (wire.FileHeader).
+const nodeMagic = "vcqr node log\n"
 
-// installRecord is the slice record: a full slice — the wire.Snapshot
-// encoding the rest of the system already uses for relation images —
-// with its spec, its digest at install time and the deltas committed to
-// it since. An install logs one with Deltas 0; a compaction rewrites the
-// log as one per hosted shard (NodeStore.image).
-type installRecord struct {
-	Relation      string
-	Spec          partition.Spec
-	Shard         int
-	InstallDigest hashx.Digest
-	Deltas        uint64
-	Snap          []byte
-}
-
-type removeRecord struct {
-	Relation string
-	Shard    int
-}
-
-// commitShardRecord is one shard's share of a committed distributed
-// delta: the identity-keyed ops that transform the previously durable
-// slice into the committed one, and the digest the result must hash
-// to. FullSnap is the self-healing fallback: if at log time the ops
-// replay does not reproduce PostDigest on a clone (the store's mirror
-// drifted from the serving state, e.g. after an injected crash the
-// process survived), the record carries the full slice instead —
-// correctness never rests on the diff round-tripping.
-type commitShardRecord struct {
-	Shard      int
-	Ops        []delta.Op
-	PostDigest hashx.Digest
-	FullSnap   []byte
-}
-
-type commitRecord struct {
-	Relation string
-	Shards   []commitShardRecord
-}
-
-// relMirror is the in-memory double of one relation's durable state.
-// The store maintains it on every append so compaction never has to
-// read the serving layer's tables (and so never touch its locks); the
-// slice pointers are the same immutable published snapshots the
-// serving store holds.
+// relMirror is the in-memory double of one relation's durable state:
+// its latest spec, and per hosted shard the slice record a compaction
+// writes. The store maintains it on every append so compaction never has
+// to read the serving layer's tables (and so never touch its locks); the
+// slices are the same immutable published snapshots the serving store
+// holds, and a record is replaced, never written, when its shard moves
+// on.
 type relMirror struct {
-	spec    partition.Spec
-	slices  map[int]*core.SignedRelation
-	install map[int]hashx.Digest
-	deltas  map[int]uint64
+	spec   partition.Spec
+	shards map[int]*wire.SliceRecord
 	// runs holds, during replay only, a slice's running digests
 	// (partition.SliceDigestFrom) once a replayed commit hashed it, so the
 	// next replayed commit hashes only from the first entry its ops
@@ -82,22 +37,39 @@ type relMirror struct {
 	runs map[int][]byte
 }
 
-func newRelMirror(spec partition.Spec) *relMirror {
-	return &relMirror{
-		spec:    spec,
-		slices:  map[int]*core.SignedRelation{},
-		install: map[int]hashx.Digest{},
-		deltas:  map[int]uint64{},
-		runs:    map[int][]byte{},
+// drop forgets one shard's slice and bookkeeping, and the relation with
+// its last shard.
+func (ns *NodeStore) drop(rel string, shard int) {
+	if rm := ns.rels[rel]; rm != nil {
+		delete(rm.shards, shard)
+		delete(rm.runs, shard)
+		if len(rm.shards) == 0 {
+			delete(ns.rels, rel)
+		}
 	}
 }
 
-// drop forgets one shard's slice and bookkeeping.
-func (rm *relMirror) drop(shard int) {
-	delete(rm.slices, shard)
-	delete(rm.install, shard)
-	delete(rm.deltas, shard)
-	delete(rm.runs, shard)
+// host adopts a slice record: an install, or a compacted log's slice.
+func (ns *NodeStore) host(in *wire.SliceRecord) {
+	spec := in.Manifest.Spec
+	rm := ns.rels[spec.Relation]
+	if rm == nil {
+		rm = &relMirror{spec: spec, shards: map[int]*wire.SliceRecord{}, runs: map[int][]byte{}}
+		ns.rels[spec.Relation] = rm
+	} else if spec.Version >= rm.spec.Version {
+		rm.spec = spec
+	}
+	rm.shards[in.Manifest.Shard] = in
+	delete(rm.runs, in.Manifest.Shard)
+}
+
+// advance replaces a shard's record with one for its next slice, one
+// more delta in.
+func (rm *relMirror) advance(shard int, next *core.SignedRelation) {
+	sh := *rm.shards[shard]
+	sh.Slice = next
+	sh.Manifest.Deltas++
+	rm.shards[shard] = &sh
 }
 
 // DefaultSnapshotEvery is the appends-per-compaction cadence when
@@ -140,11 +112,9 @@ type LoadReport struct {
 // synced to the log before the caller hears success
 // (append-before-acknowledge). All methods are goroutine-safe.
 type NodeStore struct {
-	dir string
-	h   *hashx.Hasher
-
-	mu   sync.Mutex
-	log  *wal
+	logged
+	dir  string
+	h    *hashx.Hasher
 	rels map[string]*relMirror
 }
 
@@ -160,17 +130,16 @@ var ErrLegacySnapshot = errors.New("store: data dir holds a node.snap from an ol
 // its state by replaying node.wal. A crash's damage is never fatal — a
 // torn tail is truncated, an inconsistent slice is dropped — and every
 // such refusal lands in the LoadReport. Environmental I/O failures
-// (permissions, full disk) return an error, and so do three data dirs
+// (permissions, full disk) return an error, and so do four data dirs
 // this build must not replay: a log damaged other than by a tear
-// (ErrWALCorrupt), whose later records were acknowledged; a node.snap
-// beside the log (ErrLegacySnapshot); and a slice signed in another
-// record format (core.ErrRecordFormat) — the whole data dir was written
-// by a build whose signatures this one cannot verify. Each open fails by
-// name and writes nothing, rather than dropping records durably.
+// (ErrWALCorrupt), whose later records were acknowledged; a log without
+// this build's header (wire.ErrFileFormat: every earlier build's log,
+// whose records were gob); a node.snap beside the log
+// (ErrLegacySnapshot); and a slice signed in another record format
+// (core.ErrRecordFormat) — the whole data dir was written by a build
+// whose signatures this one cannot verify. Each open fails by name and
+// writes nothing, rather than dropping records durably.
 func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
 	h := opts.Hasher
 	if h == nil {
 		h = hashx.New()
@@ -182,28 +151,16 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 	if every == 0 {
 		every = DefaultSnapshotEvery
 	}
-	path := filepath.Join(dir, "node.wal")
-	img, err := readLog(path)
-	if err != nil {
-		return nil, nil, err
-	}
 	ns := &NodeStore{dir: dir, h: h, rels: map[string]*relMirror{}}
-	rep := &LoadReport{TornTail: img.torn}
-	for i, r := range img.recs {
-		var rec nodeRecord
-		if derr := gob.NewDecoder(bytes.NewReader(r.payload)).Decode(&rec); derr != nil {
-			// CRC-valid but undecodable: version skew or silent disk
-			// corruption. Records after it were acknowledged, and may
-			// depend on its effect, so the open fails rather than drop
-			// them.
-			return nil, nil, fmt.Errorf("store: %s: %w", path, r.corrupt(i, derr))
-		}
-		if err := ns.applyRecord(&rec, rep); err != nil {
-			return nil, nil, fmt.Errorf("store: %s: %w", path, err)
-		}
-		rep.Replayed++
-	}
-	if ns.log, err = img.open(every, opts.Crash); err != nil {
+	ns.compacted = ns.image
+	rep := &LoadReport{}
+	// Each record decodes from a copy, so what its slices alias is the
+	// record alone, not the whole log image.
+	var err error
+	ns.log, rep.Replayed, rep.TornTail, err = replay(dir, "node.wal", nodeMagic, every, opts.Crash,
+		func(p []byte) (*wire.NodeRecord, error) { return wire.DecodeNodeRecord(bytes.Clone(p)) },
+		func(rec *wire.NodeRecord) error { return ns.applyRecord(rec, rep) })
+	if err != nil {
 		return nil, nil, err
 	}
 	for _, rm := range ns.rels {
@@ -216,53 +173,24 @@ func OpenNode(dir string, opts Options) (*NodeStore, *LoadReport, error) {
 // refuse the affected slice (dropping it) rather than guessing; the one
 // error returned is a slice of another record format, which fails the
 // open (OpenNode).
-func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
+func (ns *NodeStore) applyRecord(rec *wire.NodeRecord, rep *LoadReport) error {
 	switch {
-	case rec.Install != nil:
-		in := rec.Install
-		sl, err := decodeSlice(in.Snap)
-		if errors.Is(err, core.ErrRecordFormat) {
+	case rec.Slice != nil:
+		if err := rec.Slice.Slice.Params.CheckFormat(); err != nil {
 			return err
 		}
-		if err != nil {
-			rep.Refused = append(rep.Refused, fmt.Sprintf("%s/%d: install replay: %v", in.Relation, in.Shard, err))
-			return nil
-		}
-		rm := ns.rels[in.Relation]
-		if rm == nil {
-			rm = newRelMirror(in.Spec)
-			ns.rels[in.Relation] = rm
-		} else if in.Spec.Version >= rm.spec.Version {
-			rm.spec = in.Spec
-		}
-		rm.slices[in.Shard] = sl
-		rm.install[in.Shard] = in.InstallDigest
-		rm.deltas[in.Shard] = in.Deltas
-		delete(rm.runs, in.Shard)
-		if len(in.InstallDigest) == 0 {
-			// An install logged by a build that did not record its digest.
-			rm.install[in.Shard], rm.runs[in.Shard] = partition.SliceDigestFrom(ns.h, sl, nil, 0)
-		}
+		ns.host(rec.Slice)
 	case rec.Remove != nil:
-		rm := ns.rels[rec.Remove.Relation]
-		if rm == nil {
-			return nil
-		}
-		rm.drop(rec.Remove.Shard)
-		if len(rm.slices) == 0 {
-			delete(ns.rels, rec.Remove.Relation)
-		}
+		ns.drop(rec.Remove.Relation, rec.Remove.Shard)
 	case rec.Commit != nil:
 		cr := rec.Commit
 		rm := ns.rels[cr.Relation]
 		for _, cs := range cr.Shards {
 			refuse := func(why string) {
 				rep.Refused = append(rep.Refused, fmt.Sprintf("%s/%d: commit replay: %s", cr.Relation, cs.Shard, why))
-				if rm != nil {
-					rm.drop(cs.Shard)
-				}
+				ns.drop(cr.Relation, cs.Shard)
 			}
-			if rm == nil || rm.slices[cs.Shard] == nil {
+			if rm == nil || rm.shards[cs.Shard] == nil {
 				refuse("commit for a slice the log never installed")
 				continue
 			}
@@ -270,20 +198,13 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 			// reports every index whose entry or neighbour changed, and
 			// leaves every entry before the lowest as it was); a full-slice
 			// record is hashed whole.
-			var next *core.SignedRelation
-			from := 0
-			if len(cs.FullSnap) > 0 {
-				sl, err := decodeSlice(cs.FullSnap)
-				if errors.Is(err, core.ErrRecordFormat) {
+			next, from := cs.Full, 0
+			if next != nil {
+				if err := next.Params.CheckFormat(); err != nil {
 					return err
 				}
-				if err != nil {
-					refuse(fmt.Sprintf("full-slice fallback: %v", err))
-					continue
-				}
-				next = sl
 			} else {
-				sl := rm.slices[cs.Shard].Clone()
+				sl := rm.shards[cs.Shard].Slice.Clone()
 				touched, err := delta.ApplyOps(sl, delta.Delta{Relation: cr.Relation, Ops: cs.Ops})
 				if err != nil {
 					refuse(fmt.Sprintf("ops replay: %v", err))
@@ -299,12 +220,8 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 				refuse("post-delta digest mismatch")
 				continue
 			}
-			rm.slices[cs.Shard] = next
+			rm.advance(cs.Shard, next)
 			rm.runs[cs.Shard] = run
-			rm.deltas[cs.Shard]++
-		}
-		if rm != nil && len(rm.slices) == 0 {
-			delete(ns.rels, cr.Relation)
 		}
 	}
 	return nil
@@ -313,55 +230,31 @@ func (ns *NodeStore) applyRecord(rec *nodeRecord, rep *LoadReport) error {
 // append encodes and durably appends one record, then updates the
 // mirror via apply and possibly compacts. apply runs only after the
 // record is synced — the mirror never gets ahead of the disk.
-func (ns *NodeStore) append(rec *nodeRecord, apply func()) error {
-	payload, err := gobRecord(rec)
+func (ns *NodeStore) append(rec *wire.NodeRecord, apply func()) error {
+	payload, err := wire.AppendNodeRecord(nil, rec)
 	if err != nil {
 		return err
 	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if err := ns.log.append(payload); err != nil {
-		return err
-	}
-	apply()
-	ns.log.compactIfDue(ns.image)
-	return nil
+	return ns.commit(payload, apply)
 }
 
-// LogInstall durably records hosting a slice. Call before publishing
-// or acknowledging the install; an error means the install must be
-// refused. digest is the slice digest at install time.
+// LogInstall durably records hosting a slice of spec, whose relation rel
+// must name. Call before publishing or acknowledging the install; an
+// error means the install must be refused. digest is the slice digest
+// at install time.
 func (ns *NodeStore) LogInstall(rel string, spec partition.Spec, shard int, sl *core.SignedRelation, digest hashx.Digest) error {
-	snap, err := encodeSlice(sl)
-	if err != nil {
-		return err
+	if rel != spec.Relation {
+		return fmt.Errorf("store: install of %q under the spec of %q", rel, spec.Relation)
 	}
-	return ns.append(&nodeRecord{Install: &installRecord{
-		Relation: rel, Spec: spec, Shard: shard, InstallDigest: digest, Snap: snap,
-	}}, func() {
-		rm := ns.rels[rel]
-		if rm == nil {
-			rm = newRelMirror(spec)
-			ns.rels[rel] = rm
-		} else if spec.Version >= rm.spec.Version {
-			rm.spec = spec
-		}
-		rm.slices[shard] = sl
-		rm.install[shard] = digest
-		rm.deltas[shard] = 0
-	})
+	in := &wire.SliceRecord{Manifest: wire.ShardManifest{Spec: spec, Shard: shard}, InstallDigest: digest, Slice: sl}
+	return ns.append(&wire.NodeRecord{Slice: in}, func() { ns.host(in) })
 }
 
-// LogRemove durably records dropping a slice.
+// LogRemove durably records dropping a slice — also the serving
+// layer's durable refusal of a recovered slice that fails its crypto
+// self-check.
 func (ns *NodeStore) LogRemove(rel string, shard int) error {
-	return ns.append(&nodeRecord{Remove: &removeRecord{Relation: rel, Shard: shard}}, func() {
-		if rm := ns.rels[rel]; rm != nil {
-			rm.drop(shard)
-			if len(rm.slices) == 0 {
-				delete(ns.rels, rel)
-			}
-		}
-	})
+	return ns.append(&wire.NodeRecord{Remove: &wire.ShardRef{Relation: rel, Shard: shard}}, func() { ns.drop(rel, shard) })
 }
 
 // CommitShard is one shard's transition in a committed delta: the
@@ -378,7 +271,7 @@ type CommitShard struct {
 // into, and the record itself (ops or the full slice, and PostDigest).
 type PlannedShard struct {
 	New *core.SignedRelation
-	rec commitShardRecord
+	rec wire.ShardCommit
 }
 
 // PlanShard builds one shard's commit record, touching no store state:
@@ -392,20 +285,14 @@ type PlannedShard struct {
 // round-trip (an Old out of identity order, say), or that has no Old, is
 // planned as a full slice instead. Replay checks PostDigest either way.
 // Old and New must not change until the plan is appended or dropped.
-func PlanShard(cs CommitShard) (PlannedShard, error) {
-	rec := commitShardRecord{Shard: cs.Shard, PostDigest: cs.PostDigest}
+func PlanShard(cs CommitShard) PlannedShard {
+	ps := PlannedShard{New: cs.New, rec: wire.ShardCommit{Shard: cs.Shard, PostDigest: cs.PostDigest, Full: cs.New}}
 	if cs.Old != nil {
 		if d := delta.Diff(cs.Old, cs.New); delta.Reproduces(cs.Old, d, cs.New) {
-			rec.Ops = d.Ops
-			return PlannedShard{New: cs.New, rec: rec}, nil
+			ps.rec.Ops, ps.rec.Full = d.Ops, nil
 		}
 	}
-	snap, err := encodeSlice(cs.New)
-	if err != nil {
-		return PlannedShard{}, err
-	}
-	rec.FullSnap = snap
-	return PlannedShard{New: cs.New, rec: rec}, nil
+	return ps
 }
 
 // AppendCommit durably records a committed distributed delta from its
@@ -413,19 +300,18 @@ func PlanShard(cs CommitShard) (PlannedShard, error) {
 // LogCommit. Call before publishing; an error means the commit must be
 // refused.
 func (ns *NodeStore) AppendCommit(rel string, shards []PlannedShard) error {
-	recs := make([]commitShardRecord, len(shards))
+	recs := make([]wire.ShardCommit, len(shards))
 	for i := range shards {
 		recs[i] = shards[i].rec
 	}
-	return ns.append(&nodeRecord{Commit: &commitRecord{Relation: rel, Shards: recs}}, func() {
+	return ns.append(&wire.NodeRecord{Commit: &wire.CommitRecord{Relation: rel, Shards: recs}}, func() {
 		rm := ns.rels[rel]
 		if rm == nil {
 			return
 		}
 		for _, ps := range shards {
-			if rm.slices[ps.rec.Shard] != nil {
-				rm.slices[ps.rec.Shard] = ps.New
-				rm.deltas[ps.rec.Shard]++
+			if rm.shards[ps.rec.Shard] != nil {
+				rm.advance(ps.rec.Shard, ps.New)
 			}
 		}
 	})
@@ -435,24 +321,16 @@ func (ns *NodeStore) AppendCommit(rel string, shards []PlannedShard) error {
 // identity-keyed ops: PlanShard for every shard, then one AppendCommit.
 // Call before publishing; an error means the commit must be refused.
 func (ns *NodeStore) LogCommit(rel string, shards []CommitShard) error {
-	planned := make([]PlannedShard, 0, len(shards))
-	for _, cs := range shards {
-		ps, err := PlanShard(cs)
-		if err != nil {
-			return err
-		}
-		planned = append(planned, ps)
+	planned := make([]PlannedShard, len(shards))
+	for i, cs := range shards {
+		planned[i] = PlanShard(cs)
 	}
 	return ns.AppendCommit(rel, planned)
 }
 
 // Snapshot compacts the log now: it rewrites node.wal as one slice
 // record per hosted shard.
-func (ns *NodeStore) Snapshot() error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.log.rewrite(ns.image)
-}
+func (ns *NodeStore) Snapshot() error { return ns.compact() }
 
 // image is the compacted log: one slice record per hosted shard, with
 // the shard's spec, install digest and delta count, in relation and
@@ -461,15 +339,10 @@ func (ns *NodeStore) image() ([][]byte, error) {
 	var out [][]byte
 	for _, rel := range slices.Sorted(maps.Keys(ns.rels)) {
 		rm := ns.rels[rel]
-		for _, i := range slices.Sorted(maps.Keys(rm.slices)) {
-			snap, err := encodeSlice(rm.slices[i])
-			if err != nil {
-				return nil, err
-			}
-			p, err := gobRecord(&nodeRecord{Install: &installRecord{
-				Relation: rel, Spec: rm.spec, Shard: i,
-				InstallDigest: rm.install[i], Deltas: rm.deltas[i], Snap: snap,
-			}})
+		for _, i := range slices.Sorted(maps.Keys(rm.shards)) {
+			in := *rm.shards[i]
+			in.Manifest.Spec = rm.spec
+			p, err := wire.AppendNodeRecord(nil, &wire.NodeRecord{Slice: &in})
 			if err != nil {
 				return nil, err
 			}
@@ -504,22 +377,14 @@ func (ns *NodeStore) Recovered() map[string]RecoveredRelation {
 	for _, rel := range slices.Sorted(maps.Keys(ns.rels)) {
 		rm := ns.rels[rel]
 		rr := RecoveredRelation{Spec: rm.spec}
-		for _, i := range slices.Sorted(maps.Keys(rm.slices)) {
-			rr.Shards = append(rr.Shards, RecoveredShard{
-				Shard: i, Slice: rm.slices[i],
-				InstallDigest: rm.install[i], Deltas: rm.deltas[i],
-			})
+		for _, i := range slices.Sorted(maps.Keys(rm.shards)) {
+			sh := rm.shards[i]
+			rr.Shards = append(rr.Shards, RecoveredShard{Shard: i, Slice: sh.Slice,
+				InstallDigest: sh.InstallDigest, Deltas: sh.Manifest.Deltas})
 		}
 		out[rel] = rr
 	}
 	return out
-}
-
-// Drop removes a slice from the store's mirror and logs the removal —
-// the serving layer calls it when a recovered slice fails its crypto
-// self-check, so the refusal is durable too.
-func (ns *NodeStore) Drop(rel string, shard int) error {
-	return ns.LogRemove(rel, shard)
 }
 
 // NodeStats is the store's /statsz and /metrics view.
@@ -558,34 +423,3 @@ func (ns *NodeStore) Stats() NodeStats {
 
 // Dir returns the store's directory.
 func (ns *NodeStore) Dir() string { return ns.dir }
-
-// Close releases the log's file handle.
-func (ns *NodeStore) Close() error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.log.close()
-}
-
-// gobRecord encodes one log record.
-func gobRecord(rec any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(rec)
-	return buf.Bytes(), err
-}
-
-// encodeSlice serializes one slice in the wire.Snapshot format the
-// rest of the system uses for relation images.
-func encodeSlice(sl *core.SignedRelation) ([]byte, error) {
-	return wire.EncodeSnapshot(&wire.Snapshot{Relation: sl})
-}
-
-func decodeSlice(b []byte) (*core.SignedRelation, error) {
-	snap, err := wire.DecodeSnapshot(b)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Relation == nil {
-		return nil, fmt.Errorf("store: slice snapshot holds no relation")
-	}
-	return snap.Relation, nil
-}

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +18,7 @@ import (
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 	"vcqr/internal/sig"
+	"vcqr/internal/wire"
 	"vcqr/internal/workload"
 )
 
@@ -184,7 +187,7 @@ func TestNodeAutoSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs, _, torn, err := scanWAL(data); torn != nil || err != nil || len(recs) != 2 {
+	if recs, _, torn, err := scanWAL(data, int64(len(wire.FileHeader(nodeMagic)))); torn != nil || err != nil || len(recs) != 2 {
 		t.Fatalf("compacted log holds %d records (torn: %v, corrupt: %v), want one per shard", len(recs), torn, err)
 	}
 	ns.Close()
@@ -428,7 +431,7 @@ func TestNodeTornCompactedLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var starts []int
-	for off := 0; off < len(img); off += walHeaderLen + int(binary.BigEndian.Uint32(img[off:])) {
+	for off := len(wire.FileHeader(nodeMagic)); off < len(img); off += walHeaderLen + int(binary.BigEndian.Uint32(img[off:])) {
 		starts = append(starts, off)
 	}
 	if len(starts) != 2 {
@@ -602,7 +605,7 @@ func TestNodeCommitFullSliceFallback(t *testing.T) {
 	install(t, ns, "Uniform", set)
 	next := evolve(t, h, set.Slices[0], len(set.Slices[0].Recs)/2, []byte("fallback-payload"))
 	postDg := partition.SliceDigest(h, next)
-	// Old nil forces the FullSnap path — the probe cannot round-trip.
+	// Old nil forces the full-slice path — the probe cannot round-trip.
 	if err := ns.LogCommit("Uniform", []CommitShard{{Shard: 0, Old: nil, New: next, PostDigest: postDg}}); err != nil {
 		t.Fatal(err)
 	}
@@ -622,14 +625,16 @@ func TestNodeCommitFullSliceFallback(t *testing.T) {
 	}
 }
 
-// Two data dirs this build cannot read are refused by name, and the
+// Three data dirs this build cannot read are refused by name, and the
 // refused open writes nothing: no refusal reaches the serving layer's
 // RecoverHosted, whose refusals are durable removes. A slice signed in
 // an older record format — before format 1, or in format 1, whose g
 // folded both chain digests — cannot be verified, whether it sits in an
 // install record or in a compacted log's slice record (core.ErrRecordFormat);
 // a node.snap beside the WAL is the compaction image of an older build,
-// which this one never reads (ErrLegacySnapshot).
+// which this one never reads (ErrLegacySnapshot); and a node or
+// coordinator log of an earlier build, whose records were gob, has no
+// header (wire.ErrFileFormat).
 func TestNodeRefusesOldFormatDataDir(t *testing.T) {
 	h := hashx.New()
 	set := buildSet(t, h, 12, 2)
@@ -680,48 +685,54 @@ func TestNodeRefusesOldFormatDataDir(t *testing.T) {
 			t.Fatalf("%s: refused open changed the data dir", tc.name)
 		}
 	}
-}
 
-// A WAL written by a build that kept a snapshot file beside it, but
-// never compacted, opens as it is: its records carry a sequence number
-// this build ignores, and install records without a digest, which replay
-// hashes.
-func TestNodeReplaysUncompactedOlderWAL(t *testing.T) {
-	type olderInstall struct {
-		Relation string
-		Spec     partition.Spec
-		Shard    int
-		Snap     []byte
+	// The logs of the build before this one's codec: no header, then
+	// CRC-framed gob records, which gob matches by field name.
+	type gobInstall struct {
+		Relation      string
+		Spec          partition.Spec
+		Shard         int
+		InstallDigest hashx.Digest
+		Deltas        uint64
+		Snap          []byte
 	}
-	type olderRecord struct {
-		Seq     uint64
-		Install *olderInstall
+	type gobRouting struct {
+		Epoch uint64
+		Route [][]string
 	}
-	h := hashx.New()
-	set := buildSet(t, h, 12, 1)
-	snap, err := encodeSlice(set.Slices[0])
-	if err != nil {
+	gobFrame := func(v any) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return frames(buf.Bytes())
+	}
+	snap := bytes.NewBufferString("vcqr-snapshot-1\n")
+	if err := gob.NewEncoder(snap).Encode(struct{ Relation *core.SignedRelation }{set.Slices[0]}); err != nil {
 		t.Fatal(err)
 	}
-	p, err := gobRecord(&olderRecord{Seq: 1, Install: &olderInstall{Relation: "Uniform", Spec: set.Spec, Shard: 0, Snap: snap}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "node.wal"), frames(p), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ns, rep, err := OpenNode(dir, Options{Hasher: h, SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ns.Close()
-	if rep.Replayed != 1 || rep.TornTail != nil || len(rep.Refused) != 0 {
-		t.Fatalf("older WAL replay off: %+v", rep)
-	}
-	sh := ns.Recovered()["Uniform"].Shards[0]
-	if want := partition.SliceDigest(h, set.Slices[0]); !sh.InstallDigest.Equal(want) || !partition.SliceDigest(h, sh.Slice).Equal(want) {
-		t.Fatal("older install record replayed to another slice or install digest")
+	for _, tc := range []struct {
+		name, file string
+		log        []byte
+		open       func(dir string) error
+	}{
+		{"gob node.wal", "node.wal", gobFrame(struct{ Install *gobInstall }{&gobInstall{Relation: "Uniform", Spec: set.Spec,
+			InstallDigest: partition.SliceDigest(h, set.Slices[0]), Snap: snap.Bytes()}}),
+			func(dir string) error { _, _, err := OpenNode(dir, Options{Hasher: h}); return err }},
+		{"gob coord.wal", "coord.wal", gobFrame(struct{ Routing *gobRouting }{&gobRouting{Epoch: 3, Route: [][]string{{"http://a"}}}}),
+			func(dir string) error { _, _, err := OpenCoord(dir, CoordOptions{}); return err }},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), tc.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, dir)
+		if err := tc.open(dir); !errors.Is(err, wire.ErrFileFormat) {
+			t.Fatalf("%s: open = %v, want wire.ErrFileFormat", tc.name, err)
+		}
+		if after := dirBytes(t, dir); after != before {
+			t.Fatalf("%s: refused open changed the data dir", tc.name)
+		}
 	}
 }
 
@@ -741,4 +752,44 @@ func dirBytes(t *testing.T, dir string) string {
 		out += e.Name() + "\x00" + string(b) + "\x00"
 	}
 	return out
+}
+
+// A compacted log has one encoding: a store compacted, reopened from that
+// log and compacted again writes the very same bytes.
+func TestNodeCompactionIsDeterministic(t *testing.T) {
+	h := hashx.New()
+	set := buildSet(t, h, 24, 3)
+	dir := t.TempDir()
+	opts := Options{Hasher: h, SnapshotEvery: -1}
+	ns, _, err := OpenNode(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	install(t, ns, "Uniform", set)
+	old := set.Slices[1]
+	next := evolve(t, h, old, len(old.Recs)/2, []byte("compacted-payload"))
+	if err := ns.LogCommit("Uniform", []CommitShard{{Shard: 1, Old: old, New: next, PostDigest: partition.SliceDigest(h, next)}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "node.wal")
+	var logs [2][]byte
+	for i := range logs {
+		if err := ns.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if logs[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		ns.Close()
+		if ns, _, err = OpenNode(dir, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer ns.Close()
+	if !bytes.Equal(logs[0], logs[1]) {
+		t.Fatalf("compacted twice, the log is %d then %d bytes, not the same bytes", len(logs[0]), len(logs[1]))
+	}
+	if sh := ns.Recovered()["Uniform"].Shards[1]; sh.Deltas != 1 || !partition.SliceDigest(h, sh.Slice).Equal(partition.SliceDigest(h, next)) {
+		t.Fatal("the compacted log lost the committed delta")
+	}
 }

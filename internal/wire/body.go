@@ -115,24 +115,36 @@ var (
 )
 
 func appendDelta(b []byte, dl *delta.Delta) []byte {
-	b = binary.AppendUvarint(appendBytes(b, dl.Relation), uint64(len(dl.Ops)))
-	for i := range dl.Ops {
-		op := &dl.Ops[i]
+	return appendOps(appendBytes(b, dl.Relation), dl.Ops)
+}
+
+// batch decodes a delta.
+func (d *decoder) batch(dl *delta.Delta) {
+	dl.Relation, dl.Ops = d.str(), d.ops()
+}
+
+// appendOps writes a delta's operations — also a commit record's
+// (disk.go).
+func appendOps(b []byte, ops []delta.Op) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ops)))
+	for i := range ops {
+		op := &ops[i]
 		b = binary.AppendUvarint(binary.AppendUvarint(append(b, byte(op.Kind)), op.Key), op.RowID)
 		b = appendRecord(b, &op.Rec)
 	}
 	return b
 }
 
-// batch decodes a delta; a delete's record is the zero record it was.
-func (d *decoder) batch(dl *delta.Delta) {
-	dl.Relation = d.str()
-	dl.Ops = alloc[delta.Op](d, 3+minRecord)
-	for i := range dl.Ops {
-		op := &dl.Ops[i]
+// ops decodes a delta's operations; a delete's record is the zero record
+// it was.
+func (d *decoder) ops() []delta.Op {
+	ops := alloc[delta.Op](d, 3+minRecord)
+	for i := range ops {
+		op := &ops[i]
 		op.Kind, op.Key, op.RowID = delta.OpKind(d.byte()), d.uvarint(), d.uvarint()
 		d.record(&op.Rec)
 	}
+	return ops
 }
 
 // --- replies ----------------------------------------------------------
@@ -161,7 +173,7 @@ var (
 	})
 
 	// The inventory's relations go out in name order, so one inventory
-	// has one encoding; a name twice is malformed.
+	// has one encoding; a name out of order or twice is malformed.
 	hostedResponseBody = body(tagHostedResponse, func(b []byte, r *HostedResponse) []byte {
 		b = binary.AppendUvarint(b, uint64(len(r.Relations)))
 		for _, name := range slices.Sorted(maps.Keys(r.Relations)) {
@@ -176,8 +188,7 @@ var (
 	}, func(d *decoder, r *HostedResponse) {
 		if n := d.count(5); n > 0 {
 			r.Relations = make(map[string]HostedInfo, n)
-			for range n {
-				name := d.str()
+			d.sorted(n, func(name string) {
 				var info HostedInfo
 				d.spec(&info.Spec)
 				info.Shards = alloc[HostedShard](d, 6)
@@ -185,11 +196,8 @@ var (
 					info.Shards[i] = HostedShard{Shard: d.int(), Epoch: d.uvarint(), Digest: d.bytes(),
 						InstallDigest: d.bytes(), Records: d.int(), Deltas: d.uvarint()}
 				}
-				if _, dup := r.Relations[name]; dup {
-					d.fail()
-				}
 				r.Relations[name] = info
-			}
+			})
 		}
 		r.Err = d.str()
 	})
@@ -242,6 +250,34 @@ func (d *decoder) spec(s *partition.Spec) {
 	s.Version = d.uvarint()
 }
 
+// appendParams and appendSchema write what a verifier needs besides the
+// key: a transfer manifest's and the client parameters file's (disk.go).
+func appendParams(b []byte, p *core.Params) []byte {
+	b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, p.L), p.U), p.BP.B)
+	return binary.AppendUvarint(binary.AppendUvarint(appendInt(b, p.BP.Digits), p.Version), p.Format)
+}
+
+func (d *decoder) params(p *core.Params) {
+	*p = core.Params{L: d.uvarint(), U: d.uvarint(),
+		BP: basep.Params{B: d.uvarint(), Digits: d.int()}, Version: d.uvarint(), Format: d.uvarint()}
+}
+
+func appendSchema(b []byte, s *relation.Schema) []byte {
+	b = binary.AppendUvarint(appendBytes(appendBytes(b, s.Name), s.KeyName), uint64(len(s.Cols)))
+	for _, c := range s.Cols {
+		b = appendInt(appendBytes(b, c.Name), int(c.Type))
+	}
+	return b
+}
+
+func (d *decoder) schema(s *relation.Schema) {
+	s.Name, s.KeyName = d.str(), d.str()
+	s.Cols = alloc[relation.Column](d, 2)
+	for i := range s.Cols {
+		s.Cols[i] = relation.Column{Name: d.str(), Type: relation.Type(d.int())}
+	}
+}
+
 // appendShardEdges writes a counted run of per-shard seam material.
 func appendShardEdges(b []byte, l []ModifiedShard) []byte {
 	b = binary.AppendUvarint(b, uint64(len(l)))
@@ -277,13 +313,7 @@ func appendTransferFrame(b []byte, f *TransferFrame) ([]byte, error) {
 	case f.Manifest != nil:
 		m := f.Manifest
 		b = appendInt(appendSpec(append(b, tagTransferManifest), &m.Spec), m.Shard)
-		p := &m.Params
-		b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, p.L), p.U), p.BP.B)
-		b = binary.AppendUvarint(binary.AppendUvarint(appendInt(b, p.BP.Digits), p.Version), p.Format)
-		b = binary.AppendUvarint(appendBytes(appendBytes(b, m.Schema.Name), m.Schema.KeyName), uint64(len(m.Schema.Cols)))
-		for _, c := range m.Schema.Cols {
-			b = appendInt(appendBytes(b, c.Name), int(c.Type))
-		}
+		b = appendSchema(appendParams(b, &m.Params), &m.Schema)
 		return binary.AppendUvarint(binary.AppendUvarint(appendInt(b, m.Records), m.Epoch), m.Deltas), nil
 	case f.Foot != nil:
 		return appendBytes(append(b, tagTransferFoot), f.Foot.Digest), nil
@@ -303,13 +333,8 @@ func (d *decoder) transferFrame(f *TransferFrame) {
 		m := new(ShardManifest)
 		d.spec(&m.Spec)
 		m.Shard = d.int()
-		m.Params = core.Params{L: d.uvarint(), U: d.uvarint(),
-			BP: basep.Params{B: d.uvarint(), Digits: d.int()}, Version: d.uvarint(), Format: d.uvarint()}
-		m.Schema.Name, m.Schema.KeyName = d.str(), d.str()
-		m.Schema.Cols = alloc[relation.Column](d, 2)
-		for i := range m.Schema.Cols {
-			m.Schema.Cols[i] = relation.Column{Name: d.str(), Type: relation.Type(d.int())}
-		}
+		d.params(&m.Params)
+		d.schema(&m.Schema)
 		m.Records, m.Epoch, m.Deltas = d.int(), d.uvarint(), d.uvarint()
 		f.Manifest = m
 	case tagTransferRecs:

@@ -127,10 +127,7 @@ func appendCacheFrame(b []byte, f *CacheFrame) ([]byte, error) {
 			b = appendInt(b, g.Shard)
 			b = binary.AppendUvarint(b, g.Keep)
 		}
-		b = binary.AppendUvarint(b, uint64(len(f.Sweep.Keys)))
-		for _, k := range f.Sweep.Keys {
-			b = appendBytes(b, k)
-		}
+		b = appendList(b, f.Sweep.Keys)
 	case f.Stats:
 		b = append(b, cacheTagStats)
 	default:
@@ -164,18 +161,11 @@ func (d *decoder) cacheFrame(f *CacheFrame) {
 		sw := &CacheSweep{}
 		// A group takes at least three bytes (empty relation, shard,
 		// keep), a key at least its length prefix.
-		if n := d.count(3); n > 0 {
-			sw.Groups = make([]CacheGroup, n)
-			for i := range sw.Groups {
-				sw.Groups[i] = CacheGroup{Relation: d.str(), Shard: d.int(), Keep: d.uvarint()}
-			}
+		sw.Groups = alloc[CacheGroup](d, 3)
+		for i := range sw.Groups {
+			sw.Groups[i] = CacheGroup{Relation: d.str(), Shard: d.int(), Keep: d.uvarint()}
 		}
-		if n := d.count(1); n > 0 {
-			sw.Keys = make([]string, n)
-			for i := range sw.Keys {
-				sw.Keys[i] = d.str()
-			}
-		}
+		sw.Keys = fill(d, alloc[string](d, 1))
 		f.Sweep = sw
 	case cacheTagStats:
 		f.Stats = true
@@ -213,9 +203,6 @@ func appendCacheReply(b []byte, rp *CacheReply) ([]byte, error) {
 	}
 	return appendBytes(b, rp.Err), nil
 }
-
-// ReadCacheReply reads one cache reply frame.
-func ReadCacheReply(r io.Reader) (*CacheReply, error) { return fresh(r, readCacheReply) }
 
 func readCacheReply(r io.Reader, rp *CacheReply) error {
 	return decodeFrame(r, rp, MaxChunkFrame, (*decoder).cacheReply)

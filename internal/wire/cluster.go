@@ -304,22 +304,27 @@ const transferBatch = 256
 // WriteShardTransfer streams one shard slice as transfer frames:
 // manifest, record batches, foot with the slice digest.
 func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *core.SignedRelation) error {
-	man.Records = len(sr.Recs)
-	man.Params = sr.Params
-	man.Schema = sr.Schema
-	if err := writeTransferFrame(w, &TransferFrame{Manifest: &man}); err != nil {
+	if err := sliceFrames(man, sr, func(f *TransferFrame) error { return writeTransferFrame(w, f) }); err != nil {
+		return err
+	}
+	return writeTransferFrame(w, &TransferFrame{Foot: &TransferFoot{Digest: partition.SliceDigest(h, sr)}})
+}
+
+// sliceFrames passes put a slice's transfer frames, the one encoding of
+// a slice on the wire and on disk (disk.go): the manifest, stamped with
+// the slice's params, schema and record count, then the records in
+// batches of transferBatch.
+func sliceFrames(man ShardManifest, sr *core.SignedRelation, put func(*TransferFrame) error) error {
+	man.Records, man.Params, man.Schema = len(sr.Recs), sr.Params, sr.Schema
+	if err := put(&TransferFrame{Manifest: &man}); err != nil {
 		return err
 	}
 	for off := 0; off < len(sr.Recs); off += transferBatch {
-		end := off + transferBatch
-		if end > len(sr.Recs) {
-			end = len(sr.Recs)
-		}
-		if err := writeTransferFrame(w, &TransferFrame{Recs: sr.Recs[off:end]}); err != nil {
+		if err := put(&TransferFrame{Recs: sr.Recs[off:min(off+transferBatch, len(sr.Recs))]}); err != nil {
 			return err
 		}
 	}
-	return writeTransferFrame(w, &TransferFrame{Foot: &TransferFoot{Digest: partition.SliceDigest(h, sr)}})
+	return nil
 }
 
 // ReadShardTransfer consumes a transfer stream and reconstructs the
@@ -327,14 +332,40 @@ func WriteShardTransfer(w io.Writer, h *hashx.Hasher, man ShardManifest, sr *cor
 // — the transfer-integrity half of the trust story; the receiver still
 // owes the signature validation of an untrusted feed.
 func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.SignedRelation, error) {
-	var f TransferFrame
-	if err := readTransferFrame(r, &f); err != nil {
+	next := func(f *TransferFrame) error {
+		err := readTransferFrame(r, f)
 		if err == io.EOF {
-			err = ErrTransferTruncated
+			return ErrTransferTruncated
 		}
-		return ShardManifest{}, nil, err
+		if err != nil {
+			return err
+		}
+		return remoteErr(node, f.Err)
 	}
-	if err := remoteErr(node, f.Err); err != nil {
+	man, sr, err := readSlice(next)
+	if err != nil {
+		return man, nil, err
+	}
+	var f TransferFrame
+	if err := next(&f); err != nil {
+		return man, nil, err
+	}
+	if f.Foot == nil {
+		return man, nil, fmt.Errorf("wire: transfer overran its manifest record count")
+	}
+	if !partition.SliceDigest(h, sr).Equal(f.Foot.Digest) {
+		return man, nil, ErrTransferDigest
+	}
+	return man, sr, nil
+}
+
+// readSlice reads a slice's transfer frames through next — off a
+// transfer stream, or out of a file (disk.go): the manifest, then record
+// batches of transferBatch records, the last one short, until the
+// manifest's count has arrived.
+func readSlice(next func(*TransferFrame) error) (ShardManifest, *core.SignedRelation, error) {
+	var f TransferFrame
+	if err := next(&f); err != nil {
 		return ShardManifest{}, nil, err
 	}
 	if f.Manifest == nil {
@@ -342,42 +373,23 @@ func ReadShardTransfer(r io.Reader, h *hashx.Hasher) (ShardManifest, *core.Signe
 	}
 	man := *f.Manifest
 	if man.Records < 3 || man.Records > MaxChunkFrame {
-		return ShardManifest{}, nil, fmt.Errorf("wire: implausible transfer record count %d", man.Records)
+		return man, nil, fmt.Errorf("wire: implausible transfer record count %d", man.Records)
 	}
 	// The manifest is a claim from an untrusted peer: reserve a few
 	// batches and let the slice grow as records actually arrive.
-	sr := &core.SignedRelation{
-		Params: man.Params,
-		Schema: man.Schema,
-		Recs:   make([]*core.SignedRecord, 0, min(man.Records, 4*transferBatch)),
-	}
-	for {
+	sr := &core.SignedRelation{Params: man.Params, Schema: man.Schema,
+		Recs: make([]*core.SignedRecord, 0, min(man.Records, 4*transferBatch))}
+	for len(sr.Recs) < man.Records {
 		f = TransferFrame{}
-		if err := readTransferFrame(r, &f); err != nil {
-			if err == io.EOF {
-				err = ErrTransferTruncated
-			}
+		if err := next(&f); err != nil {
 			return man, nil, err
 		}
-		if err := remoteErr(node, f.Err); err != nil {
-			return man, nil, err
+		if len(f.Recs) != min(transferBatch, man.Records-len(sr.Recs)) {
+			return man, nil, fmt.Errorf("%w: a batch of %d records after %d of the manifest's %d", ErrTransferTruncated, len(f.Recs), len(sr.Recs), man.Records)
 		}
-		switch {
-		case f.Foot != nil:
-			if len(sr.Recs) != man.Records {
-				return man, nil, fmt.Errorf("%w: %d records streamed, manifest says %d", ErrTransferTruncated, len(sr.Recs), man.Records)
-			}
-			if !partition.SliceDigest(h, sr).Equal(f.Foot.Digest) {
-				return man, nil, ErrTransferDigest
-			}
-			return man, sr, nil
-		case len(f.Recs) > 0:
-			if len(sr.Recs)+len(f.Recs) > man.Records {
-				return man, nil, fmt.Errorf("wire: transfer overran its manifest record count")
-			}
-			sr.Recs = append(sr.Recs, f.Recs...)
-		}
+		sr.Recs = append(sr.Recs, f.Recs...)
 	}
+	return man, sr, nil
 }
 
 // --- control-plane requests ------------------------------------------
@@ -473,21 +485,6 @@ type LeaseResponse struct {
 	Inflight uint64
 	Err      string
 }
-
-// WriteLeaseRequest / ReadLeaseRequest frame a heartbeat as one
-// field-codec frame, the /node/lease row's body. Exported so the fuzz
-// harness can hammer the decode path with raw bytes exactly as the
-// endpoint receives them.
-func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return leaseRequestBody.w(w, req) }
-
-// ReadLeaseRequest reads one framed heartbeat.
-func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) { return fresh(r, leaseRequestBody.r) }
-
-// WriteLeaseResponse frames a heartbeat acknowledgement.
-func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error { return leaseResponseBody.w(w, resp) }
-
-// ReadLeaseResponse reads one framed heartbeat acknowledgement.
-func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) { return fresh(r, leaseResponseBody.r) }
 
 // --- two-phase distributed delta -------------------------------------
 

@@ -67,6 +67,14 @@ const (
 	tagTransferRecs     = 0x57
 	tagTransferFoot     = 0x53
 	tagTransferErr      = 0x54
+
+	// Disk records (disk.go): a node log's, then a coordinator log's.
+	tagSliceRecord   = 0x81
+	tagRemoveRecord  = 0x82
+	tagCommitRecord  = 0x83
+	tagRoutingRecord = 0x84
+	tagStagedBegin   = 0x85
+	tagStagedEnd     = 0x86
 )
 
 // minEntry is the least an entry encodes to (mode, key, two counts, one
@@ -167,8 +175,8 @@ func (d *decoder) edges(e *partition.Edges) {
 	}
 }
 
-// appendList writes a counted run of digests or signatures.
-func appendList[T ~[]byte](b []byte, l []T) []byte {
+// appendList writes a counted run of digests, signatures or strings.
+func appendList[T ~[]byte | ~string](b []byte, l []T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(l)))
 	for _, p := range l {
 		b = appendBytes(b, p)
@@ -205,12 +213,27 @@ func alloc[T any](d *decoder, size int) []T {
 	return carve(d, &one, size, 1)
 }
 
-// fill reads one digest or signature into each element of l.
-func fill[T ~[]byte](d *decoder, l []T) []T {
+// fill reads one digest, signature or string into each element of l.
+func fill[T ~[]byte | ~string](d *decoder, l []T) []T {
 	for i := range l {
-		l[i] = d.bytes()
+		l[i] = T(d.bytes())
 	}
 	return l
+}
+
+// sorted reads n map entries written in key order — a map has one
+// encoding — passing each key to val, which reads its value; a key out
+// of order or repeated fails.
+func (d *decoder) sorted(n int, val func(key string)) {
+	prev := ""
+	for i := range n {
+		k := d.str()
+		if i > 0 && k <= prev {
+			d.fail()
+		}
+		val(k)
+		prev = k
+	}
 }
 
 func appendTiming(b []byte, t []obs.StageDur) []byte {

@@ -78,3 +78,21 @@ const FrameReadAhead = frameReadAhead
 func DrainingNodeStream(r io.Reader) *NodeStream {
 	return &NodeStream{body: io.NopCloser(r), fr: new(frameReader)}
 }
+
+// The client parameters file's codec, over bytes rather than a path.
+var (
+	AppendClientParams = appendClientParams
+	DecodeClientParams = decodeClientParams
+)
+
+// The heartbeat codec and the cache reply reader, as the fuzz and
+// round-trip tests drive them: one framed value per call.
+func WriteLeaseRequest(w io.Writer, req *LeaseRequest) error { return leaseRequestBody.w(w, req) }
+
+func ReadLeaseRequest(r io.Reader) (*LeaseRequest, error) { return fresh(r, leaseRequestBody.r) }
+
+func WriteLeaseResponse(w io.Writer, resp *LeaseResponse) error { return leaseResponseBody.w(w, resp) }
+
+func ReadLeaseResponse(r io.Reader) (*LeaseResponse, error) { return fresh(r, leaseResponseBody.r) }
+
+func ReadCacheReply(r io.Reader) (*CacheReply, error) { return fresh(r, readCacheReply) }

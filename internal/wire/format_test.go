@@ -52,8 +52,12 @@ type format0ClientParams struct {
 }
 
 // TestOldFormatFilesRefused: a params file, a snapshot and a bare
-// relation file written before record format 1 decode, and are refused
-// by name — never served, never verified against.
+// relation file written before record format 1 — gob files, as every
+// file of an earlier build — are refused by name (wire.ErrFileFormat),
+// and so are the gob files of the build just before this codec; a file
+// in this build's format whose params predate record format 1 is
+// refused as such (core.ErrRecordFormat) — never served, never verified
+// against.
 func TestOldFormatFilesRefused(t *testing.T) {
 	h := hashx.New()
 	o := owner.NewWithKey(h, signKey(t))
@@ -79,21 +83,58 @@ func TestOldFormatFilesRefused(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
+	set, err := partition.Split(sr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := wire.ClientParams{N: o.PublicKey().N, E: o.PublicKey().E, Params: sr.Params, Schema: sr.Schema}
 
-	path := filepath.Join(t.TempDir(), "params.gob")
-	cp := format0ClientParams{N: o.PublicKey().N, E: o.PublicKey().E, Params: p, Schema: sr.Schema}
-	if err := os.WriteFile(path, encode("", cp), 0o644); err != nil {
+	readParams := func(data []byte) error {
+		path := filepath.Join(t.TempDir(), "params.vcqr")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := wire.ReadClientParams(path)
+		return err
+	}
+	decodePublication := func(data []byte) error {
+		_, err := wire.DecodePublication(data)
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		read func([]byte) error
+	}{
+		{"format-0 params file", encode("", format0ClientParams{N: o.PublicKey().N, E: o.PublicKey().E, Params: p, Schema: sr.Schema}), readParams},
+		{"format-0 snapshot", encode("vcqr-snapshot-1\n", struct{ Relation *format0Relation }{&old}), decodePublication},
+		{"format-0 bare relation", encode("", old), decodePublication},
+		{"parent-build params file", encode("", cp), readParams},
+		{"parent-build relation snapshot", encode("vcqr-snapshot-1\n", struct{ Relation *core.SignedRelation }{sr}), decodePublication},
+		{"parent-build bare relation", encode("", sr), decodePublication},
+	} {
+		if err := tc.read(tc.data); !errors.Is(err, wire.ErrFileFormat) {
+			t.Errorf("%s: %v, want wire.ErrFileFormat", tc.name, err)
+		}
+	}
+
+	// This build's files, signed before record format 1.
+	cp.Params.Format = 0
+	path := filepath.Join(t.TempDir(), "params.vcqr")
+	if err := wire.WriteClientParams(path, cp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wire.ReadClientParams(path); !errors.Is(err, core.ErrRecordFormat) {
-		t.Errorf("format-0 params file: %v, want core.ErrRecordFormat", err)
+		t.Errorf("format-0 params in this build's file: %v, want core.ErrRecordFormat", err)
 	}
-	snapshot := encode("vcqr-snapshot-1\n", struct{ Relation *format0Relation }{&old})
-	if _, err := wire.DecodeSnapshot(snapshot); !errors.Is(err, core.ErrRecordFormat) {
-		t.Errorf("format-0 snapshot: %v, want core.ErrRecordFormat", err)
+	stale := set.Slices[0].Clone()
+	stale.Params.Format = 0
+	blob, err := wire.EncodePublication(&partition.Set{Spec: set.Spec, Slices: []*core.SignedRelation{stale}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := wire.DecodeSnapshot(encode("", old)); !errors.Is(err, core.ErrRecordFormat) {
-		t.Errorf("format-0 bare relation: %v, want core.ErrRecordFormat", err)
+	if _, err := wire.DecodePublication(blob); !errors.Is(err, core.ErrRecordFormat) {
+		t.Errorf("format-0 slice in this build's publication: %v, want core.ErrRecordFormat", err)
 	}
 }
 
@@ -129,7 +170,10 @@ type format1ClientParams struct {
 
 // TestFormat1FilesRefused: a params file, a relation snapshot, a
 // partition snapshot and a bare relation file written in record format 1
-// decode, and are refused by name at ReadClientParams and DecodeSnapshot.
+// — gob files — are refused by name at ReadClientParams and
+// DecodePublication (wire.ErrFileFormat), as is the parent build's
+// partition snapshot; format-1 params and slices in this build's files
+// are refused as such (core.ErrRecordFormat).
 func TestFormat1FilesRefused(t *testing.T) {
 	h := hashx.New()
 	o := owner.NewWithKey(h, signKey(t))
@@ -172,19 +216,43 @@ func TestFormat1FilesRefused(t *testing.T) {
 		if err := os.WriteFile(path, encode("", cp), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := wire.ReadClientParams(path); !errors.Is(err, wire.ErrFileFormat) {
+			t.Errorf("format-1 params file: %v, want wire.ErrFileFormat", err)
+		}
+		// The same params in this build's file.
+		path = filepath.Join(t.TempDir(), "params.vcqr")
+		if err := wire.WriteClientParams(path, wire.ClientParams{N: cp.N, E: cp.E, Params: cp.Params, Schema: cp.Schema}); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := wire.ReadClientParams(path); !errors.Is(err, core.ErrRecordFormat) {
-			t.Errorf("format-1 params file: %v, want core.ErrRecordFormat", err)
+			t.Errorf("format-1 params in this build's file: %v, want core.ErrRecordFormat", err)
 		}
 	})
 	for name, data := range map[string][]byte{
-		"relation-snapshot":  encode("vcqr-snapshot-1\n", struct{ Relation *format1Relation }{old(sr)}),
-		"partition-snapshot": encode("vcqr-snapshot-1\n", struct{ Partition *format1Set }{&oldSet}),
-		"bare-relation":      encode("", old(sr)),
+		"relation-snapshot":               encode("vcqr-snapshot-1\n", struct{ Relation *format1Relation }{old(sr)}),
+		"partition-snapshot":              encode("vcqr-snapshot-1\n", struct{ Partition *format1Set }{&oldSet}),
+		"bare-relation":                   encode("", old(sr)),
+		"parent-build partition snapshot": encode("vcqr-snapshot-1\n", struct{ Partition *partition.Set }{set}),
 	} {
 		t.Run(name, func(t *testing.T) {
-			if _, err := wire.DecodeSnapshot(data); !errors.Is(err, core.ErrRecordFormat) {
-				t.Errorf("format-1 %s: %v, want core.ErrRecordFormat", name, err)
+			if _, err := wire.DecodePublication(data); !errors.Is(err, wire.ErrFileFormat) {
+				t.Errorf("%s: %v, want wire.ErrFileFormat", name, err)
 			}
 		})
 	}
+	t.Run("this build's publication", func(t *testing.T) {
+		stale := &partition.Set{Spec: set.Spec}
+		for _, sl := range set.Slices {
+			sl = sl.Clone()
+			sl.Params.Format = 1
+			stale.Slices = append(stale.Slices, sl)
+		}
+		blob, err := wire.EncodePublication(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.DecodePublication(blob); !errors.Is(err, core.ErrRecordFormat) {
+			t.Errorf("format-1 slices in this build's publication: %v, want core.ErrRecordFormat", err)
+		}
+	})
 }

@@ -22,14 +22,16 @@ import (
 // tampering are all caught by the verification layer; the frame format
 // only needs to fail cleanly. This file holds the one header writer, the
 // one header reader and the one field codec every payload is written in;
-// codec.go, body.go and cache.go hold the typed encoders over it.
+// codec.go, body.go, cache.go and disk.go hold the typed encoders over
+// it.
 //
 // Payload layout: a tag byte, then that tag's fields in a fixed order —
 // integers as (u)varints, strings, digests, signatures and byte values
 // with a uvarint length prefix, lists with a uvarint count. A decoder
 // must consume its payload exactly, so every byte on the wire is
 // accounted for and an unknown tag, a count or length beyond the bytes
-// that remain, or a trailing byte is errMalformed.
+// that remain, a trailing byte, or a varint longer than it needs to be
+// is errMalformed.
 //
 // The tag byte is the format's only version. A tag's field list never
 // changes: a new optional field ships as a new tag carrying the longer
@@ -66,19 +68,20 @@ const frameHeader = 4
 // honest cache frame still lands in one exact allocation.
 const frameReadAhead = 128 << 10
 
-// sealFrame patches the length prefix into b — frameHeader reserved
-// bytes followed by the payload — and writes the whole frame, refusing a
-// payload beyond limit.
-func sealFrame(w io.Writer, b []byte, limit int) error {
-	n := len(b) - frameHeader
+// appendFrame appends v as one frame — the length prefix, then the
+// payload put appends — refusing a payload beyond limit.
+func appendFrame[T any](b []byte, v *T, limit int, put func([]byte, *T) ([]byte, error)) ([]byte, error) {
+	at := len(b)
+	b, err := put(append(b, 0, 0, 0, 0), v)
+	if err != nil {
+		return b, err
+	}
+	n := len(b) - at - frameHeader
 	if n > limit {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+		return b, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	binary.BigEndian.PutUint32(b[:frameHeader], uint32(n))
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
+	binary.BigEndian.PutUint32(b[at:], uint32(n))
+	return b, nil
 }
 
 // frameReader reads the frames of one stream into a payload buffer it
@@ -157,10 +160,10 @@ func openFrame(r io.Reader, limit int) ([]byte, error) {
 	return fr.open(r, limit)
 }
 
-// scratchPool recycles every encoder's scratch: the header is reserved,
-// the payload is appended behind it, and sealFrame sends the whole frame
-// in one Write. A long stream writes thousands of frames; without the
-// pool each retires a payload-sized buffer to the garbage collector.
+// scratchPool recycles every encoder's scratch: the frame is appended
+// to it and leaves in one Write. A long stream writes thousands of
+// frames; without the pool each retires a payload-sized buffer to the
+// garbage collector.
 var scratchPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4096)
 	return &b
@@ -170,14 +173,15 @@ var scratchPool = sync.Pool{New: func() any {
 // one pathological frame cannot pin megabytes.
 const maxPooledFrame = 1 << 20
 
-// encodeFrame appends v's payload behind a reserved header in pooled
-// scratch and writes the sealed frame, at most limit payload bytes.
-// Nothing of v is retained.
+// encodeFrame writes v as one frame of at most limit payload bytes,
+// built in pooled scratch. Nothing of v is retained.
 func encodeFrame[T any](w io.Writer, v *T, limit int, payload func([]byte, *T) ([]byte, error)) error {
 	bp := scratchPool.Get().(*[]byte)
-	b, err := payload(append((*bp)[:0], 0, 0, 0, 0), v)
+	b, err := appendFrame((*bp)[:0], v, limit, payload)
 	if err == nil {
-		err = sealFrame(w, b, limit)
+		if _, werr := w.Write(b); werr != nil {
+			err = fmt.Errorf("wire: write frame: %w", werr)
+		}
 	}
 	if cap(b) <= maxPooledFrame {
 		*bp = b[:0]
@@ -243,7 +247,7 @@ func (d *decoder) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
 		d.fail()
 		return 0
 	}
@@ -256,7 +260,7 @@ func (d *decoder) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
 		d.fail()
 		return 0
 	}

@@ -2,6 +2,8 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -34,35 +36,6 @@ func signKey(t testing.TB) *sig.PrivateKey {
 	return ownerKey
 }
 
-func TestRelationRoundTripThroughGob(t *testing.T) {
-	h := hashx.New()
-	o := owner.NewWithKey(h, signKey(t))
-	rel, err := workload.Employees(workload.EmployeeConfig{N: 20, L: 0, U: 1 << 20, PhotoSize: 16, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := o.Publish(rel, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := wire.EncodeRelation(sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wire.DecodeRelation(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The decoded relation must survive full validation — every digest
-	// and signature intact.
-	if err := got.Validate(h, o.PublicKey()); err != nil {
-		t.Fatalf("decoded relation invalid: %v", err)
-	}
-	if got.Len() != sr.Len() {
-		t.Fatalf("lengths differ: %d vs %d", got.Len(), sr.Len())
-	}
-}
-
 // TestHTTPEndToEnd runs the full Figure 3 deployment: owner signs, the
 // publisher serves over HTTP, the user queries and verifies client-side.
 func TestHTTPEndToEnd(t *testing.T) {
@@ -77,16 +50,21 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Ship the snapshot through serialization, as a real publisher would
-	// receive it.
-	blob, err := wire.EncodeRelation(sr)
+	// Ship the publication through its file format, as a real publisher
+	// would receive it.
+	set, err := partition.Split(sr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	remote, err := wire.DecodeRelation(blob)
+	blob, err := wire.EncodePublication(set)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got, err := wire.DecodePublication(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := got.Slices[0]
 	role := accessctl.Role{Name: "user"}
 	pub := engine.NewPublisher(h, o.PublicKey(), accessctl.NewPolicy(role))
 	if err := pub.AddRelation(remote, true); err != nil {
@@ -135,13 +113,14 @@ func TestHTTPEndToEnd(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
-	if _, err := wire.DecodeRelation(nil); err == nil {
-		t.Error("nil relation blob accepted")
+	if _, err := wire.DecodePublication(nil); err == nil {
+		t.Error("nil publication accepted")
 	}
-	if _, err := wire.DecodeRelation([]byte("not a gob stream")); err == nil {
-		t.Error("garbage relation blob accepted")
+	if _, err := wire.DecodePublication([]byte("not a publication")); err == nil {
+		t.Error("garbage publication accepted")
 	}
-	// A truncated but once-valid stream must also fail.
+	// A truncated but once-valid file must also fail, and so must one
+	// byte past its end.
 	h := hashx.New()
 	o := owner.NewWithKey(h, signKey(t))
 	rel, err := workload.Employees(workload.EmployeeConfig{N: 5, L: 0, U: 1 << 20, Seed: 9})
@@ -152,12 +131,19 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := wire.EncodeRelation(sr)
+	set, err := partition.Split(sr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.DecodeRelation(blob[:len(blob)/2]); err == nil {
-		t.Error("truncated relation blob accepted")
+	blob, err := wire.EncodePublication(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.DecodePublication(blob[:len(blob)/2]); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("truncated publication: %v, want the malformed-frame error", err)
+	}
+	if _, err := wire.DecodePublication(append(blob, 0)); !errors.Is(err, wire.ErrMalformed) {
+		t.Errorf("a byte past the publication's end: %v, want the malformed-frame error", err)
 	}
 }
 
@@ -172,7 +158,7 @@ func TestClientParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/params.gob"
+	path := t.TempDir() + "/params.vcqr"
 	cp := wire.ClientParams{
 		N: o.PublicKey().N, E: o.PublicKey().E,
 		Params: sr.Params, Schema: sr.Schema,
@@ -196,9 +182,11 @@ func TestClientParamsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: the magic-prefixed snapshot format carries both
-// plain and partitioned publications, and transparently falls back to
-// the legacy bare-relation encoding.
+// TestSnapshotRoundTrip: the publication file carries a partitioned
+// publication and an unpartitioned one — a one-shard set — and each
+// decodes to a set that validates against the owner's key; a bare gob
+// relation, the file an earlier build wrote for an unpartitioned
+// publication, is refused by name.
 func TestSnapshotRoundTrip(t *testing.T) {
 	h := hashx.New()
 	o := owner.NewWithKey(h, signKey(t))
@@ -210,49 +198,41 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := partition.Split(sr, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []int{1, 4} {
+		set, err := partition.Split(sr, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := wire.EncodePublication(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := wire.DecodePublication(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Spec.Same(set.Spec) || len(got.Slices) != k {
+			t.Fatalf("K = %d: decoded spec %+v with %d slices", k, got.Spec, len(got.Slices))
+		}
+		if err := got.Validate(h, o.PublicKey()); err != nil {
+			t.Fatalf("K = %d: decoded partition set invalid: %v", k, err)
+		}
 	}
 
-	blob, err := wire.EncodeSnapshot(&wire.Snapshot{Partition: set})
-	if err != nil {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(sr); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := wire.DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Partition == nil || snap.Relation != nil {
-		t.Fatal("partitioned snapshot decoded wrong")
-	}
-	if err := snap.Partition.Validate(h, o.PublicKey()); err != nil {
-		t.Fatalf("decoded partition set invalid: %v", err)
-	}
-
-	// Legacy fallback: a bare gob relation decodes as an unpartitioned
-	// snapshot.
-	legacy, err := wire.EncodeRelation(sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err = wire.DecodeSnapshot(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Relation == nil || snap.Partition != nil {
-		t.Fatal("legacy snapshot decoded wrong")
-	}
-	if err := snap.Relation.Validate(h, o.PublicKey()); err != nil {
-		t.Fatal(err)
+	if _, err := wire.DecodePublication(legacy.Bytes()); !errors.Is(err, wire.ErrFileFormat) {
+		t.Fatalf("bare gob relation: %v, want wire.ErrFileFormat", err)
 	}
 }
 
-// TestDecodeRelationOneArray: a decoded relation holds its records in
-// one array — Recs points into it, as core.Build lays a relation out —
-// so a 1,026-entry relation decodes in well under the 26,033 allocations
-// one heap object per record cost; and the decoded snapshot re-encodes
-// to the very bytes it was read from, so the shadow types drop no field.
+// TestDecodeRelationOneArray: a decoded slice holds its records in one
+// array per transfer batch — Recs points into them, as core.Build lays a
+// relation out — so a 1,026-entry relation decodes in well under the
+// 26,033 allocations one heap object per record cost; and a decoded
+// publication re-encodes to the very bytes it was read from.
 func TestDecodeRelationOneArray(t *testing.T) {
 	h := hashx.New()
 	o := owner.NewWithKey(h, signKey(t))
@@ -264,47 +244,41 @@ func TestDecodeRelationOneArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := wire.EncodeRelation(sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := wire.DecodeRelation(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Recs) != 1026 {
-		t.Fatalf("decoded %d records, want 1026", len(got.Recs))
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := wire.DecodeRelation(blob); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const parent = 26033 // one heap object per record
-	t.Logf("DecodeRelation: %.0f allocations for 1026 records", allocs)
-	if allocs >= parent-1000 {
-		t.Fatalf("DecodeRelation allocates %.0f for 1026 records, want below %d", allocs, parent-1000)
-	}
-
-	set, err := partition.Split(sr, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, snap := range []*wire.Snapshot{{Relation: sr}, {Partition: set}} {
-		enc, err := wire.EncodeSnapshot(snap)
+	for _, k := range []int{1, 3} {
+		set, err := partition.Split(sr, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := wire.DecodeSnapshot(enc)
+		blob, err := wire.EncodePublication(set)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := wire.EncodeSnapshot(dec)
+		got, err := wire.DecodePublication(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, enc) {
-			t.Fatal("a decoded snapshot re-encodes to other bytes")
+		again, err := wire.EncodePublication(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("K = %d: a decoded publication re-encodes to other bytes", k)
+		}
+		if k > 1 {
+			continue
+		}
+		if len(got.Slices[0].Recs) != 1026 {
+			t.Fatalf("decoded %d records, want 1026", len(got.Slices[0].Recs))
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := wire.DecodePublication(blob); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const parent = 26033 // one heap object per record
+		t.Logf("DecodePublication: %.0f allocations for 1026 records", allocs)
+		if allocs >= parent-1000 {
+			t.Fatalf("DecodePublication allocates %.0f for 1026 records, want below %d", allocs, parent-1000)
 		}
 	}
 }

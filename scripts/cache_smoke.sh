@@ -21,14 +21,14 @@ trap cleanup EXIT INT TERM
 go build -o "$workdir" ./cmd/vcsign ./cmd/vcserve ./cmd/vcquery
 
 # 1. Owner: sign a 3-shard publication.
-"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.gob" -params "$workdir/params.gob"
+"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.vcqr" -params "$workdir/params.vcqr"
 
 # 2. Shard nodes (hold the data) and one cache peer (holds nothing but
 #    opaque bytes: no keys, no params — anything it garbles fails the
 #    digest compare or the user's verifier and falls through to origin).
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18181 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18181 &
 NODE1=$!
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18182 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18182 &
 NODE2=$!
 "$workdir/vcserve" -cache-node -addr 127.0.0.1:18190 &
 PEER=$!
@@ -48,7 +48,7 @@ wait_healthy http://127.0.0.1:18182
 wait_healthy http://127.0.0.1:18190
 
 # 3. Coordinator with the cache tier enabled via -cache-peers.
-"$workdir/vcserve" -coordinator -load "$workdir/emp.gob" -params "$workdir/params.gob" \
+"$workdir/vcserve" -coordinator -load "$workdir/emp.vcqr" -params "$workdir/params.vcqr" \
     -nodes http://127.0.0.1:18181,http://127.0.0.1:18182 \
     -cache-peers http://127.0.0.1:18190 -addr 127.0.0.1:18180 &
 COORD=$!
@@ -60,7 +60,7 @@ wait_healthy http://127.0.0.1:18180
 hits=0
 i=0
 while [ $i -lt 25 ]; do
-    "$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.gob" \
+    "$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.vcqr" \
         -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q.out"
     grep -q "stream VERIFIED" "$workdir/q.out"
     curl -fsS http://127.0.0.1:18180/statsz | tee "$workdir/stats.out"

@@ -20,13 +20,13 @@ go build -o "$workdir" ./cmd/vcsign ./cmd/vcserve ./cmd/vcquery
 
 # 1. Owner: sign a 3-shard publication (writes the snapshot for
 #    publishers and the authenticated client parameters for users).
-"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.gob" -params "$workdir/params.gob"
+"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.vcqr" -params "$workdir/params.vcqr"
 
 # 2. Shard nodes: empty publishers awaiting coordinator installs. They
 #    hold no data and no keys until slices arrive.
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18081 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18081 &
 NODE1=$!
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18082 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18082 &
 NODE2=$!
 
 wait_healthy() {
@@ -45,14 +45,14 @@ wait_healthy http://127.0.0.1:18082
 # 3. Coordinator: validates the untrusted snapshot against the owner's
 #    key, places the 3 slices round-robin across the 2 nodes, serves the
 #    same /stream /delta API a single-process vcserve serves.
-"$workdir/vcserve" -coordinator -load "$workdir/emp.gob" -params "$workdir/params.gob" \
+"$workdir/vcserve" -coordinator -load "$workdir/emp.vcqr" -params "$workdir/params.vcqr" \
     -nodes http://127.0.0.1:18081,http://127.0.0.1:18082 -addr 127.0.0.1:18080 &
 COORD=$!
 wait_healthy http://127.0.0.1:18080
 
 # 4. User: stream a range spanning all 3 shards (2 node processes),
 #    verified chunk by chunk by the unmodified shard-aware verifier.
-"$workdir/vcquery" -url http://127.0.0.1:18080 -params "$workdir/params.gob" \
+"$workdir/vcquery" -url http://127.0.0.1:18080 -params "$workdir/params.vcqr" \
     -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q1.out"
 grep -q "stream VERIFIED" "$workdir/q1.out"
 
@@ -62,7 +62,7 @@ echo
 
 # 6. The moved publication still verifies end to end, and the routing
 #    swing is visible in the control plane.
-"$workdir/vcquery" -url http://127.0.0.1:18080 -params "$workdir/params.gob" \
+"$workdir/vcquery" -url http://127.0.0.1:18080 -params "$workdir/params.vcqr" \
     -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q2.out"
 grep -q "stream VERIFIED" "$workdir/q2.out"
 curl -fsS http://127.0.0.1:18080/admin/routing | tee "$workdir/routing.out"

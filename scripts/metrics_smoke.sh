@@ -22,7 +22,7 @@ go build -o "$workdir" ./cmd/vcserve ./cmd/vcquery
 #    parameters, and serves diagnostics on a second listener as a
 #    firewalled deployment would. -slow-query 1ns retains every request
 #    in the slow log so the smoke can assert on it.
-"$workdir/vcserve" -n 300 -params "$workdir/params.gob" -addr 127.0.0.1:18090 \
+"$workdir/vcserve" -n 300 -params "$workdir/params.vcqr" -addr 127.0.0.1:18090 \
     -debug-addr 127.0.0.1:18091 -slow-query 1ns &
 SRV=$!
 
@@ -40,7 +40,7 @@ wait_healthy http://127.0.0.1:18090
 
 # 2. Traffic: one streamed verified query asking for the advisory timing
 #    trailer, so the stage histograms and the slow log have entries.
-"$workdir/vcquery" -url http://127.0.0.1:18090 -params "$workdir/params.gob" \
+"$workdir/vcquery" -url http://127.0.0.1:18090 -params "$workdir/params.vcqr" \
     -role manager -lo 1 -hi 4000000000 -stream -timing | tee "$workdir/q.out"
 grep -q "stream VERIFIED" "$workdir/q.out"
 grep -q "server-side breakdown" "$workdir/q.out"

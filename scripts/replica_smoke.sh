@@ -20,15 +20,15 @@ trap cleanup EXIT INT TERM
 go build -o "$workdir" ./cmd/vcsign ./cmd/vcserve ./cmd/vcquery
 
 # 1. Owner: sign a 3-shard publication.
-"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.gob" -params "$workdir/params.gob"
+"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.vcqr" -params "$workdir/params.vcqr"
 
 # 2. Three shard nodes — at R=2 every slice lands on two of them, so
 #    any single death leaves a live copy of everything.
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18181 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18181 &
 NODE1=$!
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18182 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18182 &
 NODE2=$!
-"$workdir/vcserve" -node -params "$workdir/params.gob" -addr 127.0.0.1:18183 &
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" -addr 127.0.0.1:18183 &
 NODE3=$!
 
 wait_healthy() {
@@ -47,7 +47,7 @@ wait_healthy http://127.0.0.1:18183
 
 # 3. Coordinator at R=2 with short leases: heartbeats every 300ms keep
 #    routing's picture of liveness about a second behind reality.
-"$workdir/vcserve" -coordinator -load "$workdir/emp.gob" -params "$workdir/params.gob" \
+"$workdir/vcserve" -coordinator -load "$workdir/emp.vcqr" -params "$workdir/params.vcqr" \
     -nodes http://127.0.0.1:18181,http://127.0.0.1:18182,http://127.0.0.1:18183 \
     -replicas 2 -lease-ttl 1s -heartbeat 300ms -addr 127.0.0.1:18180 &
 COORD=$!
@@ -60,7 +60,7 @@ echo
 grep -q '"Replicas":2' "$workdir/routing1.out"
 
 # 5. Healthy-path verified stream across all shards.
-"$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.gob" \
+"$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.vcqr" \
     -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q1.out"
 grep -q "stream VERIFIED" "$workdir/q1.out"
 
@@ -73,7 +73,7 @@ NODE3=""
 #    unmodified verifier. Run several to cross the lease expiry.
 i=0
 while [ $i -lt 5 ]; do
-    "$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.gob" \
+    "$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.vcqr" \
         -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/qk$i.out"
     grep -q "stream VERIFIED" "$workdir/qk$i.out"
     i=$((i + 1))

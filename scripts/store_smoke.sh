@@ -23,17 +23,17 @@ trap cleanup EXIT INT TERM
 go build -o "$workdir" ./cmd/vcsign ./cmd/vcserve ./cmd/vcquery
 
 # 1. Owner: sign a 3-shard publication.
-"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.gob" -params "$workdir/params.gob"
+"$workdir/vcsign" -n 300 -shards 3 -out "$workdir/emp.vcqr" -params "$workdir/params.vcqr"
 
 # 2. Three durable shard nodes: every install and committed delta is
 #    WAL-appended before it is acknowledged.
-"$workdir/vcserve" -node -params "$workdir/params.gob" \
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" \
     -data-dir "$workdir/node1" -addr 127.0.0.1:18191 &
 NODE1=$!
-"$workdir/vcserve" -node -params "$workdir/params.gob" \
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" \
     -data-dir "$workdir/node2" -addr 127.0.0.1:18192 &
 NODE2=$!
-"$workdir/vcserve" -node -params "$workdir/params.gob" \
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" \
     -data-dir "$workdir/node3" -addr 127.0.0.1:18193 &
 NODE3=$!
 
@@ -53,7 +53,7 @@ wait_healthy http://127.0.0.1:18193
 
 # 3. Coordinator at R=2 with short leases, its routing epochs and
 #    staged-delta tokens persisted to its own -data-dir.
-"$workdir/vcserve" -coordinator -load "$workdir/emp.gob" -params "$workdir/params.gob" \
+"$workdir/vcserve" -coordinator -load "$workdir/emp.vcqr" -params "$workdir/params.vcqr" \
     -nodes http://127.0.0.1:18191,http://127.0.0.1:18192,http://127.0.0.1:18193 \
     -replicas 2 -lease-ttl 1s -heartbeat 300ms \
     -data-dir "$workdir/coord" -addr 127.0.0.1:18190 &
@@ -69,7 +69,7 @@ grep -q '"Installs":0' "$workdir/stats-pre.out" && {
 }
 
 # 5. Healthy-path verified stream across all shards.
-"$workdir/vcquery" -url http://127.0.0.1:18190 -params "$workdir/params.gob" \
+"$workdir/vcquery" -url http://127.0.0.1:18190 -params "$workdir/params.vcqr" \
     -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q0.out"
 grep -q "stream VERIFIED" "$workdir/q0.out"
 
@@ -82,7 +82,7 @@ while [ $i -lt 5 ]; do
         kill -9 "$NODE3"
         NODE3=""
     fi
-    "$workdir/vcquery" -url http://127.0.0.1:18190 -params "$workdir/params.gob" \
+    "$workdir/vcquery" -url http://127.0.0.1:18190 -params "$workdir/params.vcqr" \
         -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/qk$i.out"
     grep -q "stream VERIFIED" "$workdir/qk$i.out"
     i=$((i + 1))
@@ -92,7 +92,7 @@ done
 # 7. Restart node 3 from its data directory. Its slices come off its
 #    own WAL, are self-checked against the owner's key, and go straight
 #    back into service.
-"$workdir/vcserve" -node -params "$workdir/params.gob" \
+"$workdir/vcserve" -node -params "$workdir/params.vcqr" \
     -data-dir "$workdir/node3" -addr 127.0.0.1:18193 &
 NODE3=$!
 wait_healthy http://127.0.0.1:18193
@@ -114,7 +114,7 @@ if grep -q '"State":"expired"' "$workdir/routing.out"; then
     echo "node 3 never rejoined routing after its restart" >&2
     exit 1
 fi
-"$workdir/vcquery" -url http://127.0.0.1:18190 -params "$workdir/params.gob" \
+"$workdir/vcquery" -url http://127.0.0.1:18190 -params "$workdir/params.vcqr" \
     -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q1.out"
 grep -q "stream VERIFIED" "$workdir/q1.out"
 

@@ -3,6 +3,8 @@ package vcqr
 import (
 	"bytes"
 	"encoding/gob"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -44,14 +46,35 @@ func TestServingTreeHasNoInjector(t *testing.T) {
 	}
 }
 
-// TestGobStaysInWire pins the codec as a decision two packages hold: of
-// everything under internal/ and cmd/, only internal/wire (the wire) and
-// internal/store (the disk) import encoding/gob outside their tests.
-func TestGobStaysInWire(t *testing.T) {
-	for _, pkg := range importers(t, "encoding/gob") {
-		if pkg != "vcqr/internal/wire" && pkg != "vcqr/internal/store" {
-			t.Errorf("%s imports encoding/gob", pkg)
+// TestNoGobInServing pins the codec as one decision: of the non-test
+// files under internal/ and cmd/, only internal/wire/streamgob.go — the
+// legacy /stream request reader — imports encoding/gob. Everything on
+// the wire and on disk is the field codec.
+func TestNoGobInServing(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{$d := .Dir}}{{range .GoFiles}}{{$d}}/{{.}} {{end}}`,
+		"./internal/...", "./cmd/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, out)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var importers []string
+	for _, path := range strings.Fields(string(out)) {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				rel, _ := filepath.Rel(wd, path)
+				importers = append(importers, filepath.ToSlash(rel))
+			}
+		}
+	}
+	if want := []string{"internal/wire/streamgob.go"}; !slices.Equal(importers, want) {
+		t.Errorf("encoding/gob is imported by %v, want %v", importers, want)
 	}
 }
 
@@ -270,8 +293,8 @@ func TestOneCacheGranularity(t *testing.T) {
 // TestStreamFramesAreGobFree pins the transport's codec: a result-chunk
 // frame and a node sub-stream frame are not gob — a gob decoder over a
 // freshly written payload fails — and inside internal/wire encoding/gob
-// is named only in wire.go, beside the snapshot, params and relation
-// files and the one legacy /stream request format it still reads.
+// is named only in streamgob.go, the one legacy /stream request format
+// it still reads.
 func TestStreamFramesAreGobFree(t *testing.T) {
 	chunk := &engine.Chunk{Type: engine.ChunkFooter, Seq: 2, AggSig: []byte("sig")}
 	var buf bytes.Buffer
@@ -294,7 +317,7 @@ func TestStreamFramesAreGobFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go list: %v\n%s", err, out)
 	}
-	allowed := map[string]bool{"wire.go": true}
+	allowed := map[string]bool{"streamgob.go": true}
 	for _, name := range strings.Fields(string(out)) {
 		src, err := os.ReadFile(filepath.Join("internal", "wire", name))
 		if err != nil {
@@ -334,12 +357,6 @@ var servingAllowList = map[string]string{
 	// Test seams: hooks the serving code carries for its tests.
 	"store.Crasher.Arm":        "test seam: crash-point drills arm the hook both durable write paths check",
 	"store.Crasher.Fired":      "test seam: crash-point drills count the hook's firings",
-	"store.CoordLog.Compact":   "test seam: the coordinator-log crash drill forces a rewrite at a crash point",
-	"wire.ReadCacheReply":      "test seam: the codec round-trip and truncation tests read a cache reply frame",
-	"wire.WriteLeaseRequest":   "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease request codec",
-	"wire.ReadLeaseRequest":    "test seam: FuzzReadLeaseFrame decodes the /node/lease request codec",
-	"wire.WriteLeaseResponse":  "test seam: FuzzReadLeaseFrame seeds and round-trips the /node/lease reply codec",
-	"wire.ReadLeaseResponse":   "test seam: FuzzReadLeaseFrame decodes the /node/lease reply codec",
 	"cache.Client.Probe":       "test seam: surfaces the named error a Lookup folds into a fall-through",
 	"hashx.Hasher.ResetOps":    "test seam: the kernel tests zero the hash-operation counter between cases (experiments/{cuser,fig10} count per query)",
 	"relation.FloatVal":        "test seam: the value and filter tests build float values (examples/stocks prices its ticks with it)",
