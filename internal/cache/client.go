@@ -153,13 +153,19 @@ type ringSlot struct {
 }
 
 // Client is the coordinator-side cache tier: consistent-hash placement
-// over the configured peers, digest-checked reads, a singleflight table
-// collapsing concurrent misses per key, and frequency-gated admission.
-// All methods are safe for concurrent use.
+// over the configured peers, digest-checked reads, a near store keeping
+// the entries those reads validated, a singleflight table collapsing
+// concurrent misses per key, and frequency-gated admission. All methods
+// are safe for concurrent use.
 type Client struct {
 	peers []*wire.Client
 	ring  []ringSlot
 	h     *hashx.Hasher
+	// near holds copies of peer hits that passed check, answering their
+	// next lookups without a peer round trip. It is never swept: keys
+	// bind the covering shards' content epochs and the incarnation, so a
+	// stale entry is never asked for again and the LRU reclaims it.
+	near *Store
 
 	minAccesses uint32
 	maxEntry    int
@@ -188,6 +194,12 @@ type Client struct {
 	idle     sync.Cond
 }
 
+// nearBudget is the near store's fixed byte budget: the most the
+// coordinator pins of validated peer entries. Enough for the hot head of
+// a Zipf key set of short streams; a colder or larger entry just reads
+// its peer again.
+const nearBudget = 4 << 20
+
 // ringVnodes is how many ring slots each peer claims; enough that a
 // two-peer tier splits keys close to evenly.
 const ringVnodes = 64
@@ -202,6 +214,7 @@ const DefaultPeerTimeout = 2 * time.Second
 func NewClient(cfg Config) *Client {
 	c := &Client{
 		h:           hashx.New(),
+		near:        NewStore(nearBudget),
 		minAccesses: cfg.MinAccesses,
 		maxEntry:    cfg.MaxEntryBytes,
 		freq:        newAccessStats(trackedKeys),
@@ -418,9 +431,15 @@ func (f *Fill) Abort() {
 // without filling, because the peer is unreachable or the fill this
 // lookup collapsed onto aborted. An entry that fails validation is a
 // fall-through: dropped from its peer asynchronously and read as a miss.
+// A peer hit that validates is kept in the near store, which answers the
+// key's next lookups without sending anything to a peer.
 func (c *Client) Lookup(k Key) ([]byte, *Fill) {
 	ks := k.String()
 	admit := c.freq.touch(ks) >= c.minAccesses
+	if b, _, ok := c.near.Get(ks); ok {
+		c.hits.Add(1)
+		return b, nil
+	}
 	peer := c.peerFor(ks)
 	if peer == nil {
 		return nil, nil
@@ -468,7 +487,10 @@ func (c *Client) Lookup(k Key) ([]byte, *Fill) {
 		return nil, nil
 	case hit:
 		c.hits.Add(1)
-		return rp.Bytes, nil
+		// A copy sized to the entry, so the budget counts what is pinned.
+		b := bytes.Clone(rp.Bytes)
+		c.near.Put(ks, k.Relation, k.Shard, k.Epoch, rp.Sum, b)
+		return b, nil
 	}
 	c.misses.Add(1)
 	if ok {
@@ -682,6 +704,7 @@ func (c *Client) Peers() []string {
 // ClientStats is the coordinator-side counter snapshot.
 type ClientStats struct {
 	Hits, Misses     uint64 // validated hits / misses (incl. fall-throughs)
+	NearHits         uint64 // hits answered from the near store (a subset of Hits)
 	Collapsed        uint64 // misses that waited on another lookup's fill
 	Fills            uint64 // entries pushed to peers
 	FillDrops        uint64 // fills discarded (aborted, oversized, empty)
@@ -700,6 +723,7 @@ func (c *Client) Stats() ClientStats {
 	return ClientStats{
 		Flights:          flights,
 		Hits:             c.hits.Load(),
+		NearHits:         c.near.Stats().Hits,
 		Misses:           c.misses.Load(),
 		Collapsed:        c.collapsed.Load(),
 		Fills:            c.fills.Load(),

@@ -5,7 +5,10 @@
 // consistent hashing, collapses concurrent misses with a singleflight
 // table, and gates fills through a frequency-based admission rule.
 // There is one kind of entry and one Lookup: a hit is written to the
-// next client verbatim, nothing is decoded on the way.
+// next client verbatim, nothing is decoded on the way. A peer hit that
+// validates is also kept in the client's near store (the same Store type
+// under a fixed budget), which answers that key's next lookups without
+// a peer round trip.
 //
 // The tier works because of the paper's core property
 // (conf_sigmod_PangJRT05): VOs are self-certifying, so a cached VO is

@@ -14,12 +14,13 @@ import (
 // streams without threatening a small host.
 const DefaultBudget int64 = 256 << 20
 
-// Store is the peer-side entry table: a byte-budgeted LRU over opaque
+// Store is the tier's one entry table: a byte-budgeted LRU over opaque
 // entries, each filed under an invalidation group (relation, shard) and
-// stamped with the content epoch and digest its filler supplied. The
-// store never inspects entry bytes — it is storage, not a verifier; the
-// digest is stored and echoed verbatim so readers can catch corruption
-// without trusting this process.
+// stamped with the content epoch and digest its filler supplied. Every
+// peer runs one, and so does the coordinator's Client as its near store.
+// The store never inspects entry bytes — it is storage, not a verifier;
+// the digest is stored and echoed verbatim so readers can catch
+// corruption without trusting this process.
 type Store struct {
 	mu     sync.Mutex
 	budget int64

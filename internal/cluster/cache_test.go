@@ -149,8 +149,24 @@ func TestClusterCachedStreamByteIdentical(t *testing.T) {
 		t.Fatal("cache hit differs from single-process stream")
 	}
 	st := cf.coord.Stats()
-	if st.Cache == nil || st.Cache.Hits != 1 || cf.origin() != before {
-		t.Fatalf("warm pass did not serve from the cache: %+v, origin +%d", st.Cache, cf.origin()-before)
+	if st.Cache == nil || st.Cache.Hits != 1 || st.Cache.NearHits != 0 || cf.origin() != before {
+		t.Fatalf("warm pass did not serve from the cache peer: %+v, origin +%d", st.Cache, cf.origin()-before)
+	}
+
+	// Near pass: the peer hit the warm pass validated is answered from
+	// the coordinator's near store, still byte-identical.
+	if !bytes.Equal(streamBody(t, coordTS.URL, req), want) {
+		t.Fatal("near-store hit differs from single-process stream")
+	}
+	st = cf.coord.Stats()
+	if st.Cache.Hits != 2 || st.Cache.NearHits != 1 || cf.origin() != before {
+		t.Fatalf("near pass did not serve from the near store: %+v, origin +%d", st.Cache, cf.origin()-before)
+	}
+	if got := scrape(t, coordTS.URL+"/metrics")[`vcqr_cache_near_hits_total{role="coordinator"}`]; got != 1 {
+		t.Fatalf("/metrics shows %v near hits, want 1", got)
+	}
+	if e, err := (&wire.Client{BaseURL: coordTS.URL}).ObsExport(); err != nil || e.Counters["cache_near_hits"] != 1 {
+		t.Fatalf("/metrics.json near hits: %v (err %v), want 1", e.Counters["cache_near_hits"], err)
 	}
 	rows, err := cf.verifyStream(coordTS.URL, q, 8)
 	if err != nil {
@@ -249,6 +265,16 @@ func TestCacheDeltaInvalidationExact(t *testing.T) {
 		}
 	}
 	cf.waitEntries(len(covers))
+	// A second pass reads each entry from the peer, which makes every
+	// cover resident in the coordinator's near store too.
+	for _, cv := range covers {
+		if _, err := cf.verifyStream(coordTS.URL, cf.coverQuery(cv[0], cv[1]), 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cf.coord.Stats().Cache; st.Hits != uint64(len(covers)) || st.NearHits != 0 {
+		t.Fatalf("second pass: %+v, want %d peer hits", st, len(covers))
+	}
 	oldEpochs := cf.coord.Stats().ContentEpochs
 
 	// Interior update to shard 1 (hosted alone on node 1).
@@ -284,22 +310,26 @@ func TestCacheDeltaInvalidationExact(t *testing.T) {
 	}
 
 	// The very next verified query per cover: the untouched shards' own
-	// streams are hits that never reach a node; every cover containing
-	// shard 1 comes from origin (its old key is unaskable) and is fresh.
+	// streams are near-store hits that never reach a node; every cover
+	// containing shard 1 — near-resident under its old key, which the
+	// near store is never swept of — comes from origin (its old key is
+	// unaskable) and is fresh.
 	for _, cv := range covers {
-		hits, before := cf.coord.Stats().Cache.Hits, cf.origin()
+		pre, before := *cf.coord.Stats().Cache, cf.origin()
 		rows, err := cf.streamRows(coordTS.URL, cf.coverQuery(cv[0], cv[1]), 8)
 		if err != nil {
 			t.Fatalf("cover %v: post-delta stream rejected: %v", cv, err)
 		}
-		dHits, dOrigin := cf.coord.Stats().Cache.Hits-hits, cf.origin()-before
+		post := cf.coord.Stats().Cache
+		dHits, dNear, dOrigin := post.Hits-pre.Hits, post.NearHits-pre.NearHits, cf.origin()-before
 		if cv[0] <= 1 && 1 <= cv[1] {
 			if dHits != 0 || dOrigin != uint64(cv[1]-cv[0]+1) || !hasPayload(rows, "cached-delta-v2") {
 				t.Fatalf("cover %v is stale: hits +%d, origin +%d, payload present=%v",
 					cv, dHits, dOrigin, hasPayload(rows, "cached-delta-v2"))
 			}
-		} else if dHits != 1 || dOrigin != 0 {
-			t.Fatalf("cover %v did not serve from cache after the delta: hits +%d, origin +%d", cv, dHits, dOrigin)
+		} else if dHits != 1 || dNear != 1 || dOrigin != 0 {
+			t.Fatalf("cover %v did not serve from the near store after the delta: hits +%d (near +%d), origin +%d",
+				cv, dHits, dNear, dOrigin)
 		}
 	}
 }
@@ -660,7 +690,10 @@ func TestCacheRebalanceInvalidation(t *testing.T) {
 // flipped byte under the stored digest dies on the digest compare, a
 // truncated stream under a recomputed digest dies on the frame walk —
 // the coordinator falls through to origin, and the unmodified verifier
-// accepts the result.
+// accepts the result. Each phase asks its own query (its own chunk
+// size), so the poisoned read is its key's first peer read: a peer hit
+// before it would be answered from the coordinator's near store, which
+// holds only bytes that already passed both checks.
 func TestCachePoisonedEntriesFallThrough(t *testing.T) {
 	cf := newCachedCluster(t, 96, 3, 2)
 	coordTS := httptest.NewServer(cf.coord.Handler())
@@ -669,15 +702,16 @@ func TestCachePoisonedEntriesFallThrough(t *testing.T) {
 	store := cf.srv.Store()
 
 	for _, phase := range []struct {
-		name   string
-		poison func(b []byte, sum hashx.Digest) ([]byte, hashx.Digest)
+		name      string
+		chunkRows int
+		poison    func(b []byte, sum hashx.Digest) ([]byte, hashx.Digest)
 	}{
-		{"flipped byte, stored digest kept", func(b []byte, sum hashx.Digest) ([]byte, hashx.Digest) {
+		{"flipped byte, stored digest kept", 8, func(b []byte, sum hashx.Digest) ([]byte, hashx.Digest) {
 			bad := append([]byte(nil), b...)
 			bad[len(bad)/2] ^= 0xff
 			return bad, sum
 		}},
-		{"cut at the last frame boundary, digest recomputed", func(b []byte, _ hashx.Digest) ([]byte, hashx.Digest) {
+		{"cut at the last frame boundary, digest recomputed", 16, func(b []byte, _ hashx.Digest) ([]byte, hashx.Digest) {
 			end := 0 // start of the last frame
 			for off := 0; off < len(b); off += 4 + int(binary.BigEndian.Uint32(b[off:])) {
 				end = off
@@ -685,10 +719,10 @@ func TestCachePoisonedEntriesFallThrough(t *testing.T) {
 			return b[:end], cf.h.Hash(b[:end])
 		}},
 	} {
-		// (Re)fill: the previous phase's suspect drop and refill race on
-		// the peer, so ask until the entry is resident and settled.
+		// Fill this phase's key; the previous phase's suspect drop and
+		// refill race on the peer, so wait until every fill has settled.
 		drops := store.Stats().Invalidations
-		if _, err := cf.verifyStream(coordTS.URL, q, 8); err != nil {
+		if _, err := cf.verifyStream(coordTS.URL, q, phase.chunkRows); err != nil {
 			t.Fatal(err)
 		}
 		cf.waitEntries(1)
@@ -704,7 +738,7 @@ func TestCachePoisonedEntriesFallThrough(t *testing.T) {
 		}
 
 		pre := cf.coord.Stats().Cache.Fallthroughs
-		rows, err := cf.verifyStream(coordTS.URL, q, 8)
+		rows, err := cf.verifyStream(coordTS.URL, q, phase.chunkRows)
 		if err != nil {
 			t.Fatalf("%s: query over a poisoned cache rejected: %v", phase.name, err)
 		}

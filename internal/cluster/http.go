@@ -262,6 +262,7 @@ var counters = []obs.Counter[Stats]{
 // cache tier is configured.
 var cacheCounters = []obs.Counter[cache.ClientStats]{
 	{Key: "cache_hits", Help: "Validated edge-cache hits.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Hits }},
+	{Key: "cache_near_hits", Help: "Edge-cache hits answered from the coordinator's near store (a subset of hits).", Field: func(cs *cache.ClientStats) *uint64 { return &cs.NearHits }},
 	{Key: "cache_misses", Help: "Edge-cache misses (fall-throughs included).", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Misses }},
 	{Key: "cache_collapsed", Help: "Misses collapsed onto another lookup's in-flight fill.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Collapsed }},
 	{Key: "cache_fills", Help: "Entries pushed to cache peers.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fills }},

@@ -3,7 +3,8 @@
 # peer as separate OS processes. A repeated verified stream query warms
 # the tier (the admission gate needs to see a key twice
 # before filling), then the script asserts the coordinator actually
-# served from cache (Cache.Hits >= 1) and that the peer holds entries.
+# served from cache (Cache.Hits >= 1), then from its near store
+# (Cache.NearHits >= 1), and that the peer holds entries.
 # This is the verbatim-tested form of the README's "Edge caching"
 # quickstart and is run by CI's cluster-smoke job.
 set -eu
@@ -56,7 +57,8 @@ wait_healthy http://127.0.0.1:18180
 
 # 4. Repeat one stream query until the tier reports a validated hit:
 #    access 1 counts, access 2 admits and fills (asynchronously),
-#    access 3+ should serve from the peer. Every pass must verify.
+#    access 3 reads the peer, and access 4 onwards reads the
+#    coordinator's memory (its near store). Every pass must verify.
 hits=0
 i=0
 while [ $i -lt 25 ]; do
@@ -72,6 +74,19 @@ while [ $i -lt 25 ]; do
 done
 if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
     echo "coordinator never served a validated cache hit" >&2
+    exit 1
+fi
+
+# 4b. One more pass: the peer hit above validated, so this one is
+#     answered from the coordinator's near store, and must verify too.
+"$workdir/vcquery" -url http://127.0.0.1:18180 -params "$workdir/params.vcqr" \
+    -role manager -lo 1 -hi 4000000000 -stream | tee "$workdir/q.out"
+grep -q "stream VERIFIED" "$workdir/q.out"
+curl -fsS http://127.0.0.1:18180/statsz | tee "$workdir/stats.out"
+echo
+near="$(sed -n 's/.*"Cache":{[^}]*"NearHits":\([0-9]*\).*/\1/p' "$workdir/stats.out")"
+if [ -z "$near" ] || [ "$near" -lt 1 ]; then
+    echo "coordinator never answered a hit from its near store" >&2
     exit 1
 fi
 

@@ -266,7 +266,9 @@ func TestOneSignatureMode(t *testing.T) {
 // internal/cluster names a decoded cache hit, a feed replayed from one
 // or a tee on a node sub-stream; internal/cache exports exactly one
 // lookup method; and internal/cluster/feed.go declares a single
-// engine.ShardFeed implementation, the live node feed.
+// engine.ShardFeed implementation, the live node feed. It also pins one
+// table type: inside internal/cache only store.go imports container/list,
+// and the client's near store is that same *Store.
 func TestOneCacheGranularity(t *testing.T) {
 	second := regexp.MustCompile(`cache\.Hit\b|replayFeed|ShardStreamTee`)
 	for name, src := range sources(t, "internal/cluster") {
@@ -280,6 +282,19 @@ func TestOneCacheGranularity(t *testing.T) {
 	}
 	if lookups != 1 {
 		t.Errorf("internal/cache exports %d lookup methods, want 1", lookups)
+	}
+	for name, src := range sources(t, "internal/cache") {
+		inStore := filepath.Base(name) == "store.go"
+		if bytes.Contains(src, []byte(`"container/list"`)) != inStore {
+			t.Errorf("%s: imports container/list = %v, want %v", name, !inStore, inStore)
+		}
+	}
+	client, err := os.ReadFile(filepath.Join("internal", "cache", "client.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^\s+near\s+\*Store$`).Match(client) {
+		t.Error("internal/cache/client.go: Client's near field is not a *Store")
 	}
 	feed, err := os.ReadFile(filepath.Join("internal", "cluster", "feed.go"))
 	if err != nil {
