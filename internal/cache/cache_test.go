@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -445,88 +445,122 @@ func TestOversizedFillDropped(t *testing.T) {
 	}
 }
 
-// parkFirst is a transport that completes the first request it sees and
-// then holds the response until release: a lookup parked between its
-// peer GET and its flights check.
-type parkFirst struct {
-	base    http.RoundTripper
-	seen    atomic.Bool
+// parkGet counts the cache frames a client sends, as opCounter does,
+// and holds the first GET before it reaches the peer until open.
+type parkGet struct {
+	opCounter
+	first   atomic.Bool
 	parked  chan struct{}
 	release chan struct{}
+	once    sync.Once
 }
 
-func (p *parkFirst) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := p.base.RoundTrip(req)
-	if p.seen.CompareAndSwap(false, true) {
+func (p *parkGet) open() { p.once.Do(func() { close(p.release) }) }
+
+func (p *parkGet) RoundTrip(req *http.Request) (*http.Response, error) {
+	if p.count(req) == 1 && p.first.CompareAndSwap(false, true) {
 		close(p.parked)
 		<-p.release
 	}
-	return resp, err
+	return http.DefaultTransport.RoundTrip(req)
 }
 
-// TestStaleMissFindsSettledFlight closes the singleflight window: a
-// lookup whose peer GET missed before another lookup's fill committed,
-// but which checks the flights table after that commit (and after the
-// PUT landed), must be handed the committed bytes — never a second fill,
-// which is a second trip to origin. Deterministic: the stale lookup is
-// parked inside its GET while the whole fill happens.
-func TestStaleMissFindsSettledFlight(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		minAccesses uint32
-		wantPut     bool
-	}{
-		{"admitted fill pushed to the peer", 1, true},
-		{"fill below the admission threshold", 100, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			gate := &parkFirst{base: http.DefaultTransport, parked: make(chan struct{}), release: make(chan struct{})}
-			e := newEnv(t, cache.Config{MinAccesses: tc.minAccesses, HTTP: &http.Client{Transport: gate}})
-			k := subKey(3)
-			raw := streamBytes(t, k.Shard)
+// TestOneExchangePerKeyInFlight: a lookup files its key's flight before
+// it sends the peer GET, so while that GET is out no other lookup of the
+// key asks the peer. Each of 8 lookups made meanwhile waits on the
+// flight and is handed its outcome: the peer's bytes on a hit, the
+// leader's committed bytes on a miss — never a second Fill, which is a
+// second trip to origin. Deterministic: the leader's GET is parked in
+// the transport until all 8 have joined. Below the admission threshold
+// a commit nobody waited on is not pushed and its flight leaves at
+// Commit, so the key's next lookup leads a fresh fill.
+func TestOneExchangePerKeyInFlight(t *testing.T) {
+	for _, minAccesses := range []uint32{1, 100} {
+		for _, outcome := range []string{"hit", "miss"} {
+			t.Run(fmt.Sprintf("peer %s at MinAccesses %d", outcome, minAccesses), func(t *testing.T) {
+				gate := &parkGet{parked: make(chan struct{}), release: make(chan struct{})}
+				e := newEnv(t, cache.Config{MinAccesses: minAccesses, HTTP: &http.Client{Transport: gate}})
+				t.Cleanup(gate.open) // a failed assertion strands no lookup
+				k := subKey(3)
+				raw := streamBytes(t, k.Shard)
+				if outcome == "hit" {
+					e.seed(k, raw)
+				}
 
-			type res struct {
-				hit  []byte
-				fill *cache.Fill
-			}
-			stale := make(chan res, 1)
-			go func() {
-				h, f := e.cl.Lookup(k)
-				stale <- res{h, f}
-			}()
-			<-gate.parked // the stale lookup's GET has missed; it has not looked at flights yet
+				type res struct {
+					hit  []byte
+					fill *cache.Fill
+				}
+				lookup := func(out chan<- res) {
+					h, f := e.cl.Lookup(k)
+					out <- res{h, f}
+				}
+				leader := make(chan res, 1)
+				go lookup(leader)
+				<-gate.parked // the leader's GET is out and has not reached the peer
 
-			_, fill := e.cl.Lookup(k)
-			if fill == nil {
-				t.Fatal("leader got no fill")
-			}
-			fill.Write(raw)
-			fill.Commit()
-			if tc.wantPut {
-				waitFor(t, "fill to land on the peer", func() bool { return e.srv.Store().Stats().Entries == 1 })
-				waitFor(t, "PUT to be acknowledged", func() bool { h, _ := e.cl.Probe(k); return h != nil })
-			}
-
-			close(gate.release)
-			r := <-stale
-			if r.fill != nil {
-				t.Fatal("a lookup whose GET missed before the commit became a second leader")
-			}
-			if !bytes.Equal(r.hit, raw) {
-				t.Fatalf("stale lookup got %q, want the committed bytes", r.hit)
-			}
-			// Nothing is kept past the lookups it was kept for: with the
-			// flight retired, an unadmitted key misses to a fresh leader.
-			if !tc.wantPut {
-				waitFor(t, "settled flight to retire", func() bool {
-					_, f := e.cl.Lookup(k)
-					if f != nil {
-						f.Abort()
-					}
-					return f != nil
+				const waiters = 8
+				joined := make(chan res, waiters)
+				for i := 0; i < waiters; i++ {
+					go lookup(joined)
+				}
+				waitFor(t, "lookups to join the flight", func() bool {
+					return e.cl.Stats().Collapsed == waiters || gate.gets() > 1
 				})
-			}
-		})
+				if n := gate.gets(); n != 1 {
+					t.Fatalf("%d GETs sent while the leader's was out, want its 1 alone", n)
+				}
+
+				gate.open()
+				r := <-leader
+				if outcome == "hit" {
+					if r.fill != nil || !bytes.Equal(r.hit, raw) {
+						t.Fatalf("leader: bytes=%q fill=%v, want the peer hit", r.hit, r.fill)
+					}
+				} else {
+					if r.hit != nil || r.fill == nil {
+						t.Fatalf("leader: bytes=%q fill=%v, want a fill", r.hit, r.fill)
+					}
+					r.fill.Write(raw)
+					r.fill.Commit()
+				}
+				for i := 0; i < waiters; i++ {
+					w := <-joined
+					if w.fill != nil {
+						t.Fatal("a lookup that joined the flight was handed a second fill")
+					}
+					if !bytes.Equal(w.hit, raw) {
+						t.Fatalf("a lookup that joined the flight got %q, want the leader's outcome", w.hit)
+					}
+				}
+				st := e.cl.Stats()
+				want := cache.ClientStats{Hits: waiters + 1, NearHits: st.NearHits, Collapsed: waiters, Flights: st.Flights}
+				if outcome == "miss" {
+					// Waited on, so pushed below the admission threshold too.
+					want.Hits, want.Misses, want.Fills = 0, waiters+1, 1
+				}
+				if st != want || gate.gets() != 1 {
+					t.Fatalf("counters %+v after %d GETs, want %+v after 1", st, gate.gets(), want)
+				}
+				if minAccesses == 1 {
+					return
+				}
+
+				waitFor(t, "the pushed fill's PUT to return", func() bool { return e.cl.Stats().Flights == 0 })
+				k2 := subKey(4)
+				for i := 0; i < 2; i++ {
+					b, fill := e.cl.Lookup(k2)
+					if b != nil || fill == nil {
+						t.Fatalf("lookup %d of an unadmitted key: bytes=%q fill=%v, want a fresh fill", i, b, fill)
+					}
+					fill.Write(raw)
+					fill.Commit()
+				}
+				if st := e.cl.Stats(); st.AdmissionsDenied != 2 || st.Flights != 0 {
+					t.Fatalf("unadmitted commits: %+v", st)
+				}
+			})
+		}
 	}
 }
 
@@ -539,14 +573,9 @@ type sweepGate struct {
 }
 
 func (g *sweepGate) RoundTrip(req *http.Request) (*http.Response, error) {
-	if body, err := req.GetBody(); err == nil {
-		var hdr [5]byte
-		io.ReadFull(body, hdr[:])
-		body.Close()
-		if hdr[4] == 6 && g.sweeps.Add(1) == 1 {
-			close(g.parked)
-			<-g.release
-		}
+	if frameTag(req) == 6 && g.sweeps.Add(1) == 1 {
+		close(g.parked)
+		<-g.release
 	}
 	return http.DefaultTransport.RoundTrip(req)
 }

@@ -124,17 +124,17 @@ type Config struct {
 	// consistent hashing. Empty peers means the client is nil-like:
 	// every lookup misses without a fill.
 	Peers []string
-	// HTTP overrides the transport (tests). When nil, peer traffic runs
-	// on a private client bounded by PeerTimeout — never on
-	// http.DefaultClient, whose missing timeout would let one hung peer
+	// HTTP overrides the transport (tests). Whichever client carries peer
+	// traffic, every exchange on it is bounded by PeerTimeout — never by
+	// http.DefaultClient's missing timeout, which would let one hung peer
 	// wedge the query path that treats every peer failure as a miss.
 	HTTP *http.Client
-	// PeerTimeout bounds every peer exchange on the default transport.
-	// When HTTP is set the caller owns the budgets of lookups and fills,
-	// and PeerTimeout still bounds each invalidation push (no caller
-	// waits on one but Wait). A peer slower than this is slower than
-	// origin, so failing toward origin is strictly better than waiting.
-	// 0 picks DefaultPeerTimeout.
+	// PeerTimeout bounds every peer exchange — GET, PUT, sweep and stats
+	// scrape alike: the lower of it and HTTP.Timeout when HTTP sets one.
+	// It also bounds how long a lookup collapsed onto another's peer GET
+	// waits for that GET. A peer slower than this is slower than origin,
+	// so failing toward origin is strictly better than waiting. 0 picks
+	// DefaultPeerTimeout.
 	PeerTimeout time.Duration
 	// Obs records cache_get / cache_fill timings when set.
 	Obs *obs.Registry
@@ -154,9 +154,9 @@ type ringSlot struct {
 
 // Client is the coordinator-side cache tier: consistent-hash placement
 // over the configured peers, digest-checked reads, a near store keeping
-// the entries those reads validated, a singleflight table collapsing
-// concurrent misses per key, and frequency-gated admission. All methods
-// are safe for concurrent use.
+// the entries those reads validated, a singleflight table holding at
+// most one peer exchange per key in flight, and frequency-gated
+// admission. All methods are safe for concurrent use.
 type Client struct {
 	peers []*wire.Client
 	ring  []ringSlot
@@ -174,24 +174,17 @@ type Client struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	// probing counts, per key, the lookups between sending their peer GET
-	// and checking flights for its result: a fill that settles meanwhile
-	// stays in flights until they have looked (see Fill.Commit).
-	probing map[string]int
 
 	hits, misses, collapsed         atomic.Uint64
 	fills, fillDrops                atomic.Uint64
 	fallthroughs, peerErrs          atomic.Uint64
 	invalidations, admissionsDenied atomic.Uint64
 
-	// sweepers are the peers' clients for invalidation pushes, each
-	// exchange bounded by the peer timeout even when Config.HTTP has
-	// none. smu guards pending (one per peer); idle signals a sweeper
-	// that stopped.
-	sweepers []*wire.Client
-	smu      sync.Mutex
-	pending  []pending
-	idle     sync.Cond
+	// smu guards pending (one per peer); idle signals a sweeper that
+	// stopped.
+	smu     sync.Mutex
+	pending []pending
+	idle    sync.Cond
 }
 
 // nearBudget is the near store's fixed byte budget: the most the
@@ -205,9 +198,9 @@ const nearBudget = 4 << 20
 const ringVnodes = 64
 
 // DefaultPeerTimeout is the dial-to-drain budget for one cache-peer
-// exchange when Config.HTTP is nil. The tier is an optimization: a peer
-// that cannot answer inside it reads as a miss and the query serves
-// from origin.
+// exchange when Config.PeerTimeout is unset. The tier is an
+// optimization: a peer that cannot answer inside it reads as a miss and
+// the query serves from origin.
 const DefaultPeerTimeout = 2 * time.Second
 
 // NewClient builds a cache-tier client over the given peers.
@@ -219,7 +212,6 @@ func NewClient(cfg Config) *Client {
 		maxEntry:    cfg.MaxEntryBytes,
 		freq:        newAccessStats(trackedKeys),
 		flights:     make(map[string]*flight),
-		probing:     make(map[string]int),
 		hGet:        cfg.Obs.Hist(obs.StageCacheGet),
 		hFill:       cfg.Obs.Hist(obs.StageCacheFill),
 	}
@@ -234,18 +226,16 @@ func NewClient(cfg Config) *Client {
 	if to <= 0 {
 		to = DefaultPeerTimeout
 	}
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = &http.Client{Timeout: to}
+	// One client for every exchange, bounded by the lower timeout.
+	var hc http.Client
+	if cfg.HTTP != nil {
+		hc = *cfg.HTTP
 	}
-	sc := *hc
-	if sc.Timeout <= 0 || sc.Timeout > to {
-		sc.Timeout = to
+	if hc.Timeout <= 0 || hc.Timeout > to {
+		hc.Timeout = to
 	}
 	for i, url := range cfg.Peers {
-		base := strings.TrimRight(url, "/")
-		c.peers = append(c.peers, &wire.Client{BaseURL: base, HTTP: hc})
-		c.sweepers = append(c.sweepers, &wire.Client{BaseURL: base, HTTP: &sc})
+		c.peers = append(c.peers, &wire.Client{BaseURL: strings.TrimRight(url, "/"), HTTP: &hc})
 		c.pending = append(c.pending, pending{groups: map[groupID]uint64{}, keys: map[string]struct{}{}})
 		for v := 0; v < ringVnodes; v++ {
 			h := fnv.New32a()
@@ -281,21 +271,38 @@ func (c *Client) peerFor(ks string) *wire.Client {
 	return nil
 }
 
-// flight is one fill: the leader streams from origin while every
-// collapsed waiter blocks on done. A nil bytes at done means the fill
-// aborted. A committed flight stays in Client.flights, answering lookups
-// from its bytes, until the entry is resolvable on the peer instead.
+// flight is one key's peer exchange and, when the peer missed, the
+// leader's fill from origin; every collapsed waiter blocks on done. At
+// done, bytes is the outcome: a validated peer hit (hit set), the
+// committed fill, or nil — serve from origin without filling. A flight
+// is filed before its peer GET is sent and leaves Client.flights when
+// the GET settles it, when an unpushed fill commits or aborts, or when a
+// pushed fill's PUT returns — so the entry is resolvable on the peer
+// before a lookup can send the key's next GET.
 type flight struct {
 	done  chan struct{}
 	bytes []byte
-	sum   hashx.Digest
-	// putting (guarded by Client.mu) is set while the peer PUT of a
-	// committed flight has not been acknowledged or failed.
-	putting bool
+	hit   bool
 	// waiters counts collapsed lookups; a fill with waiters is pushed
 	// to the peer even below the admission threshold — concurrency is
 	// itself evidence of heat.
 	waiters atomic.Int32
+}
+
+// settle publishes a flight's outcome to its waiters and takes it out
+// of the table.
+func (c *Client) settle(ks string, fl *flight, b []byte, hit bool) {
+	fl.bytes, fl.hit = b, hit
+	c.unfile(ks)
+	close(fl.done)
+}
+
+// unfile takes ks's flight out of the table; the key's next lookup
+// sends a GET of its own.
+func (c *Client) unfile(ks string) {
+	c.mu.Lock()
+	delete(c.flights, ks)
+	c.mu.Unlock()
 }
 
 // Fill is the leader's handle on a miss: the caller tees the origin
@@ -350,60 +357,37 @@ func (f *Fill) Commit() {
 
 	c := f.c
 	if over || len(b) == 0 {
-		c.mu.Lock()
-		delete(c.flights, f.ks)
-		c.mu.Unlock()
 		c.fillDrops.Add(1)
-		close(f.fl.done)
+		c.settle(f.ks, f.fl, nil, false)
 		return
 	}
-	sum := c.h.Hash(b)
-	peer := c.peerFor(f.ks)
-	// The flight leaves the table only once a lookup that finds no flight
-	// can rely on its own peer GET: a lookup whose GET missed before this
-	// commit may check flights after it, and must find these bytes rather
-	// than become a second leader. So the flight stays while the PUT is
-	// unacknowledged and while any lookup of this key is mid-probe (new
-	// lookups wait on the flight without probing, so that count drains).
-	c.mu.Lock()
-	push := f.admit || f.fl.waiters.Load() > 0
-	f.fl.bytes, f.fl.sum, f.fl.putting = b, sum, push
-	c.retire(f.ks, f.fl)
-	c.mu.Unlock()
-	close(f.fl.done)
-	if !push {
+	if !f.admit && f.fl.waiters.Load() == 0 {
 		c.admissionsDenied.Add(1)
+		c.settle(f.ks, f.fl, b, false)
 		return
 	}
+	// A pushed fill's flight keeps answering lookups from these bytes
+	// until its PUT returns, so no lookup asks the peer for the entry
+	// before the peer can have it.
+	f.fl.bytes = b
+	close(f.fl.done)
 	c.fills.Add(1)
 	go func() {
 		t0 := time.Now()
-		_, err := peer.CacheOp(&wire.CacheFrame{Put: &wire.CachePut{
+		_, err := c.peerFor(f.ks).CacheOp(&wire.CacheFrame{Put: &wire.CachePut{
 			Key:      f.ks,
 			Relation: f.key.Relation,
 			Shard:    f.key.Shard,
 			Epoch:    f.key.Epoch,
-			Sum:      sum,
+			Sum:      c.h.Hash(b),
 			Bytes:    b,
 		}})
 		c.hFill.ObserveSince(t0)
 		if err != nil {
 			c.peerErrs.Add(1)
 		}
-		c.mu.Lock()
-		f.fl.putting = false
-		c.retire(f.ks, f.fl)
-		c.mu.Unlock()
+		c.unfile(f.ks)
 	}()
-}
-
-// retire removes a committed flight from the table once nothing needs it
-// there: its PUT has finished and no lookup of the key is mid-probe.
-// Callers hold c.mu.
-func (c *Client) retire(ks string, fl *flight) {
-	if fl.bytes != nil && !fl.putting && c.probing[ks] == 0 && c.flights[ks] == fl {
-		delete(c.flights, ks)
-	}
 }
 
 // Abort releases waiters empty-handed and drops the buffer.
@@ -416,12 +400,8 @@ func (f *Fill) Abort() {
 	f.settled = true
 	f.buf.Reset()
 	f.mu.Unlock()
-	c := f.c
-	c.mu.Lock()
-	delete(c.flights, f.ks)
-	c.mu.Unlock()
-	c.fillDrops.Add(1)
-	close(f.fl.done)
+	f.c.fillDrops.Add(1)
+	f.c.settle(f.ks, f.fl, nil, false)
 }
 
 // Lookup consults the tier for one merged stream. Exactly one of the
@@ -433,82 +413,76 @@ func (f *Fill) Abort() {
 // fall-through: dropped from its peer asynchronously and read as a miss.
 // A peer hit that validates is kept in the near store, which answers the
 // key's next lookups without sending anything to a peer.
+//
+// At most one peer exchange per key is in flight: the first lookup files
+// the key's flight before it sends the GET, and a lookup that finds the
+// flight waits for its outcome instead of asking the peer.
 func (c *Client) Lookup(k Key) ([]byte, *Fill) {
+	if len(c.peers) == 0 {
+		return nil, nil
+	}
 	ks := k.String()
 	admit := c.freq.touch(ks) >= c.minAccesses
+	c.mu.Lock()
+	// Under mu, so a lookup sees either the near entry or the flight that
+	// put it there, never the gap between them.
 	if b, _, ok := c.near.Get(ks); ok {
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return b, nil
 	}
-	peer := c.peerFor(ks)
-	if peer == nil {
-		return nil, nil
-	}
-	c.mu.Lock()
 	fl, ok := c.flights[ks]
 	if ok {
 		fl.waiters.Add(1)
 	} else {
-		c.probing[ks]++
-	}
-	c.mu.Unlock()
-	if ok {
-		c.misses.Add(1)
-		return c.await(fl), nil
-	}
-	t0 := time.Now()
-	rp, err := peer.CacheOp(&wire.CacheFrame{Get: &wire.CacheGet{Key: ks}})
-	c.hGet.ObserveSince(t0)
-	hit := false
-	if err != nil {
-		c.peerErrs.Add(1)
-	} else if rp.Hit {
-		hit = c.check(ks, rp.Bytes, rp.Sum) == nil
-	}
-
-	c.mu.Lock()
-	if c.probing[ks]--; c.probing[ks] == 0 {
-		delete(c.probing, ks)
-	}
-	miss := err == nil && !hit
-	fl, ok = c.flights[ks]
-	if ok {
-		if miss {
-			fl.waiters.Add(1)
-		}
-		c.retire(ks, fl) // this lookup may be the last one it was kept for
-	} else if miss {
 		fl = &flight{done: make(chan struct{})}
 		c.flights[ks] = fl
 	}
 	c.mu.Unlock()
-	switch {
-	case err != nil:
-		return nil, nil
-	case hit:
-		c.hits.Add(1)
-		// A copy sized to the entry, so the budget counts what is pinned.
-		b := bytes.Clone(rp.Bytes)
-		c.near.Put(ks, k.Relation, k.Shard, k.Epoch, rp.Sum, b)
-		return b, nil
-	}
-	c.misses.Add(1)
 	if ok {
 		return c.await(fl), nil
 	}
+
+	t0 := time.Now()
+	rp, err := c.peerFor(ks).CacheOp(&wire.CacheFrame{Get: &wire.CacheGet{Key: ks}})
+	c.hGet.ObserveSince(t0)
+	switch {
+	case err != nil:
+		c.peerErrs.Add(1)
+		c.settle(ks, fl, nil, false)
+		return nil, nil
+	case rp.Hit && c.check(ks, rp.Bytes, rp.Sum) == nil:
+		c.hits.Add(1)
+		// A copy sized to the entry, so the budget counts what is pinned;
+		// near before the flight leaves, so no lookup finds neither.
+		b := bytes.Clone(rp.Bytes)
+		c.near.Put(ks, k.Relation, k.Shard, k.Epoch, rp.Sum, b)
+		c.settle(ks, fl, b, true)
+		return b, nil
+	}
+	c.misses.Add(1)
 	return nil, &Fill{c: c, key: k, ks: ks, admit: admit, fl: fl}
 }
 
 // await collapses a lookup, already counted among the flight's waiters,
-// onto a flight: it returns the flight's bytes, or nil (serve from
-// origin) when the fill aborted, timed out or is not a complete stream.
+// onto a flight: it returns the leader's validated peer hit (counted a
+// hit), its committed fill (a miss), or nil (a miss; serve from origin)
+// when the exchange failed, the fill aborted or timed out, or the fill
+// is not a complete stream. The leader's GET is bounded by the peer
+// timeout, its fill by waitTimeout.
 func (c *Client) await(fl *flight) []byte {
 	c.collapsed.Add(1)
 	select {
 	case <-fl.done:
 	case <-time.After(waitTimeout):
+		c.misses.Add(1)
 		return nil
 	}
+	if fl.hit {
+		c.hits.Add(1)
+		return fl.bytes
+	}
+	c.misses.Add(1)
 	if !completeStream(fl.bytes) {
 		return nil
 	}
@@ -553,25 +527,6 @@ func (c *Client) check(ks string, b []byte, sum hashx.Digest) error {
 	return err
 }
 
-// Probe fetches and validates one entry, surfacing the named error a
-// Lookup would swallow into a fall-through; a clean miss is (nil, nil).
-// Test and tooling seam; no admission tracking, no singleflight.
-func (c *Client) Probe(k Key) ([]byte, error) {
-	ks := k.String()
-	peer := c.peerFor(ks)
-	if peer == nil {
-		return nil, errors.New("cache: no peers configured")
-	}
-	rp, err := peer.CacheOp(&wire.CacheFrame{Get: &wire.CacheGet{Key: ks}})
-	if err != nil || !rp.Hit {
-		return nil, err
-	}
-	if err := c.check(ks, rp.Bytes, rp.Sum); err != nil {
-		return nil, err
-	}
-	return rp.Bytes, nil
-}
-
 // Invalidate queues epoch-scoped group sweeps for every peer (entries
 // can live anywhere once the peer set changes, and a broadcast of a
 // group sweep is cheap) and returns without waiting for any of them;
@@ -600,12 +555,6 @@ func (c *Client) DropAsync(ks string) {
 		return
 	}
 	c.queue(i, func(p *pending) { p.keys[ks] = struct{}{} })
-}
-
-// groupID names an invalidation group.
-type groupID struct {
-	relation string
-	shard    int
 }
 
 // pending is one peer's invalidations not yet handed to a push: per
@@ -658,7 +607,7 @@ func (c *Client) sweeper(i int) {
 		clear(p.groups)
 		clear(p.keys)
 		c.smu.Unlock()
-		if _, err := c.sweepers[i].CacheOp(&wire.CacheFrame{Sweep: sw}); err != nil {
+		if _, err := c.peers[i].CacheOp(&wire.CacheFrame{Sweep: sw}); err != nil {
 			c.peerErrs.Add(1)
 		}
 	}
@@ -705,14 +654,14 @@ func (c *Client) Peers() []string {
 type ClientStats struct {
 	Hits, Misses     uint64 // validated hits / misses (incl. fall-throughs)
 	NearHits         uint64 // hits answered from the near store (a subset of Hits)
-	Collapsed        uint64 // misses that waited on another lookup's fill
+	Collapsed        uint64 // lookups that waited on another lookup's peer GET or fill
 	Fills            uint64 // entries pushed to peers
 	FillDrops        uint64 // fills discarded (aborted, oversized, empty)
 	Fallthroughs     uint64 // entries rejected by digest or structure checks
 	PeerErrors       uint64 // cache-protocol I/O failures
 	Invalidations    uint64 // epoch-scoped group sweeps queued (per group, before coalescing)
 	AdmissionsDenied uint64 // fills skipped by the admission gate
-	Flights          int    // gauge: fills in progress, or committed and still answering lookups
+	Flights          int    // gauge: keys with a peer GET or fill in flight, or a fill's PUT unreturned
 }
 
 // Stats snapshots the client's counters.

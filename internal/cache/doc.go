@@ -2,8 +2,10 @@
 // untrusted, memcached-shaped peers (Server/Store) holding merged result
 // streams as the chunk-frame bytes the coordinator wrote to a client,
 // and the coordinator-side Client that places keys over peers by
-// consistent hashing, collapses concurrent misses with a singleflight
-// table, and gates fills through a frequency-based admission rule.
+// consistent hashing, keeps at most one peer exchange per key in flight
+// (a singleflight table that concurrent lookups wait on), and gates
+// fills through a frequency-based admission rule. Every exchange with a
+// peer runs on that peer's one client, bounded by the peer timeout.
 // There is one kind of entry and one Lookup: a hit is written to the
 // next client verbatim, nothing is decoded on the way. A peer hit that
 // validates is also kept in the client's near store (the same Store type

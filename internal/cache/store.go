@@ -2,7 +2,6 @@ package cache
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 
 	"vcqr/internal/hashx"
@@ -27,14 +26,14 @@ type Store struct {
 	bytes  int64
 	order  *list.List // front = most recently used; values are *storeEntry
 	byKey  map[string]*list.Element
-	groups map[string]map[string]*list.Element // groupKey -> entry key -> element
+	groups map[groupID]map[string]*list.Element // group -> entry key -> element
 
 	hits, misses, puts, evictions, invalidations uint64
 }
 
 type storeEntry struct {
 	key      string
-	group    string
+	group    groupID
 	epoch    uint64
 	sum      hashx.Digest
 	bytes    []byte
@@ -56,12 +55,14 @@ func NewStore(budget int64) *Store {
 		budget: budget,
 		order:  list.New(),
 		byKey:  make(map[string]*list.Element),
-		groups: make(map[string]map[string]*list.Element),
+		groups: make(map[groupID]map[string]*list.Element),
 	}
 }
 
-func groupKey(relation string, shard int) string {
-	return relation + "\x00" + strconv.Itoa(shard)
+// groupID names an invalidation group.
+type groupID struct {
+	relation string
+	shard    int
 }
 
 // Get returns an entry's bytes and stored digest, promoting it to most
@@ -94,7 +95,7 @@ func (s *Store) Put(key, relation string, shard int, epoch uint64, sum hashx.Dig
 	if el, ok := s.byKey[key]; ok {
 		s.removeLocked(el)
 	}
-	e := &storeEntry{key: key, group: groupKey(relation, shard), epoch: epoch, sum: sum.Clone(), bytes: b, overhead: cost - int64(len(b))}
+	e := &storeEntry{key: key, group: groupID{relation, shard}, epoch: epoch, sum: sum.Clone(), bytes: b, overhead: cost - int64(len(b))}
 	el := s.order.PushFront(e)
 	s.byKey[key] = el
 	g := s.groups[e.group]
@@ -131,7 +132,7 @@ func (s *Store) Invalidate(relation string, shard int, keep uint64, key string) 
 			dropped = 1
 		}
 	} else {
-		for _, el := range s.groups[groupKey(relation, shard)] {
+		for _, el := range s.groups[groupID{relation, shard}] {
 			if keep != 0 && el.Value.(*storeEntry).epoch >= keep {
 				continue
 			}

@@ -264,7 +264,7 @@ var cacheCounters = []obs.Counter[cache.ClientStats]{
 	{Key: "cache_hits", Help: "Validated edge-cache hits.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Hits }},
 	{Key: "cache_near_hits", Help: "Edge-cache hits answered from the coordinator's near store (a subset of hits).", Field: func(cs *cache.ClientStats) *uint64 { return &cs.NearHits }},
 	{Key: "cache_misses", Help: "Edge-cache misses (fall-throughs included).", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Misses }},
-	{Key: "cache_collapsed", Help: "Misses collapsed onto another lookup's in-flight fill.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Collapsed }},
+	{Key: "cache_collapsed", Help: "Lookups that waited on another lookup's peer GET or fill.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Collapsed }},
 	{Key: "cache_fills", Help: "Entries pushed to cache peers.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fills }},
 	{Key: "cache_fill_drops", Help: "Fills discarded (aborted, oversized, empty).", PromOnly: true, Field: func(cs *cache.ClientStats) *uint64 { return &cs.FillDrops }},
 	{Key: "cache_fallthroughs", Help: "Cache entries rejected by digest or structural checks.", Field: func(cs *cache.ClientStats) *uint64 { return &cs.Fallthroughs }},

@@ -10,13 +10,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"vcqr/internal/accessctl"
 	"vcqr/internal/core"
 	"vcqr/internal/delta"
 	"vcqr/internal/engine"
 	"vcqr/internal/hashx"
+	"vcqr/internal/leakcheck"
 	"vcqr/internal/partition"
 	"vcqr/internal/relation"
 	"vcqr/internal/server"
@@ -793,7 +793,6 @@ func TestPartitionedStreamAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	handler := f.s.Handler()
-	before := runtime.NumGoroutine()
 	errsBefore := f.s.Stats().Errors
 	// Each frame is a length-prefix write and a body write: header and
 	// the first entries chunk get through, the third frame does not.
@@ -802,11 +801,7 @@ func TestPartitionedStreamAbandoned(t *testing.T) {
 	if f.s.Stats().Errors != errsBefore+1 {
 		t.Fatal("the broken stream was not counted as an error")
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the client left, %d before the request", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
+	if left := leakcheck.Settle(leakcheck.Grace); len(left) > 0 {
+		t.Fatalf("%d goroutines outlived the abandoned stream:\n\n%s", len(left), strings.Join(left, "\n\n"))
 	}
 }

@@ -372,7 +372,6 @@ var servingAllowList = map[string]string{
 	// Test seams: hooks the serving code carries for its tests.
 	"store.Crasher.Arm":        "test seam: crash-point drills arm the hook both durable write paths check",
 	"store.Crasher.Fired":      "test seam: crash-point drills count the hook's firings",
-	"cache.Client.Probe":       "test seam: surfaces the named error a Lookup folds into a fall-through",
 	"hashx.Hasher.ResetOps":    "test seam: the kernel tests zero the hash-operation counter between cases (experiments/{cuser,fig10} count per query)",
 	"relation.FloatVal":        "test seam: the value and filter tests build float values (examples/stocks prices its ticks with it)",
 	"owner.NewWithKey":         "test seam: tests sign with one generated key instead of one per owner",
